@@ -431,6 +431,7 @@ func BenchmarkTraceUnify(b *testing.B) {
 // BenchmarkTraceUnify: same flags out, but sliding-window state instead of
 // a global sort.
 func BenchmarkStreamUnify(b *testing.B) {
+	maybeEnableMetrics()
 	d := sharedWeek(b)
 	t1 := d.World.Monitors[0].Trace()
 	t2 := d.World.Monitors[1].Trace()
@@ -458,6 +459,7 @@ func BenchmarkStreamUnify(b *testing.B) {
 // grows with b.N — unlike the seed's accumulate-in-RAM collection, whose
 // footprint grows linearly with simulated hours.
 func BenchmarkIngestSegmentStore(b *testing.B) {
+	maybeEnableMetrics()
 	dir := b.TempDir()
 	store, err := ingest.OpenSegmentStore(filepath.Join(dir, "bench"), ingest.SegmentOptions{Rotation: time.Hour})
 	if err != nil {

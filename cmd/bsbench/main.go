@@ -2,8 +2,9 @@
 // machine-readable form: it runs the hot-path benchmarks bare and with the
 // obs instrumentation enabled (BSMON_BENCH_METRICS=1) — plus, for the replay
 // drive, with request tracing enabled (BSMON_BENCH_TRACE=1) — and writes the
-// parsed results to BENCH_engine.json and BENCH_report.json, including the
-// overhead each benchmark paid per mode.
+// parsed results to BENCH_engine.json, BENCH_ingest.json and
+// BENCH_report.json, including the overhead each benchmark paid per mode and
+// the host and commit that produced them.
 //
 // Usage:
 //
@@ -13,7 +14,8 @@
 // BENCH_report.json holds the report-driver throughput (the "all figures at
 // once" analysis path); BENCH_engine.json holds trace replay and the
 // simulator event loop, with the traced replay recorded alongside the
-// metrics columns. -max-overhead makes bsbench exit nonzero when the
+// metrics columns; BENCH_ingest.json holds the segment-store write path and
+// the streaming unifier. -max-overhead makes bsbench exit nonzero when the
 // instrumented ns/op regresses more than PCT percent over bare — the
 // enforcement knob for the ≤5% instrumentation budget; -max-trace-overhead
 // is the same knob for the traced-vs-untraced replay column. -only restricts
@@ -42,6 +44,7 @@ import (
 var benchFiles = map[string][]string{
 	"BENCH_report.json": {"BenchmarkReportDriver"},
 	"BENCH_engine.json": {"BenchmarkReplayDrive", "BenchmarkSimnetEventLoop", "BenchmarkEngineScaling"},
+	"BENCH_ingest.json": {"BenchmarkIngestSegmentStore", "BenchmarkStreamUnify"},
 }
 
 // tracedBenches lists the benchmarks that honor BSMON_BENCH_TRACE: they get a
@@ -73,10 +76,16 @@ type Entry struct {
 	TraceOverheadPct float64 `json:"trace_overhead_pct,omitempty"`
 }
 
-// File is one BENCH_*.json document.
+// File is one BENCH_*.json document. A row means nothing without the
+// machine it was measured on (a shard curve taken on 2 cores cannot rise), so
+// every document carries the host and the commit.
 type File struct {
 	Date       string  `json:"date"`
 	GoVersion  string  `json:"go_version"`
+	NumCPU     int     `json:"num_cpu"`
+	GOMAXPROCS int     `json:"gomaxprocs"`
+	CPUModel   string  `json:"cpu_model"`
+	Commit     string  `json:"commit"`
 	Benchtime  string  `json:"benchtime"`
 	Benchmarks []Entry `json:"benchmarks"`
 }
@@ -164,13 +173,18 @@ func run(args []string) error {
 		paths = append(paths, path)
 	}
 	sort.Strings(paths)
+	stamp := File{
+		Date:       time.Now().UTC().Format("2006-01-02"),
+		GoVersion:  runtime.Version(),
+		NumCPU:     runtime.NumCPU(),
+		GOMAXPROCS: benchProcs(),
+		CPUModel:   cpuModel(),
+		Commit:     gitCommit(*moduleDir),
+		Benchtime:  *benchtime,
+	}
 	for _, path := range paths {
 		ns := benchFiles[path]
-		doc := File{
-			Date:      time.Now().UTC().Format("2006-01-02"),
-			GoVersion: runtime.Version(),
-			Benchtime: *benchtime,
-		}
+		doc := stamp
 		for _, name := range ns {
 			if !selected(name) {
 				continue
@@ -273,17 +287,56 @@ func runBenchmarks(dir, pattern, benchtime string, round, rounds int, mode strin
 	return parseBenchOutput(string(out))
 }
 
+// benchProcs is the GOMAXPROCS the benchmark processes run with: they
+// inherit this process's environment.
+func benchProcs() int {
+	if v := os.Getenv("GOMAXPROCS"); v != "" {
+		if n, err := strconv.Atoi(v); err == nil && n > 0 {
+			return n
+		}
+	}
+	return runtime.GOMAXPROCS(0)
+}
+
+// cpuModel reads the processor's name from /proc/cpuinfo.
+func cpuModel() string {
+	data, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		return "unknown"
+	}
+	for _, line := range strings.Split(string(data), "\n") {
+		if name, ok := strings.CutPrefix(line, "model name"); ok {
+			return strings.TrimSpace(strings.TrimPrefix(strings.TrimSpace(name), ":"))
+		}
+	}
+	return "unknown"
+}
+
+// gitCommit names the commit checked out in dir, with "+dirty" when the
+// measured tree has changes that commit does not hold.
+func gitCommit(dir string) string {
+	git := func(args ...string) (string, error) {
+		cmd := exec.Command("git", args...)
+		cmd.Dir = dir
+		out, err := cmd.Output()
+		return strings.TrimSpace(string(out)), err
+	}
+	head, err := git("rev-parse", "--short=12", "HEAD")
+	if err != nil {
+		return "unknown"
+	}
+	if status, err := git("status", "--porcelain"); err != nil || status != "" {
+		head += "+dirty"
+	}
+	return head
+}
+
 // stripProcSuffix removes the -GOMAXPROCS suffix go test appends to result
 // lines. Only the exact effective GOMAXPROCS value is stripped: with
 // GOMAXPROCS=1 no suffix is printed at all, and a blind trailing "-N" strip
 // would eat the shard count from sub-benchmark names like "sharded-8".
 func stripProcSuffix(name string) string {
-	procs := runtime.GOMAXPROCS(0)
-	if v := os.Getenv("GOMAXPROCS"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n > 0 {
-			procs = n
-		}
-	}
+	procs := benchProcs()
 	if procs == 1 {
 		return name
 	}

@@ -8,7 +8,13 @@
 // Capture scales past RAM through the internal/ingest streaming pipeline:
 // monitors write observations into sinks (segment stores, online
 // statistics) instead of accumulating them, and analyses read the trace
-// back one segment at a time.
+// back one segment at a time. A segment is a BSTRACE2 stream (internal/trace):
+// per record a timestamp delta, type and flags, and a reference each for the
+// monitor, the (node ID, address) pair and the CID into per-stream
+// dictionaries of at most 65 536 literals, cleared by writer and reader at
+// the same count. What dictionary coding leaves is mostly first-occurrence
+// hashes, so the stream is deflated at gzip.BestSpeed: 21.9 bytes per entry
+// against 33.5 for full records at level 6, written three times as fast.
 //
 // Capture also scales past a bounded run: bsmon -serve is a
 // continuous-monitoring daemon. Registry reports are evaluated over rolling

@@ -106,12 +106,13 @@ func (s *SegmentStore) Compact(p CompactionPolicy) (runs, absorbed int, err erro
 
 	var run []SegmentInfo
 	runEntries := 0
+	var codec compactCodec
 	flush := func() error {
 		defer func() { run, runEntries = run[:0], 0 }()
 		if len(run) < p.MinRun {
 			return nil
 		}
-		if err := s.compactRun(run); err != nil {
+		if err := s.compactRun(run, &codec); err != nil {
 			return err
 		}
 		runs++
@@ -140,13 +141,20 @@ func (s *SegmentStore) Compact(p CompactionPolicy) (runs, absorbed int, err erro
 	return runs, absorbed, nil
 }
 
+// compactCodec is the one Writer and one Reader a compaction pass moves every
+// segment through, made on first use.
+type compactCodec struct {
+	w *trace.Writer
+	r *trace.Reader
+}
+
 // compactRun rewrites one run of sealed segments into a single segment.
 // The merged stream is written to a temporary file, fsynced, renamed over
 // the first input (atomic), and only then are the remaining inputs deleted.
 // A crash at any point is recovered at the next OpenSegmentStore: a stale
 // temporary is discarded, and leftover inputs covered by the merged
 // footer's [Seq, SeqMax] interval are deleted.
-func (s *SegmentStore) compactRun(run []SegmentInfo) error {
+func (s *SegmentStore) compactRun(run []SegmentInfo, c *compactCodec) error {
 	dstPath := run[0].Path
 	tmp := dstPath + compactSuffix
 	f, err := os.Create(tmp)
@@ -159,20 +167,19 @@ func (s *SegmentStore) compactRun(run []SegmentInfo) error {
 			os.Remove(tmp)
 		}
 	}()
-	w, err := trace.NewWriter(f)
-	if err != nil {
+	if c.w, err = openWriter(c.w, f); err != nil {
 		return err
 	}
 	merged := newFooter()
 	for _, seg := range run {
-		if err := copySegmentPayload(w, seg.Path); err != nil {
+		if err := c.copySegmentPayload(seg.Path); err != nil {
 			return err
 		}
 		merged.merge(seg.Footer)
 	}
 	merged.Gen = compactedGen
 	merged.SeqMax = run[len(run)-1].Seq
-	if err := w.Close(); err != nil {
+	if err := c.w.Close(); err != nil {
 		return fmt.Errorf("ingest: finalize compacted stream: %w", err)
 	}
 	if err := writeFooter(f, *merged); err != nil {
@@ -214,27 +221,25 @@ func (s *SegmentStore) compactRun(run []SegmentInfo) error {
 	return nil
 }
 
-// copySegmentPayload streams one segment's entries into w.
-func copySegmentPayload(w *trace.Writer, path string) error {
+// copySegmentPayload streams one segment's entries into c.w.
+func (c *compactCodec) copySegmentPayload(path string) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	r, err := trace.NewReader(f)
-	if err != nil {
+	if c.r, err = openReader(c.r, f); err != nil {
 		return fmt.Errorf("ingest: open segment %s for compaction: %w", path, err)
 	}
-	defer r.Close()
 	for {
-		e, err := r.Read()
+		e, err := c.r.Read()
 		if err == io.EOF {
 			return nil
 		}
 		if err != nil {
 			return fmt.Errorf("ingest: read %s during compaction: %w", path, err)
 		}
-		if err := w.Write(e); err != nil {
+		if err := c.w.Write(e); err != nil {
 			return err
 		}
 	}

@@ -139,6 +139,35 @@ func TestCompactEquivalence(t *testing.T) {
 	}
 }
 
+// TestCompactedSegmentNoLargerThanInputs: every segment starts its
+// dictionaries and its gzip member afresh, so one merged segment holds each
+// literal once where its inputs held it once each, and is no larger than
+// they were together.
+func TestCompactedSegmentNoLargerThanInputs(t *testing.T) {
+	store := newSegmentedStore(t, t.TempDir(), "us", 5, 600, 3*time.Hour, 5*time.Minute)
+	segs := store.Segments()
+	inputs := segs[:len(segs)-1] // the newest sealed segment is exempt
+	var before int64
+	for _, seg := range inputs {
+		st, err := os.Stat(seg.Path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before += st.Size()
+	}
+	runs, absorbed, err := store.Compact(CompactionPolicy{MinRun: 2, SmallEntries: 1 << 20, TargetEntries: 1 << 20})
+	if err != nil || runs != 1 || absorbed != len(inputs) {
+		t.Fatalf("compaction of %d segments: runs=%d absorbed=%d err=%v", len(inputs), runs, absorbed, err)
+	}
+	st, err := os.Stat(store.Segments()[0].Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Size() > before {
+		t.Errorf("merged segment is %d bytes, its %d inputs were %d", st.Size(), len(inputs), before)
+	}
+}
+
 func TestCompactRespectsTargetEntries(t *testing.T) {
 	store := newSegmentedStore(t, t.TempDir(), "us", 3, 400, 2*time.Hour, 5*time.Minute)
 	nSegs := len(store.Segments())

@@ -16,15 +16,17 @@ import (
 )
 
 // Segment files are the on-disk unit of a SegmentStore: a regular binary
-// trace stream (see trace.NewWriter) followed by a footer that summarises
-// the segment without decompressing it:
+// trace stream (BSTRACE2, see internal/trace/io.go) followed by a footer that
+// summarises the segment without decompressing it:
 //
 //	[gzip trace stream][footer JSON][uint64 LE footer length]["BSSEGFT1"]
 //
-// The footer is read by seeking to the end of the file, so opening a store
-// over months of segments touches only metadata. The payload remains
-// readable by a plain trace.Reader (which stops at the end of the gzip
-// stream and ignores the trailing footer).
+// The stream's dictionaries start empty in every segment, so a segment
+// decodes on its own and a query may skip any of them. The footer is read by
+// seeking to the end of the file, so opening a store over months of segments
+// touches only metadata. The payload remains readable by a plain
+// trace.Reader (which stops at the end of the gzip stream and ignores the
+// trailing footer).
 var segmentFooterMagic = []byte("BSSEGFT1")
 
 const segmentSuffix = ".seg"
@@ -57,16 +59,51 @@ func newFooter() *Footer {
 	return &Footer{PerType: make(map[string]int), PerMonitor: make(map[string]int)}
 }
 
-func (f *Footer) observe(e trace.Entry) {
-	if f.Entries == 0 || e.Timestamp.Before(f.First) {
-		f.First = e.Timestamp
+// activeFooter gathers the footer of the segment being written. Entries,
+// First and Last are kept current in Footer (rotation reads them); the
+// per-type and per-monitor counts stay out of the string-keyed maps until
+// seal.
+type activeFooter struct {
+	Footer
+	perType [256]int // indexed by the entry type byte
+	// Consecutive entries mostly come from one monitor: monN counts the
+	// current run of mon, folded into PerMonitor when the monitor changes.
+	mon  string
+	monN int
+}
+
+func (a *activeFooter) observe(e trace.Entry) {
+	if a.Entries == 0 || e.Timestamp.Before(a.First) {
+		a.First = e.Timestamp
 	}
-	if f.Entries == 0 || e.Timestamp.After(f.Last) {
-		f.Last = e.Timestamp
+	if a.Entries == 0 || e.Timestamp.After(a.Last) {
+		a.Last = e.Timestamp
 	}
-	f.Entries++
-	f.PerType[e.Type.String()]++
-	f.PerMonitor[e.Monitor]++
+	a.Entries++
+	a.perType[e.Type]++
+	if e.Monitor != a.mon {
+		a.foldMonitor()
+		a.mon = e.Monitor
+	}
+	a.monN++
+}
+
+func (a *activeFooter) foldMonitor() {
+	if a.monN > 0 {
+		a.PerMonitor[a.mon] += a.monN
+		a.monN = 0
+	}
+}
+
+// seal returns the finished footer.
+func (a *activeFooter) seal() Footer {
+	a.foldMonitor()
+	for t, n := range a.perType {
+		if n > 0 {
+			a.PerType[wire.EntryType(t).String()] = n
+		}
+	}
+	return a.Footer
 }
 
 // merge adds o's counts into f.
@@ -156,10 +193,12 @@ type SegmentStore struct {
 	// footer (e.g. after a crash) and were ignored when opening.
 	skipped []string
 
-	seq        int
+	seq int
+	// f is the active segment's file, nil between segments; w is the one
+	// codec every segment of this store is written through.
 	f          *os.File
 	w          *trace.Writer
-	active     *Footer
+	active     *activeFooter
 	activePath string
 
 	// m is the telemetry handle resolved at open; nil (metrics never
@@ -271,12 +310,12 @@ func sortSegments(segs []SegmentInfo) {
 // roughly nondecreasing timestamp order (a monitor's natural output); an
 // out-of-order entry is stored in whatever segment is active.
 func (s *SegmentStore) Write(e trace.Entry) error {
-	if s.w != nil && s.shouldRotate(e) {
+	if s.f != nil && s.shouldRotate(e) {
 		if err := s.seal(); err != nil {
 			return err
 		}
 	}
-	if s.w == nil {
+	if s.f == nil {
 		if err := s.openSegment(); err != nil {
 			return err
 		}
@@ -304,12 +343,11 @@ func (s *SegmentStore) openSegment() error {
 	if err != nil {
 		return fmt.Errorf("ingest: create segment: %w", err)
 	}
-	w, err := trace.NewWriter(f)
-	if err != nil {
+	if s.w, err = openWriter(s.w, f); err != nil {
 		f.Close()
 		return err
 	}
-	s.f, s.w, s.active, s.activePath = f, w, newFooter(), path
+	s.f, s.active, s.activePath = f, &activeFooter{Footer: *newFooter()}, path
 	s.seq++
 	return nil
 }
@@ -320,21 +358,21 @@ func (s *SegmentStore) openSegment() error {
 // the store remains usable for queries over the already-sealed segments
 // and a later Write starts a fresh segment.
 func (s *SegmentStore) seal() error {
-	if s.w == nil {
+	if s.f == nil {
 		return nil
 	}
 	var sealStart time.Time
 	if s.m != nil {
 		sealStart = time.Now()
 	}
-	f, w, active, path := s.f, s.w, s.active, s.activePath
-	s.f, s.w, s.active, s.activePath = nil, nil, nil, ""
-	if err := w.Close(); err != nil {
+	f, footer, path := s.f, s.active.seal(), s.activePath
+	s.f, s.active, s.activePath = nil, nil, ""
+	if err := s.w.Close(); err != nil {
 		f.Close()
 		s.markSkipped(path)
 		return fmt.Errorf("ingest: finalize segment stream: %w", err)
 	}
-	if err := writeFooter(f, *active); err != nil {
+	if err := writeFooter(f, footer); err != nil {
 		f.Close()
 		s.markSkipped(path)
 		return err
@@ -354,7 +392,7 @@ func (s *SegmentStore) seal() error {
 		s.m.bytes.Add(uint64(segBytes))
 		s.m.flushLatency.ObserveDuration(time.Since(sealStart))
 	}
-	info := SegmentInfo{Path: path, Seq: s.seq - 1, Footer: *active}
+	info := SegmentInfo{Path: path, Seq: s.seq - 1, Footer: footer}
 	if info.Footer.Entries == 0 {
 		// An empty segment (sealed before any write) carries no data;
 		// drop the file rather than index a zero-range segment.
@@ -492,15 +530,17 @@ type QueryIter struct {
 	keep     func(trace.Entry) bool
 
 	idx int
-	f   *os.File
-	r   *trace.Reader
+	// f is the open segment, nil between segments; r is the one codec every
+	// segment of this query is read through.
+	f *os.File
+	r *trace.Reader
 }
 
 // Read returns the next matching entry, or io.EOF when the query is
 // exhausted.
 func (it *QueryIter) Read() (trace.Entry, error) {
 	for {
-		if it.r == nil {
+		if it.f == nil {
 			if it.idx >= len(it.segs) {
 				return trace.Entry{}, io.EOF
 			}
@@ -510,12 +550,11 @@ func (it *QueryIter) Read() (trace.Entry, error) {
 			if err != nil {
 				return trace.Entry{}, err
 			}
-			r, err := trace.NewReader(f)
-			if err != nil {
+			if it.r, err = openReader(it.r, f); err != nil {
 				f.Close()
 				return trace.Entry{}, fmt.Errorf("ingest: open segment %s: %w", seg.Path, err)
 			}
-			it.f, it.r = f, r
+			it.f = f
 		}
 		e, err := it.r.Read()
 		if err == io.EOF {
@@ -540,14 +579,29 @@ func (it *QueryIter) Read() (trace.Entry, error) {
 }
 
 func (it *QueryIter) closeSegment() {
-	if it.r != nil {
-		it.r.Close()
-		it.r = nil
-	}
 	if it.f != nil {
 		it.f.Close()
 		it.f = nil
 	}
+}
+
+// openWriter points w at the new segment f, or makes the Writer when w is
+// nil.
+func openWriter(w *trace.Writer, f *os.File) (*trace.Writer, error) {
+	if w == nil {
+		return trace.NewWriter(f)
+	}
+	w.Reset(f)
+	return w, nil
+}
+
+// openReader points r at the segment f, or makes the Reader when r is nil.
+// The Reader it returns is fit for the next segment even beside an error.
+func openReader(r *trace.Reader, f *os.File) (*trace.Reader, error) {
+	if r == nil {
+		return trace.NewReader(f)
+	}
+	return r, r.Reset(f)
 }
 
 // Close releases any open segment file. Read after Close resumes with the

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -376,5 +377,53 @@ func TestSegmentStoreSurvivesSealFailure(t *testing.T) {
 	}
 	if tot := store.Totals(); tot.Entries != 2 {
 		t.Errorf("totals after recovery = %d, want 2", tot.Entries)
+	}
+}
+
+// TestFooterCountsByTypeAndMonitor: the footer's per-type and per-monitor
+// counts, gathered off the string-keyed maps while the segment is active,
+// are what counting each entry under its type's spelling and its monitor's
+// name gives — with monitors interleaved, an empty monitor name and a type
+// byte the wire format does not define.
+func TestFooterCountsByTypeAndMonitor(t *testing.T) {
+	dir := t.TempDir()
+	store, err := OpenSegmentStore(dir, SegmentOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := newFooter()
+	monitors := []string{"us", "us", "de", "", "us", "", "", "de"}
+	for i := 0; i < 200; i++ {
+		typ := wire.EntryType(i%3 + 1)
+		if i%17 == 0 {
+			typ = wire.EntryType(200)
+		}
+		e := entry(monitors[i%len(monitors)], byte(i), "x", typ, t0.Add(time.Duration(i)*time.Second))
+		if err := store.Write(e); err != nil {
+			t.Fatal(err)
+		}
+		want.Entries++
+		want.PerType[typ.String()]++
+		want.PerMonitor[e.Monitor]++
+	}
+	want.First, want.Last = t0, t0.Add(199*time.Second)
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs := store.Segments()
+	if len(segs) != 1 {
+		t.Fatalf("segments = %d, want 1", len(segs))
+	}
+	onDisk, err := ReadFooter(segs[0].Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, got := range map[string]Footer{"indexed": segs[0].Footer, "on disk": onDisk, "totals": store.Totals()} {
+		if !reflect.DeepEqual(got, *want) {
+			t.Errorf("%s footer:\n got %+v\nwant %+v", name, got, *want)
+		}
+	}
+	if want.PerType["EntryType(200)"] == 0 || want.PerMonitor[""] == 0 {
+		t.Fatalf("the trace does not hold the cases this test is for: %+v", *want)
 	}
 }

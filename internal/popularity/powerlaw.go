@@ -91,32 +91,33 @@ func FitPowerLaw(values []int) (PowerLawFit, error) {
 
 // FitPowerLawOpts is FitPowerLaw with explicit scan bounds.
 func FitPowerLawOpts(values []int, opts FitOpts) (PowerLawFit, error) {
+	sorted := append([]int(nil), values...)
+	sort.Ints(sorted)
+	return fitSorted(sorted, opts)
+}
+
+// fitSorted is FitPowerLawOpts for values already in ascending order.
+func fitSorted(sorted []int, opts FitOpts) (PowerLawFit, error) {
 	opts = opts.withDefaults()
-	if len(values) < opts.MinTail {
+	if len(sorted) < opts.MinTail {
 		return PowerLawFit{}, ErrTooFewSamples
 	}
 	minTail := opts.MinTail
-	if frac := int(opts.MinTailFrac * float64(len(values))); frac > minTail {
+	if frac := int(opts.MinTailFrac * float64(len(sorted))); frac > minTail {
 		minTail = frac
 	}
-	sorted := append([]int(nil), values...)
-	sort.Ints(sorted)
-	// Candidate xmins: distinct values except the very largest (need a
-	// non-trivial tail).
-	var candidates []int
-	for i := 0; i < len(sorted); {
-		if sorted[i] >= 1 {
-			candidates = append(candidates, sorted[i])
-		}
-		v := sorted[i]
-		for i < len(sorted) && sorted[i] == v {
-			i++
-		}
-	}
 	best := PowerLawFit{KS: math.Inf(1)}
-	for _, xmin := range candidates {
-		lo := sort.SearchInts(sorted, xmin)
+	// Candidate xmins: the distinct values, ascending, for as long as the
+	// tail from there on is large enough.
+	for lo := 0; lo < len(sorted); {
+		xmin := sorted[lo]
 		tail := sorted[lo:]
+		for lo < len(sorted) && sorted[lo] == xmin {
+			lo++
+		}
+		if xmin < 1 {
+			continue
+		}
 		if len(tail) < minTail {
 			break
 		}
@@ -165,8 +166,8 @@ func (f PowerLawFit) PValue(values []int, iterations int, rng *rand.Rand) float6
 	n := len(values)
 	pTail := float64(f.NTail) / float64(n)
 	exceed := 0
+	synth := make([]int, n) // refilled and sorted in place by every iteration
 	for it := 0; it < iterations; it++ {
-		synth := make([]int, n)
 		for i := range synth {
 			if len(body) == 0 || rng.Float64() < pTail {
 				synth[i] = samplePowerLaw(rng, f.Xmin, f.Alpha)
@@ -174,7 +175,8 @@ func (f PowerLawFit) PValue(values []int, iterations int, rng *rand.Rand) float6
 				synth[i] = body[rng.Intn(len(body))]
 			}
 		}
-		sf, err := FitPowerLaw(synth)
+		sort.Ints(synth)
+		sf, err := fitSorted(synth, FitOpts{})
 		if err != nil {
 			continue
 		}

@@ -32,7 +32,9 @@ func FuzzReader(f *testing.F) {
 	f.Add(fuzzSeedTrace(f, 0))
 	f.Add([]byte{})
 	seed := fuzzSeedTrace(f, 8)
-	f.Add(seed[:len(seed)/2]) // truncated mid-stream
+	f.Add(seed[:len(seed)/2])                                   // truncated mid-stream
+	f.Add(midLiteralStream(f))                                  // a whole gzip member that ends inside a CID literal
+	f.Add(rawStream(f, string(fileMagic)+"\x00\x00\x02us\x05")) // a ref into an empty dictionary
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := NewReader(bytes.NewReader(data))
 		if err != nil {

@@ -2,12 +2,15 @@ package trace
 
 import (
 	"bytes"
+	"compress/gzip"
 	"encoding/csv"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
 	"reflect"
 	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -311,5 +314,253 @@ func TestWriterCorruptStreamDetected(t *testing.T) {
 	out, err := ReadAll(r)
 	if err == nil && len(out) == 10 {
 		t.Error("truncated stream returned complete trace")
+	}
+}
+
+// encode renders entries through w, which is Reset onto a fresh buffer first
+// when it is not nil.
+func encode(t *testing.T, w *Writer, entries []Entry) (*Writer, []byte) {
+	t.Helper()
+	var buf bytes.Buffer
+	if w == nil {
+		var err error
+		if w, err = NewWriter(&buf); err != nil {
+			t.Fatal(err)
+		}
+	} else {
+		w.Reset(&buf)
+	}
+	for _, e := range entries {
+		if err := w.Write(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if w.Count() != len(entries) {
+		t.Fatalf("Count = %d after %d writes", w.Count(), len(entries))
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return w, buf.Bytes()
+}
+
+// decode reads a whole stream through r, which is Reset onto it first when
+// it is not nil.
+func decode(t *testing.T, r *Reader, stream []byte) (*Reader, []Entry) {
+	t.Helper()
+	var err error
+	if r == nil {
+		r, err = NewReader(bytes.NewReader(stream))
+	} else {
+		err = r.Reset(bytes.NewReader(stream))
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := ReadAll(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r, out
+}
+
+// firstDiff returns the index of the first entry at which a and b differ
+// (the shorter one's length when it is a prefix of the other), or -1.
+func firstDiff(a, b []Entry) int {
+	for i := range a {
+		if i >= len(b) || a[i] != b[i] {
+			return i
+		}
+	}
+	if len(b) > len(a) {
+		return len(a)
+	}
+	return -1
+}
+
+// overflowTrace builds a stream with more distinct peers and more distinct
+// CIDs than a dictionary holds, each revisited after its dictionary has been
+// cleared and again shortly after (a ref, then a literal, then a ref).
+func overflowTrace() []Entry {
+	const peers, cids = dictCap + 1500, dictCap + 700
+	n := 2*cids + 5000
+	out := make([]Entry, n)
+	for i := range out {
+		p, c := i%peers, i%cids
+		if i%3 == 2 {
+			p, c = (i-2)%peers, (i-2)%cids // a repeat from two records back
+		}
+		var id simnet.NodeID
+		id[0], id[1], id[2] = byte(p), byte(p>>8), byte(p>>16)
+		out[i] = Entry{
+			Timestamp: t0.Add(time.Duration(i) * time.Millisecond),
+			Monitor:   "us",
+			NodeID:    id,
+			Addr:      "3.0.0.1:4001",
+			Type:      wire.EntryType(i%3 + 1),
+			CID:       cid.Sum(cid.Raw, []byte{byte(c), byte(c >> 8), byte(c >> 16)}),
+		}
+	}
+	return out
+}
+
+// TestRoundTripBeyondDictionaryCap: writer and reader clear a full
+// dictionary at the same literal, so refs keep resolving past the cap.
+func TestRoundTripBeyondDictionaryCap(t *testing.T) {
+	in := overflowTrace()
+	_, stream := encode(t, nil, in)
+	_, out := decode(t, nil, stream)
+	if i := firstDiff(in, out); i >= 0 {
+		t.Fatalf("wrote %d entries, read %d, first difference at %d", len(in), len(out), i)
+	}
+}
+
+// TestRoundTripPeerAddressChange: the peer dictionary codes (node ID,
+// address) pairs, so a peer that comes back from another address, or with
+// none, must not be handed its earlier one.
+func TestRoundTripPeerAddressChange(t *testing.T) {
+	at := func(mon string, node byte, addr string) Entry {
+		e := entry(mon, node, "x", wire.WantHave, t0)
+		e.Addr = addr
+		return e
+	}
+	in := []Entry{
+		at("us", 1, "3.0.0.1:4001"),
+		at("us", 1, "3.0.0.1:4001"),
+		at("us", 1, "3.0.0.2:4001"),
+		at("", 1, "3.0.0.1:4001"),
+		at("", 1, ""),
+		at("us", 2, ""),
+		at("", 1, "3.0.0.2:4001"),
+		at("us", 1, ""),
+	}
+	_, stream := encode(t, nil, in)
+	_, out := decode(t, nil, stream)
+	if i := firstDiff(in, out); i >= 0 {
+		t.Errorf("first difference at entry %d:\n got %+v\nwant %+v", i, out, in)
+	}
+}
+
+// TestResetReuse: a Writer that was Reset writes the bytes a new Writer
+// would, and a Reader that was Reset reads the entries a new Reader would,
+// whatever the stream before left in their dictionaries and buffers —
+// including a Reader whose previous stream ended in an error.
+func TestResetReuse(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	small := make([]Entry, 300)
+	for i := range small {
+		small[i] = randomIOEntry(rng)
+	}
+	traces := [][]Entry{small, overflowTrace(), nil, small[:17], randomTrace(rng, 2000)}
+
+	var w *Writer
+	var r *Reader
+	for i, in := range traces {
+		_, fresh := encode(t, nil, in)
+		var reused []byte
+		w, reused = encode(t, w, in)
+		if !bytes.Equal(fresh, reused) {
+			t.Fatalf("trace %d: reused Writer wrote %d bytes that differ from a new Writer's %d", i, len(reused), len(fresh))
+		}
+		var out []Entry
+		r, out = decode(t, r, fresh)
+		if d := firstDiff(in, out); d >= 0 {
+			t.Fatalf("trace %d: reused Reader read %d entries of %d written, first difference at %d", i, len(out), len(in), d)
+		}
+		// Leave the Reader mid-stream in an error before its next reuse.
+		if err := r.Reset(bytes.NewReader(fresh[:len(fresh)*2/3])); err == nil {
+			if _, err := ReadAll(r); err == nil {
+				t.Fatalf("trace %d: truncated stream read without error", i)
+			}
+		}
+	}
+}
+
+// rawStream wraps payload as a trace stream's gzip member, so a test can
+// hand the Reader records no Writer would produce.
+func rawStream(t interface{ Fatal(...any) }, payload string) []byte {
+	var buf bytes.Buffer
+	gz := gzip.NewWriter(&buf)
+	if _, err := gz.Write([]byte(payload)); err != nil {
+		t.Fatal(err)
+	}
+	if err := gz.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// cidLiteral is a well-formed CID literal: length prefix and binary CID.
+var cidLiteral = func() string {
+	key := cid.Sum(cid.Raw, []byte("x")).Key()
+	return string(rune(len(key))) + key
+}()
+
+// Pieces of hand-built records: a timestamp delta of 0, literals for monitor
+// "us" and for a peer at address "a", WANT_BLOCK without flags, and
+// goodRecord, a well-formed first record made of them.
+const (
+	recTS   = "\x00"
+	recMon  = "\x00\x02us"
+	recType = "\x01\x00"
+)
+
+var (
+	recPeer    = "\x00" + strings.Repeat("\x07", 32) + "\x01a"
+	goodRecord = recTS + recMon + recPeer + recType + "\x00" + cidLiteral
+)
+
+// midLiteralStream ends inside the first record's CID literal.
+func midLiteralStream(t interface{ Fatal(...any) }) []byte {
+	return rawStream(t, string(fileMagic)+goodRecord[:len(goodRecord)-9])
+}
+
+// TestReaderRejectsMalformedRecords: whatever a stream holds, the Reader
+// answers with an error wrapping ErrBadTrace; it never panics and never
+// resolves a ref it was not given.
+func TestReaderRejectsMalformedRecords(t *testing.T) {
+	const (
+		ts, mon, typ = recTS, recMon, recType
+		refHuge      = "\xff\xff\xff\xff\x0f" // ref 2^32-1
+	)
+	peerLit, good := recPeer, goodRecord
+	over := strings.Repeat("\xff", 10) + "\x01" // a varint of 11 bytes
+	for _, tc := range []struct {
+		name, payload, want string
+	}{
+		{"previous format", "BSTRACE1" + good, `"BSTRACE1"`},
+		{"foreign magic", "NOTTRACE" + good, "bad magic"},
+		{"short magic", "BSTR", "missing header"},
+		{"monitor ref into empty dictionary", string(fileMagic) + ts + "\x01", "ref 1"},
+		{"monitor ref past the dictionary", string(fileMagic) + good + ts + "\x02", "ref 2"},
+		{"peer ref into empty dictionary", string(fileMagic) + ts + mon + "\x01", "ref 1"},
+		{"peer ref past the dictionary", string(fileMagic) + good + ts + "\x01" + refHuge, "ref 4294967295"},
+		{"cid ref into empty dictionary", string(fileMagic) + ts + mon + peerLit + typ + "\x03", "ref 3"},
+		{"cid ref past the dictionary", string(fileMagic) + good + ts + "\x01\x01" + typ + "\x02", "ref 2"},
+		{"ref overflows", string(fileMagic) + ts + over, "overflows"},
+		{"timestamp overflows", string(fileMagic) + over, "overflows"},
+		{"literal longer than the limit", string(fileMagic) + ts + "\x00\x81\x80\x04", "literal of 65537 bytes"},
+		{"cid literal is not a CID", string(fileMagic) + ts + mon + peerLit + typ + "\x00\x02zz", "cid"},
+		{"cut in the timestamp", string(fileMagic) + good + "\x80", "timestamp"},
+		{"cut after the monitor", string(fileMagic) + ts + mon, "peer"},
+		{"cut in the node id", string(fileMagic) + ts + mon + "\x00\x07\x07", "truncated"},
+		{"cut before type and flags", string(fileMagic) + ts + mon + peerLit, "truncated"},
+		{"cut in the cid literal", string(fileMagic) + good[:len(good)-9], "truncated"},
+	} {
+		r, err := NewReader(bytes.NewReader(rawStream(t, tc.payload)))
+		if err == nil {
+			_, err = ReadAll(r)
+		}
+		if !errors.Is(err, ErrBadTrace) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want one wrapping ErrBadTrace and naming %s", tc.name, err, tc.want)
+		}
+	}
+	// The well-formed record the cases above are built from does decode.
+	r, err := NewReader(bytes.NewReader(rawStream(t, string(fileMagic)+good+ts+"\x01\x01"+typ+"\x01")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out, err := ReadAll(r); err != nil || len(out) != 2 || out[0] != out[1] || out[0].Monitor != "us" || out[0].Addr != "a" {
+		t.Errorf("hand-built stream: %+v, %v", out, err)
 	}
 }

@@ -581,8 +581,10 @@ func BenchmarkReplayDrive(b *testing.B) {
 
 // BenchmarkCrawl measures one full DHT crawl over the shared world.
 func BenchmarkCrawl(b *testing.B) {
+	maybeEnableMetrics()
 	d := sharedWeek(b)
 	var res dht.CrawlResult
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		id := simnet.RandomNodeID(d.World.Net.NewRand("bench-crawler"))
 		nd, err := node.New(d.World.Net, id, "202.0.1.1:4001", simnet.RegionOther, node.Config{Mode: dht.ModeClient})
@@ -601,6 +603,37 @@ func BenchmarkCrawl(b *testing.B) {
 	}
 	b.ReportMetric(float64(len(res.Seen)), "peers-seen")
 	b.ReportMetric(float64(len(res.Responded)), "servers-responded")
+}
+
+// BenchmarkClosest measures the routing-table query a DHT server runs for
+// every FIND_NODE / GET_PROVIDERS it answers: one Closest(target, k) per
+// iteration over random targets, on tables filled from 400 and from 20 000
+// random server IDs (the benchmark scenario's population and fifty times it;
+// a k-bucket table keeps about k·log2(N/k) of them).
+func BenchmarkClosest(b *testing.B) {
+	for _, ids := range []int{400, 20000} {
+		b.Run(fmt.Sprintf("ids-%d", ids), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(42))
+			rt := dht.NewRoutingTable(simnet.RandomNodeID(rng), dht.DefaultK)
+			for i := 0; i < ids; i++ {
+				rt.Add(dht.PeerInfo{ID: simnet.RandomNodeID(rng), Addr: "198.51.100.7:4001", Server: true})
+			}
+			targets := make([]simnet.NodeID, 1024)
+			for i := range targets {
+				targets[i] = simnet.RandomNodeID(rng)
+			}
+			var got []dht.PeerInfo
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				got = rt.Closest(targets[i%len(targets)], dht.DefaultK)
+			}
+			b.StopTimer()
+			if len(got) != dht.DefaultK {
+				b.Fatalf("Closest returned %d peers, want %d", len(got), dht.DefaultK)
+			}
+			b.ReportMetric(float64(rt.Size()), "table-peers")
+		})
+	}
 }
 
 func boolMetric(v bool) float64 {

@@ -2,7 +2,7 @@
 // machine-readable form: it runs the hot-path benchmarks bare and with the
 // obs instrumentation enabled (BSMON_BENCH_METRICS=1) — plus, for the replay
 // drive, with request tracing enabled (BSMON_BENCH_TRACE=1) — and writes the
-// parsed results to BENCH_engine.json, BENCH_ingest.json and
+// parsed results to BENCH_dht.json, BENCH_engine.json, BENCH_ingest.json and
 // BENCH_report.json, including the overhead each benchmark paid per mode and
 // the host and commit that produced them.
 //
@@ -15,12 +15,13 @@
 // once" analysis path); BENCH_engine.json holds trace replay and the
 // simulator event loop, with the traced replay recorded alongside the
 // metrics columns; BENCH_ingest.json holds the segment-store write path and
-// the streaming unifier. -max-overhead makes bsbench exit nonzero when the
-// instrumented ns/op regresses more than PCT percent over bare — the
-// enforcement knob for the ≤5% instrumentation budget; -max-trace-overhead
-// is the same knob for the traced-vs-untraced replay column. -only restricts
-// the run to configured benchmarks matching a regexp (the CI smoke uses it
-// to budget-check just the replay drive).
+// the streaming unifier; BENCH_dht.json holds the routing-table query behind
+// every FIND_NODE / GET_PROVIDERS answer and one full crawl. -max-overhead
+// makes bsbench exit nonzero when the instrumented ns/op regresses more than
+// PCT percent over bare — the enforcement knob for the ≤5% instrumentation
+// budget; -max-trace-overhead is the same knob for the traced-vs-untraced
+// replay column. -only restricts the run to configured benchmarks matching a
+// regexp (the CI smoke uses it to budget-check just the replay drive).
 package main
 
 import (
@@ -42,6 +43,7 @@ import (
 // also matches its sub-benchmarks (Name/sub), so BenchmarkEngineScaling
 // records the whole serial/sharded scaling trajectory.
 var benchFiles = map[string][]string{
+	"BENCH_dht.json":    {"BenchmarkClosest", "BenchmarkCrawl"},
 	"BENCH_report.json": {"BenchmarkReportDriver"},
 	"BENCH_engine.json": {"BenchmarkReplayDrive", "BenchmarkSimnetEventLoop", "BenchmarkEngineScaling"},
 	"BENCH_ingest.json": {"BenchmarkIngestSegmentStore", "BenchmarkStreamUnify"},

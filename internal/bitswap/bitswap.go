@@ -20,6 +20,7 @@
 package bitswap
 
 import (
+	"slices"
 	"time"
 
 	"bitswapmon/internal/cid"
@@ -132,11 +133,7 @@ func (s *Session) Peers() []simnet.NodeID {
 }
 
 func sortIDs(ids []simnet.NodeID) {
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j].Less(ids[j-1]); j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
+	slices.SortFunc(ids, simnet.NodeID.Compare)
 }
 
 // wantState tracks one outstanding local want.

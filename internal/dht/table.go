@@ -33,11 +33,23 @@ type RoutingTable struct {
 	k       int
 	buckets [257][]PeerInfo // index = LeadingZeros of XOR distance
 	size    int
+	// top is the highest non-empty bucket index, -1 for an empty table:
+	// Closest never looks above it.
+	top int
 
-	// dscratch holds Closest's per-candidate distance prefixes between
-	// calls, so the hot FIND_NODE path does not allocate it each time. A
-	// table is only ever used from its node's handler (one goroutine).
-	dscratch []uint64
+	// class holds the distance class Closest is ranking, between calls, so
+	// the hot FIND_NODE path does not allocate it each time. A table is
+	// only ever used from its node's handler (one goroutine).
+	class []peerRef
+}
+
+// peerRef ranks one stored peer against Closest's target: d is the first 8
+// bytes of the XOR distance, and the peer is buckets[bucket][slot]. It holds
+// no pointer, so shifting refs costs no write barrier and the scratch slice
+// is never scanned.
+type peerRef struct {
+	d            uint64
+	bucket, slot int32
 }
 
 // NewRoutingTable creates a routing table for self with bucket size k
@@ -46,7 +58,7 @@ func NewRoutingTable(self simnet.NodeID, k int) *RoutingTable {
 	if k <= 0 {
 		k = DefaultK
 	}
-	return &RoutingTable{self: self, k: k}
+	return &RoutingTable{self: self, k: k, top: -1}
 }
 
 func (rt *RoutingTable) bucketIndex(id simnet.NodeID) int {
@@ -72,6 +84,7 @@ func (rt *RoutingTable) Add(p PeerInfo) bool {
 	}
 	rt.buckets[idx] = append(bucket, p)
 	rt.size++
+	rt.top = max(rt.top, idx)
 	return true
 }
 
@@ -81,8 +94,13 @@ func (rt *RoutingTable) Remove(id simnet.NodeID) {
 	bucket := rt.buckets[idx]
 	for i, p := range bucket {
 		if p.ID == id {
-			rt.buckets[idx] = append(bucket[:i], bucket[i+1:]...)
+			// slices.Delete zeroes the vacated last slot, so its Addr
+			// string does not stay live in the backing array.
+			rt.buckets[idx] = slices.Delete(bucket, i, i+1)
 			rt.size--
+			for rt.top >= 0 && len(rt.buckets[rt.top]) == 0 {
+				rt.top--
+			}
 			return
 		}
 	}
@@ -101,49 +119,77 @@ func (rt *RoutingTable) Contains(id simnet.NodeID) bool {
 // Size returns the number of stored peers.
 func (rt *RoutingTable) Size() int { return rt.size }
 
-// Closest returns up to n peers closest to target in XOR distance. It keeps
-// a bounded top-n set by sorted insertion rather than copying and sorting the
-// whole table: Closest runs on every FIND_NODE / GET_PROVIDERS a server
-// answers, and n (the bucket size, 20) is far smaller than the table.
+// Closest returns up to n peers closest to target in XOR distance, nearest
+// first. It runs on every FIND_NODE / GET_PROVIDERS a server answers, so it
+// reads only the buckets the answer can come from. With b the length of the
+// prefix target shares with the local ID, the stored peers fall into distance
+// classes, every peer of one class nearer than every peer of the next:
+//
+//  1. bucket b: its peers differ from the local ID at bit b, as target does,
+//     so they share more than b bits with target;
+//  2. buckets above b, as one class: their peers agree with the local ID at
+//     bit b, so each shares exactly b bits with target;
+//  3. buckets b-1 down to 0, one class each: a peer of bucket i shares
+//     exactly i bits with target.
+//
+// Classes are ranked one at a time and the walk stops at the class that
+// fills the result: for a random target that is one full bucket half the
+// time. A lookup of the local ID itself (b = 256) has empty classes 1 and 2
+// and walks down from the highest non-empty bucket.
 func (rt *RoutingTable) Closest(target simnet.NodeID, n int) []PeerInfo {
 	if n <= 0 {
 		return nil
 	}
-	// Candidates are ranked by the first 8 distance bytes as one uint64;
-	// the full 32-byte comparison runs only when two prefixes collide
-	// (distinct IDs always differ somewhere, so ties stay deterministic).
-	t8 := binary.BigEndian.Uint64(target[0:8])
-	out := make([]PeerInfo, 0, min(n, rt.size))
-	if cap(rt.dscratch) < n {
-		rt.dscratch = make([]uint64, 0, n)
-	}
-	d := rt.dscratch[:0]
-	for i := range rt.buckets {
-		bucket := rt.buckets[i]
-		for j := range bucket {
-			p := &bucket[j]
-			pd := t8 ^ binary.BigEndian.Uint64(p.ID[0:8])
-			if len(out) == n {
-				if w := d[n-1]; pd > w ||
-					(pd == w && simnet.DistanceCompare(target, out[n-1].ID, p.ID) <= 0) {
-					continue
-				}
-				out = out[:n-1]
-				d = d[:n-1]
-			}
-			pos := len(out)
-			for pos > 0 {
-				q := pos - 1
-				if d[q] < pd || (d[q] == pd && simnet.DistanceCompare(target, out[q].ID, p.ID) < 0) {
-					break
-				}
-				pos = q
-			}
-			out = slices.Insert(out, pos, *p)
-			d = slices.Insert(d, pos, pd)
+	n = min(n, rt.size)
+	out := make([]PeerInfo, 0, n)
+	b := rt.bucketIndex(target)
+	if b <= rt.top {
+		out = rt.appendClosest(out, n, target, b, b)
+		if len(out) < n {
+			out = rt.appendClosest(out, n, target, b+1, rt.top)
 		}
 	}
-	rt.dscratch = d[:0]
+	for i := min(b-1, rt.top); i >= 0 && len(out) < n; i-- {
+		out = rt.appendClosest(out, n, target, i, i)
+	}
+	return out
+}
+
+// appendClosest appends to out the peers of buckets lo..hi, which must form
+// one distance class for target, nearest first, until out holds n.
+func (rt *RoutingTable) appendClosest(out []PeerInfo, n int, target simnet.NodeID, lo, hi int) []PeerInfo {
+	// Peers are ranked by the first 8 distance bytes as one uint64; the
+	// full 32-byte comparison runs only when two prefixes collide (distinct
+	// IDs always differ somewhere, so ties stay deterministic). The class
+	// is kept sorted and cut at the need peers out still has room for.
+	t8 := binary.BigEndian.Uint64(target[0:8])
+	need := n - len(out)
+	class := rt.class[:0]
+	for i := lo; i <= hi; i++ {
+		bucket := rt.buckets[i]
+		for j := range bucket {
+			id := &bucket[j].ID
+			r := peerRef{t8 ^ binary.BigEndian.Uint64(id[0:8]), int32(i), int32(j)}
+			before := func(q peerRef) bool {
+				return r.d < q.d || (r.d == q.d &&
+					simnet.DistanceCompare(target, *id, rt.buckets[q.bucket][q.slot].ID) < 0)
+			}
+			pos := len(class)
+			if pos < need {
+				class = append(class, r)
+			} else if pos--; !before(class[pos]) {
+				continue // class is full and r is no nearer than its last
+			}
+			for ; pos > 0 && before(class[pos-1]); pos-- {
+				class[pos] = class[pos-1]
+			}
+			class[pos] = r
+		}
+	}
+	for _, r := range class {
+		out = append(out, rt.buckets[r.bucket][r.slot])
+	}
+	rt.class = class[:0]
 	return out
 }
 

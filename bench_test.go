@@ -217,13 +217,12 @@ func BenchmarkFig6GatewayRates(b *testing.B) {
 	b.ReportMetric(ng, "non-gateway-req-per-s")
 }
 
-// BenchmarkReportDriver measures the unified analysis surface end to end:
-// every registered report attached to one Driver, one pass over ~1M
-// synthetic entries. The events/sec metric is the throughput of "all
-// figures at once" — the bsanalyze and live-experiment hot path.
-func BenchmarkReportDriver(b *testing.B) {
-	maybeEnableMetrics()
-	const entryCount = 1 << 20
+// reportBenchFeed builds the synthetic unified feed of the report-driver
+// benchmarks — n entries, 50 per virtual second (a heavy aggregated feed),
+// 65 536 peers, 4 096 CIDs, every fifth entry flagged a rebroadcast — and
+// the options every registered report can be constructed from.
+func reportBenchFeed(b *testing.B, n int) ([]trace.Entry, report.Options) {
+	b.Helper()
 	geo := geoip.New()
 	addrs := make([]string, 512)
 	regions := geo.Countries()
@@ -239,12 +238,11 @@ func BenchmarkReportDriver(b *testing.B) {
 		cids[i] = cid.Sum(cid.DagProtobuf, []byte{byte(i), byte(i >> 8), 0xab})
 	}
 	base := time.Date(2021, 4, 30, 0, 0, 0, 0, time.UTC)
-	entries := make([]trace.Entry, entryCount)
+	entries := make([]trace.Entry, n)
 	for i := range entries {
 		var id simnet.NodeID
 		id[0], id[1] = byte(i), byte(i>>8)
 		entries[i] = trace.Entry{
-			// 50 entries per virtual second: a heavy aggregated feed.
 			Timestamp: base.Add(time.Duration(i) * 20 * time.Millisecond),
 			Monitor:   "us",
 			NodeID:    id,
@@ -262,7 +260,7 @@ func BenchmarkReportDriver(b *testing.B) {
 		id[0] = byte(i)
 		gateways[id] = true
 	}
-	opts := report.Options{
+	return entries, report.Options{
 		Geo:            geo,
 		GatewayIDs:     gateways,
 		MegagateIDs:    map[simnet.NodeID]bool{},
@@ -272,6 +270,16 @@ func BenchmarkReportDriver(b *testing.B) {
 		// is a no-op, so it costs one virtual call per entry).
 		Tracer: otrace.New(otrace.Config{Sample: 1, Seed: 42}),
 	}
+}
+
+// BenchmarkReportDriver measures the unified analysis surface end to end:
+// every registered report attached to one Driver, one pass over ~1M
+// synthetic entries. The events/sec metric is the throughput of "all
+// figures at once" — the bsanalyze and live-experiment hot path.
+func BenchmarkReportDriver(b *testing.B) {
+	maybeEnableMetrics()
+	const entryCount = 1 << 20
+	entries, opts := reportBenchFeed(b, entryCount)
 	names := report.Names()
 	b.ResetTimer()
 	start := time.Now()
@@ -291,6 +299,46 @@ func BenchmarkReportDriver(b *testing.B) {
 		b.ReportMetric(float64(entryCount)*float64(b.N)/wall.Seconds(), "events/sec")
 	}
 	b.ReportMetric(float64(len(names)), "reports")
+}
+
+// BenchmarkWindowedDriver measures the daemon's report path: the bsmon
+// -serve report set over 1 h windows sliding by 15 m, so every entry is
+// observed by four overlapping windows, each with report instances (and a
+// peer/CID numbering) of its own, and a window closes — popularity
+// bootstrap included — every 45 000 entries. ~3 h of feed, a dozen closes.
+func BenchmarkWindowedDriver(b *testing.B) {
+	maybeEnableMetrics()
+	const entryCount = 1 << 19
+	entries, opts := reportBenchFeed(b, entryCount)
+	wopts := report.WindowOptions{
+		Width:   time.Hour,
+		Slide:   15 * time.Minute,
+		Reports: []string{"summary", "traffic", "online", "popularity"},
+		Opts:    opts,
+		Dedup:   true,
+	}
+	var closed int
+	b.ResetTimer()
+	start := time.Now()
+	for i := 0; i < b.N; i++ {
+		wd, err := report.NewWindowedDriver(wopts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, e := range entries {
+			if err := wd.Write(e); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if _, err := wd.Close(); err != nil {
+			b.Fatal(err)
+		}
+		closed = int(wd.Snapshot().ClosedTotal)
+	}
+	if wall := time.Since(start); wall > 0 {
+		b.ReportMetric(float64(entryCount)*float64(b.N)/wall.Seconds(), "events/sec")
+	}
+	b.ReportMetric(float64(closed), "windows")
 }
 
 // BenchmarkSecVIBGatewayProbe regenerates the Sec. VI-B probing experiment:

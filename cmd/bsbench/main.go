@@ -12,7 +12,8 @@
 //	        [-max-overhead PCT] [-max-trace-overhead PCT]
 //
 // BENCH_report.json holds the report-driver throughput (the "all figures at
-// once" analysis path); BENCH_engine.json holds trace replay and the
+// once" analysis path) and the windowed driver's (the daemon's sliding-window
+// report path); BENCH_engine.json holds trace replay and the
 // simulator event loop, with the traced replay recorded alongside the
 // metrics columns; BENCH_ingest.json holds the segment-store write path and
 // the streaming unifier; BENCH_dht.json holds the routing-table query behind
@@ -44,7 +45,7 @@ import (
 // records the whole serial/sharded scaling trajectory.
 var benchFiles = map[string][]string{
 	"BENCH_dht.json":    {"BenchmarkClosest", "BenchmarkCrawl"},
-	"BENCH_report.json": {"BenchmarkReportDriver"},
+	"BENCH_report.json": {"BenchmarkReportDriver", "BenchmarkWindowedDriver"},
 	"BENCH_engine.json": {"BenchmarkReplayDrive", "BenchmarkSimnetEventLoop", "BenchmarkEngineScaling"},
 	"BENCH_ingest.json": {"BenchmarkIngestSegmentStore", "BenchmarkStreamUnify"},
 }

@@ -48,7 +48,7 @@ func EnableMetrics(r *obs.Registry) {
 		interMonitor: r.Counter("ingest_dedup_inter_monitor_hits_total",
 			"Entries flagged as duplicates seen at another monitor within the inter-monitor window."),
 		evictions: r.Counter("ingest_dedup_window_evictions_total",
-			"Dedup window entries evicted as the watermark advanced past them."),
+			"Requests (peer, type, CID) dropped from the dedup window state once their newest observation fell out of the rebroadcast window."),
 		compactions: r.Counter("ingest_compactions_total",
 			"Generation-2 segments produced by merging runs of small sealed segments."),
 		compacted: r.Counter("ingest_compacted_segments_total",

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"slices"
 	"strings"
 	"time"
@@ -27,74 +28,51 @@ type dupKey struct {
 	c    cid.CID
 }
 
-type keyAt struct {
+// never is the last-seen time of a key a monitor has not observed inside
+// the window. Entry times are UnixNano, so it compares below every
+// "at >= ts-window" test.
+const never = math.MinInt64
+
+// unifyRec is one tracked request: its key (kept so expiry can delete it
+// from the index) and its newest observation at any monitor.
+type unifyRec struct {
 	key dupKey
-	at  time.Time
+	at  int64 // UnixNano of the newest observation
+	mon int32 // monitor number of the newest observation
 }
 
-// monitorSeen is one last-observation record: when, and (for the
-// inter-monitor window) at which monitor.
-type monitorSeen struct {
-	at      time.Time
-	monitor string
+// expiry is one queued observation: record slot and observation time.
+type expiry struct {
+	at  int64
+	rec int32
 }
-
-// windowMap is a last-seen map with FIFO expiry: entries older than the
-// window relative to the advancing watermark are evicted, so state is
-// bounded by the number of distinct requests inside one window rather than
-// the whole trace. Per-monitor rebroadcast windows leave the monitor field
-// empty.
-type windowMap struct {
-	window time.Duration
-	last   map[dupKey]monitorSeen
-	q      []keyAt
-	qh     int
-}
-
-func newWindowMap(window time.Duration) *windowMap {
-	return &windowMap{window: window, last: make(map[dupKey]monitorSeen)}
-}
-
-func (m *windowMap) get(k dupKey) (monitorSeen, bool) {
-	s, ok := m.last[k]
-	return s, ok
-}
-
-func (m *windowMap) put(k dupKey, at time.Time, monitor string) {
-	m.last[k] = monitorSeen{at: at, monitor: monitor}
-	m.q = append(m.q, keyAt{key: k, at: at})
-}
-
-// expire drops entries strictly older than watermark-window, returning the
-// number of map entries evicted. Flag checks use <= window comparisons, so
-// nothing inside the window is ever evicted.
-func (m *windowMap) expire(watermark time.Time) int {
-	evicted := 0
-	for m.qh < len(m.q) && watermark.Sub(m.q[m.qh].at) > m.window {
-		ka := m.q[m.qh]
-		m.qh++
-		// Only evict if the map still holds the queued observation; a
-		// fresher one has its own queue slot.
-		if s, ok := m.last[ka.key]; ok && s.at.Equal(ka.at) {
-			delete(m.last, ka.key)
-			evicted++
-		}
-	}
-	if m.qh > 0 && m.qh*2 >= len(m.q) {
-		m.q = append(m.q[:0], m.q[m.qh:]...)
-		m.qh = 0
-	}
-	return evicted
-}
-
-func (m *windowMap) size() int { return len(m.last) }
 
 // unifyState is the Sec. IV-B classification state shared by the pull-mode
-// StreamUnifier and the push-mode UnifySink: per-monitor rebroadcast windows
-// plus the cross-monitor duplicate window.
+// StreamUnifier and the push-mode UnifySink. One map from request key to a
+// slot of the recs slab is the only hashed structure, probed once per
+// entry: the slot holds the newest observation (cross-monitor duplicate
+// check) and, in seen, one last-seen time per monitor (rebroadcast check).
+// Monitors are numbered in order of appearance; seen is one flat slice of
+// stride len(monitors) per slot, re-strided when a new monitor shows up.
+//
+// Every observation that moves a record's newest time is queued, and
+// expire pops the queue by slot index, never by key: a record leaves (key
+// deleted from the index and zeroed in the slab, slot pushed on the free
+// list) when the popped observation is still its newest and has fallen more
+// than RebroadcastWindow behind the watermark. State is therefore bounded
+// by the distinct requests inside one rebroadcast window: the slab keeps its
+// peak capacity, but no key or CID string outlives the window, which is why
+// the unifier numbers nothing through a trace.Symbols — that table only
+// grows.
 type unifyState struct {
-	perMonitor map[string]*windowMap
-	any        *windowMap
+	index    map[dupKey]int32
+	recs     []unifyRec
+	seen     []int64 // len(recs) * len(monitors)
+	free     []int32
+	monitors []string
+
+	q  []expiry
+	qh int
 
 	// m is the telemetry handle resolved at construction; nil (metrics
 	// never enabled) keeps flagging at a single branch.
@@ -102,58 +80,117 @@ type unifyState struct {
 }
 
 func newUnifyState() *unifyState {
-	return &unifyState{
-		perMonitor: make(map[string]*windowMap),
-		any:        newWindowMap(trace.InterMonitorWindow),
-		m:          ingMetrics.Load(),
-	}
+	return &unifyState{index: make(map[dupKey]int32), m: ingMetrics.Load()}
 }
 
 // expire advances the watermark: nothing older than it can arrive anymore.
-func (s *unifyState) expire(watermark time.Time) {
-	n := s.any.expire(watermark)
-	for _, pm := range s.perMonitor {
-		n += pm.expire(watermark)
+// Flag checks use >= ts-window comparisons, so nothing inside the window is
+// ever evicted.
+func (s *unifyState) expire(watermark int64) {
+	limit := watermark - int64(trace.RebroadcastWindow)
+	evicted := 0
+	for s.qh < len(s.q) && s.q[s.qh].at < limit {
+		x := s.q[s.qh]
+		s.qh++
+		// Only evict if the queued observation is still the record's
+		// newest; a fresher one has its own queue entry. The entry that
+		// frees a slot is the last one queued for it (flag queues one per
+		// distinct time), so no entry ever names a freed or reused slot.
+		if r := &s.recs[x.rec]; r.at == x.at {
+			delete(s.index, r.key)
+			r.key = dupKey{}
+			s.free = append(s.free, x.rec)
+			evicted++
+		}
 	}
-	if s.m != nil && n > 0 {
-		s.m.evictions.Add(uint64(n))
+	if s.qh > 0 && s.qh*2 >= len(s.q) {
+		s.q = append(s.q[:0], s.q[s.qh:]...)
+		s.qh = 0
 	}
+	if s.m != nil && evicted > 0 {
+		s.m.evictions.Add(uint64(evicted))
+	}
+}
+
+// monitor returns the number of the named monitor, assigning the next one
+// (and widening every slot's seen row) on first sight. A linear scan: a
+// deployment has a handful of monitors and the names are usually the very
+// same string, so this beats hashing the name per entry.
+func (s *unifyState) monitor(name string) int {
+	for i, m := range s.monitors {
+		if m == name {
+			return i
+		}
+	}
+	old := len(s.monitors)
+	s.monitors = append(s.monitors, name)
+	seen := make([]int64, len(s.recs)*(old+1))
+	for i := range s.recs {
+		row := seen[i*(old+1) : (i+1)*(old+1)]
+		copy(row, s.seen[i*old:(i+1)*old])
+		row[old] = never
+	}
+	s.seen = seen
+	return old
+}
+
+// slot returns the record slot tracking key, taking a free or fresh one
+// (no observation yet at any monitor) for a key not in the index.
+func (s *unifyState) slot(key dupKey) int32 {
+	if i, ok := s.index[key]; ok {
+		return i
+	}
+	stride := len(s.monitors)
+	var i int32
+	if n := len(s.free); n > 0 {
+		i = s.free[n-1]
+		s.free = s.free[:n-1]
+	} else {
+		i = int32(len(s.recs))
+		s.recs = append(s.recs, unifyRec{})
+		s.seen = append(s.seen, make([]int64, stride)...)
+	}
+	s.recs[i] = unifyRec{key: key, at: never, mon: -1}
+	row := s.seen[int(i)*stride : (int(i)+1)*stride]
+	for j := range row {
+		row[j] = never
+	}
+	s.index[key] = i
+	return i
 }
 
 // flag applies Sec. IV-B classification to one entry, in unified order.
 func (s *unifyState) flag(e *trace.Entry) {
-	key := dupKey{node: e.NodeID, typ: e.Type, c: e.CID}
+	ts := e.Timestamp.UnixNano()
+	mon := s.monitor(e.Monitor)
+	i := s.slot(dupKey{node: e.NodeID, typ: e.Type, c: e.CID})
+	r := &s.recs[i]
 
-	pm, ok := s.perMonitor[e.Monitor]
-	if !ok {
-		pm = newWindowMap(trace.RebroadcastWindow)
-		s.perMonitor[e.Monitor] = pm
-	}
-	if prev, seen := pm.get(key); seen && e.Timestamp.Sub(prev.at) <= trace.RebroadcastWindow {
+	seen := &s.seen[int(i)*len(s.monitors)+mon]
+	if *seen >= ts-int64(trace.RebroadcastWindow) {
 		e.Flags |= trace.FlagRebroadcast
 		if s.m != nil {
 			s.m.rebroadcast.Inc()
 		}
 	}
-	pm.put(key, e.Timestamp, "")
+	*seen = ts
 
-	if prev, seen := s.any.get(key); seen && prev.monitor != e.Monitor &&
-		e.Timestamp.Sub(prev.at) <= trace.InterMonitorWindow {
+	if r.mon != int32(mon) && r.at >= ts-int64(trace.InterMonitorWindow) {
 		e.Flags |= trace.FlagInterMonitorDup
 		if s.m != nil {
 			s.m.interMonitor.Inc()
 		}
 	}
-	s.any.put(key, e.Timestamp, e.Monitor)
+	// One queue entry per distinct observation time of a record: a second
+	// one for the same time would free the slot twice.
+	if r.at != ts {
+		s.q = append(s.q, expiry{at: ts, rec: i})
+	}
+	r.at, r.mon = ts, int32(mon)
 }
 
-func (s *unifyState) size() int {
-	n := s.any.size()
-	for _, pm := range s.perMonitor {
-		n += pm.size()
-	}
-	return n
-}
+// size is the number of requests tracked.
+func (s *unifyState) size() int { return len(s.index) }
 
 // sortBatch orders one timestamp's entries by trace.Sort's tie-breaks
 // (stable, so source/arrival order breaks exact ties).
@@ -177,7 +214,12 @@ func sortBatch(batch []trace.Entry) {
 // trace.RebroadcastWindow are flagged FlagRebroadcast and requests seen at
 // a different monitor within trace.InterMonitorWindow are flagged
 // FlagInterMonitorDup — exactly as the batch trace.Unify does, but with
-// memory bounded by the sliding windows instead of the whole trace.
+// memory bounded by the sliding windows instead of the whole trace: one
+// record per distinct (peer, type, CID) request observed during the last
+// trace.RebroadcastWindow (a map slot, a slab slot with the request's newest
+// observation and one last-seen time per monitor, and a 16-byte expiry-queue
+// entry per observation still inside the window), each found with a single
+// map probe per entry. Timestamps must be representable as UnixNano.
 //
 // Output order and flags are identical to trace.Unify over the same inputs
 // (given each source is time-ordered): entries sharing a timestamp are
@@ -331,7 +373,7 @@ func (u *StreamUnifier) refill() error {
 	// Advance the watermark before flagging: nothing older than minTS can
 	// arrive anymore, so state outside the windows relative to minTS is
 	// dead.
-	u.state.expire(minTS)
+	u.state.expire(minTS.UnixNano())
 
 	for i := range u.batch {
 		u.state.flag(&u.batch[i])
@@ -401,7 +443,7 @@ func (u *UnifySink) flush() error {
 		return nil
 	}
 	sortBatch(u.batch)
-	u.state.expire(u.ts)
+	u.state.expire(u.ts.UnixNano())
 	for i := range u.batch {
 		u.state.flag(&u.batch[i])
 		if err := u.dst.Write(u.batch[i]); err != nil {

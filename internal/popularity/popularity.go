@@ -50,23 +50,32 @@ func Compute(entries []trace.Entry) Scores {
 
 // Counter computes both popularity scores incrementally, so streaming
 // pipelines (segment-store queries, the replay fitter) can score a trace in
-// one pass without materialising it. Memory is proportional to the distinct
-// (CID, peer) pairs observed — the same bound as the batch Compute.
+// one pass without materialising it. State is kept by the dense ids a
+// trace.Symbols issues: rrp and urp are slices indexed by CID id, and the
+// distinct requesters of all CIDs live in one set of (CID id, peer id)
+// pairs, so an entry costs one integer-keyed probe besides resolving its
+// ids. Memory is proportional to the distinct (CID, peer) pairs observed —
+// the same bound as the batch Compute — at 8 bytes a pair.
 //
 // Counter satisfies the ingest.Sink shape, so a unified stream can be copied
 // straight into it. As with Compute, the caller chooses whether to feed raw
 // or deduplicated entries; CANCELs are ignored.
 type Counter struct {
-	rrp         map[cid.CID]int
-	peersPerCID map[cid.CID]map[simnet.NodeID]bool
+	syms  *trace.Symbols
+	rrp   []int // by CID id; 0 = not scored by this counter
+	urp   []int
+	pairs map[uint64]struct{} // CID id << 32 | peer id
+	cids  int
 }
 
-// NewCounter returns an empty Counter.
-func NewCounter() *Counter {
-	return &Counter{
-		rrp:         make(map[cid.CID]int),
-		peersPerCID: make(map[cid.CID]map[simnet.NodeID]bool),
-	}
+// NewCounter returns an empty Counter numbering peers and CIDs with a
+// private trace.Symbols.
+func NewCounter() *Counter { return NewCounterWith(trace.NewSymbols()) }
+
+// NewCounterWith returns an empty Counter that resolves peers and CIDs
+// through syms, shared with the other consumers of the same pass.
+func NewCounterWith(syms *trace.Symbols) *Counter {
+	return &Counter{syms: syms, pairs: make(map[uint64]struct{})}
 }
 
 // Write folds one entry into the scores. It never fails; the error return
@@ -75,30 +84,39 @@ func (c *Counter) Write(e trace.Entry) error {
 	if !e.IsRequest() {
 		return nil
 	}
-	c.rrp[e.CID]++
-	m, ok := c.peersPerCID[e.CID]
-	if !ok {
-		m = make(map[simnet.NodeID]bool)
-		c.peersPerCID[e.CID] = m
+	id := c.syms.CID(e.CID)
+	if int(id) >= len(c.rrp) {
+		grow := int(id) + 1 - len(c.rrp)
+		c.rrp = append(c.rrp, make([]int, grow)...)
+		c.urp = append(c.urp, make([]int, grow)...)
 	}
-	m[e.NodeID] = true
+	if c.rrp[id] == 0 {
+		c.cids++
+	}
+	c.rrp[id]++
+	n := len(c.pairs)
+	c.pairs[uint64(id)<<32|uint64(c.syms.Peer(e.NodeID))] = struct{}{}
+	if len(c.pairs) != n {
+		c.urp[id]++
+	}
 	return nil
 }
 
 // CIDs returns the number of distinct CIDs scored so far.
-func (c *Counter) CIDs() int { return len(c.rrp) }
+func (c *Counter) CIDs() int { return c.cids }
 
-// Scores returns the scores accumulated so far. The result is a snapshot:
-// further Write calls do not mutate it.
+// Scores returns the scores accumulated so far, keyed by CID again. The
+// result is a snapshot: further Write calls do not mutate it.
 func (c *Counter) Scores() Scores {
-	rrp := make(map[cid.CID]int, len(c.rrp))
-	for k, v := range c.rrp {
-		rrp[k] = v
-	}
-	urp := make(map[cid.CID]int, len(c.peersPerCID))
-	for k, peers := range c.peersPerCID {
-		urp[k] = len(peers)
-	}
+	rrp := make(map[cid.CID]int, c.cids)
+	urp := make(map[cid.CID]int, c.cids)
+	c.syms.EachCID(func(id uint32, k cid.CID) {
+		// A shared Symbols also numbers CIDs this counter never scored.
+		if int(id) < len(c.rrp) && c.rrp[id] > 0 {
+			rrp[k] = c.rrp[id]
+			urp[k] = c.urp[id]
+		}
+	})
 	return Scores{RRP: rrp, URP: urp}
 }
 

@@ -3,6 +3,9 @@ package popularity
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"sort"
+	"strconv"
 	"testing"
 	"time"
 
@@ -198,5 +201,109 @@ func TestValuesSorted(t *testing.T) {
 	vals := Values(m)
 	if len(vals) != 3 || vals[0] != 1 || vals[2] != 5 {
 		t.Errorf("values = %v", vals)
+	}
+}
+
+// TestSharedSymbols: a Summarizer on the raw trace and two Counters on its
+// deduplicated view (what a report.Driver feeds summary, fig5 and
+// popularity) number their peers and CIDs through one trace.Symbols. Each
+// sees ids the others caused and ids it never scores, and must still equal
+// its stand-alone twin and the batch Compute.
+func TestSharedSymbols(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	var raw []trace.Entry
+	for i := 0; i < 6000; i++ {
+		e := req(byte(rng.Intn(60)), strconv.Itoa(int(3000*rng.Float64()*rng.Float64())), wire.EntryType(rng.Intn(3)+1))
+		if rng.Intn(25) == 0 {
+			e.CID = cid.CID{} // undefined CID: a key like any other
+		}
+		if rng.Intn(3) == 0 {
+			e.Flags = trace.FlagRebroadcast
+		}
+		raw = append(raw, e)
+	}
+	dedup := trace.Deduplicated(raw)
+
+	syms := trace.NewSymbols()
+	sum, aloneSum := trace.NewSummarizerWith(syms), trace.NewSummarizer()
+	c1, c2, alone := NewCounterWith(syms), NewCounterWith(syms), NewCounter()
+	for i, e := range raw {
+		sum.Write(e)
+		aloneSum.Write(e)
+		if e.IsDuplicate() {
+			continue
+		}
+		c1.Write(e)
+		alone.Write(e)
+		// The second counter joins late and so skips ids the first has.
+		if i >= len(raw)/2 {
+			c2.Write(e)
+		}
+	}
+
+	if got, want := sum.Summary(), aloneSum.Summary(); got.UniquePeers != want.UniquePeers ||
+		got.UniqueCIDs != want.UniqueCIDs || got.Entries != want.Entries {
+		t.Errorf("shared summary %+v, stand-alone %+v", got, want)
+	}
+	if want := trace.Summarize(raw); sum.Summary().UniqueCIDs != want.UniqueCIDs {
+		t.Errorf("shared summary has %d CIDs, Summarize %d", sum.Summary().UniqueCIDs, want.UniqueCIDs)
+	}
+	var late []trace.Entry
+	for i, e := range raw {
+		if i >= len(raw)/2 && !e.IsDuplicate() {
+			late = append(late, e)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		c    *Counter
+		want Scores
+	}{
+		{"shared", c1, Compute(dedup)},
+		{"shared, joined late", c2, Compute(late)},
+		{"stand-alone", alone, Compute(dedup)},
+	} {
+		got := tc.c.Scores()
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s counter: scores differ from Compute (%d/%d CIDs)", tc.name, len(got.RRP), len(tc.want.RRP))
+		}
+		if tc.c.CIDs() != len(tc.want.RRP) {
+			t.Errorf("%s counter: CIDs() = %d, want %d", tc.name, tc.c.CIDs(), len(tc.want.RRP))
+		}
+	}
+	if len(Compute(late).RRP) == len(Compute(dedup).RRP) || sum.Summary().UniqueCIDs == c1.CIDs() {
+		t.Fatal("fixture too uniform: every consumer saw the same CIDs")
+	}
+}
+
+// TestAlphaMLEBitIdentical: taking the logarithm once per run of equal
+// values must not change a single bit of the sum, or every fit, KS distance
+// and bootstrap p-value downstream would drift.
+func TestAlphaMLEBitIdentical(t *testing.T) {
+	perElement := func(tail []int, xmin int) float64 {
+		var s float64
+		for _, x := range tail {
+			s += math.Log(float64(x) / (float64(xmin) - 0.5))
+		}
+		if s == 0 {
+			return math.Inf(1)
+		}
+		return 1 + float64(len(tail))/s
+	}
+	rng := rand.New(rand.NewSource(5))
+	for round := 0; round < 200; round++ {
+		n := 1 + rng.Intn(3000)
+		spread := 1 + rng.Intn(1+round) // few distinct values early, many later
+		xmin := 1 + rng.Intn(5)
+		tail := make([]int, n)
+		for i := range tail {
+			tail[i] = xmin + rng.Intn(spread)
+		}
+		sort.Ints(tail)
+		got, want := alphaMLE(tail, xmin), perElement(tail, xmin)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("round %d (n=%d, spread=%d, xmin=%d): alphaMLE = %x, per-element formula = %x",
+				round, n, spread, xmin, math.Float64bits(got), math.Float64bits(want))
+		}
 	}
 }

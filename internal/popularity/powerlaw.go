@@ -24,11 +24,20 @@ type PowerLawFit struct {
 var ErrTooFewSamples = errors.New("popularity: too few samples for power-law fit")
 
 // alphaMLE computes the continuous-approximation MLE for the exponent given
-// tail observations and xmin: alpha = 1 + n / Σ ln(x_i / (xmin - 0.5)).
+// tail observations and xmin: alpha = 1 + n / Σ ln(x_i / (xmin - 0.5)). One
+// logarithm is taken per run of equal values and added once per element, in
+// element order, so the sum is bit-identical to the per-element formula
+// while a sorted tail (few distinct values, many repeats) costs one Log per
+// distinct value.
 func alphaMLE(tail []int, xmin int) float64 {
 	var s float64
-	for _, x := range tail {
-		s += math.Log(float64(x) / (float64(xmin) - 0.5))
+	d := float64(xmin) - 0.5
+	for i := 0; i < len(tail); {
+		x := tail[i]
+		l := math.Log(float64(x) / d)
+		for ; i < len(tail) && tail[i] == x; i++ {
+			s += l
+		}
 	}
 	if s == 0 {
 		return math.Inf(1)

@@ -141,6 +141,9 @@ type Driver struct {
 	dedup   bool
 	reports []NamedResult // Result nil until Finalize
 	active  []Report
+	// syms numbers the run's peers and CIDs once for every report
+	// AddByName constructs; it lives as long as the driver's one pass.
+	syms *trace.Symbols
 
 	// m is the telemetry handle resolved at NewDriver; nil (metrics never
 	// enabled) keeps Write at a single branch. pend batches per-report
@@ -181,6 +184,10 @@ func (d *Driver) Add(name string, r Report) {
 // rejected (running a report twice doubles its per-entry work for an
 // identical result).
 func (d *Driver) AddByName(names []string, opts Options) error {
+	if d.syms == nil {
+		d.syms = trace.NewSymbols()
+	}
+	opts.symbols = d.syms
 	for _, name := range names {
 		for _, nr := range d.reports {
 			if nr.Name == name {

@@ -233,6 +233,7 @@ func legacyFig5(t *testing.T, entries []trace.Entry, iters int, rng *rand.Rand) 
 	if err != nil {
 		t.Fatal(err)
 	}
+	f.RRPFitted, f.URPFitted = true, true
 	return f
 }
 
@@ -516,34 +517,64 @@ func TestFig6NoGatewayIDs(t *testing.T) {
 	}
 }
 
+// failingReport observes anything and fails to finalize.
+type failingReport struct{}
+
+func (failingReport) WantsDedup() bool          { return false }
+func (failingReport) Observe(trace.Entry) error { return nil }
+func (failingReport) Finalize() (Result, error) { return nil, errors.New("no result") }
+
 // TestFinalizePartialResults: one failing report must not discard the
-// others' completed results — the error is returned alongside them.
+// others' completed results — the error is returned alongside them. A
+// trace too small for the power-law fit is not such a failure: fig5 records
+// the failed fit in its result.
 func TestFinalizePartialResults(t *testing.T) {
 	drv := NewDriver(true)
 	if err := drv.AddByName([]string{"summary", "fig5"}, Options{BootstrapIters: 2}); err != nil {
 		t.Fatal(err)
 	}
-	// One entry: far too small for the fig5 power-law fit.
+	drv.Add("broken", failingReport{})
 	e := trace.Entry{Timestamp: t0, Monitor: "us", Type: wire.WantHave, CID: cid.Sum(cid.Raw, []byte("x"))}
 	if err := drv.Write(e); err != nil {
 		t.Fatal(err)
 	}
 	results, err := drv.Finalize()
 	if err == nil {
-		t.Fatal("fig5 on a one-entry trace should fail")
+		t.Fatal("a report failing to finalize should fail the driver")
 	}
-	if !strings.Contains(err.Error(), "fig5") {
-		t.Errorf("error does not name the failing report: %v", err)
+	if !strings.Contains(err.Error(), "broken") || strings.Contains(err.Error(), "fig5") {
+		t.Errorf("error should name the failing report and only it: %v", err)
 	}
 	sum := results.Get("summary")
 	if sum == nil {
-		t.Fatal("summary result discarded by fig5 failure")
+		t.Fatal("summary result discarded by another report's failure")
 	}
 	if sum.(*SummaryResult).Summary.Entries != 1 {
 		t.Errorf("summary result corrupted: %+v", sum)
 	}
-	if results.Get("fig5") != nil {
+	if results.Get("broken") != nil {
 		t.Error("failed report should have a nil result")
+	}
+
+	// One entry is far too small for the fig5 power-law fits.
+	fig, ok := results.Get("fig5").(*Fig5)
+	if !ok {
+		t.Fatalf("fig5 result = %T, want *Fig5", results.Get("fig5"))
+	}
+	if fig.CIDs != 1 || fig.RRPFitted || fig.URPFitted || fig.RRPFitErr == "" || fig.URPFitErr == "" {
+		t.Errorf("fig5 on a one-entry trace should record two failed fits: %+v", fig)
+	}
+	if !strings.Contains(fig.Render(), fig.RRPFitErr) {
+		t.Errorf("Render does not show the failed fit:\n%s", fig.Render())
+	}
+	js, err := fig.JSON()
+	if err != nil || !strings.Contains(string(js), `"rrp_fit_err"`) || !strings.Contains(string(js), `"urp_fitted":false`) {
+		t.Errorf("JSON does not carry the failed fit (err %v): %s", err, js)
+	}
+	for k := range fig.Metrics() {
+		if k != "cids" && k != "urp_share1" {
+			t.Errorf("Metrics of an unfitted fig5 has %q", k)
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package report
 
 import (
 	"errors"
-	"fmt"
 	"math/rand"
 	"time"
 
@@ -45,6 +44,22 @@ type Options struct {
 	// Tracer is the span recorder a traced run filled. The
 	// latency_breakdown constructor fails with ErrNoTracer when it is nil.
 	Tracer *otrace.Tracer
+
+	// symbols is the peer/CID numbering shared by the reports of one pass;
+	// set by the Driver (one per run) and the WindowedDriver (one per
+	// window), read by constructors through Symbols.
+	symbols *trace.Symbols
+}
+
+// Symbols returns the peer/CID numbering a report constructor should hand
+// to trace.NewSummarizerWith / popularity.NewCounterWith: the one shared by
+// every report the calling driver constructs for the same pass, or a fresh
+// private one when the report is built outside a driver.
+func (o Options) Symbols() *trace.Symbols {
+	if o.symbols != nil {
+		return o.symbols
+	}
+	return trace.NewSymbols()
 }
 
 func (o Options) bucket() time.Duration {
@@ -83,8 +98,8 @@ func (o Options) rand() *rand.Rand {
 }
 
 func init() {
-	Default.Register("summary", func(Options) (Report, error) {
-		return &summaryReport{z: trace.NewSummarizer()}, nil
+	Default.Register("summary", func(o Options) (Report, error) {
+		return &summaryReport{z: trace.NewSummarizerWith(o.Symbols())}, nil
 	})
 	Default.Register("traffic", func(o Options) (Report, error) {
 		return &trafficReport{gatewayIDs: o.GatewayIDs}, nil
@@ -108,7 +123,7 @@ func init() {
 		return &fig4Report{bucket: o.bucket(), byBucket: make(map[int64]*Fig4Bucket)}, nil
 	})
 	Default.Register("fig5", func(o Options) (Report, error) {
-		return &fig5Report{counter: popularity.NewCounter(), iters: o.bootstrapIters(), rng: o.rand}, nil
+		return &fig5Report{counter: popularity.NewCounterWith(o.Symbols()), iters: o.bootstrapIters(), rng: o.rand}, nil
 	})
 	Default.Register("fig6", func(o Options) (Report, error) {
 		if o.GatewayIDs == nil {
@@ -122,7 +137,7 @@ func init() {
 		}, nil
 	})
 	Default.Register("popularity", func(o Options) (Report, error) {
-		return &popularityReport{counter: popularity.NewCounter(), iters: o.bootstrapIters(), rng: o.rand}, nil
+		return &popularityReport{counter: popularity.NewCounterWith(o.Symbols()), iters: o.bootstrapIters(), rng: o.rand}, nil
 	})
 }
 
@@ -372,14 +387,19 @@ func (r *fig5Report) Finalize() (Result, error) {
 	// batch pipeline this report replaced, so seeded runs stay
 	// byte-identical.
 	rng := r.rng()
-	var err error
-	f.RRPRejected, f.RRPFit, f.RRPPValue, err = popularity.RejectsPowerLaw(rrp, r.iters, rng)
+	// A sample too small to fit (a quiet window of a daemon) is recorded in
+	// the result, not returned: the ECDFs and shares above still stand.
+	rejected, fit, pv, err := popularity.RejectsPowerLaw(rrp, r.iters, rng)
 	if err != nil {
-		return nil, fmt.Errorf("rrp fit: %w", err)
+		f.RRPFitErr = err.Error()
+	} else {
+		f.RRPRejected, f.RRPFit, f.RRPPValue, f.RRPFitted = rejected, fit, pv, true
 	}
-	f.URPRejected, f.URPFit, f.URPPValue, err = popularity.RejectsPowerLaw(urp, r.iters, rng)
+	rejected, fit, pv, err = popularity.RejectsPowerLaw(urp, r.iters, rng)
 	if err != nil {
-		return nil, fmt.Errorf("urp fit: %w", err)
+		f.URPFitErr = err.Error()
+	} else {
+		f.URPRejected, f.URPFit, f.URPPValue, f.URPFitted = rejected, fit, pv, true
 	}
 	return f, nil
 }

@@ -363,18 +363,24 @@ func (f *Fig4) Metrics() map[string]float64 {
 // --- Fig5 -------------------------------------------------------------------
 
 // Fig5 is the popularity analysis (paper Fig. 5): ECDFs of both scores plus
-// the CSN power-law hypothesis test on each.
+// the CSN power-law hypothesis test on each. A score with too few samples to
+// fit (fewer than ten distinct CIDs) has its Fitted flag false and the
+// reason in its FitErr; the ECDFs and shares are valid either way.
 type Fig5 struct {
 	CIDs        int                    `json:"cids"`
 	RRPECDF     []popularity.ECDFPoint `json:"rrp_ecdf"`
 	URPECDF     []popularity.ECDFPoint `json:"urp_ecdf"`
 	URPShare1   float64                `json:"urp_share1"` // share of CIDs requested by exactly one peer
+	RRPFitted   bool                   `json:"rrp_fitted"`
+	URPFitted   bool                   `json:"urp_fitted"`
 	RRPFit      popularity.PowerLawFit `json:"rrp_fit"`
 	URPFit      popularity.PowerLawFit `json:"urp_fit"`
 	RRPPValue   float64                `json:"rrp_pvalue"`
 	URPPValue   float64                `json:"urp_pvalue"`
 	RRPRejected bool                   `json:"rrp_rejected"`
 	URPRejected bool                   `json:"urp_rejected"`
+	RRPFitErr   string                 `json:"rrp_fit_err,omitempty"`
+	URPFitErr   string                 `json:"urp_fit_err,omitempty"`
 }
 
 // Render prints the analysis.
@@ -382,10 +388,16 @@ func (f *Fig5) Render() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "Fig. 5 — content popularity over %d CIDs\n", f.CIDs)
 	fmt.Fprintf(&sb, "URP share with exactly 1 peer: %.1f%% (paper: >80%%)\n", 100*f.URPShare1)
-	fmt.Fprintf(&sb, "RRP power law: alpha=%.2f xmin=%d KS=%.4f p=%.3f rejected=%v\n",
-		f.RRPFit.Alpha, f.RRPFit.Xmin, f.RRPFit.KS, f.RRPPValue, f.RRPRejected)
-	fmt.Fprintf(&sb, "URP power law: alpha=%.2f xmin=%d KS=%.4f p=%.3f rejected=%v\n",
-		f.URPFit.Alpha, f.URPFit.Xmin, f.URPFit.KS, f.URPPValue, f.URPRejected)
+	renderFit := func(label string, fitted bool, fit popularity.PowerLawFit, p float64, rejected bool, fitErr string) {
+		if !fitted {
+			fmt.Fprintf(&sb, "%s power law: %s\n", label, fitErr)
+			return
+		}
+		fmt.Fprintf(&sb, "%s power law: alpha=%.2f xmin=%d KS=%.4f p=%.3f rejected=%v\n",
+			label, fit.Alpha, fit.Xmin, fit.KS, p, rejected)
+	}
+	renderFit("RRP", f.RRPFitted, f.RRPFit, f.RRPPValue, f.RRPRejected, f.RRPFitErr)
+	renderFit("URP", f.URPFitted, f.URPFit, f.URPPValue, f.URPRejected, f.URPFitErr)
 	fmt.Fprintf(&sb, "RRP ECDF (%d points), URP ECDF (%d points)\n", len(f.RRPECDF), len(f.URPECDF))
 	return sb.String()
 }
@@ -406,18 +418,25 @@ func (f *Fig5) CSV() string {
 // JSON marshals the analysis.
 func (f *Fig5) JSON() ([]byte, error) { return marshalJSON(f) }
 
-// Metrics exposes the headline popularity numbers.
+// Metrics exposes the headline popularity numbers; a score that could not
+// be fitted contributes none, so a cross-run table shows a gap rather than
+// a zero.
 func (f *Fig5) Metrics() map[string]float64 {
-	return map[string]float64{
-		"cids":         float64(f.CIDs),
-		"urp_share1":   f.URPShare1,
-		"rrp_alpha":    f.RRPFit.Alpha,
-		"urp_alpha":    f.URPFit.Alpha,
-		"rrp_pvalue":   f.RRPPValue,
-		"urp_pvalue":   f.URPPValue,
-		"rrp_rejected": boolMetric(f.RRPRejected),
-		"urp_rejected": boolMetric(f.URPRejected),
+	out := map[string]float64{
+		"cids":       float64(f.CIDs),
+		"urp_share1": f.URPShare1,
 	}
+	if f.RRPFitted {
+		out["rrp_alpha"] = f.RRPFit.Alpha
+		out["rrp_pvalue"] = f.RRPPValue
+		out["rrp_rejected"] = boolMetric(f.RRPRejected)
+	}
+	if f.URPFitted {
+		out["urp_alpha"] = f.URPFit.Alpha
+		out["urp_pvalue"] = f.URPPValue
+		out["urp_rejected"] = boolMetric(f.URPRejected)
+	}
+	return out
 }
 
 // --- Fig6 -------------------------------------------------------------------

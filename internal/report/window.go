@@ -230,8 +230,13 @@ func floorDiv(a, b int64) int64 {
 
 func (d *WindowedDriver) openWindow(k int64) (*windowState, error) {
 	st := &windowState{start: k * d.slide, end: k*d.slide + d.width}
+	// The window's reports share a numbering of their own, reachable only
+	// through them: it is garbage with the window, so the daemon's memory
+	// stays bounded by the window width.
+	opts := d.opts.Opts
+	opts.symbols = trace.NewSymbols()
 	for _, name := range d.opts.Reports {
-		r, err := New(name, d.opts.Opts)
+		r, err := New(name, opts)
 		if err != nil {
 			return nil, err
 		}

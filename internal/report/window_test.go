@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"bitswapmon/internal/cid"
 	"bitswapmon/internal/obs"
 	"bitswapmon/internal/trace"
 	"bitswapmon/internal/wire"
@@ -205,6 +206,108 @@ func TestWindowedCloseFlushesPartials(t *testing.T) {
 	// The driver is finalized: further writes fail.
 	if err := wd.Write(trace.Entry{Timestamp: t0.Add(time.Hour), Monitor: "us"}); err == nil {
 		t.Fatal("write after Close succeeded")
+	}
+}
+
+// TestWindowedQuietWindowFig5: a window with too few CIDs for the fig5
+// power-law fit (a daemon's quiet hour) must close like any other and leave
+// the driver writable — a Finalize error there used to latch and fail every
+// later Write.
+func TestWindowedQuietWindowFig5(t *testing.T) {
+	wd, err := NewWindowedDriver(WindowOptions{
+		Width:   time.Hour,
+		Reports: []string{"fig5"},
+		Opts:    Options{BootstrapIters: 2},
+		Dedup:   true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	write := func(at time.Duration, c byte) {
+		t.Helper()
+		e := trace.Entry{Timestamp: t0.Add(at), Monitor: "us", Type: wire.WantHave, CID: cid.Sum(cid.Raw, []byte{c})}
+		if err := wd.Write(e); err != nil {
+			t.Fatalf("write at +%s: %v", at, err)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		write(time.Duration(i)*time.Minute, byte(i)) // hour one: 3 entries
+	}
+	for i := 0; i < 40; i++ {
+		write(time.Hour+time.Duration(i)*time.Minute, byte(i%25)) // hour two: enough to fit
+	}
+	write(2*time.Hour, 0)
+	results, err := wd.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(results) != 3 || results[0].Entries != 3 || results[1].Entries != 40 {
+		t.Fatalf("windows: %+v", results)
+	}
+	quiet, busy := results[0].Metrics["fig5"], results[1].Metrics["fig5"]
+	if quiet["cids"] != 3 {
+		t.Errorf("quiet window counted %v CIDs, want 3", quiet["cids"])
+	}
+	if _, ok := quiet["rrp_alpha"]; ok {
+		t.Errorf("quiet window reports a fit it could not make: %v", quiet)
+	}
+	if _, ok := busy["rrp_alpha"]; !ok || busy["cids"] != 25 {
+		t.Errorf("busy window after the quiet one: %v", busy)
+	}
+}
+
+// TestWindowedMatchesFreshDriver: every sliding window's reports share a
+// numbering private to the window, so each closed window must report
+// exactly what a fresh Driver reports when fed that window's entries alone
+// — nothing of a neighbouring, overlapping window may leak in.
+func TestWindowedMatchesFreshDriver(t *testing.T) {
+	f := newFixture(t, 4)
+	// Stretch the half-hour fixture over three hours, order and flags kept.
+	entries := append([]trace.Entry(nil), f.unified...)
+	for i := range entries {
+		entries[i].Timestamp = t0.Add(6 * entries[i].Timestamp.Sub(t0))
+	}
+	names := []string{"summary", "traffic", "online", "popularity", "fig5"}
+	opts := Options{BootstrapIters: 3, GatewayIDs: f.gatewayIDs}
+	results, _ := feedWindows(t, entries, WindowOptions{
+		Width:   time.Hour,
+		Slide:   15 * time.Minute,
+		Keep:    1 << 20,
+		Reports: names,
+		Opts:    opts,
+		Dedup:   true,
+	})
+	if len(results) < 12 {
+		t.Fatalf("fixture spans %d sliding windows, want a dozen or more", len(results))
+	}
+	for _, res := range results {
+		drv := NewDriver(true)
+		if err := drv.AddByName(names, opts); err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for _, e := range entries {
+			if e.Timestamp.Before(res.Start) || !e.Timestamp.Before(res.End) {
+				continue
+			}
+			n++
+			if err := drv.Write(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		fresh, err := drv.Finalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != res.Entries {
+			t.Errorf("window %s: %d entries, the stream has %d there", res.Start.Format(time.TimeOnly), res.Entries, n)
+		}
+		for _, nr := range fresh {
+			if want := nr.Result.Metrics(); !reflect.DeepEqual(res.Metrics[nr.Name], want) {
+				t.Errorf("window %s, %s:\n  window: %v\n  fresh:  %v",
+					res.Start.Format(time.TimeOnly), nr.Name, res.Metrics[nr.Name], want)
+			}
+		}
 	}
 }
 

@@ -170,23 +170,31 @@ type Summary struct {
 }
 
 // Summarizer computes a Summary incrementally, so streaming pipelines can
-// summarise a trace in one pass. Memory is proportional to the distinct
-// peers and CIDs observed (the exact-uniqueness sets), not trace length.
+// summarise a trace in one pass. The exact-uniqueness sets are bitmaps over
+// the ids a Symbols issues, so an entry costs no map probe of its own when
+// another consumer of the same Symbols has just resolved it. Memory is
+// proportional to the distinct peers and CIDs observed (one Symbols entry
+// plus one bit each), not trace length.
 type Summarizer struct {
 	s     Summary
-	peers map[simnet.NodeID]bool
-	cids  map[cid.CID]bool
+	syms  *Symbols
+	peers idSet
+	cids  idSet
 }
 
-// NewSummarizer returns an empty Summarizer.
-func NewSummarizer() *Summarizer {
+// NewSummarizer returns an empty Summarizer numbering peers and CIDs with a
+// private Symbols.
+func NewSummarizer() *Summarizer { return NewSummarizerWith(NewSymbols()) }
+
+// NewSummarizerWith returns an empty Summarizer that resolves peers and CIDs
+// through syms, shared with the other consumers of the same pass.
+func NewSummarizerWith(syms *Symbols) *Summarizer {
 	return &Summarizer{
 		s: Summary{
 			PerMonitor: make(map[string]int),
 			PerType:    make(map[wire.EntryType]int),
 		},
-		peers: make(map[simnet.NodeID]bool),
-		cids:  make(map[cid.CID]bool),
+		syms: syms,
 	}
 }
 
@@ -198,8 +206,8 @@ func (z *Summarizer) Write(e Entry) error {
 	if e.IsRequest() {
 		s.Requests++
 	}
-	z.peers[e.NodeID] = true
-	z.cids[e.CID] = true
+	z.peers.add(z.syms.Peer(e.NodeID))
+	z.cids.add(z.syms.CID(e.CID))
 	if e.Flags&FlagRebroadcast != 0 {
 		s.Rebroadcasts++
 	}
@@ -221,8 +229,8 @@ func (z *Summarizer) Write(e Entry) error {
 // Write calls do not mutate it.
 func (z *Summarizer) Summary() Summary {
 	s := z.s
-	s.UniquePeers = len(z.peers)
-	s.UniqueCIDs = len(z.cids)
+	s.UniquePeers = z.peers.n
+	s.UniqueCIDs = z.cids.n
 	s.PerMonitor = make(map[string]int, len(z.s.PerMonitor))
 	for k, v := range z.s.PerMonitor {
 		s.PerMonitor[k] = v

@@ -22,7 +22,6 @@ import (
 	"testing"
 	"time"
 
-	"bitswapmon/internal/analysis"
 	"bitswapmon/internal/attacks"
 	"bitswapmon/internal/cid"
 	"bitswapmon/internal/cmdutil"
@@ -43,9 +42,19 @@ import (
 	"bitswapmon/internal/workload"
 )
 
+// weekRun is the shared measurement run with what its monitors streamed:
+// each monitor's own entries, and the UnifySink's unified and deduplicated
+// views of them.
+type weekRun struct {
+	*experiments.Data
+	perMonitor [2][]trace.Entry
+	unified    []trace.Entry
+	dedup      []trace.Entry
+}
+
 var (
 	weekOnce sync.Once
-	weekData *experiments.Data
+	weekData *weekRun
 	weekErr  error
 )
 
@@ -61,25 +70,47 @@ func maybeEnableMetrics() {
 }
 
 // sharedWeek runs the main measurement scenario once per process.
-func sharedWeek(b *testing.B) *experiments.Data {
+func sharedWeek(b *testing.B) *weekRun {
 	b.Helper()
-	weekOnce.Do(func() {
-		weekData, weekErr = experiments.CollectWeek(experiments.SmallScale(), 42)
-	})
+	weekOnce.Do(func() { weekData, weekErr = collectWeek() })
 	if weekErr != nil {
 		b.Fatal(weekErr)
 	}
 	return weekData
 }
 
+func collectWeek() (*weekRun, error) {
+	raw, unified := ingest.NewMemorySink(), ingest.NewMemorySink()
+	uni := ingest.NewUnifySink(unified)
+	d, err := experiments.CollectSpec(experiments.SmallScale().Spec(42), func(*workload.World) (ingest.Sink, error) {
+		return ingest.Tee(raw, uni), nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	if err := uni.Flush(); err != nil {
+		return nil, err
+	}
+	run := &weekRun{Data: d, unified: unified.Snapshot()}
+	run.dedup = trace.Deduplicated(run.unified)
+	for _, e := range raw.Snapshot() {
+		i := 0
+		if e.Monitor == d.World.Monitors[1].Name {
+			i = 1
+		}
+		run.perMonitor[i] = append(run.perMonitor[i], e)
+	}
+	return run, nil
+}
+
 // BenchmarkFig3PeerIDUniformity regenerates Fig. 3: the QQ comparison of a
 // monitor's peer IDs against the uniform distribution.
 func BenchmarkFig3PeerIDUniformity(b *testing.B) {
 	d := sharedWeek(b)
-	var fig analysis.Fig3
+	var fig experiments.Fig3
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fig = analysis.ComputeFig3(d.World.Monitors[0], 100)
+		fig = experiments.ComputeFig3(d.World.Monitors[0], 100)
 	}
 	b.ReportMetric(fig.KS, "KS-dist-to-uniform")
 	b.ReportMetric(float64(fig.Peers), "peers")
@@ -89,10 +120,10 @@ func BenchmarkFig3PeerIDUniformity(b *testing.B) {
 // Eq. (1)/(3) size estimates vs crawl and ground truth.
 func BenchmarkSecVCNetworkSize(b *testing.B) {
 	d := sharedWeek(b)
-	var sec analysis.SecVC
+	var sec experiments.SecVC
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sec = analysis.ComputeSecVC(d.World.Monitors, d.Samples, d.Crawl, d.OnlineAvg, d.World.TotalPopulation())
+		sec = experiments.ComputeSecVC(d.World.Monitors, d.Samples, d.Crawl, d.OnlineAvg, d.World.TotalPopulation())
 	}
 	b.ReportMetric(sec.Eq1Mean, "eq1-estimate")
 	b.ReportMetric(sec.Eq3Mean, "eq3-estimate")
@@ -144,7 +175,7 @@ func BenchmarkTable1Multicodec(b *testing.B) {
 	var tab *report.Table1
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tab = runReport(b, "table1", report.Options{}, d.Unified).(*report.Table1)
+		tab = runReport(b, "table1", report.Options{}, d.unified).(*report.Table1)
 	}
 	for _, row := range tab.Rows {
 		switch row.Codec {
@@ -164,7 +195,7 @@ func BenchmarkTable2Countries(b *testing.B) {
 	var tab *report.Table2
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tab = runReport(b, "table2", report.Options{Geo: d.World.Geo}, d.Unified).(*report.Table2)
+		tab = runReport(b, "table2", report.Options{Geo: d.World.Geo}, d.unified).(*report.Table2)
 	}
 	for _, row := range tab.Rows {
 		switch row.Country {
@@ -189,7 +220,7 @@ func BenchmarkFig5Popularity(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fig = runReport(b, "fig5", opts, d.Unified).(*report.Fig5)
+		fig = runReport(b, "fig5", opts, d.unified).(*report.Fig5)
 	}
 	b.ReportMetric(100*fig.URPShare1, "urp-share1-pct")
 	b.ReportMetric(fig.URPPValue, "urp-pvalue")
@@ -205,11 +236,11 @@ func BenchmarkFig6GatewayRates(b *testing.B) {
 	opts := report.Options{
 		Slice:       time.Hour,
 		GatewayIDs:  d.World.GatewayNodeIDs(),
-		MegagateIDs: d.MegagateIDs(),
+		MegagateIDs: d.World.MegagateIDs(),
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fig = runReport(b, "fig6", opts, d.Unified).(*report.Fig6)
+		fig = runReport(b, "fig6", opts, d.unified).(*report.Fig6)
 	}
 	gw, mg, ng := fig.Totals()
 	b.ReportMetric(gw, "gateway-req-per-s")
@@ -363,7 +394,7 @@ func BenchmarkSecVIAAttacks(b *testing.B) {
 	var idx *attacks.IDWIndex
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		idx = attacks.BuildIDW(d.Dedup)
+		idx = attacks.BuildIDW(d.dedup)
 	}
 	b.StopTimer()
 	hot := d.World.Catalog.Items[0]
@@ -454,10 +485,10 @@ func BenchmarkAblationDedupWindows(b *testing.B) {
 	var dedup []trace.Entry
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		unified := trace.Unify(d.World.Monitors[0].Trace(), d.World.Monitors[1].Trace())
+		unified := trace.Unify(d.perMonitor[0], d.perMonitor[1])
 		dedup = trace.Deduplicated(unified)
 	}
-	share := 1 - float64(len(dedup))/float64(len(d.Unified))
+	share := 1 - float64(len(dedup))/float64(len(d.unified))
 	b.ReportMetric(100*share, "removed-pct")
 }
 
@@ -466,8 +497,7 @@ func BenchmarkAblationDedupWindows(b *testing.B) {
 // BenchmarkTraceUnify measures the trace unification pipeline itself.
 func BenchmarkTraceUnify(b *testing.B) {
 	d := sharedWeek(b)
-	t1 := d.World.Monitors[0].Trace()
-	t2 := d.World.Monitors[1].Trace()
+	t1, t2 := d.perMonitor[0], d.perMonitor[1]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		trace.Unify(t1, t2)
@@ -481,8 +511,7 @@ func BenchmarkTraceUnify(b *testing.B) {
 func BenchmarkStreamUnify(b *testing.B) {
 	maybeEnableMetrics()
 	d := sharedWeek(b)
-	t1 := d.World.Monitors[0].Trace()
-	t2 := d.World.Monitors[1].Trace()
+	t1, t2 := d.perMonitor[0], d.perMonitor[1]
 	b.ResetTimer()
 	n := 0
 	for i := 0; i < b.N; i++ {

@@ -1,10 +1,10 @@
 // Command bsanalyze unifies monitor traces and runs the paper's analyses.
-// Inputs may be flat binary trace files (bsmon's M.trace) or segment store
-// directories (bsmon's M.segments); each input is one monitor's
-// time-ordered stream. Unification runs online through ingest.StreamUnifier
-// — identical flags to the batch trace.Unify, but one sliding window of
-// state — and every report observes the unified stream entry by entry, so
-// memory is bounded by report state, never trace length.
+// Inputs may be segment store directories (bsmon's M.segments), CSV exports
+// (bsmon's M.csv) or flat binary trace files (*.trace); each input is one
+// monitor's time-ordered stream, opened by ingest.OpenInputs. Unification
+// runs online through ingest.StreamUnifier — one sliding window of state —
+// and every report observes the unified stream entry by entry, so memory is
+// bounded by report state, never trace length.
 //
 // Usage:
 //
@@ -21,7 +21,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strings"
 	"time"
@@ -29,7 +28,6 @@ import (
 	"bitswapmon/internal/geoip"
 	"bitswapmon/internal/ingest"
 	"bitswapmon/internal/report"
-	"bitswapmon/internal/trace"
 )
 
 func main() {
@@ -71,7 +69,7 @@ func run(args []string) error {
 	if len(paths) == 0 {
 		return fmt.Errorf("no trace inputs given")
 	}
-	sources, cleanup, err := openSources(paths)
+	sources, cleanup, err := ingest.OpenInputs(paths)
 	if err != nil {
 		return err
 	}
@@ -99,64 +97,4 @@ func run(args []string) error {
 		fmt.Println(nr.Result.Render())
 	}
 	return ferr
-}
-
-// openSources opens each input as an EntrySource: a directory is a segment
-// store, a file a flat binary trace.
-func openSources(paths []string) ([]ingest.EntrySource, func(), error) {
-	var sources []ingest.EntrySource
-	var closers []io.Closer
-	cleanup := func() {
-		for _, c := range closers {
-			c.Close()
-		}
-	}
-	for _, path := range paths {
-		st, err := os.Stat(path)
-		if err != nil {
-			cleanup()
-			return nil, nil, fmt.Errorf("open %s: %w", path, err)
-		}
-		if st.IsDir() {
-			store, err := ingest.OpenSegmentStore(path, ingest.SegmentOptions{})
-			if err != nil {
-				cleanup()
-				return nil, nil, fmt.Errorf("open store %s: %w", path, err)
-			}
-			if store.Totals().Entries == 0 {
-				cleanup()
-				return nil, nil, fmt.Errorf("open store %s: no sealed segments", path)
-			}
-			// A crash (or truncation) leaves segments without a valid
-			// footer. Analysing around them would silently drop entries
-			// and print a partial report as if it were complete — fail
-			// instead and let the operator repair or remove the files.
-			if orphans := store.Skipped(); len(orphans) > 0 {
-				cleanup()
-				return nil, nil, fmt.Errorf("store %s has %d segment file(s) without a valid footer (crash leftovers or corruption, e.g. %s); remove or repair them before analysing", path, len(orphans), orphans[0])
-			}
-			it, err := store.Query(time.Time{}, time.Time{}, nil)
-			if err != nil {
-				cleanup()
-				return nil, nil, err
-			}
-			sources = append(sources, it)
-			closers = append(closers, it)
-			continue
-		}
-		f, err := os.Open(path)
-		if err != nil {
-			cleanup()
-			return nil, nil, fmt.Errorf("open %s: %w", path, err)
-		}
-		r, err := trace.NewReader(f)
-		if err != nil {
-			f.Close()
-			cleanup()
-			return nil, nil, fmt.Errorf("read %s: %w", path, err)
-		}
-		sources = append(sources, r)
-		closers = append(closers, f)
-	}
-	return sources, cleanup, nil
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -9,11 +10,26 @@ import (
 
 	"bitswapmon/internal/cid"
 	"bitswapmon/internal/ingest"
+	"bitswapmon/internal/replay"
 	"bitswapmon/internal/report"
 	"bitswapmon/internal/simnet"
 	"bitswapmon/internal/trace"
 	"bitswapmon/internal/wire"
 )
+
+// testEntry is the i-th entry of every test input, whatever its form.
+func testEntry(mon string, i int) trace.Entry {
+	var id simnet.NodeID
+	id[0] = byte(i % 7)
+	return trace.Entry{
+		Timestamp: time.Date(2021, 4, 30, 0, 0, 0, 0, time.UTC).Add(time.Duration(i) * time.Minute),
+		Monitor:   mon,
+		NodeID:    id,
+		Addr:      "3.0.0.1:4001",
+		Type:      wire.WantHave,
+		CID:       cid.Sum(cid.DagProtobuf, []byte{byte(i % 30)}),
+	}
+}
 
 // writeTestTrace creates a small binary trace file.
 func writeTestTrace(t *testing.T, path, mon string, n int) {
@@ -27,19 +43,8 @@ func writeTestTrace(t *testing.T, path, mon string, n int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := time.Date(2021, 4, 30, 0, 0, 0, 0, time.UTC)
 	for i := 0; i < n; i++ {
-		var id simnet.NodeID
-		id[0] = byte(i % 7)
-		e := trace.Entry{
-			Timestamp: base.Add(time.Duration(i) * time.Minute),
-			Monitor:   mon,
-			NodeID:    id,
-			Addr:      "3.0.0.1:4001",
-			Type:      wire.WantHave,
-			CID:       cid.Sum(cid.DagProtobuf, []byte{byte(i % 30)}),
-		}
-		if err := w.Write(e); err != nil {
+		if err := w.Write(testEntry(mon, i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -97,25 +102,58 @@ func writeTestStore(t *testing.T, dir, mon string, n int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := time.Date(2021, 4, 30, 0, 0, 0, 0, time.UTC)
 	for i := 0; i < n; i++ {
-		var id simnet.NodeID
-		id[0] = byte(i % 7)
-		e := trace.Entry{
-			Timestamp: base.Add(time.Duration(i) * time.Minute),
-			Monitor:   mon,
-			NodeID:    id,
-			Addr:      "3.0.0.1:4001",
-			Type:      wire.WantHave,
-			CID:       cid.Sum(cid.DagProtobuf, []byte{byte(i % 30)}),
-		}
-		if err := store.Write(e); err != nil {
+		if err := store.Write(testEntry(mon, i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := store.Close(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// writeTestCSV creates a CSV export with the same entries writeTestTrace
+// would produce.
+func writeTestCSV(t *testing.T, path, mon string, n int) {
+	t.Helper()
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	w := trace.NewCSVWriter(f)
+	for i := 0; i < n; i++ {
+		if err := w.Write(testEntry(mon, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// runOutput runs bsanalyze and returns what it printed to stdout.
+func runOutput(t *testing.T, args ...string) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	out := make(chan []byte)
+	go func() {
+		b, _ := io.ReadAll(r)
+		out <- b
+	}()
+	err = run(args)
+	os.Stdout = stdout
+	w.Close()
+	printed := <-out
+	if err != nil {
+		t.Fatalf("bsanalyze %v: %v", args, err)
+	}
+	return string(printed)
 }
 
 func TestBsanalyzeSegmentDirInputs(t *testing.T) {
@@ -133,13 +171,38 @@ func TestBsanalyzeSegmentDirInputs(t *testing.T) {
 		}
 	}
 
-	// A directory that is not a segment store is rejected.
+	// The three input forms carry the same entries, so any pairing of them
+	// prints the same reports.
+	forms := []string{".trace", ".segments", ".csv"}
+	writeTestTrace(t, filepath.Join(dir, "us.trace"), "us", 120)
+	writeTestStore(t, filepath.Join(dir, "de.segments"), "de", 80)
+	writeTestCSV(t, filepath.Join(dir, "us.csv"), "us", 120)
+	writeTestCSV(t, filepath.Join(dir, "de.csv"), "de", 80)
+	want := runOutput(t, "-report", "summary,traffic", filepath.Join(dir, "us.trace"), p2)
+	if !strings.Contains(want, "200") {
+		t.Fatalf("reference output does not count the 200 entries:\n%s", want)
+	}
+	for _, us := range forms {
+		for _, de := range forms {
+			got := runOutput(t, "-report", "summary,traffic", filepath.Join(dir, "us"+us), filepath.Join(dir, "de"+de))
+			if got != want {
+				t.Errorf("us%s + de%s printed:\n%s\nwant:\n%s", us, de, got, want)
+			}
+		}
+	}
+
+	// A directory that is not a segment store is rejected, by bsanalyze and
+	// by replay in the same words: both open inputs through ingest.
 	empty := filepath.Join(dir, "empty")
 	if err := os.MkdirAll(empty, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{empty}); err == nil {
-		t.Error("empty directory accepted as store")
+	err := run([]string{empty})
+	if err == nil {
+		t.Fatal("empty directory accepted as store")
+	}
+	if _, rerr := replay.Prepare(replay.Spec{Inputs: []string{empty}}); rerr == nil || rerr.Error() != err.Error() {
+		t.Errorf("replay.Prepare on an empty store: %v, want %v", rerr, err)
 	}
 }
 

@@ -1,8 +1,8 @@
 // Command bsmon runs a monitored scenario and streams each monitor's trace
 // to disk while the simulation runs, mirroring the paper's collection
-// infrastructure: entries flow through an ingest pipeline (segment store +
-// online statistics) instead of accumulating in RAM, so resident memory is
-// bounded by the segment rotation window, not the measurement length.
+// infrastructure: entries flow into a segment store instead of accumulating
+// in RAM, so resident memory is bounded by the segment rotation window, not
+// the measurement length.
 //
 // Usage:
 //
@@ -13,9 +13,8 @@
 //
 //	DIR/M.segments/NNNNNN.seg — time-partitioned compressed segments with
 //	                            footers (the queryable store)
-//	DIR/M.trace               — flat binary trace (compatibility export,
-//	                            produced disk-to-disk from the segments)
-//	DIR/M.csv                 — CSV export (with -csv)
+//	DIR/M.csv                 — CSV export, produced disk-to-disk from the
+//	                            segments (with -csv)
 //
 // Both modes shut down cleanly on SIGINT/SIGTERM: the active segment is
 // sealed before exit, so an interrupted store always reopens queryable.
@@ -65,7 +64,6 @@ func run(args []string) error {
 	hours := fs.Int("hours", 24, "measurement window in virtual hours (0 with -serve: run until signalled)")
 	seed := fs.Int64("seed", 1, "simulation seed")
 	csv := fs.Bool("csv", true, "also write CSV exports")
-	flat := fs.Bool("flat", true, "also write flat .trace compatibility exports")
 	rotate := fs.Duration("rotate", time.Hour, "segment rotation window (virtual time)")
 	traceOut := fs.String("trace-out", "", "record causal request traces and write Chrome trace-event JSON (Perfetto-loadable) plus a .jsonl sidecar to this path")
 	traceSample := fs.Float64("trace-sample", 1, "deterministic trace head-sampling rate in [0,1] (with -trace-out)")
@@ -119,18 +117,16 @@ func run(args []string) error {
 		return fmt.Errorf("build scenario: %w", err)
 	}
 
-	// Capture path: every monitor streams into a segment store plus a
-	// one-pass aggregator. Nothing retains the full trace in memory.
+	// Capture path: every monitor streams into a segment store. Nothing
+	// retains the full trace in memory.
 	stores := make([]*ingest.SegmentStore, len(w.Monitors))
-	stats := make([]*ingest.OnlineStats, len(w.Monitors))
 	for i, m := range w.Monitors {
 		store, err := openFreshStore(filepath.Join(*outDir, m.Name+".segments"), ingest.SegmentOptions{Rotation: *rotate})
 		if err != nil {
 			return err
 		}
 		stores[i] = store
-		stats[i] = ingest.NewOnlineStats(ingest.StatsOptions{Bucket: *rotate})
-		m.SetSink(ingest.Tee(store, stats[i]))
+		m.SetSink(store)
 	}
 
 	// Whatever goes wrong below, seal every store: an unclosed store loses
@@ -155,22 +151,14 @@ func run(args []string) error {
 			return fmt.Errorf("monitor %s: capture: %w", m.Name, err)
 		}
 		tot := stores[i].Totals()
-		fmt.Printf("monitor %s: %d entries in %d segments (~%.0f peers, ~%.0f CIDs) -> %s\n",
+		fmt.Printf("monitor %s: %d entries in %d segments, %s to %s -> %s\n",
 			m.Name, tot.Entries, len(stores[i].Segments()),
-			stats[i].DistinctPeers(), stats[i].DistinctCIDs(),
+			tot.First.Format(time.RFC3339), tot.Last.Format(time.RFC3339),
 			filepath.Join(*outDir, m.Name+".segments"))
 
-		// An interrupted run skips the flat/CSV exports: the priority is a
-		// sealed, queryable store on disk, not a full post-processing pass.
-		if interrupted {
-			continue
-		}
-		if *flat {
-			if err := exportFlat(stores[i], filepath.Join(*outDir, m.Name+".trace")); err != nil {
-				return err
-			}
-		}
-		if *csv {
+		// An interrupted run skips the CSV export: the priority is a sealed,
+		// queryable store on disk, not a full post-processing pass.
+		if *csv && !interrupted {
 			if err := exportCSV(stores[i], filepath.Join(*outDir, m.Name+".csv")); err != nil {
 				return err
 			}
@@ -225,31 +213,6 @@ func runFor(ctx context.Context, w *workload.World, total time.Duration) bool {
 		w.Run(step)
 	}
 	return ctx.Err() != nil
-}
-
-// exportFlat streams the store into a flat binary trace file, disk to disk.
-func exportFlat(store *ingest.SegmentStore, path string) error {
-	it, err := store.Query(time.Time{}, time.Time{}, nil)
-	if err != nil {
-		return err
-	}
-	defer it.Close()
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("create %s: %w", path, err)
-	}
-	defer f.Close()
-	tw, err := trace.NewWriter(f)
-	if err != nil {
-		return err
-	}
-	if _, err := ingest.Copy(tw, it); err != nil {
-		return fmt.Errorf("export %s: %w", path, err)
-	}
-	if err := tw.Close(); err != nil {
-		return fmt.Errorf("finalize trace: %w", err)
-	}
-	return f.Close()
 }
 
 // exportCSV streams the store into a CSV file, disk to disk.

@@ -4,10 +4,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"bitswapmon/internal/ingest"
-	"bitswapmon/internal/trace"
 )
 
 func TestBsmonEndToEnd(t *testing.T) {
@@ -19,53 +17,25 @@ func TestBsmonEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	for _, name := range []string{"us.trace", "de.trace", "us.csv", "de.csv"} {
-		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+	for _, name := range []string{"us.csv", "de.csv"} {
+		if st, err := os.Stat(filepath.Join(dir, name)); err != nil {
 			t.Errorf("missing output %s: %v", name, err)
+		} else if st.Size() == 0 {
+			t.Errorf("empty export %s", name)
 		}
 	}
-	// The binary trace must be readable and non-empty.
-	f, err := os.Open(filepath.Join(dir, "us.trace"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	r, err := trace.NewReader(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	entries, err := trace.ReadAll(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) == 0 {
-		t.Error("empty trace written")
-	}
 
-	// The segment store must hold the same entries, partitioned by time:
-	// 2 virtual hours at 30m rotation means multiple sealed segments.
+	// The segment store must be non-empty and partitioned by time: 2
+	// virtual hours at 30m rotation means multiple sealed segments.
 	store, err := ingest.OpenSegmentStore(filepath.Join(dir, "us.segments"), ingest.SegmentOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tot := store.Totals(); tot.Entries != len(entries) {
-		t.Errorf("segment totals = %d entries, flat trace has %d", tot.Entries, len(entries))
+	if store.Totals().Entries == 0 {
+		t.Error("empty trace written")
 	}
 	if segs := store.Segments(); len(segs) < 2 {
 		t.Errorf("segments = %d, want >= 2 (rotation not happening)", len(segs))
-	}
-	it, err := store.Query(time.Time{}, time.Time{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromSegs, err := ingest.Drain(it)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range entries {
-		if fromSegs[i] != entries[i] {
-			t.Fatalf("segment/flat divergence at entry %d", i)
-		}
 	}
 }
 

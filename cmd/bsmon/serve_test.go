@@ -96,9 +96,9 @@ func TestBsmonInterruptSealsStore(t *testing.T) {
 	for _, mon := range []string{"us", "de"} {
 		reopenClean(t, filepath.Join(dir, mon+".segments"))
 		// The interrupted path prioritises sealing over post-processing: no
-		// flat export should exist for a run this far from completion.
-		if _, err := os.Stat(filepath.Join(dir, mon+".trace")); !os.IsNotExist(err) {
-			t.Errorf("interrupted run wrote %s.trace", mon)
+		// CSV export should exist for a run this far from completion.
+		if _, err := os.Stat(filepath.Join(dir, mon+".csv")); !os.IsNotExist(err) {
+			t.Errorf("interrupted run wrote %s.csv", mon)
 		}
 	}
 }

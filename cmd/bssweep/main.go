@@ -44,7 +44,6 @@ import (
 	"syscall"
 	"time"
 
-	"bitswapmon/internal/analysis"
 	"bitswapmon/internal/cmdutil"
 	"bitswapmon/internal/obs"
 	"bitswapmon/internal/report"
@@ -310,14 +309,14 @@ func cmdReport(args []string) error {
 		if *rows == "" || *metric == "" {
 			return fmt.Errorf("comparison tables need both -rows and -metric")
 		}
-		table, err := analysis.ComputeSweepTable(recs, *rows, *cols, *metric)
+		table, err := sweep.ComputeTable(recs, *rows, *cols, *metric)
 		if err != nil {
 			return err
 		}
 		fmt.Print(table.Render())
 		csv = table.CSV()
 	} else {
-		csv = analysis.SweepCSV(recs)
+		csv = sweep.CSV(recs)
 		fmt.Print(csv)
 	}
 	if *csvPath != "" {
@@ -335,7 +334,7 @@ func cmdParams() error {
 		fmt.Printf("  %-26s %s\n", p, sweep.ParamDoc(p))
 	}
 	fmt.Println("\nreport metrics:")
-	fmt.Printf("  %s\n", strings.Join(analysis.SweepMetrics(), ", "))
+	fmt.Printf("  %s\n", strings.Join(sweep.KnownMetrics(), ", "))
 	fmt.Println("  coverage:<monitor>")
 	fmt.Printf("  <report>:<metric> for any extra report a spec requests (registered: %s)\n",
 		strings.Join(report.Names(), ", "))

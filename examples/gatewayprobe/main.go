@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"bitswapmon/internal/attacks"
+	"bitswapmon/internal/ingest"
 	"bitswapmon/internal/simnet"
 	"bitswapmon/internal/trace"
 	"bitswapmon/internal/workload"
@@ -67,7 +68,12 @@ func run() error {
 		}
 	}
 	fmt.Printf("\nTNW attack on discovered gateway node %s:\n", target)
-	unified := trace.Deduplicated(trace.Unify(w.Monitors[0].Trace(), w.Monitors[1].Trace()))
+	raw, err := ingest.Drain(ingest.NewStreamUnifier(
+		ingest.SliceSource(w.Monitors[0].Trace()), ingest.SliceSource(w.Monitors[1].Trace())))
+	if err != nil {
+		return err
+	}
+	unified := trace.Deduplicated(raw)
 	profile := attacks.ProfileNode(unified, target)
 	fmt.Printf("  observed %d requests for %d distinct CIDs between %s and %s\n",
 		profile.Requests, profile.UniqueCIDs,

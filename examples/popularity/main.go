@@ -44,7 +44,11 @@ func run() error {
 	}
 	w.Run(12 * time.Hour)
 
-	unified := trace.Unify(w.Monitors[0].Trace(), w.Monitors[1].Trace())
+	unified, err := ingest.Drain(ingest.NewStreamUnifier(
+		ingest.SliceSource(w.Monitors[0].Trace()), ingest.SliceSource(w.Monitors[1].Trace())))
+	if err != nil {
+		return err
+	}
 	dedup := trace.Deduplicated(unified)
 	fmt.Printf("trace: %d entries raw, %d deduplicated\n\n", len(unified), len(dedup))
 

@@ -9,8 +9,8 @@ import (
 	"log"
 	"time"
 
-	"bitswapmon/internal/analysis"
 	"bitswapmon/internal/dht"
+	"bitswapmon/internal/experiments"
 	"bitswapmon/internal/monitor"
 	"bitswapmon/internal/node"
 	"bitswapmon/internal/simnet"
@@ -54,7 +54,7 @@ func run() error {
 	dht.Crawl(crawler.DHT, w.Bootstrap, 16, func(r dht.CrawlResult) { crawlRes = r })
 	w.Run(10 * time.Minute)
 
-	sec := analysis.ComputeSecVC(w.Monitors, sampler.Samples(), crawlRes,
+	sec := experiments.ComputeSecVC(w.Monitors, sampler.Samples(), crawlRes,
 		float64(w.OnlineCount()), w.TotalPopulation())
 	fmt.Println()
 	fmt.Println(sec.Render())

@@ -14,7 +14,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"bitswapmon/internal/analysis"
 	"bitswapmon/internal/sweep"
 )
 
@@ -103,19 +102,19 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	table, err := analysis.ComputeSweepTable(recs, "nodes", "mean_session", "peer_overlap")
+	table, err := sweep.ComputeTable(recs, "nodes", "mean_session", "peer_overlap")
 	if err != nil {
 		return err
 	}
 	fmt.Print(table.Render())
 	fmt.Println()
-	table, err = analysis.ComputeSweepTable(recs, "nodes", "mean_session", "dedup_entries")
+	table, err = sweep.ComputeTable(recs, "nodes", "mean_session", "dedup_entries")
 	if err != nil {
 		return err
 	}
 	fmt.Print(table.Render())
 	fmt.Println()
-	table, err = analysis.ComputeSweepTable(recs, "nodes", "mean_session", "table1:requests")
+	table, err = sweep.ComputeTable(recs, "nodes", "mean_session", "table1:requests")
 	if err != nil {
 		return err
 	}

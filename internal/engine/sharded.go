@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"bitswapmon/internal/obs"
 	"bitswapmon/internal/otrace"
 	"bitswapmon/internal/simnet"
 )
@@ -899,9 +900,10 @@ func (s *Sharded) RunUntil(deadline time.Time) {
 			defer wg.Done()
 			for c := range ch {
 				if instrumented {
-					t0 := time.Now() //bsvet:walltime self-timed shard wall clock feeds metrics, not sim state
+					var sw obs.Stopwatch
+					sw.Start()
 					sh.processWindow(c.u, c.end, c.inclusive)
-					sh.procNs.Store(time.Since(t0).Nanoseconds()) //bsvet:walltime instrumentation only
+					sh.procNs.Store(sw.Elapsed().Nanoseconds())
 				} else {
 					sh.processWindow(c.u, c.end, c.inclusive)
 				}
@@ -929,9 +931,9 @@ func (s *Sharded) RunUntil(deadline time.Time) {
 			end = deadNs
 			inclusive = true
 		}
-		var windowStart time.Time
+		var window obs.Stopwatch
 		if instrumented {
-			windowStart = time.Now() //bsvet:walltime barrier-wait instrumentation, not sim state
+			window.Start()
 		}
 		// Only shards with work in this slot are signalled; idle shards
 		// stay parked at the barrier.
@@ -948,7 +950,7 @@ func (s *Sharded) RunUntil(deadline time.Time) {
 		if instrumented {
 			// Barrier wait per shard: how long it sat idle after finishing
 			// its own window while the slowest shard caught up.
-			wall := time.Since(windowStart).Nanoseconds() //bsvet:walltime instrumentation only
+			wall := window.Elapsed().Nanoseconds()
 			for _, sh := range s.shards {
 				if !sh.hasU || sh.nextU != u {
 					continue

@@ -10,11 +10,12 @@ import (
 	"time"
 
 	"bitswapmon/internal/engine"
+	"bitswapmon/internal/ingest"
 	"bitswapmon/internal/trace"
 	"bitswapmon/internal/workload"
 )
 
-// tinyScale is small enough that a full CollectWeek finishes in about a
+// tinyScale is small enough that a full CollectSpec finishes in about a
 // second, while still exercising monitors, gateways, churn and probing.
 func tinyScale() Scale {
 	return Scale{
@@ -24,6 +25,73 @@ func tinyScale() Scale {
 		SampleEvery:    30 * time.Minute,
 		BootstrapIters: 10,
 		CatalogItems:   800,
+	}
+}
+
+// collected is one CollectSpec run that kept what its monitors streamed:
+// raw holds every monitor's entries in arrival order, unified what the
+// UnifySink made of them.
+type collected struct {
+	*Data
+	raw     []trace.Entry
+	unified []trace.Entry
+}
+
+// collectUnified runs the week pipeline with Tee(raw, UnifySink(unified))
+// attached through CollectSpec's hook.
+func collectUnified(t *testing.T, s Scale, seed int64) collected {
+	t.Helper()
+	raw, out := ingest.NewMemorySink(), ingest.NewMemorySink()
+	uni := ingest.NewUnifySink(out)
+	d, err := CollectSpec(s.Spec(seed), func(*workload.World) (ingest.Sink, error) {
+		return ingest.Tee(raw, uni), nil
+	})
+	if err != nil {
+		t.Fatalf("%s-%d: %v", s.Engine, s.Shards, err)
+	}
+	if err := uni.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return collected{Data: d, raw: raw.Snapshot(), unified: out.Snapshot()}
+}
+
+// TestStreamingUnifyEqualsReference checks the streaming unifier against
+// the batch reference on simulated traces: the per-monitor streams a run
+// produced, unified by trace.Unify, must equal what the UnifySink attached
+// to the same run emitted, entry for entry, on every engine.
+func TestStreamingUnifyEqualsReference(t *testing.T) {
+	for _, tc := range []struct {
+		engine string
+		shards int
+	}{{"serial", 0}, {"sharded", 2}, {"sharded", 4}} {
+		t.Run(fmt.Sprintf("%s-%d", tc.engine, tc.shards), func(t *testing.T) {
+			s := tinyScale()
+			s.Engine, s.Shards = tc.engine, tc.shards
+			c := collectUnified(t, s, 42)
+			var us, de []trace.Entry
+			for _, e := range c.raw {
+				switch e.Monitor {
+				case "us":
+					us = append(us, e)
+				case "de":
+					de = append(de, e)
+				default:
+					t.Fatalf("entry from unknown monitor %q", e.Monitor)
+				}
+			}
+			want := trace.Unify(us, de)
+			if len(want) == 0 {
+				t.Fatal("scenario produced no trace entries")
+			}
+			if len(c.unified) != len(want) {
+				t.Fatalf("UnifySink emitted %d entries, trace.Unify %d", len(c.unified), len(want))
+			}
+			for i := range want {
+				if c.unified[i] != want[i] {
+					t.Fatalf("entry %d = %+v, trace.Unify has %+v", i, c.unified[i], want[i])
+				}
+			}
+		})
 	}
 }
 
@@ -44,12 +112,9 @@ func TestSerialEngineDeterminism(t *testing.T) {
 	var hashes [2][32]byte
 	var counts [2]int
 	for i := range hashes {
-		d, err := CollectWeek(tinyScale(), 42)
-		if err != nil {
-			t.Fatal(err)
-		}
-		hashes[i] = traceHash(t, d.Unified)
-		counts[i] = len(d.Unified)
+		c := collectUnified(t, tinyScale(), 42)
+		hashes[i] = traceHash(t, c.unified)
+		counts[i] = len(c.unified)
 	}
 	if counts[0] == 0 {
 		t.Fatal("scenario produced no trace entries")
@@ -63,15 +128,9 @@ func TestSerialEngineDeterminism(t *testing.T) {
 // TestSerialEngineSeedSensitivity guards against the degenerate way to pass
 // the determinism test: different seeds must produce different traces.
 func TestSerialEngineSeedSensitivity(t *testing.T) {
-	d1, err := CollectWeek(tinyScale(), 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d2, err := CollectWeek(tinyScale(), 43)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if traceHash(t, d1.Unified) == traceHash(t, d2.Unified) {
+	c1 := collectUnified(t, tinyScale(), 42)
+	c2 := collectUnified(t, tinyScale(), 43)
+	if traceHash(t, c1.unified) == traceHash(t, c2.unified) {
 		t.Fatal("different seeds produced identical traces")
 	}
 }
@@ -96,13 +155,10 @@ func TestShardedSerialEquivalence(t *testing.T) {
 		s := tinyScale()
 		s.Engine = engineName
 		s.Shards = shards
-		d, err := CollectWeek(s, 42)
-		if err != nil {
-			t.Fatalf("%s-%d: %v", engineName, shards, err)
-		}
+		d := collectUnified(t, s, 42)
 		a := agg{
-			unified:   len(d.Unified),
-			dedup:     len(d.Dedup),
+			unified:   len(d.unified),
+			dedup:     len(trace.Deduplicated(d.unified)),
 			onlineAvg: d.OnlineAvg,
 			probes:    len(d.Probes),
 			crawlLen:  len(d.Crawl.Seen),

@@ -1,8 +1,10 @@
-// Package experiments orchestrates full reproduction runs: it builds a
-// workload scenario, operates the monitoring pipeline over a measurement
-// window, and computes every table and figure of the paper's evaluation.
-// The cmd/bsexperiments binary, the benchmark harness and the integration
-// tests all share this code.
+// Package experiments orchestrates full reproduction runs: sweep.Measure
+// operates the monitoring pipeline over the measurement window with the
+// report drivers attached as the monitors' live sinks, and this package
+// adds what the paper does after the window — the DHT crawl, gateway
+// probing, Fig. 3 and the Sec. V-C panel — and renders every table and
+// figure of the evaluation. The cmd/bsexperiments binary, the benchmark
+// harness and the integration tests all share this code.
 package experiments
 
 import (
@@ -11,7 +13,6 @@ import (
 	"strings"
 	"time"
 
-	"bitswapmon/internal/analysis"
 	"bitswapmon/internal/attacks"
 	"bitswapmon/internal/dht"
 	"bitswapmon/internal/engine"
@@ -22,7 +23,6 @@ import (
 	"bitswapmon/internal/report"
 	"bitswapmon/internal/simnet"
 	"bitswapmon/internal/sweep"
-	"bitswapmon/internal/trace"
 	"bitswapmon/internal/workload"
 )
 
@@ -46,19 +46,6 @@ type Scale struct {
 	Engine string
 	// Shards is the sharded engine's worker count (0 selects its default).
 	Shards int
-}
-
-// NewEngine returns the workload engine factory for this scale's engine
-// selection, or an error for an unknown engine name.
-func (s Scale) NewEngine() (func(start time.Time, seed int64) engine.Engine, error) {
-	switch s.Engine {
-	case "", "serial":
-		return nil, nil // workload default: serial simnet
-	case "sharded":
-		return engine.ShardedFactory(s.Shards), nil
-	default:
-		return nil, fmt.Errorf("unknown engine %q (want serial or sharded)", s.Engine)
-	}
 }
 
 // SmallScale is fast enough for tests and benchmarks.
@@ -108,11 +95,10 @@ func DenseConfig(seed int64, nodes int, newEngine func(start time.Time, seed int
 
 // WeekReport carries every artifact computed from the main scenario. The
 // trace-derived artifacts are internal/report results, produced by one
-// streaming pass — live during the run (RunWeekSpec) or over collected data
-// (ComputeReport).
+// streaming pass, live during the run.
 type WeekReport struct {
-	Fig3us analysis.Fig3
-	SecVC  analysis.SecVC
+	Fig3us Fig3
+	SecVC  SecVC
 	Tab1   *report.Table1
 	Tab2   *report.Table2
 	Fig5   *report.Fig5
@@ -124,10 +110,9 @@ type WeekReport struct {
 	Latency *report.LatencyBreakdown
 	Tracer  *otrace.Tracer
 
-	// Windows holds the rolling-window traffic evaluation of the live path
-	// (RunWeekSpec): the same stream the full-week reports consume, cut
-	// into tumbling windows — the service-mode view of the week scenario.
-	// Nil on the collected-data path (ComputeReport).
+	// Windows holds the rolling-window traffic evaluation: the same stream
+	// the full-week reports consume, cut into tumbling windows — the
+	// service-mode view of the week scenario.
 	Windows []report.WindowResult
 
 	GatewaysProbed     int
@@ -142,13 +127,12 @@ type WeekReport struct {
 	Elapsed time.Duration
 }
 
-// Data is the raw output of one measurement run: everything needed to
-// compute any table or figure. The benchmark harness collects Data once and
-// recomputes individual artifacts per iteration.
+// Data is what one measurement run leaves behind beside the entries its
+// monitors streamed into the attached sink: the world with its monitors'
+// peer sets, the sampler's snapshots, the end-of-window crawl and the
+// gateway probes.
 type Data struct {
 	World     *workload.World
-	Unified   []trace.Entry
-	Dedup     []trace.Entry
 	Samples   []monitor.Sample
 	Crawl     dht.CrawlResult
 	OnlineAvg float64
@@ -180,76 +164,30 @@ func (s Scale) Spec(seed int64) sweep.ScenarioSpec {
 	}
 }
 
-// CollectWeek runs the main scenario and gathers raw measurement data.
-func CollectWeek(scale Scale, seed int64) (*Data, error) {
-	return CollectSpec(scale.Spec(seed))
-}
-
-// CollectSpec runs the scenario a declarative spec describes and gathers
-// raw measurement data with the unified trace resident — the benchmark
-// harness recomputes individual artifacts from it. The streaming path
-// (RunWeekSpec) attaches live report sinks instead and retains nothing.
-func CollectSpec(spec sweep.ScenarioSpec) (*Data, error) {
-	return collectSpec(spec, nil)
-}
-
-// collectSpec runs the week pipeline. attach, when non-nil, is invoked with
-// the built world after warmup and returns the live sink every monitor
-// streams into for the measured window; the returned Data then carries no
-// resident trace (Unified and Dedup stay nil). The pipeline needs at least
-// two monitors (the paper's coverage and overlap panels compare vantage
+// CollectSpec runs the week pipeline on the scenario a declarative spec
+// describes. attach is invoked with the built world after the warm-up and
+// returns the sink every monitor streams into from then on: the measured
+// window, then the crawl and the probes. The pipeline needs at least two
+// monitors (the paper's coverage and overlap panels compare vantage
 // points); the DHT crawl always runs, gateway probing obeys spec.Probes.
-func collectSpec(spec sweep.ScenarioSpec, attach func(w *workload.World) (ingest.Sink, error)) (*Data, error) {
-	cfg, err := spec.WorkloadConfig(spec.Seed)
-	if err != nil {
-		return nil, err
+func CollectSpec(spec sweep.ScenarioSpec, attach func(w *workload.World) (ingest.Sink, error)) (*Data, error) {
+	if len(spec.Monitors) < 2 {
+		return nil, fmt.Errorf("week scenario needs at least two monitors (spec has %d)", len(spec.Monitors))
 	}
-	if len(cfg.Monitors) < 2 {
-		return nil, fmt.Errorf("week scenario needs at least two monitors (spec has %d)", len(cfg.Monitors))
-	}
-	w, err := workload.Build(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("build world: %w", err)
-	}
-
-	// Warm up, then reset traces so the window is clean. The live sink, if
-	// any, is attached only now: the warmup must not reach the reports.
-	w.Run(spec.Warmup.Std())
-	for _, m := range w.Monitors {
-		m.ResetTrace()
-	}
-	if attach != nil {
+	meas, err := sweep.Measure(spec, spec.Seed, func(w *workload.World) error {
 		sink, err := attach(w)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		for _, m := range w.Monitors {
 			m.SetSink(sink)
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-
-	// A zero tick would make the self-rescheduling tracker below spin at a
-	// single simulated instant forever, so specs that omit sample_every get
-	// a sane default.
-	tick := spec.SampleEvery.Std()
-	if tick <= 0 {
-		tick = 30 * time.Minute
-	}
-	sampler := monitor.NewSampler(w.Net, w.Monitors, tick)
-	sampler.Start()
-
-	// Track ground-truth online population at each sampler tick.
-	var onlineSamples []float64
-	var trackOnline func()
-	trackOnline = func() {
-		onlineSamples = append(onlineSamples, float64(w.OnlineCount()))
-		w.Net.After(tick, trackOnline)
-	}
-	w.Net.After(tick, trackOnline)
-
-	// Run the measurement window.
-	w.Run(spec.Window.Std())
-	sampler.Stop()
+	w := meas.World
 
 	// Crawl the DHT at the end of the window (the paper crawls repeatedly;
 	// one crawl suffices for the comparison).
@@ -261,46 +199,22 @@ func collectSpec(spec sweep.ScenarioSpec, attach func(w *workload.World) (ingest
 	// Gateway probing (Sec. VI-B).
 	var probeResults []attacks.ProbeResult
 	if spec.Probes {
-		prober := attacks.NewGatewayProber(w.Net, w.Monitors, w.Net.NewRand("gwprobe"))
-		prober.ProbeAll(w.Registry, func(r []attacks.ProbeResult) { probeResults = r })
-		w.Run(time.Duration(len(w.Registry.All())+2) * prober.WaitFor)
+		probeResults = sweep.ProbeGateways(w)
 	}
 
-	var unified, dedup []trace.Entry
-	if attach == nil {
-		traces := make([][]trace.Entry, len(w.Monitors))
-		for i, m := range w.Monitors {
-			traces[i] = m.Trace()
+	for _, m := range w.Monitors {
+		if err := m.SinkErr(); err != nil {
+			return nil, fmt.Errorf("monitor %s sink: %w", m.Name, err)
 		}
-		unified = trace.Unify(traces...)
-		dedup = trace.Deduplicated(unified)
-	} else {
-		for _, m := range w.Monitors {
-			if err := m.SinkErr(); err != nil {
-				return nil, fmt.Errorf("monitor %s sink: %w", m.Name, err)
-			}
-		}
-	}
-	var onlineAvg float64
-	for _, v := range onlineSamples {
-		onlineAvg += v
-	}
-	if len(onlineSamples) > 0 {
-		onlineAvg /= float64(len(onlineSamples))
 	}
 	return &Data{
 		World:     w,
-		Unified:   unified,
-		Dedup:     dedup,
-		Samples:   sampler.Samples(),
+		Samples:   meas.Samples,
 		Crawl:     crawlRes,
-		OnlineAvg: onlineAvg,
+		OnlineAvg: meas.OnlineAvg,
 		Probes:    probeResults,
 	}, nil
 }
-
-// MegagateIDs returns the large operator's gateway node IDs.
-func (d *Data) MegagateIDs() map[simnet.NodeID]bool { return megagateIDs(d.World) }
 
 // weekReports lists the report set the main scenario runs in one pass. The
 // summary report is deliberately absent: nothing in WeekReport reads it,
@@ -319,7 +233,7 @@ func weekDriver(w *workload.World, bootstrapIters int) (*report.Driver, error) {
 		Rand:           func() *rand.Rand { return w.Net.NewRand("fig5") },
 		Geo:            w.Geo,
 		GatewayIDs:     w.GatewayNodeIDs(),
-		MegagateIDs:    megagateIDs(w),
+		MegagateIDs:    w.MegagateIDs(),
 	}
 	d := report.NewDriver(true)
 	// Publish in-flight report numbers as live gauges (no-op unless the
@@ -338,7 +252,7 @@ func weekReportFromResults(d *Data, results report.Results) *WeekReport {
 	w := d.World
 	traffic := results.Get("traffic").(*report.Traffic)
 	rep := &WeekReport{
-		Fig3us:       analysis.ComputeFig3(w.Monitors[0], 50),
+		Fig3us:       ComputeFig3(w.Monitors[0], 50),
 		Tab1:         results.Get("table1").(*report.Table1),
 		Tab2:         results.Get("table2").(*report.Table2),
 		Fig5:         results.Get("fig5").(*report.Fig5),
@@ -347,7 +261,7 @@ func weekReportFromResults(d *Data, results report.Results) *WeekReport {
 		DedupEntries: traffic.DedupEntries,
 		RebroadShare: traffic.RebroadShare,
 	}
-	rep.SecVC = analysis.ComputeSecVC(w.Monitors, d.Samples, d.Crawl, d.OnlineAvg, w.TotalPopulation())
+	rep.SecVC = ComputeSecVC(w.Monitors, d.Samples, d.Crawl, d.OnlineAvg, w.TotalPopulation())
 	if tr := w.Tracer(); tr != nil {
 		rep.Tracer = tr
 		rep.Latency = report.BreakdownFromSpans(tr.Spans(), tr.Dropped())
@@ -358,26 +272,6 @@ func weekReportFromResults(d *Data, results report.Results) *WeekReport {
 	rep.GatewayIDsFound = total
 	rep.GatewayIDsCorrect = correct
 	return rep
-}
-
-// ComputeReport derives the full report from collected data: the same
-// streaming report set as the live path, driven over the resident trace.
-func ComputeReport(d *Data, bootstrapIters int) (*WeekReport, error) {
-	start := time.Now()
-	drv, err := weekDriver(d.World, bootstrapIters)
-	if err != nil {
-		return nil, err
-	}
-	if err := drv.Run(ingest.SliceSource(d.Unified)); err != nil {
-		return nil, err
-	}
-	results, err := drv.Finalize()
-	if err != nil {
-		return nil, err
-	}
-	rep := weekReportFromResults(d, results)
-	rep.Elapsed = time.Since(start)
-	return rep, nil
 }
 
 // RunWeek executes the main scenario (Sec. V-C/V-D/V-E and VI-B artifacts).
@@ -398,7 +292,7 @@ func RunWeekSpec(spec sweep.ScenarioSpec) (*WeekReport, error) {
 	var drv *report.Driver
 	var wd *report.WindowedDriver
 	var uni *ingest.UnifySink
-	data, err := collectSpec(spec, func(w *workload.World) (ingest.Sink, error) {
+	data, err := CollectSpec(spec, func(w *workload.World) (ingest.Sink, error) {
 		d, err := weekDriver(w, iters)
 		if err != nil {
 			return nil, err
@@ -413,7 +307,7 @@ func RunWeekSpec(spec sweep.ScenarioSpec) (*WeekReport, error) {
 			Opts: report.Options{
 				Geo:         w.Geo,
 				GatewayIDs:  w.GatewayNodeIDs(),
-				MegagateIDs: megagateIDs(w),
+				MegagateIDs: w.MegagateIDs(),
 			},
 			Dedup: true,
 		})
@@ -442,16 +336,6 @@ func RunWeekSpec(spec sweep.ScenarioSpec) (*WeekReport, error) {
 	rep.Windows = windows
 	rep.Elapsed = time.Since(start)
 	return rep, nil
-}
-
-func megagateIDs(w *workload.World) map[simnet.NodeID]bool {
-	out := make(map[simnet.NodeID]bool)
-	for _, g := range w.Gateways {
-		if g.Operator == "megagate" {
-			out[g.Node.ID] = true
-		}
-	}
-	return out
 }
 
 // crawlNetwork runs one DHT crawl from a dedicated client node.

@@ -1,4 +1,4 @@
-package analysis
+package experiments
 
 import (
 	"fmt"
@@ -10,6 +10,11 @@ import (
 	"bitswapmon/internal/monitor"
 	"bitswapmon/internal/simnet"
 )
+
+// The two panels of the week report that are not counts over the trace
+// stream: Fig. 3 (peer-ID uniformity, a snapshot of one monitor's peers)
+// and the Sec. V-C coverage and network-size panel (sampler snapshots
+// against a DHT crawl and the simulation's ground truth).
 
 // SecVC aggregates the Sec. V-C measurements: monitoring coverage and
 // network-size estimates from monitor peer sets, compared against a DHT
@@ -144,5 +149,38 @@ func (s SecVC) Render() string {
 		fmt.Fprintf(&sb, "coverage monitor %d: %.0f%%\n", i, 100*c)
 	}
 	fmt.Fprintf(&sb, "coverage union: %.0f%%\n", 100*s.CoverageUnion)
+	return sb.String()
+}
+
+// --- Fig. 3: peer-ID uniformity -------------------------------------------
+
+// Fig3 is the QQ diagnostic of monitor peer IDs against uniformity.
+type Fig3 struct {
+	Monitor string
+	Peers   int
+	Points  []estimate.QQPoint
+	KS      float64
+}
+
+// ComputeFig3 snapshots a monitor's current peers.
+func ComputeFig3(m *monitor.Monitor, points int) Fig3 {
+	samples := m.PeerIDUniform01()
+	return Fig3{
+		Monitor: m.Name,
+		Peers:   len(samples),
+		Points:  estimate.QQUniform(samples, points),
+		KS:      estimate.KSUniform(samples),
+	}
+}
+
+// Render prints the QQ plot as text.
+func (f Fig3) Render() string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "Fig. 3 — QQ plot of peer IDs vs uniform (monitor %s, %d peers, KS=%.4f)\n",
+		f.Monitor, f.Peers, f.KS)
+	fmt.Fprintf(&sb, "%12s %12s\n", "theoretical", "sample")
+	for _, p := range f.Points {
+		fmt.Fprintf(&sb, "%12.3f %12.3f\n", p.Theoretical, p.Sample)
+	}
 	return sb.String()
 }

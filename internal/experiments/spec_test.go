@@ -4,7 +4,9 @@ import (
 	"testing"
 	"time"
 
+	"bitswapmon/internal/ingest"
 	"bitswapmon/internal/sweep"
+	"bitswapmon/internal/workload"
 )
 
 // TestCollectSpecDefaultsSampleEvery regresses a livelock: a spec that
@@ -26,7 +28,9 @@ func TestCollectSpecDefaultsSampleEvery(t *testing.T) {
 		Window:   sweep.D(2 * time.Hour),
 		// SampleEvery deliberately omitted.
 	}
-	data, err := CollectSpec(spec)
+	data, err := CollectSpec(spec, func(*workload.World) (ingest.Sink, error) {
+		return ingest.NewMemorySink(), nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

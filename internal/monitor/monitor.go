@@ -155,11 +155,11 @@ func (m *Monitor) OnEntry(fn func(trace.Entry)) (remove func()) {
 }
 
 // SetSink redirects subsequent observations into s (e.g. an
-// ingest.SegmentStore, or ingest.Tee(store, stats)) and clears any error
+// ingest.SegmentStore, or an ingest.Tee) and clears any error
 // recorded for the previous sink. Call it before the scenario runs:
 // entries already held by the previous sink are not migrated. With a
-// non-memory sink, Trace, TraceSince and ResetTrace return nil — the
-// trace lives wherever the sink put it.
+// non-memory sink, Trace and ResetTrace return nil — the trace lives
+// wherever the sink put it.
 func (m *Monitor) SetSink(s ingest.Sink) {
 	m.sink = s
 	m.mem, _ = s.(*ingest.MemorySink)
@@ -178,24 +178,6 @@ func (m *Monitor) Trace() []trace.Entry {
 		return nil
 	}
 	return m.mem.Snapshot()
-}
-
-// TraceLen returns the number of entries recorded so far in the memory
-// sink without copying them.
-func (m *Monitor) TraceLen() int {
-	if m.mem == nil {
-		return 0
-	}
-	return m.mem.Len()
-}
-
-// TraceSince returns a snapshot of the memory-sink entries from index n
-// onward (pair with a TraceLen checkpoint to read only new observations).
-func (m *Monitor) TraceSince(n int) []trace.Entry {
-	if m.mem == nil {
-		return nil
-	}
-	return m.mem.Since(n)
 }
 
 // ResetTrace clears recorded entries (e.g. after a warm-up phase) and

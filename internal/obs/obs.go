@@ -27,6 +27,21 @@ import (
 	"time"
 )
 
+// Stopwatch times a stretch of code for instrumentation. It hands out only
+// the elapsed duration, never an absolute wall time, so the simulation-facing
+// packages (where bsvet's nowalltime pass bans time.Now) can time themselves
+// without holding a host-clock reading that results could come to depend on.
+// The zero value is ready to Start.
+type Stopwatch struct {
+	start time.Time
+}
+
+// Start begins (or restarts) timing.
+func (s *Stopwatch) Start() { s.start = time.Now() }
+
+// Elapsed returns the wall time since the last Start.
+func (s *Stopwatch) Elapsed() time.Duration { return time.Since(s.start) }
+
 // Counter is a monotonically increasing metric. The zero value is ready to
 // use; all methods are nil-safe no-ops.
 type Counter struct {

@@ -367,37 +367,6 @@ func TestDiscoverMonitors(t *testing.T) {
 	}
 }
 
-// TestOpenInputsCSV: a CSV export feeds replay like any other input.
-func TestOpenInputsCSV(t *testing.T) {
-	traces := syntheticTrace(7, 40, time.Minute)
-	dir := t.TempDir()
-	path := filepath.Join(dir, "us.csv")
-	f := mustCreate(t, path)
-	if err := trace.WriteCSV(f, traces["us"]); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	sources, cleanup, err := OpenInputs([]string{path})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cleanup()
-	n := 0
-	for {
-		_, err := sources[0].Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		n++
-	}
-	if n != len(traces["us"]) {
-		t.Fatalf("CSV input yielded %d entries, want %d", n, len(traces["us"]))
-	}
-}
-
 // TestDriveUnknownMonitor: direct replay against a world missing the
 // trace's monitor fails loudly instead of silently dropping traffic.
 func TestDriveUnknownMonitor(t *testing.T) {

@@ -89,7 +89,7 @@ func Prepare(spec Spec) (*Session, error) {
 	}
 	switch spec.Mode {
 	case ModeDirect, "":
-		sources, cleanup, err := OpenInputs(spec.Inputs)
+		sources, cleanup, err := ingest.OpenInputs(spec.Inputs)
 		if err != nil {
 			return nil, err
 		}
@@ -107,7 +107,7 @@ func Prepare(spec Spec) (*Session, error) {
 			cleanup: cleanup,
 		}, nil
 	case ModeFitted:
-		sources, cleanup, err := OpenInputs(spec.Inputs)
+		sources, cleanup, err := ingest.OpenInputs(spec.Inputs)
 		if err != nil {
 			return nil, err
 		}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 	"time"
@@ -12,7 +11,6 @@ import (
 	"bitswapmon/internal/cid"
 	"bitswapmon/internal/ingest"
 	"bitswapmon/internal/simnet"
-	"bitswapmon/internal/trace"
 	"bitswapmon/internal/wire"
 )
 
@@ -88,69 +86,6 @@ func (s *DirectSource) Next() (Event, error) {
 	}
 }
 
-// OpenInputs opens each path as a time-ordered entry source: directories
-// are segment stores, *.csv files are trace CSV exports, anything else is a
-// flat binary trace. Each input is one monitor's stream; merge them with
-// ingest.NewStreamUnifier. The returned cleanup closes every opened file
-// and iterator.
-func OpenInputs(paths []string) ([]ingest.EntrySource, func(), error) {
-	var sources []ingest.EntrySource
-	var closers []io.Closer
-	cleanup := func() {
-		for _, c := range closers {
-			c.Close()
-		}
-	}
-	fail := func(err error) ([]ingest.EntrySource, func(), error) {
-		cleanup()
-		return nil, nil, err
-	}
-	for _, path := range paths {
-		st, err := os.Stat(path)
-		if err != nil {
-			return fail(fmt.Errorf("replay: open %s: %w", path, err))
-		}
-		if st.IsDir() {
-			store, err := ingest.OpenSegmentStore(path, ingest.SegmentOptions{})
-			if err != nil {
-				return fail(fmt.Errorf("replay: open store %s: %w", path, err))
-			}
-			if orphans := store.Skipped(); len(orphans) > 0 {
-				return fail(fmt.Errorf("replay: store %s has %d segment file(s) without a valid footer (e.g. %s); repair or remove them", path, len(orphans), orphans[0]))
-			}
-			it, err := store.Query(time.Time{}, time.Time{}, nil)
-			if err != nil {
-				return fail(err)
-			}
-			sources = append(sources, it)
-			closers = append(closers, it)
-			continue
-		}
-		f, err := os.Open(path)
-		if err != nil {
-			return fail(fmt.Errorf("replay: open %s: %w", path, err))
-		}
-		if strings.EqualFold(filepath.Ext(path), ".csv") {
-			r, err := trace.NewCSVReader(f)
-			if err != nil {
-				f.Close()
-				return fail(fmt.Errorf("replay: read %s: %w", path, err))
-			}
-			sources = append(sources, r)
-			closers = append(closers, f)
-			continue
-		}
-		r, err := trace.NewReader(f)
-		if err != nil {
-			f.Close()
-			return fail(fmt.Errorf("replay: read %s: %w", path, err))
-		}
-		sources = append(sources, r)
-		closers = append(closers, f)
-	}
-	return sources, cleanup, nil
-}
-
 // DiscoverMonitors derives the monitor set a trace references. Segment
 // stores answer from their footers without touching entry data; flat files
 // need one streaming pass. Names map onto regions by spelling ("us" → US,
@@ -176,7 +111,7 @@ func DiscoverMonitors(paths []string) ([]MonitorSpec, error) {
 		}
 	}
 	if len(flat) > 0 {
-		sources, cleanup, err := OpenInputs(flat)
+		sources, cleanup, err := ingest.OpenInputs(flat)
 		if err != nil {
 			return nil, err
 		}

@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"bitswapmon/internal/ingest"
+	"bitswapmon/internal/obs"
 	"bitswapmon/internal/trace"
 )
 
@@ -234,9 +235,10 @@ func (d *Driver) writeInstrumented(e trace.Entry) error {
 			continue
 		}
 		if sample {
-			t0 := time.Now() //bsvet:walltime 1/1024-sampled observe-latency instrumentation
+			var sw obs.Stopwatch
+			sw.Start()
 			err := r.Observe(e)
-			d.met[i].observe.ObserveDuration(time.Since(t0)) //bsvet:walltime instrumentation only
+			d.met[i].observe.ObserveDuration(sw.Elapsed())
 			if err != nil {
 				return err
 			}
@@ -269,13 +271,13 @@ func (d *Driver) Finalize() (Results, error) {
 	}
 	var errs []error
 	for i, r := range d.active {
-		var t0 time.Time
+		var sw obs.Stopwatch
 		if d.m != nil {
-			t0 = time.Now() //bsvet:walltime finalize-duration instrumentation
+			sw.Start()
 		}
 		res, err := r.Finalize()
 		if d.m != nil {
-			d.met[i].finalize.ObserveDuration(time.Since(t0)) //bsvet:walltime instrumentation only
+			d.met[i].finalize.ObserveDuration(sw.Elapsed())
 		}
 		if err != nil {
 			errs = append(errs, fmt.Errorf("report %s: %w", d.reports[i].Name, err))

@@ -1,0 +1,88 @@
+package sweep
+
+import (
+	"fmt"
+	"time"
+
+	"bitswapmon/internal/attacks"
+	"bitswapmon/internal/monitor"
+	"bitswapmon/internal/workload"
+)
+
+// defaultSampleEvery is the tick a spec that omits sample_every gets. A
+// zero tick would make the self-rescheduling online tracker spin at a
+// single simulated instant forever.
+const defaultSampleEvery = 30 * time.Minute
+
+// Measurement is what one measured window leaves behind beside the entries
+// the monitors streamed into their sinks.
+type Measurement struct {
+	// World is the built world, its clock at the end of the window.
+	World *workload.World
+	// Samples are the periodic snapshots of the monitors' peer sets.
+	Samples []monitor.Sample
+	// OnlineAvg is the mean ground-truth online population over the same
+	// ticks.
+	OnlineAvg float64
+}
+
+// Measure is the measurement procedure every synthetic run follows: build
+// the world the spec describes, warm it up, discard the warm-up trace, let
+// attach point each monitor at its sink, then run the window with the peer
+// sampler and the online-population tracker on one tick. It returns when
+// the window ends; whatever a caller does next (crawl, probes, sealing
+// stores) runs on the returned world.
+func Measure(spec ScenarioSpec, seed int64, attach func(*workload.World) error) (*Measurement, error) {
+	cfg, err := spec.WorkloadConfig(seed)
+	if err != nil {
+		return nil, err
+	}
+	w, err := workload.Build(cfg)
+	if err != nil {
+		return nil, fmt.Errorf("sweep: build world: %w", err)
+	}
+
+	// The sinks are attached only after the warm-up: it must not reach them.
+	w.Run(spec.Warmup.Std())
+	for _, m := range w.Monitors {
+		m.ResetTrace()
+	}
+	if err := attach(w); err != nil {
+		return nil, err
+	}
+
+	tick := spec.SampleEvery.Std()
+	if tick <= 0 {
+		tick = defaultSampleEvery
+	}
+	sampler := monitor.NewSampler(w.Net, w.Monitors, tick)
+	sampler.Start()
+	var online float64
+	var ticks int
+	var trackOnline func()
+	trackOnline = func() {
+		online += float64(w.OnlineCount())
+		ticks++
+		w.Net.After(tick, trackOnline)
+	}
+	w.Net.After(tick, trackOnline)
+
+	w.Run(spec.Window.Std())
+	sampler.Stop()
+
+	if ticks > 0 {
+		online /= float64(ticks)
+	}
+	return &Measurement{World: w, Samples: sampler.Samples(), OnlineAvg: online}, nil
+}
+
+// ProbeGateways runs the Sec. VI-B gateway identification probe against
+// every listed gateway and returns once all probes have timed out or been
+// observed.
+func ProbeGateways(w *workload.World) []attacks.ProbeResult {
+	prober := attacks.NewGatewayProber(w.Net, w.Monitors, w.Net.NewRand("gwprobe"))
+	var probes []attacks.ProbeResult
+	prober.ProbeAll(w.Registry, func(r []attacks.ProbeResult) { probes = r })
+	w.Run(time.Duration(len(w.Registry.All())+2) * prober.WaitFor)
+	return probes
+}

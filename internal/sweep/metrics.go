@@ -17,23 +17,21 @@ import (
 // field — the read-side back-compat for version-1 summaries and for
 // hand-built summaries in tests.
 var legacyMetrics = map[string]func(*RunSummary) float64{
-	"entries":            func(r *RunSummary) float64 { return float64(r.Entries) },
-	"dedup_entries":      func(r *RunSummary) float64 { return float64(r.DedupEntries) },
-	"requests":           func(r *RunSummary) float64 { return float64(r.Requests) },
-	"dedup_requests":     func(r *RunSummary) float64 { return float64(r.DedupRequests) },
-	"rebroad_share":      func(r *RunSummary) float64 { return r.RebroadShare },
-	"unique_peers":       func(r *RunSummary) float64 { return float64(r.UniquePeers) },
-	"unique_cids":        func(r *RunSummary) float64 { return float64(r.UniqueCIDs) },
-	"distinct_peers_est": func(r *RunSummary) float64 { return r.DistinctPeersEst },
-	"distinct_cids_est":  func(r *RunSummary) float64 { return r.DistinctCIDsEst },
-	"peer_overlap":       func(r *RunSummary) float64 { return r.PeerOverlap },
-	"gateway_share":      func(r *RunSummary) float64 { return r.GatewayShare },
-	"gateway_hit_rate":   func(r *RunSummary) float64 { return r.GatewayHitRate },
-	"online_avg":         func(r *RunSummary) float64 { return r.OnlineAvg },
-	"population":         func(r *RunSummary) float64 { return float64(r.Population) },
-	"replay_events":      func(r *RunSummary) float64 { return float64(r.ReplayEvents) },
-	"replay_requesters":  func(r *RunSummary) float64 { return float64(r.ReplayRequesters) },
-	"fitted_alpha":       func(r *RunSummary) float64 { return r.FittedAlpha },
+	"entries":           func(r *RunSummary) float64 { return float64(r.Entries) },
+	"dedup_entries":     func(r *RunSummary) float64 { return float64(r.DedupEntries) },
+	"requests":          func(r *RunSummary) float64 { return float64(r.Requests) },
+	"dedup_requests":    func(r *RunSummary) float64 { return float64(r.DedupRequests) },
+	"rebroad_share":     func(r *RunSummary) float64 { return r.RebroadShare },
+	"unique_peers":      func(r *RunSummary) float64 { return float64(r.UniquePeers) },
+	"unique_cids":       func(r *RunSummary) float64 { return float64(r.UniqueCIDs) },
+	"peer_overlap":      func(r *RunSummary) float64 { return r.PeerOverlap },
+	"gateway_share":     func(r *RunSummary) float64 { return r.GatewayShare },
+	"gateway_hit_rate":  func(r *RunSummary) float64 { return r.GatewayHitRate },
+	"online_avg":        func(r *RunSummary) float64 { return r.OnlineAvg },
+	"population":        func(r *RunSummary) float64 { return float64(r.Population) },
+	"replay_events":     func(r *RunSummary) float64 { return float64(r.ReplayEvents) },
+	"replay_requesters": func(r *RunSummary) float64 { return float64(r.ReplayRequesters) },
+	"fitted_alpha":      func(r *RunSummary) float64 { return r.FittedAlpha },
 }
 
 // KnownMetrics lists the canonical metric names every run summary carries,

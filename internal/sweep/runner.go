@@ -43,17 +43,14 @@ type RunSummary struct {
 	OnlineAvg float64 `json:"online_avg"`
 
 	// Unified-trace counters (all monitors merged, Sec. IV-B flags).
-	Entries       int     `json:"entries"`
-	DedupEntries  int     `json:"dedup_entries"`
-	Requests      int     `json:"requests"`
-	DedupRequests int     `json:"dedup_requests"`
-	RebroadShare  float64 `json:"rebroad_share"`
-	UniquePeers   int     `json:"unique_peers"`
-	UniqueCIDs    int     `json:"unique_cids"`
-	// Sketched one-pass estimates from the capture path (HyperLogLog).
-	DistinctPeersEst float64        `json:"distinct_peers_est"`
-	DistinctCIDsEst  float64        `json:"distinct_cids_est"`
-	PerType          map[string]int `json:"per_type,omitempty"`
+	Entries       int            `json:"entries"`
+	DedupEntries  int            `json:"dedup_entries"`
+	Requests      int            `json:"requests"`
+	DedupRequests int            `json:"dedup_requests"`
+	RebroadShare  float64        `json:"rebroad_share"`
+	UniquePeers   int            `json:"unique_peers"`
+	UniqueCIDs    int            `json:"unique_cids"`
+	PerType       map[string]int `json:"per_type,omitempty"`
 
 	// MonitorCoverage is each monitor's Bitswap-active peer count divided
 	// by the population (the paper's per-vantage-point coverage).
@@ -110,61 +107,21 @@ func ExecuteRun(dir string, run Run) (*RunSummary, error) {
 	if spec.ReplayMode() {
 		return executeReplayRun(dir, run, start)
 	}
-	cfg, err := spec.WorkloadConfig(run.Seed)
+
+	// Every monitor streams the measured window into its durable store as
+	// it happens. Seal whatever is open on every exit path (Close is
+	// idempotent), so error returns do not leak file handles across a long
+	// campaign.
+	var stores []*ingest.SegmentStore
+	defer func() { closeStores(stores) }()
+	meas, err := Measure(spec, run.Seed, func(w *workload.World) (err error) {
+		stores, err = openMonitorStores(dir, w.Monitors)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	// Start from a clean directory: a retried run must not append to a
-	// failed attempt's leftover segment stores.
-	if err := os.RemoveAll(dir); err != nil {
-		return nil, fmt.Errorf("sweep: clear run dir: %w", err)
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("sweep: run dir: %w", err)
-	}
-	w, err := workload.Build(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("sweep: build world for %s: %w", run.ID, err)
-	}
-
-	// Warm up with the default in-memory sinks, then discard the warmup
-	// trace and switch every monitor to its durable store plus a one-pass
-	// aggregator, so the measured window streams to disk as it happens.
-	w.Run(spec.Warmup.Std())
-	for _, m := range w.Monitors {
-		m.ResetTrace()
-	}
-	stores, stats, closeStores, err := openMonitorStores(dir, w.Monitors)
-	if err != nil {
-		return nil, err
-	}
-	// Seal whatever is open on every exit path (Close is idempotent), so
-	// error returns do not leak file handles across a long campaign.
-	defer closeStores()
-
-	var sampler *monitor.Sampler
-	if len(w.Monitors) > 0 {
-		sampler = monitor.NewSampler(w.Net, w.Monitors, spec.SampleEvery.Std())
-		sampler.Start()
-	}
-
-	// Ground-truth online population at each sampler tick.
-	tick := spec.SampleEvery.Std()
-	if tick <= 0 {
-		tick = 30 * time.Minute
-	}
-	var onlineSamples []float64
-	var trackOnline func()
-	trackOnline = func() {
-		onlineSamples = append(onlineSamples, float64(w.OnlineCount()))
-		w.Net.After(tick, trackOnline)
-	}
-	w.Net.After(tick, trackOnline)
-
-	w.Run(spec.Window.Std())
-	if sampler != nil {
-		sampler.Stop()
-	}
+	w := meas.World
 
 	sum := &RunSummary{
 		Version:    SummaryVersion,
@@ -173,13 +130,11 @@ func ExecuteRun(dir string, run Run) (*RunSummary, error) {
 		Params:     run.Params,
 		Engine:     spec.Engine,
 		Population: w.TotalPopulation(),
+		OnlineAvg:  meas.OnlineAvg,
 	}
 
 	if spec.Probes && len(w.Monitors) > 0 && len(w.Registry.All()) > 0 {
-		prober := attacks.NewGatewayProber(w.Net, w.Monitors, w.Net.NewRand("gwprobe"))
-		var probes []attacks.ProbeResult
-		prober.ProbeAll(w.Registry, func(r []attacks.ProbeResult) { probes = r })
-		w.Run(time.Duration(len(w.Registry.All())+2) * prober.WaitFor)
+		probes := ProbeGateways(w)
 		identified, _, _ := attacks.CrossReference(probes, w.Registry.NodeIDs())
 		sum.GatewaysProbed = len(probes)
 		sum.GatewaysIdentified = identified
@@ -191,17 +146,11 @@ func ExecuteRun(dir string, run Run) (*RunSummary, error) {
 		return nil, err
 	}
 
-	if err := summarize(sum, spec, w, stores, stats); err != nil {
+	if err := summarize(sum, spec, w, stores); err != nil {
 		return nil, err
 	}
 	if err := writeRunTrace(dir, w.Tracer()); err != nil {
 		return nil, err
-	}
-	for _, v := range onlineSamples {
-		sum.OnlineAvg += v
-	}
-	if len(onlineSamples) > 0 {
-		sum.OnlineAvg /= float64(len(onlineSamples))
 	}
 	sum.ElapsedMS = time.Since(start).Milliseconds()
 
@@ -228,31 +177,36 @@ func writeRunTrace(dir string, tr *otrace.Tracer) error {
 	return nil
 }
 
-// openMonitorStores redirects every monitor into a per-monitor segment
-// store plus a one-pass aggregator under dir. The returned closeStores is
-// the defer-safe cleanup (Close is idempotent), shared by the synthetic
-// and replay execution paths so their store lifecycles cannot diverge.
-func openMonitorStores(dir string, monitors []*monitor.Monitor) ([]*ingest.SegmentStore, []*ingest.OnlineStats, func(), error) {
-	stores := make([]*ingest.SegmentStore, len(monitors))
-	stats := make([]*ingest.OnlineStats, len(monitors))
-	closeStores := func() {
-		for _, store := range stores {
-			if store != nil {
-				store.Close()
-			}
-		}
+// openMonitorStores clears dir — a retried run must not append to a failed
+// attempt's leftover segment stores — and redirects every monitor into a
+// per-monitor segment store under it. The synthetic and replay execution
+// paths share it, and closeStores, so their store lifecycles cannot diverge.
+func openMonitorStores(dir string, monitors []*monitor.Monitor) ([]*ingest.SegmentStore, error) {
+	if err := os.RemoveAll(dir); err != nil {
+		return nil, fmt.Errorf("sweep: clear run dir: %w", err)
 	}
-	for i, m := range monitors {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("sweep: run dir: %w", err)
+	}
+	stores := make([]*ingest.SegmentStore, 0, len(monitors))
+	for _, m := range monitors {
 		store, err := ingest.OpenSegmentStore(monitorStoreDir(dir, m.Name), ingest.SegmentOptions{})
 		if err != nil {
-			closeStores()
-			return nil, nil, nil, err
+			closeStores(stores)
+			return nil, err
 		}
-		stores[i] = store
-		stats[i] = ingest.NewOnlineStats(ingest.StatsOptions{Bucket: time.Hour})
-		m.SetSink(ingest.Tee(store, stats[i]))
+		stores = append(stores, store)
+		m.SetSink(store)
 	}
-	return stores, stats, closeStores, nil
+	return stores, nil
+}
+
+// closeStores is the defer-safe cleanup of openMonitorStores' result: Close
+// is idempotent, so sealed stores are left as they are.
+func closeStores(stores []*ingest.SegmentStore) {
+	for _, store := range stores {
+		store.Close()
+	}
 }
 
 // sealMonitorStores closes every store and surfaces any sink error a
@@ -274,10 +228,9 @@ func sealMonitorStores(monitors []*monitor.Monitor, stores []*ingest.SegmentStor
 // StreamUnifier's output through the summary and traffic reports (bounded
 // memory: the unifier's window plus each report's own state), plus any
 // extra reports the spec requests, whose metrics land in the summary's
-// metrics map as "<report>:<metric>". The capture path's sketched estimates
-// are folded in from stats. opts carries the context extra reports may need
-// (gateway IDs, GeoIP, bootstrap budget).
-func summarizeStores(sum *RunSummary, stores []*ingest.SegmentStore, stats []*ingest.OnlineStats, extraReports []string, opts report.Options) error {
+// metrics map as "<report>:<metric>". opts carries the context extra reports
+// may need (gateway IDs, GeoIP, bootstrap budget).
+func summarizeStores(sum *RunSummary, stores []*ingest.SegmentStore, extraReports []string, opts report.Options) error {
 	sources := make([]ingest.EntrySource, len(stores))
 	for i, store := range stores {
 		it, err := store.Query(time.Time{}, time.Time{}, nil)
@@ -312,10 +265,6 @@ func summarizeStores(sum *RunSummary, stores []*ingest.SegmentStore, stats []*in
 	sum.PerType = make(map[string]int, len(s.PerType))
 	for t, n := range s.PerType {
 		sum.PerType[t.String()] = n
-	}
-	for _, st := range stats {
-		sum.DistinctPeersEst += st.DistinctPeers()
-		sum.DistinctCIDsEst += st.DistinctCIDs()
 	}
 	if len(extraReports) > 0 {
 		if sum.Metrics == nil {
@@ -357,21 +306,15 @@ func fillMonitorCoverage(sum *RunSummary, monitors []*monitor.Monitor, populatio
 
 // summarize folds the streaming store metrics together with the synthetic
 // world's ground truth (coverage, overlap, gateway cache performance).
-func summarize(sum *RunSummary, spec ScenarioSpec, w *workload.World, stores []*ingest.SegmentStore, stats []*ingest.OnlineStats) error {
-	mega := make(map[simnet.NodeID]bool)
-	for _, g := range w.Gateways {
-		if g.Operator == "megagate" {
-			mega[g.Node.ID] = true
-		}
-	}
+func summarize(sum *RunSummary, spec ScenarioSpec, w *workload.World, stores []*ingest.SegmentStore) error {
 	opts := report.Options{
 		Geo:            w.Geo,
 		GatewayIDs:     w.GatewayNodeIDs(),
-		MegagateIDs:    mega,
+		MegagateIDs:    w.MegagateIDs(),
 		BootstrapIters: spec.BootstrapIters,
 		Tracer:         w.Tracer(),
 	}
-	if err := summarizeStores(sum, stores, stats, spec.Reports, opts); err != nil {
+	if err := summarizeStores(sum, stores, spec.Reports, opts); err != nil {
 		return err
 	}
 	fillMonitorCoverage(sum, w.Monitors, w.TotalPopulation())
@@ -406,12 +349,6 @@ func executeReplayRun(dir string, run Run, start time.Time) (*RunSummary, error)
 	if err := report.NewDriver(true).AddByName(spec.Reports, replayOpts); err != nil {
 		return nil, fmt.Errorf("sweep: summary reports for replay run %s: %w", run.ID, err)
 	}
-	if err := os.RemoveAll(dir); err != nil {
-		return nil, fmt.Errorf("sweep: clear run dir: %w", err)
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("sweep: run dir: %w", err)
-	}
 	sess, err := replay.Prepare(rs)
 	if err != nil {
 		return nil, fmt.Errorf("sweep: prepare replay for %s: %w", run.ID, err)
@@ -419,11 +356,11 @@ func executeReplayRun(dir string, run Run, start time.Time) (*RunSummary, error)
 	defer sess.Close()
 
 	monitors := sess.World.Monitors
-	stores, stats, closeStores, err := openMonitorStores(dir, monitors)
+	stores, err := openMonitorStores(dir, monitors)
 	if err != nil {
 		return nil, err
 	}
-	defer closeStores()
+	defer closeStores(stores)
 
 	drive, err := sess.Drive()
 	if err != nil {
@@ -446,7 +383,7 @@ func executeReplayRun(dir string, run Run, start time.Time) (*RunSummary, error)
 	if sess.Model != nil && sess.Model.PowerLaw != nil {
 		sum.FittedAlpha = sess.Model.PowerLaw.Alpha
 	}
-	if err := summarizeStores(sum, stores, stats, spec.Reports, replayOpts); err != nil {
+	if err := summarizeStores(sum, stores, spec.Reports, replayOpts); err != nil {
 		return nil, err
 	}
 	if err := writeRunTrace(dir, sess.World.Tracer()); err != nil {

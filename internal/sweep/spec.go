@@ -1,9 +1,10 @@
 // Package sweep turns the single-run simulator into an experiment campaign
-// system: declarative scenario specifications, grid/sweep expansion into
+// system: declarative scenario specifications, the one measurement runner
+// every synthetic run goes through (Measure), grid/sweep expansion into
 // families of runs with deterministic identities, a parallel orchestrator
 // with a resumable on-disk manifest, and durable per-run results (segment
-// stores + summary JSON) that the analysis layer can aggregate without
-// re-reading raw traces.
+// stores + summary JSON) that the aggregation layer (ComputeTable, CSV)
+// joins without re-reading raw traces.
 //
 // The paper's headline results — request popularity, gateway traffic
 // shares, monitor overlap — all come from comparing many runs under varied

@@ -1,4 +1,4 @@
-package analysis
+package sweep
 
 import (
 	"fmt"
@@ -6,72 +6,65 @@ import (
 	"strconv"
 	"strings"
 	"time"
-
-	"bitswapmon/internal/sweep"
 )
 
 // This file is the sweep aggregation layer: it joins per-run summaries
-// (sweep.RunSummary, persisted by the orchestrator) into cross-run
+// (RunSummary, persisted by the orchestrator) into cross-run
 // comparison tables and CSV — e.g. gateway traffic share or monitor
 // overlap vs. population × churn — without ever re-reading raw trace
 // segments. Every output is deterministic for a given set of summaries:
 // rows, columns and long-form lines are sorted, and wall-clock fields are
 // excluded.
 
-// Metrics are resolved by name through sweep.(*RunSummary).Metric: the
+// Metrics are resolved by name through (*RunSummary).Metric: the
 // extensible metrics map written by the report-driven summaries, with
 // "coverage:<monitor>" addressing and typed-field fallback for version-1
-// summaries. This layer no longer knows any metric by field.
-
-// SweepMetrics lists the canonical aggregatable metric names, sorted.
-// Summaries may carry additional "<report>:<metric>" names contributed by a
-// spec's extra reports; those aggregate by name exactly the same way.
-func SweepMetrics() []string { return sweep.KnownMetrics() }
+// summaries. This layer knows no metric by field.
 
 // paramString renders a run's override value for one parameter; runs that
 // did not override it report the base-spec marker.
-func paramString(r *sweep.RunSummary, key string) string {
+func paramString(r *RunSummary, key string) string {
 	for _, p := range r.Params {
 		if p.Key == key {
-			return sweep.FormatValue(p.Value)
+			return FormatValue(p.Value)
 		}
 	}
 	return "(base)"
 }
 
-// SweepCell is one aggregated grid cell: the metric's mean over the cell's
+// Cell is one aggregated grid cell: the metric's mean over the cell's
 // seed replicates.
-type SweepCell struct {
+type Cell struct {
 	Mean float64
 	Runs int
 }
 
-// SweepTable is a two-parameter comparison of one metric across a sweep:
+// Table is a two-parameter comparison of one metric across a sweep:
 // rows × columns of replicate-averaged cells.
-type SweepTable struct {
+type Table struct {
 	Metric   string
 	RowParam string
 	ColParam string
 	RowVals  []string
 	ColVals  []string
 	// Cells is indexed [row][col]; Runs == 0 marks a grid hole.
-	Cells [][]SweepCell
+	Cells [][]Cell
 }
 
-// ComputeSweepTable joins run summaries into a rowParam × colParam
+// ComputeTable joins run summaries into a rowParam × colParam
 // comparison of metric. Each cell is the mean over every run landing in
 // it: the seed replicates, plus — in sweeps with more than two axes — all
 // values of any parameter not on the table's axes (the cell's Runs count
 // says how many were blended; compare it against the seed policy to spot
 // marginalised axes). Pass colParam "" for a one-dimensional table (a
 // single "all" column).
-func ComputeSweepTable(recs []*sweep.RunSummary, rowParam, colParam, metric string) (SweepTable, error) {
-	t := SweepTable{Metric: metric, RowParam: rowParam, ColParam: colParam}
+func ComputeTable(recs []*RunSummary, rowParam, colParam, metric string) (Table, error) {
+	t := Table{Metric: metric, RowParam: rowParam, ColParam: colParam}
 	if len(recs) == 0 {
-		return t, fmt.Errorf("analysis: no run summaries to aggregate")
+		return t, fmt.Errorf("sweep: no run summaries to aggregate")
 	}
 	if rowParam == "" {
-		return t, fmt.Errorf("analysis: sweep table needs a row parameter")
+		return t, fmt.Errorf("sweep: sweep table needs a row parameter")
 	}
 	type acc struct {
 		sum float64
@@ -103,12 +96,12 @@ func ComputeSweepTable(recs []*sweep.RunSummary, rowParam, colParam, metric stri
 	}
 	t.RowVals = sortedAxisValues(rowSet)
 	t.ColVals = sortedAxisValues(colSet)
-	t.Cells = make([][]SweepCell, len(t.RowVals))
+	t.Cells = make([][]Cell, len(t.RowVals))
 	for i, row := range t.RowVals {
-		t.Cells[i] = make([]SweepCell, len(t.ColVals))
+		t.Cells[i] = make([]Cell, len(t.ColVals))
 		for j, col := range t.ColVals {
 			if a, ok := cells[[2]string{row, col}]; ok {
-				t.Cells[i][j] = SweepCell{Mean: a.sum / float64(a.n), Runs: a.n}
+				t.Cells[i][j] = Cell{Mean: a.sum / float64(a.n), Runs: a.n}
 			}
 		}
 	}
@@ -148,7 +141,7 @@ func sortedAxisValues(set map[string]bool) []string {
 }
 
 // Render prints the comparison table.
-func (t SweepTable) Render() string {
+func (t Table) Render() string {
 	var sb strings.Builder
 	col := t.ColParam
 	if col == "" {
@@ -177,7 +170,7 @@ func (t SweepTable) Render() string {
 
 // CSV renders the table as CSV (header row of column values, one line per
 // row value). Output is deterministic: same summaries, same bytes.
-func (t SweepTable) CSV() string {
+func (t Table) CSV() string {
 	var sb strings.Builder
 	sb.WriteString(csvEscape(t.RowParam + "\\" + t.ColParam))
 	for _, c := range t.ColVals {
@@ -199,12 +192,12 @@ func (t SweepTable) CSV() string {
 	return sb.String()
 }
 
-// SweepCSV renders the long-form join of every run summary: one line per
+// CSV renders the long-form join of every run summary: one line per
 // run with its parameters and every metric, sorted by run ID — the
 // load-into-anything export. Deterministic: wall-clock fields are excluded
 // and ordering is fixed.
-func SweepCSV(recs []*sweep.RunSummary) string {
-	sorted := make([]*sweep.RunSummary, len(recs))
+func CSV(recs []*RunSummary) string {
+	sorted := make([]*RunSummary, len(recs))
 	copy(sorted, recs)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].RunID < sorted[j].RunID })
 
@@ -260,7 +253,7 @@ func SweepCSV(recs []*sweep.RunSummary) string {
 			sb.WriteString(",")
 			for _, rp := range r.Params {
 				if rp.Key == p {
-					sb.WriteString(csvEscape(sweep.FormatValue(rp.Value)))
+					sb.WriteString(csvEscape(FormatValue(rp.Value)))
 					break
 				}
 			}

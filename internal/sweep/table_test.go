@@ -1,23 +1,21 @@
-package analysis
+package sweep
 
 import (
 	"strings"
 	"testing"
-
-	"bitswapmon/internal/sweep"
 )
 
 // gridSummaries fabricates a 2×2 grid with 2 replicates each.
-func gridSummaries() []*sweep.RunSummary {
-	var out []*sweep.RunSummary
+func gridSummaries() []*RunSummary {
+	var out []*RunSummary
 	for _, nodes := range []float64{100, 200} {
 		for _, sess := range []string{"2h", "6h"} {
 			for rep, seed := range []int64{1, 2} {
-				out = append(out, &sweep.RunSummary{
-					Version: sweep.SummaryVersion,
-					RunID:   "nodes=" + sweep.FormatValue(nodes) + ",mean_session=" + sess + "-s" + sweep.FormatValue(seed),
+				out = append(out, &RunSummary{
+					Version: SummaryVersion,
+					RunID:   "nodes=" + FormatValue(nodes) + ",mean_session=" + sess + "-s" + FormatValue(seed),
 					Seed:    seed,
-					Params: []sweep.Param{
+					Params: []Param{
 						{Key: "nodes", Value: nodes},
 						{Key: "mean_session", Value: sess},
 					},
@@ -34,9 +32,9 @@ func gridSummaries() []*sweep.RunSummary {
 	return out
 }
 
-func TestComputeSweepTable(t *testing.T) {
+func TestComputeTable(t *testing.T) {
 	recs := gridSummaries()
-	tbl, err := ComputeSweepTable(recs, "nodes", "mean_session", "entries")
+	tbl, err := ComputeTable(recs, "nodes", "mean_session", "entries")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +56,7 @@ func TestComputeSweepTable(t *testing.T) {
 	}
 
 	// Replicate averaging of a per-replicate metric.
-	tbl, err = ComputeSweepTable(recs, "nodes", "", "peer_overlap")
+	tbl, err = ComputeTable(recs, "nodes", "", "peer_overlap")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,16 +65,16 @@ func TestComputeSweepTable(t *testing.T) {
 	}
 
 	// Monitor coverage addressing.
-	if _, err := ComputeSweepTable(recs, "nodes", "", "coverage:us"); err != nil {
+	if _, err := ComputeTable(recs, "nodes", "", "coverage:us"); err != nil {
 		t.Errorf("coverage metric: %v", err)
 	}
-	if _, err := ComputeSweepTable(recs, "nodes", "", "coverage:jp"); err == nil {
+	if _, err := ComputeTable(recs, "nodes", "", "coverage:jp"); err == nil {
 		t.Error("unknown monitor accepted")
 	}
-	if _, err := ComputeSweepTable(recs, "nodes", "", "vibes"); err == nil {
+	if _, err := ComputeTable(recs, "nodes", "", "vibes"); err == nil {
 		t.Error("unknown metric accepted")
 	}
-	if _, err := ComputeSweepTable(nil, "nodes", "", "entries"); err == nil {
+	if _, err := ComputeTable(nil, "nodes", "", "entries"); err == nil {
 		t.Error("empty record set accepted")
 	}
 }
@@ -84,17 +82,17 @@ func TestComputeSweepTable(t *testing.T) {
 // TestSweepTableDurationOrdering pins churn-style axes to duration order,
 // not lexical order ("12h" must not precede "2h").
 func TestSweepTableDurationOrdering(t *testing.T) {
-	var recs []*sweep.RunSummary
+	var recs []*RunSummary
 	for _, sess := range []string{"48h", "2h", "12h"} {
-		recs = append(recs, &sweep.RunSummary{
-			Version: sweep.SummaryVersion,
+		recs = append(recs, &RunSummary{
+			Version: SummaryVersion,
 			RunID:   "mean_session=" + sess + "-s1",
 			Seed:    1,
-			Params:  []sweep.Param{{Key: "mean_session", Value: sess}},
+			Params:  []Param{{Key: "mean_session", Value: sess}},
 			Entries: 10,
 		})
 	}
-	tbl, err := ComputeSweepTable(recs, "mean_session", "", "entries")
+	tbl, err := ComputeTable(recs, "mean_session", "", "entries")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,14 +106,14 @@ func TestSweepTableDurationOrdering(t *testing.T) {
 
 func TestSweepTableCSVDeterministic(t *testing.T) {
 	recs := gridSummaries()
-	tbl, err := ComputeSweepTable(recs, "nodes", "mean_session", "entries")
+	tbl, err := ComputeTable(recs, "nodes", "mean_session", "entries")
 	if err != nil {
 		t.Fatal(err)
 	}
 	a := tbl.CSV()
 	// Shuffle the input order; the CSV must not care.
-	shuffled := []*sweep.RunSummary{recs[5], recs[2], recs[7], recs[0], recs[3], recs[6], recs[1], recs[4]}
-	tbl2, err := ComputeSweepTable(shuffled, "nodes", "mean_session", "entries")
+	shuffled := []*RunSummary{recs[5], recs[2], recs[7], recs[0], recs[3], recs[6], recs[1], recs[4]}
+	tbl2, err := ComputeTable(shuffled, "nodes", "mean_session", "entries")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,8 +124,8 @@ func TestSweepTableCSVDeterministic(t *testing.T) {
 		t.Errorf("csv header:\n%s", a)
 	}
 
-	long := SweepCSV(recs)
-	long2 := SweepCSV(shuffled)
+	long := CSV(recs)
+	long2 := CSV(shuffled)
 	if long != long2 {
 		t.Error("long-form CSV depends on record order")
 	}

@@ -96,6 +96,11 @@ type dupKey struct {
 // can reach the other monitor inside the 5 s window and be classified as an
 // inter-monitor duplicate; this misclassification is inherent to the method
 // and reproduced here.
+//
+// Unify is the reference implementation: it needs every trace resident and
+// sorts the lot. No production path calls it — runs unify online through
+// ingest.UnifySink and ingest.StreamUnifier — and it stays exported because
+// those are tested, and checked by the benchmark, against its output.
 func Unify(traces ...[]Entry) []Entry {
 	var out []Entry
 	for _, t := range traces {

@@ -926,6 +926,18 @@ func (w *World) GatewayNodeIDs() map[simnet.NodeID]bool {
 	return out
 }
 
+// MegagateIDs returns the node IDs of the large operator's gateways, the
+// subset Fig. 6 plots on its own.
+func (w *World) MegagateIDs() map[simnet.NodeID]bool {
+	out := make(map[simnet.NodeID]bool)
+	for _, g := range w.Gateways {
+		if g.Operator == "megagate" {
+			out[g.Node.ID] = true
+		}
+	}
+	return out
+}
+
 // MonitorByName finds a monitor.
 func (w *World) MonitorByName(name string) *monitor.Monitor {
 	for _, m := range w.Monitors {

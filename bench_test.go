@@ -37,6 +37,7 @@ import (
 	"bitswapmon/internal/replay"
 	"bitswapmon/internal/report"
 	"bitswapmon/internal/simnet"
+	"bitswapmon/internal/sweep"
 	"bitswapmon/internal/trace"
 	"bitswapmon/internal/wire"
 	"bitswapmon/internal/workload"
@@ -82,7 +83,7 @@ func sharedWeek(b *testing.B) *weekRun {
 func collectWeek() (*weekRun, error) {
 	raw, unified := ingest.NewMemorySink(), ingest.NewMemorySink()
 	uni := ingest.NewUnifySink(unified)
-	d, err := experiments.CollectSpec(experiments.SmallScale().Spec(42), func(*workload.World) (ingest.Sink, error) {
+	d, err := experiments.CollectSpec(sweep.DefaultSpec(), func(*workload.World) (ingest.Sink, error) {
 		return ingest.Tee(raw, uni), nil
 	})
 	if err != nil {
@@ -135,10 +136,12 @@ func BenchmarkSecVCNetworkSize(b *testing.B) {
 // BenchmarkFig4RequestTypes regenerates Fig. 4: the WANT_BLOCK → WANT_HAVE
 // transition over an upgrade wave. This one needs its own scenario.
 func BenchmarkFig4RequestTypes(b *testing.B) {
+	spec := sweep.UpgradeSpec(80, 2)
+	spec.Seed = 7
 	var rep *experiments.UpgradeReport
 	var err error
 	for i := 0; i < b.N; i++ {
-		rep, err = experiments.RunUpgrade(80, 2, 7, nil)
+		rep, err = experiments.RunUpgrade(spec)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -21,7 +21,8 @@
 // discovered from the inputs.
 //
 // The week scenario is assembled through a declarative sweep.ScenarioSpec:
-// -scale picks a built-in spec, -spec loads one from a JSON file instead,
+// -scale picks a built-in spec (sweep.DefaultSpec or sweep.WeekSpec), -spec
+// loads one from a JSON file instead,
 // and -dump-spec prints the assembled spec (after flag overrides) without
 // running — the starting point for a sweep campaign's base spec. Explicitly
 // set -seed/-engine/-shards flags override the spec from either source.
@@ -154,11 +155,11 @@ func run(args []string) error {
 		}
 	}
 	if *only == "" || *only == "upgrade" {
-		newEngine, err := spec.NewEngine()
-		if err != nil {
-			return err
-		}
-		rep, err := experiments.RunUpgrade(*upgradeNodes, *upgradeWeeks, spec.Seed, newEngine)
+		// The Fig. 4 scenario is a preset of its own; it runs on the week
+		// scenario's seed and engine.
+		up := sweep.UpgradeSpec(*upgradeNodes, *upgradeWeeks)
+		up.Seed, up.Engine, up.Shards = spec.Seed, spec.Engine, spec.Shards
+		rep, err := experiments.RunUpgrade(up)
 		if err != nil {
 			return fmt.Errorf("upgrade scenario: %w", err)
 		}
@@ -180,16 +181,15 @@ func assembleSpec(fs *flag.FlagSet, specPath, scaleName string, seed int64, engi
 			return spec, err
 		}
 	} else {
-		var scale experiments.Scale
 		switch scaleName {
 		case "small":
-			scale = experiments.SmallScale()
+			spec = sweep.DefaultSpec()
 		case "default":
-			scale = experiments.DefaultScale()
+			spec = sweep.WeekSpec()
 		default:
 			return spec, fmt.Errorf("unknown scale %q", scaleName)
 		}
-		spec = scale.Spec(seed)
+		spec.Seed = seed
 	}
 	fs.Visit(func(f *flag.Flag) {
 		switch f.Name {

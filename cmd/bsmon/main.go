@@ -6,15 +6,15 @@
 //
 // Usage:
 //
-//	bsmon -out DIR [-nodes N] [-hours H] [-seed N] [-rotate DUR]
+//	bsmon -out DIR [-nodes N] [-hours H] [-seed N] [-rotate DUR] [-csv]
 //	      [-trace-out FILE] [-trace-sample F] [-metrics-addr ADDR]
 //
 // Output per monitor M:
 //
 //	DIR/M.segments/NNNNNN.seg — time-partitioned compressed segments with
 //	                            footers (the queryable store)
-//	DIR/M.csv                 — CSV export, produced disk-to-disk from the
-//	                            segments (with -csv)
+//	DIR/M.csv                 — with -csv only: a CSV copy of every entry,
+//	                            produced disk-to-disk from the segments
 //
 // Both modes shut down cleanly on SIGINT/SIGTERM: the active segment is
 // sealed before exit, so an interrupted store always reopens queryable.
@@ -63,7 +63,7 @@ func run(args []string) error {
 	nodes := fs.Int("nodes", 400, "population size")
 	hours := fs.Int("hours", 24, "measurement window in virtual hours (0 with -serve: run until signalled)")
 	seed := fs.Int64("seed", 1, "simulation seed")
-	csv := fs.Bool("csv", true, "also write CSV exports")
+	csv := fs.Bool("csv", false, "also write a CSV copy of every entry (DIR/M.csv)")
 	rotate := fs.Duration("rotate", time.Hour, "segment rotation window (virtual time)")
 	traceOut := fs.String("trace-out", "", "record causal request traces and write Chrome trace-event JSON (Perfetto-loadable) plus a .jsonl sidecar to this path")
 	traceSample := fs.Float64("trace-sample", 1, "deterministic trace head-sampling rate in [0,1] (with -trace-out)")

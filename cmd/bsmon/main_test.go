@@ -13,7 +13,7 @@ func TestBsmonEndToEnd(t *testing.T) {
 		t.Skip("integration test")
 	}
 	dir := t.TempDir()
-	err := run([]string{"-out", dir, "-nodes", "80", "-hours", "2", "-seed", "3", "-rotate", "30m"})
+	err := run([]string{"-out", dir, "-nodes", "80", "-hours", "2", "-seed", "3", "-rotate", "30m", "-csv"})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}

@@ -87,7 +87,7 @@ func TestBsmonInterruptSealsStore(t *testing.T) {
 	defer signal.Stop(ch)
 
 	dir := t.TempDir()
-	done := startRun([]string{"-out", dir, "-nodes", "60", "-hours", "2000", "-seed", "4", "-rotate", "30m"})
+	done := startRun([]string{"-out", dir, "-nodes", "60", "-hours", "2000", "-seed", "4", "-rotate", "30m", "-csv"})
 	// Let the world build and at least one run step complete.
 	time.Sleep(2 * time.Second)
 	if err := signalUntilDone(t, done); err != nil {

@@ -9,10 +9,15 @@
 // monitors write observations into sinks (segment stores, live report
 // drivers) instead of accumulating them, and analyses read the trace back
 // one segment at a time. There is one way from a scenario spec to its
-// reports: sweep.Measure runs the measured window, the monitors' entries are
-// unified by ingest.UnifySink or ingest.StreamUnifier, and every table is a
-// count over that stream; trace.Unify remains as the reference the
-// streaming unifier is tested against. A segment is a BSTRACE2 stream (internal/trace):
+// reports: every bounded run — a sweep run, the week scenario, the Fig. 4
+// upgrade scenario, a replayed trace — is a sweep.ScenarioSpec measured by
+// sweep.Measure (or sweep.MeasureReplay for a workload_source spec), the
+// monitors' entries are unified by ingest.UnifySink or
+// ingest.StreamUnifier, and every table is a count over that stream;
+// trace.Unify remains as the reference the streaming unifier is tested
+// against. Entries are stamped with the engine's exact per-event clock
+// (Engine.EventTime) on either engine. A segment is a BSTRACE2 stream
+// (internal/trace):
 // per record a timestamp delta, type and flags, and a reference each for the
 // monitor, the (node ID, address) pair and the CID into per-stream
 // dictionaries of at most 65 536 literals, cleared by writer and reader at

@@ -161,7 +161,6 @@ type Engine struct {
 	store  BlockStore
 	router ProviderRouter
 	cfg    Config
-	tr     engine.Tracing // nil when the engine does not support tracing
 
 	wants map[cid.CID]*wantState
 	// ledger holds, per connected peer, the entries of their want_list
@@ -191,7 +190,6 @@ func New(net engine.Engine, self simnet.NodeID, store BlockStore, router Provide
 		store:  store,
 		router: router,
 		cfg:    cfg,
-		tr:     engine.TracingOf(net),
 		wants:  make(map[cid.CID]*wantState),
 		ledger: make(map[simnet.NodeID]map[cid.CID]wire.EntryType),
 	}
@@ -225,7 +223,7 @@ func (e *Engine) GetTraced(tc otrace.Ctx, c cid.CID, done func(data []byte, ok b
 	if data, ok := e.store.Get(c); ok {
 		if tc.Sampled() {
 			now := e.now()
-			e.tracer().Start(tc, "bitswap.local_hit", e.self.String(), now).End(now)
+			e.net.Tracer().Start(tc, "bitswap.local_hit", e.self.String(), now).End(now)
 		}
 		done(data, true)
 		return e.newSession(c)
@@ -244,7 +242,7 @@ func (e *Engine) GetTraced(tc otrace.Ctx, c cid.CID, done func(data []byte, ok b
 		callbacks:     []func([]byte, bool){done},
 	}
 	if tc.Sampled() {
-		w.span = e.tracer().StartKeyed(tc, "bitswap.get", e.self.String(), c.String(), e.now())
+		w.span = e.net.Tracer().StartKeyed(tc, "bitswap.get", e.self.String(), c.String(), e.now())
 		w.tc = w.span.Ctx()
 	}
 	e.wants[c] = w
@@ -280,7 +278,7 @@ func (e *Engine) GetFromSessionTraced(tc otrace.Ctx, sess *Session, c cid.CID, d
 		callbacks:     []func([]byte, bool){done},
 	}
 	if tc.Sampled() {
-		w.span = e.tracer().StartKeyed(tc, "bitswap.get", e.self.String(), c.String(), e.now())
+		w.span = e.net.Tracer().StartKeyed(tc, "bitswap.get", e.self.String(), c.String(), e.now())
 		w.tc = w.span.Ctx()
 	}
 	e.wants[c] = w
@@ -324,16 +322,8 @@ func (e *Engine) newSession(root cid.CID) *Session {
 }
 
 // now returns the exact virtual time of the event currently running for this
-// node (falling back to the engine clock on engines without tracing).
-func (e *Engine) now() time.Time { return engine.EventTime(e.net, e.tr, e.self) }
-
-// tracer returns the engine's span recorder, nil when tracing is off.
-func (e *Engine) tracer() *otrace.Tracer {
-	if e.tr == nil {
-		return nil
-	}
-	return e.tr.Tracer()
-}
+// node.
+func (e *Engine) now() time.Time { return e.net.EventTime(e.self) }
 
 // broadcastWantHave sends WANT_HAVE c to every currently connected peer.
 // PeersEach iterates the engine's sorted peer set in place, so the hottest
@@ -357,7 +347,7 @@ func (e *Engine) sendWantHave(w *wantState, p simnet.NodeID) {
 		CID:          w.c,
 		SendDontHave: e.cfg.SendDontHave,
 	}}}
-	if engine.SendCtx(e.net, e.tr, w.tc, "send.want_have", e.self, p, msg) == nil {
+	if engine.SendCtx(e.net, w.tc, "send.want_have", e.self, p, msg) == nil {
 		w.wantHaveSent[p] = true
 		if typ == wire.WantHave {
 			e.stats.WantHavesSent++
@@ -382,7 +372,7 @@ func (e *Engine) sendWantBlock(w *wantState, p simnet.NodeID) {
 		CID:          w.c,
 		SendDontHave: e.cfg.SendDontHave,
 	}}}
-	if engine.SendCtx(e.net, e.tr, w.tc, "send.want_block", e.self, p, msg) == nil {
+	if engine.SendCtx(e.net, w.tc, "send.want_block", e.self, p, msg) == nil {
 		w.wantBlockSent[p] = true
 		e.stats.WantBlocksSent++
 	}
@@ -404,7 +394,7 @@ func (e *Engine) sendCancels(w *wantState) {
 	sortIDs(ids)
 	msg := &wire.Message{Wantlist: []wire.Entry{{Type: wire.Cancel, CID: w.c}}}
 	for _, p := range ids {
-		if engine.SendCtx(e.net, e.tr, w.tc, "send.cancel", e.self, p, msg) == nil {
+		if engine.SendCtx(e.net, w.tc, "send.cancel", e.self, p, msg) == nil {
 			e.stats.CancelsSent++
 		}
 	}
@@ -586,15 +576,11 @@ func (e *Engine) HandleMessage(from simnet.NodeID, msg any) bool {
 	if reply != nil {
 		// The reply inherits the inbound want's trace context so the response
 		// hop nests under the requester's bitswap.get span.
-		var tc otrace.Ctx
-		if e.tr != nil {
-			tc = e.tr.InboundCtx(e.self)
-		}
 		hop := "send.resp"
 		if len(reply.Blocks) > 0 {
 			hop = "send.block"
 		}
-		_ = engine.SendCtx(e.net, e.tr, tc, hop, e.self, from, reply)
+		_ = engine.SendCtx(e.net, e.net.InboundCtx(e.self), hop, e.self, from, reply)
 	}
 	return true
 }

@@ -112,7 +112,6 @@ type DHT struct {
 	net  engine.Engine
 	self PeerInfo
 	cfg  Config
-	tr   engine.Tracing // nil when the engine does not support tracing
 
 	rt      *RoutingTable
 	provs   *ProviderStore
@@ -133,7 +132,6 @@ func New(net engine.Engine, self PeerInfo, cfg Config) *DHT {
 		net:     net,
 		self:    self,
 		cfg:     cfg,
-		tr:      engine.TracingOf(net),
 		rt:      NewRoutingTable(self.ID, cfg.K),
 		provs:   NewProviderStore(cfg.ProviderTTL),
 		pending: make(map[uint64]*pendingRPC),
@@ -206,24 +204,12 @@ func (d *DHT) reply(to simnet.NodeID, msg any) {
 	// Replies inherit the inbound request's trace context so the response hop
 	// nests under the caller's dht.rpc span. The connection may already be
 	// gone; replies are best-effort.
-	var tc otrace.Ctx
-	if d.tr != nil {
-		tc = d.tr.InboundCtx(d.self.ID)
-	}
-	_ = engine.SendCtx(d.net, d.tr, tc, "dht.resp", d.self.ID, to, msg)
+	_ = engine.SendCtx(d.net, d.net.InboundCtx(d.self.ID), "dht.resp", d.self.ID, to, msg)
 }
 
 // now returns the exact virtual time of the event currently running for this
-// node (falling back to the engine clock on engines without tracing).
-func (d *DHT) now() time.Time { return engine.EventTime(d.net, d.tr, d.self.ID) }
-
-// tracer returns the engine's span recorder, nil when tracing is off.
-func (d *DHT) tracer() *otrace.Tracer {
-	if d.tr == nil {
-		return nil
-	}
-	return d.tr.Tracer()
-}
+// node.
+func (d *DHT) now() time.Time { return d.net.EventTime(d.self.ID) }
 
 // dial ensures a connection to p exists. DHT RPCs ride on real connections;
 // connections opened during searches persist, which is the mechanism that
@@ -244,7 +230,7 @@ func (d *DHT) rpcSpan(tc otrace.Ctx, peer simnet.NodeID) *otrace.SpanHandle {
 	}
 	// Async: a lookup that reaches its provider target finishes without
 	// awaiting in-flight RPCs.
-	return d.tracer().StartKeyed(tc, "dht.rpc", d.self.ID.String(), peer.String(), d.now()).MarkAsync()
+	return d.net.Tracer().StartKeyed(tc, "dht.rpc", d.self.ID.String(), peer.String(), d.now()).MarkAsync()
 }
 
 func (d *DHT) sendFindNode(tc otrace.Ctx, p PeerInfo, target simnet.NodeID, cb func(findNodeResp, bool)) {
@@ -257,7 +243,7 @@ func (d *DHT) sendFindNode(tc otrace.Ctx, p PeerInfo, target simnet.NodeID, cb f
 	span := d.rpcSpan(tc, p.ID)
 	d.pending[id] = &pendingRPC{onFindNode: cb, span: span}
 	d.rpcsSent++
-	if err := engine.SendCtx(d.net, d.tr, span.Ctx(), "dht.req", d.self.ID, p.ID, findNodeReq{RPCID: id, Target: target, From: d.self}); err != nil {
+	if err := engine.SendCtx(d.net, span.Ctx(), "dht.req", d.self.ID, p.ID, findNodeReq{RPCID: id, Target: target, From: d.self}); err != nil {
 		delete(d.pending, id)
 		span.EndDropped(d.now())
 		cb(findNodeResp{}, false)
@@ -276,7 +262,7 @@ func (d *DHT) sendGetProviders(tc otrace.Ctx, p PeerInfo, key Key, cb func(getPr
 	span := d.rpcSpan(tc, p.ID)
 	d.pending[id] = &pendingRPC{onGetProviders: cb, span: span}
 	d.rpcsSent++
-	if err := engine.SendCtx(d.net, d.tr, span.Ctx(), "dht.req", d.self.ID, p.ID, getProvidersReq{RPCID: id, Key: key, From: d.self}); err != nil {
+	if err := engine.SendCtx(d.net, span.Ctx(), "dht.req", d.self.ID, p.ID, getProvidersReq{RPCID: id, Key: key, From: d.self}); err != nil {
 		delete(d.pending, id)
 		span.EndDropped(d.now())
 		cb(getProvidersResp{}, false)
@@ -492,7 +478,7 @@ func (d *DHT) FindProvidersTraced(tc otrace.Ctx, key Key, want int, done func([]
 	if tc.Sampled() {
 		// Async: the requester may resolve from a broadcast HAVE while the
 		// provider search is still running.
-		l.span = d.tracer().Start(tc, "dht.lookup", d.self.ID.String(), d.now()).MarkAsync()
+		l.span = d.net.Tracer().Start(tc, "dht.lookup", d.self.ID.String(), d.now()).MarkAsync()
 		l.tc = l.span.Ctx()
 	}
 	l.addCandidates(d.rt.Closest(l.target, d.cfg.K))

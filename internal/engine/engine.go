@@ -11,10 +11,17 @@
 //     population across worker shards and synchronizes them with conservative
 //     lookahead windows derived from the minimum cross-shard latency.
 //
-// The interface is deliberately split into the small capabilities the issue
-// names — Clock, Timers, Rand, Transport and the connection table — so a
-// layer that only needs timers can be tested against a stub exposing just
-// those.
+// There is one contract: both implement every method of Engine, tracing
+// included, so no layer probes for a capability or carries a fallback. The
+// interface is split into the small capabilities — Clock, Timers, Rand,
+// Transport, Tracing and the connection table — so a layer that only needs
+// timers can be tested against a stub exposing just those.
+//
+// There is one exact clock: EventTime(id) is the virtual time of the event
+// executing for node id, on either engine. Anything that stamps a record —
+// a trace entry, a span, a cache expiry — reads EventTime. Now is the run
+// loop's clock; the sharded engine advances it once per lookahead window,
+// so it is only for orchestration between events (samplers, deadlines).
 //
 // # Affinity
 //
@@ -48,7 +55,8 @@ type Region = simnet.Region
 type Handler = simnet.Handler
 
 // Clock exposes virtual time. The sharded engine quantizes Now to the
-// current lookahead window's start; the serial engine is exact.
+// current lookahead window's start; the serial engine is exact. Event code
+// that records a time reads Tracing.EventTime instead.
 type Clock interface {
 	Now() time.Time
 }
@@ -140,6 +148,7 @@ type Engine interface {
 	Timers
 	Rand
 	Transport
+	Tracing
 	ConnTable
 	Membership
 	Runner
@@ -147,4 +156,3 @@ type Engine interface {
 
 // The serial reference implementation satisfies the interface.
 var _ Engine = (*simnet.Network)(nil)
-var _ Tracing = (*simnet.Network)(nil)

@@ -23,12 +23,6 @@ type ShardedConfig struct {
 	Shards int
 	// Latency is the delay model; nil selects simnet.DefaultLatencyModel.
 	Latency *simnet.LatencyModel
-	// Lookahead overrides the conservative synchronization window. It must
-	// not exceed the minimum latency of any cross-shard region pair, or
-	// cross-shard messages could be delivered into a window a shard has
-	// already processed. 0 derives it from the model and the partition (the
-	// safe default).
-	Lookahead time.Duration
 	// Partition selects node placement; see PartitionMode.
 	Partition PartitionMode
 }
@@ -76,9 +70,11 @@ type ShardedConfig struct {
 // timers (seconds) is far below resolution.
 //
 // The sharded engine is statistically — not bitwise — equivalent to the
-// serial reference: latency draws come from per-shard RNG streams, Now() is
-// quantized to the window start, and cross-shard tie-breaking depends on
-// scheduling. Per-seed determinism is only guaranteed by the serial engine.
+// serial reference: latency draws come from per-shard RNG streams,
+// cross-shard deliveries are floored at the lookahead, Now() is quantized to
+// the window start (EventTime is exact), and cross-shard tie-breaking
+// depends on scheduling. Per-seed determinism is only guaranteed by the
+// serial engine.
 type Sharded struct {
 	start     time.Time
 	nowNs     atomic.Int64 // virtual now, nanoseconds since start
@@ -190,13 +186,12 @@ func NewSharded(start time.Time, seed int64, cfg ShardedConfig) *Sharded {
 	if cfg.Partition == PartitionAuto {
 		part = planPartition(cfg.Latency, cfg.Shards)
 	}
-	la := cfg.Lookahead
-	if la <= 0 {
-		if part != nil {
-			la = part.lookahead
-		} else {
-			la = cfg.Latency.Min()
-		}
+	// The synchronization window is the minimum latency of any cross-shard
+	// region pair: anything longer could deliver a cross-shard message into
+	// a window its destination has already processed.
+	la := cfg.Latency.Min()
+	if part != nil {
+		la = part.lookahead
 	}
 	if la <= 0 {
 		la = time.Millisecond
@@ -1022,4 +1017,3 @@ func (sh *shard) processWindow(u, end int64, inclusive bool) {
 }
 
 var _ Engine = (*Sharded)(nil)
-var _ Tracing = (*Sharded)(nil)

@@ -6,10 +6,8 @@ import (
 	"bitswapmon/internal/otrace"
 )
 
-// Tracing is the optional engine capability for virtual-time causal request
-// tracing. Both engines implement it; protocol layers resolve it once at
-// construction with TracingOf and fall back to the plain Transport when the
-// engine (e.g. a test stub) does not provide it.
+// Tracing is the engine's virtual-time causal request tracing and its exact
+// per-event clock.
 //
 // The trace context of a sampled send rides inside the engine's event
 // structures — messages themselves are never wrapped, so message taps and
@@ -36,26 +34,11 @@ type Tracing interface {
 	EventTime(id NodeID) time.Time
 }
 
-// TracingOf resolves an engine's tracing capability, or nil.
-func TracingOf(net Engine) Tracing {
-	tr, _ := net.(Tracing)
-	return tr
-}
-
-// SendCtx sends msg, attaching the trace context when the engine supports
-// tracing and the context is sampled; otherwise it is a plain Send.
-func SendCtx(net Engine, tr Tracing, tc otrace.Ctx, hop string, from, to NodeID, msg any) error {
-	if tr != nil && tc.Sampled() && tr.Tracer() != nil {
-		return tr.SendTraced(tc, hop, from, to, msg)
+// SendCtx sends msg, attaching the trace context when it is sampled and a
+// tracer is installed; otherwise it is a plain Send.
+func SendCtx(net Engine, tc otrace.Ctx, hop string, from, to NodeID, msg any) error {
+	if tc.Sampled() && net.Tracer() != nil {
+		return net.SendTraced(tc, hop, from, to, msg)
 	}
 	return net.Send(from, to, msg)
-}
-
-// EventTime returns the exact virtual time of the executing event for id,
-// falling back to the engine clock when tracing is unsupported.
-func EventTime(net Engine, tr Tracing, id NodeID) time.Time {
-	if tr != nil {
-		return tr.EventTime(id)
-	}
-	return net.Now()
 }

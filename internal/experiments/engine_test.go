@@ -11,21 +11,21 @@ import (
 
 	"bitswapmon/internal/engine"
 	"bitswapmon/internal/ingest"
+	"bitswapmon/internal/sweep"
 	"bitswapmon/internal/trace"
 	"bitswapmon/internal/workload"
 )
 
-// tinyScale is small enough that a full CollectSpec finishes in about a
+// tinySpec is small enough that a full CollectSpec finishes in about a
 // second, while still exercising monitors, gateways, churn and probing.
-func tinyScale() Scale {
-	return Scale{
-		Nodes:          150,
-		Window:         3 * time.Hour,
-		Warmup:         30 * time.Minute,
-		SampleEvery:    30 * time.Minute,
-		BootstrapIters: 10,
-		CatalogItems:   800,
-	}
+func tinySpec() sweep.ScenarioSpec {
+	s := sweep.DefaultSpec()
+	s.Nodes = 150
+	s.Window = sweep.D(3 * time.Hour)
+	s.Warmup = sweep.D(30 * time.Minute)
+	s.BootstrapIters = 10
+	s.CatalogItems = 800
+	return s
 }
 
 // collected is one CollectSpec run that kept what its monitors streamed:
@@ -39,11 +39,11 @@ type collected struct {
 
 // collectUnified runs the week pipeline with Tee(raw, UnifySink(unified))
 // attached through CollectSpec's hook.
-func collectUnified(t *testing.T, s Scale, seed int64) collected {
+func collectUnified(t *testing.T, s sweep.ScenarioSpec) collected {
 	t.Helper()
 	raw, out := ingest.NewMemorySink(), ingest.NewMemorySink()
 	uni := ingest.NewUnifySink(out)
-	d, err := CollectSpec(s.Spec(seed), func(*workload.World) (ingest.Sink, error) {
+	d, err := CollectSpec(s, func(*workload.World) (ingest.Sink, error) {
 		return ingest.Tee(raw, uni), nil
 	})
 	if err != nil {
@@ -65,9 +65,9 @@ func TestStreamingUnifyEqualsReference(t *testing.T) {
 		shards int
 	}{{"serial", 0}, {"sharded", 2}, {"sharded", 4}} {
 		t.Run(fmt.Sprintf("%s-%d", tc.engine, tc.shards), func(t *testing.T) {
-			s := tinyScale()
+			s := tinySpec()
 			s.Engine, s.Shards = tc.engine, tc.shards
-			c := collectUnified(t, s, 42)
+			c := collectUnified(t, s)
 			var us, de []trace.Entry
 			for _, e := range c.raw {
 				switch e.Monitor {
@@ -112,7 +112,7 @@ func TestSerialEngineDeterminism(t *testing.T) {
 	var hashes [2][32]byte
 	var counts [2]int
 	for i := range hashes {
-		c := collectUnified(t, tinyScale(), 42)
+		c := collectUnified(t, tinySpec())
 		hashes[i] = traceHash(t, c.unified)
 		counts[i] = len(c.unified)
 	}
@@ -128,8 +128,10 @@ func TestSerialEngineDeterminism(t *testing.T) {
 // TestSerialEngineSeedSensitivity guards against the degenerate way to pass
 // the determinism test: different seeds must produce different traces.
 func TestSerialEngineSeedSensitivity(t *testing.T) {
-	c1 := collectUnified(t, tinyScale(), 42)
-	c2 := collectUnified(t, tinyScale(), 43)
+	other := tinySpec()
+	other.Seed = 43
+	c1 := collectUnified(t, tinySpec())
+	c2 := collectUnified(t, other)
 	if traceHash(t, c1.unified) == traceHash(t, c2.unified) {
 		t.Fatal("different seeds produced identical traces")
 	}
@@ -139,7 +141,7 @@ func TestSerialEngineSeedSensitivity(t *testing.T) {
 // requires the aggregate monitor statistics to agree within tolerance at
 // every supported shard count. The sharded engine is statistically — not
 // bitwise — equivalent: latency draws come from per-shard RNG streams and
-// Now() is quantized to the lookahead window, so entry-level traces differ
+// cross-shard deliveries are floored at the lookahead, so entry-level traces differ
 // while the aggregates the paper's evaluation rests on must not. Shard
 // counts beyond the node-population shape (16 shards for 150 nodes) also
 // exercise idle-shard scheduling in the coordinator.
@@ -152,10 +154,10 @@ func TestShardedSerialEquivalence(t *testing.T) {
 		probes, crawlLen int
 	}
 	collect := func(engineName string, shards int) agg {
-		s := tinyScale()
+		s := tinySpec()
 		s.Engine = engineName
 		s.Shards = shards
-		d := collectUnified(t, s, 42)
+		d := collectUnified(t, s)
 		a := agg{
 			unified:   len(d.unified),
 			dedup:     len(trace.Deduplicated(d.unified)),

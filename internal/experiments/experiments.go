@@ -26,52 +26,6 @@ import (
 	"bitswapmon/internal/workload"
 )
 
-// Scale selects how large a reproduction run is and which engine runs it.
-type Scale struct {
-	// Nodes is the population size.
-	Nodes int
-	// Window is the measured virtual-time window (the paper's "week").
-	Window time.Duration
-	// Warmup runs before measurement starts.
-	Warmup time.Duration
-	// SampleEvery is the sampler tick.
-	SampleEvery time.Duration
-	// BootstrapIters bounds the CSN bootstrap for Fig. 5.
-	BootstrapIters int
-	// CatalogItems sizes the content population.
-	CatalogItems int
-	// Engine selects the simulation core: "serial" (or empty) for the
-	// deterministic single-threaded reference, "sharded" for the parallel
-	// engine.
-	Engine string
-	// Shards is the sharded engine's worker count (0 selects its default).
-	Shards int
-}
-
-// SmallScale is fast enough for tests and benchmarks.
-func SmallScale() Scale {
-	return Scale{
-		Nodes:          250,
-		Window:         8 * time.Hour,
-		Warmup:         time.Hour,
-		SampleEvery:    30 * time.Minute,
-		BootstrapIters: 30,
-		CatalogItems:   3000,
-	}
-}
-
-// DefaultScale is the documented reproduction scale (minutes of wall time).
-func DefaultScale() Scale {
-	return Scale{
-		Nodes:          1200,
-		Window:         7 * 24 * time.Hour,
-		Warmup:         6 * time.Hour,
-		SampleEvery:    2 * time.Hour,
-		BootstrapIters: 100,
-		CatalogItems:   10000,
-	}
-}
-
 // DenseConfig returns a traffic-dense population used by the engine scaling
 // benchmarks and the cross-engine speedup test: high request rates and
 // degree keep every shard busy, which is the regime where the sharded
@@ -139,31 +93,6 @@ type Data struct {
 	Probes    []attacks.ProbeResult
 }
 
-// Spec returns the declarative sweep.ScenarioSpec equivalent of this
-// scale's week scenario. It is the shared currency between flag-driven
-// bsexperiments runs, spec files, and sweep campaigns: every path
-// assembles its workload through sweep.ScenarioSpec.WorkloadConfig.
-func (s Scale) Spec(seed int64) sweep.ScenarioSpec {
-	return sweep.ScenarioSpec{
-		Version: sweep.SpecVersion,
-		Name:    "week",
-		Nodes:   s.Nodes,
-		Monitors: []sweep.MonitorSpec{
-			{Name: "us", Region: string(simnet.RegionUS)},
-			{Name: "de", Region: string(simnet.RegionDE)},
-		},
-		CatalogItems:   s.CatalogItems,
-		Warmup:         sweep.D(s.Warmup),
-		Window:         sweep.D(s.Window),
-		SampleEvery:    sweep.D(s.SampleEvery),
-		BootstrapIters: s.BootstrapIters,
-		Probes:         true,
-		Engine:         s.Engine,
-		Shards:         s.Shards,
-		Seed:           seed,
-	}
-}
-
 // CollectSpec runs the week pipeline on the scenario a declarative spec
 // describes. attach is invoked with the built world after the warm-up and
 // returns the sink every monitor streams into from then on: the measured
@@ -202,10 +131,8 @@ func CollectSpec(spec sweep.ScenarioSpec, attach func(w *workload.World) (ingest
 		probeResults = sweep.ProbeGateways(w)
 	}
 
-	for _, m := range w.Monitors {
-		if err := m.SinkErr(); err != nil {
-			return nil, fmt.Errorf("monitor %s sink: %w", m.Name, err)
-		}
+	if err := sinkErr(w.Monitors); err != nil {
+		return nil, err
 	}
 	return &Data{
 		World:     w,
@@ -214,6 +141,16 @@ func CollectSpec(spec sweep.ScenarioSpec, attach func(w *workload.World) (ingest
 		OnlineAvg: meas.OnlineAvg,
 		Probes:    probeResults,
 	}, nil
+}
+
+// sinkErr returns the first sink error any monitor recorded.
+func sinkErr(monitors []*monitor.Monitor) error {
+	for _, m := range monitors {
+		if err := m.SinkErr(); err != nil {
+			return fmt.Errorf("monitor %s sink: %w", m.Name, err)
+		}
+	}
+	return nil
 }
 
 // weekReports lists the report set the main scenario runs in one pass. The
@@ -274,15 +211,11 @@ func weekReportFromResults(d *Data, results report.Results) *WeekReport {
 	return rep
 }
 
-// RunWeek executes the main scenario (Sec. V-C/V-D/V-E and VI-B artifacts).
-func RunWeek(scale Scale, seed int64) (*WeekReport, error) {
-	return RunWeekSpec(scale.Spec(seed))
-}
-
-// RunWeekSpec executes the main scenario from a declarative spec. The
-// reports are attached to the monitors as live sinks — one UnifySink
-// computes the Sec. IV-B flags online and tees into the report driver — so
-// every figure is emitted without the trace ever becoming resident.
+// RunWeekSpec executes the main scenario (Sec. V-C/V-D/V-E and VI-B
+// artifacts) from a declarative spec. The reports are attached to the
+// monitors as live sinks — one UnifySink computes the Sec. IV-B flags online
+// and tees into the report driver — so every figure is emitted without the
+// trace ever becoming resident.
 func RunWeekSpec(spec sweep.ScenarioSpec) (*WeekReport, error) {
 	start := time.Now()
 	iters := spec.BootstrapIters
@@ -405,34 +338,13 @@ type UpgradeReport struct {
 	Elapsed time.Duration
 }
 
-// RunUpgrade executes the Fig. 4 scenario: a population starting almost
-// entirely on the pre-v0.5 client (WANT_BLOCK broadcasts), upgrading in a
-// wave after the release date, observed over several weeks. newEngine
-// selects the simulation core (nil = serial reference). The fig4 report is
-// attached as the monitor's live sink, so the weeks-long trace is bucketed
+// RunUpgrade executes a Fig. 4 scenario (sweep.UpgradeSpec): a population
+// starting almost entirely on the pre-v0.5 client, upgrading in a wave
+// after the release date, observed over several weeks. The fig4 report is
+// attached as the monitors' live sink, so the weeks-long trace is bucketed
 // as it happens and never resident.
-func RunUpgrade(nodes int, weeks int, seed int64, newEngine func(start time.Time, seed int64) engine.Engine) (*UpgradeReport, error) {
+func RunUpgrade(spec sweep.ScenarioSpec) (*UpgradeReport, error) {
 	start := time.Now()
-	simStart := time.Date(2020, 3, 15, 0, 0, 0, 0, time.UTC)
-	w, err := workload.Build(workload.Config{
-		Seed:      seed,
-		Start:     simStart,
-		Nodes:     nodes,
-		NewEngine: newEngine,
-		Catalog: workload.CatalogConfig{
-			Items: nodes,
-		},
-		Monitors: []workload.MonitorSpec{
-			{Name: "us", Region: simnet.RegionUS},
-		},
-		Operators:        []workload.OperatorSpec{}, // no gateways: cleaner series
-		LegacyFrac:       0.95,
-		UpgradeStart:     simStart.Add(time.Duration(weeks) * 7 * 24 * time.Hour / 3),
-		UpgradeDailyFrac: 0.18,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("build world: %w", err)
-	}
 	// Fig. 4 buckets the raw request series (no dedup filter).
 	drv := report.NewDriver(false)
 	drv.PublishLive(5 * time.Second)
@@ -440,10 +352,17 @@ func RunUpgrade(nodes int, weeks int, seed int64, newEngine func(start time.Time
 		return nil, err
 	}
 	uni := ingest.NewUnifySink(drv)
-	w.Monitors[0].SetSink(uni)
-	w.Run(time.Duration(weeks) * 7 * 24 * time.Hour)
-	if err := w.Monitors[0].SinkErr(); err != nil {
-		return nil, fmt.Errorf("monitor sink: %w", err)
+	meas, err := sweep.Measure(spec, spec.Seed, func(w *workload.World) error {
+		for _, m := range w.Monitors {
+			m.SetSink(uni)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	if err := sinkErr(meas.World.Monitors); err != nil {
+		return nil, err
 	}
 	if err := uni.Flush(); err != nil {
 		return nil, err

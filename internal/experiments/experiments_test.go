@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"bitswapmon/internal/sweep"
 	"bitswapmon/internal/wire"
 )
 
@@ -15,7 +16,7 @@ func TestRunWeekSmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test")
 	}
-	rep, err := RunWeek(SmallScale(), 42)
+	rep, err := RunWeekSpec(sweep.DefaultSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +127,9 @@ func TestRunUpgrade(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test")
 	}
-	rep, err := RunUpgrade(120, 3, 7, nil)
+	spec := sweep.UpgradeSpec(120, 3)
+	spec.Seed = 7
+	rep, err := RunUpgrade(spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -77,9 +77,13 @@ func (r monitorRequests) Finalize() (report.Result, error) {
 }
 
 // replayPopularity scores the replayed deduplicated trace (RRP/URP) and
-// fits the power-law exponent, keeping the full score snapshot for the
-// fitted-mode top-share comparison. Unlike the registered popularity report
-// it skips the bootstrap p-value — replay validation only needs alpha.
+// fits the power-law exponent; RunReplay reads the scores themselves off
+// its counter for the fitted-mode top-share comparison. Unlike the
+// registered popularity report it skips the bootstrap p-value — replay
+// validation only needs alpha. Its counter is the pass's
+// (report.Options.Counter), so it numbers peers and CIDs once with the
+// summary beside it; it is the only popularity report of its driver, so it
+// is the one that feeds the counter.
 type replayPopularity struct {
 	counter *popularity.Counter
 }
@@ -88,25 +92,13 @@ func (r *replayPopularity) WantsDedup() bool            { return true }
 func (r *replayPopularity) Observe(e trace.Entry) error { return r.counter.Write(e) }
 
 func (r *replayPopularity) Finalize() (report.Result, error) {
-	res := &replayPopularityResult{Scores: r.counter.Scores()}
-	if fit, err := popularity.FitPowerLaw(popularity.Values(res.Scores.RRP)); err == nil {
-		res.Alpha = fit.Alpha
+	v := report.Values{"replayed_alpha": 0, "cids": float64(r.counter.CIDs())}
+	rrp, _ := r.counter.SortedValues()
+	if fit, err := popularity.FitPowerLaw(rrp); err == nil {
+		v["replayed_alpha"] = fit.Alpha
 	}
-	return res, nil
+	return v, nil
 }
-
-type replayPopularityResult struct {
-	Scores popularity.Scores
-	Alpha  float64
-}
-
-func (r *replayPopularityResult) values() report.Values {
-	return report.Values{"replayed_alpha": r.Alpha, "cids": float64(len(r.Scores.RRP))}
-}
-func (r *replayPopularityResult) Render() string              { return r.values().Render() }
-func (r *replayPopularityResult) CSV() string                 { return r.values().CSV() }
-func (r *replayPopularityResult) JSON() ([]byte, error)       { return r.values().JSON() }
-func (r *replayPopularityResult) Metrics() map[string]float64 { return r.values() }
 
 // RunReplay executes the replay scenario a declarative spec describes (its
 // workload_source section selects direct or fitted mode) and computes the
@@ -116,37 +108,28 @@ func (r *replayPopularityResult) Metrics() map[string]float64 { return r.values(
 // disk.
 func RunReplay(spec sweep.ScenarioSpec) (*ReplayReport, error) {
 	start := time.Now()
-	rs, err := spec.ReplaySpec(spec.Seed)
-	if err != nil {
-		return nil, err
-	}
-	sess, err := replay.Prepare(rs)
-	if err != nil {
-		return nil, err
-	}
-	defer sess.Close()
-
 	drv := report.NewDriver(true)
 	if err := drv.AddByName([]string{"summary"}, report.Options{}); err != nil {
 		return nil, err
 	}
-	pop := &replayPopularity{counter: popularity.NewCounter()}
-	drv.Add("popularity", pop)
-	perMon := make(monitorRequests)
-	drv.Add("monitor_requests", perMon)
-	uni := ingest.NewUnifySink(drv)
-	for _, m := range sess.World.Monitors {
-		m.SetSink(uni)
-	}
-
-	stats, err := sess.Drive()
+	var pop *replayPopularity
+	err := drv.AddNew("popularity", func(o report.Options) (report.Report, error) {
+		c, _ := o.Counter()
+		pop = &replayPopularity{counter: c}
+		return pop, nil
+	}, report.Options{})
 	if err != nil {
 		return nil, err
 	}
-	for _, m := range sess.World.Monitors {
-		if err := m.SinkErr(); err != nil {
-			return nil, fmt.Errorf("monitor %s sink: %w", m.Name, err)
-		}
+	perMon := make(monitorRequests)
+	drv.Add("monitor_requests", perMon)
+	uni := ingest.NewUnifySink(drv)
+	meas, err := sweep.MeasureReplay(spec, spec.Seed, func(w *replay.World) error {
+		w.SetSinks(func(string) ingest.Sink { return uni })
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	if err := uni.Flush(); err != nil {
 		return nil, err
@@ -158,21 +141,20 @@ func RunReplay(spec sweep.ScenarioSpec) (*ReplayReport, error) {
 
 	rep := &ReplayReport{
 		Mode:               replay.ModeDirect,
-		Stats:              stats,
+		Stats:              meas.Drive,
 		PerMonitorRequests: map[string]int(perMon),
-		Model:              sess.Model,
+		Model:              meas.Model,
 		Summary:            results.Get("summary").(*report.SummaryResult).Summary,
 	}
-	if sess.Model != nil {
+	if meas.Model != nil {
 		rep.Mode = replay.ModeFitted
 	}
-	if tr := sess.World.Tracer(); tr != nil {
+	if tr := meas.World.Tracer(); tr != nil {
 		rep.Tracer = tr
 		rep.Latency = report.BreakdownFromSpans(tr.Spans(), tr.Dropped())
 	}
-	popRes := results.Get("popularity").(*replayPopularityResult)
-	rep.ReplayedAlpha = popRes.Alpha
-	if m := sess.Model; m != nil && m.Requests > 0 {
+	rep.ReplayedAlpha = results.Get("popularity").(report.Values)["replayed_alpha"]
+	if m := meas.Model; m != nil && m.Requests > 0 {
 		top := make(map[string]bool)
 		topCount := 0
 		for _, cc := range m.TopCIDs(10) {
@@ -181,7 +163,7 @@ func RunReplay(spec sweep.ScenarioSpec) (*ReplayReport, error) {
 		}
 		rep.ModelTopShare = float64(topCount) / float64(m.Requests)
 		replayedTop, replayedTotal := 0, 0
-		for c, n := range popRes.Scores.RRP {
+		for c, n := range pop.counter.Scores().RRP {
 			replayedTotal += n
 			if top[c.Key()] {
 				replayedTop += n

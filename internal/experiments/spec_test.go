@@ -38,31 +38,3 @@ func TestCollectSpecDefaultsSampleEvery(t *testing.T) {
 		t.Errorf("OnlineAvg = %v, want positive (tracker should have ticked)", data.OnlineAvg)
 	}
 }
-
-// TestScaleSpecRoundTrip checks that the flag path and the spec path
-// assemble the same scenario parameters.
-func TestScaleSpecRoundTrip(t *testing.T) {
-	scale := SmallScale()
-	scale.Engine = "sharded"
-	scale.Shards = 2
-	spec := scale.Spec(9)
-	if err := spec.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	cfg, err := spec.WorkloadConfig(spec.Seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Seed != 9 || cfg.Nodes != scale.Nodes || cfg.Catalog.Items != scale.CatalogItems {
-		t.Errorf("spec did not carry the scale's parameters: %+v", cfg)
-	}
-	if len(cfg.Monitors) != 2 {
-		t.Errorf("week spec needs the paper's two monitors, got %d", len(cfg.Monitors))
-	}
-	if cfg.NewEngine == nil {
-		t.Error("sharded scale produced no engine factory")
-	}
-	if spec.Window.Std() != scale.Window || spec.BootstrapIters != scale.BootstrapIters {
-		t.Error("window fields not mapped")
-	}
-}

@@ -86,7 +86,6 @@ type Gateway struct {
 	Node *node.Node
 
 	net   engine.Engine
-	tr    engine.Tracing // nil when the engine does not support tracing
 	cfg   Config
 	cache map[cid.CID]*cacheEntry
 	lru   *list.List
@@ -100,25 +99,16 @@ func New(net engine.Engine, nd *node.Node, name, operator string, cfg Config) *G
 		Operator: operator,
 		Node:     nd,
 		net:      net,
-		tr:       engine.TracingOf(net),
 		cfg:      cfg.withDefaults(),
 		cache:    make(map[cid.CID]*cacheEntry),
 		lru:      list.New(),
 	}
 }
 
-// tracer returns the engine's span recorder, nil when tracing is off.
-func (g *Gateway) tracer() *otrace.Tracer {
-	if g.tr == nil {
-		return nil
-	}
-	return g.tr.Tracer()
-}
-
 // nodeNow returns the exact virtual time of the event currently running for
 // the gateway's node — valid in fetch callbacks, which execute as that
 // node's event code.
-func (g *Gateway) nodeNow() time.Time { return engine.EventTime(g.net, g.tr, g.Node.ID) }
+func (g *Gateway) nodeNow() time.Time { return g.net.EventTime(g.Node.ID) }
 
 // Functional reports the HTTP frontend state.
 func (g *Gateway) Functional() bool { return g.cfg.Functional }
@@ -155,7 +145,7 @@ func (g *Gateway) Retrieve(c cid.CID, done func(Result)) {
 func (g *Gateway) RetrieveTraced(trace uint64, now time.Time, c cid.CID, done func(Result)) {
 	var root *otrace.SpanHandle
 	if trace != 0 {
-		root = g.tracer().Root(trace, "gateway.request", g.Name, now)
+		root = g.net.Tracer().Root(trace, "gateway.request", g.Name, now)
 	}
 	tc := root.Ctx()
 	g.stats.Requests++
@@ -172,7 +162,7 @@ func (g *Gateway) RetrieveTraced(trace uint64, now time.Time, c cid.CID, done fu
 		g.stats.CacheHits++
 		g.lru.MoveToFront(e.elem)
 		if tc.Sampled() {
-			g.tracer().Start(tc, "gateway.cache_hit", g.Name, now).End(now)
+			g.net.Tracer().Start(tc, "gateway.cache_hit", g.Name, now).End(now)
 		}
 		age := g.net.Now().Sub(e.fetchedAt)
 		if age > g.cfg.CacheTTL {
@@ -185,7 +175,7 @@ func (g *Gateway) RetrieveTraced(trace uint64, now time.Time, c cid.CID, done fu
 	}
 	g.stats.CacheMisses++
 	if tc.Sampled() {
-		g.tracer().Start(tc, "gateway.cache_miss", g.Name, now).End(now)
+		g.net.Tracer().Start(tc, "gateway.cache_miss", g.Name, now).End(now)
 	}
 	g.fetch(tc, false, now, c, func(r Result) {
 		// finish runs as the gateway node's event code.
@@ -200,7 +190,7 @@ func (g *Gateway) RetrieveTraced(trace uint64, now time.Time, c cid.CID, done fu
 func (g *Gateway) fetch(tc otrace.Ctx, async bool, now time.Time, c cid.CID, done func(Result)) {
 	var span *otrace.SpanHandle
 	if tc.Sampled() {
-		span = g.tracer().Start(tc, "gateway.fetch", g.Name, now)
+		span = g.net.Tracer().Start(tc, "gateway.fetch", g.Name, now)
 		if async {
 			span.MarkAsync()
 		}

@@ -3,8 +3,6 @@ package gateway
 import (
 	"bytes"
 	"fmt"
-	"io"
-	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -184,59 +182,5 @@ func TestRegistry(t *testing.T) {
 	ids := reg.NodeIDs()
 	if ids[w.gw.Node.ID] != w.gw {
 		t.Error("NodeIDs mapping wrong")
-	}
-}
-
-func TestHTTPFrontend(t *testing.T) {
-	w := build(t, Config{Functional: true})
-	content := []byte("served over real http")
-	root, err := w.nodes[0].Publish(content)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.net.Run(5 * time.Second)
-
-	fe := &Frontend{GW: w.gw, Pump: func() { w.net.Run(time.Minute) }}
-	srv := httptest.NewServer(fe)
-	defer srv.Close()
-
-	resp, err := srv.Client().Get(srv.URL + "/ipfs/" + root.String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != 200 {
-		t.Fatalf("status = %d", resp.StatusCode)
-	}
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(body, content) {
-		t.Error("http body mismatch")
-	}
-	if resp.Header.Get("X-Cache") != "MISS" {
-		t.Errorf("X-Cache = %q", resp.Header.Get("X-Cache"))
-	}
-
-	resp2, err := srv.Client().Get(srv.URL + "/ipfs/" + root.String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp2.Body.Close()
-	if resp2.Header.Get("X-Cache") != "HIT" {
-		t.Errorf("second X-Cache = %q", resp2.Header.Get("X-Cache"))
-	}
-
-	// Error paths.
-	for _, path := range []string{"/", "/ipfs/", "/ipfs/notacid"} {
-		r, err := srv.Client().Get(srv.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r.Body.Close()
-		if r.StatusCode == 200 {
-			t.Errorf("GET %s succeeded", path)
-		}
 	}
 }

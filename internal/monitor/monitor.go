@@ -107,7 +107,7 @@ func (m *Monitor) tapConn(peer simnet.NodeID, connected bool) {
 		return
 	}
 	if _, seen := m.peersSeen[peer]; !seen {
-		m.peersSeen[peer] = m.net.Now()
+		m.peersSeen[peer] = m.net.EventTime(m.Node.ID)
 	}
 }
 
@@ -120,7 +120,7 @@ func (m *Monitor) tapMessage(from simnet.NodeID, msg any) {
 		return
 	}
 	addr, _ := m.net.Addr(from)
-	now := m.net.Now()
+	now := m.net.EventTime(m.Node.ID)
 	if !m.active[from] {
 		m.active[from] = true
 	}

@@ -8,6 +8,7 @@ import (
 	"bitswapmon/internal/bitswap"
 	"bitswapmon/internal/cid"
 	"bitswapmon/internal/dht"
+	"bitswapmon/internal/engine"
 	"bitswapmon/internal/ingest"
 	"bitswapmon/internal/node"
 	"bitswapmon/internal/simnet"
@@ -262,5 +263,53 @@ func TestTraceSnapshotIsStable(t *testing.T) {
 	snap[0].Monitor = "corrupted"
 	if got := w.mon.Trace()[0].Monitor; got != "us" {
 		t.Errorf("monitor state corrupted through Trace(): %q", got)
+	}
+}
+
+// quietNode is a pure traffic source: it ignores whatever comes back.
+type quietNode struct{}
+
+func (quietNode) HandleMessage(simnet.NodeID, any) {}
+func (quietNode) PeerConnected(simnet.NodeID)      {}
+func (quietNode) PeerDisconnected(simnet.NodeID)   {}
+
+// TestShardedMonitorStampsExactEventTime: the sharded engine advances Now
+// once per lookahead window, so two messages delivered inside one window
+// must still be recorded at their own delivery times, not both at the
+// window's start.
+func TestShardedMonitorStampsExactEventTime(t *testing.T) {
+	const lat = 20 * time.Millisecond
+	net := engine.NewSharded(t0, 1, engine.ShardedConfig{Shards: 2, Latency: simnet.Fixed(lat)})
+	if net.Lookahead() != lat {
+		t.Fatalf("lookahead = %v, want the fixed latency %v", net.Lookahead(), lat)
+	}
+	mon, err := New(net, "us", "3.0.0.99:4001", simnet.RegionUS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sender := simnet.DeriveNodeID([]byte("sender"))
+	if err := net.AddNode(sender, "10.9.0.1:4001", simnet.RegionUS, 0, quietNode{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := net.Connect(sender, mon.ID()); err != nil {
+		t.Fatal(err)
+	}
+	// Sent 1 ms and 3 ms into the first window, both arrive inside the
+	// second, [lat, 2·lat).
+	offsets := []time.Duration{time.Millisecond, 3 * time.Millisecond}
+	for i, off := range offsets {
+		msg := &wire.Message{Wantlist: []wire.Entry{{Type: wire.WantHave, CID: cid.Sum(cid.Raw, []byte{byte(i)})}}}
+		net.AfterOn(sender, off, func() { _ = net.Send(sender, mon.ID(), msg) })
+	}
+	net.Run(time.Second)
+
+	entries := mon.Trace()
+	if len(entries) != len(offsets) {
+		t.Fatalf("recorded %d entries, want %d", len(entries), len(offsets))
+	}
+	for i, off := range offsets {
+		if want := t0.Add(off + lat); !entries[i].Timestamp.Equal(want) {
+			t.Errorf("entry %d stamped %v, want %v", i, entries[i].Timestamp.Sub(t0), want.Sub(t0))
+		}
 	}
 }

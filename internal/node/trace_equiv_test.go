@@ -27,12 +27,8 @@ func tracedFetchSpans(t *testing.T, mk func(start time.Time, seed int64, lm *sim
 	const seed = 7
 	lm := simnet.Fixed(5 * time.Millisecond)
 	net := mk(t0, seed, lm)
-	tr := engine.TracingOf(net)
-	if tr == nil {
-		t.Fatal("engine does not support tracing")
-	}
 	tracer := otrace.New(otrace.Config{Sample: 0.6, Seed: seed})
-	tr.SetTracer(tracer)
+	net.SetTracer(tracer)
 
 	rng := net.NewRand("cluster")
 	var nodes []*Node
@@ -76,12 +72,12 @@ func tracedFetchSpans(t *testing.T, mk func(start time.Time, seed int64, lm *sim
 		}
 		sampled[trace] = true
 		net.AfterOn(nd.ID, time.Duration(i+1)*time.Second, func() {
-			span := tracer.Root(trace, "request", nd.ID.String(), engine.EventTime(net, tr, nd.ID))
+			span := tracer.Root(trace, "request", nd.ID.String(), net.EventTime(nd.ID))
 			nd.FetchTraced(span.Ctx(), root, func(ok bool) {
 				if ok {
-					span.End(engine.EventTime(net, tr, nd.ID))
+					span.End(net.EventTime(nd.ID))
 				} else {
-					span.EndDropped(engine.EventTime(net, tr, nd.ID))
+					span.EndDropped(net.EventTime(nd.ID))
 				}
 			})
 		})

@@ -120,6 +120,24 @@ func (c *Counter) Scores() Scores {
 	return Scores{RRP: rrp, URP: urp}
 }
 
+// SortedValues returns the RRP and the URP score of every CID scored so
+// far, each in ascending order — what the ECDFs and the power-law fit read —
+// straight from the id-indexed slices, without going through CID keys.
+func (c *Counter) SortedValues() (rrp, urp []int) {
+	rrp = make([]int, 0, c.cids)
+	urp = make([]int, 0, c.cids)
+	for id, n := range c.rrp {
+		// A shared Symbols also numbers CIDs this counter never scored.
+		if n > 0 {
+			rrp = append(rrp, n)
+			urp = append(urp, c.urp[id])
+		}
+	}
+	sort.Ints(rrp)
+	sort.Ints(urp)
+	return rrp, urp
+}
+
 // Values extracts the score values in ascending order.
 func Values(scores map[cid.CID]int) []int {
 	out := make([]int, 0, len(scores))

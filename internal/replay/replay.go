@@ -119,11 +119,8 @@ type World struct {
 	assign  map[simnet.NodeID]int
 	next    int
 
-	// tr is the engine's tracing capability (nil when unsupported or no
-	// Tracer configured); seq numbers replayed events for trace IDs.
-	tr     engine.Tracing
-	tracer *otrace.Tracer
-	seq    uint64
+	// seq numbers replayed events for trace IDs.
+	seq uint64
 }
 
 // replayNode is the pool node's handler: a pure traffic source. Replies
@@ -155,13 +152,7 @@ func Build(cfg Config) (*World, error) {
 		byName: make(map[string]*monitor.Monitor, len(cfg.Monitors)),
 		assign: make(map[simnet.NodeID]int),
 	}
-	if cfg.Tracer != nil {
-		if tr := engine.TracingOf(net); tr != nil {
-			tr.SetTracer(cfg.Tracer)
-			w.tr = tr
-			w.tracer = cfg.Tracer
-		}
-	}
+	net.SetTracer(cfg.Tracer)
 	geo := geoip.New()
 	rng := net.NewRand("replay")
 	for _, spec := range cfg.Monitors {
@@ -220,7 +211,7 @@ func (w *World) MonitorByName(name string) *monitor.Monitor { return w.byName[na
 func (w *World) PoolSize() int { return len(w.nodes) }
 
 // Tracer returns the replay's span recorder, nil when tracing is off.
-func (w *World) Tracer() *otrace.Tracer { return w.tracer }
+func (w *World) Tracer() *otrace.Tracer { return w.cfg.Tracer }
 
 // MappedRequesters returns how many distinct observed requesters have been
 // mapped onto the pool so far.
@@ -424,14 +415,14 @@ func (w *World) drivePump(sn *simnet.Network, src EventSource) (*DriveStats, err
 // context (zero when untraced or unsampled).
 func (w *World) mintRoot(requester, node simnet.NodeID, now time.Time) otrace.Ctx {
 	w.seq++
-	if w.tracer == nil {
+	if w.cfg.Tracer == nil {
 		return otrace.Ctx{}
 	}
 	trace := otrace.TraceID(w.cfg.Seed, requester[:], w.seq)
-	if !w.tracer.ShouldSample(trace) {
+	if !w.cfg.Tracer.ShouldSample(trace) {
 		return otrace.Ctx{}
 	}
-	root := w.tracer.Root(trace, "request", node.String(), now)
+	root := w.cfg.Tracer.Root(trace, "request", node.String(), now)
 	tc := root.Ctx()
 	root.End(now)
 	return tc
@@ -469,8 +460,8 @@ func (w *World) schedule(ev Event, at time.Time, stats *DriveStats) error {
 	// span itself is minted inside the event, at the node's exact event time.
 	var trace uint64
 	w.seq++
-	if w.tracer != nil {
-		if t := otrace.TraceID(w.cfg.Seed, ev.Requester[:], w.seq); w.tracer.ShouldSample(t) {
+	if w.cfg.Tracer != nil {
+		if t := otrace.TraceID(w.cfg.Seed, ev.Requester[:], w.seq); w.cfg.Tracer.ShouldSample(t) {
 			trace = t
 		}
 	}
@@ -483,8 +474,8 @@ func (w *World) schedule(ev Event, at time.Time, stats *DriveStats) error {
 	w.Net.AfterOn(id, delay, func() {
 		var tc otrace.Ctx
 		if trace != 0 {
-			now := engine.EventTime(net, w.tr, id)
-			root := w.tracer.Root(trace, "request", id.String(), now)
+			now := net.EventTime(id)
+			root := w.cfg.Tracer.Root(trace, "request", id.String(), now)
 			tc = root.Ctx()
 			root.End(now)
 		}
@@ -492,7 +483,7 @@ func (w *World) schedule(ev Event, at time.Time, stats *DriveStats) error {
 			// One message per target: receivers must never share a message
 			// they may retain or mutate.
 			msg := &wire.Message{Wantlist: []wire.Entry{{Type: typ, CID: c}}}
-			_ = engine.SendCtx(net, w.tr, tc, hopName(typ), id, target, msg)
+			_ = engine.SendCtx(net, tc, hopName(typ), id, target, msg)
 		}
 	})
 	return nil

@@ -142,9 +142,9 @@ type Driver struct {
 	dedup   bool
 	reports []NamedResult // Result nil until Finalize
 	active  []Report
-	// syms numbers the run's peers and CIDs once for every report
-	// AddByName constructs; it lives as long as the driver's one pass.
-	syms *trace.Symbols
+	// pass is what the reports AddNew constructs share (peer/CID numbering,
+	// popularity counter); it lives as long as the driver's one pass.
+	pass *passState
 
 	// m is the telemetry handle resolved at NewDriver; nil (metrics never
 	// enabled) keeps Write at a single branch. pend batches per-report
@@ -179,27 +179,38 @@ func (d *Driver) Add(name string, r Report) {
 	}
 }
 
-// AddByName resolves each name through the default registry and attaches
-// the report. The first unknown name aborts with the registry's
-// available-names error; a name already attached to this driver is
-// rejected (running a report twice doubles its per-entry work for an
-// identical result).
-func (d *Driver) AddByName(names []string, opts Options) error {
-	if d.syms == nil {
-		d.syms = trace.NewSymbols()
-	}
-	opts.symbols = d.syms
-	for _, name := range names {
-		for _, nr := range d.reports {
-			if nr.Name == name {
-				return fmt.Errorf("report: %q listed twice", name)
-			}
+// AddNew constructs a report from opts bound to this driver's pass — the
+// constructor's Options.Symbols and Options.Counter are the ones every
+// other report of the pass gets — and attaches it under name. A name
+// already attached to this driver is rejected (running a report twice
+// doubles its per-entry work for an identical result).
+func (d *Driver) AddNew(name string, ctor Constructor, opts Options) error {
+	for _, nr := range d.reports {
+		if nr.Name == name {
+			return fmt.Errorf("report: %q listed twice", name)
 		}
-		r, err := New(name, opts)
-		if err != nil {
+	}
+	if d.pass == nil {
+		d.pass = newPassState()
+	}
+	opts.pass = d.pass
+	r, err := ctor(opts)
+	if err != nil {
+		return err
+	}
+	d.Add(name, r)
+	return nil
+}
+
+// AddByName resolves each name through the default registry and attaches
+// the report with AddNew. The first unknown name aborts with the registry's
+// available-names error.
+func (d *Driver) AddByName(names []string, opts Options) error {
+	for _, name := range names {
+		ctor := func(o Options) (Report, error) { return New(name, o) }
+		if err := d.AddNew(name, ctor, opts); err != nil {
 			return err
 		}
-		d.Add(name, r)
 	}
 	return nil
 }

@@ -746,3 +746,48 @@ func TestLatencyBreakdownFromSpans(t *testing.T) {
 		t.Errorf("stage order wrong: request at %d, send.want_have at %d", reqIdx, hopIdx)
 	}
 }
+
+// TestSharedPopularityCounter: fig5 and popularity read one counter per
+// pass, fed by whichever was added first. Each must finalize to the bytes it
+// produces when it is the only report of its driver, in either order and
+// beside a summary that numbers CIDs neither of them scores.
+func TestSharedPopularityCounter(t *testing.T) {
+	f := newFixture(t, 5)
+	opts := f.opts()
+	alone := make(map[string]string)
+	for _, name := range []string{"fig5", "popularity"} {
+		blob, err := f.run(t, name, opts).JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		alone[name] = string(blob)
+	}
+	for _, names := range [][]string{
+		{"summary", "fig5", "popularity"},
+		{"popularity", "fig5"},
+	} {
+		drv := NewDriver(true)
+		if err := drv.AddByName(names, opts); err != nil {
+			t.Fatal(err)
+		}
+		if drv.pass.counter == nil {
+			t.Fatal("driver pass has no shared popularity counter")
+		}
+		if err := drv.Run(ingest.SliceSource(f.unified)); err != nil {
+			t.Fatal(err)
+		}
+		results, err := drv.Finalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, want := range alone {
+			got, err := results.Get(name).JSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(got) != want {
+				t.Errorf("%v: %s differs from its stand-alone run\n--- shared\n%s\n--- alone\n%s", names, name, got, want)
+			}
+		}
+	}
+}

@@ -45,21 +45,48 @@ type Options struct {
 	// latency_breakdown constructor fails with ErrNoTracer when it is nil.
 	Tracer *otrace.Tracer
 
-	// symbols is the peer/CID numbering shared by the reports of one pass;
-	// set by the Driver (one per run) and the WindowedDriver (one per
-	// window), read by constructors through Symbols.
-	symbols *trace.Symbols
+	// pass is the state the reports of one pass share; set by the Driver
+	// (one per run) and the WindowedDriver (one per window), read by
+	// constructors through Symbols and Counter.
+	pass *passState
 }
+
+// passState is what the reports of one pass over a stream share: one
+// numbering of its peers and CIDs, and one popularity accumulator over its
+// deduplicated requests.
+type passState struct {
+	syms    *trace.Symbols
+	counter *popularity.Counter
+}
+
+func newPassState() *passState { return &passState{syms: trace.NewSymbols()} }
 
 // Symbols returns the peer/CID numbering a report constructor should hand
 // to trace.NewSummarizerWith / popularity.NewCounterWith: the one shared by
 // every report the calling driver constructs for the same pass, or a fresh
 // private one when the report is built outside a driver.
 func (o Options) Symbols() *trace.Symbols {
-	if o.symbols != nil {
-		return o.symbols
+	if o.pass != nil {
+		return o.pass.syms
 	}
 	return trace.NewSymbols()
+}
+
+// Counter returns the pass's popularity accumulator and whether the caller
+// is the report that feeds it. Every report scoring popularity wants the
+// same stream (deduplicated requests), so one pass keeps one set of (CID,
+// peer) pairs: the first constructor to ask writes each entry to it, later
+// ones only read it when they finalize. Outside a driver the counter is
+// private and the caller feeds it.
+func (o Options) Counter() (c *popularity.Counter, feed bool) {
+	if o.pass == nil {
+		return popularity.NewCounter(), true
+	}
+	if o.pass.counter != nil {
+		return o.pass.counter, false
+	}
+	o.pass.counter = popularity.NewCounterWith(o.pass.syms)
+	return o.pass.counter, true
 }
 
 func (o Options) bucket() time.Duration {
@@ -123,7 +150,7 @@ func init() {
 		return &fig4Report{bucket: o.bucket(), byBucket: make(map[int64]*Fig4Bucket)}, nil
 	})
 	Default.Register("fig5", func(o Options) (Report, error) {
-		return &fig5Report{counter: popularity.NewCounterWith(o.Symbols()), iters: o.bootstrapIters(), rng: o.rand}, nil
+		return &fig5Report{popFeed: newPopFeed(o), iters: o.bootstrapIters(), rng: o.rand}, nil
 	})
 	Default.Register("fig6", func(o Options) (Report, error) {
 		if o.GatewayIDs == nil {
@@ -137,7 +164,7 @@ func init() {
 		}, nil
 	})
 	Default.Register("popularity", func(o Options) (Report, error) {
-		return &popularityReport{counter: popularity.NewCounterWith(o.Symbols()), iters: o.bootstrapIters(), rng: o.rand}, nil
+		return &popularityReport{popFeed: newPopFeed(o), iters: o.bootstrapIters(), rng: o.rand}, nil
 	})
 }
 
@@ -364,19 +391,35 @@ func (r *fig4Report) Finalize() (Result, error) {
 
 // --- fig5: content popularity ----------------------------------------------
 
-type fig5Report struct {
+// popFeed is the observing half fig5 and popularity share: the pass's one
+// popularity counter, written by whichever of them was constructed first.
+type popFeed struct {
 	counter *popularity.Counter
-	iters   int
-	rng     func() *rand.Rand
+	feed    bool
 }
 
-func (r *fig5Report) WantsDedup() bool            { return true }
-func (r *fig5Report) Observe(e trace.Entry) error { return r.counter.Write(e) }
+func newPopFeed(o Options) popFeed {
+	c, feed := o.Counter()
+	return popFeed{counter: c, feed: feed}
+}
+
+func (p popFeed) WantsDedup() bool { return true }
+
+func (p popFeed) Observe(e trace.Entry) error {
+	if !p.feed {
+		return nil
+	}
+	return p.counter.Write(e)
+}
+
+type fig5Report struct {
+	popFeed
+	iters int
+	rng   func() *rand.Rand
+}
 
 func (r *fig5Report) Finalize() (Result, error) {
-	scores := r.counter.Scores()
-	rrp := popularity.Values(scores.RRP)
-	urp := popularity.Values(scores.URP)
+	rrp, urp := r.counter.SortedValues()
 	f := &Fig5{
 		CIDs:      len(rrp),
 		RRPECDF:   popularity.ECDF(rrp),
@@ -459,24 +502,18 @@ func (r *fig6Report) Finalize() (Result, error) {
 // --- popularity: RRP/URP ECDFs + power-law fit ------------------------------
 
 type popularityReport struct {
-	counter *popularity.Counter
-	iters   int
-	rng     func() *rand.Rand
+	popFeed
+	iters int
+	rng   func() *rand.Rand
 }
 
-func (r *popularityReport) WantsDedup() bool            { return true }
-func (r *popularityReport) Observe(e trace.Entry) error { return r.counter.Write(e) }
-
 func (r *popularityReport) Finalize() (Result, error) {
-	scores := r.counter.Scores()
-	rrp := popularity.Values(scores.RRP)
-	urp := popularity.Values(scores.URP)
+	rrp, urp := r.counter.SortedValues()
 	p := &Popularity{
 		CIDs:      r.counter.CIDs(),
 		RRPECDF:   popularity.ECDF(rrp),
 		URPECDF:   popularity.ECDF(urp),
 		URPShare1: popularity.ShareWithValue(urp, 1),
-		Scores:    scores,
 	}
 	rejected, fit, pv, err := popularity.RejectsPowerLaw(rrp, r.iters, r.rng())
 	if err != nil {

@@ -524,10 +524,6 @@ type Popularity struct {
 	RRPPValue   float64                `json:"rrp_pvalue"`
 	RRPRejected bool                   `json:"rrp_rejected"`
 	RRPFitErr   string                 `json:"rrp_fit_err,omitempty"`
-
-	// Scores is the full per-CID score snapshot (memory proportional to
-	// distinct CIDs).
-	Scores popularity.Scores `json:"-"`
 }
 
 // Render prints the panel: every ECDF point for small supports, key

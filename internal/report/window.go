@@ -230,11 +230,11 @@ func floorDiv(a, b int64) int64 {
 
 func (d *WindowedDriver) openWindow(k int64) (*windowState, error) {
 	st := &windowState{start: k * d.slide, end: k*d.slide + d.width}
-	// The window's reports share a numbering of their own, reachable only
-	// through them: it is garbage with the window, so the daemon's memory
-	// stays bounded by the window width.
+	// The window's reports share a numbering and a popularity counter of
+	// their own, reachable only through them: both are garbage with the
+	// window, so the daemon's memory stays bounded by the window width.
 	opts := d.opts.Opts
-	opts.symbols = trace.NewSymbols()
+	opts.pass = newPassState()
 	for _, name := range d.opts.Reports {
 		r, err := New(name, opts)
 		if err != nil {

@@ -230,110 +230,76 @@ func sanitize(s string) string {
 	return b.String()
 }
 
+// sweepParam is one sweepable parameter: its name (the ScenarioSpec JSON
+// field name), its one-line description, and the spec field an override
+// sets — a *int, *float64, *Duration, *bool or *string, whose type decides
+// how the JSON value is coerced. gateways has no field: it switches between
+// two values of a slice and applyParam spells that out.
+type sweepParam struct {
+	name, doc string
+	field     func(*ScenarioSpec) any
+}
+
+var sweepParams = []sweepParam{
+	{"nodes", "population size (int)", func(s *ScenarioSpec) any { return &s.Nodes }},
+	{"client_frac", "DHT-client share (0..1)", func(s *ScenarioSpec) any { return &s.ClientFrac }},
+	{"stable_frac", "never-churning share (0..1)", func(s *ScenarioSpec) any { return &s.StableFrac }},
+	{"active_frac", "requesting share (0..1)", func(s *ScenarioSpec) any { return &s.ActiveFrac }},
+	{"degree_target", "overlay connections per node (int)", func(s *ScenarioSpec) any { return &s.DegreeTarget }},
+	{"bootstrap_servers", "stable core size (int)", func(s *ScenarioSpec) any { return &s.BootstrapServers }},
+	{"mean_session", "mean online session (duration)", func(s *ScenarioSpec) any { return &s.MeanSession }},
+	{"mean_offline", "mean offline gap (duration)", func(s *ScenarioSpec) any { return &s.MeanOffline }},
+	{"mean_requests_per_hour", "per-active-node request rate (float)", func(s *ScenarioSpec) any { return &s.MeanRequestsPerHour }},
+	{"catalog_items", "content population size (int)", func(s *ScenarioSpec) any { return &s.CatalogItems }},
+	{"personal_frac", "personal-item request share (0..1)", func(s *ScenarioSpec) any { return &s.PersonalFrac }},
+	{"personal_items_per_node", "personal set size (int)", func(s *ScenarioSpec) any { return &s.PersonalItemsPerNode }},
+	{"global_hot_frac", "hot-head request share (0..1)", func(s *ScenarioSpec) any { return &s.GlobalHotFrac }},
+	{"global_warm_frac", "warm-tier request share (0..1)", func(s *ScenarioSpec) any { return &s.GlobalWarmFrac }},
+	{"warm_items", "warm tier size (int)", func(s *ScenarioSpec) any { return &s.WarmItems }},
+	{"unresolved_cancel_after", "give-up time for unresolvable CIDs (duration)", func(s *ScenarioSpec) any { return &s.UnresolvedCancelAfter }},
+	{"legacy_frac", "initial pre-v0.5 client share (0..1)", func(s *ScenarioSpec) any { return &s.LegacyFrac }},
+	{"upgrade_after", "upgrade wave start offset (duration)", func(s *ScenarioSpec) any { return &s.UpgradeAfter }},
+	{"upgrade_daily_frac", "daily upgrade probability (0..1)", func(s *ScenarioSpec) any { return &s.UpgradeDailyFrac }},
+	{"monitor_prob", "independent per-monitor connectivity (0..1)", func(s *ScenarioSpec) any { return &s.MonitorProb }},
+	{"xor_bias", "proximity-biased connectivity strength (float)", func(s *ScenarioSpec) any { return &s.XORBias }},
+	{"time_warp", "replay time compression factor (float; workload_source runs)", func(s *ScenarioSpec) any { return &workloadSource(s).TimeWarp }},
+	{"amplify", "fitted-replay population/volume multiplier (float)", func(s *ScenarioSpec) any { return &workloadSource(s).Amplify }},
+	{"replay_nodes", "replay requester pool size (int; workload_source runs)", func(s *ScenarioSpec) any { return &workloadSource(s).ReplayNodes }},
+	{"monitor_frac", "fitted-replay per-monitor connectivity (0..1; 0 = full)", func(s *ScenarioSpec) any { return &workloadSource(s).MonitorFrac }},
+	{"gateways", "gateway fleet on/off (bool)", nil},
+	{"probes", "gateway identification probe on/off (bool)", func(s *ScenarioSpec) any { return &s.Probes }},
+	{"warmup", "warmup before measurement (duration)", func(s *ScenarioSpec) any { return &s.Warmup }},
+	{"window", "measurement window (duration)", func(s *ScenarioSpec) any { return &s.Window }},
+	{"sample_every", "sampler tick (duration)", func(s *ScenarioSpec) any { return &s.SampleEvery }},
+	{"bootstrap_iters", "CSN bootstrap iterations (int)", func(s *ScenarioSpec) any { return &s.BootstrapIters }},
+	{"engine", "simulation engine: serial or sharded (string)", func(s *ScenarioSpec) any { return &s.Engine }},
+	{"shards", "sharded engine worker count (int)", func(s *ScenarioSpec) any { return &s.Shards }},
+}
+
 // KnownParams lists the sweepable parameter names, sorted.
 func KnownParams() []string {
-	out := make([]string, 0, len(paramDocs))
-	for k := range paramDocs {
-		out = append(out, k)
+	out := make([]string, len(sweepParams))
+	for i, p := range sweepParams {
+		out[i] = p.name
 	}
 	sort.Strings(out)
 	return out
 }
 
 // ParamDoc returns the one-line description of a sweepable parameter.
-func ParamDoc(name string) string { return paramDocs[name] }
-
-var paramDocs = map[string]string{
-	"nodes":                   "population size (int)",
-	"client_frac":             "DHT-client share (0..1)",
-	"stable_frac":             "never-churning share (0..1)",
-	"active_frac":             "requesting share (0..1)",
-	"degree_target":           "overlay connections per node (int)",
-	"bootstrap_servers":       "stable core size (int)",
-	"mean_session":            "mean online session (duration)",
-	"mean_offline":            "mean offline gap (duration)",
-	"mean_requests_per_hour":  "per-active-node request rate (float)",
-	"catalog_items":           "content population size (int)",
-	"personal_frac":           "personal-item request share (0..1)",
-	"personal_items_per_node": "personal set size (int)",
-	"global_hot_frac":         "hot-head request share (0..1)",
-	"global_warm_frac":        "warm-tier request share (0..1)",
-	"warm_items":              "warm tier size (int)",
-	"unresolved_cancel_after": "give-up time for unresolvable CIDs (duration)",
-	"legacy_frac":             "initial pre-v0.5 client share (0..1)",
-	"upgrade_after":           "upgrade wave start offset (duration)",
-	"upgrade_daily_frac":      "daily upgrade probability (0..1)",
-	"monitor_prob":            "independent per-monitor connectivity (0..1)",
-	"xor_bias":                "proximity-biased connectivity strength (float)",
-	"time_warp":               "replay time compression factor (float; workload_source runs)",
-	"amplify":                 "fitted-replay population/volume multiplier (float)",
-	"replay_nodes":            "replay requester pool size (int; workload_source runs)",
-	"monitor_frac":            "fitted-replay per-monitor connectivity (0..1; 0 = full)",
-	"gateways":                "gateway fleet on/off (bool)",
-	"probes":                  "gateway identification probe on/off (bool)",
-	"warmup":                  "warmup before measurement (duration)",
-	"window":                  "measurement window (duration)",
-	"sample_every":            "sampler tick (duration)",
-	"bootstrap_iters":         "CSN bootstrap iterations (int)",
-	"engine":                  "simulation engine: serial or sharded (string)",
-	"shards":                  "sharded engine worker count (int)",
+func ParamDoc(name string) string {
+	for _, p := range sweepParams {
+		if p.name == name {
+			return p.doc
+		}
+	}
+	return ""
 }
 
 // applyParam sets one override on the spec, coercing the JSON value to the
 // field's type.
 func applyParam(s *ScenarioSpec, key string, v any) error {
-	switch key {
-	case "nodes":
-		return setInt(&s.Nodes, key, v)
-	case "client_frac":
-		return setFloat(&s.ClientFrac, key, v)
-	case "stable_frac":
-		return setFloat(&s.StableFrac, key, v)
-	case "active_frac":
-		return setFloat(&s.ActiveFrac, key, v)
-	case "degree_target":
-		return setInt(&s.DegreeTarget, key, v)
-	case "bootstrap_servers":
-		return setInt(&s.BootstrapServers, key, v)
-	case "mean_session":
-		return setDuration(&s.MeanSession, key, v)
-	case "mean_offline":
-		return setDuration(&s.MeanOffline, key, v)
-	case "mean_requests_per_hour":
-		return setFloat(&s.MeanRequestsPerHour, key, v)
-	case "catalog_items":
-		return setInt(&s.CatalogItems, key, v)
-	case "personal_frac":
-		return setFloat(&s.PersonalFrac, key, v)
-	case "personal_items_per_node":
-		return setInt(&s.PersonalItemsPerNode, key, v)
-	case "global_hot_frac":
-		return setFloat(&s.GlobalHotFrac, key, v)
-	case "global_warm_frac":
-		return setFloat(&s.GlobalWarmFrac, key, v)
-	case "warm_items":
-		return setInt(&s.WarmItems, key, v)
-	case "unresolved_cancel_after":
-		return setDuration(&s.UnresolvedCancelAfter, key, v)
-	case "legacy_frac":
-		return setFloat(&s.LegacyFrac, key, v)
-	case "upgrade_after":
-		return setDuration(&s.UpgradeAfter, key, v)
-	case "upgrade_daily_frac":
-		return setFloat(&s.UpgradeDailyFrac, key, v)
-	case "monitor_prob":
-		return setFloat(&s.MonitorProb, key, v)
-	case "xor_bias":
-		return setFloat(&s.XORBias, key, v)
-	case "time_warp":
-		return setFloat(&workloadSource(s).TimeWarp, key, v)
-	case "amplify":
-		return setFloat(&workloadSource(s).Amplify, key, v)
-	case "replay_nodes":
-		return setInt(&workloadSource(s).ReplayNodes, key, v)
-	case "monitor_frac":
-		return setFloat(&workloadSource(s).MonitorFrac, key, v)
-	case "gateways":
+	if key == "gateways" {
 		on, ok := v.(bool)
 		if !ok {
 			return coerceErr(key, v, "bool")
@@ -344,33 +310,36 @@ func applyParam(s *ScenarioSpec, key string, v any) error {
 			s.Gateways = []OperatorSpec{}
 		}
 		return nil
-	case "probes":
-		on, ok := v.(bool)
-		if !ok {
-			return coerceErr(key, v, "bool")
-		}
-		s.Probes = on
-		return nil
-	case "warmup":
-		return setDuration(&s.Warmup, key, v)
-	case "window":
-		return setDuration(&s.Window, key, v)
-	case "sample_every":
-		return setDuration(&s.SampleEvery, key, v)
-	case "bootstrap_iters":
-		return setInt(&s.BootstrapIters, key, v)
-	case "engine":
-		name, ok := v.(string)
-		if !ok {
-			return coerceErr(key, v, "string")
-		}
-		s.Engine = name
-		return nil
-	case "shards":
-		return setInt(&s.Shards, key, v)
-	default:
-		return fmt.Errorf("sweep: unknown sweep parameter %q (known: %s)", key, strings.Join(KnownParams(), ", "))
 	}
+	for _, p := range sweepParams {
+		if p.name != key {
+			continue
+		}
+		switch dst := p.field(s).(type) {
+		case *int:
+			return setInt(dst, key, v)
+		case *float64:
+			return setFloat(dst, key, v)
+		case *Duration:
+			return setDuration(dst, key, v)
+		case *bool:
+			on, ok := v.(bool)
+			if !ok {
+				return coerceErr(key, v, "bool")
+			}
+			*dst = on
+		case *string:
+			name, ok := v.(string)
+			if !ok {
+				return coerceErr(key, v, "string")
+			}
+			*dst = name
+		default:
+			panic(fmt.Sprintf("sweep: parameter %s: field type %T has no coercion", key, dst))
+		}
+		return nil
+	}
+	return fmt.Errorf("sweep: unknown sweep parameter %q (known: %s)", key, strings.Join(KnownParams(), ", "))
 }
 
 // workloadSource returns the spec's workload source for an override,

@@ -162,6 +162,16 @@ func TestApplyParamCoercion(t *testing.T) {
 	if err := applyParam(&s, "window", "90m"); err != nil || s.Window.Std() != 90*time.Minute {
 		t.Errorf("window override: %v %v", s.Window, err)
 	}
+	// Every row of the parameter table has a doc and a field of a type
+	// applyParam coerces: a value of no JSON type is an error on each.
+	for _, name := range KnownParams() {
+		if ParamDoc(name) == "" {
+			t.Errorf("parameter %s has no doc", name)
+		}
+		if err := applyParam(&s, name, struct{}{}); err == nil {
+			t.Errorf("parameter %s accepted a struct{} value", name)
+		}
+	}
 }
 
 func TestSweepRoundTrip(t *testing.T) {

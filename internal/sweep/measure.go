@@ -6,6 +6,7 @@ import (
 
 	"bitswapmon/internal/attacks"
 	"bitswapmon/internal/monitor"
+	"bitswapmon/internal/replay"
 	"bitswapmon/internal/workload"
 )
 
@@ -26,7 +27,8 @@ type Measurement struct {
 	OnlineAvg float64
 }
 
-// Measure is the measurement procedure every synthetic run follows: build
+// Measure is the measurement procedure every synthetic run follows — a
+// sweep run, the week scenario, the Fig. 4 upgrade scenario: build
 // the world the spec describes, warm it up, discard the warm-up trace, let
 // attach point each monitor at its sink, then run the window with the peer
 // sampler and the online-population tracker on one tick. It returns when
@@ -74,6 +76,43 @@ func Measure(spec ScenarioSpec, seed int64, attach func(*workload.World) error) 
 		online /= float64(ticks)
 	}
 	return &Measurement{World: w, Samples: sampler.Samples(), OnlineAvg: online}, nil
+}
+
+// ReplayMeasurement is what one replayed trace leaves behind beside the
+// entries the monitors streamed into their sinks.
+type ReplayMeasurement struct {
+	// World is the replay world, its clock at the end of the drive.
+	World *replay.World
+	// Model is the fitted model the workload was generated from (nil in
+	// direct mode).
+	Model *replay.Model
+	// Drive counts what was replayed.
+	Drive *replay.DriveStats
+}
+
+// MeasureReplay is Measure for a workload_source spec: open the recorded
+// inputs and build the replay world they describe (fitting the model first
+// in fitted mode), let attach point each monitor at its sink, then drive
+// the recorded or generated events through the world to exhaustion. A sink
+// error a monitor recorded during the drive fails the measurement.
+func MeasureReplay(spec ScenarioSpec, seed int64, attach func(*replay.World) error) (*ReplayMeasurement, error) {
+	rs, err := spec.ReplaySpec(seed)
+	if err != nil {
+		return nil, err
+	}
+	sess, err := replay.Prepare(rs)
+	if err != nil {
+		return nil, fmt.Errorf("sweep: prepare replay: %w", err)
+	}
+	defer sess.Close()
+	if err := attach(sess.World); err != nil {
+		return nil, err
+	}
+	drive, err := sess.Drive()
+	if err != nil {
+		return nil, fmt.Errorf("sweep: drive replay: %w", err)
+	}
+	return &ReplayMeasurement{World: sess.World, Model: sess.Model, Drive: drive}, nil
 }
 
 // ProbeGateways runs the Sec. VI-B gateway identification probe against

@@ -117,10 +117,13 @@ func TestSweepDirectReplayRun(t *testing.T) {
 			TimeWarp: 4,
 		},
 	}
-	dir := t.TempDir()
-	sum, err := ExecuteRun(filepath.Join(dir, "run"), Run{ID: "direct", Seed: 3, Spec: spec})
+	dir := filepath.Join(t.TempDir(), "run")
+	sum, err := ExecuteRun(dir, Run{ID: "direct", Seed: 3, Spec: spec})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got := summaryWithout(t, dir, "elapsed_ms"); got != pinnedReplaySummary {
+		t.Errorf("summary.json moved:\n%s\nwant:\n%s", got, pinnedReplaySummary)
 	}
 	if sum.Entries != 300 || sum.ReplayEvents != 300 {
 		t.Fatalf("direct replay recorded %d entries / %d events, want 300", sum.Entries, sum.ReplayEvents)

@@ -92,10 +92,11 @@ type RunSummary struct {
 	ElapsedMS int64 `json:"elapsed_ms"`
 }
 
-// ExecuteRun builds the run's world, measures it with every monitor
-// streaming into a per-monitor segment store under dir, and writes the
-// run's summary.json. The returned summary is what the orchestrator
-// aggregates later.
+// ExecuteRun measures the run's world — synthetic or replayed, whichever
+// the spec describes — with every monitor streaming into a per-monitor
+// segment store under dir, and writes the run's summary.json, the same
+// layout for both kinds so campaigns can mix and aggregate them. The
+// returned summary is what the orchestrator aggregates later.
 //
 // Layout of dir after a completed run:
 //
@@ -104,8 +105,12 @@ type RunSummary struct {
 func ExecuteRun(dir string, run Run) (*RunSummary, error) {
 	start := time.Now()
 	spec := run.Spec
-	if spec.ReplayMode() {
-		return executeReplayRun(dir, run, start)
+	sum := &RunSummary{
+		Version: SummaryVersion,
+		RunID:   run.ID,
+		Seed:    run.Seed,
+		Params:  run.Params,
+		Engine:  spec.Engine,
 	}
 
 	// Every monitor streams the measured window into its durable store as
@@ -114,42 +119,77 @@ func ExecuteRun(dir string, run Run) (*RunSummary, error) {
 	// campaign.
 	var stores []*ingest.SegmentStore
 	defer func() { closeStores(stores) }()
-	meas, err := Measure(spec, run.Seed, func(w *workload.World) (err error) {
-		stores, err = openMonitorStores(dir, w.Monitors)
+	var monitors []*monitor.Monitor
+	open := func(ms []*monitor.Monitor) (err error) {
+		monitors = ms
+		stores, err = openMonitorStores(dir, ms)
 		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	w := meas.World
-
-	sum := &RunSummary{
-		Version:    SummaryVersion,
-		RunID:      run.ID,
-		Seed:       run.Seed,
-		Params:     run.Params,
-		Engine:     spec.Engine,
-		Population: w.TotalPopulation(),
-		OnlineAvg:  meas.OnlineAvg,
 	}
 
-	if spec.Probes && len(w.Monitors) > 0 && len(w.Registry.All()) > 0 {
-		probes := ProbeGateways(w)
-		identified, _, _ := attacks.CrossReference(probes, w.Registry.NodeIDs())
-		sum.GatewaysProbed = len(probes)
-		sum.GatewaysIdentified = identified
+	// opts carries the context extra reports may need.
+	var opts report.Options
+	if spec.ReplayMode() {
+		meas, err := MeasureReplay(spec, run.Seed, func(w *replay.World) error {
+			// Replay runs have no GeoIP ground truth or gateway fleets; an
+			// extra report that needs them (table2, fig6) must fail here,
+			// before the drive burns its compute, not at summary time.
+			opts = report.Options{BootstrapIters: spec.BootstrapIters, Tracer: w.Tracer()}
+			if err := report.NewDriver(true).AddByName(spec.Reports, opts); err != nil {
+				return fmt.Errorf("sweep: summary reports for replay run %s: %w", run.ID, err)
+			}
+			return open(w.Monitors)
+		})
+		if err != nil {
+			return nil, err
+		}
+		sum.Population = meas.World.PoolSize()
+		sum.ReplayEvents = meas.Drive.Events
+		sum.ReplayRequesters = meas.Drive.Requesters
+		if meas.Model != nil && meas.Model.PowerLaw != nil {
+			sum.FittedAlpha = meas.Model.PowerLaw.Alpha
+		}
+	} else {
+		meas, err := Measure(spec, run.Seed, func(w *workload.World) error { return open(w.Monitors) })
+		if err != nil {
+			return nil, err
+		}
+		w := meas.World
+		sum.Population = w.TotalPopulation()
+		sum.OnlineAvg = meas.OnlineAvg
+		if spec.Probes && len(w.Monitors) > 0 && len(w.Registry.All()) > 0 {
+			probes := ProbeGateways(w)
+			identified, _, _ := attacks.CrossReference(probes, w.Registry.NodeIDs())
+			sum.GatewaysProbed = len(probes)
+			sum.GatewaysIdentified = identified
+		}
+		var hits, misses uint64
+		for _, g := range w.Gateways {
+			st := g.Stats()
+			hits += st.CacheHits
+			misses += st.CacheMisses
+		}
+		if hits+misses > 0 {
+			sum.GatewayHitRate = float64(hits) / float64(hits+misses)
+		}
+		opts = report.Options{
+			Geo:            w.Geo,
+			GatewayIDs:     w.GatewayNodeIDs(),
+			MegagateIDs:    w.MegagateIDs(),
+			BootstrapIters: spec.BootstrapIters,
+			Tracer:         w.Tracer(),
+		}
 	}
 
 	// Seal the stores before summarising; a run whose trace could not be
 	// persisted is a failed run, not a silently partial one.
-	if err := sealMonitorStores(w.Monitors, stores); err != nil {
+	if err := sealMonitorStores(monitors, stores); err != nil {
 		return nil, err
 	}
-
-	if err := summarize(sum, spec, w, stores); err != nil {
+	if err := summarizeStores(sum, stores, spec.Reports, opts); err != nil {
 		return nil, err
 	}
-	if err := writeRunTrace(dir, w.Tracer()); err != nil {
+	fillMonitorCoverage(sum, monitors, sum.Population)
+	if err := writeRunTrace(dir, opts.Tracer); err != nil {
 		return nil, err
 	}
 	sum.ElapsedMS = time.Since(start).Milliseconds()
@@ -179,8 +219,7 @@ func writeRunTrace(dir string, tr *otrace.Tracer) error {
 
 // openMonitorStores clears dir — a retried run must not append to a failed
 // attempt's leftover segment stores — and redirects every monitor into a
-// per-monitor segment store under it. The synthetic and replay execution
-// paths share it, and closeStores, so their store lifecycles cannot diverge.
+// per-monitor segment store under it.
 func openMonitorStores(dir string, monitors []*monitor.Monitor) ([]*ingest.SegmentStore, error) {
 	if err := os.RemoveAll(dir); err != nil {
 		return nil, fmt.Errorf("sweep: clear run dir: %w", err)
@@ -229,7 +268,7 @@ func sealMonitorStores(monitors []*monitor.Monitor, stores []*ingest.SegmentStor
 // memory: the unifier's window plus each report's own state), plus any
 // extra reports the spec requests, whose metrics land in the summary's
 // metrics map as "<report>:<metric>". opts carries the context extra reports
-// may need (gateway IDs, GeoIP, bootstrap budget).
+// may need (gateway IDs, GeoIP, bootstrap budget, tracer).
 func summarizeStores(sum *RunSummary, stores []*ingest.SegmentStore, extraReports []string, opts report.Options) error {
 	sources := make([]ingest.EntrySource, len(stores))
 	for i, store := range stores {
@@ -302,99 +341,6 @@ func fillMonitorCoverage(sum *RunSummary, monitors []*monitor.Monitor, populatio
 		}
 		sum.PeerOverlap = float64(inAll) / float64(len(union))
 	}
-}
-
-// summarize folds the streaming store metrics together with the synthetic
-// world's ground truth (coverage, overlap, gateway cache performance).
-func summarize(sum *RunSummary, spec ScenarioSpec, w *workload.World, stores []*ingest.SegmentStore) error {
-	opts := report.Options{
-		Geo:            w.Geo,
-		GatewayIDs:     w.GatewayNodeIDs(),
-		MegagateIDs:    w.MegagateIDs(),
-		BootstrapIters: spec.BootstrapIters,
-		Tracer:         w.Tracer(),
-	}
-	if err := summarizeStores(sum, stores, spec.Reports, opts); err != nil {
-		return err
-	}
-	fillMonitorCoverage(sum, w.Monitors, w.TotalPopulation())
-	var hits, misses uint64
-	for _, g := range w.Gateways {
-		st := g.Stats()
-		hits += st.CacheHits
-		misses += st.CacheMisses
-	}
-	if hits+misses > 0 {
-		sum.GatewayHitRate = float64(hits) / float64(hits+misses)
-	}
-	return nil
-}
-
-// executeReplayRun is ExecuteRun for workload_source runs: it builds an
-// internal/replay world from the spec, drives the recorded (or fitted)
-// trace through it with every monitor streaming into a per-run segment
-// store, and writes the same summary.json layout as synthetic runs so
-// campaigns can mix and aggregate both.
-func executeReplayRun(dir string, run Run, start time.Time) (*RunSummary, error) {
-	spec := run.Spec
-	rs, err := spec.ReplaySpec(run.Seed)
-	if err != nil {
-		return nil, err
-	}
-	// Replay runs have no GeoIP ground truth or gateway fleets; an extra
-	// report that needs them (table2, fig6) must fail here, before the
-	// simulation burns its compute, not at summary time. The tracer, when
-	// the spec enables tracing, already exists on the replay spec.
-	replayOpts := report.Options{BootstrapIters: spec.BootstrapIters, Tracer: rs.Tracer}
-	if err := report.NewDriver(true).AddByName(spec.Reports, replayOpts); err != nil {
-		return nil, fmt.Errorf("sweep: summary reports for replay run %s: %w", run.ID, err)
-	}
-	sess, err := replay.Prepare(rs)
-	if err != nil {
-		return nil, fmt.Errorf("sweep: prepare replay for %s: %w", run.ID, err)
-	}
-	defer sess.Close()
-
-	monitors := sess.World.Monitors
-	stores, err := openMonitorStores(dir, monitors)
-	if err != nil {
-		return nil, err
-	}
-	defer closeStores(stores)
-
-	drive, err := sess.Drive()
-	if err != nil {
-		return nil, fmt.Errorf("sweep: replay run %s: %w", run.ID, err)
-	}
-	if err := sealMonitorStores(monitors, stores); err != nil {
-		return nil, err
-	}
-
-	sum := &RunSummary{
-		Version:          SummaryVersion,
-		RunID:            run.ID,
-		Seed:             run.Seed,
-		Params:           run.Params,
-		Engine:           spec.Engine,
-		Population:       sess.World.PoolSize(),
-		ReplayEvents:     drive.Events,
-		ReplayRequesters: drive.Requesters,
-	}
-	if sess.Model != nil && sess.Model.PowerLaw != nil {
-		sum.FittedAlpha = sess.Model.PowerLaw.Alpha
-	}
-	if err := summarizeStores(sum, stores, spec.Reports, replayOpts); err != nil {
-		return nil, err
-	}
-	if err := writeRunTrace(dir, sess.World.Tracer()); err != nil {
-		return nil, err
-	}
-	fillMonitorCoverage(sum, monitors, sess.World.PoolSize())
-	sum.ElapsedMS = time.Since(start).Milliseconds()
-	if err := writeSummary(filepath.Join(dir, summaryFile), sum); err != nil {
-		return nil, err
-	}
-	return sum, nil
 }
 
 // writeSummary persists the summary atomically (temp file + rename), so a

@@ -1,10 +1,12 @@
 // Package sweep turns the single-run simulator into an experiment campaign
-// system: declarative scenario specifications, the one measurement runner
-// every synthetic run goes through (Measure), grid/sweep expansion into
-// families of runs with deterministic identities, a parallel orchestrator
-// with a resumable on-disk manifest, and durable per-run results (segment
-// stores + summary JSON) that the aggregation layer (ComputeTable, CSV)
-// joins without re-reading raw traces.
+// system: declarative scenario specifications, the one runner every bounded
+// run goes through (Measure for a synthetic world — the week and the Fig. 4
+// upgrade scenario alike — MeasureReplay for a replayed trace), the
+// built-in presets (DefaultSpec, WeekSpec, UpgradeSpec), grid/sweep
+// expansion into families of runs with deterministic identities, a
+// parallel orchestrator with a resumable on-disk manifest, and durable
+// per-run results (segment stores + summary JSON) that the aggregation
+// layer (ComputeTable, CSV) joins without re-reading raw traces.
 //
 // The paper's headline results — request popularity, gateway traffic
 // shares, monitor overlap — all come from comparing many runs under varied
@@ -232,6 +234,43 @@ func DefaultSpec() ScenarioSpec {
 	}
 }
 
+// WeekSpec is DefaultSpec at the documented reproduction scale: a full
+// simulated week over 1200 nodes (minutes of wall time).
+func WeekSpec() ScenarioSpec {
+	s := DefaultSpec()
+	s.Name = "week"
+	s.Nodes = 1200
+	s.CatalogItems = 10000
+	s.Warmup = D(6 * time.Hour)
+	s.Window = D(7 * 24 * time.Hour)
+	s.SampleEvery = D(2 * time.Hour)
+	s.BootstrapIters = 100
+	return s
+}
+
+// UpgradeSpec returns the Fig. 4 scenario: a population starting almost
+// entirely on the pre-v0.5 client (WANT_BLOCK broadcasts) that upgrades in
+// a wave starting a third of the way into the observed weeks, seen by one
+// monitor. There are no gateways (a cleaner series) and no warm-up: the
+// figure starts at the simulation's first day.
+func UpgradeSpec(nodes, weeks int) ScenarioSpec {
+	window := time.Duration(weeks) * 7 * 24 * time.Hour
+	return ScenarioSpec{
+		Version:          SpecVersion,
+		Name:             "upgrade",
+		Start:            "2020-03-15T00:00:00Z",
+		Nodes:            nodes,
+		CatalogItems:     nodes,
+		Monitors:         []MonitorSpec{{Name: "us", Region: string(simnet.RegionUS)}},
+		Gateways:         []OperatorSpec{},
+		LegacyFrac:       0.95,
+		UpgradeAfter:     D(window / 3),
+		UpgradeDailyFrac: 0.18,
+		Window:           D(window),
+		Seed:             42,
+	}
+}
+
 // knownRegions guards against typos in spec files.
 var knownRegions = map[string]bool{
 	string(simnet.RegionUS):    true,
@@ -385,10 +424,6 @@ func (s ScenarioSpec) ReplaySpec(seed int64) (replay.Spec, error) {
 	if !s.ReplayMode() {
 		return replay.Spec{}, fmt.Errorf("sweep: spec has no replay workload source")
 	}
-	newEngine, err := s.NewEngine()
-	if err != nil {
-		return replay.Spec{}, err
-	}
 	ws := s.WorkloadSource
 	rs := replay.Spec{
 		Mode:        replay.ModeDirect,
@@ -398,7 +433,7 @@ func (s ScenarioSpec) ReplaySpec(seed int64) (replay.Spec, error) {
 		Nodes:       ws.ReplayNodes,
 		MonitorFrac: ws.MonitorFrac,
 		Seed:        seed,
-		NewEngine:   newEngine,
+		NewEngine:   s.newEngine(),
 		Tracer:      s.NewTracer(seed),
 	}
 	if ws.Mode == "fitted" {
@@ -431,17 +466,13 @@ func (s ScenarioSpec) NewTracer(seed int64) *otrace.Tracer {
 	return otrace.New(otrace.Config{Sample: sample, Seed: seed})
 }
 
-// NewEngine returns the engine factory for the spec's engine selection
-// (nil = serial simnet reference), or an error for an unknown name.
-func (s ScenarioSpec) NewEngine() (func(start time.Time, seed int64) engine.Engine, error) {
-	switch s.Engine {
-	case "", "serial":
-		return nil, nil
-	case "sharded":
-		return engine.ShardedFactory(s.Shards), nil
-	default:
-		return nil, fmt.Errorf("sweep: unknown engine %q (want serial or sharded)", s.Engine)
+// newEngine returns the engine factory for a validated spec's engine
+// selection (nil = serial simnet reference).
+func (s ScenarioSpec) newEngine() func(start time.Time, seed int64) engine.Engine {
+	if s.Engine == "sharded" {
+		return engine.ShardedFactory(s.Shards)
 	}
+	return nil
 }
 
 // WorkloadConfig assembles the workload configuration this spec describes,
@@ -450,10 +481,6 @@ func (s ScenarioSpec) NewEngine() (func(start time.Time, seed int64) engine.Engi
 // orchestrator: zero spec fields stay zero so workload defaults apply.
 func (s ScenarioSpec) WorkloadConfig(seed int64) (workload.Config, error) {
 	if err := s.Validate(); err != nil {
-		return workload.Config{}, err
-	}
-	newEngine, err := s.NewEngine()
-	if err != nil {
 		return workload.Config{}, err
 	}
 	cfg := workload.Config{
@@ -473,7 +500,7 @@ func (s ScenarioSpec) WorkloadConfig(seed int64) (workload.Config, error) {
 		LegacyFrac:            s.LegacyFrac,
 		UpgradeDailyFrac:      s.UpgradeDailyFrac,
 		BootstrapServers:      s.BootstrapServers,
-		NewEngine:             newEngine,
+		NewEngine:             s.newEngine(),
 		PersonalFrac:          s.PersonalFrac,
 		PersonalItemsPerNode:  s.PersonalItemsPerNode,
 		GlobalHotFrac:         s.GlobalHotFrac,

@@ -249,9 +249,6 @@ func (c Config) withDefaults() Config {
 	if c.GlobalWarmFrac <= 0 {
 		c.GlobalWarmFrac = 0.5
 	}
-	if c.GlobalWarmFrac <= 0 {
-		c.GlobalWarmFrac = 0.5
-	}
 	return c
 }
 
@@ -297,10 +294,6 @@ type World struct {
 
 	cfg Config
 	rng *rand.Rand
-	// tr is the engine's tracing capability (nil when unsupported or when no
-	// Tracer was configured); tracer is the configured span recorder.
-	tr     engine.Tracing
-	tracer *otrace.Tracer
 
 	// statsMu guards the request counters: they are bumped from request
 	// processes that may run on different engine shards.
@@ -334,13 +327,7 @@ func Build(cfg Config) (*World, error) {
 		RequestsIssued:        make(map[simnet.Region]int),
 		GatewayRequestsIssued: make(map[string]int),
 	}
-	if cfg.Tracer != nil {
-		if tr := engine.TracingOf(net); tr != nil {
-			tr.SetTracer(cfg.Tracer)
-			w.tr = tr
-			w.tracer = cfg.Tracer
-		}
-	}
+	net.SetTracer(cfg.Tracer)
 
 	if err := w.buildMonitors(); err != nil {
 		return nil, err
@@ -725,10 +712,10 @@ func (w *World) issueRequest(sn *ScenarioNode) {
 	// exact event time and the resolve callback's clock are both this node's.
 	var span *otrace.SpanHandle
 	var tc otrace.Ctx
-	if w.tracer != nil {
+	if w.cfg.Tracer != nil {
 		trace := otrace.TraceID(w.cfg.Seed, sn.N.ID[:], sn.reqSeq)
-		if w.tracer.ShouldSample(trace) {
-			span = w.tracer.Root(trace, "request", sn.N.ID.String(), engine.EventTime(w.Net, w.tr, sn.N.ID))
+		if w.cfg.Tracer.ShouldSample(trace) {
+			span = w.cfg.Tracer.Root(trace, "request", sn.N.ID.String(), w.Net.EventTime(sn.N.ID))
 			tc = span.Ctx()
 		}
 	}
@@ -736,18 +723,18 @@ func (w *World) issueRequest(sn *ScenarioNode) {
 	if item.MultiBlock && item.Resolvable {
 		sn.N.FetchTraced(tc, item.Root, func(ok bool) {
 			if ok {
-				span.End(engine.EventTime(w.Net, w.tr, id))
+				span.End(w.Net.EventTime(id))
 			} else {
-				span.EndDropped(engine.EventTime(w.Net, w.tr, id))
+				span.EndDropped(w.Net.EventTime(id))
 			}
 		})
 		return
 	}
 	sn.N.RequestTraced(tc, item.Root, func(_ []byte, ok bool) {
 		if ok {
-			span.End(engine.EventTime(w.Net, w.tr, id))
+			span.End(w.Net.EventTime(id))
 		} else {
-			span.EndDropped(engine.EventTime(w.Net, w.tr, id))
+			span.EndDropped(w.Net.EventTime(id))
 		}
 	})
 }
@@ -817,14 +804,14 @@ func (w *World) armGatewayTraffic() {
 				w.statsMu.Unlock()
 				reqSeq++
 				var trace uint64
-				if w.tracer != nil {
-					if t := otrace.TraceID(w.cfg.Seed, []byte(opSpec.Name), reqSeq); w.tracer.ShouldSample(t) {
+				if w.cfg.Tracer != nil {
+					if t := otrace.TraceID(w.cfg.Seed, []byte(opSpec.Name), reqSeq); w.cfg.Tracer.ShouldSample(t) {
 						trace = t
 					}
 				}
 				// Gateways are pinned to the control shard, where this tick
 				// runs, so the gateway node's event clock is exact here.
-				g.RetrieveTraced(trace, engine.EventTime(w.Net, w.tr, g.Node.ID), root, func(gateway.Result) {})
+				g.RetrieveTraced(trace, w.Net.EventTime(g.Node.ID), root, func(gateway.Result) {})
 			}
 			gap := time.Duration(w.rng.ExpFloat64() / opSpec.RequestsPerHour * float64(time.Hour))
 			if gap < 100*time.Millisecond {
@@ -915,7 +902,7 @@ func (w *World) OnlineCount() int {
 func (w *World) TotalPopulation() int { return len(w.Nodes) }
 
 // Tracer returns the world's span recorder, nil when tracing is off.
-func (w *World) Tracer() *otrace.Tracer { return w.tracer }
+func (w *World) Tracer() *otrace.Tracer { return w.cfg.Tracer }
 
 // GatewayNodeIDs returns the ground-truth gateway node IDs.
 func (w *World) GatewayNodeIDs() map[simnet.NodeID]bool {

@@ -22,18 +22,23 @@
 // PCT percent over bare — the enforcement knob for the ≤5% instrumentation
 // budget; -max-trace-overhead is the same knob for the traced-vs-untraced
 // replay column. -only restricts the run to configured benchmarks matching a
-// regexp (the CI smoke uses it to budget-check just the replay drive).
+// regexp (the CI smoke uses it to budget-check just the replay drive); a
+// file is written only when all of its benchmarks ran, otherwise its
+// measured rows are printed.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
+	"maps"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -169,13 +174,6 @@ func run(args []string) error {
 		}
 	}
 
-	var worst, worstTrace float64
-	var worstName, worstTraceName string
-	paths := make([]string, 0, len(benchFiles))
-	for path := range benchFiles {
-		paths = append(paths, path)
-	}
-	sort.Strings(paths)
 	stamp := File{
 		Date:       time.Now().UTC().Format("2006-01-02"),
 		GoVersion:  runtime.Version(),
@@ -185,57 +183,19 @@ func run(args []string) error {
 		Commit:     gitCommit(*moduleDir),
 		Benchtime:  *benchtime,
 	}
-	for _, path := range paths {
-		ns := benchFiles[path]
-		doc := stamp
-		for _, name := range ns {
-			if !selected(name) {
-				continue
-			}
-			// A configured name stands for itself plus any sub-benchmarks
-			// (Name/sub). Sub-benchmarks skipped in this environment (e.g.
-			// population sizes gated on CPU count) simply produce no line.
-			matched := matchedNames(bare, name)
-			if len(matched) == 0 {
-				return fmt.Errorf("benchmark %s missing from bare run", name)
-			}
-			for _, mn := range matched {
-				b := bare[mn]
-				m, ok := instrumented[mn]
-				if !ok {
-					return fmt.Errorf("benchmark %s missing from instrumented run", mn)
-				}
-				e := Entry{Name: mn, Bare: b, Metrics: m}
-				if b.NsPerOp > 0 {
-					e.OverheadPct = (m.NsPerOp - b.NsPerOp) / b.NsPerOp * 100
-				}
-				if e.OverheadPct > worst {
-					worst, worstName = e.OverheadPct, mn
-				}
-				if tm, ok := traced[mn]; ok {
-					e.Traced = tm
-					if b.NsPerOp > 0 {
-						e.TraceOverheadPct = (tm.NsPerOp - b.NsPerOp) / b.NsPerOp * 100
-					}
-					if e.TraceOverheadPct > worstTrace {
-						worstTrace, worstTraceName = e.TraceOverheadPct, mn
-					}
-				}
-				doc.Benchmarks = append(doc.Benchmarks, e)
-			}
+	entries, err := emit(os.Stdout, *outDir, stamp, selected, bare, instrumented, traced)
+	if err != nil {
+		return err
+	}
+	var worst, worstTrace float64
+	var worstName, worstTraceName string
+	for _, e := range entries {
+		if e.OverheadPct > worst {
+			worst, worstName = e.OverheadPct, e.Name
 		}
-		if len(doc.Benchmarks) == 0 {
-			continue // -only filtered this file's benchmarks out entirely
+		if e.TraceOverheadPct > worstTrace {
+			worstTrace, worstTraceName = e.TraceOverheadPct, e.Name
 		}
-		blob, err := json.MarshalIndent(doc, "", "  ")
-		if err != nil {
-			return err
-		}
-		full := filepath.Join(*outDir, path)
-		if err := os.WriteFile(full, append(blob, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s (%d benchmarks)\n", full, len(doc.Benchmarks))
 	}
 	if *maxOverhead > 0 && worst > *maxOverhead {
 		return fmt.Errorf("%s instrumentation overhead %.1f%% exceeds budget %.1f%%", worstName, worst, *maxOverhead)
@@ -244,6 +204,70 @@ func run(args []string) error {
 		return fmt.Errorf("%s tracing overhead %.1f%% exceeds budget %.1f%%", worstTraceName, worstTrace, *maxTraceOverhead)
 	}
 	return nil
+}
+
+// emit writes the BENCH file of every output whose configured benchmarks all
+// ran. A file that -only cut short is printed to w instead: writing it would
+// drop the rows this run did not measure. emit returns every row it wrote
+// or printed.
+func emit(w io.Writer, outDir string, stamp File, selected func(string) bool, bare, instrumented, traced map[string]*Measurement) ([]Entry, error) {
+	var all []Entry
+	for _, path := range slices.Sorted(maps.Keys(benchFiles)) {
+		doc, complete := stamp, true
+		for _, name := range benchFiles[path] {
+			if !selected(name) {
+				complete = false
+				continue
+			}
+			// A configured name stands for itself plus any sub-benchmarks
+			// (Name/sub). Sub-benchmarks skipped in this environment (e.g.
+			// population sizes gated on CPU count) simply produce no line.
+			matched := matchedNames(bare, name)
+			if len(matched) == 0 {
+				return nil, fmt.Errorf("benchmark %s missing from bare run", name)
+			}
+			for _, mn := range matched {
+				b := bare[mn]
+				m, ok := instrumented[mn]
+				if !ok {
+					return nil, fmt.Errorf("benchmark %s missing from instrumented run", mn)
+				}
+				e := Entry{Name: mn, Bare: b, Metrics: m}
+				if b.NsPerOp > 0 {
+					e.OverheadPct = (m.NsPerOp - b.NsPerOp) / b.NsPerOp * 100
+				}
+				if tm, ok := traced[mn]; ok {
+					e.Traced = tm
+					if b.NsPerOp > 0 {
+						e.TraceOverheadPct = (tm.NsPerOp - b.NsPerOp) / b.NsPerOp * 100
+					}
+				}
+				doc.Benchmarks = append(doc.Benchmarks, e)
+			}
+		}
+		all = append(all, doc.Benchmarks...)
+		if len(doc.Benchmarks) == 0 {
+			continue
+		}
+		if !complete {
+			blob, err := json.MarshalIndent(doc.Benchmarks, "", "  ")
+			if err != nil {
+				return nil, err
+			}
+			fmt.Fprintf(w, "%s not written: -only left some of its benchmarks out; measured rows:\n%s\n", path, blob)
+			continue
+		}
+		blob, err := json.MarshalIndent(doc, "", "  ")
+		if err != nil {
+			return nil, err
+		}
+		full := filepath.Join(outDir, path)
+		if err := os.WriteFile(full, append(blob, '\n'), 0o644); err != nil {
+			return nil, err
+		}
+		fmt.Fprintf(w, "wrote %s (%d benchmarks)\n", full, len(doc.Benchmarks))
+	}
+	return all, nil
 }
 
 // matchedNames returns the measured names covered by a configured benchmark

@@ -11,6 +11,14 @@
 //     population across worker shards and synchronizes them with conservative
 //     lookahead windows derived from the minimum cross-shard latency.
 //
+// Both embed one node table, simnet.Table: membership, connections and base
+// latency, with the connect rule and the send- and delivery-side connection
+// checks written once. What differs is only the event loop, the clock, the
+// jitter stream (serial: the root RNG; sharded: a per-shard splitmix64) and
+// notification timing: the serial engine calls PeerConnected and
+// PeerDisconnected synchronously, the sharded one runs them as events on the
+// node's owner shard.
+//
 // There is one contract: both implement every method of Engine, tracing
 // included, so no layer probes for a capability or carries a fallback. The
 // interface is split into the small capabilities — Clock, Timers, Rand,
@@ -103,9 +111,8 @@ type ConnTable interface {
 	Peers(id NodeID) []NodeID
 	// PeersEach calls fn for each connected peer of id in ascending NodeID
 	// order, stopping early when fn returns false. Unlike Peers it does not
-	// copy: implementations iterate an immutable or cached sorted set, so
-	// broadcast loops run allocation-free. fn must not mutate the
-	// connection table.
+	// copy: it iterates the node's published, immutable peer set, so
+	// broadcast loops run allocation-free.
 	PeersEach(id NodeID, fn func(NodeID) bool)
 	// PeerCount returns the size of a node's connection table.
 	PeerCount(id NodeID) int

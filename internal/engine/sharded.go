@@ -1,11 +1,8 @@
 package engine
 
 import (
-	"fmt"
 	"hash/fnv"
 	"math/rand"
-	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -48,12 +45,11 @@ type ShardedConfig struct {
 //     (time, seq) order restored per slot at drain time. The wheel is
 //     single-writer — only its owner worker (during a window) or the
 //     coordinator (between windows) touches it — so scheduling takes no lock.
-//   - The node registry is a dense table: NodeID -> int32 index assigned at
-//     AddNode, then flat parallel slices for shard, region, handler and
-//     address. Connection state (peer set, online flag) lives in one cell
-//     per node read lock-free: the peer set is an immutable sorted []int32
-//     swapped atomically on Connect/Disconnect (copy-on-write), the online
-//     flag an atomic.Bool.
+//   - Membership, connections and base latency live in the embedded
+//     simnet.Table, the node table the serial engine embeds too; Sharded adds
+//     only each node's owner shard, indexed by the node's table ref, and
+//     marshals the table's connect/disconnect notifications onto the owner
+//     shards.
 //   - Cross-shard sends append to a per-(src,dst) outbox cell and are merged
 //     into destination wheels by the coordinator once per window barrier —
 //     one lock acquisition per pair per window instead of one per message.
@@ -76,9 +72,9 @@ type ShardedConfig struct {
 // depends on scheduling. Per-seed determinism is only guaranteed by the
 // serial engine.
 type Sharded struct {
+	*simnet.Table
 	start     time.Time
 	nowNs     atomic.Int64 // virtual now, nanoseconds since start
-	lm        *simnet.LatencyModel
 	lookahead time.Duration
 	qNs       int64
 	part      *regionPartition // nil: hash placement
@@ -86,28 +82,9 @@ type Sharded struct {
 	rootMu  sync.Mutex
 	rootRNG *rand.Rand
 
-	// Dense node table. The idx map and the flat slices are written only
-	// while the engine is idle (AddNode/Pin contract) and read freely during
-	// runs; per-node connection state lives in conn and is safe any time.
-	idx      map[NodeID]int32
-	ids      []NodeID
-	addrs    []string
-	regions  []Region
-	latIdx   []int32 // region index into latBase
-	shardOf  []int32
-	maxConns []int32
-	handlers []Handler
-	conn     []*connCell
-
-	// latBase is the base-latency matrix indexed by dense region indices,
-	// grown at AddNode; latRegion interns regions.
-	latRegion map[Region]int32
-	latBase   [][]int64
-
-	nodesMu     sync.RWMutex
-	nodesSorted []NodeID
-
-	connMu sync.Mutex // serializes Connect/Disconnect/SetOnline writers
+	// shardOf is each node's owner shard, indexed by its table ref; written
+	// only while the engine is idle (AddNode/Pin contract).
+	shardOf []int32
 
 	shards  []*shard
 	running bool // set around RunUntil; routes event-time timers via inboxes
@@ -120,14 +97,6 @@ type Sharded struct {
 	// start.UnixNano() for span stamping.
 	tracer  *otrace.Tracer
 	startNs int64
-}
-
-// connCell is one node's lock-free connection state.
-type connCell struct {
-	// peers points to an immutable []int32 of peer indices sorted by peer
-	// NodeID, swapped wholesale under connMu (copy-on-write).
-	peers  atomic.Pointer[[]int32]
-	online atomic.Bool
 }
 
 // outCell buffers one (src,dst) shard pair's in-window sends.
@@ -179,34 +148,27 @@ func NewSharded(start time.Time, seed int64, cfg ShardedConfig) *Sharded {
 	if cfg.Shards <= 0 {
 		cfg.Shards = 4
 	}
-	if cfg.Latency == nil {
-		cfg.Latency = simnet.DefaultLatencyModel()
+	s := &Sharded{
+		start:   start,
+		rootRNG: rand.New(rand.NewSource(seed)),
+		shards:  make([]*shard, cfg.Shards),
 	}
-	var part *regionPartition
+	s.Table = simnet.NewTable(cfg.Latency, s.notify)
+	lm := s.Latency()
 	if cfg.Partition == PartitionAuto {
-		part = planPartition(cfg.Latency, cfg.Shards)
+		s.part = planPartition(lm, cfg.Shards)
 	}
 	// The synchronization window is the minimum latency of any cross-shard
 	// region pair: anything longer could deliver a cross-shard message into
 	// a window its destination has already processed.
-	la := cfg.Latency.Min()
-	if part != nil {
-		la = part.lookahead
+	la := lm.Min()
+	if s.part != nil {
+		la = s.part.lookahead
 	}
 	if la <= 0 {
 		la = time.Millisecond
 	}
-	s := &Sharded{
-		start:     start,
-		lm:        cfg.Latency,
-		lookahead: la,
-		qNs:       int64(la),
-		part:      part,
-		rootRNG:   rand.New(rand.NewSource(seed)),
-		idx:       make(map[NodeID]int32),
-		latRegion: make(map[Region]int32),
-		shards:    make([]*shard, cfg.Shards),
-	}
+	s.lookahead, s.qNs = la, int64(la)
 	s.m = engMetrics.Load()
 	s.startNs = start.UnixNano()
 	for i := range s.shards {
@@ -279,8 +241,8 @@ func (s *Sharded) NewRand(name string) *rand.Rand {
 // ownerShard returns the shard responsible for a node's events; unknown
 // nodes map to the control shard.
 func (s *Sharded) ownerShard(id NodeID) int {
-	if i, ok := s.idx[id]; ok {
-		return int(s.shardOf[i])
+	if r, ok := s.Ref(id); ok {
+		return int(s.shardOf[r])
 	}
 	return 0
 }
@@ -325,47 +287,12 @@ func (s *Sharded) Post(id NodeID, fn func()) {
 	s.schedTimer(s.ownerShard(id), s.nowNs.Load(), fn)
 }
 
-// latIndex interns a region into the base-latency matrix (idle-time only).
-func (s *Sharded) latIndex(r Region) int32 {
-	if i, ok := s.latRegion[r]; ok {
-		return i
-	}
-	i := int32(len(s.latBase))
-	s.latRegion[r] = i
-	for j := range s.latBase {
-		other := s.regionAt(int32(j))
-		s.latBase[j] = append(s.latBase[j], s.baseLatNs(other, r))
-	}
-	row := make([]int64, i+1)
-	for j := int32(0); j <= i; j++ {
-		row[j] = s.baseLatNs(r, s.regionAt(j))
-	}
-	s.latBase = append(s.latBase, row)
-	return i
-}
-
-func (s *Sharded) regionAt(i int32) Region {
-	for r, j := range s.latRegion {
-		if j == i {
-			return r
-		}
-	}
-	return ""
-}
-
-func (s *Sharded) baseLatNs(a, b Region) int64 {
-	if d, ok := s.lm.Base[[2]Region{a, b}]; ok {
-		return int64(d)
-	}
-	return int64(s.lm.Default)
-}
-
 // AddNode registers a node: latency-aware region placement under
 // PartitionAuto, ID-hash placement otherwise. Call at build time or between
 // Run calls, never from event code.
 func (s *Sharded) AddNode(id NodeID, addr string, region Region, maxConns int, h Handler) error {
-	if _, ok := s.idx[id]; ok {
-		return fmt.Errorf("engine: node %s already registered", id)
+	if err := s.Table.AddNode(id, addr, region, maxConns, h); err != nil {
+		return err
 	}
 	var shard int32
 	if s.part != nil {
@@ -373,272 +300,29 @@ func (s *Sharded) AddNode(id NodeID, addr string, region Region, maxConns int, h
 	} else {
 		shard = hashShard(id, len(s.shards))
 	}
-	i := int32(len(s.ids))
-	s.idx[id] = i
-	s.ids = append(s.ids, id)
-	s.addrs = append(s.addrs, addr)
-	s.regions = append(s.regions, region)
-	s.latIdx = append(s.latIdx, s.latIndex(region))
 	s.shardOf = append(s.shardOf, shard)
-	s.maxConns = append(s.maxConns, int32(maxConns))
-	s.handlers = append(s.handlers, h)
-	cell := &connCell{}
-	cell.online.Store(true)
-	empty := []int32{}
-	cell.peers.Store(&empty)
-	s.conn = append(s.conn, cell)
-	s.nodesMu.Lock()
-	s.nodesSorted = nil
-	s.nodesMu.Unlock()
 	return nil
 }
 
 // Pin moves a node to the control shard. Pin right after AddNode, before
 // any event for the node is scheduled.
 func (s *Sharded) Pin(id NodeID) {
-	if i, ok := s.idx[id]; ok {
-		s.shardOf[i] = 0
+	if r, ok := s.Ref(id); ok {
+		s.shardOf[r] = 0
 	}
 }
 
-// SetOnline flips a node's availability. Taking a node offline tears down
-// all of its connections; peer notifications are marshalled to the affected
-// nodes' shards.
-func (s *Sharded) SetOnline(id NodeID, online bool) error {
-	i, ok := s.idx[id]
-	if !ok {
-		return simnet.ErrUnknownNode
+// notify runs a connection change's handler callback as an event on the
+// owner shard of the node that hears of it.
+func (s *Sharded) notify(node, peer simnet.NodeRef, up bool) {
+	h, p := s.Handler(node), s.ID(peer)
+	var fn func()
+	if up {
+		fn = func() { h.PeerConnected(p) }
+	} else {
+		fn = func() { h.PeerDisconnected(p) }
 	}
-	s.connMu.Lock()
-	cell := s.conn[i]
-	if cell.online.Load() == online {
-		s.connMu.Unlock()
-		return nil
-	}
-	cell.online.Store(online)
-	var notify []func()
-	if !online {
-		peers := *cell.peers.Load()
-		for _, p := range peers {
-			s.teardownLocked(i, p)
-			notify = append(notify, s.notifyDisconnectLocked(i, p)...)
-		}
-	}
-	s.connMu.Unlock()
-	for _, fn := range notify {
-		fn()
-	}
-	return nil
-}
-
-// notifyDisconnectLocked prepares the (deferred) PeerDisconnected posts for
-// both sides of a torn-down connection.
-func (s *Sharded) notifyDisconnectLocked(a, b int32) []func() {
-	aShard, bShard := int(s.shardOf[a]), int(s.shardOf[b])
-	ha, hb := s.handlers[a], s.handlers[b]
-	aid, bid := s.ids[a], s.ids[b]
-	return []func(){
-		func() { s.schedTimer(aShard, s.nowNs.Load(), func() { ha.PeerDisconnected(bid) }) },
-		func() { s.schedTimer(bShard, s.nowNs.Load(), func() { hb.PeerDisconnected(aid) }) },
-	}
-}
-
-// IsOnline reports a node's availability.
-func (s *Sharded) IsOnline(id NodeID) bool {
-	i, ok := s.idx[id]
-	return ok && s.conn[i].online.Load()
-}
-
-// Addr returns a node's network address.
-func (s *Sharded) Addr(id NodeID) (string, bool) {
-	i, ok := s.idx[id]
-	if !ok {
-		return "", false
-	}
-	return s.addrs[i], true
-}
-
-// NodeRegion returns a node's region.
-func (s *Sharded) NodeRegion(id NodeID) (Region, bool) {
-	i, ok := s.idx[id]
-	if !ok {
-		return "", false
-	}
-	return s.regions[i], true
-}
-
-// hasPeer reports whether a's immutable peer set contains b. Peer sets are
-// sorted by peer NodeID.
-func (s *Sharded) hasPeer(set []int32, b int32) bool {
-	id := s.ids[b]
-	_, ok := slices.BinarySearchFunc(set, b, func(p, _ int32) int {
-		return s.ids[p].Compare(id)
-	})
-	return ok
-}
-
-// insertPeer returns a copy of set with b added (sorted by peer NodeID).
-func (s *Sharded) insertPeer(set []int32, b int32) []int32 {
-	id := s.ids[b]
-	pos, _ := slices.BinarySearchFunc(set, b, func(p, _ int32) int {
-		return s.ids[p].Compare(id)
-	})
-	out := make([]int32, 0, len(set)+1)
-	out = append(out, set[:pos]...)
-	out = append(out, b)
-	return append(out, set[pos:]...)
-}
-
-// removePeer returns a copy of set with b removed.
-func (s *Sharded) removePeer(set []int32, b int32) []int32 {
-	id := s.ids[b]
-	pos, ok := slices.BinarySearchFunc(set, b, func(p, _ int32) int {
-		return s.ids[p].Compare(id)
-	})
-	if !ok {
-		return set
-	}
-	out := make([]int32, 0, len(set)-1)
-	out = append(out, set[:pos]...)
-	return append(out, set[pos+1:]...)
-}
-
-// Connect establishes a bidirectional connection with the same validation
-// as the serial engine. PeerConnected callbacks run as events on each
-// side's owner shard rather than synchronously.
-func (s *Sharded) Connect(a, b NodeID) error {
-	if a == b {
-		return simnet.ErrSelfDial
-	}
-	ia, ok := s.idx[a]
-	if !ok {
-		return fmt.Errorf("%w: %s", simnet.ErrUnknownNode, a)
-	}
-	ib, ok := s.idx[b]
-	if !ok {
-		return fmt.Errorf("%w: %s", simnet.ErrUnknownNode, b)
-	}
-	s.connMu.Lock()
-	ca, cb := s.conn[ia], s.conn[ib]
-	if !ca.online.Load() || !cb.online.Load() {
-		s.connMu.Unlock()
-		return simnet.ErrOffline
-	}
-	pa, pb := *ca.peers.Load(), *cb.peers.Load()
-	if s.hasPeer(pa, ib) {
-		s.connMu.Unlock()
-		return nil
-	}
-	if s.maxConns[ib] > 0 && int32(len(pb)) >= s.maxConns[ib] {
-		s.connMu.Unlock()
-		return simnet.ErrAtCapacity
-	}
-	if s.maxConns[ia] > 0 && int32(len(pa)) >= s.maxConns[ia] {
-		s.connMu.Unlock()
-		return simnet.ErrAtCapacity
-	}
-	na, nb := s.insertPeer(pa, ib), s.insertPeer(pb, ia)
-	ca.peers.Store(&na)
-	cb.peers.Store(&nb)
-	aShard, bShard := int(s.shardOf[ia]), int(s.shardOf[ib])
-	ha, hb := s.handlers[ia], s.handlers[ib]
-	s.connMu.Unlock()
-	now := s.nowNs.Load()
-	s.schedTimer(aShard, now, func() { ha.PeerConnected(b) })
-	s.schedTimer(bShard, now, func() { hb.PeerConnected(a) })
-	return nil
-}
-
-// Disconnect tears down the connection between a and b, if any.
-func (s *Sharded) Disconnect(a, b NodeID) {
-	ia, oka := s.idx[a]
-	ib, okb := s.idx[b]
-	if !oka || !okb {
-		return
-	}
-	s.connMu.Lock()
-	if !s.hasPeer(*s.conn[ia].peers.Load(), ib) {
-		s.connMu.Unlock()
-		return
-	}
-	s.teardownLocked(ia, ib)
-	notify := s.notifyDisconnectLocked(ia, ib)
-	s.connMu.Unlock()
-	for _, fn := range notify {
-		fn()
-	}
-}
-
-func (s *Sharded) teardownLocked(a, b int32) {
-	na := s.removePeer(*s.conn[a].peers.Load(), b)
-	nb := s.removePeer(*s.conn[b].peers.Load(), a)
-	s.conn[a].peers.Store(&na)
-	s.conn[b].peers.Store(&nb)
-}
-
-// Connected reports whether a and b share a connection.
-func (s *Sharded) Connected(a, b NodeID) bool {
-	ia, oka := s.idx[a]
-	ib, okb := s.idx[b]
-	return oka && okb && s.hasPeer(*s.conn[ia].peers.Load(), ib)
-}
-
-// Peers returns a snapshot of a node's connected peers, sorted by ID.
-func (s *Sharded) Peers(id NodeID) []NodeID {
-	i, ok := s.idx[id]
-	if !ok {
-		return nil
-	}
-	set := *s.conn[i].peers.Load()
-	out := make([]NodeID, len(set))
-	for k, p := range set {
-		out[k] = s.ids[p]
-	}
-	return out
-}
-
-// PeersEach calls fn for each connected peer of id in ascending NodeID
-// order, stopping early when fn returns false. It reads the immutable peer
-// set without copying — the zero-allocation path for broadcast loops.
-func (s *Sharded) PeersEach(id NodeID, fn func(NodeID) bool) {
-	i, ok := s.idx[id]
-	if !ok {
-		return
-	}
-	for _, p := range *s.conn[i].peers.Load() {
-		if !fn(s.ids[p]) {
-			return
-		}
-	}
-}
-
-// PeerCount returns the size of a node's connection table.
-func (s *Sharded) PeerCount(id NodeID) int {
-	i, ok := s.idx[id]
-	if !ok {
-		return 0
-	}
-	return len(*s.conn[i].peers.Load())
-}
-
-// Nodes returns the IDs of all registered nodes, sorted by ID. A cached
-// sorted slice is served under a read lock; the write lock is taken only to
-// rebuild the cache after AddNode invalidated it.
-func (s *Sharded) Nodes() []NodeID {
-	s.nodesMu.RLock()
-	cached := s.nodesSorted
-	s.nodesMu.RUnlock()
-	if cached == nil {
-		s.nodesMu.Lock()
-		if s.nodesSorted == nil {
-			sorted := append([]NodeID(nil), s.ids...)
-			sort.Slice(sorted, func(i, j int) bool { return sorted[i].Less(sorted[j]) })
-			s.nodesSorted = sorted
-		}
-		cached = s.nodesSorted
-		s.nodesMu.Unlock()
-	}
-	return append([]NodeID(nil), cached...)
+	s.schedTimer(int(s.shardOf[node]), s.nowNs.Load(), fn)
 }
 
 // u01 draws the next uniform [0,1) latency jitter from the shard's
@@ -674,18 +358,13 @@ func (s *Sharded) SendTraced(tc otrace.Ctx, hop string, from, to NodeID, msg any
 }
 
 func (s *Sharded) send(from, to NodeID, msg any, tc otrace.Ctx, hop string) error {
-	fi, ok := s.idx[from]
-	if !ok {
-		return fmt.Errorf("%w: %s", simnet.ErrUnknownNode, from)
+	r, err := s.Route(from, to)
+	if err != nil {
+		return err
 	}
-	ti, ok := s.idx[to]
-	if !ok || !s.hasPeer(*s.conn[fi].peers.Load(), ti) {
-		return fmt.Errorf("%w: %s -> %s", simnet.ErrNotConnected, from, to)
-	}
-	fromShard, toShard := s.shardOf[fi], s.shardOf[ti]
+	fromShard, toShard := s.shardOf[r.From], s.shardOf[r.To]
 	sh := s.shards[fromShard]
-	base := s.latBase[s.latIdx[fi]][s.latIdx[ti]]
-	delay := int64(float64(base) * (1 + sh.u01()*s.lm.JitterFrac))
+	delay := int64(float64(r.Base) * (1 + sh.u01()*s.Latency().JitterFrac))
 	if s.m != nil {
 		s.m.sends.Inc()
 		if fromShard != toShard {
@@ -703,7 +382,7 @@ func (s *Sharded) send(from, to NodeID, msg any, tc otrace.Ctx, hop string) erro
 	if s.running && sh.curAtNs != 0 {
 		sendNs = sh.curAtNs
 	}
-	e := sev{atNs: sendNs + delay, msg: msg, from: fi, to: ti}
+	e := sev{atNs: sendNs + delay, msg: msg, from: r.From, to: r.To, epoch: r.Epoch}
 	if s.tracer != nil && tc.Sampled() {
 		e.tr = &otrace.HopRef{Ctx: tc, Name: hop, SendNs: s.startNs + sendNs}
 	}
@@ -742,24 +421,23 @@ func (sh *shard) exec(e *sev) {
 		return
 	}
 	s := sh.eng
-	// Revalidate at delivery time: connection and liveness may have changed
-	// while the message was in flight.
-	if !s.conn[e.to].online.Load() || !s.hasPeer(*s.conn[e.from].peers.Load(), e.to) {
+	if !s.Deliverable(e.from, e.to, e.epoch) {
 		sh.dropped.Add(1)
 		if e.tr != nil {
-			s.tracer.RecordHop(e.tr, s.ids[e.to].String(), s.startNs+e.atNs, true)
+			s.tracer.RecordHop(e.tr, s.ID(e.to).String(), s.startNs+e.atNs, true)
 		}
 		return
 	}
 	sh.delivered.Add(1)
+	h := s.Handler(e.to)
 	if e.tr != nil {
-		s.tracer.RecordHop(e.tr, s.ids[e.to].String(), s.startNs+e.atNs, false)
+		s.tracer.RecordHop(e.tr, s.ID(e.to).String(), s.startNs+e.atNs, false)
 		sh.curIn = e.tr.Ctx
-		s.handlers[e.to].HandleMessage(s.ids[e.from], e.msg)
+		h.HandleMessage(s.ID(e.from), e.msg)
 		sh.curIn = otrace.Ctx{}
 		return
 	}
-	s.handlers[e.to].HandleMessage(s.ids[e.from], e.msg)
+	h.HandleMessage(s.ID(e.from), e.msg)
 }
 
 // Stats reports delivery counters.

@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"bitswapmon/internal/otrace"
+	"bitswapmon/internal/simnet"
 )
 
 // This file implements the per-shard timer structure of the sharded engine: a
@@ -47,15 +48,16 @@ const (
 )
 
 // sev is one scheduled event, stored by value in wheel slots. Timer events
-// carry fn; message deliveries carry (msg, from, to) with fn == nil, so the
-// steady-state Send path allocates no closure and no per-event node.
+// carry fn; message deliveries carry (msg, from, to, epoch) with fn == nil,
+// so the steady-state Send path allocates no closure and no per-event node.
 type sev struct {
-	atNs int64  // virtual time, nanoseconds since engine start
-	seq  uint64 // schedule order, ties broken within equal atNs
-	fn   func() // timer callback; nil for message deliveries
-	msg  any    // delivery payload (fn == nil)
-	from int32  // delivery sender, dense node index
-	to   int32  // delivery receiver, dense node index
+	atNs  int64          // virtual time, nanoseconds since engine start
+	seq   uint64         // schedule order, ties broken within equal atNs
+	fn    func()         // timer callback; nil for message deliveries
+	msg   any            // delivery payload (fn == nil)
+	from  simnet.NodeRef // delivery sender
+	to    simnet.NodeRef // delivery receiver
+	epoch uint64         // sender's peer-set epoch at send time
 	// tr carries a sampled send's trace context across shards (nil for
 	// untraced traffic, which stays at the old sev layout cost plus one
 	// pointer).

@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"math/big"
 	"math/bits"
 	"math/rand"
 )
@@ -120,10 +119,4 @@ func (n NodeID) CommonPrefixLen(o NodeID) int {
 func (n NodeID) Uniform01() float64 {
 	v := binary.BigEndian.Uint64(n[:8])
 	return float64(v) / float64(1<<63) / 2
-}
-
-// BigInt returns the ID as a big integer (useful for exact distance math in
-// tests).
-func (n NodeID) BigInt() *big.Int {
-	return new(big.Int).SetBytes(n[:])
 }

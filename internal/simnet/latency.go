@@ -1,11 +1,9 @@
 package simnet
 
-import (
-	"math/rand"
-	"time"
-)
+import "time"
 
-// LatencyModel samples one-way message delays between regions.
+// LatencyModel describes one-way message delays between regions; each
+// engine draws the jitter from its own stream.
 type LatencyModel struct {
 	// Base holds one-way base latencies per region pair. Missing pairs fall
 	// back to Default.
@@ -60,12 +58,6 @@ func (m *LatencyModel) BaseFor(a, b Region) time.Duration {
 		return base
 	}
 	return m.Default
-}
-
-// Sample draws a one-way delay for a message from region a to region b.
-func (m *LatencyModel) Sample(a, b Region, rng *rand.Rand) time.Duration {
-	jitter := 1 + rng.Float64()*m.JitterFrac
-	return time.Duration(float64(m.BaseFor(a, b)) * jitter)
 }
 
 // Min returns the smallest delay the model can produce (jitter only adds

@@ -10,11 +10,8 @@
 package simnet
 
 import (
-	"errors"
-	"fmt"
 	"hash/fnv"
 	"math/rand"
-	"sort"
 	"time"
 
 	"bitswapmon/internal/otrace"
@@ -46,28 +43,6 @@ const (
 	RegionOther Region = "XX"
 )
 
-// nodeState is the network's record of one node.
-type nodeState struct {
-	id      NodeID
-	addr    string
-	region  Region
-	handler Handler
-	// maxConns caps the connection table; 0 means unlimited (the monitor
-	// configuration: "nodes with infinite connection capacity").
-	maxConns int
-	peers    map[NodeID]bool
-	// sorted caches the sorted peer set; nil after any peers mutation.
-	// Broadcast-heavy layers call Peers on every round, so re-sorting per
-	// call dominated the event-loop profile.
-	sorted []NodeID
-	online bool
-	// epoch counts peer-table mutations. A delivery whose sender epoch is
-	// unchanged since send time knows the connection it validated then still
-	// exists, skipping the peer-map lookup on the (overwhelmingly common)
-	// stable-topology path.
-	epoch uint64
-}
-
 // event is one scheduled action: a callback when fn != nil, otherwise an
 // in-flight message delivery carried inline. Deliveries dominate the event
 // loop, so carrying their payload in the event instead of a closure saves
@@ -79,12 +54,11 @@ type event struct {
 	atNs int64
 	seq  uint64
 	fn   func()
-	// Delivery payload (fn == nil): msg travels from sf to st. sfEpoch is
-	// the sender's peer-table epoch at send time.
-	msg     any
-	from    NodeID
-	sf, st  *nodeState
-	sfEpoch uint64
+	// Delivery payload (fn == nil): msg travels from -> to; epoch is the
+	// sender's peer-set epoch at send time.
+	msg      any
+	from, to NodeRef
+	epoch    uint64
 	// tr carries the trace context of a sampled send (nil otherwise); the
 	// message itself is never wrapped, so handlers and taps see exactly the
 	// traffic of an untraced run.
@@ -145,34 +119,19 @@ func (n *Network) qPop() *event {
 	return e
 }
 
-// Errors returned by network operations.
-var (
-	ErrUnknownNode  = errors.New("simnet: unknown node")
-	ErrNotConnected = errors.New("simnet: not connected")
-	ErrAtCapacity   = errors.New("simnet: connection capacity reached")
-	ErrOffline      = errors.New("simnet: node offline")
-	ErrSelfDial     = errors.New("simnet: cannot connect node to itself")
-)
-
 // Network is the simulator. Construct with New; not safe for concurrent use.
+// Membership, connections and base latency live in the embedded Table; the
+// network adds the event heap, the clock, the jitter stream and synchronous
+// connection notifications.
 type Network struct {
+	*Table
 	now     time.Time
 	seq     uint64
 	queue   eventQueue
-	nodes   map[NodeID]*nodeState
 	rootRNG *rand.Rand
-	latency *LatencyModel
 
-	// nodesSorted caches the sorted node-ID list; nil after AddNode.
-	nodesSorted []NodeID
-	// pool recycles event structs between schedule and Step.
+	// pool recycles event structs between schedule and step.
 	pool []*event
-
-	// Last latency-model base lookup, keyed by region pair. Consecutive
-	// sends repeat pairs constantly; a string compare beats the map hash.
-	llA, llB  Region
-	llBase    time.Duration
-	llBaseSet bool
 
 	// counters
 	delivered uint64
@@ -187,14 +146,21 @@ type Network struct {
 // New creates a network starting at the given virtual time with the given
 // seed. A nil latency model selects DefaultLatencyModel.
 func New(start time.Time, seed int64, lm *LatencyModel) *Network {
-	if lm == nil {
-		lm = DefaultLatencyModel()
-	}
-	return &Network{
+	n := &Network{
 		now:     start,
-		nodes:   make(map[NodeID]*nodeState),
 		rootRNG: rand.New(rand.NewSource(seed)),
-		latency: lm,
+	}
+	n.Table = NewTable(lm, n.notify)
+	return n
+}
+
+// notify tells node's handler, synchronously, that its connection to peer
+// went up or down.
+func (n *Network) notify(node, peer NodeRef, up bool) {
+	if up {
+		n.Handler(node).PeerConnected(n.ID(peer))
+	} else {
+		n.Handler(node).PeerDisconnected(n.ID(peer))
 	}
 }
 
@@ -215,9 +181,6 @@ func (n *Network) EventTime(id NodeID) time.Time { return n.now }
 // handled (zero outside HandleMessage or for untraced messages).
 func (n *Network) InboundCtx(id NodeID) otrace.Ctx { return n.curIn }
 
-// Latency returns the network's latency model.
-func (n *Network) Latency() *LatencyModel { return n.latency }
-
 // NewRand derives an independent deterministic RNG labelled by name.
 func (n *Network) NewRand(name string) *rand.Rand {
 	h := fnv.New64a()
@@ -225,208 +188,19 @@ func (n *Network) NewRand(name string) *rand.Rand {
 	return rand.New(rand.NewSource(n.rootRNG.Int63() ^ int64(h.Sum64())))
 }
 
-// AddNode registers a node. maxConns of 0 means unlimited connections.
-func (n *Network) AddNode(id NodeID, addr string, region Region, maxConns int, h Handler) error {
-	if _, ok := n.nodes[id]; ok {
-		return fmt.Errorf("simnet: node %s already registered", id)
-	}
-	n.nodes[id] = &nodeState{
-		id:       id,
-		addr:     addr,
-		region:   region,
-		handler:  h,
-		maxConns: maxConns,
-		peers:    make(map[NodeID]bool),
-		online:   true,
-	}
-	n.nodesSorted = nil
-	return nil
-}
-
 // Pin is an affinity hint used by parallel engines; the serial network runs
 // everything on one goroutine, so it is a no-op.
 func (n *Network) Pin(id NodeID) {}
-
-// SetOnline flips a node's availability. Taking a node offline tears down all
-// of its connections (modelling churn); bringing it online leaves it
-// disconnected.
-func (n *Network) SetOnline(id NodeID, online bool) error {
-	st, ok := n.nodes[id]
-	if !ok {
-		return ErrUnknownNode
-	}
-	if st.online == online {
-		return nil
-	}
-	st.online = online
-	if !online {
-		peers := make([]NodeID, 0, len(st.peers))
-		for p := range st.peers {
-			peers = append(peers, p)
-		}
-		sortNodeIDs(peers)
-		for _, p := range peers {
-			n.teardown(st, n.nodes[p])
-		}
-	}
-	return nil
-}
-
-// IsOnline reports a node's availability.
-func (n *Network) IsOnline(id NodeID) bool {
-	st, ok := n.nodes[id]
-	return ok && st.online
-}
-
-// Addr returns a node's network address.
-func (n *Network) Addr(id NodeID) (string, bool) {
-	st, ok := n.nodes[id]
-	if !ok {
-		return "", false
-	}
-	return st.addr, true
-}
-
-// NodeRegion returns a node's region.
-func (n *Network) NodeRegion(id NodeID) (Region, bool) {
-	st, ok := n.nodes[id]
-	if !ok {
-		return "", false
-	}
-	return st.region, true
-}
-
-// Connect establishes a bidirectional connection between a and b. It fails
-// if either side is unknown or offline, or if the *target* is at capacity
-// (the dialer is assumed to have room: it chose to dial).
-func (n *Network) Connect(a, b NodeID) error {
-	if a == b {
-		return ErrSelfDial
-	}
-	sa, ok := n.nodes[a]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrUnknownNode, a)
-	}
-	sb, ok := n.nodes[b]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrUnknownNode, b)
-	}
-	if !sa.online || !sb.online {
-		return ErrOffline
-	}
-	if sa.peers[b] {
-		return nil
-	}
-	if sb.maxConns > 0 && len(sb.peers) >= sb.maxConns {
-		return ErrAtCapacity
-	}
-	if sa.maxConns > 0 && len(sa.peers) >= sa.maxConns {
-		return ErrAtCapacity
-	}
-	sa.peers[b] = true
-	sb.peers[a] = true
-	sa.sorted, sb.sorted = nil, nil
-	sa.epoch++
-	sb.epoch++
-	sa.handler.PeerConnected(b)
-	sb.handler.PeerConnected(a)
-	return nil
-}
-
-// Disconnect tears down the connection between a and b, if any.
-func (n *Network) Disconnect(a, b NodeID) {
-	sa, oka := n.nodes[a]
-	sb, okb := n.nodes[b]
-	if !oka || !okb || !sa.peers[b] {
-		return
-	}
-	n.teardown(sa, sb)
-}
-
-func (n *Network) teardown(sa, sb *nodeState) {
-	delete(sa.peers, sb.id)
-	delete(sb.peers, sa.id)
-	sa.sorted, sb.sorted = nil, nil
-	sa.epoch++
-	sb.epoch++
-	sa.handler.PeerDisconnected(sb.id)
-	sb.handler.PeerDisconnected(sa.id)
-}
-
-// Connected reports whether a and b share a connection.
-func (n *Network) Connected(a, b NodeID) bool {
-	sa, ok := n.nodes[a]
-	return ok && sa.peers[b]
-}
-
-// Peers returns a snapshot of a node's connected peers, sorted by ID. The
-// deterministic order matters: broadcast loops consume RNG state per peer, so
-// map-order iteration would break run-to-run reproducibility. The sort is
-// cached until the connection table changes; callers get a fresh copy.
-func (n *Network) Peers(id NodeID) []NodeID {
-	st, ok := n.nodes[id]
-	if !ok {
-		return nil
-	}
-	if st.sorted == nil {
-		st.sorted = make([]NodeID, 0, len(st.peers))
-		for p := range st.peers {
-			st.sorted = append(st.sorted, p)
-		}
-		sortNodeIDs(st.sorted)
-	}
-	return append([]NodeID(nil), st.sorted...)
-}
-
-// PeersEach calls fn for each connected peer of id in ascending NodeID
-// order, stopping early when fn returns false. It iterates the cached
-// sorted peer set without copying it — the allocation-free variant of Peers
-// for broadcast loops. fn must not mutate the connection table.
-func (n *Network) PeersEach(id NodeID, fn func(NodeID) bool) {
-	st, ok := n.nodes[id]
-	if !ok {
-		return
-	}
-	if st.sorted == nil {
-		st.sorted = make([]NodeID, 0, len(st.peers))
-		for p := range st.peers {
-			st.sorted = append(st.sorted, p)
-		}
-		sortNodeIDs(st.sorted)
-	}
-	for _, p := range st.sorted {
-		if !fn(p) {
-			return
-		}
-	}
-}
-
-func sortNodeIDs(ids []NodeID) {
-	sort.Slice(ids, func(i, j int) bool { return ids[i].Less(ids[j]) })
-}
-
-// PeerCount returns the size of a node's connection table.
-func (n *Network) PeerCount(id NodeID) int {
-	st, ok := n.nodes[id]
-	if !ok {
-		return 0
-	}
-	return len(st.peers)
-}
 
 // Send schedules delivery of msg from one connected node to another, after
 // the modelled latency. Messages in flight when a connection drops are
 // dropped too (checked at delivery time).
 func (n *Network) Send(from, to NodeID, msg any) error {
-	sf, ok := n.nodes[from]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrUnknownNode, from)
+	r, err := n.Route(from, to)
+	if err != nil {
+		return err
 	}
-	if !sf.peers[to] {
-		return fmt.Errorf("%w: %s -> %s", ErrNotConnected, from, to)
-	}
-	st := n.nodes[to]
-	n.sendTo(sf, st, from, msg, nil)
+	n.sendTo(r, msg, nil)
 	return nil
 }
 
@@ -434,54 +208,34 @@ func (n *Network) Send(from, to NodeID, msg any) error {
 // is recorded as a span and the context is exposed to the receiving handler
 // via InboundCtx. Timing and RNG draws are identical to Send.
 func (n *Network) SendTraced(tc otrace.Ctx, hop string, from, to NodeID, msg any) error {
-	sf, ok := n.nodes[from]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrUnknownNode, from)
-	}
-	if !sf.peers[to] {
-		return fmt.Errorf("%w: %s -> %s", ErrNotConnected, from, to)
+	r, err := n.Route(from, to)
+	if err != nil {
+		return err
 	}
 	var ref *otrace.HopRef
 	if n.tracer != nil && tc.Sampled() {
 		ref = &otrace.HopRef{Ctx: tc, Name: hop, SendNs: n.now.UnixNano()}
 	}
-	n.sendTo(sf, n.nodes[to], from, msg, ref)
+	n.sendTo(r, msg, ref)
 	return nil
-}
-
-// NodeRef is an opaque handle to a registered node. Nodes are never removed
-// from a network, so a ref stays valid for the network's lifetime; hot send
-// loops resolve their endpoints once and skip the per-call table lookups.
-type NodeRef struct{ st *nodeState }
-
-// Ref resolves a node ID to a reusable handle.
-func (n *Network) Ref(id NodeID) (NodeRef, bool) {
-	st, ok := n.nodes[id]
-	return NodeRef{st: st}, ok
 }
 
 // SendRef is Send with pre-resolved endpoints. Semantics (connectivity
 // check, latency sampling, delivery-time revalidation) are identical.
 func (n *Network) SendRef(from, to NodeRef, msg any) error {
-	sf, st := from.st, to.st
-	if !sf.peers[st.id] {
-		return fmt.Errorf("%w: %s -> %s", ErrNotConnected, sf.id, st.id)
+	r, err := n.RouteRef(from, to)
+	if err != nil {
+		return err
 	}
-	n.sendTo(sf, st, sf.id, msg, nil)
+	n.sendTo(r, msg, nil)
 	return nil
 }
 
-func (n *Network) sendTo(sf, st *nodeState, from NodeID, msg any, tr *otrace.HopRef) {
-	if !n.llBaseSet || sf.region != n.llA || st.region != n.llB {
-		n.llA, n.llB = sf.region, st.region
-		n.llBase = n.latency.BaseFor(sf.region, st.region)
-		n.llBaseSet = true
-	}
-	jitter := 1 + n.rootRNG.Float64()*n.latency.JitterFrac
-	delay := time.Duration(float64(n.llBase) * jitter)
+func (n *Network) sendTo(r Route, msg any, tr *otrace.HopRef) {
+	jitter := 1 + n.rootRNG.Float64()*n.lm.JitterFrac
+	delay := time.Duration(float64(r.Base) * jitter)
 	e := n.newEvent(n.now.Add(delay), nil)
-	e.msg, e.from, e.sf, e.st, e.sfEpoch = msg, from, sf, st, sf.epoch
-	e.tr = tr
+	e.msg, e.from, e.to, e.epoch, e.tr = msg, r.From, r.To, r.Epoch, tr
 	n.qPush(e)
 }
 
@@ -527,45 +281,38 @@ func (n *Network) schedule(at time.Time, fn func()) {
 	n.qPush(n.newEvent(at, fn))
 }
 
-// Step runs the next event, returning false when the queue is empty.
-func (n *Network) Step() bool {
-	if len(n.queue) == 0 {
-		return false
-	}
+// step runs the next event; the queue must not be empty.
+func (n *Network) step() {
 	e := n.qPop()
 	if e.at.After(n.now) {
 		n.now = e.at
 	}
 	if e.fn == nil {
-		// Inline message delivery. Nodes are never removed from the table,
-		// so the cached states remain valid; connection and liveness still
-		// need revalidation — both may have changed while the message was
-		// in flight. An unchanged sender epoch proves the connection
-		// validated at send time still exists, so only liveness needs a
-		// (field-read) check.
-		sf, st, from, msg := e.sf, e.st, e.from, e.msg
-		sfEpoch, tr, atNs := e.sfEpoch, e.tr, e.atNs
-		e.msg, e.sf, e.st, e.tr = nil, nil, nil, nil
+		// Inline message delivery, revalidated by the table.
+		from, to, epoch, msg := e.from, e.to, e.epoch, e.msg
+		tr, atNs := e.tr, e.atNs
+		e.msg, e.tr = nil, nil
 		if len(n.pool) < 1024 {
 			n.pool = append(n.pool, e)
 		}
-		if (sf.epoch != sfEpoch && !sf.peers[st.id]) || !st.online {
+		if !n.Deliverable(from, to, epoch) {
 			n.dropped++
 			if tr != nil {
-				n.tracer.RecordHop(tr, st.id.String(), atNs, true)
+				n.tracer.RecordHop(tr, n.ID(to).String(), atNs, true)
 			}
-			return true
+			return
 		}
 		n.delivered++
+		h := n.Handler(to)
 		if tr != nil {
-			n.tracer.RecordHop(tr, st.id.String(), atNs, false)
+			n.tracer.RecordHop(tr, n.ID(to).String(), atNs, false)
 			n.curIn = tr.Ctx
-			st.handler.HandleMessage(from, msg)
+			h.HandleMessage(n.ID(from), msg)
 			n.curIn = otrace.Ctx{}
-			return true
+			return
 		}
-		st.handler.HandleMessage(from, msg)
-		return true
+		h.HandleMessage(n.ID(from), msg)
+		return
 	}
 	fn := e.fn
 	e.fn = nil
@@ -573,7 +320,6 @@ func (n *Network) Step() bool {
 		n.pool = append(n.pool, e)
 	}
 	fn()
-	return true
 }
 
 // RunUntil processes events until the queue empties or virtual time would
@@ -584,7 +330,7 @@ func (n *Network) RunUntil(deadline time.Time) {
 		if n.queue.Peek().atNs > dl {
 			break
 		}
-		n.Step()
+		n.step()
 	}
 	if n.now.Before(deadline) {
 		n.now = deadline
@@ -596,23 +342,7 @@ func (n *Network) Run(d time.Duration) {
 	n.RunUntil(n.now.Add(d))
 }
 
-// Pending returns the number of queued events.
-func (n *Network) Pending() int { return len(n.queue) }
-
 // Stats reports delivery counters.
 func (n *Network) Stats() (delivered, dropped uint64) {
 	return n.delivered, n.dropped
-}
-
-// Nodes returns the IDs of all registered nodes, sorted by ID. The sort is
-// cached until the population changes; callers get a fresh copy.
-func (n *Network) Nodes() []NodeID {
-	if n.nodesSorted == nil {
-		n.nodesSorted = make([]NodeID, 0, len(n.nodes))
-		for id := range n.nodes {
-			n.nodesSorted = append(n.nodesSorted, id)
-		}
-		sortNodeIDs(n.nodesSorted)
-	}
-	return append([]NodeID(nil), n.nodesSorted...)
 }

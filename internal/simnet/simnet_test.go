@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"time"
@@ -104,7 +105,7 @@ func TestCapacityLimit(t *testing.T) {
 	if err := n.Connect(ids[1], hub); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.Connect(ids[2], hub); err != ErrAtCapacity {
+	if err := n.Connect(ids[2], hub); !errors.Is(err, ErrAtCapacity) {
 		t.Errorf("expected ErrAtCapacity, got %v", err)
 	}
 	// Unlimited nodes (maxConns=0) accept arbitrarily many.
@@ -168,9 +169,6 @@ func TestRunUntilStopsAtDeadline(t *testing.T) {
 	n.Run(time.Second)
 	if fired {
 		t.Error("event past deadline fired")
-	}
-	if n.Pending() != 1 {
-		t.Errorf("pending = %d", n.Pending())
 	}
 	n.Run(2 * time.Second)
 	if !fired {
@@ -254,20 +252,16 @@ func TestUniform01IsUniformish(t *testing.T) {
 	}
 }
 
-func TestLatencyModelSample(t *testing.T) {
+func TestLatencyModelBaseFor(t *testing.T) {
 	lm := DefaultLatencyModel()
-	rng := rand.New(rand.NewSource(1))
-	dEU := lm.Sample(RegionDE, RegionNL, rng)
-	if dEU < 12*time.Millisecond || dEU > 16*time.Millisecond {
-		t.Errorf("intra-EU latency = %v", dEU)
+	if d := lm.BaseFor(RegionDE, RegionNL); d != 12*time.Millisecond {
+		t.Errorf("intra-EU latency = %v", d)
 	}
-	dTA := lm.Sample(RegionDE, RegionUS, rng)
-	if dTA < 55*time.Millisecond {
-		t.Errorf("transatlantic latency = %v", dTA)
+	if d := lm.BaseFor(RegionDE, RegionUS); d != 55*time.Millisecond {
+		t.Errorf("transatlantic latency = %v", d)
 	}
-	dUnknown := lm.Sample("ZZ", "QQ", rng)
-	if dUnknown < lm.Default {
-		t.Errorf("unknown pair latency = %v", dUnknown)
+	if d := lm.BaseFor("ZZ", "QQ"); d != lm.Default {
+		t.Errorf("unknown pair latency = %v", d)
 	}
 }
 

@@ -36,10 +36,11 @@
 // breakdown. -trace-sample head-samples deterministically by seed, so the
 // same requests are traced across engines and repeated runs.
 //
-// The serial engine is the deterministic reference (same seed, same bytes);
-// the sharded engine runs the scenario across all cores with conservative
-// lookahead synchronization, for large populations. The profile flags write
-// pprof data for scaling work on either engine; -metrics-addr serves live
+// -engine serial is the one-shard deterministic reference (same seed, same
+// bytes; -engine sharded -shards 1 is the same run); more shards run the
+// scenario across all cores with conservative lookahead synchronization,
+// for large populations. The profile flags write pprof data for scaling
+// work at any shard count; -metrics-addr serves live
 // Prometheus metrics and /debug/pprof while a run is in flight.
 package main
 

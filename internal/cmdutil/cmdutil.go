@@ -11,11 +11,11 @@ import (
 	"runtime"
 	"runtime/pprof"
 
-	"bitswapmon/internal/engine"
 	"bitswapmon/internal/ingest"
 	"bitswapmon/internal/obs"
 	"bitswapmon/internal/otrace"
 	"bitswapmon/internal/report"
+	"bitswapmon/internal/simnet"
 	"bitswapmon/internal/sweep"
 )
 
@@ -40,7 +40,7 @@ func ExportTrace(cmd, path string, tr *otrace.Tracer) error {
 // tracers or orchestrators — each resolves its telemetry handle at
 // construction.
 func EnableAllMetrics() {
-	engine.EnableMetrics(nil)
+	simnet.EnableMetrics(nil)
 	ingest.EnableMetrics(nil)
 	sweep.EnableMetrics(nil)
 	report.EnableMetrics(nil)

@@ -8,17 +8,17 @@ import (
 	"testing"
 	"time"
 
+	"bitswapmon/internal/obs"
 	"bitswapmon/internal/simnet"
 )
 
-// contractEngines are the engines that share simnet's node table.
+// contractEngines are the shard counts the table contract runs at.
 var contractEngines = []struct {
 	name string
 	new  func() Engine
 }{
 	{"serial", func() Engine { return simnet.New(t0, 1, nil) }},
-	{"sharded-1", func() Engine { return NewSharded(t0, 1, ShardedConfig{Shards: 1}) }},
-	{"sharded-4", func() Engine { return NewSharded(t0, 1, ShardedConfig{Shards: 4}) }},
+	{"sharded-4", func() Engine { return simnet.NewSharded(t0, 1, simnet.ShardedConfig{Shards: 4}) }},
 }
 
 // contractStep is one scripted table operation and the error it must give:
@@ -34,12 +34,15 @@ type contractStep struct {
 var errAny = errors.New("any error")
 
 // TestTableContract runs one script of membership and connection-table
-// operations on every engine. Each engine must give the expected errors and
-// the same table, stats and notification counts as every other.
+// operations at every shard count. Each must give the expected errors and
+// the same table, stats, send count and notification counts as every other.
 func TestTableContract(t *testing.T) {
+	defer simnet.EnableMetrics(obs.NewRegistry()) // keep later tests off the per-row registries
 	var transcripts []string
 	for _, ce := range contractEngines {
-		transcript := runContract(t, ce.name, ce.new())
+		reg := obs.NewRegistry()
+		simnet.EnableMetrics(reg)
+		transcript := runContract(t, ce.name, ce.new(), reg)
 		if len(transcripts) > 0 && transcript != transcripts[0] {
 			t.Errorf("%s diverges from %s:\n%s", ce.name, contractEngines[0].name, firstDiff(transcripts[0], transcript))
 		}
@@ -47,7 +50,7 @@ func TestTableContract(t *testing.T) {
 	}
 }
 
-func runContract(t *testing.T, name string, eng Engine) string {
+func runContract(t *testing.T, name string, eng Engine, reg *obs.Registry) string {
 	id := func(s string) NodeID { return simnet.DeriveNodeID([]byte(s)) }
 	hub, a, b, c, d, e, f, ghost := id("hub"), id("a"), id("b"), id("c"), id("d"), id("e"), id("f"), id("ghost")
 	short := map[NodeID]string{hub: "hub", a: "a", b: "b", c: "c", d: "d", e: "e", f: "f", ghost: "ghost"}
@@ -143,6 +146,12 @@ func runContract(t *testing.T, name string, eng Engine) string {
 	if delivered != 1 || dropped != 2 {
 		t.Errorf("%s: stats delivered %d dropped %d, want 1 and 2 (both in-flight messages dropped)", name, delivered, dropped)
 	}
+	// Every message the engine accepted was either delivered or dropped.
+	sends := reg.Snapshot()["engine_sends_total"]
+	fmt.Fprintf(&out, "sends: %v\n", sends)
+	if sends != float64(delivered+dropped) {
+		t.Errorf("%s: engine_sends_total %v, want delivered + dropped = %d", name, sends, delivered+dropped)
+	}
 	wantConns := map[string][2]int64{
 		"hub": {3, 3}, "a": {1, 1}, "b": {1, 1}, "d": {1, 1}, "c": {1, 0}, "e": {1, 0}, "f": {0, 0},
 	}
@@ -201,7 +210,7 @@ func firstDiff(a, b string) string {
 // each change exactly once. Run under -race it checks the table's locking.
 func TestShardedConnectFromEventCode(t *testing.T) {
 	const n, capacity = 64, 40
-	s := NewSharded(t0, 3, ShardedConfig{Shards: 4, Partition: PartitionHash, Latency: simnet.Fixed(5 * time.Millisecond)})
+	s := simnet.NewSharded(t0, 3, simnet.ShardedConfig{Shards: 4, Latency: simnet.Fixed(5 * time.Millisecond)})
 	ids, hs := addNodes(t, s, n)
 	hubID := simnet.DeriveNodeID([]byte("hub"))
 	hub := &recHandler{}
@@ -210,7 +219,7 @@ func TestShardedConnectFromEventCode(t *testing.T) {
 	}
 	shardsUsed := map[int]bool{}
 	for _, id := range ids {
-		shardsUsed[s.ownerShard(id)] = true
+		shardsUsed[s.ShardOf(id)] = true
 	}
 	if len(shardsUsed) < 2 {
 		t.Fatalf("dialers placed on %d shard(s), want several", len(shardsUsed))

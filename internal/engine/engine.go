@@ -1,48 +1,47 @@
 // Package engine defines the narrow simulation-engine surface the protocol
 // layers (bitswap, dht, node, monitor, workload, ...) depend on, decoupling
-// them from any one event-loop implementation.
+// them from the event loop.
 //
-// Two implementations exist:
+// There is one engine, internal/simnet.Network: one node table, one event
+// loop, one binary heap per shard. The shard count is its only axis, and
+// serial is one shard. What differs between one shard and several is the
+// clock, the jitter stream and notification timing:
 //
-//   - internal/simnet.Network — the single-threaded deterministic reference:
-//     one event heap, handlers run on the caller's goroutine, bit-for-bit
-//     reproducible per seed.
-//   - Sharded (this package) — a multi-core engine that partitions the node
-//     population across worker shards and synchronizes them with conservative
-//     lookahead windows derived from the minimum cross-shard latency.
+//   - One shard (simnet.New): the heap is drained inline on the caller's
+//     goroutine, Now is exact at every event, jitter comes from the root
+//     RNG, and PeerConnected/PeerDisconnected run synchronously. This is the
+//     reference: bit-for-bit reproducible per seed.
+//   - Several shards (ShardedFactory, simnet.NewSharded): the shards drain
+//     their heaps in parallel over conservative lookahead windows derived
+//     from the minimum cross-shard latency, Now is the window start, jitter
+//     comes from a per-shard splitmix64 stream, and connection changes reach
+//     handlers as events on the node's owner shard. Output is reproducible
+//     per seed and shard count, and agrees with one shard statistically.
 //
-// Both embed one node table, simnet.Table: membership, connections and base
-// latency, with the connect rule and the send- and delivery-side connection
-// checks written once. What differs is only the event loop, the clock, the
-// jitter stream (serial: the root RNG; sharded: a per-shard splitmix64) and
-// notification timing: the serial engine calls PeerConnected and
-// PeerDisconnected synchronously, the sharded one runs them as events on the
-// node's owner shard.
-//
-// There is one contract: both implement every method of Engine, tracing
-// included, so no layer probes for a capability or carries a fallback. The
-// interface is split into the small capabilities — Clock, Timers, Rand,
-// Transport, Tracing and the connection table — so a layer that only needs
-// timers can be tested against a stub exposing just those.
+// There is one contract: Engine, tracing included, so no layer probes for a
+// capability or carries a fallback. The interface is split into the small
+// capabilities — Clock, Timers, Rand, Transport, Tracing and the connection
+// table — so a layer that only needs timers can be tested against a stub
+// exposing just those.
 //
 // There is one exact clock: EventTime(id) is the virtual time of the event
-// executing for node id, on either engine. Anything that stamps a record —
+// executing for node id, at any shard count. Anything that stamps a record —
 // a trace entry, a span, a cache expiry — reads EventTime. Now is the run
-// loop's clock; the sharded engine advances it once per lookahead window,
+// loop's clock; with several shards it advances once per lookahead window,
 // so it is only for orchestration between events (samplers, deadlines).
 //
 // # Affinity
 //
-// The single semantic addition over the historical *simnet.Network API is
-// node affinity: AfterOn/Post tie a scheduled function to the node whose
-// state it touches. The serial engine ignores the hint (everything runs on
-// one goroutine anyway); the sharded engine uses it to run the function on
-// the shard that owns the node, which is what makes per-node protocol state
-// (bitswap want maps, DHT routing tables, ...) safe without any locking in
-// the protocol layers. The rule for layer code is simple: schedule work that
-// touches a node's state with AfterOn(id, ...) or Post(id, ...); use the
-// plain After/At only for global orchestration (samplers, workload control
-// loops), which the sharded engine serializes on its control shard.
+// The single semantic addition over a plain event-loop API is node affinity:
+// AfterOn/Post tie a scheduled function to the node whose state it touches.
+// With one shard the hint changes nothing (everything runs on one
+// goroutine); with several it runs the function on the shard that owns the
+// node, which is what makes per-node protocol state (bitswap want maps, DHT
+// routing tables, ...) safe without any locking in the protocol layers. The
+// rule for layer code is simple: schedule work that touches a node's state
+// with AfterOn(id, ...) or Post(id, ...); use the plain After/At only for
+// global orchestration (samplers, workload control loops), which runs
+// serialized on the control shard.
 package engine
 
 import (
@@ -62,9 +61,9 @@ type Region = simnet.Region
 // Handler is the per-node behaviour callback surface, aliased from simnet.
 type Handler = simnet.Handler
 
-// Clock exposes virtual time. The sharded engine quantizes Now to the
-// current lookahead window's start; the serial engine is exact. Event code
-// that records a time reads Tracing.EventTime instead.
+// Clock exposes virtual time. Now is exact with one shard and the current
+// lookahead window's start with several. Event code that records a time
+// reads Tracing.EventTime instead.
 type Clock interface {
 	Now() time.Time
 }
@@ -72,8 +71,8 @@ type Clock interface {
 // Timers schedules functions in virtual time.
 type Timers interface {
 	// After schedules fn after d of virtual time with control affinity:
-	// the sharded engine runs it on the control shard, serialized with all
-	// other control-affine work.
+	// it runs on the control shard, serialized with all other
+	// control-affine work.
 	After(d time.Duration, fn func())
 	// At schedules fn at an absolute virtual time (clamped to now),
 	// with control affinity.
@@ -87,8 +86,7 @@ type Timers interface {
 }
 
 // Rand derives labelled deterministic RNG streams from the engine seed.
-// Not safe to call while the engine is running a sharded simulation; derive
-// streams at build time or between Run calls.
+// Derive streams at build time or between Run calls, never from event code.
 type Rand interface {
 	NewRand(name string) *rand.Rand
 }
@@ -124,7 +122,7 @@ type Membership interface {
 	// Call it at build time or between Run calls, never from event code.
 	AddNode(id NodeID, addr string, region Region, maxConns int, h Handler) error
 	// Pin hints that the node's events should run on the control shard
-	// (no-op for the serial engine). Monitors and gateways pin themselves:
+	// (a no-op with one shard). Monitors and gateways pin themselves:
 	// their state is also touched by control-affine orchestration code.
 	// Pin before the first Run, right after AddNode.
 	Pin(id NodeID)
@@ -161,5 +159,13 @@ type Engine interface {
 	Runner
 }
 
-// The serial reference implementation satisfies the interface.
 var _ Engine = (*simnet.Network)(nil)
+
+// ShardedFactory adapts simnet.NewSharded to the NewEngine hooks of workload
+// and replay configs. ShardedFactory(1) builds the same one-shard network as
+// simnet.New with the default latency model.
+func ShardedFactory(shards int) func(start time.Time, seed int64) Engine {
+	return func(start time.Time, seed int64) Engine {
+		return simnet.NewSharded(start, seed, simnet.ShardedConfig{Shards: shards})
+	}
+}

@@ -1,7 +1,10 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
+	"math/rand"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -27,7 +30,7 @@ func (h *recHandler) PeerConnected(p NodeID)    { h.conns.Add(1) }
 func (h *recHandler) PeerDisconnected(p NodeID) { h.disc.Add(1) }
 
 // addNodes registers n nodes and returns ids and handlers.
-func addNodes(t *testing.T, s *Sharded, n int) ([]NodeID, []*recHandler) {
+func addNodes(t *testing.T, s *simnet.Network, n int) ([]NodeID, []*recHandler) {
 	t.Helper()
 	ids := make([]NodeID, n)
 	hs := make([]*recHandler, n)
@@ -41,12 +44,14 @@ func addNodes(t *testing.T, s *Sharded, n int) ([]NodeID, []*recHandler) {
 	return ids, hs
 }
 
+// TestShardedHashPartitionSpreadsNodes: a model without region data has no
+// region partition, so nodes spread over all shards by ID hash.
 func TestShardedHashPartitionSpreadsNodes(t *testing.T) {
-	s := NewSharded(t0, 1, ShardedConfig{Shards: 4, Partition: PartitionHash})
+	s := simnet.NewSharded(t0, 1, simnet.ShardedConfig{Shards: 4, Latency: simnet.Fixed(10 * time.Millisecond)})
 	ids, _ := addNodes(t, s, 256)
 	counts := make(map[int]int)
 	for _, id := range ids {
-		counts[s.ownerShard(id)]++
+		counts[s.ShardOf(id)]++
 	}
 	if len(counts) != 4 {
 		t.Fatalf("expected nodes on all 4 shards, got %v", counts)
@@ -63,7 +68,7 @@ func TestShardedHashPartitionSpreadsNodes(t *testing.T) {
 // chosen cross-group minimum share a shard (EU and NA merge), RegionOther
 // stays apart, and the lookahead widens to the minimum cross-group latency.
 func TestShardedLatencyPartition(t *testing.T) {
-	s := NewSharded(t0, 1, ShardedConfig{Shards: 4})
+	s := simnet.NewSharded(t0, 1, simnet.ShardedConfig{Shards: 4})
 	regions := []simnet.Region{
 		simnet.RegionUS, simnet.RegionCA, simnet.RegionNL,
 		simnet.RegionDE, simnet.RegionFR, simnet.RegionOther,
@@ -74,7 +79,7 @@ func TestShardedLatencyPartition(t *testing.T) {
 		if err := s.AddNode(id, "a", r, 0, &recHandler{}); err != nil {
 			t.Fatal(err)
 		}
-		shardOf[r] = s.ownerShard(id)
+		shardOf[r] = s.ShardOf(id)
 	}
 	main := shardOf[simnet.RegionUS]
 	for _, r := range regions[:5] {
@@ -91,18 +96,18 @@ func TestShardedLatencyPartition(t *testing.T) {
 }
 
 func TestShardedPinMovesToControl(t *testing.T) {
-	s := NewSharded(t0, 1, ShardedConfig{Shards: 4})
+	s := simnet.NewSharded(t0, 1, simnet.ShardedConfig{Shards: 4})
 	ids, _ := addNodes(t, s, 32)
 	for _, id := range ids {
 		s.Pin(id)
-		if got := s.ownerShard(id); got != 0 {
+		if got := s.ShardOf(id); got != 0 {
 			t.Fatalf("pinned node on shard %d", got)
 		}
 	}
 }
 
 func TestShardedCrossShardDelivery(t *testing.T) {
-	s := NewSharded(t0, 7, ShardedConfig{Shards: 4, Latency: simnet.Fixed(10 * time.Millisecond)})
+	s := simnet.NewSharded(t0, 7, simnet.ShardedConfig{Shards: 4, Latency: simnet.Fixed(10 * time.Millisecond)})
 	ids, hs := addNodes(t, s, 64)
 	// Connect everything to everything and flood one message per pair.
 	sent := 0
@@ -138,20 +143,19 @@ func TestShardedCrossShardDelivery(t *testing.T) {
 	}
 }
 
-// TestShardedIdleSendAfterFarTimers pins the earliest() deadline guard: a
-// run that ends with only far-future timers pending must not advance any
-// wheel base toward them. Before the guard, the sequence below parked shard
-// A's base at its 20-minute timer slot, so an idle send to an A node was
-// clamped into that slot; the global minimum was shard B's 10-minute slot,
-// so the send never came up before any short deadline — silently lost
-// (delivered=0, dropped=0). The DHT refresh timers node.Start schedules
-// reproduce exactly this shape across two staggered bootstraps.
+// TestShardedIdleSendAfterFarTimers: a run that ends with only far-future
+// timers pending must leave a later idle send deliverable at its own time.
+// The timing wheel that once held each shard's events lost exactly this
+// send: each run parked a shard's wheel base at its far timer's slot, and
+// the idle send was clamped into it (delivered=0, dropped=0). The DHT
+// refresh timers node.Start schedules reproduce this shape across two
+// staggered bootstraps.
 func TestShardedIdleSendAfterFarTimers(t *testing.T) {
-	s := NewSharded(t0, 1, ShardedConfig{Shards: 2, Latency: simnet.Fixed(10 * time.Millisecond)})
+	s := simnet.NewSharded(t0, 1, simnet.ShardedConfig{Shards: 2, Latency: simnet.Fixed(10 * time.Millisecond)})
 	ids, hs := addNodes(t, s, 8)
 	a, b := -1, -1
 	for i, id := range ids {
-		if s.ownerShard(id) == 0 {
+		if s.ShardOf(id) == 0 {
 			if a < 0 {
 				a = i
 			}
@@ -190,7 +194,7 @@ func TestShardedIdleSendAfterFarTimers(t *testing.T) {
 }
 
 func TestShardedConnectCallbacksArrive(t *testing.T) {
-	s := NewSharded(t0, 3, ShardedConfig{Shards: 4})
+	s := simnet.NewSharded(t0, 3, simnet.ShardedConfig{Shards: 4})
 	ids, hs := addNodes(t, s, 16)
 	for i := 1; i < len(ids); i++ {
 		if err := s.Connect(ids[0], ids[i]); err != nil {
@@ -218,7 +222,7 @@ func TestShardedConnectCallbacksArrive(t *testing.T) {
 }
 
 func TestShardedTimersFireInOrder(t *testing.T) {
-	s := NewSharded(t0, 9, ShardedConfig{Shards: 2})
+	s := simnet.NewSharded(t0, 9, simnet.ShardedConfig{Shards: 2})
 	var order []int
 	s.After(3*time.Second, func() { order = append(order, 3) })
 	s.After(time.Second, func() { order = append(order, 1) })
@@ -235,7 +239,7 @@ func TestShardedTimersFireInOrder(t *testing.T) {
 // TestShardedDeadlineInclusive matches the serial engine: an event exactly
 // at the run deadline fires.
 func TestShardedDeadlineInclusive(t *testing.T) {
-	s := NewSharded(t0, 9, ShardedConfig{Shards: 2})
+	s := simnet.NewSharded(t0, 9, simnet.ShardedConfig{Shards: 2})
 	fired := false
 	s.After(time.Hour, func() { fired = true })
 	s.Run(time.Hour)
@@ -245,7 +249,7 @@ func TestShardedDeadlineInclusive(t *testing.T) {
 }
 
 func TestShardedPeersSorted(t *testing.T) {
-	s := NewSharded(t0, 5, ShardedConfig{Shards: 4})
+	s := simnet.NewSharded(t0, 5, simnet.ShardedConfig{Shards: 4})
 	ids, _ := addNodes(t, s, 50)
 	for i := 1; i < len(ids); i++ {
 		if err := s.Connect(ids[0], ids[i]); err != nil {
@@ -271,10 +275,10 @@ func TestShardedPeersSorted(t *testing.T) {
 }
 
 func TestShardedNewRandMatchesSerial(t *testing.T) {
-	// Identical seed and derivation order must give identical streams on
-	// both engines, so world construction is engine-independent.
+	// Identical seed and derivation order must give identical streams at
+	// one shard and at four, so world construction is shard-independent.
 	ser := simnet.New(t0, 1234, nil)
-	sh := NewSharded(t0, 1234, ShardedConfig{Shards: 4})
+	sh := simnet.NewSharded(t0, 1234, simnet.ShardedConfig{Shards: 4})
 	for _, name := range []string{"workload", "node-a", "node-b"} {
 		a, b := ser.NewRand(name), sh.NewRand(name)
 		for i := 0; i < 16; i++ {
@@ -286,26 +290,26 @@ func TestShardedNewRandMatchesSerial(t *testing.T) {
 }
 
 func TestShardedLookaheadFromModel(t *testing.T) {
-	// PartitionAuto groups low-latency regions, so the lookahead is the
+	// Region placement groups low-latency regions, so the lookahead is the
 	// minimum CROSS-GROUP base latency, not the model's global minimum.
-	s := NewSharded(t0, 1, ShardedConfig{Shards: 2})
+	s := simnet.NewSharded(t0, 1, simnet.ShardedConfig{Shards: 2})
 	if s.Lookahead() != 90*time.Millisecond {
 		t.Fatalf("lookahead %v, want 90ms (default model cross-group min)", s.Lookahead())
 	}
-	// Hash placement mixes all regions on every shard: the lookahead must
-	// fall back to the global minimum.
-	sh := NewSharded(t0, 1, ShardedConfig{Shards: 2, Partition: PartitionHash})
+	// Without region data nodes are placed by hash, which mixes every delay
+	// on every shard: the lookahead must fall back to the global minimum.
+	sh := simnet.NewSharded(t0, 1, simnet.ShardedConfig{Shards: 2, Latency: simnet.Fixed(12 * time.Millisecond)})
 	if sh.Lookahead() != 12*time.Millisecond {
-		t.Fatalf("hash-partition lookahead %v, want 12ms (default model min)", sh.Lookahead())
+		t.Fatalf("hash-partition lookahead %v, want 12ms (model min)", sh.Lookahead())
 	}
-	s2 := NewSharded(t0, 1, ShardedConfig{Shards: 2, Latency: simnet.Fixed(0)})
+	s2 := simnet.NewSharded(t0, 1, simnet.ShardedConfig{Shards: 2, Latency: simnet.Fixed(0)})
 	if s2.Lookahead() <= 0 {
 		t.Fatal("lookahead must be positive even for zero-delay models")
 	}
 }
 
 func TestShardedPeersEach(t *testing.T) {
-	s := NewSharded(t0, 5, ShardedConfig{Shards: 4})
+	s := simnet.NewSharded(t0, 5, simnet.ShardedConfig{Shards: 4})
 	ids, _ := addNodes(t, s, 20)
 	for i := 1; i < len(ids); i++ {
 		if err := s.Connect(ids[0], ids[i]); err != nil {
@@ -335,4 +339,112 @@ func TestShardedPeersEach(t *testing.T) {
 		t.Fatal("callback for unknown node")
 		return false
 	})
+}
+
+// orderNode logs every event it runs into its shard's log and passes
+// messages on along its region's ring.
+type orderNode struct {
+	s     *simnet.Network
+	id    NodeID
+	next  NodeID
+	log   *[]orderEntry
+	total int // timers scheduled, the base of send ranks
+}
+
+// orderEntry is one executed event: its virtual time and its rank in the
+// (time, rank) order the shard must drain in. Timers scheduled while idle
+// rank by call order; a send ranks after every timer, by the position of its
+// sending event in the shard's log, which is the order the shard's heap
+// received it.
+type orderEntry struct {
+	at   time.Duration
+	rank int
+}
+
+// orderMsg is a message in flight along a ring.
+type orderMsg struct{ rank, hops int }
+
+func (o *orderNode) record(rank int) int {
+	*o.log = append(*o.log, orderEntry{o.s.EventTime(o.id).Sub(t0), rank})
+	return len(*o.log) - 1
+}
+
+func (o *orderNode) HandleMessage(from NodeID, msg any) {
+	m := msg.(orderMsg)
+	pos := o.record(m.rank)
+	if m.hops < 2 && m.rank%2 == 0 {
+		_ = o.s.Send(o.id, o.next, orderMsg{rank: o.total + pos, hops: m.hops + 1})
+	}
+}
+func (o *orderNode) PeerConnected(NodeID)    {}
+func (o *orderNode) PeerDisconnected(NodeID) {}
+
+// TestShardHeapDrainsInTimeSeqOrder drives random schedules through four
+// shards and requires each shard to run its events in (time, seq) order.
+// Four regions 1 ms apart internally and 40 ms apart from each other give
+// one region per shard and 40 ms windows, so same-region sends (1 ms, no
+// jitter) land inside the window that sent them, often at the very time of
+// timers scheduled earlier: equal-time ties between idle inserts and
+// same-window inserts, which the earlier insert must win.
+func TestShardHeapDrainsInTimeSeqOrder(t *testing.T) {
+	regions := []Region{"R0", "R1", "R2", "R3"}
+	lm := &simnet.LatencyModel{Base: map[[2]Region]time.Duration{}, Default: 40 * time.Millisecond}
+	for _, r := range regions {
+		lm.Base[[2]Region{r, r}] = time.Millisecond
+	}
+	s := simnet.NewSharded(t0, 1, simnet.ShardedConfig{Shards: 4, Latency: lm})
+	if s.Lookahead() != 40*time.Millisecond {
+		t.Fatalf("lookahead %v, want 40ms", s.Lookahead())
+	}
+	const perRegion, timers = 8, 3000
+	logs := make([][]orderEntry, s.Shards())
+	var nodes []*orderNode
+	for ri, r := range regions {
+		for k := 0; k < perRegion; k++ {
+			o := &orderNode{s: s, id: simnet.DeriveNodeID([]byte{byte(ri), byte(k), 0x0d}), total: timers}
+			if err := s.AddNode(o.id, "10.0.0.1:4001", r, 0, o); err != nil {
+				t.Fatal(err)
+			}
+			o.log = &logs[s.ShardOf(o.id)]
+			nodes = append(nodes, o)
+		}
+	}
+	for i, o := range nodes {
+		o.next = nodes[i/perRegion*perRegion+(i+1)%perRegion].id
+		if err := s.Connect(o.id, o.next); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < timers; i++ {
+		o := nodes[rng.Intn(len(nodes))]
+		s.AfterOn(o.id, time.Duration(rng.Intn(120))*time.Millisecond, func() {
+			pos := o.record(i)
+			if i%3 == 0 {
+				_ = s.Send(o.id, o.next, orderMsg{rank: timers + pos})
+			}
+		})
+	}
+	s.Run(time.Second)
+
+	ran := 0
+	for sh, log := range logs {
+		if len(log) == 0 {
+			t.Fatalf("shard %d ran no events", sh)
+		}
+		ran += len(log)
+		want := slices.Clone(log)
+		slices.SortFunc(want, func(a, b orderEntry) int {
+			return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.rank, b.rank))
+		})
+		for k := range log {
+			if log[k] != want[k] {
+				t.Fatalf("shard %d event %d ran %+v, want %+v by (time, seq)", sh, k, log[k], want[k])
+			}
+		}
+	}
+	delivered, dropped := s.Stats()
+	if ran != timers+int(delivered) || dropped != 0 {
+		t.Fatalf("ran %d events, want %d timers + %d deliveries (%d dropped)", ran, timers, delivered, dropped)
+	}
 }

@@ -28,9 +28,9 @@ type Tracing interface {
 	// messages). Call only from event code running for id.
 	InboundCtx(id NodeID) otrace.Ctx
 	// EventTime returns the exact virtual time of the event currently
-	// executing for node id — unlike Now, which the sharded engine
-	// quantizes to the window start. Call only from event code running for
-	// id; outside a run it falls back to Now.
+	// executing for node id — unlike Now, which several shards quantize to
+	// the window start. Call only from event code running for id; outside a
+	// run it falls back to Now.
 	EventTime(id NodeID) time.Time
 }
 

@@ -137,12 +137,29 @@ func TestSerialEngineSeedSensitivity(t *testing.T) {
 	}
 }
 
+// TestOneShardEqualsSerial: serial is the one-shard case of the one
+// engine, so `engine: sharded, shards: 1` must produce the serial run's
+// unified trace byte for byte.
+func TestOneShardEqualsSerial(t *testing.T) {
+	serial := collectUnified(t, tinySpec())
+	one := tinySpec()
+	one.Engine, one.Shards = "sharded", 1
+	sharded := collectUnified(t, one)
+	if len(serial.unified) == 0 {
+		t.Fatal("scenario produced no trace entries")
+	}
+	if traceHash(t, serial.unified) != traceHash(t, sharded.unified) {
+		t.Fatalf("sharded-1 trace differs from serial (%d vs %d entries)", len(sharded.unified), len(serial.unified))
+	}
+}
+
 // TestShardedSerialEquivalence runs the same scenario on both engines and
 // requires the aggregate monitor statistics to agree within tolerance at
-// every supported shard count. The sharded engine is statistically — not
-// bitwise — equivalent: latency draws come from per-shard RNG streams and
-// cross-shard deliveries are floored at the lookahead, so entry-level traces differ
-// while the aggregates the paper's evaluation rests on must not. Shard
+// every supported shard count. Above one shard the engine is statistically
+// — not bitwise — equivalent: latency draws come from per-shard RNG streams
+// and cross-shard deliveries are floored at the lookahead, so entry-level
+// traces differ while the aggregates the paper's evaluation rests on must
+// not (one shard is byte-equal, see TestOneShardEqualsSerial). Shard
 // counts beyond the node-population shape (16 shards for 150 nodes) also
 // exercise idle-shard scheduling in the coordinator.
 func TestShardedSerialEquivalence(t *testing.T) {

@@ -148,9 +148,9 @@ func TestReplayRoundTripFromSimulation(t *testing.T) {
 	}
 }
 
-// TestReplayFittedAmplifiedSharded: fitted replay at 10× runs on
-// engine.Sharded, scales the volume, and preserves the fitted popularity
-// alpha within tolerance.
+// TestReplayFittedAmplifiedSharded: fitted replay at 10× runs on several
+// shards, scales the volume, and preserves the fitted popularity alpha
+// within tolerance.
 func TestReplayFittedAmplifiedSharded(t *testing.T) {
 	paths, _ := recordRun(t, t.TempDir(), 22, 3)
 

@@ -8,7 +8,6 @@ import (
 	"bitswapmon/internal/bitswap"
 	"bitswapmon/internal/cid"
 	"bitswapmon/internal/dht"
-	"bitswapmon/internal/engine"
 	"bitswapmon/internal/ingest"
 	"bitswapmon/internal/node"
 	"bitswapmon/internal/simnet"
@@ -273,13 +272,13 @@ func (quietNode) HandleMessage(simnet.NodeID, any) {}
 func (quietNode) PeerConnected(simnet.NodeID)      {}
 func (quietNode) PeerDisconnected(simnet.NodeID)   {}
 
-// TestShardedMonitorStampsExactEventTime: the sharded engine advances Now
+// TestShardedMonitorStampsExactEventTime: with several shards Now advances
 // once per lookahead window, so two messages delivered inside one window
 // must still be recorded at their own delivery times, not both at the
 // window's start.
 func TestShardedMonitorStampsExactEventTime(t *testing.T) {
 	const lat = 20 * time.Millisecond
-	net := engine.NewSharded(t0, 1, engine.ShardedConfig{Shards: 2, Latency: simnet.Fixed(lat)})
+	net := simnet.NewSharded(t0, 1, simnet.ShardedConfig{Shards: 2, Latency: simnet.Fixed(lat)})
 	if net.Lookahead() != lat {
 		t.Fatalf("lookahead = %v, want the fixed latency %v", net.Lookahead(), lat)
 	}

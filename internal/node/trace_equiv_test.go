@@ -151,7 +151,7 @@ func TestTraceSerialShardedEquivalence(t *testing.T) {
 	for _, shards := range []int{2, 4} {
 		t.Run(fmt.Sprintf("shards-%d", shards), func(t *testing.T) {
 			shardedSpans, shardedSampled := tracedFetchSpans(t, func(start time.Time, seed int64, lm *simnet.LatencyModel) engine.Engine {
-				return engine.NewSharded(start, seed, engine.ShardedConfig{Shards: shards, Latency: lm})
+				return simnet.NewSharded(start, seed, simnet.ShardedConfig{Shards: shards, Latency: lm})
 			})
 			if len(shardedSampled) != len(serialSampled) {
 				t.Fatalf("sampled trace sets differ in size: serial %d, sharded %d", len(serialSampled), len(shardedSampled))

@@ -21,8 +21,8 @@
 // Input traces stream with bounded memory: segment stores and trace files
 // are merged through ingest.StreamUnifier, and the driver schedules only one
 // lookahead horizon of events at a time. Events are posted to the owning
-// node's shard via engine.Timers.AfterOn, so replay runs unmodified under
-// engine.Sharded.
+// node's shard via engine.Timers.AfterOn, so replay runs unmodified at any
+// shard count.
 package replay
 
 import (
@@ -254,7 +254,7 @@ const graceFor = 5 * time.Second
 // It must be called from the driver goroutine (not from event code), and a
 // World should be driven once.
 func (w *World) Drive(src EventSource) (*DriveStats, error) {
-	if sn, ok := w.Net.(*simnet.Network); ok {
+	if sn, ok := w.Net.(*simnet.Network); ok && sn.Shards() == 1 {
 		return w.drivePump(sn, src)
 	}
 	warp := w.cfg.TimeWarp
@@ -305,12 +305,12 @@ type msgBuf struct {
 	readyAt time.Time
 }
 
-// drivePump is the serial-engine fast path of Drive: instead of wrapping
-// every event in an AfterOn timer closure (a heap insert into a queue that
-// grows to a whole horizon of pending timers, plus three allocations per
-// event), it advances the engine to each event's warped time with RunUntil
-// and issues the sends inline. The serial engine's RunUntil is exact and
-// cheap, the event heap only ever holds in-flight deliveries, and resident
+// drivePump is the one-shard fast path of Drive: instead of wrapping every
+// event in an AfterOn timer closure (a heap insert into a queue that grows
+// to a whole horizon of pending timers, plus three allocations per event),
+// it advances the engine to each event's warped time with RunUntil and
+// sends inline. One shard's RunUntil is exact and cheap, the
+// event heap only ever holds in-flight deliveries, and resident
 // memory is one event, not one horizon. Send times are identical to the
 // timer path, so the monitor-side trace is equivalent entry-for-entry.
 func (w *World) drivePump(sn *simnet.Network, src EventSource) (*DriveStats, error) {

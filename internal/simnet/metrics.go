@@ -1,4 +1,4 @@
-package engine
+package simnet
 
 import (
 	"strconv"
@@ -7,11 +7,12 @@ import (
 	"bitswapmon/internal/obs"
 )
 
-// engineMetrics is the sharded engine's telemetry surface: shard-level
-// visibility into the lockstep hot path (per-shard event rates, barrier
-// waits, timer-queue depth, cross-shard traffic) — the numbers that tell an
+// engineMetrics is the event loop's telemetry surface: shard-level
+// visibility into the hot path (per-shard event rates, barrier waits,
+// timer-queue depth, cross-shard traffic) — the numbers that tell an
 // operator whether the next 10× needs wider lookahead windows, better shard
-// partitioning, or just more shards.
+// partitioning, or just more shards. One-shard runs report their events,
+// sends and queue depth too; they have no windows or barriers.
 type engineMetrics struct {
 	events  *obs.CounterVec   // engine_shard_events_total{shard}
 	barrier *obs.HistogramVec // engine_shard_barrier_wait_seconds{shard}
@@ -25,8 +26,8 @@ var engMetrics atomic.Pointer[engineMetrics]
 
 // EnableMetrics registers the engine's metrics in r (obs.Default when nil)
 // and turns instrumentation on for engines created afterwards. When it has
-// never been called, every hot path pays only a nil check on a pointer
-// resolved at engine construction.
+// never been called, the handles resolved at engine construction are nil and
+// the event loop keeps only its plain per-shard counts.
 func EnableMetrics(r *obs.Registry) {
 	if r == nil {
 		r = obs.Default
@@ -38,7 +39,7 @@ func EnableMetrics(r *obs.Registry) {
 			"Per-window time a shard spent idle at the lockstep barrier waiting for the slowest shard.",
 			obs.ExponentialBuckets(1e-6, 10, 8), "shard"),
 		depth: r.GaugeVec("engine_shard_timer_queue_depth",
-			"Pending events in a shard's timer queue, sampled at window boundaries.", "shard"),
+			"Pending events in a shard's event heap, sampled whenever the shard finishes a window or run.", "shard"),
 		cross: r.Counter("engine_cross_shard_sends_total",
 			"Messages whose sender and receiver live on different shards."),
 		sends: r.Counter("engine_sends_total",
@@ -49,11 +50,14 @@ func EnableMetrics(r *obs.Registry) {
 }
 
 // shardMetrics is the per-shard slice of engineMetrics, resolved once at
-// NewSharded so the event loop touches no label maps.
+// NewSharded so the event loop touches no label maps. Every handle is nil
+// when metrics are off.
 type shardMetrics struct {
 	events  *obs.Counter
 	barrier *obs.Histogram
 	depth   *obs.Gauge
+	sends   *obs.Counter
+	cross   *obs.Counter
 }
 
 func newShardMetrics(m *engineMetrics, shard int) shardMetrics {
@@ -65,5 +69,7 @@ func newShardMetrics(m *engineMetrics, shard int) shardMetrics {
 		events:  m.events.With(s),
 		barrier: m.barrier.With(s),
 		depth:   m.depth.With(s),
+		sends:   m.sends,
+		cross:   m.cross,
 	}
 }

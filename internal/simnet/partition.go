@@ -1,33 +1,19 @@
-package engine
+package simnet
 
 import (
 	"hash/fnv"
 	"slices"
 	"time"
-
-	"bitswapmon/internal/simnet"
 )
 
-// PartitionMode selects how AddNode maps nodes to shards.
-type PartitionMode int
-
-const (
-	// PartitionAuto groups regions with low mutual latency onto the same
-	// shard, so the minimum latency between shards — and with it the
-	// conservative lookahead window — is as wide as the model allows. With
-	// the default latency model this merges the EU and NA regions onto one
-	// shard and keeps RegionOther on another, widening the window from 12ms
-	// (the global minimum) to 90ms (the minimum cross-group base latency) —
-	// 7.5x fewer lockstep barriers for the same simulated time. Models
-	// without region data (e.g. simnet.Fixed) fall back to hash placement.
-	PartitionAuto PartitionMode = iota
-	// PartitionHash spreads nodes over all shards by ID hash, the legacy
-	// policy. Maximum shard parallelism, narrowest window.
-	PartitionHash
-)
-
-// regionPartition is the resolved placement policy: a region->group map plus
-// the lookahead the grouping supports. nil means hash placement.
+// regionPartition is the placement policy: regions with low mutual latency
+// share a shard, so the minimum latency between shards — and with it the
+// conservative lookahead window — is as wide as the model allows. With the
+// default latency model this merges the EU and NA regions onto one shard and
+// keeps RegionOther on another, widening the window from 12ms (the global
+// minimum) to 90ms (the minimum cross-group base latency): 7.5x fewer
+// lockstep barriers for the same simulated time. Models without region data
+// (e.g. Fixed) have no partition and fall back to ID-hash placement.
 type regionPartition struct {
 	groupOf map[Region]int32
 	groups  int32
@@ -49,7 +35,7 @@ type regionPartition struct {
 // engine whose per-window barrier cost is fixed. Returns nil (hash
 // placement) when the model has no region table or clustering cannot beat
 // the trivial single-group/all-groups layouts.
-func planPartition(lm *simnet.LatencyModel, shards int) *regionPartition {
+func planPartition(lm *LatencyModel, shards int) *regionPartition {
 	if len(lm.Base) == 0 || shards < 1 {
 		return nil
 	}
@@ -179,7 +165,7 @@ func hashRegion(r Region) uint64 {
 	return h.Sum64()
 }
 
-// hashShard is the legacy ID-hash placement.
+// hashShard is the ID-hash placement for models without region data.
 func hashShard(id NodeID, shards int) int32 {
 	h := fnv.New64a()
 	h.Write(id[:])

@@ -3,17 +3,34 @@
 //
 // It provides virtual time, latency-modelled message delivery between
 // connected nodes, timers, and a connection table with per-node capacity
-// limits. All randomness flows from a single seed, so simulations are
-// reproducible bit-for-bit. The simulator is single-threaded: handlers run
-// inside Run on the caller's goroutine, which removes all locking and
-// scheduling nondeterminism.
+// limits. All randomness flows from a single seed, so a simulation is
+// reproducible bit-for-bit for a given seed and shard count.
+//
+// There is one event loop. A Network places its nodes on one or more shards,
+// each owning one binary min-heap of events ordered by (time, seq), and every
+// shard drains its heap through the same code. What the shard count changes:
+//
+//   - One shard (New, or NewSharded with Shards: 1): RunUntil pops the heap
+//     inline on the caller's goroutine and the clock is exact at every
+//     event. Timers go straight into the heap, handlers hear of connection
+//     changes synchronously and latency jitter comes from the root RNG. This
+//     is the serial reference.
+//   - Several shards: a coordinator advances the shards in lockstep over
+//     conservative lookahead windows, each shard draining its own heap on a
+//     worker goroutine (see runWindows). Now is the window start; EventTime
+//     stays exact. Timers scheduled from event code, cross-shard sends and
+//     connection notifications cross shards as events merged at the window
+//     barrier, and jitter comes from a per-shard splitmix64 stream. Output is
+//     deterministic per seed and shard count, but differs between counts.
 package simnet
 
 import (
 	"hash/fnv"
 	"math/rand"
+	"sync"
 	"time"
 
+	"bitswapmon/internal/obs"
 	"bitswapmon/internal/otrace"
 )
 
@@ -43,154 +60,288 @@ const (
 	RegionOther Region = "XX"
 )
 
-// event is one scheduled action: a callback when fn != nil, otherwise an
-// in-flight message delivery carried inline. Deliveries dominate the event
-// loop, so carrying their payload in the event instead of a closure saves
-// one allocation per send and the node-table lookups at delivery time.
-type event struct {
-	at time.Time
-	// atNs is at.UnixNano(), precomputed so heap comparisons are integer
-	// compares instead of time.Time wall/monotonic unpacking.
-	atNs int64
-	seq  uint64
-	fn   func()
-	// Delivery payload (fn == nil): msg travels from -> to; epoch is the
-	// sender's peer-set epoch at send time.
-	msg      any
-	from, to NodeRef
-	epoch    uint64
+// sev is one scheduled event, stored by value in its shard's heap: a
+// callback when fn != nil, otherwise an in-flight message delivery carried
+// inline, so the send path allocates no closure and no per-event node.
+type sev struct {
+	atNs  int64   // virtual time, nanoseconds since the network's start
+	seq   uint64  // the shard's insertion order, breaking ties within equal atNs
+	fn    func()  // timer callback; nil for message deliveries
+	msg   any     // delivery payload (fn == nil)
+	from  NodeRef // delivery sender
+	to    NodeRef // delivery receiver
+	epoch uint64  // sender's peer-set epoch at send time
 	// tr carries the trace context of a sampled send (nil otherwise); the
 	// message itself is never wrapped, so handlers and taps see exactly the
 	// traffic of an untraced run.
 	tr *otrace.HopRef
 }
 
-// eventQueue is a binary min-heap ordered by (at, seq). The (at, seq) pair
-// is a total order — seq is unique — so the pop sequence is independent of
-// heap shape and any correct heap implementation is behaviourally
-// equivalent. The sift loops are inlined (rather than container/heap) to
-// avoid interface dispatch on the hottest path in the simulator.
-type eventQueue []*event
-
-func (q eventQueue) less(i, j int) bool {
-	if q[i].atNs != q[j].atNs {
-		return q[i].atNs < q[j].atNs
-	}
-	return q[i].seq < q[j].seq
+// before is the (time, seq) total order every shard drains in. seq is unique
+// within a shard, so the pop sequence does not depend on the heap's shape.
+func (a *sev) before(b *sev) bool {
+	return a.atNs < b.atNs || a.atNs == b.atNs && a.seq < b.seq
 }
 
-func (q eventQueue) Peek() *event { return q[0] }
-
-func (n *Network) qPush(e *event) {
-	q := append(n.queue, e)
-	for i := len(q) - 1; i > 0; {
-		parent := (i - 1) / 2
-		if !q.less(i, parent) {
-			break
-		}
-		q[i], q[parent] = q[parent], q[i]
-		i = parent
-	}
-	n.queue = q
+// ShardedConfig parametrises a Network.
+type ShardedConfig struct {
+	// Shards is the number of shards (default: 4). Shard 0 is the control
+	// shard: it runs all control-affine timers plus every pinned node
+	// (monitors, gateways).
+	Shards int
+	// Latency is the delay model; nil selects DefaultLatencyModel.
+	Latency *LatencyModel
 }
 
-func (n *Network) qPop() *event {
-	q := n.queue
-	e := q[0]
-	last := len(q) - 1
-	q[0] = q[last]
-	q[last] = nil
-	q = q[:last]
-	for i := 0; ; {
-		c := 2*i + 1
-		if c >= len(q) {
-			break
-		}
-		if r := c + 1; r < len(q) && q.less(r, c) {
-			c = r
-		}
-		if !q.less(c, i) {
-			break
-		}
-		q[i], q[c] = q[c], q[i]
-		i = c
-	}
-	n.queue = q
-	return e
-}
-
-// Network is the simulator. Construct with New; not safe for concurrent use.
-// Membership, connections and base latency live in the embedded Table; the
-// network adds the event heap, the clock, the jitter stream and synchronous
-// connection notifications.
+// Network is the simulator. Construct with New or NewSharded. Membership,
+// connections and base latency live in the embedded Table; the network adds
+// the shards' event heaps, the clock, the jitter streams and connection
+// notifications. Run, RunUntil, AddNode and Pin are for one controlling
+// goroutine, never for event code.
 type Network struct {
 	*Table
-	now     time.Time
-	seq     uint64
-	queue   eventQueue
+	start   time.Time
+	startNs int64 // start.UnixNano(), for span stamps
+	// nowNs is virtual now in nanoseconds since start: exact at every event
+	// with one shard, the current window's start with several.
+	nowNs int64
+
+	rootMu  sync.Mutex
 	rootRNG *rand.Rand
 
-	// pool recycles event structs between schedule and step.
-	pool []*event
+	shards []*shard
+	// shardOf is each node's owner shard, indexed by its table ref; written
+	// only while the network is idle (AddNode/Pin contract).
+	shardOf []int32
+	part    *regionPartition // nil: hash placement
+	qNs     int64            // lookahead window width
+	serial  bool             // one shard: inline drain, synchronous notifications
+	running bool             // a window loop is in progress (several shards)
 
-	// counters
-	delivered uint64
-	dropped   uint64
+	// m is the telemetry handle resolved at construction; nil (metrics
+	// never enabled) keeps every hot path at a single branch.
+	m *engineMetrics
 
-	// tracer records request spans when set (see internal/otrace); curIn is
-	// the trace context of the delivery currently being handled.
+	// tracer records request spans when set (see internal/otrace).
 	tracer *otrace.Tracer
-	curIn  otrace.Ctx
 }
 
-// New creates a network starting at the given virtual time with the given
-// seed. A nil latency model selects DefaultLatencyModel.
+// outCell buffers one (src,dst) shard pair's in-window sends.
+type outCell struct {
+	mu  sync.Mutex
+	evs []sev
+}
+
+// shard is one event heap and the state of the goroutine draining it. Its
+// heap is single-writer: the shard's worker while a window runs, the
+// goroutine calling Run otherwise. Other shards reach it only through the inbox and the
+// outbox cells, which the coordinator merges at window barriers.
+type shard struct {
+	q   []sev // binary min-heap by (atNs, seq)
+	seq uint64
+
+	// inbox receives timers scheduled from event code on any shard.
+	inMu  sync.Mutex
+	inbox []sev
+	// out[d] buffers sends from this shard to shard d within one window.
+	out []outCell
+
+	rng uint64 // splitmix64 jitter state (several shards)
+
+	// curAtNs is the exact virtual time of the event this shard is
+	// executing; curIn is its trace context when it is a traced delivery.
+	// Read only by event code running on this shard (EventTime/InboundCtx).
+	curAtNs int64
+	curIn   otrace.Ctx
+
+	delivered, dropped uint64
+	// events, sends and cross count since the last flush into met.
+	events, sends, cross uint64
+	met                  shardMetrics
+	procNs               int64 // this window's processing time (instrumented runs)
+	busy                 bool  // signalled for the current window
+}
+
+// New creates a one-shard network starting at the given virtual time with
+// the given seed. A nil latency model selects DefaultLatencyModel.
 func New(start time.Time, seed int64, lm *LatencyModel) *Network {
-	n := &Network{
-		now:     start,
-		rootRNG: rand.New(rand.NewSource(seed)),
+	return NewSharded(start, seed, ShardedConfig{Shards: 1, Latency: lm})
+}
+
+// NewSharded creates a network over cfg.Shards shards. NewRand derives the
+// same labelled streams for the same seed at every shard count, so world
+// construction does not depend on it.
+func NewSharded(start time.Time, seed int64, cfg ShardedConfig) *Network {
+	if cfg.Shards <= 0 {
+		cfg.Shards = 4
 	}
-	n.Table = NewTable(lm, n.notify)
+	n := &Network{
+		start:   start,
+		startNs: start.UnixNano(),
+		rootRNG: rand.New(rand.NewSource(seed)),
+		shards:  make([]*shard, cfg.Shards),
+		serial:  cfg.Shards == 1,
+		m:       engMetrics.Load(),
+	}
+	n.Table = NewTable(cfg.Latency, n.notify)
+	lm := n.Latency()
+	n.part = planPartition(lm, cfg.Shards)
+	// The synchronization window is the minimum latency of any cross-shard
+	// region pair: anything longer could deliver a cross-shard message into
+	// a window its destination has already processed.
+	la := lm.Min()
+	if n.part != nil {
+		la = n.part.lookahead
+	}
+	if la <= 0 {
+		la = time.Millisecond
+	}
+	n.qNs = int64(la)
+	for i := range n.shards {
+		n.shards[i] = &shard{
+			rng: uint64(seed) ^ 0x9e3779b97f4a7c15*uint64(i+1),
+			out: make([]outCell, cfg.Shards),
+			met: newShardMetrics(n.m, i),
+		}
+	}
 	return n
 }
 
-// notify tells node's handler, synchronously, that its connection to peer
-// went up or down.
-func (n *Network) notify(node, peer NodeRef, up bool) {
-	if up {
-		n.Handler(node).PeerConnected(n.ID(peer))
-	} else {
-		n.Handler(node).PeerDisconnected(n.ID(peer))
-	}
-}
+// Shards returns the shard count.
+func (n *Network) Shards() int { return len(n.shards) }
 
-// Now returns the current virtual time.
-func (n *Network) Now() time.Time { return n.now }
+// Lookahead returns the conservative synchronization window.
+func (n *Network) Lookahead() time.Duration { return time.Duration(n.qNs) }
 
-// SetTracer installs the span recorder (nil disables tracing).
+// Now returns the current virtual time: exact with one shard, the current
+// window's start while several shards run.
+func (n *Network) Now() time.Time { return n.start.Add(time.Duration(n.nowNs)) }
+
+// SetTracer installs the span recorder (nil disables tracing). Call before
+// the first Run.
 func (n *Network) SetTracer(t *otrace.Tracer) { n.tracer = t }
 
 // Tracer returns the installed span recorder.
 func (n *Network) Tracer() *otrace.Tracer { return n.tracer }
 
-// EventTime returns the exact virtual time of the executing event; the
-// serial clock is already exact, so it equals Now.
-func (n *Network) EventTime(id NodeID) time.Time { return n.now }
+// EventTime returns the exact virtual time of the event currently executing
+// for id. Call only from event code running for id; outside a run it is Now.
+func (n *Network) EventTime(id NodeID) time.Time {
+	if n.running {
+		if at := n.shards[n.ShardOf(id)].curAtNs; at != 0 {
+			return n.start.Add(time.Duration(at))
+		}
+	}
+	return n.Now()
+}
 
 // InboundCtx returns the trace context of the message currently being
-// handled (zero outside HandleMessage or for untraced messages).
-func (n *Network) InboundCtx(id NodeID) otrace.Ctx { return n.curIn }
+// handled for id (zero outside HandleMessage or for untraced messages).
+// Call only from event code running for id.
+func (n *Network) InboundCtx(id NodeID) otrace.Ctx {
+	return n.shards[n.ShardOf(id)].curIn
+}
 
-// NewRand derives an independent deterministic RNG labelled by name.
+// NewRand derives an independent deterministic RNG labelled by name. Call at
+// build time or between Run calls only.
 func (n *Network) NewRand(name string) *rand.Rand {
 	h := fnv.New64a()
 	h.Write([]byte(name))
+	n.rootMu.Lock()
+	defer n.rootMu.Unlock()
 	return rand.New(rand.NewSource(n.rootRNG.Int63() ^ int64(h.Sum64())))
 }
 
-// Pin is an affinity hint used by parallel engines; the serial network runs
-// everything on one goroutine, so it is a no-op.
-func (n *Network) Pin(id NodeID) {}
+// ShardOf returns the shard that runs a node's events; unknown nodes map to
+// the control shard.
+func (n *Network) ShardOf(id NodeID) int {
+	if !n.serial {
+		if r, ok := n.Ref(id); ok {
+			return int(n.shardOf[r])
+		}
+	}
+	return 0
+}
+
+// AddNode registers a node: latency-aware region placement when the model
+// has region data, ID-hash placement otherwise. Call at build time or
+// between Run calls, never from event code.
+func (n *Network) AddNode(id NodeID, addr string, region Region, maxConns int, h Handler) error {
+	if err := n.Table.AddNode(id, addr, region, maxConns, h); err != nil {
+		return err
+	}
+	shard := hashShard(id, len(n.shards))
+	if n.part != nil {
+		shard = n.part.shardFor(region, len(n.shards))
+	}
+	n.shardOf = append(n.shardOf, shard)
+	return nil
+}
+
+// Pin moves a node to the control shard. Pin right after AddNode, before
+// any event for the node is scheduled.
+func (n *Network) Pin(id NodeID) {
+	if r, ok := n.Ref(id); ok {
+		n.shardOf[r] = 0
+	}
+}
+
+// notify tells node's handler that its connection to peer went up or down:
+// synchronously with one shard, as an event on the node's owner shard with
+// several.
+func (n *Network) notify(node, peer NodeRef, up bool) {
+	h, p := n.Handler(node), n.ID(peer)
+	if n.serial {
+		if up {
+			h.PeerConnected(p)
+		} else {
+			h.PeerDisconnected(p)
+		}
+		return
+	}
+	var fn func()
+	if up {
+		fn = func() { h.PeerConnected(p) }
+	} else {
+		fn = func() { h.PeerDisconnected(p) }
+	}
+	n.schedTimer(int(n.shardOf[node]), n.nowNs, fn)
+}
+
+// schedTimer routes a timer event: straight into the target heap unless a
+// window loop is running, in which case it goes through the target's locked
+// inbox and runs no earlier than the next window.
+func (n *Network) schedTimer(shard int, atNs int64, fn func()) {
+	sh := n.shards[shard]
+	if !n.running {
+		sh.push(sev{atNs: atNs, fn: fn})
+		return
+	}
+	sh.inMu.Lock()
+	sh.inbox = append(sh.inbox, sev{atNs: atNs, fn: fn})
+	sh.inMu.Unlock()
+}
+
+// After schedules fn after d of virtual time on the control shard.
+func (n *Network) After(d time.Duration, fn func()) {
+	n.schedTimer(0, n.nowNs+int64(d), fn)
+}
+
+// At schedules fn at an absolute virtual time (clamped to now) on the
+// control shard.
+func (n *Network) At(t time.Time, fn func()) {
+	n.schedTimer(0, max(int64(t.Sub(n.start)), n.nowNs), fn)
+}
+
+// AfterOn schedules fn after d of virtual time on the shard owning id.
+func (n *Network) AfterOn(id NodeID, d time.Duration, fn func()) {
+	n.schedTimer(n.ShardOf(id), n.nowNs+int64(d), fn)
+}
+
+// Post schedules fn as soon as possible on the shard owning id.
+func (n *Network) Post(id NodeID, fn func()) {
+	n.schedTimer(n.ShardOf(id), n.nowNs, fn)
+}
 
 // Send schedules delivery of msg from one connected node to another, after
 // the modelled latency. Messages in flight when a connection drops are
@@ -200,13 +351,14 @@ func (n *Network) Send(from, to NodeID, msg any) error {
 	if err != nil {
 		return err
 	}
-	n.sendTo(r, msg, nil)
+	n.send(r, msg, nil)
 	return nil
 }
 
 // SendTraced is Send carrying a trace context: the hop from send to delivery
 // is recorded as a span and the context is exposed to the receiving handler
-// via InboundCtx. Timing and RNG draws are identical to Send.
+// via InboundCtx. Timing and RNG draws are identical to Send; cross-shard
+// lookahead flooring is surfaced as the hop span's QueueNs.
 func (n *Network) SendTraced(tc otrace.Ctx, hop string, from, to NodeID, msg any) error {
 	r, err := n.Route(from, to)
 	if err != nil {
@@ -214,9 +366,9 @@ func (n *Network) SendTraced(tc otrace.Ctx, hop string, from, to NodeID, msg any
 	}
 	var ref *otrace.HopRef
 	if n.tracer != nil && tc.Sampled() {
-		ref = &otrace.HopRef{Ctx: tc, Name: hop, SendNs: n.now.UnixNano()}
+		ref = &otrace.HopRef{Ctx: tc, Name: hop}
 	}
-	n.sendTo(r, msg, ref)
+	n.send(r, msg, ref)
 	return nil
 }
 
@@ -227,122 +379,327 @@ func (n *Network) SendRef(from, to NodeRef, msg any) error {
 	if err != nil {
 		return err
 	}
-	n.sendTo(r, msg, nil)
+	n.send(r, msg, nil)
 	return nil
 }
 
-func (n *Network) sendTo(r Route, msg any, tr *otrace.HopRef) {
-	jitter := 1 + n.rootRNG.Float64()*n.lm.JitterFrac
-	delay := time.Duration(float64(r.Base) * jitter)
-	e := n.newEvent(n.now.Add(delay), nil)
-	e.msg, e.from, e.to, e.epoch, e.tr = msg, r.From, r.To, r.Epoch, tr
-	n.qPush(e)
-}
-
-// After schedules fn to run after d of virtual time.
-func (n *Network) After(d time.Duration, fn func()) {
-	n.schedule(n.now.Add(d), fn)
-}
-
-// AfterOn schedules fn after d of virtual time. The node affinity only
-// matters to parallel engines; serially it is identical to After.
-func (n *Network) AfterOn(id NodeID, d time.Duration, fn func()) {
-	n.schedule(n.now.Add(d), fn)
-}
-
-// Post schedules fn to run as soon as possible (serially: as the next event
-// at the current virtual time).
-func (n *Network) Post(id NodeID, fn func()) {
-	n.schedule(n.now, fn)
-}
-
-// At schedules fn at an absolute virtual time (clamped to now).
-func (n *Network) At(t time.Time, fn func()) {
-	if t.Before(n.now) {
-		t = n.now
-	}
-	n.schedule(t, fn)
-}
-
-func (n *Network) newEvent(at time.Time, fn func()) *event {
-	n.seq++
-	var e *event
-	if k := len(n.pool); k > 0 {
-		e = n.pool[k-1]
-		n.pool = n.pool[:k-1]
-		e.at, e.atNs, e.seq, e.fn = at, at.UnixNano(), n.seq, fn
+// send schedules a routed delivery. Same-shard deliveries go straight into
+// the shard's heap with the exact sampled delay. Cross-shard deliveries are
+// floored at the lookahead and, while windows run, buffered in the
+// (src,dst) outbox cell the coordinator merges at the barrier — so they
+// always land in a window the destination has not started.
+func (n *Network) send(r Route, msg any, tr *otrace.HopRef) {
+	fromShard, toShard := n.shardOf[r.From], n.shardOf[r.To]
+	sh := n.shards[fromShard]
+	var u float64
+	if n.serial {
+		u = n.rootRNG.Float64()
 	} else {
-		e = &event{at: at, atNs: at.UnixNano(), seq: n.seq, fn: fn}
+		u = sh.u01()
 	}
-	return e
-}
-
-func (n *Network) schedule(at time.Time, fn func()) {
-	n.qPush(n.newEvent(at, fn))
-}
-
-// step runs the next event; the queue must not be empty.
-func (n *Network) step() {
-	e := n.qPop()
-	if e.at.After(n.now) {
-		n.now = e.at
+	delay := int64(float64(r.Base) * (1 + u*n.lm.JitterFrac))
+	// Anchor the delivery at the sender's exact event time: sends run in
+	// the sender's event code on its owner shard (the affinity rule), so
+	// curAtNs is the precise send time while windows run, and nowNs is
+	// exact otherwise.
+	sendNs := n.nowNs
+	if n.running && sh.curAtNs != 0 {
+		sendNs = sh.curAtNs
 	}
-	if e.fn == nil {
-		// Inline message delivery, revalidated by the table.
-		from, to, epoch, msg := e.from, e.to, e.epoch, e.msg
-		tr, atNs := e.tr, e.atNs
-		e.msg, e.tr = nil, nil
-		if len(n.pool) < 1024 {
-			n.pool = append(n.pool, e)
-		}
-		if !n.Deliverable(from, to, epoch) {
-			n.dropped++
-			if tr != nil {
-				n.tracer.RecordHop(tr, n.ID(to).String(), atNs, true)
-			}
-			return
-		}
-		n.delivered++
-		h := n.Handler(to)
-		if tr != nil {
-			n.tracer.RecordHop(tr, n.ID(to).String(), atNs, false)
-			n.curIn = tr.Ctx
-			h.HandleMessage(n.ID(from), msg)
-			n.curIn = otrace.Ctx{}
-			return
-		}
-		h.HandleMessage(n.ID(from), msg)
+	e := sev{atNs: sendNs + delay, msg: msg, from: r.From, to: r.To, epoch: r.Epoch, tr: tr}
+	if tr != nil {
+		tr.SendNs = n.startNs + sendNs
+	}
+	sh.sends++
+	if fromShard == toShard {
+		sh.push(e)
 		return
 	}
-	fn := e.fn
-	e.fn = nil
-	if len(n.pool) < 1024 {
-		n.pool = append(n.pool, e)
+	sh.cross++
+	if delay < n.qNs {
+		// Conservative lookahead floor: sendNs >= the window start, so
+		// sendNs+qNs clears the current window's end.
+		e.atNs = sendNs + n.qNs
+		if tr != nil {
+			tr.QueueNs = n.qNs - delay
+		}
 	}
-	fn()
+	if !n.running {
+		n.shards[toShard].push(e)
+		return
+	}
+	cell := &sh.out[toShard]
+	cell.mu.Lock()
+	cell.evs = append(cell.evs, e)
+	cell.mu.Unlock()
 }
 
-// RunUntil processes events until the queue empties or virtual time would
-// pass deadline. The clock is left at deadline if it was reached.
-func (n *Network) RunUntil(deadline time.Time) {
-	dl := deadline.UnixNano()
-	for len(n.queue) > 0 {
-		if n.queue.Peek().atNs > dl {
+// u01 draws the next uniform [0,1) latency jitter from the shard's
+// splitmix64 stream.
+func (sh *shard) u01() float64 {
+	sh.rng += 0x9e3779b97f4a7c15
+	z := sh.rng
+	z ^= z >> 30
+	z *= 0xbf58476d1ce4e5b9
+	z ^= z >> 27
+	z *= 0x94d049bb133111eb
+	z ^= z >> 31
+	return float64(z>>11) / (1 << 53)
+}
+
+// push inserts e into the shard's heap, stamping its sequence number.
+func (sh *shard) push(e sev) {
+	sh.seq++
+	e.seq = sh.seq
+	q := append(sh.q, e)
+	i := len(q) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !e.before(&q[p]) {
 			break
 		}
-		n.step()
+		q[i] = q[p]
+		i = p
 	}
-	if n.now.Before(deadline) {
-		n.now = deadline
+	if i != len(q)-1 {
+		q[i] = e
 	}
+	sh.q = q
+}
+
+// pop removes the heap's minimum, which the caller reads from q[0] first
+// (returning the 64-byte event costs the event loop measurable time); the
+// heap must not be empty.
+func (sh *shard) pop() {
+	q := sh.q
+	last := len(q) - 1
+	e := q[last]
+	q[last] = sev{} // drop the payload reference
+	q = q[:last]
+	if last > 0 {
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= last {
+				break
+			}
+			if r := c + 1; r < last && q[r].before(&q[c]) {
+				c = r
+			}
+			if !q[c].before(&e) {
+				break
+			}
+			q[i] = q[c]
+			i = c
+		}
+		q[i] = e
+	}
+	sh.q = q
+}
+
+// due reports whether the shard has an event before end (at end when
+// inclusive).
+func (sh *shard) due(end int64, inclusive bool) bool {
+	return len(sh.q) > 0 && (sh.q[0].atNs < end || inclusive && sh.q[0].atNs == end)
+}
+
+// drain runs the shard's events before end (and at end when inclusive) in
+// (time, seq) order, including the ones they schedule into that range.
+func (n *Network) drain(sh *shard, end int64, inclusive bool) {
+	for sh.due(end, inclusive) {
+		e := sh.q[0]
+		sh.pop()
+		if n.serial && e.atNs > n.nowNs {
+			n.nowNs = e.atNs
+		}
+		n.exec(sh, &e)
+	}
+	sh.flush()
+}
+
+// exec runs one event on its shard's goroutine.
+func (n *Network) exec(sh *shard, e *sev) {
+	sh.curAtNs = e.atNs
+	sh.events++
+	if e.fn != nil {
+		e.fn()
+		return
+	}
+	if !n.Deliverable(e.from, e.to, e.epoch) {
+		sh.dropped++
+		if e.tr != nil {
+			n.tracer.RecordHop(e.tr, n.ID(e.to).String(), n.startNs+e.atNs, true)
+		}
+		return
+	}
+	sh.delivered++
+	h := n.Handler(e.to)
+	if e.tr != nil {
+		n.tracer.RecordHop(e.tr, n.ID(e.to).String(), n.startNs+e.atNs, false)
+		sh.curIn = e.tr.Ctx
+		h.HandleMessage(n.ID(e.from), e.msg)
+		sh.curIn = otrace.Ctx{}
+		return
+	}
+	h.HandleMessage(n.ID(e.from), e.msg)
+}
+
+// flush adds the shard's counts since the last flush to its metrics; with
+// metrics off the handles are nil and only the local counts reset.
+func (sh *shard) flush() {
+	sh.met.events.Add(sh.events)
+	sh.met.sends.Add(sh.sends)
+	sh.met.cross.Add(sh.cross)
+	sh.met.depth.Set(float64(len(sh.q)))
+	sh.events, sh.sends, sh.cross = 0, 0, 0
+}
+
+// Stats reports delivery counters. Call between runs.
+func (n *Network) Stats() (delivered, dropped uint64) {
+	for _, sh := range n.shards {
+		delivered += sh.delivered
+		dropped += sh.dropped
+	}
+	return delivered, dropped
 }
 
 // Run processes events for d of virtual time.
-func (n *Network) Run(d time.Duration) {
-	n.RunUntil(n.now.Add(d))
+func (n *Network) Run(d time.Duration) { n.RunUntil(n.Now().Add(d)) }
+
+// RunUntil processes events up to and including deadline, then leaves the
+// clock at deadline. With one shard the heap is drained inline; with several
+// the shards advance in lockstep windows.
+func (n *Network) RunUntil(deadline time.Time) {
+	deadNs := int64(deadline.Sub(n.start))
+	if n.serial {
+		n.drain(n.shards[0], deadNs, true)
+	} else {
+		n.runWindows(deadNs)
+	}
+	n.nowNs = max(n.nowNs, deadNs)
 }
 
-// Stats reports delivery counters.
-func (n *Network) Stats() (delivered, dropped uint64) {
-	return n.delivered, n.dropped
+// runWindows is the multi-shard coordinator. Each window starts at the
+// global minimum event time m and ends at the next lookahead boundary,
+// end = (m/L+1)·L, or at the deadline (inclusive) if that comes first.
+// Because every cross-shard message takes at least L of virtual time, no
+// event inside the window can require delivery inside it on another shard:
+// the shards with work drain their heaps up to end in parallel, and the
+// coordinator merges inboxes and outboxes into the heaps at the barrier.
+// Merged events carry at >= end, so they always land in a window no shard
+// has started.
+func (n *Network) runWindows(deadNs int64) {
+	type win struct {
+		end       int64
+		inclusive bool
+	}
+	goChs := make([]chan win, len(n.shards))
+	arrive := make(chan struct{}, len(n.shards))
+	instrumented := n.m != nil
+	var wg sync.WaitGroup
+	for i, sh := range n.shards {
+		goChs[i] = make(chan win)
+		wg.Add(1)
+		go func(ch chan win) {
+			defer wg.Done()
+			for c := range ch {
+				var sw obs.Stopwatch
+				if instrumented {
+					sw.Start()
+				}
+				n.drain(sh, c.end, c.inclusive)
+				if instrumented {
+					sh.procNs = sw.Elapsed().Nanoseconds()
+				}
+				arrive <- struct{}{}
+			}
+		}(goChs[i])
+	}
+	n.running = true
+	for {
+		n.mergeMailboxes()
+		m, ok := n.earliest()
+		if !ok || m > deadNs {
+			break
+		}
+		n.nowNs = max(n.nowNs, m)
+		end, inclusive := (m/n.qNs+1)*n.qNs, false
+		if end > deadNs {
+			end, inclusive = deadNs, true
+		}
+		var window obs.Stopwatch
+		if instrumented {
+			window.Start()
+		}
+		// Only shards with work in this window are signalled; idle shards
+		// stay parked at the barrier.
+		started := 0
+		for i, sh := range n.shards {
+			sh.busy = sh.due(end, inclusive)
+			if sh.busy {
+				goChs[i] <- win{end, inclusive}
+				started++
+			}
+		}
+		for range started {
+			<-arrive
+		}
+		if instrumented {
+			// Barrier wait per shard: how long it sat idle after finishing
+			// its own window while the slowest shard caught up.
+			wall := window.Elapsed().Nanoseconds()
+			for _, sh := range n.shards {
+				if wait := wall - sh.procNs; sh.busy && wait > 0 {
+					sh.met.barrier.Observe(float64(wait) / 1e9)
+				}
+			}
+			n.m.windows.Inc()
+		}
+	}
+	for _, ch := range goChs {
+		close(ch)
+	}
+	wg.Wait()
+	n.running = false
+	// Sends made while idle are counted on their sender's shard, which may
+	// not have run a window since.
+	for _, sh := range n.shards {
+		sh.flush()
+	}
+}
+
+// mergeMailboxes drains every inbox and outbox cell into the destination
+// heaps, in shard order. Runs on the coordinator between windows, when all
+// workers are at the barrier.
+func (n *Network) mergeMailboxes() {
+	for _, sh := range n.shards {
+		sh.inMu.Lock()
+		in := sh.inbox
+		sh.inbox = in[:0]
+		sh.inMu.Unlock()
+		for _, e := range in {
+			sh.push(e)
+		}
+		for di := range sh.out {
+			cell := &sh.out[di]
+			cell.mu.Lock()
+			evs := cell.evs
+			cell.evs = evs[:0]
+			cell.mu.Unlock()
+			dst := n.shards[di]
+			for _, e := range evs {
+				dst.push(e)
+			}
+		}
+	}
+}
+
+// earliest returns the smallest pending event time over all shards.
+func (n *Network) earliest() (m int64, ok bool) {
+	for _, sh := range n.shards {
+		if len(sh.q) > 0 && (!ok || sh.q[0].atNs < m) {
+			m, ok = sh.q[0].atNs, true
+		}
+	}
+	return m, ok
 }

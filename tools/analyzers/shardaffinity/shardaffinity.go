@@ -1,15 +1,15 @@
 // Package shardaffinity enforces the engine's node-affinity contract on
 // scheduled callbacks.
 //
-// Under engine.Sharded, per-node protocol state (bitswap want maps, DHT
-// routing tables, node block stores) is safe without locks only because
-// every function that touches a node's state runs on the shard owning that
-// node. The engine documents the rule: schedule such work with
-// AfterOn(id, ...) or Post(id, ...); the plain After/At run with control
+// When simnet.Network runs more than one shard, per-node protocol state
+// (bitswap want maps, DHT routing tables, node block stores) is safe without
+// locks only because every function that touches a node's state runs on the
+// shard owning that node. The engine documents the rule: schedule such work
+// with AfterOn(id, ...) or Post(id, ...); the plain After/At run with control
 // affinity and must stick to global orchestration. A callback that violates
-// this compiles and passes every serial test, then races (or silently
-// diverges) under the sharded engine — exactly the class of bug equivalence
-// tests catch late and reviewers miss.
+// this compiles and passes every one-shard test, then races (or silently
+// diverges) at several shards — exactly the class of bug equivalence tests
+// catch late and code review misses.
 //
 // The analyzer inspects every function literal passed to After/At/AfterOn/
 // Post on an engine-shaped receiver (any type whose method set has AfterOn)

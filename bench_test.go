@@ -696,7 +696,7 @@ func BenchmarkClosest(b *testing.B) {
 			rng := rand.New(rand.NewSource(42))
 			rt := dht.NewRoutingTable(simnet.RandomNodeID(rng), dht.DefaultK)
 			for i := 0; i < ids; i++ {
-				rt.Add(dht.PeerInfo{ID: simnet.RandomNodeID(rng), Addr: "198.51.100.7:4001", Server: true})
+				rt.Add(dht.PeerInfo{ID: simnet.RandomNodeID(rng), Server: true})
 			}
 			targets := make([]simnet.NodeID, 1024)
 			for i := range targets {

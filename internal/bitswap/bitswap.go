@@ -136,6 +136,11 @@ func sortIDs(ids []simnet.NodeID) {
 	slices.SortFunc(ids, simnet.NodeID.Compare)
 }
 
+// searchID finds p's position in the sorted set ids.
+func searchID(ids []simnet.NodeID, p simnet.NodeID) (int, bool) {
+	return slices.BinarySearchFunc(ids, p, simnet.NodeID.Compare)
+}
+
 // wantState tracks one outstanding local want.
 type wantState struct {
 	c         cid.CID
@@ -145,8 +150,10 @@ type wantState struct {
 	span      *otrace.SpanHandle // bitswap.get span; nil when untraced
 	tc        otrace.Ctx         // span's context, parent of hops and DHT work
 
-	wantHaveSent  map[simnet.NodeID]bool
-	wantBlockSent map[simnet.NodeID]bool
+	// The peers sent WANT_HAVE (broadcast wants) and WANT_BLOCK for c, each
+	// set sorted by ID.
+	wantHaveSent  []simnet.NodeID
+	wantBlockSent []simnet.NodeID
 	resolved      bool
 	cancelled     bool
 	searching     bool // DHT search in flight
@@ -233,13 +240,11 @@ func (e *Engine) GetTraced(tc otrace.Ctx, c cid.CID, done func(data []byte, ok b
 		return w.session
 	}
 	w := &wantState{
-		c:             c,
-		session:       e.newSession(c),
-		broadcast:     true,
-		started:       e.net.Now(),
-		wantHaveSent:  make(map[simnet.NodeID]bool),
-		wantBlockSent: make(map[simnet.NodeID]bool),
-		callbacks:     []func([]byte, bool){done},
+		c:         c,
+		session:   e.newSession(c),
+		broadcast: true,
+		started:   e.net.Now(),
+		callbacks: []func([]byte, bool){done},
 	}
 	if tc.Sampled() {
 		w.span = e.net.Tracer().StartKeyed(tc, "bitswap.get", e.self.String(), c.String(), e.now())
@@ -270,12 +275,10 @@ func (e *Engine) GetFromSessionTraced(tc otrace.Ctx, sess *Session, c cid.CID, d
 		return
 	}
 	w := &wantState{
-		c:             c,
-		session:       sess,
-		started:       e.net.Now(),
-		wantHaveSent:  make(map[simnet.NodeID]bool),
-		wantBlockSent: make(map[simnet.NodeID]bool),
-		callbacks:     []func([]byte, bool){done},
+		c:         c,
+		session:   sess,
+		started:   e.net.Now(),
+		callbacks: []func([]byte, bool){done},
 	}
 	if tc.Sampled() {
 		w.span = e.net.Tracer().StartKeyed(tc, "bitswap.get", e.self.String(), c.String(), e.now())
@@ -325,36 +328,51 @@ func (e *Engine) newSession(root cid.CID) *Session {
 // node.
 func (e *Engine) now() time.Time { return e.net.EventTime(e.self) }
 
-// broadcastWantHave sends WANT_HAVE c to every currently connected peer.
+// broadcastWantHave sends WANT_HAVE c to every currently connected peer,
+// all of them sharing one message (a message is read-only once sent).
 // PeersEach iterates the engine's sorted peer set in place, so the hottest
 // bitswap loop (every session start and every 30 s rebroadcast of every
-// unresolved want) does not copy the connection table.
+// unresolved want) does not copy the connection table. A broadcast re-asks
+// every peer, so it starts wantHaveSent over, and appending in PeersEach's
+// ID order keeps the set sorted.
 func (e *Engine) broadcastWantHave(w *wantState) {
 	e.stats.BroadcastsSent++
+	w.wantHaveSent = w.wantHaveSent[:0]
+	msg := e.wantHaveMsg(w)
 	e.net.PeersEach(e.self, func(p simnet.NodeID) bool {
-		e.sendWantHave(w, p)
+		if e.sendWantHave(w, p, msg) {
+			w.wantHaveSent = append(w.wantHaveSent, p)
+		}
 		return true
 	})
 }
 
-func (e *Engine) sendWantHave(w *wantState, p simnet.NodeID) {
+// wantHaveMsg builds the broadcast want for w: WANT_HAVE, or WANT_BLOCK in
+// legacy mode.
+func (e *Engine) wantHaveMsg(w *wantState) *wire.Message {
 	typ := wire.WantHave
 	if e.cfg.LegacyWantBlock {
 		typ = wire.WantBlock
 	}
-	msg := &wire.Message{Wantlist: []wire.Entry{{
+	return &wire.Message{Wantlist: []wire.Entry{{
 		Type:         typ,
 		CID:          w.c,
 		SendDontHave: e.cfg.SendDontHave,
 	}}}
-	if engine.SendCtx(e.net, w.tc, "send.want_have", e.self, p, msg) == nil {
-		w.wantHaveSent[p] = true
-		if typ == wire.WantHave {
-			e.stats.WantHavesSent++
-		} else {
-			e.stats.WantBlocksSent++
-		}
+}
+
+// sendWantHave sends msg, built by wantHaveMsg, to p and reports whether it
+// went out. The caller records p in w.wantHaveSent.
+func (e *Engine) sendWantHave(w *wantState, p simnet.NodeID, msg *wire.Message) bool {
+	if engine.SendCtx(e.net, w.tc, "send.want_have", e.self, p, msg) != nil {
+		return false
 	}
+	if msg.Wantlist[0].Type == wire.WantHave {
+		e.stats.WantHavesSent++
+	} else {
+		e.stats.WantBlocksSent++
+	}
+	return true
 }
 
 // SetLegacyWantBlock flips the pre-v0.5 broadcast behaviour at runtime,
@@ -364,7 +382,8 @@ func (e *Engine) SetLegacyWantBlock(legacy bool) {
 }
 
 func (e *Engine) sendWantBlock(w *wantState, p simnet.NodeID) {
-	if w.wantBlockSent[p] {
+	i, sent := searchID(w.wantBlockSent, p)
+	if sent {
 		return
 	}
 	msg := &wire.Message{Wantlist: []wire.Entry{{
@@ -373,27 +392,33 @@ func (e *Engine) sendWantBlock(w *wantState, p simnet.NodeID) {
 		SendDontHave: e.cfg.SendDontHave,
 	}}}
 	if engine.SendCtx(e.net, w.tc, "send.want_block", e.self, p, msg) == nil {
-		w.wantBlockSent[p] = true
+		w.wantBlockSent = slices.Insert(w.wantBlockSent, i, p)
 		e.stats.WantBlocksSent++
 	}
 }
 
-// sendCancels notifies every peer that received a want entry for w.c.
+// sendCancels notifies every peer that received a want entry for w.c, in ID
+// order: it walks the union of the two sorted sent sets.
 func (e *Engine) sendCancels(w *wantState) {
-	notified := make(map[simnet.NodeID]bool)
-	for p := range w.wantHaveSent {
-		notified[p] = true
-	}
-	for p := range w.wantBlockSent {
-		notified[p] = true
-	}
-	ids := make([]simnet.NodeID, 0, len(notified))
-	for p := range notified {
-		ids = append(ids, p)
-	}
-	sortIDs(ids)
 	msg := &wire.Message{Wantlist: []wire.Entry{{Type: wire.Cancel, CID: w.c}}}
-	for _, p := range ids {
+	haves, blocks := w.wantHaveSent, w.wantBlockSent
+	for len(haves) > 0 || len(blocks) > 0 {
+		var order int
+		switch {
+		case len(blocks) == 0:
+			order = -1
+		case len(haves) == 0:
+			order = 1
+		default:
+			order = haves[0].Compare(blocks[0])
+		}
+		var p simnet.NodeID
+		if order <= 0 {
+			p, haves = haves[0], haves[1:]
+		}
+		if order >= 0 {
+			p, blocks = blocks[0], blocks[1:]
+		}
 		if engine.SendCtx(e.net, w.tc, "send.cancel", e.self, p, msg) == nil {
 			e.stats.CancelsSent++
 		}
@@ -422,6 +447,7 @@ func (e *Engine) searchProviders(w *wantState) {
 		if w.resolved || w.cancelled {
 			return
 		}
+		msg := e.wantHaveMsg(w)
 		for _, p := range provs {
 			if p.ID == e.self {
 				continue
@@ -433,8 +459,8 @@ func (e *Engine) searchProviders(w *wantState) {
 					continue
 				}
 			}
-			if !w.wantHaveSent[p.ID] {
-				e.sendWantHave(w, p.ID)
+			if i, sent := searchID(w.wantHaveSent, p.ID); !sent && e.sendWantHave(w, p.ID, msg) {
+				w.wantHaveSent = slices.Insert(w.wantHaveSent, i, p.ID)
 			}
 		}
 	}
@@ -453,31 +479,31 @@ func (e *Engine) scheduleRebroadcast(w *wantState) {
 			return
 		}
 		e.stats.Rebroadcasts++
+		// Re-ask peers already asked: the real client's timers work per-peer
+		// and re-send entries.
 		if w.broadcast {
-			// Re-broadcast to all peers, including ones already asked:
-			// the real client's timers work per-peer and re-send entries.
-			for p := range w.wantHaveSent {
-				delete(w.wantHaveSent, p)
-			}
 			e.broadcastWantHave(w)
 			if len(w.session.peers) == 0 && !w.searching {
 				e.searchProviders(w)
 			}
 		} else {
-			//bsvet:shardaffinity w is e's own wantState; same node as the e.self affinity
-			for _, p := range w.session.Peers() {
-				delete(w.wantBlockSent, p)
-			}
-			//bsvet:shardaffinity w is e's own wantState; same node as the e.self affinity
-			for i, p := range w.session.Peers() {
-				if i >= e.cfg.WantBlockFanout {
-					break
-				}
-				e.sendWantBlock(w, p)
-			}
+			e.resendWantBlocks(w)
 		}
 		e.scheduleRebroadcast(w)
 	})
+}
+
+// resendWantBlocks re-sends a session-scoped want's WANT_BLOCK to the first
+// WantBlockFanout session peers, whether or not they were asked before.
+func (e *Engine) resendWantBlocks(w *wantState) {
+	peers := w.session.Peers()
+	w.wantBlockSent = slices.DeleteFunc(w.wantBlockSent, func(p simnet.NodeID) bool {
+		_, member := searchID(peers, p)
+		return member
+	})
+	for _, p := range peers[:min(len(peers), e.cfg.WantBlockFanout)] {
+		e.sendWantBlock(w, p)
+	}
 }
 
 func (e *Engine) scheduleGiveUp(w *wantState) {
@@ -565,7 +591,7 @@ func (e *Engine) HandleMessage(from simnet.NodeID, msg any) bool {
 		if p.Type == wire.Have {
 			// Add HAVE-sending peers to S(c); request the block.
 			w.session.peers[from] = true
-			if countTrue(w.wantBlockSent) < e.cfg.WantBlockFanout {
+			if len(w.wantBlockSent) < e.cfg.WantBlockFanout {
 				e.sendWantBlock(w, from)
 			}
 		}
@@ -593,16 +619,6 @@ func addPresence(m *wire.Message, t wire.PresenceType, c cid.CID) *wire.Message 
 	}
 	m.Presences = append(m.Presences, wire.Presence{Type: t, CID: c})
 	return m
-}
-
-func countTrue(m map[simnet.NodeID]bool) int {
-	n := 0
-	for _, v := range m {
-		if v {
-			n++
-		}
-	}
-	return n
 }
 
 func (e *Engine) rememberWant(from simnet.NodeID, entry wire.Entry) {

@@ -1,6 +1,7 @@
 package bitswap
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -128,7 +129,7 @@ func TestDHTFallbackAfterBroadcastFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	router := &fakeRouter{providers: map[dht.Key][]dht.PeerInfo{
-		dht.KeyForCID(c): {{ID: provider.id(), Addr: "provider:4001"}},
+		dht.KeyForCID(c): {{ID: provider.id()}},
 	}}
 	a := newBSNode(t, net, "a", router, DefaultConfig())
 	// No connection between a and provider: broadcast cannot reach it.
@@ -348,6 +349,110 @@ func TestGetFromEmptySessionFails(t *testing.T) {
 	net.Run(time.Second)
 	if !done || ok {
 		t.Errorf("empty-session fetch: done=%v ok=%v, want done,!ok", done, ok)
+	}
+}
+
+// recNode logs every want entry it receives, in delivery order, and answers
+// WANT_HAVE with HAVE when haves is set. It never sends a block.
+type recNode struct {
+	net   *simnet.Network
+	id    simnet.NodeID
+	haves bool
+	log   *[]recEntry
+}
+
+type recEntry struct {
+	to  simnet.NodeID
+	typ wire.EntryType
+}
+
+func (n *recNode) HandleMessage(from simnet.NodeID, msg any) {
+	m, ok := msg.(*wire.Message)
+	if !ok {
+		return
+	}
+	var reply wire.Message
+	for _, e := range m.Wantlist {
+		*n.log = append(*n.log, recEntry{n.id, e.Type})
+		if e.Type == wire.WantHave && n.haves {
+			reply.Presences = append(reply.Presences, wire.Presence{Type: wire.Have, CID: e.CID})
+		}
+	}
+	if !reply.Empty() {
+		_ = n.net.Send(n.id, from, &reply)
+	}
+}
+func (n *recNode) PeerConnected(simnet.NodeID)    {}
+func (n *recNode) PeerDisconnected(simnet.NodeID) {}
+
+// TestCancelsGoToSortedUnion: WANT_HAVE went to the connected peers and to a
+// provider found through the DHT, whose ID sorts among theirs; WANT_BLOCK
+// went to that provider and to a late peer that offered HAVE unasked. The
+// CANCELs go to the union of both sets, once each, in ID order.
+func TestCancelsGoToSortedUnion(t *testing.T) {
+	net := simnet.New(t0, 11, simnet.Fixed(time.Millisecond))
+	var log []recEntry
+	add := func(name string, haves bool) simnet.NodeID {
+		id := simnet.DeriveNodeID([]byte(name))
+		if err := net.AddNode(id, name+":4001", simnet.RegionUS, 0, &recNode{net, id, haves, &log}); err != nil {
+			t.Fatal(err)
+		}
+		return id
+	}
+	c := cid.Sum(cid.Raw, []byte("cancel the union"))
+	prov := add("provider", true)
+	late := add("latecomer", false)
+	router := &fakeRouter{providers: map[dht.Key][]dht.PeerInfo{dht.KeyForCID(c): {{ID: prov, Server: true}}}}
+	a := newBSNode(t, net, "a", router, DefaultConfig())
+	var peers []simnet.NodeID
+	for _, name := range []string{"p1", "p2", "p3", "p4", "p5"} {
+		p := add(name, false)
+		if err := net.Connect(a.id(), p); err != nil {
+			t.Fatal(err)
+		}
+		peers = append(peers, p)
+	}
+	sortIDs(peers)
+	for _, p := range []simnet.NodeID{prov, late} {
+		if p.Compare(peers[0]) < 0 || p.Compare(peers[len(peers)-1]) > 0 {
+			t.Fatalf("%s sorts outside the connected peers %v; rename the test nodes", p, peers)
+		}
+	}
+
+	a.engine.Get(c, func([]byte, bool) {})
+	// After the provider search (1 s) the provider answers HAVE and gets
+	// WANT_BLOCK; then the late peer connects and offers HAVE unasked.
+	aID := a.id()
+	net.AfterOn(late, 2*time.Second, func() {
+		if err := net.Connect(late, aID); err != nil {
+			t.Error(err)
+		}
+		_ = net.Send(late, aID, &wire.Message{Presences: []wire.Presence{{Type: wire.Have, CID: c}}})
+	})
+	net.Run(3 * time.Second)
+	w := a.engine.wants[c]
+	haves := append(slices.Clone(peers), prov)
+	sortIDs(haves)
+	blocks := []simnet.NodeID{prov, late}
+	sortIDs(blocks)
+	if !slices.Equal(w.wantHaveSent, haves) || !slices.Equal(w.wantBlockSent, blocks) {
+		t.Fatalf("WANT_HAVE sent to %v, WANT_BLOCK to %v; want %v and %v", w.wantHaveSent, w.wantBlockSent, haves, blocks)
+	}
+
+	log = log[:0]
+	a.engine.Cancel(c)
+	net.Run(time.Second)
+	union := append(slices.Clone(peers), prov, late)
+	sortIDs(union)
+	var got []simnet.NodeID
+	for _, e := range log {
+		if e.typ != wire.Cancel {
+			t.Fatalf("%s got %s after the cancel", e.to, e.typ)
+		}
+		got = append(got, e.to)
+	}
+	if !slices.Equal(got, union) {
+		t.Errorf("CANCEL sent to %v, want %v", got, union)
 	}
 }
 

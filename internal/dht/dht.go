@@ -1,6 +1,8 @@
 package dht
 
 import (
+	"cmp"
+	"encoding/binary"
 	"slices"
 	"time"
 
@@ -69,7 +71,6 @@ type pendingRPC struct {
 	onFindNode     func(findNodeResp, bool)
 	onGetProviders func(getProvidersResp, bool)
 	span           *otrace.SpanHandle // dht.rpc span; nil when untraced
-	expired        bool
 }
 
 // Config parametrises a DHT instance.
@@ -279,7 +280,6 @@ func (d *DHT) expireAfter(id uint64) {
 		}
 		delete(d.pending, id)
 		d.rpcsTimedOut++
-		p.expired = true
 		p.span.EndDropped(d.now())
 		if p.onFindNode != nil {
 			p.onFindNode(findNodeResp{}, false)
@@ -301,9 +301,9 @@ type lookup struct {
 	span      *otrace.SpanHandle // dht.lookup span; nil when untraced
 	tc        otrace.Ctx         // span's context, parent of per-RPC spans
 
-	seen     map[simnet.NodeID]bool
-	cand     []lookupCand // every seen peer; sorted by distance when sorted is set
-	sorted   bool
+	// cand is every peer seen so far except self, nearest to target first,
+	// each once: it is the lookup's seen set as well as its work list.
+	cand     []lookupCand
 	inflight int
 
 	foundProvs map[simnet.NodeID]PeerInfo
@@ -311,38 +311,47 @@ type lookup struct {
 	onDone     func(closest []PeerInfo, providers []PeerInfo)
 }
 
-// lookupCand is one candidate with its queried mark inline. The mark used to
-// live in a map keyed by the 32-byte NodeID, which made every step() scan pay
-// a hash per candidate; as a struct field it travels with the entry through
-// re-sorts for free.
+// lookupCand is one candidate with its queried mark inline. d is the first 8
+// bytes of its XOR distance to the target, big-endian: it orders cand by
+// itself unless two candidates share those bytes.
 type lookupCand struct {
+	d uint64
 	PeerInfo
 	queried bool
 }
 
+// addCandidates inserts the peers not seen before into cand at their
+// distance rank, found by binary search on d. Only on equal keys are the IDs
+// compared — equal IDs are a peer already seen, the common case — and,
+// rarely, the full distances.
 func (l *lookup) addCandidates(peers []PeerInfo) {
+	t8 := binary.BigEndian.Uint64(l.target[0:8])
 	for _, p := range peers {
-		if p.ID == l.d.self.ID || l.seen[p.ID] {
+		if p.ID == l.d.self.ID {
 			continue
 		}
-		l.seen[p.ID] = true
-		l.cand = append(l.cand, lookupCand{PeerInfo: p})
-		l.sorted = false
+		d := t8 ^ binary.BigEndian.Uint64(p.ID[0:8])
+		lo, hi := 0, len(l.cand)
+		for lo < hi {
+			m := int(uint(lo+hi) >> 1)
+			c := &l.cand[m]
+			order := cmp.Compare(c.d, d)
+			if order == 0 {
+				if c.ID == p.ID {
+					break // seen before
+				}
+				order = simnet.DistanceCompare(l.target, c.ID, p.ID)
+			}
+			if order < 0 {
+				lo = m + 1
+			} else {
+				hi = m
+			}
+		}
+		if lo == hi {
+			l.cand = slices.Insert(l.cand, lo, lookupCand{d: d, PeerInfo: p})
+		}
 	}
-}
-
-// candidates returns every seen peer ordered by distance to the target. The
-// slice is owned by the lookup and re-sorted only after new candidates
-// arrive; step() runs after every RPC response, and re-sorting a mostly
-// sorted slice is much cheaper than the former copy-the-map-and-sort.
-func (l *lookup) candidates() []lookupCand {
-	if !l.sorted {
-		slices.SortFunc(l.cand, func(a, b lookupCand) int {
-			return simnet.DistanceCompare(l.target, a.ID, b.ID)
-		})
-		l.sorted = true
-	}
-	return l.cand
 }
 
 func (l *lookup) step() {
@@ -353,7 +362,7 @@ func (l *lookup) step() {
 		l.finish()
 		return
 	}
-	cands := l.candidates()
+	cands := l.cand
 	// The lookup terminates when the k closest known peers have all been
 	// queried (or failed).
 	kClosest := cands
@@ -380,8 +389,8 @@ func (l *lookup) step() {
 			continue
 		}
 		// Mark before sending: failed sends re-enter step() synchronously,
-		// and synchronous re-entry never appends or re-sorts cand, so the
-		// write through c stays visible to the recursive scan.
+		// and synchronous re-entry never inserts into cand (only a response
+		// does), so the write through c stays visible to the recursive scan.
 		c.queried = true
 		l.inflight++
 		peer := c.PeerInfo
@@ -420,7 +429,7 @@ func (l *lookup) finish() {
 	}
 	l.finished = true
 	l.span.End(l.d.now())
-	cands := l.candidates()
+	cands := l.cand
 	if len(cands) > l.d.cfg.K {
 		cands = cands[:l.d.cfg.K]
 	}
@@ -444,7 +453,6 @@ func (d *DHT) FindClosest(target simnet.NodeID, done func([]PeerInfo)) {
 	l := &lookup{
 		d:      d,
 		target: target,
-		seen:   make(map[simnet.NodeID]bool),
 		onDone: func(closest, _ []PeerInfo) { done(closest) },
 	}
 	l.addCandidates(d.rt.Closest(target, d.cfg.K))
@@ -471,7 +479,6 @@ func (d *DHT) FindProvidersTraced(tc otrace.Ctx, key Key, want int, done func([]
 		key:        key,
 		providers:  true,
 		wantProvs:  want,
-		seen:       make(map[simnet.NodeID]bool),
 		foundProvs: make(map[simnet.NodeID]PeerInfo),
 		onDone:     func(_, provs []PeerInfo) { done(provs) },
 	}

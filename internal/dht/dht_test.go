@@ -36,7 +36,7 @@ func buildNet(t *testing.T, nServers, nClients int, seed int64) *testNet {
 	mk := func(i int, mode Mode) *DHT {
 		id := simnet.RandomNodeID(rng)
 		addr := fmt.Sprintf("10.0.%d.%d:4001", i/250, i%250)
-		info := PeerInfo{ID: id, Addr: addr, Server: mode == ModeServer}
+		info := PeerInfo{ID: id, Server: mode == ModeServer}
 		d := New(net, info, Config{Mode: mode})
 		if err := net.AddNode(id, addr, simnet.RegionUS, 0, &harness{dht: d}); err != nil {
 			t.Fatal(err)
@@ -216,7 +216,7 @@ func TestClientsDoNotAnswerRPCs(t *testing.T) {
 	responded := false
 	timedOut := false
 	asker := tn.servers[3]
-	asker.sendFindNode(otrace.Ctx{}, PeerInfo{ID: client.Self().ID, Addr: client.Self().Addr, Server: true},
+	asker.sendFindNode(otrace.Ctx{}, PeerInfo{ID: client.Self().ID, Server: true},
 		client.Self().ID, func(_ findNodeResp, ok bool) {
 			responded = ok
 			timedOut = !ok
@@ -243,7 +243,7 @@ func TestCrawlSeesServersNotClients(t *testing.T) {
 
 	// Dedicated crawler node, client mode.
 	crawlerID := simnet.DeriveNodeID([]byte("crawler"))
-	crawler := New(tn.net, PeerInfo{ID: crawlerID, Addr: "9.9.9.9:4001"}, Config{Mode: ModeClient})
+	crawler := New(tn.net, PeerInfo{ID: crawlerID}, Config{Mode: ModeClient})
 	if err := tn.net.AddNode(crawlerID, "9.9.9.9:4001", simnet.RegionDE, 0, &harness{dht: crawler}); err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +277,7 @@ func TestCrawlCountsOfflineServers(t *testing.T) {
 	}
 
 	crawlerID := simnet.DeriveNodeID([]byte("crawler2"))
-	crawler := New(tn.net, PeerInfo{ID: crawlerID, Addr: "9.9.9.8:4001"}, Config{Mode: ModeClient})
+	crawler := New(tn.net, PeerInfo{ID: crawlerID}, Config{Mode: ModeClient})
 	if err := tn.net.AddNode(crawlerID, "9.9.9.8:4001", simnet.RegionDE, 0, &harness{dht: crawler}); err != nil {
 		t.Fatal(err)
 	}

@@ -17,10 +17,12 @@ import (
 // DefaultK is the Kademlia bucket size (and closest-set size); IPFS uses 20.
 const DefaultK = 20
 
-// PeerInfo identifies a DHT participant.
+// PeerInfo identifies a DHT participant. It holds no pointer: every
+// FIND_NODE answer copies up to k of them, and a pointer-free slice is never
+// scanned by the GC nor written through write barriers. A peer's network
+// address lives in the node table (engine.Engine.Addr).
 type PeerInfo struct {
-	ID   simnet.NodeID
-	Addr string
+	ID simnet.NodeID
 	// Server reports whether the peer operates in server mode. Client
 	// peers are never stored in k-buckets.
 	Server bool
@@ -94,8 +96,6 @@ func (rt *RoutingTable) Remove(id simnet.NodeID) {
 	bucket := rt.buckets[idx]
 	for i, p := range bucket {
 		if p.ID == id {
-			// slices.Delete zeroes the vacated last slot, so its Addr
-			// string does not stay live in the backing array.
 			rt.buckets[idx] = slices.Delete(bucket, i, i+1)
 			rt.size--
 			for rt.top >= 0 && len(rt.buckets[rt.top]) == 0 {

@@ -111,7 +111,7 @@ func TestClosestDistanceClasses(t *testing.T) {
 	self := simnet.RandomNodeID(rng)
 	rt := NewRoutingTable(self, k)
 	add := func(id simnet.NodeID) {
-		rt.Add(PeerInfo{ID: id, Addr: "10.0.0.1:4001", Server: true})
+		rt.Add(PeerInfo{ID: id, Server: true})
 	}
 	for i := 0; i < 2500; i++ {
 		add(simnet.RandomNodeID(rng))
@@ -204,8 +204,7 @@ func TestClosestDistanceClasses(t *testing.T) {
 }
 
 // TestRemoveClearsVacatedSlot: Remove shifts the bucket down and zeroes the
-// slot it frees, so the removed peer's Addr string is not kept alive by the
-// bucket's backing array.
+// slot it frees, so the bucket's backing array holds no stale peer.
 func TestRemoveClearsVacatedSlot(t *testing.T) {
 	self := simnet.NodeID{}
 	rt := NewRoutingTable(self, 4)
@@ -214,7 +213,7 @@ func TestRemoveClearsVacatedSlot(t *testing.T) {
 		id := flipBit(self, 0)
 		id[31] = byte(i)
 		ids = append(ids, id)
-		rt.Add(PeerInfo{ID: id, Addr: "10.0.0.1:4001", Server: true})
+		rt.Add(PeerInfo{ID: id, Server: true})
 	}
 	rt.Remove(ids[0])
 	bucket := rt.buckets[0]

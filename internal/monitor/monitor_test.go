@@ -2,6 +2,7 @@ package monitor
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -262,6 +263,46 @@ func TestTraceSnapshotIsStable(t *testing.T) {
 	snap[0].Monitor = "corrupted"
 	if got := w.mon.Trace()[0].Monitor; got != "us" {
 		t.Errorf("monitor state corrupted through Trace(): %q", got)
+	}
+}
+
+// TestBroadcastMessageSharedReadOnly: one broadcast hands the same message to
+// every connected peer, so a Bitswap peer answering it and a monitor logging
+// it must both leave it as it was sent.
+func TestBroadcastMessageSharedReadOnly(t *testing.T) {
+	w := build(t, 3, 12)
+	ghost := cid.Sum(cid.Raw, []byte("one message for all"))
+	requester, peer := w.nodes[1], w.nodes[2]
+	got := make(map[simnet.NodeID]*wire.Message) // receiver -> broadcast received
+	capture := func(nd *node.Node) {
+		next := nd.MessageTap
+		nd.MessageTap = func(from simnet.NodeID, msg any) {
+			if m, ok := msg.(*wire.Message); ok && from == requester.ID && len(m.Wantlist) > 0 {
+				got[nd.ID] = m
+			}
+			if next != nil {
+				next(from, msg)
+			}
+		}
+	}
+	capture(peer)
+	capture(w.mon.Node)
+	requester.Request(ghost, func([]byte, bool) {})
+	w.net.Run(2 * time.Second)
+
+	toPeer, toMon := got[peer.ID], got[w.mon.ID()]
+	if toPeer == nil || toPeer != toMon {
+		t.Fatalf("peer got %p, monitor got %p: want one shared broadcast message", toPeer, toMon)
+	}
+	if _, ok := peer.Bitswap.WantlistOf(requester.ID)[ghost]; !ok || peer.Bitswap.Stats().DontHavesServed == 0 {
+		t.Fatal("the Bitswap peer did not handle the broadcast")
+	}
+	if len(w.mon.Trace()) == 0 {
+		t.Fatal("the monitor did not log the broadcast")
+	}
+	want := []wire.Entry{{Type: wire.WantHave, CID: ghost, SendDontHave: true}}
+	if !slices.Equal(toPeer.Wantlist, want) || len(toPeer.Presences) != 0 || len(toPeer.Blocks) != 0 {
+		t.Errorf("broadcast after delivery = %+v, want Wantlist %+v only", *toPeer, want)
 	}
 }
 

@@ -83,7 +83,7 @@ func New(net engine.Engine, id simnet.NodeID, addr string, region simnet.Region,
 		cfg:    cfg,
 		rng:    net.NewRand("node-" + id.HexFull()),
 	}
-	n.DHT = dht.New(net, dht.PeerInfo{ID: id, Addr: addr, Server: cfg.Mode == dht.ModeServer}, dhtCfg)
+	n.DHT = dht.New(net, dht.PeerInfo{ID: id, Server: cfg.Mode == dht.ModeServer}, dhtCfg)
 	n.Bitswap = bitswap.New(net, id, n.Store, n.DHT, cfg.Bitswap)
 	n.builder = merkledag.NewBuilder(n.Store, cfg.ChunkSize, 0)
 	if err := net.AddNode(id, addr, region, cfg.MaxConns, n); err != nil {

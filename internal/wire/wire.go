@@ -98,7 +98,10 @@ type Block struct {
 	Data []byte
 }
 
-// Message is one Bitswap protocol message.
+// Message is one Bitswap protocol message. A message is read-only once sent:
+// a sender may hand the same *Message to many peers (one broadcast sends one
+// message to every connected peer), so neither sender nor receiver may modify
+// it or anything it points to afterwards. Clone makes a private copy.
 type Message struct {
 	// Full indicates the want_list replaces (rather than extends) the
 	// sender's previously announced want_list.

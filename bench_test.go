@@ -1,16 +1,17 @@
 package bitswapmon_test
 
 // The benchmark harness regenerates every table and figure of the paper's
-// evaluation (see DESIGN.md, experiment index). One expensive measurement
-// run is shared across benchmarks; each benchmark then re-executes its
-// analysis step per iteration and reports the reproduced quantities as
-// benchmark metrics, so `go test -bench=. -benchmem` prints the shapes the
-// paper reports.
+// evaluation. One expensive measurement run is shared across benchmarks;
+// each benchmark then re-executes its analysis step per iteration and
+// reports the reproduced quantities as benchmark metrics, so `go test
+// -bench=. -benchmem` prints the shapes the paper reports. The same
+// artifacts rendered as one text report come from cmd/bsexperiments, whose
+// small week scenario is pinned byte for byte by pinnedWeekRender in
+// internal/experiments/pin_test.go.
 //
 // Absolute counts are scaled (the substrate is a simulator, not the public
 // IPFS network); the shapes — who dominates, by what factor, what gets
-// rejected — are the reproduction targets. EXPERIMENTS.md records
-// paper-vs-measured for each artifact.
+// rejected — are the reproduction targets.
 
 import (
 	"fmt"
@@ -237,7 +238,6 @@ func BenchmarkFig6GatewayRates(b *testing.B) {
 	d := sharedWeek(b)
 	var fig *report.Fig6
 	opts := report.Options{
-		Slice:       time.Hour,
 		GatewayIDs:  d.World.GatewayNodeIDs(),
 		MegagateIDs: d.World.MegagateIDs(),
 	}

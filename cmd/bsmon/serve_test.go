@@ -8,6 +8,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"syscall"
 	"testing"
@@ -185,6 +186,11 @@ func TestBsmonServeEndToEnd(t *testing.T) {
 	}
 	if !strings.Contains(metrics, `report_window_start_seconds{window="0"}`) {
 		t.Error("missing window start gauge")
+	}
+	// Each window is a report Driver, so the window reports carry the
+	// per-report telemetry of any other pass.
+	if !regexp.MustCompile(`(?m)^report_entries_observed_total\{report="traffic"\} [1-9]`).MatchString(metrics) {
+		t.Error("window reports export no report_entries_observed_total")
 	}
 	if !strings.Contains(metrics, "otrace_spans_total") {
 		t.Error("otrace counters not bridged into /metrics")

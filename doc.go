@@ -27,8 +27,9 @@
 //
 // Capture also scales past a bounded run: bsmon -serve is a
 // continuous-monitoring daemon. Registry reports are evaluated over rolling
-// windows of the live stream (report.WindowedDriver, published as the
-// report_window_metric gauge family and served as JSON on /reports), while
+// windows of the live stream (report.WindowedDriver, one report.Driver per
+// window, published as the report_window_metric gauge family and served as
+// JSON on /reports), while
 // an ingest.Maintainer compacts small sealed segments into generation-2
 // segments and expires raw data behind a retention horizon — rolled-up
 // window results stay durable after their raw segments are gone, and
@@ -36,10 +37,13 @@
 //
 // Analysis is registry-driven: every table and figure is a streaming
 // internal/report Report (Observe one entry, Finalize a Result), and a
-// Driver tees a single pass — over files, segment stores, or a live
-// simulation — through any named combination. Adding a metric means
-// registering a report; bsanalyze, sweep summaries and the experiment
-// drivers pick it up by name.
+// Driver tees a single pass — over files, segment stores, a live
+// simulation, or one window of the daemon's stream — through any named
+// combination. Whoever compares numbers reads them the same way, through a
+// Result's Metrics() map: the per-window gauges and /reports, and sweep
+// summaries, whose summary.json holds each metric once, by name. Adding a
+// metric means registering a report; bsanalyze, sweeps and the daemon pick
+// it up by name.
 //
 // Runtime telemetry lives in internal/obs: a dependency-free metrics layer
 // (counters, gauges, histograms, labeled families) with Prometheus text

@@ -19,10 +19,7 @@
 //     per seed and shard count, and agrees with one shard statistically.
 //
 // There is one contract: Engine, tracing included, so no layer probes for a
-// capability or carries a fallback. The interface is split into the small
-// capabilities — Clock, Timers, Rand, Transport, Tracing and the connection
-// table — so a layer that only needs timers can be tested against a stub
-// exposing just those.
+// capability or carries a fallback.
 //
 // There is one exact clock: EventTime(id) is the virtual time of the event
 // executing for node id, at any shard count. Anything that stamps a record —
@@ -48,6 +45,7 @@ import (
 	"math/rand"
 	"time"
 
+	"bitswapmon/internal/otrace"
 	"bitswapmon/internal/simnet"
 )
 
@@ -61,15 +59,13 @@ type Region = simnet.Region
 // Handler is the per-node behaviour callback surface, aliased from simnet.
 type Handler = simnet.Handler
 
-// Clock exposes virtual time. Now is exact with one shard and the current
-// lookahead window's start with several. Event code that records a time
-// reads Tracing.EventTime instead.
-type Clock interface {
+// Engine is the full surface a simulation world plugs into.
+type Engine interface {
+	// Now is virtual time: exact with one shard and the current lookahead
+	// window's start with several. Event code that records a time reads
+	// EventTime instead.
 	Now() time.Time
-}
 
-// Timers schedules functions in virtual time.
-type Timers interface {
 	// After schedules fn after d of virtual time with control affinity:
 	// it runs on the control shard, serialized with all other
 	// control-affine work.
@@ -83,22 +79,40 @@ type Timers interface {
 	// Post schedules fn to run as soon as possible on the shard owning id
 	// (the cross-shard marshalling primitive).
 	Post(id NodeID, fn func())
-}
 
-// Rand derives labelled deterministic RNG streams from the engine seed.
-// Derive streams at build time or between Run calls, never from event code.
-type Rand interface {
+	// NewRand derives a labelled deterministic RNG stream from the engine
+	// seed. Derive streams at build time or between Run calls, never from
+	// event code.
 	NewRand(name string) *rand.Rand
-}
 
-// Transport delivers messages between connected nodes after the modelled
-// latency.
-type Transport interface {
+	// Send delivers msg from one connected node to another after the
+	// modelled latency.
 	Send(from, to NodeID, msg any) error
-}
 
-// ConnTable is the connection-table surface: who is connected to whom.
-type ConnTable interface {
+	// Tracing: the trace context of a sampled send rides inside the
+	// engine's event structures — messages themselves are never wrapped, so
+	// message taps and handlers observe exactly the traffic an untraced run
+	// produces, and tracing can never perturb event timing or RNG draws.
+
+	// SetTracer installs the span recorder. Call before Run; a nil tracer
+	// disables tracing.
+	SetTracer(t *otrace.Tracer)
+	// Tracer returns the installed recorder (nil when disabled).
+	Tracer() *otrace.Tracer
+	// SendTraced is Send carrying a trace context: the engine records a hop
+	// span from the exact send time to the delivery (or drop) time and
+	// exposes the context to the receiving handler via InboundCtx.
+	SendTraced(tc otrace.Ctx, hop string, from, to NodeID, msg any) error
+	// InboundCtx returns the trace context of the message currently being
+	// handled for node id (zero outside HandleMessage or for untraced
+	// messages). Call only from event code running for id.
+	InboundCtx(id NodeID) otrace.Ctx
+	// EventTime returns the exact virtual time of the event currently
+	// executing for node id — unlike Now, which several shards quantize to
+	// the window start. Call only from event code running for id; outside a
+	// run it falls back to Now.
+	EventTime(id NodeID) time.Time
+
 	// Connect establishes a bidirectional connection (capacity-checked).
 	Connect(a, b NodeID) error
 	// Disconnect tears down the connection between a and b, if any.
@@ -114,10 +128,7 @@ type ConnTable interface {
 	PeersEach(id NodeID, fn func(NodeID) bool)
 	// PeerCount returns the size of a node's connection table.
 	PeerCount(id NodeID) int
-}
 
-// Membership manages the node population.
-type Membership interface {
 	// AddNode registers a node. maxConns of 0 means unlimited connections.
 	// Call it at build time or between Run calls, never from event code.
 	AddNode(id NodeID, addr string, region Region, maxConns int, h Handler) error
@@ -136,27 +147,13 @@ type Membership interface {
 	NodeRegion(id NodeID) (Region, bool)
 	// Nodes returns the IDs of all registered nodes, sorted by ID.
 	Nodes() []NodeID
-}
 
-// Runner advances the simulation. Run and RunUntil may only be called from
-// one goroutine at a time, never from event code.
-type Runner interface {
+	// Run and RunUntil advance the simulation. They may only be called
+	// from one goroutine at a time, never from event code.
 	Run(d time.Duration)
 	RunUntil(deadline time.Time)
 	// Stats reports (delivered, dropped) message counters.
 	Stats() (delivered, dropped uint64)
-}
-
-// Engine is the full surface a simulation world plugs into.
-type Engine interface {
-	Clock
-	Timers
-	Rand
-	Transport
-	Tracing
-	ConnTable
-	Membership
-	Runner
 }
 
 var _ Engine = (*simnet.Network)(nil)

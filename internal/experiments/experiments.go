@@ -165,7 +165,6 @@ var weekReports = []string{"traffic", "table1", "table2", "fig5", "fig6"}
 // RNG draw order no matter when the driver was attached.
 func weekDriver(w *workload.World, bootstrapIters int) (*report.Driver, error) {
 	opts := report.Options{
-		Slice:          time.Hour,
 		BootstrapIters: bootstrapIters,
 		Rand:           func() *rand.Rand { return w.Net.NewRand("fig5") },
 		Geo:            w.Geo,
@@ -173,10 +172,6 @@ func weekDriver(w *workload.World, bootstrapIters int) (*report.Driver, error) {
 		MegagateIDs:    w.MegagateIDs(),
 	}
 	d := report.NewDriver(true)
-	// Publish in-flight report numbers as live gauges (no-op unless the
-	// process enabled metrics), so a /metrics scrape mid-run shows the
-	// traffic figures converging.
-	d.PublishLive(5 * time.Second)
 	if err := d.AddByName(weekReports, opts); err != nil {
 		return nil, err
 	}
@@ -347,7 +342,6 @@ func RunUpgrade(spec sweep.ScenarioSpec) (*UpgradeReport, error) {
 	start := time.Now()
 	// Fig. 4 buckets the raw request series (no dedup filter).
 	drv := report.NewDriver(false)
-	drv.PublishLive(5 * time.Second)
 	if err := drv.AddByName([]string{"fig4"}, report.Options{Bucket: 24 * time.Hour}); err != nil {
 		return nil, err
 	}

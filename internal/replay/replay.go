@@ -21,7 +21,7 @@
 // Input traces stream with bounded memory: segment stores and trace files
 // are merged through ingest.StreamUnifier, and the driver schedules only one
 // lookahead horizon of events at a time. Events are posted to the owning
-// node's shard via engine.Timers.AfterOn, so replay runs unmodified at any
+// node's shard via engine.Engine.AfterOn, so replay runs unmodified at any
 // shard count.
 package replay
 

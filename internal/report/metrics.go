@@ -2,20 +2,18 @@ package report
 
 import (
 	"sync/atomic"
-	"time"
 
 	"bitswapmon/internal/obs"
 )
 
 // reportMetrics is the streaming-analysis telemetry surface: per-report
-// entry throughput, sampled Observe latency, Finalize duration, and the
-// live-gauge bridge that publishes in-flight report numbers during a
-// simulation so a scrape mid-run shows the figures forming.
+// entry throughput, sampled Observe latency and Finalize duration for every
+// Driver (a WindowedDriver's windows included), and the per-window report
+// numbers, which are the only report results published as gauges.
 type reportMetrics struct {
 	entries  *obs.CounterVec   // report_entries_observed_total{report}
 	observe  *obs.HistogramVec // report_observe_seconds{report}
 	finalize *obs.HistogramVec // report_finalize_seconds{report}
-	live     *obs.GaugeVec     // report_live_metric{report,metric}
 
 	// Rolling-window evaluation (WindowedDriver). The window label is a
 	// recency slot — "0" is the newest closed window, "1" the one before it,
@@ -47,9 +45,6 @@ func EnableMetrics(r *obs.Registry) {
 		finalize: r.HistogramVec("report_finalize_seconds",
 			"Time each report took to finalize its result.",
 			obs.ExponentialBuckets(1e-6, 10, 8), "report"),
-		live: r.GaugeVec("report_live_metric",
-			"Report metrics published while a live run is still in flight (final values at Finalize).",
-			"report", "metric"),
 		window: r.GaugeVec("report_window_metric",
 			"Per-window report metrics from rolling-window evaluation; window is a recency slot (0 = newest closed).",
 			"report", "metric", "window"),
@@ -64,13 +59,12 @@ func EnableMetrics(r *obs.Registry) {
 }
 
 // LiveReporter is implemented by reports able to expose headline numbers
-// mid-stream, before Finalize. A Driver with PublishLive enabled publishes
-// these as report_live_metric gauges on a rolling interval, so an operator
-// scraping /metrics during a week-long simulation watches the traffic
-// figures converge instead of waiting for the end.
+// mid-stream, before Finalize. WindowedDriver.Snapshot reads them for every
+// still-open window, so /reports shows a window's figures forming before it
+// closes and reaches the report_window_metric gauges.
 type LiveReporter interface {
 	// LiveMetrics returns the report's current headline numbers. It is
-	// called from the Driver's Write path (never concurrently with
+	// called under the WindowedDriver's lock (never concurrently with
 	// Observe), so implementations can read their accumulation state
 	// directly.
 	LiveMetrics() map[string]float64
@@ -97,19 +91,6 @@ const (
 	observeSampleStride = 1024
 )
 
-// PublishLive enables the live-gauge bridge: while the driver streams, each
-// attached report implementing LiveReporter has its numbers published as
-// report_live_metric{report,metric} gauges at most once per interval
-// (default 5s when interval <= 0), checked every counterFlushStride writes.
-// At Finalize every report's final Metrics() map is published, so the gauges
-// end on the true values. No-op when metrics were not enabled at NewDriver.
-func (d *Driver) PublishLive(interval time.Duration) {
-	if interval <= 0 {
-		interval = 5 * time.Second
-	}
-	d.liveEvery = interval
-}
-
 // flushCounts drains the batched per-report entry counts into the atomic
 // counters.
 func (d *Driver) flushCounts() {
@@ -117,46 +98,6 @@ func (d *Driver) flushCounts() {
 		if n > 0 {
 			d.met[i].entries.Add(n)
 			d.pend[i] = 0
-		}
-	}
-}
-
-// maybePublishLive publishes LiveReporter gauges when the rolling interval
-// has elapsed. Called from the Write path on the flush stride, so the clock
-// is read at most once per counterFlushStride entries.
-func (d *Driver) maybePublishLive() {
-	if d.liveEvery <= 0 {
-		return
-	}
-	now := time.Now() //bsvet:walltime live-gauge publishing is paced on scrape wall time by design
-	if now.Sub(d.lastPublish) < d.liveEvery {
-		return
-	}
-	d.lastPublish = now
-	for i, r := range d.active {
-		lr, ok := r.(LiveReporter)
-		if !ok {
-			continue
-		}
-		for k, v := range lr.LiveMetrics() {
-			d.m.live.With(d.reports[i].Name, k).Set(v) //bsvet:obshandle rolling publish, rate-limited by liveEvery
-		}
-	}
-}
-
-// publishFinal sets the live gauges to each finalized report's Metrics()
-// map — the resting values a scrape after the run observes.
-func (d *Driver) publishFinal() {
-	if d.liveEvery <= 0 {
-		return
-	}
-	for i := range d.active {
-		res := d.reports[i].Result
-		if res == nil {
-			continue
-		}
-		for k, v := range res.Metrics() {
-			d.m.live.With(d.reports[i].Name, k).Set(v) //bsvet:obshandle one-shot final publish after the run
 		}
 	}
 }

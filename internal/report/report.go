@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
 	"bitswapmon/internal/ingest"
 	"bitswapmon/internal/obs"
@@ -150,12 +149,10 @@ type Driver struct {
 	// enabled) keeps Write at a single branch. pend batches per-report
 	// entry counts between flushes; written counts driver writes for the
 	// flush/sample strides.
-	m           *reportMetrics
-	met         []reportHandles
-	pend        []uint64
-	written     uint64
-	liveEvery   time.Duration
-	lastPublish time.Time
+	m       *reportMetrics
+	met     []reportHandles
+	pend    []uint64
+	written uint64
 }
 
 // NewDriver returns an empty driver. dedup controls whether reports that
@@ -234,9 +231,8 @@ func (d *Driver) Write(e trace.Entry) error {
 }
 
 // writeInstrumented is Write with telemetry: per-report entry counts batch
-// in pend and flush every counterFlushStride writes, Observe latency is
-// timed on a 1-in-observeSampleStride sample, and the live-gauge bridge is
-// given a chance to publish on the flush stride.
+// in pend and flush every counterFlushStride writes, and Observe latency is
+// timed on a 1-in-observeSampleStride sample.
 func (d *Driver) writeInstrumented(e trace.Entry) error {
 	dup := d.dedup && e.IsDuplicate()
 	d.written++
@@ -260,7 +256,6 @@ func (d *Driver) writeInstrumented(e trace.Entry) error {
 	}
 	if d.written%counterFlushStride == 0 {
 		d.flushCounts()
-		d.maybePublishLive()
 	}
 	return nil
 }
@@ -295,9 +290,6 @@ func (d *Driver) Finalize() (Results, error) {
 			continue
 		}
 		d.reports[i].Result = res
-	}
-	if d.m != nil {
-		d.publishFinal()
 	}
 	return d.reports, errors.Join(errs...)
 }

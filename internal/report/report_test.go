@@ -131,7 +131,6 @@ func (f *fixture) run(t *testing.T, name string, opts Options) Result {
 func (f *fixture) opts() Options {
 	return Options{
 		Bucket:         time.Hour,
-		Slice:          time.Hour,
 		BootstrapIters: 10,
 		Geo:            f.geo,
 		GatewayIDs:     f.gatewayIDs,

@@ -19,10 +19,9 @@ import (
 // the fields they care about; zero values take the documented defaults, so
 // callers state only what they vary.
 type Options struct {
-	// Bucket is the fig4/online time-bucket width. Default 1h.
+	// Bucket is the fig4/online time-bucket and fig6 time-slice width.
+	// Default 1h.
 	Bucket time.Duration
-	// Slice is the fig6 time-slice width. Default 1h.
-	Slice time.Duration
 	// TopK is how many popular CIDs the online report lists. Default 10.
 	TopK int
 	// BootstrapIters bounds the CSN bootstrap of fig5/popularity.
@@ -96,13 +95,6 @@ func (o Options) bucket() time.Duration {
 	return o.Bucket
 }
 
-func (o Options) slice() time.Duration {
-	if o.Slice <= 0 {
-		return time.Hour
-	}
-	return o.Slice
-}
-
 func (o Options) topK() int {
 	if o.TopK <= 0 {
 		return 10
@@ -157,7 +149,7 @@ func init() {
 			return nil, ErrNoGatewayIDs
 		}
 		return &fig6Report{
-			slice:       o.slice(),
+			slice:       o.bucket(),
 			gatewayIDs:  o.GatewayIDs,
 			megagateIDs: o.MegagateIDs,
 			bySlice:     make(map[int64]*Fig6Slice),
@@ -217,8 +209,8 @@ func (r *trafficReport) Observe(e trace.Entry) error {
 	return nil
 }
 
-// LiveMetrics exposes the traffic counters mid-stream for the Driver's
-// live-gauge bridge: the shares a scrape watches converge during a run.
+// LiveMetrics exposes the traffic counters mid-stream: an open window's
+// live numbers on /reports, before the window closes.
 func (r *trafficReport) LiveMetrics() map[string]float64 {
 	m := map[string]float64{
 		"entries":        float64(r.entries),

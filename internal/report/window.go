@@ -23,12 +23,13 @@ type WindowOptions struct {
 	// report_window_metric recency slots). Default 8.
 	Keep int
 	// Reports names the registry reports evaluated per window; each window
-	// gets fresh instances, so Finalize consumes nothing shared.
+	// gets a fresh Driver over them (AddByName: a name listed twice is
+	// rejected), so Finalize consumes nothing shared.
 	Reports []string
 	// Opts parametrises each window's report instances.
 	Opts Options
-	// Dedup mirrors Driver's dedup switch: reports declaring WantsDedup
-	// skip duplicate-flagged entries.
+	// Dedup is each window Driver's dedup switch: reports declaring
+	// WantsDedup skip duplicate-flagged entries.
 	Dedup bool
 	// OnClose, when set, receives every finalized window in order — the
 	// durable-retention hook (e.g. append one JSON line per window, so
@@ -91,19 +92,21 @@ type WindowSnapshot struct {
 	Open        []OpenWindow   `json:"open"`
 }
 
-// windowState is one in-flight window's report set.
+// windowState is one in-flight window: a Driver over the window's entries.
 type windowState struct {
 	start, end int64 // ns
 	entries    int
-	reports    []Report
+	drv        *Driver
 }
 
 // WindowedDriver evaluates a set of registry reports over tumbling or
 // sliding windows of a live entry stream. It satisfies ingest.Sink, so it
 // attaches anywhere a Driver does — typically behind an ingest.UnifySink on
-// a running simulation's monitors. Each window gets fresh report instances
-// from the default registry, reusing the one-pass Observe/Finalize contract
-// unchanged; when the stream's watermark passes a window's end, the window
+// a running simulation's monitors. Each window is a Driver of its own over
+// fresh report instances from the default registry, so windows share the
+// one-pass Observe/Finalize contract and the per-report telemetry
+// (report_entries_observed_total and the two latency histograms) with every
+// other pass; when the stream's watermark passes a window's end, the window
 // is finalized, retained in a bounded ring, published through the
 // report_window_metric{report,metric,window} gauge family, and handed to
 // OnClose for durable retention.
@@ -131,20 +134,18 @@ type WindowedDriver struct {
 }
 
 // NewWindowedDriver validates the configuration (report names are resolved
-// once against the default registry, so unknown names or unsatisfiable
-// options fail fast) and returns an empty driver.
+// once against the default registry, so unknown or repeated names and
+// unsatisfiable options fail fast) and returns an empty driver.
 func NewWindowedDriver(opts WindowOptions) (*WindowedDriver, error) {
 	opts, err := opts.withDefaults()
 	if err != nil {
 		return nil, err
 	}
-	// Probe-construct every report once: a name that cannot build now
-	// (unknown, or missing context like a geo DB) would otherwise surface
-	// mid-stream at the first window boundary.
-	for _, name := range opts.Reports {
-		if _, err := New(name, opts.Opts); err != nil {
-			return nil, err
-		}
+	// Probe-build the report set once on a throwaway Driver: a name that
+	// cannot build now (unknown, listed twice, or missing context like a geo
+	// DB) would otherwise surface mid-stream at the first window boundary.
+	if err := NewDriver(opts.Dedup).AddByName(opts.Reports, opts.Opts); err != nil {
+		return nil, err
 	}
 	return &WindowedDriver{
 		opts:      opts,
@@ -186,7 +187,6 @@ func (d *WindowedDriver) Write(e trace.Entry) error {
 	// exactly one k.
 	kMax := floorDiv(ts, d.slide)
 	kMin := floorDiv(ts-d.width, d.slide) + 1
-	dup := d.opts.Dedup && e.IsDuplicate()
 	for k := kMin; k <= kMax; k++ {
 		st, ok := d.open[k]
 		if !ok {
@@ -207,14 +207,9 @@ func (d *WindowedDriver) Write(e trace.Entry) error {
 			}
 		}
 		st.entries++
-		for _, r := range st.reports {
-			if dup && r.WantsDedup() {
-				continue
-			}
-			if err := r.Observe(e); err != nil {
-				d.err = err
-				return err
-			}
+		if err := st.drv.Write(e); err != nil {
+			d.err = err
+			return err
 		}
 	}
 	return nil
@@ -229,19 +224,15 @@ func floorDiv(a, b int64) int64 {
 }
 
 func (d *WindowedDriver) openWindow(k int64) (*windowState, error) {
-	st := &windowState{start: k * d.slide, end: k*d.slide + d.width}
-	// The window's reports share a numbering and a popularity counter of
-	// their own, reachable only through them: both are garbage with the
-	// window, so the daemon's memory stays bounded by the window width.
-	opts := d.opts.Opts
-	opts.pass = newPassState()
-	for _, name := range d.opts.Reports {
-		r, err := New(name, opts)
-		if err != nil {
-			return nil, err
-		}
-		st.reports = append(st.reports, r)
+	// The window's Driver is its pass: its reports share a numbering and a
+	// popularity counter of their own, reachable only through them, so both
+	// are garbage with the window and the daemon's memory stays bounded by
+	// the window width.
+	drv := NewDriver(d.opts.Dedup)
+	if err := drv.AddByName(d.opts.Reports, d.opts.Opts); err != nil {
+		return nil, err
 	}
+	st := &windowState{start: k * d.slide, end: k*d.slide + d.width, drv: drv}
 	d.open[k] = st
 	if st.end < d.nextClose {
 		d.nextClose = st.end
@@ -282,15 +273,15 @@ func (d *WindowedDriver) finalizeWindow(st *windowState, partial bool) error {
 		End:     time.Unix(0, st.end).UTC(),
 		Entries: st.entries,
 		Partial: partial,
-		Metrics: make(map[string]map[string]float64, len(st.reports)),
 	}
-	for i, r := range st.reports {
-		out, err := r.Finalize()
-		if err != nil {
-			return fmt.Errorf("report: window [%s, %s) %s: %w",
-				res.Start.Format(time.RFC3339), res.End.Format(time.RFC3339), d.opts.Reports[i], err)
-		}
-		res.Metrics[d.opts.Reports[i]] = out.Metrics()
+	results, err := st.drv.Finalize()
+	if err != nil {
+		return fmt.Errorf("report: window [%s, %s): %w",
+			res.Start.Format(time.RFC3339), res.End.Format(time.RFC3339), err)
+	}
+	res.Metrics = make(map[string]map[string]float64, len(results))
+	for _, nr := range results {
+		res.Metrics[nr.Name] = nr.Result.Metrics()
 	}
 	d.closed = append(d.closed, res)
 	if len(d.closed) > d.opts.Keep {
@@ -347,7 +338,7 @@ func (d *WindowedDriver) Snapshot() WindowSnapshot {
 			End:     time.Unix(0, st.end).UTC(),
 			Entries: st.entries,
 		}
-		for i, r := range st.reports {
+		for i, r := range st.drv.active {
 			lr, ok := r.(LiveReporter)
 			if !ok {
 				continue
@@ -355,7 +346,7 @@ func (d *WindowedDriver) Snapshot() WindowSnapshot {
 			if ow.Live == nil {
 				ow.Live = make(map[string]map[string]float64)
 			}
-			ow.Live[d.opts.Reports[i]] = lr.LiveMetrics()
+			ow.Live[st.drv.reports[i].Name] = lr.LiveMetrics()
 		}
 		snap.Open = append(snap.Open, ow)
 	}

@@ -326,6 +326,62 @@ func TestWindowedDriverOptionValidation(t *testing.T) {
 	}
 }
 
+// TestWindowedDriverRejectsDuplicateReport: a window is a Driver, so a
+// report listed twice is refused up front, as Driver.AddNew refuses it —
+// not run twice per window with the second result overwriting the first.
+func TestWindowedDriverRejectsDuplicateReport(t *testing.T) {
+	_, err := NewWindowedDriver(WindowOptions{Reports: []string{"traffic", "online", "traffic"}})
+	if err == nil || !strings.Contains(err.Error(), `"traffic" listed twice`) {
+		t.Fatalf("duplicate report name: err = %v", err)
+	}
+}
+
+// TestWindowedReportTelemetry: every window's reports are counted in the
+// same per-report families as any Driver's. Over 1 h windows sliding by
+// 15 m each entry lands in four windows, so report_entries_observed_total
+// is, per report, the sum over windows of the entries that report observed:
+// every raw entry for summary, only the deduplicated ones for online.
+func TestWindowedReportTelemetry(t *testing.T) {
+	reg := obs.NewRegistry()
+	EnableMetrics(reg)
+	defer EnableMetrics(obs.NewRegistry()) // isolate later tests from reg
+
+	f := newFixture(t, 5)
+	entries := append([]trace.Entry(nil), f.unified...)
+	for i := range entries {
+		entries[i].Timestamp = t0.Add(6 * entries[i].Timestamp.Sub(t0))
+	}
+	results, _ := feedWindows(t, entries, WindowOptions{
+		Width:   time.Hour,
+		Slide:   15 * time.Minute,
+		Keep:    1 << 20,
+		Reports: []string{"summary", "online"},
+		Dedup:   true,
+	})
+	var summaryObserved, onlineObserved float64
+	for _, res := range results {
+		summaryObserved += res.Metrics["summary"]["entries"]
+		onlineObserved += res.Metrics["online"]["entries"]
+	}
+	const perEntry = 4 // width / slide
+	if want := float64(perEntry * len(entries)); summaryObserved != want {
+		t.Fatalf("summary windows observed %v entries, want %v", summaryObserved, want)
+	}
+	if want := float64(perEntry * len(f.dedup)); onlineObserved != want {
+		t.Fatalf("online windows observed %v entries, want %v", onlineObserved, want)
+	}
+
+	snap := reg.Snapshot()
+	for report, want := range map[string]float64{"summary": summaryObserved, "online": onlineObserved} {
+		if got := snap[`report_entries_observed_total{report="`+report+`"}`]; got != want {
+			t.Errorf("report_entries_observed_total{report=%q} = %v, want %v", report, got, want)
+		}
+		if got := snap[`report_finalize_seconds_count{report="`+report+`"}`]; got != float64(len(results)) {
+			t.Errorf("report_finalize_seconds_count{report=%q} = %v, want one per window (%d)", report, got, len(results))
+		}
+	}
+}
+
 func TestWindowedKeepBoundsRetention(t *testing.T) {
 	f := newFixture(t, 3)
 	results, wd := feedWindows(t, f.unified, WindowOptions{

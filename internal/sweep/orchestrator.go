@@ -130,7 +130,7 @@ func RunSweep(ctx context.Context, root string, sw SweepSpec, opts Options) (*Re
 				} else {
 					entry.Status = StatusDone
 					entry.Summary = filepath.Join(runsDir, run.ID, summaryFile)
-					opts.Log("run %s done (%d entries, %dms)", run.ID, sum.Entries, sum.ElapsedMS)
+					opts.Log("run %s done (%.0f entries, %dms)", run.ID, sum.Metrics["entries"], sum.ElapsedMS)
 				}
 				recErr := man.record(entry)
 				if m != nil && recErr == nil {

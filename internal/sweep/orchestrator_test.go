@@ -4,6 +4,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -58,11 +59,11 @@ func TestOrchestratorRunsGrid(t *testing.T) {
 		t.Fatalf("got %d summaries", len(res.Summaries))
 	}
 	for _, sum := range res.Summaries {
-		if sum.Entries <= 0 {
+		if sum.Metrics["entries"] <= 0 {
 			t.Errorf("run %s recorded no entries", sum.RunID)
 		}
-		if sum.Population < 16+5 {
-			t.Errorf("run %s population %d implausible", sum.RunID, sum.Population)
+		if sum.Metrics["population"] < 16+5 {
+			t.Errorf("run %s population %v implausible", sum.RunID, sum.Metrics["population"])
 		}
 		dir := RunDir(root, sum.RunID)
 		for _, mon := range []string{"us", "de"} {
@@ -74,7 +75,7 @@ func TestOrchestratorRunsGrid(t *testing.T) {
 		onDisk, err := ReadSummary(filepath.Join(dir, summaryFile))
 		if err != nil {
 			t.Errorf("run %s: %v", sum.RunID, err)
-		} else if onDisk.Entries != sum.Entries {
+		} else if !reflect.DeepEqual(onDisk.Metrics, sum.Metrics) {
 			t.Errorf("run %s: persisted summary disagrees with returned one", sum.RunID)
 		}
 	}
@@ -109,9 +110,7 @@ func TestOrchestratorDeterministic(t *testing.T) {
 		x, y := *a.Summaries[i], *b.Summaries[i]
 		// Wall clock is the one legitimately nondeterministic field.
 		x.ElapsedMS, y.ElapsedMS = 0, 0
-		if x.RunID != y.RunID || x.Entries != y.Entries || x.DedupEntries != y.DedupEntries ||
-			x.UniquePeers != y.UniquePeers || x.UniqueCIDs != y.UniqueCIDs ||
-			x.PeerOverlap != y.PeerOverlap || x.OnlineAvg != y.OnlineAvg {
+		if x.RunID != y.RunID || !reflect.DeepEqual(x.Metrics, y.Metrics) {
 			t.Errorf("run %s differs across invocations:\n%+v\n%+v", x.RunID, x, y)
 		}
 	}

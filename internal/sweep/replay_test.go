@@ -73,13 +73,14 @@ func TestSweepReplayWorkloadSource(t *testing.T) {
 	if res.Total != 2 || res.Executed != 2 || res.Failed != 0 {
 		t.Fatalf("result %+v", res)
 	}
-	var events [2]int
+	var events [2]float64
 	for i, sum := range res.Summaries {
-		if sum.ReplayEvents <= 0 || sum.ReplayRequesters <= 0 {
+		m := sum.Metrics
+		if m["replay_events"] <= 0 || m["replay_requesters"] <= 0 {
 			t.Fatalf("run %s: no replay counters: %+v", sum.RunID, sum)
 		}
-		if sum.Entries != sum.ReplayEvents {
-			t.Errorf("run %s: %d recorded entries vs %d replayed events", sum.RunID, sum.Entries, sum.ReplayEvents)
+		if m["entries"] != m["replay_events"] {
+			t.Errorf("run %s: %v recorded entries vs %v replayed events", sum.RunID, m["entries"], m["replay_events"])
 		}
 		if len(sum.MonitorCoverage) != 1 {
 			t.Errorf("run %s: coverage %+v", sum.RunID, sum.MonitorCoverage)
@@ -87,11 +88,11 @@ func TestSweepReplayWorkloadSource(t *testing.T) {
 		if _, err := os.Stat(filepath.Join(RunDir(root, sum.RunID), "mon-us.segments")); err != nil {
 			t.Errorf("run %s: missing monitor store: %v", sum.RunID, err)
 		}
-		events[i] = sum.ReplayEvents
+		events[i] = m["replay_events"]
 	}
 	// Summaries sort by run ID: amplify=1 before amplify=3.
 	if !(events[1] > 2*events[0]) {
-		t.Errorf("amplify=3 drove %d events vs %d at 1×, want ≈3×", events[1], events[0])
+		t.Errorf("amplify=3 drove %v events vs %v at 1×, want ≈3×", events[1], events[0])
 	}
 
 	// The amplify axis must not leak between grid points through a shared
@@ -125,10 +126,10 @@ func TestSweepDirectReplayRun(t *testing.T) {
 	if got := summaryWithout(t, dir, "elapsed_ms"); got != pinnedReplaySummary {
 		t.Errorf("summary.json moved:\n%s\nwant:\n%s", got, pinnedReplaySummary)
 	}
-	if sum.Entries != 300 || sum.ReplayEvents != 300 {
-		t.Fatalf("direct replay recorded %d entries / %d events, want 300", sum.Entries, sum.ReplayEvents)
+	if m := sum.Metrics; m["entries"] != 300 || m["replay_events"] != 300 {
+		t.Fatalf("direct replay recorded %v entries / %v events, want 300", m["entries"], m["replay_events"])
 	}
-	if sum.ReplayRequesters != 12 {
-		t.Errorf("requesters %d, want 12", sum.ReplayRequesters)
+	if v := sum.Metrics["replay_requesters"]; v != 12 {
+		t.Errorf("requesters %v, want 12", v)
 	}
 }

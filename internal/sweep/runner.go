@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"time"
 
 	"bitswapmon/internal/attacks"
@@ -18,9 +19,10 @@ import (
 )
 
 // SummaryVersion versions the per-run summary schema. Version 2 added the
-// extensible metrics map; version-1 summaries still load (ReadSummary
-// normalizes their typed fields into the map).
-const SummaryVersion = 2
+// extensible metrics map beside the typed metric fields of version 1;
+// version 3 holds each metric once, in the map. Every version loads
+// (ReadSummary migrates a version-1 file's top-level metrics into the map).
+const SummaryVersion = 3
 
 // summaryFile is the per-run summary's filename inside the run directory.
 const summaryFile = "summary.json"
@@ -37,54 +39,21 @@ type RunSummary struct {
 	Params  []Param `json:"params,omitempty"`
 	Engine  string  `json:"engine,omitempty"`
 
-	// Population is the total node count (bootstrap core included).
-	Population int `json:"population"`
-	// OnlineAvg is the mean ground-truth online population over the window.
-	OnlineAvg float64 `json:"online_avg"`
-
-	// Unified-trace counters (all monitors merged, Sec. IV-B flags).
-	Entries       int            `json:"entries"`
-	DedupEntries  int            `json:"dedup_entries"`
-	Requests      int            `json:"requests"`
-	DedupRequests int            `json:"dedup_requests"`
-	RebroadShare  float64        `json:"rebroad_share"`
-	UniquePeers   int            `json:"unique_peers"`
-	UniqueCIDs    int            `json:"unique_cids"`
-	PerType       map[string]int `json:"per_type,omitempty"`
-
+	// PerType counts unified-trace entries by message type.
+	PerType map[string]int `json:"per_type,omitempty"`
 	// MonitorCoverage is each monitor's Bitswap-active peer count divided
 	// by the population (the paper's per-vantage-point coverage).
 	MonitorCoverage map[string]float64 `json:"monitor_coverage,omitempty"`
-	// PeerOverlap is |intersection| / |union| of Bitswap-active peer sets
-	// across all monitors (the paper's overlap across vantage points).
-	PeerOverlap float64 `json:"peer_overlap"`
-
-	// GatewayShare is the share of deduplicated requests originating from
-	// gateway nodes (the paper's gateway traffic share).
-	GatewayShare float64 `json:"gateway_share"`
-	// GatewayHitRate is the fleet-wide HTTP cache hit ratio.
-	GatewayHitRate float64 `json:"gateway_hit_rate"`
 
 	// Probe results (spec.Probes).
 	GatewaysProbed     int `json:"gateways_probed,omitempty"`
 	GatewaysIdentified int `json:"gateways_identified,omitempty"`
 
-	// Replay-sourced runs (workload_source mode replay or fitted).
-	//
-	// ReplayEvents counts replayed want-list events; ReplayRequesters the
-	// distinct observed (or generated) requesters mapped onto the pool.
-	ReplayEvents     int `json:"replay_events,omitempty"`
-	ReplayRequesters int `json:"replay_requesters,omitempty"`
-	// FittedAlpha is the model's power-law exponent (fitted mode, when the
-	// trace supports a fit) — compare across amplification factors to check
-	// popularity-shape preservation.
-	FittedAlpha float64 `json:"fitted_alpha,omitempty"`
-
-	// Metrics is the extensible metrics-by-name view: every canonical
-	// metric above plus "<report>:<metric>" entries contributed by the
-	// spec's extra reports. The aggregation layer reads metrics from here
-	// by name; adding a new comparison metric means registering a report,
-	// not growing this struct.
+	// Metrics holds every comparison metric by name, each once: the
+	// canonical set (KnownMetrics, documented in metrics.go) plus
+	// "<report>:<metric>" entries contributed by the spec's extra reports.
+	// Adding a comparison metric means registering a report, not growing
+	// this struct.
 	Metrics map[string]float64 `json:"metrics,omitempty"`
 
 	// ElapsedMS is wall-clock time; it is excluded from aggregate CSVs
@@ -111,7 +80,9 @@ func ExecuteRun(dir string, run Run) (*RunSummary, error) {
 		Seed:    run.Seed,
 		Params:  run.Params,
 		Engine:  spec.Engine,
+		Metrics: canonicalZeros(),
 	}
+	m := sum.Metrics
 
 	// Every monitor streams the measured window into its durable store as
 	// it happens. Seal whatever is open on every exit path (Close is
@@ -142,11 +113,11 @@ func ExecuteRun(dir string, run Run) (*RunSummary, error) {
 		if err != nil {
 			return nil, err
 		}
-		sum.Population = meas.World.PoolSize()
-		sum.ReplayEvents = meas.Drive.Events
-		sum.ReplayRequesters = meas.Drive.Requesters
+		m["population"] = float64(meas.World.PoolSize())
+		m["replay_events"] = float64(meas.Drive.Events)
+		m["replay_requesters"] = float64(meas.Drive.Requesters)
 		if meas.Model != nil && meas.Model.PowerLaw != nil {
-			sum.FittedAlpha = meas.Model.PowerLaw.Alpha
+			m["fitted_alpha"] = meas.Model.PowerLaw.Alpha
 		}
 	} else {
 		meas, err := Measure(spec, run.Seed, func(w *workload.World) error { return open(w.Monitors) })
@@ -154,8 +125,8 @@ func ExecuteRun(dir string, run Run) (*RunSummary, error) {
 			return nil, err
 		}
 		w := meas.World
-		sum.Population = w.TotalPopulation()
-		sum.OnlineAvg = meas.OnlineAvg
+		m["population"] = float64(w.TotalPopulation())
+		m["online_avg"] = meas.OnlineAvg
 		if spec.Probes && len(w.Monitors) > 0 && len(w.Registry.All()) > 0 {
 			probes := ProbeGateways(w)
 			identified, _, _ := attacks.CrossReference(probes, w.Registry.NodeIDs())
@@ -169,7 +140,7 @@ func ExecuteRun(dir string, run Run) (*RunSummary, error) {
 			misses += st.CacheMisses
 		}
 		if hits+misses > 0 {
-			sum.GatewayHitRate = float64(hits) / float64(hits+misses)
+			m["gateway_hit_rate"] = float64(hits) / float64(hits+misses)
 		}
 		opts = report.Options{
 			Geo:            w.Geo,
@@ -188,7 +159,7 @@ func ExecuteRun(dir string, run Run) (*RunSummary, error) {
 	if err := summarizeStores(sum, stores, spec.Reports, opts); err != nil {
 		return nil, err
 	}
-	fillMonitorCoverage(sum, monitors, sum.Population)
+	fillMonitorCoverage(sum, monitors, int(m["population"]))
 	if err := writeRunTrace(dir, opts.Tracer); err != nil {
 		return nil, err
 	}
@@ -266,9 +237,11 @@ func sealMonitorStores(monitors []*monitor.Monitor, stores []*ingest.SegmentStor
 // pass over a run's freshly written stores: a report.Driver tees the
 // StreamUnifier's output through the summary and traffic reports (bounded
 // memory: the unifier's window plus each report's own state), plus any
-// extra reports the spec requests, whose metrics land in the summary's
-// metrics map as "<report>:<metric>". opts carries the context extra reports
-// may need (gateway IDs, GeoIP, bootstrap budget, tracer).
+// extra reports the spec requests. Every result is read through its
+// Metrics() map: the summary and traffic reports fill the canonical names
+// they produce, and each extra report's metrics land as
+// "<report>:<metric>". opts carries the context extra reports may need
+// (gateway IDs, GeoIP, bootstrap budget, tracer).
 func summarizeStores(sum *RunSummary, stores []*ingest.SegmentStore, extraReports []string, opts report.Options) error {
 	sources := make([]ingest.EntrySource, len(stores))
 	for i, store := range stores {
@@ -279,8 +252,9 @@ func summarizeStores(sum *RunSummary, stores []*ingest.SegmentStore, extraReport
 		defer it.Close()
 		sources[i] = it
 	}
+	builtin := []string{"summary", "traffic"}
 	drv := report.NewDriver(true)
-	if err := drv.AddByName(append([]string{"summary", "traffic"}, extraReports...), opts); err != nil {
+	if err := drv.AddByName(append(builtin, extraReports...), opts); err != nil {
 		return fmt.Errorf("sweep: summary reports: %w", err)
 	}
 	if err := drv.Run(ingest.NewStreamUnifier(sources...)); err != nil {
@@ -291,29 +265,20 @@ func summarizeStores(sum *RunSummary, stores []*ingest.SegmentStore, extraReport
 		return fmt.Errorf("sweep: summarize run: %w", err)
 	}
 
+	for i, nr := range results {
+		for k, v := range nr.Result.Metrics() {
+			switch {
+			case i >= len(builtin):
+				sum.Metrics[nr.Name+":"+k] = v
+			case slices.Contains(canonicalMetrics, k):
+				sum.Metrics[k] = v
+			}
+		}
+	}
 	s := results.Get("summary").(*report.SummaryResult).Summary
-	traffic := results.Get("traffic").(*report.Traffic)
-	sum.Entries = s.Entries
-	sum.Requests = s.Requests
-	sum.UniquePeers = s.UniquePeers
-	sum.UniqueCIDs = s.UniqueCIDs
-	sum.DedupEntries = traffic.DedupEntries
-	sum.DedupRequests = traffic.DedupRequests
-	sum.RebroadShare = traffic.RebroadShare
-	sum.GatewayShare = traffic.GatewayShare
 	sum.PerType = make(map[string]int, len(s.PerType))
 	for t, n := range s.PerType {
 		sum.PerType[t.String()] = n
-	}
-	if len(extraReports) > 0 {
-		if sum.Metrics == nil {
-			sum.Metrics = make(map[string]float64)
-		}
-		for _, name := range extraReports {
-			for k, v := range results.Get(name).Metrics() {
-				sum.Metrics[name+":"+k] = v
-			}
-		}
 	}
 	return nil
 }
@@ -339,16 +304,14 @@ func fillMonitorCoverage(sum *RunSummary, monitors []*monitor.Monitor, populatio
 				inAll++
 			}
 		}
-		sum.PeerOverlap = float64(inAll) / float64(len(union))
+		sum.Metrics["peer_overlap"] = float64(inAll) / float64(len(union))
 	}
 }
 
 // writeSummary persists the summary atomically (temp file + rename), so a
 // summary.json on disk is always complete: the manifest records a run as
-// done only after this succeeds. The metrics map is completed first, so
-// every persisted summary resolves every canonical metric by name.
+// done only after this succeeds.
 func writeSummary(path string, sum *RunSummary) error {
-	sum.normalize()
 	blob, err := json.MarshalIndent(sum, "", "  ")
 	if err != nil {
 		return fmt.Errorf("sweep: marshal summary: %w", err)
@@ -373,12 +336,24 @@ func ReadSummary(path string) (*RunSummary, error) {
 	if err := json.Unmarshal(data, &sum); err != nil {
 		return nil, fmt.Errorf("sweep: decode summary %s: %w", path, err)
 	}
-	// Version 1 (pre-metrics-map) summaries load through the same
-	// metrics-by-name lookups: normalize derives the map from the typed
-	// fields they carried.
 	if sum.Version < 1 || sum.Version > SummaryVersion {
 		return nil, fmt.Errorf("sweep: summary %s: version %d unsupported (want 1..%d)", path, sum.Version, SummaryVersion)
 	}
-	sum.normalize()
+	if sum.Version == 1 {
+		// Version 1 had no metrics map: it carried the canonical metrics as
+		// top-level keys, which load through the same lookups once copied
+		// into the map (a key it lacks reads as 0, the structural zero a
+		// later version writes).
+		var top map[string]any
+		if err := json.Unmarshal(data, &top); err != nil {
+			return nil, fmt.Errorf("sweep: decode summary %s: %w", path, err)
+		}
+		sum.Metrics = canonicalZeros()
+		for _, name := range canonicalMetrics {
+			if v, ok := top[name].(float64); ok {
+				sum.Metrics[name] = v
+			}
+		}
+	}
 	return &sum, nil
 }

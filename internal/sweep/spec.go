@@ -206,7 +206,8 @@ type ScenarioSpec struct {
 	SampleEvery    Duration `json:"sample_every,omitempty"`
 	BootstrapIters int      `json:"bootstrap_iters,omitempty"`
 
-	// Engine selection and seed policy. Seed is the run's base seed; sweep
+	// Engine selection and seed policy. Shards applies to engine sharded
+	// only (0 = the engine's default). Seed is the run's base seed; sweep
 	// replication overrides it per run.
 	Engine string `json:"engine,omitempty"`
 	Shards int    `json:"shards,omitempty"`
@@ -283,7 +284,7 @@ var knownRegions = map[string]bool{
 
 // Validate checks the spec for structural errors. Zero-valued tunables are
 // fine (they take workload defaults); what must hold is version, window,
-// engine name, region names and fraction ranges.
+// engine name and shard count, region names and fraction ranges.
 func (s ScenarioSpec) Validate() error {
 	if s.Version != SpecVersion {
 		return fmt.Errorf("sweep: spec version %d unsupported (want %d)", s.Version, SpecVersion)
@@ -352,6 +353,13 @@ func (s ScenarioSpec) Validate() error {
 	case "", "serial", "sharded":
 	default:
 		return fmt.Errorf("sweep: unknown engine %q (want serial or sharded)", s.Engine)
+	}
+	// A shard count the engine would ignore or silently replace is a typo.
+	if s.Shards < 0 {
+		return fmt.Errorf("sweep: negative shards %d", s.Shards)
+	}
+	if s.Shards > 0 && s.Engine != "sharded" {
+		return fmt.Errorf("sweep: shards = %d needs engine sharded", s.Shards)
 	}
 	if len(s.Monitors) > 64 {
 		return fmt.Errorf("sweep: at most 64 monitors (have %d)", len(s.Monitors))

@@ -133,6 +133,9 @@ func TestSpecValidate(t *testing.T) {
 		{"bad joint", func(s *ScenarioSpec) { s.Joint = &JointSpec{Both: 0.9, OnlyA: 0.9} }},
 		{"bad start", func(s *ScenarioSpec) { s.Start = "yesterday" }},
 		{"unnamed gateway", func(s *ScenarioSpec) { s.Gateways[0].Name = "" }},
+		{"negative shards", func(s *ScenarioSpec) { s.Shards = -1 }},
+		{"shards on serial", func(s *ScenarioSpec) { s.Engine = "serial" }},
+		{"shards on default engine", func(s *ScenarioSpec) { s.Engine = "" }},
 	}
 	for _, tc := range cases {
 		s := fullSpec()
@@ -151,7 +154,7 @@ func TestSpecValidate(t *testing.T) {
 
 func TestWorkloadConfigMapping(t *testing.T) {
 	s := fullSpec()
-	s.Engine = "" // serial: factory must be nil
+	s.Engine, s.Shards = "", 0 // serial: factory must be nil
 	cfg, err := s.WorkloadConfig(99)
 	if err != nil {
 		t.Fatal(err)

@@ -16,10 +16,10 @@ import (
 // rows, columns and long-form lines are sorted, and wall-clock fields are
 // excluded.
 
-// Metrics are resolved by name through (*RunSummary).Metric: the
-// extensible metrics map written by the report-driven summaries, with
-// "coverage:<monitor>" addressing and typed-field fallback for version-1
-// summaries. This layer knows no metric by field.
+// Metrics are resolved by name through (*RunSummary).Metric: the metrics
+// map written by the report-driven summaries (version-1 files migrated
+// into it on read), with "coverage:<monitor>" addressing. This layer knows
+// no metric by field.
 
 // paramString renders a run's override value for one parameter; runs that
 // did not override it report the base-spec marker.

@@ -19,9 +19,11 @@ func gridSummaries() []*RunSummary {
 						{Key: "nodes", Value: nodes},
 						{Key: "mean_session", Value: sess},
 					},
-					Population:  int(nodes),
-					Entries:     int(nodes) * 10,
-					PeerOverlap: 0.5 + 0.1*float64(rep),
+					Metrics: map[string]float64{
+						"population":   nodes,
+						"entries":      nodes * 10,
+						"peer_overlap": 0.5 + 0.1*float64(rep),
+					},
 					MonitorCoverage: map[string]float64{
 						"us": 0.5, "de": 0.4,
 					},
@@ -89,7 +91,7 @@ func TestSweepTableDurationOrdering(t *testing.T) {
 			RunID:   "mean_session=" + sess + "-s1",
 			Seed:    1,
 			Params:  []Param{{Key: "mean_session", Value: sess}},
-			Entries: 10,
+			Metrics: map[string]float64{"entries": 10},
 		})
 	}
 	tbl, err := ComputeTable(recs, "mean_session", "", "entries")

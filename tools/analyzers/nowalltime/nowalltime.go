@@ -7,9 +7,9 @@
 // process-global math/rand source breaks that: the result depends on when
 // and where the binary ran, not on the scenario seed. Inside the packages
 // that run under the simulation (engine, simnet, bitswap, dht, workload,
-// replay, report, monitor) the only legal time source is the engine Clock
+// replay, report, monitor) the only legal time source is the engine clock
 // and the only legal randomness is a seeded stream (rand.New(rand.NewSource(
-// seed)) or engine.Rand.NewRand).
+// seed)) or engine.Engine.NewRand).
 //
 // Deliberate wall-clock uses — self-timing instrumentation that feeds
 // metrics, never simulation results — are annotated //bsvet:walltime.

@@ -24,11 +24,6 @@ const (
 	// pinnedSummary is summary.json without its wall-clock field and the
 	// two sketched estimates it carried when the pin was taken.
 	pinnedSummary = `{
-  "dedup_entries": 795,
-  "dedup_requests": 412,
-  "entries": 1753,
-  "gateway_hit_rate": 0.9122779187817259,
-  "gateway_share": 0.8859223300970874,
   "gateways_identified": 28,
   "gateways_probed": 28,
   "metrics": {
@@ -52,32 +47,20 @@ const (
     "de": 0.2962962962962963,
     "us": 0.28888888888888886
   },
-  "online_avg": 63.25,
-  "peer_overlap": 0.926829268292683,
   "per_type": {
     "CANCEL": 751,
     "WANT_BLOCK": 34,
     "WANT_HAVE": 968
   },
-  "population": 135,
-  "rebroad_share": 0.5464917284654878,
-  "requests": 1002,
   "run_id": "pinned",
   "seed": 42,
-  "unique_cids": 314,
-  "unique_peers": 40,
-  "version": 2
+  "version": 3
 }`
 	// pinnedReplaySummary is summary.json, without its wall-clock field, of
 	// the direct-replay run TestSweepDirectReplayRun builds. It was taken
 	// while replay runs still had a runner of their own (executeReplayRun)
 	// and must not move.
 	pinnedReplaySummary = `{
-  "dedup_entries": 187,
-  "dedup_requests": 187,
-  "entries": 300,
-  "gateway_hit_rate": 0,
-  "gateway_share": 0,
   "metrics": {
     "dedup_entries": 187,
     "dedup_requests": 187,
@@ -98,21 +81,12 @@ const (
   "monitor_coverage": {
     "us": 0.046875
   },
-  "online_avg": 0,
-  "peer_overlap": 0,
   "per_type": {
     "WANT_HAVE": 300
   },
-  "population": 256,
-  "rebroad_share": 0.3766666666666667,
-  "replay_events": 300,
-  "replay_requesters": 12,
-  "requests": 300,
   "run_id": "direct",
   "seed": 3,
-  "unique_cids": 30,
-  "unique_peers": 12,
-  "version": 2
+  "version": 3
 }`
 )
 

@@ -2,6 +2,12 @@
 // a thread-safe content-addressed store with a capacity budget, pinning, and
 // LRU garbage collection (Sec. III-C of the paper: nodes store up to 10 GB of
 // blocks by default, pinned CIDs are exempt from GC).
+//
+// Block bytes are immutable. A store keeps the very slice it is given, so
+// one block's bytes can be held by the publisher's store, every message that
+// carries the block and every store that receives it. Capacity counts the
+// logical bytes of each store's blocks, whether or not another store shares
+// them.
 package blockstore
 
 import (
@@ -56,6 +62,9 @@ func New(capacity int64) *Store {
 
 // Put stores data under c, evicting least-recently-used unpinned blocks if
 // needed. Storing an already-present block refreshes its recency.
+//
+// The store keeps data itself, not a copy: neither the caller nor anyone
+// else may modify data after Put.
 func (s *Store) Put(c cid.CID, data []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -72,14 +81,15 @@ func (s *Store) Put(c cid.CID, data []byte) error {
 	if err := s.reserveLocked(uint64(len(data))); err != nil {
 		return err
 	}
-	e := &entry{cid: c, data: append([]byte(nil), data...)}
+	e := &entry{cid: c, data: data}
 	e.elem = s.lru.PushFront(e)
 	s.blocks[c] = e
 	s.used += uint64(len(data))
 	return nil
 }
 
-// PutBlock implements merkledag.BlockSink.
+// PutBlock implements merkledag.BlockSink. Like Put, it keeps data, which
+// must not be modified afterwards.
 func (s *Store) PutBlock(c cid.CID, data []byte) error { return s.Put(c, data) }
 
 // reserveLocked evicts unpinned LRU blocks until size bytes fit.
@@ -107,7 +117,9 @@ func (s *Store) removeLocked(e *entry) {
 	s.used -= uint64(len(e.data))
 }
 
-// Get returns the block stored under c, marking it recently used.
+// Get returns the block stored under c, marking it recently used. The bytes
+// are the stored block itself, shared with every other holder: read them,
+// never write them.
 func (s *Store) Get(c cid.CID) ([]byte, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -123,7 +135,8 @@ func (s *Store) Get(c cid.CID) ([]byte, bool) {
 	return e.data, true
 }
 
-// GetBlock implements merkledag.BlockSource.
+// GetBlock implements merkledag.BlockSource. Like Get, it returns shared
+// bytes that must not be modified.
 func (s *Store) GetBlock(c cid.CID) ([]byte, bool) { return s.Get(c) }
 
 // Has reports block presence without touching recency or hit statistics.

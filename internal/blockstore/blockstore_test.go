@@ -36,6 +36,26 @@ func TestPutGet(t *testing.T) {
 	}
 }
 
+// TestPutKeepsCallerBytes: Put stores the caller's slice, not a copy, and
+// two stores given one block share its bytes while each counts them.
+func TestPutKeepsCallerBytes(t *testing.T) {
+	c, data := blk("shared block")
+	a, b := New(1024), New(1024)
+	for _, s := range []*Store{a, b} {
+		if err := s.Put(c, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ga, _ := a.Get(c)
+	gb, _ := b.Get(c)
+	if &ga[0] != &data[0] || &gb[0] != &data[0] {
+		t.Error("Get does not return the bytes given to Put")
+	}
+	if a.Stats().Used != uint64(len(data)) || b.Stats().Used != uint64(len(data)) {
+		t.Errorf("used = %d and %d, want %d each", a.Stats().Used, b.Stats().Used, len(data))
+	}
+}
+
 func TestPutIdempotent(t *testing.T) {
 	s := New(1024)
 	c, data := blk("dup")

@@ -2,6 +2,7 @@ package dht
 
 import (
 	"crypto/sha256"
+	"slices"
 	"time"
 
 	"bitswapmon/internal/cid"
@@ -24,15 +25,18 @@ func (k Key) AsNodeID() simnet.NodeID { return simnet.NodeID(k) }
 // with a 12h reprovide interval.
 const DefaultProviderTTL = 24 * time.Hour
 
+// providerRecord is one provider of one key. It holds no pointer, so a
+// key's record slice is never scanned by the GC.
 type providerRecord struct {
 	info    PeerInfo
-	expires time.Time
+	expires int64 // Unix nanoseconds
 }
 
 // ProviderStore holds provider records on a DHT server.
 type ProviderStore struct {
-	ttl     time.Duration
-	records map[Key]map[simnet.NodeID]providerRecord
+	ttl time.Duration
+	// records holds each key's providers sorted by peer ID.
+	records map[Key][]providerRecord
 }
 
 // NewProviderStore creates a store with the given TTL (<= 0 selects
@@ -41,37 +45,47 @@ func NewProviderStore(ttl time.Duration) *ProviderStore {
 	if ttl <= 0 {
 		ttl = DefaultProviderTTL
 	}
-	return &ProviderStore{ttl: ttl, records: make(map[Key]map[simnet.NodeID]providerRecord)}
+	return &ProviderStore{ttl: ttl, records: make(map[Key][]providerRecord)}
 }
 
-// Add records that p provides key, as of now.
+// Add records that p provides key, as of now. Re-adding a provider
+// refreshes its record.
 func (s *ProviderStore) Add(key Key, p PeerInfo, now time.Time) {
-	m, ok := s.records[key]
-	if !ok {
-		m = make(map[simnet.NodeID]providerRecord)
-		s.records[key] = m
+	rec := providerRecord{info: p, expires: now.Add(s.ttl).UnixNano()}
+	recs := s.records[key]
+	i, found := slices.BinarySearchFunc(recs, p.ID, func(r providerRecord, id simnet.NodeID) int {
+		return r.info.ID.Compare(id)
+	})
+	if found {
+		recs[i] = rec
+		return
 	}
-	m[p.ID] = providerRecord{info: p, expires: now.Add(s.ttl)}
+	s.records[key] = slices.Insert(recs, i, rec)
 }
 
 // Get returns the unexpired providers for key, sorted by ID for determinism.
+// Expired records are dropped as it goes.
 func (s *ProviderStore) Get(key Key, now time.Time) []PeerInfo {
-	m, ok := s.records[key]
+	recs, ok := s.records[key]
 	if !ok {
 		return nil
 	}
-	out := make([]PeerInfo, 0, len(m))
-	for id, rec := range m {
-		if rec.expires.Before(now) {
-			delete(m, id)
-			continue
+	t := now.UnixNano()
+	live := recs[:0]
+	for _, r := range recs {
+		if r.expires >= t {
+			live = append(live, r)
 		}
-		out = append(out, rec.info)
 	}
-	if len(m) == 0 {
+	if len(live) == 0 {
 		delete(s.records, key)
+	} else {
+		s.records[key] = live
 	}
-	SortByDistance(out, simnet.NodeID{})
+	out := make([]PeerInfo, len(live))
+	for i, r := range live {
+		out[i] = r.info
+	}
 	return out
 }
 

@@ -31,9 +31,12 @@ type PeerInfo struct {
 // RoutingTable is a set of k-buckets indexed by the length of the common
 // prefix with the local node ID.
 type RoutingTable struct {
-	self    simnet.NodeID
-	k       int
-	buckets [257][]PeerInfo // index = LeadingZeros of XOR distance
+	self simnet.NodeID
+	k    int
+	// buckets is indexed by the LeadingZeros of the XOR distance. It grows
+	// only as far as the highest bucket a peer was ever added to: in a
+	// network of n peers that is about log2(n) buckets, not 257.
+	buckets [][]PeerInfo
 	size    int
 	// top is the highest non-empty bucket index, -1 for an empty table:
 	// Closest never looks above it.
@@ -67,6 +70,14 @@ func (rt *RoutingTable) bucketIndex(id simnet.NodeID) int {
 	return rt.self.CommonPrefixLen(id)
 }
 
+// bucket returns bucket i, nil for an index the table has not grown to.
+func (rt *RoutingTable) bucket(i int) []PeerInfo {
+	if uint(i) < uint(len(rt.buckets)) {
+		return rt.buckets[i]
+	}
+	return nil
+}
+
 // Add inserts a peer. Client peers and self are ignored; full buckets keep
 // their existing members (classic Kademlia favours long-lived contacts).
 // It reports whether the peer was newly inserted.
@@ -75,7 +86,7 @@ func (rt *RoutingTable) Add(p PeerInfo) bool {
 		return false
 	}
 	idx := rt.bucketIndex(p.ID)
-	bucket := rt.buckets[idx]
+	bucket := rt.bucket(idx)
 	for _, existing := range bucket {
 		if existing.ID == p.ID {
 			return false
@@ -83,6 +94,9 @@ func (rt *RoutingTable) Add(p PeerInfo) bool {
 	}
 	if len(bucket) >= rt.k {
 		return false
+	}
+	if idx >= len(rt.buckets) {
+		rt.buckets = append(rt.buckets, make([][]PeerInfo, idx+1-len(rt.buckets))...)
 	}
 	rt.buckets[idx] = append(bucket, p)
 	rt.size++
@@ -93,7 +107,7 @@ func (rt *RoutingTable) Add(p PeerInfo) bool {
 // Remove drops a peer (e.g. observed dead).
 func (rt *RoutingTable) Remove(id simnet.NodeID) {
 	idx := rt.bucketIndex(id)
-	bucket := rt.buckets[idx]
+	bucket := rt.bucket(idx)
 	for i, p := range bucket {
 		if p.ID == id {
 			rt.buckets[idx] = slices.Delete(bucket, i, i+1)
@@ -108,7 +122,7 @@ func (rt *RoutingTable) Remove(id simnet.NodeID) {
 
 // Contains reports whether id is present.
 func (rt *RoutingTable) Contains(id simnet.NodeID) bool {
-	for _, p := range rt.buckets[rt.bucketIndex(id)] {
+	for _, p := range rt.bucket(rt.bucketIndex(id)) {
 		if p.ID == id {
 			return true
 		}
@@ -205,10 +219,7 @@ func (rt *RoutingTable) All() []PeerInfo {
 // Bucket returns a copy of the bucket holding peers at common-prefix-length
 // cpl (used by the crawler to enumerate tables).
 func (rt *RoutingTable) Bucket(cpl int) []PeerInfo {
-	if cpl < 0 || cpl > 256 {
-		return nil
-	}
-	return append([]PeerInfo(nil), rt.buckets[cpl]...)
+	return append([]PeerInfo(nil), rt.bucket(cpl)...)
 }
 
 // SortByDistance sorts peers in place by XOR distance to target. The order

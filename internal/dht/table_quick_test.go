@@ -9,11 +9,17 @@ import (
 	"bitswapmon/internal/simnet"
 )
 
-// highestNonEmpty is the reference for RoutingTable.top.
-func highestNonEmpty(rt *RoutingTable) int {
+// highestNonEmpty is the reference for RoutingTable.top. It also checks the
+// grown-on-demand layout: the table holds no bucket beyond 256, and top
+// never points past the buckets it has grown.
+func highestNonEmpty(t testing.TB, rt *RoutingTable) int {
+	t.Helper()
+	if len(rt.buckets) > 257 || rt.top >= len(rt.buckets) {
+		t.Errorf("table has %d buckets and top %d", len(rt.buckets), rt.top)
+	}
 	top := -1
-	for cpl := range rt.buckets {
-		if len(rt.buckets[cpl]) > 0 {
+	for cpl := 0; cpl <= 256; cpl++ {
+		if len(rt.bucket(cpl)) > 0 {
 			top = cpl
 		}
 	}
@@ -49,7 +55,7 @@ func TestQuickBucketInvariant(t *testing.T) {
 				return false
 			}
 		}
-		if rt.top != highestNonEmpty(rt) {
+		if rt.top != highestNonEmpty(t, rt) {
 			return false
 		}
 		for _, id := range present {
@@ -127,7 +133,7 @@ func TestClosestDistanceClasses(t *testing.T) {
 	}
 	full := 0
 	for cpl := 0; cpl <= 256; cpl++ {
-		if len(rt.buckets[cpl]) == k {
+		if len(rt.bucket(cpl)) == k {
 			full++
 		}
 	}
@@ -142,7 +148,7 @@ func TestClosestDistanceClasses(t *testing.T) {
 		// k peers: a target there finds class 1 short of n.
 		sparse := 0
 		for cpl := 0; cpl < 40; cpl++ {
-			if l := len(rt.buckets[cpl]); l > 0 && l < k {
+			if l := len(rt.bucket(cpl)); l > 0 && l < k {
 				sparse = cpl
 			}
 		}
@@ -187,7 +193,7 @@ func TestClosestDistanceClasses(t *testing.T) {
 			rt.Remove(p.ID)
 		}
 	}
-	if want := highestNonEmpty(rt); rt.top != want || want >= 90 {
+	if want := highestNonEmpty(t, rt); rt.top != want || want >= 90 {
 		t.Fatalf("top = %d after emptying buckets 255 and 90, highest non-empty is %d", rt.top, want)
 	}
 	check("after emptying the top buckets")
@@ -216,7 +222,7 @@ func TestRemoveClearsVacatedSlot(t *testing.T) {
 		rt.Add(PeerInfo{ID: id, Server: true})
 	}
 	rt.Remove(ids[0])
-	bucket := rt.buckets[0]
+	bucket := rt.bucket(0)
 	if len(bucket) != 2 || bucket[0].ID != ids[1] || bucket[1].ID != ids[2] {
 		t.Fatalf("bucket after Remove = %v", bucket)
 	}
@@ -278,7 +284,7 @@ func FuzzClosest(f *testing.F) {
 			}
 		}
 		checkClosest(t, rt, target, n)
-		if want := highestNonEmpty(rt); rt.top != want {
+		if want := highestNonEmpty(t, rt); rt.top != want {
 			t.Errorf("top = %d, highest non-empty bucket is %d", rt.top, want)
 		}
 	})

@@ -8,6 +8,7 @@
 package merkledag
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sort"
@@ -73,12 +74,13 @@ var ErrCorruptNode = errors.New("merkledag: corrupt node")
 
 // Encode serialises the node deterministically.
 //
-// Raw nodes serialise as their bare data (codec Raw). File and directory
-// nodes use a compact length-prefixed encoding (standing in for the
-// DagProtobuf encoding; the codec reported to CIDs is DagProtobuf).
+// Raw nodes serialise as their bare data (codec Raw): Encode returns Data
+// itself, not a copy. File and directory nodes use a compact
+// length-prefixed encoding (standing in for the DagProtobuf encoding; the
+// codec reported to CIDs is DagProtobuf).
 func (n *Node) Encode() []byte {
 	if n.Kind == KindRaw {
-		return append([]byte(nil), n.Data...)
+		return n.Data
 	}
 	buf := []byte{byte(n.Kind)}
 	buf = cid.PutUvarint(buf, uint64(len(n.Data)))
@@ -95,10 +97,12 @@ func (n *Node) Encode() []byte {
 	return buf
 }
 
-// DecodeNode parses node bytes under the given codec.
+// DecodeNode parses node bytes under the given codec. The node's Data
+// aliases data, which is a block and so is never modified; its capacity is
+// cut at its length, so an append to Data cannot write into the block.
 func DecodeNode(codec cid.Codec, data []byte) (*Node, error) {
 	if codec == cid.Raw {
-		return &Node{Kind: KindRaw, Data: append([]byte(nil), data...)}, nil
+		return &Node{Kind: KindRaw, Data: data[:len(data):len(data)]}, nil
 	}
 	if len(data) == 0 {
 		return nil, fmt.Errorf("%w: empty", ErrCorruptNode)
@@ -113,11 +117,12 @@ func DecodeNode(codec cid.Codec, data []byte) (*Node, error) {
 		return nil, fmt.Errorf("%w: data length: %v", ErrCorruptNode, err)
 	}
 	pos += n
-	if pos+int(dataLen) > len(data) {
+	if dataLen > uint64(len(data)-pos) {
 		return nil, fmt.Errorf("%w: data overruns", ErrCorruptNode)
 	}
-	node := &Node{Kind: kind, Data: append([]byte(nil), data[pos:pos+int(dataLen)]...)}
-	pos += int(dataLen)
+	end := pos + int(dataLen)
+	node := &Node{Kind: kind, Data: data[pos:end:end]}
+	pos = end
 	linkCount, n, err := cid.Uvarint(data[pos:])
 	if err != nil || linkCount > 1<<20 {
 		return nil, fmt.Errorf("%w: link count", ErrCorruptNode)
@@ -161,14 +166,10 @@ func DecodeNode(codec cid.Codec, data []byte) (*Node, error) {
 	return node, nil
 }
 
-// CID computes the node's content identifier.
-func (n *Node) CID() cid.CID {
-	return cid.Sum(n.Codec(), n.Encode())
-}
-
 // BlockSink receives the blocks produced by the builder.
 type BlockSink interface {
-	// PutBlock stores a block under its CID.
+	// PutBlock stores a block under its CID. The sink may keep data
+	// itself; nobody modifies it afterwards.
 	PutBlock(c cid.CID, data []byte) error
 }
 
@@ -191,27 +192,31 @@ func NewBuilder(sink BlockSink, chunkSize, fanout int) *Builder {
 	return &Builder{sink: sink, chunkSize: chunkSize, fanout: fanout}
 }
 
+// put encodes node once and stores the encoding under its CID.
+func (b *Builder) put(node *Node) (cid.CID, error) {
+	enc := node.Encode()
+	c := cid.Sum(node.Codec(), enc)
+	return c, b.sink.PutBlock(c, enc)
+}
+
 // AddFile chunks content into Raw leaves and builds a balanced DagProtobuf
-// tree above them, returning the root CID and total DAG size in bytes.
+// tree above them, returning the root CID and total DAG size in bytes. The
+// leaf blocks are slices of content itself, so content must not be modified
+// afterwards.
 func (b *Builder) AddFile(content []byte) (cid.CID, uint64, error) {
 	if len(content) <= b.chunkSize {
 		// Single-chunk files are a single Raw block.
-		node := &Node{Kind: KindRaw, Data: content}
-		c := node.CID()
-		if err := b.sink.PutBlock(c, node.Encode()); err != nil {
+		c, err := b.put(&Node{Kind: KindRaw, Data: content[:len(content):len(content)]})
+		if err != nil {
 			return cid.CID{}, 0, fmt.Errorf("put leaf: %w", err)
 		}
 		return c, uint64(len(content)), nil
 	}
 	var level []Link
 	for off := 0; off < len(content); off += b.chunkSize {
-		end := off + b.chunkSize
-		if end > len(content) {
-			end = len(content)
-		}
-		node := &Node{Kind: KindRaw, Data: content[off:end]}
-		c := node.CID()
-		if err := b.sink.PutBlock(c, node.Encode()); err != nil {
+		end := min(off+b.chunkSize, len(content))
+		c, err := b.put(&Node{Kind: KindRaw, Data: content[off:end:end]})
+		if err != nil {
 			return cid.CID{}, 0, fmt.Errorf("put leaf: %w", err)
 		}
 		level = append(level, Link{CID: c, Size: uint64(end - off)})
@@ -219,14 +224,9 @@ func (b *Builder) AddFile(content []byte) (cid.CID, uint64, error) {
 	for len(level) > 1 {
 		var next []Link
 		for i := 0; i < len(level); i += b.fanout {
-			end := i + b.fanout
-			if end > len(level) {
-				end = len(level)
-			}
-			node := &Node{Kind: KindFile, Links: level[i:end]}
-			enc := node.Encode()
-			c := cid.Sum(cid.DagProtobuf, enc)
-			if err := b.sink.PutBlock(c, enc); err != nil {
+			end := min(i+b.fanout, len(level))
+			c, err := b.put(&Node{Kind: KindFile, Links: level[i:end]})
+			if err != nil {
 				return cid.CID{}, 0, fmt.Errorf("put interior: %w", err)
 			}
 			var sz uint64
@@ -255,9 +255,8 @@ func (b *Builder) AddDirectory(entries map[string]Link) (cid.CID, error) {
 		l.Name = name
 		node.Links = append(node.Links, l)
 	}
-	enc := node.Encode()
-	c := cid.Sum(cid.DagProtobuf, enc)
-	if err := b.sink.PutBlock(c, enc); err != nil {
+	c, err := b.put(node)
+	if err != nil {
 		return cid.CID{}, fmt.Errorf("put directory: %w", err)
 	}
 	return c, nil
@@ -265,7 +264,8 @@ func (b *Builder) AddDirectory(entries map[string]Link) (cid.CID, error) {
 
 // BlockSource resolves CIDs to block bytes.
 type BlockSource interface {
-	// GetBlock returns the block stored under c.
+	// GetBlock returns the block stored under c. The bytes may be shared
+	// with other holders of the block and must not be modified.
 	GetBlock(c cid.CID) ([]byte, bool)
 }
 
@@ -305,29 +305,41 @@ func Walk(src BlockSource, root cid.CID, visit func(c cid.CID, n *Node) error) e
 }
 
 // Assemble reconstructs the file content rooted at root by concatenating its
-// leaves in order. It errors on directory roots.
+// leaves in order. It errors on directory roots. The leaf slices are
+// collected first and the file is allocated once, at its exact length; a
+// single-leaf file is that leaf's block itself, which must not be modified.
 func Assemble(src BlockSource, root cid.CID) ([]byte, error) {
-	data, ok := src.GetBlock(root)
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrMissingBlock, root)
+	parts, err := appendLeafData(nil, src, root)
+	if err != nil {
+		return nil, err
 	}
-	node, err := DecodeNode(root.Codec(), data)
+	if len(parts) == 1 {
+		return parts[0], nil
+	}
+	return bytes.Join(parts, nil), nil
+}
+
+// appendLeafData appends to parts the data of every leaf under c, in file
+// order.
+func appendLeafData(parts [][]byte, src BlockSource, c cid.CID) ([][]byte, error) {
+	data, ok := src.GetBlock(c)
+	if !ok {
+		return nil, fmt.Errorf("%w: %s", ErrMissingBlock, c)
+	}
+	node, err := DecodeNode(c.Codec(), data)
 	if err != nil {
 		return nil, err
 	}
 	switch node.Kind {
 	case KindRaw:
-		return node.Data, nil
+		return append(parts, node.Data), nil
 	case KindFile:
-		var out []byte
 		for _, l := range node.Links {
-			part, err := Assemble(src, l.CID)
-			if err != nil {
+			if parts, err = appendLeafData(parts, src, l.CID); err != nil {
 				return nil, err
 			}
-			out = append(out, part...)
 		}
-		return out, nil
+		return parts, nil
 	default:
 		return nil, fmt.Errorf("merkledag: cannot assemble %s node", node.Kind)
 	}

@@ -184,6 +184,40 @@ func TestDecodeNodeCorrupt(t *testing.T) {
 	}
 }
 
+// FuzzDecodeNode: decoding never writes into its input, which is a block
+// other holders share, and neither does an append to the decoded Data. A
+// node that decodes encodes back to the very same bytes.
+func FuzzDecodeNode(f *testing.F) {
+	leaf := cid.Sum(cid.Raw, []byte("leaf"))
+	f.Add(false, (&Node{Kind: KindFile, Data: []byte("inline"), Links: []Link{{CID: leaf, Size: 4}}}).Encode())
+	f.Add(false, (&Node{Kind: KindDirectory, Links: []Link{{Name: "a", CID: leaf, Size: 4}, {Name: "b", CID: leaf, Size: 4}}}).Encode())
+	f.Add(false, (&Node{Kind: KindFile}).Encode())
+	f.Add(false, []byte{byte(KindFile), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f})
+	f.Add(true, []byte("raw block"))
+	f.Add(true, []byte{})
+	f.Fuzz(func(t *testing.T, raw bool, data []byte) {
+		codec := cid.DagProtobuf
+		if raw {
+			codec = cid.Raw
+		}
+		orig := bytes.Clone(data)
+		node, err := DecodeNode(codec, data)
+		if !bytes.Equal(data, orig) {
+			t.Fatalf("DecodeNode wrote into its input: %x, was %x", data, orig)
+		}
+		if err != nil {
+			return
+		}
+		_ = append(node.Data, 0xAA)
+		if !bytes.Equal(data, orig) {
+			t.Fatalf("an append to Data wrote into the input: %x, was %x", data, orig)
+		}
+		if enc := node.Encode(); !bytes.Equal(enc, orig) {
+			t.Fatalf("Encode(DecodeNode(%x)) = %x", orig, enc)
+		}
+	})
+}
+
 func TestWalkMissingBlock(t *testing.T) {
 	sink := memSink{}
 	b := NewBuilder(sink, 16, 4)

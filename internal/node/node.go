@@ -159,7 +159,8 @@ func (n *Node) scheduleRefresh() {
 }
 
 // Publish chunks content into the local store, announces the root to the
-// DHT, and pins it locally. It returns the root CID.
+// DHT, and pins it locally. It returns the root CID. The store keeps slices
+// of content as its leaf blocks, so content must not be modified afterwards.
 func (n *Node) Publish(content []byte) (cid.CID, error) {
 	root, _, err := n.builder.AddFile(content)
 	if err != nil {

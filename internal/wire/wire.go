@@ -92,16 +92,20 @@ type Presence struct {
 	CID  cid.CID
 }
 
-// Block is a data block together with its CID.
+// Block is a data block together with its CID. In a simulated send, Data is
+// the sender's stored block itself: it is shared, and nobody modifies it
+// after it is stored or sent.
 type Block struct {
 	CID  cid.CID
 	Data []byte
 }
 
-// Message is one Bitswap protocol message. A message is read-only once sent:
-// a sender may hand the same *Message to many peers (one broadcast sends one
-// message to every connected peer), so neither sender nor receiver may modify
-// it or anything it points to afterwards. Clone makes a private copy.
+// Message is one Bitswap protocol message. A message and the block bytes it
+// carries are shared and read-only once sent: a sender may hand the same
+// *Message to many peers (one broadcast sends one message to every connected
+// peer), and a receiving store keeps the very Data slice of each block it
+// accepts. Neither sender nor receiver may modify the message or anything it
+// points to afterwards.
 type Message struct {
 	// Full indicates the want_list replaces (rather than extends) the
 	// sender's previously announced want_list.
@@ -114,18 +118,6 @@ type Message struct {
 // Empty reports whether the message carries no payload.
 func (m *Message) Empty() bool {
 	return len(m.Wantlist) == 0 && len(m.Presences) == 0 && len(m.Blocks) == 0
-}
-
-// Clone returns a deep copy of the message.
-func (m *Message) Clone() *Message {
-	out := &Message{Full: m.Full}
-	out.Wantlist = append([]Entry(nil), m.Wantlist...)
-	out.Presences = append([]Presence(nil), m.Presences...)
-	out.Blocks = make([]Block, len(m.Blocks))
-	for i, b := range m.Blocks {
-		out.Blocks[i] = Block{CID: b.CID, Data: append([]byte(nil), b.Data...)}
-	}
-	return out
 }
 
 var (

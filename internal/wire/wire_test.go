@@ -121,18 +121,6 @@ func TestEntryTypeStrings(t *testing.T) {
 	}
 }
 
-func TestClone(t *testing.T) {
-	m := sampleMessage()
-	c := m.Clone()
-	if !reflect.DeepEqual(m, c) {
-		t.Fatal("clone differs")
-	}
-	c.Blocks[0].Data[0] = 'X'
-	if m.Blocks[0].Data[0] == 'X' {
-		t.Error("Clone shares block data")
-	}
-}
-
 func TestStreamRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)

@@ -18,6 +18,7 @@ import (
 	"bitswapmon/internal/node"
 	"bitswapmon/internal/otrace"
 	"bitswapmon/internal/simnet"
+	"bitswapmon/internal/wire"
 )
 
 // MonitorSpec describes one monitoring vantage point.
@@ -514,6 +515,15 @@ func (w *World) drawMonitorMask(id simnet.NodeID, nMonitors int) uint64 {
 	return mask
 }
 
+// dagBlocks is a merkledag.BlockSink that records the blocks a builder
+// emits, in emission order.
+type dagBlocks []wire.Block
+
+func (d *dagBlocks) PutBlock(c cid.CID, data []byte) error {
+	*d = append(*d, wire.Block{CID: c, Data: data})
+	return nil
+}
+
 // publishCatalog stores resolvable items at stable publishers and finalises
 // sampling weights.
 func (w *World) publishCatalog() error {
@@ -532,27 +542,33 @@ func (w *World) publishCatalog() error {
 		if !item.Resolvable {
 			continue
 		}
+		// The item is encoded once, and every replica stores those very
+		// block bytes, in the order a publisher's builder would put them.
+		var blocks dagBlocks
+		if item.MultiBlock {
+			root, _, err := merkledag.NewBuilder(&blocks, w.cfg.ChunkSize, 0).AddFile(item.Content)
+			if err != nil {
+				return fmt.Errorf("build item %d: %w", i, err)
+			}
+			item.Root = root
+		} else {
+			blocks = dagBlocks{{CID: item.Root, Data: item.Content}}
+		}
 		replicas := 1 + w.rng.Intn(3)
 		if item.Hot {
 			replicas = 3 + w.rng.Intn(3)
 		}
 		for rIdx := 0; rIdx < replicas; rIdx++ {
 			pub := publishers[w.rng.Intn(len(publishers))]
-			if item.MultiBlock {
-				root, err := pub.N.Publish(item.Content)
-				if err != nil {
-					return fmt.Errorf("publish item %d: %w", i, err)
-				}
-				item.Root = root
-			} else {
-				if err := pub.N.Store.Put(item.Root, item.Content); err != nil {
+			for _, b := range blocks {
+				if err := pub.N.Store.Put(b.CID, b.Data); err != nil {
 					return fmt.Errorf("store item %d: %w", i, err)
 				}
-				if err := pub.N.Store.Pin(item.Root); err != nil {
-					return err
-				}
-				pub.N.DHT.Provide(dht.KeyForCID(item.Root), nil)
 			}
+			if err := pub.N.Store.Pin(item.Root); err != nil {
+				return err
+			}
+			pub.N.DHT.Provide(dht.KeyForCID(item.Root), nil)
 		}
 	}
 	w.Catalog.finalize()
@@ -850,7 +866,7 @@ func (w *World) newWebItem() (cid.CID, error) {
 	// trace does.
 	node := &merkledag.Node{Kind: merkledag.KindFile, Data: content}
 	enc := node.Encode()
-	root := node.CID()
+	root := cid.Sum(node.Codec(), enc)
 	for _, sn := range w.Nodes {
 		if !sn.Stable || !w.Net.IsOnline(sn.N.ID) {
 			continue

@@ -1,0 +1,74 @@
+package workload
+
+import (
+	"fmt"
+	"testing"
+	"time"
+
+	"bitswapmon/internal/blockstore"
+	"bitswapmon/internal/cid"
+	"bitswapmon/internal/engine"
+)
+
+// TestWorldSharesBlockBytes runs a small world, then reads every block in
+// every node's, gateway's and monitor's store. Each block must still hash to
+// its CID: a holder that wrote into bytes it shares would break another's
+// copy. And every CID held by two or more stores must be backed by one
+// array: the world holds each block's bytes once, from the publisher's store
+// through the messages that carry it to every store that received it. The
+// two-shard run reads shared bytes from several goroutines at once.
+func TestWorldSharesBlockBytes(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			cfg := smallConfig(11)
+			if shards > 1 {
+				cfg.NewEngine = engine.ShardedFactory(shards)
+			}
+			w, err := Build(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w.Run(2 * time.Hour)
+
+			var stores []*blockstore.Store
+			for _, sn := range w.Nodes {
+				stores = append(stores, sn.N.Store)
+			}
+			for _, g := range w.Gateways {
+				stores = append(stores, g.Node.Store)
+			}
+			for _, m := range w.Monitors {
+				stores = append(stores, m.Node.Store)
+			}
+
+			first := make(map[cid.CID][]byte)
+			shared, apart := 0, 0
+			for _, s := range stores {
+				for _, c := range s.Keys() {
+					data, _ := s.Get(c)
+					if mh, err := c.Hash(); err != nil || mh.Verify(data) != nil {
+						t.Fatalf("block %s no longer hashes to its CID", c)
+					}
+					a, seen := first[c]
+					if !seen {
+						first[c] = data
+						continue
+					}
+					if len(data) == 0 {
+						continue
+					}
+					shared++
+					if &a[0] != &data[0] {
+						apart++
+					}
+				}
+			}
+			if shared == 0 {
+				t.Fatal("no block is held by two stores")
+			}
+			if apart > 0 {
+				t.Errorf("%d of %d second-or-later holdings of a block have their own copy of its bytes", apart, shared)
+			}
+		})
+	}
+}

@@ -109,10 +109,10 @@ func collectWeek() (*weekRun, error) {
 // monitor's peer IDs against the uniform distribution.
 func BenchmarkFig3PeerIDUniformity(b *testing.B) {
 	d := sharedWeek(b)
-	var fig experiments.Fig3
+	var fig sweep.Fig3
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fig = experiments.ComputeFig3(d.World.Monitors[0], 100)
+		fig = sweep.ComputeFig3(d.World.Monitors[0], 100)
 	}
 	b.ReportMetric(fig.KS, "KS-dist-to-uniform")
 	b.ReportMetric(float64(fig.Peers), "peers")
@@ -122,10 +122,10 @@ func BenchmarkFig3PeerIDUniformity(b *testing.B) {
 // Eq. (1)/(3) size estimates vs crawl and ground truth.
 func BenchmarkSecVCNetworkSize(b *testing.B) {
 	d := sharedWeek(b)
-	var sec experiments.SecVC
+	var sec sweep.SecVC
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sec = experiments.ComputeSecVC(d.World.Monitors, d.Samples, d.Crawl, d.OnlineAvg, d.World.TotalPopulation())
+		sec = sweep.ComputeSecVC(d.World.Monitors, d.Samples, d.Crawl, d.OnlineAvg, d.World.TotalPopulation())
 	}
 	b.ReportMetric(sec.Eq1Mean, "eq1-estimate")
 	b.ReportMetric(sec.Eq3Mean, "eq3-estimate")

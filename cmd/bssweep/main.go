@@ -10,6 +10,7 @@
 //	bssweep resume -root DIR [-workers N] [same operational flags as run]
 //	bssweep report -root DIR [-metric M -rows PARAM [-cols PARAM]] [-csv FILE]
 //	bssweep params
+//	bssweep preset small|week|upgrade
 //
 // run expands the sweep (cartesian axes × explicit cases × seed
 // replicates) and executes every run that the root's manifest does not
@@ -17,7 +18,16 @@
 // spec pinned in the root) after a crash or Ctrl-C picks up where the
 // sweep left off without re-executing completed runs. Each run streams its
 // monitor traces into per-run segment stores under DIR/runs/<run-id>/ and
-// leaves a summary.json of comparison metrics.
+// leaves a summary.json of comparison metrics and a report.txt with every
+// report's rendered text.
+//
+// preset prints a one-run sweep spec of one of the paper's scenarios —
+// small (sweep.DefaultSpec), week (sweep.WeekSpec) or upgrade
+// (sweep.UpgradeSpec(150, 3), Fig. 4) — to run as it is or to start a
+// campaign from:
+//
+//	bssweep preset small > small.json
+//	bssweep run -spec small.json -root out -workers 1
 //
 // report joins the completed runs' summaries — never the raw traces — into
 // a long-form CSV (default) or, with -rows/-cols/-metric, a comparison
@@ -59,7 +69,7 @@ func main() {
 
 func run(args []string) error {
 	if len(args) == 0 {
-		return fmt.Errorf("usage: bssweep run|resume|report|params ...")
+		return fmt.Errorf("usage: bssweep run|resume|report|params|preset ...")
 	}
 	switch args[0] {
 	case "run":
@@ -69,9 +79,11 @@ func run(args []string) error {
 	case "report":
 		return cmdReport(args[1:])
 	case "params":
-		return cmdParams()
+		return cmdParams(os.Stdout)
+	case "preset":
+		return cmdPreset(os.Stdout, args[1:])
 	default:
-		return fmt.Errorf("unknown subcommand %q (want run, resume, report or params)", args[0])
+		return fmt.Errorf("unknown subcommand %q (want run, resume, report, params or preset)", args[0])
 	}
 }
 
@@ -328,15 +340,57 @@ func cmdReport(args []string) error {
 	return nil
 }
 
-func cmdParams() error {
-	fmt.Println("sweepable parameters (axis/case keys):")
+func cmdParams(w io.Writer) error {
+	fmt.Fprintln(w, "sweepable parameters (axis/case keys):")
 	for _, p := range sweep.KnownParams() {
-		fmt.Printf("  %-26s %s\n", p, sweep.ParamDoc(p))
+		fmt.Fprintf(w, "  %-26s %s\n", p, sweep.ParamDoc(p))
 	}
-	fmt.Println("\nreport metrics:")
-	fmt.Printf("  %s\n", strings.Join(sweep.KnownMetrics(), ", "))
-	fmt.Println("  coverage:<monitor>")
-	fmt.Printf("  <report>:<metric> for any extra report a spec requests (registered: %s)\n",
+	fmt.Fprintln(w, "\nreport metrics:")
+	fmt.Fprintf(w, "  %s\n", strings.Join(sweep.KnownMetrics(), ", "))
+	fmt.Fprintln(w, "  coverage:<monitor>")
+	fmt.Fprintf(w, "  <report>:<metric> for any extra report a spec requests (registered: %s)\n",
 		strings.Join(report.Names(), ", "))
+	fmt.Fprintln(w, "  secvc:<metric> and fig3:<metric> for a run with crawl: true (the Sec. V-C panel and Fig. 3)")
+	fmt.Fprintf(w, "\npresets (bssweep preset NAME): %s\n", strings.Join(presetNames(), ", "))
 	return nil
+}
+
+// presets are the paper's scenarios by the name bssweep preset takes.
+var presets = map[string]func() sweep.ScenarioSpec{
+	"small":   sweep.DefaultSpec,
+	"week":    sweep.WeekSpec,
+	"upgrade": func() sweep.ScenarioSpec { return sweep.UpgradeSpec(150, 3) },
+}
+
+func presetNames() []string {
+	names := make([]string, 0, len(presets))
+	for name := range presets {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
+}
+
+// cmdPreset prints a one-run sweep spec whose base is the named preset and
+// whose seed is the preset's.
+func cmdPreset(w io.Writer, args []string) error {
+	if len(args) != 1 {
+		return fmt.Errorf("usage: bssweep preset %s", strings.Join(presetNames(), "|"))
+	}
+	preset, ok := presets[args[0]]
+	if !ok {
+		return fmt.Errorf("unknown preset %q (want %s)", args[0], strings.Join(presetNames(), ", "))
+	}
+	spec := preset()
+	blob, err := sweep.SweepSpec{
+		Version: sweep.SpecVersion,
+		Name:    spec.Name,
+		Base:    spec,
+		Seeds:   sweep.SeedPolicy{Base: spec.Seed},
+	}.Marshal()
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(blob)
+	return err
 }

@@ -1,9 +1,14 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
+
+	"bitswapmon/internal/sweep"
 )
 
 const testSweepJSON = `{
@@ -96,5 +101,46 @@ func TestBssweepErrors(t *testing.T) {
 	}
 	if err := run([]string{"report", "-root", t.TempDir(), "-rows", "nodes"}); err == nil {
 		t.Error("table report without -metric accepted")
+	}
+}
+
+// TestBssweepPresets: every preset prints a sweep spec that parses and
+// expands to one run of exactly the Go preset, and params lists the presets
+// and the crawl panels' metrics.
+func TestBssweepPresets(t *testing.T) {
+	for name, want := range map[string]sweep.ScenarioSpec{
+		"small":   sweep.DefaultSpec(),
+		"week":    sweep.WeekSpec(),
+		"upgrade": sweep.UpgradeSpec(150, 3),
+	} {
+		var out bytes.Buffer
+		if err := cmdPreset(&out, []string{name}); err != nil {
+			t.Fatalf("preset %s: %v", name, err)
+		}
+		sw, err := sweep.ParseSweep(out.Bytes())
+		if err != nil {
+			t.Fatalf("preset %s: %v", name, err)
+		}
+		runs, err := sweep.Expand(sw)
+		if err != nil {
+			t.Fatalf("preset %s: %v", name, err)
+		}
+		if len(runs) != 1 || !reflect.DeepEqual(runs[0].Spec, want) {
+			t.Errorf("preset %s expands to %+v, want one run of %+v", name, runs, want)
+		}
+	}
+	err := run([]string{"preset", "nope"})
+	if err == nil || !strings.Contains(err.Error(), "small, upgrade, week") {
+		t.Errorf("unknown preset: %v, want an error listing the presets", err)
+	}
+
+	var params bytes.Buffer
+	if err := cmdParams(&params); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"secvc:<metric>", "fig3:<metric>", "small, upgrade, week"} {
+		if !strings.Contains(params.String(), want) {
+			t.Errorf("params does not list %q:\n%s", want, params.String())
+		}
 	}
 }

@@ -9,11 +9,8 @@ import (
 	"log"
 	"time"
 
-	"bitswapmon/internal/dht"
-	"bitswapmon/internal/experiments"
-	"bitswapmon/internal/monitor"
-	"bitswapmon/internal/node"
 	"bitswapmon/internal/simnet"
+	"bitswapmon/internal/sweep"
 	"bitswapmon/internal/workload"
 )
 
@@ -24,46 +21,38 @@ func main() {
 }
 
 func run() error {
-	fmt.Println("building a 500-node network with two monitors (us, de)...")
-	w, err := workload.Build(workload.Config{
-		Seed:  7,
-		Nodes: 500,
-		Monitors: []workload.MonitorSpec{
-			{Name: "us", Region: simnet.RegionUS},
-			{Name: "de", Region: simnet.RegionDE},
+	spec := sweep.ScenarioSpec{
+		Version: sweep.SpecVersion,
+		Nodes:   500,
+		Monitors: []sweep.MonitorSpec{
+			{Name: "us", Region: string(simnet.RegionUS)},
+			{Name: "de", Region: string(simnet.RegionDE)},
 		},
-	})
+		Window:      sweep.D(12 * time.Hour),
+		SampleEvery: sweep.D(time.Hour),
+	}
+	fmt.Println("running 12 hours of virtual time on a 500-node network with two monitors (us, de)...")
+	meas, err := sweep.Measure(spec, 7, func(*workload.World) error { return nil })
 	if err != nil {
 		return err
 	}
-
-	sampler := monitor.NewSampler(w.Net, w.Monitors, time.Hour)
-	sampler.Start()
-
-	fmt.Println("running 12 hours of virtual time...")
-	w.Run(12 * time.Hour)
-	sampler.Stop()
+	w := meas.World
 
 	// Crawl the DHT for the comparison baseline.
-	crawlerID := simnet.DeriveNodeID([]byte("crawler"))
-	crawler, err := node.New(w.Net, crawlerID, "202.0.0.9:4001", simnet.RegionOther, node.Config{Mode: dht.ModeClient})
+	crawl, err := sweep.Crawl(w)
 	if err != nil {
 		return err
 	}
-	var crawlRes dht.CrawlResult
-	dht.Crawl(crawler.DHT, w.Bootstrap, 16, func(r dht.CrawlResult) { crawlRes = r })
-	w.Run(10 * time.Minute)
 
-	sec := experiments.ComputeSecVC(w.Monitors, sampler.Samples(), crawlRes,
-		float64(w.OnlineCount()), w.TotalPopulation())
+	sec := sweep.ComputeSecVC(w.Monitors, meas.Samples, crawl, meas.OnlineAvg, w.TotalPopulation())
 	fmt.Println()
 	fmt.Println(sec.Render())
 
 	fmt.Println("paper shape check:")
 	fmt.Printf("  - estimators agree with each other: Eq1=%.0f vs Eq3=%.0f\n", sec.Eq1Mean, sec.Eq3Mean)
-	fmt.Printf("  - correlated monitor connectivity makes them underestimate the truth (%.0f online)\n",
+	fmt.Printf("  - correlated monitor connectivity makes them underestimate the truth (%.0f online on average)\n",
 		sec.TrueOnlineAvg)
-	fmt.Printf("  - the DHT crawl over the window sees more unique peers (%d) than are online at once\n",
-		sec.CrawlSeen)
+	fmt.Printf("  - the DHT crawl sees more peers (%d) than the estimators count (Eq1=%.0f)\n",
+		sec.CrawlSeen, sec.Eq1Mean)
 	return nil
 }

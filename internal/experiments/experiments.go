@@ -18,7 +18,6 @@ import (
 	"bitswapmon/internal/engine"
 	"bitswapmon/internal/ingest"
 	"bitswapmon/internal/monitor"
-	"bitswapmon/internal/node"
 	"bitswapmon/internal/otrace"
 	"bitswapmon/internal/report"
 	"bitswapmon/internal/simnet"
@@ -51,8 +50,8 @@ func DenseConfig(seed int64, nodes int, newEngine func(start time.Time, seed int
 // trace-derived artifacts are internal/report results, produced by one
 // streaming pass, live during the run.
 type WeekReport struct {
-	Fig3us Fig3
-	SecVC  SecVC
+	Fig3us sweep.Fig3
+	SecVC  sweep.SecVC
 	Tab1   *report.Table1
 	Tab2   *report.Table2
 	Fig5   *report.Fig5
@@ -120,7 +119,7 @@ func CollectSpec(spec sweep.ScenarioSpec, attach func(w *workload.World) (ingest
 
 	// Crawl the DHT at the end of the window (the paper crawls repeatedly;
 	// one crawl suffices for the comparison).
-	crawlRes, err := crawlNetwork(w)
+	crawlRes, err := sweep.Crawl(w)
 	if err != nil {
 		return nil, err
 	}
@@ -184,7 +183,7 @@ func weekReportFromResults(d *Data, results report.Results) *WeekReport {
 	w := d.World
 	traffic := results.Get("traffic").(*report.Traffic)
 	rep := &WeekReport{
-		Fig3us:       ComputeFig3(w.Monitors[0], 50),
+		Fig3us:       sweep.ComputeFig3(w.Monitors[0], 50),
 		Tab1:         results.Get("table1").(*report.Table1),
 		Tab2:         results.Get("table2").(*report.Table2),
 		Fig5:         results.Get("fig5").(*report.Fig5),
@@ -193,7 +192,7 @@ func weekReportFromResults(d *Data, results report.Results) *WeekReport {
 		DedupEntries: traffic.DedupEntries,
 		RebroadShare: traffic.RebroadShare,
 	}
-	rep.SecVC = ComputeSecVC(w.Monitors, d.Samples, d.Crawl, d.OnlineAvg, w.TotalPopulation())
+	rep.SecVC = sweep.ComputeSecVC(w.Monitors, d.Samples, d.Crawl, d.OnlineAvg, w.TotalPopulation())
 	if tr := w.Tracer(); tr != nil {
 		rep.Tracer = tr
 		rep.Latency = report.BreakdownFromSpans(tr.Spans(), tr.Dropped())
@@ -264,26 +263,6 @@ func RunWeekSpec(spec sweep.ScenarioSpec) (*WeekReport, error) {
 	rep.Windows = windows
 	rep.Elapsed = time.Since(start)
 	return rep, nil
-}
-
-// crawlNetwork runs one DHT crawl from a dedicated client node.
-func crawlNetwork(w *workload.World) (dht.CrawlResult, error) {
-	id := simnet.DeriveNodeID([]byte("experiment-crawler"))
-	nd, err := node.New(w.Net, id, "202.0.0.1:4001", simnet.RegionOther, node.Config{Mode: dht.ModeClient})
-	if err != nil {
-		return dht.CrawlResult{}, fmt.Errorf("crawler node: %w", err)
-	}
-	var res dht.CrawlResult
-	got := false
-	dht.Crawl(nd.DHT, w.Bootstrap, 16, func(r dht.CrawlResult) {
-		res = r
-		got = true
-	})
-	w.Run(10 * time.Minute)
-	if !got {
-		return dht.CrawlResult{}, fmt.Errorf("crawl did not complete")
-	}
-	return res, nil
 }
 
 // Render prints the whole report.

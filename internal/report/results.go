@@ -312,7 +312,12 @@ type Fig4Bucket struct {
 	WantHave  int       `json:"want_have"`
 }
 
-// Fig4 is the requests-over-time-by-type series (paper Fig. 4).
+// Fig4 is the requests-over-time-by-type series (paper Fig. 4). The
+// registered fig4 report counts deduplicated requests in 1 h buckets; the
+// paper's figure counts raw requests by day, which for a sweep.UpgradeSpec
+// run is
+//
+//	bsanalyze -dedup=false -bucket 24h -report fig4 <run>/mon-us.segments
 type Fig4 struct {
 	BucketSize time.Duration `json:"bucket_size"`
 	Buckets    []Fig4Bucket  `json:"buckets"`

@@ -267,6 +267,7 @@ var sweepParams = []sweepParam{
 	{"replay_nodes", "replay requester pool size (int; workload_source runs)", func(s *ScenarioSpec) any { return &workloadSource(s).ReplayNodes }},
 	{"monitor_frac", "fitted-replay per-monitor connectivity (0..1; 0 = full)", func(s *ScenarioSpec) any { return &workloadSource(s).MonitorFrac }},
 	{"gateways", "gateway fleet on/off (bool)", nil},
+	{"crawl", "DHT crawl with the Sec. V-C panel and Fig. 3 on/off (bool)", func(s *ScenarioSpec) any { return &s.Crawl }},
 	{"probes", "gateway identification probe on/off (bool)", func(s *ScenarioSpec) any { return &s.Probes }},
 	{"warmup", "warmup before measurement (duration)", func(s *ScenarioSpec) any { return &s.Warmup }},
 	{"window", "measurement window (duration)", func(s *ScenarioSpec) any { return &s.Window }},

@@ -5,8 +5,11 @@ import (
 	"time"
 
 	"bitswapmon/internal/attacks"
+	"bitswapmon/internal/dht"
 	"bitswapmon/internal/monitor"
+	"bitswapmon/internal/node"
 	"bitswapmon/internal/replay"
+	"bitswapmon/internal/simnet"
 	"bitswapmon/internal/workload"
 )
 
@@ -113,6 +116,28 @@ func MeasureReplay(spec ScenarioSpec, seed int64, attach func(*replay.World) err
 		return nil, fmt.Errorf("sweep: drive replay: %w", err)
 	}
 	return &ReplayMeasurement{World: sess.World, Model: sess.Model, Drive: drive}, nil
+}
+
+// Crawl runs one DHT crawl of the world from a dedicated client node and
+// returns once it completes. The paper crawls repeatedly; one crawl at the
+// end of the window suffices for the Sec. V-C comparison.
+func Crawl(w *workload.World) (dht.CrawlResult, error) {
+	id := simnet.DeriveNodeID([]byte("experiment-crawler"))
+	nd, err := node.New(w.Net, id, "202.0.0.1:4001", simnet.RegionOther, node.Config{Mode: dht.ModeClient})
+	if err != nil {
+		return dht.CrawlResult{}, fmt.Errorf("sweep: crawler node: %w", err)
+	}
+	var res dht.CrawlResult
+	got := false
+	dht.Crawl(nd.DHT, w.Bootstrap, 16, func(r dht.CrawlResult) {
+		res = r
+		got = true
+	})
+	w.Run(10 * time.Minute)
+	if !got {
+		return dht.CrawlResult{}, fmt.Errorf("sweep: crawl did not complete")
+	}
+	return res, nil
 }
 
 // ProbeGateways runs the Sec. VI-B gateway identification probe against

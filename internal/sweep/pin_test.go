@@ -6,10 +6,12 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"bitswapmon/internal/ingest"
+	"bitswapmon/internal/report"
 	"bitswapmon/internal/trace"
 )
 
@@ -90,12 +92,16 @@ const (
 }`
 )
 
+// pinnedRun is the run the store and summary pins were taken on, before
+// DefaultSpec crawled and ran the week's reports.
 func pinnedRun() Run {
 	spec := DefaultSpec()
 	spec.Nodes = 120
 	spec.Window = D(2 * time.Hour)
 	spec.Warmup = D(30 * time.Minute)
 	spec.CatalogItems = 500
+	spec.Crawl = false
+	spec.Reports = nil
 	return Run{ID: "pinned", Seed: 42, Spec: spec}
 }
 
@@ -134,6 +140,126 @@ func TestExecuteRunPinnedOutput(t *testing.T) {
 	got := summaryWithout(t, dir, "elapsed_ms", "distinct_peers_est", "distinct_cids_est")
 	if got != pinnedSummary {
 		t.Errorf("summary.json moved:\n%s\nwant:\n%s", got, pinnedSummary)
+	}
+}
+
+// tinySpec is DefaultSpec small enough that a run finishes in about a
+// second, while still exercising monitors, gateways, churn, the crawl and
+// probing.
+func tinySpec() ScenarioSpec {
+	s := DefaultSpec()
+	s.Nodes = 150
+	s.Window = D(3 * time.Hour)
+	s.Warmup = D(30 * time.Minute)
+	s.BootstrapIters = 10
+	s.CatalogItems = 800
+	return s
+}
+
+// pinnedWeekReport is the sha256 of report.txt of ExecuteRun(tinySpec,
+// seed 42), taken while the week scenario still had a runner of its own
+// whose tables, figures, panels and probe counts it matched byte for byte.
+// It must not move.
+const pinnedWeekReport = "12154ee1c86975d619324ef5641eda2761c7dfc4cf1a345021e5d917fc1b46fd"
+
+// TestExecuteRunWeekReport: a run that crawled and probed carries the
+// Sec. V-C panel and Fig. 3 in its summary and report.txt, and a probes
+// section; report.txt is pinned.
+func TestExecuteRunWeekReport(t *testing.T) {
+	dir := t.TempDir()
+	sum, err := ExecuteRun(dir, Run{ID: "week", Seed: 42, Spec: tinySpec()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := sum.Metrics["secvc:crawl_seen"]; v <= 0 {
+		t.Errorf("secvc:crawl_seen = %v, want a crawl that saw peers", v)
+	}
+	if v := sum.Metrics["fig3:peers"]; v <= 0 {
+		t.Errorf("fig3:peers = %v", v)
+	}
+	sections := reportSections(t, dir)
+	for _, name := range []string{"summary", "traffic", "table1", "table2", "fig5", "fig6", "secvc", "fig3", "probes"} {
+		if _, ok := sections[name]; !ok {
+			t.Errorf("report.txt has no %s section", name)
+		}
+	}
+	blob, err := os.ReadFile(filepath.Join(dir, reportFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.Sum256(blob)
+	if got := hex.EncodeToString(h[:]); got != pinnedWeekReport {
+		t.Errorf("report.txt sha256 = %s, want %s; report.txt:\n%s", got, pinnedWeekReport, blob)
+	}
+
+	// Without the crawl there is no panel.
+	run := pinnedRun()
+	sum, err = ExecuteRun(t.TempDir(), run)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := range sum.Metrics {
+		if strings.HasPrefix(k, "secvc:") || strings.HasPrefix(k, "fig3:") {
+			t.Errorf("run without a crawl has metric %s", k)
+		}
+	}
+}
+
+// reportSections splits a run's report.txt into its "==== <name> ===="
+// sections.
+func reportSections(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	blob, err := os.ReadFile(filepath.Join(dir, reportFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]string)
+	for _, part := range strings.Split(string(blob), "==== ")[1:] {
+		name, body, _ := strings.Cut(part, " ====\n")
+		out[name] = body
+	}
+	return out
+}
+
+// pinnedUpgradeCSV is the sha256 of the Fig. 4 CSV of the 80-node, 2-week,
+// seed-7 upgrade scenario, computed while the upgrade scenario still built
+// its world and ran its window by hand. It must not move.
+const pinnedUpgradeCSV = "079597272e65009039a4a44810252af66b8bcc1950975b5ec8aeb2c41c2f36b9"
+
+// upgradeFig4 executes an upgrade run into dir and computes the paper's
+// Fig. 4 over its store: raw requests in 24 h buckets, as
+// bsanalyze -dedup=false -bucket 24h -report fig4 does.
+func upgradeFig4(t *testing.T, dir string, spec ScenarioSpec) *report.Fig4 {
+	t.Helper()
+	if _, err := ExecuteRun(dir, Run{ID: "upgrade", Seed: spec.Seed, Spec: spec}); err != nil {
+		t.Fatal(err)
+	}
+	sources, cleanup, err := ingest.OpenInputs([]string{monitorStoreDir(dir, "us")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cleanup()
+	drv := report.NewDriver(false)
+	if err := drv.AddByName([]string{"fig4"}, report.Options{Bucket: 24 * time.Hour}); err != nil {
+		t.Fatal(err)
+	}
+	if err := drv.Run(ingest.NewStreamUnifier(sources...)); err != nil {
+		t.Fatal(err)
+	}
+	results, err := drv.Finalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return results.Get("fig4").(*report.Fig4)
+}
+
+func TestUpgradePinnedFig4(t *testing.T) {
+	spec := UpgradeSpec(80, 2)
+	spec.Seed = 7
+	fig := upgradeFig4(t, t.TempDir(), spec)
+	h := sha256.Sum256([]byte(fig.CSV()))
+	if got := hex.EncodeToString(h[:]); got != pinnedUpgradeCSV {
+		t.Errorf("fig4 CSV sha256 = %s, want %s; CSV:\n%s", got, pinnedUpgradeCSV, fig.CSV())
 	}
 }
 

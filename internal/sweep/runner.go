@@ -3,12 +3,15 @@ package sweep
 import (
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"time"
 
 	"bitswapmon/internal/attacks"
+	"bitswapmon/internal/dht"
 	"bitswapmon/internal/ingest"
 	"bitswapmon/internal/monitor"
 	"bitswapmon/internal/otrace"
@@ -24,8 +27,12 @@ import (
 // (ReadSummary migrates a version-1 file's top-level metrics into the map).
 const SummaryVersion = 3
 
-// summaryFile is the per-run summary's filename inside the run directory.
-const summaryFile = "summary.json"
+// summaryFile and reportFile are the per-run summary's and rendered
+// reports' filenames inside the run directory.
+const (
+	summaryFile = "summary.json"
+	reportFile  = "report.txt"
+)
 
 // RunSummary is the durable per-run result: every cross-run comparison
 // metric, computed once when the run finishes and persisted next to the
@@ -63,13 +70,17 @@ type RunSummary struct {
 
 // ExecuteRun measures the run's world — synthetic or replayed, whichever
 // the spec describes — with every monitor streaming into a per-monitor
-// segment store under dir, and writes the run's summary.json, the same
-// layout for both kinds so campaigns can mix and aggregate them. The
-// returned summary is what the orchestrator aggregates later.
+// segment store under dir, and writes the run's summary.json and
+// report.txt, the same layout for both kinds so campaigns can mix and
+// aggregate them. A synthetic run crawls the DHT after the window (spec
+// Crawl), then probes the gateways (spec Probes); the monitors keep
+// streaming into their stores through both. The returned summary is what
+// the orchestrator aggregates later.
 //
 // Layout of dir after a completed run:
 //
 //	<dir>/mon-<name>.segments/   one segment store per monitor
+//	<dir>/report.txt             every report's rendered text
 //	<dir>/summary.json           the RunSummary
 func ExecuteRun(dir string, run Run) (*RunSummary, error) {
 	start := time.Now()
@@ -97,14 +108,23 @@ func ExecuteRun(dir string, run Run) (*RunSummary, error) {
 		return err
 	}
 
-	// opts carries the context extra reports may need.
+	// opts carries the context extra reports may need. The bootstrap RNG
+	// is derived from the engine when fig5 or popularity finalizes, after
+	// the crawl and the probes have drawn theirs.
 	var opts report.Options
+	// panels are the report.txt sections that come from the world rather
+	// than from the trace: the Sec. V-C panel, Fig. 3 and the probes.
+	var panels []section
 	if spec.ReplayMode() {
 		meas, err := MeasureReplay(spec, run.Seed, func(w *replay.World) error {
 			// Replay runs have no GeoIP ground truth or gateway fleets; an
 			// extra report that needs them (table2, fig6) must fail here,
 			// before the drive burns its compute, not at summary time.
-			opts = report.Options{BootstrapIters: spec.BootstrapIters, Tracer: w.Tracer()}
+			opts = report.Options{
+				BootstrapIters: spec.BootstrapIters,
+				Rand:           func() *rand.Rand { return w.Net.NewRand("fig5") },
+				Tracer:         w.Tracer(),
+			}
 			if err := report.NewDriver(true).AddByName(spec.Reports, opts); err != nil {
 				return fmt.Errorf("sweep: summary reports for replay run %s: %w", run.ID, err)
 			}
@@ -127,11 +147,30 @@ func ExecuteRun(dir string, run Run) (*RunSummary, error) {
 		w := meas.World
 		m["population"] = float64(w.TotalPopulation())
 		m["online_avg"] = meas.OnlineAvg
+		var crawl dht.CrawlResult
+		if spec.Crawl {
+			if crawl, err = Crawl(w); err != nil {
+				return nil, err
+			}
+		}
+		var probes section
 		if spec.Probes && len(w.Monitors) > 0 && len(w.Registry.All()) > 0 {
-			probes := ProbeGateways(w)
-			identified, _, _ := attacks.CrossReference(probes, w.Registry.NodeIDs())
-			sum.GatewaysProbed = len(probes)
+			probed := ProbeGateways(w)
+			identified, found, correct := attacks.CrossReference(probed, w.Registry.NodeIDs())
+			sum.GatewaysProbed = len(probed)
 			sum.GatewaysIdentified = identified
+			probes = section{"probes", fmt.Sprintf("Sec. VI-B: probed %d gateways, identified %d; discovered %d node IDs (%d correct)\n",
+				len(probed), identified, found, correct)}
+		}
+		if spec.Crawl {
+			sec := ComputeSecVC(w.Monitors, meas.Samples, crawl, meas.OnlineAvg, w.TotalPopulation())
+			fig3 := ComputeFig3(w.Monitors[0], 50)
+			addMetrics(m, "secvc", sec.Metrics())
+			addMetrics(m, "fig3", fig3.Metrics())
+			panels = append(panels, section{"secvc", sec.Render()}, section{"fig3", fig3.Render()})
+		}
+		if probes.name != "" {
+			panels = append(panels, probes)
 		}
 		var hits, misses uint64
 		for _, g := range w.Gateways {
@@ -147,6 +186,7 @@ func ExecuteRun(dir string, run Run) (*RunSummary, error) {
 			GatewayIDs:     w.GatewayNodeIDs(),
 			MegagateIDs:    w.MegagateIDs(),
 			BootstrapIters: spec.BootstrapIters,
+			Rand:           func() *rand.Rand { return w.Net.NewRand("fig5") },
 			Tracer:         w.Tracer(),
 		}
 	}
@@ -156,11 +196,15 @@ func ExecuteRun(dir string, run Run) (*RunSummary, error) {
 	if err := sealMonitorStores(monitors, stores); err != nil {
 		return nil, err
 	}
-	if err := summarizeStores(sum, stores, spec.Reports, opts); err != nil {
+	results, err := summarizeStores(sum, stores, spec.Reports, opts)
+	if err != nil {
 		return nil, err
 	}
 	fillMonitorCoverage(sum, monitors, int(m["population"]))
 	if err := writeRunTrace(dir, opts.Tracer); err != nil {
+		return nil, err
+	}
+	if err := writeReport(dir, results, panels); err != nil {
 		return nil, err
 	}
 	sum.ElapsedMS = time.Since(start).Milliseconds()
@@ -169,6 +213,34 @@ func ExecuteRun(dir string, run Run) (*RunSummary, error) {
 		return nil, err
 	}
 	return sum, nil
+}
+
+// section is one "==== <name> ====" block of report.txt.
+type section struct{ name, text string }
+
+// writeReport writes report.txt: the rendered result of every report of the
+// summary pass, in order, then the panels, each under a "==== <name> ===="
+// header — bsanalyze's multi-report layout.
+func writeReport(dir string, results report.Results, panels []section) error {
+	var sb strings.Builder
+	for _, nr := range results {
+		fmt.Fprintf(&sb, "==== %s ====\n%s\n", nr.Name, nr.Result.Render())
+	}
+	for _, p := range panels {
+		fmt.Fprintf(&sb, "==== %s ====\n%s\n", p.name, p.text)
+	}
+	if err := os.WriteFile(filepath.Join(dir, reportFile), []byte(sb.String()), 0o644); err != nil {
+		return fmt.Errorf("sweep: write report: %w", err)
+	}
+	return nil
+}
+
+// addMetrics copies a panel's metrics into the summary as
+// "<panel>:<metric>".
+func addMetrics(dst map[string]float64, panel string, metrics map[string]float64) {
+	for k, v := range metrics {
+		dst[panel+":"+k] = v
+	}
 }
 
 func monitorStoreDir(runDir, monName string) string {
@@ -242,12 +314,12 @@ func sealMonitorStores(monitors []*monitor.Monitor, stores []*ingest.SegmentStor
 // they produce, and each extra report's metrics land as
 // "<report>:<metric>". opts carries the context extra reports may need
 // (gateway IDs, GeoIP, bootstrap budget, tracer).
-func summarizeStores(sum *RunSummary, stores []*ingest.SegmentStore, extraReports []string, opts report.Options) error {
+func summarizeStores(sum *RunSummary, stores []*ingest.SegmentStore, extraReports []string, opts report.Options) (report.Results, error) {
 	sources := make([]ingest.EntrySource, len(stores))
 	for i, store := range stores {
 		it, err := store.Query(time.Time{}, time.Time{}, nil)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		defer it.Close()
 		sources[i] = it
@@ -255,14 +327,14 @@ func summarizeStores(sum *RunSummary, stores []*ingest.SegmentStore, extraReport
 	builtin := []string{"summary", "traffic"}
 	drv := report.NewDriver(true)
 	if err := drv.AddByName(append(builtin, extraReports...), opts); err != nil {
-		return fmt.Errorf("sweep: summary reports: %w", err)
+		return nil, fmt.Errorf("sweep: summary reports: %w", err)
 	}
 	if err := drv.Run(ingest.NewStreamUnifier(sources...)); err != nil {
-		return fmt.Errorf("sweep: summarize run: %w", err)
+		return nil, fmt.Errorf("sweep: summarize run: %w", err)
 	}
 	results, err := drv.Finalize()
 	if err != nil {
-		return fmt.Errorf("sweep: summarize run: %w", err)
+		return nil, fmt.Errorf("sweep: summarize run: %w", err)
 	}
 
 	for i, nr := range results {
@@ -280,7 +352,7 @@ func summarizeStores(sum *RunSummary, stores []*ingest.SegmentStore, extraReport
 	for t, n := range s.PerType {
 		sum.PerType[t.String()] = n
 	}
-	return nil
+	return results, nil
 }
 
 // fillMonitorCoverage derives coverage and overlap from the monitors'

@@ -1,4 +1,4 @@
-package experiments
+package sweep
 
 import (
 	"fmt"
@@ -11,15 +11,20 @@ import (
 	"bitswapmon/internal/simnet"
 )
 
-// The two panels of the week report that are not counts over the trace
+// The two panels of a crawled run that are not counts over the trace
 // stream: Fig. 3 (peer-ID uniformity, a snapshot of one monitor's peers)
 // and the Sec. V-C coverage and network-size panel (sampler snapshots
-// against a DHT crawl and the simulation's ground truth).
+// against a DHT crawl and the simulation's ground truth). ExecuteRun
+// computes both after the crawl and the probes.
 
 // SecVC aggregates the Sec. V-C measurements: monitoring coverage and
 // network-size estimates from monitor peer sets, compared against a DHT
 // crawl and the simulation's ground truth.
 type SecVC struct {
+	// Monitors names the monitors in the order of AvgConns and
+	// CoveragePerMonitor.
+	Monitors []string
+
 	// Window totals.
 	UniquePeers      map[string]int // per monitor, over the whole window
 	UnionUniquePeers int
@@ -65,6 +70,7 @@ func ComputeSecVC(monitors []*monitor.Monitor, samples []monitor.Sample,
 	unionPeers := make(map[simnet.NodeID]bool)
 	unionActive := make(map[simnet.NodeID]bool)
 	for _, m := range monitors {
+		out.Monitors = append(out.Monitors, m.Name)
 		seen := m.PeersSeen()
 		out.UniquePeers[m.Name] = len(seen)
 		for id := range seen {
@@ -152,6 +158,39 @@ func (s SecVC) Render() string {
 	return sb.String()
 }
 
+// Metrics returns every scalar Render prints, by name; per-monitor values
+// are "<name>:<monitor>".
+func (s SecVC) Metrics() map[string]float64 {
+	out := map[string]float64{
+		"union_unique_peers": float64(s.UnionUniquePeers),
+		"union_active_peers": float64(s.UnionActivePeers),
+		"avg_union":          s.AvgUnion,
+		"avg_intersection":   s.AvgIntersection,
+		"eq1_mean":           s.Eq1Mean,
+		"eq1_std":            s.Eq1Std,
+		"eq3_mean":           s.Eq3Mean,
+		"eq3_std":            s.Eq3Std,
+		"crawl_seen":         float64(s.CrawlSeen),
+		"crawl_responded":    float64(s.CrawlResponded),
+		"true_online_avg":    s.TrueOnlineAvg,
+		"true_population":    float64(s.TruePopulation),
+		"coverage_union":     s.CoverageUnion,
+	}
+	for name, n := range s.UniquePeers {
+		out["unique_peers:"+name] = float64(n)
+	}
+	for name, n := range s.ActivePeers {
+		out["active_peers:"+name] = float64(n)
+	}
+	for i, name := range s.Monitors {
+		out["avg_conns:"+name] = s.AvgConns[i]
+		if i < len(s.CoveragePerMonitor) {
+			out["coverage:"+name] = s.CoveragePerMonitor[i]
+		}
+	}
+	return out
+}
+
 // --- Fig. 3: peer-ID uniformity -------------------------------------------
 
 // Fig3 is the QQ diagnostic of monitor peer IDs against uniformity.
@@ -183,4 +222,9 @@ func (f Fig3) Render() string {
 		fmt.Fprintf(&sb, "%12.3f %12.3f\n", p.Theoretical, p.Sample)
 	}
 	return sb.String()
+}
+
+// Metrics returns the plot's scalars: the peer count and the KS distance.
+func (f Fig3) Metrics() map[string]float64 {
+	return map[string]float64{"peers": float64(f.Peers), "ks": f.KS}
 }

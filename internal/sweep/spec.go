@@ -122,7 +122,7 @@ type WorkloadSourceSpec struct {
 // attack toggles, measurement window, engine choice and seed. Zero-valued
 // fields take the workload package's documented defaults, so a spec states
 // only what it varies. Specs marshal to versioned JSON and round-trip
-// exactly; cmd/bsexperiments and the sweep orchestrator share this one
+// exactly; every run, one preset or a whole campaign, goes through this one
 // scenario-assembly code path.
 type ScenarioSpec struct {
 	Version int    `json:"version"`
@@ -176,6 +176,10 @@ type ScenarioSpec struct {
 
 	// Attack toggles.
 	//
+	// Crawl runs one DHT crawl after the measurement window, before the
+	// probes, and adds the Sec. V-C panel and Fig. 3 to the run's summary
+	// ("secvc:<metric>", "fig3:<metric>") and report.txt.
+	Crawl bool `json:"crawl,omitempty"`
 	// Probes runs the Sec. VI-B gateway identification probe after the
 	// measurement window.
 	Probes bool `json:"probes,omitempty"`
@@ -215,7 +219,9 @@ type ScenarioSpec struct {
 }
 
 // DefaultSpec returns a small week-style scenario: the paper's two
-// monitors, default operators, and a window sized for interactive runs.
+// monitors, default operators, and a window sized for interactive runs. It
+// crawls and probes after the window and runs the week's reports, so its
+// report.txt holds every table and figure of Sec. V-C to VI-B.
 func DefaultSpec() ScenarioSpec {
 	return ScenarioSpec{
 		Version: SpecVersion,
@@ -230,7 +236,9 @@ func DefaultSpec() ScenarioSpec {
 		Window:         D(8 * time.Hour),
 		SampleEvery:    D(30 * time.Minute),
 		BootstrapIters: 30,
+		Crawl:          true,
 		Probes:         true,
+		Reports:        []string{"table1", "table2", "fig5", "fig6"},
 		Seed:           42,
 	}
 }
@@ -253,7 +261,10 @@ func WeekSpec() ScenarioSpec {
 // entirely on the pre-v0.5 client (WANT_BLOCK broadcasts) that upgrades in
 // a wave starting a third of the way into the observed weeks, seen by one
 // monitor. There are no gateways (a cleaner series) and no warm-up: the
-// figure starts at the simulation's first day.
+// figure starts at the simulation's first day. Fig. 4 buckets the raw
+// request series by day, so it is computed over the run's store with
+//
+//	bsanalyze -dedup=false -bucket 24h -report fig4 <run>/mon-us.segments
 func UpgradeSpec(nodes, weeks int) ScenarioSpec {
 	window := time.Duration(weeks) * 7 * 24 * time.Hour
 	return ScenarioSpec{
@@ -360,6 +371,11 @@ func (s ScenarioSpec) Validate() error {
 	}
 	if s.Shards > 0 && s.Engine != "sharded" {
 		return fmt.Errorf("sweep: shards = %d needs engine sharded", s.Shards)
+	}
+	// Fig. 3 is a snapshot of the first monitor's peers, and a replayed
+	// world has no DHT to crawl.
+	if s.Crawl && (s.ReplayMode() || len(s.Monitors) == 0) {
+		return fmt.Errorf("sweep: crawl needs a synthetic run with at least one monitor")
 	}
 	if len(s.Monitors) > 64 {
 		return fmt.Errorf("sweep: at most 64 monitors (have %d)", len(s.Monitors))
@@ -485,8 +501,8 @@ func (s ScenarioSpec) newEngine() func(start time.Time, seed int64) engine.Engin
 
 // WorkloadConfig assembles the workload configuration this spec describes,
 // with seed overriding the spec's own base seed. This is the single
-// scenario-assembly code path shared by cmd/bsexperiments and the sweep
-// orchestrator: zero spec fields stay zero so workload defaults apply.
+// scenario-assembly code path of every synthetic run: zero spec fields stay
+// zero so workload defaults apply.
 func (s ScenarioSpec) WorkloadConfig(seed int64) (workload.Config, error) {
 	if err := s.Validate(); err != nil {
 		return workload.Config{}, err

@@ -43,6 +43,7 @@ func fullSpec() ScenarioSpec {
 		MonitorProb:    0.45,
 		XORBias:        1.5,
 		Gateways:       []OperatorSpec{{Name: "op", Nodes: 2, RequestsPerHour: 10, HotBias: 0.9, Functional: true, CacheTTL: D(time.Hour)}},
+		Crawl:          true,
 		Probes:         true,
 		Warmup:         D(30 * time.Minute),
 		Window:         D(3 * time.Hour),
@@ -68,7 +69,7 @@ func TestSpecRoundTrip(t *testing.T) {
 		t.Errorf("round trip changed the spec:\nwant %+v\ngot  %+v", want, got)
 	}
 
-	// And again through a file, like bsexperiments -spec / -dump-spec.
+	// And again through a file, like a spec bssweep preset printed.
 	path := filepath.Join(t.TempDir(), "spec.json")
 	if err := os.WriteFile(path, blob, 0o644); err != nil {
 		t.Fatal(err)
@@ -136,6 +137,10 @@ func TestSpecValidate(t *testing.T) {
 		{"negative shards", func(s *ScenarioSpec) { s.Shards = -1 }},
 		{"shards on serial", func(s *ScenarioSpec) { s.Engine = "serial" }},
 		{"shards on default engine", func(s *ScenarioSpec) { s.Engine = "" }},
+		{"crawl without monitors", func(s *ScenarioSpec) { s.Monitors = nil }},
+		{"crawl on replay", func(s *ScenarioSpec) {
+			s.WorkloadSource = &WorkloadSourceSpec{Mode: "replay", Inputs: []string{"us.segments"}}
+		}},
 	}
 	for _, tc := range cases {
 		s := fullSpec()

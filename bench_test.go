@@ -5,9 +5,9 @@ package bitswapmon_test
 // each benchmark then re-executes its analysis step per iteration and
 // reports the reproduced quantities as benchmark metrics, so `go test
 // -bench=. -benchmem` prints the shapes the paper reports. The same
-// artifacts rendered as one text report come from cmd/bsexperiments, whose
-// small week scenario is pinned byte for byte by pinnedWeekRender in
-// internal/experiments/pin_test.go.
+// artifacts rendered as one text report are a run's report.txt
+// (bssweep preset small | bssweep run), whose small week scenario is pinned
+// byte for byte by pinnedWeekReport in internal/sweep/pin_test.go.
 //
 // Absolute counts are scaled (the substrate is a simulator, not the public
 // IPFS network); the shapes — who dominates, by what factor, what gets
@@ -29,7 +29,6 @@ import (
 	"bitswapmon/internal/dht"
 	"bitswapmon/internal/engine"
 	"bitswapmon/internal/estimate"
-	"bitswapmon/internal/experiments"
 	"bitswapmon/internal/geoip"
 	"bitswapmon/internal/ingest"
 	"bitswapmon/internal/monitor"
@@ -44,11 +43,13 @@ import (
 	"bitswapmon/internal/workload"
 )
 
-// weekRun is the shared measurement run with what its monitors streamed:
-// each monitor's own entries, and the UnifySink's unified and deduplicated
-// views of them.
+// weekRun is the shared measurement run — the window, the crawl and the
+// probes — with what its monitors streamed: each monitor's own entries, and
+// the UnifySink's unified and deduplicated views of them.
 type weekRun struct {
-	*experiments.Data
+	*sweep.Measurement
+	crawl      dht.CrawlResult
+	probes     []attacks.ProbeResult
 	perMonitor [2][]trace.Entry
 	unified    []trace.Entry
 	dedup      []trace.Entry
@@ -84,20 +85,34 @@ func sharedWeek(b *testing.B) *weekRun {
 func collectWeek() (*weekRun, error) {
 	raw, unified := ingest.NewMemorySink(), ingest.NewMemorySink()
 	uni := ingest.NewUnifySink(unified)
-	d, err := experiments.CollectSpec(sweep.DefaultSpec(), func(*workload.World) (ingest.Sink, error) {
-		return ingest.Tee(raw, uni), nil
+	spec := sweep.DefaultSpec()
+	meas, err := sweep.Measure(spec, spec.Seed, func(w *workload.World) error {
+		for _, m := range w.Monitors {
+			m.SetSink(ingest.Tee(raw, uni))
+		}
+		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
+	run := &weekRun{Measurement: meas}
+	if run.crawl, err = sweep.Crawl(meas.World); err != nil {
+		return nil, err
+	}
+	run.probes = sweep.ProbeGateways(meas.World)
+	for _, m := range meas.World.Monitors {
+		if err := m.SinkErr(); err != nil {
+			return nil, fmt.Errorf("monitor %s sink: %w", m.Name, err)
+		}
+	}
 	if err := uni.Flush(); err != nil {
 		return nil, err
 	}
-	run := &weekRun{Data: d, unified: unified.Snapshot()}
+	run.unified = unified.Snapshot()
 	run.dedup = trace.Deduplicated(run.unified)
 	for _, e := range raw.Snapshot() {
 		i := 0
-		if e.Monitor == d.World.Monitors[1].Name {
+		if e.Monitor == meas.World.Monitors[1].Name {
 			i = 1
 		}
 		run.perMonitor[i] = append(run.perMonitor[i], e)
@@ -125,7 +140,7 @@ func BenchmarkSecVCNetworkSize(b *testing.B) {
 	var sec sweep.SecVC
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sec = sweep.ComputeSecVC(d.World.Monitors, d.Samples, d.Crawl, d.OnlineAvg, d.World.TotalPopulation())
+		sec = sweep.ComputeSecVC(d.World.Monitors, d.Samples, d.crawl, d.OnlineAvg, d.World.TotalPopulation())
 	}
 	b.ReportMetric(sec.Eq1Mean, "eq1-estimate")
 	b.ReportMetric(sec.Eq3Mean, "eq3-estimate")
@@ -135,19 +150,38 @@ func BenchmarkSecVCNetworkSize(b *testing.B) {
 }
 
 // BenchmarkFig4RequestTypes regenerates Fig. 4: the WANT_BLOCK → WANT_HAVE
-// transition over an upgrade wave. This one needs its own scenario.
+// transition over an upgrade wave. This one needs its own scenario: each
+// iteration executes the upgrade run and buckets the raw requests of its
+// store by day.
 func BenchmarkFig4RequestTypes(b *testing.B) {
 	spec := sweep.UpgradeSpec(80, 2)
 	spec.Seed = 7
-	var rep *experiments.UpgradeReport
-	var err error
+	var fig *report.Fig4
 	for i := 0; i < b.N; i++ {
-		rep, err = experiments.RunUpgrade(spec)
+		dir := filepath.Join(b.TempDir(), "upgrade")
+		if _, err := sweep.ExecuteRun(dir, sweep.Run{ID: "upgrade", Seed: spec.Seed, Spec: spec}); err != nil {
+			b.Fatal(err)
+		}
+		sources, cleanup, err := ingest.OpenInputs([]string{filepath.Join(dir, "mon-us.segments")})
 		if err != nil {
 			b.Fatal(err)
 		}
+		drv := report.NewDriver(false)
+		if err := drv.AddByName([]string{"fig4"}, report.Options{Bucket: 24 * time.Hour}); err != nil {
+			b.Fatal(err)
+		}
+		err = drv.Run(ingest.NewStreamUnifier(sources...))
+		cleanup()
+		if err != nil {
+			b.Fatal(err)
+		}
+		results, err := drv.Finalize()
+		if err != nil {
+			b.Fatal(err)
+		}
+		fig = results.Get("fig4").(*report.Fig4)
 	}
-	early, late := rep.Fig4.Buckets[1], rep.Fig4.Buckets[len(rep.Fig4.Buckets)-2]
+	early, late := fig.Buckets[1], fig.Buckets[len(fig.Buckets)-2]
 	b.ReportMetric(float64(early.WantBlock), "early-want-block")
 	b.ReportMetric(float64(early.WantHave), "early-want-have")
 	b.ReportMetric(float64(late.WantBlock), "late-want-block")
@@ -382,9 +416,9 @@ func BenchmarkSecVIBGatewayProbe(b *testing.B) {
 	var identified, total, correct int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		identified, total, correct = attacks.CrossReference(d.Probes, d.World.Registry.NodeIDs())
+		identified, total, correct = attacks.CrossReference(d.probes, d.World.Registry.NodeIDs())
 	}
-	b.ReportMetric(float64(len(d.Probes)), "gateways-probed")
+	b.ReportMetric(float64(len(d.probes)), "gateways-probed")
 	b.ReportMetric(float64(identified), "gateways-identified")
 	b.ReportMetric(float64(total), "node-ids-found")
 	b.ReportMetric(float64(correct), "node-ids-correct")
@@ -805,12 +839,73 @@ func BenchmarkSimnetPeers(b *testing.B) {
 	}
 }
 
+// denseConfig returns a traffic-dense population used by the engine scaling
+// benchmarks and the cross-engine speedup test: high request rates and
+// degree keep every shard busy, which is the regime where the sharded
+// engine's parallelism pays for its window synchronization.
+func denseConfig(seed int64, nodes int, newEngine func(start time.Time, seed int64) engine.Engine) workload.Config {
+	return workload.Config{
+		Seed:                seed,
+		Nodes:               nodes,
+		NewEngine:           newEngine,
+		MeanRequestsPerHour: 30,
+		DegreeTarget:        20,
+		ActiveFrac:          0.6,
+		Catalog:             workload.CatalogConfig{Items: 2000},
+		Monitors: []workload.MonitorSpec{
+			{Name: "us", Region: simnet.RegionUS},
+			{Name: "de", Region: simnet.RegionDE},
+		},
+		Operators: []workload.OperatorSpec{},
+	}
+}
+
+// TestShardedSpeedup asserts the point of the parallel engine: with real
+// cores available, four shards beat the serial engine's wall-clock on a
+// traffic-dense scenario. The comparison only means something on quiet
+// multi-core hardware, so it skips without parallelism (NumCPU < 4), under
+// the race detector's serialization, and on shared CI runners with noisy
+// neighbors; BenchmarkEngineScaling measures the same thing everywhere
+// without a pass/fail verdict.
+func TestShardedSpeedup(t *testing.T) {
+	if runtime.NumCPU() < 4 {
+		t.Skipf("NumCPU=%d: no parallelism to measure", runtime.NumCPU())
+	}
+	if engine.RaceEnabled {
+		t.Skip("race detector serializes execution; wall-clock comparison meaningless")
+	}
+	if os.Getenv("CI") != "" {
+		t.Skip("shared CI runners are too noisy for wall-clock assertions")
+	}
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	const nodes = 1500
+	const window = 10 * time.Minute
+	run := func(ne func(time.Time, int64) engine.Engine) time.Duration {
+		w, err := workload.Build(denseConfig(42, nodes, ne))
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		w.Run(window)
+		return time.Since(start)
+	}
+	serial := run(nil)
+	sharded := run(engine.ShardedFactory(4))
+	t.Logf("serial=%v sharded-4=%v speedup=%.2fx", serial, sharded, float64(serial)/float64(sharded))
+	if sharded >= serial {
+		t.Errorf("sharded-4 (%v) did not beat serial (%v) with %d CPUs",
+			sharded, serial, runtime.NumCPU())
+	}
+}
+
 // benchEngineScaling runs the dense scaling scenario; each iteration is 30
 // simulated seconds. Delivered messages per wall second is the engine's
 // effective throughput; it is reported both under its historical name and
 // as events/sec, the spelling bsbench records.
 func benchEngineScaling(b *testing.B, nodes int, newEngine func(time.Time, int64) engine.Engine) {
-	w, err := workload.Build(experiments.DenseConfig(42, nodes, newEngine))
+	w, err := workload.Build(denseConfig(42, nodes, newEngine))
 	if err != nil {
 		b.Fatal(err)
 	}

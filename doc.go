@@ -9,13 +9,15 @@
 // monitors write observations into sinks (segment stores, live report
 // drivers) instead of accumulating them, and analyses read the trace back
 // one segment at a time. There is one way from a scenario spec to its
-// reports: every bounded run — a sweep run, the week scenario, the Fig. 4
-// upgrade scenario, a replayed trace — is a sweep.ScenarioSpec measured by
-// sweep.Measure (or sweep.MeasureReplay for a workload_source spec), the
-// monitors' entries are unified by ingest.UnifySink or
-// ingest.StreamUnifier, and every table is a count over that stream;
-// trace.Unify remains as the reference the streaming unifier is tested
-// against. Entries are stamped with the engine's exact per-event clock
+// reports: every bounded run — the paper's week and Fig. 4 upgrade
+// scenarios are presets (bssweep preset), a replayed trace is a
+// workload_source spec — is a sweep.ScenarioSpec executed by
+// sweep.ExecuteRun. It measures the world with sweep.Measure (or
+// sweep.MeasureReplay), crawls the DHT and probes the gateways if the spec
+// asks, unifies the monitors' segment stores with one ingest.StreamUnifier
+// pass through every report, and leaves summary.json and report.txt in the
+// run directory; trace.Unify remains as the reference the streaming
+// unifier is tested against. Entries are stamped with the engine's exact per-event clock
 // (Engine.EventTime) on either engine. A segment is a BSTRACE2 stream
 // (internal/trace):
 // per record a timestamp delta, type and flags, and a reference each for the
@@ -55,8 +57,8 @@
 // span recorder whose contexts propagate workload → gateway → DHT → Bitswap
 // → engine delivery, with deterministic seeded head-sampling (serial and
 // sharded engines trace the same requests). Traces export as
-// Perfetto-loadable Chrome trace-event JSON plus JSONL (-trace-out on the
-// commands), and feed the latency_breakdown streaming report — per-stage
+// Perfetto-loadable Chrome trace-event JSON plus JSONL (bsmon -trace-out,
+// bssweep run -trace), and feed the latency_breakdown streaming report — per-stage
 // virtual-time latency distributions for every sampled request.
 //
 // See README.md for the layout, commands and package map. The root package

@@ -1,5 +1,5 @@
 // Package cmdutil holds the operational plumbing shared by the long-running
-// commands (bsmon, bssweep, bsexperiments): the -metrics-addr endpoint that
+// commands (bsmon, bssweep): the -metrics-addr endpoint that
 // turns on every subsystem's instrumentation and serves /metrics plus
 // /debug/pprof, and the -cpuprofile/-memprofile pair for offline profiling.
 package cmdutil

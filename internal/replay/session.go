@@ -22,8 +22,7 @@ const (
 )
 
 // Spec describes one replay execution end to end: inputs, mode, scale and
-// engine. It is the assembly point shared by the sweep runner, the
-// experiments driver and the commands.
+// engine. The sweep runner assembles one from a spec (ScenarioSpec.ReplaySpec).
 type Spec struct {
 	Mode Mode
 	// Inputs are trace sources: segment-store directories, flat binary

@@ -1,58 +1,59 @@
-package experiments
+package sweep
 
 import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
-	"os"
-	"runtime"
 	"testing"
-	"time"
 
-	"bitswapmon/internal/engine"
+	"bitswapmon/internal/attacks"
+	"bitswapmon/internal/dht"
 	"bitswapmon/internal/ingest"
-	"bitswapmon/internal/sweep"
 	"bitswapmon/internal/trace"
 	"bitswapmon/internal/workload"
 )
 
-// tinySpec is small enough that a full CollectSpec finishes in about a
-// second, while still exercising monitors, gateways, churn and probing.
-func tinySpec() sweep.ScenarioSpec {
-	s := sweep.DefaultSpec()
-	s.Nodes = 150
-	s.Window = sweep.D(3 * time.Hour)
-	s.Warmup = sweep.D(30 * time.Minute)
-	s.BootstrapIters = 10
-	s.CatalogItems = 800
-	return s
-}
-
-// collected is one CollectSpec run that kept what its monitors streamed:
-// raw holds every monitor's entries in arrival order, unified what the
-// UnifySink made of them.
+// collected is one measured week — the window, the crawl and the probes —
+// that kept what its monitors streamed: raw holds every monitor's entries
+// in arrival order, unified what the UnifySink made of them.
 type collected struct {
-	*Data
+	*Measurement
+	crawl   dht.CrawlResult
+	probes  []attacks.ProbeResult
 	raw     []trace.Entry
 	unified []trace.Entry
 }
 
-// collectUnified runs the week pipeline with Tee(raw, UnifySink(unified))
-// attached through CollectSpec's hook.
-func collectUnified(t *testing.T, s sweep.ScenarioSpec) collected {
+// collectUnified runs Measure, Crawl and ProbeGateways with every monitor
+// streaming into Tee(raw, UnifySink(unified)).
+func collectUnified(t *testing.T, s ScenarioSpec) collected {
 	t.Helper()
 	raw, out := ingest.NewMemorySink(), ingest.NewMemorySink()
 	uni := ingest.NewUnifySink(out)
-	d, err := CollectSpec(s, func(*workload.World) (ingest.Sink, error) {
-		return ingest.Tee(raw, uni), nil
+	meas, err := Measure(s, s.Seed, func(w *workload.World) error {
+		for _, m := range w.Monitors {
+			m.SetSink(ingest.Tee(raw, uni))
+		}
+		return nil
 	})
 	if err != nil {
 		t.Fatalf("%s-%d: %v", s.Engine, s.Shards, err)
 	}
+	c := collected{Measurement: meas}
+	if c.crawl, err = Crawl(meas.World); err != nil {
+		t.Fatal(err)
+	}
+	c.probes = ProbeGateways(meas.World)
+	for _, m := range meas.World.Monitors {
+		if err := m.SinkErr(); err != nil {
+			t.Fatalf("monitor %s sink: %v", m.Name, err)
+		}
+	}
 	if err := uni.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	return collected{Data: d, raw: raw.Snapshot(), unified: out.Snapshot()}
+	c.raw, c.unified = raw.Snapshot(), out.Snapshot()
+	return c
 }
 
 // TestStreamingUnifyEqualsReference checks the streaming unifier against
@@ -179,8 +180,8 @@ func TestShardedSerialEquivalence(t *testing.T) {
 			unified:   len(d.unified),
 			dedup:     len(trace.Deduplicated(d.unified)),
 			onlineAvg: d.OnlineAvg,
-			probes:    len(d.Probes),
-			crawlLen:  len(d.Crawl.Seen),
+			probes:    len(d.probes),
+			crawlLen:  len(d.crawl.Seen),
 		}
 		for _, smp := range d.Samples {
 			for _, c := range smp.PerMonitor {
@@ -226,45 +227,5 @@ func TestShardedSerialEquivalence(t *testing.T) {
 				t.Errorf("gateway probes: serial=%d sharded=%d", serial.probes, sharded.probes)
 			}
 		})
-	}
-}
-
-// TestShardedSpeedup asserts the point of the parallel engine: with real
-// cores available, four shards beat the serial engine's wall-clock on a
-// traffic-dense scenario. The comparison only means something on quiet
-// multi-core hardware, so it skips without parallelism (NumCPU < 4), under
-// the race detector's serialization, and on shared CI runners with noisy
-// neighbors; BenchmarkEngineScaling measures the same thing everywhere
-// without a pass/fail verdict.
-func TestShardedSpeedup(t *testing.T) {
-	if runtime.NumCPU() < 4 {
-		t.Skipf("NumCPU=%d: no parallelism to measure", runtime.NumCPU())
-	}
-	if engine.RaceEnabled {
-		t.Skip("race detector serializes execution; wall-clock comparison meaningless")
-	}
-	if os.Getenv("CI") != "" {
-		t.Skip("shared CI runners are too noisy for wall-clock assertions")
-	}
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	const nodes = 1500
-	const window = 10 * time.Minute
-	run := func(ne func(time.Time, int64) engine.Engine) time.Duration {
-		w, err := workload.Build(DenseConfig(42, nodes, ne))
-		if err != nil {
-			t.Fatal(err)
-		}
-		start := time.Now()
-		w.Run(window)
-		return time.Since(start)
-	}
-	serial := run(nil)
-	sharded := run(engine.ShardedFactory(4))
-	t.Logf("serial=%v sharded-4=%v speedup=%.2fx", serial, sharded, float64(serial)/float64(sharded))
-	if sharded >= serial {
-		t.Errorf("sharded-4 (%v) did not beat serial (%v) with %d CPUs",
-			sharded, serial, runtime.NumCPU())
 	}
 }

@@ -127,17 +127,13 @@ func Crawl(w *workload.World) (dht.CrawlResult, error) {
 	if err != nil {
 		return dht.CrawlResult{}, fmt.Errorf("sweep: crawler node: %w", err)
 	}
-	var res dht.CrawlResult
-	got := false
-	dht.Crawl(nd.DHT, w.Bootstrap, 16, func(r dht.CrawlResult) {
-		res = r
-		got = true
-	})
+	var res *dht.CrawlResult
+	dht.Crawl(nd.DHT, w.Bootstrap, 16, func(r dht.CrawlResult) { res = &r })
 	w.Run(10 * time.Minute)
-	if !got {
+	if res == nil {
 		return dht.CrawlResult{}, fmt.Errorf("sweep: crawl did not complete")
 	}
-	return res, nil
+	return *res, nil
 }
 
 // ProbeGateways runs the Sec. VI-B gateway identification probe against

@@ -162,10 +162,10 @@ func tinySpec() ScenarioSpec {
 // It must not move.
 const pinnedWeekReport = "12154ee1c86975d619324ef5641eda2761c7dfc4cf1a345021e5d917fc1b46fd"
 
-// TestExecuteRunWeekReport: a run that crawled and probed carries the
+// TestRunWeekPinnedOutput: a run that crawled and probed carries the
 // Sec. V-C panel and Fig. 3 in its summary and report.txt, and a probes
 // section; report.txt is pinned.
-func TestExecuteRunWeekReport(t *testing.T) {
+func TestRunWeekPinnedOutput(t *testing.T) {
 	dir := t.TempDir()
 	sum, err := ExecuteRun(dir, Run{ID: "week", Seed: 42, Spec: tinySpec()})
 	if err != nil {
@@ -253,7 +253,7 @@ func upgradeFig4(t *testing.T, dir string, spec ScenarioSpec) *report.Fig4 {
 	return results.Get("fig4").(*report.Fig4)
 }
 
-func TestUpgradePinnedFig4(t *testing.T) {
+func TestRunUpgradePinnedOutput(t *testing.T) {
 	spec := UpgradeSpec(80, 2)
 	spec.Seed = 7
 	fig := upgradeFig4(t, t.TempDir(), spec)

@@ -153,25 +153,27 @@ func ExecuteRun(dir string, run Run) (*RunSummary, error) {
 				return nil, err
 			}
 		}
-		var probes section
+		var probes []section
 		if spec.Probes && len(w.Monitors) > 0 && len(w.Registry.All()) > 0 {
 			probed := ProbeGateways(w)
 			identified, found, correct := attacks.CrossReference(probed, w.Registry.NodeIDs())
 			sum.GatewaysProbed = len(probed)
 			sum.GatewaysIdentified = identified
-			probes = section{"probes", fmt.Sprintf("Sec. VI-B: probed %d gateways, identified %d; discovered %d node IDs (%d correct)\n",
-				len(probed), identified, found, correct)}
+			probes = []section{{"probes", fmt.Sprintf("Sec. VI-B: probed %d gateways, identified %d; discovered %d node IDs (%d correct)\n",
+				len(probed), identified, found, correct)}}
 		}
 		if spec.Crawl {
 			sec := ComputeSecVC(w.Monitors, meas.Samples, crawl, meas.OnlineAvg, w.TotalPopulation())
 			fig3 := ComputeFig3(w.Monitors[0], 50)
-			addMetrics(m, "secvc", sec.Metrics())
-			addMetrics(m, "fig3", fig3.Metrics())
-			panels = append(panels, section{"secvc", sec.Render()}, section{"fig3", fig3.Render()})
+			for k, v := range sec.Metrics() {
+				m["secvc:"+k] = v
+			}
+			for k, v := range fig3.Metrics() {
+				m["fig3:"+k] = v
+			}
+			panels = []section{{"secvc", sec.Render()}, {"fig3", fig3.Render()}}
 		}
-		if probes.name != "" {
-			panels = append(panels, probes)
-		}
+		panels = append(panels, probes...)
 		var hits, misses uint64
 		for _, g := range w.Gateways {
 			st := g.Stats()
@@ -233,14 +235,6 @@ func writeReport(dir string, results report.Results, panels []section) error {
 		return fmt.Errorf("sweep: write report: %w", err)
 	}
 	return nil
-}
-
-// addMetrics copies a panel's metrics into the summary as
-// "<panel>:<metric>".
-func addMetrics(dst map[string]float64, panel string, metrics map[string]float64) {
-	for k, v := range metrics {
-		dst[panel+":"+k] = v
-	}
 }
 
 func monitorStoreDir(runDir, monName string) string {

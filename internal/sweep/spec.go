@@ -1,12 +1,14 @@
 // Package sweep turns the single-run simulator into an experiment campaign
 // system: declarative scenario specifications, the one runner every bounded
-// run goes through (Measure for a synthetic world — the week and the Fig. 4
-// upgrade scenario alike — MeasureReplay for a replayed trace), the
-// built-in presets (DefaultSpec, WeekSpec, UpgradeSpec), grid/sweep
-// expansion into families of runs with deterministic identities, a
-// parallel orchestrator with a resumable on-disk manifest, and durable
-// per-run results (segment stores + summary JSON) that the aggregation
-// layer (ComputeTable, CSV) joins without re-reading raw traces.
+// run goes through (ExecuteRun, over Measure for a synthetic world — the
+// week and the Fig. 4 upgrade scenario alike — or MeasureReplay for a
+// replayed trace, with the post-window DHT crawl, Sec. V-C panel and
+// gateway probes), the paper's scenarios as presets (DefaultSpec,
+// WeekSpec, UpgradeSpec), grid/sweep expansion into families of runs with
+// deterministic identities, a parallel orchestrator with a resumable
+// on-disk manifest, and durable per-run results (segment stores, summary
+// JSON, rendered report.txt) that the aggregation layer (ComputeTable,
+// CSV) joins without re-reading raw traces.
 //
 // The paper's headline results — request popularity, gateway traffic
 // shares, monitor overlap — all come from comparing many runs under varied
@@ -221,7 +223,7 @@ type ScenarioSpec struct {
 // DefaultSpec returns a small week-style scenario: the paper's two
 // monitors, default operators, and a window sized for interactive runs. It
 // crawls and probes after the window and runs the week's reports, so its
-// report.txt holds every table and figure of Sec. V-C to VI-B.
+// report.txt holds every table, figure and panel of the week scenario.
 func DefaultSpec() ScenarioSpec {
 	return ScenarioSpec{
 		Version: SpecVersion,

@@ -370,7 +370,7 @@ func BenchmarkReportDriver(b *testing.B) {
 }
 
 // BenchmarkWindowedDriver measures the daemon's report path: the bsmon
-// -serve report set over 1 h windows sliding by 15 m, so every entry is
+// report set over 1 h windows sliding by 15 m, so every entry is
 // observed by four overlapping windows, each with report instances (and a
 // peer/CID numbering) of its own, and a window closes — popularity
 // bootstrap included — every 45 000 entries. ~3 h of feed, a dozen closes.

@@ -1,10 +1,11 @@
 // Command bsanalyze unifies monitor traces and runs the paper's analyses.
-// Inputs may be segment store directories (bsmon's M.segments), CSV exports
-// (bsmon's M.csv) or flat binary trace files (*.trace); each input is one
-// monitor's time-ordered stream, opened by ingest.OpenInputs. Unification
-// runs online through ingest.StreamUnifier — one sliding window of state —
-// and every report observes the unified stream entry by entry, so memory is
-// bounded by report state, never trace length.
+// Inputs may be segment store directories (a sweep run's mon-M.segments,
+// bsmon's M.segments), CSV exports (*.csv) or flat binary trace files
+// (*.trace); each input is one monitor's time-ordered stream, opened by
+// ingest.OpenInputs. Unification runs online through ingest.StreamUnifier —
+// one sliding window of state — and every report observes the unified
+// stream entry by entry, so memory is bounded by report state, never trace
+// length.
 //
 // Usage:
 //

@@ -1,47 +1,51 @@
-// Command bsmon runs a monitored scenario and streams each monitor's trace
-// to disk while the simulation runs, mirroring the paper's collection
-// infrastructure: entries flow into a segment store instead of accumulating
-// in RAM, so resident memory is bounded by the segment rotation window, not
-// the measurement length.
+// Command bsmon is the continuous-monitoring daemon: the paper's monitors
+// ran for months (Sec. IV-A), and bsmon keeps simulated monitors running the
+// same way. It simulates the small preset's world (sweep.DefaultSpec with
+// -nodes nodes) and streams each monitor's trace into a segment store, so
+// resident memory is bounded by the segment rotation window, not the
+// uptime. Registry reports are evaluated over rolling windows of the live
+// unified stream, the stores are compacted and expired in the background,
+// and one HTTP endpoint serves /metrics, /debug/pprof, /reports and /healthz.
 //
 // Usage:
 //
-//	bsmon -out DIR [-nodes N] [-hours H] [-seed N] [-rotate DUR] [-csv]
-//	      [-trace-out FILE] [-trace-sample F] [-metrics-addr ADDR]
+//	bsmon -out DIR [-nodes N] [-hours H] [-seed N] [-rotate DUR]
+//	      [-serve-addr ADDR] [-addr-file FILE]
+//	      [-window DUR] [-window-slide DUR] [-windows-keep N] [-window-reports LIST]
+//	      [-retain DUR] [-compact-run N] [-compact-small N] [-maintain-every DUR]
+//	      [-step DUR] [-pace DUR]
 //
-// Output per monitor M:
+// Output:
 //
-//	DIR/M.segments/NNNNNN.seg — time-partitioned compressed segments with
-//	                            footers (the queryable store)
-//	DIR/M.csv                 — with -csv only: a CSV copy of every entry,
-//	                            produced disk-to-disk from the segments
+//	DIR/M.segments/NNNNNN.seg — per monitor M, time-partitioned compressed
+//	                            segments with footers (the queryable store)
+//	DIR/windows.jsonl         — one JSON line per closed report window
 //
-// Both modes shut down cleanly on SIGINT/SIGTERM: the active segment is
-// sealed before exit, so an interrupted store always reopens queryable.
-//
-// With -serve, bsmon becomes a continuous-monitoring daemon instead of a
-// bounded run: the simulation streams indefinitely, rolling windows of
-// registry reports are evaluated live, segment stores are compacted and
-// expired in the background, and an HTTP endpoint serves /metrics, /reports
-// and /healthz. See serve.go.
+// -hours H stops the daemon after H virtual hours (0: run until signalled).
+// SIGINT/SIGTERM shut it down cleanly: every active segment is sealed before
+// exit, so an interrupted store always reopens queryable. A bounded capture
+// for analysis is a sweep run instead: bssweep preset small, bssweep run,
+// then bsanalyze over the run's mon-*.segments stores.
 package main
 
 import (
 	"context"
+	"encoding/json"
 	"flag"
 	"fmt"
+	"math/rand"
+	"net/http"
 	"os"
 	"os/signal"
 	"path/filepath"
+	"strings"
 	"syscall"
 	"time"
 
 	"bitswapmon/internal/cmdutil"
 	"bitswapmon/internal/ingest"
-	"bitswapmon/internal/otrace"
 	"bitswapmon/internal/report"
-	"bitswapmon/internal/simnet"
-	"bitswapmon/internal/trace"
+	"bitswapmon/internal/sweep"
 	"bitswapmon/internal/workload"
 )
 
@@ -52,97 +56,202 @@ func main() {
 	}
 }
 
-// runStep is the virtual-time chunk the run loop advances between shutdown
-// checks: small enough that a signal turns into a sealed store promptly,
-// large enough that loop overhead is negligible.
-const runStep = 15 * time.Minute
-
+// run is the daemon: the simulation streams into per-monitor segment stores
+// and a unified windowed report driver, a Maintainer compacts and expires
+// each store in the background, and one HTTP endpoint exposes /metrics,
+// /reports and /healthz. It runs until SIGINT/SIGTERM or, with -hours > 0,
+// until that much virtual time has elapsed; shutdown seals every active
+// segment, flushes and finalizes the open windows, and runs a final
+// compaction pass.
 func run(args []string) error {
 	fs := flag.NewFlagSet("bsmon", flag.ContinueOnError)
 	outDir := fs.String("out", "traces", "output directory")
-	nodes := fs.Int("nodes", 400, "population size")
-	hours := fs.Int("hours", 24, "measurement window in virtual hours (0 with -serve: run until signalled)")
+	nodes := fs.Int("nodes", 400, "population size of the simulated world (the small preset's, sweep.DefaultSpec, at this size)")
+	hours := fs.Int("hours", 24, "stop after this many virtual hours (0: run until signalled)")
 	seed := fs.Int64("seed", 1, "simulation seed")
-	csv := fs.Bool("csv", false, "also write a CSV copy of every entry (DIR/M.csv)")
 	rotate := fs.Duration("rotate", time.Hour, "segment rotation window (virtual time)")
-	traceOut := fs.String("trace-out", "", "record causal request traces and write Chrome trace-event JSON (Perfetto-loadable) plus a .jsonl sidecar to this path")
-	traceSample := fs.Float64("trace-sample", 1, "deterministic trace head-sampling rate in [0,1] (with -trace-out)")
-	metricsAddr := fs.String("metrics-addr", "", "serve /metrics and /debug/pprof on this address (e.g. :9090) and enable instrumentation")
-
-	serve := fs.Bool("serve", false, "run as a continuous-monitoring service: rolling-window reports, retention/compaction, HTTP endpoints")
-	sc := bindServeFlags(fs)
+	addr := fs.String("serve-addr", "127.0.0.1:9464", "HTTP address for /metrics, /debug/pprof, /reports and /healthz (port 0 picks an ephemeral port)")
+	addrFile := fs.String("addr-file", "", "write the bound HTTP address to this file once listening (lets scripts discover an ephemeral port)")
+	window := fs.Duration("window", time.Hour, "report window width (virtual time)")
+	slide := fs.Duration("window-slide", 0, "window stride; 0 means tumbling (= width), smaller values give sliding windows and must divide the width")
+	keep := fs.Int("windows-keep", 24, "closed windows retained in memory and as report_window_metric recency slots")
+	reports := fs.String("window-reports", "traffic", "comma-separated registry reports evaluated per window")
+	retain := fs.Duration("retain", 0, "delete raw segments entirely older than this horizon behind the newest data (virtual time; 0 keeps everything)")
+	compactRun := fs.Int("compact-run", 0, "minimum run of small adjacent segments worth merging (0 = default)")
+	compactSmall := fs.Int("compact-small", 0, "segments under this many entries are compactable (0 = default)")
+	maintainEvery := fs.Duration("maintain-every", 2*time.Second, "wall-clock period of compaction/retention passes")
+	stepFlag := fs.Duration("step", 15*time.Minute, "virtual time advanced per service loop iteration")
+	pace := fs.Duration("pace", 20*time.Millisecond, "wall-clock sleep between loop iterations (0 runs virtual time as fast as possible)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	switch {
+	case *nodes <= 0:
+		return fmt.Errorf("-nodes must be positive")
+	case *hours < 0:
+		return fmt.Errorf("-hours must not be negative (0 runs until signalled)")
+	case *stepFlag <= 0:
+		return fmt.Errorf("-step must be positive")
+	case *addr == "":
+		return fmt.Errorf("-serve-addr must not be empty")
+	}
 
-	// SIGINT/SIGTERM turn into context cancellation: the run loop stops at
-	// the next step boundary and every store seals its active segment, so a
+	// SIGINT/SIGTERM turn into context cancellation: the loop stops at the
+	// next step boundary and every store seals its active segment, so a
 	// killed bsmon never leaves an unsealed (bsanalyze-rejected) segment.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	if *serve {
-		sc.out = *outDir
-		sc.nodes = *nodes
-		sc.hours = *hours
-		sc.seed = *seed
-		sc.rotate = *rotate
-		return runServe(ctx, sc)
-	}
-	if *hours <= 0 {
-		return fmt.Errorf("-hours must be positive without -serve")
-	}
+	// Telemetry handles resolve at construction time, so instrumentation
+	// must be on before any store, driver, or world exists.
+	cmdutil.EnableAllMetrics()
 
-	var tracer *otrace.Tracer
-	if *traceOut != "" {
-		if *traceSample < 0 || *traceSample > 1 {
-			return fmt.Errorf("-trace-sample %v out of [0,1]", *traceSample)
-		}
-		tracer = otrace.New(otrace.Config{Sample: *traceSample, Seed: *seed})
-	}
-	srv, err := cmdutil.ServeMetrics(*metricsAddr)
-	if err != nil {
-		return err
-	}
-	if srv != nil {
-		fmt.Fprintf(os.Stderr, "bsmon: serving metrics on http://%s/metrics\n", srv.Addr())
-		defer srv.Close()
-	}
 	if err := os.MkdirAll(*outDir, 0o755); err != nil {
 		return fmt.Errorf("create output dir: %w", err)
 	}
 
-	w, err := buildWorld(*seed, *nodes, tracer)
+	spec := sweep.DefaultSpec()
+	spec.Nodes = *nodes
+	cfg, err := spec.WorkloadConfig(*seed)
+	if err != nil {
+		return err
+	}
+	w, err := workload.Build(cfg)
 	if err != nil {
 		return fmt.Errorf("build scenario: %w", err)
 	}
 
-	// Capture path: every monitor streams into a segment store. Nothing
-	// retains the full trace in memory.
+	// Durable window retention: every closed window appends one JSON line.
+	// Raw segments expire on the -retain horizon; these rolled-up report
+	// results are what remains of the expired time range.
+	windowLog, err := os.OpenFile(filepath.Join(*outDir, "windows.jsonl"), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return fmt.Errorf("open window log: %w", err)
+	}
+	defer windowLog.Close()
+	logEnc := json.NewEncoder(windowLog)
+
+	var names []string
+	for _, name := range strings.Split(*reports, ",") {
+		if name = strings.TrimSpace(name); name != "" {
+			names = append(names, name)
+		}
+	}
+	wd, err := report.NewWindowedDriver(report.WindowOptions{
+		Width:   *window,
+		Slide:   *slide,
+		Keep:    *keep,
+		Reports: names,
+		Opts: report.Options{
+			Geo:        w.Geo,
+			GatewayIDs: w.GatewayNodeIDs(),
+			Rand:       func() *rand.Rand { return w.Net.NewRand("serve-windows") },
+		},
+		Dedup:   true,
+		OnClose: func(res report.WindowResult) error { return logEnc.Encode(res) },
+	})
+	if err != nil {
+		return err
+	}
+
+	// Wiring: every monitor tees its raw stream into its own segment store
+	// and into one shared UnifySink, which orders and flags the merged
+	// stream (Sec. IV-B) before the windowed driver sees it.
+	uni := ingest.NewUnifySink(wd)
+	maintainOpts := ingest.MaintainOptions{
+		Interval: *maintainEvery,
+		Compaction: ingest.CompactionPolicy{
+			MinRun:       *compactRun,
+			SmallEntries: *compactSmall,
+		},
+		Retention: ingest.RetentionPolicy{MaxAge: *retain},
+	}
 	stores := make([]*ingest.SegmentStore, len(w.Monitors))
+	maintainers := make([]*ingest.Maintainer, len(w.Monitors))
 	for i, m := range w.Monitors {
 		store, err := openFreshStore(filepath.Join(*outDir, m.Name+".segments"), ingest.SegmentOptions{Rotation: *rotate})
 		if err != nil {
 			return err
 		}
 		stores[i] = store
-		m.SetSink(store)
+		maintainers[i] = ingest.NewMaintainer(store, maintainOpts)
+		m.SetSink(ingest.Tee(store, uni))
 	}
-
-	// Whatever goes wrong below, seal every store: an unclosed store loses
-	// its active segment (up to a whole rotation window of entries).
 	defer func() {
+		// Whatever goes wrong, stop maintenance before sealing stores so no
+		// background pass races the defered Close, then seal.
+		for _, mt := range maintainers {
+			if mt != nil {
+				mt.Close()
+			}
+		}
 		for _, store := range stores {
 			store.Close()
 		}
 	}()
 
-	fmt.Printf("running %d nodes for %dh of virtual time...\n", *nodes, *hours)
-	interrupted := runFor(ctx, w, time.Duration(*hours)*time.Hour)
-	if interrupted {
-		fmt.Fprintln(os.Stderr, "bsmon: interrupted — sealing active segments")
+	srv, err := cmdutil.ServeOps(*addr, map[string]http.Handler{
+		"/reports": reportsHandler(wd),
+		"/healthz": healthzHandler(maintainers),
+	})
+	if err != nil {
+		return err
+	}
+	defer srv.Close()
+	fmt.Fprintf(os.Stderr, "bsmon: serving on http://%s (/metrics /reports /healthz)\n", srv.Addr())
+	if *addrFile != "" {
+		if err := os.WriteFile(*addrFile, []byte(srv.Addr()+"\n"), 0o644); err != nil {
+			return fmt.Errorf("write -addr-file: %w", err)
+		}
 	}
 
+	// The service loop: advance virtual time one step, optionally pace
+	// against the wall clock, check for capture failures, repeat until the
+	// signal context cancels or the optional -hours bound is reached.
+	bound := time.Duration(*hours) * time.Hour
+	var elapsed time.Duration
+	var pacer *time.Ticker
+	if *pace > 0 {
+		pacer = time.NewTicker(*pace)
+		defer pacer.Stop()
+	}
+loop:
+	for ctx.Err() == nil && (bound <= 0 || elapsed < bound) {
+		step := *stepFlag
+		if bound > 0 {
+			if rem := bound - elapsed; rem < step {
+				step = rem
+			}
+		}
+		w.Run(step)
+		elapsed += step
+		for i, m := range w.Monitors {
+			if err := m.SinkErr(); err != nil {
+				return fmt.Errorf("monitor %s: capture: %w", m.Name, err)
+			}
+			if err := maintainers[i].Err(); err != nil {
+				return fmt.Errorf("monitor %s: maintenance: %w", m.Name, err)
+			}
+		}
+		if pacer != nil {
+			select {
+			case <-ctx.Done():
+				break loop
+			case <-pacer.C:
+			}
+		}
+	}
+	if ctx.Err() != nil {
+		fmt.Fprintln(os.Stderr, "bsmon: signal received — shutting down cleanly")
+	}
+
+	// Orderly shutdown. Order matters:
+	//   1. seal every store (the active segment becomes a sealed, queryable
+	//      segment) and surface any latched capture error;
+	//   2. flush the unifier's final timestamp batch into the windowed
+	//      driver, then finalize the still-open windows (marked partial);
+	//   3. close each Maintainer — it runs one final compaction/retention
+	//      pass over the now-complete segment set and writes a fresh index.
 	for i, m := range w.Monitors {
 		if err := stores[i].Close(); err != nil {
 			return fmt.Errorf("monitor %s: seal store: %w", m.Name, err)
@@ -150,37 +259,25 @@ func run(args []string) error {
 		if err := m.SinkErr(); err != nil {
 			return fmt.Errorf("monitor %s: capture: %w", m.Name, err)
 		}
-		tot := stores[i].Totals()
-		fmt.Printf("monitor %s: %d entries in %d segments, %s to %s -> %s\n",
-			m.Name, tot.Entries, len(stores[i].Segments()),
-			tot.First.Format(time.RFC3339), tot.Last.Format(time.RFC3339),
-			filepath.Join(*outDir, m.Name+".segments"))
-
-		// An interrupted run skips the CSV export: the priority is a sealed,
-		// queryable store on disk, not a full post-processing pass.
-		if *csv && !interrupted {
-			if err := exportCSV(stores[i], filepath.Join(*outDir, m.Name+".csv")); err != nil {
-				return err
-			}
+	}
+	if err := uni.Flush(); err != nil {
+		return fmt.Errorf("unify flush: %w", err)
+	}
+	results, err := wd.Close()
+	if err != nil {
+		return err
+	}
+	var totalStats ingest.MaintainStats
+	for i, mt := range maintainers {
+		if err := mt.Close(); err != nil {
+			return fmt.Errorf("monitor %s: final maintenance: %w", w.Monitors[i].Name, err)
 		}
+		totalStats = totalStats.Add(mt.Stats())
+		maintainers[i] = nil // the deferred cleanup must not double-close
 	}
-	if tracer != nil && !interrupted {
-		fmt.Println(report.BreakdownFromSpans(tracer.Spans(), tracer.Dropped()).Render())
-	}
-	return cmdutil.ExportTrace("bsmon", *traceOut, tracer)
-}
-
-// buildWorld constructs the standard two-monitor scenario both modes run.
-func buildWorld(seed int64, nodes int, tracer *otrace.Tracer) (*workload.World, error) {
-	return workload.Build(workload.Config{
-		Seed:  seed,
-		Nodes: nodes,
-		Monitors: []workload.MonitorSpec{
-			{Name: "us", Region: simnet.RegionUS},
-			{Name: "de", Region: simnet.RegionDE},
-		},
-		Tracer: tracer,
-	})
+	fmt.Printf("bsmon: served %s of virtual time, %d windows closed (%d retained), maintenance: %+v\n",
+		elapsed, wd.Snapshot().ClosedTotal, len(results), totalStats)
+	return nil
 }
 
 // openFreshStore opens a segment store and refuses one already holding
@@ -199,40 +296,32 @@ func openFreshStore(dir string, opts ingest.SegmentOptions) (*ingest.SegmentStor
 	return store, nil
 }
 
-// runFor advances the simulation in runStep chunks until total virtual time
-// has elapsed or ctx is cancelled, reporting whether it was interrupted.
-func runFor(ctx context.Context, w *workload.World, total time.Duration) bool {
-	for elapsed := time.Duration(0); elapsed < total; elapsed += runStep {
-		if ctx.Err() != nil {
-			return true
-		}
-		step := runStep
-		if rem := total - elapsed; rem < step {
-			step = rem
-		}
-		w.Run(step)
-	}
-	return ctx.Err() != nil
+// reportsHandler serves the windowed driver's state as JSON: retained
+// closed windows plus live numbers for the still-open ones.
+func reportsHandler(wd *report.WindowedDriver) http.Handler {
+	return http.HandlerFunc(func(rw http.ResponseWriter, _ *http.Request) {
+		rw.Header().Set("Content-Type", "application/json")
+		enc := json.NewEncoder(rw)
+		enc.SetIndent("", "  ")
+		enc.Encode(wd.Snapshot())
+	})
 }
 
-// exportCSV streams the store into a CSV file, disk to disk.
-func exportCSV(store *ingest.SegmentStore, path string) error {
-	it, err := store.Query(time.Time{}, time.Time{}, nil)
-	if err != nil {
-		return err
-	}
-	defer it.Close()
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("create %s: %w", path, err)
-	}
-	defer f.Close()
-	cw := trace.NewCSVWriter(f)
-	if _, err := ingest.Copy(cw, it); err != nil {
-		return fmt.Errorf("export %s: %w", path, err)
-	}
-	if err := cw.Close(); err != nil {
-		return err
-	}
-	return f.Close()
+// healthzHandler reports service health: 200 with maintenance totals while
+// every background loop is clean, 500 with the first error otherwise. It
+// deliberately reads only mutex-guarded state — monitor sink errors are
+// owned by the simulation loop and surface through it.
+func healthzHandler(maintainers []*ingest.Maintainer) http.Handler {
+	return http.HandlerFunc(func(rw http.ResponseWriter, _ *http.Request) {
+		var stats ingest.MaintainStats
+		for _, mt := range maintainers {
+			if err := mt.Err(); err != nil {
+				http.Error(rw, err.Error(), http.StatusInternalServerError)
+				return
+			}
+			stats = stats.Add(mt.Stats())
+		}
+		rw.Header().Set("Content-Type", "application/json")
+		json.NewEncoder(rw).Encode(map[string]any{"status": "ok", "maintenance": stats})
+	})
 }

@@ -27,11 +27,12 @@
 // hashes, so the stream is deflated at gzip.BestSpeed: 21.9 bytes per entry
 // against 33.5 for full records at level 6, written three times as fast.
 //
-// Capture also scales past a bounded run: bsmon -serve is a
-// continuous-monitoring daemon. Registry reports are evaluated over rolling
-// windows of the live stream (report.WindowedDriver, one report.Driver per
-// window, published as the report_window_metric gauge family and served as
-// JSON on /reports), while
+// Capture also scales past a bounded run: bsmon is the
+// continuous-monitoring daemon, simulating the small preset's world
+// (sweep.DefaultSpec through ScenarioSpec.WorkloadConfig). Registry reports
+// are evaluated over rolling windows of the live stream
+// (report.WindowedDriver, one report.Driver per window, published as the
+// report_window_metric gauge family and served as JSON on /reports), while
 // an ingest.Maintainer compacts small sealed segments into generation-2
 // segments and expires raw data behind a retention horizon — rolled-up
 // window results stay durable after their raw segments are gone, and
@@ -51,14 +52,14 @@
 // (counters, gauges, histograms, labeled families) with Prometheus text
 // exposition. The engine, ingest, sweep and report hot paths are
 // instrumented behind nil-safe handles, and the long-running commands serve
-// /metrics plus /debug/pprof via -metrics-addr.
+// /metrics plus /debug/pprof (bssweep -metrics-addr, bsmon -serve-addr).
 //
 // Per-request causal visibility comes from internal/otrace: a virtual-time
 // span recorder whose contexts propagate workload → gateway → DHT → Bitswap
 // → engine delivery, with deterministic seeded head-sampling (serial and
 // sharded engines trace the same requests). Traces export as
-// Perfetto-loadable Chrome trace-event JSON plus JSONL (bsmon -trace-out,
-// bssweep run -trace), and feed the latency_breakdown streaming report — per-stage
+// Perfetto-loadable Chrome trace-event JSON plus JSONL (bssweep run
+// -trace), and feed the latency_breakdown streaming report — per-stage
 // virtual-time latency distributions for every sampled request.
 //
 // See README.md for the layout, commands and package map. The root package

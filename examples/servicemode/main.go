@@ -1,5 +1,5 @@
-// Service-mode demo: the library pieces behind `bsmon -serve`, wired by
-// hand. A monitored scenario streams into per-monitor segment stores and a
+// Service-mode demo: the library pieces behind the `bsmon` daemon, wired
+// by hand. A monitored scenario streams into per-monitor segment stores and a
 // rolling-window report driver; a background Maintainer compacts small
 // sealed segments into generation-2 segments and expires raw data behind a
 // retention horizon while the rolled-up window results stay durable. This

@@ -1,7 +1,8 @@
 // Package cmdutil holds the operational plumbing shared by the long-running
-// commands (bsmon, bssweep): the -metrics-addr endpoint that
-// turns on every subsystem's instrumentation and serves /metrics plus
-// /debug/pprof, and the -cpuprofile/-memprofile pair for offline profiling.
+// commands (bsmon, bssweep): the HTTP endpoint that turns on every
+// subsystem's instrumentation and serves /metrics plus /debug/pprof (bssweep's
+// -metrics-addr, bsmon's -serve-addr), and the -cpuprofile/-memprofile pair
+// for offline profiling.
 package cmdutil
 
 import (
@@ -18,22 +19,6 @@ import (
 	"bitswapmon/internal/simnet"
 	"bitswapmon/internal/sweep"
 )
-
-// ExportTrace writes tr's recorded spans to path as Chrome trace-event JSON
-// (loadable in Perfetto / chrome://tracing) plus a path+".jsonl" sidecar, and
-// prints a summary line to stderr. A nil tracer or empty path is a no-op, so
-// callers can invoke it unconditionally after a run.
-func ExportTrace(cmd, path string, tr *otrace.Tracer) error {
-	if tr == nil || path == "" {
-		return nil
-	}
-	if err := tr.WriteFiles(path); err != nil {
-		return fmt.Errorf("trace export: %w", err)
-	}
-	fmt.Fprintf(os.Stderr, "%s: wrote %d spans to %s (+%s.jsonl), %d dropped by ring overflow\n",
-		cmd, len(tr.Spans()), path, path, tr.Dropped())
-	return nil
-}
 
 // EnableAllMetrics turns on instrumentation in every subsystem, registering
 // into obs.Default. Call it before constructing engines, stores, drivers,
@@ -56,8 +41,8 @@ func ServeMetrics(addr string) (*obs.Server, error) {
 }
 
 // ServeOps is ServeMetrics with additional endpoints mounted on the same
-// mux — the service-mode surface (e.g. bsmon -serve adds /reports and
-// /healthz). An empty addr is a no-op returning nil.
+// mux — the daemon's surface (bsmon adds /reports and /healthz). An empty
+// addr is a no-op returning nil.
 func ServeOps(addr string, extra map[string]http.Handler) (*obs.Server, error) {
 	if addr == "" {
 		return nil, nil

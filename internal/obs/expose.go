@@ -151,8 +151,8 @@ type Server struct {
 
 // Serve starts an HTTP server on addr exposing the registry at /metrics and
 // the runtime profiles under /debug/pprof/ on one mux — the operational
-// surface every long-running command (bsmon, bssweep) mounts
-// behind -metrics-addr. Pass addr with port 0 to bind an ephemeral port;
+// surface every long-running command mounts (bssweep behind -metrics-addr,
+// the bsmon daemon on -serve-addr). Pass addr with port 0 to bind an ephemeral port;
 // Addr reports the bound address.
 func Serve(addr string, r *Registry) (*Server, error) {
 	return ServeWith(addr, r, nil)

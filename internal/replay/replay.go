@@ -66,10 +66,6 @@ type Config struct {
 	// TimeWarp divides recorded offsets: 2 replays a trace in half its
 	// recorded duration, 0.5 stretches it to twice. Default 1.
 	TimeWarp float64
-	// Horizon bounds how far ahead of the virtual clock the driver
-	// schedules events (default 1 minute of warped virtual time); resident
-	// memory is one horizon's worth of events, not the trace.
-	Horizon time.Duration
 	// MonitorFrac is the probability that a replay node connects to each
 	// monitor, drawn independently per (node, monitor) pair. It only
 	// affects broadcast events (fitted replay); direct replay targets the
@@ -96,9 +92,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.TimeWarp <= 0 {
 		c.TimeWarp = 1
-	}
-	if c.Horizon <= 0 {
-		c.Horizon = time.Minute
 	}
 	if c.MonitorFrac <= 0 {
 		c.MonitorFrac = 1
@@ -243,6 +236,11 @@ type DriveStats struct {
 	VirtualDuration time.Duration
 }
 
+// driveHorizon bounds how far ahead of the virtual clock the driver
+// schedules events; resident memory is one horizon's worth of events, not
+// the trace.
+const driveHorizon = time.Minute
+
 // graceFor lets in-flight messages (bounded by the latency model, ~300 ms)
 // drain after the last event before Drive returns.
 const graceFor = 5 * time.Second
@@ -263,7 +261,7 @@ func (w *World) Drive(src EventSource) (*DriveStats, error) {
 	var pending *Event
 	eof := false
 	for !eof {
-		windowEnd := w.Net.Now().Add(w.cfg.Horizon)
+		windowEnd := w.Net.Now().Add(driveHorizon)
 		for {
 			if pending == nil {
 				ev, err := src.Next()

@@ -448,13 +448,13 @@ func runAblation(b *testing.B, joint workload.JointConnectivity, xorBias float64
 	w, err := workload.Build(workload.Config{
 		Seed:  seed,
 		Nodes: 250,
-		Monitors: []workload.MonitorSpec{
+		Monitors: []monitor.Spec{
 			{Name: "us", Region: simnet.RegionUS},
 			{Name: "de", Region: simnet.RegionDE},
 		},
-		Joint:     joint,
-		XORBias:   xorBias,
-		Operators: []workload.OperatorSpec{},
+		Joint:    &joint,
+		XORBias:  xorBias,
+		Gateways: []workload.OperatorSpec{},
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -851,12 +851,12 @@ func denseConfig(seed int64, nodes int, newEngine func(start time.Time, seed int
 		MeanRequestsPerHour: 30,
 		DegreeTarget:        20,
 		ActiveFrac:          0.6,
-		Catalog:             workload.CatalogConfig{Items: 2000},
-		Monitors: []workload.MonitorSpec{
+		CatalogItems:        2000,
+		Monitors: []monitor.Spec{
 			{Name: "us", Region: simnet.RegionUS},
 			{Name: "de", Region: simnet.RegionDE},
 		},
-		Operators: []workload.OperatorSpec{},
+		Gateways: []workload.OperatorSpec{},
 	}
 }
 

@@ -12,7 +12,9 @@
 // reports: every bounded run — the paper's week and Fig. 4 upgrade
 // scenarios are presets (bssweep preset), a replayed trace is a
 // workload_source spec — is a sweep.ScenarioSpec executed by
-// sweep.ExecuteRun. It measures the world with sweep.Measure (or
+// sweep.ExecuteRun. A spec's world keys are those of workload.Config, which
+// it embeds, and its workload_source keys those of replay.Spec, so each
+// parameter is declared once. It measures the world with sweep.Measure (or
 // sweep.MeasureReplay), crawls the DHT and probes the gateways if the spec
 // asks, unifies the monitors' segment stores with one ingest.StreamUnifier
 // pass through every report, and leaves summary.json and report.txt in the

@@ -11,6 +11,7 @@ import (
 
 	"bitswapmon/internal/attacks"
 	"bitswapmon/internal/ingest"
+	"bitswapmon/internal/monitor"
 	"bitswapmon/internal/simnet"
 	"bitswapmon/internal/trace"
 	"bitswapmon/internal/workload"
@@ -27,7 +28,7 @@ func run() error {
 	w, err := workload.Build(workload.Config{
 		Seed:  11,
 		Nodes: 300,
-		Monitors: []workload.MonitorSpec{
+		Monitors: []monitor.Spec{
 			{Name: "us", Region: simnet.RegionUS},
 			{Name: "de", Region: simnet.RegionDE},
 		},

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"bitswapmon/internal/ingest"
+	"bitswapmon/internal/monitor"
 	"bitswapmon/internal/popularity"
 	"bitswapmon/internal/report"
 	"bitswapmon/internal/simnet"
@@ -28,12 +29,10 @@ func main() {
 func run() error {
 	fmt.Println("building a 400-node network and collecting 12h of traces...")
 	w, err := workload.Build(workload.Config{
-		Seed:  5,
-		Nodes: 400,
-		Catalog: workload.CatalogConfig{
-			Items: 6000,
-		},
-		Monitors: []workload.MonitorSpec{
+		Seed:         5,
+		Nodes:        400,
+		CatalogItems: 6000,
+		Monitors: []monitor.Spec{
 			{Name: "us", Region: simnet.RegionUS},
 			{Name: "de", Region: simnet.RegionDE},
 		},

@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"bitswapmon/internal/ingest"
+	"bitswapmon/internal/monitor"
 	"bitswapmon/internal/replay"
 	"bitswapmon/internal/simnet"
 	"bitswapmon/internal/trace"
@@ -48,12 +49,12 @@ func run() error {
 	w, err := workload.Build(workload.Config{
 		Seed:  7,
 		Nodes: 80,
-		Monitors: []workload.MonitorSpec{
+		Monitors: []monitor.Spec{
 			{Name: "us", Region: simnet.RegionUS},
 			{Name: "de", Region: simnet.RegionDE},
 		},
-		Operators:           []workload.OperatorSpec{},
-		Catalog:             workload.CatalogConfig{Items: 300},
+		Gateways:            []workload.OperatorSpec{},
+		CatalogItems:        300,
 		MeanRequestsPerHour: 8,
 	})
 	if err != nil {

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"bitswapmon/internal/ingest"
+	"bitswapmon/internal/monitor"
 	"bitswapmon/internal/report"
 	"bitswapmon/internal/simnet"
 	"bitswapmon/internal/workload"
@@ -38,7 +39,7 @@ func run() error {
 	w, err := workload.Build(workload.Config{
 		Seed:  11,
 		Nodes: 120,
-		Monitors: []workload.MonitorSpec{
+		Monitors: []monitor.Spec{
 			{Name: "us", Region: simnet.RegionUS},
 			{Name: "de", Region: simnet.RegionDE},
 		},

@@ -9,6 +9,7 @@ import (
 	"log"
 	"time"
 
+	"bitswapmon/internal/monitor"
 	"bitswapmon/internal/simnet"
 	"bitswapmon/internal/sweep"
 	"bitswapmon/internal/workload"
@@ -23,10 +24,12 @@ func main() {
 func run() error {
 	spec := sweep.ScenarioSpec{
 		Version: sweep.SpecVersion,
-		Nodes:   500,
-		Monitors: []sweep.MonitorSpec{
-			{Name: "us", Region: string(simnet.RegionUS)},
-			{Name: "de", Region: string(simnet.RegionDE)},
+		Config: workload.Config{
+			Nodes: 500,
+			Monitors: []monitor.Spec{
+				{Name: "us", Region: simnet.RegionUS},
+				{Name: "de", Region: simnet.RegionDE},
+			},
 		},
 		Window:      sweep.D(12 * time.Hour),
 		SampleEvery: sweep.D(time.Hour),

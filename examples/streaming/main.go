@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"bitswapmon/internal/ingest"
+	"bitswapmon/internal/monitor"
 	"bitswapmon/internal/simnet"
 	"bitswapmon/internal/trace"
 	"bitswapmon/internal/workload"
@@ -35,7 +36,7 @@ func run() error {
 	w, err := workload.Build(workload.Config{
 		Seed:  7,
 		Nodes: 120,
-		Monitors: []workload.MonitorSpec{
+		Monitors: []monitor.Spec{
 			{Name: "us", Region: simnet.RegionUS},
 			{Name: "de", Region: simnet.RegionDE},
 		},

@@ -14,7 +14,9 @@ import (
 	"sync/atomic"
 	"time"
 
+	"bitswapmon/internal/monitor"
 	"bitswapmon/internal/sweep"
+	"bitswapmon/internal/workload"
 )
 
 func main() {
@@ -37,22 +39,24 @@ func run() error {
 	// "table1:<metric>" and aggregate by name like any built-in metric —
 	// a new comparison metric without touching the sweep layer.
 	base := sweep.ScenarioSpec{
-		Version:          sweep.SpecVersion,
-		Name:             "demo",
-		Nodes:            40,
-		BootstrapServers: 8,
-		CatalogItems:     200,
-		ActiveFrac:       0.8,
-		Monitors: []sweep.MonitorSpec{
-			{Name: "us", Region: "US"},
-			{Name: "de", Region: "DE"},
+		Version: sweep.SpecVersion,
+		Name:    "demo",
+		Config: workload.Config{
+			Nodes:            40,
+			BootstrapServers: 8,
+			CatalogItems:     200,
+			ActiveFrac:       0.8,
+			Monitors: []monitor.Spec{
+				{Name: "us", Region: "US"},
+				{Name: "de", Region: "DE"},
+			},
+			Gateways:            []workload.OperatorSpec{}, // no gateways: faster demo
+			MeanRequestsPerHour: 30,
 		},
-		Gateways:            []sweep.OperatorSpec{}, // no gateways: faster demo
-		MeanRequestsPerHour: 30,
-		Warmup:              sweep.D(10 * time.Minute),
-		Window:              sweep.D(time.Hour),
-		SampleEvery:         sweep.D(20 * time.Minute),
-		Reports:             []string{"table1"},
+		Warmup:      sweep.D(10 * time.Minute),
+		Window:      sweep.D(time.Hour),
+		SampleEvery: sweep.D(20 * time.Minute),
+		Reports:     []string{"table1"},
 	}
 
 	// Vary population × churn, two seeds per cell: 3×2×2 = 12 runs.

@@ -24,6 +24,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"bitswapmon/internal/monitor"
 	"bitswapmon/internal/otrace"
 	"bitswapmon/internal/report"
 	"bitswapmon/internal/simnet"
@@ -49,15 +50,15 @@ func run() error {
 	w, err := workload.Build(workload.Config{
 		Seed:  11,
 		Nodes: 60,
-		Monitors: []workload.MonitorSpec{
+		Monitors: []monitor.Spec{
 			{Name: "us", Region: simnet.RegionUS},
 		},
-		Operators: []workload.OperatorSpec{
+		Gateways: []workload.OperatorSpec{
 			// An HTTP gateway fleet, so the trace also shows the cache-hit
 			// short-circuit vs full-fetch split on gateway.fetch spans.
-			{Name: "gw", Nodes: 2, RequestsPerHour: 40, HotBias: 3, Functional: true, CacheTTL: 30 * time.Minute},
+			{Name: "gw", Nodes: 2, RequestsPerHour: 40, HotBias: 3, Functional: true, CacheTTL: workload.Duration(30 * time.Minute)},
 		},
-		Catalog:             workload.CatalogConfig{Items: 200},
+		CatalogItems:        200,
 		MeanRequestsPerHour: 6,
 		Tracer:              tracer,
 	})

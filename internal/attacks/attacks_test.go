@@ -6,6 +6,7 @@ import (
 
 	"bitswapmon/internal/cid"
 	"bitswapmon/internal/gateway"
+	"bitswapmon/internal/monitor"
 	"bitswapmon/internal/simnet"
 	"bitswapmon/internal/trace"
 	"bitswapmon/internal/workload"
@@ -14,19 +15,16 @@ import (
 func buildWorld(t *testing.T, seed int64) *workload.World {
 	t.Helper()
 	w, err := workload.Build(workload.Config{
-		Seed:  seed,
-		Nodes: 120,
-		Catalog: workload.CatalogConfig{
-			Items:        200,
-			MeanFileSize: 2048,
-		},
-		Monitors: []workload.MonitorSpec{
+		Seed:         seed,
+		Nodes:        120,
+		CatalogItems: 200,
+		Monitors: []monitor.Spec{
 			{Name: "us", Region: simnet.RegionUS},
 			{Name: "de", Region: simnet.RegionDE},
 		},
-		Operators: []workload.OperatorSpec{
-			{Name: "megagate", Nodes: 3, RequestsPerHour: 100, HotBias: 0.9, Functional: true, CacheTTL: time.Hour},
-			{Name: "brokengw", Nodes: 1, RequestsPerHour: 10, HotBias: 0.5, Functional: false, CacheTTL: time.Hour},
+		Gateways: []workload.OperatorSpec{
+			{Name: "megagate", Nodes: 3, RequestsPerHour: 100, HotBias: 0.9, Functional: true, CacheTTL: workload.Duration(time.Hour)},
+			{Name: "brokengw", Nodes: 1, RequestsPerHour: 10, HotBias: 0.5, Functional: false, CacheTTL: workload.Duration(time.Hour)},
 		},
 		BootstrapServers:    8,
 		MeanRequestsPerHour: 3,

@@ -20,10 +20,11 @@ type StatsOptions struct {
 	// space-saving sketch keeps 8*TopK counters so the top TopK are
 	// reliable under skew. Default 20.
 	TopK int
-	// MaxBuckets bounds the retained windowed counters; the oldest bucket
-	// is evicted beyond this. Default 4096 (≈ 170 days of hourly buckets).
-	MaxBuckets int
 }
+
+// maxBuckets bounds the retained windowed counters (≈ 170 days of hourly
+// buckets); the oldest bucket is evicted beyond this.
+const maxBuckets = 4096
 
 func (o StatsOptions) withDefaults() StatsOptions {
 	if o.Bucket <= 0 {
@@ -31,9 +32,6 @@ func (o StatsOptions) withDefaults() StatsOptions {
 	}
 	if o.TopK <= 0 {
 		o.TopK = 20
-	}
-	if o.MaxBuckets <= 0 {
-		o.MaxBuckets = 4096
 	}
 	return o
 }
@@ -108,7 +106,7 @@ func (s *OnlineStats) Write(e trace.Entry) error {
 	k := e.Timestamp.UnixNano() / int64(s.opts.Bucket)
 	b, ok := s.buckets[k]
 	if !ok {
-		if len(s.buckets) >= s.opts.MaxBuckets {
+		if len(s.buckets) >= maxBuckets {
 			s.evictOldestBucket()
 		}
 		b = &TypeBucket{Start: time.Unix(0, k*int64(s.opts.Bucket)).UTC()}
@@ -146,7 +144,7 @@ func (s *OnlineStats) evictOldestBucket() {
 }
 
 // EvictedBuckets reports how many windowed counters were dropped to honour
-// MaxBuckets. Non-zero means Buckets() covers only the tail of the trace;
+// maxBuckets. Non-zero means Buckets() covers only the tail of the trace;
 // renderers should surface that rather than present a silently clipped
 // series.
 func (s *OnlineStats) EvictedBuckets() int { return s.evictedBuckets }

@@ -45,20 +45,24 @@ func TestOnlineStatsTypeCountsAndBuckets(t *testing.T) {
 }
 
 func TestOnlineStatsBucketEviction(t *testing.T) {
-	s := NewOnlineStats(StatsOptions{Bucket: time.Hour, MaxBuckets: 5})
-	for i := 0; i < 20; i++ {
+	s := NewOnlineStats(StatsOptions{Bucket: time.Hour})
+	const n = maxBuckets + 15
+	for i := 0; i < n; i++ {
 		s.Write(entry("us", 1, "a", wire.WantHave, t0.Add(time.Duration(i)*time.Hour)))
 	}
 	buckets := s.Buckets()
-	if len(buckets) != 5 {
-		t.Fatalf("retained %d buckets, want 5", len(buckets))
+	if len(buckets) != maxBuckets {
+		t.Fatalf("retained %d buckets, want %d", len(buckets), maxBuckets)
 	}
 	// The newest buckets survive.
-	if !buckets[len(buckets)-1].Start.Equal(t0.Add(19 * time.Hour).Truncate(time.Hour)) {
+	if !buckets[0].Start.Equal(t0.Add(15 * time.Hour).Truncate(time.Hour)) {
+		t.Errorf("oldest retained bucket = %v", buckets[0].Start)
+	}
+	if !buckets[len(buckets)-1].Start.Equal(t0.Add((n - 1) * time.Hour).Truncate(time.Hour)) {
 		t.Errorf("newest bucket = %v", buckets[len(buckets)-1].Start)
 	}
 	// Totals remain exact despite eviction.
-	if s.Entries() != 20 {
+	if s.Entries() != n {
 		t.Errorf("entries = %d", s.Entries())
 	}
 }
@@ -179,17 +183,17 @@ func TestHyperLogLogSmallCounts(t *testing.T) {
 }
 
 func TestOnlineStatsReportsEvictions(t *testing.T) {
-	s := NewOnlineStats(StatsOptions{Bucket: time.Hour, MaxBuckets: 5})
-	for i := 0; i < 3; i++ {
+	s := NewOnlineStats(StatsOptions{Bucket: time.Hour})
+	for i := 0; i < maxBuckets; i++ {
 		s.Write(entry("us", 1, "a", wire.WantHave, t0.Add(time.Duration(i)*time.Hour)))
 	}
 	if s.EvictedBuckets() != 0 {
-		t.Errorf("evictions before cap: %d", s.EvictedBuckets())
+		t.Errorf("evictions at the cap: %d", s.EvictedBuckets())
 	}
-	for i := 3; i < 20; i++ {
+	for i := maxBuckets; i < maxBuckets+15; i++ {
 		s.Write(entry("us", 1, "a", wire.WantHave, t0.Add(time.Duration(i)*time.Hour)))
 	}
-	if got := s.EvictedBuckets(); got != 15 { // 20 buckets, 5 retained
+	if got := s.EvictedBuckets(); got != 15 { // maxBuckets+15 buckets, maxBuckets retained
 		t.Errorf("evictions = %d, want 15", got)
 	}
 }

@@ -22,6 +22,13 @@ import (
 	"bitswapmon/internal/wire"
 )
 
+// Spec declares one monitoring vantage point: the name that labels its
+// trace entries and the region it is placed in.
+type Spec struct {
+	Name   string        `json:"name"`
+	Region simnet.Region `json:"region"`
+}
+
 // Monitor is one passive monitoring node.
 type Monitor struct {
 	// Name labels this monitor's trace entries (the paper's "us"/"de").

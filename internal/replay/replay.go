@@ -40,72 +40,13 @@ import (
 	"bitswapmon/internal/wire"
 )
 
-// MonitorSpec names one monitoring vantage point of the replay world.
-type MonitorSpec struct {
-	Name   string
-	Region simnet.Region
-}
-
-// Config parametrises a replay world.
-type Config struct {
-	// Seed drives monitor connectivity draws and node placement.
-	Seed int64
-	// Start is the replay world's virtual start time (default: the workload
-	// package's epoch, 2021-04-30).
-	Start time.Time
-	// Monitors declares the world's vantage points. Direct replay requires
-	// every monitor named by the trace to be present (DiscoverMonitors
-	// derives the list from the inputs).
-	Monitors []MonitorSpec
-	// Nodes is the replay requester pool size (default 256). Observed
-	// requesters map onto the pool in first-seen round-robin order; with at
-	// least as many pool nodes as distinct requesters the mapping is
-	// injective, otherwise requesters share nodes (counts per monitor are
-	// unaffected; only per-requester attribution coarsens).
-	Nodes int
-	// TimeWarp divides recorded offsets: 2 replays a trace in half its
-	// recorded duration, 0.5 stretches it to twice. Default 1.
-	TimeWarp float64
-	// MonitorFrac is the probability that a replay node connects to each
-	// monitor, drawn independently per (node, monitor) pair. It only
-	// affects broadcast events (fitted replay); direct replay targets the
-	// recording monitor explicitly. Zero means unset and selects full
-	// coverage (1); use a small positive value for near-zero coverage.
-	MonitorFrac float64
-	// NewEngine constructs the simulation engine; nil selects the serial
-	// deterministic simnet reference. Parallel replays pass e.g.
-	// engine.ShardedFactory(4).
-	NewEngine func(start time.Time, seed int64) engine.Engine
-	// Tracer, when set, records sampled request traces: each replayed event
-	// mints a deterministic trace ID (from Seed, the observed requester and
-	// the event sequence) and, when sampled, becomes a zero-duration request
-	// root span with one hop span per monitor send.
-	Tracer *otrace.Tracer
-}
-
-func (c Config) withDefaults() Config {
-	if c.Start.IsZero() {
-		c.Start = time.Date(2021, 4, 30, 0, 0, 0, 0, time.UTC)
-	}
-	if c.Nodes <= 0 {
-		c.Nodes = 256
-	}
-	if c.TimeWarp <= 0 {
-		c.TimeWarp = 1
-	}
-	if c.MonitorFrac <= 0 {
-		c.MonitorFrac = 1
-	}
-	return c
-}
-
 // World is a built replay scenario: an engine, the monitors, and a pool of
 // replay requester nodes ready to re-issue recorded traffic.
 type World struct {
 	Net      engine.Engine
 	Monitors []*monitor.Monitor
 
-	cfg     Config
+	cfg     Spec
 	byName  map[string]*monitor.Monitor
 	nodes   []simnet.NodeID
 	monSets [][]simnet.NodeID // broadcast targets per pool node
@@ -127,8 +68,9 @@ func (replayNode) PeerDisconnected(simnet.NodeID)   {}
 // Build constructs the replay world: engine, monitors (pinned to the
 // control shard as always), and the requester pool, every pool node
 // connected to every monitor (monitors accept all connections, as in the
-// paper) with the broadcast subset drawn per MonitorFrac.
-func Build(cfg Config) (*World, error) {
+// paper) with the broadcast subset drawn per MonitorFrac. The spec must
+// name its monitors; Prepare discovers them from the inputs first.
+func Build(cfg Spec) (*World, error) {
 	cfg = cfg.withDefaults()
 	if len(cfg.Monitors) == 0 {
 		return nil, fmt.Errorf("replay: no monitors configured")

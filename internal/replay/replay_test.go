@@ -13,6 +13,7 @@ import (
 	"bitswapmon/internal/cid"
 	"bitswapmon/internal/engine"
 	"bitswapmon/internal/ingest"
+	"bitswapmon/internal/monitor"
 	"bitswapmon/internal/simnet"
 	"bitswapmon/internal/trace"
 	"bitswapmon/internal/wire"
@@ -281,22 +282,6 @@ func TestReplayDeterminismSharded(t *testing.T) {
 
 func lines(b []byte) int { return bytes.Count(b, []byte("\n")) }
 
-// TestDirectSourceDedupOnly: the dedup-only source drops flagged entries.
-func TestDirectSourceDedupOnly(t *testing.T) {
-	entries := []trace.Entry{
-		{Timestamp: t0, Monitor: "us", Type: wire.WantHave, CID: cid.Sum(cid.Raw, []byte("x"))},
-		{Timestamp: t0.Add(time.Second), Monitor: "us", Type: wire.WantHave,
-			CID: cid.Sum(cid.Raw, []byte("x")), Flags: trace.FlagRebroadcast},
-	}
-	src := NewDirectSource(ingest.SliceSource(entries)).DedupOnly()
-	if ev, err := src.Next(); err != nil || ev.Offset != 0 {
-		t.Fatalf("first event: %v %v", ev, err)
-	}
-	if _, err := src.Next(); err != io.EOF {
-		t.Fatalf("want EOF after flagged entry, got %v", err)
-	}
-}
-
 // TestPoolSmallerThanRequesters: mapping collisions coarsen attribution but
 // never lose entries.
 func TestPoolSmallerThanRequesters(t *testing.T) {
@@ -375,7 +360,7 @@ func TestDriveUnknownMonitor(t *testing.T) {
 	sess, err := Prepare(Spec{
 		Mode:     ModeDirect,
 		Inputs:   paths,
-		Monitors: []MonitorSpec{{Name: "only-this-one", Region: simnet.RegionUS}},
+		Monitors: []monitor.Spec{{Name: "only-this-one", Region: simnet.RegionUS}},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -7,7 +7,9 @@ import (
 
 	"bitswapmon/internal/engine"
 	"bitswapmon/internal/ingest"
+	"bitswapmon/internal/monitor"
 	"bitswapmon/internal/otrace"
+	"bitswapmon/internal/simnet"
 )
 
 // Mode selects how a recorded trace becomes a workload.
@@ -21,32 +23,73 @@ const (
 	ModeFitted Mode = "fitted"
 )
 
-// Spec describes one replay execution end to end: inputs, mode, scale and
-// engine. The sweep runner assembles one from a spec (ScenarioSpec.ReplaySpec).
+// Spec is the one declaration of a replay: inputs, mode, scale and engine.
+// Its JSON keys are the workload_source keys of a scenario spec; the sweep
+// runner fills the runtime fields (Monitors, Seed, Start, NewEngine,
+// Tracer) in ScenarioSpec.ReplaySpec. Zero fields take the defaults noted
+// on each.
 type Spec struct {
-	Mode Mode
+	// Mode is ModeDirect (also the empty mode) or ModeFitted. A scenario
+	// spec's workload_source also takes "synthetic", which selects
+	// generation instead of replay.
+	Mode Mode `json:"mode"`
 	// Inputs are trace sources: segment-store directories, flat binary
 	// traces, or CSV exports. Each input is one monitor's stream.
-	Inputs []string
-	// TimeWarp compresses (>1) or stretches (<1) replayed time.
-	TimeWarp float64
-	// Amplify scales the fitted population and volume (fitted mode only).
-	Amplify float64
-	// Nodes overrides the replay pool size. Zero auto-sizes: 256 for
+	Inputs []string `json:"inputs,omitempty"`
+	// TimeWarp divides recorded offsets: 2 replays a trace in half its
+	// recorded duration, 0.5 stretches it to twice. Default 1.
+	TimeWarp float64 `json:"time_warp,omitempty"`
+	// Amplify scales the fitted population and volume (fitted mode only;
+	// default 1).
+	Amplify float64 `json:"amplify,omitempty"`
+	// Nodes is the replay requester pool size. Zero auto-sizes: 256 for
 	// direct replay, the amplified requester count for fitted replay.
-	Nodes int
-	// MonitorFrac is the fitted broadcast connectivity (see Config).
-	MonitorFrac float64
-	// Monitors overrides the world's vantage points; empty discovers them
-	// from the inputs.
-	Monitors []MonitorSpec
-	Seed     int64
-	Start    time.Time
-	// NewEngine selects the simulation engine (nil = serial reference).
-	NewEngine func(start time.Time, seed int64) engine.Engine
-	// Tracer, when set, records sampled request spans during the replay
-	// (see Config.Tracer).
-	Tracer *otrace.Tracer
+	// Observed requesters map onto the pool in first-seen round-robin
+	// order; with at least as many pool nodes as distinct requesters the
+	// mapping is injective, otherwise requesters share nodes (counts per
+	// monitor are unaffected; only per-requester attribution coarsens).
+	Nodes int `json:"replay_nodes,omitempty"`
+	// MonitorFrac is the probability that a replay node connects to each
+	// monitor, drawn independently per (node, monitor) pair. It only
+	// affects broadcast events (fitted replay); direct replay targets the
+	// recording monitor explicitly. Zero means unset and selects full
+	// coverage (1); use a small positive value for near-zero coverage.
+	MonitorFrac float64 `json:"monitor_frac,omitempty"`
+	// Monitors declares the world's vantage points; empty discovers them
+	// from the inputs (DiscoverMonitors). Direct replay requires every
+	// monitor the trace names to be present.
+	Monitors []monitor.Spec `json:"-"`
+	// Seed drives monitor connectivity draws, node placement and the
+	// fitted generator.
+	Seed int64 `json:"-"`
+	// Start is the replay world's virtual start time (default
+	// simnet.Epoch).
+	Start time.Time `json:"-"`
+	// NewEngine constructs the simulation engine; nil selects the serial
+	// deterministic simnet reference. Parallel replays pass e.g.
+	// engine.ShardedFactory(4).
+	NewEngine func(start time.Time, seed int64) engine.Engine `json:"-"`
+	// Tracer, when set, records sampled request traces: each replayed event
+	// mints a deterministic trace ID (from Seed, the observed requester and
+	// the event sequence) and, when sampled, becomes a zero-duration request
+	// root span with one hop span per monitor send.
+	Tracer *otrace.Tracer `json:"-"`
+}
+
+func (s Spec) withDefaults() Spec {
+	if s.Start.IsZero() {
+		s.Start = simnet.Epoch
+	}
+	if s.Nodes <= 0 {
+		s.Nodes = 256
+	}
+	if s.TimeWarp <= 0 {
+		s.TimeWarp = 1
+	}
+	if s.MonitorFrac <= 0 {
+		s.MonitorFrac = 1
+	}
+	return s
 }
 
 // Session is a prepared replay: a built world plus the event source that
@@ -68,23 +111,12 @@ func Prepare(spec Spec) (*Session, error) {
 	if len(spec.Inputs) == 0 {
 		return nil, fmt.Errorf("replay: no trace inputs")
 	}
-	monitors := spec.Monitors
-	if len(monitors) == 0 {
-		var err error
-		monitors, err = DiscoverMonitors(spec.Inputs)
+	if len(spec.Monitors) == 0 {
+		monitors, err := DiscoverMonitors(spec.Inputs)
 		if err != nil {
 			return nil, err
 		}
-	}
-	cfg := Config{
-		Seed:        spec.Seed,
-		Start:       spec.Start,
-		Monitors:    monitors,
-		Nodes:       spec.Nodes,
-		TimeWarp:    spec.TimeWarp,
-		MonitorFrac: spec.MonitorFrac,
-		NewEngine:   spec.NewEngine,
-		Tracer:      spec.Tracer,
+		spec.Monitors = monitors
 	}
 	switch spec.Mode {
 	case ModeDirect, "":
@@ -92,7 +124,7 @@ func Prepare(spec Spec) (*Session, error) {
 		if err != nil {
 			return nil, err
 		}
-		w, err := Build(cfg)
+		w, err := Build(spec)
 		if err != nil {
 			cleanup()
 			return nil, err
@@ -123,10 +155,10 @@ func Prepare(spec Spec) (*Session, error) {
 		if err != nil {
 			return nil, err
 		}
-		if cfg.Nodes <= 0 {
-			cfg.Nodes = int(math.Ceil(float64(model.Requesters) * amplify))
+		if spec.Nodes <= 0 {
+			spec.Nodes = int(math.Ceil(float64(model.Requesters) * amplify))
 		}
-		w, err := Build(cfg)
+		w, err := Build(spec)
 		if err != nil {
 			return nil, err
 		}

@@ -10,6 +10,7 @@ import (
 
 	"bitswapmon/internal/cid"
 	"bitswapmon/internal/ingest"
+	"bitswapmon/internal/monitor"
 	"bitswapmon/internal/simnet"
 	"bitswapmon/internal/wire"
 )
@@ -37,13 +38,11 @@ type EventSource interface {
 // segment query, a trace file) into replay events. Offsets are relative to
 // the first entry's timestamp. Every entry replays, including re-broadcasts
 // and CANCELs, so the monitor-side trace reproduces the recorded one
-// entry-for-entry; set DedupOnly to replay only unflagged entries (the
-// user-level request stream).
+// entry-for-entry.
 type DirectSource struct {
-	src       ingest.EntrySource
-	base      time.Time
-	started   bool
-	dedupOnly bool
+	src     ingest.EntrySource
+	base    time.Time
+	started bool
 }
 
 // NewDirectSource wraps src. The source must be time-ordered, which
@@ -52,45 +51,34 @@ func NewDirectSource(src ingest.EntrySource) *DirectSource {
 	return &DirectSource{src: src}
 }
 
-// DedupOnly makes the source skip entries carrying preprocessing flags.
-func (s *DirectSource) DedupOnly() *DirectSource {
-	s.dedupOnly = true
-	return s
-}
-
 // Next returns the next event, or io.EOF.
 func (s *DirectSource) Next() (Event, error) {
-	for {
-		e, err := s.src.Read()
-		if err != nil {
-			return Event{}, err
-		}
-		if s.dedupOnly && e.IsDuplicate() {
-			continue
-		}
-		if !s.started {
-			s.base = e.Timestamp
-			s.started = true
-		}
-		off := e.Timestamp.Sub(s.base)
-		if off < 0 {
-			return Event{}, fmt.Errorf("replay: source went back in time at %s", e.Timestamp.Format(time.RFC3339Nano))
-		}
-		return Event{
-			Offset:    off,
-			Requester: e.NodeID,
-			Monitor:   e.Monitor,
-			Type:      e.Type,
-			CID:       e.CID,
-		}, nil
+	e, err := s.src.Read()
+	if err != nil {
+		return Event{}, err
 	}
+	if !s.started {
+		s.base = e.Timestamp
+		s.started = true
+	}
+	off := e.Timestamp.Sub(s.base)
+	if off < 0 {
+		return Event{}, fmt.Errorf("replay: source went back in time at %s", e.Timestamp.Format(time.RFC3339Nano))
+	}
+	return Event{
+		Offset:    off,
+		Requester: e.NodeID,
+		Monitor:   e.Monitor,
+		Type:      e.Type,
+		CID:       e.CID,
+	}, nil
 }
 
 // DiscoverMonitors derives the monitor set a trace references. Segment
 // stores answer from their footers without touching entry data; flat files
 // need one streaming pass. Names map onto regions by spelling ("us" → US,
 // "de" → DE, ...), defaulting to Other.
-func DiscoverMonitors(paths []string) ([]MonitorSpec, error) {
+func DiscoverMonitors(paths []string) ([]monitor.Spec, error) {
 	names := make(map[string]bool)
 	var flat []string
 	for _, path := range paths {
@@ -134,9 +122,9 @@ func DiscoverMonitors(paths []string) ([]MonitorSpec, error) {
 		sorted = append(sorted, n)
 	}
 	sort.Strings(sorted)
-	specs := make([]MonitorSpec, 0, len(sorted))
+	specs := make([]monitor.Spec, 0, len(sorted))
 	for _, n := range sorted {
-		specs = append(specs, MonitorSpec{Name: n, Region: regionForName(n)})
+		specs = append(specs, monitor.Spec{Name: n, Region: regionForName(n)})
 	}
 	return specs, nil
 }

@@ -60,6 +60,9 @@ const (
 	RegionOther Region = "XX"
 )
 
+// Epoch is the virtual start time of a world whose spec names none.
+var Epoch = time.Date(2021, 4, 30, 0, 0, 0, 0, time.UTC)
+
 // sev is one scheduled event, stored by value in its shard's heap: a
 // callback when fn != nil, otherwise an in-flight message delivery carried
 // inline, so the send path allocates no closure and no per-event node.

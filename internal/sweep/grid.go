@@ -9,6 +9,9 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"bitswapmon/internal/replay"
+	"bitswapmon/internal/workload"
 )
 
 // Axis is one swept parameter: the cartesian expander crosses every axis's
@@ -264,7 +267,7 @@ var sweepParams = []sweepParam{
 	{"xor_bias", "proximity-biased connectivity strength (float)", func(s *ScenarioSpec) any { return &s.XORBias }},
 	{"time_warp", "replay time compression factor (float; workload_source runs)", func(s *ScenarioSpec) any { return &workloadSource(s).TimeWarp }},
 	{"amplify", "fitted-replay population/volume multiplier (float)", func(s *ScenarioSpec) any { return &workloadSource(s).Amplify }},
-	{"replay_nodes", "replay requester pool size (int; workload_source runs)", func(s *ScenarioSpec) any { return &workloadSource(s).ReplayNodes }},
+	{"replay_nodes", "replay requester pool size (int; workload_source runs)", func(s *ScenarioSpec) any { return &workloadSource(s).Nodes }},
 	{"monitor_frac", "fitted-replay per-monitor connectivity (0..1; 0 = full)", func(s *ScenarioSpec) any { return &workloadSource(s).MonitorFrac }},
 	{"gateways", "gateway fleet on/off (bool)", nil},
 	{"crawl", "DHT crawl with the Sec. V-C panel and Fig. 3 on/off (bool)", func(s *ScenarioSpec) any { return &s.Crawl }},
@@ -308,7 +311,7 @@ func applyParam(s *ScenarioSpec, key string, v any) error {
 		if on {
 			s.Gateways = nil // workload defaults
 		} else {
-			s.Gateways = []OperatorSpec{}
+			s.Gateways = []workload.OperatorSpec{}
 		}
 		return nil
 	}
@@ -346,9 +349,9 @@ func applyParam(s *ScenarioSpec, key string, v any) error {
 // workloadSource returns the spec's workload source for an override,
 // cloning it first: grid expansion copies specs by value, so without the
 // clone every grid point would share (and mutate) the base spec's struct.
-func workloadSource(s *ScenarioSpec) *WorkloadSourceSpec {
+func workloadSource(s *ScenarioSpec) *replay.Spec {
 	if s.WorkloadSource == nil {
-		s.WorkloadSource = &WorkloadSourceSpec{}
+		s.WorkloadSource = &replay.Spec{}
 	} else {
 		clone := *s.WorkloadSource
 		clone.Inputs = append([]string(nil), s.WorkloadSource.Inputs...)

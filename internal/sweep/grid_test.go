@@ -5,16 +5,19 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"bitswapmon/internal/monitor"
+	"bitswapmon/internal/workload"
 )
 
 func testSweep() SweepSpec {
 	base := ScenarioSpec{
 		Version: SpecVersion,
 		Window:  D(time.Hour),
-		Monitors: []MonitorSpec{
+		Config: workload.Config{Monitors: []monitor.Spec{
 			{Name: "us", Region: "US"},
 			{Name: "de", Region: "DE"},
-		},
+		}},
 	}
 	return SweepSpec{
 		Version: SpecVersion,

@@ -9,6 +9,9 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"bitswapmon/internal/monitor"
+	"bitswapmon/internal/workload"
 )
 
 // tinySweep is a 3×2 grid with 2 seed replicates (12 runs) small enough
@@ -17,22 +20,24 @@ func tinySweep() SweepSpec {
 	// Dense traffic and near-total monitor connectivity keep every run's
 	// every monitor non-empty even at these tiny populations.
 	base := ScenarioSpec{
-		Version:          SpecVersion,
-		Name:             "tiny",
-		Nodes:            20,
-		BootstrapServers: 5,
-		CatalogItems:     80,
-		ActiveFrac:       0.9,
-		Monitors: []MonitorSpec{
-			{Name: "us", Region: "US"},
-			{Name: "de", Region: "DE"},
+		Version: SpecVersion,
+		Name:    "tiny",
+		Config: workload.Config{
+			Nodes:            20,
+			BootstrapServers: 5,
+			CatalogItems:     80,
+			ActiveFrac:       0.9,
+			Monitors: []monitor.Spec{
+				{Name: "us", Region: "US"},
+				{Name: "de", Region: "DE"},
+			},
+			Joint:               &workload.JointConnectivity{Both: 0.8, OnlyA: 0.1, OnlyB: 0.1},
+			Gateways:            []workload.OperatorSpec{},
+			MeanRequestsPerHour: 60,
 		},
-		Joint:               &JointSpec{Both: 0.8, OnlyA: 0.1, OnlyB: 0.1},
-		Gateways:            []OperatorSpec{},
-		MeanRequestsPerHour: 60,
-		Warmup:              D(5 * time.Minute),
-		Window:              D(30 * time.Minute),
-		SampleEvery:         D(10 * time.Minute),
+		Warmup:      D(5 * time.Minute),
+		Window:      D(30 * time.Minute),
+		SampleEvery: D(10 * time.Minute),
 	}
 	return SweepSpec{
 		Version: SpecVersion,

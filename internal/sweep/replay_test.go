@@ -13,6 +13,7 @@ import (
 
 	"bitswapmon/internal/cid"
 	"bitswapmon/internal/ingest"
+	"bitswapmon/internal/monitor"
 	"bitswapmon/internal/replay"
 	"bitswapmon/internal/simnet"
 	"bitswapmon/internal/trace"
@@ -60,8 +61,8 @@ func TestSweepReplayWorkloadSource(t *testing.T) {
 		Base: ScenarioSpec{
 			Version: SpecVersion,
 			Name:    "fitted-base",
-			WorkloadSource: &WorkloadSourceSpec{
-				Mode:     "fitted",
+			WorkloadSource: &replay.Spec{
+				Mode:     replay.ModeFitted,
 				Inputs:   []string{storePath},
 				TimeWarp: 4,
 			},
@@ -116,8 +117,8 @@ func TestSweepDirectReplayRun(t *testing.T) {
 	storePath := writeReplayStore(t, t.TempDir())
 	spec := ScenarioSpec{
 		Version: SpecVersion,
-		WorkloadSource: &WorkloadSourceSpec{
-			Mode:     "replay",
+		WorkloadSource: &replay.Spec{
+			Mode:     replay.ModeDirect,
 			Inputs:   []string{storePath},
 			TimeWarp: 4,
 		},
@@ -146,12 +147,12 @@ func recordRun(t *testing.T, dir string, seed int64, hours int) ([]string, map[s
 	w, err := workload.Build(workload.Config{
 		Seed:  seed,
 		Nodes: 100,
-		Monitors: []workload.MonitorSpec{
+		Monitors: []monitor.Spec{
 			{Name: "us", Region: simnet.RegionUS},
 			{Name: "de", Region: simnet.RegionDE},
 		},
-		Operators:           []workload.OperatorSpec{},
-		Catalog:             workload.CatalogConfig{Items: 400},
+		Gateways:            []workload.OperatorSpec{},
+		CatalogItems:        400,
 		MeanRequestsPerHour: 6,
 	})
 	if err != nil {
@@ -235,8 +236,8 @@ func TestReplayRoundTripFromSimulation(t *testing.T) {
 
 	spec := ScenarioSpec{
 		Version: SpecVersion,
-		WorkloadSource: &WorkloadSourceSpec{
-			Mode:     "replay",
+		WorkloadSource: &replay.Spec{
+			Mode:     replay.ModeDirect,
 			Inputs:   paths,
 			TimeWarp: 8, // warp only compresses time; counts must be invariant
 		},
@@ -280,8 +281,8 @@ func TestReplayFittedAmplifiedSharded(t *testing.T) {
 		Name:    "fitted-10x",
 		Engine:  "sharded",
 		Shards:  2,
-		WorkloadSource: &WorkloadSourceSpec{
-			Mode:     "fitted",
+		WorkloadSource: &replay.Spec{
+			Mode:     replay.ModeFitted,
 			Inputs:   paths,
 			Amplify:  10,
 			TimeWarp: 8,
@@ -347,8 +348,8 @@ func TestReplayFittedAmplifiedSharded(t *testing.T) {
 func TestScenarioSpecReplayRoundTrip(t *testing.T) {
 	spec := ScenarioSpec{
 		Version: SpecVersion,
-		WorkloadSource: &WorkloadSourceSpec{
-			Mode:     "replay",
+		WorkloadSource: &replay.Spec{
+			Mode:     replay.ModeDirect,
 			Inputs:   []string{"a.segments", "b.trace"},
 			TimeWarp: 2,
 		},
@@ -365,7 +366,7 @@ func TestScenarioSpecReplayRoundTrip(t *testing.T) {
 		len(back.WorkloadSource.Inputs) != 2 || back.WorkloadSource.TimeWarp != 2 {
 		t.Fatalf("round-trip lost workload_source: %+v", back.WorkloadSource)
 	}
-	for _, bad := range []WorkloadSourceSpec{
+	for _, bad := range []replay.Spec{
 		{Mode: "nope"},
 		{Mode: "replay"}, // no inputs
 		{Mode: "replay", Inputs: []string{"x"}, Amplify: 2},     // amplify needs fitted

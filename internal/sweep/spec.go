@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"bitswapmon/internal/engine"
+	"bitswapmon/internal/monitor"
 	"bitswapmon/internal/otrace"
 	"bitswapmon/internal/replay"
 	"bitswapmon/internal/report"
@@ -36,145 +37,30 @@ import (
 // reject other versions so stored specs never silently change meaning.
 const SpecVersion = 1
 
-// Duration marshals as a Go duration string ("6h30m"), keeping specs
-// human-editable; plain JSON numbers are accepted as nanoseconds.
-type Duration time.Duration
+// Duration is the spec's duration type, shared with workload.Config: it
+// marshals as a Go duration string ("6h30m").
+type Duration = workload.Duration
 
 // D converts a time.Duration for struct literals.
 func D(d time.Duration) Duration { return Duration(d) }
 
-// Std returns the standard-library duration.
-func (d Duration) Std() time.Duration { return time.Duration(d) }
-
-// MarshalJSON encodes the duration as a string.
-func (d Duration) MarshalJSON() ([]byte, error) {
-	return json.Marshal(time.Duration(d).String())
-}
-
-// UnmarshalJSON accepts "1h30m" strings or nanosecond numbers.
-func (d *Duration) UnmarshalJSON(data []byte) error {
-	var s string
-	if err := json.Unmarshal(data, &s); err == nil {
-		v, err := time.ParseDuration(s)
-		if err != nil {
-			return fmt.Errorf("sweep: bad duration %q: %w", s, err)
-		}
-		*d = Duration(v)
-		return nil
-	}
-	var n int64
-	if err := json.Unmarshal(data, &n); err != nil {
-		return fmt.Errorf("sweep: duration must be a string or nanoseconds: %s", data)
-	}
-	*d = Duration(n)
-	return nil
-}
-
-// MonitorSpec declares one monitoring vantage point.
-type MonitorSpec struct {
-	Name   string `json:"name"`
-	Region string `json:"region"`
-}
-
-// JointSpec is the 2-monitor joint connectivity model (see
-// workload.JointConnectivity).
-type JointSpec struct {
-	Both  float64 `json:"both"`
-	OnlyA float64 `json:"only_a"`
-	OnlyB float64 `json:"only_b"`
-}
-
-// OperatorSpec declares one gateway operator fleet.
-type OperatorSpec struct {
-	Name            string   `json:"name"`
-	Nodes           int      `json:"nodes"`
-	RequestsPerHour float64  `json:"requests_per_hour"`
-	HotBias         float64  `json:"hot_bias"`
-	Functional      bool     `json:"functional"`
-	CacheTTL        Duration `json:"cache_ttl,omitempty"`
-}
-
-// WorkloadSourceSpec selects where a run's request workload comes from:
-// synthetic generation (the default), direct replay of a recorded trace, or
-// a fitted replay that regenerates a statistically matched (and optionally
-// amplified) workload from the trace's empirical models. Replay runs build
-// an internal/replay world instead of a synthetic workload world; campaigns
-// can sweep time_warp and amplify like any other parameter.
-type WorkloadSourceSpec struct {
-	// Mode is "synthetic", "replay" (direct) or "fitted".
-	Mode string `json:"mode"`
-	// Inputs are the recorded trace sources: segment-store directories,
-	// flat binary traces, or CSV exports — one per recording monitor.
-	Inputs []string `json:"inputs,omitempty"`
-	// TimeWarp compresses (>1) or stretches (<1) replayed time.
-	TimeWarp float64 `json:"time_warp,omitempty"`
-	// Amplify scales the fitted population and request volume.
-	Amplify float64 `json:"amplify,omitempty"`
-	// ReplayNodes overrides the replay requester pool size.
-	ReplayNodes int `json:"replay_nodes,omitempty"`
-	// MonitorFrac is the fitted-mode probability that a replay node
-	// connects to each monitor. Zero means unset and selects full
-	// coverage (1), like every zero-valued spec field; use a small
-	// positive value for near-zero coverage.
-	MonitorFrac float64 `json:"monitor_frac,omitempty"`
-}
-
 // ScenarioSpec is the declarative, flag-free description of one simulation
-// run: population, churn, workload request mix, monitors and gateways,
-// attack toggles, measurement window, engine choice and seed. Zero-valued
-// fields take the workload package's documented defaults, so a spec states
-// only what it varies. Specs marshal to versioned JSON and round-trip
-// exactly; every run, one preset or a whole campaign, goes through this one
-// scenario-assembly code path.
+// run: the world (population, churn, workload request mix, monitors and
+// gateways), attack toggles, measurement window, engine choice and seed.
+// Zero-valued fields take the workload package's documented defaults, so a
+// spec states only what it varies. Specs marshal to versioned JSON and
+// round-trip exactly; every run, one preset or a whole campaign, goes
+// through this one scenario-assembly code path.
 type ScenarioSpec struct {
 	Version int    `json:"version"`
 	Name    string `json:"name,omitempty"`
 
-	// Start is the simulation start time (RFC 3339; empty = workload
-	// default).
+	// Start is the simulation start time (RFC 3339; empty = simnet.Epoch).
 	Start string `json:"start,omitempty"`
 
-	// Population.
-	Nodes            int     `json:"nodes,omitempty"`
-	ClientFrac       float64 `json:"client_frac,omitempty"`
-	StableFrac       float64 `json:"stable_frac,omitempty"`
-	ActiveFrac       float64 `json:"active_frac,omitempty"`
-	DegreeTarget     int     `json:"degree_target,omitempty"`
-	BootstrapServers int     `json:"bootstrap_servers,omitempty"`
-
-	// Churn.
-	MeanSession Duration `json:"mean_session,omitempty"`
-	MeanOffline Duration `json:"mean_offline,omitempty"`
-
-	// Workload: request mix and content population.
-	MeanRequestsPerHour   float64  `json:"mean_requests_per_hour,omitempty"`
-	CatalogItems          int      `json:"catalog_items,omitempty"`
-	PersonalFrac          float64  `json:"personal_frac,omitempty"`
-	PersonalItemsPerNode  int      `json:"personal_items_per_node,omitempty"`
-	GlobalHotFrac         float64  `json:"global_hot_frac,omitempty"`
-	GlobalWarmFrac        float64  `json:"global_warm_frac,omitempty"`
-	WarmItems             int      `json:"warm_items,omitempty"`
-	UnresolvedCancelAfter Duration `json:"unresolved_cancel_after,omitempty"`
-
-	// Upgrade wave (Fig. 4 scenarios): initial legacy share and the wave.
-	LegacyFrac       float64  `json:"legacy_frac,omitempty"`
-	UpgradeAfter     Duration `json:"upgrade_after,omitempty"`
-	UpgradeDailyFrac float64  `json:"upgrade_daily_frac,omitempty"`
-
-	// Monitors and their connectivity model.
-	Monitors    []MonitorSpec `json:"monitors,omitempty"`
-	Joint       *JointSpec    `json:"joint,omitempty"`
-	MonitorProb float64       `json:"monitor_prob,omitempty"`
-	// XORBias is the estimator-bias ablation (proximity-biased monitor
-	// connectivity); 0 = unbiased.
-	XORBias float64 `json:"xor_bias,omitempty"`
-
-	// Gateways: nil selects workload.DefaultOperators, an explicit empty
-	// list disables gateways. No omitempty: JSON must preserve the
-	// nil-vs-empty distinction (null vs []) or a spec would silently grow
-	// the default fleet when written and reloaded (e.g. across a sweep
-	// resume).
-	Gateways []OperatorSpec `json:"gateways"`
+	// Config is the synthetic world: its fields are the spec's world keys,
+	// nodes … gateways. WorkloadConfig fills its runtime fields.
+	workload.Config
 
 	// Attack toggles.
 	//
@@ -186,9 +72,12 @@ type ScenarioSpec struct {
 	// measurement window.
 	Probes bool `json:"probes,omitempty"`
 
-	// WorkloadSource selects synthetic generation (nil or mode
-	// "synthetic") or trace replay for this run's request workload.
-	WorkloadSource *WorkloadSourceSpec `json:"workload_source,omitempty"`
+	// WorkloadSource selects where the run's request workload comes from:
+	// synthetic generation (nil, or mode "synthetic"), direct replay of a
+	// recorded trace (mode "replay"), or a fitted replay that regenerates a
+	// statistically matched, optionally amplified workload (mode "fitted").
+	// Its keys are replay.Spec's; ReplaySpec fills the runtime fields.
+	WorkloadSource *replay.Spec `json:"workload_source,omitempty"`
 
 	// Reports names extra registered reports (internal/report) to run over
 	// the unified trace when the run's summary is computed; each report's
@@ -228,12 +117,14 @@ func DefaultSpec() ScenarioSpec {
 	return ScenarioSpec{
 		Version: SpecVersion,
 		Name:    "week-small",
-		Nodes:   250,
-		Monitors: []MonitorSpec{
-			{Name: "us", Region: string(simnet.RegionUS)},
-			{Name: "de", Region: string(simnet.RegionDE)},
+		Config: workload.Config{
+			Nodes:        250,
+			CatalogItems: 3000,
+			Monitors: []monitor.Spec{
+				{Name: "us", Region: simnet.RegionUS},
+				{Name: "de", Region: simnet.RegionDE},
+			},
 		},
-		CatalogItems:   3000,
 		Warmup:         D(time.Hour),
 		Window:         D(8 * time.Hour),
 		SampleEvery:    D(30 * time.Minute),
@@ -270,29 +161,31 @@ func WeekSpec() ScenarioSpec {
 func UpgradeSpec(nodes, weeks int) ScenarioSpec {
 	window := time.Duration(weeks) * 7 * 24 * time.Hour
 	return ScenarioSpec{
-		Version:          SpecVersion,
-		Name:             "upgrade",
-		Start:            "2020-03-15T00:00:00Z",
-		Nodes:            nodes,
-		CatalogItems:     nodes,
-		Monitors:         []MonitorSpec{{Name: "us", Region: string(simnet.RegionUS)}},
-		Gateways:         []OperatorSpec{},
-		LegacyFrac:       0.95,
-		UpgradeAfter:     D(window / 3),
-		UpgradeDailyFrac: 0.18,
-		Window:           D(window),
-		Seed:             42,
+		Version: SpecVersion,
+		Name:    "upgrade",
+		Start:   "2020-03-15T00:00:00Z",
+		Config: workload.Config{
+			Nodes:            nodes,
+			CatalogItems:     nodes,
+			LegacyFrac:       0.95,
+			UpgradeAfter:     D(window / 3),
+			UpgradeDailyFrac: 0.18,
+			Monitors:         []monitor.Spec{{Name: "us", Region: simnet.RegionUS}},
+			Gateways:         []workload.OperatorSpec{},
+		},
+		Window: D(window),
+		Seed:   42,
 	}
 }
 
 // knownRegions guards against typos in spec files.
-var knownRegions = map[string]bool{
-	string(simnet.RegionUS):    true,
-	string(simnet.RegionNL):    true,
-	string(simnet.RegionDE):    true,
-	string(simnet.RegionCA):    true,
-	string(simnet.RegionFR):    true,
-	string(simnet.RegionOther): true,
+var knownRegions = map[simnet.Region]bool{
+	simnet.RegionUS:    true,
+	simnet.RegionNL:    true,
+	simnet.RegionDE:    true,
+	simnet.RegionCA:    true,
+	simnet.RegionFR:    true,
+	simnet.RegionOther: true,
 }
 
 // Validate checks the spec for structural errors. Zero-valued tunables are
@@ -312,10 +205,10 @@ func (s ScenarioSpec) Validate() error {
 			if len(ws.Inputs) > 0 {
 				return fmt.Errorf("sweep: workload_source inputs need mode replay or fitted")
 			}
-			if ws.TimeWarp > 0 || ws.ReplayNodes > 0 || ws.MonitorFrac > 0 {
+			if ws.TimeWarp > 0 || ws.Nodes > 0 || ws.MonitorFrac > 0 {
 				return fmt.Errorf("sweep: workload_source replay knobs need mode replay or fitted")
 			}
-		case "replay", "fitted":
+		case replay.ModeDirect, replay.ModeFitted:
 			if len(ws.Inputs) == 0 {
 				return fmt.Errorf("sweep: workload_source mode %q needs at least one input", ws.Mode)
 			}
@@ -328,10 +221,10 @@ func (s ScenarioSpec) Validate() error {
 		if ws.Amplify < 0 {
 			return fmt.Errorf("sweep: negative amplify")
 		}
-		if ws.Amplify > 0 && ws.Mode != "fitted" {
+		if ws.Amplify > 0 && ws.Mode != replay.ModeFitted {
 			return fmt.Errorf("sweep: amplify requires workload_source mode fitted")
 		}
-		if ws.ReplayNodes < 0 {
+		if ws.Nodes < 0 {
 			return fmt.Errorf("sweep: negative replay_nodes")
 		}
 		if ws.MonitorFrac < 0 || ws.MonitorFrac > 1 {
@@ -435,7 +328,7 @@ func (s ScenarioSpec) Validate() error {
 // (directly or fitted) instead of generating a synthetic scenario.
 func (s ScenarioSpec) ReplayMode() bool {
 	return s.WorkloadSource != nil &&
-		(s.WorkloadSource.Mode == "replay" || s.WorkloadSource.Mode == "fitted")
+		(s.WorkloadSource.Mode == replay.ModeDirect || s.WorkloadSource.Mode == replay.ModeFitted)
 }
 
 // ReplaySpec assembles the replay execution spec this scenario describes,
@@ -450,31 +343,19 @@ func (s ScenarioSpec) ReplaySpec(seed int64) (replay.Spec, error) {
 	if !s.ReplayMode() {
 		return replay.Spec{}, fmt.Errorf("sweep: spec has no replay workload source")
 	}
-	ws := s.WorkloadSource
-	rs := replay.Spec{
-		Mode:        replay.ModeDirect,
-		Inputs:      ws.Inputs,
-		TimeWarp:    ws.TimeWarp,
-		Amplify:     ws.Amplify,
-		Nodes:       ws.ReplayNodes,
-		MonitorFrac: ws.MonitorFrac,
-		Seed:        seed,
-		NewEngine:   s.newEngine(),
-		Tracer:      s.NewTracer(seed),
-	}
-	if ws.Mode == "fitted" {
-		rs.Mode = replay.ModeFitted
-	}
-	if s.Start != "" {
-		rs.Start, _ = time.Parse(time.RFC3339, s.Start) // validated above
-	}
-	for _, m := range s.Monitors {
-		rs.Monitors = append(rs.Monitors, replay.MonitorSpec{
-			Name:   m.Name,
-			Region: simnet.Region(m.Region),
-		})
-	}
+	rs := *s.WorkloadSource
+	rs.Monitors = s.Monitors
+	rs.Seed = seed
+	rs.Start = s.start()
+	rs.NewEngine = s.newEngine()
+	rs.Tracer = s.NewTracer(seed)
 	return rs, nil
+}
+
+// start returns a validated spec's start time, zero when it names none.
+func (s ScenarioSpec) start() time.Time {
+	t, _ := time.Parse(time.RFC3339, s.Start) // validated; "" yields zero
+	return t
 }
 
 // NewTracer constructs the run's span recorder when the spec enables
@@ -503,71 +384,17 @@ func (s ScenarioSpec) newEngine() func(start time.Time, seed int64) engine.Engin
 
 // WorkloadConfig assembles the workload configuration this spec describes,
 // with seed overriding the spec's own base seed. This is the single
-// scenario-assembly code path of every synthetic run: zero spec fields stay
-// zero so workload defaults apply.
+// scenario-assembly code path of every synthetic run: the world is the
+// spec's own Config, so zero fields stay zero and workload defaults apply.
 func (s ScenarioSpec) WorkloadConfig(seed int64) (workload.Config, error) {
 	if err := s.Validate(); err != nil {
 		return workload.Config{}, err
 	}
-	cfg := workload.Config{
-		Seed:                  seed,
-		Nodes:                 s.Nodes,
-		ClientFrac:            s.ClientFrac,
-		StableFrac:            s.StableFrac,
-		ActiveFrac:            s.ActiveFrac,
-		MeanRequestsPerHour:   s.MeanRequestsPerHour,
-		DegreeTarget:          s.DegreeTarget,
-		MeanSession:           s.MeanSession.Std(),
-		MeanOffline:           s.MeanOffline.Std(),
-		Catalog:               workload.CatalogConfig{Items: s.CatalogItems},
-		MonitorProb:           s.MonitorProb,
-		XORBias:               s.XORBias,
-		UnresolvedCancelAfter: s.UnresolvedCancelAfter.Std(),
-		LegacyFrac:            s.LegacyFrac,
-		UpgradeDailyFrac:      s.UpgradeDailyFrac,
-		BootstrapServers:      s.BootstrapServers,
-		NewEngine:             s.newEngine(),
-		PersonalFrac:          s.PersonalFrac,
-		PersonalItemsPerNode:  s.PersonalItemsPerNode,
-		GlobalHotFrac:         s.GlobalHotFrac,
-		GlobalWarmFrac:        s.GlobalWarmFrac,
-		WarmItems:             s.WarmItems,
-		Tracer:                s.NewTracer(seed),
-	}
-	if s.Start != "" {
-		cfg.Start, _ = time.Parse(time.RFC3339, s.Start) // validated above
-	}
-	if s.UpgradeAfter > 0 {
-		start := cfg.Start
-		if start.IsZero() {
-			// Mirror workload.Config.withDefaults so the offset is
-			// anchored to the same instant the world will start at.
-			start = time.Date(2021, 4, 30, 0, 0, 0, 0, time.UTC)
-		}
-		cfg.UpgradeStart = start.Add(s.UpgradeAfter.Std())
-	}
-	for _, m := range s.Monitors {
-		cfg.Monitors = append(cfg.Monitors, workload.MonitorSpec{
-			Name:   m.Name,
-			Region: simnet.Region(m.Region),
-		})
-	}
-	if s.Joint != nil {
-		cfg.Joint = workload.JointConnectivity{Both: s.Joint.Both, OnlyA: s.Joint.OnlyA, OnlyB: s.Joint.OnlyB}
-	}
-	if s.Gateways != nil {
-		cfg.Operators = []workload.OperatorSpec{}
-		for _, g := range s.Gateways {
-			cfg.Operators = append(cfg.Operators, workload.OperatorSpec{
-				Name:            g.Name,
-				Nodes:           g.Nodes,
-				RequestsPerHour: g.RequestsPerHour,
-				HotBias:         g.HotBias,
-				Functional:      g.Functional,
-				CacheTTL:        g.CacheTTL.Std(),
-			})
-		}
-	}
+	cfg := s.Config
+	cfg.Seed = seed
+	cfg.Start = s.start()
+	cfg.NewEngine = s.newEngine()
+	cfg.Tracer = s.NewTracer(seed)
 	return cfg, nil
 }
 

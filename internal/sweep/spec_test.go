@@ -1,48 +1,57 @@
 package sweep
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
+
+	"bitswapmon/internal/monitor"
+	"bitswapmon/internal/replay"
+	"bitswapmon/internal/simnet"
+	"bitswapmon/internal/workload"
 )
 
 // fullSpec exercises every field, so the round-trip test cannot pass by
 // accident of zero values.
 func fullSpec() ScenarioSpec {
 	return ScenarioSpec{
-		Version:               SpecVersion,
-		Name:                  "everything",
-		Start:                 "2021-04-30T00:00:00Z",
-		Nodes:                 321,
-		ClientFrac:            0.4,
-		StableFrac:            0.25,
-		ActiveFrac:            0.5,
-		DegreeTarget:          14,
-		BootstrapServers:      9,
-		MeanSession:           D(5 * time.Hour),
-		MeanOffline:           D(11 * time.Hour),
-		MeanRequestsPerHour:   3.5,
-		CatalogItems:          1234,
-		PersonalFrac:          0.8,
-		PersonalItemsPerNode:  6,
-		GlobalHotFrac:         0.4,
-		GlobalWarmFrac:        0.6,
-		WarmItems:             55,
-		UnresolvedCancelAfter: D(4 * time.Minute),
-		LegacyFrac:            0.9,
-		UpgradeAfter:          D(48 * time.Hour),
-		UpgradeDailyFrac:      0.15,
-		Monitors: []MonitorSpec{
-			{Name: "us", Region: "US"},
-			{Name: "de", Region: "DE"},
-			{Name: "fr", Region: "FR"},
+		Version: SpecVersion,
+		Name:    "everything",
+		Start:   "2021-04-30T00:00:00Z",
+		Config: workload.Config{
+			Nodes:                 321,
+			ClientFrac:            0.4,
+			StableFrac:            0.25,
+			ActiveFrac:            0.5,
+			DegreeTarget:          14,
+			BootstrapServers:      9,
+			MeanSession:           D(5 * time.Hour),
+			MeanOffline:           D(11 * time.Hour),
+			MeanRequestsPerHour:   3.5,
+			CatalogItems:          1234,
+			PersonalFrac:          0.8,
+			PersonalItemsPerNode:  6,
+			GlobalHotFrac:         0.4,
+			GlobalWarmFrac:        0.6,
+			WarmItems:             55,
+			UnresolvedCancelAfter: D(4 * time.Minute),
+			LegacyFrac:            0.9,
+			UpgradeAfter:          D(48 * time.Hour),
+			UpgradeDailyFrac:      0.15,
+			Monitors: []monitor.Spec{
+				{Name: "us", Region: "US"},
+				{Name: "de", Region: "DE"},
+				{Name: "fr", Region: "FR"},
+			},
+			Joint:       &workload.JointConnectivity{Both: 0.3, OnlyA: 0.2, OnlyB: 0.1},
+			MonitorProb: 0.45,
+			XORBias:     1.5,
+			Gateways:    []workload.OperatorSpec{{Name: "op", Nodes: 2, RequestsPerHour: 10, HotBias: 0.9, Functional: true, CacheTTL: D(time.Hour)}},
 		},
-		Joint:          &JointSpec{Both: 0.3, OnlyA: 0.2, OnlyB: 0.1},
-		MonitorProb:    0.45,
-		XORBias:        1.5,
-		Gateways:       []OperatorSpec{{Name: "op", Nodes: 2, RequestsPerHour: 10, HotBias: 0.9, Functional: true, CacheTTL: D(time.Hour)}},
 		Crawl:          true,
 		Probes:         true,
 		Warmup:         D(30 * time.Minute),
@@ -97,8 +106,8 @@ func TestSpecRoundTrip(t *testing.T) {
 // losing it across marshal/load would silently change a resumed sweep's
 // scenario.
 func TestSpecGatewaysNilVsEmptyRoundTrip(t *testing.T) {
-	for _, gw := range [][]OperatorSpec{nil, {}} {
-		s := ScenarioSpec{Version: SpecVersion, Window: D(time.Hour), Gateways: gw}
+	for _, gw := range [][]workload.OperatorSpec{nil, {}} {
+		s := ScenarioSpec{Version: SpecVersion, Window: D(time.Hour), Config: workload.Config{Gateways: gw}}
 		blob, err := s.Marshal()
 		if err != nil {
 			t.Fatal(err)
@@ -131,7 +140,7 @@ func TestSpecValidate(t *testing.T) {
 		{"dup monitor", func(s *ScenarioSpec) { s.Monitors[1].Name = "us" }},
 		{"unsafe monitor name", func(s *ScenarioSpec) { s.Monitors[0].Name = "us/1" }},
 		{"bad frac", func(s *ScenarioSpec) { s.ActiveFrac = 1.5 }},
-		{"bad joint", func(s *ScenarioSpec) { s.Joint = &JointSpec{Both: 0.9, OnlyA: 0.9} }},
+		{"bad joint", func(s *ScenarioSpec) { s.Joint = &workload.JointConnectivity{Both: 0.9, OnlyA: 0.9} }},
 		{"bad start", func(s *ScenarioSpec) { s.Start = "yesterday" }},
 		{"unnamed gateway", func(s *ScenarioSpec) { s.Gateways[0].Name = "" }},
 		{"negative shards", func(s *ScenarioSpec) { s.Shards = -1 }},
@@ -139,7 +148,7 @@ func TestSpecValidate(t *testing.T) {
 		{"shards on default engine", func(s *ScenarioSpec) { s.Engine = "" }},
 		{"crawl without monitors", func(s *ScenarioSpec) { s.Monitors = nil }},
 		{"crawl on replay", func(s *ScenarioSpec) {
-			s.WorkloadSource = &WorkloadSourceSpec{Mode: "replay", Inputs: []string{"us.segments"}}
+			s.WorkloadSource = &replay.Spec{Mode: replay.ModeDirect, Inputs: []string{"us.segments"}}
 		}},
 	}
 	for _, tc := range cases {
@@ -167,30 +176,16 @@ func TestWorkloadConfigMapping(t *testing.T) {
 	if cfg.Seed != 99 {
 		t.Errorf("Seed = %d, want the override 99", cfg.Seed)
 	}
-	if cfg.Nodes != s.Nodes || cfg.ActiveFrac != s.ActiveFrac || cfg.ClientFrac != s.ClientFrac {
-		t.Errorf("population fields not mapped")
+	if !cfg.Start.Equal(simnet.Epoch) {
+		t.Errorf("Start = %v, want %v", cfg.Start, simnet.Epoch)
 	}
-	if cfg.Catalog.Items != s.CatalogItems {
-		t.Errorf("Catalog.Items = %d, want %d", cfg.Catalog.Items, s.CatalogItems)
+	if cfg.NewEngine != nil || cfg.Tracer != nil {
+		t.Errorf("serial untraced spec produced an engine factory or a tracer")
 	}
-	if cfg.MeanSession != 5*time.Hour || cfg.MeanOffline != 11*time.Hour {
-		t.Errorf("churn durations not mapped")
-	}
-	if len(cfg.Monitors) != 3 || cfg.Monitors[2].Name != "fr" {
-		t.Errorf("monitors not mapped: %+v", cfg.Monitors)
-	}
-	if cfg.Joint.Both != 0.3 {
-		t.Errorf("joint not mapped")
-	}
-	if len(cfg.Operators) != 1 || cfg.Operators[0].CacheTTL != time.Hour {
-		t.Errorf("operators not mapped: %+v", cfg.Operators)
-	}
-	if cfg.NewEngine != nil {
-		t.Errorf("serial spec produced an engine factory")
-	}
-	wantUpgrade := time.Date(2021, 5, 2, 0, 0, 0, 0, time.UTC)
-	if !cfg.UpgradeStart.Equal(wantUpgrade) {
-		t.Errorf("UpgradeStart = %v, want %v", cfg.UpgradeStart, wantUpgrade)
+	// Every world field is the spec's own.
+	cfg.Seed, cfg.Start = 0, time.Time{}
+	if !reflect.DeepEqual(cfg, s.Config) {
+		t.Errorf("world changed on the way to the workload:\ngot  %+v\nwant %+v", cfg, s.Config)
 	}
 
 	// A zero-ish spec leaves workload defaults alone.
@@ -199,30 +194,60 @@ func TestWorkloadConfigMapping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Nodes != 0 || cfg.Operators != nil || cfg.Monitors != nil {
+	if !cfg.Start.IsZero() || cfg.Nodes != 0 || cfg.Gateways != nil || cfg.Monitors != nil {
 		t.Errorf("minimal spec set non-zero workload fields: %+v", cfg)
 	}
 
-	// Explicitly empty gateways disable the default fleet.
-	noGw := minimal
-	noGw.Gateways = []OperatorSpec{}
-	cfg, err = noGw.WorkloadConfig(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Operators == nil || len(cfg.Operators) != 0 {
-		t.Errorf("empty gateways should map to empty non-nil operators, got %#v", cfg.Operators)
-	}
-
-	// Sharded selection produces a factory.
+	// Sharded selection produces a factory, tracing a tracer.
 	sh := minimal
-	sh.Engine = "sharded"
+	sh.Engine, sh.Trace = "sharded", true
 	cfg, err = sh.WorkloadConfig(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.NewEngine == nil {
-		t.Error("sharded spec produced no engine factory")
+	if cfg.NewEngine == nil || cfg.Tracer == nil {
+		t.Error("sharded traced spec produced no engine factory or no tracer")
+	}
+}
+
+// TestSpecJSONPinned holds the bytes a sweep root pins in sweep.json: a root
+// resumes only while its spec marshals to the bytes it was written with, so
+// a renamed, reordered or newly omitted key would strand every existing
+// root. The hashes were taken before ScenarioSpec embedded workload.Config
+// and replay.Spec; the presets are wrapped as bssweep preset prints them.
+func TestSpecJSONPinned(t *testing.T) {
+	preset := func(s ScenarioSpec) func() ([]byte, error) {
+		return SweepSpec{Version: SpecVersion, Name: s.Name, Base: s, Seeds: SeedPolicy{Base: s.Seed}}.Marshal
+	}
+	fitted := ScenarioSpec{
+		Version: SpecVersion,
+		Name:    "fitted",
+		Engine:  "sharded",
+		Shards:  2,
+		WorkloadSource: &replay.Spec{
+			Mode: replay.ModeFitted, Inputs: []string{"us.segments", "de.trace"},
+			TimeWarp: 8, Amplify: 10, Nodes: 64, MonitorFrac: 0.5,
+		},
+	}
+	for _, tc := range []struct {
+		name    string
+		marshal func() ([]byte, error)
+		want    string
+	}{
+		{"full", fullSpec().Marshal, "092ad4c7ff822d9bc20e0bf91bf6ccdd68615063262ca42c37b62852d015c17b"},
+		{"small", preset(DefaultSpec()), "699fdc35028856e5e3a031a5f6c5fb3b505186a2db7d2808b45340b6b5253343"},
+		{"week", preset(WeekSpec()), "5e7edf6e0992b88c91d5f85778247bd3a402f72bccb1c9c912d4509c0080017b"},
+		{"upgrade", preset(UpgradeSpec(150, 3)), "3c041e1d0d15a05a99f9d5225c822da6531efee547df2114b0bd8e2709b45d2d"},
+		{"fitted", fitted.Marshal, "41a1b50aaf716f2a6733bd6f2b16021dedc822077e5a297cd20e2c2ad8e8db4f"},
+	} {
+		blob, err := tc.marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(blob)
+		if got := hex.EncodeToString(sum[:]); got != tc.want {
+			t.Errorf("%s: spec JSON sha256 = %s, want %s; bytes:\n%s", tc.name, got, tc.want, blob)
+		}
 	}
 }
 

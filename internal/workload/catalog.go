@@ -4,11 +4,11 @@
 // analyses.
 //
 // This package is the stand-in for the live IPFS network of the paper's
-// fifteen-month study; DESIGN.md documents the substitution.
+// fifteen-month study. Config is the world a scenario spec describes: its
+// fields are the spec's world keys (README.md, "Sweeps").
 package workload
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -32,7 +32,7 @@ type CatalogConfig struct {
 	// Uniswap-config-style CIDs; default 10).
 	HotItems int
 	// MeanFileSize is the mean DagProtobuf file size in bytes
-	// (default 8 KiB; files are chunked per node ChunkSize).
+	// (default 8 KiB; files are chunked at chunkSize).
 	MeanFileSize int
 	// WeightSigma is the lognormal sigma of per-item request weights.
 	// A lognormal weight mixture is deliberately *not* a power law, so
@@ -217,17 +217,16 @@ func (c *Catalog) ResolvableShare() float64 {
 // CountryWeights is a request/population share per country.
 type CountryWeights map[simnet.Region]float64
 
-// DefaultCountryWeights approximates the paper's Table II: US 45.65%,
-// NL 13.85%, DE 12.72%, CA 7.61%, FR 6.64%, Others <13.6%.
-func DefaultCountryWeights() CountryWeights {
-	return CountryWeights{
-		simnet.RegionUS:    0.4565,
-		simnet.RegionNL:    0.1385,
-		simnet.RegionDE:    0.1272,
-		simnet.RegionCA:    0.0761,
-		simnet.RegionFR:    0.0664,
-		simnet.RegionOther: 0.1353,
-	}
+// countries weights both node placement and request shares. It
+// approximates the paper's Table II: US 45.65%, NL 13.85%, DE 12.72%,
+// CA 7.61%, FR 6.64%, Others <13.6%.
+var countries = CountryWeights{
+	simnet.RegionUS:    0.4565,
+	simnet.RegionNL:    0.1385,
+	simnet.RegionDE:    0.1272,
+	simnet.RegionCA:    0.0761,
+	simnet.RegionFR:    0.0664,
+	simnet.RegionOther: 0.1353,
 }
 
 // Sample draws a country proportional to weight.
@@ -272,19 +271,4 @@ func utcOffsetHours(r simnet.Region) float64 {
 func diurnalFactor(utcHour float64, region simnet.Region) float64 {
 	local := math.Mod(utcHour+utcOffsetHours(region)+24, 24)
 	return 1 + 0.5*math.Sin(2*math.Pi*(local-14)/24)
-}
-
-// validate is a tiny guard used by Scenario construction.
-func validateWeights(w CountryWeights) error {
-	var total float64
-	for _, v := range w {
-		if v < 0 {
-			return fmt.Errorf("workload: negative country weight")
-		}
-		total += v
-	}
-	if total <= 0 {
-		return fmt.Errorf("workload: country weights sum to zero")
-	}
-	return nil
 }

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
@@ -21,10 +22,45 @@ import (
 	"bitswapmon/internal/wire"
 )
 
-// MonitorSpec describes one monitoring vantage point.
-type MonitorSpec struct {
-	Name   string
-	Region simnet.Region
+// chunkSize is the DAG chunk size of published content.
+const chunkSize = 2048
+
+// refreshInterval is the nodes' DHT refresh period. The real client uses
+// 10 min; in a scaled-down network each lookup touches a much larger
+// network fraction, so 1 h keeps the maintenance-to-population ratio
+// comparable.
+const refreshInterval = time.Hour
+
+// Duration is a time.Duration that marshals as a Go duration string
+// ("6h30m"), keeping specs human-editable; plain JSON numbers are accepted
+// as nanoseconds.
+type Duration time.Duration
+
+// Std returns the standard-library duration.
+func (d Duration) Std() time.Duration { return time.Duration(d) }
+
+// MarshalJSON encodes the duration as a string.
+func (d Duration) MarshalJSON() ([]byte, error) {
+	return json.Marshal(time.Duration(d).String())
+}
+
+// UnmarshalJSON accepts "1h30m" strings or nanosecond numbers.
+func (d *Duration) UnmarshalJSON(data []byte) error {
+	var s string
+	if err := json.Unmarshal(data, &s); err == nil {
+		v, err := time.ParseDuration(s)
+		if err != nil {
+			return fmt.Errorf("workload: bad duration %q: %w", s, err)
+		}
+		*d = Duration(v)
+		return nil
+	}
+	var n int64
+	if err := json.Unmarshal(data, &n); err != nil {
+		return fmt.Errorf("workload: duration must be a string or nanoseconds: %s", data)
+	}
+	*d = Duration(n)
+	return nil
 }
 
 // JointConnectivity gives the joint probability that a node connects to the
@@ -34,9 +70,9 @@ type MonitorSpec struct {
 // 0.54·0.49) is what makes Eq. (1)/(3) *underestimate* the true size, as the
 // paper observes against the crawler baseline.
 type JointConnectivity struct {
-	Both  float64
-	OnlyA float64
-	OnlyB float64
+	Both  float64 `json:"both"`
+	OnlyA float64 `json:"only_a"`
+	OnlyB float64 `json:"only_b"`
 }
 
 // DefaultJoint returns the Sec. V-C calibration.
@@ -57,20 +93,20 @@ func IndependentJoint(pA, pB float64) JointConnectivity {
 
 // OperatorSpec describes one gateway operator.
 type OperatorSpec struct {
-	Name string
+	Name string `json:"name"`
 	// Nodes is how many gateway nodes the operator runs (the Cloudflare
 	// analogue runs 13).
-	Nodes int
+	Nodes int `json:"nodes"`
 	// RequestsPerHour is the HTTP request rate across the operator's fleet.
-	RequestsPerHour float64
+	RequestsPerHour float64 `json:"requests_per_hour"`
 	// HotBias is the probability an HTTP request targets a hot item,
 	// driving the cache hit ratio (0.97 hit ratio needs a high bias).
-	HotBias float64
+	HotBias float64 `json:"hot_bias"`
 	// Functional reports whether the HTTP frontend works (Sec. VI-B2 finds
 	// broken-HTTP gateways that still emit Bitswap traffic).
-	Functional bool
+	Functional bool `json:"functional"`
 	// CacheTTL for the operator's gateways.
-	CacheTTL time.Duration
+	CacheTTL Duration `json:"cache_ttl,omitempty"`
 }
 
 // DefaultOperators returns a fleet shaped like the public gateway list: one
@@ -82,7 +118,7 @@ func DefaultOperators() []OperatorSpec {
 		RequestsPerHour: 2000,
 		HotBias:         0.98,
 		Functional:      true,
-		CacheTTL:        time.Hour,
+		CacheTTL:        Duration(time.Hour),
 	}}
 	for i := 0; i < 8; i++ {
 		ops = append(ops, OperatorSpec{
@@ -91,104 +127,104 @@ func DefaultOperators() []OperatorSpec {
 			RequestsPerHour: 40,
 			HotBias:         0.8,
 			Functional:      i != 5, // one broken-HTTP operator
-			CacheTTL:        time.Hour,
+			CacheTTL:        Duration(time.Hour),
 		})
 	}
 	return ops
 }
 
-// Config parametrises a full scenario.
+// Config is the one declaration of a synthetic world. Its JSON keys are the
+// world keys of a scenario spec (sweep.ScenarioSpec embeds it), declared in
+// the spec's key order; zero fields take the defaults noted on each. Seed,
+// Start, NewEngine and Tracer are runtime fields the runner fills in.
 type Config struct {
-	Seed  int64
-	Start time.Time
+	Seed int64 `json:"-"`
+	// Start is the virtual start time (default simnet.Epoch).
+	Start time.Time `json:"-"`
 	// Nodes is the regular node population (default 600).
-	Nodes int
+	Nodes int `json:"nodes,omitempty"`
 	// ClientFrac is the DHT-client share (default 0.45).
-	ClientFrac float64
+	ClientFrac float64 `json:"client_frac,omitempty"`
 	// StableFrac is the share of nodes that never churn (default 0.3).
-	StableFrac float64
+	StableFrac float64 `json:"stable_frac,omitempty"`
 	// ActiveFrac is the share of nodes that issue Bitswap requests
 	// (default 0.35; the paper finds most connected peers are inactive).
-	ActiveFrac float64
-	// MeanRequestsPerHour is the per-active-node request rate (default 2).
-	MeanRequestsPerHour float64
+	ActiveFrac float64 `json:"active_frac,omitempty"`
 	// DegreeTarget is the number of overlay connections a node opens on
 	// join (default 12; scaled down from the real 600–900).
-	DegreeTarget int
-	// MeanSession / MeanOffline shape churn (defaults 6h / 18h).
-	MeanSession, MeanOffline time.Duration
-	// Catalog configures the content population.
-	Catalog CatalogConfig
-	// Countries weights both node placement and request shares.
-	Countries CountryWeights
-	// Monitors declares the monitoring vantage points (may be empty).
-	Monitors []MonitorSpec
-	// Joint is the 2-monitor connectivity model (ignored otherwise).
-	Joint JointConnectivity
-	// MonitorProb is the per-monitor independent connection probability
-	// used when len(Monitors) != 2 (default 0.5).
-	MonitorProb float64
-	// XORBias > 0 biases monitor connectivity towards XOR-near node IDs
-	// (estimator-bias ablation; 0 = unbiased).
-	XORBias float64
-	// Operators configures gateway fleets (nil = DefaultOperators; empty
-	// non-nil slice = no gateways).
-	Operators []OperatorSpec
-	// UnresolvedCancelAfter is when requesters give up on unresolvable
-	// CIDs (default 5 min; produces CANCEL entries and bounds rebroadcast
-	// load).
-	UnresolvedCancelAfter time.Duration
-	// LegacyFrac is the initial share of pre-v0.5 (WANT_BLOCK-broadcast)
-	// clients (default 0; Fig. 4 scenarios set it close to 1).
-	LegacyFrac float64
-	// UpgradeStart and UpgradeDailyFrac shape the v0.5 upgrade wave: from
-	// UpgradeStart, each remaining legacy node upgrades with this daily
-	// probability.
-	UpgradeStart     time.Time
-	UpgradeDailyFrac float64
+	DegreeTarget int `json:"degree_target,omitempty"`
 	// BootstrapServers is the stable core size (default 15).
-	BootstrapServers int
-	// ChunkSize for published DAGs (default 2048).
-	ChunkSize int
-	// NewEngine constructs the simulation engine for this world; nil
-	// selects the single-threaded deterministic simnet reference. Parallel
-	// runs pass e.g. engine.ShardedFactory(4).
-	NewEngine func(start time.Time, seed int64) engine.Engine
-	// Tracer, when set, records sampled request traces: every workload and
-	// gateway request mints a deterministic trace ID (from Seed, requester
-	// and request sequence — identical across engines) and, when sampled,
-	// becomes a span tree across gateway, DHT, Bitswap and delivery hops.
-	Tracer *otrace.Tracer
-	// RefreshInterval is the nodes' DHT refresh period. The real client
-	// uses 10 min; in a scaled-down network each lookup touches a much
-	// larger network fraction, so the default here is 1 h to keep the
-	// maintenance-to-population ratio comparable.
-	RefreshInterval time.Duration
+	BootstrapServers int `json:"bootstrap_servers,omitempty"`
+	// MeanSession / MeanOffline shape churn (defaults 6h / 18h).
+	MeanSession Duration `json:"mean_session,omitempty"`
+	MeanOffline Duration `json:"mean_offline,omitempty"`
+	// MeanRequestsPerHour is the per-active-node request rate (default 2).
+	MeanRequestsPerHour float64 `json:"mean_requests_per_hour,omitempty"`
+	// CatalogItems is the number of distinct content items (default 2000).
+	CatalogItems int `json:"catalog_items,omitempty"`
 	// PersonalFrac is the probability a request targets one of the node's
 	// personal items rather than the shared catalog. Personal items are
 	// what drives the paper's ">80% of CIDs requested by exactly one
 	// peer" (default 0.85).
-	PersonalFrac float64
+	PersonalFrac float64 `json:"personal_frac,omitempty"`
 	// PersonalItemsPerNode sizes each active node's personal item set
 	// (default 8).
-	PersonalItemsPerNode int
+	PersonalItemsPerNode int `json:"personal_items_per_node,omitempty"`
 	// GlobalHotFrac is the probability that a non-personal request targets
-	// the hot head rather than the weighted long tail (default 0.7). High
+	// the hot head rather than the weighted long tail (default 0.45). High
 	// values concentrate shared interest on few CIDs, keeping the
 	// single-requester share high as in the paper.
-	GlobalHotFrac float64
+	GlobalHotFrac float64 `json:"global_hot_frac,omitempty"`
 	// GlobalWarmFrac is the probability that a non-personal, non-hot
 	// request targets the warm tier: semi-popular items shared by a few
 	// users (default 0.5 of the remainder). The warm tier is what puts
 	// mass on URP values of 2-10 in Fig. 5b.
-	GlobalWarmFrac float64
+	GlobalWarmFrac float64 `json:"global_warm_frac,omitempty"`
 	// WarmItems sizes the warm tier (default 5% of the catalog).
-	WarmItems int
+	WarmItems int `json:"warm_items,omitempty"`
+	// UnresolvedCancelAfter is when requesters give up on unresolvable
+	// CIDs (default 5 min; produces CANCEL entries and bounds rebroadcast
+	// load).
+	UnresolvedCancelAfter Duration `json:"unresolved_cancel_after,omitempty"`
+	// LegacyFrac is the initial share of pre-v0.5 (WANT_BLOCK-broadcast)
+	// clients (default 0; Fig. 4 scenarios set it close to 1).
+	LegacyFrac float64 `json:"legacy_frac,omitempty"`
+	// UpgradeAfter and UpgradeDailyFrac shape the v0.5 upgrade wave: from
+	// Start+UpgradeAfter, each remaining legacy node upgrades with this
+	// daily probability.
+	UpgradeAfter     Duration `json:"upgrade_after,omitempty"`
+	UpgradeDailyFrac float64  `json:"upgrade_daily_frac,omitempty"`
+	// Monitors declares the monitoring vantage points (may be empty).
+	Monitors []monitor.Spec `json:"monitors,omitempty"`
+	// Joint is the 2-monitor connectivity model (nil or all zero =
+	// DefaultJoint; ignored unless there are two monitors).
+	Joint *JointConnectivity `json:"joint,omitempty"`
+	// MonitorProb is the per-monitor independent connection probability
+	// used when len(Monitors) != 2 (default 0.5).
+	MonitorProb float64 `json:"monitor_prob,omitempty"`
+	// XORBias > 0 biases monitor connectivity towards XOR-near node IDs
+	// (estimator-bias ablation; 0 = unbiased).
+	XORBias float64 `json:"xor_bias,omitempty"`
+	// Gateways configures the gateway operator fleets: nil selects
+	// DefaultOperators, an empty non-nil slice disables gateways. No
+	// omitempty: JSON must keep nil (null) and empty ([]) apart, or a spec
+	// would silently grow the default fleet when written and reloaded
+	// (e.g. across a sweep resume).
+	Gateways []OperatorSpec `json:"gateways"`
+	// NewEngine constructs the simulation engine for this world; nil
+	// selects the single-threaded deterministic simnet reference. Parallel
+	// runs pass e.g. engine.ShardedFactory(4).
+	NewEngine func(start time.Time, seed int64) engine.Engine `json:"-"`
+	// Tracer, when set, records sampled request traces: every workload and
+	// gateway request mints a deterministic trace ID (from Seed, requester
+	// and request sequence — identical across engines) and, when sampled,
+	// becomes a span tree across gateway, DHT, Bitswap and delivery hops.
+	Tracer *otrace.Tracer `json:"-"`
 }
 
 func (c Config) withDefaults() Config {
 	if c.Start.IsZero() {
-		c.Start = time.Date(2021, 4, 30, 0, 0, 0, 0, time.UTC)
+		c.Start = simnet.Epoch
 	}
 	if c.Nodes <= 0 {
 		c.Nodes = 600
@@ -209,34 +245,26 @@ func (c Config) withDefaults() Config {
 		c.DegreeTarget = 12
 	}
 	if c.MeanSession <= 0 {
-		c.MeanSession = 6 * time.Hour
+		c.MeanSession = Duration(6 * time.Hour)
 	}
 	if c.MeanOffline <= 0 {
-		c.MeanOffline = 18 * time.Hour
+		c.MeanOffline = Duration(18 * time.Hour)
 	}
-	if c.Countries == nil {
-		c.Countries = DefaultCountryWeights()
-	}
-	if c.Joint == (JointConnectivity{}) {
-		c.Joint = DefaultJoint()
+	if c.Joint == nil || *c.Joint == (JointConnectivity{}) {
+		joint := DefaultJoint()
+		c.Joint = &joint
 	}
 	if c.MonitorProb <= 0 {
 		c.MonitorProb = 0.5
 	}
-	if c.Operators == nil {
-		c.Operators = DefaultOperators()
+	if c.Gateways == nil {
+		c.Gateways = DefaultOperators()
 	}
 	if c.UnresolvedCancelAfter <= 0 {
-		c.UnresolvedCancelAfter = 5 * time.Minute
+		c.UnresolvedCancelAfter = Duration(5 * time.Minute)
 	}
 	if c.BootstrapServers <= 0 {
 		c.BootstrapServers = 15
-	}
-	if c.ChunkSize <= 0 {
-		c.ChunkSize = 2048
-	}
-	if c.RefreshInterval <= 0 {
-		c.RefreshInterval = time.Hour
 	}
 	if c.PersonalFrac <= 0 {
 		c.PersonalFrac = 0.85
@@ -310,9 +338,6 @@ type World struct {
 // population, published catalog, churn and traffic processes.
 func Build(cfg Config) (*World, error) {
 	cfg = cfg.withDefaults()
-	if err := validateWeights(cfg.Countries); err != nil {
-		return nil, err
-	}
 	var net engine.Engine
 	if cfg.NewEngine != nil {
 		net = cfg.NewEngine(cfg.Start, cfg.Seed)
@@ -374,7 +399,7 @@ func (w *World) buildMonitors() error {
 
 func (w *World) buildBootstrapCore() error {
 	for i := 0; i < w.cfg.BootstrapServers; i++ {
-		region := w.cfg.Countries.Sample(w.rng)
+		region := countries.Sample(w.rng)
 		addr, err := w.allocAddr(region)
 		if err != nil {
 			return err
@@ -382,9 +407,9 @@ func (w *World) buildBootstrapCore() error {
 		id := simnet.RandomNodeID(w.rng)
 		nd, err := node.New(w.Net, id, addr, region, node.Config{
 			Mode:            dht.ModeServer,
-			ChunkSize:       w.cfg.ChunkSize,
-			RefreshInterval: w.cfg.RefreshInterval,
-			Bitswap:         bitswap.Config{GiveUpAfter: w.cfg.UnresolvedCancelAfter},
+			ChunkSize:       chunkSize,
+			RefreshInterval: refreshInterval,
+			Bitswap:         bitswap.Config{GiveUpAfter: w.cfg.UnresolvedCancelAfter.Std()},
 		})
 		if err != nil {
 			return err
@@ -396,9 +421,9 @@ func (w *World) buildBootstrapCore() error {
 }
 
 func (w *World) buildGateways() error {
-	for _, op := range w.cfg.Operators {
+	for _, op := range w.cfg.Gateways {
 		for i := 0; i < op.Nodes; i++ {
-			region := w.cfg.Countries.Sample(w.rng)
+			region := countries.Sample(w.rng)
 			addr, err := w.allocAddr(region)
 			if err != nil {
 				return err
@@ -406,9 +431,9 @@ func (w *World) buildGateways() error {
 			id := simnet.RandomNodeID(w.rng)
 			nd, err := node.New(w.Net, id, addr, region, node.Config{
 				Mode:            dht.ModeServer,
-				ChunkSize:       w.cfg.ChunkSize,
-				RefreshInterval: w.cfg.RefreshInterval,
-				Bitswap:         bitswap.Config{GiveUpAfter: w.cfg.UnresolvedCancelAfter},
+				ChunkSize:       chunkSize,
+				RefreshInterval: refreshInterval,
+				Bitswap:         bitswap.Config{GiveUpAfter: w.cfg.UnresolvedCancelAfter.Std()},
 			})
 			if err != nil {
 				return err
@@ -419,7 +444,7 @@ func (w *World) buildGateways() error {
 			w.Net.Pin(id)
 			g := gateway.New(w.Net, nd, fmt.Sprintf("%s-%d.gateway.example", op.Name, i), op.Name, gateway.Config{
 				Functional: op.Functional,
-				CacheTTL:   op.CacheTTL,
+				CacheTTL:   op.CacheTTL.Std(),
 			})
 			w.Gateways = append(w.Gateways, g)
 			w.Registry.Add(g)
@@ -431,7 +456,7 @@ func (w *World) buildGateways() error {
 func (w *World) buildPopulation() error {
 	nMonitors := len(w.Monitors)
 	for i := 0; i < w.cfg.Nodes; i++ {
-		region := w.cfg.Countries.Sample(w.rng)
+		region := countries.Sample(w.rng)
 		addr, err := w.allocAddr(region)
 		if err != nil {
 			return err
@@ -444,10 +469,10 @@ func (w *World) buildPopulation() error {
 		legacy := w.rng.Float64() < w.cfg.LegacyFrac
 		nd, err := node.New(w.Net, id, addr, region, node.Config{
 			Mode:            mode,
-			ChunkSize:       w.cfg.ChunkSize,
-			RefreshInterval: w.cfg.RefreshInterval,
+			ChunkSize:       chunkSize,
+			RefreshInterval: refreshInterval,
 			Bitswap: bitswap.Config{
-				GiveUpAfter:     w.cfg.UnresolvedCancelAfter,
+				GiveUpAfter:     w.cfg.UnresolvedCancelAfter.Std(),
 				LegacyWantBlock: legacy,
 			},
 		})
@@ -527,7 +552,7 @@ func (d *dagBlocks) PutBlock(c cid.CID, data []byte) error {
 // publishCatalog stores resolvable items at stable publishers and finalises
 // sampling weights.
 func (w *World) publishCatalog() error {
-	w.Catalog = BuildCatalog(w.cfg.Catalog, w.rng)
+	w.Catalog = BuildCatalog(CatalogConfig{Items: w.cfg.CatalogItems}, w.rng)
 	var publishers []*ScenarioNode
 	for _, sn := range w.Nodes {
 		if sn.Stable {
@@ -546,7 +571,7 @@ func (w *World) publishCatalog() error {
 		// block bytes, in the order a publisher's builder would put them.
 		var blocks dagBlocks
 		if item.MultiBlock {
-			root, _, err := merkledag.NewBuilder(&blocks, w.cfg.ChunkSize, 0).AddFile(item.Content)
+			root, _, err := merkledag.NewBuilder(&blocks, chunkSize, 0).AddFile(item.Content)
 			if err != nil {
 				return fmt.Errorf("build item %d: %w", i, err)
 			}
@@ -760,10 +785,6 @@ func (w *World) scheduleUpgrades() {
 	if w.cfg.LegacyFrac <= 0 || w.cfg.UpgradeDailyFrac <= 0 {
 		return
 	}
-	start := w.cfg.UpgradeStart
-	if start.IsZero() {
-		start = w.cfg.Start
-	}
 	var tick func()
 	tick = func() {
 		for _, sn := range w.Nodes {
@@ -778,13 +799,13 @@ func (w *World) scheduleUpgrades() {
 		}
 		w.Net.After(24*time.Hour, tick)
 	}
-	w.Net.At(start, tick)
+	w.Net.At(w.cfg.Start.Add(w.cfg.UpgradeAfter.Std()), tick)
 }
 
 // armGatewayTraffic schedules HTTP request streams per operator.
 func (w *World) armGatewayTraffic() {
 	byOp := w.Registry.ByOperator()
-	for _, op := range w.cfg.Operators {
+	for _, op := range w.cfg.Gateways {
 		gws := byOp[op.Name]
 		if len(gws) == 0 || op.RequestsPerHour <= 0 {
 			continue

@@ -7,25 +7,23 @@ import (
 	"time"
 
 	"bitswapmon/internal/cid"
+	"bitswapmon/internal/monitor"
 	"bitswapmon/internal/simnet"
 	"bitswapmon/internal/trace"
 )
 
 func smallConfig(seed int64) Config {
 	return Config{
-		Seed:  seed,
-		Nodes: 150,
-		Catalog: CatalogConfig{
-			Items:        300,
-			MeanFileSize: 2048,
-		},
-		Monitors: []MonitorSpec{
+		Seed:         seed,
+		Nodes:        150,
+		CatalogItems: 300,
+		Monitors: []monitor.Spec{
 			{Name: "us", Region: simnet.RegionUS},
 			{Name: "de", Region: simnet.RegionDE},
 		},
-		Operators: []OperatorSpec{
-			{Name: "megagate", Nodes: 4, RequestsPerHour: 200, HotBias: 0.95, Functional: true, CacheTTL: time.Hour},
-			{Name: "smallgw", Nodes: 2, RequestsPerHour: 20, HotBias: 0.5, Functional: true, CacheTTL: time.Hour},
+		Gateways: []OperatorSpec{
+			{Name: "megagate", Nodes: 4, RequestsPerHour: 200, HotBias: 0.95, Functional: true, CacheTTL: Duration(time.Hour)},
+			{Name: "smallgw", Nodes: 2, RequestsPerHour: 20, HotBias: 0.5, Functional: true, CacheTTL: Duration(time.Hour)},
 		},
 		BootstrapServers:    10,
 		MeanRequestsPerHour: 3,
@@ -219,11 +217,10 @@ func TestCatalogSampleSanitizesBadWeights(t *testing.T) {
 
 func TestCountryWeightsSample(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	weights := DefaultCountryWeights()
 	counts := map[simnet.Region]int{}
 	const draws = 20000
 	for i := 0; i < draws; i++ {
-		counts[weights.Sample(rng)]++
+		counts[countries.Sample(rng)]++
 	}
 	usShare := float64(counts[simnet.RegionUS]) / draws
 	if usShare < 0.42 || usShare > 0.49 {
@@ -233,8 +230,8 @@ func TestCountryWeightsSample(t *testing.T) {
 
 func TestChurnChangesPopulation(t *testing.T) {
 	cfg := smallConfig(7)
-	cfg.MeanSession = 30 * time.Minute
-	cfg.MeanOffline = 30 * time.Minute
+	cfg.MeanSession = Duration(30 * time.Minute)
+	cfg.MeanOffline = Duration(30 * time.Minute)
 	w, err := Build(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -1,31 +1,33 @@
 // Command bsmon is the continuous-monitoring daemon: the paper's monitors
 // ran for months (Sec. IV-A), and bsmon keeps simulated monitors running the
-// same way. It simulates the small preset's world (sweep.DefaultSpec with
-// -nodes nodes) and streams each monitor's trace into a segment store, so
-// resident memory is bounded by the segment rotation window, not the
-// uptime. Registry reports are evaluated over rolling windows of the live
-// unified stream, the stores are compacted and expired in the background,
-// and one HTTP endpoint serves /metrics, /debug/pprof, /reports and /healthz.
+// same way. It starts one scenario spec exactly as a sweep run does
+// (sweep.Start: build, warm up, drop the warm-up), then advances it step by
+// step, streaming each monitor's trace into a segment store, so resident
+// memory is bounded by the segment rotation window, not the uptime. Registry
+// reports are evaluated over rolling windows of the live unified stream, the
+// stores are compacted and expired in the background, and one HTTP endpoint
+// serves /metrics, /debug/pprof, /reports and /healthz.
 //
 // Usage:
 //
-//	bsmon -out DIR [-nodes N] [-hours H] [-seed N] [-rotate DUR]
+//	bsmon -out DIR [-spec FILE] [-hours H] [-rotate DUR]
 //	      [-serve-addr ADDR] [-addr-file FILE]
 //	      [-window DUR] [-window-slide DUR] [-windows-keep N] [-window-reports LIST]
 //	      [-retain DUR] [-compact-run N] [-compact-small N] [-maintain-every DUR]
 //	      [-step DUR] [-pace DUR]
 //
-// Output:
+// -spec FILE is a one-run sweep spec as bssweep preset prints it (default:
+// the small preset). Its window, crawl, probes and reports are a bounded
+// run's and go unused. Output, the layout of a sweep run directory:
 //
-//	DIR/M.segments/NNNNNN.seg — per monitor M, time-partitioned compressed
-//	                            segments with footers (the queryable store)
-//	DIR/windows.jsonl         — one JSON line per closed report window
+//	DIR/mon-M.segments/NNNNNN.seg — per monitor M, time-partitioned compressed
+//	                                segments with footers (the queryable store)
+//	DIR/windows.jsonl             — one JSON line per closed report window
 //
-// -hours H stops the daemon after H virtual hours (0: run until signalled).
+// -hours H stops the daemon after H virtual hours (0: run until signalled),
+// with the stores a bssweep run of the spec with an H-hour window writes.
 // SIGINT/SIGTERM shut it down cleanly: every active segment is sealed before
-// exit, so an interrupted store always reopens queryable. A bounded capture
-// for analysis is a sweep run instead: bssweep preset small, bssweep run,
-// then bsanalyze over the run's mon-*.segments stores.
+// exit, so an interrupted store always reopens queryable.
 package main
 
 import (
@@ -33,7 +35,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math/rand"
 	"net/http"
 	"os"
 	"os/signal"
@@ -41,12 +42,12 @@ import (
 	"strings"
 	"syscall"
 	"time"
+	"unicode"
 
 	"bitswapmon/internal/cmdutil"
 	"bitswapmon/internal/ingest"
 	"bitswapmon/internal/report"
 	"bitswapmon/internal/sweep"
-	"bitswapmon/internal/workload"
 )
 
 func main() {
@@ -56,19 +57,14 @@ func main() {
 	}
 }
 
-// run is the daemon: the simulation streams into per-monitor segment stores
-// and a unified windowed report driver, a Maintainer compacts and expires
-// each store in the background, and one HTTP endpoint exposes /metrics,
-// /reports and /healthz. It runs until SIGINT/SIGTERM or, with -hours > 0,
-// until that much virtual time has elapsed; shutdown seals every active
-// segment, flushes and finalizes the open windows, and runs a final
-// compaction pass.
+// run is the daemon. It returns once a signal or the -hours bound has
+// stopped the loop and shutdown has sealed every active segment, finalized
+// the open windows and run a final compaction pass.
 func run(args []string) error {
 	fs := flag.NewFlagSet("bsmon", flag.ContinueOnError)
 	outDir := fs.String("out", "traces", "output directory")
-	nodes := fs.Int("nodes", 400, "population size of the simulated world (the small preset's, sweep.DefaultSpec, at this size)")
+	specFile := fs.String("spec", "", "one-run sweep spec JSON, as bssweep preset prints (default: the small preset)")
 	hours := fs.Int("hours", 24, "stop after this many virtual hours (0: run until signalled)")
-	seed := fs.Int64("seed", 1, "simulation seed")
 	rotate := fs.Duration("rotate", time.Hour, "segment rotation window (virtual time)")
 	addr := fs.String("serve-addr", "127.0.0.1:9464", "HTTP address for /metrics, /debug/pprof, /reports and /healthz (port 0 picks an ephemeral port)")
 	addrFile := fs.String("addr-file", "", "write the bound HTTP address to this file once listening (lets scripts discover an ephemeral port)")
@@ -86,14 +82,16 @@ func run(args []string) error {
 		return err
 	}
 	switch {
-	case *nodes <= 0:
-		return fmt.Errorf("-nodes must be positive")
 	case *hours < 0:
 		return fmt.Errorf("-hours must not be negative (0 runs until signalled)")
 	case *stepFlag <= 0:
 		return fmt.Errorf("-step must be positive")
 	case *addr == "":
 		return fmt.Errorf("-serve-addr must not be empty")
+	}
+	spec, err := loadSpec(*specFile)
+	if err != nil {
+		return err
 	}
 
 	// SIGINT/SIGTERM turn into context cancellation: the loop stops at the
@@ -110,17 +108,6 @@ func run(args []string) error {
 		return fmt.Errorf("create output dir: %w", err)
 	}
 
-	spec := sweep.DefaultSpec()
-	spec.Nodes = *nodes
-	cfg, err := spec.WorkloadConfig(*seed)
-	if err != nil {
-		return err
-	}
-	w, err := workload.Build(cfg)
-	if err != nil {
-		return fmt.Errorf("build scenario: %w", err)
-	}
-
 	// Durable window retention: every closed window appends one JSON line.
 	// Raw segments expire on the -retain horizon; these rolled-up report
 	// results are what remains of the expired time range.
@@ -131,22 +118,18 @@ func run(args []string) error {
 	defer windowLog.Close()
 	logEnc := json.NewEncoder(windowLog)
 
-	var names []string
-	for _, name := range strings.Split(*reports, ",") {
-		if name = strings.TrimSpace(name); name != "" {
-			names = append(names, name)
-		}
+	names := strings.FieldsFunc(*reports, func(r rune) bool { return r == ',' || unicode.IsSpace(r) })
+	meas, err := sweep.Start(spec, spec.Seed)
+	if err != nil {
+		return err
 	}
+	w := meas.World
 	wd, err := report.NewWindowedDriver(report.WindowOptions{
 		Width:   *window,
 		Slide:   *slide,
 		Keep:    *keep,
 		Reports: names,
-		Opts: report.Options{
-			Geo:        w.Geo,
-			GatewayIDs: w.GatewayNodeIDs(),
-			Rand:       func() *rand.Rand { return w.Net.NewRand("serve-windows") },
-		},
+		Opts:    spec.ReportOptions(w),
 		Dedup:   true,
 		OnClose: func(res report.WindowResult) error { return logEnc.Encode(res) },
 	})
@@ -154,32 +137,25 @@ func run(args []string) error {
 		return err
 	}
 
-	// Wiring: every monitor tees its raw stream into its own segment store
-	// and into one shared UnifySink, which orders and flags the merged
-	// stream (Sec. IV-B) before the windowed driver sees it.
+	// Wiring, after the warm-up: every monitor tees its raw stream into its
+	// own segment store and into one shared UnifySink, which orders and
+	// flags the merged stream (Sec. IV-B) before the windowed driver sees it.
 	uni := ingest.NewUnifySink(wd)
-	maintainOpts := ingest.MaintainOptions{
-		Interval: *maintainEvery,
-		Compaction: ingest.CompactionPolicy{
-			MinRun:       *compactRun,
-			SmallEntries: *compactSmall,
-		},
-		Retention: ingest.RetentionPolicy{MaxAge: *retain},
+	stores, err := sweep.OpenMonitorStores(*outDir, w.Monitors, ingest.SegmentOptions{Rotation: *rotate}, uni)
+	if err != nil {
+		return fmt.Errorf("%w; use a fresh -out directory", err)
 	}
-	stores := make([]*ingest.SegmentStore, len(w.Monitors))
-	maintainers := make([]*ingest.Maintainer, len(w.Monitors))
-	for i, m := range w.Monitors {
-		store, err := openFreshStore(filepath.Join(*outDir, m.Name+".segments"), ingest.SegmentOptions{Rotation: *rotate})
-		if err != nil {
-			return err
-		}
-		stores[i] = store
-		maintainers[i] = ingest.NewMaintainer(store, maintainOpts)
-		m.SetSink(ingest.Tee(store, uni))
+	maintainers := make([]*ingest.Maintainer, len(stores))
+	for i, store := range stores {
+		maintainers[i] = ingest.NewMaintainer(store, ingest.MaintainOptions{
+			Interval:   *maintainEvery,
+			Compaction: ingest.CompactionPolicy{MinRun: *compactRun, SmallEntries: *compactSmall},
+			Retention:  ingest.RetentionPolicy{MaxAge: *retain},
+		})
 	}
 	defer func() {
 		// Whatever goes wrong, stop maintenance before sealing stores so no
-		// background pass races the defered Close, then seal.
+		// background pass races the deferred Close, then seal.
 		for _, mt := range maintainers {
 			if mt != nil {
 				mt.Close()
@@ -218,12 +194,10 @@ func run(args []string) error {
 loop:
 	for ctx.Err() == nil && (bound <= 0 || elapsed < bound) {
 		step := *stepFlag
-		if bound > 0 {
-			if rem := bound - elapsed; rem < step {
-				step = rem
-			}
+		if rem := bound - elapsed; bound > 0 && rem < step {
+			step = rem
 		}
-		w.Run(step)
+		meas.Advance(step)
 		elapsed += step
 		for i, m := range w.Monitors {
 			if err := m.SinkErr(); err != nil {
@@ -245,20 +219,14 @@ loop:
 		fmt.Fprintln(os.Stderr, "bsmon: signal received — shutting down cleanly")
 	}
 
-	// Orderly shutdown. Order matters:
-	//   1. seal every store (the active segment becomes a sealed, queryable
-	//      segment) and surface any latched capture error;
-	//   2. flush the unifier's final timestamp batch into the windowed
-	//      driver, then finalize the still-open windows (marked partial);
-	//   3. close each Maintainer — it runs one final compaction/retention
-	//      pass over the now-complete segment set and writes a fresh index.
-	for i, m := range w.Monitors {
-		if err := stores[i].Close(); err != nil {
-			return fmt.Errorf("monitor %s: seal store: %w", m.Name, err)
-		}
-		if err := m.SinkErr(); err != nil {
-			return fmt.Errorf("monitor %s: capture: %w", m.Name, err)
-		}
+	// Orderly shutdown, in this order: 1. seal every store (the active
+	// segment becomes a sealed, queryable segment) and surface any latched
+	// capture error; 2. flush the unifier's final timestamp batch into the
+	// windowed driver and finalize the still-open windows (marked partial);
+	// 3. close each Maintainer, which runs one final compaction/retention
+	// pass over the now-complete segment set and writes a fresh index.
+	if err := sweep.SealMonitorStores(w.Monitors, stores); err != nil {
+		return err
 	}
 	if err := uni.Flush(); err != nil {
 		return fmt.Errorf("unify flush: %w", err)
@@ -280,20 +248,27 @@ loop:
 	return nil
 }
 
-// openFreshStore opens a segment store and refuses one already holding
-// data: virtual time restarts every run, so appending a second run would
-// interleave out-of-order streams and corrupt downstream unification —
-// and unsealed leftovers from a crashed run are treated the same way.
-func openFreshStore(dir string, opts ingest.SegmentOptions) (*ingest.SegmentStore, error) {
-	store, err := ingest.OpenSegmentStore(dir, opts)
+// loadSpec returns the one run the sweep spec at path expands to, or the
+// small preset when path is empty. A replay is driven to exhaustion in one
+// call and cannot be stepped, so it is refused.
+func loadSpec(path string) (sweep.ScenarioSpec, error) {
+	if path == "" {
+		return sweep.DefaultSpec(), nil
+	}
+	sw, err := sweep.LoadSweep(path)
 	if err != nil {
-		return nil, err
+		return sweep.ScenarioSpec{}, err
 	}
-	if tot := store.Totals(); tot.Entries > 0 || len(store.Skipped()) > 0 {
-		return nil, fmt.Errorf("segment store %s already holds data from a previous run (%d sealed entries, %d unsealed files); use a fresh -out directory",
-			dir, tot.Entries, len(store.Skipped()))
+	runs, err := sweep.Expand(sw)
+	switch {
+	case err != nil:
+		return sweep.ScenarioSpec{}, err
+	case len(runs) != 1:
+		return sweep.ScenarioSpec{}, fmt.Errorf("-spec %s expands to %d runs; the daemon runs exactly one", path, len(runs))
+	case runs[0].Spec.ReplayMode():
+		return sweep.ScenarioSpec{}, fmt.Errorf("-spec %s replays a recorded workload; the daemon runs synthetic worlds only", path)
 	}
-	return store, nil
+	return runs[0].Spec, nil
 }
 
 // reportsHandler serves the windowed driver's state as JSON: retained

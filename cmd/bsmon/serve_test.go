@@ -87,7 +87,7 @@ func TestBsmonInterruptSealsStore(t *testing.T) {
 	defer signal.Stop(ch)
 
 	dir := t.TempDir()
-	done := startRun([]string{"-out", dir, "-nodes", "60", "-hours", "2000", "-seed", "4", "-rotate", "30m",
+	done := startRun([]string{"-out", dir, "-spec", writeSpec(t, nil), "-hours", "2000", "-rotate", "30m",
 		"-serve-addr", "127.0.0.1:0"})
 	// Let the world build and at least one run step complete.
 	time.Sleep(2 * time.Second)
@@ -95,7 +95,7 @@ func TestBsmonInterruptSealsStore(t *testing.T) {
 		t.Fatalf("interrupted run failed: %v", err)
 	}
 	for _, mon := range []string{"us", "de"} {
-		reopenClean(t, filepath.Join(dir, mon+".segments"))
+		reopenClean(t, filepath.Join(dir, "mon-"+mon+".segments"))
 	}
 }
 
@@ -115,7 +115,7 @@ func TestBsmonServeEndToEnd(t *testing.T) {
 	addrFile := filepath.Join(dir, "addr")
 	retain := 2 * time.Hour
 	done := startRun([]string{
-		"-out", dir, "-nodes", "60", "-hours", "0", "-seed", "5",
+		"-out", dir, "-spec", writeSpec(t, nil), "-hours", "0",
 		"-serve-addr", "127.0.0.1:0", "-addr-file", addrFile,
 		"-rotate", "10m", "-window", "15m", "-windows-keep", "8",
 		"-retain", retain.String(), "-maintain-every", "100ms",
@@ -218,7 +218,7 @@ func TestBsmonServeEndToEnd(t *testing.T) {
 	// Stores reopen clean, and retention preserved exactly the segments not
 	// entirely older than the final horizon (newest data minus -retain).
 	for _, mon := range []string{"us", "de"} {
-		store := reopenClean(t, filepath.Join(dir, mon+".segments"))
+		store := reopenClean(t, filepath.Join(dir, "mon-"+mon+".segments"))
 		segs := store.Segments()
 		newest := segs[len(segs)-1].Footer.Last
 		horizon := newest.Add(-retain)

@@ -173,7 +173,7 @@ func cmdResume(args []string) error {
 var metricsServed = func(addr string) {}
 
 func orchestrate(root string, sw sweep.SweepSpec, workers int, ops *opsFlags) error {
-	srv, err := cmdutil.ServeMetrics(ops.metricsAddr)
+	srv, err := cmdutil.ServeOps(ops.metricsAddr, nil)
 	if err != nil {
 		return err
 	}

@@ -30,9 +30,12 @@
 // against 33.5 for full records at level 6, written three times as fast.
 //
 // Capture also scales past a bounded run: bsmon is the
-// continuous-monitoring daemon, simulating the small preset's world
-// (sweep.DefaultSpec through ScenarioSpec.WorkloadConfig). Registry reports
-// are evaluated over rolling windows of the live stream
+// continuous-monitoring daemon. It starts a one-run sweep spec (-spec,
+// default the small preset) with sweep.Start, the build and discarded
+// warm-up every sweep run goes through, then advances it step by step, so a
+// bounded daemon records the same entries as a sweep run of the same spec,
+// into the same DIR/mon-M.segments layout. Registry reports are evaluated
+// over rolling windows of the live stream
 // (report.WindowedDriver, one report.Driver per window, published as the
 // report_window_metric gauge family and served as JSON on /reports), while
 // an ingest.Maintainer compacts small sealed segments into generation-2

@@ -1,11 +1,11 @@
 // Service-mode demo: the library pieces behind the `bsmon` daemon, wired
-// by hand. A monitored scenario streams into per-monitor segment stores and a
-// rolling-window report driver; a background Maintainer compacts small
-// sealed segments into generation-2 segments and expires raw data behind a
-// retention horizon while the rolled-up window results stay durable. This
-// is the continuous-monitoring shape of the paper's deployment: monitors
-// that run for months, with bounded disk, live answers and no resident
-// trace.
+// by hand and with no warm-up, where bsmon starts its spec through
+// sweep.Start. A monitored scenario streams into per-monitor segment stores
+// and a rolling-window report driver; a background Maintainer compacts
+// small sealed segments into generation-2 segments and expires raw data
+// behind a retention horizon while the rolled-up window results stay
+// durable: the continuous-monitoring shape of the paper's deployment,
+// monitors that run for months with bounded disk and no resident trace.
 package main
 
 import (

@@ -32,27 +32,17 @@ func EnableAllMetrics() {
 	otrace.EnableMetrics(nil)
 }
 
-// ServeMetrics enables all subsystem metrics and starts the HTTP endpoint on
-// addr (/metrics in Prometheus text format, /debug/pprof for live profiles).
-// An empty addr is a no-op returning nil — callers can defer-close the
-// result unconditionally.
-func ServeMetrics(addr string) (*obs.Server, error) {
-	return ServeOps(addr, nil)
-}
-
-// ServeOps is ServeMetrics with additional endpoints mounted on the same
-// mux — the daemon's surface (bsmon adds /reports and /healthz). An empty
-// addr is a no-op returning nil.
+// ServeOps enables all subsystem metrics and starts the HTTP endpoint on
+// addr (/metrics in Prometheus text format, /debug/pprof for live profiles),
+// with any extra endpoints mounted on the same mux (bsmon adds /reports and
+// /healthz). An empty addr is a no-op returning nil — callers can
+// defer-close the result unconditionally.
 func ServeOps(addr string, extra map[string]http.Handler) (*obs.Server, error) {
 	if addr == "" {
 		return nil, nil
 	}
 	EnableAllMetrics()
-	srv, err := obs.ServeWith(addr, nil, extra)
-	if err != nil {
-		return nil, err
-	}
-	return srv, nil
+	return obs.ServeWith(addr, nil, extra)
 }
 
 // Profiles is the running state of the -cpuprofile/-memprofile flag pair.

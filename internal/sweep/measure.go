@@ -25,19 +25,37 @@ type Measurement struct {
 	World *workload.World
 	// Samples are the periodic snapshots of the monitors' peer sets.
 	Samples []monitor.Sample
-	// OnlineAvg is the mean ground-truth online population over the same
-	// ticks.
+	// OnlineAvg is the mean ground-truth online population over those ticks.
 	OnlineAvg float64
+
+	sampler *monitor.Sampler
+	online  float64 // running sum of the online population, one per tick
+	ticks   int
 }
 
 // Measure is the measurement procedure every synthetic run follows — a
-// sweep run, the week scenario, the Fig. 4 upgrade scenario: build
-// the world the spec describes, warm it up, discard the warm-up trace, let
-// attach point each monitor at its sink, then run the window with the peer
-// sampler and the online-population tracker on one tick. It returns when
-// the window ends; whatever a caller does next (crawl, probes, sealing
-// stores) runs on the returned world.
+// sweep run, the week scenario, the Fig. 4 upgrade scenario: Start, let
+// attach point each monitor at its sink, run the window, Stop. Whatever a
+// caller does next (crawl, probes, sealing stores) runs on the returned
+// world.
 func Measure(spec ScenarioSpec, seed int64, attach func(*workload.World) error) (*Measurement, error) {
+	m, err := Start(spec, seed)
+	if err != nil {
+		return nil, err
+	}
+	if err := attach(m.World); err != nil {
+		return nil, err
+	}
+	m.Advance(spec.Window.Std())
+	m.Stop()
+	return m, nil
+}
+
+// Start builds the world the spec describes, warms it up, discards the
+// warm-up trace and arms the peer sampler and the online-population tracker
+// on one tick. Sinks attached to the returned world see no warm-up, and a
+// daemon advancing it step by step records what a bounded run records.
+func Start(spec ScenarioSpec, seed int64) (*Measurement, error) {
 	cfg, err := spec.WorkloadConfig(seed)
 	if err != nil {
 		return nil, err
@@ -47,38 +65,37 @@ func Measure(spec ScenarioSpec, seed int64, attach func(*workload.World) error) 
 		return nil, fmt.Errorf("sweep: build world: %w", err)
 	}
 
-	// The sinks are attached only after the warm-up: it must not reach them.
 	w.Run(spec.Warmup.Std())
 	for _, m := range w.Monitors {
 		m.ResetTrace()
-	}
-	if err := attach(w); err != nil {
-		return nil, err
 	}
 
 	tick := spec.SampleEvery.Std()
 	if tick <= 0 {
 		tick = defaultSampleEvery
 	}
-	sampler := monitor.NewSampler(w.Net, w.Monitors, tick)
-	sampler.Start()
-	var online float64
-	var ticks int
+	m := &Measurement{World: w, sampler: monitor.NewSampler(w.Net, w.Monitors, tick)}
+	m.sampler.Start()
 	var trackOnline func()
 	trackOnline = func() {
-		online += float64(w.OnlineCount())
-		ticks++
+		m.online += float64(w.OnlineCount())
+		m.ticks++
 		w.Net.After(tick, trackOnline)
 	}
 	w.Net.After(tick, trackOnline)
+	return m, nil
+}
 
-	w.Run(spec.Window.Std())
-	sampler.Stop()
+// Advance runs the world for d of virtual time.
+func (m *Measurement) Advance(d time.Duration) { m.World.Run(d) }
 
-	if ticks > 0 {
-		online /= float64(ticks)
+// Stop halts the sampler and fills Samples and OnlineAvg.
+func (m *Measurement) Stop() {
+	m.sampler.Stop()
+	m.Samples = m.sampler.Samples()
+	if m.ticks > 0 {
+		m.OnlineAvg = m.online / float64(m.ticks)
 	}
-	return &Measurement{World: w, Samples: sampler.Samples(), OnlineAvg: online}, nil
 }
 
 // ReplayMeasurement is what one replayed trace leaves behind beside the

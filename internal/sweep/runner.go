@@ -103,8 +103,12 @@ func ExecuteRun(dir string, run Run) (*RunSummary, error) {
 	defer func() { closeStores(stores) }()
 	var monitors []*monitor.Monitor
 	open := func(ms []*monitor.Monitor) (err error) {
+		// A retried run must not append to a failed attempt's leftovers.
+		if err := os.RemoveAll(dir); err != nil {
+			return fmt.Errorf("sweep: clear run dir: %w", err)
+		}
 		monitors = ms
-		stores, err = openMonitorStores(dir, ms)
+		stores, err = OpenMonitorStores(dir, ms, ingest.SegmentOptions{}, nil)
 		return err
 	}
 
@@ -183,19 +187,12 @@ func ExecuteRun(dir string, run Run) (*RunSummary, error) {
 		if hits+misses > 0 {
 			m["gateway_hit_rate"] = float64(hits) / float64(hits+misses)
 		}
-		opts = report.Options{
-			Geo:            w.Geo,
-			GatewayIDs:     w.GatewayNodeIDs(),
-			MegagateIDs:    w.MegagateIDs(),
-			BootstrapIters: spec.BootstrapIters,
-			Rand:           func() *rand.Rand { return w.Net.NewRand("fig5") },
-			Tracer:         w.Tracer(),
-		}
+		opts = spec.ReportOptions(w)
 	}
 
 	// Seal the stores before summarising; a run whose trace could not be
 	// persisted is a failed run, not a silently partial one.
-	if err := sealMonitorStores(monitors, stores); err != nil {
+	if err := SealMonitorStores(monitors, stores); err != nil {
 		return nil, err
 	}
 	results, err := summarizeStores(sum, stores, spec.Reports, opts)
@@ -237,6 +234,19 @@ func writeReport(dir string, results report.Results, panels []section) error {
 	return nil
 }
 
+// ReportOptions is what a report over a synthetic world's trace may need:
+// GeoIP, the gateway fleets, the bootstrap budget and RNG, and the tracer.
+func (s ScenarioSpec) ReportOptions(w *workload.World) report.Options {
+	return report.Options{
+		Geo:            w.Geo,
+		GatewayIDs:     w.GatewayNodeIDs(),
+		MegagateIDs:    w.MegagateIDs(),
+		BootstrapIters: s.BootstrapIters,
+		Rand:           func() *rand.Rand { return w.Net.NewRand("fig5") },
+		Tracer:         w.Tracer(),
+	}
+}
+
 func monitorStoreDir(runDir, monName string) string {
 	return filepath.Join(runDir, "mon-"+sanitize(monName)+".segments")
 }
@@ -254,30 +264,38 @@ func writeRunTrace(dir string, tr *otrace.Tracer) error {
 	return nil
 }
 
-// openMonitorStores clears dir — a retried run must not append to a failed
-// attempt's leftover segment stores — and redirects every monitor into a
-// per-monitor segment store under it.
-func openMonitorStores(dir string, monitors []*monitor.Monitor) ([]*ingest.SegmentStore, error) {
-	if err := os.RemoveAll(dir); err != nil {
-		return nil, fmt.Errorf("sweep: clear run dir: %w", err)
-	}
+// OpenMonitorStores points every monitor at a fresh segment store,
+// dir/mon-<name>.segments, teed into tee if not nil. Virtual time restarts
+// every run, so a store already holding entries or unsealed files is refused.
+func OpenMonitorStores(dir string, monitors []*monitor.Monitor, opts ingest.SegmentOptions, tee ingest.Sink) ([]*ingest.SegmentStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("sweep: run dir: %w", err)
+		return nil, fmt.Errorf("sweep: store dir: %w", err)
 	}
 	stores := make([]*ingest.SegmentStore, 0, len(monitors))
 	for _, m := range monitors {
-		store, err := ingest.OpenSegmentStore(monitorStoreDir(dir, m.Name), ingest.SegmentOptions{})
+		path := monitorStoreDir(dir, m.Name)
+		store, err := ingest.OpenSegmentStore(path, opts)
+		if err == nil {
+			stores = append(stores, store)
+			if tot := store.Totals(); tot.Entries > 0 || len(store.Skipped()) > 0 {
+				err = fmt.Errorf("sweep: segment store %s already holds data from a previous run (%d sealed entries, %d unsealed files)",
+					path, tot.Entries, len(store.Skipped()))
+			}
+		}
 		if err != nil {
 			closeStores(stores)
 			return nil, err
 		}
-		stores = append(stores, store)
-		m.SetSink(store)
+		if tee != nil {
+			m.SetSink(ingest.Tee(store, tee))
+		} else {
+			m.SetSink(store)
+		}
 	}
 	return stores, nil
 }
 
-// closeStores is the defer-safe cleanup of openMonitorStores' result: Close
+// closeStores is the defer-safe cleanup of OpenMonitorStores' result: Close
 // is idempotent, so sealed stores are left as they are.
 func closeStores(stores []*ingest.SegmentStore) {
 	for _, store := range stores {
@@ -285,9 +303,9 @@ func closeStores(stores []*ingest.SegmentStore) {
 	}
 }
 
-// sealMonitorStores closes every store and surfaces any sink error a
+// SealMonitorStores closes every store and surfaces any sink error a
 // monitor recorded during the run.
-func sealMonitorStores(monitors []*monitor.Monitor, stores []*ingest.SegmentStore) error {
+func SealMonitorStores(monitors []*monitor.Monitor, stores []*ingest.SegmentStore) error {
 	for i, m := range monitors {
 		if err := stores[i].Close(); err != nil {
 			return fmt.Errorf("sweep: seal store for monitor %s: %w", m.Name, err)

@@ -12,6 +12,7 @@ import (
 	"bitswapmon/internal/ingest"
 	"bitswapmon/internal/monitor"
 	"bitswapmon/internal/node"
+	"bitswapmon/internal/otrace"
 	"bitswapmon/internal/report"
 	"bitswapmon/internal/simnet"
 )
@@ -67,7 +68,7 @@ func run() error {
 	}
 	net.Run(5 * time.Second)
 
-	nodes[5].FetchFile(root, func(data []byte, ok bool) {
+	nodes[5].FetchFile(otrace.Ctx{}, root, func(data []byte, ok bool) {
 		fmt.Printf("node %s fetched %q (ok=%v)\n", nodes[5].ID, data, ok)
 	})
 	net.Run(30 * time.Second)

@@ -7,6 +7,7 @@ import (
 	"bitswapmon/internal/cid"
 	"bitswapmon/internal/gateway"
 	"bitswapmon/internal/monitor"
+	"bitswapmon/internal/otrace"
 	"bitswapmon/internal/simnet"
 	"bitswapmon/internal/trace"
 	"bitswapmon/internal/workload"
@@ -128,7 +129,7 @@ func TestTPIDetectsCachedContent(t *testing.T) {
 		t.Fatal("no suitable item")
 	}
 	okFetch := false
-	victim.N.Request(fetched, func(_ []byte, ok bool) { okFetch = ok })
+	victim.N.Request(otrace.Ctx{}, fetched, func(_ []byte, ok bool) { okFetch = ok })
 	w.Run(2 * time.Minute)
 	if !okFetch {
 		t.Fatal("victim fetch failed")

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"bitswapmon/internal/cid"
+	"bitswapmon/internal/otrace"
 	"bitswapmon/internal/simnet"
 	"bitswapmon/internal/trace"
 	"bitswapmon/internal/wire"
@@ -63,14 +64,14 @@ func TestConfirmDownloadsLive(t *testing.T) {
 		t.Fatal("no suitable item")
 	}
 	ok := false
-	downloader.N.Request(item, func(_ []byte, o bool) { ok = o })
+	downloader.N.Request(otrace.Ctx{}, item, func(_ []byte, o bool) { ok = o })
 	w.Run(2 * time.Minute)
 	if !ok {
 		t.Fatal("download failed")
 	}
 
 	ghost := cid.Sum(cid.Raw, []byte("unresolvable"))
-	downloader.N.Request(ghost, func([]byte, bool) {})
+	downloader.N.Request(otrace.Ctx{}, ghost, func([]byte, bool) {})
 	w.Run(time.Minute)
 	downloader.N.CancelRequest(ghost)
 	w.Run(time.Minute)

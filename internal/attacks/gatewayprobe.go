@@ -134,7 +134,7 @@ func (p *GatewayProber) Probe(gw *gateway.Gateway, done func(ProbeResult)) {
 		ProbeCID:        probeCID,
 		DiscoveredAddrs: make(map[simnet.NodeID]string),
 	}
-	gw.Retrieve(probeCID, func(r gateway.Result) {
+	gw.Retrieve(0, probeCID, func(r gateway.Result) {
 		res.HTTPStatus = r.Status
 		res.HTTPFunctional = r.Status == gateway.StatusOK
 	})

@@ -39,18 +39,11 @@ type BlockStore interface {
 }
 
 // ProviderRouter is the DHT surface the engine uses for step 3 of Fig. 1 and
-// for reproviding fetched content. *dht.DHT satisfies it.
+// for reproviding fetched content. *dht.DHT satisfies it. FindProviders gets
+// the want's trace context (zero when untraced).
 type ProviderRouter interface {
-	FindProviders(key dht.Key, want int, done func([]dht.PeerInfo))
+	FindProviders(tc otrace.Ctx, key dht.Key, want int, done func([]dht.PeerInfo))
 	Provide(key dht.Key, done func())
-}
-
-// TracedProviderRouter is the optional tracing capability of a ProviderRouter:
-// provider searches carrying a trace context become dht.lookup spans.
-// *dht.DHT satisfies it; plain routers (test stubs) fall back to
-// FindProviders.
-type TracedProviderRouter interface {
-	FindProvidersTraced(tc otrace.Ctx, key dht.Key, want int, done func([]dht.PeerInfo))
 }
 
 // Config parametrises the engine.
@@ -145,8 +138,7 @@ func searchID(ids []simnet.NodeID, p simnet.NodeID) (int, bool) {
 type wantState struct {
 	c         cid.CID
 	session   *Session
-	broadcast bool // root want: broadcast + DHT; false: session-scoped
-	started   time.Time
+	broadcast bool               // root want: broadcast + DHT; false: session-scoped
 	span      *otrace.SpanHandle // bitswap.get span; nil when untraced
 	tc        otrace.Ctx         // span's context, parent of hops and DHT work
 
@@ -219,14 +211,11 @@ func (e *Engine) WantlistOf(p simnet.NodeID) map[cid.CID]wire.EntryType {
 // Repeated Gets for the same CID coalesce onto one want. It returns the
 // session created (or joined) for the retrieval; cache hits return a fresh
 // empty session.
-func (e *Engine) Get(c cid.CID, done func(data []byte, ok bool)) *Session {
-	return e.GetTraced(otrace.Ctx{}, c, done)
-}
-
-// GetTraced is Get under a trace context: the retrieval becomes a bitswap.get
-// span whose children are the want/have/block hops and any DHT provider
-// search. A local-store hit records a zero-duration bitswap.local_hit marker.
-func (e *Engine) GetTraced(tc otrace.Ctx, c cid.CID, done func(data []byte, ok bool)) *Session {
+//
+// Under a sampled tc the retrieval becomes a bitswap.get span whose children
+// are the want/have/block hops and any DHT provider search; a local-store hit
+// records a zero-duration bitswap.local_hit marker. A zero tc traces nothing.
+func (e *Engine) Get(tc otrace.Ctx, c cid.CID, done func(data []byte, ok bool)) *Session {
 	if data, ok := e.store.Get(c); ok {
 		if tc.Sampled() {
 			now := e.now()
@@ -243,7 +232,6 @@ func (e *Engine) GetTraced(tc otrace.Ctx, c cid.CID, done func(data []byte, ok b
 		c:         c,
 		session:   e.newSession(c),
 		broadcast: true,
-		started:   e.net.Now(),
 		callbacks: []func([]byte, bool){done},
 	}
 	if tc.Sampled() {
@@ -259,13 +247,9 @@ func (e *Engine) GetTraced(tc otrace.Ctx, c cid.CID, done func(data []byte, ok b
 }
 
 // GetFromSession retrieves c by asking only the session's peers: the request
-// pattern for non-root DAG blocks, invisible to passive monitors.
-func (e *Engine) GetFromSession(sess *Session, c cid.CID, done func(data []byte, ok bool)) {
-	e.GetFromSessionTraced(otrace.Ctx{}, sess, c, done)
-}
-
-// GetFromSessionTraced is GetFromSession under a trace context.
-func (e *Engine) GetFromSessionTraced(tc otrace.Ctx, sess *Session, c cid.CID, done func(data []byte, ok bool)) {
+// pattern for non-root DAG blocks, invisible to passive monitors. tc is
+// traced as in Get.
+func (e *Engine) GetFromSession(tc otrace.Ctx, sess *Session, c cid.CID, done func(data []byte, ok bool)) {
 	if data, ok := e.store.Get(c); ok {
 		done(data, true)
 		return
@@ -277,7 +261,6 @@ func (e *Engine) GetFromSessionTraced(tc otrace.Ctx, sess *Session, c cid.CID, d
 	w := &wantState{
 		c:         c,
 		session:   sess,
-		started:   e.net.Now(),
 		callbacks: []func([]byte, bool){done},
 	}
 	if tc.Sampled() {
@@ -364,7 +347,7 @@ func (e *Engine) wantHaveMsg(w *wantState) *wire.Message {
 // sendWantHave sends msg, built by wantHaveMsg, to p and reports whether it
 // went out. The caller records p in w.wantHaveSent.
 func (e *Engine) sendWantHave(w *wantState, p simnet.NodeID, msg *wire.Message) bool {
-	if engine.SendCtx(e.net, w.tc, "send.want_have", e.self, p, msg) != nil {
+	if e.net.SendTraced(w.tc, "send.want_have", e.self, p, msg) != nil {
 		return false
 	}
 	if msg.Wantlist[0].Type == wire.WantHave {
@@ -391,7 +374,7 @@ func (e *Engine) sendWantBlock(w *wantState, p simnet.NodeID) {
 		CID:          w.c,
 		SendDontHave: e.cfg.SendDontHave,
 	}}}
-	if engine.SendCtx(e.net, w.tc, "send.want_block", e.self, p, msg) == nil {
+	if e.net.SendTraced(w.tc, "send.want_block", e.self, p, msg) == nil {
 		w.wantBlockSent = slices.Insert(w.wantBlockSent, i, p)
 		e.stats.WantBlocksSent++
 	}
@@ -419,7 +402,7 @@ func (e *Engine) sendCancels(w *wantState) {
 		if order >= 0 {
 			p, blocks = blocks[0], blocks[1:]
 		}
-		if engine.SendCtx(e.net, w.tc, "send.cancel", e.self, p, msg) == nil {
+		if e.net.SendTraced(w.tc, "send.cancel", e.self, p, msg) == nil {
 			e.stats.CancelsSent++
 		}
 	}
@@ -464,11 +447,7 @@ func (e *Engine) searchProviders(w *wantState) {
 			}
 		}
 	}
-	if tpr, ok := e.router.(TracedProviderRouter); ok && w.tc.Sampled() {
-		tpr.FindProvidersTraced(w.tc, dht.KeyForCID(w.c), e.cfg.MaxProviders, cb)
-		return
-	}
-	e.router.FindProviders(dht.KeyForCID(w.c), e.cfg.MaxProviders, cb)
+	e.router.FindProviders(w.tc, dht.KeyForCID(w.c), e.cfg.MaxProviders, cb)
 }
 
 // scheduleRebroadcast arms the idle loop: every RebroadcastInterval an
@@ -606,7 +585,7 @@ func (e *Engine) HandleMessage(from simnet.NodeID, msg any) bool {
 		if len(reply.Blocks) > 0 {
 			hop = "send.block"
 		}
-		_ = engine.SendCtx(e.net, e.net.InboundCtx(e.self), hop, e.self, from, reply)
+		_ = e.net.SendTraced(e.net.InboundCtx(e.self), hop, e.self, from, reply)
 	}
 	return true
 }

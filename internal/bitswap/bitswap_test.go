@@ -8,6 +8,7 @@ import (
 	"bitswapmon/internal/blockstore"
 	"bitswapmon/internal/cid"
 	"bitswapmon/internal/dht"
+	"bitswapmon/internal/otrace"
 	"bitswapmon/internal/simnet"
 	"bitswapmon/internal/wire"
 )
@@ -21,7 +22,7 @@ type fakeRouter struct {
 	searches  int
 }
 
-func (f *fakeRouter) FindProviders(key dht.Key, want int, done func([]dht.PeerInfo)) {
+func (f *fakeRouter) FindProviders(_ otrace.Ctx, key dht.Key, want int, done func([]dht.PeerInfo)) {
 	f.searches++
 	done(f.providers[key])
 }
@@ -72,7 +73,7 @@ func TestGetFromConnectedPeer(t *testing.T) {
 	}
 
 	var got []byte
-	a.engine.Get(c, func(d []byte, ok bool) {
+	a.engine.Get(otrace.Ctx{}, c, func(d []byte, ok bool) {
 		if ok {
 			got = d
 		}
@@ -108,8 +109,8 @@ func TestGetCoalescesCallbacks(t *testing.T) {
 	}
 
 	calls := 0
-	a.engine.Get(c, func(_ []byte, ok bool) { calls++ })
-	a.engine.Get(c, func(_ []byte, ok bool) { calls++ })
+	a.engine.Get(otrace.Ctx{}, c, func(_ []byte, ok bool) { calls++ })
+	a.engine.Get(otrace.Ctx{}, c, func(_ []byte, ok bool) { calls++ })
 	net.Run(time.Second)
 	if calls != 2 {
 		t.Errorf("callbacks = %d, want 2", calls)
@@ -135,7 +136,7 @@ func TestDHTFallbackAfterBroadcastFails(t *testing.T) {
 	// No connection between a and provider: broadcast cannot reach it.
 
 	var ok bool
-	a.engine.Get(c, func(_ []byte, o bool) { ok = o })
+	a.engine.Get(otrace.Ctx{}, c, func(_ []byte, o bool) { ok = o })
 	net.Run(10 * time.Second)
 	if !ok {
 		t.Fatal("DHT fallback did not resolve the want")
@@ -161,7 +162,7 @@ func TestNoDHTSearchWhenSessionFormsQuickly(t *testing.T) {
 	if err := b.store.Put(c, data); err != nil {
 		t.Fatal(err)
 	}
-	a.engine.Get(c, func([]byte, bool) {})
+	a.engine.Get(otrace.Ctx{}, c, func([]byte, bool) {})
 	net.Run(10 * time.Second)
 	if router.searches != 0 {
 		t.Errorf("DHT searched %d times despite fast HAVE", router.searches)
@@ -182,7 +183,7 @@ func TestReprovideAnnouncesFetchedRoot(t *testing.T) {
 	if err := b.store.Put(c, data); err != nil {
 		t.Fatal(err)
 	}
-	a.engine.Get(c, func([]byte, bool) {})
+	a.engine.Get(otrace.Ctx{}, c, func([]byte, bool) {})
 	net.Run(time.Second)
 	if len(router.provides) != 1 || router.provides[0] != dht.KeyForCID(c) {
 		t.Errorf("provides = %v", router.provides)
@@ -196,7 +197,7 @@ func TestReprovideAnnouncesFetchedRoot(t *testing.T) {
 	if err := net.Connect(x.id(), b.id()); err != nil {
 		t.Fatal(err)
 	}
-	x.engine.Get(c, func([]byte, bool) {})
+	x.engine.Get(otrace.Ctx{}, c, func([]byte, bool) {})
 	net.Run(time.Second)
 	if len(router2.provides) != 0 {
 		t.Error("Reprovide=false still announced")
@@ -219,7 +220,7 @@ func TestTamperedBlockRejected(t *testing.T) {
 
 	c := cid.Sum(cid.Raw, []byte("true data"))
 	resolved := false
-	a.engine.Get(c, func(_ []byte, ok bool) { resolved = ok })
+	a.engine.Get(otrace.Ctx{}, c, func(_ []byte, ok bool) { resolved = ok })
 	net.Run(5 * time.Second)
 	if resolved {
 		t.Fatal("tampered block accepted")
@@ -249,7 +250,7 @@ func (n *tamperNode) HandleMessage(from simnet.NodeID, msg any) {
 			reply.Blocks = append(reply.Blocks, wire.Block{CID: e.CID, Data: []byte("FORGED")})
 		}
 	}
-	if !reply.Empty() {
+	if len(reply.Presences)+len(reply.Blocks) > 0 {
 		_ = n.net.Send(n.id, from, &reply)
 	}
 }
@@ -271,7 +272,7 @@ func TestLegacyWantBlockBroadcast(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ok bool
-	a.engine.Get(c, func(_ []byte, o bool) { ok = o })
+	a.engine.Get(otrace.Ctx{}, c, func(_ []byte, o bool) { ok = o })
 	net.Run(time.Second)
 	if !ok {
 		t.Fatal("legacy fetch failed")
@@ -289,7 +290,7 @@ func TestLegacyWantBlockBroadcast(t *testing.T) {
 	if err := b.store.Put(c2, data2); err != nil {
 		t.Fatal(err)
 	}
-	a.engine.Get(c2, func([]byte, bool) {})
+	a.engine.Get(otrace.Ctx{}, c2, func([]byte, bool) {})
 	net.Run(time.Second)
 	if a.engine.Stats().WantHavesSent == 0 {
 		t.Error("upgraded node still broadcasting WANT_BLOCK")
@@ -320,7 +321,7 @@ func TestSessionScopedFetchInvisibleToNonMembers(t *testing.T) {
 	}
 
 	// Fetch the root via broadcast: the monitor sees it.
-	sess := a.engine.Get(rootCID, func([]byte, bool) {})
+	sess := a.engine.Get(otrace.Ctx{}, rootCID, func([]byte, bool) {})
 	net.Run(time.Second)
 	if _, seen := mon.engine.WantlistOf(a.id())[rootCID]; !seen {
 		t.Log("note: want cancelled after resolve clears ledger; checking child only")
@@ -328,7 +329,7 @@ func TestSessionScopedFetchInvisibleToNonMembers(t *testing.T) {
 
 	// Fetch the child session-scoped: only b (the session peer) is asked.
 	monWantsBefore := len(mon.engine.WantlistOf(a.id()))
-	a.engine.GetFromSession(sess, childCID, func([]byte, bool) {})
+	a.engine.GetFromSession(otrace.Ctx{}, sess, childCID, func([]byte, bool) {})
 	net.Run(time.Second)
 	if !a.store.Has(childCID) {
 		t.Fatal("session fetch failed")
@@ -343,7 +344,7 @@ func TestGetFromEmptySessionFails(t *testing.T) {
 	a := newBSNode(t, net, "a", &fakeRouter{}, DefaultConfig())
 	sess := a.engine.newSession(cid.Sum(cid.Raw, []byte("root")))
 	done, ok := false, true
-	a.engine.GetFromSession(sess, cid.Sum(cid.Raw, []byte("child")), func(_ []byte, o bool) {
+	a.engine.GetFromSession(otrace.Ctx{}, sess, cid.Sum(cid.Raw, []byte("child")), func(_ []byte, o bool) {
 		done, ok = true, o
 	})
 	net.Run(time.Second)
@@ -378,7 +379,7 @@ func (n *recNode) HandleMessage(from simnet.NodeID, msg any) {
 			reply.Presences = append(reply.Presences, wire.Presence{Type: wire.Have, CID: e.CID})
 		}
 	}
-	if !reply.Empty() {
+	if len(reply.Presences)+len(reply.Blocks) > 0 {
 		_ = n.net.Send(n.id, from, &reply)
 	}
 }
@@ -419,7 +420,7 @@ func TestCancelsGoToSortedUnion(t *testing.T) {
 		}
 	}
 
-	a.engine.Get(c, func([]byte, bool) {})
+	a.engine.Get(otrace.Ctx{}, c, func([]byte, bool) {})
 	// After the provider search (1 s) the provider answers HAVE and gets
 	// WANT_BLOCK; then the late peer connects and offers HAVE unasked.
 	aID := a.id()
@@ -464,7 +465,7 @@ func TestWantlistLedgerClearedOnDisconnect(t *testing.T) {
 		t.Fatal(err)
 	}
 	ghost := cid.Sum(cid.Raw, []byte("never found"))
-	a.engine.Get(ghost, func([]byte, bool) {})
+	a.engine.Get(otrace.Ctx{}, ghost, func([]byte, bool) {})
 	net.Run(time.Second)
 	if len(b.engine.WantlistOf(a.id())) != 1 {
 		t.Fatal("want not recorded")

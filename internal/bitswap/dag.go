@@ -14,15 +14,12 @@ import (
 // are requested only from the root's session peers, so they never reach
 // monitors: "passive monitors will generally only detect requests for root
 // hashes of a Merkle DAG" (Sec. IV-A).
-func (e *Engine) FetchDAG(root cid.CID, done func(ok bool)) {
-	e.FetchDAGTraced(otrace.Ctx{}, root, done)
-}
-
-// FetchDAGTraced is FetchDAG under a trace context: the root retrieval and
-// every session-scoped child retrieval become bitswap.get spans under tc.
-func (e *Engine) FetchDAGTraced(tc otrace.Ctx, root cid.CID, done func(ok bool)) {
+//
+// Under a sampled tc the root retrieval and every session-scoped child
+// retrieval become bitswap.get spans; a zero tc traces nothing.
+func (e *Engine) FetchDAG(tc otrace.Ctx, root cid.CID, done func(ok bool)) {
 	var sess *Session
-	sess = e.GetTraced(tc, root, func(data []byte, ok bool) {
+	sess = e.Get(tc, root, func(data []byte, ok bool) {
 		if !ok {
 			done(false)
 			return
@@ -61,7 +58,7 @@ func (e *Engine) fetchChildren(tc otrace.Ctx, sess *Session, node *merkledag.Nod
 	}
 	for _, l := range node.Links {
 		link := l
-		e.GetFromSessionTraced(tc, sess, link.CID, func(data []byte, ok bool) {
+		e.GetFromSession(tc, sess, link.CID, func(data []byte, ok bool) {
 			if !ok {
 				complete(false)
 				return
@@ -78,14 +75,9 @@ func (e *Engine) fetchChildren(tc otrace.Ctx, sess *Session, node *merkledag.Nod
 
 // Assemble fetches the DAG rooted at root and reconstructs the file bytes.
 // done receives the assembled content, or ok=false when any block could not
-// be retrieved or the root is not a file.
-func (e *Engine) Assemble(root cid.CID, store merkledag.BlockSource, done func(data []byte, ok bool)) {
-	e.AssembleTraced(otrace.Ctx{}, root, store, done)
-}
-
-// AssembleTraced is Assemble under a trace context.
-func (e *Engine) AssembleTraced(tc otrace.Ctx, root cid.CID, store merkledag.BlockSource, done func(data []byte, ok bool)) {
-	e.FetchDAGTraced(tc, root, func(ok bool) {
+// be retrieved or the root is not a file. tc is traced as in FetchDAG.
+func (e *Engine) Assemble(tc otrace.Ctx, root cid.CID, store merkledag.BlockSource, done func(data []byte, ok bool)) {
+	e.FetchDAG(tc, root, func(ok bool) {
 		if !ok {
 			done(nil, false)
 			return

@@ -205,7 +205,7 @@ func (d *DHT) reply(to simnet.NodeID, msg any) {
 	// Replies inherit the inbound request's trace context so the response hop
 	// nests under the caller's dht.rpc span. The connection may already be
 	// gone; replies are best-effort.
-	_ = engine.SendCtx(d.net, d.net.InboundCtx(d.self.ID), "dht.resp", d.self.ID, to, msg)
+	_ = d.net.SendTraced(d.net.InboundCtx(d.self.ID), "dht.resp", d.self.ID, to, msg)
 }
 
 // now returns the exact virtual time of the event currently running for this
@@ -244,7 +244,7 @@ func (d *DHT) sendFindNode(tc otrace.Ctx, p PeerInfo, target simnet.NodeID, cb f
 	span := d.rpcSpan(tc, p.ID)
 	d.pending[id] = &pendingRPC{onFindNode: cb, span: span}
 	d.rpcsSent++
-	if err := engine.SendCtx(d.net, span.Ctx(), "dht.req", d.self.ID, p.ID, findNodeReq{RPCID: id, Target: target, From: d.self}); err != nil {
+	if err := d.net.SendTraced(span.Ctx(), "dht.req", d.self.ID, p.ID, findNodeReq{RPCID: id, Target: target, From: d.self}); err != nil {
 		delete(d.pending, id)
 		span.EndDropped(d.now())
 		cb(findNodeResp{}, false)
@@ -263,7 +263,7 @@ func (d *DHT) sendGetProviders(tc otrace.Ctx, p PeerInfo, key Key, cb func(getPr
 	span := d.rpcSpan(tc, p.ID)
 	d.pending[id] = &pendingRPC{onGetProviders: cb, span: span}
 	d.rpcsSent++
-	if err := engine.SendCtx(d.net, span.Ctx(), "dht.req", d.self.ID, p.ID, getProvidersReq{RPCID: id, Key: key, From: d.self}); err != nil {
+	if err := d.net.SendTraced(span.Ctx(), "dht.req", d.self.ID, p.ID, getProvidersReq{RPCID: id, Key: key, From: d.self}); err != nil {
 		delete(d.pending, id)
 		span.EndDropped(d.now())
 		cb(getProvidersResp{}, false)
@@ -460,15 +460,10 @@ func (d *DHT) FindClosest(target simnet.NodeID, done func([]PeerInfo)) {
 }
 
 // FindProviders searches provider records for key, stopping early once want
-// providers are known (want <= 0 means exhaust the lookup).
-func (d *DHT) FindProviders(key Key, want int, done func([]PeerInfo)) {
-	d.FindProvidersTraced(otrace.Ctx{}, key, want, done)
-}
-
-// FindProvidersTraced is FindProviders under a trace context: the whole
-// lookup becomes a dht.lookup span with one dht.rpc child per GET_PROVIDERS
-// round.
-func (d *DHT) FindProvidersTraced(tc otrace.Ctx, key Key, want int, done func([]PeerInfo)) {
+// providers are known (want <= 0 means exhaust the lookup). Under a sampled
+// tc the whole lookup becomes a dht.lookup span with one dht.rpc child per
+// GET_PROVIDERS round; a zero tc traces nothing.
+func (d *DHT) FindProviders(tc otrace.Ctx, key Key, want int, done func([]PeerInfo)) {
 	if want <= 0 {
 		want = 1 << 30
 	}

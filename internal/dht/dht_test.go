@@ -182,7 +182,7 @@ func TestProvideAndFindProviders(t *testing.T) {
 	}
 
 	var found []PeerInfo
-	tn.clients[1].FindProviders(key, 1, func(provs []PeerInfo) { found = provs })
+	tn.clients[1].FindProviders(otrace.Ctx{}, key, 1, func(provs []PeerInfo) { found = provs })
 	tn.net.Run(30 * time.Second)
 	if len(found) == 0 {
 		t.Fatal("providers not found")
@@ -196,7 +196,7 @@ func TestFindProvidersMissingKey(t *testing.T) {
 	tn := buildNet(t, 20, 1, 3)
 	key := KeyForCID(cid.Sum(cid.Raw, []byte("never published")))
 	done := false
-	tn.clients[0].FindProviders(key, 1, func(provs []PeerInfo) {
+	tn.clients[0].FindProviders(otrace.Ctx{}, key, 1, func(provs []PeerInfo) {
 		done = true
 		if len(provs) != 0 {
 			t.Errorf("found %d providers for unpublished key", len(provs))

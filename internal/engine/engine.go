@@ -101,7 +101,8 @@ type Engine interface {
 	Tracer() *otrace.Tracer
 	// SendTraced is Send carrying a trace context: the engine records a hop
 	// span from the exact send time to the delivery (or drop) time and
-	// exposes the context to the receiving handler via InboundCtx.
+	// exposes the context to the receiving handler via InboundCtx. With a
+	// zero context or no tracer installed it is exactly Send.
 	SendTraced(tc otrace.Ctx, hop string, from, to NodeID, msg any) error
 	// InboundCtx returns the trace context of the message currently being
 	// handled for node id (zero outside HandleMessage or for untraced

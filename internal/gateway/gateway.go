@@ -106,8 +106,9 @@ func New(net engine.Engine, nd *node.Node, name, operator string, cfg Config) *G
 }
 
 // nodeNow returns the exact virtual time of the event currently running for
-// the gateway's node — valid in fetch callbacks, which execute as that
-// node's event code.
+// the gateway's node — valid in Retrieve, whose callers run on the control
+// shard the gateway is pinned to, and in fetch callbacks, which execute as
+// that node's event code.
 func (g *Gateway) nodeNow() time.Time { return g.net.EventTime(g.Node.ID) }
 
 // Functional reports the HTTP frontend state.
@@ -132,17 +133,14 @@ func (g *Gateway) CacheHitRatio() float64 {
 // monitors). Stale hits answer from cache but trigger an asynchronous
 // re-validation request. Misses fetch via Bitswap, which broadcasts the CID
 // to all connected peers, including monitors.
-func (g *Gateway) Retrieve(c cid.CID, done func(Result)) {
-	g.RetrieveTraced(0, g.net.Now(), c, done)
-}
-
-// RetrieveTraced is Retrieve as the root of a sampled trace. trace is the
-// deterministic trace ID minted by the caller (0 disables tracing for this
-// request); now is the caller's exact event time, the root span's start. The
-// retrieval becomes a gateway.request root span with a zero-duration
-// cache_hit or cache_miss marker and — on misses, revalidations and broken
-// frontends — a gateway.fetch child wrapping the IPFS-side retrieval.
-func (g *Gateway) RetrieveTraced(trace uint64, now time.Time, c cid.CID, done func(Result)) {
+//
+// trace is the deterministic trace ID minted by the caller; 0 traces
+// nothing. A traced retrieval becomes a gateway.request root span, starting
+// at the gateway node's current event time, with a zero-duration cache_hit
+// or cache_miss marker and — on misses, revalidations and broken frontends —
+// a gateway.fetch child wrapping the IPFS-side retrieval.
+func (g *Gateway) Retrieve(trace uint64, c cid.CID, done func(Result)) {
+	now := g.nodeNow()
 	var root *otrace.SpanHandle
 	if trace != 0 {
 		root = g.net.Tracer().Root(trace, "gateway.request", g.Name, now)
@@ -215,7 +213,7 @@ func (g *Gateway) fetch(tc otrace.Ctx, async bool, now time.Time, c cid.CID, don
 			finish(Result{Status: StatusGatewayTimeout})
 		}
 	})
-	g.Node.FetchFileTraced(span.Ctx(), c, func(data []byte, ok bool) {
+	g.Node.FetchFile(span.Ctx(), c, func(data []byte, ok bool) {
 		if finished {
 			return
 		}

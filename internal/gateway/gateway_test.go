@@ -58,7 +58,7 @@ func TestGatewayMissThenHit(t *testing.T) {
 	w.net.Run(5 * time.Second)
 
 	var r1 Result
-	w.gw.Retrieve(root, func(r Result) { r1 = r })
+	w.gw.Retrieve(0, root, func(r Result) { r1 = r })
 	w.net.Run(30 * time.Second)
 	if r1.Status != StatusOK || r1.CacheHit {
 		t.Fatalf("first retrieve: %+v", r1)
@@ -68,7 +68,7 @@ func TestGatewayMissThenHit(t *testing.T) {
 	}
 
 	var r2 Result
-	w.gw.Retrieve(root, func(r Result) { r2 = r })
+	w.gw.Retrieve(0, root, func(r Result) { r2 = r })
 	// No Run needed: cache hits answer synchronously.
 	if r2.Status != StatusOK || !r2.CacheHit {
 		t.Fatalf("second retrieve: %+v", r2)
@@ -86,13 +86,13 @@ func TestGatewayRevalidatesAfterTTL(t *testing.T) {
 	}
 	w.net.Run(5 * time.Second)
 
-	w.gw.Retrieve(root, func(Result) {})
+	w.gw.Retrieve(0, root, func(Result) {})
 	w.net.Run(30 * time.Second)
 
 	// Age the cache entry beyond the TTL.
 	w.net.Run(2 * time.Minute)
 	var r Result
-	w.gw.Retrieve(root, func(res Result) { r = res })
+	w.gw.Retrieve(0, root, func(res Result) { r = res })
 	if r.Status != StatusOK || !r.CacheHit {
 		t.Fatalf("stale hit: %+v", r)
 	}
@@ -107,7 +107,7 @@ func TestGatewayNotFound(t *testing.T) {
 	ghost := cid.Sum(cid.Raw, []byte("nothing here"))
 	var r Result
 	done := false
-	w.gw.Retrieve(ghost, func(res Result) { r, done = res, true })
+	w.gw.Retrieve(0, ghost, func(res Result) { r, done = res, true })
 	w.net.Run(2 * time.Minute)
 	if !done {
 		t.Fatal("retrieve never finished")
@@ -121,7 +121,7 @@ func TestNonFunctionalGatewayStillEmitsBitswap(t *testing.T) {
 	w := build(t, Config{Functional: false})
 	ghost := cid.Sum(cid.Raw, []byte("probe block"))
 	var r Result
-	w.gw.Retrieve(ghost, func(res Result) { r = res })
+	w.gw.Retrieve(0, ghost, func(res Result) { r = res })
 	if r.Status != StatusBadGateway {
 		t.Fatalf("status = %d, want 502", r.Status)
 	}
@@ -151,7 +151,7 @@ func TestCacheEviction(t *testing.T) {
 	}
 	w.net.Run(5 * time.Second)
 	for _, root := range roots {
-		w.gw.Retrieve(root, func(Result) {})
+		w.gw.Retrieve(0, root, func(Result) {})
 		w.net.Run(30 * time.Second)
 	}
 	// Capacity 2: the oldest entry must have been evicted.

@@ -11,6 +11,7 @@ import (
 	"bitswapmon/internal/dht"
 	"bitswapmon/internal/ingest"
 	"bitswapmon/internal/node"
+	"bitswapmon/internal/otrace"
 	"bitswapmon/internal/simnet"
 	"bitswapmon/internal/wire"
 )
@@ -59,7 +60,7 @@ func build(t *testing.T, n int, seed int64) *world {
 func TestMonitorRecordsBroadcasts(t *testing.T) {
 	w := build(t, 4, 1)
 	ghost := cid.Sum(cid.Raw, []byte("wanted"))
-	w.nodes[1].Request(ghost, func([]byte, bool) {})
+	w.nodes[1].Request(otrace.Ctx{}, ghost, func([]byte, bool) {})
 	w.net.Run(5 * time.Second)
 
 	entries := w.mon.Trace()
@@ -86,7 +87,7 @@ func TestMonitorRecordsBroadcasts(t *testing.T) {
 func TestMonitorRecordsCancels(t *testing.T) {
 	w := build(t, 3, 2)
 	ghost := cid.Sum(cid.Raw, []byte("cancel me"))
-	w.nodes[1].Request(ghost, func([]byte, bool) {})
+	w.nodes[1].Request(otrace.Ctx{}, ghost, func([]byte, bool) {})
 	w.net.Run(2 * time.Second)
 	w.nodes[1].CancelRequest(ghost)
 	w.net.Run(2 * time.Second)
@@ -109,7 +110,7 @@ func TestMonitorIsPassive(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.net.Run(2 * time.Second)
-	w.nodes[2].FetchFile(root, func([]byte, bool) {})
+	w.nodes[2].FetchFile(otrace.Ctx{}, root, func([]byte, bool) {})
 	w.net.Run(10 * time.Second)
 
 	// The monitor must never have issued a want of its own: check every
@@ -129,7 +130,7 @@ func TestMonitorAnswersLikeEmptyNode(t *testing.T) {
 	// like any node that does not store the block.
 	w := build(t, 3, 4)
 	ghost := cid.Sum(cid.Raw, []byte("probe the monitor"))
-	w.nodes[0].Request(ghost, func([]byte, bool) {})
+	w.nodes[0].Request(otrace.Ctx{}, ghost, func([]byte, bool) {})
 	w.net.Run(3 * time.Second)
 	if st := w.mon.Node.Bitswap.Stats(); st.DontHavesServed == 0 {
 		t.Error("monitor did not answer DONT_HAVE; distinguishable from a regular node")
@@ -143,7 +144,7 @@ func TestPeersSeenAndActive(t *testing.T) {
 		t.Errorf("peers seen = %d, want >= 5", len(seen))
 	}
 	// Only node 1 becomes Bitswap-active.
-	w.nodes[1].Request(cid.Sum(cid.Raw, []byte("activity")), func([]byte, bool) {})
+	w.nodes[1].Request(otrace.Ctx{}, cid.Sum(cid.Raw, []byte("activity")), func([]byte, bool) {})
 	w.net.Run(3 * time.Second)
 	active := w.mon.BitswapActivePeers()
 	if !active[w.nodes[1].ID] {
@@ -156,7 +157,7 @@ func TestPeersSeenAndActive(t *testing.T) {
 
 func TestResetTrace(t *testing.T) {
 	w := build(t, 3, 6)
-	w.nodes[1].Request(cid.Sum(cid.Raw, []byte("pre")), func([]byte, bool) {})
+	w.nodes[1].Request(otrace.Ctx{}, cid.Sum(cid.Raw, []byte("pre")), func([]byte, bool) {})
 	w.net.Run(2 * time.Second)
 	old := w.mon.ResetTrace()
 	if len(old) == 0 {
@@ -225,7 +226,7 @@ func TestMonitorSinkInjection(t *testing.T) {
 	mem := ingest.NewMemorySink()
 	w.mon.SetSink(ingest.Tee(mem))
 
-	w.nodes[1].Request(cid.Sum(cid.Raw, []byte("streamed")), func([]byte, bool) {})
+	w.nodes[1].Request(otrace.Ctx{}, cid.Sum(cid.Raw, []byte("streamed")), func([]byte, bool) {})
 	w.net.Run(3 * time.Second)
 
 	if err := w.mon.SinkErr(); err != nil {
@@ -245,7 +246,7 @@ func TestMonitorSinkInjection(t *testing.T) {
 
 	// Re-installing a memory sink restores Trace().
 	w.mon.SetSink(ingest.NewMemorySink())
-	w.nodes[2].Request(cid.Sum(cid.Raw, []byte("back to memory")), func([]byte, bool) {})
+	w.nodes[2].Request(otrace.Ctx{}, cid.Sum(cid.Raw, []byte("back to memory")), func([]byte, bool) {})
 	w.net.Run(3 * time.Second)
 	if len(w.mon.Trace()) == 0 {
 		t.Error("memory sink not restored")
@@ -254,7 +255,7 @@ func TestMonitorSinkInjection(t *testing.T) {
 
 func TestTraceSnapshotIsStable(t *testing.T) {
 	w := build(t, 3, 11)
-	w.nodes[1].Request(cid.Sum(cid.Raw, []byte("snap")), func([]byte, bool) {})
+	w.nodes[1].Request(otrace.Ctx{}, cid.Sum(cid.Raw, []byte("snap")), func([]byte, bool) {})
 	w.net.Run(3 * time.Second)
 	snap := w.mon.Trace()
 	if len(snap) == 0 {
@@ -287,7 +288,7 @@ func TestBroadcastMessageSharedReadOnly(t *testing.T) {
 	}
 	capture(peer)
 	capture(w.mon.Node)
-	requester.Request(ghost, func([]byte, bool) {})
+	requester.Request(otrace.Ctx{}, ghost, func([]byte, bool) {})
 	w.net.Run(2 * time.Second)
 
 	toPeer, toMon := got[peer.ID], got[w.mon.ID()]

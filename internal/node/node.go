@@ -195,35 +195,21 @@ func (n *Node) PublishDirectory(files map[string][]byte) (cid.CID, error) {
 }
 
 // Fetch retrieves the whole DAG rooted at c (Fig. 1 + session-scoped
-// children) and reports completion.
-func (n *Node) Fetch(c cid.CID, done func(ok bool)) {
-	n.Bitswap.FetchDAG(c, done)
+// children) and reports completion. A sampled tc traces the retrieval; a
+// zero tc does not.
+func (n *Node) Fetch(tc otrace.Ctx, c cid.CID, done func(ok bool)) {
+	n.Bitswap.FetchDAG(tc, c, done)
 }
 
-// FetchTraced is Fetch under a trace context.
-func (n *Node) FetchTraced(tc otrace.Ctx, c cid.CID, done func(ok bool)) {
-	n.Bitswap.FetchDAGTraced(tc, c, done)
+// FetchFile retrieves and reassembles the file rooted at c, traced as Fetch.
+func (n *Node) FetchFile(tc otrace.Ctx, c cid.CID, done func(data []byte, ok bool)) {
+	n.Bitswap.Assemble(tc, c, n.Store, done)
 }
 
-// FetchFile retrieves and reassembles the file rooted at c.
-func (n *Node) FetchFile(c cid.CID, done func(data []byte, ok bool)) {
-	n.Bitswap.Assemble(c, n.Store, done)
-}
-
-// FetchFileTraced is FetchFile under a trace context.
-func (n *Node) FetchFileTraced(tc otrace.Ctx, c cid.CID, done func(data []byte, ok bool)) {
-	n.Bitswap.AssembleTraced(tc, c, n.Store, done)
-}
-
-// Request issues a bare root-block want (no DAG walk). Gateways and probing
-// tools use this directly.
-func (n *Node) Request(c cid.CID, done func(data []byte, ok bool)) {
-	n.Bitswap.Get(c, done)
-}
-
-// RequestTraced is Request under a trace context.
-func (n *Node) RequestTraced(tc otrace.Ctx, c cid.CID, done func(data []byte, ok bool)) {
-	n.Bitswap.GetTraced(tc, c, done)
+// Request issues a bare root-block want (no DAG walk), traced as Fetch.
+// Gateways and probing tools use this directly.
+func (n *Node) Request(tc otrace.Ctx, c cid.CID, done func(data []byte, ok bool)) {
+	n.Bitswap.Get(tc, c, done)
 }
 
 // CancelRequest abandons an outstanding want.

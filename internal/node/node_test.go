@@ -9,6 +9,7 @@ import (
 	"bitswapmon/internal/bitswap"
 	"bitswapmon/internal/cid"
 	"bitswapmon/internal/dht"
+	"bitswapmon/internal/otrace"
 	"bitswapmon/internal/simnet"
 	"bitswapmon/internal/wire"
 )
@@ -64,7 +65,7 @@ func TestFetchSingleBlockViaBroadcast(t *testing.T) {
 
 	var got []byte
 	okCh := false
-	c.nodes[3].FetchFile(root, func(data []byte, ok bool) {
+	c.nodes[3].FetchFile(otrace.Ctx{}, root, func(data []byte, ok bool) {
 		got, okCh = data, ok
 	})
 	c.net.Run(30 * time.Second)
@@ -91,7 +92,7 @@ func TestFetchMultiBlockDAG(t *testing.T) {
 
 	var got []byte
 	done := false
-	c.nodes[4].FetchFile(root, func(data []byte, ok bool) { got, done = data, ok })
+	c.nodes[4].FetchFile(otrace.Ctx{}, root, func(data []byte, ok bool) { got, done = data, ok })
 	c.net.Run(time.Minute)
 	if !done {
 		t.Fatal("DAG fetch did not complete")
@@ -137,7 +138,7 @@ func TestFetchViaDHTWhenNotDirectlyConnected(t *testing.T) {
 
 	var got []byte
 	done := false
-	fetcher.FetchFile(root, func(data []byte, ok bool) { got, done = data, ok })
+	fetcher.FetchFile(otrace.Ctx{}, root, func(data []byte, ok bool) { got, done = data, ok })
 	net.Run(time.Minute)
 	if !done || !bytes.Equal(got, content) {
 		t.Fatalf("DHT-mediated fetch failed: done=%v", done)
@@ -162,7 +163,7 @@ func TestCachingSuppressesSecondBroadcast(t *testing.T) {
 
 	fetcher := c.nodes[2]
 	done1 := false
-	fetcher.FetchFile(root, func(_ []byte, ok bool) { done1 = ok })
+	fetcher.FetchFile(otrace.Ctx{}, root, func(_ []byte, ok bool) { done1 = ok })
 	c.net.Run(30 * time.Second)
 	if !done1 {
 		t.Fatal("first fetch failed")
@@ -170,7 +171,7 @@ func TestCachingSuppressesSecondBroadcast(t *testing.T) {
 	broadcastsAfterFirst := fetcher.Bitswap.Stats().BroadcastsSent
 
 	done2 := false
-	fetcher.FetchFile(root, func(_ []byte, ok bool) { done2 = ok })
+	fetcher.FetchFile(otrace.Ctx{}, root, func(_ []byte, ok bool) { done2 = ok })
 	c.net.Run(30 * time.Second)
 	if !done2 {
 		t.Fatal("second fetch failed")
@@ -191,7 +192,7 @@ func TestFetcherBecomesProvider(t *testing.T) {
 
 	first := c.nodes[1]
 	ok1 := false
-	first.FetchFile(root, func(_ []byte, ok bool) { ok1 = ok })
+	first.FetchFile(otrace.Ctx{}, root, func(_ []byte, ok bool) { ok1 = ok })
 	c.net.Run(30 * time.Second)
 	if !ok1 {
 		t.Fatal("first fetch failed")
@@ -203,7 +204,7 @@ func TestFetcherBecomesProvider(t *testing.T) {
 
 	second := c.nodes[5]
 	ok2 := false
-	second.FetchFile(root, func(_ []byte, ok bool) { ok2 = ok })
+	second.FetchFile(otrace.Ctx{}, root, func(_ []byte, ok bool) { ok2 = ok })
 	c.net.Run(time.Minute)
 	if !ok2 {
 		t.Fatal("fetch from cached copy failed: fetcher did not become a provider")
@@ -216,7 +217,7 @@ func TestRebroadcastForUnresolvableCID(t *testing.T) {
 	ghost := cid.Sum(cid.Raw, []byte("no one has this"))
 
 	fetcher := c.nodes[1]
-	fetcher.Request(ghost, func(_ []byte, ok bool) {
+	fetcher.Request(otrace.Ctx{}, ghost, func(_ []byte, ok bool) {
 		if ok {
 			t.Error("resolved a nonexistent CID")
 		}
@@ -241,7 +242,7 @@ func TestWantlistPersistsAndCancels(t *testing.T) {
 	ghost := cid.Sum(cid.Raw, []byte("wanted forever"))
 	fetcher, observerNode := c.nodes[0], c.nodes[1]
 
-	fetcher.Request(ghost, func(_ []byte, _ bool) {})
+	fetcher.Request(otrace.Ctx{}, ghost, func(_ []byte, _ bool) {})
 	c.net.Run(5 * time.Second)
 	wl := observerNode.Bitswap.WantlistOf(fetcher.ID)
 	if wl[ghost] != wire.WantHave {
@@ -260,7 +261,7 @@ func TestGiveUpAfter(t *testing.T) {
 	ghost := cid.Sum(cid.Raw, []byte("abandon me"))
 	done := false
 	var gotOK bool
-	c.nodes[1].Request(ghost, func(_ []byte, ok bool) { done, gotOK = true, ok })
+	c.nodes[1].Request(otrace.Ctx{}, ghost, func(_ []byte, ok bool) { done, gotOK = true, ok })
 	c.net.Run(time.Minute)
 	if !done {
 		t.Fatal("GiveUpAfter did not fire")
@@ -290,7 +291,7 @@ func TestPublishDirectory(t *testing.T) {
 	}
 	c.net.Run(5 * time.Second)
 	done := false
-	c.nodes[3].Fetch(root, func(ok bool) { done = ok })
+	c.nodes[3].Fetch(otrace.Ctx{}, root, func(ok bool) { done = ok })
 	c.net.Run(time.Minute)
 	if !done {
 		t.Fatal("directory fetch failed")
@@ -315,7 +316,7 @@ func TestChurnOfflineNodeUnreachable(t *testing.T) {
 	c.net.Run(time.Second)
 
 	done, ok := false, false
-	c.nodes[2].FetchFile(root, func(_ []byte, o bool) { done, ok = true, o })
+	c.nodes[2].FetchFile(otrace.Ctx{}, root, func(_ []byte, o bool) { done, ok = true, o })
 	c.net.Run(time.Minute)
 	if !done {
 		t.Fatal("fetch never finished")
@@ -331,7 +332,7 @@ func TestChurnOfflineNodeUnreachable(t *testing.T) {
 	}
 	c.net.Run(2 * time.Second)
 	done2, ok2 := false, false
-	c.nodes[3].FetchFile(root, func(_ []byte, o bool) { done2, ok2 = true, o })
+	c.nodes[3].FetchFile(otrace.Ctx{}, root, func(_ []byte, o bool) { done2, ok2 = true, o })
 	c.net.Run(time.Minute)
 	if !done2 || !ok2 {
 		t.Error("fetch after rejoin failed")

@@ -73,7 +73,7 @@ func tracedFetchSpans(t *testing.T, mk func(start time.Time, seed int64, lm *sim
 		sampled[trace] = true
 		net.AfterOn(nd.ID, time.Duration(i+1)*time.Second, func() {
 			span := tracer.Root(trace, "request", nd.ID.String(), net.EventTime(nd.ID))
-			nd.FetchTraced(span.Ctx(), root, func(ok bool) {
+			nd.Fetch(span.Ctx(), root, func(ok bool) {
 				if ok {
 					span.End(net.EventTime(nd.ID))
 				} else {

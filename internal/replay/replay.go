@@ -423,7 +423,7 @@ func (w *World) schedule(ev Event, at time.Time, stats *DriveStats) error {
 			// One message per target: receivers must never share a message
 			// they may retain or mutate.
 			msg := &wire.Message{Wantlist: []wire.Entry{{Type: typ, CID: c}}}
-			_ = engine.SendCtx(net, tc, hopName(typ), id, target, msg)
+			_ = net.SendTraced(tc, hopName(typ), id, target, msg)
 		}
 	})
 	return nil

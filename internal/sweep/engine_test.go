@@ -154,6 +154,34 @@ func TestOneShardEqualsSerial(t *testing.T) {
 	}
 }
 
+// TestTracingLeavesRunUnchanged: tracing only records spans, so a run
+// traced at any sample rate delivers the same messages and yields the same
+// unified trace as the untraced run. Protocol code relies on this when it
+// passes a zero trace context for untraced work.
+func TestTracingLeavesRunUnchanged(t *testing.T) {
+	base := collectUnified(t, tinySpec())
+	if len(base.unified) == 0 {
+		t.Fatal("scenario produced no trace entries")
+	}
+	wantHash := traceHash(t, base.unified)
+	wantDelivered, _ := base.World.Net.Stats()
+	for _, sample := range []float64{1, 0.25} {
+		s := tinySpec()
+		s.Trace, s.TraceSample = true, sample
+		c := collectUnified(t, s)
+		if got := traceHash(t, c.unified); got != wantHash {
+			t.Errorf("sample %v: unified trace differs from untraced run (%d vs %d entries)",
+				sample, len(c.unified), len(base.unified))
+		}
+		if got, _ := c.World.Net.Stats(); got != wantDelivered {
+			t.Errorf("sample %v: delivered %d messages, untraced run %d", sample, got, wantDelivered)
+		}
+		if len(c.World.Net.Tracer().Spans()) == 0 {
+			t.Errorf("sample %v: traced run recorded no spans", sample)
+		}
+	}
+}
+
 // TestShardedSerialEquivalence runs the same scenario on both engines and
 // requires the aggregate monitor statistics to agree within tolerance at
 // every supported shard count. Above one shard the engine is statistically

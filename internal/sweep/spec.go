@@ -316,6 +316,28 @@ func (s ScenarioSpec) Validate() error {
 			return fmt.Errorf("sweep: %s = %v out of [0,1]", f.name, f.v)
 		}
 	}
+	// A negative count, duration or rate is a typo the world builder would
+	// otherwise replace with its default (or, for upgrade_after, clamp).
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"nodes", float64(s.Nodes)}, {"degree_target", float64(s.DegreeTarget)},
+		{"bootstrap_servers", float64(s.BootstrapServers)},
+		{"mean_session", float64(s.MeanSession)}, {"mean_offline", float64(s.MeanOffline)},
+		{"mean_requests_per_hour", s.MeanRequestsPerHour},
+		{"catalog_items", float64(s.CatalogItems)},
+		{"personal_items_per_node", float64(s.PersonalItemsPerNode)},
+		{"warm_items", float64(s.WarmItems)},
+		{"unresolved_cancel_after", float64(s.UnresolvedCancelAfter)},
+		{"upgrade_after", float64(s.UpgradeAfter)}, {"xor_bias", s.XORBias},
+		{"warmup", float64(s.Warmup)}, {"sample_every", float64(s.SampleEvery)},
+		{"bootstrap_iters", float64(s.BootstrapIters)},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("sweep: negative %s", f.name)
+		}
+	}
 	if j := s.Joint; j != nil {
 		if j.Both < 0 || j.OnlyA < 0 || j.OnlyB < 0 || j.Both+j.OnlyA+j.OnlyB > 1 {
 			return fmt.Errorf("sweep: joint connectivity probabilities invalid")

@@ -150,6 +150,21 @@ func TestSpecValidate(t *testing.T) {
 		{"crawl on replay", func(s *ScenarioSpec) {
 			s.WorkloadSource = &replay.Spec{Mode: replay.ModeDirect, Inputs: []string{"us.segments"}}
 		}},
+		{"negative nodes", func(s *ScenarioSpec) { s.Nodes = -5 }},
+		{"negative degree_target", func(s *ScenarioSpec) { s.DegreeTarget = -1 }},
+		{"negative bootstrap_servers", func(s *ScenarioSpec) { s.BootstrapServers = -1 }},
+		{"negative mean_session", func(s *ScenarioSpec) { s.MeanSession = D(-time.Hour) }},
+		{"negative mean_offline", func(s *ScenarioSpec) { s.MeanOffline = D(-time.Hour) }},
+		{"negative mean_requests_per_hour", func(s *ScenarioSpec) { s.MeanRequestsPerHour = -2 }},
+		{"negative catalog_items", func(s *ScenarioSpec) { s.CatalogItems = -1 }},
+		{"negative personal_items_per_node", func(s *ScenarioSpec) { s.PersonalItemsPerNode = -1 }},
+		{"negative warm_items", func(s *ScenarioSpec) { s.WarmItems = -1 }},
+		{"negative unresolved_cancel_after", func(s *ScenarioSpec) { s.UnresolvedCancelAfter = D(-time.Minute) }},
+		{"negative upgrade_after", func(s *ScenarioSpec) { s.UpgradeAfter = D(-time.Hour) }},
+		{"negative xor_bias", func(s *ScenarioSpec) { s.XORBias = -0.5 }},
+		{"negative warmup", func(s *ScenarioSpec) { s.Warmup = D(-time.Minute) }},
+		{"negative sample_every", func(s *ScenarioSpec) { s.SampleEvery = D(-time.Minute) }},
+		{"negative bootstrap_iters", func(s *ScenarioSpec) { s.BootstrapIters = -1 }},
 	}
 	for _, tc := range cases {
 		s := fullSpec()

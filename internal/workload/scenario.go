@@ -762,7 +762,7 @@ func (w *World) issueRequest(sn *ScenarioNode) {
 	}
 	id := sn.N.ID
 	if item.MultiBlock && item.Resolvable {
-		sn.N.FetchTraced(tc, item.Root, func(ok bool) {
+		sn.N.Fetch(tc, item.Root, func(ok bool) {
 			if ok {
 				span.End(w.Net.EventTime(id))
 			} else {
@@ -771,7 +771,7 @@ func (w *World) issueRequest(sn *ScenarioNode) {
 		})
 		return
 	}
-	sn.N.RequestTraced(tc, item.Root, func(_ []byte, ok bool) {
+	sn.N.Request(tc, item.Root, func(_ []byte, ok bool) {
 		if ok {
 			span.End(w.Net.EventTime(id))
 		} else {
@@ -848,7 +848,7 @@ func (w *World) armGatewayTraffic() {
 				}
 				// Gateways are pinned to the control shard, where this tick
 				// runs, so the gateway node's event clock is exact here.
-				g.RetrieveTraced(trace, w.Net.EventTime(g.Node.ID), root, func(gateway.Result) {})
+				g.Retrieve(trace, root, func(gateway.Result) {})
 			}
 			gap := time.Duration(w.rng.ExpFloat64() / opSpec.RequestsPerHour * float64(time.Hour))
 			if gap < 100*time.Millisecond {

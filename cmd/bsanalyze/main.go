@@ -26,6 +26,7 @@ import (
 	"strings"
 	"time"
 
+	"bitswapmon/internal/cmdutil"
 	"bitswapmon/internal/geoip"
 	"bitswapmon/internal/ingest"
 	"bitswapmon/internal/report"
@@ -46,6 +47,9 @@ func run(args []string) error {
 	iters := fs.Int("iters", 50, "bootstrap iterations for fig5 and popularity")
 	topk := fs.Int("topk", 10, "popular CIDs to list for online")
 	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if err := cmdutil.RejectNegative(fs, "bucket", "iters", "topk"); err != nil {
 		return err
 	}
 

@@ -263,6 +263,11 @@ func TestBsanalyzeErrors(t *testing.T) {
 	if err := run([]string{"-report", "nope", p}); err == nil {
 		t.Error("unknown report accepted")
 	}
+	for _, flag := range [][]string{{"-bucket", "-1h"}, {"-iters", "-1"}, {"-topk", "-1"}} {
+		if err := run(append(flag, p)); err == nil {
+			t.Errorf("%v accepted", flag)
+		}
+	}
 	bad := filepath.Join(dir, "bad.trace")
 	if err := os.WriteFile(bad, []byte("garbage"), 0o644); err != nil {
 		t.Fatal(err)

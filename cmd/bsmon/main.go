@@ -89,6 +89,10 @@ func run(args []string) error {
 	case *addr == "":
 		return fmt.Errorf("-serve-addr must not be empty")
 	}
+	if err := cmdutil.RejectNegative(fs, "rotate", "window", "window-slide", "windows-keep",
+		"retain", "compact-run", "compact-small", "maintain-every", "pace"); err != nil {
+		return err
+	}
 	spec, err := loadSpec(*specFile)
 	if err != nil {
 		return err

@@ -131,6 +131,15 @@ func TestBsmonBadFlags(t *testing.T) {
 		{"-csv"},
 		{"-trace-out", "x"},
 		{"-hours", "-1"},
+		{"-rotate", "-5m"},
+		{"-window", "-1h"},
+		{"-window-slide", "-1m"},
+		{"-windows-keep", "-3"},
+		{"-retain", "-1h"},
+		{"-compact-run", "-1"},
+		{"-compact-small", "-1"},
+		{"-maintain-every", "-1s"},
+		{"-pace", "-1ms"},
 		{"-nodes", "80"},
 		{"-seed", "1"},
 		{"-spec", filepath.Join(t.TempDir(), "missing.json")},

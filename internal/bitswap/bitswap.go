@@ -46,20 +46,24 @@ type ProviderRouter interface {
 	Provide(key dht.Key, done func())
 }
 
-// Config parametrises the engine.
-type Config struct {
+// The go-ipfs protocol constants.
+const (
 	// RebroadcastInterval is the idle-loop period: unresolved wants are
 	// re-broadcast this often. The real client uses 30 s; the paper's 31 s
 	// deduplication window is calibrated to it.
-	RebroadcastInterval time.Duration
+	RebroadcastInterval = 30 * time.Second
 	// ProviderSearchDelay is how long to wait for HAVEs before falling
 	// back to the DHT (step 3 of Fig. 1).
-	ProviderSearchDelay time.Duration
+	ProviderSearchDelay = time.Second
 	// MaxProviders bounds the DHT provider search.
-	MaxProviders int
+	MaxProviders = 10
 	// WantBlockFanout is how many session peers receive WANT_BLOCK
 	// concurrently.
-	WantBlockFanout int
+	WantBlockFanout = 2
+)
+
+// Config parametrises the engine.
+type Config struct {
 	// SendDontHave asks responders for explicit DONT_HAVE answers.
 	SendDontHave bool
 	// Reprovide announces fetched roots to the DHT, turning this node into
@@ -74,18 +78,6 @@ type Config struct {
 	// Fig. 4 of the paper tracks the network-wide transition between the
 	// two.
 	LegacyWantBlock bool
-}
-
-// DefaultConfig mirrors the go-ipfs constants.
-func DefaultConfig() Config {
-	return Config{
-		RebroadcastInterval: 30 * time.Second,
-		ProviderSearchDelay: time.Second,
-		MaxProviders:        10,
-		WantBlockFanout:     2,
-		SendDontHave:        true,
-		Reprovide:           true,
-	}
 }
 
 // Stats counts engine activity.
@@ -171,18 +163,6 @@ type Engine struct {
 
 // New creates an engine for node self.
 func New(net engine.Engine, self simnet.NodeID, store BlockStore, router ProviderRouter, cfg Config) *Engine {
-	if cfg.RebroadcastInterval <= 0 {
-		cfg.RebroadcastInterval = 30 * time.Second
-	}
-	if cfg.ProviderSearchDelay <= 0 {
-		cfg.ProviderSearchDelay = time.Second
-	}
-	if cfg.MaxProviders <= 0 {
-		cfg.MaxProviders = 10
-	}
-	if cfg.WantBlockFanout <= 0 {
-		cfg.WantBlockFanout = 2
-	}
 	return &Engine{
 		net:    net,
 		self:   self,
@@ -275,7 +255,7 @@ func (e *Engine) GetFromSession(tc otrace.Ctx, sess *Session, c cid.CID, done fu
 	}
 	sent := 0
 	for _, p := range peers {
-		if sent >= e.cfg.WantBlockFanout {
+		if sent >= WantBlockFanout {
 			break
 		}
 		e.sendWantBlock(w, p)
@@ -411,7 +391,7 @@ func (e *Engine) sendCancels(w *wantState) {
 // scheduleProviderSearch arms step 3 of Fig. 1: after ProviderSearchDelay,
 // if the session is still empty, search the DHT.
 func (e *Engine) scheduleProviderSearch(w *wantState) {
-	e.net.AfterOn(e.self, e.cfg.ProviderSearchDelay, func() {
+	e.net.AfterOn(e.self, ProviderSearchDelay, func() {
 		if w.resolved || w.cancelled || len(w.session.peers) > 0 || w.searching {
 			return
 		}
@@ -447,13 +427,13 @@ func (e *Engine) searchProviders(w *wantState) {
 			}
 		}
 	}
-	e.router.FindProviders(w.tc, dht.KeyForCID(w.c), e.cfg.MaxProviders, cb)
+	e.router.FindProviders(w.tc, dht.KeyForCID(w.c), MaxProviders, cb)
 }
 
 // scheduleRebroadcast arms the idle loop: every RebroadcastInterval an
 // unresolved broadcast-want re-broadcasts and re-searches the DHT.
 func (e *Engine) scheduleRebroadcast(w *wantState) {
-	e.net.AfterOn(e.self, e.cfg.RebroadcastInterval, func() {
+	e.net.AfterOn(e.self, RebroadcastInterval, func() {
 		if w.resolved || w.cancelled {
 			return
 		}
@@ -480,7 +460,7 @@ func (e *Engine) resendWantBlocks(w *wantState) {
 		_, member := searchID(peers, p)
 		return member
 	})
-	for _, p := range peers[:min(len(peers), e.cfg.WantBlockFanout)] {
+	for _, p := range peers[:min(len(peers), WantBlockFanout)] {
 		e.sendWantBlock(w, p)
 	}
 }
@@ -570,7 +550,7 @@ func (e *Engine) HandleMessage(from simnet.NodeID, msg any) bool {
 		if p.Type == wire.Have {
 			// Add HAVE-sending peers to S(c); request the block.
 			w.session.peers[from] = true
-			if len(w.wantBlockSent) < e.cfg.WantBlockFanout {
+			if len(w.wantBlockSent) < WantBlockFanout {
 				e.sendWantBlock(w, from)
 			}
 		}

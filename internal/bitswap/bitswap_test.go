@@ -60,8 +60,8 @@ func (n *bsNode) id() simnet.NodeID { return n.engine.self }
 
 func TestGetFromConnectedPeer(t *testing.T) {
 	net := simnet.New(t0, 1, simnet.Fixed(time.Millisecond))
-	a := newBSNode(t, net, "a", &fakeRouter{}, DefaultConfig())
-	b := newBSNode(t, net, "b", &fakeRouter{}, DefaultConfig())
+	a := newBSNode(t, net, "a", &fakeRouter{}, Config{SendDontHave: true, Reprovide: true})
+	b := newBSNode(t, net, "b", &fakeRouter{}, Config{SendDontHave: true, Reprovide: true})
 	if err := net.Connect(a.id(), b.id()); err != nil {
 		t.Fatal(err)
 	}
@@ -97,8 +97,8 @@ func TestGetFromConnectedPeer(t *testing.T) {
 
 func TestGetCoalescesCallbacks(t *testing.T) {
 	net := simnet.New(t0, 2, simnet.Fixed(time.Millisecond))
-	a := newBSNode(t, net, "a", &fakeRouter{}, DefaultConfig())
-	b := newBSNode(t, net, "b", &fakeRouter{}, DefaultConfig())
+	a := newBSNode(t, net, "a", &fakeRouter{}, Config{SendDontHave: true, Reprovide: true})
+	b := newBSNode(t, net, "b", &fakeRouter{}, Config{SendDontHave: true, Reprovide: true})
 	if err := net.Connect(a.id(), b.id()); err != nil {
 		t.Fatal(err)
 	}
@@ -125,14 +125,14 @@ func TestDHTFallbackAfterBroadcastFails(t *testing.T) {
 	data := []byte("dht only")
 	c := cid.Sum(cid.Raw, data)
 
-	provider := newBSNode(t, net, "provider", &fakeRouter{}, DefaultConfig())
+	provider := newBSNode(t, net, "provider", &fakeRouter{}, Config{SendDontHave: true, Reprovide: true})
 	if err := provider.store.Put(c, data); err != nil {
 		t.Fatal(err)
 	}
 	router := &fakeRouter{providers: map[dht.Key][]dht.PeerInfo{
 		dht.KeyForCID(c): {{ID: provider.id()}},
 	}}
-	a := newBSNode(t, net, "a", router, DefaultConfig())
+	a := newBSNode(t, net, "a", router, Config{SendDontHave: true, Reprovide: true})
 	// No connection between a and provider: broadcast cannot reach it.
 
 	var ok bool
@@ -152,8 +152,8 @@ func TestDHTFallbackAfterBroadcastFails(t *testing.T) {
 func TestNoDHTSearchWhenSessionFormsQuickly(t *testing.T) {
 	net := simnet.New(t0, 4, simnet.Fixed(time.Millisecond))
 	router := &fakeRouter{}
-	a := newBSNode(t, net, "a", router, DefaultConfig())
-	b := newBSNode(t, net, "b", &fakeRouter{}, DefaultConfig())
+	a := newBSNode(t, net, "a", router, Config{SendDontHave: true, Reprovide: true})
+	b := newBSNode(t, net, "b", &fakeRouter{}, Config{SendDontHave: true, Reprovide: true})
 	if err := net.Connect(a.id(), b.id()); err != nil {
 		t.Fatal(err)
 	}
@@ -172,9 +172,9 @@ func TestNoDHTSearchWhenSessionFormsQuickly(t *testing.T) {
 func TestReprovideAnnouncesFetchedRoot(t *testing.T) {
 	net := simnet.New(t0, 5, simnet.Fixed(time.Millisecond))
 	router := &fakeRouter{}
-	cfg := DefaultConfig()
+	cfg := Config{SendDontHave: true, Reprovide: true}
 	a := newBSNode(t, net, "a", router, cfg)
-	b := newBSNode(t, net, "b", &fakeRouter{}, DefaultConfig())
+	b := newBSNode(t, net, "b", &fakeRouter{}, Config{SendDontHave: true, Reprovide: true})
 	if err := net.Connect(a.id(), b.id()); err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestReprovideAnnouncesFetchedRoot(t *testing.T) {
 	}
 
 	// With Reprovide off, no announcement.
-	cfg2 := DefaultConfig()
+	cfg2 := Config{SendDontHave: true, Reprovide: true}
 	cfg2.Reprovide = false
 	router2 := &fakeRouter{}
 	x := newBSNode(t, net, "x", router2, cfg2)
@@ -206,7 +206,7 @@ func TestReprovideAnnouncesFetchedRoot(t *testing.T) {
 
 func TestTamperedBlockRejected(t *testing.T) {
 	net := simnet.New(t0, 6, simnet.Fixed(time.Millisecond))
-	a := newBSNode(t, net, "a", &fakeRouter{}, DefaultConfig())
+	a := newBSNode(t, net, "a", &fakeRouter{}, Config{SendDontHave: true, Reprovide: true})
 	evil := simnet.DeriveNodeID([]byte("evil"))
 	// Register a raw handler that answers WANT_HAVE with HAVE and
 	// WANT_BLOCK with corrupted data.
@@ -259,10 +259,10 @@ func (n *tamperNode) PeerDisconnected(simnet.NodeID) {}
 
 func TestLegacyWantBlockBroadcast(t *testing.T) {
 	net := simnet.New(t0, 7, simnet.Fixed(time.Millisecond))
-	cfg := DefaultConfig()
+	cfg := Config{SendDontHave: true, Reprovide: true}
 	cfg.LegacyWantBlock = true
 	a := newBSNode(t, net, "a", &fakeRouter{}, cfg)
-	b := newBSNode(t, net, "b", &fakeRouter{}, DefaultConfig())
+	b := newBSNode(t, net, "b", &fakeRouter{}, Config{SendDontHave: true, Reprovide: true})
 	if err := net.Connect(a.id(), b.id()); err != nil {
 		t.Fatal(err)
 	}
@@ -299,9 +299,9 @@ func TestLegacyWantBlockBroadcast(t *testing.T) {
 
 func TestSessionScopedFetchInvisibleToNonMembers(t *testing.T) {
 	net := simnet.New(t0, 8, simnet.Fixed(time.Millisecond))
-	a := newBSNode(t, net, "a", &fakeRouter{}, DefaultConfig())
-	b := newBSNode(t, net, "b", &fakeRouter{}, DefaultConfig())
-	mon := newBSNode(t, net, "mon", &fakeRouter{}, DefaultConfig()) // stand-in monitor
+	a := newBSNode(t, net, "a", &fakeRouter{}, Config{SendDontHave: true, Reprovide: true})
+	b := newBSNode(t, net, "b", &fakeRouter{}, Config{SendDontHave: true, Reprovide: true})
+	mon := newBSNode(t, net, "mon", &fakeRouter{}, Config{SendDontHave: true, Reprovide: true}) // stand-in monitor
 	if err := net.Connect(a.id(), b.id()); err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +341,7 @@ func TestSessionScopedFetchInvisibleToNonMembers(t *testing.T) {
 
 func TestGetFromEmptySessionFails(t *testing.T) {
 	net := simnet.New(t0, 9, simnet.Fixed(time.Millisecond))
-	a := newBSNode(t, net, "a", &fakeRouter{}, DefaultConfig())
+	a := newBSNode(t, net, "a", &fakeRouter{}, Config{SendDontHave: true, Reprovide: true})
 	sess := a.engine.newSession(cid.Sum(cid.Raw, []byte("root")))
 	done, ok := false, true
 	a.engine.GetFromSession(otrace.Ctx{}, sess, cid.Sum(cid.Raw, []byte("child")), func(_ []byte, o bool) {
@@ -404,7 +404,7 @@ func TestCancelsGoToSortedUnion(t *testing.T) {
 	prov := add("provider", true)
 	late := add("latecomer", false)
 	router := &fakeRouter{providers: map[dht.Key][]dht.PeerInfo{dht.KeyForCID(c): {{ID: prov, Server: true}}}}
-	a := newBSNode(t, net, "a", router, DefaultConfig())
+	a := newBSNode(t, net, "a", router, Config{SendDontHave: true, Reprovide: true})
 	var peers []simnet.NodeID
 	for _, name := range []string{"p1", "p2", "p3", "p4", "p5"} {
 		p := add(name, false)
@@ -459,8 +459,8 @@ func TestCancelsGoToSortedUnion(t *testing.T) {
 
 func TestWantlistLedgerClearedOnDisconnect(t *testing.T) {
 	net := simnet.New(t0, 10, simnet.Fixed(time.Millisecond))
-	a := newBSNode(t, net, "a", &fakeRouter{}, DefaultConfig())
-	b := newBSNode(t, net, "b", &fakeRouter{}, DefaultConfig())
+	a := newBSNode(t, net, "a", &fakeRouter{}, Config{SendDontHave: true, Reprovide: true})
+	b := newBSNode(t, net, "b", &fakeRouter{}, Config{SendDontHave: true, Reprovide: true})
 	if err := net.Connect(a.id(), b.id()); err != nil {
 		t.Fatal(err)
 	}

@@ -51,12 +51,3 @@ func (c Codec) Known() bool {
 	_, ok := codecNames[c]
 	return ok
 }
-
-// KnownCodecs returns the registered codecs in an unspecified order.
-func KnownCodecs() []Codec {
-	out := make([]Codec, 0, len(codecNames))
-	for c := range codecNames {
-		out = append(out, c)
-	}
-	return out
-}

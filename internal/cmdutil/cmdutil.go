@@ -2,15 +2,18 @@
 // commands (bsmon, bssweep): the HTTP endpoint that turns on every
 // subsystem's instrumentation and serves /metrics plus /debug/pprof (bssweep's
 // -metrics-addr, bsmon's -serve-addr), and the -cpuprofile/-memprofile pair
-// for offline profiling.
+// for offline profiling. RejectNegative checks numeric flags for every
+// command.
 package cmdutil
 
 import (
+	"flag"
 	"fmt"
 	"net/http"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 
 	"bitswapmon/internal/ingest"
 	"bitswapmon/internal/obs"
@@ -43,6 +46,17 @@ func ServeOps(addr string, extra map[string]http.Handler) (*obs.Server, error) {
 	}
 	EnableAllMetrics()
 	return obs.ServeWith(addr, nil, extra)
+}
+
+// RejectNegative fails on the first of the named numeric flags in fs that
+// holds a negative value. Zero keeps whatever meaning the flag gives it.
+func RejectNegative(fs *flag.FlagSet, names ...string) error {
+	for _, name := range names {
+		if strings.HasPrefix(fs.Lookup(name).Value.String(), "-") {
+			return fmt.Errorf("-%s must not be negative", name)
+		}
+	}
+	return nil
 }
 
 // Profiles is the running state of the -cpuprofile/-memprofile flag pair.

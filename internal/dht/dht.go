@@ -73,46 +73,13 @@ type pendingRPC struct {
 	span           *otrace.SpanHandle // dht.rpc span; nil when untraced
 }
 
-// Config parametrises a DHT instance.
-type Config struct {
-	// Mode selects server or client participation. Zero selects ModeServer.
-	Mode Mode
-	// K is the bucket / closest-set size; 0 selects DefaultK.
-	K int
-	// Alpha is the lookup concurrency; 0 selects DefaultAlpha.
-	Alpha int
-	// RPCTimeout bounds individual RPCs; 0 selects DefaultRPCTimeout.
-	RPCTimeout time.Duration
-	// ProviderTTL bounds provider record lifetime; 0 selects the default.
-	ProviderTTL time.Duration
-}
-
-func (c Config) withDefaults() Config {
-	if c.Mode == 0 {
-		c.Mode = ModeServer
-	}
-	if c.K == 0 {
-		c.K = DefaultK
-	}
-	if c.Alpha == 0 {
-		c.Alpha = DefaultAlpha
-	}
-	if c.RPCTimeout == 0 {
-		c.RPCTimeout = DefaultRPCTimeout
-	}
-	if c.ProviderTTL == 0 {
-		c.ProviderTTL = DefaultProviderTTL
-	}
-	return c
-}
-
 // DHT is one node's view of the Kademlia overlay. It is driven entirely by
 // the simnet event loop (no goroutines): RPC replies and timeouts arrive as
 // events, lookups are callback state machines.
 type DHT struct {
 	net  engine.Engine
 	self PeerInfo
-	cfg  Config
+	mode Mode
 
 	rt      *RoutingTable
 	provs   *ProviderStore
@@ -125,16 +92,19 @@ type DHT struct {
 	rpcsTimedOut   uint64
 }
 
-// New creates a DHT for the node identified by self.
-func New(net engine.Engine, self PeerInfo, cfg Config) *DHT {
-	cfg = cfg.withDefaults()
-	self.Server = cfg.Mode == ModeServer
+// New creates a DHT for the node identified by self, participating in the
+// given mode (zero selects ModeServer).
+func New(net engine.Engine, self PeerInfo, mode Mode) *DHT {
+	if mode == 0 {
+		mode = ModeServer
+	}
+	self.Server = mode == ModeServer
 	return &DHT{
 		net:     net,
 		self:    self,
-		cfg:     cfg,
-		rt:      NewRoutingTable(self.ID, cfg.K),
-		provs:   NewProviderStore(cfg.ProviderTTL),
+		mode:    mode,
+		rt:      NewRoutingTable(self.ID, DefaultK),
+		provs:   NewProviderStore(DefaultProviderTTL),
 		pending: make(map[uint64]*pendingRPC),
 	}
 }
@@ -143,7 +113,7 @@ func New(net engine.Engine, self PeerInfo, cfg Config) *DHT {
 func (d *DHT) Self() PeerInfo { return d.self }
 
 // Mode returns the participation mode.
-func (d *DHT) Mode() Mode { return d.cfg.Mode }
+func (d *DHT) Mode() Mode { return d.mode }
 
 // RoutingTable exposes the routing table (read-mostly; used by the crawler
 // responder and by diagnostics).
@@ -159,26 +129,26 @@ func (d *DHT) HandleMessage(from simnet.NodeID, msg any) bool {
 	switch m := msg.(type) {
 	case findNodeReq:
 		d.rt.Add(m.From)
-		if d.cfg.Mode != ModeServer {
+		if d.mode != ModeServer {
 			return true // clients do not answer
 		}
-		closer := d.rt.Closest(m.Target, d.cfg.K)
+		closer := d.rt.Closest(m.Target, DefaultK)
 		d.reply(from, findNodeResp{RPCID: m.RPCID, Closer: closer})
 		return true
 	case getProvidersReq:
 		d.rt.Add(m.From)
-		if d.cfg.Mode != ModeServer {
+		if d.mode != ModeServer {
 			return true
 		}
 		resp := getProvidersResp{
 			RPCID:     m.RPCID,
 			Providers: d.provs.Get(m.Key, d.net.Now()),
-			Closer:    d.rt.Closest(m.Key.AsNodeID(), d.cfg.K),
+			Closer:    d.rt.Closest(m.Key.AsNodeID(), DefaultK),
 		}
 		d.reply(from, resp)
 		return true
 	case addProviderReq:
-		if d.cfg.Mode == ModeServer {
+		if d.mode == ModeServer {
 			d.provs.Add(m.Key, m.Provider, d.net.Now())
 		}
 		return true
@@ -273,7 +243,7 @@ func (d *DHT) sendGetProviders(tc otrace.Ctx, p PeerInfo, key Key, cb func(getPr
 }
 
 func (d *DHT) expireAfter(id uint64) {
-	d.net.AfterOn(d.self.ID, d.cfg.RPCTimeout, func() {
+	d.net.AfterOn(d.self.ID, DefaultRPCTimeout, func() {
 		p, ok := d.pending[id]
 		if !ok {
 			return
@@ -366,8 +336,8 @@ func (l *lookup) step() {
 	// The lookup terminates when the k closest known peers have all been
 	// queried (or failed).
 	kClosest := cands
-	if len(kClosest) > l.d.cfg.K {
-		kClosest = kClosest[:l.d.cfg.K]
+	if len(kClosest) > DefaultK {
+		kClosest = kClosest[:DefaultK]
 	}
 	allQueried := true
 	for i := range kClosest {
@@ -381,7 +351,7 @@ func (l *lookup) step() {
 		return
 	}
 	for i := range cands {
-		if l.inflight >= l.d.cfg.Alpha {
+		if l.inflight >= DefaultAlpha {
 			break
 		}
 		c := &cands[i]
@@ -430,8 +400,8 @@ func (l *lookup) finish() {
 	l.finished = true
 	l.span.End(l.d.now())
 	cands := l.cand
-	if len(cands) > l.d.cfg.K {
-		cands = cands[:l.d.cfg.K]
+	if len(cands) > DefaultK {
+		cands = cands[:DefaultK]
 	}
 	closest := make([]PeerInfo, len(cands))
 	for i := range cands {
@@ -455,7 +425,7 @@ func (d *DHT) FindClosest(target simnet.NodeID, done func([]PeerInfo)) {
 		target: target,
 		onDone: func(closest, _ []PeerInfo) { done(closest) },
 	}
-	l.addCandidates(d.rt.Closest(target, d.cfg.K))
+	l.addCandidates(d.rt.Closest(target, DefaultK))
 	l.step()
 }
 
@@ -483,7 +453,7 @@ func (d *DHT) FindProviders(tc otrace.Ctx, key Key, want int, done func([]PeerIn
 		l.span = d.net.Tracer().Start(tc, "dht.lookup", d.self.ID.String(), d.now()).MarkAsync()
 		l.tc = l.span.Ctx()
 	}
-	l.addCandidates(d.rt.Closest(l.target, d.cfg.K))
+	l.addCandidates(d.rt.Closest(l.target, DefaultK))
 	l.step()
 }
 

@@ -37,7 +37,7 @@ func buildNet(t *testing.T, nServers, nClients int, seed int64) *testNet {
 		id := simnet.RandomNodeID(rng)
 		addr := fmt.Sprintf("10.0.%d.%d:4001", i/250, i%250)
 		info := PeerInfo{ID: id, Server: mode == ModeServer}
-		d := New(net, info, Config{Mode: mode})
+		d := New(net, info, mode)
 		if err := net.AddNode(id, addr, simnet.RegionUS, 0, &harness{dht: d}); err != nil {
 			t.Fatal(err)
 		}
@@ -243,7 +243,7 @@ func TestCrawlSeesServersNotClients(t *testing.T) {
 
 	// Dedicated crawler node, client mode.
 	crawlerID := simnet.DeriveNodeID([]byte("crawler"))
-	crawler := New(tn.net, PeerInfo{ID: crawlerID}, Config{Mode: ModeClient})
+	crawler := New(tn.net, PeerInfo{ID: crawlerID}, ModeClient)
 	if err := tn.net.AddNode(crawlerID, "9.9.9.9:4001", simnet.RegionDE, 0, &harness{dht: crawler}); err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +277,7 @@ func TestCrawlCountsOfflineServers(t *testing.T) {
 	}
 
 	crawlerID := simnet.DeriveNodeID([]byte("crawler2"))
-	crawler := New(tn.net, PeerInfo{ID: crawlerID}, Config{Mode: ModeClient})
+	crawler := New(tn.net, PeerInfo{ID: crawlerID}, ModeClient)
 	if err := tn.net.AddNode(crawlerID, "9.9.9.8:4001", simnet.RegionDE, 0, &harness{dht: crawler}); err != nil {
 		t.Fatal(err)
 	}

@@ -15,16 +15,18 @@ import (
 	"bitswapmon/internal/simnet"
 )
 
+// CacheCapacity bounds a gateway's response cache in entries.
+const CacheCapacity = 4096
+
+// FetchTimeout bounds a gateway's IPFS-side retrievals.
+const FetchTimeout = 30 * time.Second
+
 // Config parametrises a gateway.
 type Config struct {
-	// CacheCapacity bounds the response cache in entries (default 4096).
-	CacheCapacity int
 	// CacheTTL is the time-to-live after which cached content is
 	// re-validated via a fresh Bitswap request — the mechanism that lets
 	// monitors observe even heavily cached CIDs (Sec. VI-B3).
 	CacheTTL time.Duration
-	// FetchTimeout bounds IPFS-side retrievals (default 30 s).
-	FetchTimeout time.Duration
 	// Functional models the HTTP frontend state: non-functional gateways
 	// fail HTTP requests yet still emit Bitswap traffic (the paper's
 	// "misconfiguration on the HTTP end").
@@ -32,14 +34,8 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.CacheCapacity <= 0 {
-		c.CacheCapacity = 4096
-	}
 	if c.CacheTTL <= 0 {
 		c.CacheTTL = time.Hour
-	}
-	if c.FetchTimeout <= 0 {
-		c.FetchTimeout = 30 * time.Second
 	}
 	return c
 }
@@ -90,6 +86,9 @@ type Gateway struct {
 	cache map[cid.CID]*cacheEntry
 	lru   *list.List
 	stats Stats
+
+	// cacheCap is CacheCapacity; tests shrink it to exercise eviction.
+	cacheCap int
 }
 
 // New wraps an existing node as a gateway.
@@ -100,6 +99,7 @@ func New(net engine.Engine, nd *node.Node, name, operator string, cfg Config) *G
 		Node:     nd,
 		net:      net,
 		cfg:      cfg.withDefaults(),
+		cacheCap: CacheCapacity,
 		cache:    make(map[cid.CID]*cacheEntry),
 		lru:      list.New(),
 	}
@@ -206,7 +206,7 @@ func (g *Gateway) fetch(tc otrace.Ctx, async bool, now time.Time, c cid.CID, don
 		}
 		done(r)
 	}
-	g.net.AfterOn(g.Node.ID, g.cfg.FetchTimeout, func() {
+	g.net.AfterOn(g.Node.ID, FetchTimeout, func() {
 		if !finished {
 			g.Node.CancelRequest(c)
 			g.stats.Failures++
@@ -234,7 +234,7 @@ func (g *Gateway) cachePut(c cid.CID, data []byte) {
 		g.lru.MoveToFront(e.elem)
 		return
 	}
-	for len(g.cache) >= g.cfg.CacheCapacity {
+	for len(g.cache) >= g.cacheCap {
 		back := g.lru.Back()
 		if back == nil {
 			break

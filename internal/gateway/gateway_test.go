@@ -103,7 +103,7 @@ func TestGatewayRevalidatesAfterTTL(t *testing.T) {
 }
 
 func TestGatewayNotFound(t *testing.T) {
-	w := build(t, Config{Functional: true, FetchTimeout: 20 * time.Second})
+	w := build(t, Config{Functional: true})
 	ghost := cid.Sum(cid.Raw, []byte("nothing here"))
 	var r Result
 	done := false
@@ -140,7 +140,8 @@ func TestNonFunctionalGatewayStillEmitsBitswap(t *testing.T) {
 }
 
 func TestCacheEviction(t *testing.T) {
-	w := build(t, Config{Functional: true, CacheCapacity: 2})
+	w := build(t, Config{Functional: true})
+	w.gw.cacheCap = 2
 	var roots []cid.CID
 	for i := 0; i < 3; i++ {
 		root, err := w.nodes[i].Publish([]byte(fmt.Sprintf("content %d", i)))

@@ -28,6 +28,10 @@ const compactSuffix = ".compact"
 // are never re-compacted: each entry is rewritten at most once.
 const compactedGen = 2
 
+// CompactTargetEntries caps a merged segment's size: a run stops growing
+// before it would exceed this.
+const CompactTargetEntries = 1 << 20
+
 // CompactionPolicy selects which runs of sealed segments merge.
 type CompactionPolicy struct {
 	// MinRun is the minimum number of adjacent compactable segments worth
@@ -36,9 +40,6 @@ type CompactionPolicy struct {
 	// SmallEntries marks a segment compactable when it holds fewer entries
 	// than this. Default 1<<18.
 	SmallEntries int
-	// TargetEntries caps a merged segment's size: a run stops growing
-	// before it would exceed this. Default 1<<20.
-	TargetEntries int
 }
 
 func (p CompactionPolicy) withDefaults() CompactionPolicy {
@@ -50,9 +51,6 @@ func (p CompactionPolicy) withDefaults() CompactionPolicy {
 	}
 	if p.SmallEntries <= 0 {
 		p.SmallEntries = 1 << 18
-	}
-	if p.TargetEntries <= 0 {
-		p.TargetEntries = 1 << 20
 	}
 	return p
 }
@@ -91,6 +89,11 @@ func (st MaintainStats) Add(o MaintainStats) MaintainStats {
 // segments older than the newest sealed segment are touched. Returns the
 // number of merged segments produced and the number of inputs absorbed.
 func (s *SegmentStore) Compact(p CompactionPolicy) (runs, absorbed int, err error) {
+	return s.compact(p, CompactTargetEntries)
+}
+
+// compact is Compact with an explicit merged-segment cap; tests shrink it.
+func (s *SegmentStore) compact(p CompactionPolicy, targetEntries int) (runs, absorbed int, err error) {
 	p = p.withDefaults()
 	s.mu.Lock()
 	snapshot := make([]SegmentInfo, len(s.sealed))
@@ -125,7 +128,7 @@ func (s *SegmentStore) Compact(p CompactionPolicy) (runs, absorbed int, err erro
 	}
 	for _, seg := range snapshot {
 		joinable := seg.Footer.Gen < compactedGen && seg.Footer.Entries < p.SmallEntries
-		if !joinable || runEntries+seg.Footer.Entries > p.TargetEntries {
+		if !joinable || runEntries+seg.Footer.Entries > targetEntries {
 			if err := flush(); err != nil {
 				return runs, absorbed, err
 			}
@@ -294,10 +297,8 @@ type MaintainOptions struct {
 	// Interval is the Maintainer's wall-clock pass period. Default 30s.
 	Interval time.Duration
 	// Compaction merges small sealed segments; the zero value uses the
-	// defaults. Set Disable to skip compaction entirely.
+	// defaults.
 	Compaction CompactionPolicy
-	// DisableCompaction skips the compaction stage.
-	DisableCompaction bool
 	// Retention deletes expired segments; the zero value (MaxAge 0)
 	// disables retention.
 	Retention RetentionPolicy
@@ -307,17 +308,12 @@ type MaintainOptions struct {
 // fresh footer index. It is what a Maintainer runs on its loop; call it
 // directly for a final pass at shutdown.
 func (s *SegmentStore) Maintain(opts MaintainOptions) (MaintainStats, error) {
-	var st MaintainStats
-	if !opts.DisableCompaction {
-		runs, absorbed, err := s.Compact(opts.Compaction)
-		st.Compactions += runs
-		st.CompactedSegments += absorbed
-		if err != nil {
-			return st, err
-		}
+	runs, absorbed, err := s.Compact(opts.Compaction)
+	st := MaintainStats{Compactions: runs, CompactedSegments: absorbed}
+	if err != nil {
+		return st, err
 	}
-	n, err := s.Retain(opts.Retention)
-	st.Expired += n
+	st.Expired, err = s.Retain(opts.Retention)
 	if err != nil {
 		return st, err
 	}

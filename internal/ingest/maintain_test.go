@@ -96,7 +96,7 @@ func TestCompactEquivalence(t *testing.T) {
 	wantUS := encodeStream(t, queryAll(t, us))
 	wantUnified := encodeStream(t, unifyStores(t, us, de))
 
-	policy := CompactionPolicy{MinRun: 2, SmallEntries: 1 << 20, TargetEntries: 1 << 20}
+	policy := CompactionPolicy{MinRun: 2, SmallEntries: 1 << 20}
 	runsUS, absorbedUS, err := us.Compact(policy)
 	if err != nil {
 		t.Fatal(err)
@@ -155,7 +155,7 @@ func TestCompactedSegmentNoLargerThanInputs(t *testing.T) {
 		}
 		before += st.Size()
 	}
-	runs, absorbed, err := store.Compact(CompactionPolicy{MinRun: 2, SmallEntries: 1 << 20, TargetEntries: 1 << 20})
+	runs, absorbed, err := store.Compact(CompactionPolicy{MinRun: 2, SmallEntries: 1 << 20})
 	if err != nil || runs != 1 || absorbed != len(inputs) {
 		t.Fatalf("compaction of %d segments: runs=%d absorbed=%d err=%v", len(inputs), runs, absorbed, err)
 	}
@@ -174,7 +174,7 @@ func TestCompactRespectsTargetEntries(t *testing.T) {
 	// Cap merged segments at roughly a third of the data: compaction must
 	// produce several generation-2 segments, none above the target.
 	target := 150
-	if _, _, err := store.Compact(CompactionPolicy{MinRun: 2, SmallEntries: 1 << 20, TargetEntries: target}); err != nil {
+	if _, _, err := store.compact(CompactionPolicy{MinRun: 2, SmallEntries: 1 << 20}, target); err != nil {
 		t.Fatal(err)
 	}
 	if got := len(store.Segments()); got >= nSegs || got < 3 {
@@ -288,7 +288,7 @@ func TestCompactionCrashRecovery(t *testing.T) {
 		}
 	}
 
-	if _, _, err := store.Compact(CompactionPolicy{MinRun: 2, SmallEntries: 1 << 20, TargetEntries: 1 << 20}); err != nil {
+	if _, _, err := store.Compact(CompactionPolicy{MinRun: 2, SmallEntries: 1 << 20}); err != nil {
 		t.Fatal(err)
 	}
 	compacted := store.Segments()
@@ -419,7 +419,7 @@ func TestMaintainerBesideWriter(t *testing.T) {
 	}
 	m := NewMaintainer(store, MaintainOptions{
 		Interval:   time.Millisecond,
-		Compaction: CompactionPolicy{MinRun: 2, SmallEntries: 1 << 20, TargetEntries: 1 << 20},
+		Compaction: CompactionPolicy{MinRun: 2, SmallEntries: 1 << 20},
 		// Retention off: every written entry must survive.
 	})
 	entries := randomMonitorTrace(rand.New(rand.NewSource(8)), "us", 2000, 3*time.Hour)

@@ -148,23 +148,20 @@ type SegmentInfo struct {
 	Footer Footer
 }
 
+// SegmentMaxEntries bounds the records per segment regardless of time span.
+const SegmentMaxEntries = 1 << 20
+
 // SegmentOptions tunes a SegmentStore.
 type SegmentOptions struct {
 	// Rotation bounds the time span covered by one segment: a segment is
 	// sealed when an entry arrives Rotation or more after the segment's
 	// first entry. Default 1h.
 	Rotation time.Duration
-	// MaxEntries bounds the records per segment regardless of time span.
-	// Default 1<<20.
-	MaxEntries int
 }
 
 func (o SegmentOptions) withDefaults() SegmentOptions {
 	if o.Rotation <= 0 {
 		o.Rotation = time.Hour
-	}
-	if o.MaxEntries <= 0 {
-		o.MaxEntries = 1 << 20
 	}
 	return o
 }
@@ -183,6 +180,8 @@ func (o SegmentOptions) withDefaults() SegmentOptions {
 type SegmentStore struct {
 	dir  string
 	opts SegmentOptions
+	// maxEntries is SegmentMaxEntries; tests shrink it to force rotation.
+	maxEntries int
 
 	// mu guards sealed and skipped: the only store state shared between the
 	// writer (seal) and a background Maintainer (compaction, retention,
@@ -219,7 +218,7 @@ func OpenSegmentStore(dir string, opts SegmentOptions) (*SegmentStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("ingest: create store dir: %w", err)
 	}
-	s := &SegmentStore{dir: dir, opts: opts.withDefaults(), m: ingMetrics.Load()}
+	s := &SegmentStore{dir: dir, opts: opts.withDefaults(), maxEntries: SegmentMaxEntries, m: ingMetrics.Load()}
 	if tmps, err := filepath.Glob(filepath.Join(dir, "*"+compactSuffix)); err == nil {
 		for _, tmp := range tmps {
 			// A temporary never renamed into place: the compaction it
@@ -331,7 +330,7 @@ func (s *SegmentStore) Write(e trace.Entry) error {
 }
 
 func (s *SegmentStore) shouldRotate(e trace.Entry) bool {
-	if s.active.Entries >= s.opts.MaxEntries {
+	if s.active.Entries >= s.maxEntries {
 		return true
 	}
 	return s.active.Entries > 0 && e.Timestamp.Sub(s.active.First) >= s.opts.Rotation

@@ -55,10 +55,11 @@ func TestSegmentStoreRoundTrip(t *testing.T) {
 
 func TestSegmentStoreRotatesByTimeAndCount(t *testing.T) {
 	dir := t.TempDir()
-	store, err := OpenSegmentStore(dir, SegmentOptions{Rotation: 10 * time.Minute, MaxEntries: 64})
+	store, err := OpenSegmentStore(dir, SegmentOptions{Rotation: 10 * time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
+	store.maxEntries = 64
 	// One entry per minute for 3 hours: rotation by time alone gives 18
 	// segments of <=10 entries each.
 	var in []trace.Entry
@@ -88,11 +89,12 @@ func TestSegmentStoreRotatesByTimeAndCount(t *testing.T) {
 		}
 	}
 
-	// Entry-cap rotation: 200 same-timestamp entries with MaxEntries 64.
-	store2, err := OpenSegmentStore(filepath.Join(dir, "cap"), SegmentOptions{Rotation: time.Hour, MaxEntries: 64})
+	// Entry-cap rotation: 200 same-timestamp entries with a cap of 64.
+	store2, err := OpenSegmentStore(filepath.Join(dir, "cap"), SegmentOptions{Rotation: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
+	store2.maxEntries = 64
 	for i := 0; i < 200; i++ {
 		if err := store2.Write(entry("us", 1, "x", wire.WantHave, t0)); err != nil {
 			t.Fatal(err)

@@ -61,13 +61,11 @@ type Monitor struct {
 // bootstrap and can announce provider records (needed for gateway probing),
 // but they do not enter other nodes' k-buckets — so the connections they
 // hold are exactly the inbound ones the network chooses to open, matching
-// the passive posture of Sec. IV-A.
+// the passive posture of Sec. IV-A. Like every node's, a monitor's
+// connection capacity is unlimited.
 func New(net engine.Engine, name, addr string, region simnet.Region) (*Monitor, error) {
 	id := simnet.DeriveNodeID([]byte("monitor:" + name))
-	nd, err := node.New(net, id, addr, region, node.Config{
-		Mode:     dht.ModeClient,
-		MaxConns: 0, // infinite connection capacity
-	})
+	nd, err := node.New(net, id, addr, region, node.Config{Mode: dht.ModeClient})
 	if err != nil {
 		return nil, fmt.Errorf("monitor %s: %w", name, err)
 	}

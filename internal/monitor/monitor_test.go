@@ -31,7 +31,7 @@ func build(t *testing.T, n int, seed int64) *world {
 	w := &world{net: net}
 	for i := 0; i < n; i++ {
 		id := simnet.RandomNodeID(rng)
-		nd, err := node.New(net, id, fmt.Sprintf("10.9.0.%d:4001", i), simnet.RegionUS, node.Config{ChunkSize: 512, Bitswap: bitswap.DefaultConfig()})
+		nd, err := node.New(net, id, fmt.Sprintf("10.9.0.%d:4001", i), simnet.RegionUS, node.Config{ChunkSize: 512, Bitswap: bitswap.Config{SendDontHave: true, Reprovide: true}})
 		if err != nil {
 			t.Fatal(err)
 		}

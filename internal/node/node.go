@@ -23,15 +23,8 @@ type Config struct {
 	// chooses based on reachability; the workload generator chooses based
 	// on the scenario's NAT fraction. Zero selects ModeServer.
 	Mode dht.Mode
-	// StoreCapacity bounds the blockstore in bytes (0 selects the
-	// blockstore default).
-	StoreCapacity int64
-	// MaxConns caps the connection table (0 = unlimited).
-	MaxConns int
-	// Bitswap configures the exchange engine; zero values select defaults.
+	// Bitswap configures the exchange engine.
 	Bitswap bitswap.Config
-	// DHT configures the routing layer; zero values select defaults.
-	DHT dht.Config
 	// RefreshInterval is the periodic DHT refresh period (0 selects 10
 	// minutes, as in go-ipfs).
 	RefreshInterval time.Duration
@@ -72,21 +65,20 @@ func New(net engine.Engine, id simnet.NodeID, addr string, region simnet.Region,
 	if cfg.RefreshInterval <= 0 {
 		cfg.RefreshInterval = 10 * time.Minute
 	}
-	dhtCfg := cfg.DHT
-	dhtCfg.Mode = cfg.Mode
 	n := &Node{
 		ID:     id,
 		Addr:   addr,
 		Region: region,
 		net:    net,
-		Store:  blockstore.New(cfg.StoreCapacity),
+		Store:  blockstore.New(blockstore.DefaultCapacity),
 		cfg:    cfg,
 		rng:    net.NewRand("node-" + id.HexFull()),
 	}
-	n.DHT = dht.New(net, dht.PeerInfo{ID: id, Server: cfg.Mode == dht.ModeServer}, dhtCfg)
+	n.DHT = dht.New(net, dht.PeerInfo{ID: id}, cfg.Mode)
 	n.Bitswap = bitswap.New(net, id, n.Store, n.DHT, cfg.Bitswap)
 	n.builder = merkledag.NewBuilder(n.Store, cfg.ChunkSize, 0)
-	if err := net.AddNode(id, addr, region, cfg.MaxConns, n); err != nil {
+	// maxConns 0: no node's connection table is capped.
+	if err := net.AddNode(id, addr, region, 0, n); err != nil {
 		return nil, fmt.Errorf("register node: %w", err)
 	}
 	return n, nil

@@ -271,9 +271,9 @@ func TestGiveUpAfter(t *testing.T) {
 	}
 }
 
-// DefaultGiveUp returns a bitswap config with defaults plus a give-up bound.
+// DefaultGiveUp returns the go-ipfs bitswap config plus a give-up bound.
 func DefaultGiveUp(d time.Duration) bitswap.Config {
-	cfg := bitswap.DefaultConfig()
+	cfg := bitswap.Config{SendDontHave: true, Reprovide: true}
 	cfg.GiveUpAfter = d
 	return cfg
 }

@@ -230,12 +230,6 @@ func ExponentialBuckets(start, factor float64, n int) []float64 {
 	return out
 }
 
-// DefDurationBuckets spans 100µs to ~100s, the default for latency
-// histograms (seal latency, run wall time, report finalization).
-func DefDurationBuckets() []float64 {
-	return ExponentialBuckets(1e-4, math.Sqrt(10), 13)
-}
-
 // metricKind discriminates a family's exposition TYPE.
 type metricKind int
 

@@ -94,11 +94,14 @@ type Config struct {
 	// Seed salts the sampling decision (use the simulation seed so serial
 	// and sharded runs of one scenario agree).
 	Seed int64
-	// Rings is the number of ring buffers (0 selects 8).
-	Rings int
-	// RingSize is the per-ring span capacity (0 selects 8192).
-	RingSize int
 }
+
+// A Tracer keeps finished spans in Rings ring buffers of RingSize spans
+// each; spans beyond a full ring are counted as dropped.
+const (
+	Rings    = 8
+	RingSize = 8192
+)
 
 // Tracer collects finished spans. All methods are nil-safe; a nil *Tracer is
 // the disabled recorder.
@@ -123,19 +126,16 @@ type ring struct {
 }
 
 // New creates a tracer.
-func New(cfg Config) *Tracer {
+func New(cfg Config) *Tracer { return newTracer(cfg, Rings, RingSize) }
+
+// newTracer is New with explicit ring dimensions; tests shrink them.
+func newTracer(cfg Config, rings, ringSize int) *Tracer {
 	if cfg.Sample <= 0 || cfg.Sample > 1 {
 		cfg.Sample = 1
 	}
-	if cfg.Rings <= 0 {
-		cfg.Rings = 8
-	}
-	if cfg.RingSize <= 0 {
-		cfg.RingSize = 8192
-	}
 	t := &Tracer{
 		seed:  mix64(uint64(cfg.Seed)),
-		rings: make([]ring, cfg.Rings),
+		rings: make([]ring, rings),
 		m:     otMetrics.Load(),
 	}
 	if cfg.Sample >= 1 {
@@ -144,7 +144,7 @@ func New(cfg Config) *Tracer {
 		t.threshold = uint64(cfg.Sample * float64(1<<63) * 2)
 	}
 	for i := range t.rings {
-		t.rings[i].cap = cfg.RingSize
+		t.rings[i].cap = ringSize
 	}
 	return t
 }

@@ -83,7 +83,7 @@ func TestSpanIDKeyDisambiguatesSiblings(t *testing.T) {
 }
 
 func TestRingOverflowCountsDrops(t *testing.T) {
-	tr := New(Config{Sample: 1, Seed: 1, Rings: 1, RingSize: 4})
+	tr := newTracer(Config{Sample: 1, Seed: 1}, 1, 4)
 	for i := 0; i < 10; i++ {
 		tr.Record(Span{Trace: 1, ID: uint64(i + 1), Name: "x", StartNs: int64(i)})
 	}

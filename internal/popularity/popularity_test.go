@@ -182,6 +182,64 @@ func TestFitTooFewSamples(t *testing.T) {
 	}
 }
 
+// bestTailWithoutFraction is the tail size of the KS-best fit when the xmin
+// scan keeps only the absolute floor of minTail observations, not the 5 %
+// one.
+func bestTailWithoutFraction(values []int) int {
+	sorted := append([]int(nil), values...)
+	sort.Ints(sorted)
+	bestKS, bestTail := math.Inf(1), 0
+	for lo := 0; lo < len(sorted); {
+		xmin := sorted[lo]
+		tail := sorted[lo:]
+		for lo < len(sorted) && sorted[lo] == xmin {
+			lo++
+		}
+		if xmin < 1 || len(tail) < minTail {
+			continue
+		}
+		alpha := alphaMLE(tail, xmin)
+		if math.IsInf(alpha, 1) || alpha <= 1 {
+			continue
+		}
+		if ks := ksDistance(tail, xmin, alpha); ks < bestKS {
+			bestKS, bestTail = ks, len(tail)
+		}
+	}
+	return bestTail
+}
+
+// TestFitTailFloor checks the xmin scan's tail floor: every fit rests on at
+// least 10 observations and at least 5 % of the sample, also where a smaller
+// tail would have the lower KS distance.
+func TestFitTailFloor(t *testing.T) {
+	floored := 0
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		for _, n := range []int{60, 300, 1000, 4000} {
+			data := make([]int, n)
+			for i := range data {
+				data[i] = 1 + int(math.Exp(rng.NormFloat64()*1.5))
+			}
+			fit, err := FitPowerLaw(data)
+			if err != nil {
+				t.Fatalf("seed %d, n %d: %v", seed, n, err)
+			}
+			floor := max(10, n/20)
+			if fit.NTail < floor {
+				t.Errorf("seed %d, n %d: tail of %d observations, want at least %d", seed, n, fit.NTail, floor)
+			}
+			if bestTailWithoutFraction(data) < floor {
+				floored++
+			}
+		}
+	}
+	// The 5 % floor must bind somewhere, or the check above proves nothing.
+	if floored == 0 {
+		t.Fatal("no sample's best fit without the 5 % floor has a smaller tail")
+	}
+}
+
 func TestSamplePowerLawBounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for i := 0; i < 1000; i++ {

@@ -70,51 +70,29 @@ func ksDistance(sortedTail []int, xmin int, alpha float64) float64 {
 	return d
 }
 
-// FitOpts bounds the xmin scan. A power-law claim supported only by a
-// vanishing fraction of the data is not a meaningful description of the
-// distribution, so the scan keeps a minimum tail size.
-type FitOpts struct {
-	// MinTail is the absolute minimum number of tail observations
-	// (default 10).
-	MinTail int
-	// MinTailFrac is the minimum tail fraction of the sample
-	// (default 0.05).
-	MinTailFrac float64
-}
-
-func (o FitOpts) withDefaults() FitOpts {
-	if o.MinTail <= 0 {
-		o.MinTail = 10
-	}
-	if o.MinTailFrac <= 0 {
-		o.MinTailFrac = 0.05
-	}
-	return o
-}
+// The xmin scan keeps a minimum tail: a power-law claim supported only by
+// a vanishing fraction of the data is not a meaningful description of the
+// distribution. A fit uses at least minTail observations and at least
+// minTailFrac of the sample.
+const (
+	minTail     = 10
+	minTailFrac = 0.05
+)
 
 // FitPowerLaw scans candidate xmin values (the distinct data values) and
-// returns the fit minimising the KS distance, with default scan bounds.
+// returns the fit minimising the KS distance.
 func FitPowerLaw(values []int) (PowerLawFit, error) {
-	return FitPowerLawOpts(values, FitOpts{})
-}
-
-// FitPowerLawOpts is FitPowerLaw with explicit scan bounds.
-func FitPowerLawOpts(values []int, opts FitOpts) (PowerLawFit, error) {
 	sorted := append([]int(nil), values...)
 	sort.Ints(sorted)
-	return fitSorted(sorted, opts)
+	return fitSorted(sorted)
 }
 
-// fitSorted is FitPowerLawOpts for values already in ascending order.
-func fitSorted(sorted []int, opts FitOpts) (PowerLawFit, error) {
-	opts = opts.withDefaults()
-	if len(sorted) < opts.MinTail {
+// fitSorted is FitPowerLaw for values already in ascending order.
+func fitSorted(sorted []int) (PowerLawFit, error) {
+	if len(sorted) < minTail {
 		return PowerLawFit{}, ErrTooFewSamples
 	}
-	minTail := opts.MinTail
-	if frac := int(opts.MinTailFrac * float64(len(sorted))); frac > minTail {
-		minTail = frac
-	}
+	floor := max(minTail, int(minTailFrac*float64(len(sorted))))
 	best := PowerLawFit{KS: math.Inf(1)}
 	// Candidate xmins: the distinct values, ascending, for as long as the
 	// tail from there on is large enough.
@@ -127,7 +105,7 @@ func fitSorted(sorted []int, opts FitOpts) (PowerLawFit, error) {
 		if xmin < 1 {
 			continue
 		}
-		if len(tail) < minTail {
+		if len(tail) < floor {
 			break
 		}
 		alpha := alphaMLE(tail, xmin)
@@ -185,7 +163,7 @@ func (f PowerLawFit) PValue(values []int, iterations int, rng *rand.Rand) float6
 			}
 		}
 		sort.Ints(synth)
-		sf, err := fitSorted(synth, FitOpts{})
+		sf, err := fitSorted(synth)
 		if err != nil {
 			continue
 		}

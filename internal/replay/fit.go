@@ -155,8 +155,6 @@ type FittedOptions struct {
 	Amplify float64
 	// Seed drives the generator's deterministic draws.
 	Seed int64
-	// Duration overrides the generated span (default: the model's).
-	Duration time.Duration
 }
 
 // FittedSource generates a synthetic event stream statistically matched to
@@ -183,9 +181,6 @@ type FittedSource struct {
 	wantBlockShare float64
 	now            time.Duration
 	done           bool
-
-	// Target is the expected event count (diagnostics).
-	Target int
 }
 
 // NewFittedSource prepares a generator over the model.
@@ -196,16 +191,12 @@ func NewFittedSource(m *Model, opts FittedOptions) (*FittedSource, error) {
 	if opts.Amplify <= 0 {
 		opts.Amplify = 1
 	}
-	duration := opts.Duration
-	if duration <= 0 {
-		duration = m.Duration
-	}
-	if duration <= 0 {
+	if m.Duration <= 0 {
 		return nil, fmt.Errorf("replay: model spans zero time")
 	}
 	s := &FittedSource{
 		rng:            rand.New(rand.NewSource(opts.Seed ^ 0x5eed4ef1)),
-		duration:       duration,
+		duration:       m.Duration,
 		phase:          m.Phase,
 		wantBlockShare: m.WantBlockShare,
 	}
@@ -253,7 +244,6 @@ func NewFittedSource(m *Model, opts FittedOptions) (*FittedSource, error) {
 	if s.peak <= 0 {
 		return nil, fmt.Errorf("replay: model has an all-zero diurnal shape")
 	}
-	s.Target = int(float64(m.Requests) * opts.Amplify * float64(duration) / float64(m.Duration))
 	return s, nil
 }
 

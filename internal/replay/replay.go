@@ -148,10 +148,6 @@ func (w *World) PoolSize() int { return len(w.nodes) }
 // Tracer returns the replay's span recorder, nil when tracing is off.
 func (w *World) Tracer() *otrace.Tracer { return w.cfg.Tracer }
 
-// MappedRequesters returns how many distinct observed requesters have been
-// mapped onto the pool so far.
-func (w *World) MappedRequesters() int { return len(w.assign) }
-
 // nodeFor maps an observed requester onto a pool node, first-seen
 // round-robin: deterministic for a given event stream, and injective while
 // distinct requesters fit the pool.

@@ -17,61 +17,39 @@ import (
 	"bitswapmon/internal/simnet"
 )
 
-// CatalogConfig parametrises the content catalog.
-type CatalogConfig struct {
-	// Items is the number of distinct content items (default 2000).
-	Items int
-	// CodecMix gives the probability of each multicodec; defaults to the
-	// paper's Table I shares.
-	CodecMix map[cid.Codec]float64
-	// UnresolvableFrac is the fraction of CIDs that reference no stored
+// The content catalog's shape.
+const (
+	// defaultCatalogItems is the catalog size when a world leaves
+	// CatalogItems zero.
+	defaultCatalogItems = 2000
+	// unresolvableFrac is the fraction of CIDs that reference no stored
 	// data: Sec. V-E observes that popular RRP items are often not
-	// resolvable (default 0.10).
-	UnresolvableFrac float64
-	// HotItems is the number of head items with outsized popularity (the
-	// Uniswap-config-style CIDs; default 10).
-	HotItems int
-	// MeanFileSize is the mean DagProtobuf file size in bytes
-	// (default 8 KiB; files are chunked at chunkSize).
-	MeanFileSize int
-	// WeightSigma is the lognormal sigma of per-item request weights.
-	// A lognormal weight mixture is deliberately *not* a power law, so
-	// the Sec. V-E CSN test rejects, matching the paper (default 2.0).
-	WeightSigma float64
-}
+	// resolvable.
+	unresolvableFrac = 0.10
+	// hotItems is the number of head items with outsized popularity (the
+	// Uniswap-config-style CIDs).
+	hotItems = 10
+	// meanFileSize is the mean DagProtobuf file size in bytes (files are
+	// chunked at the node's chunk size).
+	meanFileSize = 8 << 10
+	// weightSigma is the lognormal sigma of per-item request weights. A
+	// lognormal weight mixture is deliberately *not* a power law, so the
+	// Sec. V-E CSN test rejects, matching the paper.
+	weightSigma = 2.0
+)
 
-func (c CatalogConfig) withDefaults() CatalogConfig {
-	if c.Items <= 0 {
-		c.Items = 2000
-	}
-	if c.CodecMix == nil {
-		c.CodecMix = DefaultCodecMix()
-	}
-	if c.UnresolvableFrac <= 0 {
-		c.UnresolvableFrac = 0.10
-	}
-	if c.HotItems <= 0 {
-		c.HotItems = 10
-	}
-	if c.MeanFileSize <= 0 {
-		c.MeanFileSize = 8 << 10
-	}
-	if c.WeightSigma <= 0 {
-		c.WeightSigma = 2.0
-	}
-	return c
-}
-
-// DefaultCodecMix returns the Table I multicodec shares.
-func DefaultCodecMix() map[cid.Codec]float64 {
-	return map[cid.Codec]float64{
-		cid.DagProtobuf: 0.8621,
-		cid.Raw:         0.1342,
-		cid.DagCBOR:     0.0037,
-		cid.GitRaw:      0.00002,
-		cid.EthereumTx:  0.00001,
-		cid.DagJSON:     0.00001,
-	}
+// codecShares are the paper's Table I multicodec shares, in ascending codec
+// order: BuildCatalog draws a codec by scanning them in this order.
+var codecShares = []struct {
+	codec cid.Codec
+	share float64
+}{
+	{cid.Raw, 0.1342},
+	{cid.DagProtobuf, 0.8621},
+	{cid.DagCBOR, 0.0037},
+	{cid.GitRaw, 0.00002},
+	{cid.EthereumTx, 0.00001},
+	{cid.DagJSON, 0.00001},
 }
 
 // Item is one catalog entry.
@@ -101,37 +79,32 @@ type Catalog struct {
 	cum []float64
 }
 
-// BuildCatalog draws a catalog. Content bytes are generated; publishing to
-// nodes happens in Scenario construction.
-func BuildCatalog(cfg CatalogConfig, rng *rand.Rand) *Catalog {
-	cfg = cfg.withDefaults()
-	// Deterministic codec order for reproducible sampling.
-	codecs := make([]cid.Codec, 0, len(cfg.CodecMix))
-	for c := range cfg.CodecMix {
-		codecs = append(codecs, c)
+// BuildCatalog draws a catalog of items entries (zero selects 2000). Content
+// bytes are generated; publishing to nodes happens in Scenario construction.
+func BuildCatalog(items int, rng *rand.Rand) *Catalog {
+	if items <= 0 {
+		items = defaultCatalogItems
 	}
-	sort.Slice(codecs, func(i, j int) bool { return codecs[i] < codecs[j] })
-
 	pickCodec := func() cid.Codec {
 		u := rng.Float64()
 		acc := 0.0
-		for _, c := range codecs {
-			acc += cfg.CodecMix[c]
+		for _, cs := range codecShares {
+			acc += cs.share
 			if u < acc {
-				return c
+				return cs.codec
 			}
 		}
 		return cid.DagProtobuf
 	}
 
-	cat := &Catalog{Items: make([]Item, 0, cfg.Items)}
-	for i := 0; i < cfg.Items; i++ {
+	cat := &Catalog{Items: make([]Item, 0, items)}
+	for i := 0; i < items; i++ {
 		item := Item{
 			Codec:      pickCodec(),
-			Resolvable: rng.Float64() >= cfg.UnresolvableFrac,
-			Weight:     math.Exp(rng.NormFloat64() * cfg.WeightSigma),
+			Resolvable: rng.Float64() >= unresolvableFrac,
+			Weight:     math.Exp(rng.NormFloat64() * weightSigma),
 		}
-		if i < cfg.HotItems {
+		if i < hotItems {
 			item.Hot = true
 			// Head items: a couple of orders of magnitude above the
 			// typical weight, but bounded — a heavy head, not a
@@ -140,7 +113,7 @@ func BuildCatalog(cfg CatalogConfig, rng *rand.Rand) *Catalog {
 			item.Resolvable = true
 			item.Codec = cid.DagProtobuf
 		}
-		size := 1 + rng.Intn(2*cfg.MeanFileSize)
+		size := 1 + rng.Intn(2*meanFileSize)
 		content := make([]byte, size)
 		rng.Read(content)
 		// Unresolvable items get a CID derived from content that no node
@@ -198,20 +171,6 @@ func (c *Catalog) Sample(rng *rand.Rand) *Item {
 		idx = len(c.Items) - 1
 	}
 	return &c.Items[idx]
-}
-
-// ResolvableShare reports the fraction of resolvable items (diagnostics).
-func (c *Catalog) ResolvableShare() float64 {
-	if len(c.Items) == 0 {
-		return 0
-	}
-	n := 0
-	for _, it := range c.Items {
-		if it.Resolvable {
-			n++
-		}
-	}
-	return float64(n) / float64(len(c.Items))
 }
 
 // CountryWeights is a request/population share per country.

@@ -552,7 +552,7 @@ func (d *dagBlocks) PutBlock(c cid.CID, data []byte) error {
 // publishCatalog stores resolvable items at stable publishers and finalises
 // sampling weights.
 func (w *World) publishCatalog() error {
-	w.Catalog = BuildCatalog(CatalogConfig{Items: w.cfg.CatalogItems}, w.rng)
+	w.Catalog = BuildCatalog(w.cfg.CatalogItems, w.rng)
 	var publishers []*ScenarioNode
 	for _, sn := range w.Nodes {
 		if sn.Stable {

@@ -137,7 +137,7 @@ func TestMonitorCoverageMatchesJointModel(t *testing.T) {
 
 func TestCatalogCodecMix(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	cat := BuildCatalog(CatalogConfig{Items: 5000}, rng)
+	cat := BuildCatalog(5000, rng)
 	counts := map[cid.Codec]int{}
 	for _, item := range cat.Items {
 		counts[item.Codec]++
@@ -154,7 +154,7 @@ func TestCatalogCodecMix(t *testing.T) {
 
 func TestCatalogSampleRespectsWeights(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	cat := BuildCatalog(CatalogConfig{Items: 100, HotItems: 5}, rng)
+	cat := BuildCatalog(100, rng)
 	cat.finalize()
 	hot := 0
 	const draws = 20000
@@ -163,7 +163,7 @@ func TestCatalogSampleRespectsWeights(t *testing.T) {
 			hot++
 		}
 	}
-	// 5 hot items with weight ~100-200 vs 95 lognormal(σ=1.1) items:
+	// 10 hot items with weight ~100-200 vs 90 lognormal(σ=2.0) items:
 	// hot should dominate.
 	if share := float64(hot) / draws; share < 0.5 {
 		t.Errorf("hot share = %.2f, want > 0.5", share)

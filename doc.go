@@ -28,6 +28,13 @@
 // the same count. What dictionary coding leaves is mostly first-occurrence
 // hashes, so the stream is deflated at gzip.BestSpeed: 21.9 bytes per entry
 // against 33.5 for full records at level 6, written three times as fast.
+// The codec works one step beside its caller: trace.Writer codes records on
+// the caller's goroutine and deflates one 16 KiB chunk at a time on another,
+// and trace.Reader inflates and decodes 512-entry batches on one goroutine
+// ahead of Read. The bytes are those of a codec on the caller's goroutine,
+// and a decode error still arrives after exactly the entries before it.
+// Because that goroutine uses the codec's file, a codec is closed before its
+// source: the Writer or Reader first, then the file.
 //
 // Capture also scales past a bounded run: bsmon is the
 // continuous-monitoring daemon. It starts a one-run sweep spec (-spec,

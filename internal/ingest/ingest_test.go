@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -129,4 +130,17 @@ func TestTraceWriterIsASink(t *testing.T) {
 	var _ Sink = (*OnlineStats)(nil)
 	var _ EntrySource = (*QueryIter)(nil)
 	var _ EntrySource = (*StreamUnifier)(nil)
+}
+
+// settleGoroutines waits until no more than base goroutines run, failing
+// after a second: a goroutine that has signalled its exit may take a moment
+// to leave the count.
+func settleGoroutines(t *testing.T, what string, base int) {
+	t.Helper()
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > base; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: %d goroutines, %d before", what, runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
+	}
 }

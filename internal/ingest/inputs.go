@@ -14,8 +14,8 @@ import (
 // OpenInputs opens each path as a time-ordered entry source: directories
 // are segment stores, *.csv files are trace CSV exports, anything else is a
 // flat binary trace. Each input is one monitor's stream; merge them with
-// NewStreamUnifier. The returned cleanup closes every opened file and
-// iterator.
+// NewStreamUnifier. The returned cleanup closes every opened file, reader
+// and iterator, each reader before its file.
 //
 // A store is refused when reading it would silently yield less than was
 // captured: when it has no sealed segments at all, or when it holds segment
@@ -25,9 +25,9 @@ import (
 func OpenInputs(paths []string) ([]EntrySource, func(), error) {
 	var sources []EntrySource
 	var closers []io.Closer
-	cleanup := func() {
-		for _, c := range closers {
-			c.Close()
+	cleanup := func() { // last opened first, so a reader closes before its file
+		for i := len(closers) - 1; i >= 0; i-- {
+			closers[i].Close()
 		}
 	}
 	fail := func(err error) ([]EntrySource, func(), error) {
@@ -67,7 +67,11 @@ func OpenInputs(paths []string) ([]EntrySource, func(), error) {
 		if strings.EqualFold(filepath.Ext(path), ".csv") {
 			src, err = trace.NewCSVReader(f)
 		} else {
-			src, err = trace.NewReader(f)
+			var r *trace.Reader
+			if r, err = trace.NewReader(f); err == nil {
+				src = r
+				closers = append(closers, r)
+			}
 		}
 		if err != nil {
 			return fail(fmt.Errorf("ingest: read %s: %w", path, err))

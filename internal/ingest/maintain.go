@@ -166,6 +166,9 @@ func (s *SegmentStore) compactRun(run []SegmentInfo, c *compactCodec) error {
 	}
 	defer func() {
 		if f != nil {
+			if c.w != nil {
+				c.w.Close() // waits for the chunk it is deflating into f
+			}
 			f.Close()
 			os.Remove(tmp)
 		}
@@ -234,6 +237,7 @@ func (c *compactCodec) copySegmentPayload(path string) error {
 	if c.r, err = openReader(c.r, f); err != nil {
 		return fmt.Errorf("ingest: open segment %s for compaction: %w", path, err)
 	}
+	defer c.r.Close() // before f.Close: the Reader's goroutine reads f
 	for {
 		e, err := c.r.Read()
 		if err == io.EOF {

@@ -177,6 +177,12 @@ func (o SegmentOptions) withDefaults() SegmentOptions {
 // arrangement. Queries must not run concurrently with maintenance: a
 // maintenance pass may delete or rewrite a sealed file a lazy iterator has
 // not opened yet.
+//
+// Each codec runs one goroutine beside its owner (trace.Writer deflates one
+// chunk behind the writer, trace.Reader decodes batches ahead of the
+// reader), and that goroutine uses the open segment file. So every file is
+// closed only after its codec: seal closes the Writer before the file, and
+// a QueryIter or compaction closes the Reader before the file.
 type SegmentStore struct {
 	dir  string
 	opts SegmentOptions
@@ -577,15 +583,18 @@ func (it *QueryIter) Read() (trace.Entry, error) {
 	}
 }
 
+// closeSegment stops the Reader's decoding goroutine, which reads the open
+// segment, and then closes the segment's file.
 func (it *QueryIter) closeSegment() {
 	if it.f != nil {
+		it.r.Close()
 		it.f.Close()
 		it.f = nil
 	}
 }
 
 // openWriter points w at the new segment f, or makes the Writer when w is
-// nil.
+// nil. Close the Writer before f.
 func openWriter(w *trace.Writer, f *os.File) (*trace.Writer, error) {
 	if w == nil {
 		return trace.NewWriter(f)
@@ -595,7 +604,8 @@ func openWriter(w *trace.Writer, f *os.File) (*trace.Writer, error) {
 }
 
 // openReader points r at the segment f, or makes the Reader when r is nil.
-// The Reader it returns is fit for the next segment even beside an error.
+// The Reader it returns is fit for the next segment even beside an error;
+// close it before f.
 func openReader(r *trace.Reader, f *os.File) (*trace.Reader, error) {
 	if r == nil {
 		return trace.NewReader(f)

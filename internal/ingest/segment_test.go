@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -304,21 +305,26 @@ func TestQueryIterCloseMidStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 50; i++ {
-		if err := store.Write(entry("us", 1, "x", wire.WantHave, t0.Add(time.Duration(i)*time.Minute))); err != nil {
+	// Three segments, each longer than the batches a Reader decodes ahead,
+	// so the iterator's Reader is mid-segment when it is abandoned.
+	const total = 5000
+	for i := 0; i < total; i++ {
+		if err := store.Write(entry("us", 1, "x", wire.WantHave, t0.Add(time.Duration(i)*30*time.Millisecond))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	it, err := store.Query(time.Time{}, time.Time{}, nil)
+	it, err := store.Query(time.Time{}, time.Time{}, nil) // seals: no chunk in flight
 	if err != nil {
 		t.Fatal(err)
 	}
+	base := runtime.NumGoroutine()
 	if _, err := it.Read(); err != nil {
 		t.Fatal(err)
 	}
 	if err := it.Close(); err != nil {
 		t.Fatal(err)
 	}
+	settleGoroutines(t, "abandoned query closed", base)
 	// Abandoned iterator must not wedge subsequent queries.
 	it2, err := store.Query(time.Time{}, time.Time{}, nil)
 	if err != nil {
@@ -335,8 +341,8 @@ func TestQueryIterCloseMidStream(t *testing.T) {
 		}
 		n++
 	}
-	if n != 50 {
-		t.Errorf("second query saw %d entries, want 50", n)
+	if n != total {
+		t.Errorf("second query saw %d entries, want %d", n, total)
 	}
 }
 

@@ -52,6 +52,12 @@ const (
 	// to the compressor, and how many decoded bytes a Reader asks the
 	// decompressor for at a time.
 	chunk = 16 << 10
+	// batchSize is how many decoded entries a Reader's goroutine hands over
+	// at a time.
+	batchSize = 512
+	// batches is how many batches a Reader cycles through: the one the
+	// caller reads from and two the goroutine fills ahead of it.
+	batches = 3
 )
 
 // peer is what the peer dictionary codes as one value: a connected peer
@@ -98,12 +104,25 @@ func (t table[V]) get(ref uint64) (V, error) {
 	return t[ref-1], nil
 }
 
-// Writer writes a binary trace file.
+// Writer writes a binary trace file. Records are dictionary-coded on the
+// caller's goroutine; each full chunk is deflated on a goroutine of its own
+// while the caller codes the next chunk into the other of two buffers. At
+// most one chunk is in flight, and the compressor sees the same sequence of
+// writes, without a Flush, as if it ran on the caller's goroutine, so the
+// stream is byte for byte the same.
+//
+// The in-flight chunk is written to the destination by that goroutine: close
+// or reuse the destination only after Close or Reset has returned.
 type Writer struct {
-	gz   *gzip.Writer
-	buf  []byte // encoded records not yet handed to gz
-	last int64  // previous timestamp (unix nanos) for delta encoding
-	n    int
+	gz *gzip.Writer
+	// buf holds encoded records not yet handed to gz; spare is the other
+	// buffer, the chunk in flight while busy.
+	buf, spare []byte
+	busy       bool
+	done       chan error // the in-flight chunk's result
+	err        error      // first compress error, returned until Reset
+	last       int64      // previous timestamp (unix nanos) for delta encoding
+	n          int
 
 	mons  dict[string]
 	peers dict[peer]
@@ -119,16 +138,21 @@ func NewWriter(w io.Writer) (*Writer, error) {
 	return &Writer{
 		gz:    gz,
 		buf:   append(make([]byte, 0, chunk+chunk/4), fileMagic...),
+		spare: make([]byte, 0, chunk+chunk/4),
+		done:  make(chan error, 1),
 		mons:  make(dict[string]),
 		peers: make(dict[peer]),
 		cids:  make(dict[cid.CID]),
 	}, nil
 }
 
-// Reset drops whatever the Writer holds and starts a new stream into dst,
-// keeping the compressor, the buffer and the dictionaries' storage. The
-// stream is byte for byte what a new Writer would produce.
+// Reset waits for the chunk in flight, drops whatever the Writer holds,
+// including a compress error, and starts a new stream into dst, keeping the
+// compressor, the buffers and the dictionaries' storage. The stream is byte
+// for byte what a new Writer would produce.
 func (w *Writer) Reset(dst io.Writer) {
+	w.wait()
+	w.err = nil
 	w.gz.Reset(dst)
 	w.buf = append(w.buf[:0], fileMagic...)
 	w.last, w.n = 0, 0
@@ -137,8 +161,13 @@ func (w *Writer) Reset(dst io.Writer) {
 	clear(w.cids)
 }
 
-// Write appends one entry.
+// Write appends one entry. A compress error of an earlier chunk is returned
+// here at the latest when the next chunk is handed over, and by every Write
+// after it.
 func (w *Writer) Write(e Entry) error {
+	if w.err != nil {
+		return w.err
+	}
 	b := w.buf
 	ts := e.Timestamp.UnixNano()
 	b = binary.AppendVarint(b, ts-w.last)
@@ -163,28 +192,53 @@ func (w *Writer) Write(e Entry) error {
 	w.buf = b
 	w.n++
 	if len(b) >= chunk {
-		return w.flush()
+		return w.handOff()
 	}
 	return nil
 }
 
-func (w *Writer) flush() error {
-	_, err := w.gz.Write(w.buf)
-	w.buf = w.buf[:0]
-	if err != nil {
-		return fmt.Errorf("write records: %w", err)
+// handOff waits for the chunk in flight, then deflates buf on a goroutine
+// and continues in the spare buffer.
+func (w *Writer) handOff() error {
+	if err := w.wait(); err != nil {
+		return err
 	}
+	gz, full, done := w.gz, w.buf, w.done
+	w.buf, w.spare, w.busy = w.spare[:0], full, true
+	go func() {
+		_, err := gz.Write(full)
+		done <- err
+	}()
 	return nil
+}
+
+// wait blocks until no chunk is in flight and returns the first compress
+// error.
+func (w *Writer) wait() error {
+	if w.busy {
+		w.busy = false
+		if err := <-w.done; err != nil && w.err == nil {
+			w.err = fmt.Errorf("write records: %w", err)
+		}
+	}
+	return w.err
 }
 
 // Count returns the number of records written.
 func (w *Writer) Count() int { return w.n }
 
-// Close flushes and finalises the gzip stream (the underlying writer is not
-// closed).
+// Close waits for the chunk in flight, deflates the rest and finalises the
+// gzip stream (the underlying writer is not closed). It returns the first
+// compress error of the stream.
 func (w *Writer) Close() error {
-	if err := w.flush(); err != nil {
+	if err := w.wait(); err != nil {
 		return err
+	}
+	_, err := w.gz.Write(w.buf)
+	w.buf = w.buf[:0]
+	if err != nil {
+		w.err = fmt.Errorf("write records: %w", err)
+		return w.err
 	}
 	return w.gz.Close()
 }
@@ -194,8 +248,125 @@ func appendString(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
-// Reader reads a binary trace file.
+// batch is a run of decoded entries; err is what ended the stream after
+// them (io.EOF or a decode error), nil when more follow.
+type batch struct {
+	entries [batchSize]Entry
+	n       int
+	err     error
+}
+
+// Reader reads a binary trace file. The header is checked on the caller's
+// goroutine; after it, one goroutine inflates and decodes records into
+// batches ahead of the caller, and Read hands out their entries in order.
+//
+// That goroutine reads the source: close the Reader, or Reset it onto
+// another source, before closing its source.
 type Reader struct {
+	d decoder
+
+	// cur is the batch Read is taking entries from, i the next one.
+	cur  *batch
+	i    int
+	pool [batches]batch
+	// full carries decoded batches to the caller and free returns read ones,
+	// each buffered for the whole pool so that no send waits on the other
+	// side; closing stop makes the goroutine exit, which it signals by
+	// closing done. stop is nil while no goroutine runs.
+	full, free chan *batch
+	stop, done chan struct{}
+}
+
+// ErrBadTrace is returned for malformed trace files.
+var ErrBadTrace = errors.New("trace: malformed trace file")
+
+// errClosed is what Read returns after Close.
+var errClosed = errors.New("trace: read from a closed Reader")
+
+// NewReader wraps r and validates the header.
+func NewReader(r io.Reader) (*Reader, error) {
+	tr := &Reader{d: decoder{src: bufio.NewReader(r), buf: make([]byte, chunk)}}
+	tr.cur = &tr.pool[0]
+	gz, err := gzip.NewReader(tr.d.src)
+	if err != nil {
+		return nil, fmt.Errorf("open gzip: %w", err)
+	}
+	tr.d.gz = gz
+	if err := tr.start(); err != nil {
+		return nil, err
+	}
+	return tr, nil
+}
+
+// Reset stops the decoding goroutine, drops whatever the Reader holds and
+// starts reading a new stream from src, keeping the decompressor, the
+// buffers and the dictionaries' storage. After an error, and after Close,
+// the Reader is still fit for another Reset.
+func (r *Reader) Reset(src io.Reader) error {
+	r.halt(errClosed)
+	r.d.src.Reset(src)
+	if err := r.d.gz.Reset(r.d.src); err != nil {
+		r.cur.err = fmt.Errorf("open gzip: %w", err)
+		return r.cur.err
+	}
+	return r.start()
+}
+
+// start checks the header of the stream gz was just pointed at and starts
+// the goroutine that decodes the records after it. It expects no goroutine
+// to run and r.cur to be the empty first batch of the pool.
+func (r *Reader) start() error {
+	if err := r.d.start(); err != nil {
+		r.cur.err = err
+		return err
+	}
+	r.cur.err = nil
+	r.full, r.free = make(chan *batch, batches), make(chan *batch, batches)
+	r.stop, r.done = make(chan struct{}), make(chan struct{})
+	for i := 1; i < batches; i++ {
+		r.free <- &r.pool[i]
+	}
+	go r.d.run(r.full, r.free, r.stop, r.done)
+	return nil
+}
+
+// halt stops the decoding goroutine, if one runs, and waits for it to exit.
+// Read then returns err.
+func (r *Reader) halt(err error) {
+	if r.stop != nil {
+		close(r.stop)
+		<-r.done
+		r.stop = nil
+	}
+	r.cur, r.i = &r.pool[0], 0
+	r.cur.n, r.cur.err = 0, err
+}
+
+// Read returns the next entry, or io.EOF at end of stream. Once it has
+// returned an error it returns the same error until Reset.
+func (r *Reader) Read() (Entry, error) {
+	for r.i == r.cur.n {
+		if r.cur.err != nil {
+			return Entry{}, r.cur.err
+		}
+		r.free <- r.cur
+		r.cur, r.i = <-r.full, 0
+	}
+	e := r.cur.entries[r.i]
+	r.i++
+	return e, nil
+}
+
+// Close stops the decoding goroutine, waits for it to exit and closes the
+// gzip reader. The source is not closed; Close the Reader before it.
+func (r *Reader) Close() error {
+	r.halt(errClosed)
+	return r.d.gz.Close()
+}
+
+// decoder inflates and decodes one stream's records. While a Reader's
+// goroutine runs, the decoder is that goroutine's alone.
+type decoder struct {
 	src *bufio.Reader // compressed input; gz reads it as an io.ByteReader
 	gz  *gzip.Reader
 	// buf[pos:end] holds decompressed bytes not yet decoded; err is what gz
@@ -210,44 +381,45 @@ type Reader struct {
 	cids  table[cid.CID]
 }
 
-// ErrBadTrace is returned for malformed trace files.
-var ErrBadTrace = errors.New("trace: malformed trace file")
-
-// NewReader wraps r and validates the header.
-func NewReader(r io.Reader) (*Reader, error) {
-	tr := &Reader{src: bufio.NewReader(r), buf: make([]byte, chunk)}
-	gz, err := gzip.NewReader(tr.src)
-	if err != nil {
-		return nil, fmt.Errorf("open gzip: %w", err)
+// run fills free batches with decoded entries and passes them on through
+// full, until the stream ends or stop is closed, then closes done.
+func (d *decoder) run(full chan<- *batch, free <-chan *batch, stop, done chan struct{}) {
+	defer close(done)
+	for {
+		var b *batch
+		select {
+		case b = <-free:
+		case <-stop:
+			return
+		}
+		b.n, b.err = 0, nil
+		for b.n < batchSize {
+			if b.err = d.decode(&b.entries[b.n]); b.err != nil {
+				break
+			}
+			b.n++
+		}
+		select {
+		case full <- b:
+		case <-stop:
+			return
+		}
+		if b.err != nil {
+			return
+		}
 	}
-	tr.gz = gz
-	if err := tr.start(); err != nil {
-		return nil, err
-	}
-	return tr, nil
 }
 
-// Reset drops whatever the Reader holds and starts reading a new stream from
-// src, keeping the decompressor, the buffers and the dictionaries' storage.
-// After an error the Reader is still fit for another Reset.
-func (r *Reader) Reset(src io.Reader) error {
-	r.src.Reset(src)
-	if err := r.gz.Reset(r.src); err != nil {
-		return fmt.Errorf("open gzip: %w", err)
-	}
-	return r.start()
-}
-
-// start puts the Reader at the first record of the stream gz was just
+// start puts the decoder at the first record of the stream gz was just
 // pointed at.
-func (r *Reader) start() error {
+func (d *decoder) start() error {
 	// A trace stream is a single gzip member; stop at its end instead of
 	// probing for a follow-up member, so containers may append trailing
 	// metadata (e.g. ingest segment footers) after the stream.
-	r.gz.Multistream(false)
-	r.pos, r.end, r.err, r.last = 0, 0, nil, 0
-	r.mons, r.peers, r.cids = r.mons[:0], r.peers[:0], r.cids[:0]
-	magic, err := r.next(len(fileMagic))
+	d.gz.Multistream(false)
+	d.pos, d.end, d.err, d.last = 0, 0, nil, 0
+	d.mons, d.peers, d.cids = d.mons[:0], d.peers[:0], d.cids[:0]
+	magic, err := d.next(len(fileMagic))
 	if err != nil {
 		return fmt.Errorf("%w: missing header", ErrBadTrace)
 	}
@@ -262,25 +434,25 @@ func (r *Reader) start() error {
 
 // more decompresses until n undecoded bytes are buffered or the stream has
 // ended, and reports whether n are there.
-func (r *Reader) more(n int) bool {
-	if r.pos > 0 {
-		r.end = copy(r.buf, r.buf[r.pos:r.end])
-		r.pos = 0
+func (d *decoder) more(n int) bool {
+	if d.pos > 0 {
+		d.end = copy(d.buf, d.buf[d.pos:d.end])
+		d.pos = 0
 	}
-	if n > len(r.buf) {
-		r.buf = append(r.buf[:r.end], make([]byte, n-r.end)...)
+	if n > len(d.buf) {
+		d.buf = append(d.buf[:d.end], make([]byte, n-d.end)...)
 	}
-	for r.end < n && r.err == nil {
+	for d.end < n && d.err == nil {
 		var m int
-		m, r.err = r.gz.Read(r.buf[r.end:])
-		r.end += m
+		m, d.err = d.gz.Read(d.buf[d.end:])
+		d.end += m
 	}
-	return r.end >= n
+	return d.end >= n
 }
 
 // short is the error for a record cut off by the end of the stream.
-func (r *Reader) short(what string) error {
-	err := r.err
+func (d *decoder) short(what string) error {
+	err := d.err
 	if err == nil || err == io.EOF {
 		err = io.ErrUnexpectedEOF
 	}
@@ -289,125 +461,122 @@ func (r *Reader) short(what string) error {
 
 // next returns the next n undecoded bytes; they are valid until the next
 // call that reads.
-func (r *Reader) next(n int) ([]byte, error) {
-	if r.end-r.pos < n && !r.more(n) {
-		return nil, r.short("truncated")
+func (d *decoder) next(n int) ([]byte, error) {
+	if d.end-d.pos < n && !d.more(n) {
+		return nil, d.short("truncated")
 	}
-	b := r.buf[r.pos : r.pos+n]
-	r.pos += n
+	b := d.buf[d.pos : d.pos+n]
+	d.pos += n
 	return b, nil
 }
 
-func (r *Reader) uvarint(what string) (uint64, error) {
-	if r.end-r.pos < binary.MaxVarintLen64 {
-		r.more(binary.MaxVarintLen64)
+func (d *decoder) uvarint(what string) (uint64, error) {
+	if d.end-d.pos < binary.MaxVarintLen64 {
+		d.more(binary.MaxVarintLen64)
 	}
-	v, n := binary.Uvarint(r.buf[r.pos:r.end])
+	v, n := binary.Uvarint(d.buf[d.pos:d.end])
 	if n <= 0 {
 		if n < 0 {
 			return 0, fmt.Errorf("%w: %s: varint overflows 64 bits", ErrBadTrace, what)
 		}
-		return 0, r.short(what)
+		return 0, d.short(what)
 	}
-	r.pos += n
+	d.pos += n
 	return v, nil
 }
 
 // literal reads one length-prefixed byte string.
-func (r *Reader) literal(what string) ([]byte, error) {
-	n, err := r.uvarint(what)
+func (d *decoder) literal(what string) ([]byte, error) {
+	n, err := d.uvarint(what)
 	if err != nil {
 		return nil, err
 	}
 	if n > maxLiteral {
 		return nil, fmt.Errorf("%w: %s: literal of %d bytes", ErrBadTrace, what, n)
 	}
-	return r.next(int(n))
+	return d.next(int(n))
 }
 
-// Read returns the next entry, or io.EOF at end of stream.
-func (r *Reader) Read() (Entry, error) {
-	var e Entry
-	if r.pos == r.end && !r.more(1) && r.err == io.EOF {
-		return e, io.EOF
+// decode decodes the next record into e, or returns io.EOF at end of
+// stream. It sets every field of e.
+func (d *decoder) decode(e *Entry) error {
+	if d.pos == d.end && !d.more(1) && d.err == io.EOF {
+		return io.EOF
 	}
-	ud, err := r.uvarint("timestamp")
+	ud, err := d.uvarint("timestamp")
 	if err != nil {
-		return e, err
+		return err
 	}
 	delta := int64(ud >> 1) // zig-zag, as binary.AppendVarint writes it
 	if ud&1 != 0 {
 		delta = ^delta
 	}
-	r.last += delta
-	e.Timestamp = time.Unix(0, r.last).UTC()
+	d.last += delta
+	e.Timestamp = time.Unix(0, d.last).UTC()
 
-	ref, err := r.uvarint("monitor")
+	ref, err := d.uvarint("monitor")
 	if err != nil {
-		return e, err
+		return err
 	}
 	if ref != 0 {
-		if e.Monitor, err = r.mons.get(ref); err != nil {
-			return e, err
+		if e.Monitor, err = d.mons.get(ref); err != nil {
+			return err
 		}
 	} else {
-		b, err := r.literal("monitor")
+		b, err := d.literal("monitor")
 		if err != nil {
-			return e, err
+			return err
 		}
 		e.Monitor = string(b)
-		r.mons.add(e.Monitor)
+		d.mons.add(e.Monitor)
 	}
 
-	if ref, err = r.uvarint("peer"); err != nil {
-		return e, err
+	if ref, err = d.uvarint("peer"); err != nil {
+		return err
 	}
 	if ref != 0 {
-		p, err := r.peers.get(ref)
+		p, err := d.peers.get(ref)
 		if err != nil {
-			return e, err
+			return err
 		}
 		e.NodeID, e.Addr = p.id, p.addr
 	} else {
-		b, err := r.next(len(e.NodeID))
+		b, err := d.next(len(e.NodeID))
 		if err != nil {
-			return e, err
+			return err
 		}
 		copy(e.NodeID[:], b)
-		if b, err = r.literal("address"); err != nil {
-			return e, err
+		if b, err = d.literal("address"); err != nil {
+			return err
 		}
 		e.Addr = string(b)
-		r.peers.add(peer{e.NodeID, e.Addr})
+		d.peers.add(peer{e.NodeID, e.Addr})
 	}
 
-	b, err := r.next(2)
+	b, err := d.next(2)
 	if err != nil {
-		return e, err
+		return err
 	}
 	e.Type, e.Flags = wire.EntryType(b[0]), Flag(b[1])
 
-	if ref, err = r.uvarint("cid"); err != nil {
-		return e, err
+	if ref, err = d.uvarint("cid"); err != nil {
+		return err
 	}
 	if ref != 0 {
-		if e.CID, err = r.cids.get(ref); err != nil {
-			return e, err
+		if e.CID, err = d.cids.get(ref); err != nil {
+			return err
 		}
 	} else {
-		if b, err = r.literal("cid"); err != nil {
-			return e, err
+		if b, err = d.literal("cid"); err != nil {
+			return err
 		}
 		if e.CID, err = cid.Decode(b); err != nil {
-			return e, fmt.Errorf("%w: cid: %v", ErrBadTrace, err)
+			return fmt.Errorf("%w: cid: %v", ErrBadTrace, err)
 		}
-		r.cids.add(e.CID)
+		d.cids.add(e.CID)
 	}
-	return e, nil
+	return nil
 }
-
-// Close closes the gzip reader.
-func (r *Reader) Close() error { return r.gz.Close() }
 
 // ReadAll drains a reader into memory.
 func ReadAll(r *Reader) ([]Entry, error) {

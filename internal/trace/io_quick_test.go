@@ -9,6 +9,7 @@ import (
 	"io"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -287,6 +288,22 @@ func TestQuickSummarizerMatchesBatch(t *testing.T) {
 	}
 }
 
+// errDisk is the failure a failAfter destination reports.
+var errDisk = errors.New("disk full")
+
+// failAfter takes n bytes, then fails every write.
+type failAfter struct{ n int }
+
+func (f *failAfter) Write(p []byte) (int, error) {
+	if len(p) > f.n {
+		k := f.n
+		f.n = 0
+		return k, errDisk
+	}
+	f.n -= len(p)
+	return len(p), nil
+}
+
 func TestWriterCorruptStreamDetected(t *testing.T) {
 	var buf bytes.Buffer
 	w, err := NewWriter(&buf)
@@ -314,6 +331,39 @@ func TestWriterCorruptStreamDetected(t *testing.T) {
 	out, err := ReadAll(r)
 	if err == nil && len(out) == 10 {
 		t.Error("truncated stream returned complete trace")
+	}
+
+	// A destination that fails after n bytes: the chunk being deflated
+	// beside the caller fails, and a later Write or Close reports it —
+	// every one after the first — whether the failure hits the gzip
+	// header, a deflate block or the trailer. A Reset then writes a clean
+	// stream.
+	in := randomTrace(rand.New(rand.NewSource(11)), 10000)
+	_, fresh := encode(t, nil, in)
+	for _, n := range []int{0, 9, 10, 600, len(fresh) / 2, len(fresh) - 1} {
+		w, err := NewWriter(&failAfter{n: n})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var first error
+		for i, e := range in {
+			err := w.Write(e)
+			if first != nil && err == nil {
+				t.Fatalf("fail after %d: Write %d succeeded after %v", n, i, first)
+			}
+			if first == nil {
+				first = err
+			}
+		}
+		if err := w.Close(); !errors.Is(err, errDisk) {
+			t.Errorf("fail after %d: Close = %v after first Write error %v, want %v", n, err, first, errDisk)
+		}
+		if first != nil && !errors.Is(first, errDisk) {
+			t.Errorf("fail after %d: Write error %v, want %v", n, first, errDisk)
+		}
+		if _, again := encode(t, w, in); !bytes.Equal(again, fresh) {
+			t.Errorf("fail after %d: Writer Reset after the failure wrote %d bytes that differ from a new Writer's %d", n, len(again), len(fresh))
+		}
 	}
 }
 
@@ -555,6 +605,46 @@ func TestReaderRejectsMalformedRecords(t *testing.T) {
 			t.Errorf("%s: error %v, want one wrapping ErrBadTrace and naming %s", tc.name, err, tc.want)
 		}
 	}
+	// A decode error arrives after exactly the records before it, wherever
+	// it falls against the batches the Reader decodes ahead, and every
+	// later Read repeats it.
+	for _, before := range []int{batchSize - 1, batchSize, batchSize + 1, 2 * batchSize} {
+		payload := string(fileMagic) + good + strings.Repeat(ts+"\x01\x01"+typ+"\x01", before-1) + ts + "\x02"
+		r, err := NewReader(bytes.NewReader(rawStream(t, payload)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := ReadAll(r)
+		if len(out) != before || !errors.Is(err, ErrBadTrace) || !strings.Contains(err.Error(), "ref 2") {
+			t.Errorf("error after %d records: read %d, then %v", before, len(out), err)
+		}
+		for range 3 {
+			if _, again := r.Read(); again == nil || again.Error() != err.Error() {
+				t.Errorf("error after %d records: a later Read returned %v, want %v", before, again, err)
+			}
+		}
+	}
+	// A small trace cut at every byte offset yields a prefix of its
+	// entries and then ErrBadTrace on every Read, unless NewReader already
+	// refuses what is left (no gzip header, or no magic).
+	in := randomTrace(rand.New(rand.NewSource(5)), 40)
+	_, stream := encode(t, nil, in)
+	for cut := range len(stream) {
+		r, err := NewReader(bytes.NewReader(stream[:cut]))
+		if err != nil {
+			continue
+		}
+		out, err := ReadAll(r)
+		if d := firstDiff(in, out); d >= 0 && d < len(out) || !errors.Is(err, ErrBadTrace) {
+			t.Fatalf("cut at %d of %d: read %d entries, first difference at %d, then %v", cut, len(stream), len(out), d, err)
+		}
+		for range 2 {
+			if _, again := r.Read(); !errors.Is(again, ErrBadTrace) {
+				t.Fatalf("cut at %d of %d: Read after %v returned %v", cut, len(stream), err, again)
+			}
+		}
+		r.Close()
+	}
 	// The well-formed record the cases above are built from does decode.
 	r, err := NewReader(bytes.NewReader(rawStream(t, string(fileMagic)+good+ts+"\x01\x01"+typ+"\x01")))
 	if err != nil {
@@ -563,4 +653,60 @@ func TestReaderRejectsMalformedRecords(t *testing.T) {
 	if out, err := ReadAll(r); err != nil || len(out) != 2 || out[0] != out[1] || out[0].Monitor != "us" || out[0].Addr != "a" {
 		t.Errorf("hand-built stream: %+v, %v", out, err)
 	}
+}
+
+// settleGoroutines waits until no more than base goroutines run, failing
+// after a second: a goroutine that has signalled its exit may take a moment
+// to leave the count.
+func settleGoroutines(t *testing.T, what string, base int) {
+	t.Helper()
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > base; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: %d goroutines, %d before", what, runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestReaderGoroutineEndsWithItsStream: the goroutine a Reader decodes
+// ahead on does not outlive the stream, however the stream is left.
+func TestReaderGoroutineEndsWithItsStream(t *testing.T) {
+	// Longer than the batches the goroutine fills ahead, so it is blocked
+	// mid-stream when the caller walks away.
+	in := randomTrace(rand.New(rand.NewSource(13)), 4*batches*batchSize)
+	_, stream := encode(t, nil, in)
+	open := func(t *testing.T, stream []byte) *Reader {
+		t.Helper()
+		r, err := NewReader(bytes.NewReader(stream))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.Read(); err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	base := runtime.NumGoroutine()
+
+	r := open(t, stream)
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Read(); err == nil {
+		t.Error("Read after Close returned an entry")
+	}
+	settleGoroutines(t, "closed mid-stream", base)
+
+	r = open(t, stream)
+	_, out := decode(t, r, stream)
+	if d := firstDiff(in, out); d >= 0 {
+		t.Fatalf("reset mid-stream: read %d entries of %d, first difference at %d", len(out), len(in), d)
+	}
+	settleGoroutines(t, "reset mid-stream", base)
+
+	cut := open(t, stream[:len(stream)/2])
+	if out, err := ReadAll(cut); !errors.Is(err, ErrBadTrace) || len(out) == 0 {
+		t.Fatalf("cut stream: read %d entries, then %v", len(out), err)
+	}
+	settleGoroutines(t, "read up to a decode error", base)
 }

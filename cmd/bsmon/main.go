@@ -228,7 +228,7 @@ loop:
 	// capture error; 2. flush the unifier's final timestamp batch into the
 	// windowed driver and finalize the still-open windows (marked partial);
 	// 3. close each Maintainer, which runs one final compaction/retention
-	// pass over the now-complete segment set and writes a fresh index.
+	// pass over the now-complete segment set.
 	if err := sweep.SealMonitorStores(w.Monitors, stores); err != nil {
 		return err
 	}

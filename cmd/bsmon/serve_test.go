@@ -8,6 +8,7 @@ import (
 	"os/signal"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"syscall"
 	"testing"
@@ -75,6 +76,88 @@ func reopenClean(t *testing.T, dir string) *ingest.SegmentStore {
 	return store
 }
 
+// serveBase waits for the daemon to write its -addr-file and returns the
+// base URL it serves on.
+func serveBase(t *testing.T, addrFile string, done <-chan error) string {
+	t.Helper()
+	for i := 0; i < 200; i++ {
+		select {
+		case err := <-done:
+			t.Fatalf("daemon exited early: %v", err)
+		case <-time.After(100 * time.Millisecond):
+		}
+		// The daemon writes the address and a newline in one call; a read
+		// without the newline caught the write half done.
+		if blob, err := os.ReadFile(addrFile); err == nil && strings.HasSuffix(string(blob), "\n") {
+			return "http://" + strings.TrimSpace(string(blob))
+		}
+	}
+	t.Fatal("daemon never wrote -addr-file")
+	return ""
+}
+
+// httpGet fetches url and returns its body, failing the test on any error
+// or non-200 status.
+func httpGet(t *testing.T, url string) string {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatalf("GET %s: %v", url, err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: status %d", url, resp.StatusCode)
+	}
+	blob, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(blob)
+}
+
+// reportsSnapshot decodes the daemon's /reports payload. Unlike /metrics,
+// which serves the process-wide registry, it describes this run alone.
+func reportsSnapshot(t *testing.T, base string) report.WindowSnapshot {
+	t.Helper()
+	var snap report.WindowSnapshot
+	if err := json.Unmarshal([]byte(httpGet(t, base+"/reports")), &snap); err != nil {
+		t.Fatalf("bad /reports payload: %v", err)
+	}
+	return snap
+}
+
+// waitFor polls cond every 200 ms until it holds, failing the test if the
+// daemon exits or 90 s pass first.
+func waitFor(t *testing.T, done <-chan error, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.After(90 * time.Second)
+	for !cond() {
+		select {
+		case err := <-done:
+			t.Fatalf("daemon exited before %s: %v", what, err)
+		case <-deadline:
+			t.Fatalf("daemon never reached %s", what)
+		case <-time.After(200 * time.Millisecond):
+		}
+	}
+}
+
+// expiredSegments reads ingest_retention_expired_segments_total from a
+// /metrics scrape (0 when absent).
+func expiredSegments(t *testing.T, metrics string) float64 {
+	t.Helper()
+	for _, line := range strings.Split(metrics, "\n") {
+		if v, ok := strings.CutPrefix(line, "ingest_retention_expired_segments_total "); ok {
+			n, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("bad retention counter line %q: %v", line, err)
+			}
+			return n
+		}
+	}
+	return 0
+}
+
 // TestBsmonInterruptSealsStore kills the daemon mid-run and asserts the
 // stores reopen sealed and queryable — the crash-consistency contract of the
 // shutdown path.
@@ -87,10 +170,25 @@ func TestBsmonInterruptSealsStore(t *testing.T) {
 	defer signal.Stop(ch)
 
 	dir := t.TempDir()
+	addrFile := filepath.Join(dir, "addr")
 	done := startRun([]string{"-out", dir, "-spec", writeSpec(t, nil), "-hours", "2000", "-rotate", "30m",
-		"-serve-addr", "127.0.0.1:0"})
-	// Let the world build and at least one run step complete.
-	time.Sleep(2 * time.Second)
+		"-serve-addr", "127.0.0.1:0", "-addr-file", addrFile})
+	// Let the world build and at least one run step deliver entries.
+	base := serveBase(t, addrFile, done)
+	waitFor(t, done, "a window holding entries", func() bool {
+		snap := reportsSnapshot(t, base)
+		for _, w := range snap.Open {
+			if w.Entries > 0 {
+				return true
+			}
+		}
+		for _, w := range snap.Closed {
+			if w.Entries > 0 {
+				return true
+			}
+		}
+		return false
+	})
 	if err := signalUntilDone(t, done); err != nil {
 		t.Fatalf("interrupted run failed: %v", err)
 	}
@@ -122,62 +220,25 @@ func TestBsmonServeEndToEnd(t *testing.T) {
 		"-compact-run", "2", "-compact-small", "1000000",
 		"-step", "5m", "-pace", "1ms",
 	})
+	base := serveBase(t, addrFile, done)
+	get := func(path string) string { return httpGet(t, base+path) }
 
-	// Discover the ephemeral address.
-	var addr string
-	for i := 0; i < 200 && addr == ""; i++ {
-		select {
-		case err := <-done:
-			t.Fatalf("serve exited early: %v", err)
-		case <-time.After(100 * time.Millisecond):
-		}
-		if blob, err := os.ReadFile(addrFile); err == nil {
-			addr = strings.TrimSpace(string(blob))
-		}
-	}
-	if addr == "" {
-		t.Fatal("daemon never wrote -addr-file")
-	}
-	base := "http://" + addr
-
-	get := func(path string) string {
-		resp, err := http.Get(base + path)
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: status %d", path, resp.StatusCode)
-		}
-		blob, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(blob)
-	}
-
-	// Poll /metrics until at least two closed windows of the traffic report
-	// are published and retention has expired at least one segment.
+	// Wait until this run has closed two windows and its retention has
+	// expired a segment. The counters on /metrics are process-wide, so
+	// retention counts from its value at the first scrape.
+	expiredAtStart := expiredSegments(t, get("/metrics"))
 	var metrics string
-	deadline := time.Now().Add(90 * time.Second)
-	for {
+	waitFor(t, done, "2 closed windows and a retention expiry", func() bool {
+		if reportsSnapshot(t, base).ClosedTotal < 2 {
+			return false
+		}
 		metrics = get("/metrics")
-		twoWindows := strings.Contains(metrics, `report_window_metric{report="traffic",metric="dedup_entries",window="0"}`) &&
-			strings.Contains(metrics, `report_window_metric{report="traffic",metric="dedup_entries",window="1"}`)
-		expired := false
-		for _, line := range strings.Split(metrics, "\n") {
-			if strings.HasPrefix(line, "ingest_retention_expired_segments_total ") &&
-				!strings.HasSuffix(line, " 0") {
-				expired = true
-			}
+		return expiredSegments(t, metrics) > expiredAtStart
+	})
+	for _, slot := range []string{"0", "1"} {
+		if !strings.Contains(metrics, `report_window_metric{report="traffic",metric="dedup_entries",window="`+slot+`"}`) {
+			t.Errorf("missing traffic window gauge for slot %s", slot)
 		}
-		if twoWindows && expired {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("daemon never published 2 windows + retention (twoWindows=%v expired=%v)", twoWindows, expired)
-		}
-		time.Sleep(200 * time.Millisecond)
 	}
 	if !strings.Contains(metrics, `report_window_start_seconds{window="0"}`) {
 		t.Error("missing window start gauge")
@@ -195,10 +256,7 @@ func TestBsmonServeEndToEnd(t *testing.T) {
 	if health := get("/healthz"); !strings.Contains(health, `"status":"ok"`) {
 		t.Fatalf("unhealthy daemon: %s", health)
 	}
-	var snap report.WindowSnapshot
-	if err := json.Unmarshal([]byte(get("/reports")), &snap); err != nil {
-		t.Fatalf("bad /reports payload: %v", err)
-	}
+	snap := reportsSnapshot(t, base)
 	if snap.ClosedTotal < 2 || len(snap.Closed) < 2 {
 		t.Fatalf("reports show %d closed windows, want >= 2", snap.ClosedTotal)
 	}

@@ -20,7 +20,7 @@
 // pass through every report, and leaves summary.json and report.txt in the
 // run directory; trace.Unify remains as the reference the streaming
 // unifier is tested against. Entries are stamped with the engine's exact per-event clock
-// (Engine.EventTime) on either engine. A segment is a BSTRACE2 stream
+// (Engine.EventTime). A segment is a BSTRACE2 stream
 // (internal/trace):
 // per record a timestamp delta, type and flags, and a reference each for the
 // monitor, the (node ID, address) pair and the CID into per-stream

@@ -89,7 +89,7 @@ func run() error {
 		stores = append(stores, store)
 		// One Maintainer per store: merge runs of >= 3 small segments,
 		// expire raw segments entirely older than 12h behind the newest
-		// data, refresh the footer index.
+		// data.
 		maintainers = append(maintainers, ingest.NewMaintainer(store, ingest.MaintainOptions{
 			Interval:   200 * time.Millisecond,
 			Compaction: ingest.CompactionPolicy{MinRun: 3},

@@ -27,7 +27,7 @@ type contractStep struct {
 	op    string
 	do    func(Engine) error
 	want  error
-	names NodeID
+	names simnet.NodeID
 }
 
 // errAny marks a step that must fail without a sentinel to match.
@@ -51,12 +51,12 @@ func TestTableContract(t *testing.T) {
 }
 
 func runContract(t *testing.T, name string, eng Engine, reg *obs.Registry) string {
-	id := func(s string) NodeID { return simnet.DeriveNodeID([]byte(s)) }
+	id := func(s string) simnet.NodeID { return simnet.DeriveNodeID([]byte(s)) }
 	hub, a, b, c, d, e, f, ghost := id("hub"), id("a"), id("b"), id("c"), id("d"), id("e"), id("f"), id("ghost")
-	short := map[NodeID]string{hub: "hub", a: "a", b: "b", c: "c", d: "d", e: "e", f: "f", ghost: "ghost"}
-	all := []NodeID{hub, a, b, c, d, e, f, ghost}
-	handlers := map[NodeID]*recHandler{}
-	add := func(n NodeID, region Region, maxConns int) func(Engine) error {
+	short := map[simnet.NodeID]string{hub: "hub", a: "a", b: "b", c: "c", d: "d", e: "e", f: "f", ghost: "ghost"}
+	all := []simnet.NodeID{hub, a, b, c, d, e, f, ghost}
+	handlers := map[simnet.NodeID]*recHandler{}
+	add := func(n simnet.NodeID, region simnet.Region, maxConns int) func(Engine) error {
 		return func(eng Engine) error {
 			if handlers[n] == nil {
 				handlers[n] = &recHandler{}
@@ -64,19 +64,21 @@ func runContract(t *testing.T, name string, eng Engine, reg *obs.Registry) strin
 			return eng.AddNode(n, short[n]+":4001", region, maxConns, handlers[n])
 		}
 	}
-	connect := func(x, y NodeID) func(Engine) error { return func(eng Engine) error { return eng.Connect(x, y) } }
-	send := func(x, y NodeID, msg string) func(Engine) error {
+	connect := func(x, y simnet.NodeID) func(Engine) error {
+		return func(eng Engine) error { return eng.Connect(x, y) }
+	}
+	send := func(x, y simnet.NodeID, msg string) func(Engine) error {
 		return func(eng Engine) error { return eng.Send(x, y, msg) }
 	}
-	disconnect := func(x, y NodeID) func(Engine) error {
+	disconnect := func(x, y simnet.NodeID) func(Engine) error {
 		return func(eng Engine) error { eng.Disconnect(x, y); return nil }
 	}
-	setOnline := func(x NodeID, on bool) func(Engine) error {
+	setOnline := func(x simnet.NodeID, on bool) func(Engine) error {
 		return func(eng Engine) error { return eng.SetOnline(x, on) }
 	}
 	run := func(eng Engine) error { eng.Run(time.Second); return nil }
 
-	var none NodeID
+	var none simnet.NodeID
 	script := []contractStep{
 		{"add hub", add(hub, simnet.RegionUS, 3), nil, none},
 		{"add a", add(a, simnet.RegionDE, 0), nil, none},
@@ -167,8 +169,8 @@ func runContract(t *testing.T, name string, eng Engine, reg *obs.Registry) strin
 }
 
 // tableState renders everything the table answers about each node.
-func tableState(out *strings.Builder, eng Engine, all []NodeID, short map[NodeID]string) {
-	names := func(ids []NodeID) string {
+func tableState(out *strings.Builder, eng Engine, all []simnet.NodeID, short map[simnet.NodeID]string) {
+	names := func(ids []simnet.NodeID) string {
 		s := make([]string, len(ids))
 		for i, id := range ids {
 			s[i] = short[id]
@@ -179,9 +181,9 @@ func tableState(out *strings.Builder, eng Engine, all []NodeID, short map[NodeID
 	for _, n := range all {
 		addr, okA := eng.Addr(n)
 		region, okR := eng.NodeRegion(n)
-		var each []NodeID
-		eng.PeersEach(n, func(p NodeID) bool { each = append(each, p); return true })
-		var conn []NodeID
+		var each []simnet.NodeID
+		eng.PeersEach(n, func(p simnet.NodeID) bool { each = append(each, p); return true })
+		var conn []simnet.NodeID
 		for _, m := range all {
 			if eng.Connected(n, m) {
 				conn = append(conn, m)

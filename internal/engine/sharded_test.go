@@ -22,17 +22,17 @@ type recHandler struct {
 	lastMsg atomic.Value // string
 }
 
-func (h *recHandler) HandleMessage(from NodeID, msg any) {
+func (h *recHandler) HandleMessage(from simnet.NodeID, msg any) {
 	h.msgs.Add(1)
 	h.lastMsg.Store(fmt.Sprint(msg))
 }
-func (h *recHandler) PeerConnected(p NodeID)    { h.conns.Add(1) }
-func (h *recHandler) PeerDisconnected(p NodeID) { h.disc.Add(1) }
+func (h *recHandler) PeerConnected(p simnet.NodeID)    { h.conns.Add(1) }
+func (h *recHandler) PeerDisconnected(p simnet.NodeID) { h.disc.Add(1) }
 
 // addNodes registers n nodes and returns ids and handlers.
-func addNodes(t *testing.T, s *simnet.Network, n int) ([]NodeID, []*recHandler) {
+func addNodes(t *testing.T, s *simnet.Network, n int) ([]simnet.NodeID, []*recHandler) {
 	t.Helper()
-	ids := make([]NodeID, n)
+	ids := make([]simnet.NodeID, n)
 	hs := make([]*recHandler, n)
 	for i := range ids {
 		ids[i] = simnet.DeriveNodeID([]byte{byte(i), byte(i >> 8), 0xab})
@@ -316,8 +316,8 @@ func TestShardedPeersEach(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var seen []NodeID
-	s.PeersEach(ids[0], func(p NodeID) bool {
+	var seen []simnet.NodeID
+	s.PeersEach(ids[0], func(p simnet.NodeID) bool {
 		seen = append(seen, p)
 		return true
 	})
@@ -331,11 +331,11 @@ func TestShardedPeersEach(t *testing.T) {
 		}
 	}
 	n := 0
-	s.PeersEach(ids[0], func(NodeID) bool { n++; return n < 5 })
+	s.PeersEach(ids[0], func(simnet.NodeID) bool { n++; return n < 5 })
 	if n != 5 {
 		t.Fatalf("early stop visited %d peers, want 5", n)
 	}
-	s.PeersEach(simnet.DeriveNodeID([]byte("unknown")), func(NodeID) bool {
+	s.PeersEach(simnet.DeriveNodeID([]byte("unknown")), func(simnet.NodeID) bool {
 		t.Fatal("callback for unknown node")
 		return false
 	})
@@ -345,8 +345,8 @@ func TestShardedPeersEach(t *testing.T) {
 // messages on along its region's ring.
 type orderNode struct {
 	s     *simnet.Network
-	id    NodeID
-	next  NodeID
+	id    simnet.NodeID
+	next  simnet.NodeID
 	log   *[]orderEntry
 	total int // timers scheduled, the base of send ranks
 }
@@ -369,15 +369,15 @@ func (o *orderNode) record(rank int) int {
 	return len(*o.log) - 1
 }
 
-func (o *orderNode) HandleMessage(from NodeID, msg any) {
+func (o *orderNode) HandleMessage(from simnet.NodeID, msg any) {
 	m := msg.(orderMsg)
 	pos := o.record(m.rank)
 	if m.hops < 2 && m.rank%2 == 0 {
 		_ = o.s.Send(o.id, o.next, orderMsg{rank: o.total + pos, hops: m.hops + 1})
 	}
 }
-func (o *orderNode) PeerConnected(NodeID)    {}
-func (o *orderNode) PeerDisconnected(NodeID) {}
+func (o *orderNode) PeerConnected(simnet.NodeID)    {}
+func (o *orderNode) PeerDisconnected(simnet.NodeID) {}
 
 // TestShardHeapDrainsInTimeSeqOrder drives random schedules through four
 // shards and requires each shard to run its events in (time, seq) order.
@@ -387,10 +387,10 @@ func (o *orderNode) PeerDisconnected(NodeID) {}
 // timers scheduled earlier: equal-time ties between idle inserts and
 // same-window inserts, which the earlier insert must win.
 func TestShardHeapDrainsInTimeSeqOrder(t *testing.T) {
-	regions := []Region{"R0", "R1", "R2", "R3"}
-	lm := &simnet.LatencyModel{Base: map[[2]Region]time.Duration{}, Default: 40 * time.Millisecond}
+	regions := []simnet.Region{"R0", "R1", "R2", "R3"}
+	lm := &simnet.LatencyModel{Base: map[[2]simnet.Region]time.Duration{}, Default: 40 * time.Millisecond}
 	for _, r := range regions {
-		lm.Base[[2]Region{r, r}] = time.Millisecond
+		lm.Base[[2]simnet.Region{r, r}] = time.Millisecond
 	}
 	s := simnet.NewSharded(t0, 1, simnet.ShardedConfig{Shards: 4, Latency: lm})
 	if s.Lookahead() != 40*time.Millisecond {

@@ -2,7 +2,6 @@ package ingest
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -45,34 +44,6 @@ func FuzzReadFooter(f *testing.F) {
 			t.Fatal(err)
 		}
 		_, _ = ReadFooter(path)
-	})
-}
-
-// FuzzReadIndex hammers the advisory footer index: any index.json content
-// must load as a usable (possibly empty) index, and lookups against it must
-// never panic — corrupt indexes degrade to per-file footers by contract.
-func FuzzReadIndex(f *testing.F) {
-	valid, err := json.Marshal(indexFile{
-		Version: indexVersion,
-		Segments: []indexedEntry{
-			{Name: "seg-000001.trace", Size: 123, Footer: *newFooter()},
-		},
-	})
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(valid)
-	f.Add([]byte(`{"version":999}`))
-	f.Add([]byte(`{`))
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, indexFileName), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		idx := readIndex(dir)
-		_, _ = idx.lookup(filepath.Join(dir, "seg-000001.trace"))
-		_, _ = idx.lookup(filepath.Join(dir, "absent.trace"))
 	})
 }
 

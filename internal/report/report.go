@@ -46,12 +46,8 @@ type Report interface {
 type Result interface {
 	// Render prints the artifact as the paper-style text table/figure.
 	Render() string
-	// CSV renders the artifact as machine-readable CSV.
-	CSV() string
-	// JSON marshals the artifact.
-	JSON() ([]byte, error)
 	// Metrics exposes the artifact's headline numbers by name, the
-	// currency of cross-run comparison (sweep summaries, CSV joins).
+	// currency of cross-run comparison (sweep summaries, window rollups).
 	Metrics() map[string]float64
 }
 
@@ -292,43 +288,4 @@ func (d *Driver) Finalize() (Results, error) {
 		d.reports[i].Result = res
 	}
 	return d.reports, errors.Join(errs...)
-}
-
-// Values is a ready-made Result for custom reports that only produce named
-// numbers: Render/CSV list the values sorted by name, Metrics returns the
-// map itself. With it, a new metric is a ~20-line Report implementation.
-type Values map[string]float64
-
-// Render lists the values, one per line, sorted by name.
-func (v Values) Render() string {
-	var sb strings.Builder
-	for _, k := range v.sortedKeys() {
-		fmt.Fprintf(&sb, "%s: %g\n", k, v[k])
-	}
-	return sb.String()
-}
-
-// CSV renders name,value lines sorted by name.
-func (v Values) CSV() string {
-	var sb strings.Builder
-	sb.WriteString("metric,value\n")
-	for _, k := range v.sortedKeys() {
-		fmt.Fprintf(&sb, "%s,%g\n", csvEscape(k), v[k])
-	}
-	return sb.String()
-}
-
-// JSON marshals the value map.
-func (v Values) JSON() ([]byte, error) { return marshalJSON(map[string]float64(v)) }
-
-// Metrics returns the map itself.
-func (v Values) Metrics() map[string]float64 { return v }
-
-func (v Values) sortedKeys() []string {
-	keys := make([]string, 0, len(v))
-	for k := range v {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -566,10 +567,6 @@ func TestFinalizePartialResults(t *testing.T) {
 	if !strings.Contains(fig.Render(), fig.RRPFitErr) {
 		t.Errorf("Render does not show the failed fit:\n%s", fig.Render())
 	}
-	js, err := fig.JSON()
-	if err != nil || !strings.Contains(string(js), `"rrp_fit_err"`) || !strings.Contains(string(js), `"urp_fitted":false`) {
-		t.Errorf("JSON does not carry the failed fit (err %v): %s", err, js)
-	}
 	for k := range fig.Metrics() {
 		if k != "cids" && k != "urp_share1" {
 			t.Errorf("Metrics of an unfitted fig5 has %q", k)
@@ -611,12 +608,6 @@ func TestResultsSurface(t *testing.T) {
 	for _, nr := range results {
 		if nr.Result.Render() == "" {
 			t.Errorf("%s: empty render", nr.Name)
-		}
-		if nr.Result.CSV() == "" {
-			t.Errorf("%s: empty CSV", nr.Name)
-		}
-		if _, err := nr.Result.JSON(); err != nil {
-			t.Errorf("%s: JSON: %v", nr.Name, err)
 		}
 		if len(nr.Result.Metrics()) == 0 {
 			t.Errorf("%s: no metrics", nr.Name)
@@ -717,15 +708,9 @@ func TestLatencyBreakdownFromSpans(t *testing.T) {
 	if s := stage(StageQueueWait); s.Count != 1 || s.MeanNs != 40 {
 		t.Errorf("queue-wait stage wrong: %+v", s)
 	}
-	// Render/CSV/JSON/Metrics must all work on the panel.
+	// Render and Metrics must both work on the panel.
 	if out := lb.Render(); !strings.Contains(out, "latency breakdown") || !strings.Contains(out, "bitswap.get") {
 		t.Errorf("Render missing expected content:\n%s", out)
-	}
-	if csv := lb.CSV(); !strings.HasPrefix(csv, "stage,count,drops,") {
-		t.Errorf("CSV header wrong:\n%s", csv)
-	}
-	if _, err := lb.JSON(); err != nil {
-		t.Errorf("JSON: %v", err)
 	}
 	m := lb.Metrics()
 	if m["count:request"] != 2 || m["drops:bitswap.get"] != 1 {
@@ -747,19 +732,15 @@ func TestLatencyBreakdownFromSpans(t *testing.T) {
 }
 
 // TestSharedPopularityCounter: fig5 and popularity read one counter per
-// pass, fed by whichever was added first. Each must finalize to the bytes it
+// pass, fed by whichever was added first. Each must finalize to the result it
 // produces when it is the only report of its driver, in either order and
 // beside a summary that numbers CIDs neither of them scores.
 func TestSharedPopularityCounter(t *testing.T) {
 	f := newFixture(t, 5)
 	opts := f.opts()
-	alone := make(map[string]string)
+	alone := make(map[string]Result)
 	for _, name := range []string{"fig5", "popularity"} {
-		blob, err := f.run(t, name, opts).JSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		alone[name] = string(blob)
+		alone[name] = f.run(t, name, opts)
 	}
 	for _, names := range [][]string{
 		{"summary", "fig5", "popularity"},
@@ -780,12 +761,8 @@ func TestSharedPopularityCounter(t *testing.T) {
 			t.Fatal(err)
 		}
 		for name, want := range alone {
-			got, err := results.Get(name).JSON()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if string(got) != want {
-				t.Errorf("%v: %s differs from its stand-alone run\n--- shared\n%s\n--- alone\n%s", names, name, got, want)
+			if got := results.Get(name); !reflect.DeepEqual(got, want) {
+				t.Errorf("%v: %s differs from its stand-alone run\n--- shared\n%+v\n--- alone\n%+v", names, name, got, want)
 			}
 		}
 	}

@@ -1,10 +1,8 @@
 package report
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
@@ -45,12 +43,6 @@ func (r *SummaryResult) Render() string {
 	return sb.String()
 }
 
-// CSV renders metric,value lines.
-func (r *SummaryResult) CSV() string { return Values(r.Metrics()).CSV() }
-
-// JSON marshals the summary.
-func (r *SummaryResult) JSON() ([]byte, error) { return marshalJSON(r.Summary) }
-
 // Metrics exposes the summary counters.
 func (r *SummaryResult) Metrics() map[string]float64 {
 	s := r.Summary
@@ -69,16 +61,16 @@ func (r *SummaryResult) Metrics() map[string]float64 {
 // Traffic is the dedup-share and origin-share panel: both trace views in one
 // pass.
 type Traffic struct {
-	Entries       int     `json:"entries"`
-	Requests      int     `json:"requests"`
-	DedupEntries  int     `json:"dedup_entries"`
-	DedupRequests int     `json:"dedup_requests"`
-	RebroadShare  float64 `json:"rebroad_share"`
-	GatewayShare  float64 `json:"gateway_share"`
+	Entries       int
+	Requests      int
+	DedupEntries  int
+	DedupRequests int
+	RebroadShare  float64
+	GatewayShare  float64
 	// HasGatewayIDs reports whether a gateway ID set was provided; when
 	// false, GatewayShare is structurally zero and is not rendered or
 	// exported as a metric (it would read as a real 0% share).
-	HasGatewayIDs bool `json:"has_gateway_ids"`
+	HasGatewayIDs bool
 }
 
 // Render prints the panel.
@@ -92,12 +84,6 @@ func (t *Traffic) Render() string {
 	}
 	return sb.String()
 }
-
-// CSV renders metric,value lines.
-func (t *Traffic) CSV() string { return Values(t.Metrics()).CSV() }
-
-// JSON marshals the panel.
-func (t *Traffic) JSON() ([]byte, error) { return marshalJSON(t) }
 
 // Metrics exposes the dedup counters and shares.
 func (t *Traffic) Metrics() map[string]float64 {
@@ -117,18 +103,18 @@ func (t *Traffic) Metrics() map[string]float64 {
 // Online is the sketched one-pass aggregate panel: what a long-running
 // collector can afford to keep per entry.
 type Online struct {
-	Entries        int64               `json:"entries"`
-	Requests       int64               `json:"requests"`
-	DistinctPeers  float64             `json:"distinct_peers_est"`
-	DistinctCIDs   float64             `json:"distinct_cids_est"`
-	First          time.Time           `json:"first"`
-	Last           time.Time           `json:"last"`
-	PerType        map[string]int64    `json:"per_type"`
-	BucketSize     time.Duration       `json:"bucket_size"`
-	Buckets        []ingest.TypeBucket `json:"buckets"`
-	EvictedBuckets int                 `json:"evicted_buckets"`
-	TopK           int                 `json:"top_k"`
-	TopCIDs        []ingest.CIDCount   `json:"top_cids"`
+	Entries        int64
+	Requests       int64
+	DistinctPeers  float64
+	DistinctCIDs   float64
+	First          time.Time
+	Last           time.Time
+	PerType        map[string]int64
+	BucketSize     time.Duration
+	Buckets        []ingest.TypeBucket
+	EvictedBuckets int
+	TopK           int
+	TopCIDs        []ingest.CIDCount
 }
 
 // Render prints the panel, including the windowed request-type series and
@@ -156,19 +142,6 @@ func (r *Online) Render() string {
 	return sb.String()
 }
 
-// CSV renders the windowed series.
-func (r *Online) CSV() string {
-	var sb strings.Builder
-	sb.WriteString("bucket,want_block,want_have,cancel\n")
-	for _, b := range r.Buckets {
-		fmt.Fprintf(&sb, "%s,%d,%d,%d\n", b.Start.Format(time.RFC3339), b.WantBlock, b.WantHave, b.Cancel)
-	}
-	return sb.String()
-}
-
-// JSON marshals the panel.
-func (r *Online) JSON() ([]byte, error) { return marshalJSON(r) }
-
 // Metrics exposes the sketched estimates.
 func (r *Online) Metrics() map[string]float64 {
 	return map[string]float64{
@@ -183,17 +156,17 @@ func (r *Online) Metrics() map[string]float64 {
 
 // Table1Row is one multicodec share.
 type Table1Row struct {
-	Codec string  `json:"codec"`
-	Count int     `json:"count"`
-	Share float64 `json:"share"`
+	Codec string
+	Count int
+	Share float64
 }
 
 // Table1 is the share of data requests by multicodec (paper Table I),
 // computed from the raw trace (requests only, no CANCELs, duplicates
 // counted).
 type Table1 struct {
-	Total int         `json:"total"`
-	Rows  []Table1Row `json:"rows"`
+	Total int
+	Rows  []Table1Row
 }
 
 func (t *Table1) sortRows() {
@@ -218,19 +191,6 @@ func (t *Table1) Render() string {
 	return sb.String()
 }
 
-// CSV renders codec,count,share lines.
-func (t *Table1) CSV() string {
-	var sb strings.Builder
-	sb.WriteString("codec,count,share\n")
-	for _, r := range t.Rows {
-		fmt.Fprintf(&sb, "%s,%d,%s\n", csvEscape(r.Codec), r.Count, formatFloat(r.Share))
-	}
-	return sb.String()
-}
-
-// JSON marshals the table.
-func (t *Table1) JSON() ([]byte, error) { return marshalJSON(t) }
-
 // Metrics exposes the total plus one share per codec.
 func (t *Table1) Metrics() map[string]float64 {
 	out := map[string]float64{"requests": float64(t.Total)}
@@ -244,17 +204,17 @@ func (t *Table1) Metrics() map[string]float64 {
 
 // Table2Row is one country share.
 type Table2Row struct {
-	Country simnet.Region `json:"country"`
-	Count   int           `json:"count"`
-	Share   float64       `json:"share"`
+	Country simnet.Region
+	Count   int
+	Share   float64
 }
 
 // Table2 is the share of data requests by origin country (paper Table II),
 // computed from the deduplicated trace through the GeoIP database.
 type Table2 struct {
-	Total   int         `json:"total"`
-	Unknown int         `json:"unknown"`
-	Rows    []Table2Row `json:"rows"`
+	Total   int
+	Unknown int
+	Rows    []Table2Row
 }
 
 func (t *Table2) sortRows() {
@@ -278,19 +238,6 @@ func (t *Table2) Render() string {
 	return sb.String()
 }
 
-// CSV renders country,count,share lines.
-func (t *Table2) CSV() string {
-	var sb strings.Builder
-	sb.WriteString("country,count,share\n")
-	for _, r := range t.Rows {
-		fmt.Fprintf(&sb, "%s,%d,%s\n", csvEscape(string(r.Country)), r.Count, formatFloat(r.Share))
-	}
-	return sb.String()
-}
-
-// JSON marshals the table.
-func (t *Table2) JSON() ([]byte, error) { return marshalJSON(t) }
-
 // Metrics exposes resolved/unknown counts plus one share per country.
 func (t *Table2) Metrics() map[string]float64 {
 	out := map[string]float64{
@@ -307,9 +254,9 @@ func (t *Table2) Metrics() map[string]float64 {
 
 // Fig4Bucket is one time bucket of Fig. 4.
 type Fig4Bucket struct {
-	Start     time.Time `json:"start"`
-	WantBlock int       `json:"want_block"`
-	WantHave  int       `json:"want_have"`
+	Start     time.Time
+	WantBlock int
+	WantHave  int
 }
 
 // Fig4 is the requests-over-time-by-type series (paper Fig. 4). The
@@ -319,8 +266,8 @@ type Fig4Bucket struct {
 //
 //	bsanalyze -dedup=false -bucket 24h -report fig4 <run>/mon-us.segments
 type Fig4 struct {
-	BucketSize time.Duration `json:"bucket_size"`
-	Buckets    []Fig4Bucket  `json:"buckets"`
+	BucketSize time.Duration
+	Buckets    []Fig4Bucket
 }
 
 func (f *Fig4) sortBuckets() {
@@ -337,19 +284,6 @@ func (f *Fig4) Render() string {
 	}
 	return sb.String()
 }
-
-// CSV renders bucket,want_block,want_have lines.
-func (f *Fig4) CSV() string {
-	var sb strings.Builder
-	sb.WriteString("bucket,want_block,want_have\n")
-	for _, b := range f.Buckets {
-		fmt.Fprintf(&sb, "%s,%d,%d\n", b.Start.Format(time.RFC3339), b.WantBlock, b.WantHave)
-	}
-	return sb.String()
-}
-
-// JSON marshals the series.
-func (f *Fig4) JSON() ([]byte, error) { return marshalJSON(f) }
 
 // Metrics exposes the series totals.
 func (f *Fig4) Metrics() map[string]float64 {
@@ -372,20 +306,20 @@ func (f *Fig4) Metrics() map[string]float64 {
 // fit (fewer than ten distinct CIDs) has its Fitted flag false and the
 // reason in its FitErr; the ECDFs and shares are valid either way.
 type Fig5 struct {
-	CIDs        int                    `json:"cids"`
-	RRPECDF     []popularity.ECDFPoint `json:"rrp_ecdf"`
-	URPECDF     []popularity.ECDFPoint `json:"urp_ecdf"`
-	URPShare1   float64                `json:"urp_share1"` // share of CIDs requested by exactly one peer
-	RRPFitted   bool                   `json:"rrp_fitted"`
-	URPFitted   bool                   `json:"urp_fitted"`
-	RRPFit      popularity.PowerLawFit `json:"rrp_fit"`
-	URPFit      popularity.PowerLawFit `json:"urp_fit"`
-	RRPPValue   float64                `json:"rrp_pvalue"`
-	URPPValue   float64                `json:"urp_pvalue"`
-	RRPRejected bool                   `json:"rrp_rejected"`
-	URPRejected bool                   `json:"urp_rejected"`
-	RRPFitErr   string                 `json:"rrp_fit_err,omitempty"`
-	URPFitErr   string                 `json:"urp_fit_err,omitempty"`
+	CIDs        int
+	RRPECDF     []popularity.ECDFPoint
+	URPECDF     []popularity.ECDFPoint
+	URPShare1   float64 // share of CIDs requested by exactly one peer
+	RRPFitted   bool
+	URPFitted   bool
+	RRPFit      popularity.PowerLawFit
+	URPFit      popularity.PowerLawFit
+	RRPPValue   float64
+	URPPValue   float64
+	RRPRejected bool
+	URPRejected bool
+	RRPFitErr   string
+	URPFitErr   string
 }
 
 // Render prints the analysis.
@@ -406,22 +340,6 @@ func (f *Fig5) Render() string {
 	fmt.Fprintf(&sb, "RRP ECDF (%d points), URP ECDF (%d points)\n", len(f.RRPECDF), len(f.URPECDF))
 	return sb.String()
 }
-
-// CSV renders both ECDFs long-form (series,value,prob).
-func (f *Fig5) CSV() string {
-	var sb strings.Builder
-	sb.WriteString("series,value,prob\n")
-	for _, p := range f.RRPECDF {
-		fmt.Fprintf(&sb, "rrp,%s,%s\n", formatFloat(p.Value), formatFloat(p.Prob))
-	}
-	for _, p := range f.URPECDF {
-		fmt.Fprintf(&sb, "urp,%s,%s\n", formatFloat(p.Value), formatFloat(p.Prob))
-	}
-	return sb.String()
-}
-
-// JSON marshals the analysis.
-func (f *Fig5) JSON() ([]byte, error) { return marshalJSON(f) }
 
 // Metrics exposes the headline popularity numbers; a score that could not
 // be fitted contributes none, so a cross-run table shows a gap rather than
@@ -448,17 +366,17 @@ func (f *Fig5) Metrics() map[string]float64 {
 
 // Fig6Slice is one time slice of Fig. 6 (rates in requests/s).
 type Fig6Slice struct {
-	Start      time.Time `json:"start"`
-	AllGateway float64   `json:"all_gateway"` // requests/s from any gateway node
-	Megagate   float64   `json:"megagate"`    // requests/s from the large operator's nodes
-	NonGateway float64   `json:"non_gateway"` // requests/s from everyone else
+	Start      time.Time
+	AllGateway float64 // requests/s from any gateway node
+	Megagate   float64 // requests/s from the large operator's nodes
+	NonGateway float64 // requests/s from everyone else
 }
 
 // Fig6 is the deduplicated request rate by origin group over time (paper
 // Fig. 6).
 type Fig6 struct {
-	SliceSize time.Duration `json:"slice_size"`
-	Slices    []Fig6Slice   `json:"slices"`
+	SliceSize time.Duration
+	Slices    []Fig6Slice
 }
 
 func (f *Fig6) sortSlices() {
@@ -491,20 +409,6 @@ func (f *Fig6) Render() string {
 	return sb.String()
 }
 
-// CSV renders slice,all_gateway,megagate,non_gateway lines.
-func (f *Fig6) CSV() string {
-	var sb strings.Builder
-	sb.WriteString("slice,all_gateway,megagate,non_gateway\n")
-	for _, s := range f.Slices {
-		fmt.Fprintf(&sb, "%s,%s,%s,%s\n", s.Start.Format(time.RFC3339),
-			formatFloat(s.AllGateway), formatFloat(s.Megagate), formatFloat(s.NonGateway))
-	}
-	return sb.String()
-}
-
-// JSON marshals the series.
-func (f *Fig6) JSON() ([]byte, error) { return marshalJSON(f) }
-
 // Metrics exposes the slice-averaged rates.
 func (f *Fig6) Metrics() map[string]float64 {
 	gw, mg, ng := f.Totals()
@@ -520,15 +424,15 @@ func (f *Fig6) Metrics() map[string]float64 {
 // Popularity is the streaming RRP/URP panel: both ECDFs plus the CSN
 // power-law fit on RRP. Unlike Fig5 it tolerates traces too small to fit.
 type Popularity struct {
-	CIDs        int                    `json:"cids"`
-	RRPECDF     []popularity.ECDFPoint `json:"rrp_ecdf"`
-	URPECDF     []popularity.ECDFPoint `json:"urp_ecdf"`
-	URPShare1   float64                `json:"urp_share1"`
-	RRPFitted   bool                   `json:"rrp_fitted"`
-	RRPFit      popularity.PowerLawFit `json:"rrp_fit"`
-	RRPPValue   float64                `json:"rrp_pvalue"`
-	RRPRejected bool                   `json:"rrp_rejected"`
-	RRPFitErr   string                 `json:"rrp_fit_err,omitempty"`
+	CIDs        int
+	RRPECDF     []popularity.ECDFPoint
+	URPECDF     []popularity.ECDFPoint
+	URPShare1   float64
+	RRPFitted   bool
+	RRPFit      popularity.PowerLawFit
+	RRPPValue   float64
+	RRPRejected bool
+	RRPFitErr   string
 }
 
 // Render prints the panel: every ECDF point for small supports, key
@@ -572,22 +476,6 @@ func renderECDF(sb *strings.Builder, label string, pts []popularity.ECDFPoint) {
 	}
 }
 
-// CSV renders both ECDFs long-form (series,value,prob).
-func (p *Popularity) CSV() string {
-	var sb strings.Builder
-	sb.WriteString("series,value,prob\n")
-	for _, pt := range p.RRPECDF {
-		fmt.Fprintf(&sb, "rrp,%s,%s\n", formatFloat(pt.Value), formatFloat(pt.Prob))
-	}
-	for _, pt := range p.URPECDF {
-		fmt.Fprintf(&sb, "urp,%s,%s\n", formatFloat(pt.Value), formatFloat(pt.Prob))
-	}
-	return sb.String()
-}
-
-// JSON marshals the panel.
-func (p *Popularity) JSON() ([]byte, error) { return marshalJSON(p) }
-
 // Metrics exposes the headline popularity numbers.
 func (p *Popularity) Metrics() map[string]float64 {
 	out := map[string]float64{
@@ -627,21 +515,4 @@ func boolMetric(v bool) float64 {
 		return 1
 	}
 	return 0
-}
-
-func formatFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-
-func csvEscape(s string) string {
-	if !strings.ContainsAny(s, ",\"\n") {
-		return s
-	}
-	return "\"" + strings.ReplaceAll(s, "\"", "\"\"") + "\""
-}
-
-func marshalJSON(v any) ([]byte, error) {
-	out, err := json.Marshal(v)
-	if err != nil {
-		return nil, fmt.Errorf("report: marshal: %w", err)
-	}
-	return out, nil
 }

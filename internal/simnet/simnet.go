@@ -221,7 +221,9 @@ func (n *Network) Lookahead() time.Duration { return time.Duration(n.qNs) }
 func (n *Network) Now() time.Time { return n.start.Add(time.Duration(n.nowNs)) }
 
 // SetTracer installs the span recorder (nil disables tracing). Call before
-// the first Run.
+// the first Run. The trace context of a sampled send rides inside the event
+// structures — messages are never wrapped — so handlers observe exactly the
+// traffic an untraced run produces.
 func (n *Network) SetTracer(t *otrace.Tracer) { n.tracer = t }
 
 // Tracer returns the installed span recorder.
@@ -246,7 +248,7 @@ func (n *Network) InboundCtx(id NodeID) otrace.Ctx {
 }
 
 // NewRand derives an independent deterministic RNG labelled by name. Call at
-// build time or between Run calls only.
+// build time or between Run calls, never from event code.
 func (n *Network) NewRand(name string) *rand.Rand {
 	h := fnv.New64a()
 	h.Write([]byte(name))
@@ -281,8 +283,10 @@ func (n *Network) AddNode(id NodeID, addr string, region Region, maxConns int, h
 	return nil
 }
 
-// Pin moves a node to the control shard. Pin right after AddNode, before
-// any event for the node is scheduled.
+// Pin moves a node to the control shard (a no-op with one shard). Monitors
+// and gateways pin themselves: their state is also touched by control-affine
+// orchestration code. Pin right after AddNode, before any event for the node
+// is scheduled.
 func (n *Network) Pin(id NodeID) {
 	if r, ok := n.Ref(id); ok {
 		n.shardOf[r] = 0
@@ -566,7 +570,8 @@ func (n *Network) Stats() (delivered, dropped uint64) {
 	return delivered, dropped
 }
 
-// Run processes events for d of virtual time.
+// Run processes events for d of virtual time. Run and RunUntil may only be
+// called from one goroutine at a time, never from event code.
 func (n *Network) Run(d time.Duration) { n.RunUntil(n.Now().Add(d)) }
 
 // RunUntil processes events up to and including deadline, then leaves the

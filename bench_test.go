@@ -720,30 +720,40 @@ func BenchmarkCrawl(b *testing.B) {
 }
 
 // BenchmarkClosest measures the routing-table query a DHT server runs for
-// every FIND_NODE / GET_PROVIDERS it answers: one Closest(target, k) per
-// iteration over random targets, on tables filled from 400 and from 20 000
-// random server IDs (the benchmark scenario's population and fifty times it;
-// a k-bucket table keeps about k·log2(N/k) of them).
+// every FIND_NODE / GET_PROVIDERS it answers: one AppendClosest(target, k)
+// per iteration over random targets into a reused buffer, on tables filled
+// from 400 and from 20 000 random server IDs (the benchmark scenario's
+// population and fifty times it; a k-bucket table keeps about k·log2(N/k)
+// of them).
 func BenchmarkClosest(b *testing.B) {
 	for _, ids := range []int{400, 20000} {
 		b.Run(fmt.Sprintf("ids-%d", ids), func(b *testing.B) {
 			rng := rand.New(rand.NewSource(42))
-			rt := dht.NewRoutingTable(simnet.RandomNodeID(rng), dht.DefaultK)
+			tab := simnet.NewTable(nil, nil)
+			register := func(id simnet.NodeID) simnet.NodeRef {
+				if err := tab.AddNode(id, "", simnet.RegionOther, 0, nil); err != nil {
+					b.Fatal(err)
+				}
+				r, _ := tab.Ref(id)
+				return r
+			}
+			rt := dht.NewRoutingTable(tab, register(simnet.RandomNodeID(rng)), dht.DefaultK)
 			for i := 0; i < ids; i++ {
-				rt.Add(dht.PeerInfo{ID: simnet.RandomNodeID(rng), Server: true})
+				rt.Add(register(simnet.RandomNodeID(rng)), true)
 			}
 			targets := make([]simnet.NodeID, 1024)
 			for i := range targets {
 				targets[i] = simnet.RandomNodeID(rng)
 			}
-			var got []dht.PeerInfo
+			got := make([]simnet.NodeRef, 0, dht.DefaultK)
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				got = rt.Closest(targets[i%len(targets)], dht.DefaultK)
+				got = rt.AppendClosest(got[:0], targets[i%len(targets)], dht.DefaultK)
 			}
 			b.StopTimer()
 			if len(got) != dht.DefaultK {
-				b.Fatalf("Closest returned %d peers, want %d", len(got), dht.DefaultK)
+				b.Fatalf("AppendClosest returned %d peers, want %d", len(got), dht.DefaultK)
 			}
 			b.ReportMetric(float64(rt.Size()), "table-peers")
 		})

@@ -38,11 +38,11 @@ func Crawl(d *DHT, bootstrap []PeerInfo, buckets int, done func(CrawlResult)) {
 		Responded: make(map[simnet.NodeID]bool),
 		Started:   d.net.Now(),
 	}
-	queried := make(map[simnet.NodeID]bool)
+	queried := make(map[simnet.NodeRef]bool)
 	inflight := 0
 	finished := false
 
-	var visit func(p PeerInfo)
+	var visit func(p simnet.NodeRef)
 	finish := func() {
 		if finished {
 			return
@@ -56,24 +56,27 @@ func Crawl(d *DHT, bootstrap []PeerInfo, buckets int, done func(CrawlResult)) {
 			finish()
 		}
 	}
-	visit = func(p PeerInfo) {
-		if p.ID == d.self.ID || queried[p.ID] || !p.Server {
+	// visit queries server p; every peer an answer proposes is a server.
+	visit = func(p simnet.NodeRef) {
+		if p == d.ref || queried[p] {
 			return
 		}
-		queried[p.ID] = true
+		queried[p] = true
+		id := d.net.ID(p)
 		// Enumerate p's buckets: flipping bit cpl of p's ID yields a target
 		// whose common prefix with p has length exactly cpl.
 		for cpl := 0; cpl < buckets; cpl++ {
-			target := p.ID
+			target := id
 			target[cpl/8] ^= 0x80 >> (cpl % 8)
 			inflight++
 			d.sendFindNode(otrace.Ctx{}, p, target, func(resp findNodeResp, ok bool) {
 				inflight--
 				if ok {
-					res.Responded[p.ID] = true
+					res.Responded[id] = true
 					for _, next := range resp.Closer {
-						if _, seen := res.Seen[next.ID]; !seen {
-							res.Seen[next.ID] = next
+						nid := d.net.ID(next)
+						if _, seen := res.Seen[nid]; !seen {
+							res.Seen[nid] = PeerInfo{ID: nid, Server: true}
 						}
 						visit(next)
 					}
@@ -84,7 +87,9 @@ func Crawl(d *DHT, bootstrap []PeerInfo, buckets int, done func(CrawlResult)) {
 	}
 	for _, p := range bootstrap {
 		res.Seen[p.ID] = p
-		visit(p)
+		if r, ok := d.net.Ref(p.ID); ok && p.Server {
+			visit(r)
+		}
 	}
 	maybeFinish()
 }

@@ -40,26 +40,30 @@ const DefaultAlpha = 3
 // as failed.
 const DefaultRPCTimeout = 2 * time.Second
 
-// RPC message types exchanged over the simulated network.
+// RPC message types exchanged over the simulated network. Requests name
+// their sender and answers their peers by node-table ref; only provider
+// records carry a PeerInfo.
 type (
 	findNodeReq struct {
 		RPCID  uint64
 		Target simnet.NodeID
-		From   PeerInfo
+		From   simnet.NodeRef
+		Server bool // the sender is a DHT server
 	}
 	findNodeResp struct {
 		RPCID  uint64
-		Closer []PeerInfo
+		Closer []simnet.NodeRef
 	}
 	getProvidersReq struct {
-		RPCID uint64
-		Key   Key
-		From  PeerInfo
+		RPCID  uint64
+		Key    Key
+		From   simnet.NodeRef
+		Server bool
 	}
 	getProvidersResp struct {
 		RPCID     uint64
 		Providers []PeerInfo
-		Closer    []PeerInfo
+		Closer    []simnet.NodeRef
 	}
 	addProviderReq struct {
 		Key      Key
@@ -79,6 +83,7 @@ type pendingRPC struct {
 type DHT struct {
 	net  engine.Engine
 	self PeerInfo
+	ref  simnet.NodeRef // self's node-table ref
 	mode Mode
 
 	rt      *RoutingTable
@@ -93,17 +98,23 @@ type DHT struct {
 }
 
 // New creates a DHT for the node identified by self, participating in the
-// given mode (zero selects ModeServer).
+// given mode (zero selects ModeServer). self must already be registered
+// with net.
 func New(net engine.Engine, self PeerInfo, mode Mode) *DHT {
 	if mode == 0 {
 		mode = ModeServer
 	}
 	self.Server = mode == ModeServer
+	ref, ok := net.Ref(self.ID)
+	if !ok {
+		panic("dht: node " + self.ID.String() + " is not registered with the network")
+	}
 	return &DHT{
 		net:     net,
 		self:    self,
+		ref:     ref,
 		mode:    mode,
-		rt:      NewRoutingTable(self.ID, DefaultK),
+		rt:      NewRoutingTable(net.Table, ref, DefaultK),
 		provs:   NewProviderStore(DefaultProviderTTL),
 		pending: make(map[uint64]*pendingRPC),
 	}
@@ -120,32 +131,36 @@ func (d *DHT) Mode() Mode { return d.mode }
 func (d *DHT) RoutingTable() *RoutingTable { return d.rt }
 
 // Observe records a peer we learned about (e.g. via an inbound connection),
-// feeding the routing table.
-func (d *DHT) Observe(p PeerInfo) { d.rt.Add(p) }
+// feeding the routing table. A peer unknown to the network is ignored.
+func (d *DHT) Observe(p PeerInfo) {
+	if r, ok := d.net.Ref(p.ID); ok {
+		d.rt.Add(r, p.Server)
+	}
+}
 
 // HandleMessage processes a DHT RPC delivered by the network. It reports
-// whether the message was a DHT message.
-func (d *DHT) HandleMessage(from simnet.NodeID, msg any) bool {
+// whether the message was a DHT message. Requests name their sender by ref,
+// so the sender's ID goes unused.
+func (d *DHT) HandleMessage(_ simnet.NodeID, msg any) bool {
 	switch m := msg.(type) {
 	case findNodeReq:
-		d.rt.Add(m.From)
+		d.rt.Add(m.From, m.Server)
 		if d.mode != ModeServer {
 			return true // clients do not answer
 		}
-		closer := d.rt.Closest(m.Target, DefaultK)
-		d.reply(from, findNodeResp{RPCID: m.RPCID, Closer: closer})
+		d.reply(m.From, findNodeResp{RPCID: m.RPCID, Closer: d.closer(m.Target)})
 		return true
 	case getProvidersReq:
-		d.rt.Add(m.From)
+		d.rt.Add(m.From, m.Server)
 		if d.mode != ModeServer {
 			return true
 		}
 		resp := getProvidersResp{
 			RPCID:     m.RPCID,
 			Providers: d.provs.Get(m.Key, d.net.Now()),
-			Closer:    d.rt.Closest(m.Key.AsNodeID(), DefaultK),
+			Closer:    d.closer(m.Key.AsNodeID()),
 		}
-		d.reply(from, resp)
+		d.reply(m.From, resp)
 		return true
 	case addProviderReq:
 		if d.mode == ModeServer {
@@ -171,11 +186,17 @@ func (d *DHT) HandleMessage(from simnet.NodeID, msg any) bool {
 	}
 }
 
-func (d *DHT) reply(to simnet.NodeID, msg any) {
+// closer is the Closer list of an answer: the k peers nearest target, in a
+// slice of its own, since it travels in the reply.
+func (d *DHT) closer(target simnet.NodeID) []simnet.NodeRef {
+	return d.rt.AppendClosest(make([]simnet.NodeRef, 0, DefaultK), target, DefaultK)
+}
+
+func (d *DHT) reply(to simnet.NodeRef, msg any) {
 	// Replies inherit the inbound request's trace context so the response hop
 	// nests under the caller's dht.rpc span. The connection may already be
 	// gone; replies are best-effort.
-	_ = d.net.SendTraced(d.net.InboundCtx(d.self.ID), "dht.resp", d.self.ID, to, msg)
+	_ = d.net.SendRef(d.net.InboundCtx(d.self.ID), "dht.resp", d.ref, to, msg)
 }
 
 // now returns the exact virtual time of the event currently running for this
@@ -185,36 +206,40 @@ func (d *DHT) now() time.Time { return d.net.EventTime(d.self.ID) }
 // dial ensures a connection to p exists. DHT RPCs ride on real connections;
 // connections opened during searches persist, which is the mechanism that
 // lets passive monitors see DHT clients (Sec. IV-C).
-func (d *DHT) dial(p PeerInfo) bool {
-	if d.net.Connected(d.self.ID, p.ID) {
+func (d *DHT) dial(p simnet.NodeRef) bool {
+	if d.net.ConnectedRef(d.ref, p) {
 		return true
 	}
-	return d.net.Connect(d.self.ID, p.ID) == nil
+	return d.net.ConnectRef(d.ref, p) == nil
 }
 
 // rpcSpan opens a dht.rpc span under tc (nil handle when untraced), keyed by
 // the queried peer: one lookup step issues several RPCs in one event, and the
 // peer is what tells their span IDs apart.
-func (d *DHT) rpcSpan(tc otrace.Ctx, peer simnet.NodeID) *otrace.SpanHandle {
+func (d *DHT) rpcSpan(tc otrace.Ctx, peer simnet.NodeRef) *otrace.SpanHandle {
 	if !tc.Sampled() {
 		return nil
 	}
 	// Async: a lookup that reaches its provider target finishes without
 	// awaiting in-flight RPCs.
-	return d.net.Tracer().StartKeyed(tc, "dht.rpc", d.self.ID.String(), peer.String(), d.now()).MarkAsync()
+	return d.net.Tracer().StartKeyed(tc, "dht.rpc", d.self.ID.String(), d.net.ID(peer).String(), d.now()).MarkAsync()
 }
 
-func (d *DHT) sendFindNode(tc otrace.Ctx, p PeerInfo, target simnet.NodeID, cb func(findNodeResp, bool)) {
-	if !p.Server || !d.dial(p) {
+// sendFindNode and sendGetProviders query peer p, which must be a DHT
+// server: every peer they are called with comes from a routing table or
+// from a server's answer, and both hold servers only.
+func (d *DHT) sendFindNode(tc otrace.Ctx, p simnet.NodeRef, target simnet.NodeID, cb func(findNodeResp, bool)) {
+	if !d.dial(p) {
 		cb(findNodeResp{}, false)
 		return
 	}
 	d.nextRPC++
 	id := d.nextRPC
-	span := d.rpcSpan(tc, p.ID)
+	span := d.rpcSpan(tc, p)
 	d.pending[id] = &pendingRPC{onFindNode: cb, span: span}
 	d.rpcsSent++
-	if err := d.net.SendTraced(span.Ctx(), "dht.req", d.self.ID, p.ID, findNodeReq{RPCID: id, Target: target, From: d.self}); err != nil {
+	req := findNodeReq{RPCID: id, Target: target, From: d.ref, Server: d.self.Server}
+	if err := d.net.SendRef(span.Ctx(), "dht.req", d.ref, p, req); err != nil {
 		delete(d.pending, id)
 		span.EndDropped(d.now())
 		cb(findNodeResp{}, false)
@@ -223,17 +248,18 @@ func (d *DHT) sendFindNode(tc otrace.Ctx, p PeerInfo, target simnet.NodeID, cb f
 	d.expireAfter(id)
 }
 
-func (d *DHT) sendGetProviders(tc otrace.Ctx, p PeerInfo, key Key, cb func(getProvidersResp, bool)) {
-	if !p.Server || !d.dial(p) {
+func (d *DHT) sendGetProviders(tc otrace.Ctx, p simnet.NodeRef, key Key, cb func(getProvidersResp, bool)) {
+	if !d.dial(p) {
 		cb(getProvidersResp{}, false)
 		return
 	}
 	d.nextRPC++
 	id := d.nextRPC
-	span := d.rpcSpan(tc, p.ID)
+	span := d.rpcSpan(tc, p)
 	d.pending[id] = &pendingRPC{onGetProviders: cb, span: span}
 	d.rpcsSent++
-	if err := d.net.SendTraced(span.Ctx(), "dht.req", d.self.ID, p.ID, getProvidersReq{RPCID: id, Key: key, From: d.self}); err != nil {
+	req := getProvidersReq{RPCID: id, Key: key, From: d.ref, Server: d.self.Server}
+	if err := d.net.SendRef(span.Ctx(), "dht.req", d.ref, p, req); err != nil {
 		delete(d.pending, id)
 		span.EndDropped(d.now())
 		cb(getProvidersResp{}, false)
@@ -278,39 +304,51 @@ type lookup struct {
 
 	foundProvs map[simnet.NodeID]PeerInfo
 	finished   bool
-	onDone     func(closest []PeerInfo, providers []PeerInfo)
+	onDone     func(closest []simnet.NodeRef, providers []PeerInfo)
 }
 
 // lookupCand is one candidate with its queried mark inline. d is the first 8
 // bytes of its XOR distance to the target, big-endian: it orders cand by
-// itself unless two candidates share those bytes.
+// itself unless two candidates share those bytes. A candidate carries no
+// server flag: every one comes from a routing table, or from a server's
+// answer drawn from its routing table, and routing tables hold servers only.
 type lookupCand struct {
-	d uint64
-	PeerInfo
+	d       uint64
+	ref     simnet.NodeRef
 	queried bool
 }
 
+// newLookup starts a lookup for target with the local k closest peers as
+// its first candidates.
+func (d *DHT) newLookup(target simnet.NodeID) *lookup {
+	d.lookupsStarted++
+	l := &lookup{d: d, target: target}
+	l.addCandidates(d.rt.AppendClosest(make([]simnet.NodeRef, 0, DefaultK), target, DefaultK))
+	return l
+}
+
 // addCandidates inserts the peers not seen before into cand at their
-// distance rank, found by binary search on d. Only on equal keys are the IDs
-// compared — equal IDs are a peer already seen, the common case — and,
+// distance rank, found by binary search on d. Only on equal keys are the refs
+// compared — equal refs are a peer already seen, the common case — and,
 // rarely, the full distances.
-func (l *lookup) addCandidates(peers []PeerInfo) {
+func (l *lookup) addCandidates(peers []simnet.NodeRef) {
+	tab := l.d.net.Table
 	t8 := binary.BigEndian.Uint64(l.target[0:8])
 	for _, p := range peers {
-		if p.ID == l.d.self.ID {
+		if p == l.d.ref {
 			continue
 		}
-		d := t8 ^ binary.BigEndian.Uint64(p.ID[0:8])
+		d := t8 ^ tab.Key(p)
 		lo, hi := 0, len(l.cand)
 		for lo < hi {
 			m := int(uint(lo+hi) >> 1)
 			c := &l.cand[m]
 			order := cmp.Compare(c.d, d)
 			if order == 0 {
-				if c.ID == p.ID {
+				if c.ref == p {
 					break // seen before
 				}
-				order = simnet.DistanceCompare(l.target, c.ID, p.ID)
+				order = simnet.DistanceCompare(l.target, tab.ID(c.ref), tab.ID(p))
 			}
 			if order < 0 {
 				lo = m + 1
@@ -319,7 +357,7 @@ func (l *lookup) addCandidates(peers []PeerInfo) {
 			}
 		}
 		if lo == hi {
-			l.cand = slices.Insert(l.cand, lo, lookupCand{d: d, PeerInfo: p})
+			l.cand = slices.Insert(l.cand, lo, lookupCand{d: d, ref: p})
 		}
 	}
 }
@@ -341,7 +379,7 @@ func (l *lookup) step() {
 	}
 	allQueried := true
 	for i := range kClosest {
-		if kClosest[i].Server && !kClosest[i].queried {
+		if !kClosest[i].queried {
 			allQueried = false
 			break
 		}
@@ -355,7 +393,7 @@ func (l *lookup) step() {
 			break
 		}
 		c := &cands[i]
-		if !c.Server || c.queried {
+		if c.queried {
 			continue
 		}
 		// Mark before sending: failed sends re-enter step() synchronously,
@@ -363,12 +401,12 @@ func (l *lookup) step() {
 		// does), so the write through c stays visible to the recursive scan.
 		c.queried = true
 		l.inflight++
-		peer := c.PeerInfo
+		peer := c.ref
 		if l.providers {
 			l.d.sendGetProviders(l.tc, peer, l.key, func(resp getProvidersResp, ok bool) {
 				l.inflight--
 				if ok {
-					l.d.rt.Add(peer)
+					l.d.rt.Add(peer, true)
 					for _, prov := range resp.Providers {
 						l.foundProvs[prov.ID] = prov
 					}
@@ -380,7 +418,7 @@ func (l *lookup) step() {
 			l.d.sendFindNode(l.tc, peer, l.target, func(resp findNodeResp, ok bool) {
 				l.inflight--
 				if ok {
-					l.d.rt.Add(peer)
+					l.d.rt.Add(peer, true)
 					l.addCandidates(resp.Closer)
 				}
 				l.step()
@@ -403,9 +441,9 @@ func (l *lookup) finish() {
 	if len(cands) > DefaultK {
 		cands = cands[:DefaultK]
 	}
-	closest := make([]PeerInfo, len(cands))
+	closest := make([]simnet.NodeRef, len(cands))
 	for i := range cands {
-		closest[i] = cands[i].PeerInfo
+		closest[i] = cands[i].ref
 	}
 	provs := make([]PeerInfo, 0, len(l.foundProvs))
 	for _, p := range l.foundProvs {
@@ -416,16 +454,11 @@ func (l *lookup) finish() {
 }
 
 // FindClosest runs an iterative lookup for the k peers closest to target and
-// invokes done with the result. Newly discovered peers enter the routing
-// table; connections opened along the way persist.
-func (d *DHT) FindClosest(target simnet.NodeID, done func([]PeerInfo)) {
-	d.lookupsStarted++
-	l := &lookup{
-		d:      d,
-		target: target,
-		onDone: func(closest, _ []PeerInfo) { done(closest) },
-	}
-	l.addCandidates(d.rt.Closest(target, DefaultK))
+// invokes done with the result, nearest first. Newly discovered peers enter
+// the routing table; connections opened along the way persist.
+func (d *DHT) FindClosest(target simnet.NodeID, done func([]simnet.NodeRef)) {
+	l := d.newLookup(target)
+	l.onDone = func(closest []simnet.NodeRef, _ []PeerInfo) { done(closest) }
 	l.step()
 }
 
@@ -437,23 +470,18 @@ func (d *DHT) FindProviders(tc otrace.Ctx, key Key, want int, done func([]PeerIn
 	if want <= 0 {
 		want = 1 << 30
 	}
-	d.lookupsStarted++
-	l := &lookup{
-		d:          d,
-		target:     key.AsNodeID(),
-		key:        key,
-		providers:  true,
-		wantProvs:  want,
-		foundProvs: make(map[simnet.NodeID]PeerInfo),
-		onDone:     func(_, provs []PeerInfo) { done(provs) },
-	}
+	l := d.newLookup(key.AsNodeID())
+	l.key = key
+	l.providers = true
+	l.wantProvs = want
+	l.foundProvs = make(map[simnet.NodeID]PeerInfo)
+	l.onDone = func(_ []simnet.NodeRef, provs []PeerInfo) { done(provs) }
 	if tc.Sampled() {
 		// Async: the requester may resolve from a broadcast HAVE while the
 		// provider search is still running.
 		l.span = d.net.Tracer().Start(tc, "dht.lookup", d.self.ID.String(), d.now()).MarkAsync()
 		l.tc = l.span.Ctx()
 	}
-	l.addCandidates(d.rt.Closest(l.target, DefaultK))
 	l.step()
 }
 
@@ -461,12 +489,12 @@ func (d *DHT) FindProviders(tc otrace.Ctx, key Key, want int, done func([]PeerIn
 // closest servers and sends them ADD_PROVIDER records. done (optional) fires
 // when the announcement finishes.
 func (d *DHT) Provide(key Key, done func()) {
-	d.FindClosest(key.AsNodeID(), func(closest []PeerInfo) {
+	d.FindClosest(key.AsNodeID(), func(closest []simnet.NodeRef) {
 		for _, p := range closest {
-			if !p.Server || !d.dial(p) {
+			if !d.dial(p) {
 				continue
 			}
-			_ = d.net.Send(d.self.ID, p.ID, addProviderReq{Key: key, Provider: d.self})
+			_ = d.net.SendRef(otrace.Ctx{}, "", d.ref, p, addProviderReq{Key: key, Provider: d.self})
 		}
 		if done != nil {
 			done()
@@ -475,13 +503,16 @@ func (d *DHT) Provide(key Key, done func()) {
 }
 
 // Bootstrap seeds the routing table with the given peers and performs a
-// self-lookup, populating nearby buckets.
+// self-lookup, populating nearby buckets. Peers unknown to the network are
+// skipped.
 func (d *DHT) Bootstrap(peers []PeerInfo, done func()) {
 	for _, p := range peers {
-		d.rt.Add(p)
-		d.dial(p)
+		if r, ok := d.net.Ref(p.ID); ok {
+			d.rt.Add(r, p.Server)
+			d.dial(r)
+		}
 	}
-	d.FindClosest(d.self.ID, func([]PeerInfo) {
+	d.FindClosest(d.self.ID, func([]simnet.NodeRef) {
 		if done != nil {
 			done()
 		}
@@ -491,8 +522,8 @@ func (d *DHT) Bootstrap(peers []PeerInfo, done func()) {
 // Refresh performs the periodic routing-table refresh: a self-lookup plus a
 // lookup for a random target.
 func (d *DHT) Refresh(random simnet.NodeID) {
-	d.FindClosest(d.self.ID, func([]PeerInfo) {})
-	d.FindClosest(random, func([]PeerInfo) {})
+	d.FindClosest(d.self.ID, func([]simnet.NodeRef) {})
+	d.FindClosest(random, func([]simnet.NodeRef) {})
 }
 
 // Stats reports lookup/RPC counters.

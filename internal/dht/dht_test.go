@@ -15,6 +15,50 @@ var t0 = time.Date(2021, 4, 30, 0, 0, 0, 0, time.UTC)
 // harness wires a DHT into a simnet node.
 type harness struct{ dht *DHT }
 
+// addDHT registers a node with id on net and builds its DHT.
+func addDHT(t *testing.T, net *simnet.Network, id simnet.NodeID, addr string, mode Mode) *DHT {
+	t.Helper()
+	h := &harness{}
+	if err := net.AddNode(id, addr, simnet.RegionUS, 0, h); err != nil {
+		t.Fatal(err)
+	}
+	h.dht = New(net, PeerInfo{ID: id}, mode)
+	return h.dht
+}
+
+// register returns id's ref in tab, registering id on first use.
+func register(tab *simnet.Table, id simnet.NodeID) simnet.NodeRef {
+	if r, ok := tab.Ref(id); ok {
+		return r
+	}
+	if err := tab.AddNode(id, "", simnet.RegionUS, 0, nil); err != nil {
+		panic(err)
+	}
+	r, _ := tab.Ref(id)
+	return r
+}
+
+// newTable returns a routing table with bucket size k for self, over a
+// fresh node table.
+func newTable(self simnet.NodeID, k int) *RoutingTable {
+	tab := simnet.NewTable(nil, nil)
+	return NewRoutingTable(tab, register(tab, self), k)
+}
+
+// add registers id in rt's node table and adds it as a server.
+func add(rt *RoutingTable, id simnet.NodeID) bool {
+	return rt.Add(register(rt.tab, id), true)
+}
+
+// ids returns the IDs refs stand for.
+func ids(tab *simnet.Table, refs []simnet.NodeRef) []simnet.NodeID {
+	out := make([]simnet.NodeID, len(refs))
+	for i, r := range refs {
+		out[i] = tab.ID(r)
+	}
+	return out
+}
+
 func (h *harness) HandleMessage(from simnet.NodeID, msg any) {
 	h.dht.HandleMessage(from, msg)
 }
@@ -34,14 +78,7 @@ func buildNet(t *testing.T, nServers, nClients int, seed int64) *testNet {
 	rng := net.NewRand("ids")
 	tn := &testNet{net: net}
 	mk := func(i int, mode Mode) *DHT {
-		id := simnet.RandomNodeID(rng)
-		addr := fmt.Sprintf("10.0.%d.%d:4001", i/250, i%250)
-		info := PeerInfo{ID: id, Server: mode == ModeServer}
-		d := New(net, info, mode)
-		if err := net.AddNode(id, addr, simnet.RegionUS, 0, &harness{dht: d}); err != nil {
-			t.Fatal(err)
-		}
-		return d
+		return addDHT(t, net, simnet.RandomNodeID(rng), fmt.Sprintf("10.0.%d.%d:4001", i/250, i%250), mode)
 	}
 	for i := 0; i < nServers; i++ {
 		tn.servers = append(tn.servers, mk(i, ModeServer))
@@ -63,40 +100,38 @@ func buildNet(t *testing.T, nServers, nClients int, seed int64) *testNet {
 }
 
 func TestRoutingTableBasics(t *testing.T) {
-	self := simnet.DeriveNodeID([]byte("self"))
-	rt := NewRoutingTable(self, 2)
-	p1 := PeerInfo{ID: simnet.DeriveNodeID([]byte("p1")), Server: true}
-	if !rt.Add(p1) {
+	rt := newTable(simnet.DeriveNodeID([]byte("self")), 2)
+	p1 := register(rt.tab, simnet.DeriveNodeID([]byte("p1")))
+	client := register(rt.tab, simnet.DeriveNodeID([]byte("c")))
+	if rt.Contains(p1) {
+		t.Error("empty table contains a peer")
+	}
+	if !rt.Add(p1, true) {
 		t.Error("Add new peer = false")
 	}
-	if rt.Add(p1) {
+	if rt.Add(p1, true) {
 		t.Error("Add duplicate = true")
 	}
-	if rt.Add(PeerInfo{ID: simnet.DeriveNodeID([]byte("c")), Server: false}) {
+	if rt.Add(client, false) {
 		t.Error("client entered k-bucket")
 	}
-	if rt.Add(PeerInfo{ID: self, Server: true}) {
+	if rt.Add(rt.self, true) {
 		t.Error("self entered k-bucket")
 	}
-	if !rt.Contains(p1.ID) || rt.Size() != 1 {
+	if !rt.Contains(p1) || rt.Contains(client) || rt.Size() != 1 {
 		t.Error("routing table state wrong")
-	}
-	rt.Remove(p1.ID)
-	if rt.Contains(p1.ID) || rt.Size() != 0 {
-		t.Error("Remove failed")
 	}
 }
 
 func TestRoutingTableBucketCapacity(t *testing.T) {
-	self := simnet.NodeID{} // all zeros: bucket index = leading zeros of peer ID
-	rt := NewRoutingTable(self, 2)
+	rt := newTable(simnet.NodeID{}, 2) // all zeros: bucket index = leading zeros of peer ID
 	// Peers with first bit set share bucket 0.
 	added := 0
 	for i := 0; i < 10; i++ {
 		var id simnet.NodeID
 		id[0] = 0x80
 		id[31] = byte(i + 1)
-		if rt.Add(PeerInfo{ID: id, Server: true}) {
+		if add(rt, id) {
 			added++
 		}
 	}
@@ -106,24 +141,26 @@ func TestRoutingTableBucketCapacity(t *testing.T) {
 }
 
 func TestClosestOrdering(t *testing.T) {
-	self := simnet.NodeID{}
-	rt := NewRoutingTable(self, 20)
-	var ids []simnet.NodeID
+	rt := newTable(simnet.NodeID{}, 20)
+	var stored []simnet.NodeID
 	for i := 1; i <= 8; i++ {
 		var id simnet.NodeID
 		id[31] = byte(i)
-		ids = append(ids, id)
-		rt.Add(PeerInfo{ID: id, Server: true})
+		stored = append(stored, id)
+		add(rt, id)
 	}
 	var target simnet.NodeID
 	target[31] = 6
-	closest := rt.Closest(target, 3)
-	if len(closest) != 3 || closest[0].ID != ids[5] {
-		t.Errorf("closest to 6 = %v", closest)
+	// AppendClosest appends after what dst already holds.
+	prefix := register(rt.tab, simnet.DeriveNodeID([]byte("prefix")))
+	got := rt.AppendClosest([]simnet.NodeRef{prefix}, target, 3)
+	if len(got) != 4 || got[0] != prefix {
+		t.Fatalf("AppendClosest(prefix, 6, 3) = %v", got)
 	}
+	closest := ids(rt.tab, got[1:])
 	// XOR distance from 6: 6^6=0, 6^7=1, 6^4=2, 6^5=3...
-	if closest[1].ID != ids[6] || closest[2].ID != ids[3] {
-		t.Errorf("XOR ordering wrong: got %v, %v", closest[1].ID, closest[2].ID)
+	if closest[0] != stored[5] || closest[1] != stored[6] || closest[2] != stored[3] {
+		t.Errorf("XOR ordering wrong: got %v", closest)
 	}
 }
 
@@ -154,8 +191,8 @@ func TestLookupFindsClosestNodes(t *testing.T) {
 	}
 	SortByDistance(all, target)
 
-	var got []PeerInfo
-	tn.servers[5].FindClosest(target, func(peers []PeerInfo) { got = peers })
+	var got []simnet.NodeRef
+	tn.servers[5].FindClosest(target, func(peers []simnet.NodeRef) { got = peers })
 	tn.net.Run(30 * time.Second)
 	if got == nil {
 		t.Fatal("lookup never completed")
@@ -164,8 +201,8 @@ func TestLookupFindsClosestNodes(t *testing.T) {
 		t.Fatal("lookup returned nothing")
 	}
 	// The closest node overall must be found.
-	if got[0].ID != all[0].ID && got[0].ID != all[1].ID {
-		t.Errorf("lookup missed the closest nodes: got %s, want %s", got[0].ID, all[0].ID)
+	if first := tn.net.ID(got[0]); first != all[0].ID && first != all[1].ID {
+		t.Errorf("lookup missed the closest nodes: got %s, want %s", first, all[0].ID)
 	}
 }
 
@@ -216,11 +253,10 @@ func TestClientsDoNotAnswerRPCs(t *testing.T) {
 	responded := false
 	timedOut := false
 	asker := tn.servers[3]
-	asker.sendFindNode(otrace.Ctx{}, PeerInfo{ID: client.Self().ID, Server: true},
-		client.Self().ID, func(_ findNodeResp, ok bool) {
-			responded = ok
-			timedOut = !ok
-		})
+	asker.sendFindNode(otrace.Ctx{}, client.ref, client.Self().ID, func(_ findNodeResp, ok bool) {
+		responded = ok
+		timedOut = !ok
+	})
 	tn.net.Run(time.Minute)
 	if responded || !timedOut {
 		t.Error("client answered a DHT RPC")
@@ -231,7 +267,7 @@ func TestClientsAbsentFromRoutingTables(t *testing.T) {
 	tn := buildNet(t, 20, 10, 5)
 	for _, srv := range tn.servers {
 		for _, cl := range tn.clients {
-			if srv.RoutingTable().Contains(cl.Self().ID) {
+			if srv.RoutingTable().Contains(cl.ref) {
 				t.Fatalf("client %s found in server %s routing table", cl.Self().ID, srv.Self().ID)
 			}
 		}
@@ -242,11 +278,7 @@ func TestCrawlSeesServersNotClients(t *testing.T) {
 	tn := buildNet(t, 30, 10, 6)
 
 	// Dedicated crawler node, client mode.
-	crawlerID := simnet.DeriveNodeID([]byte("crawler"))
-	crawler := New(tn.net, PeerInfo{ID: crawlerID}, ModeClient)
-	if err := tn.net.AddNode(crawlerID, "9.9.9.9:4001", simnet.RegionDE, 0, &harness{dht: crawler}); err != nil {
-		t.Fatal(err)
-	}
+	crawler := addDHT(t, tn.net, simnet.DeriveNodeID([]byte("crawler")), "9.9.9.9:4001", ModeClient)
 
 	var res CrawlResult
 	gotRes := false
@@ -276,11 +308,7 @@ func TestCrawlCountsOfflineServers(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	crawlerID := simnet.DeriveNodeID([]byte("crawler2"))
-	crawler := New(tn.net, PeerInfo{ID: crawlerID}, ModeClient)
-	if err := tn.net.AddNode(crawlerID, "9.9.9.8:4001", simnet.RegionDE, 0, &harness{dht: crawler}); err != nil {
-		t.Fatal(err)
-	}
+	crawler := addDHT(t, tn.net, simnet.DeriveNodeID([]byte("crawler2")), "9.9.9.8:4001", ModeClient)
 	var res CrawlResult
 	Crawl(crawler, []PeerInfo{tn.servers[0].Self()}, 16, func(r CrawlResult) { res = r })
 	tn.net.Run(10 * time.Minute)

@@ -11,39 +11,41 @@ import (
 )
 
 // checkCandidateOps drives a lookup's addCandidates from 5-byte records and,
-// after every batch, compares cand with the reference: the first PeerInfo
-// added for each ID other than self, sorted by SortByDistance, with the
+// after every batch, compares cand with the reference: the peers added so
+// far other than self, each once, sorted by full XOR distance, with the
 // queried marks set so far. A record is a bit, three tail bytes (see fuzzID;
 // peers are placed around target, so IDs from bits of 64 and above share
-// target's first 8 bytes) and an op: op%4 is 0 or 1 to add that peer (op&1
-// is its Server flag), 2 to add self, 3 to mark cand[bit % len(cand)]
-// queried; op&4 ends the batch after the record.
+// target's first 8 bytes) and an op: op%4 is 0 or 1 to add that peer, 2 to
+// add self, 3 to mark cand[bit % len(cand)] queried; op&4 ends the batch
+// after the record.
 func checkCandidateOps(t *testing.T, self, target simnet.NodeID, recs []byte) {
 	t.Helper()
-	l := &lookup{d: &DHT{self: PeerInfo{ID: self}}, target: target}
-	var batch, added []PeerInfo // added: the first PeerInfo per ID, self excluded
-	seen := make(map[simnet.NodeID]bool)
-	queried := make(map[simnet.NodeID]bool)
+	net := simnet.New(t0, 1, nil)
+	ref := func(id simnet.NodeID) simnet.NodeRef { return register(net.Table, id) }
+	l := &lookup{d: &DHT{net: net, ref: ref(self)}, target: target}
+	var batch, added []simnet.NodeRef // added: each peer once, self excluded
+	seen := make(map[simnet.NodeRef]bool)
+	queried := make(map[simnet.NodeRef]bool)
 	t8 := binary.BigEndian.Uint64(target[0:8])
 	flush := func() {
 		t.Helper()
 		l.addCandidates(batch)
 		for _, p := range batch {
-			if p.ID != self && !seen[p.ID] {
-				seen[p.ID] = true
+			if p != l.d.ref && !seen[p] {
+				seen[p] = true
 				added = append(added, p)
 			}
 		}
 		batch = batch[:0]
 		want := slices.Clone(added)
-		SortByDistance(want, target)
+		sortByDistance(net.Table, want, target)
 		if len(l.cand) != len(want) {
 			t.Fatalf("cand holds %d peers, want %d", len(l.cand), len(want))
 		}
 		for i, c := range l.cand {
-			if c.PeerInfo != want[i] || c.queried != queried[c.ID] || c.d != t8^binary.BigEndian.Uint64(c.ID[0:8]) {
-				t.Fatalf("cand[%d] = {d %x %s server %v queried %v}, want %s server %v queried %v",
-					i, c.d, c.ID, c.Server, c.queried, want[i].ID, want[i].Server, queried[want[i].ID])
+			if c.ref != want[i] || c.queried != queried[c.ref] || c.d != t8^net.Key(c.ref) {
+				t.Fatalf("cand[%d] = {d %x %s queried %v}, want %s queried %v",
+					i, c.d, net.ID(c.ref), c.queried, net.ID(want[i]), queried[want[i]])
 			}
 		}
 	}
@@ -51,14 +53,14 @@ func checkCandidateOps(t *testing.T, self, target simnet.NodeID, recs []byte) {
 		bit, tail, op := recs[0], recs[1:4], recs[4]
 		switch op % 4 {
 		case 0, 1:
-			batch = append(batch, PeerInfo{ID: fuzzID(target, bit, tail), Server: op&1 == 1})
+			batch = append(batch, ref(fuzzID(target, bit, tail)))
 		case 2:
-			batch = append(batch, PeerInfo{ID: self, Server: true})
+			batch = append(batch, l.d.ref)
 		case 3:
 			if len(l.cand) > 0 {
 				c := &l.cand[int(bit)%len(l.cand)]
 				c.queried = true
-				queried[c.ID] = true
+				queried[c.ref] = true
 			}
 		}
 		if op&4 != 0 {
@@ -118,4 +120,36 @@ func FuzzLookupCandidates(f *testing.F) {
 		}
 		checkCandidateOps(t, self, target, data[5:])
 	})
+}
+
+// TestHotPathsDoNotAllocate: a server ranking its answer into a buffer with
+// room for k peers, and a lookup absorbing an answer of peers it has already
+// seen (self among them), allocate nothing.
+func TestHotPathsDoNotAllocate(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	net := simnet.New(t0, 1, nil)
+	self := register(net.Table, simnet.RandomNodeID(rng))
+	rt := NewRoutingTable(net.Table, self, DefaultK)
+	for range 2000 {
+		rt.Add(register(net.Table, simnet.RandomNodeID(rng)), true)
+	}
+	targets := make([]simnet.NodeID, 64)
+	for i := range targets {
+		targets[i] = simnet.RandomNodeID(rng)
+	}
+	buf := make([]simnet.NodeRef, 0, DefaultK)
+	i := 0
+	if allocs := testing.AllocsPerRun(200, func() {
+		buf = rt.AppendClosest(buf[:0], targets[i%len(targets)], DefaultK)
+		i++
+	}); allocs != 0 || len(buf) != DefaultK {
+		t.Errorf("AppendClosest into a cap-k buffer: %v allocations, %d peers", allocs, len(buf))
+	}
+
+	l := &lookup{d: &DHT{net: net, ref: self, rt: rt}, target: targets[0]}
+	answer := append(rt.AppendClosest(nil, l.target, DefaultK), self)
+	l.addCandidates(answer)
+	if allocs := testing.AllocsPerRun(200, func() { l.addCandidates(answer) }); allocs != 0 || len(l.cand) != DefaultK {
+		t.Errorf("absorbing a seen answer: %v allocations, %d candidates", allocs, len(l.cand))
+	}
 }

@@ -5,10 +5,18 @@
 // nodes' k-buckets) or DHT clients (query only; invisible to crawlers). The
 // package also provides the k-bucket crawler used as the alternative network
 // size indicator in Sec. V-C.
+//
+// Inside the package a peer is its simnet.NodeRef: k-buckets, FIND_NODE and
+// GET_PROVIDERS answers and lookup candidates hold refs, and a peer's ID
+// lives only in the node table (simnet.Table), which also keeps the ID's
+// leading 8 bytes for bucketing and ranking. PeerInfo appears only at the
+// edges: Bootstrap, Observe, provider records, FindProviders results and
+// CrawlResult.
 package dht
 
 import (
 	"encoding/binary"
+	"math/bits"
 	"slices"
 
 	"bitswapmon/internal/simnet"
@@ -17,9 +25,8 @@ import (
 // DefaultK is the Kademlia bucket size (and closest-set size); IPFS uses 20.
 const DefaultK = 20
 
-// PeerInfo identifies a DHT participant. It holds no pointer: every
-// FIND_NODE answer copies up to k of them, and a pointer-free slice is never
-// scanned by the GC nor written through write barriers. A peer's network
+// PeerInfo identifies a DHT participant at the package's edges (bootstrap
+// lists, provider records, search and crawl results). A peer's network
 // address lives in the node table (engine.Engine.Addr).
 type PeerInfo struct {
 	ID simnet.NodeID
@@ -29,49 +36,62 @@ type PeerInfo struct {
 }
 
 // RoutingTable is a set of k-buckets indexed by the length of the common
-// prefix with the local node ID.
+// prefix with the local node ID. Peers are stored as refs into the node
+// table, which holds each peer's ID and its leading 8 bytes: buckets are
+// bucketed and ranked by those 8 bytes, and a full ID is read only when two
+// prefixes tie.
 type RoutingTable struct {
-	self simnet.NodeID
-	k    int
+	tab     *simnet.Table
+	self    simnet.NodeRef
+	selfKey uint64
+	k       int
 	// buckets is indexed by the LeadingZeros of the XOR distance. It grows
 	// only as far as the highest bucket a peer was ever added to: in a
 	// network of n peers that is about log2(n) buckets, not 257.
-	buckets [][]PeerInfo
+	buckets [][]simnet.NodeRef
 	size    int
 	// top is the highest non-empty bucket index, -1 for an empty table:
-	// Closest never looks above it.
+	// AppendClosest never looks above it.
 	top int
 
-	// class holds the distance class Closest is ranking, between calls, so
-	// the hot FIND_NODE path does not allocate it each time. A table is
-	// only ever used from its node's handler (one goroutine).
-	class []peerRef
+	// class holds the distance class AppendClosest is ranking, between
+	// calls, so the hot FIND_NODE path does not allocate it each time. A
+	// table is only ever used from its node's handler (one goroutine).
+	class []rankedRef
 }
 
-// peerRef ranks one stored peer against Closest's target: d is the first 8
-// bytes of the XOR distance, and the peer is buckets[bucket][slot]. It holds
-// no pointer, so shifting refs costs no write barrier and the scratch slice
-// is never scanned.
-type peerRef struct {
-	d            uint64
-	bucket, slot int32
+// rankedRef is one stored peer ranked against AppendClosest's target: d is
+// the first 8 bytes of the XOR distance.
+type rankedRef struct {
+	d   uint64
+	ref simnet.NodeRef
 }
 
-// NewRoutingTable creates a routing table for self with bucket size k
-// (k <= 0 selects DefaultK).
-func NewRoutingTable(self simnet.NodeID, k int) *RoutingTable {
+// NewRoutingTable creates the routing table of node self, whose peers are
+// registered in tab, with bucket size k (k <= 0 selects DefaultK).
+func NewRoutingTable(tab *simnet.Table, self simnet.NodeRef, k int) *RoutingTable {
 	if k <= 0 {
 		k = DefaultK
 	}
-	return &RoutingTable{self: self, k: k, top: -1}
+	return &RoutingTable{tab: tab, self: self, selfKey: tab.Key(self), k: k, top: -1}
 }
 
-func (rt *RoutingTable) bucketIndex(id simnet.NodeID) int {
-	return rt.self.CommonPrefixLen(id)
+// bucketIndex returns the common prefix length of the local ID with an ID
+// whose leading 8 bytes are key; id supplies the full ID on a prefix tie.
+func (rt *RoutingTable) bucketIndex(key uint64, id func() simnet.NodeID) int {
+	if x := rt.selfKey ^ key; x != 0 {
+		return bits.LeadingZeros64(x)
+	}
+	return rt.tab.ID(rt.self).CommonPrefixLen(id())
+}
+
+// refIndex is bucketIndex for a registered peer.
+func (rt *RoutingTable) refIndex(r simnet.NodeRef) int {
+	return rt.bucketIndex(rt.tab.Key(r), func() simnet.NodeID { return rt.tab.ID(r) })
 }
 
 // bucket returns bucket i, nil for an index the table has not grown to.
-func (rt *RoutingTable) bucket(i int) []PeerInfo {
+func (rt *RoutingTable) bucket(i int) []simnet.NodeRef {
 	if uint(i) < uint(len(rt.buckets)) {
 		return rt.buckets[i]
 	}
@@ -81,63 +101,39 @@ func (rt *RoutingTable) bucket(i int) []PeerInfo {
 // Add inserts a peer. Client peers and self are ignored; full buckets keep
 // their existing members (classic Kademlia favours long-lived contacts).
 // It reports whether the peer was newly inserted.
-func (rt *RoutingTable) Add(p PeerInfo) bool {
-	if !p.Server || p.ID == rt.self {
+func (rt *RoutingTable) Add(r simnet.NodeRef, server bool) bool {
+	if !server || r == rt.self {
 		return false
 	}
-	idx := rt.bucketIndex(p.ID)
+	idx := rt.refIndex(r)
 	bucket := rt.bucket(idx)
-	for _, existing := range bucket {
-		if existing.ID == p.ID {
-			return false
-		}
-	}
-	if len(bucket) >= rt.k {
+	if slices.Contains(bucket, r) || len(bucket) >= rt.k {
 		return false
 	}
 	if idx >= len(rt.buckets) {
-		rt.buckets = append(rt.buckets, make([][]PeerInfo, idx+1-len(rt.buckets))...)
+		rt.buckets = append(rt.buckets, make([][]simnet.NodeRef, idx+1-len(rt.buckets))...)
 	}
-	rt.buckets[idx] = append(bucket, p)
+	rt.buckets[idx] = append(bucket, r)
 	rt.size++
 	rt.top = max(rt.top, idx)
 	return true
 }
 
-// Remove drops a peer (e.g. observed dead).
-func (rt *RoutingTable) Remove(id simnet.NodeID) {
-	idx := rt.bucketIndex(id)
-	bucket := rt.bucket(idx)
-	for i, p := range bucket {
-		if p.ID == id {
-			rt.buckets[idx] = slices.Delete(bucket, i, i+1)
-			rt.size--
-			for rt.top >= 0 && len(rt.buckets[rt.top]) == 0 {
-				rt.top--
-			}
-			return
-		}
-	}
-}
-
-// Contains reports whether id is present.
-func (rt *RoutingTable) Contains(id simnet.NodeID) bool {
-	for _, p := range rt.bucket(rt.bucketIndex(id)) {
-		if p.ID == id {
-			return true
-		}
-	}
-	return false
+// Contains reports whether r is present.
+func (rt *RoutingTable) Contains(r simnet.NodeRef) bool {
+	return slices.Contains(rt.bucket(rt.refIndex(r)), r)
 }
 
 // Size returns the number of stored peers.
 func (rt *RoutingTable) Size() int { return rt.size }
 
-// Closest returns up to n peers closest to target in XOR distance, nearest
-// first. It runs on every FIND_NODE / GET_PROVIDERS a server answers, so it
-// reads only the buckets the answer can come from. With b the length of the
-// prefix target shares with the local ID, the stored peers fall into distance
-// classes, every peer of one class nearer than every peer of the next:
+// AppendClosest appends to dst up to n peers closest to target in XOR
+// distance, nearest first, and returns the extended slice; a dst with room
+// for n more peers makes the call allocation-free. It runs on every
+// FIND_NODE / GET_PROVIDERS a server answers, so it reads only the buckets
+// the answer can come from. With b the length of the prefix target shares
+// with the local ID, the stored peers fall into distance classes, every peer
+// of one class nearer than every peer of the next:
 //
 //  1. bucket b: its peers differ from the local ID at bit b, as target does,
 //     so they share more than b bits with target;
@@ -150,43 +146,41 @@ func (rt *RoutingTable) Size() int { return rt.size }
 // fills the result: for a random target that is one full bucket half the
 // time. A lookup of the local ID itself (b = 256) has empty classes 1 and 2
 // and walks down from the highest non-empty bucket.
-func (rt *RoutingTable) Closest(target simnet.NodeID, n int) []PeerInfo {
+func (rt *RoutingTable) AppendClosest(dst []simnet.NodeRef, target simnet.NodeID, n int) []simnet.NodeRef {
 	if n <= 0 {
-		return nil
+		return dst
 	}
-	n = min(n, rt.size)
-	out := make([]PeerInfo, 0, n)
-	b := rt.bucketIndex(target)
+	end := len(dst) + min(n, rt.size)
+	t8 := binary.BigEndian.Uint64(target[0:8])
+	b := rt.bucketIndex(t8, func() simnet.NodeID { return target })
 	if b <= rt.top {
-		out = rt.appendClosest(out, n, target, b, b)
-		if len(out) < n {
-			out = rt.appendClosest(out, n, target, b+1, rt.top)
+		dst = rt.appendClass(dst, end, target, t8, b, b)
+		if len(dst) < end {
+			dst = rt.appendClass(dst, end, target, t8, b+1, rt.top)
 		}
 	}
-	for i := min(b-1, rt.top); i >= 0 && len(out) < n; i-- {
-		out = rt.appendClosest(out, n, target, i, i)
+	for i := min(b-1, rt.top); i >= 0 && len(dst) < end; i-- {
+		dst = rt.appendClass(dst, end, target, t8, i, i)
 	}
-	return out
+	return dst
 }
 
-// appendClosest appends to out the peers of buckets lo..hi, which must form
-// one distance class for target, nearest first, until out holds n.
-func (rt *RoutingTable) appendClosest(out []PeerInfo, n int, target simnet.NodeID, lo, hi int) []PeerInfo {
+// appendClass appends to dst the peers of buckets lo..hi, which must form
+// one distance class for target, nearest first, until dst reaches length
+// end. t8 is target's leading 8 bytes.
+func (rt *RoutingTable) appendClass(dst []simnet.NodeRef, end int, target simnet.NodeID, t8 uint64, lo, hi int) []simnet.NodeRef {
 	// Peers are ranked by the first 8 distance bytes as one uint64; the
 	// full 32-byte comparison runs only when two prefixes collide (distinct
 	// IDs always differ somewhere, so ties stay deterministic). The class
-	// is kept sorted and cut at the need peers out still has room for.
-	t8 := binary.BigEndian.Uint64(target[0:8])
-	need := n - len(out)
+	// is kept sorted and cut at the need peers dst still has room for.
+	need := end - len(dst)
 	class := rt.class[:0]
 	for i := lo; i <= hi; i++ {
-		bucket := rt.buckets[i]
-		for j := range bucket {
-			id := &bucket[j].ID
-			r := peerRef{t8 ^ binary.BigEndian.Uint64(id[0:8]), int32(i), int32(j)}
-			before := func(q peerRef) bool {
+		for _, ref := range rt.buckets[i] {
+			r := rankedRef{t8 ^ rt.tab.Key(ref), ref}
+			before := func(q rankedRef) bool {
 				return r.d < q.d || (r.d == q.d &&
-					simnet.DistanceCompare(target, *id, rt.buckets[q.bucket][q.slot].ID) < 0)
+					simnet.DistanceCompare(target, rt.tab.ID(r.ref), rt.tab.ID(q.ref)) < 0)
 			}
 			pos := len(class)
 			if pos < need {
@@ -201,33 +195,26 @@ func (rt *RoutingTable) appendClosest(out []PeerInfo, n int, target simnet.NodeI
 		}
 	}
 	for _, r := range class {
-		out = append(out, rt.buckets[r.bucket][r.slot])
+		dst = append(dst, r.ref)
 	}
 	rt.class = class[:0]
-	return out
+	return dst
 }
 
 // All returns every stored peer, ordered by bucket then insertion.
-func (rt *RoutingTable) All() []PeerInfo {
-	out := make([]PeerInfo, 0, rt.size)
-	for i := range rt.buckets {
-		out = append(out, rt.buckets[i]...)
-	}
-	return out
+func (rt *RoutingTable) All() []simnet.NodeRef {
+	return slices.Concat(rt.buckets...)
 }
 
 // Bucket returns a copy of the bucket holding peers at common-prefix-length
 // cpl (used by the crawler to enumerate tables).
-func (rt *RoutingTable) Bucket(cpl int) []PeerInfo {
-	return append([]PeerInfo(nil), rt.bucket(cpl)...)
+func (rt *RoutingTable) Bucket(cpl int) []simnet.NodeRef {
+	return slices.Clone(rt.bucket(cpl))
 }
 
-// SortByDistance sorts peers in place by XOR distance to target. The order
-// is deterministic without an explicit tie-break: equal XOR distance to a
-// fixed target implies equal IDs. The comparator compares distances byte by
-// byte without materializing them, and slices.SortFunc avoids the reflection
-// swap path of sort.Slice — together the dominant costs of the previous
-// implementation on the lookup hot path.
+// SortByDistance sorts peers in place by XOR distance to target, as a
+// provider search orders its results. The order is deterministic without an
+// explicit tie-break: equal XOR distance to a fixed target implies equal IDs.
 func SortByDistance(peers []PeerInfo, target simnet.NodeID) {
 	slices.SortFunc(peers, func(a, b PeerInfo) int {
 		return simnet.DistanceCompare(target, a.ID, b.ID)

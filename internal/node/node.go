@@ -74,13 +74,15 @@ func New(net engine.Engine, id simnet.NodeID, addr string, region simnet.Region,
 		cfg:    cfg,
 		rng:    net.NewRand("node-" + id.HexFull()),
 	}
-	n.DHT = dht.New(net, dht.PeerInfo{ID: id}, cfg.Mode)
-	n.Bitswap = bitswap.New(net, id, n.Store, n.DHT, cfg.Bitswap)
-	n.builder = merkledag.NewBuilder(n.Store, cfg.ChunkSize, 0)
-	// maxConns 0: no node's connection table is capped.
+	// maxConns 0: no node's connection table is capped. The node registers
+	// before its DHT is built, which resolves its ref; no event runs in
+	// between, since AddNode is never called from event code.
 	if err := net.AddNode(id, addr, region, 0, n); err != nil {
 		return nil, fmt.Errorf("register node: %w", err)
 	}
+	n.DHT = dht.New(net, dht.PeerInfo{ID: id}, cfg.Mode)
+	n.Bitswap = bitswap.New(net, id, n.Store, n.DHT, cfg.Bitswap)
+	n.builder = merkledag.NewBuilder(n.Store, cfg.ChunkSize, 0)
 	return n, nil
 }
 

@@ -285,7 +285,7 @@ func (w *World) drivePump(src EventSource) (*DriveStats, error) {
 		buf.e[0] = wire.Entry{Type: t, CID: c}
 		buf.m.Wantlist = buf.e[:]
 		buf.readyAt = now.Add(maxDelay)
-		_ = w.Net.SendRef(from, to, &buf.m)
+		_ = w.Net.SendRef(otrace.Ctx{}, "", from, to, &buf.m)
 		bufs = append(bufs, buf)
 		stats.Sends++
 	}

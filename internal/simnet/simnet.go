@@ -354,12 +354,7 @@ func (n *Network) Post(id NodeID, fn func()) {
 // the modelled latency. Messages in flight when a connection drops are
 // dropped too (checked at delivery time).
 func (n *Network) Send(from, to NodeID, msg any) error {
-	r, err := n.Route(from, to)
-	if err != nil {
-		return err
-	}
-	n.send(r, msg, nil)
-	return nil
+	return n.SendTraced(otrace.Ctx{}, "", from, to, msg)
 }
 
 // SendTraced is Send carrying a trace context: the hop from send to delivery
@@ -371,23 +366,29 @@ func (n *Network) SendTraced(tc otrace.Ctx, hop string, from, to NodeID, msg any
 	if err != nil {
 		return err
 	}
-	var ref *otrace.HopRef
-	if n.tracer != nil && tc.Sampled() {
-		ref = &otrace.HopRef{Ctx: tc, Name: hop}
-	}
-	n.send(r, msg, ref)
+	n.send(r, msg, n.hopRef(tc, hop))
 	return nil
 }
 
-// SendRef is Send with pre-resolved endpoints. Semantics (connectivity
-// check, latency sampling, delivery-time revalidation) are identical.
-func (n *Network) SendRef(from, to NodeRef, msg any) error {
+// SendRef is SendTraced with pre-resolved endpoints; a zero tc sends
+// untraced, as Send does. Semantics (connectivity check, latency sampling,
+// delivery-time revalidation) are identical.
+func (n *Network) SendRef(tc otrace.Ctx, hop string, from, to NodeRef, msg any) error {
 	r, err := n.RouteRef(from, to)
 	if err != nil {
 		return err
 	}
-	n.send(r, msg, nil)
+	n.send(r, msg, n.hopRef(tc, hop))
 	return nil
+}
+
+// hopRef is the trace context a send carries: nil unless a tracer is
+// installed and tc is sampled.
+func (n *Network) hopRef(tc otrace.Ctx, hop string) *otrace.HopRef {
+	if n.tracer == nil || !tc.Sampled() {
+		return nil
+	}
+	return &otrace.HopRef{Ctx: tc, Name: hop}
 }
 
 // send schedules a routed delivery. Same-shard deliveries go straight into

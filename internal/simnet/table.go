@@ -144,6 +144,10 @@ func (t *Table) Ref(id NodeID) (NodeRef, bool) {
 // ID returns the node a ref stands for.
 func (t *Table) ID(r NodeRef) NodeID { return t.ids[r] }
 
+// Key returns the leading 8 bytes of a ref's ID, big-endian: it orders
+// nodes, and ranks them by XOR distance, everywhere but on a prefix tie.
+func (t *Table) Key(r NodeRef) uint64 { return t.keys[r] }
+
 // Handler returns the handler registered for a ref.
 func (t *Table) Handler(r NodeRef) Handler { return t.handlers[r] }
 
@@ -225,10 +229,18 @@ func (t *Table) Connect(a, b NodeID) error {
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownNode, b)
 	}
-	added, err := t.link(ia, ib)
+	return t.ConnectRef(ia, ib)
+}
+
+// ConnectRef is Connect with pre-resolved endpoints.
+func (t *Table) ConnectRef(a, b NodeRef) error {
+	if a == b {
+		return ErrSelfDial
+	}
+	added, err := t.link(a, b)
 	if added {
-		t.notify(ia, ib, true)
-		t.notify(ib, ia, true)
+		t.notify(a, b, true)
+		t.notify(b, a, true)
 	}
 	return err
 }
@@ -321,8 +333,11 @@ func (t *Table) SetOnline(id NodeID, online bool) error {
 func (t *Table) Connected(a, b NodeID) bool {
 	ia, oka := t.idx[a]
 	ib, okb := t.idx[b]
-	return oka && okb && t.has(t.cells[ia].set.Load(), ib)
+	return oka && okb && t.ConnectedRef(ia, ib)
 }
+
+// ConnectedRef is Connected with pre-resolved endpoints.
+func (t *Table) ConnectedRef(a, b NodeRef) bool { return t.has(t.cells[a].set.Load(), b) }
 
 // Peers returns a snapshot of a node's connected peers, sorted by ID. The
 // deterministic order matters: broadcast loops consume RNG state per peer.

@@ -37,7 +37,7 @@ type PeerInfo struct {
 
 // RoutingTable is a set of k-buckets indexed by the length of the common
 // prefix with the local node ID. Peers are stored as refs into the node
-// table, which holds each peer's ID and its leading 8 bytes: buckets are
+// table, which holds each peer's ID and its leading 8 bytes: peers are
 // bucketed and ranked by those 8 bytes, and a full ID is read only when two
 // prefixes tie.
 type RoutingTable struct {
@@ -46,13 +46,11 @@ type RoutingTable struct {
 	selfKey uint64
 	k       int
 	// buckets is indexed by the LeadingZeros of the XOR distance. It grows
-	// only as far as the highest bucket a peer was ever added to: in a
+	// only as far as the highest bucket a peer was added to, so its last
+	// bucket is the highest non-empty one (peers are never removed): in a
 	// network of n peers that is about log2(n) buckets, not 257.
 	buckets [][]simnet.NodeRef
 	size    int
-	// top is the highest non-empty bucket index, -1 for an empty table:
-	// AppendClosest never looks above it.
-	top int
 
 	// class holds the distance class AppendClosest is ranking, between
 	// calls, so the hot FIND_NODE path does not allocate it each time. A
@@ -73,7 +71,7 @@ func NewRoutingTable(tab *simnet.Table, self simnet.NodeRef, k int) *RoutingTabl
 	if k <= 0 {
 		k = DefaultK
 	}
-	return &RoutingTable{tab: tab, self: self, selfKey: tab.Key(self), k: k, top: -1}
+	return &RoutingTable{tab: tab, self: self, selfKey: tab.Key(self), k: k}
 }
 
 // bucketIndex returns the common prefix length of the local ID with an ID
@@ -115,7 +113,6 @@ func (rt *RoutingTable) Add(r simnet.NodeRef, server bool) bool {
 	}
 	rt.buckets[idx] = append(bucket, r)
 	rt.size++
-	rt.top = max(rt.top, idx)
 	return true
 }
 
@@ -153,13 +150,14 @@ func (rt *RoutingTable) AppendClosest(dst []simnet.NodeRef, target simnet.NodeID
 	end := len(dst) + min(n, rt.size)
 	t8 := binary.BigEndian.Uint64(target[0:8])
 	b := rt.bucketIndex(t8, func() simnet.NodeID { return target })
-	if b <= rt.top {
+	top := len(rt.buckets) - 1
+	if b <= top {
 		dst = rt.appendClass(dst, end, target, t8, b, b)
 		if len(dst) < end {
-			dst = rt.appendClass(dst, end, target, t8, b+1, rt.top)
+			dst = rt.appendClass(dst, end, target, t8, b+1, top)
 		}
 	}
-	for i := min(b-1, rt.top); i >= 0 && len(dst) < end; i-- {
+	for i := min(b-1, top); i >= 0 && len(dst) < end; i-- {
 		dst = rt.appendClass(dst, end, target, t8, i, i)
 	}
 	return dst

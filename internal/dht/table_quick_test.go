@@ -12,11 +12,12 @@ import (
 // checkBuckets checks the table's layout against references: every peer
 // sits in the bucket of its full-ID common prefix length with the local ID
 // (the 8-byte keys decide it only up to bucket 63), no bucket exceeds k,
-// Size counts the stored peers and top is the highest non-empty bucket.
+// Size counts the stored peers and the last bucket the table has grown is
+// its highest non-empty one.
 func checkBuckets(t testing.TB, rt *RoutingTable) {
 	t.Helper()
-	if len(rt.buckets) > 257 || rt.top >= len(rt.buckets) {
-		t.Errorf("table has %d buckets and top %d", len(rt.buckets), rt.top)
+	if len(rt.buckets) > 257 {
+		t.Errorf("table has %d buckets", len(rt.buckets))
 	}
 	self := rt.tab.ID(rt.self)
 	top, size := -1, 0
@@ -35,8 +36,8 @@ func checkBuckets(t testing.TB, rt *RoutingTable) {
 		}
 		size += len(bucket)
 	}
-	if rt.top != top || rt.Size() != size {
-		t.Errorf("top %d and size %d, want %d and %d", rt.top, rt.Size(), top, size)
+	if len(rt.buckets)-1 != top || rt.Size() != size {
+		t.Errorf("%d buckets and size %d, want %d and %d", len(rt.buckets), rt.Size(), top+1, size)
 	}
 }
 
@@ -148,8 +149,8 @@ func TestClosestDistanceClasses(t *testing.T) {
 			full++
 		}
 	}
-	if full < 4 || rt.top != 255 {
-		t.Fatalf("table has %d full buckets and top %d, want several and 255", full, rt.top)
+	if full < 4 || len(rt.buckets) != 256 {
+		t.Fatalf("table has %d full buckets of %d, want several of 256", full, len(rt.buckets))
 	}
 
 	stored := ids(rt.tab, rt.All())

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"bitswapmon/internal/obs"
+	"bitswapmon/internal/otrace"
 	"bitswapmon/internal/simnet"
 )
 
@@ -67,8 +68,23 @@ func runContract(t *testing.T, name string, eng Engine, reg *obs.Registry) strin
 	connect := func(x, y simnet.NodeID) func(Engine) error {
 		return func(eng Engine) error { return eng.Connect(x, y) }
 	}
+	// The ref-taking cores must apply the same rules as the ID wrappers.
+	connectRef := func(x, y simnet.NodeID) func(Engine) error {
+		return func(eng Engine) error {
+			rx, _ := eng.Ref(x)
+			ry, _ := eng.Ref(y)
+			return eng.ConnectRef(rx, ry)
+		}
+	}
 	send := func(x, y simnet.NodeID, msg string) func(Engine) error {
 		return func(eng Engine) error { return eng.Send(x, y, msg) }
+	}
+	sendRef := func(x, y simnet.NodeID, msg string) func(Engine) error {
+		return func(eng Engine) error {
+			rx, _ := eng.Ref(x)
+			ry, _ := eng.Ref(y)
+			return eng.SendRef(otrace.Ctx{}, "", rx, ry, msg)
+		}
 	}
 	disconnect := func(x, y simnet.NodeID) func(Engine) error {
 		return func(eng Engine) error { eng.Disconnect(x, y); return nil }
@@ -89,6 +105,7 @@ func runContract(t *testing.T, name string, eng Engine, reg *obs.Registry) strin
 		{"add f", add(f, simnet.RegionFR, 0), nil, none},
 		{"add a again", add(a, simnet.RegionUS, 0), errAny, none},
 		{"self-dial", connect(a, a), simnet.ErrSelfDial, none},
+		{"self-dial by ref", connectRef(a, a), simnet.ErrSelfDial, none},
 		{"dial unknown", connect(a, ghost), simnet.ErrUnknownNode, none},
 		{"unknown dials", connect(ghost, a), simnet.ErrUnknownNode, none},
 		{"f offline", setOnline(f, false), nil, none},
@@ -99,6 +116,7 @@ func runContract(t *testing.T, name string, eng Engine, reg *obs.Registry) strin
 		{"b-hub", connect(b, hub), nil, none},
 		{"d-hub", connect(d, hub), nil, none},
 		{"a-hub again", connect(a, hub), nil, none},
+		{"a-hub again by ref", connectRef(a, hub), nil, none},
 		{"hub-a reversed", connect(hub, a), nil, none},
 		{"e-c", connect(e, c), nil, none},
 		{"target full", connect(c, hub), simnet.ErrAtCapacity, hub},
@@ -107,6 +125,7 @@ func runContract(t *testing.T, name string, eng Engine, reg *obs.Registry) strin
 		{"both full, reversed", connect(hub, e), simnet.ErrAtCapacity, e},
 		{"dialer full only", connect(e, a), simnet.ErrAtCapacity, e},
 		{"send unconnected", send(a, b, "x"), simnet.ErrNotConnected, none},
+		{"send unconnected by ref", sendRef(a, b, "x"), simnet.ErrNotConnected, none},
 		{"send to unknown", send(a, ghost, "x"), simnet.ErrNotConnected, none},
 		{"send from unknown", send(ghost, a, "x"), simnet.ErrUnknownNode, none},
 		{"send doomed", send(a, hub, "doomed"), nil, none},

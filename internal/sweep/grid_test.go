@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -203,5 +204,47 @@ func TestSweepRoundTrip(t *testing.T) {
 	}
 	if _, err := ParseSweep([]byte(`{"version":1,"base":{"version":1,"window":"1h"},"axess":[]}`)); err == nil {
 		t.Error("typoed sweep field accepted")
+	}
+}
+
+// TestExampleSpecs: every walkthrough spec under examples/ loads and
+// expands to the runs its README walkthrough expects, so a renamed spec key
+// fails here and not only when the walkthroughs run. The daemon's spec also
+// passes bsmon's start-up refusals (one run, no recorded workload).
+func TestExampleSpecs(t *testing.T) {
+	want := map[string]int{
+		"replay-direct.json":  1,
+		"replay-fitted.json":  1,
+		"replay-record.json":  1,
+		"servicemode.json":    1,
+		"sizeestimation.json": 1,
+		"streaming.json":      1,
+		"sweep.json":          12,
+	}
+	paths, err := filepath.Glob("../../examples/*.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) != len(want) {
+		t.Errorf("examples/ holds %d specs %v, want %d", len(paths), paths, len(want))
+	}
+	for _, path := range paths {
+		sw, err := LoadSweep(path)
+		if err != nil {
+			t.Error(err)
+			continue
+		}
+		runs, err := Expand(sw)
+		if err != nil {
+			t.Errorf("%s: %v", path, err)
+			continue
+		}
+		name := filepath.Base(path)
+		if n, ok := want[name]; !ok || len(runs) != n {
+			t.Errorf("%s expands to %d runs, want %d", path, len(runs), n)
+		}
+		if name == "servicemode.json" && (len(runs) != 1 || runs[0].Spec.ReplayMode()) {
+			t.Errorf("%s: bsmon refuses a spec that is not one synthetic run", path)
+		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 	"time"
 
 	"bitswapmon/internal/bitswap"
@@ -323,15 +322,6 @@ type World struct {
 
 	cfg Config
 	rng *rand.Rand
-
-	// statsMu guards the request counters: they are bumped from request
-	// processes that may run on different engine shards.
-	statsMu sync.Mutex
-	// RequestsIssued counts user-level requests injected, per country.
-	// Lock statsMu when reading during a run.
-	RequestsIssued map[simnet.Region]int
-	// GatewayRequestsIssued counts HTTP-side requests per operator.
-	GatewayRequestsIssued map[string]int
 }
 
 // Build constructs the world: network, monitors, bootstrap core, gateways,
@@ -345,13 +335,11 @@ func Build(cfg Config) (*World, error) {
 		net = simnet.New(cfg.Start, cfg.Seed, nil)
 	}
 	w := &World{
-		Net:                   net,
-		Geo:                   geoip.New(),
-		Registry:              &gateway.Registry{},
-		cfg:                   cfg,
-		rng:                   net.NewRand("workload"),
-		RequestsIssued:        make(map[simnet.Region]int),
-		GatewayRequestsIssued: make(map[string]int),
+		Net:      net,
+		Geo:      geoip.New(),
+		Registry: &gateway.Registry{},
+		cfg:      cfg,
+		rng:      net.NewRand("workload"),
 	}
 	net.SetTracer(cfg.Tracer)
 
@@ -746,9 +734,6 @@ func (w *World) issueRequest(sn *ScenarioNode) {
 	if item == nil {
 		return // empty catalog: nothing to request
 	}
-	w.statsMu.Lock()
-	w.RequestsIssued[sn.Country]++
-	w.statsMu.Unlock()
 	// Root span: this callback runs as the node's own event code, so the
 	// exact event time and the resolve callback's clock are both this node's.
 	var span *otrace.SpanHandle
@@ -836,9 +821,6 @@ func (w *World) armGatewayTraffic() {
 				}
 			}
 			if root.Defined() {
-				w.statsMu.Lock()
-				w.GatewayRequestsIssued[opSpec.Name]++
-				w.statsMu.Unlock()
 				reqSeq++
 				var trace uint64
 				if w.cfg.Tracer != nil {

@@ -5,7 +5,6 @@
 // Usage:
 //
 //	bssweep run -spec sweep.json -root DIR [-workers N] [-dry-run]
-//	            [-trace] [-trace-sample F]
 //	            [-metrics-addr ADDR] [-progress] [-cpuprofile FILE] [-memprofile FILE]
 //	bssweep resume -root DIR [-workers N] [same operational flags as run]
 //	bssweep report -root DIR [-metric M -rows PARAM [-cols PARAM]] [-csv FILE]
@@ -19,7 +18,11 @@
 // sweep left off without re-executing completed runs. Each run streams its
 // monitor traces into per-run segment stores under DIR/runs/<run-id>/ and
 // leaves a summary.json of comparison metrics and a report.txt with every
-// report's rendered text.
+// report's rendered text. A spec with "trace": true (and "trace_sample" for
+// head-sampling) also leaves each run's request spans as trace.json.
+//
+// An axis or case names a spec key, and a dot reaches into an object
+// (workload_source.time_warp); params lists the keys.
 //
 // preset prints a one-run sweep spec of one of the paper's scenarios —
 // small (sweep.DefaultSpec), week (sweep.WeekSpec) or upgrade
@@ -116,8 +119,6 @@ func cmdRun(args []string) error {
 	root := fs.String("root", "", "sweep root directory (created if absent)")
 	workers := fs.Int("workers", 4, "concurrent runs")
 	dryRun := fs.Bool("dry-run", false, "list the expanded runs and exit")
-	traceRuns := fs.Bool("trace", false, "enable causal request tracing in every run (writes trace.json + .jsonl into each run directory)")
-	traceSample := fs.Float64("trace-sample", 1, "deterministic trace head-sampling rate in [0,1] (with -trace)")
 	ops := addOpsFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -128,10 +129,6 @@ func cmdRun(args []string) error {
 	sw, err := sweep.LoadSweep(*specPath)
 	if err != nil {
 		return err
-	}
-	if *traceRuns {
-		sw.Base.Trace = true
-		sw.Base.TraceSample = *traceSample
 	}
 	if *dryRun {
 		runs, err := sweep.Expand(sw)
@@ -341,9 +338,10 @@ func cmdReport(args []string) error {
 }
 
 func cmdParams(w io.Writer) error {
-	fmt.Fprintln(w, "sweepable parameters (axis/case keys):")
-	for _, p := range sweep.KnownParams() {
-		fmt.Fprintf(w, "  %-26s %s\n", p, sweep.ParamDoc(p))
+	fmt.Fprintln(w, "spec keys (axis/case params; each is documented on its field of")
+	fmt.Fprintln(w, "sweep.ScenarioSpec, workload.Config or replay.Spec):")
+	for _, key := range sweep.SpecKeys() {
+		fmt.Fprintf(w, "  %s\n", key)
 	}
 	fmt.Fprintln(w, "\nreport metrics:")
 	fmt.Fprintf(w, "  %s\n", strings.Join(sweep.KnownMetrics(), ", "))

@@ -93,6 +93,10 @@ func TestBssweepErrors(t *testing.T) {
 	if err := run([]string{"run"}); err == nil {
 		t.Error("run without -spec accepted")
 	}
+	// Tracing is the spec's trace and trace_sample keys, not a flag.
+	if err := run([]string{"run", "-spec", "x.json", "-trace"}); err == nil {
+		t.Error("run -trace accepted")
+	}
 	if err := run([]string{"resume", "-root", filepath.Join(t.TempDir(), "nope")}); err == nil {
 		t.Error("resume of a rootless directory accepted")
 	}
@@ -105,8 +109,8 @@ func TestBssweepErrors(t *testing.T) {
 }
 
 // TestBssweepPresets: every preset prints a sweep spec that parses and
-// expands to one run of exactly the Go preset, and params lists the presets
-// and the crawl panels' metrics.
+// expands to one run of exactly the Go preset, and params lists the presets,
+// the crawl panels' metrics and the spec keys.
 func TestBssweepPresets(t *testing.T) {
 	for name, want := range map[string]sweep.ScenarioSpec{
 		"small":   sweep.DefaultSpec(),
@@ -138,7 +142,8 @@ func TestBssweepPresets(t *testing.T) {
 	if err := cmdParams(&params); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"secvc:<metric>", "fig3:<metric>", "small, upgrade, week"} {
+	for _, want := range []string{"secvc:<metric>", "fig3:<metric>", "small, upgrade, week",
+		"  trace_sample\n", "  workload_source.time_warp\n"} {
 		if !strings.Contains(params.String(), want) {
 			t.Errorf("params does not list %q:\n%s", want, params.String())
 		}

@@ -70,8 +70,8 @@
 // span recorder whose contexts propagate workload → gateway → DHT → Bitswap
 // → engine delivery, with deterministic seeded head-sampling (serial and
 // sharded engines trace the same requests). Traces export as
-// Perfetto-loadable Chrome trace-event JSON plus JSONL (bssweep run
-// -trace), and feed the latency_breakdown streaming report — per-stage
+// Perfetto-loadable Chrome trace-event JSON plus JSONL (a sweep spec with
+// "trace": true), and feed the latency_breakdown streaming report — per-stage
 // virtual-time latency distributions for every sampled request.
 //
 // See README.md for the layout, commands and package map. The root package

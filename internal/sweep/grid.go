@@ -5,18 +5,15 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"reflect"
 	"sort"
 	"strconv"
 	"strings"
-	"time"
-
-	"bitswapmon/internal/replay"
-	"bitswapmon/internal/workload"
 )
 
 // Axis is one swept parameter: the cartesian expander crosses every axis's
-// values. Parameter names are the ScenarioSpec JSON field names (see
-// KnownParams); values are JSON scalars coerced to the field's type.
+// values. Param is a spec key (see SpecKeys), and each value decodes as it
+// would under that key in a spec file.
 type Axis struct {
 	Param  string `json:"param"`
 	Values []any  `json:"values"`
@@ -152,20 +149,21 @@ func Expand(sw SweepSpec) ([]Run, error) {
 	if replicates <= 0 {
 		replicates = 1
 	}
+	base, err := json.Marshal(sw.Base)
+	if err != nil {
+		return nil, fmt.Errorf("sweep: marshal base: %w", err)
+	}
 	var runs []Run
 	seen := make(map[string]bool)
 	for _, pt := range points {
-		spec := sw.Base
-		for _, p := range pt {
-			if err := applyParam(&spec, p.Key, p.Value); err != nil {
-				return nil, err
-			}
-		}
 		for r := 0; r < replicates; r++ {
 			seed := sw.Seeds.Base + int64(r)
-			spec := spec
-			spec.Seed = seed
-			if err := spec.Validate(); err != nil {
+			spec, err := applyParams(base, pt)
+			if err == nil {
+				spec.Seed = seed
+				err = spec.Validate()
+			}
+			if err != nil {
 				return nil, fmt.Errorf("sweep: point %s: %w", pointLabel(pt), err)
 			}
 			id := runID(pt, seed)
@@ -180,25 +178,23 @@ func Expand(sw SweepSpec) ([]Run, error) {
 }
 
 // FormatValue renders an override value the way run IDs and report axes
-// spell it: deterministic and compact.
+// spell it: deterministic and compact. Strings are bare, whole numbers
+// have no fraction, and any other value is its compact JSON (true, null,
+// [], objects with sorted keys).
 func FormatValue(v any) string {
 	switch x := v.(type) {
 	case string:
 		return x
-	case bool:
-		return strconv.FormatBool(x)
 	case float64:
 		if x == float64(int64(x)) {
 			return strconv.FormatInt(int64(x), 10)
 		}
 		return strconv.FormatFloat(x, 'g', -1, 64)
-	case int:
-		return strconv.Itoa(x)
-	case int64:
-		return strconv.FormatInt(x, 10)
-	default:
-		return fmt.Sprintf("%v", x)
 	}
+	if b, err := json.Marshal(v); err == nil {
+		return string(b)
+	}
+	return fmt.Sprintf("%v", v)
 }
 
 func pointLabel(pt []Param) string {
@@ -233,181 +229,76 @@ func sanitize(s string) string {
 	return b.String()
 }
 
-// sweepParam is one sweepable parameter: its name (the ScenarioSpec JSON
-// field name), its one-line description, and the spec field an override
-// sets — a *int, *float64, *Duration, *bool or *string, whose type decides
-// how the JSON value is coerced. gateways has no field: it switches between
-// two values of a slice and applyParam spells that out.
-type sweepParam struct {
-	name, doc string
-	field     func(*ScenarioSpec) any
-}
+// seedKey is the one spec key an axis or case may not name: Expand sets the
+// seed of every run from the sweep's seed policy.
+const seedKey = "seed"
 
-var sweepParams = []sweepParam{
-	{"nodes", "population size (int)", func(s *ScenarioSpec) any { return &s.Nodes }},
-	{"client_frac", "DHT-client share (0..1)", func(s *ScenarioSpec) any { return &s.ClientFrac }},
-	{"stable_frac", "never-churning share (0..1)", func(s *ScenarioSpec) any { return &s.StableFrac }},
-	{"active_frac", "requesting share (0..1)", func(s *ScenarioSpec) any { return &s.ActiveFrac }},
-	{"degree_target", "overlay connections per node (int)", func(s *ScenarioSpec) any { return &s.DegreeTarget }},
-	{"bootstrap_servers", "stable core size (int)", func(s *ScenarioSpec) any { return &s.BootstrapServers }},
-	{"mean_session", "mean online session (duration)", func(s *ScenarioSpec) any { return &s.MeanSession }},
-	{"mean_offline", "mean offline gap (duration)", func(s *ScenarioSpec) any { return &s.MeanOffline }},
-	{"mean_requests_per_hour", "per-active-node request rate (float)", func(s *ScenarioSpec) any { return &s.MeanRequestsPerHour }},
-	{"catalog_items", "content population size (int)", func(s *ScenarioSpec) any { return &s.CatalogItems }},
-	{"personal_frac", "personal-item request share (0..1)", func(s *ScenarioSpec) any { return &s.PersonalFrac }},
-	{"personal_items_per_node", "personal set size (int)", func(s *ScenarioSpec) any { return &s.PersonalItemsPerNode }},
-	{"global_hot_frac", "hot-head request share (0..1)", func(s *ScenarioSpec) any { return &s.GlobalHotFrac }},
-	{"global_warm_frac", "warm-tier request share (0..1)", func(s *ScenarioSpec) any { return &s.GlobalWarmFrac }},
-	{"warm_items", "warm tier size (int)", func(s *ScenarioSpec) any { return &s.WarmItems }},
-	{"unresolved_cancel_after", "give-up time for unresolvable CIDs (duration)", func(s *ScenarioSpec) any { return &s.UnresolvedCancelAfter }},
-	{"legacy_frac", "initial pre-v0.5 client share (0..1)", func(s *ScenarioSpec) any { return &s.LegacyFrac }},
-	{"upgrade_after", "upgrade wave start offset (duration)", func(s *ScenarioSpec) any { return &s.UpgradeAfter }},
-	{"upgrade_daily_frac", "daily upgrade probability (0..1)", func(s *ScenarioSpec) any { return &s.UpgradeDailyFrac }},
-	{"monitor_prob", "independent per-monitor connectivity (0..1)", func(s *ScenarioSpec) any { return &s.MonitorProb }},
-	{"xor_bias", "proximity-biased connectivity strength (float)", func(s *ScenarioSpec) any { return &s.XORBias }},
-	{"time_warp", "replay time compression factor (float; workload_source runs)", func(s *ScenarioSpec) any { return &workloadSource(s).TimeWarp }},
-	{"amplify", "fitted-replay population/volume multiplier (float)", func(s *ScenarioSpec) any { return &workloadSource(s).Amplify }},
-	{"replay_nodes", "replay requester pool size (int; workload_source runs)", func(s *ScenarioSpec) any { return &workloadSource(s).Nodes }},
-	{"monitor_frac", "fitted-replay per-monitor connectivity (0..1; 0 = full)", func(s *ScenarioSpec) any { return &workloadSource(s).MonitorFrac }},
-	{"gateways", "gateway fleet on/off (bool)", nil},
-	{"crawl", "DHT crawl with the Sec. V-C panel and Fig. 3 on/off (bool)", func(s *ScenarioSpec) any { return &s.Crawl }},
-	{"probes", "gateway identification probe on/off (bool)", func(s *ScenarioSpec) any { return &s.Probes }},
-	{"warmup", "warmup before measurement (duration)", func(s *ScenarioSpec) any { return &s.Warmup }},
-	{"window", "measurement window (duration)", func(s *ScenarioSpec) any { return &s.Window }},
-	{"sample_every", "sampler tick (duration)", func(s *ScenarioSpec) any { return &s.SampleEvery }},
-	{"bootstrap_iters", "CSN bootstrap iterations (int)", func(s *ScenarioSpec) any { return &s.BootstrapIters }},
-	{"engine", "simulation engine: serial or sharded (string)", func(s *ScenarioSpec) any { return &s.Engine }},
-	{"shards", "sharded engine worker count (int)", func(s *ScenarioSpec) any { return &s.Shards }},
-}
-
-// KnownParams lists the sweepable parameter names, sorted.
-func KnownParams() []string {
-	out := make([]string, len(sweepParams))
-	for i, p := range sweepParams {
-		out[i] = p.name
+// applyParams decodes one run's spec: the base spec's JSON with each
+// override set at its key, decoded as strictly as a spec file. A key is a
+// spec key and a dot reaches into an object (workload_source.time_warp);
+// a value replaces what the base holds there. The fresh decode gives every
+// run its own slices and pointers.
+func applyParams(base []byte, pt []Param) (ScenarioSpec, error) {
+	var doc map[string]any
+	dec := json.NewDecoder(bytes.NewReader(base))
+	dec.UseNumber() // a large int64 seed would not decode back from a float64
+	if err := dec.Decode(&doc); err != nil {
+		return ScenarioSpec{}, err
 	}
-	sort.Strings(out)
-	return out
+	for _, p := range pt {
+		if p.Key == seedKey {
+			return ScenarioSpec{}, fmt.Errorf("key %s is set by the seed policy (seeds.base, seeds.replicates)", seedKey)
+		}
+		obj, path := doc, strings.Split(p.Key, ".")
+		for _, k := range path[:len(path)-1] {
+			next, ok := obj[k].(map[string]any)
+			if !ok { // a scalar here becomes an object, which then fails to decode
+				next = map[string]any{}
+				obj[k] = next
+			}
+			obj = next
+		}
+		obj[path[len(path)-1]] = p.Value
+	}
+	blob, err := json.Marshal(doc)
+	if err != nil {
+		return ScenarioSpec{}, err
+	}
+	var spec ScenarioSpec
+	dec = json.NewDecoder(bytes.NewReader(blob))
+	dec.DisallowUnknownFields()
+	err = dec.Decode(&spec)
+	return spec, err
 }
 
-// ParamDoc returns the one-line description of a sweepable parameter.
-func ParamDoc(name string) string {
-	for _, p := range sweepParams {
-		if p.name == name {
-			return p.doc
-		}
-	}
-	return ""
+// SpecKeys lists the keys an axis or case can name, in the spec's key
+// order: ScenarioSpec's JSON keys, the embedded workload.Config's
+// included, and after a dot the keys of the objects they hold
+// (workload_source.time_warp). What a key means is its field's doc comment.
+func SpecKeys() []string {
+	return jsonKeys(reflect.TypeOf(ScenarioSpec{}), "")
 }
 
-// applyParam sets one override on the spec, coercing the JSON value to the
-// field's type.
-func applyParam(s *ScenarioSpec, key string, v any) error {
-	if key == "gateways" {
-		on, ok := v.(bool)
-		if !ok {
-			return coerceErr(key, v, "bool")
-		}
-		if on {
-			s.Gateways = nil // workload defaults
-		} else {
-			s.Gateways = []workload.OperatorSpec{}
-		}
-		return nil
-	}
-	for _, p := range sweepParams {
-		if p.name != key {
+func jsonKeys(t reflect.Type, prefix string) []string {
+	var keys []string
+	for i := 0; i < t.NumField(); i++ {
+		f := t.Field(i)
+		name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+		if f.Anonymous && name == "" {
+			keys = append(keys, jsonKeys(f.Type, prefix)...)
 			continue
 		}
-		switch dst := p.field(s).(type) {
-		case *int:
-			return setInt(dst, key, v)
-		case *float64:
-			return setFloat(dst, key, v)
-		case *Duration:
-			return setDuration(dst, key, v)
-		case *bool:
-			on, ok := v.(bool)
-			if !ok {
-				return coerceErr(key, v, "bool")
-			}
-			*dst = on
-		case *string:
-			name, ok := v.(string)
-			if !ok {
-				return coerceErr(key, v, "string")
-			}
-			*dst = name
-		default:
-			panic(fmt.Sprintf("sweep: parameter %s: field type %T has no coercion", key, dst))
+		if !f.IsExported() || name == "-" || prefix+name == seedKey {
+			continue
 		}
-		return nil
-	}
-	return fmt.Errorf("sweep: unknown sweep parameter %q (known: %s)", key, strings.Join(KnownParams(), ", "))
-}
-
-// workloadSource returns the spec's workload source for an override,
-// cloning it first: grid expansion copies specs by value, so without the
-// clone every grid point would share (and mutate) the base spec's struct.
-func workloadSource(s *ScenarioSpec) *replay.Spec {
-	if s.WorkloadSource == nil {
-		s.WorkloadSource = &replay.Spec{}
-	} else {
-		clone := *s.WorkloadSource
-		clone.Inputs = append([]string(nil), s.WorkloadSource.Inputs...)
-		s.WorkloadSource = &clone
-	}
-	return s.WorkloadSource
-}
-
-func coerceErr(key string, v any, want string) error {
-	return fmt.Errorf("sweep: parameter %s: cannot use %v (%T) as %s", key, v, v, want)
-}
-
-func setInt(dst *int, key string, v any) error {
-	switch x := v.(type) {
-	case float64:
-		if x != float64(int(x)) {
-			return coerceErr(key, v, "int")
+		keys = append(keys, prefix+name)
+		ft := f.Type
+		if ft.Kind() == reflect.Pointer {
+			ft = ft.Elem()
 		}
-		*dst = int(x)
-	case int:
-		*dst = x
-	default:
-		return coerceErr(key, v, "int")
-	}
-	return nil
-}
-
-func setFloat(dst *float64, key string, v any) error {
-	switch x := v.(type) {
-	case float64:
-		*dst = x
-	case int:
-		*dst = float64(x)
-	default:
-		return coerceErr(key, v, "float")
-	}
-	return nil
-}
-
-func setDuration(dst *Duration, key string, v any) error {
-	switch x := v.(type) {
-	case string:
-		d, err := time.ParseDuration(x)
-		if err != nil {
-			return fmt.Errorf("sweep: parameter %s: %w", key, err)
+		if ft.Kind() == reflect.Struct {
+			keys = append(keys, jsonKeys(ft, prefix+name+".")...)
 		}
-		*dst = Duration(d)
-	case float64:
-		if x != float64(int64(x)) {
-			return coerceErr(key, v, "duration")
-		}
-		*dst = Duration(int64(x))
-	case time.Duration:
-		*dst = Duration(x)
-	default:
-		return coerceErr(key, v, "duration (string like \"6h\")")
 	}
-	return nil
+	return keys
 }

@@ -1,8 +1,10 @@
 package sweep
 
 import (
+	"encoding/json"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -115,10 +117,28 @@ func TestExpandCases(t *testing.T) {
 }
 
 func TestExpandRejectsUnknownParam(t *testing.T) {
-	sw := testSweep()
-	sw.Axes = append(sw.Axes, Axis{Param: "hyperdrive", Values: []any{1.0}})
-	if _, err := Expand(sw); err == nil {
-		t.Error("unknown parameter accepted")
+	for _, tc := range []struct {
+		name string
+		edit func(*SweepSpec)
+		want string
+	}{
+		{"unknown axis", func(sw *SweepSpec) {
+			sw.Axes = append(sw.Axes, Axis{Param: "hyperdrive", Values: []any{1.0}})
+		}, `unknown field "hyperdrive"`},
+		// Expand sets every run's seed from the seed policy, so a seed axis
+		// or case would decode and then be overwritten.
+		{"seed axis", func(sw *SweepSpec) {
+			sw.Axes = append(sw.Axes, Axis{Param: "seed", Values: []any{7.0}})
+		}, "seed policy"},
+		{"seed case", func(sw *SweepSpec) {
+			sw.Cases = []map[string]any{{"seed": 7.0}}
+		}, "seed policy"},
+	} {
+		sw := testSweep()
+		tc.edit(&sw)
+		if _, err := Expand(sw); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want one naming %q", tc.name, err, tc.want)
+		}
 	}
 }
 
@@ -147,34 +167,136 @@ func TestExpandNoAxes(t *testing.T) {
 }
 
 func TestApplyParamCoercion(t *testing.T) {
-	s := ScenarioSpec{Version: SpecVersion, Window: D(time.Hour)}
-	if err := applyParam(&s, "nodes", 42.5); err == nil {
-		t.Error("fractional nodes accepted")
+	// A seed past float64's 53 bits must survive the base's own decode.
+	base, err := json.Marshal(ScenarioSpec{Version: SpecVersion, Window: D(time.Hour), Seed: 1<<60 + 1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := applyParam(&s, "gateways", "yes"); err == nil {
-		t.Error("string for bool accepted")
-	}
-	if err := applyParam(&s, "mean_session", "fast"); err == nil {
-		t.Error("junk duration accepted")
-	}
-	if err := applyParam(&s, "gateways", false); err != nil {
-		t.Errorf("gateways=false: %v", err)
-	}
-	if s.Gateways == nil || len(s.Gateways) != 0 {
-		t.Error("gateways=false should disable the fleet")
-	}
-	if err := applyParam(&s, "window", "90m"); err != nil || s.Window.Std() != 90*time.Minute {
-		t.Errorf("window override: %v %v", s.Window, err)
-	}
-	// Every row of the parameter table has a doc and a field of a type
-	// applyParam coerces: a value of no JSON type is an error on each.
-	for _, name := range KnownParams() {
-		if ParamDoc(name) == "" {
-			t.Errorf("parameter %s has no doc", name)
+	for _, tc := range []struct {
+		key   string
+		value any
+		ok    bool
+		check func(ScenarioSpec) bool
+	}{
+		{"nodes", 42.5, false, nil},
+		{"nodes", 42.0, true, func(s ScenarioSpec) bool { return s.Nodes == 42 }},
+		{"mean_session", "fast", false, nil},
+		{"gateways", true, false, nil},
+		{"gateways", nil, true, func(s ScenarioSpec) bool { return s.Gateways == nil }},
+		{"gateways", []any{}, true, func(s ScenarioSpec) bool { return s.Gateways != nil && len(s.Gateways) == 0 }},
+		{"hyperdrive", 1.0, false, nil},
+		{"workload_source.warp", 2.0, false, nil},
+		{"nodes.max", 2.0, false, nil},
+		{"window", "90m", true, func(s ScenarioSpec) bool { return s.Window.Std() == 90*time.Minute }},
+		// A spec file takes nanosecond numbers for durations, so a sweep does.
+		{"window", 5400e9, true, func(s ScenarioSpec) bool { return s.Window.Std() == 90*time.Minute }},
+		{"workload_source.amplify", 3.0, true, func(s ScenarioSpec) bool {
+			return s.WorkloadSource != nil && s.WorkloadSource.Amplify == 3
+		}},
+	} {
+		s, err := applyParams(base, []Param{{Key: tc.key, Value: tc.value}})
+		switch {
+		case tc.ok && err != nil:
+			t.Errorf("%s=%v: %v", tc.key, tc.value, err)
+		case !tc.ok && err == nil:
+			t.Errorf("%s=%v accepted", tc.key, tc.value)
+		case tc.ok && (!tc.check(s) || s.Seed != 1<<60+1):
+			t.Errorf("%s=%v decoded to %+v", tc.key, tc.value, s)
 		}
-		if err := applyParam(&s, name, struct{}{}); err == nil {
-			t.Errorf("parameter %s accepted a struct{} value", name)
+	}
+}
+
+// TestSpecKeysDecode: every key bssweep params lists is one the override
+// decoder knows, so an ill-typed value fails as a type error, never as an
+// unknown field.
+func TestSpecKeysDecode(t *testing.T) {
+	base, err := json.Marshal(DefaultSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := SpecKeys()
+	for _, want := range []string{"nodes", "monitors", "joint.both", "gateways", "trace_sample", "workload_source.time_warp", "shards"} {
+		if !slices.Contains(keys, want) {
+			t.Errorf("SpecKeys lacks %q: %v", want, keys)
 		}
+	}
+	if slices.Contains(keys, "seed") {
+		t.Error("SpecKeys lists seed, which the seed policy owns")
+	}
+	for _, key := range keys {
+		_, err := applyParams(base, []Param{{Key: key, Value: []any{true}}})
+		if err == nil || strings.Contains(err.Error(), "unknown field") {
+			t.Errorf("key %s: err = %v, want a type error", key, err)
+		}
+	}
+}
+
+// TestExpandIsolatesRuns: no two runs share a slice or pointer with each
+// other or with the base, and expansion leaves the base as it was.
+func TestExpandIsolatesRuns(t *testing.T) {
+	sw, err := ParseSweep([]byte(`{
+  "version": 1,
+  "base": {
+    "version": 1,
+    "monitors": [{"name": "us", "region": "US"}],
+    "joint": {"both": 0.3, "only_a": 0.2, "only_b": 0.1},
+    "reports": ["fig6"],
+    "gateways": [{"name": "op", "nodes": 1, "requests_per_hour": 5, "hot_bias": 0.5, "functional": true}],
+    "workload_source": {"mode": "fitted", "inputs": ["a.segments"]}
+  },
+  "axes": [
+    {"param": "monitors", "values": [[{"name": "us", "region": "US"}], [{"name": "us", "region": "US"}, {"name": "de", "region": "DE"}]]},
+    {"param": "joint", "values": [null, {"both": 0.5, "only_a": 0.1, "only_b": 0.1}]},
+    {"param": "reports", "values": [["table1"], ["table1", "fig5"]]},
+    {"param": "gateways", "values": [null, [], [{"name": "big", "nodes": 3, "requests_per_hour": 50, "hot_bias": 0.9, "functional": true}]]},
+    {"param": "workload_source.time_warp", "values": [1, 4]}
+  ],
+  "seeds": {"base": 1, "replicates": 2}
+}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, err := sw.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs, err := Expand(sw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(runs) != 2*2*2*3*2*2 {
+		t.Fatalf("expanded to %d runs", len(runs))
+	}
+	after, err := sw.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(before) != string(after) {
+		t.Errorf("Expand changed the base:\n%s\nwant\n%s", after, before)
+	}
+	owner := make(map[uintptr]string)
+	claim := func(who string, s ScenarioSpec) {
+		refs := []any{s.Monitors, s.Reports, s.Gateways, s.Joint, s.WorkloadSource}
+		if s.WorkloadSource != nil {
+			refs = append(refs, s.WorkloadSource.Inputs)
+		}
+		for _, ref := range refs {
+			v := reflect.ValueOf(ref)
+			if v.Kind() == reflect.Slice && v.Len() == 0 || v.IsNil() {
+				continue
+			}
+			if prev, ok := owner[v.Pointer()]; ok {
+				t.Errorf("%s shares a %T with %s", who, ref, prev)
+			}
+			owner[v.Pointer()] = who
+		}
+	}
+	claim("base", sw.Base)
+	for _, r := range runs {
+		claim(r.ID, r.Spec)
+	}
+	if got := runs[len(runs)-1].Spec.WorkloadSource; got.TimeWarp != 4 || got.Mode != "fitted" {
+		t.Errorf("workload_source.time_warp override lost the base's keys: %+v", got)
 	}
 }
 

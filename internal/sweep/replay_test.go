@@ -67,7 +67,7 @@ func TestSweepReplayWorkloadSource(t *testing.T) {
 				TimeWarp: 4,
 			},
 		},
-		Axes:  []Axis{{Param: "amplify", Values: []any{1.0, 3.0}}},
+		Axes:  []Axis{{Param: "workload_source.amplify", Values: []any{1.0, 3.0}}},
 		Seeds: SeedPolicy{Base: 7},
 	}
 	root := t.TempDir()
@@ -358,7 +358,7 @@ func TestScenarioSpecReplayRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := ParseSpec(blob)
+	back, err := parseSpec(blob)
 	if err != nil {
 		t.Fatal(err)
 	}

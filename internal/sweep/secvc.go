@@ -94,12 +94,20 @@ func ComputeSecVC(monitors []*monitor.Monitor, samples []monitor.Sample,
 		}
 		out.AvgUnion += float64(s.Union)
 		out.AvgIntersection += float64(s.Intersection)
+		// Eq. 1 needs the pairwise intersection, which the sampler records
+		// for two monitors only; Eq. 3 takes any r >= 2 monitors as r draws
+		// of their mean connection count.
 		if len(s.PerMonitor) == 2 && s.Intersection > 0 {
 			if e, err := estimate.Pairwise(float64(s.PerMonitor[0]), float64(s.PerMonitor[1]), float64(s.Intersection)); err == nil {
 				eq1s = append(eq1s, e)
 			}
-			w := (float64(s.PerMonitor[0]) + float64(s.PerMonitor[1])) / 2
-			if e, err := estimate.CommitteeOccupancy(float64(s.Union), 2, w); err == nil {
+		}
+		if r := len(s.PerMonitor); r >= 2 {
+			var w float64
+			for _, c := range s.PerMonitor {
+				w += float64(c)
+			}
+			if e, err := estimate.CommitteeOccupancy(float64(s.Union), r, w/float64(r)); err == nil {
 				eq3s = append(eq3s, e)
 			}
 		}

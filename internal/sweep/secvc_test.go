@@ -1,11 +1,13 @@
 package sweep
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
 	"bitswapmon/internal/dht"
+	"bitswapmon/internal/estimate"
 	"bitswapmon/internal/monitor"
 	"bitswapmon/internal/simnet"
 )
@@ -20,6 +22,43 @@ func TestSecVCRenderAndEmpty(t *testing.T) {
 	}
 	if sec.Eq1Mean != 0 || sec.CoverageUnion != 0 {
 		t.Error("empty inputs should produce zero estimates")
+	}
+}
+
+// TestSecVCEq3ForThreeMonitors: with r = 3 monitors every sample's Eq. 3
+// estimate is the committee occupancy of its union over r draws of the mean
+// connection count, and Eq. 1, which is pairwise, stays unset.
+func TestSecVCEq3ForThreeMonitors(t *testing.T) {
+	net := simnet.New(t0, 1, simnet.Fixed(time.Millisecond))
+	var monitors []*monitor.Monitor
+	for i, name := range []string{"a", "b", "c"} {
+		m, err := monitor.New(net, name, fmt.Sprintf("3.0.0.%d:4001", 50+i), simnet.RegionUS)
+		if err != nil {
+			t.Fatal(err)
+		}
+		monitors = append(monitors, m)
+	}
+	samples := []monitor.Sample{
+		{PerMonitor: []int{40, 50, 60}, Union: 100},
+		{PerMonitor: []int{30, 30, 45}, Union: 80},
+		{PerMonitor: []int{20, 25, 30}, Union: 60},
+	}
+	var want []float64
+	for _, s := range samples {
+		w := float64(s.PerMonitor[0]+s.PerMonitor[1]+s.PerMonitor[2]) / 3
+		e, err := estimate.CommitteeOccupancy(float64(s.Union), 3, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, e)
+	}
+	mean, std := estimate.MeanStd(want)
+	sec := ComputeSecVC(monitors, samples, dht.CrawlResult{}, 0, 0)
+	if sec.Eq3Mean != mean || sec.Eq3Std != std || mean <= 0 {
+		t.Errorf("Eq. 3 = %v (std %v), want %v (std %v)", sec.Eq3Mean, sec.Eq3Std, mean, std)
+	}
+	if sec.Eq1Mean != 0 || sec.Eq1Std != 0 {
+		t.Errorf("Eq. 1 = %v (std %v) for three monitors, want 0", sec.Eq1Mean, sec.Eq1Std)
 	}
 }
 

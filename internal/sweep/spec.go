@@ -17,10 +17,8 @@
 package sweep
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"os"
 	"strings"
 	"time"
 
@@ -427,33 +425,4 @@ func (s ScenarioSpec) Marshal() ([]byte, error) {
 		return nil, fmt.Errorf("sweep: marshal spec: %w", err)
 	}
 	return append(out, '\n'), nil
-}
-
-// ParseSpec decodes and validates a ScenarioSpec. Unknown fields are
-// rejected: a typoed knob must fail loudly, not silently fall back to a
-// default.
-func ParseSpec(data []byte) (ScenarioSpec, error) {
-	var s ScenarioSpec
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&s); err != nil {
-		return s, fmt.Errorf("sweep: parse spec: %w", err)
-	}
-	if err := s.Validate(); err != nil {
-		return s, err
-	}
-	return s, nil
-}
-
-// LoadSpec reads a ScenarioSpec from a JSON file.
-func LoadSpec(path string) (ScenarioSpec, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return ScenarioSpec{}, fmt.Errorf("sweep: read spec: %w", err)
-	}
-	s, err := ParseSpec(data)
-	if err != nil {
-		return s, fmt.Errorf("%s: %w", path, err)
-	}
-	return s, nil
 }

@@ -3,6 +3,7 @@ package sweep
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -64,13 +65,23 @@ func fullSpec() ScenarioSpec {
 	}
 }
 
+// parseSpec loads a spec the way bssweep and bsmon do, as the base of a
+// one-run sweep, and validates it as Expand validates every run.
+func parseSpec(blob []byte) (ScenarioSpec, error) {
+	sw, err := ParseSweep(fmt.Appendf(nil, `{"version": %d, "base": %s}`, SpecVersion, blob))
+	if err != nil {
+		return ScenarioSpec{}, err
+	}
+	return sw.Base, sw.Base.Validate()
+}
+
 func TestSpecRoundTrip(t *testing.T) {
 	want := fullSpec()
 	blob, err := want.Marshal()
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ParseSpec(blob)
+	got, err := parseSpec(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,15 +90,19 @@ func TestSpecRoundTrip(t *testing.T) {
 	}
 
 	// And again through a file, like a spec bssweep preset printed.
-	path := filepath.Join(t.TempDir(), "spec.json")
-	if err := os.WriteFile(path, blob, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	got2, err := LoadSpec(path)
+	swBlob, err := SweepSpec{Version: SpecVersion, Base: want}.Marshal()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(want, got2) {
+	path := filepath.Join(t.TempDir(), "sweep.json")
+	if err := os.WriteFile(path, swBlob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	sw, err := LoadSweep(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(want, sw.Base) {
 		t.Error("file round trip changed the spec")
 	}
 
@@ -112,7 +127,7 @@ func TestSpecGatewaysNilVsEmptyRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := ParseSpec(blob)
+		got, err := parseSpec(blob)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,7 +138,7 @@ func TestSpecGatewaysNilVsEmptyRoundTrip(t *testing.T) {
 }
 
 func TestSpecRejectsUnknownFields(t *testing.T) {
-	if _, err := ParseSpec([]byte(`{"version":1,"window":"1h","nodess":5}`)); err == nil {
+	if _, err := parseSpec([]byte(`{"version":1,"window":"1h","nodess":5}`)); err == nil {
 		t.Error("typoed field accepted")
 	}
 }

@@ -457,6 +457,60 @@ func TestCancelsGoToSortedUnion(t *testing.T) {
 	}
 }
 
+// TestSessionWantResendsWantBlocks: a session want to three silent peers
+// asks the first WantBlockFanout of them. Each idle-loop round re-sends
+// WANT_BLOCK to those peers only, and giving up CANCELs every peer asked.
+func TestSessionWantResendsWantBlocks(t *testing.T) {
+	net := simnet.New(t0, 12, simnet.Fixed(time.Millisecond))
+	var log []recEntry
+	a := newBSNode(t, net, "a", &fakeRouter{}, Config{GiveUpAfter: RebroadcastInterval + 10*time.Second})
+	sess := a.engine.newSession(cid.Sum(cid.Raw, []byte("root")))
+	for _, name := range []string{"s1", "s2", "s3"} {
+		id := simnet.DeriveNodeID([]byte(name))
+		if err := net.AddNode(id, name+":4001", simnet.RegionUS, 0, &recNode{net, id, false, &log}); err != nil {
+			t.Fatal(err)
+		}
+		if err := net.Connect(a.id(), id); err != nil {
+			t.Fatal(err)
+		}
+		sess.peers[id] = true
+	}
+	peers := sess.Peers()
+	asked, silent := peers[:WantBlockFanout], peers[WantBlockFanout]
+	count := func(typ wire.EntryType) map[simnet.NodeID]int {
+		n := make(map[simnet.NodeID]int)
+		for _, e := range log {
+			if e.typ == typ {
+				n[e.to]++
+			}
+		}
+		return n
+	}
+
+	a.engine.GetFromSession(otrace.Ctx{}, sess, cid.Sum(cid.Raw, []byte("child")), func([]byte, bool) {})
+	net.Run(RebroadcastInterval + time.Second)
+	blocks := count(wire.WantBlock)
+	for _, p := range asked {
+		if blocks[p] != 2 {
+			t.Errorf("%s got %d WANT_BLOCKs after one rebroadcast, want 2", p, blocks[p])
+		}
+	}
+	if blocks[silent] != 0 {
+		t.Errorf("%s beyond the fanout got %d WANT_BLOCKs", silent, blocks[silent])
+	}
+
+	net.Run(10 * time.Second) // past GiveUpAfter
+	cancels := count(wire.Cancel)
+	for _, p := range asked {
+		if cancels[p] != 1 {
+			t.Errorf("%s got %d CANCELs at give-up, want 1", p, cancels[p])
+		}
+	}
+	if cancels[silent] != 0 {
+		t.Errorf("%s was never asked but got %d CANCELs", silent, cancels[silent])
+	}
+}
+
 func TestWantlistLedgerClearedOnDisconnect(t *testing.T) {
 	net := simnet.New(t0, 10, simnet.Fixed(time.Millisecond))
 	a := newBSNode(t, net, "a", &fakeRouter{}, Config{SendDontHave: true, Reprovide: true})

@@ -48,9 +48,9 @@ import (
 // Engine is the network a simulation world plugs into.
 type Engine = *simnet.Network
 
-// ShardedFactory adapts simnet.NewSharded to the NewEngine hooks of workload
-// and replay configs. ShardedFactory(1) builds the same one-shard network as
-// simnet.New with the default latency model.
+// ShardedFactory adapts simnet.NewSharded to the NewEngine hook of workload
+// configs; replay always runs serial. ShardedFactory(1) builds the same
+// one-shard network as simnet.New with the default latency model.
 func ShardedFactory(shards int) func(start time.Time, seed int64) Engine {
 	return func(start time.Time, seed int64) Engine {
 		return simnet.NewSharded(start, seed, simnet.ShardedConfig{Shards: shards})

@@ -187,9 +187,17 @@ func TestSampler(t *testing.T) {
 	if len(samples) != 5 {
 		t.Fatalf("samples = %d, want 5", len(samples))
 	}
-	per, union, inter := s.Averages()
-	if len(per) != 2 {
-		t.Fatal("per-monitor averages wrong length")
+	// Sums over the samples compare as their means would: one divisor.
+	per := make([]int, 2)
+	union, inter := 0, 0
+	for _, smp := range samples {
+		if len(smp.PerMonitor) != 2 {
+			t.Fatalf("sample has %d per-monitor counts, want 2", len(smp.PerMonitor))
+		}
+		per[0] += smp.PerMonitor[0]
+		per[1] += smp.PerMonitor[1]
+		union += smp.Union
+		inter += smp.Intersection
 	}
 	if per[0] < per[1] {
 		t.Errorf("us should have more peers: %v", per)
@@ -206,9 +214,9 @@ func TestSampler(t *testing.T) {
 func TestSamplerEmpty(t *testing.T) {
 	w := build(t, 2, 8)
 	s := NewSampler(w.net, []*Monitor{w.mon}, time.Minute)
-	per, union, inter := s.Averages()
-	if per != nil || union != 0 || inter != 0 {
-		t.Error("empty sampler averages not zero")
+	w.net.Run(5 * time.Minute)
+	if n := len(s.Samples()); n != 0 {
+		t.Errorf("unstarted sampler took %d samples", n)
 	}
 }
 

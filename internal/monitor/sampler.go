@@ -80,24 +80,3 @@ func (s *Sampler) take() {
 
 // Samples returns the collected snapshots.
 func (s *Sampler) Samples() []Sample { return s.samples }
-
-// Averages returns the mean per-monitor connection counts, union and
-// intersection over all samples.
-func (s *Sampler) Averages() (perMonitor []float64, union, intersection float64) {
-	if len(s.samples) == 0 {
-		return nil, 0, 0
-	}
-	perMonitor = make([]float64, len(s.monitors))
-	for _, smp := range s.samples {
-		for i, c := range smp.PerMonitor {
-			perMonitor[i] += float64(c)
-		}
-		union += float64(smp.Union)
-		intersection += float64(smp.Intersection)
-	}
-	n := float64(len(s.samples))
-	for i := range perMonitor {
-		perMonitor[i] /= n
-	}
-	return perMonitor, union / n, intersection / n
-}

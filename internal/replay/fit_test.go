@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"bitswapmon/internal/cid"
-	"bitswapmon/internal/engine"
 	"bitswapmon/internal/ingest"
 	"bitswapmon/internal/popularity"
 	"bitswapmon/internal/simnet"
@@ -147,20 +146,18 @@ func TestFittedSourceShape(t *testing.T) {
 }
 
 // TestFittedAmplifyPreservesAlpha is the acceptance check: fitting a
-// power-law trace and replaying it 10× amplified on the sharded engine
-// yields a monitor-side popularity whose fitted alpha matches the model's
-// within tolerance.
+// power-law trace and replaying it 10× amplified yields a monitor-side
+// popularity whose fitted alpha matches the model's within tolerance.
 func TestFittedAmplifyPreservesAlpha(t *testing.T) {
 	entries := powerLawTrace(12, 80, 2.0, 30*time.Minute)
 	paths := writeStores(t, t.TempDir(), map[string][]trace.Entry{"us": entries})
 
 	sess, err := Prepare(Spec{
-		Mode:      ModeFitted,
-		Inputs:    paths,
-		Amplify:   10,
-		TimeWarp:  6, // compress the half-hour model span for test speed
-		Seed:      5,
-		NewEngine: engine.ShardedFactory(2),
+		Mode:     ModeFitted,
+		Inputs:   paths,
+		Amplify:  10,
+		TimeWarp: 6, // compress the half-hour model span for test speed
+		Seed:     5,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -19,9 +19,10 @@
 //     population size (see Fit and NewFittedSource).
 //
 // Input traces stream with bounded memory: segment stores and trace files
-// are merged through ingest.StreamUnifier, and the driver schedules only one
-// lookahead horizon of events at a time. Events are posted to the owning
-// node's shard via AfterOn, so replay runs unmodified at any shard count.
+// are merged through ingest.StreamUnifier, and the driver pumps one event at
+// a time. Replay always runs on the serial engine: every replayed message
+// goes to a monitor, and monitors run on the control shard, so more shards
+// would only add barriers.
 package replay
 
 import (
@@ -64,22 +65,17 @@ func (replayNode) HandleMessage(simnet.NodeID, any) {}
 func (replayNode) PeerConnected(simnet.NodeID)      {}
 func (replayNode) PeerDisconnected(simnet.NodeID)   {}
 
-// Build constructs the replay world: engine, monitors (pinned to the
-// control shard as always), and the requester pool, every pool node
-// connected to every monitor (monitors accept all connections, as in the
-// paper) with the broadcast subset drawn per MonitorFrac. The spec must
-// name its monitors; Prepare discovers them from the inputs first.
+// Build constructs the replay world: a serial engine, the monitors, and the
+// requester pool, every pool node connected to every monitor (monitors
+// accept all connections, as in the paper) with the broadcast subset drawn
+// per MonitorFrac. The spec must name its monitors; Prepare discovers them
+// from the inputs first.
 func Build(cfg Spec) (*World, error) {
 	cfg = cfg.withDefaults()
 	if len(cfg.Monitors) == 0 {
 		return nil, fmt.Errorf("replay: no monitors configured")
 	}
-	var net engine.Engine
-	if cfg.NewEngine != nil {
-		net = cfg.NewEngine(cfg.Start, cfg.Seed)
-	} else {
-		net = simnet.New(cfg.Start, cfg.Seed, nil)
-	}
+	net := simnet.New(cfg.Start, cfg.Seed, nil)
 	w := &World{
 		Net:    net,
 		cfg:    cfg,
@@ -173,60 +169,9 @@ type DriveStats struct {
 	VirtualDuration time.Duration
 }
 
-// driveHorizon bounds how far ahead of the virtual clock the driver
-// schedules events; resident memory is one horizon's worth of events, not
-// the trace.
-const driveHorizon = time.Minute
-
 // graceFor lets in-flight messages (bounded by the latency model, ~300 ms)
 // drain after the last event before Drive returns.
 const graceFor = 5 * time.Second
-
-// Drive replays src into the world: each event's offset is warped, the
-// event is scheduled on its pool node's owner shard, and the engine is
-// advanced one horizon at a time so resident state stays bounded. Drive
-// returns when the source is exhausted and in-flight messages have drained.
-// It must be called from the driver goroutine (not from event code), and a
-// World should be driven once.
-func (w *World) Drive(src EventSource) (*DriveStats, error) {
-	if w.Net.Shards() == 1 {
-		return w.drivePump(src)
-	}
-	warp := w.cfg.TimeWarp
-	base := w.Net.Now()
-	stats := &DriveStats{}
-	var pending *Event
-	eof := false
-	for !eof {
-		windowEnd := w.Net.Now().Add(driveHorizon)
-		for {
-			if pending == nil {
-				ev, err := src.Next()
-				if err == io.EOF {
-					eof = true
-					break
-				}
-				if err != nil {
-					return stats, fmt.Errorf("replay: read event: %w", err)
-				}
-				pending = &ev
-			}
-			at := base.Add(time.Duration(float64(pending.Offset) / warp))
-			if at.After(windowEnd) {
-				break
-			}
-			if err := w.schedule(*pending, at, stats); err != nil {
-				return stats, err
-			}
-			pending = nil
-		}
-		w.Net.RunUntil(windowEnd)
-	}
-	w.Net.Run(graceFor)
-	stats.Requesters = len(w.assign)
-	stats.VirtualDuration = w.Net.Now().Sub(base)
-	return stats, nil
-}
 
 // msgBuf packs a want message and its single-entry want list into one
 // allocation. The engine holds the message until its latency elapses, and
@@ -240,21 +185,18 @@ type msgBuf struct {
 	readyAt time.Time
 }
 
-// drivePump is the one-shard fast path of Drive: instead of wrapping every
-// event in an AfterOn timer closure (a heap insert into a queue that grows
-// to a whole horizon of pending timers, plus three allocations per event),
-// it advances the engine to each event's warped time with RunUntil and
-// sends inline. One shard's RunUntil is exact and cheap, the
-// event heap only ever holds in-flight deliveries, and resident
-// memory is one event, not one horizon. Send times are identical to the
-// timer path, so the monitor-side trace is equivalent entry-for-entry.
-func (w *World) drivePump(src EventSource) (*DriveStats, error) {
+// Drive replays src into the world as a serial pump: it advances the engine
+// to each event's warped time with RunUntil and sends inline, so the event
+// heap only ever holds in-flight deliveries and resident memory is one
+// event, not the trace. Drive returns when the source is exhausted and
+// in-flight messages have drained. It must be called from the driver
+// goroutine (not from event code), and a World should be driven once.
+func (w *World) Drive(src EventSource) (*DriveStats, error) {
 	warp := w.cfg.TimeWarp
 	base := w.Net.Now()
 	stats := &DriveStats{}
 	var lastName string
 	var lastTarget simnet.NodeRef
-	var lastID simnet.NodeID
 	// Pool-node senders resolve to refs once; per-event sends then skip the
 	// node-table lookups inside the network.
 	refs := make([]simnet.NodeRef, len(w.nodes))
@@ -266,7 +208,9 @@ func (w *World) drivePump(src EventSource) (*DriveStats, error) {
 	maxDelay := w.Net.Latency().Max()
 	var bufs []*msgBuf
 	head := 0
-	send := func(from, to simnet.NodeRef, t wire.EntryType, c cid.CID) {
+	// send carries tc: a sampled context records the hop span, a zero one
+	// sends untraced.
+	send := func(tc otrace.Ctx, from, to simnet.NodeRef, t wire.EntryType, c cid.CID) {
 		now := w.Net.Now()
 		var buf *msgBuf
 		if head < len(bufs) && !bufs[head].readyAt.After(now) {
@@ -285,7 +229,7 @@ func (w *World) drivePump(src EventSource) (*DriveStats, error) {
 		buf.e[0] = wire.Entry{Type: t, CID: c}
 		buf.m.Wantlist = buf.e[:]
 		buf.readyAt = now.Add(maxDelay)
-		_ = w.Net.SendRef(otrace.Ctx{}, "", from, to, &buf.m)
+		_ = w.Net.SendRef(tc, hopName(t), from, to, &buf.m)
 		bufs = append(bufs, buf)
 		stats.Sends++
 	}
@@ -314,28 +258,16 @@ func (w *World) drivePump(src EventSource) (*DriveStats, error) {
 				if !ok {
 					return stats, fmt.Errorf("replay: monitor %q not registered in network", ev.Monitor)
 				}
-				lastName, lastTarget, lastID = ev.Monitor, ref, m.ID()
+				lastName, lastTarget = ev.Monitor, ref
 			}
-			if tc.Sampled() {
-				msg := &wire.Message{Wantlist: []wire.Entry{{Type: ev.Type, CID: ev.CID}}}
-				_ = w.Net.SendTraced(tc, hopName(ev.Type), w.nodes[idx], lastID, msg)
-				stats.Sends++
-			} else {
-				send(refs[idx], lastTarget, ev.Type, ev.CID)
-			}
+			send(tc, refs[idx], lastTarget, ev.Type, ev.CID)
 		} else {
 			for _, target := range w.monSets[idx] {
-				if tc.Sampled() {
-					msg := &wire.Message{Wantlist: []wire.Entry{{Type: ev.Type, CID: ev.CID}}}
-					_ = w.Net.SendTraced(tc, hopName(ev.Type), w.nodes[idx], target, msg)
-					stats.Sends++
-					continue
-				}
 				ref, ok := w.Net.Ref(target)
 				if !ok {
 					continue
 				}
-				send(refs[idx], ref, ev.Type, ev.CID)
+				send(tc, refs[idx], ref, ev.Type, ev.CID)
 			}
 		}
 	}
@@ -373,55 +305,6 @@ func hopName(t wire.EntryType) string {
 	default:
 		return "send.want_have"
 	}
-}
-
-// schedule arms one event on its pool node's owner shard.
-func (w *World) schedule(ev Event, at time.Time, stats *DriveStats) error {
-	idx := w.nodeFor(ev.Requester)
-	id := w.nodes[idx]
-	var targets []simnet.NodeID
-	if ev.Monitor != "" {
-		m, ok := w.byName[ev.Monitor]
-		if !ok {
-			return fmt.Errorf("replay: event references unknown monitor %q (world has %d monitors; use DiscoverMonitors)", ev.Monitor, len(w.byName))
-		}
-		targets = []simnet.NodeID{m.ID()}
-	} else {
-		targets = w.monSets[idx]
-	}
-	stats.Events++
-	stats.Sends += len(targets)
-	// The trace ID is derived here, in deterministic source order; the root
-	// span itself is minted inside the event, at the node's exact event time.
-	var trace uint64
-	w.seq++
-	if w.cfg.Tracer != nil {
-		if t := otrace.TraceID(w.cfg.Seed, ev.Requester[:], w.seq); w.cfg.Tracer.ShouldSample(t) {
-			trace = t
-		}
-	}
-	delay := at.Sub(w.Net.Now())
-	if delay < 0 {
-		delay = 0
-	}
-	typ, c := ev.Type, ev.CID
-	net := w.Net
-	w.Net.AfterOn(id, delay, func() {
-		var tc otrace.Ctx
-		if trace != 0 {
-			now := net.EventTime(id)
-			root := w.cfg.Tracer.Root(trace, "request", id.String(), now)
-			tc = root.Ctx()
-			root.End(now)
-		}
-		for _, target := range targets {
-			// One message per target: receivers must never share a message
-			// they may retain or mutate.
-			msg := &wire.Message{Wantlist: []wire.Entry{{Type: typ, CID: c}}}
-			_ = net.SendTraced(tc, hopName(typ), id, target, msg)
-		}
-	})
-	return nil
 }
 
 // SetSinks redirects every monitor's observations into sink(monitorName)

@@ -7,13 +7,15 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"bitswapmon/internal/cid"
-	"bitswapmon/internal/engine"
 	"bitswapmon/internal/ingest"
 	"bitswapmon/internal/monitor"
+	"bitswapmon/internal/otrace"
 	"bitswapmon/internal/simnet"
 	"bitswapmon/internal/trace"
 	"bitswapmon/internal/wire"
@@ -211,12 +213,12 @@ func TestDirectReplayTimeWarp(t *testing.T) {
 	}
 }
 
-// unifiedCSV replays the trace with the given engine factory and renders
-// the unified monitor-side output as CSV bytes, with timestamps rebased to
-// offsets so the byte comparison is about content and order.
-func unifiedCSV(t *testing.T, paths []string, seed int64, newEngine func(time.Time, int64) engine.Engine) []byte {
+// unifiedCSV replays the trace and renders the unified monitor-side output
+// as CSV bytes, with timestamps rebased to offsets so the byte comparison is
+// about content and order.
+func unifiedCSV(t *testing.T, paths []string, seed int64) []byte {
 	t.Helper()
-	sess, err := Prepare(Spec{Mode: ModeDirect, Inputs: paths, Seed: seed, NewEngine: newEngine})
+	sess, err := Prepare(Spec{Mode: ModeDirect, Inputs: paths, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,33 +256,85 @@ func unifiedCSV(t *testing.T, paths []string, seed int64, newEngine func(time.Ti
 func TestReplayDeterminismSerial(t *testing.T) {
 	traces := syntheticTrace(3, 300, 2*time.Minute)
 	paths := writeStores(t, t.TempDir(), traces)
-	a := unifiedCSV(t, paths, 42, nil)
-	b := unifiedCSV(t, paths, 42, nil)
+	a := unifiedCSV(t, paths, 42)
+	b := unifiedCSV(t, paths, 42)
 	if !bytes.Equal(a, b) {
 		t.Fatal("serial replay produced different unified CSV bytes across runs")
 	}
 }
 
-// TestReplayDeterminismSharded: same trace + seed + shard count ⇒
-// byte-identical unified output CSV on the sharded engine, and the same
-// aggregate counts as the serial engine.
-func TestReplayDeterminismSharded(t *testing.T) {
-	traces := syntheticTrace(4, 300, 2*time.Minute)
-	paths := writeStores(t, t.TempDir(), traces)
-	a := unifiedCSV(t, paths, 42, engine.ShardedFactory(2))
-	b := unifiedCSV(t, paths, 42, engine.ShardedFactory(2))
-	if !bytes.Equal(a, b) {
-		t.Fatal("sharded replay produced different unified CSV bytes across runs")
-	}
-	// Serial and sharded draw different latencies, so bytes differ — but
-	// the replayed content (entry counts per monitor) must agree exactly.
-	serial := unifiedCSV(t, paths, 42, nil)
-	if lines(a) != lines(serial) {
-		t.Fatalf("sharded unified CSV has %d lines, serial %d", lines(a), lines(serial))
+// TestTracingLeavesReplayUnchanged: a tracer changes no monitor entry of a
+// direct or a fitted replay. Each sampled event records one request root
+// with one send hop per monitor message, and every trace nests. Sample 0 is
+// the untraced run itself, driven twice.
+func TestTracingLeavesReplayUnchanged(t *testing.T) {
+	paths := writeStores(t, t.TempDir(), syntheticTrace(9, 300, 2*time.Minute))
+	for _, mode := range []Mode{ModeDirect, ModeFitted} {
+		drive := func(tr *otrace.Tracer) (*DriveStats, [][]trace.Entry) {
+			t.Helper()
+			sess, err := Prepare(Spec{Mode: mode, Inputs: paths, TimeWarp: 4, Seed: 3, Tracer: tr})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sess.Close()
+			stats, err := sess.Drive()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var entries [][]trace.Entry
+			for _, m := range sess.World.Monitors {
+				entries = append(entries, m.Trace())
+			}
+			return stats, entries
+		}
+		_, want := drive(nil)
+		for _, sample := range []float64{0, 0.5, 1} {
+			var tr *otrace.Tracer
+			if sample > 0 {
+				tr = otrace.New(otrace.Config{Sample: sample, Seed: 3})
+			}
+			stats, got := drive(tr)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s sample %v: monitor entries differ from the untraced run", mode, sample)
+			}
+			// Direct replay sends each event to its recording monitor;
+			// fitted replay broadcasts it to both monitors (monitor_frac 1).
+			perEvent := 1
+			if mode == ModeFitted {
+				perEvent = 2
+			}
+			roots, hops := 0, 0
+			for _, tree := range otrace.BuildTrees(tr.Spans()) {
+				if err := tree.CheckNesting(); err != nil {
+					t.Errorf("%s sample %v: %v", mode, sample, err)
+				}
+				treeHops := 0
+				for _, sp := range tree.Spans {
+					if sp.Name == "request" {
+						roots++
+						continue
+					}
+					if p, ok := tree.Parent(sp); !ok || p.Name != "request" || !strings.HasPrefix(sp.Name, "send.") {
+						t.Errorf("%s sample %v: span %s is not a send hop under a request root", mode, sample, sp.Name)
+					}
+					treeHops++
+				}
+				if treeHops != perEvent {
+					t.Errorf("%s sample %v: trace %016x has %d send hops, want %d", mode, sample, tree.Trace, treeHops, perEvent)
+				}
+				hops += treeHops
+			}
+			switch {
+			case sample == 0 && roots != 0:
+				t.Errorf("%s untraced run recorded %d roots", mode, roots)
+			case sample == 1 && (roots != stats.Events || hops != stats.Sends):
+				t.Errorf("%s sample 1: %d roots and %d hops, want %d events and %d sends", mode, roots, hops, stats.Events, stats.Sends)
+			case sample == 0.5 && (roots == 0 || roots == stats.Events):
+				t.Errorf("%s sample 0.5: %d of %d events sampled", mode, roots, stats.Events)
+			}
+		}
 	}
 }
-
-func lines(b []byte) int { return bytes.Count(b, []byte("\n")) }
 
 // TestPoolSmallerThanRequesters: mapping collisions coarsen attribution but
 // never lose entries.

@@ -5,7 +5,6 @@ import (
 	"math"
 	"time"
 
-	"bitswapmon/internal/engine"
 	"bitswapmon/internal/ingest"
 	"bitswapmon/internal/monitor"
 	"bitswapmon/internal/otrace"
@@ -23,11 +22,10 @@ const (
 	ModeFitted Mode = "fitted"
 )
 
-// Spec is the one declaration of a replay: inputs, mode, scale and engine.
-// Its JSON keys are the workload_source keys of a scenario spec; the sweep
-// runner fills the runtime fields (Monitors, Seed, Start, NewEngine,
-// Tracer) in ScenarioSpec.ReplaySpec. Zero fields take the defaults noted
-// on each.
+// Spec is the one declaration of a replay: inputs, mode and scale. Its JSON
+// keys are the workload_source keys of a scenario spec; the sweep runner
+// fills the runtime fields (Monitors, Seed, Start, Tracer) in
+// ScenarioSpec.ReplaySpec. Zero fields take the defaults noted on each.
 type Spec struct {
 	// Mode is ModeDirect (also the empty mode) or ModeFitted. A scenario
 	// spec's workload_source also takes "synthetic", which selects
@@ -65,10 +63,6 @@ type Spec struct {
 	// Start is the replay world's virtual start time (default
 	// simnet.Epoch).
 	Start time.Time `json:"-"`
-	// NewEngine constructs the simulation engine; nil selects the serial
-	// deterministic simnet reference. Parallel replays pass e.g.
-	// engine.ShardedFactory(4).
-	NewEngine func(start time.Time, seed int64) engine.Engine `json:"-"`
 	// Tracer, when set, records sampled request traces: each replayed event
 	// mints a deterministic trace ID (from Seed, the observed requester and
 	// the event sequence) and, when sampled, becomes a zero-duration request

@@ -592,7 +592,7 @@ func TestRegistryUnknownName(t *testing.T) {
 func TestResultsSurface(t *testing.T) {
 	f := newFixture(t, 13)
 	drv := NewDriver(true)
-	if err := drv.AddByName([]string{"summary", "traffic", "online", "popularity"}, f.opts()); err != nil {
+	if err := drv.AddByName([]string{"summary", "traffic", "online", "popularity", "fig4"}, f.opts()); err != nil {
 		t.Fatal(err)
 	}
 	if err := drv.Run(ingest.SliceSource(f.unified)); err != nil {

@@ -335,6 +335,7 @@ func TestSweepRoundTrip(t *testing.T) {
 // passes bsmon's start-up refusals (one run, no recorded workload).
 func TestExampleSpecs(t *testing.T) {
 	want := map[string]int{
+		"popularity.json":     1,
 		"replay-direct.json":  1,
 		"replay-fitted.json":  1,
 		"replay-record.json":  1,

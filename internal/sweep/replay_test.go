@@ -270,17 +270,14 @@ func TestReplayRoundTripFromSimulation(t *testing.T) {
 	}
 }
 
-// TestReplayFittedAmplifiedSharded: fitted replay at 10× runs on several
-// shards, scales the volume, and keeps the fitted popularity's
-// concentration.
-func TestReplayFittedAmplifiedSharded(t *testing.T) {
+// TestReplayFittedAmplified: fitted replay at 10× scales the volume and
+// keeps the fitted popularity's concentration.
+func TestReplayFittedAmplified(t *testing.T) {
 	paths, _ := recordRun(t, t.TempDir(), 22, 3)
 
 	spec := ScenarioSpec{
 		Version: SpecVersion,
 		Name:    "fitted-10x",
-		Engine:  "sharded",
-		Shards:  2,
 		WorkloadSource: &replay.Spec{
 			Mode:     replay.ModeFitted,
 			Inputs:   paths,

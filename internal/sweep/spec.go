@@ -100,8 +100,9 @@ type ScenarioSpec struct {
 	BootstrapIters int      `json:"bootstrap_iters,omitempty"`
 
 	// Engine selection and seed policy. Shards applies to engine sharded
-	// only (0 = the engine's default). Seed is the run's base seed; sweep
-	// replication overrides it per run.
+	// only (0 = the engine's default); replay and fitted runs take the
+	// serial engine only. Seed is the run's base seed; sweep replication
+	// overrides it per run.
 	Engine string `json:"engine,omitempty"`
 	Shards int    `json:"shards,omitempty"`
 	Seed   int64  `json:"seed,omitempty"`
@@ -188,7 +189,8 @@ var knownRegions = map[simnet.Region]bool{
 
 // Validate checks the spec for structural errors. Zero-valued tunables are
 // fine (they take workload defaults); what must hold is version, window,
-// engine name and shard count, region names and fraction ranges.
+// engine name and shard count (serial for replay), region names and
+// fraction ranges.
 func (s ScenarioSpec) Validate() error {
 	if s.Version != SpecVersion {
 		return fmt.Errorf("sweep: spec version %d unsupported (want %d)", s.Version, SpecVersion)
@@ -264,6 +266,9 @@ func (s ScenarioSpec) Validate() error {
 	}
 	if s.Shards > 0 && s.Engine != "sharded" {
 		return fmt.Errorf("sweep: shards = %d needs engine sharded", s.Shards)
+	}
+	if s.Engine == "sharded" && s.ReplayMode() {
+		return fmt.Errorf("sweep: workload_source mode %q runs on the serial engine only: every replayed message goes to a monitor, and monitors run on shard 0", s.WorkloadSource.Mode)
 	}
 	// Fig. 3 is a snapshot of the first monitor's peers, and a replayed
 	// world has no DHT to crawl.
@@ -367,7 +372,6 @@ func (s ScenarioSpec) ReplaySpec(seed int64) (replay.Spec, error) {
 	rs.Monitors = s.Monitors
 	rs.Seed = seed
 	rs.Start = s.start()
-	rs.NewEngine = s.newEngine()
 	rs.Tracer = s.NewTracer(seed)
 	return rs, nil
 }
@@ -393,8 +397,8 @@ func (s ScenarioSpec) NewTracer(seed int64) *otrace.Tracer {
 	return otrace.New(otrace.Config{Sample: sample, Seed: seed})
 }
 
-// newEngine returns the engine factory for a validated spec's engine
-// selection (nil = serial simnet reference).
+// newEngine returns the engine factory for a validated synthetic spec's
+// engine selection (nil = serial simnet reference).
 func (s ScenarioSpec) newEngine() func(start time.Time, seed int64) engine.Engine {
 	if s.Engine == "sharded" {
 		return engine.ShardedFactory(s.Shards)

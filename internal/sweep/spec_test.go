@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -186,6 +187,26 @@ func TestSpecValidate(t *testing.T) {
 		tc.mutate(&s)
 		if err := s.Validate(); err == nil {
 			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+	// Replay runs on the serial engine only, and the refusal says why.
+	for _, mode := range []replay.Mode{replay.ModeDirect, replay.ModeFitted} {
+		s := fullSpec()
+		s.Crawl = false
+		s.WorkloadSource = &replay.Spec{Mode: mode, Inputs: []string{"us.segments"}}
+		err := s.Validate()
+		if err == nil || !strings.Contains(err.Error(), "monitors run on shard 0") {
+			t.Errorf("sharded %s replay: err = %v, want the shard-0 refusal", mode, err)
+		}
+		s.Engine, s.Shards = "serial", 0
+		if err := s.Validate(); err != nil {
+			t.Errorf("serial %s replay rejected: %v", mode, err)
+		}
+		// A sweep point is refused the same way.
+		sw := SweepSpec{Version: SpecVersion, Name: "replay", Base: s,
+			Cases: []map[string]any{{"engine": "sharded", "shards": 2.0}}}
+		if _, err := Expand(sw); err == nil || !strings.Contains(err.Error(), "monitors run on shard 0") {
+			t.Errorf("sharded %s replay sweep point: err = %v, want the shard-0 refusal", mode, err)
 		}
 	}
 	if err := fullSpec().Validate(); err != nil {

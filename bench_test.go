@@ -821,31 +821,45 @@ func BenchmarkSimnetEventLoop(b *testing.B) {
 	}
 }
 
-// BenchmarkSimnetPeers measures the connection-table snapshot path that
-// every bitswap broadcast round hits; the sort is cached between
-// connection-table changes.
-func BenchmarkSimnetPeers(b *testing.B) {
+// sinkNode ignores everything it hears.
+type sinkNode struct{}
+
+func (sinkNode) HandleMessage(simnet.NodeID, any) {}
+func (sinkNode) PeerConnected(simnet.NodeID)      {}
+func (sinkNode) PeerDisconnected(simnet.NodeID)   {}
+
+// BenchmarkSimnetBroadcast measures the send path of every Bitswap
+// broadcast round (session start and each 30 s rebroadcast): one
+// SendEachRef from a hub to its 600 peers, plus draining the deliveries so
+// the heap stays at one round's size.
+func BenchmarkSimnetBroadcast(b *testing.B) {
 	start := time.Date(2021, 4, 30, 0, 0, 0, 0, time.UTC)
 	net := simnet.New(start, 1, nil)
 	const n = 600
 	hub := simnet.DeriveNodeID([]byte("hub"))
-	if err := net.AddNode(hub, "10.0.0.1:4001", simnet.RegionUS, 0, &ringNode{}); err != nil {
+	if err := net.AddNode(hub, "10.0.0.1:4001", simnet.RegionUS, 0, sinkNode{}); err != nil {
 		b.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
 		id := simnet.DeriveNodeID([]byte{byte(i), byte(i >> 8), 0xcd})
-		if err := net.AddNode(id, "10.0.0.2:4001", simnet.RegionUS, 0, &ringNode{}); err != nil {
+		if err := net.AddNode(id, "10.0.0.2:4001", simnet.RegionUS, 0, sinkNode{}); err != nil {
 			b.Fatal(err)
 		}
 		if err := net.Connect(hub, id); err != nil {
 			b.Fatal(err)
 		}
 	}
+	ref, _ := net.Ref(hub)
+	msg := &struct{}{}
+	sent := 0
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if got := len(net.Peers(hub)); got != n {
-			b.Fatalf("got %d peers", got)
-		}
+		net.SendEachRef(otrace.Ctx{}, "", ref, msg, func(simnet.NodeRef) { sent++ })
+		net.Run(time.Second)
+	}
+	if delivered, _ := net.Stats(); sent != n*b.N || delivered != uint64(sent) {
+		b.Fatalf("sent %d, delivered %d, want %d each", sent, delivered, n*b.N)
 	}
 }
 

@@ -17,6 +17,10 @@
 // passive monitors), re-broadcasts repeat every RebroadcastInterval, and
 // requests for non-root blocks stay scoped to session peers, which is why
 // monitors only observe root CIDs.
+//
+// Inside the engine a peer is a simnet.NodeRef: the sets of peers a want
+// went to, and the want ledger, one map keyed by (peer ref, CID) for all
+// peers. Sessions and the exported API keep NodeIDs.
 package bitswap
 
 import (
@@ -121,11 +125,6 @@ func sortIDs(ids []simnet.NodeID) {
 	slices.SortFunc(ids, simnet.NodeID.Compare)
 }
 
-// searchID finds p's position in the sorted set ids.
-func searchID(ids []simnet.NodeID, p simnet.NodeID) (int, bool) {
-	return slices.BinarySearchFunc(ids, p, simnet.NodeID.Compare)
-}
-
 // wantState tracks one outstanding local want.
 type wantState struct {
 	c         cid.CID
@@ -135,9 +134,10 @@ type wantState struct {
 	tc        otrace.Ctx         // span's context, parent of hops and DHT work
 
 	// The peers sent WANT_HAVE (broadcast wants) and WANT_BLOCK for c, each
-	// set sorted by ID.
-	wantHaveSent  []simnet.NodeID
-	wantBlockSent []simnet.NodeID
+	// set sorted by ID (the node table's Compare). Cancels go out in that
+	// order, which fixes their latency draws.
+	wantHaveSent  []simnet.NodeRef
+	wantBlockSent []simnet.NodeRef
 	resolved      bool
 	cancelled     bool
 	searching     bool // DHT search in flight
@@ -149,28 +149,42 @@ type wantState struct {
 type Engine struct {
 	net    engine.Engine
 	self   simnet.NodeID
+	ref    simnet.NodeRef // self's node-table ref
 	store  BlockStore
 	router ProviderRouter
 	cfg    Config
 
 	wants map[cid.CID]*wantState
-	// ledger holds, per connected peer, the entries of their want_list
-	// ("persisted for as long as the peer is connected").
-	ledger map[simnet.NodeID]map[cid.CID]wire.EntryType
+	// ledger holds the want_list entries connected peers announced to us
+	// ("persisted for as long as the peer is connected"), all peers in one
+	// map.
+	ledger map[ledgerKey]wire.EntryType
 
 	stats Stats
 }
 
-// New creates an engine for node self.
+// ledgerKey is one (peer, CID) entry of the want ledger.
+type ledgerKey struct {
+	peer simnet.NodeRef
+	c    cid.CID
+}
+
+// New creates an engine for node self, which must already be registered
+// with net.
 func New(net engine.Engine, self simnet.NodeID, store BlockStore, router ProviderRouter, cfg Config) *Engine {
+	ref, ok := net.Ref(self)
+	if !ok {
+		panic("bitswap: node " + self.String() + " is not registered with the network")
+	}
 	return &Engine{
 		net:    net,
 		self:   self,
+		ref:    ref,
 		store:  store,
 		router: router,
 		cfg:    cfg,
 		wants:  make(map[cid.CID]*wantState),
-		ledger: make(map[simnet.NodeID]map[cid.CID]wire.EntryType),
+		ledger: make(map[ledgerKey]wire.EntryType),
 	}
 }
 
@@ -179,10 +193,13 @@ func (e *Engine) Stats() Stats { return e.stats }
 
 // WantlistOf returns the want entries a connected peer has announced to us.
 func (e *Engine) WantlistOf(p simnet.NodeID) map[cid.CID]wire.EntryType {
-	src := e.ledger[p]
-	out := make(map[cid.CID]wire.EntryType, len(src))
-	for c, t := range src {
-		out[c] = t
+	out := make(map[cid.CID]wire.EntryType)
+	if r, ok := e.net.Ref(p); ok {
+		for k, t := range e.ledger {
+			if k.peer == r {
+				out[k.c] = t
+			}
+		}
 	}
 	return out
 }
@@ -258,7 +275,9 @@ func (e *Engine) GetFromSession(tc otrace.Ctx, sess *Session, c cid.CID, done fu
 		if sent >= WantBlockFanout {
 			break
 		}
-		e.sendWantBlock(w, p)
+		if r, ok := e.net.Ref(p); ok {
+			e.sendWantBlock(w, r)
+		}
 		sent++
 	}
 	e.stats.SessionWantsSent += uint64(sent)
@@ -292,22 +311,20 @@ func (e *Engine) newSession(root cid.CID) *Session {
 func (e *Engine) now() time.Time { return e.net.EventTime(e.self) }
 
 // broadcastWantHave sends WANT_HAVE c to every currently connected peer,
-// all of them sharing one message (a message is read-only once sent).
-// PeersEach iterates the engine's sorted peer set in place, so the hottest
-// bitswap loop (every session start and every 30 s rebroadcast of every
-// unresolved want) does not copy the connection table. A broadcast re-asks
-// every peer, so it starts wantHaveSent over, and appending in PeersEach's
-// ID order keeps the set sorted.
+// all of them sharing one message. SendEachRef walks the node's published
+// peer set in place, with no per-peer lookup, so the hottest bitswap loop
+// (every session start and every 30 s rebroadcast of every unresolved want)
+// neither copies nor searches the connection table. A broadcast re-asks
+// every peer, so it starts wantHaveSent over, and appending in the set's ID
+// order keeps it sorted.
 func (e *Engine) broadcastWantHave(w *wantState) {
 	e.stats.BroadcastsSent++
 	w.wantHaveSent = w.wantHaveSent[:0]
 	msg := e.wantHaveMsg(w)
-	e.net.PeersEach(e.self, func(p simnet.NodeID) bool {
-		if e.sendWantHave(w, p, msg) {
-			w.wantHaveSent = append(w.wantHaveSent, p)
-		}
-		return true
+	e.net.SendEachRef(w.tc, "send.want_have", e.ref, msg, func(p simnet.NodeRef) {
+		w.wantHaveSent = append(w.wantHaveSent, p)
 	})
+	e.countWantHaves(msg, len(w.wantHaveSent))
 }
 
 // wantHaveMsg builds the broadcast want for w: WANT_HAVE, or WANT_BLOCK in
@@ -324,18 +341,13 @@ func (e *Engine) wantHaveMsg(w *wantState) *wire.Message {
 	}}}
 }
 
-// sendWantHave sends msg, built by wantHaveMsg, to p and reports whether it
-// went out. The caller records p in w.wantHaveSent.
-func (e *Engine) sendWantHave(w *wantState, p simnet.NodeID, msg *wire.Message) bool {
-	if e.net.SendTraced(w.tc, "send.want_have", e.self, p, msg) != nil {
-		return false
-	}
+// countWantHaves counts n sends of msg, built by wantHaveMsg.
+func (e *Engine) countWantHaves(msg *wire.Message, n int) {
 	if msg.Wantlist[0].Type == wire.WantHave {
-		e.stats.WantHavesSent++
+		e.stats.WantHavesSent += uint64(n)
 	} else {
-		e.stats.WantBlocksSent++
+		e.stats.WantBlocksSent += uint64(n)
 	}
-	return true
 }
 
 // SetLegacyWantBlock flips the pre-v0.5 broadcast behaviour at runtime,
@@ -344,8 +356,13 @@ func (e *Engine) SetLegacyWantBlock(legacy bool) {
 	e.cfg.LegacyWantBlock = legacy
 }
 
-func (e *Engine) sendWantBlock(w *wantState, p simnet.NodeID) {
-	i, sent := searchID(w.wantBlockSent, p)
+// searchRef finds p's position in refs, sorted by the node table's Compare.
+func (e *Engine) searchRef(refs []simnet.NodeRef, p simnet.NodeRef) (int, bool) {
+	return slices.BinarySearchFunc(refs, p, e.net.Compare)
+}
+
+func (e *Engine) sendWantBlock(w *wantState, p simnet.NodeRef) {
+	i, sent := e.searchRef(w.wantBlockSent, p)
 	if sent {
 		return
 	}
@@ -354,7 +371,7 @@ func (e *Engine) sendWantBlock(w *wantState, p simnet.NodeID) {
 		CID:          w.c,
 		SendDontHave: e.cfg.SendDontHave,
 	}}}
-	if e.net.SendTraced(w.tc, "send.want_block", e.self, p, msg) == nil {
+	if e.net.SendRef(w.tc, "send.want_block", e.ref, p, msg) == nil {
 		w.wantBlockSent = slices.Insert(w.wantBlockSent, i, p)
 		e.stats.WantBlocksSent++
 	}
@@ -373,16 +390,16 @@ func (e *Engine) sendCancels(w *wantState) {
 		case len(haves) == 0:
 			order = 1
 		default:
-			order = haves[0].Compare(blocks[0])
+			order = e.net.Compare(haves[0], blocks[0])
 		}
-		var p simnet.NodeID
+		var p simnet.NodeRef
 		if order <= 0 {
 			p, haves = haves[0], haves[1:]
 		}
 		if order >= 0 {
 			p, blocks = blocks[0], blocks[1:]
 		}
-		if e.net.SendTraced(w.tc, "send.cancel", e.self, p, msg) == nil {
+		if e.net.SendRef(w.tc, "send.cancel", e.ref, p, msg) == nil {
 			e.stats.CancelsSent++
 		}
 	}
@@ -412,18 +429,18 @@ func (e *Engine) searchProviders(w *wantState) {
 		}
 		msg := e.wantHaveMsg(w)
 		for _, p := range provs {
-			if p.ID == e.self {
+			r, ok := e.net.Ref(p.ID)
+			if !ok || r == e.ref {
 				continue
 			}
 			// Establish connections to all p in P(c), then WANT_HAVE the
 			// newly connected peers.
-			if !e.net.Connected(e.self, p.ID) {
-				if e.net.Connect(e.self, p.ID) != nil {
-					continue
-				}
+			if !e.net.ConnectedRef(e.ref, r) && e.net.ConnectRef(e.ref, r) != nil {
+				continue
 			}
-			if i, sent := searchID(w.wantHaveSent, p.ID); !sent && e.sendWantHave(w, p.ID, msg) {
-				w.wantHaveSent = slices.Insert(w.wantHaveSent, i, p.ID)
+			if i, sent := e.searchRef(w.wantHaveSent, r); !sent && e.net.SendRef(w.tc, "send.want_have", e.ref, r, msg) == nil {
+				w.wantHaveSent = slices.Insert(w.wantHaveSent, i, r)
+				e.countWantHaves(msg, 1)
 			}
 		}
 	}
@@ -455,13 +472,14 @@ func (e *Engine) scheduleRebroadcast(w *wantState) {
 // resendWantBlocks re-sends a session-scoped want's WANT_BLOCK to the first
 // WantBlockFanout session peers, whether or not they were asked before.
 func (e *Engine) resendWantBlocks(w *wantState) {
-	peers := w.session.Peers()
-	w.wantBlockSent = slices.DeleteFunc(w.wantBlockSent, func(p simnet.NodeID) bool {
-		_, member := searchID(peers, p)
-		return member
+	w.wantBlockSent = slices.DeleteFunc(w.wantBlockSent, func(p simnet.NodeRef) bool {
+		return w.session.peers[e.net.ID(p)]
 	})
+	peers := w.session.Peers()
 	for _, p := range peers[:min(len(peers), WantBlockFanout)] {
-		e.sendWantBlock(w, p)
+		if r, ok := e.net.Ref(p); ok {
+			e.sendWantBlock(w, r)
+		}
 	}
 }
 
@@ -509,6 +527,15 @@ func (e *Engine) HandleMessage(from simnet.NodeID, msg any) bool {
 	if !ok {
 		return false
 	}
+	// The sender's ref keys its ledger entries and addresses the reply; a
+	// message without wants needs it only to answer a HAVE with WANT_BLOCK.
+	var ref simnet.NodeRef
+	if len(m.Wantlist) > 0 {
+		var known bool
+		if ref, known = e.net.Ref(from); !known {
+			return true
+		}
+	}
 	// The reply is allocated lazily: most inbound traffic needs no response
 	// (monitors never hold blocks), and an unconditional stack reply would
 	// escape to the heap through the network interface on every message.
@@ -516,7 +543,7 @@ func (e *Engine) HandleMessage(from simnet.NodeID, msg any) bool {
 	for _, entry := range m.Wantlist {
 		switch entry.Type {
 		case wire.WantHave:
-			e.rememberWant(from, entry)
+			e.ledger[ledgerKey{ref, entry.CID}] = entry.Type
 			if e.store.Has(entry.CID) {
 				reply = addPresence(reply, wire.Have, entry.CID)
 				e.stats.HavesServed++
@@ -525,7 +552,7 @@ func (e *Engine) HandleMessage(from simnet.NodeID, msg any) bool {
 				e.stats.DontHavesServed++
 			}
 		case wire.WantBlock:
-			e.rememberWant(from, entry)
+			e.ledger[ledgerKey{ref, entry.CID}] = entry.Type
 			if data, ok := e.store.Get(entry.CID); ok {
 				if reply == nil {
 					reply = &wire.Message{}
@@ -537,9 +564,7 @@ func (e *Engine) HandleMessage(from simnet.NodeID, msg any) bool {
 				e.stats.DontHavesServed++
 			}
 		case wire.Cancel:
-			if lg, ok := e.ledger[from]; ok {
-				delete(lg, entry.CID)
-			}
+			delete(e.ledger, ledgerKey{ref, entry.CID})
 		}
 	}
 	for _, p := range m.Presences {
@@ -551,7 +576,9 @@ func (e *Engine) HandleMessage(from simnet.NodeID, msg any) bool {
 			// Add HAVE-sending peers to S(c); request the block.
 			w.session.peers[from] = true
 			if len(w.wantBlockSent) < WantBlockFanout {
-				e.sendWantBlock(w, from)
+				if r, ok := e.net.Ref(from); ok {
+					e.sendWantBlock(w, r)
+				}
 			}
 		}
 	}
@@ -565,7 +592,7 @@ func (e *Engine) HandleMessage(from simnet.NodeID, msg any) bool {
 		if len(reply.Blocks) > 0 {
 			hop = "send.block"
 		}
-		_ = e.net.SendTraced(e.net.InboundCtx(e.self), hop, e.self, from, reply)
+		_ = e.net.SendRef(e.net.InboundCtx(e.self), hop, e.ref, ref, reply)
 	}
 	return true
 }
@@ -578,15 +605,6 @@ func addPresence(m *wire.Message, t wire.PresenceType, c cid.CID) *wire.Message 
 	}
 	m.Presences = append(m.Presences, wire.Presence{Type: t, CID: c})
 	return m
-}
-
-func (e *Engine) rememberWant(from simnet.NodeID, entry wire.Entry) {
-	lg, ok := e.ledger[from]
-	if !ok {
-		lg = make(map[cid.CID]wire.EntryType)
-		e.ledger[from] = lg
-	}
-	lg[entry.CID] = entry.Type
 }
 
 func (e *Engine) receiveBlock(from simnet.NodeID, b wire.Block) {
@@ -618,8 +636,18 @@ func (e *Engine) receiveBlock(from simnet.NodeID, b wire.Block) {
 // paper's observed behaviour closely enough for trace purposes).
 func (e *Engine) PeerConnected(p simnet.NodeID) {}
 
-// PeerDisconnected drops the peer's want_list ledger, matching "persisted
-// for as long as the peer is connected".
+// PeerDisconnected drops the peer's ledger entries, matching "persisted for
+// as long as the peer is connected". It scans the whole ledger: a node's
+// ledger holds the open wants of its peers, a handful on a node that sees
+// churn (a monitor's is large, but monitors keep their connections).
 func (e *Engine) PeerDisconnected(p simnet.NodeID) {
-	delete(e.ledger, p)
+	r, ok := e.net.Ref(p)
+	if !ok {
+		return
+	}
+	for k := range e.ledger {
+		if k.peer == r {
+			delete(e.ledger, k)
+		}
+	}
 }

@@ -1,6 +1,7 @@
 package bitswap
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 	"time"
@@ -49,10 +50,10 @@ func newBSNode(t *testing.T, net *simnet.Network, name string, router ProviderRo
 	id := simnet.DeriveNodeID([]byte(name))
 	st := blockstore.New(1 << 20)
 	n := &bsNode{store: st}
-	n.engine = New(net, id, st, router, cfg)
 	if err := net.AddNode(id, name+":4001", simnet.RegionUS, 0, n); err != nil {
 		t.Fatal(err)
 	}
+	n.engine = New(net, id, st, router, cfg)
 	return n
 }
 
@@ -436,8 +437,15 @@ func TestCancelsGoToSortedUnion(t *testing.T) {
 	sortIDs(haves)
 	blocks := []simnet.NodeID{prov, late}
 	sortIDs(blocks)
-	if !slices.Equal(w.wantHaveSent, haves) || !slices.Equal(w.wantBlockSent, blocks) {
-		t.Fatalf("WANT_HAVE sent to %v, WANT_BLOCK to %v; want %v and %v", w.wantHaveSent, w.wantBlockSent, haves, blocks)
+	ids := func(refs []simnet.NodeRef) []simnet.NodeID {
+		out := make([]simnet.NodeID, len(refs))
+		for i, r := range refs {
+			out[i] = net.ID(r)
+		}
+		return out
+	}
+	if gotHaves, gotBlocks := ids(w.wantHaveSent), ids(w.wantBlockSent); !slices.Equal(gotHaves, haves) || !slices.Equal(gotBlocks, blocks) {
+		t.Fatalf("WANT_HAVE sent to %v, WANT_BLOCK to %v; want %v and %v", gotHaves, gotBlocks, haves, blocks)
 	}
 
 	log = log[:0]
@@ -511,21 +519,77 @@ func TestSessionWantResendsWantBlocks(t *testing.T) {
 	}
 }
 
+// TestWantlistLedgerClearedOnDisconnect: requesters a and c want one CID at
+// b. A CANCEL from c clears only c's entry; disconnecting a clears only a's.
 func TestWantlistLedgerClearedOnDisconnect(t *testing.T) {
 	net := simnet.New(t0, 10, simnet.Fixed(time.Millisecond))
 	a := newBSNode(t, net, "a", &fakeRouter{}, Config{SendDontHave: true, Reprovide: true})
 	b := newBSNode(t, net, "b", &fakeRouter{}, Config{SendDontHave: true, Reprovide: true})
-	if err := net.Connect(a.id(), b.id()); err != nil {
-		t.Fatal(err)
+	c := newBSNode(t, net, "c", &fakeRouter{}, Config{SendDontHave: true, Reprovide: true})
+	for _, r := range []*bsNode{a, c} {
+		if err := net.Connect(r.id(), b.id()); err != nil {
+			t.Fatal(err)
+		}
 	}
 	ghost := cid.Sum(cid.Raw, []byte("never found"))
 	a.engine.Get(otrace.Ctx{}, ghost, func([]byte, bool) {})
+	c.engine.Get(otrace.Ctx{}, ghost, func([]byte, bool) {})
 	net.Run(time.Second)
-	if len(b.engine.WantlistOf(a.id())) != 1 {
-		t.Fatal("want not recorded")
+	if len(b.engine.WantlistOf(a.id())) != 1 || len(b.engine.WantlistOf(c.id())) != 1 {
+		t.Fatal("wants not recorded")
 	}
+	c.engine.Cancel(ghost)
+	net.Run(time.Second)
+	if _, ok := b.engine.WantlistOf(c.id())[ghost]; ok {
+		t.Error("CANCEL left c's entry")
+	}
+	if _, ok := b.engine.WantlistOf(a.id())[ghost]; !ok {
+		t.Error("c's CANCEL cleared a's entry")
+	}
+	c.engine.Get(otrace.Ctx{}, ghost, func([]byte, bool) {})
+	net.Run(time.Second)
 	net.Disconnect(a.id(), b.id())
 	if len(b.engine.WantlistOf(a.id())) != 0 {
 		t.Error("ledger survived disconnect")
+	}
+	if _, ok := b.engine.WantlistOf(c.id())[ghost]; !ok {
+		t.Error("disconnecting a cleared c's entry")
+	}
+}
+
+// TestHotPathsDoNotAllocate: with the event heap and the ledgers grown, a
+// broadcast to 200 peers as broadcastWantHave makes it, message built, with
+// its deliveries, and a WANT_HAVE then CANCEL round at a peer allocate
+// nothing.
+func TestHotPathsDoNotAllocate(t *testing.T) {
+	net := simnet.New(t0, 13, simnet.Fixed(time.Millisecond))
+	a := newBSNode(t, net, "a", &fakeRouter{}, Config{})
+	for i := range 200 {
+		p := newBSNode(t, net, fmt.Sprintf("peer-%d", i), &fakeRouter{}, Config{})
+		if err := net.Connect(a.id(), p.id()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c := cid.Sum(cid.Raw, []byte("hot"))
+	w := &wantState{c: c}
+	msg := a.engine.wantHaveMsg(w)
+	if allocs := testing.AllocsPerRun(20, func() {
+		w.wantHaveSent = w.wantHaveSent[:0]
+		a.engine.net.SendEachRef(w.tc, "send.want_have", a.engine.ref, msg, func(p simnet.NodeRef) {
+			w.wantHaveSent = append(w.wantHaveSent, p)
+		})
+		net.Run(time.Second)
+	}); allocs != 0 || len(w.wantHaveSent) != 200 {
+		t.Errorf("broadcast: %v allocations, %d peers", allocs, len(w.wantHaveSent))
+	}
+
+	want := &wire.Message{Wantlist: []wire.Entry{{Type: wire.WantHave, CID: c}}}
+	cancel := &wire.Message{Wantlist: []wire.Entry{{Type: wire.Cancel, CID: c}}}
+	peer := net.ID(w.wantHaveSent[0])
+	if allocs := testing.AllocsPerRun(200, func() {
+		a.engine.HandleMessage(peer, want)
+		a.engine.HandleMessage(peer, cancel)
+	}); allocs != 0 || len(a.engine.ledger) != 0 {
+		t.Errorf("WANT_HAVE + CANCEL round: %v allocations, %d ledger entries left", allocs, len(a.engine.ledger))
 	}
 }

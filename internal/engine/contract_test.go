@@ -3,7 +3,9 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -200,18 +202,123 @@ func tableState(out *strings.Builder, eng Engine, all []simnet.NodeID, short map
 	for _, n := range all {
 		addr, okA := eng.Addr(n)
 		region, okR := eng.NodeRegion(n)
-		var each []simnet.NodeID
-		eng.PeersEach(n, func(p simnet.NodeID) bool { each = append(each, p); return true })
 		var conn []simnet.NodeID
 		for _, m := range all {
 			if eng.Connected(n, m) {
 				conn = append(conn, m)
 			}
 		}
-		fmt.Fprintf(out, "%s: addr %q %v region %q %v online %v count %d peers [%s] each [%s] connected [%s]\n",
+		fmt.Fprintf(out, "%s: addr %q %v region %q %v online %v count %d peers [%s] connected [%s]\n",
 			short[n], addr, okA, region, okR, eng.IsOnline(n), eng.PeerCount(n),
-			names(eng.Peers(n)), names(each), names(conn))
+			names(eng.Peers(n)), names(conn))
 	}
+}
+
+// TestSendEachRefMatchesSendRef: a hub's broadcast through SendEachRef and
+// the same hub sending to each of its Peers by SendRef, from one seed, give
+// the same deliveries (time, from, to), the same drops when a peer
+// disconnects with the broadcast in flight, and the same hop spans apart
+// from WallNs. SendEachRef's callback hears the peers in Peers order.
+func TestSendEachRefMatchesSendRef(t *testing.T) {
+	engines := []struct {
+		name string
+		new  func() Engine
+	}{
+		{"serial", func() Engine { return simnet.New(t0, 7, nil) }},
+		{"sharded-2", func() Engine { return simnet.NewSharded(t0, 7, simnet.ShardedConfig{Shards: 2}) }},
+	}
+	for _, ce := range engines {
+		loop := broadcastTranscript(t, ce.new(), false)
+		each := broadcastTranscript(t, ce.new(), true)
+		if each != loop {
+			t.Errorf("%s: SendEachRef diverges from a SendRef loop:\n%s", ce.name, firstDiff(loop, each))
+		}
+	}
+}
+
+// logHandler logs each delivery with its exact time; deliveries on several
+// shards share one log under mu.
+type logHandler struct {
+	eng Engine
+	id  simnet.NodeID
+	mu  *sync.Mutex
+	log *[]string
+}
+
+func (h *logHandler) HandleMessage(from simnet.NodeID, msg any) {
+	at := h.eng.EventTime(h.id).UnixNano()
+	h.mu.Lock()
+	*h.log = append(*h.log, fmt.Sprintf("%d %s -> %s: %v", at, from, h.id, msg))
+	h.mu.Unlock()
+}
+func (h *logHandler) PeerConnected(simnet.NodeID)    {}
+func (h *logHandler) PeerDisconnected(simnet.NodeID) {}
+
+// broadcastTranscript has a hub broadcast two traced rounds to 24 peers in
+// six regions, by SendEachRef or by a SendRef loop over Peers, disconnecting
+// one peer while the second round is in flight. It renders what the callback
+// heard, every delivery (sorted, since several shards log concurrently), the
+// stats and every hop span.
+func broadcastTranscript(t *testing.T, eng Engine, each bool) string {
+	tr := otrace.New(otrace.Config{Seed: 7})
+	eng.SetTracer(tr)
+	var mu sync.Mutex
+	var log []string
+	add := func(name string, region simnet.Region) simnet.NodeID {
+		id := simnet.DeriveNodeID([]byte(name))
+		if err := eng.AddNode(id, name+":4001", region, 0, &logHandler{eng, id, &mu, &log}); err != nil {
+			t.Fatal(err)
+		}
+		return id
+	}
+	hubID := add("hub", simnet.RegionUS)
+	hub, _ := eng.Ref(hubID)
+	regions := []simnet.Region{simnet.RegionUS, simnet.RegionDE, simnet.RegionNL, simnet.RegionCA, simnet.RegionFR, simnet.RegionOther}
+	var peers []simnet.NodeID
+	for i := range 24 {
+		p := add(fmt.Sprintf("peer-%d", i), regions[i%len(regions)])
+		if err := eng.Connect(hubID, p); err != nil {
+			t.Fatal(err)
+		}
+		peers = append(peers, p)
+	}
+	var out strings.Builder
+	for round := 1; round <= 2; round++ {
+		tc := tr.Root(uint64(round), "round", "hub", eng.Now()).Ctx()
+		msg := fmt.Sprintf("round %d", round)
+		var sent []simnet.NodeID
+		if each {
+			eng.SendEachRef(tc, "send.round", hub, msg, func(p simnet.NodeRef) { sent = append(sent, eng.ID(p)) })
+		} else {
+			for _, p := range eng.Peers(hubID) {
+				r, _ := eng.Ref(p)
+				if err := eng.SendRef(tc, "send.round", hub, r, msg); err != nil {
+					t.Fatal(err)
+				}
+				sent = append(sent, p)
+			}
+		}
+		if !slices.Equal(sent, eng.Peers(hubID)) {
+			t.Errorf("round %d: sent to %v, want Peers order %v", round, sent, eng.Peers(hubID))
+		}
+		fmt.Fprintf(&out, "round %d sent %v\n", round, sent)
+		if round == 2 {
+			eng.Disconnect(hubID, peers[5])
+		}
+		eng.Run(time.Second)
+	}
+	slices.Sort(log)
+	out.WriteString(strings.Join(log, "\n"))
+	delivered, dropped := eng.Stats()
+	if delivered != 47 || dropped != 1 {
+		t.Errorf("delivered %d dropped %d, want 47 and 1", delivered, dropped)
+	}
+	fmt.Fprintf(&out, "\ndelivered %d dropped %d\n", delivered, dropped)
+	for _, s := range tr.Spans() {
+		s.WallNs = 0
+		fmt.Fprintf(&out, "%+v\n", s)
+	}
+	return out.String()
 }
 
 func firstDiff(a, b string) string {

@@ -308,39 +308,6 @@ func TestShardedLookaheadFromModel(t *testing.T) {
 	}
 }
 
-func TestShardedPeersEach(t *testing.T) {
-	s := simnet.NewSharded(t0, 5, simnet.ShardedConfig{Shards: 4})
-	ids, _ := addNodes(t, s, 20)
-	for i := 1; i < len(ids); i++ {
-		if err := s.Connect(ids[0], ids[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var seen []simnet.NodeID
-	s.PeersEach(ids[0], func(p simnet.NodeID) bool {
-		seen = append(seen, p)
-		return true
-	})
-	want := s.Peers(ids[0])
-	if len(seen) != len(want) {
-		t.Fatalf("PeersEach visited %d peers, Peers returned %d", len(seen), len(want))
-	}
-	for i := range seen {
-		if seen[i] != want[i] {
-			t.Fatalf("PeersEach order diverges from Peers at %d", i)
-		}
-	}
-	n := 0
-	s.PeersEach(ids[0], func(simnet.NodeID) bool { n++; return n < 5 })
-	if n != 5 {
-		t.Fatalf("early stop visited %d peers, want 5", n)
-	}
-	s.PeersEach(simnet.DeriveNodeID([]byte("unknown")), func(simnet.NodeID) bool {
-		t.Fatal("callback for unknown node")
-		return false
-	})
-}
-
 // orderNode logs every event it runs into its shard's log and passes
 // messages on along its region's ring.
 type orderNode struct {

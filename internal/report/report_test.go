@@ -651,6 +651,27 @@ func TestPopularityTooSmall(t *testing.T) {
 	}
 }
 
+// TestPopularityECDFPointsOnce: an ECDF of more than 12 points renders the
+// first point reaching each key quantile, and a point that reaches several
+// (here the first holds 93 %) only once.
+func TestPopularityECDFPointsOnce(t *testing.T) {
+	pts := []popularity.ECDFPoint{{Value: 1, Prob: 0.93}}
+	for v := 2; v <= 12; v++ {
+		pts = append(pts, popularity.ECDFPoint{Value: float64(v), Prob: 0.93 + 0.005*float64(v-1)})
+	}
+	pts = append(pts, popularity.ECDFPoint{Value: 13, Prob: 0.995}, popularity.ECDFPoint{Value: 14, Prob: 1})
+	got := (&Popularity{RRPECDF: pts, RRPFitErr: "too small"}).Render()
+	want := `RRP ECDF:
+  P(X <= 1) = 0.9300
+  P(X <= 13) = 0.9950
+  P(X <= 14) = 1.0000
+URP ECDF:
+`
+	if !strings.Contains(got, want) {
+		t.Errorf("render:\n%s\nwant it to contain:\n%s", got, want)
+	}
+}
+
 func TestLatencyBreakdownNeedsTracer(t *testing.T) {
 	if _, err := New("latency_breakdown", Options{}); !errors.Is(err, ErrNoTracer) {
 		t.Fatalf("err = %v, want ErrNoTracer", err)

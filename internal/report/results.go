@@ -456,8 +456,8 @@ func (p *Popularity) Render() string {
 	return sb.String()
 }
 
-// renderECDF renders an ECDF compactly: every point for small supports, key
-// quantiles otherwise.
+// renderECDF renders an ECDF compactly: every point for small supports, the
+// first point reaching each key quantile otherwise, each point once.
 func renderECDF(sb *strings.Builder, label string, pts []popularity.ECDFPoint) {
 	fmt.Fprintf(sb, "%s ECDF:\n", label)
 	if len(pts) <= 12 {
@@ -467,12 +467,15 @@ func renderECDF(sb *strings.Builder, label string, pts []popularity.ECDFPoint) {
 		return
 	}
 	targets := []float64{0.25, 0.5, 0.75, 0.9, 0.99, 1}
-	i := 0
+	i, printed := 0, -1
 	for _, q := range targets {
 		for i < len(pts)-1 && pts[i].Prob < q {
 			i++
 		}
-		fmt.Fprintf(sb, "  P(X <= %.0f) = %.4f\n", pts[i].Value, pts[i].Prob)
+		if i > printed {
+			fmt.Fprintf(sb, "  P(X <= %.0f) = %.4f\n", pts[i].Value, pts[i].Prob)
+			printed = i
+		}
 	}
 }
 

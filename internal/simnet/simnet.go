@@ -354,25 +354,19 @@ func (n *Network) Post(id NodeID, fn func()) {
 // the modelled latency. Messages in flight when a connection drops are
 // dropped too (checked at delivery time).
 func (n *Network) Send(from, to NodeID, msg any) error {
-	return n.SendTraced(otrace.Ctx{}, "", from, to, msg)
-}
-
-// SendTraced is Send carrying a trace context: the hop from send to delivery
-// is recorded as a span and the context is exposed to the receiving handler
-// via InboundCtx. Timing and RNG draws are identical to Send; cross-shard
-// lookahead flooring is surfaced as the hop span's QueueNs.
-func (n *Network) SendTraced(tc otrace.Ctx, hop string, from, to NodeID, msg any) error {
 	r, err := n.Route(from, to)
 	if err != nil {
 		return err
 	}
-	n.send(r, msg, n.hopRef(tc, hop))
+	n.send(r, msg, nil)
 	return nil
 }
 
-// SendRef is SendTraced with pre-resolved endpoints; a zero tc sends
-// untraced, as Send does. Semantics (connectivity check, latency sampling,
-// delivery-time revalidation) are identical.
+// SendRef is Send with pre-resolved endpoints, carrying a trace context:
+// under a sampled tc the hop from send to delivery is recorded as a span and
+// the context is exposed to the receiving handler via InboundCtx; a zero tc
+// sends untraced. Timing and RNG draws do not depend on tc; cross-shard
+// lookahead flooring is surfaced as the hop span's QueueNs.
 func (n *Network) SendRef(tc otrace.Ctx, hop string, from, to NodeRef, msg any) error {
 	r, err := n.RouteRef(from, to)
 	if err != nil {
@@ -380,6 +374,19 @@ func (n *Network) SendRef(tc otrace.Ctx, hop string, from, to NodeRef, msg any) 
 	}
 	n.send(r, msg, n.hopRef(tc, hop))
 	return nil
+}
+
+// SendEachRef sends msg, as SendRef does, to every peer in from's published
+// peer set, in ID order, and calls sent with each peer after its send. The
+// set is loaded once and needs no per-peer lookup: every peer in it is
+// connected at its epoch. The peers share msg, which is read-only once sent.
+func (n *Network) SendEachRef(tc otrace.Ctx, hop string, from NodeRef, msg any, sent func(NodeRef)) {
+	set := n.cells[from].set.Load()
+	base := n.base[n.region[from]]
+	for _, p := range set.peers {
+		n.send(Route{From: from, To: p, Epoch: set.epoch, Base: base[n.region[p]]}, msg, n.hopRef(tc, hop))
+		sent(p)
+	}
 }
 
 // hopRef is the trace context a send carries: nil unless a tracer is

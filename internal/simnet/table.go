@@ -1,7 +1,6 @@
 package simnet
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -188,10 +187,20 @@ func (t *Table) Nodes() []NodeID {
 	return slices.Clone(*sorted)
 }
 
-// search finds r's position in peers, which are sorted by NodeID. The
-// 8-byte keys decide all but equal-prefix comparisons.
+// Compare orders two refs by their nodes' IDs: by key, and by the full ID
+// only when the keys are equal. Peer sets are sorted by it.
+func (t *Table) Compare(a, b NodeRef) int {
+	if ka, kb := t.keys[a], t.keys[b]; ka != kb {
+		if ka < kb {
+			return -1
+		}
+		return 1
+	}
+	return t.ids[a].Compare(t.ids[b])
+}
+
+// search finds r's position in peers, which are sorted by Compare.
 func (t *Table) search(peers []NodeRef, r NodeRef) (int, bool) {
-	k := t.keys[r]
 	lo, hi := 0, len(peers)
 	for lo < hi {
 		m := int(uint(lo+hi) >> 1)
@@ -199,7 +208,7 @@ func (t *Table) search(peers []NodeRef, r NodeRef) (int, bool) {
 		if p == r {
 			return m, true
 		}
-		if kp := t.keys[p]; kp < k || kp == k && bytes.Compare(t.ids[p][:], t.ids[r][:]) < 0 {
+		if t.Compare(p, r) < 0 {
 			lo = m + 1
 		} else {
 			hi = m
@@ -355,22 +364,6 @@ func (t *Table) Peers(id NodeID) []NodeID {
 		out[k] = t.ids[p]
 	}
 	return out
-}
-
-// PeersEach calls fn for each connected peer of id in ascending NodeID
-// order, stopping early when fn returns false. It iterates the published
-// peer set without copying it — the allocation-free variant of Peers for
-// broadcast loops.
-func (t *Table) PeersEach(id NodeID, fn func(NodeID) bool) {
-	r, ok := t.idx[id]
-	if !ok {
-		return
-	}
-	for _, p := range t.cells[r].set.Load().peers {
-		if !fn(t.ids[p]) {
-			return
-		}
-	}
 }
 
 // PeerCount returns the size of a node's connection table.

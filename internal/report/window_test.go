@@ -2,6 +2,9 @@ package report
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/json"
+	"fmt"
 	"reflect"
 	"strconv"
 	"strings"
@@ -453,4 +456,73 @@ func TestWindowGaugePublication(t *testing.T) {
 // (shortest round-trip 'g' formatting).
 func formatGaugeValue(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
+}
+
+// TestWindowedPinnedOutput pins, byte for byte, what a windowed driver
+// publishes over a seeded fixture with every entry-driven report: the
+// OnClose JSON lines of 1 h windows sliding by 15 m and of 1 h tumbling
+// windows, and the /reports snapshot taken halfway through the stream.
+// Any change to how windows are evaluated must leave these digests alone.
+func TestWindowedPinnedOutput(t *testing.T) {
+	f := newFixture(t, 6)
+	// Stretch the half-hour fixture over three hours, order and flags kept.
+	entries := append([]trace.Entry(nil), f.unified...)
+	for i := range entries {
+		entries[i].Timestamp = t0.Add(6 * entries[i].Timestamp.Sub(t0))
+	}
+	var names []string
+	for _, name := range Names() {
+		if name != "latency_breakdown" {
+			names = append(names, name)
+		}
+	}
+	opts := f.opts()
+	opts.Bucket = 15 * time.Minute
+	opts.BootstrapIters = 3
+	for _, tc := range []struct {
+		slide          time.Duration
+		closed, middle string
+	}{
+		{15 * time.Minute,
+			"54214f7cb379fc21ae46eaa167681fb23248bc46db3fab51b8cb29ccc59ef214",
+			"d7f8455f7cafa43ad843283bc271df1ef7aba3c4be3bda3c27b66a2a9c90b3a3"},
+		{time.Hour,
+			"9d963486558bc75f02c9e6d034c30c2cb5ff21064950dcf0b7b353670c472340",
+			"ddf36ee229724e6679545cf69adbc45fed5d7c60bec0fa8392cdcbeb54161257"},
+	} {
+		var lines bytes.Buffer
+		enc := json.NewEncoder(&lines)
+		wd, err := NewWindowedDriver(WindowOptions{
+			Width:   time.Hour,
+			Slide:   tc.slide,
+			Keep:    3,
+			Reports: names,
+			Opts:    opts,
+			Dedup:   true,
+			OnClose: func(res WindowResult) error { return enc.Encode(res) },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var middle []byte
+		for i, e := range entries {
+			if err := wd.Write(e); err != nil {
+				t.Fatal(err)
+			}
+			if i == len(entries)/2 {
+				if middle, err = json.Marshal(wd.Snapshot()); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if _, err := wd.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(lines.Bytes())); got != tc.closed {
+			t.Errorf("slide %s: OnClose lines hash %s, pinned %s", tc.slide, got, tc.closed)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(middle)); got != tc.middle {
+			t.Errorf("slide %s: mid-stream snapshot hash %s, pinned %s", tc.slide, got, tc.middle)
+		}
+	}
 }

@@ -43,7 +43,8 @@
 // bounded daemon records the same entries as a sweep run of the same spec,
 // into the same DIR/mon-M.segments layout. Registry reports are evaluated
 // over rolling windows of the live stream
-// (report.WindowedDriver, one report.Driver per window, published as the
+// (report.WindowedDriver, one report.Driver per slide-wide pane merged into
+// each window as it closes, published as the
 // report_window_metric gauge family and served as JSON on /reports), while
 // an ingest.Maintainer compacts small sealed segments into generation-2
 // segments and expires raw data behind a retention horizon — rolled-up

@@ -85,11 +85,7 @@ func (c *Counter) Write(e trace.Entry) error {
 		return nil
 	}
 	id := c.syms.CID(e.CID)
-	if int(id) >= len(c.rrp) {
-		grow := int(id) + 1 - len(c.rrp)
-		c.rrp = append(c.rrp, make([]int, grow)...)
-		c.urp = append(c.urp, make([]int, grow)...)
-	}
+	c.grow(id)
 	if c.rrp[id] == 0 {
 		c.cids++
 	}
@@ -100,6 +96,46 @@ func (c *Counter) Write(e trace.Entry) error {
 		c.urp[id]++
 	}
 	return nil
+}
+
+// Merge folds from's scores into c, so that c scores both streams as one
+// Counter that had been written every entry of each would: RRPs add, the
+// (CID, peer) pair sets are united, and a CID's URP counts its pairs new to
+// c. from's ids are translated through c's trace.Symbols; from is left
+// unchanged.
+func (c *Counter) Merge(from *Counter) {
+	if from.cids == 0 {
+		return
+	}
+	t := c.syms.Translate(from.syms)
+	for id, n := range from.rrp {
+		if n == 0 {
+			continue
+		}
+		to := t.CIDs[id]
+		c.grow(to)
+		if c.rrp[to] == 0 {
+			c.cids++
+		}
+		c.rrp[to] += n
+	}
+	for k := range from.pairs {
+		to := t.CIDs[k>>32]
+		n := len(c.pairs)
+		c.pairs[uint64(to)<<32|uint64(t.Peers[uint32(k)])] = struct{}{}
+		if len(c.pairs) != n {
+			c.urp[to]++
+		}
+	}
+}
+
+// grow extends the score slices to hold CID id.
+func (c *Counter) grow(id uint32) {
+	if int(id) >= len(c.rrp) {
+		grow := int(id) + 1 - len(c.rrp)
+		c.rrp = append(c.rrp, make([]int, grow)...)
+		c.urp = append(c.urp, make([]int, grow)...)
+	}
 }
 
 // CIDs returns the number of distinct CIDs scored so far.

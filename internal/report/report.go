@@ -42,6 +42,22 @@ type Report interface {
 	Finalize() (Result, error)
 }
 
+// Merger is implemented by reports whose state over two streams combines
+// exactly. After r.Merge(from), r.Finalize returns exactly what one
+// instance that had observed both streams would return. from is an instance
+// of the same report built with the same options, never finalized, and it
+// is left unchanged, so it can be merged into other instances too.
+// WindowedDriver keeps a mergeable report once per pane and merges the
+// panes of a window when it closes.
+//
+// Reports of one pass share their Symbols and popularity counter, so
+// merging one of them stands for the whole pass only when every report of
+// the pass merges with its counterpart: the report that feeds the shared
+// counter merges it, the others merge nothing of it.
+type Merger interface {
+	Merge(from Report) error
+}
+
 // Result is one finished analysis artifact.
 type Result interface {
 	// Render prints the artifact as the paper-style text table/figure.
@@ -149,6 +165,9 @@ type Driver struct {
 	met     []reportHandles
 	pend    []uint64
 	written uint64
+	// hold keeps pend from flushing before Finalize: a WindowedDriver pane
+	// is counted once per window that merges it, when that window closes.
+	hold bool
 }
 
 // NewDriver returns an empty driver. dedup controls whether reports that
@@ -250,8 +269,25 @@ func (d *Driver) writeInstrumented(e trace.Entry) error {
 		}
 		d.pend[i]++
 	}
-	if d.written%counterFlushStride == 0 {
+	if d.written%counterFlushStride == 0 && !d.hold {
 		d.flushCounts()
+	}
+	return nil
+}
+
+// merge folds every report of from into its counterpart here, and adds
+// from's pending entry counts to d's. Both drivers were built by AddByName
+// over the same names and options, and every report is a Merger.
+func (d *Driver) merge(from *Driver) error {
+	for i, r := range d.active {
+		if err := r.(Merger).Merge(from.active[i]); err != nil {
+			return fmt.Errorf("report %s: %w", d.reports[i].Name, err)
+		}
+	}
+	if len(d.pend) == len(from.pend) {
+		for i, n := range from.pend {
+			d.pend[i] += n
+		}
 	}
 	return nil
 }

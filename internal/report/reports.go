@@ -2,6 +2,7 @@ package report
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"time"
 
@@ -45,7 +46,7 @@ type Options struct {
 	Tracer *otrace.Tracer
 
 	// pass is the state the reports of one pass share; set by the Driver
-	// (one per run) and the WindowedDriver (one per window), read by
+	// (one per run, and one per pane of a WindowedDriver), read by
 	// constructors through Symbols and Counter.
 	pass *passState
 }
@@ -170,6 +171,23 @@ func (r *summaryReport) Finalize() (Result, error) {
 	return &SummaryResult{Summary: r.z.Summary()}, nil
 }
 
+func (r *summaryReport) Merge(from Report) error {
+	f, err := mergeable[*summaryReport](r, from)
+	if err == nil {
+		r.z.Merge(f.z)
+	}
+	return err
+}
+
+// mergeable returns from as the concrete type of the report merging it.
+func mergeable[T Report](r T, from Report) (T, error) {
+	f, ok := from.(T)
+	if !ok {
+		return f, fmt.Errorf("report: cannot merge %T into %T", from, r)
+	}
+	return f, nil
+}
+
 // --- traffic: dedup shares and gateway origin share ------------------------
 
 // trafficReport observes the raw stream (dedup flags intact) and derives
@@ -222,6 +240,18 @@ func (r *trafficReport) LiveMetrics() map[string]float64 {
 		m["rebroad_share"] = 1 - float64(r.dedupEntries)/float64(r.entries)
 	}
 	return m
+}
+
+func (r *trafficReport) Merge(from Report) error {
+	f, err := mergeable(r, from)
+	if err == nil {
+		r.entries += f.entries
+		r.requests += f.requests
+		r.dedupEntries += f.dedupEntries
+		r.dedupRequests += f.dedupRequests
+		r.gatewayDedupReqs += f.gatewayDedupReqs
+	}
+	return err
 }
 
 func (r *trafficReport) Finalize() (Result, error) {
@@ -289,6 +319,17 @@ func (r *table1Report) Observe(e trace.Entry) error {
 	return nil
 }
 
+func (r *table1Report) Merge(from Report) error {
+	f, err := mergeable(r, from)
+	if err == nil {
+		for codec, n := range f.counts {
+			r.counts[codec] += n
+		}
+		r.total += f.total
+	}
+	return err
+}
+
 func (r *table1Report) Finalize() (Result, error) {
 	t := &Table1{Total: r.total}
 	for codec, n := range r.counts {
@@ -329,6 +370,18 @@ func (r *table2Report) Observe(e trace.Entry) error {
 	r.counts[region]++
 	r.total++
 	return nil
+}
+
+func (r *table2Report) Merge(from Report) error {
+	f, err := mergeable(r, from)
+	if err == nil {
+		for region, n := range f.counts {
+			r.counts[region] += n
+		}
+		r.total += f.total
+		r.unknown += f.unknown
+	}
+	return err
 }
 
 func (r *table2Report) Finalize() (Result, error) {
@@ -372,6 +425,23 @@ func (r *fig4Report) Observe(e trace.Entry) error {
 	return nil
 }
 
+func (r *fig4Report) Merge(from Report) error {
+	f, err := mergeable(r, from)
+	if err != nil {
+		return err
+	}
+	for k, fb := range f.byBucket {
+		if b, ok := r.byBucket[k]; ok {
+			b.WantBlock += fb.WantBlock
+			b.WantHave += fb.WantHave
+		} else {
+			b := *fb
+			r.byBucket[k] = &b
+		}
+	}
+	return nil
+}
+
 func (r *fig4Report) Finalize() (Result, error) {
 	f := &Fig4{BucketSize: r.bucket}
 	for _, b := range r.byBucket {
@@ -404,10 +474,25 @@ func (p popFeed) Observe(e trace.Entry) error {
 	return p.counter.Write(e)
 }
 
+// merge folds from's counter into p's when p is the report that feeds it.
+func (p popFeed) merge(from popFeed) {
+	if p.feed {
+		p.counter.Merge(from.counter)
+	}
+}
+
 type fig5Report struct {
 	popFeed
 	iters int
 	rng   func() *rand.Rand
+}
+
+func (r *fig5Report) Merge(from Report) error {
+	f, err := mergeable(r, from)
+	if err == nil {
+		r.merge(f.popFeed)
+	}
+	return err
 }
 
 func (r *fig5Report) Finalize() (Result, error) {
@@ -478,6 +563,26 @@ func (r *fig6Report) Observe(e trace.Entry) error {
 	return nil
 }
 
+// Merge adds from's per-slice request counts. Finalize divides them by the
+// slice width, so from must not have been finalized.
+func (r *fig6Report) Merge(from Report) error {
+	f, err := mergeable(r, from)
+	if err != nil {
+		return err
+	}
+	for k, fs := range f.bySlice {
+		if s, ok := r.bySlice[k]; ok {
+			s.AllGateway += fs.AllGateway
+			s.Megagate += fs.Megagate
+			s.NonGateway += fs.NonGateway
+		} else {
+			s := *fs
+			r.bySlice[k] = &s
+		}
+	}
+	return nil
+}
+
 func (r *fig6Report) Finalize() (Result, error) {
 	f := &Fig6{SliceSize: r.slice}
 	secs := r.slice.Seconds()
@@ -497,6 +602,14 @@ type popularityReport struct {
 	popFeed
 	iters int
 	rng   func() *rand.Rand
+}
+
+func (r *popularityReport) Merge(from Report) error {
+	f, err := mergeable(r, from)
+	if err == nil {
+		r.merge(f.popFeed)
+	}
+	return err
 }
 
 func (r *popularityReport) Finalize() (Result, error) {

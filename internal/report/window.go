@@ -1,6 +1,7 @@
 package report
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -22,14 +23,16 @@ type WindowOptions struct {
 	// Keep bounds how many closed windows are retained (and published as
 	// report_window_metric recency slots). Default 8.
 	Keep int
-	// Reports names the registry reports evaluated per window; each window
-	// gets a fresh Driver over them (AddByName: a name listed twice is
-	// rejected), so Finalize consumes nothing shared.
+	// Reports names the registry reports evaluated per window (a name
+	// listed twice is rejected, as AddByName rejects it). A report that
+	// implements Merger is kept once per pane, a Slide-wide Driver that
+	// observes each entry once, and a window closing merges its panes; any
+	// other report keeps one instance per window, fed every entry of it.
 	Reports []string
-	// Opts parametrises each window's report instances.
+	// Opts parametrises every pane's and window's report instances.
 	Opts Options
-	// Dedup is each window Driver's dedup switch: reports declaring
-	// WantsDedup skip duplicate-flagged entries.
+	// Dedup is the pane and window Drivers' dedup switch: reports
+	// declaring WantsDedup skip duplicate-flagged entries.
 	Dedup bool
 	// OnClose, when set, receives every finalized window in order — the
 	// durable-retention hook (e.g. append one JSON line per window, so
@@ -92,24 +95,36 @@ type WindowSnapshot struct {
 	Open        []OpenWindow   `json:"open"`
 }
 
-// windowState is one in-flight window: a Driver over the window's entries.
+// windowState is one in-flight window [start, end), start = k*Slide. Its
+// mergeable reports live in panes k … k+Width/Slide−1; own holds the
+// reports that cannot merge, fed every entry of the window (nil when there
+// are none).
 type windowState struct {
+	k          int64
 	start, end int64 // ns
 	entries    int
-	drv        *Driver
+	own        *Driver
 }
 
 // WindowedDriver evaluates a set of registry reports over tumbling or
 // sliding windows of a live entry stream. It satisfies ingest.Sink, so it
 // attaches anywhere a Driver does — typically behind an ingest.UnifySink on
-// a running simulation's monitors. Each window is a Driver of its own over
-// fresh report instances from the default registry, so windows share the
-// one-pass Observe/Finalize contract and the per-report telemetry
-// (report_entries_observed_total and the two latency histograms) with every
-// other pass; when the stream's watermark passes a window's end, the window
-// is finalized, retained in a bounded ring, published through the
-// report_window_metric{report,metric,window} gauge family, and handed to
-// OnClose for durable retention.
+// a running simulation's monitors.
+//
+// The stream is cut into panes, Slide wide, and each pane is a Driver of
+// its own over fresh instances of the reports that implement Merger, so
+// each entry is observed once however many windows overlap it. When the
+// stream's watermark passes a window's end, the window adopts the report
+// instances of its first pane, which no later window covers, and merges
+// its other Width/Slide−1 panes into them; a tumbling window has one pane
+// and merges nothing. Reports that cannot merge keep one Driver per window,
+// fed every entry of the window. Either way a window reports exactly what a
+// fresh Driver fed the window's entries alone would, and its reports are
+// counted in the per-report telemetry (report_entries_observed_total, per
+// window that covers the entry, and the two latency histograms) like every
+// other pass. A closed window is retained in a bounded ring, published
+// through the report_window_metric{report,metric,window} gauge family, and
+// handed to OnClose for durable retention.
 //
 // Entries must arrive in nondecreasing timestamp order (a unified stream's
 // natural order); a late entry whose windows have already closed is dropped
@@ -118,9 +133,15 @@ type windowState struct {
 type WindowedDriver struct {
 	opts         WindowOptions
 	width, slide int64
+	panesPer     int64 // width / slide
+	// paneNames are the reports kept per pane, ownNames those kept per
+	// window; live indexes the pane reports that are LiveReporters.
+	paneNames, ownNames []string
+	live                []int
 
 	mu        sync.Mutex
 	open      map[int64]*windowState // keyed by start/slide
+	panes     map[int64]*Driver      // keyed by start/slide
 	nextClose int64                  // earliest open-window end; MaxInt64 when none
 	watermark int64
 	anyEntry  bool
@@ -144,17 +165,34 @@ func NewWindowedDriver(opts WindowOptions) (*WindowedDriver, error) {
 	// Probe-build the report set once on a throwaway Driver: a name that
 	// cannot build now (unknown, listed twice, or missing context like a geo
 	// DB) would otherwise surface mid-stream at the first window boundary.
-	if err := NewDriver(opts.Dedup).AddByName(opts.Reports, opts.Opts); err != nil {
+	// The probe also sorts the reports into per-pane and per-window ones; a
+	// tumbling window is one pane, so there every report is kept per pane.
+	probe := NewDriver(opts.Dedup)
+	if err := probe.AddByName(opts.Reports, opts.Opts); err != nil {
 		return nil, err
 	}
-	return &WindowedDriver{
+	d := &WindowedDriver{
 		opts:      opts,
 		width:     int64(opts.Width),
 		slide:     int64(opts.Slide),
+		panesPer:  int64(opts.Width / opts.Slide),
 		open:      make(map[int64]*windowState),
+		panes:     make(map[int64]*Driver),
 		nextClose: math.MaxInt64,
 		m:         repMetrics.Load(),
-	}, nil
+	}
+	for i, r := range probe.active {
+		name := probe.reports[i].Name
+		if _, ok := r.(Merger); !ok && d.panesPer > 1 {
+			d.ownNames = append(d.ownNames, name)
+			continue
+		}
+		if _, ok := r.(LiveReporter); ok {
+			d.live = append(d.live, len(d.paneNames))
+		}
+		d.paneNames = append(d.paneNames, name)
+	}
+	return d, nil
 }
 
 // Write routes one entry into every window covering its timestamp, opening
@@ -187,6 +225,7 @@ func (d *WindowedDriver) Write(e trace.Entry) error {
 	// exactly one k.
 	kMax := floorDiv(ts, d.slide)
 	kMin := floorDiv(ts-d.width, d.slide) + 1
+	took := false
 	for k := kMin; k <= kMax; k++ {
 		st, ok := d.open[k]
 		if !ok {
@@ -206,8 +245,20 @@ func (d *WindowedDriver) Write(e trace.Entry) error {
 				return err
 			}
 		}
+		took = true
 		st.entries++
-		if err := st.drv.Write(e); err != nil {
+		if st.own != nil {
+			if err := st.own.Write(e); err != nil {
+				d.err = err
+				return err
+			}
+		}
+	}
+	if took {
+		// The entry's pane is the first pane of window kMax, which closes
+		// last of the windows containing ts, so it is open and so is the
+		// pane.
+		if err := d.panes[kMax].Write(e); err != nil {
 			d.err = err
 			return err
 		}
@@ -223,16 +274,31 @@ func floorDiv(a, b int64) int64 {
 	return q
 }
 
+// openWindow opens window k, with its first pane: the pane every later
+// entry of the window's first Slide goes to, and the one the window adopts
+// when it closes.
 func (d *WindowedDriver) openWindow(k int64) (*windowState, error) {
-	// The window's Driver is its pass: its reports share a numbering and a
-	// popularity counter of their own, reachable only through them, so both
-	// are garbage with the window and the daemon's memory stays bounded by
-	// the window width.
-	drv := NewDriver(d.opts.Dedup)
-	if err := drv.AddByName(d.opts.Reports, d.opts.Opts); err != nil {
-		return nil, err
+	st := &windowState{k: k, start: k * d.slide, end: k*d.slide + d.width}
+	if len(d.ownNames) > 0 {
+		st.own = NewDriver(d.opts.Dedup)
+		if err := st.own.AddByName(d.ownNames, d.opts.Opts); err != nil {
+			return nil, err
+		}
 	}
-	st := &windowState{start: k * d.slide, end: k*d.slide + d.width, drv: drv}
+	if d.panes[k] == nil {
+		// A pane's Driver is its pass: its reports share a numbering and a
+		// popularity counter of their own, reachable only through them, so
+		// both are garbage with the window that adopts the pane and the
+		// daemon's memory stays bounded by the window width. Its entry
+		// counts are held until that window closes, which counts them once
+		// for every window the pane was merged into.
+		pane := NewDriver(d.opts.Dedup)
+		pane.hold = true
+		if err := pane.AddByName(d.paneNames, d.opts.Opts); err != nil {
+			return nil, err
+		}
+		d.panes[k] = pane
+	}
 	d.open[k] = st
 	if st.end < d.nextClose {
 		d.nextClose = st.end
@@ -266,7 +332,10 @@ func (d *WindowedDriver) closeDue() error {
 }
 
 // finalizeWindow completes one window's reports, retains and publishes the
-// result, and invokes OnClose. Caller holds mu.
+// result, and invokes OnClose. Windows close in start order, so every
+// earlier window covering the window's first pane has merged it already:
+// the window takes that pane's reports over and merges its later panes,
+// which later windows still cover, into them. Caller holds mu.
 func (d *WindowedDriver) finalizeWindow(st *windowState, partial bool) error {
 	res := WindowResult{
 		Start:   time.Unix(0, st.start).UTC(),
@@ -274,10 +343,26 @@ func (d *WindowedDriver) finalizeWindow(st *windowState, partial bool) error {
 		Entries: st.entries,
 		Partial: partial,
 	}
-	results, err := st.drv.Finalize()
-	if err != nil {
+	fail := func(err error) error {
 		return fmt.Errorf("report: window [%s, %s): %w",
 			res.Start.Format(time.RFC3339), res.End.Format(time.RFC3339), err)
+	}
+	drv := d.panes[st.k]
+	delete(d.panes, st.k)
+	for j := st.k + 1; j < st.k+d.panesPer; j++ {
+		if pane := d.panes[j]; pane != nil {
+			if err := drv.merge(pane); err != nil {
+				return fail(err)
+			}
+		}
+	}
+	results, err := drv.Finalize()
+	if st.own != nil {
+		own, ownErr := st.own.Finalize()
+		results, err = append(results, own...), errors.Join(err, ownErr)
+	}
+	if err != nil {
+		return fail(err)
 	}
 	res.Metrics = make(map[string]map[string]float64, len(results))
 	for _, nr := range results {
@@ -333,25 +418,69 @@ func (d *WindowedDriver) Snapshot() WindowSnapshot {
 		Closed:      append([]WindowResult(nil), d.closed...),
 	}
 	for _, st := range d.open {
-		ow := OpenWindow{
+		snap.Open = append(snap.Open, OpenWindow{
 			Start:   time.Unix(0, st.start).UTC(),
 			End:     time.Unix(0, st.end).UTC(),
 			Entries: st.entries,
-		}
-		for i, r := range st.drv.active {
-			lr, ok := r.(LiveReporter)
-			if !ok {
-				continue
-			}
-			if ow.Live == nil {
-				ow.Live = make(map[string]map[string]float64)
-			}
-			ow.Live[st.drv.reports[i].Name] = lr.LiveMetrics()
-		}
-		snap.Open = append(snap.Open, ow)
+			Live:    d.liveMetrics(st),
+		})
 	}
 	sort.Slice(snap.Open, func(i, j int) bool { return snap.Open[i].Start.Before(snap.Open[j].Start) })
 	return snap
+}
+
+// liveMetrics returns an open window's LiveReporter numbers. Caller holds
+// mu.
+func (d *WindowedDriver) liveMetrics(st *windowState) map[string]map[string]float64 {
+	var live map[string]map[string]float64
+	put := func(name string, r Report) {
+		if lr, ok := r.(LiveReporter); ok {
+			if live == nil {
+				live = make(map[string]map[string]float64)
+			}
+			live[name] = lr.LiveMetrics()
+		}
+	}
+	if len(d.live) > 0 {
+		// The view's reports were built and merged once already (at
+		// NewWindowedDriver and by the window's type), so it cannot fail.
+		if view, err := d.paneView(st); err == nil {
+			for _, i := range d.live {
+				put(d.paneNames[i], view.active[i])
+			}
+		}
+	}
+	if st.own != nil {
+		for i, r := range st.own.active {
+			put(st.own.reports[i].Name, r)
+		}
+	}
+	return live
+}
+
+// paneView returns a Driver whose LiveReporter reports hold what window st
+// has observed so far: its one pane for a tumbling window, else the merge
+// of its panes into fresh instances, dropped after use. Caller holds mu.
+func (d *WindowedDriver) paneView(st *windowState) (*Driver, error) {
+	if d.panesPer == 1 {
+		return d.panes[st.k], nil
+	}
+	view := &Driver{dedup: d.opts.Dedup} // no telemetry: a view, not a pass
+	if err := view.AddByName(d.paneNames, d.opts.Opts); err != nil {
+		return nil, err
+	}
+	for j := st.k; j < st.k+d.panesPer; j++ {
+		pane := d.panes[j]
+		if pane == nil {
+			continue
+		}
+		for _, i := range d.live {
+			if err := view.active[i].(Merger).Merge(pane.active[i]); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return view, nil
 }
 
 // Close finalizes every still-open window (marked Partial, since their span

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -259,41 +260,82 @@ func TestWindowedQuietWindowFig5(t *testing.T) {
 	}
 }
 
-// TestWindowedMatchesFreshDriver: every sliding window's reports share a
-// numbering private to the window, so each closed window must report
-// exactly what a fresh Driver reports when fed that window's entries alone
-// — nothing of a neighbouring, overlapping window may leak in.
-func TestWindowedMatchesFreshDriver(t *testing.T) {
-	f := newFixture(t, 4)
-	// Stretch the half-hour fixture over three hours, order and flags kept.
+// stretched returns the fixture's unified trace stretched from half an hour
+// over three hours, order and flags kept.
+func (f *fixture) stretched() []trace.Entry {
 	entries := append([]trace.Entry(nil), f.unified...)
 	for i := range entries {
 		entries[i].Timestamp = t0.Add(6 * entries[i].Timestamp.Sub(t0))
 	}
-	names := []string{"summary", "traffic", "online", "popularity", "fig5"}
-	opts := Options{BootstrapIters: 3, GatewayIDs: f.gatewayIDs}
-	results, _ := feedWindows(t, entries, WindowOptions{
-		Width:   time.Hour,
-		Slide:   15 * time.Minute,
-		Keep:    1 << 20,
-		Reports: names,
-		Opts:    opts,
-		Dedup:   true,
-	})
-	if len(results) < 12 {
-		t.Fatalf("fixture spans %d sliding windows, want a dozen or more", len(results))
+	return entries
+}
+
+// entryReports lists every registered report that observes entries: all but
+// latency_breakdown, which reads spans.
+func entryReports() []string {
+	var names []string
+	for _, name := range Names() {
+		if name != "latency_breakdown" {
+			names = append(names, name)
+		}
 	}
-	for _, res := range results {
-		drv := NewDriver(true)
-		if err := drv.AddByName(names, opts); err != nil {
+	return names
+}
+
+// matchFreshDrivers feeds entries, in the order given, through a windowed
+// driver and checks it against fresh Drivers. The oracle follows the
+// driver's contract: an entry reaches every window that contains its
+// timestamp and ends after the watermark (the latest timestamp seen so far,
+// this entry's included); for every other window containing it, it counts
+// as late. The windows that close must be exactly those some entry
+// reached, in start order, and each must report exactly what a fresh
+// Driver over the names reports when fed the entries that reached it alone.
+// It returns the results and the late count.
+func matchFreshDrivers(t *testing.T, entries []trace.Entry, wopts WindowOptions) ([]WindowResult, uint64) {
+	t.Helper()
+	wopts.Keep = 1 << 20
+	results, wd := feedWindows(t, entries, wopts)
+	width, slide := int64(wopts.Width), int64(wopts.Slide)
+	if slide == 0 {
+		slide = width
+	}
+	seen := make(map[int64][]trace.Entry)
+	var late uint64
+	var watermark int64
+	for i, e := range entries {
+		ts := e.Timestamp.UnixNano()
+		if i == 0 || ts > watermark {
+			watermark = ts
+		}
+		for k := floorDiv(ts-width, slide) + 1; k <= floorDiv(ts, slide); k++ {
+			if k*slide+width <= watermark {
+				late++
+			} else {
+				seen[k] = append(seen[k], e)
+			}
+		}
+	}
+	if got := wd.Snapshot().LateEntries; got != late {
+		t.Errorf("late entries: driver counted %d, the oracle %d", got, late)
+	}
+	var starts []int64
+	for k := range seen {
+		starts = append(starts, k)
+	}
+	sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
+	if len(results) != len(starts) {
+		t.Fatalf("%d windows closed, the oracle has %d", len(results), len(starts))
+	}
+	for i, res := range results {
+		k := starts[i]
+		if res.Start.UnixNano() != k*slide {
+			t.Fatalf("window %d starts %s, the oracle's at %s", i, res.Start, time.Unix(0, k*slide).UTC())
+		}
+		drv := NewDriver(wopts.Dedup)
+		if err := drv.AddByName(wopts.Reports, wopts.Opts); err != nil {
 			t.Fatal(err)
 		}
-		n := 0
-		for _, e := range entries {
-			if e.Timestamp.Before(res.Start) || !e.Timestamp.Before(res.End) {
-				continue
-			}
-			n++
+		for _, e := range seen[k] {
 			if err := drv.Write(e); err != nil {
 				t.Fatal(err)
 			}
@@ -302,7 +344,7 @@ func TestWindowedMatchesFreshDriver(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n != res.Entries {
+		if n := len(seen[k]); n != res.Entries {
 			t.Errorf("window %s: %d entries, the stream has %d there", res.Start.Format(time.TimeOnly), res.Entries, n)
 		}
 		for _, nr := range fresh {
@@ -312,6 +354,135 @@ func TestWindowedMatchesFreshDriver(t *testing.T) {
 			}
 		}
 	}
+	return results, late
+}
+
+// TestWindowedMatchesFreshDriver: every closed window must report exactly
+// what a fresh Driver reports when fed that window's entries alone, though
+// its mergeable reports observed each entry once, in a pane, and reach it
+// by merging panes — nothing of a neighbouring, overlapping window may leak
+// in, and no merge may lose or double anything. The first case is the
+// daemon's shape; the others cover every entry-driven report at 1, 2, 4
+// and 12 panes per window, a gap of empty panes (which closes several
+// windows at once) and an out-of-order entry.
+func TestWindowedMatchesFreshDriver(t *testing.T) {
+	f := newFixture(t, 4)
+	all := f.opts()
+	all.Bucket = 15 * time.Minute
+	all.BootstrapIters = 3
+	// gap moves every entry from the three-quarter mark on three hours
+	// later: three hours of empty panes, which no window opens for.
+	gap := func(entries []trace.Entry) []trace.Entry {
+		for i := 3 * len(entries) / 4; i < len(entries); i++ {
+			entries[i].Timestamp = entries[i].Timestamp.Add(3 * time.Hour)
+		}
+		return entries
+	}
+	// lateEntry inserts, right after the first entry at or past 1:47, a copy
+	// of an entry stamped 1:07. The watermark is then in [1:47, 2:00), so
+	// of the four 1 h windows sliding by 15 m that contain 1:07, those
+	// ending 1:15, 1:30 and 1:45 have closed: the entry is late for three
+	// windows and reaches the one ending 2:00.
+	lateEntry := func(entries []trace.Entry) []trace.Entry {
+		for i, e := range entries {
+			if e.Timestamp.Before(t0.Add(107 * time.Minute)) {
+				continue
+			}
+			if !e.Timestamp.Before(t0.Add(2 * time.Hour)) {
+				t.Fatal("the fixture has no entry in [1:47, 2:00)")
+			}
+			late := entries[i/2]
+			late.Timestamp = t0.Add(67 * time.Minute)
+			return append(entries[:i+1], append([]trace.Entry{late}, entries[i+1:]...)...)
+		}
+		t.Fatal("the fixture ends before 1:47")
+		return nil
+	}
+	for _, tc := range []struct {
+		name       string
+		slide      time.Duration
+		reports    []string
+		opts       Options
+		edit       func([]trace.Entry) []trace.Entry
+		minWindows int
+		late       uint64
+	}{
+		{name: "daemon", slide: 15 * time.Minute,
+			reports:    []string{"summary", "traffic", "online", "popularity", "fig5"},
+			opts:       Options{BootstrapIters: 3, GatewayIDs: f.gatewayIDs},
+			minWindows: 12},
+		{name: "tumbling", slide: time.Hour, reports: entryReports(), opts: all, minWindows: 3},
+		{name: "2 panes", slide: 30 * time.Minute, reports: entryReports(), opts: all, minWindows: 6},
+		{name: "4 panes, gap, late", slide: 15 * time.Minute, reports: entryReports(), opts: all,
+			edit: func(e []trace.Entry) []trace.Entry { return lateEntry(gap(e)) }, minWindows: 12, late: 3},
+		{name: "12 panes, gap", slide: 5 * time.Minute, reports: entryReports(), opts: all,
+			edit: gap, minWindows: 36},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			entries := f.stretched()
+			if tc.edit != nil {
+				entries = tc.edit(entries)
+			}
+			results, late := matchFreshDrivers(t, entries, WindowOptions{
+				Width:   time.Hour,
+				Slide:   tc.slide,
+				Reports: tc.reports,
+				Opts:    tc.opts,
+				Dedup:   true,
+			})
+			if len(results) < tc.minWindows {
+				t.Fatalf("fixture spans %d windows, want %d or more", len(results), tc.minWindows)
+			}
+			if late != tc.late {
+				t.Errorf("%d late entries, want %d", late, tc.late)
+			}
+			if tc.slide < time.Hour && !results[0].Start.Before(entries[0].Timestamp.Truncate(tc.slide)) {
+				t.Errorf("first window starts %s, not before the first entry's pane", results[0].Start)
+			}
+		})
+	}
+}
+
+// FuzzWindowedMatchesFreshDriver is TestWindowedMatchesFreshDriver over
+// drawn streams: a seeded fixture, a Width/Slide ratio, a gap of empty
+// panes, an entry delivered late and a subset of the entry-driven reports.
+func FuzzWindowedMatchesFreshDriver(f *testing.F) {
+	f.Add(int64(1), uint8(3), uint16(900), uint8(5), uint16(400), uint16(50), uint16(0xffff))
+	f.Add(int64(2), uint8(5), uint16(0), uint8(0), uint16(1200), uint16(170), uint16(0x0101))
+	f.Add(int64(3), uint8(0), uint16(1700), uint8(30), uint16(5), uint16(0), uint16(0x00f0))
+	f.Fuzz(func(t *testing.T, seed int64, ratio uint8, gapAt uint16, gapPanes uint8, lateAt, lateBack, mask uint16) {
+		fx := newFixture(t, seed%16)
+		slide := time.Hour / time.Duration([]int{1, 2, 3, 4, 6, 12}[ratio%6])
+		entries := fx.stretched()
+		for i := int(gapAt) % len(entries); gapPanes > 0 && i < len(entries); i++ {
+			entries[i].Timestamp = entries[i].Timestamp.Add(time.Duration(gapPanes%64) * slide)
+		}
+		if lateBack > 0 {
+			i := int(lateAt) % len(entries)
+			late := entries[i]
+			late.Timestamp = late.Timestamp.Add(-time.Duration(lateBack%240) * time.Minute)
+			entries = append(entries[:i+1], append([]trace.Entry{late}, entries[i+1:]...)...)
+		}
+		var names []string
+		for i, name := range entryReports() {
+			if mask&(1<<i) != 0 {
+				names = append(names, name)
+			}
+		}
+		if len(names) == 0 {
+			names = []string{"traffic"}
+		}
+		opts := fx.opts()
+		opts.Bucket = 15 * time.Minute
+		opts.BootstrapIters = 2
+		matchFreshDrivers(t, entries, WindowOptions{
+			Width:   time.Hour,
+			Slide:   slide,
+			Reports: names,
+			Opts:    opts,
+			Dedup:   true,
+		})
+	})
 }
 
 func TestWindowedDriverOptionValidation(t *testing.T) {

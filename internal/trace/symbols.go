@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"math/bits"
+
 	"bitswapmon/internal/cid"
 	"bitswapmon/internal/simnet"
 )
@@ -14,11 +16,12 @@ import (
 // hit the last-resolved memo and pay a comparison.
 //
 // A Symbols keeps every distinct peer and CID it has resolved, so it must
-// not outlive the pass it numbers: a Driver owns one for its run, each
-// window of a WindowedDriver owns one that dies with the window, and a
-// stand-alone Summarizer or popularity.Counter owns a private one. Ids are
-// only meaningful to the Symbols that issued them. Not safe for concurrent
-// use.
+// not outlive the pass it numbers: a Driver owns one for its run, each pane
+// of a WindowedDriver owns one that dies with the window that adopts it,
+// and a stand-alone Summarizer or popularity.Counter owns a private one.
+// Ids are only meaningful to the Symbols that issued them; Translate maps
+// another Symbols' ids onto these, for merging state kept by ids. Not safe
+// for concurrent use.
 type Symbols struct {
 	peers map[simnet.NodeID]uint32
 	cids  map[cid.CID]uint32
@@ -29,6 +32,13 @@ type Symbols struct {
 	lastPeerID uint32
 	lastCID    cid.CID
 	lastCIDID  uint32
+
+	// The last translation built, and the sizes of its source when it was
+	// built: ids are never withdrawn, so it still holds while the source
+	// has numbered nothing new.
+	tr                      *Translation
+	trFrom                  *Symbols
+	trFromPeers, trFromCIDs int
 }
 
 // NewSymbols returns an empty numbering.
@@ -77,6 +87,33 @@ func (s *Symbols) EachCID(f func(id uint32, c cid.CID)) {
 	}
 }
 
+// Translation maps the ids one Symbols issued to the ids another issues
+// for the same peers and CIDs, both indexed by the source id.
+type Translation struct {
+	Peers []uint32
+	CIDs  []uint32
+}
+
+// Translate numbers every peer and CID from has numbered, assigning new
+// ids here on first sight, and returns the map from from's ids to these.
+// The reports of one pass share a Symbols, so when they merge another
+// pass's state one after another, the first builds the translation and the
+// rest get it back for a comparison of two sizes.
+func (s *Symbols) Translate(from *Symbols) *Translation {
+	if s.trFrom == from && s.trFromPeers == len(from.peers) && s.trFromCIDs == len(from.cids) {
+		return s.tr
+	}
+	t := &Translation{Peers: make([]uint32, len(from.peers)), CIDs: make([]uint32, len(from.cids))}
+	for p, id := range from.peers {
+		t.Peers[id] = s.Peer(p)
+	}
+	for c, id := range from.cids {
+		t.CIDs[id] = s.CID(c)
+	}
+	s.tr, s.trFrom, s.trFromPeers, s.trFromCIDs = t, from, len(from.peers), len(from.cids)
+	return t
+}
+
 // idSet is a set of Symbols ids: a bitmap that grows to the largest id
 // added, with the cardinality kept beside it.
 type idSet struct {
@@ -92,5 +129,14 @@ func (s *idSet) add(id uint32) {
 	if m := uint64(1) << (id & 63); s.bits[w]&m == 0 {
 		s.bits[w] |= m
 		s.n++
+	}
+}
+
+// addMapped adds every id of from, translated through to.
+func (s *idSet) addMapped(from *idSet, to []uint32) {
+	for w, word := range from.bits {
+		for ; word != 0; word &= word - 1 {
+			s.add(to[w<<6|bits.TrailingZeros64(word)])
+		}
 	}
 }

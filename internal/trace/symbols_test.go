@@ -138,3 +138,52 @@ func TestSummarizerUndefinedAndZero(t *testing.T) {
 		t.Errorf("summary = %+v, want 4 entries, 2 peers, 2 CIDs", s)
 	}
 }
+
+// TestSymbolsTranslate: a translation maps every id of the source to the id
+// the target gives the same value, numbering values new to the target, and
+// it is rebuilt once the source has numbered more.
+func TestSymbolsTranslate(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	peers := make([]simnet.NodeID, 40)
+	for i := range peers {
+		peers[i] = simnet.RandomNodeID(rng)
+	}
+	cids := make([]cid.CID, 40)
+	for i := range cids {
+		cids[i] = cid.Sum(cid.Raw, []byte{byte(i), 0xa5})
+	}
+	from, to := NewSymbols(), NewSymbols()
+	for i := 0; i < 30; i++ {
+		from.Peer(peers[i])
+		from.CID(cids[i])
+		to.Peer(peers[len(peers)-1-i]) // the same values in another order
+		to.CID(cids[len(cids)-1-i])
+	}
+	numbered := make([]int, 30)
+	for i := range numbered {
+		numbered[i] = i
+	}
+	check := func() {
+		t.Helper()
+		tr := to.Translate(from)
+		if n := len(numbered); len(tr.Peers) != n || len(tr.CIDs) != n {
+			t.Fatalf("translation covers %d peers and %d CIDs, the source numbers %d", len(tr.Peers), len(tr.CIDs), n)
+		}
+		for _, i := range numbered {
+			if got, want := tr.Peers[from.Peer(peers[i])], to.Peer(peers[i]); got != want {
+				t.Fatalf("peer %d: translated to %d, the target's id is %d", i, got, want)
+			}
+			if got, want := tr.CIDs[from.CID(cids[i])], to.CID(cids[i]); got != want {
+				t.Fatalf("CID %d: translated to %d, the target's id is %d", i, got, want)
+			}
+		}
+	}
+	check()
+	if to.Translate(from) != to.Translate(from) {
+		t.Fatal("a repeated translation is built again")
+	}
+	from.Peer(peers[35])
+	from.CID(cids[35])
+	numbered = append(numbered, 35)
+	check()
+}

@@ -230,6 +230,37 @@ func (z *Summarizer) Write(e Entry) error {
 	return nil
 }
 
+// Merge folds from's summary into z, so that z summarizes both streams as
+// one Summarizer that had been written every entry of each would: counts
+// and the per-monitor and per-type maps add, First is the earlier and Last
+// the later of the two, and the distinct peer and CID sets are unions,
+// from's ids translated through z's Symbols. from is left unchanged.
+func (z *Summarizer) Merge(from *Summarizer) {
+	s, f := &z.s, &from.s
+	if f.Entries == 0 {
+		return
+	}
+	s.Entries += f.Entries
+	s.Requests += f.Requests
+	s.Rebroadcasts += f.Rebroadcasts
+	s.InterMonDups += f.InterMonDups
+	for k, v := range f.PerMonitor {
+		s.PerMonitor[k] += v
+	}
+	for k, v := range f.PerType {
+		s.PerType[k] += v
+	}
+	if s.First.IsZero() || f.First.Before(s.First) {
+		s.First = f.First
+	}
+	if f.Last.After(s.Last) {
+		s.Last = f.Last
+	}
+	t := z.syms.Translate(from.syms)
+	z.peers.addMapped(&from.peers, t.Peers)
+	z.cids.addMapped(&from.cids, t.CIDs)
+}
+
 // Summary returns the summary so far. The result is a snapshot: further
 // Write calls do not mutate it.
 func (z *Summarizer) Summary() Summary {

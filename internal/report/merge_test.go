@@ -1,6 +1,7 @@
 package report
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -81,7 +82,7 @@ func TestMergeLaw(t *testing.T) {
 	n := len(f.unified)
 	for _, cut := range []int{0, n / 3, n / 2, n} {
 		s1, s2 := f.unified[:cut], f.unified[cut:]
-		t.Run("pass", func(t *testing.T) {
+		t.Run(fmt.Sprintf("%d+%d/pass", len(s1), len(s2)), func(t *testing.T) {
 			a, b := runDriver(t, names, opts, s1), runDriver(t, names, opts, s2)
 			if 0 < cut && cut < n {
 				assertRenumbered(t, a.pass.syms, b.pass.syms)
@@ -111,7 +112,7 @@ func TestMergeLaw(t *testing.T) {
 			}
 		})
 		for _, name := range names {
-			t.Run(name, func(t *testing.T) {
+			t.Run(fmt.Sprintf("%d+%d/%s", len(s1), len(s2), name), func(t *testing.T) {
 				observe := func(entries ...[]trace.Entry) Report {
 					r, err := New(name, opts)
 					if err != nil {

@@ -277,17 +277,16 @@ func (d *Driver) writeInstrumented(e trace.Entry) error {
 
 // merge folds every report of from into its counterpart here, and adds
 // from's pending entry counts to d's. Both drivers were built by AddByName
-// over the same names and options, and every report is a Merger.
+// over the same names and options with the same telemetry handle, and every
+// report is a Merger.
 func (d *Driver) merge(from *Driver) error {
 	for i, r := range d.active {
 		if err := r.(Merger).Merge(from.active[i]); err != nil {
 			return fmt.Errorf("report %s: %w", d.reports[i].Name, err)
 		}
 	}
-	if len(d.pend) == len(from.pend) {
-		for i, n := range from.pend {
-			d.pend[i] += n
-		}
+	for i, n := range from.pend {
+		d.pend[i] += n
 	}
 	return nil
 }

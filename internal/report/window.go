@@ -274,9 +274,10 @@ func floorDiv(a, b int64) int64 {
 	return q
 }
 
-// openWindow opens window k, with its first pane: the pane every later
-// entry of the window's first Slide goes to, and the one the window adopts
-// when it closes.
+// openWindow opens window k, with its first pane: the pane every entry of
+// the window's first Slide goes to, and the one the window adopts when it
+// closes. No entry can have reached pane k before: it would have opened
+// window k.
 func (d *WindowedDriver) openWindow(k int64) (*windowState, error) {
 	st := &windowState{k: k, start: k * d.slide, end: k*d.slide + d.width}
 	if len(d.ownNames) > 0 {
@@ -285,20 +286,18 @@ func (d *WindowedDriver) openWindow(k int64) (*windowState, error) {
 			return nil, err
 		}
 	}
-	if d.panes[k] == nil {
-		// A pane's Driver is its pass: its reports share a numbering and a
-		// popularity counter of their own, reachable only through them, so
-		// both are garbage with the window that adopts the pane and the
-		// daemon's memory stays bounded by the window width. Its entry
-		// counts are held until that window closes, which counts them once
-		// for every window the pane was merged into.
-		pane := NewDriver(d.opts.Dedup)
-		pane.hold = true
-		if err := pane.AddByName(d.paneNames, d.opts.Opts); err != nil {
-			return nil, err
-		}
-		d.panes[k] = pane
+	// A pane's Driver is its pass: its reports share a numbering and a
+	// popularity counter of their own, reachable only through them, so both
+	// are garbage with the window that adopts the pane and the daemon's
+	// memory stays bounded by the window width. Its entry counts are held
+	// until that window closes, which counts them once for every window the
+	// pane was merged into; every pane shares the driver's telemetry handle,
+	// so their counts line up.
+	pane := &Driver{dedup: d.opts.Dedup, m: d.m, hold: true}
+	if err := pane.AddByName(d.paneNames, d.opts.Opts); err != nil {
+		return nil, err
 	}
+	d.panes[k] = pane
 	d.open[k] = st
 	if st.end < d.nextClose {
 		d.nextClose = st.end
@@ -442,8 +441,8 @@ func (d *WindowedDriver) liveMetrics(st *windowState) map[string]map[string]floa
 		}
 	}
 	if len(d.live) > 0 {
-		// The view's reports were built and merged once already (at
-		// NewWindowedDriver and by the window's type), so it cannot fail.
+		// paneView fails only where NewWindowedDriver's probe would have,
+		// or where merging these panes at the window's close will.
 		if view, err := d.paneView(st); err == nil {
 			for _, i := range d.live {
 				put(d.paneNames[i], view.active[i])

@@ -255,9 +255,9 @@ func (d *WindowedDriver) Write(e trace.Entry) error {
 		}
 	}
 	if took {
-		// The entry's pane is the first pane of window kMax, which closes
-		// last of the windows containing ts, so it is open and so is the
-		// pane.
+		// The entry's pane is the first pane of window kMax. That window
+		// ends last of those containing ts, so if any of them took the
+		// entry it is open, and so is its first pane.
 		if err := d.panes[kMax].Write(e); err != nil {
 			d.err = err
 			return err

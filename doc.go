@@ -41,25 +41,26 @@
 // default the small preset) with sweep.Start, the build and discarded
 // warm-up every sweep run goes through, then advances it step by step, so a
 // bounded daemon records the same entries as a sweep run of the same spec,
-// into the same DIR/mon-M.segments layout. Registry reports are evaluated
-// over rolling windows of the live stream
-// (report.WindowedDriver, one report.Driver per slide-wide pane merged into
-// each window as it closes, published as the
-// report_window_metric gauge family and served as JSON on /reports), while
+// into the same DIR/mon-M.segments layout. The reports are evaluated over
+// rolling windows of the live stream (report.WindowedDriver: the open
+// windows are one start-ordered run, each holding a report.Driver over its
+// first slide-wide pane, and a closing window merges the later panes into
+// its own; published as the report_window_metric gauge family and served
+// as JSON on /reports), while
 // an ingest.Maintainer compacts small sealed segments into generation-2
 // segments and expires raw data behind a retention horizon — rolled-up
 // window results stay durable after their raw segments are gone, and
 // SIGTERM always leaves sealed, reopenable stores.
 //
-// Analysis is registry-driven: every table and figure is a streaming
-// internal/report Report (Observe one entry, Finalize a Result), and a
-// Driver tees a single pass — over files, segment stores, a live
-// simulation, or one window of the daemon's stream — through any named
-// combination. Whoever compares numbers reads them the same way, through a
+// Analysis is report-driven: every table and figure is a streaming
+// internal/report Report (Observe one entry, Finalize a Result), built by
+// name from one fixed table of constructors, and a Driver tees a single
+// pass — over files, segment stores, a live simulation, or one window of
+// the daemon's stream — through any named combination. Whoever compares numbers reads them the same way, through a
 // Result's Metrics() map: the per-window gauges and /reports, and sweep
 // summaries, whose summary.json holds each metric once, by name. Adding a
-// metric means registering a report; bsanalyze, sweeps and the daemon pick
-// it up by name.
+// metric means adding a report to that table; bsanalyze, sweeps and the
+// daemon pick it up by name.
 //
 // Runtime telemetry lives in internal/obs: a dependency-free metrics layer
 // (counters, gauges, histograms, labeled families) with Prometheus text

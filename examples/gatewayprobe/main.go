@@ -13,6 +13,7 @@ import (
 	"bitswapmon/internal/ingest"
 	"bitswapmon/internal/monitor"
 	"bitswapmon/internal/simnet"
+	"bitswapmon/internal/sweep"
 	"bitswapmon/internal/trace"
 	"bitswapmon/internal/workload"
 )
@@ -43,10 +44,7 @@ func run() error {
 	w.Run(2 * time.Hour)
 
 	// Probe every listed gateway with a fresh random CID each.
-	prober := attacks.NewGatewayProber(w.Net, w.Monitors, w.Net.NewRand("probe"))
-	var results []attacks.ProbeResult
-	prober.ProbeAll(w.Registry, func(r []attacks.ProbeResult) { results = r })
-	w.Run(time.Duration(len(w.Registry.All())+2) * prober.WaitFor)
+	results := sweep.ProbeGateways(w)
 
 	truth := w.Registry.NodeIDs()
 	identified, total, correct := attacks.CrossReference(results, truth)

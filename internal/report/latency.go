@@ -16,23 +16,26 @@ import (
 // Only traced simulation and replay contexts can supply one.
 var ErrNoTracer = errors.New("report: latency_breakdown needs a span recorder (Options.Tracer is nil) — enable request tracing to use it")
 
-func init() {
-	Default.Register("latency_breakdown", func(o Options) (Report, error) {
-		if o.Tracer == nil {
-			return nil, ErrNoTracer
-		}
-		return &latencyReport{tr: o.Tracer}, nil
-	})
+func newLatencyReport(o Options) (Report, error) {
+	if o.Tracer == nil {
+		return nil, ErrNoTracer
+	}
+	return &latencyReport{tr: o.Tracer}, nil
 }
 
 // latencyReport derives per-stage latency distributions from the flight
 // recorder's spans. It ignores the entry stream entirely: the breakdown is
 // span-driven, so Observe is a no-op and all the work happens at Finalize,
-// after the run has filled the rings.
+// after the run has filled the rings. Its only state is the tracer, which
+// every instance of a pass shares, so Merge has nothing to fold.
 type latencyReport struct{ tr *otrace.Tracer }
 
 func (r *latencyReport) WantsDedup() bool          { return false }
 func (r *latencyReport) Observe(trace.Entry) error { return nil }
+func (r *latencyReport) Merge(from Report) error {
+	_, err := mergeable[*latencyReport](r, from)
+	return err
+}
 func (r *latencyReport) Finalize() (Result, error) {
 	return BreakdownFromSpans(r.tr.Spans(), r.tr.Dropped()), nil
 }

@@ -7,17 +7,16 @@ import (
 	"time"
 
 	"bitswapmon/internal/ingest"
+	"bitswapmon/internal/otrace"
 	"bitswapmon/internal/trace"
 )
 
-// mergerNames lists the registered reports that implement Merger.
+// mergerNames lists the reports that implement Merger. opts must carry a
+// Tracer, which latency_breakdown needs.
 func mergerNames(t *testing.T, opts Options) []string {
 	t.Helper()
 	var names []string
 	for _, name := range Names() {
-		if name == "latency_breakdown" {
-			continue
-		}
 		r, err := New(name, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -68,8 +67,9 @@ func TestMergeLaw(t *testing.T) {
 	opts := f.opts()
 	opts.Bucket = 10 * time.Minute // several fig4 buckets and fig6 slices per half
 	opts.BootstrapIters = 5
+	opts.Tracer = spanTracer()
 	names := mergerNames(t, opts)
-	for _, want := range []string{"summary", "traffic", "table1", "table2", "fig4", "fig5", "fig6", "popularity"} {
+	for _, want := range []string{"summary", "traffic", "table1", "table2", "fig4", "fig5", "fig6", "popularity", "latency_breakdown"} {
 		found := false
 		for _, name := range names {
 			found = found || name == want
@@ -148,6 +148,17 @@ func TestMergeLaw(t *testing.T) {
 	}
 }
 
+// spanTracer returns a span recorder holding one finished request with a
+// Bitswap round under it, enough for latency_breakdown to report stages.
+func spanTracer() *otrace.Tracer {
+	tr := otrace.New(otrace.Config{Sample: 1, Seed: 1})
+	vt := func(ns int64) time.Time { return time.Unix(0, ns) }
+	req := tr.Root(1, "request", "gw", vt(0))
+	tr.Start(req.Ctx(), "bitswap.get", "n1", vt(100)).End(vt(300))
+	req.End(vt(1000))
+	return tr
+}
+
 // assertRenumbered fails unless some peer and some CID that both
 // numberings know carry different ids in them.
 func assertRenumbered(t *testing.T, a, b *trace.Symbols) {
@@ -175,6 +186,7 @@ func assertRenumbered(t *testing.T, a, b *trace.Symbols) {
 func TestMergeRejectsOtherReport(t *testing.T) {
 	f := newFixture(t, 1)
 	opts := f.opts()
+	opts.Tracer = spanTracer()
 	traffic, err := New("traffic", opts)
 	if err != nil {
 		t.Fatal(err)

@@ -30,8 +30,8 @@ var repMetrics atomic.Pointer[reportMetrics]
 
 // EnableMetrics registers the report metrics in r (obs.Default when nil) and
 // turns instrumentation on for drivers created afterwards. When never
-// called, Driver.Write pays only a nil check on a pointer resolved at
-// NewDriver.
+// called, Driver.Write pays only its write count and two nil checks on a
+// pointer resolved at NewDriver.
 func EnableMetrics(r *obs.Registry) {
 	if r == nil {
 		r = obs.Default
@@ -70,7 +70,7 @@ type LiveReporter interface {
 	LiveMetrics() map[string]float64
 }
 
-// reportHandles is one report's slice of reportMetrics, resolved at Add so
+// reportHandles is one report's slice of reportMetrics, resolved at add so
 // the write path touches no label maps.
 type reportHandles struct {
 	entries  *obs.Counter
@@ -80,9 +80,11 @@ type reportHandles struct {
 
 const (
 	// counterFlushStride bounds the staleness of report_entries_observed:
-	// per-report counts accumulate in a plain slice and flush to the atomic
-	// counters every this many driver writes (and at Finalize), so the
-	// instrumented hot path stays within the <=5% overhead budget.
+	// the driver counts its writes in two plain integers and flushes them to
+	// the atomic counters every this many driver writes (and at Finalize),
+	// so the instrumented hot path stays within the <=5% overhead budget. It
+	// is a multiple of observeSampleStride, so resetting the count at a
+	// flush keeps the timing sample 1-in-observeSampleStride.
 	counterFlushStride = 4096
 	// observeSampleStride picks which writes get per-report Observe timing;
 	// 1-in-1024 keeps two time.Now calls per report off the common path
@@ -91,13 +93,18 @@ const (
 	observeSampleStride = 1024
 )
 
-// flushCounts drains the batched per-report entry counts into the atomic
-// counters.
+// flushCounts adds each report's entries since the last flush to its
+// counter: every entry written, less the duplicates withheld from it when
+// it wants dedup.
 func (d *Driver) flushCounts() {
-	for i, n := range d.pend {
+	for i, r := range d.active {
+		n := d.written
+		if r.WantsDedup() {
+			n -= d.dups
+		}
 		if n > 0 {
 			d.met[i].entries.Add(n)
-			d.pend[i] = 0
 		}
 	}
+	d.written, d.dups = 0, 0
 }

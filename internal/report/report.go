@@ -1,7 +1,7 @@
 // Package report is the unified streaming analysis surface: every table and
 // figure derived from a monitoring trace is a Report that observes one entry
-// at a time and finalizes into a Result. A name-keyed Registry constructs
-// reports from Options, and a Driver tees a single pass over any
+// at a time and finalizes into a Result. New constructs a built-in report
+// by name from Options, and a Driver tees a single pass over any
 // ingest.EntrySource — or, since the Driver is itself an ingest.Sink, a live
 // simulation — through any combination of reports.
 //
@@ -9,9 +9,9 @@
 // ComputeTable1/2) that demanded a fully materialized []trace.Entry: every
 // built-in report accumulates in one pass with memory bounded by its own
 // state (codec counters, time buckets, popularity score maps), never by
-// trace length. Adding a new metric is a one-file change: implement Report,
-// register a constructor, and every consumer — bsanalyze, sweep summaries,
-// live experiment sinks — can run it by name.
+// trace length. Adding a new metric means implementing Report and adding
+// its constructor to the report table, and every consumer — bsanalyze,
+// sweep summaries, the daemon's windows — can run it by name.
 package report
 
 import (
@@ -48,7 +48,9 @@ type Report interface {
 // of the same report built with the same options, never finalized, and it
 // is left unchanged, so it can be merged into other instances too.
 // WindowedDriver keeps a mergeable report once per pane and merges the
-// panes of a window when it closes.
+// panes of a window when it closes. Every built-in report but online is a
+// Merger; latency_breakdown merges trivially, its only state being the
+// tracer every instance reads at Finalize.
 //
 // Reports of one pass share their Symbols and popularity counter, so
 // merging one of them stands for the whole pass only when every report of
@@ -67,62 +69,29 @@ type Result interface {
 	Metrics() map[string]float64
 }
 
-// Constructor builds one report instance from shared options.
-type Constructor func(Options) (Report, error)
-
-// Registry maps report names to constructors.
-type Registry struct {
-	ctors map[string]Constructor
-}
-
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{ctors: make(map[string]Constructor)}
-}
-
-// Register adds (or replaces) a named constructor.
-func (r *Registry) Register(name string, c Constructor) {
-	r.ctors[name] = c
-}
-
-// ErrUnknownReport is wrapped by New for unregistered names.
+// ErrUnknownReport is wrapped by New for names not in the report table.
 var ErrUnknownReport = errors.New("report: unknown report")
 
-// New constructs the named report. Unknown names error with the list of
-// registered names, so callers (e.g. bsanalyze) can surface what is
+// New constructs the named built-in report. Unknown names error with the
+// list of report names, so callers (e.g. bsanalyze) can surface what is
 // available.
-func (r *Registry) New(name string, opts Options) (Report, error) {
-	ctor, ok := r.ctors[name]
+func New(name string, opts Options) (Report, error) {
+	ctor, ok := reports[name]
 	if !ok {
-		return nil, fmt.Errorf("%w %q (available: %s)", ErrUnknownReport, name, strings.Join(r.Names(), ", "))
+		return nil, fmt.Errorf("%w %q (available: %s)", ErrUnknownReport, name, strings.Join(Names(), ", "))
 	}
 	return ctor(opts)
 }
 
-// Has reports whether name is registered.
-func (r *Registry) Has(name string) bool {
-	_, ok := r.ctors[name]
-	return ok
-}
-
-// Names lists the registered report names, sorted.
-func (r *Registry) Names() []string {
-	out := make([]string, 0, len(r.ctors))
-	for name := range r.ctors {
+// Names lists the built-in report names, sorted.
+func Names() []string {
+	out := make([]string, 0, len(reports))
+	for name := range reports {
 		out = append(out, name)
 	}
 	sort.Strings(out)
 	return out
 }
-
-// Default is the registry holding the built-in reports.
-var Default = NewRegistry()
-
-// New constructs a report from the default registry.
-func New(name string, opts Options) (Report, error) { return Default.New(name, opts) }
-
-// Names lists the default registry's report names.
-func Names() []string { return Default.Names() }
 
 // NamedResult pairs a finalized result with the report name that produced
 // it.
@@ -153,20 +122,22 @@ type Driver struct {
 	dedup   bool
 	reports []NamedResult // Result nil until Finalize
 	active  []Report
-	// pass is what the reports AddNew constructs share (peer/CID numbering,
-	// popularity counter); it lives as long as the driver's one pass.
+	// pass is what the reports AddByName constructs share (peer/CID
+	// numbering, popularity counter); it lives as long as the driver's one
+	// pass.
 	pass *passState
 
-	// m is the telemetry handle resolved at NewDriver; nil (metrics never
-	// enabled) keeps Write at a single branch. pend batches per-report
-	// entry counts between flushes; written counts driver writes for the
-	// flush/sample strides.
+	// m is the telemetry handle resolved at NewDriver; nil when metrics
+	// were never enabled. written counts the entries written since the last
+	// flush and dups those of them withheld from reports that want dedup,
+	// so a report's entry count is written, less dups when it WantsDedup.
 	m       *reportMetrics
 	met     []reportHandles
-	pend    []uint64
 	written uint64
-	// hold keeps pend from flushing before Finalize: a WindowedDriver pane
-	// is counted once per window that merges it, when that window closes.
+	dups    uint64
+	// hold keeps the counts from flushing before Finalize: a WindowedDriver
+	// pane is counted once per window that merges it, when that window
+	// closes.
 	hold bool
 }
 
@@ -177,8 +148,8 @@ func NewDriver(dedup bool) *Driver {
 	return &Driver{dedup: dedup, m: repMetrics.Load()}
 }
 
-// Add attaches one report instance under a display name.
-func (d *Driver) Add(name string, r Report) {
+// add attaches one report instance under a display name.
+func (d *Driver) add(name string, r Report) {
 	d.reports = append(d.reports, NamedResult{Name: name})
 	d.active = append(d.active, r)
 	if d.m != nil {
@@ -187,71 +158,46 @@ func (d *Driver) Add(name string, r Report) {
 			observe:  d.m.observe.With(name),
 			finalize: d.m.finalize.With(name),
 		})
-		d.pend = append(d.pend, 0)
 	}
 }
 
-// AddNew constructs a report from opts bound to this driver's pass — the
-// constructor's Options.Symbols and Options.Counter are the ones every
-// other report of the pass gets — and attaches it under name. A name
-// already attached to this driver is rejected (running a report twice
-// doubles its per-entry work for an identical result).
-func (d *Driver) AddNew(name string, ctor Constructor, opts Options) error {
-	for _, nr := range d.reports {
-		if nr.Name == name {
-			return fmt.Errorf("report: %q listed twice", name)
-		}
-	}
+// AddByName constructs each named report from opts bound to this driver's
+// pass — every report of the pass gets the same Options.Symbols and
+// Options.Counter — and attaches it. The first unknown name aborts with
+// New's available-names error; a name already attached to this driver is
+// rejected (running a report twice doubles its per-entry work for an
+// identical result).
+func (d *Driver) AddByName(names []string, opts Options) error {
 	if d.pass == nil {
 		d.pass = newPassState()
 	}
 	opts.pass = d.pass
-	r, err := ctor(opts)
-	if err != nil {
-		return err
-	}
-	d.Add(name, r)
-	return nil
-}
-
-// AddByName resolves each name through the default registry and attaches
-// the report with AddNew. The first unknown name aborts with the registry's
-// available-names error.
-func (d *Driver) AddByName(names []string, opts Options) error {
 	for _, name := range names {
-		ctor := func(o Options) (Report, error) { return New(name, o) }
-		if err := d.AddNew(name, ctor, opts); err != nil {
+		for _, nr := range d.reports {
+			if nr.Name == name {
+				return fmt.Errorf("report: %q listed twice", name)
+			}
+		}
+		r, err := New(name, opts)
+		if err != nil {
 			return err
 		}
+		d.add(name, r)
 	}
 	return nil
 }
 
 // Write routes one entry to every attached report, honouring each report's
-// dedup requirement.
+// dedup requirement. With telemetry on, Observe latency is timed on a
+// 1-in-observeSampleStride sample of writes and the entry counts flush
+// every counterFlushStride writes.
 func (d *Driver) Write(e trace.Entry) error {
-	if d.m != nil {
-		return d.writeInstrumented(e)
-	}
-	dup := d.dedup && e.IsDuplicate()
-	for _, r := range d.active {
-		if dup && r.WantsDedup() {
-			continue
-		}
-		if err := r.Observe(e); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// writeInstrumented is Write with telemetry: per-report entry counts batch
-// in pend and flush every counterFlushStride writes, and Observe latency is
-// timed on a 1-in-observeSampleStride sample.
-func (d *Driver) writeInstrumented(e trace.Entry) error {
 	dup := d.dedup && e.IsDuplicate()
 	d.written++
-	sample := d.written%observeSampleStride == 0
+	if dup {
+		d.dups++
+	}
+	sample := d.m != nil && d.written%observeSampleStride == 0
 	for i, r := range d.active {
 		if dup && r.WantsDedup() {
 			continue
@@ -267,27 +213,25 @@ func (d *Driver) writeInstrumented(e trace.Entry) error {
 		} else if err := r.Observe(e); err != nil {
 			return err
 		}
-		d.pend[i]++
 	}
-	if d.written%counterFlushStride == 0 && !d.hold {
+	if d.m != nil && d.written%counterFlushStride == 0 && !d.hold {
 		d.flushCounts()
 	}
 	return nil
 }
 
 // merge folds every report of from into its counterpart here, and adds
-// from's pending entry counts to d's. Both drivers were built by AddByName
-// over the same names and options with the same telemetry handle, and every
-// report is a Merger.
+// from's entry counts to d's. Both drivers were built by AddByName over the
+// same names and options with the same telemetry handle, and every report
+// is a Merger.
 func (d *Driver) merge(from *Driver) error {
 	for i, r := range d.active {
 		if err := r.(Merger).Merge(from.active[i]); err != nil {
 			return fmt.Errorf("report %s: %w", d.reports[i].Name, err)
 		}
 	}
-	for i, n := range from.pend {
-		d.pend[i] += n
-	}
+	d.written += from.written
+	d.dups += from.dups
 	return nil
 }
 

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -15,6 +16,7 @@ import (
 	"bitswapmon/internal/cid"
 	"bitswapmon/internal/geoip"
 	"bitswapmon/internal/ingest"
+	"bitswapmon/internal/obs"
 	"bitswapmon/internal/otrace"
 	"bitswapmon/internal/popularity"
 	"bitswapmon/internal/simnet"
@@ -533,7 +535,7 @@ func TestFinalizePartialResults(t *testing.T) {
 	if err := drv.AddByName([]string{"summary", "fig5"}, Options{BootstrapIters: 2}); err != nil {
 		t.Fatal(err)
 	}
-	drv.Add("broken", failingReport{})
+	drv.add("broken", failingReport{})
 	e := trace.Entry{Timestamp: t0, Monitor: "us", Type: wire.WantHave, CID: cid.Sum(cid.Raw, []byte("x"))}
 	if err := drv.Write(e); err != nil {
 		t.Fatal(err)
@@ -574,6 +576,44 @@ func TestFinalizePartialResults(t *testing.T) {
 	}
 }
 
+// TestDriverEntryCounts: with telemetry on, a Driver counts each report's
+// entries as every entry written, less the duplicates withheld from it when
+// it wants dedup, across flushes, and times Observe on one write in 1024.
+// The fixture is fed three times, so the pass crosses a counter flush.
+func TestDriverEntryCounts(t *testing.T) {
+	reg := obs.NewRegistry()
+	EnableMetrics(reg)
+	defer EnableMetrics(obs.NewRegistry()) // isolate later tests from reg
+
+	f := newFixture(t, 8)
+	drv := NewDriver(true)
+	if err := drv.AddByName([]string{"table1", "table2"}, f.opts()); err != nil {
+		t.Fatal(err)
+	}
+	const passes = 3
+	for i := 0; i < passes; i++ {
+		if err := drv.Run(ingest.SliceSource(f.unified)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n := passes * len(f.unified)
+	if n <= counterFlushStride {
+		t.Fatalf("%d writes do not cross a counter flush", n)
+	}
+	if _, err := drv.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	snap := reg.Snapshot()
+	for report, want := range map[string]int{"table1": n, "table2": passes * len(f.dedup)} {
+		if got := snap[`report_entries_observed_total{report="`+report+`"}`]; got != float64(want) {
+			t.Errorf("report_entries_observed_total{report=%q} = %v, want %d", report, got, want)
+		}
+	}
+	if got, want := snap[`report_observe_seconds_count{report="table1"}`], float64(n/observeSampleStride); got != want {
+		t.Errorf("table1 timed %v Observe calls, want %v", got, want)
+	}
+}
+
 func TestRegistryUnknownName(t *testing.T) {
 	_, err := New("vibes", Options{})
 	if !errors.Is(err, ErrUnknownReport) {
@@ -584,8 +624,8 @@ func TestRegistryUnknownName(t *testing.T) {
 			t.Errorf("unknown-report error does not list %q: %v", name, err)
 		}
 	}
-	if !Default.Has("table1") || Default.Has("vibes") {
-		t.Error("Has() disagrees with registry contents")
+	if names := Names(); !slices.Contains(names, "table1") || slices.Contains(names, "vibes") {
+		t.Errorf("Names() = %v, want table1 and no vibes", names)
 	}
 }
 

@@ -117,35 +117,38 @@ func (o Options) rand() *rand.Rand {
 	return rand.New(rand.NewSource(1))
 }
 
-func init() {
-	Default.Register("summary", func(o Options) (Report, error) {
+// reports maps each built-in report's name to its constructor. Adding a
+// report means adding its entry here; New, Names, bsanalyze -report, sweep
+// specs and the daemon's -window-reports all read this table.
+var reports = map[string]func(Options) (Report, error){
+	"summary": func(o Options) (Report, error) {
 		return &summaryReport{z: trace.NewSummarizerWith(o.Symbols())}, nil
-	})
-	Default.Register("traffic", func(o Options) (Report, error) {
+	},
+	"traffic": func(o Options) (Report, error) {
 		return &trafficReport{gatewayIDs: o.GatewayIDs}, nil
-	})
-	Default.Register("online", func(o Options) (Report, error) {
+	},
+	"online": func(o Options) (Report, error) {
 		return &onlineReport{
 			stats: ingest.NewOnlineStats(ingest.StatsOptions{Bucket: o.bucket(), TopK: o.topK()}),
 			topK:  o.topK(),
 		}, nil
-	})
-	Default.Register("table1", func(Options) (Report, error) {
+	},
+	"table1": func(Options) (Report, error) {
 		return &table1Report{counts: make(map[cid.Codec]int)}, nil
-	})
-	Default.Register("table2", func(o Options) (Report, error) {
+	},
+	"table2": func(o Options) (Report, error) {
 		if o.Geo == nil {
 			return nil, ErrNilGeoDB
 		}
 		return &table2Report{db: o.Geo, counts: make(map[simnet.Region]int)}, nil
-	})
-	Default.Register("fig4", func(o Options) (Report, error) {
+	},
+	"fig4": func(o Options) (Report, error) {
 		return &fig4Report{bucket: o.bucket(), byBucket: make(map[int64]*Fig4Bucket)}, nil
-	})
-	Default.Register("fig5", func(o Options) (Report, error) {
+	},
+	"fig5": func(o Options) (Report, error) {
 		return &fig5Report{popFeed: newPopFeed(o), iters: o.bootstrapIters(), rng: o.rand}, nil
-	})
-	Default.Register("fig6", func(o Options) (Report, error) {
+	},
+	"fig6": func(o Options) (Report, error) {
 		if o.GatewayIDs == nil {
 			return nil, ErrNoGatewayIDs
 		}
@@ -155,10 +158,11 @@ func init() {
 			megagateIDs: o.MegagateIDs,
 			bySlice:     make(map[int64]*Fig6Slice),
 		}, nil
-	})
-	Default.Register("popularity", func(o Options) (Report, error) {
+	},
+	"popularity": func(o Options) (Report, error) {
 		return &popularityReport{popFeed: newPopFeed(o), iters: o.bootstrapIters(), rng: o.rand}, nil
-	})
+	},
+	"latency_breakdown": newLatencyReport,
 }
 
 // --- summary: raw unified-trace summary ------------------------------------

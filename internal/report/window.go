@@ -3,8 +3,6 @@ package report
 import (
 	"errors"
 	"fmt"
-	"math"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -23,7 +21,7 @@ type WindowOptions struct {
 	// Keep bounds how many closed windows are retained (and published as
 	// report_window_metric recency slots). Default 8.
 	Keep int
-	// Reports names the registry reports evaluated per window (a name
+	// Reports names the reports evaluated per window (a name
 	// listed twice is rejected, as AddByName rejects it). A report that
 	// implements Merger is kept once per pane, a Slide-wide Driver that
 	// observes each entry once, and a window closing merges its panes; any
@@ -95,36 +93,41 @@ type WindowSnapshot struct {
 	Open        []OpenWindow   `json:"open"`
 }
 
-// windowState is one in-flight window [start, end), start = k*Slide. Its
-// mergeable reports live in panes k … k+Width/Slide−1; own holds the
+// windowState is one open window [start, end), start = k*Slide. pane is
+// its first pane, the Driver over the mergeable reports that every entry of
+// the window's first Slide goes to; the window adopts it when it closes and
+// merges into it the first panes of the windows after it. own holds the
 // reports that cannot merge, fed every entry of the window (nil when there
 // are none).
 type windowState struct {
 	k          int64
 	start, end int64 // ns
 	entries    int
-	own        *Driver
+	pane, own  *Driver
 }
 
-// WindowedDriver evaluates a set of registry reports over tumbling or
+// WindowedDriver evaluates a set of reports over tumbling or
 // sliding windows of a live entry stream. It satisfies ingest.Sink, so it
 // attaches anywhere a Driver does — typically behind an ingest.UnifySink on
 // a running simulation's monitors.
 //
 // The stream is cut into panes, Slide wide, and each pane is a Driver of
 // its own over fresh instances of the reports that implement Merger, so
-// each entry is observed once however many windows overlap it. When the
-// stream's watermark passes a window's end, the window adopts the report
-// instances of its first pane, which no later window covers, and merges
-// its other Width/Slide−1 panes into them; a tumbling window has one pane
-// and merges nothing. Reports that cannot merge keep one Driver per window,
-// fed every entry of the window. Either way a window reports exactly what a
-// fresh Driver fed the window's entries alone would, and its reports are
-// counted in the per-report telemetry (report_entries_observed_total, per
-// window that covers the entry, and the two latency histograms) like every
-// other pass. A closed window is retained in a bounded ring, published
-// through the report_window_metric{report,metric,window} gauge family, and
-// handed to OnClose for durable retention.
+// each entry is observed once however many windows overlap it. The open
+// windows are one start-ordered run: after every write they are exactly
+// the Width/Slide windows that cover the watermark, each holding its first
+// pane. When the watermark passes the first window's end, that window
+// adopts its first pane's report instances, which no later window covers,
+// and merges the first panes of the windows after it into them; a tumbling
+// window has one pane and merges nothing. Reports that cannot merge (only
+// online) keep one Driver per window, fed every entry of it. Either way a
+// window reports exactly what a fresh Driver fed the window's entries alone
+// would, and its reports are counted in the per-report telemetry
+// (report_entries_observed_total, per window that covers the entry, and the
+// two latency histograms) like every other pass. A closed window is
+// retained in a bounded ring, published through the
+// report_window_metric{report,metric,window} gauge family, and handed to
+// OnClose for durable retention.
 //
 // Entries must arrive in nondecreasing timestamp order (a unified stream's
 // natural order); a late entry whose windows have already closed is dropped
@@ -139,12 +142,13 @@ type WindowedDriver struct {
 	paneNames, ownNames []string
 	live                []int
 
-	mu        sync.Mutex
-	open      map[int64]*windowState // keyed by start/slide
-	panes     map[int64]*Driver      // keyed by start/slide
-	nextClose int64                  // earliest open-window end; MaxInt64 when none
+	mu sync.Mutex
+	// open holds the open windows in start order: consecutive starts, the
+	// last at floor(watermark/Slide)·Slide, so every window after the first
+	// starts inside the first's span. It is empty only before the first
+	// write.
+	open      []*windowState
 	watermark int64
-	anyEntry  bool
 	closed    []WindowResult // oldest first, bounded by opts.Keep
 	total     uint64
 	late      uint64
@@ -155,7 +159,7 @@ type WindowedDriver struct {
 }
 
 // NewWindowedDriver validates the configuration (report names are resolved
-// once against the default registry, so unknown or repeated names and
+// once against the report table, so unknown or repeated names and
 // unsatisfiable options fail fast) and returns an empty driver.
 func NewWindowedDriver(opts WindowOptions) (*WindowedDriver, error) {
 	opts, err := opts.withDefaults()
@@ -172,14 +176,11 @@ func NewWindowedDriver(opts WindowOptions) (*WindowedDriver, error) {
 		return nil, err
 	}
 	d := &WindowedDriver{
-		opts:      opts,
-		width:     int64(opts.Width),
-		slide:     int64(opts.Slide),
-		panesPer:  int64(opts.Width / opts.Slide),
-		open:      make(map[int64]*windowState),
-		panes:     make(map[int64]*Driver),
-		nextClose: math.MaxInt64,
-		m:         repMetrics.Load(),
+		opts:     opts,
+		width:    int64(opts.Width),
+		slide:    int64(opts.Slide),
+		panesPer: int64(opts.Width / opts.Slide),
+		m:        repMetrics.Load(),
 	}
 	for i, r := range probe.active {
 		name := probe.reports[i].Name
@@ -195,9 +196,9 @@ func NewWindowedDriver(opts WindowOptions) (*WindowedDriver, error) {
 	return d, nil
 }
 
-// Write routes one entry into every window covering its timestamp, opening
-// windows as the stream reaches them and closing windows the watermark has
-// passed.
+// Write routes one entry into every open window covering its timestamp,
+// closing the windows the watermark has passed and opening those it
+// reaches.
 func (d *WindowedDriver) Write(e trace.Entry) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -209,43 +210,34 @@ func (d *WindowedDriver) Write(e trace.Entry) error {
 		return d.err
 	}
 	ts := e.Timestamp.UnixNano()
-	if ts > d.watermark || !d.anyEntry {
-		d.watermark = ts
-		d.anyEntry = true
-		if ts >= d.nextClose {
-			if err := d.closeDue(); err != nil {
-				d.err = err
-				return err
-			}
+	if ts > d.watermark || len(d.open) == 0 {
+		if err := d.advance(ts); err != nil {
+			d.err = err
+			return err
 		}
 	}
 
 	// The entry belongs to every window [k*slide, k*slide+width) containing
-	// ts: k in ((ts-width)/slide, ts/slide]. For tumbling windows that is
-	// exactly one k.
+	// ts: k in ((ts-width)/slide, ts/slide]. ts is at most the watermark, so
+	// none of them starts after the last open window, and those starting
+	// before the first have closed: the entry is late for them (possible
+	// only for out-of-order entries) and is dropped there rather than
+	// reopening them.
+	front := d.open[0].k
 	kMax := floorDiv(ts, d.slide)
-	kMin := floorDiv(ts-d.width, d.slide) + 1
-	took := false
-	for k := kMin; k <= kMax; k++ {
-		st, ok := d.open[k]
-		if !ok {
-			if k*d.slide+d.width <= d.watermark {
-				// A window that would already be closed: this is a late
-				// entry for that span (possible only for out-of-order
-				// sliding-window tails); drop it rather than reopen.
-				d.late++
-				if d.m != nil {
-					d.m.windowLate.Inc()
-				}
-				continue
-			}
-			var err error
-			if st, err = d.openWindow(k); err != nil {
-				d.err = err
-				return err
-			}
+	if kMin := floorDiv(ts-d.width, d.slide) + 1; kMin < front {
+		late := uint64(min(front, kMax+1) - kMin)
+		d.late += late
+		if d.m != nil {
+			d.m.windowLate.Add(late)
 		}
-		took = true
+	}
+	if kMax < front {
+		return nil
+	}
+	// The open windows from the first up to window kMax contain ts, and the
+	// entry's pane is the first pane of window kMax.
+	for _, st := range d.open[:kMax-front+1] {
 		st.entries++
 		if st.own != nil {
 			if err := st.own.Write(e); err != nil {
@@ -254,14 +246,9 @@ func (d *WindowedDriver) Write(e trace.Entry) error {
 			}
 		}
 	}
-	if took {
-		// The entry's pane is the first pane of window kMax. That window
-		// ends last of those containing ts, so if any of them took the
-		// entry it is open, and so is its first pane.
-		if err := d.panes[kMax].Write(e); err != nil {
-			d.err = err
-			return err
-		}
+	if err := d.open[kMax-front].pane.Write(e); err != nil {
+		d.err = err
+		return err
 	}
 	return nil
 }
@@ -274,10 +261,34 @@ func floorDiv(a, b int64) int64 {
 	return q
 }
 
-// openWindow opens window k, with its first pane: the pane every entry of
-// the window's first Slide goes to, and the one the window adopts when it
-// closes. No entry can have reached pane k before: it would have opened
-// window k.
+// advance moves the watermark up to ts: it closes, in start order, the
+// open windows ending at or before ts, then opens the windows after the
+// last open one up to the one containing ts, so the open windows are again
+// those that cover the watermark. Caller holds mu.
+func (d *WindowedDriver) advance(ts int64) error {
+	d.watermark = ts
+	for len(d.open) > 0 && d.open[0].end <= ts {
+		if err := d.closeFirst(false); err != nil {
+			return err
+		}
+	}
+	k := floorDiv(ts-d.width, d.slide) + 1
+	if n := len(d.open); n > 0 {
+		k = d.open[n-1].k + 1
+	}
+	for ; k <= floorDiv(ts, d.slide); k++ {
+		st, err := d.openWindow(k)
+		if err != nil {
+			return err
+		}
+		d.open = append(d.open, st)
+	}
+	return nil
+}
+
+// openWindow builds window k with its first pane. No entry can have
+// reached pane k before: the window opens with the entry that first
+// reaches its span.
 func (d *WindowedDriver) openWindow(k int64) (*windowState, error) {
 	st := &windowState{k: k, start: k * d.slide, end: k*d.slide + d.width}
 	if len(d.ownNames) > 0 {
@@ -293,48 +304,28 @@ func (d *WindowedDriver) openWindow(k int64) (*windowState, error) {
 	// until that window closes, which counts them once for every window the
 	// pane was merged into; every pane shares the driver's telemetry handle,
 	// so their counts line up.
-	pane := &Driver{dedup: d.opts.Dedup, m: d.m, hold: true}
-	if err := pane.AddByName(d.paneNames, d.opts.Opts); err != nil {
+	st.pane = &Driver{dedup: d.opts.Dedup, m: d.m, hold: true}
+	if err := st.pane.AddByName(d.paneNames, d.opts.Opts); err != nil {
 		return nil, err
-	}
-	d.panes[k] = pane
-	d.open[k] = st
-	if st.end < d.nextClose {
-		d.nextClose = st.end
 	}
 	return st, nil
 }
 
-// closeDue finalizes every open window whose end the watermark has reached,
-// in start order, and recomputes the next close boundary. Caller holds mu.
-func (d *WindowedDriver) closeDue() error {
-	var due []*windowState
-	for k, st := range d.open {
-		if st.end <= d.watermark {
-			due = append(due, st)
-			delete(d.open, k)
-		}
-	}
-	sort.Slice(due, func(i, j int) bool { return due[i].start < due[j].start })
-	for _, st := range due {
-		if err := d.finalizeWindow(st, false); err != nil {
-			return err
-		}
-	}
-	d.nextClose = math.MaxInt64
-	for _, st := range d.open {
-		if st.end < d.nextClose {
-			d.nextClose = st.end
-		}
-	}
-	return nil
+// closeFirst drops the first open window from the run and finalizes it.
+// Caller holds mu.
+func (d *WindowedDriver) closeFirst(partial bool) error {
+	st := d.open[0]
+	d.open[0] = nil
+	d.open = d.open[1:]
+	return d.finalizeWindow(st, partial)
 }
 
 // finalizeWindow completes one window's reports, retains and publishes the
 // result, and invokes OnClose. Windows close in start order, so every
 // earlier window covering the window's first pane has merged it already:
-// the window takes that pane's reports over and merges its later panes,
-// which later windows still cover, into them. Caller holds mu.
+// the window takes that pane's reports over and merges into them the first
+// panes of the still-open windows, which all start inside its span and
+// which later windows still cover. Caller holds mu.
 func (d *WindowedDriver) finalizeWindow(st *windowState, partial bool) error {
 	res := WindowResult{
 		Start:   time.Unix(0, st.start).UTC(),
@@ -346,13 +337,10 @@ func (d *WindowedDriver) finalizeWindow(st *windowState, partial bool) error {
 		return fmt.Errorf("report: window [%s, %s): %w",
 			res.Start.Format(time.RFC3339), res.End.Format(time.RFC3339), err)
 	}
-	drv := d.panes[st.k]
-	delete(d.panes, st.k)
-	for j := st.k + 1; j < st.k+d.panesPer; j++ {
-		if pane := d.panes[j]; pane != nil {
-			if err := drv.merge(pane); err != nil {
-				return fail(err)
-			}
+	drv := st.pane
+	for _, next := range d.open {
+		if err := drv.merge(next.pane); err != nil {
+			return fail(err)
 		}
 	}
 	results, err := drv.Finalize()
@@ -416,21 +404,20 @@ func (d *WindowedDriver) Snapshot() WindowSnapshot {
 		LateEntries: d.late,
 		Closed:      append([]WindowResult(nil), d.closed...),
 	}
-	for _, st := range d.open {
+	for i, st := range d.open {
 		snap.Open = append(snap.Open, OpenWindow{
 			Start:   time.Unix(0, st.start).UTC(),
 			End:     time.Unix(0, st.end).UTC(),
 			Entries: st.entries,
-			Live:    d.liveMetrics(st),
+			Live:    d.liveMetrics(i),
 		})
 	}
-	sort.Slice(snap.Open, func(i, j int) bool { return snap.Open[i].Start.Before(snap.Open[j].Start) })
 	return snap
 }
 
-// liveMetrics returns an open window's LiveReporter numbers. Caller holds
-// mu.
-func (d *WindowedDriver) liveMetrics(st *windowState) map[string]map[string]float64 {
+// liveMetrics returns the LiveReporter numbers of open window i. Caller
+// holds mu.
+func (d *WindowedDriver) liveMetrics(i int) map[string]map[string]float64 {
 	var live map[string]map[string]float64
 	put := func(name string, r Report) {
 		if lr, ok := r.(LiveReporter); ok {
@@ -443,38 +430,36 @@ func (d *WindowedDriver) liveMetrics(st *windowState) map[string]map[string]floa
 	if len(d.live) > 0 {
 		// paneView fails only where NewWindowedDriver's probe would have,
 		// or where merging these panes at the window's close will.
-		if view, err := d.paneView(st); err == nil {
-			for _, i := range d.live {
-				put(d.paneNames[i], view.active[i])
+		if view, err := d.paneView(i); err == nil {
+			for _, j := range d.live {
+				put(d.paneNames[j], view.active[j])
 			}
 		}
 	}
-	if st.own != nil {
-		for i, r := range st.own.active {
-			put(st.own.reports[i].Name, r)
+	if own := d.open[i].own; own != nil {
+		for j, r := range own.active {
+			put(own.reports[j].Name, r)
 		}
 	}
 	return live
 }
 
-// paneView returns a Driver whose LiveReporter reports hold what window st
-// has observed so far: its one pane for a tumbling window, else the merge
-// of its panes into fresh instances, dropped after use. Caller holds mu.
-func (d *WindowedDriver) paneView(st *windowState) (*Driver, error) {
+// paneView returns a Driver whose LiveReporter reports hold what open
+// window i has observed so far: its one pane for a tumbling window, else
+// the merge of its pane and those of the open windows after it, which all
+// start inside its span, into fresh instances, dropped after use. Caller
+// holds mu.
+func (d *WindowedDriver) paneView(i int) (*Driver, error) {
 	if d.panesPer == 1 {
-		return d.panes[st.k], nil
+		return d.open[i].pane, nil
 	}
 	view := &Driver{dedup: d.opts.Dedup} // no telemetry: a view, not a pass
 	if err := view.AddByName(d.paneNames, d.opts.Opts); err != nil {
 		return nil, err
 	}
-	for j := st.k; j < st.k+d.panesPer; j++ {
-		pane := d.panes[j]
-		if pane == nil {
-			continue
-		}
-		for _, i := range d.live {
-			if err := view.active[i].(Merger).Merge(pane.active[i]); err != nil {
+	for _, st := range d.open[i:] {
+		for _, j := range d.live {
+			if err := view.active[j].(Merger).Merge(st.pane.active[j]); err != nil {
 				return nil, err
 			}
 		}
@@ -482,10 +467,10 @@ func (d *WindowedDriver) paneView(st *windowState) (*Driver, error) {
 	return view, nil
 }
 
-// Close finalizes every still-open window (marked Partial, since their span
-// had not filled) and returns all retained window results, oldest first.
-// Call it once at shutdown, after the final entry; the driver rejects
-// writes afterwards.
+// Close finalizes every still-open window (marked Partial: each ends after
+// the watermark, so its span had not filled) and returns all retained
+// window results, oldest first. Call it once at shutdown, after the final
+// entry; the driver rejects writes afterwards.
 func (d *WindowedDriver) Close() ([]WindowResult, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -494,14 +479,8 @@ func (d *WindowedDriver) Close() ([]WindowResult, error) {
 	}
 	if !d.finalized {
 		d.finalized = true
-		var rest []*windowState
-		for k, st := range d.open {
-			rest = append(rest, st)
-			delete(d.open, k)
-		}
-		sort.Slice(rest, func(i, j int) bool { return rest[i].start < rest[j].start })
-		for _, st := range rest {
-			if err := d.finalizeWindow(st, st.end > d.watermark); err != nil {
+		for len(d.open) > 0 {
+			if err := d.closeFirst(true); err != nil {
 				d.err = err
 				return append([]WindowResult(nil), d.closed...), err
 			}

@@ -290,11 +290,15 @@ func entryReports() []string {
 // as late. The windows that close must be exactly those some entry
 // reached, in start order, and each must report exactly what a fresh
 // Driver over the names reports when fed the entries that reached it alone.
-// It returns the results and the late count.
+// After every write, the open windows must be those covering the watermark
+// (checkOpenRun). It returns the results and the late count.
 func matchFreshDrivers(t *testing.T, entries []trace.Entry, wopts WindowOptions) ([]WindowResult, uint64) {
 	t.Helper()
 	wopts.Keep = 1 << 20
-	results, wd := feedWindows(t, entries, wopts)
+	wd, err := NewWindowedDriver(wopts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	width, slide := int64(wopts.Width), int64(wopts.Slide)
 	if slide == 0 {
 		slide = width
@@ -314,6 +318,14 @@ func matchFreshDrivers(t *testing.T, entries []trace.Entry, wopts WindowOptions)
 				seen[k] = append(seen[k], e)
 			}
 		}
+		if err := wd.Write(e); err != nil {
+			t.Fatal(err)
+		}
+		checkOpenRun(t, wd.Snapshot().Open, width, slide, watermark)
+	}
+	results, err := wd.Close()
+	if err != nil {
+		t.Fatal(err)
 	}
 	if got := wd.Snapshot().LateEntries; got != late {
 		t.Errorf("late entries: driver counted %d, the oracle %d", got, late)
@@ -357,6 +369,23 @@ func matchFreshDrivers(t *testing.T, entries []trace.Entry, wopts WindowOptions)
 	return results, late
 }
 
+// checkOpenRun fails unless the open windows are exactly the Width/Slide
+// windows covering the watermark: that many, with consecutive starts, the
+// last at floor(watermark/Slide)·Slide.
+func checkOpenRun(t *testing.T, open []OpenWindow, width, slide, watermark int64) {
+	t.Helper()
+	if int64(len(open)) != width/slide {
+		t.Fatalf("watermark %s: %d open windows, want %d", time.Unix(0, watermark).UTC(), len(open), width/slide)
+	}
+	for i, w := range open {
+		want := (floorDiv(watermark, slide) - int64(len(open)-1-i)) * slide
+		if w.Start.UnixNano() != want {
+			t.Fatalf("watermark %s: open window %d starts %s, want %s",
+				time.Unix(0, watermark).UTC(), i, w.Start, time.Unix(0, want).UTC())
+		}
+	}
+}
+
 // TestWindowedMatchesFreshDriver: every closed window must report exactly
 // what a fresh Driver reports when fed that window's entries alone, though
 // its mergeable reports observed each entry once, in a pane, and reach it
@@ -364,12 +393,15 @@ func matchFreshDrivers(t *testing.T, entries []trace.Entry, wopts WindowOptions)
 // in, and no merge may lose or double anything. The first case is the
 // daemon's shape; the others cover every entry-driven report at 1, 2, 4
 // and 12 panes per window, a gap of empty panes (which closes several
-// windows at once) and an out-of-order entry.
+// windows at once) and an out-of-order entry. The 2-pane case adds the
+// span-driven latency_breakdown, which windows merge like the others.
 func TestWindowedMatchesFreshDriver(t *testing.T) {
 	f := newFixture(t, 4)
 	all := f.opts()
 	all.Bucket = 15 * time.Minute
 	all.BootstrapIters = 3
+	traced := all
+	traced.Tracer = spanTracer()
 	// gap moves every entry from the three-quarter mark on three hours
 	// later: three hours of empty panes, which no window opens for.
 	gap := func(entries []trace.Entry) []trace.Entry {
@@ -412,7 +444,8 @@ func TestWindowedMatchesFreshDriver(t *testing.T) {
 			opts:       Options{BootstrapIters: 3, GatewayIDs: f.gatewayIDs},
 			minWindows: 12},
 		{name: "tumbling", slide: time.Hour, reports: entryReports(), opts: all, minWindows: 3},
-		{name: "2 panes", slide: 30 * time.Minute, reports: entryReports(), opts: all, minWindows: 6},
+		{name: "2 panes", slide: 30 * time.Minute, reports: append(entryReports(), "latency_breakdown"),
+			opts: traced, minWindows: 6},
 		{name: "4 panes, gap, late", slide: 15 * time.Minute, reports: entryReports(), opts: all,
 			edit: func(e []trace.Entry) []trace.Entry { return lateEntry(gap(e)) }, minWindows: 12, late: 3},
 		{name: "12 panes, gap", slide: 5 * time.Minute, reports: entryReports(), opts: all,
@@ -501,7 +534,7 @@ func TestWindowedDriverOptionValidation(t *testing.T) {
 }
 
 // TestWindowedDriverRejectsDuplicateReport: a window is a Driver, so a
-// report listed twice is refused up front, as Driver.AddNew refuses it —
+// report listed twice is refused up front, as Driver.AddByName refuses it —
 // not run twice per window with the second result overwriting the first.
 func TestWindowedDriverRejectsDuplicateReport(t *testing.T) {
 	_, err := NewWindowedDriver(WindowOptions{Reports: []string{"traffic", "online", "traffic"}})

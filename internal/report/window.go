@@ -287,8 +287,8 @@ func (d *WindowedDriver) advance(ts int64) error {
 }
 
 // openWindow builds window k with its first pane. No entry can have
-// reached pane k before: the window opens with the entry that first
-// reaches its span.
+// reached pane k before: window k opens when the watermark first reaches
+// its start, before the entry that moved it is written.
 func (d *WindowedDriver) openWindow(k int64) (*windowState, error) {
 	st := &windowState{k: k, start: k * d.slide, end: k*d.slide + d.width}
 	if len(d.ownNames) > 0 {

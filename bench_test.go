@@ -371,10 +371,9 @@ func BenchmarkReportDriver(b *testing.B) {
 
 // BenchmarkWindowedDriver measures the daemon's report path: the bsmon
 // report set over 1 h windows sliding by 15 m, so every entry falls in
-// four overlapping windows. summary, traffic and popularity observe it
-// once, in its 15 m pane, online once per window, and a window closes —
-// merging four panes, popularity bootstrap included — every 45 000
-// entries. ~3 h of feed, a dozen closes.
+// four overlapping windows. Every report observes it once, in its 15 m
+// pane, and a window closes — merging four panes, popularity bootstrap
+// included — every 45 000 entries. ~3 h of feed, a dozen closes.
 func BenchmarkWindowedDriver(b *testing.B) {
 	maybeEnableMetrics()
 	const entryCount = 1 << 19

@@ -45,7 +45,7 @@ func run(args []string) error {
 	dedup := fs.Bool("dedup", true, "filter duplicates/rebroadcasts for reports that analyse the deduplicated view")
 	bucket := fs.Duration("bucket", time.Hour, "bucket size for fig4 and online")
 	iters := fs.Int("iters", 50, "bootstrap iterations for fig5 and popularity")
-	topk := fs.Int("topk", 10, "popular CIDs to list for online")
+	topk := fs.Int("topk", 10, "CIDs to list in online's exact top K by requests")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

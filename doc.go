@@ -45,7 +45,7 @@
 // rolling windows of the live stream (report.WindowedDriver: the open
 // windows are one start-ordered run, each holding a report.Driver over its
 // first slide-wide pane, and a closing window merges the later panes into
-// its own; published as the report_window_metric gauge family and served
+// its own, exactly, since every report merges; published as the report_window_metric gauge family and served
 // as JSON on /reports), while
 // an ingest.Maintainer compacts small sealed segments into generation-2
 // segments and expires raw data behind a retention horizon — rolled-up

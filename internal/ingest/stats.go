@@ -1,12 +1,12 @@
 package ingest
 
 import (
-	"container/heap"
+	"maps"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
-	"bitswapmon/internal/cid"
 	"bitswapmon/internal/trace"
 	"bitswapmon/internal/wire"
 )
@@ -16,10 +16,6 @@ type StatsOptions struct {
 	// Bucket is the width of the windowed request-type counters.
 	// Default 1h.
 	Bucket time.Duration
-	// TopK is how many popular CIDs TopCIDs can report exactly-ish; the
-	// space-saving sketch keeps 8*TopK counters so the top TopK are
-	// reliable under skew. Default 20.
-	TopK int
 }
 
 // maxBuckets bounds the retained windowed counters (≈ 170 days of hourly
@@ -29,9 +25,6 @@ const maxBuckets = 4096
 func (o StatsOptions) withDefaults() StatsOptions {
 	if o.Bucket <= 0 {
 		o.Bucket = time.Hour
-	}
-	if o.TopK <= 0 {
-		o.TopK = 20
 	}
 	return o
 }
@@ -44,22 +37,12 @@ type TypeBucket struct {
 	Cancel    int64
 }
 
-// CIDCount is one entry of the top-K popularity estimate.
-type CIDCount struct {
-	CID cid.CID
-	// Count is the space-saving estimate of the CID's request count; it
-	// never undercounts and overcounts by at most ErrBound.
-	Count int64
-	// ErrBound is the sketch's overcount bound for this CID.
-	ErrBound int64
-}
-
 // OnlineStats aggregates a trace stream in one pass with O(1)-per-entry
 // work and memory independent of trace length: exact per-type totals,
-// windowed per-type counts, HyperLogLog distinct-peer and distinct-CID
-// estimates, and a space-saving top-K CID popularity sketch. It satisfies
-// Sink, so it is typically Tee'd next to a SegmentStore on the capture
-// path.
+// windowed per-type counts, and HyperLogLog distinct-peer and distinct-CID
+// estimates. Two aggregates merge into what one pass over both streams
+// gives (Merge). It satisfies Sink, so it is typically Tee'd next to a
+// SegmentStore on the capture path.
 type OnlineStats struct {
 	opts StatsOptions
 
@@ -72,7 +55,6 @@ type OnlineStats struct {
 
 	peers *hyperLogLog
 	cids  *hyperLogLog
-	top   *spaceSaving
 
 	first, last time.Time
 }
@@ -86,7 +68,6 @@ func NewOnlineStats(opts StatsOptions) *OnlineStats {
 		buckets: make(map[int64]*TypeBucket),
 		peers:   newHyperLogLog(),
 		cids:    newHyperLogLog(),
-		top:     newSpaceSaving(8 * o.TopK),
 	}
 }
 
@@ -103,7 +84,7 @@ func (s *OnlineStats) Write(e trace.Entry) error {
 	s.peers.add(fnv64a(e.NodeID[:]))
 	s.cids.add(fnv64aString(e.CID.Key()))
 
-	k := e.Timestamp.UnixNano() / int64(s.opts.Bucket)
+	k := s.bucketKey(e.Timestamp)
 	b, ok := s.buckets[k]
 	if !ok {
 		if len(s.buckets) >= maxBuckets {
@@ -123,9 +104,12 @@ func (s *OnlineStats) Write(e trace.Entry) error {
 
 	if e.IsRequest() {
 		s.requests++
-		s.top.observe(e.CID.Key())
 	}
 	return nil
+}
+
+func (s *OnlineStats) bucketKey(t time.Time) int64 {
+	return t.UnixNano() / int64(s.opts.Bucket)
 }
 
 func (s *OnlineStats) evictOldestBucket() {
@@ -140,6 +124,56 @@ func (s *OnlineStats) evictOldestBucket() {
 	if !first {
 		delete(s.buckets, oldest)
 		s.evictedBuckets++
+	}
+}
+
+// Merge folds from into s, so that s holds what one OnlineStats written
+// s's stream and then from's would: the totals and per-type counts add,
+// counts of one bucket add, HyperLogLog registers take the max, and First
+// and Last widen. Both must use the same bucket width; from is left
+// unchanged.
+//
+// Past maxBuckets the oldest buckets are evicted, as one pass evicts them
+// when from's stream starts no earlier than s's ends. Only the bucket
+// holding from's first entry can then be in both; if from evicted it, it
+// is already counted there, so s drops its part of it uncounted.
+func (s *OnlineStats) Merge(from *OnlineStats) {
+	if from.entries == 0 {
+		return
+	}
+	if s.entries == 0 || from.first.Before(s.first) {
+		s.first = from.first
+	}
+	if s.entries == 0 || from.last.After(s.last) {
+		s.last = from.last
+	}
+	s.entries += from.entries
+	s.requests += from.requests
+	for typ, n := range from.perType {
+		s.perType[typ] += n
+	}
+	s.peers.merge(from.peers)
+	s.cids.merge(from.cids)
+
+	if from.evictedBuckets > 0 {
+		delete(s.buckets, s.bucketKey(from.first))
+	}
+	for k, fb := range from.buckets {
+		if b, ok := s.buckets[k]; ok {
+			b.WantBlock += fb.WantBlock
+			b.WantHave += fb.WantHave
+			b.Cancel += fb.Cancel
+		} else {
+			b := *fb
+			s.buckets[k] = &b
+		}
+	}
+	s.evictedBuckets += from.evictedBuckets
+	if over := len(s.buckets) - maxBuckets; over > 0 {
+		for _, k := range slices.Sorted(maps.Keys(s.buckets))[:over] {
+			delete(s.buckets, k)
+		}
+		s.evictedBuckets += over
 	}
 }
 
@@ -189,33 +223,6 @@ func (s *OnlineStats) DistinctPeers() float64 { return s.peers.estimate() }
 // DistinctCIDs estimates the number of distinct requested CIDs.
 func (s *OnlineStats) DistinctCIDs() float64 { return s.cids.estimate() }
 
-// TopCIDs returns the estimated k most-requested CIDs, most popular first.
-// k is capped at the configured TopK.
-func (s *OnlineStats) TopCIDs(k int) []CIDCount {
-	if k <= 0 || k > s.opts.TopK {
-		k = s.opts.TopK
-	}
-	items := s.top.items()
-	sort.Slice(items, func(i, j int) bool {
-		if items[i].count != items[j].count {
-			return items[i].count > items[j].count
-		}
-		return items[i].key < items[j].key
-	})
-	if len(items) > k {
-		items = items[:k]
-	}
-	out := make([]CIDCount, 0, len(items))
-	for _, it := range items {
-		c, err := cid.Decode([]byte(it.key))
-		if err != nil {
-			continue // key was produced by CID.Key(); decode cannot fail
-		}
-		out = append(out, CIDCount{CID: c, Count: it.count, ErrBound: it.errBound})
-	}
-	return out
-}
-
 // --- HyperLogLog -----------------------------------------------------------
 
 // hllP is the HyperLogLog precision: 2^hllP byte registers (4 KiB), giving
@@ -242,6 +249,14 @@ func (h *hyperLogLog) add(hash uint64) {
 	}
 	if rank > h.reg[idx] {
 		h.reg[idx] = rank
+	}
+}
+
+// merge makes h the sketch of both streams: a register holds the highest
+// rank either saw.
+func (h *hyperLogLog) merge(from *hyperLogLog) {
+	for i, r := range from.reg {
+		h.reg[i] = max(h.reg[i], r)
 	}
 }
 
@@ -281,68 +296,4 @@ func fnv64aString(s string) uint64 {
 		h *= 1099511628211
 	}
 	return h
-}
-
-// --- Space-saving top-K sketch ---------------------------------------------
-
-// ssItem is one monitored counter of the space-saving sketch (Metwally et
-// al., "Efficient Computation of Frequent and Top-k Elements in Data
-// Streams").
-type ssItem struct {
-	key      string
-	count    int64
-	errBound int64
-	idx      int // heap index
-}
-
-type ssHeap []*ssItem
-
-func (h ssHeap) Len() int           { return len(h) }
-func (h ssHeap) Less(i, j int) bool { return h[i].count < h[j].count }
-func (h ssHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i]; h[i].idx = i; h[j].idx = j }
-func (h *ssHeap) Push(x any)        { it := x.(*ssItem); it.idx = len(*h); *h = append(*h, it) }
-func (h *ssHeap) Pop() any          { old := *h; n := len(old); it := old[n-1]; *h = old[:n-1]; return it }
-
-type spaceSaving struct {
-	capacity int
-	m        map[string]*ssItem
-	h        ssHeap
-}
-
-func newSpaceSaving(capacity int) *spaceSaving {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &spaceSaving{capacity: capacity, m: make(map[string]*ssItem, capacity)}
-}
-
-func (s *spaceSaving) observe(key string) {
-	if it, ok := s.m[key]; ok {
-		it.count++
-		heap.Fix(&s.h, it.idx)
-		return
-	}
-	if len(s.m) < s.capacity {
-		it := &ssItem{key: key, count: 1}
-		s.m[key] = it
-		heap.Push(&s.h, it)
-		return
-	}
-	// Replace the minimum counter: the newcomer inherits its count as the
-	// overcount bound.
-	min := s.h[0]
-	delete(s.m, min.key)
-	min.errBound = min.count
-	min.count++
-	min.key = key
-	s.m[key] = min
-	heap.Fix(&s.h, 0)
-}
-
-func (s *spaceSaving) items() []ssItem {
-	out := make([]ssItem, 0, len(s.h))
-	for _, it := range s.h {
-		out = append(out, *it)
-	}
-	return out
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -94,52 +95,56 @@ func TestOnlineStatsDistinctEstimates(t *testing.T) {
 	}
 }
 
-func TestOnlineStatsTopKSkewed(t *testing.T) {
-	s := NewOnlineStats(StatsOptions{TopK: 5})
-	rng := rand.New(rand.NewSource(11))
-	// Heavy hitters c0..c4 with descending counts over a noisy tail of
-	// 2000 distinct CIDs. CANCELs must not count toward popularity.
-	hot := []int{4000, 3000, 2000, 1500, 1000}
-	var stream []string
-	for i, n := range hot {
-		for j := 0; j < n; j++ {
-			stream = append(stream, fmt.Sprintf("hot%d", i))
+// TestOnlineStatsMerge: merging the aggregates of the two halves of a
+// stream gives what one pass over all of it gives — buckets, evictions,
+// totals, per-type counts, HyperLogLog estimates, First and Last — over
+// more than maxBuckets hourly buckets, and leaves the merged-from side as
+// it was. Most cuts split a bucket between the halves; at cuts 1 and 3 the
+// second half alone evicts that split bucket.
+func TestOnlineStatsMerge(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	var in []trace.Entry
+	for h := 0; h < maxBuckets+15; h++ {
+		for j := 0; j < 2; j++ {
+			at := t0.Add(time.Duration(h)*time.Hour + time.Duration(j)*time.Minute)
+			c := fmt.Sprintf("c%d", rng.Intn(5000))
+			in = append(in, entry("us", byte(rng.Intn(200)), c, wire.EntryType(rng.Intn(3)+1), at))
 		}
 	}
-	for i := 0; i < 6000; i++ {
-		stream = append(stream, fmt.Sprintf("tail%d", rng.Intn(2000)))
+	type view struct {
+		Buckets           []TypeBucket
+		Evicted           int
+		Entries, Requests int64
+		Types             map[wire.EntryType]int64
+		Peers, CIDs       float64
+		First, Last       time.Time
 	}
-	rng.Shuffle(len(stream), func(i, j int) { stream[i], stream[j] = stream[j], stream[i] })
-	for i, name := range stream {
-		s.Write(entry("us", byte(i%17), name, wire.WantHave, t0.Add(time.Duration(i)*time.Millisecond)))
-		if i%100 == 0 {
-			s.Write(entry("us", 1, name, wire.Cancel, t0.Add(time.Duration(i)*time.Millisecond)))
+	pass := func(entries []trace.Entry) *OnlineStats {
+		s := NewOnlineStats(StatsOptions{Bucket: time.Hour})
+		for _, e := range entries {
+			s.Write(e)
 		}
+		return s
 	}
-
-	top := s.TopCIDs(5)
-	if len(top) != 5 {
-		t.Fatalf("top-K returned %d items", len(top))
+	look := func(s *OnlineStats) view {
+		return view{s.Buckets(), s.EvictedBuckets(), s.Entries(), s.Requests(), s.TypeCounts(),
+			s.DistinctPeers(), s.DistinctCIDs(), s.First(), s.Last()}
 	}
-	want := make(map[string]int64)
-	for i, n := range hot {
-		want[cid.Sum(cid.DagProtobuf, []byte(fmt.Sprintf("hot%d", i))).Key()] = int64(n)
+	n := len(in)
+	whole := look(pass(in))
+	if whole.Evicted != 15 {
+		t.Fatalf("one pass evicted %d buckets, want 15", whole.Evicted)
 	}
-	for rank, tc := range top {
-		exact, isHot := want[tc.CID.Key()]
-		if !isHot {
-			t.Errorf("rank %d: %s not a heavy hitter", rank, tc.CID)
-			continue
+	for _, cut := range []int{0, 1, 3, n / 3, n / 2, n - 1, n} {
+		a, b := pass(in[:cut]), pass(in[cut:])
+		from := look(b)
+		a.Merge(b)
+		if got := look(a); !reflect.DeepEqual(got, whole) {
+			t.Errorf("cut %d: merged %d buckets (%d evicted), %d entries; one pass %d (%d), %d",
+				cut, len(got.Buckets), got.Evicted, got.Entries, len(whole.Buckets), whole.Evicted, whole.Entries)
 		}
-		// Space-saving never undercounts and overcounts by <= ErrBound.
-		if tc.Count < exact || tc.Count-tc.ErrBound > exact {
-			t.Errorf("rank %d: estimate %d (err %d) vs exact %d", rank, tc.Count, tc.ErrBound, exact)
-		}
-	}
-	// Order: descending counts.
-	for i := 1; i < len(top); i++ {
-		if top[i].Count > top[i-1].Count {
-			t.Errorf("top-K out of order at %d: %d > %d", i, top[i].Count, top[i-1].Count)
+		if got := look(b); !reflect.DeepEqual(got, from) {
+			t.Errorf("cut %d: Merge changed the merged-from side", cut)
 		}
 	}
 }

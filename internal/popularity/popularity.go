@@ -6,7 +6,11 @@
 package popularity
 
 import (
+	"cmp"
+	"container/heap"
+	"slices"
 	"sort"
+	"strings"
 
 	"bitswapmon/internal/cid"
 	"bitswapmon/internal/simnet"
@@ -49,7 +53,7 @@ func Compute(entries []trace.Entry) Scores {
 }
 
 // Counter computes both popularity scores incrementally, so streaming
-// pipelines (segment-store queries, the replay fitter) can score a trace in
+// pipelines (the fig5 and popularity reports) can score a trace in
 // one pass without materialising it. State is kept by the dense ids a
 // trace.Symbols issues: rrp and urp are slices indexed by CID id, and the
 // distinct requesters of all CIDs live in one set of (CID id, peer id)
@@ -141,21 +145,6 @@ func (c *Counter) grow(id uint32) {
 // CIDs returns the number of distinct CIDs scored so far.
 func (c *Counter) CIDs() int { return c.cids }
 
-// Scores returns the scores accumulated so far, keyed by CID again. The
-// result is a snapshot: further Write calls do not mutate it.
-func (c *Counter) Scores() Scores {
-	rrp := make(map[cid.CID]int, c.cids)
-	urp := make(map[cid.CID]int, c.cids)
-	c.syms.EachCID(func(id uint32, k cid.CID) {
-		// A shared Symbols also numbers CIDs this counter never scored.
-		if int(id) < len(c.rrp) && c.rrp[id] > 0 {
-			rrp[k] = c.rrp[id]
-			urp[k] = c.urp[id]
-		}
-	})
-	return Scores{RRP: rrp, URP: urp}
-}
-
 // SortedValues returns the RRP and the URP score of every CID scored so
 // far, each in ascending order — what the ECDFs and the power-law fit read —
 // straight from the id-indexed slices, without going through CID keys.
@@ -174,14 +163,76 @@ func (c *Counter) SortedValues() (rrp, urp []int) {
 	return rrp, urp
 }
 
-// Values extracts the score values in ascending order.
-func Values(scores map[cid.CID]int) []int {
-	out := make([]int, 0, len(scores))
-	for _, v := range scores {
-		out = append(out, v)
+// CIDCount is one CID and its request count: an entry of a ranking.
+type CIDCount struct {
+	CID   cid.CID
+	Count int
+}
+
+// Rank returns the k CIDs with the most requests, count descending and
+// ties by CID key, the order in which Compute's RRP ranks them. counts
+// holds each CID's request count by the id syms numbers it with; a CID
+// counted 0 (a shared Symbols also numbers CIDs the caller never counted)
+// is not ranked. When k is at least the number of counted CIDs they are all
+// ranked by one sort; a smaller k keeps only the best k in one walk of
+// syms, so a top 10 of a long tail sorts ten.
+func Rank(syms *trace.Symbols, counts []int, k int) []CIDCount {
+	n := 0
+	for _, c := range counts {
+		if c > 0 {
+			n++
+		}
 	}
-	sort.Ints(out)
+	each := func(f func(CIDCount)) {
+		syms.EachCID(func(id uint32, c cid.CID) {
+			if int(id) < len(counts) && counts[id] > 0 {
+				f(CIDCount{CID: c, Count: counts[id]})
+			}
+		})
+	}
+	var out []CIDCount
+	switch {
+	case k >= n:
+		out = make([]CIDCount, 0, n)
+		each(func(cc CIDCount) { out = append(out, cc) })
+	case k > 0:
+		// A heap whose root is the last of the best k so far.
+		top := make(rankHeap, 0, k)
+		each(func(cc CIDCount) {
+			if len(top) < k {
+				heap.Push(&top, cc)
+			} else if compareRank(cc, top[0]) < 0 {
+				top[0] = cc
+				heap.Fix(&top, 0)
+			}
+		})
+		out = top
+	}
+	slices.SortFunc(out, compareRank)
 	return out
+}
+
+// compareRank orders a before b when a has more requests, or as many and
+// the smaller CID key.
+func compareRank(a, b CIDCount) int {
+	if a.Count != b.Count {
+		return cmp.Compare(b.Count, a.Count)
+	}
+	return strings.Compare(a.CID.Key(), b.CID.Key())
+}
+
+// rankHeap keeps the CID that ranks last at its root.
+type rankHeap []CIDCount
+
+func (h rankHeap) Len() int           { return len(h) }
+func (h rankHeap) Less(i, j int) bool { return compareRank(h[i], h[j]) > 0 }
+func (h rankHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *rankHeap) Push(x any)        { *h = append(*h, x.(CIDCount)) }
+func (h *rankHeap) Pop() any {
+	old := *h
+	x := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return x
 }
 
 // ECDFPoint is one point of an empirical CDF.

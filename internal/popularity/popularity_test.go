@@ -64,28 +64,51 @@ func TestCounterMatchesBatch(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got := c.Scores()
-	if len(got.RRP) != len(want.RRP) || len(got.URP) != len(want.URP) {
-		t.Fatalf("sizes: got %d/%d want %d/%d", len(got.RRP), len(got.URP), len(want.RRP), len(want.URP))
+	checkCounter(t, "counter", c, want)
+}
+
+// ranked is the reference RRP ranking of scores: count descending, ties by
+// CID key.
+func ranked(scores map[cid.CID]int) []CIDCount {
+	out := make([]CIDCount, 0, len(scores))
+	for c, n := range scores {
+		out = append(out, CIDCount{CID: c, Count: n})
 	}
-	for k, v := range want.RRP {
-		if got.RRP[k] != v {
-			t.Errorf("rrp[%s] = %d, want %d", k, got.RRP[k], v)
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Count != out[j].Count {
+			return out[i].Count > out[j].Count
 		}
+		return out[i].CID.Key() < out[j].CID.Key()
+	})
+	return out
+}
+
+// sortedValues returns the values of scores in ascending order.
+func sortedValues(scores map[cid.CID]int) []int {
+	out := make([]int, 0, len(scores))
+	for _, v := range scores {
+		out = append(out, v)
 	}
-	for k, v := range want.URP {
-		if got.URP[k] != v {
-			t.Errorf("urp[%s] = %d, want %d", k, got.URP[k], v)
-		}
+	sort.Ints(out)
+	return out
+}
+
+// checkCounter fails unless c ranks its CIDs by RRP and by URP as want
+// does and its SortedValues are want's RRP and URP values.
+func checkCounter(t *testing.T, what string, c *Counter, want Scores) {
+	t.Helper()
+	if got, want := Rank(c.syms, c.rrp, c.CIDs()), ranked(want.RRP); !reflect.DeepEqual(got, want) {
+		t.Errorf("%s: RRP ranking differs from Compute's (%d/%d CIDs)", what, len(got), len(want))
+	}
+	if got, want := Rank(c.syms, c.urp, c.CIDs()), ranked(want.URP); !reflect.DeepEqual(got, want) {
+		t.Errorf("%s: URP ranking differs from Compute's (%d/%d CIDs)", what, len(got), len(want))
+	}
+	rrp, urp := c.SortedValues()
+	if !reflect.DeepEqual(rrp, sortedValues(want.RRP)) || !reflect.DeepEqual(urp, sortedValues(want.URP)) {
+		t.Errorf("%s: SortedValues differ from Compute's scores", what)
 	}
 	if c.CIDs() != len(want.RRP) {
-		t.Errorf("CIDs() = %d, want %d", c.CIDs(), len(want.RRP))
-	}
-	// The snapshot is detached: further writes must not mutate it.
-	before := got.RRP[cid.Sum(cid.Raw, []byte("a"))]
-	c.Write(req(1, "a", wire.WantHave))
-	if got.RRP[cid.Sum(cid.Raw, []byte("a"))] != before {
-		t.Error("Scores snapshot mutated by later Write")
+		t.Errorf("%s: CIDs() = %d, want %d", what, c.CIDs(), len(want.RRP))
 	}
 }
 
@@ -250,15 +273,32 @@ func TestSamplePowerLawBounds(t *testing.T) {
 	}
 }
 
-func TestValuesSorted(t *testing.T) {
-	m := map[cid.CID]int{
-		cid.Sum(cid.Raw, []byte("a")): 5,
-		cid.Sum(cid.Raw, []byte("b")): 1,
-		cid.Sum(cid.Raw, []byte("c")): 3,
+// TestRank: Rank orders by count descending and then by CID key, ranks
+// only the CIDs counted, and returns the best k for any k.
+func TestRank(t *testing.T) {
+	syms := NewCounter().syms
+	var counts []int
+	want := make(map[cid.CID]int)
+	rng := rand.New(rand.NewSource(9))
+	for i := 0; i < 300; i++ {
+		c := cid.Sum(cid.Raw, []byte(strconv.Itoa(i)))
+		id := syms.CID(c)
+		counts = append(counts, 0)
+		if i%7 != 0 { // every seventh CID is numbered but never counted
+			counts[id] = 1 + rng.Intn(12) // many ties
+			want[c] = counts[id]
+		}
 	}
-	vals := Values(m)
-	if len(vals) != 3 || vals[0] != 1 || vals[2] != 5 {
-		t.Errorf("values = %v", vals)
+	all := ranked(want)
+	for _, k := range []int{0, 1, 5, 100, len(all) - 1, len(all), len(all) + 1, len(counts)} {
+		got := Rank(syms, counts, k)
+		wantK := all[:min(k, len(all))]
+		if len(got) != len(wantK) || len(got) > 0 && !reflect.DeepEqual(got, wantK) {
+			t.Errorf("k=%d: ranking differs from the reference (%d vs %d CIDs)", k, len(got), len(wantK))
+		}
+	}
+	if got := Rank(trace.NewSymbols(), nil, 10); len(got) != 0 {
+		t.Errorf("empty ranking = %v", got)
 	}
 }
 
@@ -321,13 +361,7 @@ func TestSharedSymbols(t *testing.T) {
 		{"shared, joined late", c2, Compute(late)},
 		{"stand-alone", alone, Compute(dedup)},
 	} {
-		got := tc.c.Scores()
-		if !reflect.DeepEqual(got, tc.want) {
-			t.Errorf("%s counter: scores differ from Compute (%d/%d CIDs)", tc.name, len(got.RRP), len(tc.want.RRP))
-		}
-		if tc.c.CIDs() != len(tc.want.RRP) {
-			t.Errorf("%s counter: CIDs() = %d, want %d", tc.name, tc.c.CIDs(), len(tc.want.RRP))
-		}
+		checkCounter(t, tc.name+" counter", tc.c, tc.want)
 	}
 	if len(Compute(late).RRP) == len(Compute(dedup).RRP) || sum.Summary().UniqueCIDs == c1.CIDs() {
 		t.Fatal("fixture too uniform: every consumer saw the same CIDs")

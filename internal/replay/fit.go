@@ -12,14 +12,9 @@ import (
 	"bitswapmon/internal/ingest"
 	"bitswapmon/internal/popularity"
 	"bitswapmon/internal/simnet"
+	"bitswapmon/internal/trace"
 	"bitswapmon/internal/wire"
 )
-
-// CIDCount is one entry of the fitted popularity table.
-type CIDCount struct {
-	CID   cid.CID
-	Count int
-}
 
 // Model holds the empirical models fitted to a trace: everything a
 // FittedSource needs to generate a statistically matched workload at an
@@ -53,7 +48,7 @@ type Model struct {
 	Activity []int
 	// Popularity is each CID's deduplicated request count (RRP),
 	// descending, ties broken by CID key for determinism.
-	Popularity []CIDCount
+	Popularity []popularity.CIDCount
 	// PowerLaw is the CSN fit over the RRP values, nil when the trace is
 	// too small to fit. Fitted replays should preserve Alpha.
 	PowerLaw *popularity.PowerLawFit
@@ -64,7 +59,8 @@ type Model struct {
 // memory is proportional to distinct requesters and CIDs, not trace length.
 func Fit(src ingest.EntrySource) (*Model, error) {
 	m := &Model{}
-	counter := popularity.NewCounter()
+	syms := trace.NewSymbols()
+	var rrp []int // deduplicated requests by CID id of syms
 	perRequester := make(map[simnet.NodeID]int)
 	wantBlocks := 0
 	var first, last time.Time
@@ -92,8 +88,11 @@ func Fit(src ingest.EntrySource) (*Model, error) {
 		if e.Type == wire.WantBlock {
 			wantBlocks++
 		}
-		if err := counter.Write(e); err != nil {
-			return nil, err
+		// syms numbers CIDs here only, densely: a new id is len(rrp).
+		if id := syms.CID(e.CID); int(id) < len(rrp) {
+			rrp[id]++
+		} else {
+			rrp = append(rrp, 1)
 		}
 	}
 	if m.Requests == 0 {
@@ -120,26 +119,19 @@ func Fit(src ingest.EntrySource) (*Model, error) {
 	}
 	sort.Sort(sort.Reverse(sort.IntSlice(m.Activity)))
 
-	scores := counter.Scores()
-	m.Popularity = make([]CIDCount, 0, len(scores.RRP))
-	for c, n := range scores.RRP {
-		m.Popularity = append(m.Popularity, CIDCount{CID: c, Count: n})
+	m.Popularity = popularity.Rank(syms, rrp, len(rrp))
+	values := make([]int, len(m.Popularity))
+	for i, cc := range m.Popularity {
+		values[i] = cc.Count
 	}
-	sort.Slice(m.Popularity, func(i, j int) bool {
-		a, b := m.Popularity[i], m.Popularity[j]
-		if a.Count != b.Count {
-			return a.Count > b.Count
-		}
-		return a.CID.Key() < b.CID.Key()
-	})
-	if fit, err := popularity.FitPowerLaw(popularity.Values(scores.RRP)); err == nil {
+	if fit, err := popularity.FitPowerLaw(values); err == nil {
 		m.PowerLaw = &fit
 	}
 	return m, nil
 }
 
 // TopCIDs returns the n most-requested CIDs.
-func (m *Model) TopCIDs(n int) []CIDCount {
+func (m *Model) TopCIDs(n int) []popularity.CIDCount {
 	if n > len(m.Popularity) {
 		n = len(m.Popularity)
 	}

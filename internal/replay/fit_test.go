@@ -180,7 +180,8 @@ func TestFittedAmplifyPreservesAlpha(t *testing.T) {
 	for _, e := range sess.World.Monitors[0].Trace() {
 		counter.Write(e)
 	}
-	fit, err := popularity.FitPowerLaw(popularity.Values(counter.Scores().RRP))
+	rrp, _ := counter.SortedValues()
+	fit, err := popularity.FitPowerLaw(rrp)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,23 +11,6 @@ import (
 	"bitswapmon/internal/trace"
 )
 
-// mergerNames lists the reports that implement Merger. opts must carry a
-// Tracer, which latency_breakdown needs.
-func mergerNames(t *testing.T, opts Options) []string {
-	t.Helper()
-	var names []string
-	for _, name := range Names() {
-		r, err := New(name, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, ok := r.(Merger); ok {
-			names = append(names, name)
-		}
-	}
-	return names
-}
-
 // sameResult fails unless two results agree in Render and in Metrics.
 func sameResult(t *testing.T, what string, got, want Result) {
 	t.Helper()
@@ -54,7 +37,7 @@ func runDriver(t *testing.T, names []string, opts Options, entries ...[]trace.En
 	return drv
 }
 
-// TestMergeLaw: for every Merger, A observes s1 and B observes s2; after
+// TestMergeLaw: for every report, A observes s1 and B observes s2; after
 // A.Merge(B), A finalizes to exactly what one instance over s1‖s2 does, in
 // Render and in Metrics, and B still finalizes to its own stream's result.
 // It runs each report alone (a private numbering and counter) and all of
@@ -68,14 +51,14 @@ func TestMergeLaw(t *testing.T) {
 	opts.Bucket = 10 * time.Minute // several fig4 buckets and fig6 slices per half
 	opts.BootstrapIters = 5
 	opts.Tracer = spanTracer()
-	names := mergerNames(t, opts)
-	for _, want := range []string{"summary", "traffic", "table1", "table2", "fig4", "fig5", "fig6", "popularity", "latency_breakdown"} {
+	names := Names()
+	for _, want := range []string{"summary", "traffic", "online", "table1", "table2", "fig4", "fig5", "fig6", "popularity", "latency_breakdown"} {
 		found := false
 		for _, name := range names {
 			found = found || name == want
 		}
 		if !found {
-			t.Fatalf("%s does not implement Merger (mergers: %v)", want, names)
+			t.Fatalf("%s is not a report (reports: %v)", want, names)
 		}
 	}
 
@@ -131,7 +114,7 @@ func TestMergeLaw(t *testing.T) {
 					return r
 				}
 				a := observe(s1)
-				if err := a.(Merger).Merge(observe(s2)); err != nil {
+				if err := a.Merge(observe(s2)); err != nil {
 					t.Fatal(err)
 				}
 				merged, err := a.Finalize()
@@ -191,7 +174,7 @@ func TestMergeRejectsOtherReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range mergerNames(t, opts) {
+	for _, name := range Names() {
 		if name == "traffic" {
 			continue
 		}
@@ -199,7 +182,7 @@ func TestMergeRejectsOtherReport(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := r.(Merger).Merge(traffic); err == nil {
+		if err := r.Merge(traffic); err == nil {
 			t.Errorf("%s merged a traffic report", name)
 		}
 	}

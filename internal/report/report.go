@@ -9,9 +9,11 @@
 // ComputeTable1/2) that demanded a fully materialized []trace.Entry: every
 // built-in report accumulates in one pass with memory bounded by its own
 // state (codec counters, time buckets, popularity score maps), never by
-// trace length. Adding a new metric means implementing Report and adding
-// its constructor to the report table, and every consumer — bsanalyze,
-// sweep summaries, the daemon's windows — can run it by name.
+// trace length. Every report also merges another instance's state exactly,
+// which is how the daemon's sliding windows observe each entry once. Adding
+// a new metric means implementing Report and adding its constructor to the
+// report table, and every consumer — bsanalyze, sweep summaries, the
+// daemon's windows — can run it by name.
 package report
 
 import (
@@ -27,7 +29,8 @@ import (
 
 // Report consumes a unified trace stream in one pass. Implementations
 // accumulate whatever state the analysis needs and produce their Result once
-// the stream ends.
+// the stream ends. Every report merges exactly, so a WindowedDriver keeps
+// it once per pane and merges the panes of a window when it closes.
 type Report interface {
 	// WantsDedup reports whether the analysis is defined over the
 	// deduplicated view of the unified trace (Sec. IV-B flags removed).
@@ -37,27 +40,21 @@ type Report interface {
 	WantsDedup() bool
 	// Observe folds one entry into the report's state.
 	Observe(e trace.Entry) error
+	// Merge folds from's state into the report's: after it, Finalize
+	// returns exactly what one instance that had observed both streams
+	// would. from is an instance of the same report built with the same
+	// options, never finalized, and it is left unchanged, so it can be
+	// merged into other instances too. latency_breakdown merges trivially,
+	// its only state being the tracer every instance reads at Finalize.
+	//
+	// Reports of one pass share their Symbols and popularity counter, so
+	// merging one of them stands for the whole pass only when every report
+	// of the pass merges with its counterpart: the report that feeds the
+	// shared counter merges it, the others merge nothing of it.
+	Merge(from Report) error
 	// Finalize completes the analysis. A report is single-use: Observe
 	// must not be called after Finalize.
 	Finalize() (Result, error)
-}
-
-// Merger is implemented by reports whose state over two streams combines
-// exactly. After r.Merge(from), r.Finalize returns exactly what one
-// instance that had observed both streams would return. from is an instance
-// of the same report built with the same options, never finalized, and it
-// is left unchanged, so it can be merged into other instances too.
-// WindowedDriver keeps a mergeable report once per pane and merges the
-// panes of a window when it closes. Every built-in report but online is a
-// Merger; latency_breakdown merges trivially, its only state being the
-// tracer every instance reads at Finalize.
-//
-// Reports of one pass share their Symbols and popularity counter, so
-// merging one of them stands for the whole pass only when every report of
-// the pass merges with its counterpart: the report that feeds the shared
-// counter merges it, the others merge nothing of it.
-type Merger interface {
-	Merge(from Report) error
 }
 
 // Result is one finished analysis artifact.
@@ -222,11 +219,10 @@ func (d *Driver) Write(e trace.Entry) error {
 
 // merge folds every report of from into its counterpart here, and adds
 // from's entry counts to d's. Both drivers were built by AddByName over the
-// same names and options with the same telemetry handle, and every report
-// is a Merger.
+// same names and options with the same telemetry handle.
 func (d *Driver) merge(from *Driver) error {
 	for i, r := range d.active {
-		if err := r.(Merger).Merge(from.active[i]); err != nil {
+		if err := r.Merge(from.active[i]); err != nil {
 			return fmt.Errorf("report %s: %w", d.reports[i].Name, err)
 		}
 	}

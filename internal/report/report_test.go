@@ -215,11 +215,20 @@ func legacyFig4(entries []trace.Entry, bucket time.Duration) *Fig4 {
 	return out
 }
 
+// sortedValues returns the values of scores in ascending order.
+func sortedValues(scores map[cid.CID]int) []int {
+	out := make([]int, 0, len(scores))
+	for _, v := range scores {
+		out = append(out, v)
+	}
+	sort.Ints(out)
+	return out
+}
+
 func legacyFig5(t *testing.T, entries []trace.Entry, iters int, rng *rand.Rand) *Fig5 {
 	t.Helper()
 	scores := popularity.Compute(entries)
-	rrp := popularity.Values(scores.RRP)
-	urp := popularity.Values(scores.URP)
+	rrp, urp := sortedValues(scores.RRP), sortedValues(scores.URP)
 	f := &Fig5{
 		CIDs:      len(rrp),
 		RRPECDF:   popularity.ECDF(rrp),
@@ -524,6 +533,7 @@ type failingReport struct{}
 
 func (failingReport) WantsDedup() bool          { return false }
 func (failingReport) Observe(trace.Entry) error { return nil }
+func (failingReport) Merge(Report) error        { return nil }
 func (failingReport) Finalize() (Result, error) { return nil, errors.New("no result") }
 
 // TestFinalizePartialResults: one failing report must not discard the
@@ -826,5 +836,90 @@ func TestSharedPopularityCounter(t *testing.T) {
 				t.Errorf("%v: %s differs from its stand-alone run\n--- shared\n%+v\n--- alone\n%+v", names, name, got, want)
 			}
 		}
+	}
+}
+
+// TestOnlineTopKExact: online's top K is Compute's RRP ranking of the
+// deduplicated stream cut at K — count descending, ties by CID key — for K
+// below, at and above the number of requested CIDs, and empty on an empty
+// stream. Five heavy hitters stand over a long tail of tied counts. online
+// runs beside summary, so the pass's Symbols also numbers CIDs online never
+// counts: CIDs only cancelled and CIDs only in duplicate-flagged entries.
+func TestOnlineTopKExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	hot := []int{4000, 3000, 2000, 1500, 1000}
+	var stream []string
+	for i, n := range hot {
+		for j := 0; j < n; j++ {
+			stream = append(stream, fmt.Sprintf("hot%d", i))
+		}
+	}
+	for i := 0; i < 6000; i++ {
+		stream = append(stream, fmt.Sprintf("tail%d", rng.Intn(2000)))
+	}
+	rng.Shuffle(len(stream), func(i, j int) { stream[i], stream[j] = stream[j], stream[i] })
+	mk := func(i int, node byte, name string, typ wire.EntryType) trace.Entry {
+		var id simnet.NodeID
+		id[0] = node
+		return trace.Entry{Timestamp: t0.Add(time.Duration(i) * time.Millisecond), Monitor: "us",
+			NodeID: id, Type: typ, CID: cid.Sum(cid.DagProtobuf, []byte(name))}
+	}
+	var entries []trace.Entry
+	for i, name := range stream {
+		entries = append(entries, mk(i, byte(i%17), name, wire.WantHave))
+		if i%100 == 0 {
+			entries = append(entries, mk(i, 1, name, wire.Cancel))
+			entries = append(entries, mk(i, 2, fmt.Sprintf("cancelled%d", i), wire.Cancel))
+			dup := mk(i, 3, fmt.Sprintf("dup%d", i), wire.WantBlock)
+			dup.Flags = trace.FlagRebroadcast
+			entries = append(entries, dup)
+		}
+	}
+
+	var want []popularity.CIDCount
+	for c, n := range popularity.Compute(trace.Deduplicated(entries)).RRP {
+		want = append(want, popularity.CIDCount{CID: c, Count: n})
+	}
+	sort.Slice(want, func(i, j int) bool {
+		if want[i].Count != want[j].Count {
+			return want[i].Count > want[j].Count
+		}
+		return want[i].CID.Key() < want[j].CID.Key()
+	})
+	for i, n := range hot {
+		if want[i].Count != n {
+			t.Fatalf("reference rank %d has %d requests, want hot%d's %d", i, want[i].Count, i, n)
+		}
+	}
+
+	top := func(k int, entries []trace.Entry) ([]popularity.CIDCount, *trace.Symbols) {
+		t.Helper()
+		drv := NewDriver(true)
+		if err := drv.AddByName([]string{"summary", "online"}, Options{TopK: k}); err != nil {
+			t.Fatal(err)
+		}
+		if err := drv.Run(ingest.SliceSource(entries)); err != nil {
+			t.Fatal(err)
+		}
+		results, err := drv.Finalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return results.Get("online").(*Online).TopCIDs, drv.pass.syms
+	}
+	n := len(want)
+	for _, k := range []int{5, n, n + 3} {
+		got, syms := top(k, entries)
+		if !reflect.DeepEqual(got, want[:min(k, n)]) {
+			t.Errorf("k=%d: top K differs from Compute's ranking (%d vs %d CIDs)", k, len(got), min(k, n))
+		}
+		numbered := 0
+		syms.EachCID(func(uint32, cid.CID) { numbered++ })
+		if numbered <= n {
+			t.Fatalf("the pass numbers %d CIDs, no more than the %d online counts", numbered, n)
+		}
+	}
+	if got, _ := top(5, nil); len(got) != 0 {
+		t.Errorf("empty stream: top K = %v", got)
 	}
 }

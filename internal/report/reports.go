@@ -129,7 +129,8 @@ var reports = map[string]func(Options) (Report, error){
 	},
 	"online": func(o Options) (Report, error) {
 		return &onlineReport{
-			stats: ingest.NewOnlineStats(ingest.StatsOptions{Bucket: o.bucket(), TopK: o.topK()}),
+			stats: ingest.NewOnlineStats(ingest.StatsOptions{Bucket: o.bucket()}),
+			syms:  o.Symbols(),
 			topK:  o.topK(),
 		}, nil
 	},
@@ -206,11 +207,6 @@ type trafficReport struct {
 	gatewayDedupReqs            int
 }
 
-// HasGatewayIDs on the result distinguishes "no gateway traffic" from "no
-// gateway ground truth": without an ID set (e.g. bsanalyze over a bare
-// trace) a 0% share would be a silently wrong number, so Render and
-// Metrics omit it instead.
-
 func (r *trafficReport) WantsDedup() bool { return false }
 
 func (r *trafficReport) Observe(e trace.Entry) error {
@@ -275,15 +271,49 @@ func (r *trafficReport) Finalize() (Result, error) {
 	return t, nil
 }
 
-// --- online: sketched one-pass aggregates ----------------------------------
+// --- online: one-pass aggregates and the exact top K ----------------------
 
+// onlineReport keeps the constant-size OnlineStats aggregates and each
+// CID's request count by its id in the pass's Symbols — its own counts, not
+// the pass's popularity counter, which also holds every (CID, peer) pair.
 type onlineReport struct {
-	stats *ingest.OnlineStats
-	topK  int
+	stats  *ingest.OnlineStats
+	syms   *trace.Symbols
+	counts []int // requests by CID id; 0 for CIDs numbered by other reports
+	topK   int
 }
 
-func (r *onlineReport) WantsDedup() bool            { return true }
-func (r *onlineReport) Observe(e trace.Entry) error { return r.stats.Write(e) }
+func (r *onlineReport) WantsDedup() bool { return true }
+
+func (r *onlineReport) Observe(e trace.Entry) error {
+	if e.IsRequest() {
+		r.count(r.syms.CID(e.CID), 1)
+	}
+	return r.stats.Write(e)
+}
+
+func (r *onlineReport) count(id uint32, n int) {
+	if int(id) >= len(r.counts) {
+		r.counts = append(r.counts, make([]int, int(id)+1-len(r.counts))...)
+	}
+	r.counts[id] += n
+}
+
+func (r *onlineReport) Merge(from Report) error {
+	f, err := mergeable(r, from)
+	if err != nil {
+		return err
+	}
+	r.stats.Merge(f.stats)
+	t := r.syms.Translate(f.syms)
+	for id, n := range f.counts {
+		if n > 0 {
+			r.count(t.CIDs[id], n)
+		}
+	}
+	return nil
+}
+
 func (r *onlineReport) Finalize() (Result, error) {
 	res := &Online{
 		Entries:        r.stats.Entries(),
@@ -296,7 +326,7 @@ func (r *onlineReport) Finalize() (Result, error) {
 		Buckets:        r.stats.Buckets(),
 		EvictedBuckets: r.stats.EvictedBuckets(),
 		TopK:           r.topK,
-		TopCIDs:        r.stats.TopCIDs(r.topK),
+		TopCIDs:        popularity.Rank(r.syms, r.counts, r.topK),
 		PerType:        make(map[string]int64),
 	}
 	for typ, n := range r.stats.TypeCounts() {

@@ -100,8 +100,9 @@ func (t *Traffic) Metrics() map[string]float64 {
 
 // --- Online -----------------------------------------------------------------
 
-// Online is the sketched one-pass aggregate panel: what a long-running
-// collector can afford to keep per entry.
+// Online is the one-pass aggregate panel: exact totals and per-type counts,
+// requests per bucket, HyperLogLog distinct-peer and distinct-CID estimates,
+// and the exact top K CIDs by requests.
 type Online struct {
 	Entries        int64
 	Requests       int64
@@ -114,11 +115,11 @@ type Online struct {
 	Buckets        []ingest.TypeBucket
 	EvictedBuckets int
 	TopK           int
-	TopCIDs        []ingest.CIDCount
+	TopCIDs        []popularity.CIDCount
 }
 
 // Render prints the panel, including the windowed request-type series and
-// the space-saving top-K estimates.
+// the top K CIDs.
 func (r *Online) Render() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "entries: %d (requests %d)\n", r.Entries, r.Requests)
@@ -135,14 +136,14 @@ func (r *Online) Render() string {
 		}
 		fmt.Fprintf(&sb, "%-25s %12d %12d\n", b.Start.Format(time.RFC3339), b.WantBlock, b.WantHave)
 	}
-	fmt.Fprintf(&sb, "top %d CIDs (space-saving estimates):\n", r.TopK)
+	fmt.Fprintf(&sb, "top %d CIDs (exact request counts):\n", r.TopK)
 	for i, tc := range r.TopCIDs {
-		fmt.Fprintf(&sb, "  %2d. %s  ~%d requests (overcount <= %d)\n", i+1, tc.CID, tc.Count, tc.ErrBound)
+		fmt.Fprintf(&sb, "  %2d. %s  %d requests\n", i+1, tc.CID, tc.Count)
 	}
 	return sb.String()
 }
 
-// Metrics exposes the sketched estimates.
+// Metrics exposes the totals and the distinct-count estimates.
 func (r *Online) Metrics() map[string]float64 {
 	return map[string]float64{
 		"entries":            float64(r.Entries),

@@ -1,7 +1,6 @@
 package report
 
 import (
-	"errors"
 	"fmt"
 	"strconv"
 	"sync"
@@ -22,15 +21,14 @@ type WindowOptions struct {
 	// report_window_metric recency slots). Default 8.
 	Keep int
 	// Reports names the reports evaluated per window (a name
-	// listed twice is rejected, as AddByName rejects it). A report that
-	// implements Merger is kept once per pane, a Slide-wide Driver that
-	// observes each entry once, and a window closing merges its panes; any
-	// other report keeps one instance per window, fed every entry of it.
+	// listed twice is rejected, as AddByName rejects it). Each is kept once
+	// per pane, a Slide-wide Driver that observes each entry once, and a
+	// window closing merges its panes.
 	Reports []string
-	// Opts parametrises every pane's and window's report instances.
+	// Opts parametrises every pane's report instances.
 	Opts Options
-	// Dedup is the pane and window Drivers' dedup switch: reports
-	// declaring WantsDedup skip duplicate-flagged entries.
+	// Dedup is the pane Drivers' dedup switch: reports declaring
+	// WantsDedup skip duplicate-flagged entries.
 	Dedup bool
 	// OnClose, when set, receives every finalized window in order — the
 	// durable-retention hook (e.g. append one JSON line per window, so
@@ -94,16 +92,14 @@ type WindowSnapshot struct {
 }
 
 // windowState is one open window [start, end), start = k*Slide. pane is
-// its first pane, the Driver over the mergeable reports that every entry of
-// the window's first Slide goes to; the window adopts it when it closes and
-// merges into it the first panes of the windows after it. own holds the
-// reports that cannot merge, fed every entry of the window (nil when there
-// are none).
+// its first pane, the Driver that every entry of the window's first Slide
+// goes to; the window adopts it when it closes and merges into it the first
+// panes of the windows after it.
 type windowState struct {
 	k          int64
 	start, end int64 // ns
 	entries    int
-	pane, own  *Driver
+	pane       *Driver
 }
 
 // WindowedDriver evaluates a set of reports over tumbling or
@@ -112,17 +108,16 @@ type windowState struct {
 // a running simulation's monitors.
 //
 // The stream is cut into panes, Slide wide, and each pane is a Driver of
-// its own over fresh instances of the reports that implement Merger, so
-// each entry is observed once however many windows overlap it. The open
-// windows are one start-ordered run: after every write they are exactly
-// the Width/Slide windows that cover the watermark, each holding its first
-// pane. When the watermark passes the first window's end, that window
-// adopts its first pane's report instances, which no later window covers,
-// and merges the first panes of the windows after it into them; a tumbling
-// window has one pane and merges nothing. Reports that cannot merge (only
-// online) keep one Driver per window, fed every entry of it. Either way a
-// window reports exactly what a fresh Driver fed the window's entries alone
-// would, and its reports are counted in the per-report telemetry
+// its own over fresh instances of the reports, so each entry is observed
+// once however many windows overlap it. The open windows are one
+// start-ordered run: after every write they are exactly the Width/Slide
+// windows that cover the watermark, each holding its first pane. When the
+// watermark passes the first window's end, that window adopts its first
+// pane's report instances, which no later window covers, and merges the
+// first panes of the windows after it into them; a tumbling window has one
+// pane and merges nothing. A window reports exactly what a fresh Driver
+// fed the window's entries alone would, and its reports are counted in the
+// per-report telemetry
 // (report_entries_observed_total, per window that covers the entry, and the
 // two latency histograms) like every other pass. A closed window is
 // retained in a bounded ring, published through the
@@ -137,10 +132,8 @@ type WindowedDriver struct {
 	opts         WindowOptions
 	width, slide int64
 	panesPer     int64 // width / slide
-	// paneNames are the reports kept per pane, ownNames those kept per
-	// window; live indexes the pane reports that are LiveReporters.
-	paneNames, ownNames []string
-	live                []int
+	// live indexes the reports that are LiveReporters.
+	live []int
 
 	mu sync.Mutex
 	// open holds the open windows in start order: consecutive starts, the
@@ -169,8 +162,6 @@ func NewWindowedDriver(opts WindowOptions) (*WindowedDriver, error) {
 	// Probe-build the report set once on a throwaway Driver: a name that
 	// cannot build now (unknown, listed twice, or missing context like a geo
 	// DB) would otherwise surface mid-stream at the first window boundary.
-	// The probe also sorts the reports into per-pane and per-window ones; a
-	// tumbling window is one pane, so there every report is kept per pane.
 	probe := NewDriver(opts.Dedup)
 	if err := probe.AddByName(opts.Reports, opts.Opts); err != nil {
 		return nil, err
@@ -183,15 +174,9 @@ func NewWindowedDriver(opts WindowOptions) (*WindowedDriver, error) {
 		m:        repMetrics.Load(),
 	}
 	for i, r := range probe.active {
-		name := probe.reports[i].Name
-		if _, ok := r.(Merger); !ok && d.panesPer > 1 {
-			d.ownNames = append(d.ownNames, name)
-			continue
-		}
 		if _, ok := r.(LiveReporter); ok {
-			d.live = append(d.live, len(d.paneNames))
+			d.live = append(d.live, i)
 		}
-		d.paneNames = append(d.paneNames, name)
 	}
 	return d, nil
 }
@@ -239,12 +224,6 @@ func (d *WindowedDriver) Write(e trace.Entry) error {
 	// entry's pane is the first pane of window kMax.
 	for _, st := range d.open[:kMax-front+1] {
 		st.entries++
-		if st.own != nil {
-			if err := st.own.Write(e); err != nil {
-				d.err = err
-				return err
-			}
-		}
 	}
 	if err := d.open[kMax-front].pane.Write(e); err != nil {
 		d.err = err
@@ -291,12 +270,6 @@ func (d *WindowedDriver) advance(ts int64) error {
 // its start, before the entry that moved it is written.
 func (d *WindowedDriver) openWindow(k int64) (*windowState, error) {
 	st := &windowState{k: k, start: k * d.slide, end: k*d.slide + d.width}
-	if len(d.ownNames) > 0 {
-		st.own = NewDriver(d.opts.Dedup)
-		if err := st.own.AddByName(d.ownNames, d.opts.Opts); err != nil {
-			return nil, err
-		}
-	}
 	// A pane's Driver is its pass: its reports share a numbering and a
 	// popularity counter of their own, reachable only through them, so both
 	// are garbage with the window that adopts the pane and the daemon's
@@ -305,7 +278,7 @@ func (d *WindowedDriver) openWindow(k int64) (*windowState, error) {
 	// pane was merged into; every pane shares the driver's telemetry handle,
 	// so their counts line up.
 	st.pane = &Driver{dedup: d.opts.Dedup, m: d.m, hold: true}
-	if err := st.pane.AddByName(d.paneNames, d.opts.Opts); err != nil {
+	if err := st.pane.AddByName(d.opts.Reports, d.opts.Opts); err != nil {
 		return nil, err
 	}
 	return st, nil
@@ -344,10 +317,6 @@ func (d *WindowedDriver) finalizeWindow(st *windowState, partial bool) error {
 		}
 	}
 	results, err := drv.Finalize()
-	if st.own != nil {
-		own, ownErr := st.own.Finalize()
-		results, err = append(results, own...), errors.Join(err, ownErr)
-	}
 	if err != nil {
 		return fail(err)
 	}
@@ -418,28 +387,18 @@ func (d *WindowedDriver) Snapshot() WindowSnapshot {
 // liveMetrics returns the LiveReporter numbers of open window i. Caller
 // holds mu.
 func (d *WindowedDriver) liveMetrics(i int) map[string]map[string]float64 {
-	var live map[string]map[string]float64
-	put := func(name string, r Report) {
-		if lr, ok := r.(LiveReporter); ok {
-			if live == nil {
-				live = make(map[string]map[string]float64)
-			}
-			live[name] = lr.LiveMetrics()
-		}
+	if len(d.live) == 0 {
+		return nil
 	}
-	if len(d.live) > 0 {
-		// paneView fails only where NewWindowedDriver's probe would have,
-		// or where merging these panes at the window's close will.
-		if view, err := d.paneView(i); err == nil {
-			for _, j := range d.live {
-				put(d.paneNames[j], view.active[j])
-			}
-		}
+	// paneView fails only where NewWindowedDriver's probe would have, or
+	// where merging these panes at the window's close will.
+	view, err := d.paneView(i)
+	if err != nil {
+		return nil
 	}
-	if own := d.open[i].own; own != nil {
-		for j, r := range own.active {
-			put(own.reports[j].Name, r)
-		}
+	live := make(map[string]map[string]float64, len(d.live))
+	for _, j := range d.live {
+		live[view.reports[j].Name] = view.active[j].(LiveReporter).LiveMetrics()
 	}
 	return live
 }
@@ -454,12 +413,12 @@ func (d *WindowedDriver) paneView(i int) (*Driver, error) {
 		return d.open[i].pane, nil
 	}
 	view := &Driver{dedup: d.opts.Dedup} // no telemetry: a view, not a pass
-	if err := view.AddByName(d.paneNames, d.opts.Opts); err != nil {
+	if err := view.AddByName(d.opts.Reports, d.opts.Opts); err != nil {
 		return nil, err
 	}
 	for _, st := range d.open[i:] {
 		for _, j := range d.live {
-			if err := view.active[j].(Merger).Merge(st.pane.active[j]); err != nil {
+			if err := view.active[j].Merge(st.pane.active[j]); err != nil {
 				return nil, err
 			}
 		}

@@ -173,41 +173,31 @@ type CIDCount struct {
 // ties by CID key, the order in which Compute's RRP ranks them. counts
 // holds each CID's request count by the id syms numbers it with; a CID
 // counted 0 (a shared Symbols also numbers CIDs the caller never counted)
-// is not ranked. When k is at least the number of counted CIDs they are all
-// ranked by one sort; a smaller k keeps only the best k in one walk of
-// syms, so a top 10 of a long tail sorts ten.
+// is not ranked. A k of at least len(counts) ranks every CID by one sort; a
+// smaller k keeps only the best k in one walk of syms, so a top 10 of a
+// long tail sorts ten.
 func Rank(syms *trace.Symbols, counts []int, k int) []CIDCount {
-	n := 0
-	for _, c := range counts {
-		if c > 0 {
-			n++
+	if k <= 0 {
+		return nil
+	}
+	var out rankHeap
+	keep := func(cc CIDCount) { out = append(out, cc) }
+	if k < len(counts) {
+		// out is a heap whose root is the last of the best k so far.
+		keep = func(cc CIDCount) {
+			if len(out) < k {
+				heap.Push(&out, cc)
+			} else if compareRank(cc, out[0]) < 0 {
+				out[0] = cc
+				heap.Fix(&out, 0)
+			}
 		}
 	}
-	each := func(f func(CIDCount)) {
-		syms.EachCID(func(id uint32, c cid.CID) {
-			if int(id) < len(counts) && counts[id] > 0 {
-				f(CIDCount{CID: c, Count: counts[id]})
-			}
-		})
-	}
-	var out []CIDCount
-	switch {
-	case k >= n:
-		out = make([]CIDCount, 0, n)
-		each(func(cc CIDCount) { out = append(out, cc) })
-	case k > 0:
-		// A heap whose root is the last of the best k so far.
-		top := make(rankHeap, 0, k)
-		each(func(cc CIDCount) {
-			if len(top) < k {
-				heap.Push(&top, cc)
-			} else if compareRank(cc, top[0]) < 0 {
-				top[0] = cc
-				heap.Fix(&top, 0)
-			}
-		})
-		out = top
-	}
+	syms.EachCID(func(id uint32, c cid.CID) {
+		if int(id) < len(counts) && counts[id] > 0 {
+			keep(CIDCount{CID: c, Count: counts[id]})
+		}
+	})
 	slices.SortFunc(out, compareRank)
 	return out
 }

@@ -92,10 +92,6 @@ func run(args []string) error {
 		if nr.Result == nil {
 			continue
 		}
-		// Diagnostics stay on stderr; stdout carries only report bodies.
-		if online, ok := nr.Result.(*report.Online); ok && online.EvictedBuckets > 0 {
-			fmt.Fprintf(os.Stderr, "bsanalyze: warning: %d oldest time buckets evicted; the online series covers only the trace tail (raise -bucket)\n", online.EvictedBuckets)
-		}
 		if len(results) > 1 {
 			fmt.Printf("==== %s ====\n", nr.Name)
 		}

@@ -13,9 +13,9 @@
 //     merges several monitor sources into the paper's unified trace
 //     (Sec. IV-B dedup flags) using bounded sliding-window state instead of
 //     a global sort.
-//   - OnlineStats: one-pass aggregation (request-type counts per window,
-//     distinct-peer and distinct-CID estimates), mergeable across streams,
-//     so headline figures are available without re-reading the trace.
+//   - OnlineStats: one-pass, exact aggregation (totals, per-type counts and
+//     request-type counts per time bucket), mergeable across streams, so
+//     headline figures are available without re-reading the trace.
 //
 // With these pieces, trace volume is bounded by disk, not RAM: the largest
 // resident data structure is one segment's write buffer plus the unifier's

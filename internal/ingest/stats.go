@@ -1,9 +1,6 @@
 package ingest
 
 import (
-	"maps"
-	"math"
-	"slices"
 	"sort"
 	"time"
 
@@ -17,10 +14,6 @@ type StatsOptions struct {
 	// Default 1h.
 	Bucket time.Duration
 }
-
-// maxBuckets bounds the retained windowed counters (≈ 170 days of hourly
-// buckets); the oldest bucket is evicted beyond this.
-const maxBuckets = 4096
 
 func (o StatsOptions) withDefaults() StatsOptions {
 	if o.Bucket <= 0 {
@@ -38,11 +31,11 @@ type TypeBucket struct {
 }
 
 // OnlineStats aggregates a trace stream in one pass with O(1)-per-entry
-// work and memory independent of trace length: exact per-type totals,
-// windowed per-type counts, and HyperLogLog distinct-peer and distinct-CID
-// estimates. Two aggregates merge into what one pass over both streams
-// gives (Merge). It satisfies Sink, so it is typically Tee'd next to a
-// SegmentStore on the capture path.
+// work: exact per-type totals, First and Last, and per-type counts for
+// every time bucket the stream touches. Its memory grows with the number of
+// buckets, not of entries. Two aggregates merge into what one pass over
+// both streams gives (Merge). It satisfies Sink, so it can be Tee'd next to
+// a SegmentStore on the capture path.
 type OnlineStats struct {
 	opts StatsOptions
 
@@ -50,11 +43,7 @@ type OnlineStats struct {
 	requests int64
 	perType  map[wire.EntryType]int64
 
-	buckets        map[int64]*TypeBucket
-	evictedBuckets int
-
-	peers *hyperLogLog
-	cids  *hyperLogLog
+	buckets map[int64]*TypeBucket
 
 	first, last time.Time
 }
@@ -66,8 +55,6 @@ func NewOnlineStats(opts StatsOptions) *OnlineStats {
 		opts:    o,
 		perType: make(map[wire.EntryType]int64),
 		buckets: make(map[int64]*TypeBucket),
-		peers:   newHyperLogLog(),
-		cids:    newHyperLogLog(),
 	}
 }
 
@@ -81,15 +68,10 @@ func (s *OnlineStats) Write(e trace.Entry) error {
 	}
 	s.entries++
 	s.perType[e.Type]++
-	s.peers.add(fnv64a(e.NodeID[:]))
-	s.cids.add(fnv64aString(e.CID.Key()))
 
-	k := s.bucketKey(e.Timestamp)
+	k := e.Timestamp.UnixNano() / int64(s.opts.Bucket)
 	b, ok := s.buckets[k]
 	if !ok {
-		if len(s.buckets) >= maxBuckets {
-			s.evictOldestBucket()
-		}
 		b = &TypeBucket{Start: time.Unix(0, k*int64(s.opts.Bucket)).UTC()}
 		s.buckets[k] = b
 	}
@@ -108,35 +90,10 @@ func (s *OnlineStats) Write(e trace.Entry) error {
 	return nil
 }
 
-func (s *OnlineStats) bucketKey(t time.Time) int64 {
-	return t.UnixNano() / int64(s.opts.Bucket)
-}
-
-func (s *OnlineStats) evictOldestBucket() {
-	first := true
-	var oldest int64
-	for k := range s.buckets {
-		if first || k < oldest {
-			oldest = k
-			first = false
-		}
-	}
-	if !first {
-		delete(s.buckets, oldest)
-		s.evictedBuckets++
-	}
-}
-
 // Merge folds from into s, so that s holds what one OnlineStats written
 // s's stream and then from's would: the totals and per-type counts add,
-// counts of one bucket add, HyperLogLog registers take the max, and First
-// and Last widen. Both must use the same bucket width; from is left
-// unchanged.
-//
-// Past maxBuckets the oldest buckets are evicted, as one pass evicts them
-// when from's stream starts no earlier than s's ends. Only the bucket
-// holding from's first entry can then be in both; if from evicted it, it
-// is already counted there, so s drops its part of it uncounted.
+// counts of one bucket add, and First and Last widen. Both must use the
+// same bucket width; from is left unchanged.
 func (s *OnlineStats) Merge(from *OnlineStats) {
 	if from.entries == 0 {
 		return
@@ -152,12 +109,6 @@ func (s *OnlineStats) Merge(from *OnlineStats) {
 	for typ, n := range from.perType {
 		s.perType[typ] += n
 	}
-	s.peers.merge(from.peers)
-	s.cids.merge(from.cids)
-
-	if from.evictedBuckets > 0 {
-		delete(s.buckets, s.bucketKey(from.first))
-	}
 	for k, fb := range from.buckets {
 		if b, ok := s.buckets[k]; ok {
 			b.WantBlock += fb.WantBlock
@@ -168,20 +119,7 @@ func (s *OnlineStats) Merge(from *OnlineStats) {
 			s.buckets[k] = &b
 		}
 	}
-	s.evictedBuckets += from.evictedBuckets
-	if over := len(s.buckets) - maxBuckets; over > 0 {
-		for _, k := range slices.Sorted(maps.Keys(s.buckets))[:over] {
-			delete(s.buckets, k)
-		}
-		s.evictedBuckets += over
-	}
 }
-
-// EvictedBuckets reports how many windowed counters were dropped to honour
-// maxBuckets. Non-zero means Buckets() covers only the tail of the trace;
-// renderers should surface that rather than present a silently clipped
-// series.
-func (s *OnlineStats) EvictedBuckets() int { return s.evictedBuckets }
 
 // Entries returns the total entries observed.
 func (s *OnlineStats) Entries() int64 { return s.entries }
@@ -204,7 +142,7 @@ func (s *OnlineStats) First() time.Time { return s.first }
 // Last returns the latest observed timestamp.
 func (s *OnlineStats) Last() time.Time { return s.last }
 
-// Buckets returns the retained windowed counters in time order.
+// Buckets returns the windowed counters in time order.
 func (s *OnlineStats) Buckets() []TypeBucket {
 	out := make([]TypeBucket, 0, len(s.buckets))
 	for _, b := range s.buckets {
@@ -216,84 +154,3 @@ func (s *OnlineStats) Buckets() []TypeBucket {
 
 // BucketSize returns the configured window width.
 func (s *OnlineStats) BucketSize() time.Duration { return s.opts.Bucket }
-
-// DistinctPeers estimates the number of distinct requesting peers.
-func (s *OnlineStats) DistinctPeers() float64 { return s.peers.estimate() }
-
-// DistinctCIDs estimates the number of distinct requested CIDs.
-func (s *OnlineStats) DistinctCIDs() float64 { return s.cids.estimate() }
-
-// --- HyperLogLog -----------------------------------------------------------
-
-// hllP is the HyperLogLog precision: 2^hllP byte registers (4 KiB), giving
-// a ~1.6% standard error — plenty for the paper's distinct-peer panels.
-const hllP = 12
-
-type hyperLogLog struct {
-	reg [1 << hllP]uint8
-}
-
-func newHyperLogLog() *hyperLogLog { return &hyperLogLog{} }
-
-func (h *hyperLogLog) add(hash uint64) {
-	idx := hash >> (64 - hllP)
-	rest := hash << hllP
-	// rank = leading zeros of the remaining bits + 1, capped.
-	rank := uint8(1)
-	for rest != 0 && rest&(1<<63) == 0 {
-		rank++
-		rest <<= 1
-	}
-	if rest == 0 {
-		rank = 64 - hllP + 1
-	}
-	if rank > h.reg[idx] {
-		h.reg[idx] = rank
-	}
-}
-
-// merge makes h the sketch of both streams: a register holds the highest
-// rank either saw.
-func (h *hyperLogLog) merge(from *hyperLogLog) {
-	for i, r := range from.reg {
-		h.reg[i] = max(h.reg[i], r)
-	}
-}
-
-func (h *hyperLogLog) estimate() float64 {
-	m := float64(len(h.reg))
-	alpha := 0.7213 / (1 + 1.079/m)
-	sum := 0.0
-	zeros := 0
-	for _, r := range h.reg {
-		sum += math.Ldexp(1, -int(r))
-		if r == 0 {
-			zeros++
-		}
-	}
-	est := alpha * m * m / sum
-	if est <= 2.5*m && zeros > 0 {
-		// Small-range correction: linear counting.
-		est = m * math.Log(m/float64(zeros))
-	}
-	return est
-}
-
-func fnv64a(b []byte) uint64 {
-	h := uint64(14695981039346656037)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= 1099511628211
-	}
-	return h
-}
-
-// fnv64aString avoids the []byte(s) copy on the per-entry hot path.
-func fnv64aString(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
-}

@@ -923,3 +923,41 @@ func TestOnlineTopKExact(t *testing.T) {
 		t.Errorf("empty stream: top K = %v", got)
 	}
 }
+
+// TestOnlineDistinctEqualsSummary: online's distinct peers and CIDs are
+// summary's unique peers and CIDs over the fixture's whole pass, with a
+// dedup driver (online sees only unflagged entries, summary every entry)
+// and a raw one. The first entry of a (peer, CID) key is never flagged, so
+// both streams hold the same peers and CIDs.
+func TestOnlineDistinctEqualsSummary(t *testing.T) {
+	f := newFixture(t, 21)
+	for _, dedup := range []bool{true, false} {
+		drv := NewDriver(dedup)
+		if err := drv.AddByName([]string{"summary", "online"}, f.opts()); err != nil {
+			t.Fatal(err)
+		}
+		if err := drv.Run(ingest.SliceSource(f.unified)); err != nil {
+			t.Fatal(err)
+		}
+		results, err := drv.Finalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := results.Get("summary").(*SummaryResult).Summary
+		online := results.Get("online").(*Online)
+		if online.DistinctPeers != sum.UniquePeers || online.DistinctCIDs != sum.UniqueCIDs {
+			t.Errorf("dedup=%v: online counts %d peers, %d CIDs; summary %d, %d",
+				dedup, online.DistinctPeers, online.DistinctCIDs, sum.UniquePeers, sum.UniqueCIDs)
+		}
+		m := online.Metrics()
+		if m["distinct_peers"] != float64(sum.UniquePeers) || m["distinct_cids"] != float64(sum.UniqueCIDs) {
+			t.Errorf("dedup=%v: online metrics %v, summary %d peers, %d CIDs", dedup, m, sum.UniquePeers, sum.UniqueCIDs)
+		}
+		if want := fmt.Sprintf("distinct peers %d, distinct CIDs %d\n", sum.UniquePeers, sum.UniqueCIDs); !strings.Contains(online.Render(), want) {
+			t.Errorf("dedup=%v: render lacks %q", dedup, want)
+		}
+		if dedup && online.Entries == int64(sum.Entries) {
+			t.Fatalf("the fixture flags no duplicates: online and summary both saw %d entries", sum.Entries)
+		}
+	}
+}

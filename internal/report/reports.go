@@ -273,21 +273,26 @@ func (r *trafficReport) Finalize() (Result, error) {
 
 // --- online: one-pass aggregates and the exact top K ----------------------
 
-// onlineReport keeps the constant-size OnlineStats aggregates and each
-// CID's request count by its id in the pass's Symbols — its own counts, not
-// the pass's popularity counter, which also holds every (CID, peer) pair.
+// onlineReport keeps the OnlineStats aggregates, the pass's distinct peers
+// and CIDs as sets of their ids in the pass's Symbols, and each CID's
+// request count by that id — its own counts, not the pass's popularity
+// counter, which also holds every (CID, peer) pair.
 type onlineReport struct {
-	stats  *ingest.OnlineStats
-	syms   *trace.Symbols
-	counts []int // requests by CID id; 0 for CIDs numbered by other reports
-	topK   int
+	stats       *ingest.OnlineStats
+	syms        *trace.Symbols
+	peers, cids trace.IDSet
+	counts      []int // requests by CID id; 0 for CIDs numbered by other reports
+	topK        int
 }
 
 func (r *onlineReport) WantsDedup() bool { return true }
 
 func (r *onlineReport) Observe(e trace.Entry) error {
+	r.peers.Add(r.syms.Peer(e.NodeID))
+	c := r.syms.CID(e.CID)
+	r.cids.Add(c)
 	if e.IsRequest() {
-		r.count(r.syms.CID(e.CID), 1)
+		r.count(c, 1)
 	}
 	return r.stats.Write(e)
 }
@@ -306,6 +311,8 @@ func (r *onlineReport) Merge(from Report) error {
 	}
 	r.stats.Merge(f.stats)
 	t := r.syms.Translate(f.syms)
+	r.peers.AddMapped(&f.peers, t.Peers)
+	r.cids.AddMapped(&f.cids, t.CIDs)
 	for id, n := range f.counts {
 		if n > 0 {
 			r.count(t.CIDs[id], n)
@@ -316,18 +323,17 @@ func (r *onlineReport) Merge(from Report) error {
 
 func (r *onlineReport) Finalize() (Result, error) {
 	res := &Online{
-		Entries:        r.stats.Entries(),
-		Requests:       r.stats.Requests(),
-		DistinctPeers:  r.stats.DistinctPeers(),
-		DistinctCIDs:   r.stats.DistinctCIDs(),
-		First:          r.stats.First(),
-		Last:           r.stats.Last(),
-		BucketSize:     r.stats.BucketSize(),
-		Buckets:        r.stats.Buckets(),
-		EvictedBuckets: r.stats.EvictedBuckets(),
-		TopK:           r.topK,
-		TopCIDs:        popularity.Rank(r.syms, r.counts, r.topK),
-		PerType:        make(map[string]int64),
+		Entries:       r.stats.Entries(),
+		Requests:      r.stats.Requests(),
+		DistinctPeers: r.peers.Len(),
+		DistinctCIDs:  r.cids.Len(),
+		First:         r.stats.First(),
+		Last:          r.stats.Last(),
+		BucketSize:    r.stats.BucketSize(),
+		Buckets:       r.stats.Buckets(),
+		TopK:          r.topK,
+		TopCIDs:       popularity.Rank(r.syms, r.counts, r.topK),
+		PerType:       make(map[string]int64),
 	}
 	for typ, n := range r.stats.TypeCounts() {
 		res.PerType[typ.String()] = n

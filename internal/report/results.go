@@ -100,22 +100,21 @@ func (t *Traffic) Metrics() map[string]float64 {
 
 // --- Online -----------------------------------------------------------------
 
-// Online is the one-pass aggregate panel: exact totals and per-type counts,
-// requests per bucket, HyperLogLog distinct-peer and distinct-CID estimates,
-// and the exact top K CIDs by requests.
+// Online is the one-pass aggregate panel over the deduplicated stream:
+// exact totals and per-type counts, requests per bucket, the exact numbers
+// of distinct peers and CIDs, and the exact top K CIDs by requests.
 type Online struct {
-	Entries        int64
-	Requests       int64
-	DistinctPeers  float64
-	DistinctCIDs   float64
-	First          time.Time
-	Last           time.Time
-	PerType        map[string]int64
-	BucketSize     time.Duration
-	Buckets        []ingest.TypeBucket
-	EvictedBuckets int
-	TopK           int
-	TopCIDs        []popularity.CIDCount
+	Entries       int64
+	Requests      int64
+	DistinctPeers int
+	DistinctCIDs  int
+	First         time.Time
+	Last          time.Time
+	PerType       map[string]int64
+	BucketSize    time.Duration
+	Buckets       []ingest.TypeBucket
+	TopK          int
+	TopCIDs       []popularity.CIDCount
 }
 
 // Render prints the panel, including the windowed request-type series and
@@ -123,7 +122,7 @@ type Online struct {
 func (r *Online) Render() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "entries: %d (requests %d)\n", r.Entries, r.Requests)
-	fmt.Fprintf(&sb, "distinct peers ~%.0f, distinct CIDs ~%.0f\n", r.DistinctPeers, r.DistinctCIDs)
+	fmt.Fprintf(&sb, "distinct peers %d, distinct CIDs %d\n", r.DistinctPeers, r.DistinctCIDs)
 	fmt.Fprintf(&sb, "window: %s .. %s\n", r.First.Format(time.RFC3339), r.Last.Format(time.RFC3339))
 	for _, typ := range sortedKeys64(r.PerType) {
 		fmt.Fprintf(&sb, "  %s: %d\n", typ, r.PerType[typ])
@@ -143,13 +142,13 @@ func (r *Online) Render() string {
 	return sb.String()
 }
 
-// Metrics exposes the totals and the distinct-count estimates.
+// Metrics exposes the totals and the distinct counts.
 func (r *Online) Metrics() map[string]float64 {
 	return map[string]float64{
-		"entries":            float64(r.Entries),
-		"requests":           float64(r.Requests),
-		"distinct_peers_est": r.DistinctPeers,
-		"distinct_cids_est":  r.DistinctCIDs,
+		"entries":        float64(r.Entries),
+		"requests":       float64(r.Requests),
+		"distinct_peers": float64(r.DistinctPeers),
+		"distinct_cids":  float64(r.DistinctCIDs),
 	}
 }
 

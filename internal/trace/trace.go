@@ -183,8 +183,8 @@ type Summary struct {
 type Summarizer struct {
 	s     Summary
 	syms  *Symbols
-	peers idSet
-	cids  idSet
+	peers IDSet
+	cids  IDSet
 }
 
 // NewSummarizer returns an empty Summarizer numbering peers and CIDs with a
@@ -211,8 +211,8 @@ func (z *Summarizer) Write(e Entry) error {
 	if e.IsRequest() {
 		s.Requests++
 	}
-	z.peers.add(z.syms.Peer(e.NodeID))
-	z.cids.add(z.syms.CID(e.CID))
+	z.peers.Add(z.syms.Peer(e.NodeID))
+	z.cids.Add(z.syms.CID(e.CID))
 	if e.Flags&FlagRebroadcast != 0 {
 		s.Rebroadcasts++
 	}
@@ -257,16 +257,16 @@ func (z *Summarizer) Merge(from *Summarizer) {
 		s.Last = f.Last
 	}
 	t := z.syms.Translate(from.syms)
-	z.peers.addMapped(&from.peers, t.Peers)
-	z.cids.addMapped(&from.cids, t.CIDs)
+	z.peers.AddMapped(&from.peers, t.Peers)
+	z.cids.AddMapped(&from.cids, t.CIDs)
 }
 
 // Summary returns the summary so far. The result is a snapshot: further
 // Write calls do not mutate it.
 func (z *Summarizer) Summary() Summary {
 	s := z.s
-	s.UniquePeers = z.peers.n
-	s.UniqueCIDs = z.cids.n
+	s.UniquePeers = z.peers.Len()
+	s.UniqueCIDs = z.cids.Len()
 	s.PerMonitor = make(map[string]int, len(z.s.PerMonitor))
 	for k, v := range z.s.PerMonitor {
 		s.PerMonitor[k] = v

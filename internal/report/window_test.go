@@ -688,11 +688,11 @@ func TestWindowedPinnedOutput(t *testing.T) {
 		closed, middle string
 	}{
 		{15 * time.Minute,
-			"54214f7cb379fc21ae46eaa167681fb23248bc46db3fab51b8cb29ccc59ef214",
-			"d7f8455f7cafa43ad843283bc271df1ef7aba3c4be3bda3c27b66a2a9c90b3a3"},
+			"9ab70aaad617f461c7b62f29000ae834a5d5199901735c5a54d25890b8b086d9",
+			"f21efa3890a3080a3f2c447c5109fdf0b1b051703c123fbcf9197d87ca0e009c"},
 		{time.Hour,
-			"9d963486558bc75f02c9e6d034c30c2cb5ff21064950dcf0b7b353670c472340",
-			"ddf36ee229724e6679545cf69adbc45fed5d7c60bec0fa8392cdcbeb54161257"},
+			"ff09a022fbf60ab21f7f3ecc7e43093ff2b8dae3ec80182bbc6f67158858bf8d",
+			"3825b7633c739293bf8f71ea9a08f69a66e54c914dda93176b80d4f982c40b6b"},
 	} {
 		var lines bytes.Buffer
 		enc := json.NewEncoder(&lines)

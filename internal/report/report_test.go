@@ -927,8 +927,8 @@ func TestOnlineTopKExact(t *testing.T) {
 // TestOnlineDistinctEqualsSummary: online's distinct peers and CIDs are
 // summary's unique peers and CIDs over the fixture's whole pass, with a
 // dedup driver (online sees only unflagged entries, summary every entry)
-// and a raw one. The first entry of a (peer, CID) key is never flagged, so
-// both streams hold the same peers and CIDs.
+// and a raw one. The first entry of a dedup key is never flagged, so both
+// streams hold the same peers and CIDs.
 func TestOnlineDistinctEqualsSummary(t *testing.T) {
 	f := newFixture(t, 21)
 	for _, dedup := range []bool{true, false} {

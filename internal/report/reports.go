@@ -281,7 +281,7 @@ type onlineReport struct {
 	stats       *ingest.OnlineStats
 	syms        *trace.Symbols
 	peers, cids trace.IDSet
-	counts      []int // requests by CID id; 0 for CIDs numbered by other reports
+	counts      []int // requests by CID id; 0 for CIDs this report saw no request of
 	topK        int
 }
 

@@ -100,9 +100,9 @@ func (t *Traffic) Metrics() map[string]float64 {
 
 // --- Online -----------------------------------------------------------------
 
-// Online is the one-pass aggregate panel over the deduplicated stream:
-// exact totals and per-type counts, requests per bucket, the exact numbers
-// of distinct peers and CIDs, and the exact top K CIDs by requests.
+// Online is the one-pass aggregate panel: exact totals and per-type counts,
+// requests per bucket, the exact numbers of distinct peers and CIDs, and
+// the exact top K CIDs by requests.
 type Online struct {
 	Entries       int64
 	Requests      int64

@@ -261,8 +261,8 @@ func BenchmarkFig5Popularity(b *testing.B) {
 		fig = runReport(b, "fig5", opts, d.unified).(*report.Fig5)
 	}
 	b.ReportMetric(100*fig.URPShare1, "urp-share1-pct")
-	b.ReportMetric(fig.URPPValue, "urp-pvalue")
-	b.ReportMetric(boolMetric(fig.URPRejected), "urp-rejected")
+	b.ReportMetric(fig.URP.PValue, "urp-pvalue")
+	b.ReportMetric(boolMetric(fig.URP.Rejected), "urp-rejected")
 	b.ReportMetric(float64(fig.CIDs), "cids")
 }
 

@@ -9,7 +9,7 @@
 //
 // Usage:
 //
-//	bsanalyze [-dedup] [-report NAME[,NAME...]] INPUT...
+//	bsanalyze [-dedup] [-report NAME[,NAME...]] [-bucket D] [-iters N] [-topk K] INPUT...
 //
 // -report names any combination of registered reports (internal/report);
 // all of them run in the same single pass over the inputs. Each report
@@ -84,9 +84,8 @@ func run(args []string) error {
 	if err := drv.Run(ingest.NewStreamUnifier(sources...)); err != nil {
 		return err
 	}
-	// A report that cannot finalize (e.g. fig5 on a trace too small to
-	// fit) must not swallow the others' completed results: print what
-	// succeeded, then fail.
+	// A report that cannot finalize must not swallow the others' completed
+	// results: print what succeeded, then fail.
 	results, ferr := drv.Finalize()
 	for _, nr := range results {
 		if nr.Result == nil {

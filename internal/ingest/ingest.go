@@ -14,8 +14,9 @@
 //     (Sec. IV-B dedup flags) using bounded sliding-window state instead of
 //     a global sort.
 //   - OnlineStats: one-pass, exact aggregation (totals, per-type counts and
-//     request-type counts per time bucket), mergeable across streams, so
-//     headline figures are available without re-reading the trace.
+//     request-type counts per time bucket). Kept only because the benchmark
+//     harness builds one; the online report is built from the report
+//     package's own accumulators.
 //
 // With these pieces, trace volume is bounded by disk, not RAM: the largest
 // resident data structure is one segment's write buffer plus the unifier's

@@ -34,8 +34,9 @@ type TypeBucket struct {
 // work: exact per-type totals, First and Last, and per-type counts for
 // every time bucket the stream touches. Its memory grows with the number of
 // buckets, not of entries. Two aggregates merge into what one pass over
-// both streams gives (Merge). It satisfies Sink, so it can be Tee'd next to
-// a SegmentStore on the capture path.
+// both streams gives (Merge). No analysis uses it: the online report counts
+// the same facts with the report package's summary and fig4 accumulators.
+// It is kept only because the benchmark harness (bench/) builds one.
 type OnlineStats struct {
 	opts StatsOptions
 

@@ -229,22 +229,22 @@ func legacyFig5(t *testing.T, entries []trace.Entry, iters int, rng *rand.Rand) 
 	t.Helper()
 	scores := popularity.Compute(entries)
 	rrp, urp := sortedValues(scores.RRP), sortedValues(scores.URP)
-	f := &Fig5{
+	f := &Fig5{scoreDists: scoreDists{
 		CIDs:      len(rrp),
 		RRPECDF:   popularity.ECDF(rrp),
 		URPECDF:   popularity.ECDF(urp),
 		URPShare1: popularity.ShareWithValue(urp, 1),
-	}
+	}}
 	var err error
-	f.RRPRejected, f.RRPFit, f.RRPPValue, err = popularity.RejectsPowerLaw(rrp, iters, rng)
+	f.RRP.Rejected, f.RRP.Fit, f.RRP.PValue, err = popularity.RejectsPowerLaw(rrp, iters, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.URPRejected, f.URPFit, f.URPPValue, err = popularity.RejectsPowerLaw(urp, iters, rng)
+	f.URP.Rejected, f.URP.Fit, f.URP.PValue, err = popularity.RejectsPowerLaw(urp, iters, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.RRPFitted, f.URPFitted = true, true
+	f.RRP.Fitted, f.URP.Fitted = true, true
 	return f
 }
 
@@ -573,10 +573,10 @@ func TestFinalizePartialResults(t *testing.T) {
 	if !ok {
 		t.Fatalf("fig5 result = %T, want *Fig5", results.Get("fig5"))
 	}
-	if fig.CIDs != 1 || fig.RRPFitted || fig.URPFitted || fig.RRPFitErr == "" || fig.URPFitErr == "" {
+	if fig.CIDs != 1 || fig.RRP.Fitted || fig.URP.Fitted || fig.RRP.Err == "" || fig.URP.Err == "" {
 		t.Errorf("fig5 on a one-entry trace should record two failed fits: %+v", fig)
 	}
-	if !strings.Contains(fig.Render(), fig.RRPFitErr) {
+	if !strings.Contains(fig.Render(), fig.RRP.Err) {
 		t.Errorf("Render does not show the failed fit:\n%s", fig.Render())
 	}
 	for k := range fig.Metrics() {
@@ -693,7 +693,7 @@ func TestPopularityTooSmall(t *testing.T) {
 		t.Fatal(err)
 	}
 	pop := results.Get("popularity").(*Popularity)
-	if pop.RRPFitted || pop.RRPFitErr == "" {
+	if pop.RRP.Fitted || pop.RRP.Err == "" {
 		t.Errorf("tiny trace should carry a fit error, got %+v", pop)
 	}
 	if !strings.Contains(pop.Render(), "power-law fit (RRP):") {
@@ -710,7 +710,7 @@ func TestPopularityECDFPointsOnce(t *testing.T) {
 		pts = append(pts, popularity.ECDFPoint{Value: float64(v), Prob: 0.93 + 0.005*float64(v-1)})
 	}
 	pts = append(pts, popularity.ECDFPoint{Value: 13, Prob: 0.995}, popularity.ECDFPoint{Value: 14, Prob: 1})
-	got := (&Popularity{RRPECDF: pts, RRPFitErr: "too small"}).Render()
+	got := (&Popularity{scoreDists: scoreDists{RRPECDF: pts}, RRP: FitResult{Err: "too small"}}).Render()
 	want := `RRP ECDF:
   P(X <= 1) = 0.9300
   P(X <= 13) = 0.9950
@@ -924,40 +924,112 @@ func TestOnlineTopKExact(t *testing.T) {
 	}
 }
 
-// TestOnlineDistinctEqualsSummary: online's distinct peers and CIDs are
-// summary's unique peers and CIDs over the fixture's whole pass, with a
-// dedup driver (online sees only unflagged entries, summary every entry)
-// and a raw one. The first entry of a dedup key is never flagged, so both
-// streams hold the same peers and CIDs.
+// TestOnlineDistinctEqualsSummary: online is summary's and fig4's
+// accumulators over its own view. With a dedup driver (online sees only
+// unflagged entries, summary every entry) and a raw one:
+//   - its entries, requests, per-type counts, First and Last are a
+//     Summarizer's fed the driver's view;
+//   - its distinct peers and CIDs are summary's over the whole pass: the
+//     first entry of a dedup key is never flagged, so both streams hold the
+//     same peers and CIDs;
+//   - its bucket rows are fig4's, byte for byte.
+//
+// The inputs are the report fixture, all in one bucket, and a generated
+// twelve-hour stream whose every third hour holds only CANCELs, which fig4
+// has no bucket for.
 func TestOnlineDistinctEqualsSummary(t *testing.T) {
-	f := newFixture(t, 21)
-	for _, dedup := range []bool{true, false} {
-		drv := NewDriver(dedup)
-		if err := drv.AddByName([]string{"summary", "online"}, f.opts()); err != nil {
-			t.Fatal(err)
-		}
-		if err := drv.Run(ingest.SliceSource(f.unified)); err != nil {
-			t.Fatal(err)
-		}
-		results, err := drv.Finalize()
-		if err != nil {
-			t.Fatal(err)
-		}
-		sum := results.Get("summary").(*SummaryResult).Summary
-		online := results.Get("online").(*Online)
-		if online.DistinctPeers != sum.UniquePeers || online.DistinctCIDs != sum.UniqueCIDs {
-			t.Errorf("dedup=%v: online counts %d peers, %d CIDs; summary %d, %d",
-				dedup, online.DistinctPeers, online.DistinctCIDs, sum.UniquePeers, sum.UniqueCIDs)
-		}
-		m := online.Metrics()
-		if m["distinct_peers"] != float64(sum.UniquePeers) || m["distinct_cids"] != float64(sum.UniqueCIDs) {
-			t.Errorf("dedup=%v: online metrics %v, summary %d peers, %d CIDs", dedup, m, sum.UniquePeers, sum.UniqueCIDs)
-		}
-		if want := fmt.Sprintf("distinct peers %d, distinct CIDs %d\n", sum.UniquePeers, sum.UniqueCIDs); !strings.Contains(online.Render(), want) {
-			t.Errorf("dedup=%v: render lacks %q", dedup, want)
-		}
-		if dedup && online.Entries == int64(sum.Entries) {
-			t.Fatalf("the fixture flags no duplicates: online and summary both saw %d entries", sum.Entries)
+	inputs := map[string][]trace.Entry{
+		"fixture":      newFixture(t, 21).unified,
+		"cancel-hours": cancelHoursTrace(t, 12),
+	}
+	for name, unified := range inputs {
+		for _, dedup := range []bool{true, false} {
+			drv := NewDriver(dedup)
+			if err := drv.AddByName([]string{"summary", "online", "fig4"}, Options{Bucket: time.Hour}); err != nil {
+				t.Fatal(err)
+			}
+			if err := drv.Run(ingest.SliceSource(unified)); err != nil {
+				t.Fatal(err)
+			}
+			results, err := drv.Finalize()
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := results.Get("summary").(*SummaryResult).Summary
+			online := results.Get("online").(*Online)
+			fig := results.Get("fig4").(*Fig4)
+
+			view := unified
+			if dedup {
+				view = trace.Deduplicated(unified)
+				if len(view) == len(unified) {
+					t.Fatalf("%s flags no duplicates: the dedup and raw views are one", name)
+				}
+			}
+			want := trace.Summarize(view)
+			if online.Entries != want.Entries || online.Requests != want.Requests ||
+				!reflect.DeepEqual(online.PerType, want.PerType) ||
+				!online.First.Equal(want.First) || !online.Last.Equal(want.Last) {
+				t.Errorf("%s dedup=%v: online %d entries (%d requests) %v, %s .. %s; a Summarizer over its view %d (%d) %v, %s .. %s",
+					name, dedup, online.Entries, online.Requests, online.PerType, online.First, online.Last,
+					want.Entries, want.Requests, want.PerType, want.First, want.Last)
+			}
+
+			if online.DistinctPeers != sum.UniquePeers || online.DistinctCIDs != sum.UniqueCIDs {
+				t.Errorf("%s dedup=%v: online counts %d peers, %d CIDs; summary %d, %d",
+					name, dedup, online.DistinctPeers, online.DistinctCIDs, sum.UniquePeers, sum.UniqueCIDs)
+			}
+			m := online.Metrics()
+			if m["distinct_peers"] != float64(sum.UniquePeers) || m["distinct_cids"] != float64(sum.UniqueCIDs) {
+				t.Errorf("%s dedup=%v: online metrics %v, summary %d peers, %d CIDs", name, dedup, m, sum.UniquePeers, sum.UniqueCIDs)
+			}
+			render := online.Render()
+			if want := fmt.Sprintf("distinct peers %d, distinct CIDs %d\n", sum.UniquePeers, sum.UniqueCIDs); !strings.Contains(render, want) {
+				t.Errorf("%s dedup=%v: render lacks %q", name, dedup, want)
+			}
+
+			rows := render[strings.Index(render, "requests per "):strings.Index(render, "top ")]
+			if want := strings.TrimPrefix(fig.Render(), "Fig. 4 — "); rows != want {
+				t.Errorf("%s dedup=%v: online's bucket rows are not fig4's\n--- online\n%s--- fig4\n%s", name, dedup, rows, want)
+			}
+			hours := make(map[int64]bool)
+			for _, e := range view {
+				hours[e.Timestamp.UnixNano()/int64(time.Hour)] = true
+			}
+			if name == "cancel-hours" && len(fig.Buckets) >= len(hours) {
+				t.Fatalf("dedup=%v: fig4 has a bucket for each of the %d hours: no hour holds only CANCELs", dedup, len(hours))
+			}
 		}
 	}
+}
+
+// cancelHoursTrace unifies two monitors' streams over the given hours:
+// requests from a few peers for a few CIDs, dense enough for rebroadcasts
+// and inter-monitor duplicates, with every third hour holding only CANCELs.
+func cancelHoursTrace(t *testing.T, hours int) []trace.Entry {
+	t.Helper()
+	rng := rand.New(rand.NewSource(3))
+	var us, de []trace.Entry
+	for h := 0; h < hours; h++ {
+		end := t0.Add(time.Duration(h+1) * time.Hour)
+		for at := end.Add(-time.Hour); at.Before(end); at = at.Add(time.Duration(1+rng.Intn(8)) * time.Second) {
+			var node simnet.NodeID
+			node[0] = byte(rng.Intn(6))
+			typ := []wire.EntryType{wire.WantHave, wire.WantBlock}[rng.Intn(2)]
+			if h%3 == 2 {
+				typ = wire.Cancel
+			}
+			e := trace.Entry{Timestamp: at, Monitor: "us", NodeID: node, Type: typ,
+				CID: cid.Sum(cid.DagProtobuf, []byte{byte(rng.Intn(8))})}
+			if rng.Intn(5) < 3 {
+				us = append(us, e)
+			}
+			if rng.Intn(5) < 3 {
+				e.Monitor = "de"
+				e.Timestamp = at.Add(time.Duration(rng.Intn(2000)) * time.Millisecond)
+				de = append(de, e)
+			}
+		}
+	}
+	return trace.Unify(us, de)
 }

@@ -8,7 +8,6 @@ import (
 
 	"bitswapmon/internal/cid"
 	"bitswapmon/internal/geoip"
-	"bitswapmon/internal/ingest"
 	"bitswapmon/internal/otrace"
 	"bitswapmon/internal/popularity"
 	"bitswapmon/internal/simnet"
@@ -47,7 +46,7 @@ type Options struct {
 
 	// pass is the state the reports of one pass share; set by the Driver
 	// (one per run, and one per pane of a WindowedDriver), read by
-	// constructors through Symbols and Counter.
+	// constructors through symbols and counter.
 	pass *passState
 }
 
@@ -61,24 +60,24 @@ type passState struct {
 
 func newPassState() *passState { return &passState{syms: trace.NewSymbols()} }
 
-// Symbols returns the peer/CID numbering a report constructor should hand
+// symbols returns the peer/CID numbering a report constructor should hand
 // to trace.NewSummarizerWith / popularity.NewCounterWith: the one shared by
 // every report the calling driver constructs for the same pass, or a fresh
 // private one when the report is built outside a driver.
-func (o Options) Symbols() *trace.Symbols {
+func (o Options) symbols() *trace.Symbols {
 	if o.pass != nil {
 		return o.pass.syms
 	}
 	return trace.NewSymbols()
 }
 
-// Counter returns the pass's popularity accumulator and whether the caller
+// counter returns the pass's popularity accumulator and whether the caller
 // is the report that feeds it. Every report scoring popularity wants the
 // same stream (deduplicated requests), so one pass keeps one set of (CID,
 // peer) pairs: the first constructor to ask writes each entry to it, later
 // ones only read it when they finalize. Outside a driver the counter is
 // private and the caller feeds it.
-func (o Options) Counter() (c *popularity.Counter, feed bool) {
+func (o Options) counter() (c *popularity.Counter, feed bool) {
 	if o.pass == nil {
 		return popularity.NewCounter(), true
 	}
@@ -122,17 +121,14 @@ func (o Options) rand() *rand.Rand {
 // specs and the daemon's -window-reports all read this table.
 var reports = map[string]func(Options) (Report, error){
 	"summary": func(o Options) (Report, error) {
-		return &summaryReport{z: trace.NewSummarizerWith(o.Symbols())}, nil
+		return &summaryReport{z: trace.NewSummarizerWith(o.symbols())}, nil
 	},
 	"traffic": func(o Options) (Report, error) {
 		return &trafficReport{gatewayIDs: o.GatewayIDs}, nil
 	},
 	"online": func(o Options) (Report, error) {
-		return &onlineReport{
-			stats: ingest.NewOnlineStats(ingest.StatsOptions{Bucket: o.bucket()}),
-			syms:  o.Symbols(),
-			topK:  o.topK(),
-		}, nil
+		syms := o.symbols()
+		return &onlineReport{z: trace.NewSummarizerWith(syms), fig4: newFig4(o), syms: syms, topK: o.topK()}, nil
 	},
 	"table1": func(Options) (Report, error) {
 		return &table1Report{counts: make(map[cid.Codec]int)}, nil
@@ -143,12 +139,8 @@ var reports = map[string]func(Options) (Report, error){
 		}
 		return &table2Report{db: o.Geo, counts: make(map[simnet.Region]int)}, nil
 	},
-	"fig4": func(o Options) (Report, error) {
-		return &fig4Report{bucket: o.bucket(), byBucket: make(map[int64]*Fig4Bucket)}, nil
-	},
-	"fig5": func(o Options) (Report, error) {
-		return &fig5Report{popFeed: newPopFeed(o), iters: o.bootstrapIters(), rng: o.rand}, nil
-	},
+	"fig4": func(o Options) (Report, error) { return newFig4(o), nil },
+	"fig5": func(o Options) (Report, error) { return &fig5Report{newPopFeed(o)}, nil },
 	"fig6": func(o Options) (Report, error) {
 		if o.GatewayIDs == nil {
 			return nil, ErrNoGatewayIDs
@@ -160,9 +152,7 @@ var reports = map[string]func(Options) (Report, error){
 			bySlice:     make(map[int64]*Fig6Slice),
 		}, nil
 	},
-	"popularity": func(o Options) (Report, error) {
-		return &popularityReport{popFeed: newPopFeed(o), iters: o.bootstrapIters(), rng: o.rand}, nil
-	},
+	"popularity":        func(o Options) (Report, error) { return &popularityReport{newPopFeed(o)}, nil },
 	"latency_breakdown": newLatencyReport,
 }
 
@@ -273,28 +263,28 @@ func (r *trafficReport) Finalize() (Result, error) {
 
 // --- online: one-pass aggregates and the exact top K ----------------------
 
-// onlineReport keeps the OnlineStats aggregates, the pass's distinct peers
-// and CIDs as sets of their ids in the pass's Symbols, and each CID's
-// request count by that id — its own counts, not the pass's popularity
-// counter, which also holds every (CID, peer) pair.
+// onlineReport is summary's and fig4's accumulators over online's own view,
+// plus each CID's request count by its id in the pass's Symbols for the top
+// K: its own counts, not the pass's popularity counter, which also holds
+// every (CID, peer) pair.
 type onlineReport struct {
-	stats       *ingest.OnlineStats
-	syms        *trace.Symbols
-	peers, cids trace.IDSet
-	counts      []int // requests by CID id; 0 for CIDs this report saw no request of
-	topK        int
+	z      *trace.Summarizer
+	fig4   *fig4Report
+	syms   *trace.Symbols
+	counts []int // requests by CID id; 0 for CIDs this report saw no request of
+	topK   int
 }
 
 func (r *onlineReport) WantsDedup() bool { return true }
 
 func (r *onlineReport) Observe(e trace.Entry) error {
-	r.peers.Add(r.syms.Peer(e.NodeID))
-	c := r.syms.CID(e.CID)
-	r.cids.Add(c)
+	r.z.Write(e)
 	if e.IsRequest() {
-		r.count(c, 1)
+		r.fig4.add(e.Timestamp, e.Type)
+		// The Summarizer has just resolved this CID: the memo answers.
+		r.count(r.syms.CID(e.CID), 1)
 	}
-	return r.stats.Write(e)
+	return nil
 }
 
 func (r *onlineReport) count(id uint32, n int) {
@@ -309,36 +299,32 @@ func (r *onlineReport) Merge(from Report) error {
 	if err != nil {
 		return err
 	}
-	r.stats.Merge(f.stats)
+	r.z.Merge(f.z)
 	t := r.syms.Translate(f.syms)
-	r.peers.AddMapped(&f.peers, t.Peers)
-	r.cids.AddMapped(&f.cids, t.CIDs)
 	for id, n := range f.counts {
 		if n > 0 {
 			r.count(t.CIDs[id], n)
 		}
 	}
-	return nil
+	return r.fig4.Merge(f.fig4)
 }
 
 func (r *onlineReport) Finalize() (Result, error) {
-	res := &Online{
-		Entries:       r.stats.Entries(),
-		Requests:      r.stats.Requests(),
-		DistinctPeers: r.peers.Len(),
-		DistinctCIDs:  r.cids.Len(),
-		First:         r.stats.First(),
-		Last:          r.stats.Last(),
-		BucketSize:    r.stats.BucketSize(),
-		Buckets:       r.stats.Buckets(),
+	s := r.z.Summary()
+	fig := r.fig4.series()
+	return &Online{
+		Entries:       s.Entries,
+		Requests:      s.Requests,
+		DistinctPeers: s.UniquePeers,
+		DistinctCIDs:  s.UniqueCIDs,
+		First:         s.First,
+		Last:          s.Last,
+		PerType:       s.PerType,
+		BucketSize:    fig.BucketSize,
+		Buckets:       fig.Buckets,
 		TopK:          r.topK,
 		TopCIDs:       popularity.Rank(r.syms, r.counts, r.topK),
-		PerType:       make(map[string]int64),
-	}
-	for typ, n := range r.stats.TypeCounts() {
-		res.PerType[typ.String()] = n
-	}
-	return res, nil
+	}, nil
 }
 
 // --- table1: multicodec shares ---------------------------------------------
@@ -444,25 +430,33 @@ type fig4Report struct {
 	byBucket map[int64]*Fig4Bucket
 }
 
+func newFig4(o Options) *fig4Report {
+	return &fig4Report{bucket: o.bucket(), byBucket: make(map[int64]*Fig4Bucket)}
+}
+
 func (r *fig4Report) WantsDedup() bool { return true }
 
 func (r *fig4Report) Observe(e trace.Entry) error {
-	if !e.IsRequest() {
-		return nil
+	if e.IsRequest() {
+		r.add(e.Timestamp, e.Type)
 	}
-	k := e.Timestamp.UnixNano() / int64(r.bucket)
+	return nil
+}
+
+// add counts one request of type typ at ts.
+func (r *fig4Report) add(ts time.Time, typ wire.EntryType) {
+	k := ts.UnixNano() / int64(r.bucket)
 	b, ok := r.byBucket[k]
 	if !ok {
 		b = &Fig4Bucket{Start: time.Unix(0, k*int64(r.bucket)).UTC()}
 		r.byBucket[k] = b
 	}
-	switch e.Type {
+	switch typ {
 	case wire.WantBlock:
 		b.WantBlock++
 	case wire.WantHave:
 		b.WantHave++
 	}
-	return nil
 }
 
 func (r *fig4Report) Merge(from Report) error {
@@ -482,27 +476,33 @@ func (r *fig4Report) Merge(from Report) error {
 	return nil
 }
 
-func (r *fig4Report) Finalize() (Result, error) {
+func (r *fig4Report) Finalize() (Result, error) { return r.series(), nil }
+
+// series returns the buckets counted so far in time order.
+func (r *fig4Report) series() *Fig4 {
 	f := &Fig4{BucketSize: r.bucket}
 	for _, b := range r.byBucket {
 		f.Buckets = append(f.Buckets, *b)
 	}
 	f.sortBuckets()
-	return f, nil
+	return f
 }
 
 // --- fig5: content popularity ----------------------------------------------
 
-// popFeed is the observing half fig5 and popularity share: the pass's one
-// popularity counter, written by whichever of them was constructed first.
+// popFeed is what fig5 and popularity share: the pass's one popularity
+// counter, written by whichever of them was constructed first, and the
+// settings of the bootstrap each runs on it.
 type popFeed struct {
 	counter *popularity.Counter
 	feed    bool
+	iters   int
+	rng     func() *rand.Rand
 }
 
 func newPopFeed(o Options) popFeed {
-	c, feed := o.Counter()
-	return popFeed{counter: c, feed: feed}
+	c, feed := o.counter()
+	return popFeed{counter: c, feed: feed, iters: o.bootstrapIters(), rng: o.rand}
 }
 
 func (p popFeed) WantsDedup() bool { return true }
@@ -521,11 +521,30 @@ func (p popFeed) merge(from popFeed) {
 	}
 }
 
-type fig5Report struct {
-	popFeed
-	iters int
-	rng   func() *rand.Rand
+// scores returns the counter's RRP and URP values in ascending order and
+// what fig5 and popularity both show of them.
+func (p popFeed) scores() (rrp, urp []int, d scoreDists) {
+	rrp, urp = p.counter.SortedValues()
+	return rrp, urp, scoreDists{
+		CIDs:      len(rrp),
+		RRPECDF:   popularity.ECDF(rrp),
+		URPECDF:   popularity.ECDF(urp),
+		URPShare1: popularity.ShareWithValue(urp, 1),
+	}
 }
+
+// testPowerLaw runs the CSN test on values. A sample too small to fit (a
+// quiet window of a daemon) is recorded in the result, not returned: the
+// ECDFs and shares beside it still stand.
+func testPowerLaw(values []int, iters int, rng *rand.Rand) FitResult {
+	rejected, fit, p, err := popularity.RejectsPowerLaw(values, iters, rng)
+	if err != nil {
+		return FitResult{Err: err.Error()}
+	}
+	return FitResult{Fitted: true, Fit: fit, PValue: p, Rejected: rejected}
+}
+
+type fig5Report struct{ popFeed }
 
 func (r *fig5Report) Merge(from Report) error {
 	f, err := mergeable(r, from)
@@ -536,31 +555,14 @@ func (r *fig5Report) Merge(from Report) error {
 }
 
 func (r *fig5Report) Finalize() (Result, error) {
-	rrp, urp := r.counter.SortedValues()
-	f := &Fig5{
-		CIDs:      len(rrp),
-		RRPECDF:   popularity.ECDF(rrp),
-		URPECDF:   popularity.ECDF(urp),
-		URPShare1: popularity.ShareWithValue(urp, 1),
-	}
+	rrp, urp, d := r.scores()
 	// One RNG drives both bootstraps, RRP first — the draw order of the
 	// batch pipeline this report replaced, so seeded runs stay
 	// byte-identical.
 	rng := r.rng()
-	// A sample too small to fit (a quiet window of a daemon) is recorded in
-	// the result, not returned: the ECDFs and shares above still stand.
-	rejected, fit, pv, err := popularity.RejectsPowerLaw(rrp, r.iters, rng)
-	if err != nil {
-		f.RRPFitErr = err.Error()
-	} else {
-		f.RRPRejected, f.RRPFit, f.RRPPValue, f.RRPFitted = rejected, fit, pv, true
-	}
-	rejected, fit, pv, err = popularity.RejectsPowerLaw(urp, r.iters, rng)
-	if err != nil {
-		f.URPFitErr = err.Error()
-	} else {
-		f.URPRejected, f.URPFit, f.URPPValue, f.URPFitted = rejected, fit, pv, true
-	}
+	f := &Fig5{scoreDists: d}
+	f.RRP = testPowerLaw(rrp, r.iters, rng)
+	f.URP = testPowerLaw(urp, r.iters, rng)
 	return f, nil
 }
 
@@ -638,11 +640,7 @@ func (r *fig6Report) Finalize() (Result, error) {
 
 // --- popularity: RRP/URP ECDFs + power-law fit ------------------------------
 
-type popularityReport struct {
-	popFeed
-	iters int
-	rng   func() *rand.Rand
-}
+type popularityReport struct{ popFeed }
 
 func (r *popularityReport) Merge(from Report) error {
 	f, err := mergeable(r, from)
@@ -653,19 +651,6 @@ func (r *popularityReport) Merge(from Report) error {
 }
 
 func (r *popularityReport) Finalize() (Result, error) {
-	rrp, urp := r.counter.SortedValues()
-	p := &Popularity{
-		CIDs:      r.counter.CIDs(),
-		RRPECDF:   popularity.ECDF(rrp),
-		URPECDF:   popularity.ECDF(urp),
-		URPShare1: popularity.ShareWithValue(urp, 1),
-	}
-	rejected, fit, pv, err := popularity.RejectsPowerLaw(rrp, r.iters, r.rng())
-	if err != nil {
-		p.RRPFitErr = err.Error()
-	} else {
-		p.RRPRejected, p.RRPFit, p.RRPPValue = rejected, fit, pv
-		p.RRPFitted = true
-	}
-	return p, nil
+	rrp, _, d := r.scores()
+	return &Popularity{scoreDists: d, RRP: testPowerLaw(rrp, r.iters, r.rng())}, nil
 }

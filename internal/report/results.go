@@ -6,10 +6,10 @@ import (
 	"strings"
 	"time"
 
-	"bitswapmon/internal/ingest"
 	"bitswapmon/internal/popularity"
 	"bitswapmon/internal/simnet"
 	"bitswapmon/internal/trace"
+	"bitswapmon/internal/wire"
 )
 
 // --- SummaryResult ----------------------------------------------------------
@@ -30,17 +30,19 @@ func (r *SummaryResult) Render() string {
 	for _, mon := range sortedKeys(s.PerMonitor) {
 		fmt.Fprintf(&sb, "  monitor %s: %d entries\n", mon, s.PerMonitor[mon])
 	}
-	types := make([]string, 0, len(s.PerType))
-	byType := make(map[string]int, len(s.PerType))
-	for typ, n := range s.PerType {
-		types = append(types, typ.String())
-		byType[typ.String()] = n
-	}
-	sort.Strings(types)
-	for _, typ := range types {
-		fmt.Fprintf(&sb, "  %s: %d\n", typ, byType[typ])
-	}
+	renderPerType(&sb, s.PerType)
 	return sb.String()
+}
+
+// renderPerType prints one line per entry type, sorted by name.
+func renderPerType(sb *strings.Builder, perType map[wire.EntryType]int) {
+	byName := make(map[string]int, len(perType))
+	for typ, n := range perType {
+		byName[typ.String()] = n
+	}
+	for _, typ := range sortedKeys(byName) {
+		fmt.Fprintf(sb, "  %s: %d\n", typ, byName[typ])
+	}
 }
 
 // Metrics exposes the summary counters.
@@ -100,19 +102,19 @@ func (t *Traffic) Metrics() map[string]float64 {
 
 // --- Online -----------------------------------------------------------------
 
-// Online is the one-pass aggregate panel: exact totals and per-type counts,
-// requests per bucket, the exact numbers of distinct peers and CIDs, and
-// the exact top K CIDs by requests.
+// Online is the one-pass aggregate panel: summary's exact totals, per-type
+// counts and distinct peers and CIDs, fig4's requests per bucket, and the
+// exact top K CIDs by requests, all over online's view of the stream.
 type Online struct {
-	Entries       int64
-	Requests      int64
+	Entries       int
+	Requests      int
 	DistinctPeers int
 	DistinctCIDs  int
 	First         time.Time
 	Last          time.Time
-	PerType       map[string]int64
+	PerType       map[wire.EntryType]int
 	BucketSize    time.Duration
-	Buckets       []ingest.TypeBucket
+	Buckets       []Fig4Bucket
 	TopK          int
 	TopCIDs       []popularity.CIDCount
 }
@@ -124,17 +126,9 @@ func (r *Online) Render() string {
 	fmt.Fprintf(&sb, "entries: %d (requests %d)\n", r.Entries, r.Requests)
 	fmt.Fprintf(&sb, "distinct peers %d, distinct CIDs %d\n", r.DistinctPeers, r.DistinctCIDs)
 	fmt.Fprintf(&sb, "window: %s .. %s\n", r.First.Format(time.RFC3339), r.Last.Format(time.RFC3339))
-	for _, typ := range sortedKeys64(r.PerType) {
-		fmt.Fprintf(&sb, "  %s: %d\n", typ, r.PerType[typ])
-	}
+	renderPerType(&sb, r.PerType)
 	fmt.Fprintf(&sb, "requests per %v by entry type\n", r.BucketSize)
-	fmt.Fprintf(&sb, "%-25s %12s %12s\n", "bucket", "WANT_BLOCK", "WANT_HAVE")
-	for _, b := range r.Buckets {
-		if b.WantBlock == 0 && b.WantHave == 0 {
-			continue // CANCEL-only buckets carry no requests
-		}
-		fmt.Fprintf(&sb, "%-25s %12d %12d\n", b.Start.Format(time.RFC3339), b.WantBlock, b.WantHave)
-	}
+	renderBuckets(&sb, r.Buckets)
 	fmt.Fprintf(&sb, "top %d CIDs (exact request counts):\n", r.TopK)
 	for i, tc := range r.TopCIDs {
 		fmt.Fprintf(&sb, "  %2d. %s  %d requests\n", i+1, tc.CID, tc.Count)
@@ -278,11 +272,16 @@ func (f *Fig4) sortBuckets() {
 func (f *Fig4) Render() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "Fig. 4 — requests per %v by entry type\n", f.BucketSize)
-	fmt.Fprintf(&sb, "%-25s %12s %12s\n", "bucket", "WANT_BLOCK", "WANT_HAVE")
-	for _, b := range f.Buckets {
-		fmt.Fprintf(&sb, "%-25s %12d %12d\n", b.Start.Format(time.RFC3339), b.WantBlock, b.WantHave)
-	}
+	renderBuckets(&sb, f.Buckets)
 	return sb.String()
+}
+
+// renderBuckets prints the request-type series under its column header.
+func renderBuckets(sb *strings.Builder, buckets []Fig4Bucket) {
+	fmt.Fprintf(sb, "%-25s %12s %12s\n", "bucket", "WANT_BLOCK", "WANT_HAVE")
+	for _, b := range buckets {
+		fmt.Fprintf(sb, "%-25s %12d %12d\n", b.Start.Format(time.RFC3339), b.WantBlock, b.WantHave)
+	}
 }
 
 // Metrics exposes the series totals.
@@ -301,25 +300,53 @@ func (f *Fig4) Metrics() map[string]float64 {
 
 // --- Fig5 -------------------------------------------------------------------
 
+// FitResult is the CSN power-law hypothesis test on one popularity score:
+// the fitted tail, its bootstrap p-value and the verdict at p < 0.1. A score
+// with too few samples to fit (fewer than ten distinct CIDs) has Fitted
+// false and the reason in Err.
+type FitResult struct {
+	Fitted   bool
+	Fit      popularity.PowerLawFit
+	PValue   float64
+	Rejected bool
+	Err      string
+}
+
+// addMetrics adds the fit's alpha, p-value and verdict under prefix
+// ("rrp" → "rrp_alpha", …). An unfitted score adds none, so a cross-run
+// table shows a gap rather than a zero.
+func (f FitResult) addMetrics(out map[string]float64, prefix string) {
+	if f.Fitted {
+		out[prefix+"_alpha"] = f.Fit.Alpha
+		out[prefix+"_pvalue"] = f.PValue
+		out[prefix+"_rejected"] = boolMetric(f.Rejected)
+	}
+}
+
+// scoreDists is what Fig5 and Popularity both show of the pass's
+// popularity scores: how many CIDs were scored, the ECDF of each score and
+// the share of CIDs requested by exactly one peer.
+type scoreDists struct {
+	CIDs      int
+	RRPECDF   []popularity.ECDFPoint
+	URPECDF   []popularity.ECDFPoint
+	URPShare1 float64
+}
+
+// metrics returns the CID count and the single-requester share.
+func (d scoreDists) metrics() map[string]float64 {
+	return map[string]float64{
+		"cids":       float64(d.CIDs),
+		"urp_share1": d.URPShare1,
+	}
+}
+
 // Fig5 is the popularity analysis (paper Fig. 5): ECDFs of both scores plus
-// the CSN power-law hypothesis test on each. A score with too few samples to
-// fit (fewer than ten distinct CIDs) has its Fitted flag false and the
-// reason in its FitErr; the ECDFs and shares are valid either way.
+// the CSN power-law hypothesis test on each. The ECDFs and shares are valid
+// whether or not a score could be fitted.
 type Fig5 struct {
-	CIDs        int
-	RRPECDF     []popularity.ECDFPoint
-	URPECDF     []popularity.ECDFPoint
-	URPShare1   float64 // share of CIDs requested by exactly one peer
-	RRPFitted   bool
-	URPFitted   bool
-	RRPFit      popularity.PowerLawFit
-	URPFit      popularity.PowerLawFit
-	RRPPValue   float64
-	URPPValue   float64
-	RRPRejected bool
-	URPRejected bool
-	RRPFitErr   string
-	URPFitErr   string
+	scoreDists
+	RRP, URP FitResult
 }
 
 // Render prints the analysis.
@@ -327,38 +354,25 @@ func (f *Fig5) Render() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "Fig. 5 — content popularity over %d CIDs\n", f.CIDs)
 	fmt.Fprintf(&sb, "URP share with exactly 1 peer: %.1f%% (paper: >80%%)\n", 100*f.URPShare1)
-	renderFit := func(label string, fitted bool, fit popularity.PowerLawFit, p float64, rejected bool, fitErr string) {
-		if !fitted {
-			fmt.Fprintf(&sb, "%s power law: %s\n", label, fitErr)
+	renderFit := func(label string, r FitResult) {
+		if !r.Fitted {
+			fmt.Fprintf(&sb, "%s power law: %s\n", label, r.Err)
 			return
 		}
 		fmt.Fprintf(&sb, "%s power law: alpha=%.2f xmin=%d KS=%.4f p=%.3f rejected=%v\n",
-			label, fit.Alpha, fit.Xmin, fit.KS, p, rejected)
+			label, r.Fit.Alpha, r.Fit.Xmin, r.Fit.KS, r.PValue, r.Rejected)
 	}
-	renderFit("RRP", f.RRPFitted, f.RRPFit, f.RRPPValue, f.RRPRejected, f.RRPFitErr)
-	renderFit("URP", f.URPFitted, f.URPFit, f.URPPValue, f.URPRejected, f.URPFitErr)
+	renderFit("RRP", f.RRP)
+	renderFit("URP", f.URP)
 	fmt.Fprintf(&sb, "RRP ECDF (%d points), URP ECDF (%d points)\n", len(f.RRPECDF), len(f.URPECDF))
 	return sb.String()
 }
 
-// Metrics exposes the headline popularity numbers; a score that could not
-// be fitted contributes none, so a cross-run table shows a gap rather than
-// a zero.
+// Metrics exposes the headline popularity numbers.
 func (f *Fig5) Metrics() map[string]float64 {
-	out := map[string]float64{
-		"cids":       float64(f.CIDs),
-		"urp_share1": f.URPShare1,
-	}
-	if f.RRPFitted {
-		out["rrp_alpha"] = f.RRPFit.Alpha
-		out["rrp_pvalue"] = f.RRPPValue
-		out["rrp_rejected"] = boolMetric(f.RRPRejected)
-	}
-	if f.URPFitted {
-		out["urp_alpha"] = f.URPFit.Alpha
-		out["urp_pvalue"] = f.URPPValue
-		out["urp_rejected"] = boolMetric(f.URPRejected)
-	}
+	out := f.metrics()
+	f.RRP.addMetrics(out, "rrp")
+	f.URP.addMetrics(out, "urp")
 	return out
 }
 
@@ -422,17 +436,11 @@ func (f *Fig6) Metrics() map[string]float64 {
 // --- Popularity -------------------------------------------------------------
 
 // Popularity is the streaming RRP/URP panel: both ECDFs plus the CSN
-// power-law fit on RRP. Unlike Fig5 it tolerates traces too small to fit.
+// power-law test on RRP. Like Fig5, it records a fit that fails in the fit
+// result rather than failing the pass.
 type Popularity struct {
-	CIDs        int
-	RRPECDF     []popularity.ECDFPoint
-	URPECDF     []popularity.ECDFPoint
-	URPShare1   float64
-	RRPFitted   bool
-	RRPFit      popularity.PowerLawFit
-	RRPPValue   float64
-	RRPRejected bool
-	RRPFitErr   string
+	scoreDists
+	RRP FitResult
 }
 
 // Render prints the panel: every ECDF point for small supports, key
@@ -443,16 +451,16 @@ func (p *Popularity) Render() string {
 	fmt.Fprintf(&sb, "single-requester CIDs (URP = 1): %.1f%%\n", 100*p.URPShare1)
 	renderECDF(&sb, "RRP", p.RRPECDF)
 	renderECDF(&sb, "URP", p.URPECDF)
-	if !p.RRPFitted {
-		fmt.Fprintf(&sb, "power-law fit (RRP): %s\n", p.RRPFitErr)
+	if !p.RRP.Fitted {
+		fmt.Fprintf(&sb, "power-law fit (RRP): %s\n", p.RRP.Err)
 		return sb.String()
 	}
 	verdict := "not rejected"
-	if p.RRPRejected {
+	if p.RRP.Rejected {
 		verdict = "REJECTED"
 	}
 	fmt.Fprintf(&sb, "power-law fit (RRP): alpha=%.3f xmin=%d KS=%.4f p=%.2f => %s\n",
-		p.RRPFit.Alpha, p.RRPFit.Xmin, p.RRPFit.KS, p.RRPPValue, verdict)
+		p.RRP.Fit.Alpha, p.RRP.Fit.Xmin, p.RRP.Fit.KS, p.RRP.PValue, verdict)
 	return sb.String()
 }
 
@@ -481,30 +489,14 @@ func renderECDF(sb *strings.Builder, label string, pts []popularity.ECDFPoint) {
 
 // Metrics exposes the headline popularity numbers.
 func (p *Popularity) Metrics() map[string]float64 {
-	out := map[string]float64{
-		"cids":       float64(p.CIDs),
-		"urp_share1": p.URPShare1,
-	}
-	if p.RRPFitted {
-		out["rrp_alpha"] = p.RRPFit.Alpha
-		out["rrp_pvalue"] = p.RRPPValue
-		out["rrp_rejected"] = boolMetric(p.RRPRejected)
-	}
+	out := p.metrics()
+	p.RRP.addMetrics(out, "rrp")
 	return out
 }
 
 // --- helpers ----------------------------------------------------------------
 
 func sortedKeys(m map[string]int) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func sortedKeys64(m map[string]int64) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {
 		out = append(out, k)

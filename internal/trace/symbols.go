@@ -114,17 +114,17 @@ func (s *Symbols) Translate(from *Symbols) *Translation {
 	return t
 }
 
-// IDSet is a set of Symbols ids: a bitmap that grows to the largest id
-// added, with the cardinality kept beside it. It is how a consumer of a
-// pass counts distinct peers or CIDs exactly at one bit per id. The zero
-// value is an empty set.
-type IDSet struct {
+// idSet is a set of Symbols ids: a bitmap that grows to the largest id
+// added, with the cardinality kept beside it. It is how a Summarizer
+// counts distinct peers and CIDs exactly at one bit per id. The zero value
+// is an empty set.
+type idSet struct {
 	bits []uint64
 	n    int
 }
 
 // Add puts id in the set.
-func (s *IDSet) Add(id uint32) {
+func (s *idSet) Add(id uint32) {
 	w := int(id >> 6)
 	if w >= len(s.bits) {
 		s.bits = append(s.bits, make([]uint64, w+1-len(s.bits))...)
@@ -137,7 +137,7 @@ func (s *IDSet) Add(id uint32) {
 
 // AddMapped adds every id of from, translated through to: a Translation's
 // Peers or CIDs when from holds another Symbols' ids.
-func (s *IDSet) AddMapped(from *IDSet, to []uint32) {
+func (s *idSet) AddMapped(from *idSet, to []uint32) {
 	for w, word := range from.bits {
 		for ; word != 0; word &= word - 1 {
 			s.Add(to[w<<6|bits.TrailingZeros64(word)])
@@ -146,4 +146,4 @@ func (s *IDSet) AddMapped(from *IDSet, to []uint32) {
 }
 
 // Len returns the number of ids in the set.
-func (s *IDSet) Len() int { return s.n }
+func (s *idSet) Len() int { return s.n }

@@ -177,14 +177,22 @@ type Summary struct {
 // Summarizer computes a Summary incrementally, so streaming pipelines can
 // summarise a trace in one pass. The exact-uniqueness sets are bitmaps over
 // the ids a Symbols issues, so an entry costs no map probe of its own when
-// another consumer of the same Symbols has just resolved it. Memory is
-// proportional to the distinct peers and CIDs observed (one Symbols entry
-// plus one bit each), not trace length.
+// another consumer of the same Symbols has just resolved it; the per-type
+// and per-monitor counts become Summary's maps only when asked for. Memory
+// is proportional to the distinct peers and CIDs observed (one Symbols
+// entry plus one bit each), not trace length.
 type Summarizer struct {
-	s     Summary
-	syms  *Symbols
-	peers IDSet
-	cids  IDSet
+	s       Summary // all but the distinct counts and the two maps
+	syms    *Symbols
+	peers   idSet
+	cids    idSet
+	perType [256]int       // by wire.EntryType
+	perMon  []monitorCount // in first-seen order
+}
+
+type monitorCount struct {
+	name string
+	n    int
 }
 
 // NewSummarizer returns an empty Summarizer numbering peers and CIDs with a
@@ -194,13 +202,7 @@ func NewSummarizer() *Summarizer { return NewSummarizerWith(NewSymbols()) }
 // NewSummarizerWith returns an empty Summarizer that resolves peers and CIDs
 // through syms, shared with the other consumers of the same pass.
 func NewSummarizerWith(syms *Symbols) *Summarizer {
-	return &Summarizer{
-		s: Summary{
-			PerMonitor: make(map[string]int),
-			PerType:    make(map[wire.EntryType]int),
-		},
-		syms: syms,
-	}
+	return &Summarizer{syms: syms}
 }
 
 // Write folds one entry into the summary. It never fails; the error return
@@ -219,8 +221,8 @@ func (z *Summarizer) Write(e Entry) error {
 	if e.Flags&FlagInterMonitorDup != 0 {
 		s.InterMonDups++
 	}
-	s.PerMonitor[e.Monitor]++
-	s.PerType[e.Type]++
+	z.countMonitor(e.Monitor, 1)
+	z.perType[e.Type]++
 	if s.First.IsZero() || e.Timestamp.Before(s.First) {
 		s.First = e.Timestamp
 	}
@@ -231,8 +233,8 @@ func (z *Summarizer) Write(e Entry) error {
 }
 
 // Merge folds from's summary into z, so that z summarizes both streams as
-// one Summarizer that had been written every entry of each would: counts
-// and the per-monitor and per-type maps add, First is the earlier and Last
+// one Summarizer that had been written every entry of each would: counts,
+// per-monitor and per-type counts included, add, First is the earlier and Last
 // the later of the two, and the distinct peer and CID sets are unions,
 // from's ids translated through z's Symbols. from is left unchanged.
 func (z *Summarizer) Merge(from *Summarizer) {
@@ -244,11 +246,11 @@ func (z *Summarizer) Merge(from *Summarizer) {
 	s.Requests += f.Requests
 	s.Rebroadcasts += f.Rebroadcasts
 	s.InterMonDups += f.InterMonDups
-	for k, v := range f.PerMonitor {
-		s.PerMonitor[k] += v
+	for _, m := range from.perMon {
+		z.countMonitor(m.name, m.n)
 	}
-	for k, v := range f.PerType {
-		s.PerType[k] += v
+	for typ, n := range from.perType {
+		z.perType[typ] += n
 	}
 	if s.First.IsZero() || f.First.Before(s.First) {
 		s.First = f.First
@@ -267,15 +269,29 @@ func (z *Summarizer) Summary() Summary {
 	s := z.s
 	s.UniquePeers = z.peers.Len()
 	s.UniqueCIDs = z.cids.Len()
-	s.PerMonitor = make(map[string]int, len(z.s.PerMonitor))
-	for k, v := range z.s.PerMonitor {
-		s.PerMonitor[k] = v
+	s.PerMonitor = make(map[string]int, len(z.perMon))
+	for _, m := range z.perMon {
+		s.PerMonitor[m.name] = m.n
 	}
-	s.PerType = make(map[wire.EntryType]int, len(z.s.PerType))
-	for k, v := range z.s.PerType {
-		s.PerType[k] = v
+	s.PerType = make(map[wire.EntryType]int)
+	for typ, n := range z.perType {
+		if n > 0 {
+			s.PerType[wire.EntryType(typ)] = n
+		}
 	}
 	return s
+}
+
+// countMonitor adds n entries to mon's count. A pass has one monitor per
+// vantage point, a handful, so a scan costs less than a map probe.
+func (z *Summarizer) countMonitor(mon string, n int) {
+	for i := range z.perMon {
+		if z.perMon[i].name == mon {
+			z.perMon[i].n += n
+			return
+		}
+	}
+	z.perMon = append(z.perMon, monitorCount{mon, n})
 }
 
 // Summarize computes a Summary.

@@ -252,10 +252,7 @@ func BenchmarkTable2Countries(b *testing.B) {
 func BenchmarkFig5Popularity(b *testing.B) {
 	d := sharedWeek(b)
 	var fig *report.Fig5
-	opts := report.Options{
-		BootstrapIters: 20,
-		Rand:           func() *rand.Rand { return d.World.Net.NewRand("bench-fig5") },
-	}
+	opts := report.Options{BootstrapIters: 20}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		fig = runReport(b, "fig5", opts, d.unified).(*report.Fig5)

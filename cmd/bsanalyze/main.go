@@ -44,7 +44,7 @@ func run(args []string) error {
 	reports := fs.String("report", "summary", "comma-separated reports to run in one pass: "+strings.Join(report.Names(), ", "))
 	dedup := fs.Bool("dedup", true, "filter duplicates/rebroadcasts for reports that analyse the deduplicated view")
 	bucket := fs.Duration("bucket", time.Hour, "bucket size for fig4 and online")
-	iters := fs.Int("iters", 50, "bootstrap iterations for fig5 and popularity")
+	iters := fs.Int("iters", 50, "bootstrap iterations of the power-law test fig5 and popularity read: one test per distribution per pass")
 	topk := fs.Int("topk", 10, "CIDs to list in online's exact top K by requests")
 	if err := fs.Parse(args); err != nil {
 		return err

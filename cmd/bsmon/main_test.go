@@ -66,7 +66,9 @@ func TestBsmonEndToEnd(t *testing.T) {
 }
 
 // TestBsmonMatchesSweepRun: a bounded daemon and a sweep run of one spec
-// record the same world. Each monitor's store holds the same entries, and a
+// record the same world. Each monitor's store holds the same entries,
+// whichever reports the daemon's windows run: finalizing fig5 and popularity
+// at a window close mid-run must not draw from the simulation's RNG. A
 // daemon window spanning the whole capture reports the run's fig6 numbers.
 func TestBsmonMatchesSweepRun(t *testing.T) {
 	if testing.Short() {
@@ -99,11 +101,13 @@ func TestBsmonMatchesSweepRun(t *testing.T) {
 		}
 		return dir
 	}
-	monDir := daemon()
-	for _, mon := range []string{"us", "de"} {
-		store := "mon-" + mon + ".segments"
-		if got, want := storeCSVHash(t, filepath.Join(monDir, store)), storeCSVHash(t, filepath.Join(runDir, store)); got != want {
-			t.Errorf("monitor %s: daemon store CSV sha256 %s, sweep run %s", mon, got, want)
+	for _, extra := range [][]string{nil, {"-window-reports", "traffic,fig5,popularity"}} {
+		monDir := daemon(extra...)
+		for _, mon := range []string{"us", "de"} {
+			store := "mon-" + mon + ".segments"
+			if got, want := storeCSVHash(t, filepath.Join(monDir, store)), storeCSVHash(t, filepath.Join(runDir, store)); got != want {
+				t.Errorf("%v: monitor %s: daemon store CSV sha256 %s, sweep run %s", extra, mon, got, want)
+			}
 		}
 	}
 

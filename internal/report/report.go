@@ -71,11 +71,15 @@ var ErrUnknownReport = errors.New("report: unknown report")
 
 // New constructs the named built-in report. Unknown names error with the
 // list of report names, so callers (e.g. bsanalyze) can surface what is
-// available.
+// available. A report built outside a Driver is a pass of its own: its
+// numbering, popularity counter and power-law tests are private.
 func New(name string, opts Options) (Report, error) {
 	ctor, ok := reports[name]
 	if !ok {
 		return nil, fmt.Errorf("%w %q (available: %s)", ErrUnknownReport, name, strings.Join(Names(), ", "))
+	}
+	if opts.pass == nil {
+		opts.pass = newPassState()
 	}
 	return ctor(opts)
 }
@@ -120,8 +124,8 @@ type Driver struct {
 	reports []NamedResult // Result nil until Finalize
 	active  []Report
 	// pass is what the reports AddByName constructs share (peer/CID
-	// numbering, popularity counter); it lives as long as the driver's one
-	// pass.
+	// numbering, popularity counter, power-law tests); it lives as long as
+	// the driver's one pass.
 	pass *passState
 
 	// m is the telemetry handle resolved at NewDriver; nil when metrics
@@ -159,8 +163,8 @@ func (d *Driver) add(name string, r Report) {
 }
 
 // AddByName constructs each named report from opts bound to this driver's
-// pass — every report of the pass gets the same Options.Symbols and
-// Options.Counter — and attaches it. The first unknown name aborts with
+// pass — every report of the pass shares one numbering, popularity counter
+// and Sec. V-E result — and attaches it. The first unknown name aborts with
 // New's available-names error; a name already attached to this driver is
 // rejected (running a report twice doubles its per-entry work for an
 // identical result).

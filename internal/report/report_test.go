@@ -802,19 +802,22 @@ func TestLatencyBreakdownFromSpans(t *testing.T) {
 	}
 }
 
-// TestSharedPopularityCounter: fig5 and popularity read one counter per
-// pass, fed by whichever was added first. Each must finalize to the result it
-// produces when it is the only report of its driver, in either order and
-// beside a summary that numbers CIDs neither of them scores.
+// TestSharedPopularityCounter: fig5 and popularity read one counter and one
+// Sec. V-E result per pass, the counter fed by whichever was added first.
+// Each must finalize to the result it produces when it is the only report of
+// its driver, in either order and beside a summary that numbers CIDs neither
+// of them scores. Alone or together, both print the pass's one RRP test, and
+// the pass runs each distribution's test once: popularity alone runs no URP
+// test.
 func TestSharedPopularityCounter(t *testing.T) {
 	f := newFixture(t, 5)
 	opts := f.opts()
 	alone := make(map[string]Result)
-	for _, name := range []string{"fig5", "popularity"} {
-		alone[name] = f.run(t, name, opts)
-	}
 	for _, names := range [][]string{
+		{"fig5"},
+		{"popularity"},
 		{"summary", "fig5", "popularity"},
+		{"fig5", "popularity"},
 		{"popularity", "fig5"},
 	} {
 		drv := NewDriver(true)
@@ -831,11 +834,39 @@ func TestSharedPopularityCounter(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if len(names) == 1 {
+			alone[names[0]] = results.Get(names[0])
+		}
 		for name, want := range alone {
-			if got := results.Get(name); !reflect.DeepEqual(got, want) {
+			if got := results.Get(name); got != nil && !reflect.DeepEqual(got, want) {
 				t.Errorf("%v: %s differs from its stand-alone run\n--- shared\n%+v\n--- alone\n%+v", names, name, got, want)
 			}
 		}
+
+		pop := drv.pass.pop
+		if pop == nil || pop.fits[rrpDist] == nil {
+			t.Fatalf("%v: pass holds no RRP test after Finalize", names)
+		}
+		rrp, urp := pop.fits[rrpDist], pop.fits[urpDist]
+		if fig5, ok := results.Get("fig5").(*Fig5); ok {
+			if urp == nil || *rrp != fig5.RRP || *urp != fig5.URP {
+				t.Errorf("%v: fig5's tests are not the pass's: fig5 %+v / %+v, pass %+v / %+v", names, fig5.RRP, fig5.URP, rrp, urp)
+			}
+			if want := alone["fig5"].(*Fig5).URP; fig5.URP != want {
+				t.Errorf("%v: fig5's URP test %+v, alone %+v", names, fig5.URP, want)
+			}
+		} else if urp != nil {
+			t.Errorf("%v: popularity alone ran a URP test", names)
+		}
+		if p, ok := results.Get("popularity").(*Popularity); ok && p.RRP != *rrp {
+			t.Errorf("%v: popularity's RRP test %+v, the pass's %+v", names, p.RRP, *rrp)
+		}
+	}
+	if got, want := alone["popularity"].(*Popularity).RRP, alone["fig5"].(*Fig5).RRP; got != want {
+		t.Errorf("alone: popularity's RRP test %+v, fig5's %+v", got, want)
+	}
+	if !alone["fig5"].(*Fig5).RRP.Fitted {
+		t.Fatal("fixture too small for an RRP fit; the tests compare nothing")
 	}
 }
 

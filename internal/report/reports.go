@@ -24,14 +24,10 @@ type Options struct {
 	Bucket time.Duration
 	// TopK is how many popular CIDs the online report lists. Default 10.
 	TopK int
-	// BootstrapIters bounds the CSN bootstrap of fig5/popularity.
-	// Default 50.
+	// BootstrapIters bounds the CSN bootstrap of the power-law test that
+	// fig5 and popularity read: one test per distribution per pass, drawn
+	// from an RNG every pass seeds alike. Default 50.
 	BootstrapIters int
-	// Rand provides the bootstrap RNG. It is invoked at Finalize time, not
-	// construction time, so engine-derived RNG streams keep their draw
-	// order no matter when the report was attached. Default: a fixed
-	// rand.NewSource(1), for reproducible standalone analyses.
-	Rand func() *rand.Rand
 	// Geo resolves addresses to countries (table2). The table2
 	// constructor fails with ErrNilGeoDB when it is nil.
 	Geo *geoip.DB
@@ -45,47 +41,67 @@ type Options struct {
 	Tracer *otrace.Tracer
 
 	// pass is the state the reports of one pass share; set by the Driver
-	// (one per run, and one per pane of a WindowedDriver), read by
-	// constructors through symbols and counter.
+	// (one per run, and one per pane of a WindowedDriver), or by New for a
+	// report built outside a driver, which is a pass of its own.
 	pass *passState
 }
 
 // passState is what the reports of one pass over a stream share: one
-// numbering of its peers and CIDs, and one popularity accumulator over its
-// deduplicated requests.
+// numbering of its peers and CIDs, one popularity accumulator over its
+// deduplicated requests, and the Sec. V-E result scored from it.
 type passState struct {
 	syms    *trace.Symbols
 	counter *popularity.Counter
+	iters   int        // bootstrap budget of the power-law tests
+	pop     *popScores // nil until the first Finalize that reads it
 }
 
 func newPassState() *passState { return &passState{syms: trace.NewSymbols()} }
 
-// symbols returns the peer/CID numbering a report constructor should hand
-// to trace.NewSummarizerWith / popularity.NewCounterWith: the one shared by
-// every report the calling driver constructs for the same pass, or a fresh
-// private one when the report is built outside a driver.
-func (o Options) symbols() *trace.Symbols {
-	if o.pass != nil {
-		return o.pass.syms
-	}
-	return trace.NewSymbols()
+// popScores is a pass's Sec. V-E result: its RRP and URP values in
+// ascending order, what fig5 and popularity both show of them, and the CSN
+// test of each, run at most once. One RNG, seeded alike in every pass, draws
+// the tests in index order, so a test's result depends neither on which
+// report finalizes first nor on what else the process draws.
+type popScores struct {
+	vals  [2][]int // by rrpDist, urpDist
+	dists scoreDists
+	rng   *rand.Rand
+	fits  [2]*FitResult // nil until run
 }
 
-// counter returns the pass's popularity accumulator and whether the caller
-// is the report that feeds it. Every report scoring popularity wants the
-// same stream (deduplicated requests), so one pass keeps one set of (CID,
-// peer) pairs: the first constructor to ask writes each entry to it, later
-// ones only read it when they finalize. Outside a driver the counter is
-// private and the caller feeds it.
-func (o Options) counter() (c *popularity.Counter, feed bool) {
-	if o.pass == nil {
-		return popularity.NewCounter(), true
+// The distributions of popScores, in the order their tests run.
+const (
+	rrpDist = iota
+	urpDist
+)
+
+// scores returns the pass's Sec. V-E result, built from its counter at the
+// first call.
+func (p *passState) scores() *popScores {
+	if p.pop == nil {
+		rrp, urp := p.counter.SortedValues()
+		p.pop = &popScores{vals: [2][]int{rrp, urp}, rng: rand.New(rand.NewSource(1)), dists: scoreDists{
+			CIDs:      len(rrp),
+			RRPECDF:   popularity.ECDF(rrp),
+			URPECDF:   popularity.ECDF(urp),
+			URPShare1: popularity.ShareWithValue(urp, 1),
+		}}
 	}
-	if o.pass.counter != nil {
-		return o.pass.counter, false
+	return p.pop
+}
+
+// fit returns the CSN test of the pass's distribution i, running the tests
+// before it first.
+func (p *passState) fit(i int) FitResult {
+	s := p.scores()
+	for j := 0; j <= i; j++ {
+		if s.fits[j] == nil {
+			f := testPowerLaw(s.vals[j], p.iters, s.rng)
+			s.fits[j] = &f
+		}
 	}
-	o.pass.counter = popularity.NewCounterWith(o.pass.syms)
-	return o.pass.counter, true
+	return *s.fits[i]
 }
 
 func (o Options) bucket() time.Duration {
@@ -109,25 +125,18 @@ func (o Options) bootstrapIters() int {
 	return o.BootstrapIters
 }
 
-func (o Options) rand() *rand.Rand {
-	if o.Rand != nil {
-		return o.Rand()
-	}
-	return rand.New(rand.NewSource(1))
-}
-
 // reports maps each built-in report's name to its constructor. Adding a
 // report means adding its entry here; New, Names, bsanalyze -report, sweep
 // specs and the daemon's -window-reports all read this table.
 var reports = map[string]func(Options) (Report, error){
 	"summary": func(o Options) (Report, error) {
-		return &summaryReport{z: trace.NewSummarizerWith(o.symbols())}, nil
+		return &summaryReport{z: trace.NewSummarizerWith(o.pass.syms)}, nil
 	},
 	"traffic": func(o Options) (Report, error) {
 		return &trafficReport{gatewayIDs: o.GatewayIDs}, nil
 	},
 	"online": func(o Options) (Report, error) {
-		syms := o.symbols()
+		syms := o.pass.syms
 		return &onlineReport{z: trace.NewSummarizerWith(syms), fig4: newFig4(o), syms: syms, topK: o.topK()}, nil
 	},
 	"table1": func(Options) (Report, error) {
@@ -490,19 +499,24 @@ func (r *fig4Report) series() *Fig4 {
 
 // --- fig5: content popularity ----------------------------------------------
 
-// popFeed is what fig5 and popularity share: the pass's one popularity
-// counter, written by whichever of them was constructed first, and the
-// settings of the bootstrap each runs on it.
+// popFeed is what fig5 and popularity share: the pass whose one popularity
+// counter the first of them to be constructed writes, and whose Sec. V-E
+// result both read. Every report scoring popularity wants the same stream
+// (deduplicated requests), so one pass keeps one set of (CID, peer) pairs;
+// the report that does not feed the counter reads it only through the
+// pass's result.
 type popFeed struct {
-	counter *popularity.Counter
-	feed    bool
-	iters   int
-	rng     func() *rand.Rand
+	pass *passState
+	feed bool
 }
 
 func newPopFeed(o Options) popFeed {
-	c, feed := o.counter()
-	return popFeed{counter: c, feed: feed, iters: o.bootstrapIters(), rng: o.rand}
+	feed := o.pass.counter == nil
+	if feed {
+		o.pass.counter = popularity.NewCounterWith(o.pass.syms)
+		o.pass.iters = o.bootstrapIters()
+	}
+	return popFeed{pass: o.pass, feed: feed}
 }
 
 func (p popFeed) WantsDedup() bool { return true }
@@ -511,25 +525,13 @@ func (p popFeed) Observe(e trace.Entry) error {
 	if !p.feed {
 		return nil
 	}
-	return p.counter.Write(e)
+	return p.pass.counter.Write(e)
 }
 
 // merge folds from's counter into p's when p is the report that feeds it.
 func (p popFeed) merge(from popFeed) {
 	if p.feed {
-		p.counter.Merge(from.counter)
-	}
-}
-
-// scores returns the counter's RRP and URP values in ascending order and
-// what fig5 and popularity both show of them.
-func (p popFeed) scores() (rrp, urp []int, d scoreDists) {
-	rrp, urp = p.counter.SortedValues()
-	return rrp, urp, scoreDists{
-		CIDs:      len(rrp),
-		RRPECDF:   popularity.ECDF(rrp),
-		URPECDF:   popularity.ECDF(urp),
-		URPShare1: popularity.ShareWithValue(urp, 1),
+		p.pass.counter.Merge(from.pass.counter)
 	}
 }
 
@@ -555,15 +557,7 @@ func (r *fig5Report) Merge(from Report) error {
 }
 
 func (r *fig5Report) Finalize() (Result, error) {
-	rrp, urp, d := r.scores()
-	// One RNG drives both bootstraps, RRP first — the draw order of the
-	// batch pipeline this report replaced, so seeded runs stay
-	// byte-identical.
-	rng := r.rng()
-	f := &Fig5{scoreDists: d}
-	f.RRP = testPowerLaw(rrp, r.iters, rng)
-	f.URP = testPowerLaw(urp, r.iters, rng)
-	return f, nil
+	return &Fig5{scoreDists: r.pass.scores().dists, RRP: r.pass.fit(rrpDist), URP: r.pass.fit(urpDist)}, nil
 }
 
 // --- fig6: request rates by origin group -----------------------------------
@@ -651,6 +645,5 @@ func (r *popularityReport) Merge(from Report) error {
 }
 
 func (r *popularityReport) Finalize() (Result, error) {
-	rrp, _, d := r.scores()
-	return &Popularity{scoreDists: d, RRP: testPowerLaw(rrp, r.iters, r.rng())}, nil
+	return &Popularity{scoreDists: r.pass.scores().dists, RRP: r.pass.fit(rrpDist)}, nil
 }

@@ -270,13 +270,13 @@ func (d *WindowedDriver) advance(ts int64) error {
 // its start, before the entry that moved it is written.
 func (d *WindowedDriver) openWindow(k int64) (*windowState, error) {
 	st := &windowState{k: k, start: k * d.slide, end: k*d.slide + d.width}
-	// A pane's Driver is its pass: its reports share a numbering and a
-	// popularity counter of their own, reachable only through them, so both
-	// are garbage with the window that adopts the pane and the daemon's
-	// memory stays bounded by the window width. Its entry counts are held
-	// until that window closes, which counts them once for every window the
-	// pane was merged into; every pane shares the driver's telemetry handle,
-	// so their counts line up.
+	// A pane's Driver is its pass: its reports share a numbering, a
+	// popularity counter and power-law tests of their own, reachable only
+	// through them, so all are garbage with the window that adopts the pane
+	// and the daemon's memory stays bounded by the window width. Its entry
+	// counts are held until that window closes, which counts them once for
+	// every window the pane was merged into; every pane shares the driver's
+	// telemetry handle, so their counts line up.
 	st.pane = &Driver{dedup: d.opts.Dedup, m: d.m, hold: true}
 	if err := st.pane.AddByName(d.opts.Reports, d.opts.Opts); err != nil {
 		return nil, err

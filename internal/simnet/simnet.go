@@ -248,7 +248,10 @@ func (n *Network) InboundCtx(id NodeID) otrace.Ctx {
 }
 
 // NewRand derives an independent deterministic RNG labelled by name. Call at
-// build time or between Run calls, never from event code.
+// build time or between Run calls, never from event code. Each call draws
+// from the root stream that the serial engine's latency jitter also draws
+// from, so analysis code must not call it: a report finalizing mid-run (a
+// daemon's window closing) would shift every later delivery.
 func (n *Network) NewRand(name string) *rand.Rand {
 	h := fnv.New64a()
 	h.Write([]byte(name))

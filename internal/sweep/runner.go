@@ -3,7 +3,6 @@ package sweep
 import (
 	"encoding/json"
 	"fmt"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"slices"
@@ -112,9 +111,7 @@ func ExecuteRun(dir string, run Run) (*RunSummary, error) {
 		return err
 	}
 
-	// opts carries the context extra reports may need. The bootstrap RNG
-	// is derived from the engine when fig5 or popularity finalizes, after
-	// the crawl and the probes have drawn theirs.
+	// opts carries the context extra reports may need.
 	var opts report.Options
 	// panels are the report.txt sections that come from the world rather
 	// than from the trace: the Sec. V-C panel, Fig. 3 and the probes.
@@ -126,7 +123,6 @@ func ExecuteRun(dir string, run Run) (*RunSummary, error) {
 			// before the drive burns its compute, not at summary time.
 			opts = report.Options{
 				BootstrapIters: spec.BootstrapIters,
-				Rand:           func() *rand.Rand { return w.Net.NewRand("fig5") },
 				Tracer:         w.Tracer(),
 			}
 			if err := report.NewDriver(true).AddByName(spec.Reports, opts); err != nil {
@@ -235,14 +231,13 @@ func writeReport(dir string, results report.Results, panels []section) error {
 }
 
 // ReportOptions is what a report over a synthetic world's trace may need:
-// GeoIP, the gateway fleets, the bootstrap budget and RNG, and the tracer.
+// GeoIP, the gateway fleets, the bootstrap budget and the tracer.
 func (s ScenarioSpec) ReportOptions(w *workload.World) report.Options {
 	return report.Options{
 		Geo:            w.Geo,
 		GatewayIDs:     w.GatewayNodeIDs(),
 		MegagateIDs:    w.MegagateIDs(),
 		BootstrapIters: s.BootstrapIters,
-		Rand:           func() *rand.Rand { return w.Net.NewRand("fig5") },
 		Tracer:         w.Tracer(),
 	}
 }

@@ -72,10 +72,6 @@ type Counter struct {
 	cids  int
 }
 
-// NewCounter returns an empty Counter numbering peers and CIDs with a
-// private trace.Symbols.
-func NewCounter() *Counter { return NewCounterWith(trace.NewSymbols()) }
-
 // NewCounterWith returns an empty Counter that resolves peers and CIDs
 // through syms, shared with the other consumers of the same pass.
 func NewCounterWith(syms *trace.Symbols) *Counter {

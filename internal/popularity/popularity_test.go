@@ -58,7 +58,7 @@ func TestCounterMatchesBatch(t *testing.T) {
 			string(rune('a'+rng.Intn(25))), wire.EntryType(rng.Intn(3)+1)))
 	}
 	want := Compute(entries)
-	c := NewCounter()
+	c := NewCounterWith(trace.NewSymbols())
 	for _, e := range entries {
 		if err := c.Write(e); err != nil {
 			t.Fatal(err)
@@ -276,7 +276,7 @@ func TestSamplePowerLawBounds(t *testing.T) {
 // TestRank: Rank orders by count descending and then by CID key, ranks
 // only the CIDs counted, and returns the best k for any k.
 func TestRank(t *testing.T) {
-	syms := NewCounter().syms
+	syms := trace.NewSymbols()
 	var counts []int
 	want := make(map[cid.CID]int)
 	rng := rand.New(rand.NewSource(9))
@@ -324,7 +324,7 @@ func TestSharedSymbols(t *testing.T) {
 
 	syms := trace.NewSymbols()
 	sum, aloneSum := trace.NewSummarizerWith(syms), trace.NewSummarizer()
-	c1, c2, alone := NewCounterWith(syms), NewCounterWith(syms), NewCounter()
+	c1, c2, alone := NewCounterWith(syms), NewCounterWith(syms), NewCounterWith(trace.NewSymbols())
 	for i, e := range raw {
 		sum.Write(e)
 		aloneSum.Write(e)

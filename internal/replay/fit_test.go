@@ -176,7 +176,7 @@ func TestFittedAmplifyPreservesAlpha(t *testing.T) {
 	if stats.Events < 5*sess.Model.Requests {
 		t.Fatalf("amplified replay generated only %d events (model %d)", stats.Events, sess.Model.Requests)
 	}
-	counter := popularity.NewCounter()
+	counter := popularity.NewCounterWith(trace.NewSymbols())
 	for _, e := range sess.World.Monitors[0].Trace() {
 		counter.Write(e)
 	}

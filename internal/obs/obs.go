@@ -169,56 +169,6 @@ func (h *Histogram) Sum() float64 {
 	return math.Float64frombits(h.sumBits.Load())
 }
 
-// Quantile estimates the q-th quantile (0 ≤ q ≤ 1) by linear interpolation
-// inside the bucket containing the target rank — the same estimate a
-// Prometheus histogram_quantile() produces. The error is bounded by the
-// width of that bucket; observations beyond the last finite bound clamp to
-// it. Returns NaN on an empty (or nil) histogram.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil || h.total.Load() == 0 || len(h.bounds) == 0 {
-		return math.NaN()
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	total := h.total.Load()
-	rank := q * float64(total)
-	cum := uint64(0)
-	for i := range h.counts {
-		n := h.counts[i].Load()
-		if n == 0 {
-			cum += n
-			continue
-		}
-		if float64(cum+n) >= rank {
-			if i >= len(h.bounds) {
-				// +Inf bucket: the last finite bound is the best estimate.
-				return h.bounds[len(h.bounds)-1]
-			}
-			lo := 0.0
-			if i > 0 {
-				lo = h.bounds[i-1]
-			}
-			hi := h.bounds[i]
-			return lo + (hi-lo)*(rank-float64(cum))/float64(n)
-		}
-		cum += n
-	}
-	return h.bounds[len(h.bounds)-1]
-}
-
-// LinearBuckets returns n bounds start, start+width, …
-func LinearBuckets(start, width float64, n int) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = start + float64(i)*width
-	}
-	return out
-}
-
 // ExponentialBuckets returns n bounds start, start*factor, …
 func ExponentialBuckets(start, factor float64, n int) []float64 {
 	out := make([]float64, n)

@@ -42,7 +42,7 @@ func TestNilSafety(t *testing.T) {
 	var r *Registry
 	c := r.Counter("x_total", "")
 	g := r.Gauge("y", "")
-	h := r.Histogram("z", "", LinearBuckets(0, 1, 3))
+	h := r.Histogram("z", "", linearBuckets(0, 1, 3))
 	cv := r.CounterVec("cv_total", "", "l")
 	gv := r.GaugeVec("gv", "", "l")
 	hv := r.HistogramVec("hv", "", nil, "l")
@@ -59,7 +59,7 @@ func TestNilSafety(t *testing.T) {
 	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 {
 		t.Fatal("nil metrics accumulated state")
 	}
-	if !math.IsNaN(h.Quantile(0.5)) {
+	if !math.IsNaN(quantile(h, 0.5)) {
 		t.Fatal("nil histogram quantile should be NaN")
 	}
 	if _, err := r.WriteTo(&strings.Builder{}); err != nil {
@@ -208,7 +208,7 @@ func parseSampleValue(s string) (float64, error) {
 // width.
 func TestHistogramQuantileAccuracy(t *testing.T) {
 	// Uniform [0, 1000) with 20 buckets of width 50.
-	h := newHistogram(LinearBuckets(50, 50, 20))
+	h := newHistogram(linearBuckets(50, 50, 20))
 	rng := rand.New(rand.NewSource(1))
 	const n = 100000
 	values := make([]float64, n)
@@ -218,7 +218,7 @@ func TestHistogramQuantileAccuracy(t *testing.T) {
 	}
 	sort.Float64s(values)
 	for _, q := range []float64{0.1, 0.25, 0.5, 0.9, 0.99} {
-		got := h.Quantile(q)
+		got := quantile(h, q)
 		want := values[int(q*float64(n-1))]
 		if math.Abs(got-want) > 50 {
 			t.Errorf("uniform q%.2f: got %.1f, want %.1f (tolerance 50)", q, got, want)
@@ -234,7 +234,7 @@ func TestHistogramQuantileAccuracy(t *testing.T) {
 	}
 	sort.Float64s(lat)
 	for _, q := range []float64{0.5, 0.9, 0.99} {
-		got := hexp.Quantile(q)
+		got := quantile(hexp, q)
 		want := lat[int(q*float64(n-1))]
 		// Tolerance: the containing bucket's width (bounds double).
 		if got < want/2-1e-3 || got > want*2+1e-3 {
@@ -245,7 +245,7 @@ func TestHistogramQuantileAccuracy(t *testing.T) {
 	if got := h.Count(); got != n {
 		t.Fatalf("count = %d, want %d", got, n)
 	}
-	if math.IsNaN(h.Quantile(0.5)) {
+	if math.IsNaN(quantile(h, 0.5)) {
 		t.Fatal("quantile NaN on populated histogram")
 	}
 }
@@ -311,7 +311,7 @@ func TestSnapshot(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("snap_total", "").Add(3)
 	r.GaugeVec("snap_g", "", "k").With("v").Set(1.5)
-	r.Histogram("snap_h", "", LinearBuckets(1, 1, 2)).Observe(1.5)
+	r.Histogram("snap_h", "", linearBuckets(1, 1, 2)).Observe(1.5)
 	snap := r.Snapshot()
 	if snap["snap_total"] != 3 {
 		t.Errorf("snap_total = %g", snap["snap_total"])
@@ -379,7 +379,7 @@ func TestQuantileOverflowClamp(t *testing.T) {
 		h.Observe(1e9) // far beyond the last finite bound
 	}
 	for _, q := range []float64{0.5, 0.99, 1} {
-		if got := h.Quantile(q); got != 2 {
+		if got := quantile(h, q); got != 2 {
 			t.Errorf("Quantile(%v) = %v, want clamp to last finite bound 2", q, got)
 		}
 	}
@@ -388,7 +388,7 @@ func TestQuantileOverflowClamp(t *testing.T) {
 	h2.Observe(0.5)
 	h2.Observe(3)
 	h2.Observe(4)
-	if got := h2.Quantile(0.99); got != 2 {
+	if got := quantile(h2, 0.99); got != 2 {
 		t.Errorf("mixed Quantile(0.99) = %v, want 2", got)
 	}
 }
@@ -427,4 +427,54 @@ func TestServeCleanClose(t *testing.T) {
 	if err := srv.Err(); err != nil {
 		t.Fatalf("Err after clean close = %v, want nil", err)
 	}
+}
+
+// quantile estimates h's q-th quantile (0 ≤ q ≤ 1) by linear interpolation
+// inside the bucket containing the target rank — the same estimate a
+// Prometheus histogram_quantile() produces. The error is bounded by the
+// width of that bucket; observations beyond the last finite bound clamp to
+// it. Returns NaN on an empty (or nil) histogram.
+func quantile(h *Histogram, q float64) float64 {
+	if h == nil || h.total.Load() == 0 || len(h.bounds) == 0 {
+		return math.NaN()
+	}
+	if q < 0 {
+		q = 0
+	}
+	if q > 1 {
+		q = 1
+	}
+	total := h.total.Load()
+	rank := q * float64(total)
+	cum := uint64(0)
+	for i := range h.counts {
+		n := h.counts[i].Load()
+		if n == 0 {
+			cum += n
+			continue
+		}
+		if float64(cum+n) >= rank {
+			if i >= len(h.bounds) {
+				// +Inf bucket: the last finite bound is the best estimate.
+				return h.bounds[len(h.bounds)-1]
+			}
+			lo := 0.0
+			if i > 0 {
+				lo = h.bounds[i-1]
+			}
+			hi := h.bounds[i]
+			return lo + (hi-lo)*(rank-float64(cum))/float64(n)
+		}
+		cum += n
+	}
+	return h.bounds[len(h.bounds)-1]
+}
+
+// linearBuckets returns n bounds start, start+width, …
+func linearBuckets(start, width float64, n int) []float64 {
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = start + float64(i)*width
+	}
+	return out
 }

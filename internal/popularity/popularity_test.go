@@ -221,11 +221,11 @@ func bestTailWithoutFraction(values []int) int {
 		if xmin < 1 || len(tail) < minTail {
 			continue
 		}
-		alpha := alphaMLE(tail, xmin)
+		alpha := refAlphaMLE(tail, xmin)
 		if math.IsInf(alpha, 1) || alpha <= 1 {
 			continue
 		}
-		if ks := ksDistance(tail, xmin, alpha); ks < bestKS {
+		if ks := refKSDistance(tail, xmin, alpha); ks < bestKS {
 			bestKS, bestTail = ks, len(tail)
 		}
 	}
@@ -392,7 +392,11 @@ func TestAlphaMLEBitIdentical(t *testing.T) {
 			tail[i] = xmin + rng.Intn(spread)
 		}
 		sort.Ints(tail)
-		got, want := alphaMLE(tail, xmin), perElement(tail, xmin)
+		var runs tally
+		for _, v := range tail {
+			runs.add(v)
+		}
+		got, want := alphaMLE(runs.runs(), n, xmin), perElement(tail, xmin)
 		if math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("round %d (n=%d, spread=%d, xmin=%d): alphaMLE = %x, per-element formula = %x",
 				round, n, spread, xmin, math.Float64bits(got), math.Float64bits(want))

@@ -23,26 +23,85 @@ type PowerLawFit struct {
 // ErrTooFewSamples is returned when the data cannot support a fit.
 var ErrTooFewSamples = errors.New("popularity: too few samples for power-law fit")
 
+// run is a value and the number of observations that take it. The xmin
+// scan works on a sample's runs in ascending order of value.
+type run struct{ v, n int }
+
+// denseCut bounds the values a tally counts in its histogram. Counts sit
+// mostly at small values with a thin tail above (most CIDs are requested
+// once), so the few values at or past the cut are kept and sorted apart.
+const denseCut = 1024
+
+// tally turns observations, added in any order, into ascending runs without
+// a sort of the whole sample. Its buffers are reused from one sample to the
+// next.
+type tally struct {
+	dense []int // dense[v] observations of v, for 0 <= v < denseCut
+	top   int   // 1 + the largest value counted in dense since the last runs
+	spill []int // observations outside [0, denseCut)
+	out   []run
+}
+
+func (t *tally) add(v int) {
+	if v < 0 || v >= denseCut {
+		t.spill = append(t.spill, v)
+		return
+	}
+	if t.dense == nil {
+		t.dense = make([]int, denseCut)
+	}
+	t.dense[v]++
+	t.top = max(t.top, v+1)
+}
+
+// runs returns the observations added since the last call as ascending
+// runs and empties the tally. The slice is reused by the next call.
+func (t *tally) runs() []run {
+	sort.Ints(t.spill)
+	out := t.out[:0]
+	i := 0
+	for ; i < len(t.spill) && t.spill[i] < 0; i++ {
+		out = appendRun(out, t.spill[i])
+	}
+	for v := 0; v < t.top; v++ {
+		if c := t.dense[v]; c > 0 {
+			out = append(out, run{v, c})
+			t.dense[v] = 0
+		}
+	}
+	for ; i < len(t.spill); i++ {
+		out = appendRun(out, t.spill[i])
+	}
+	t.top, t.spill, t.out = 0, t.spill[:0], out
+	return out
+}
+
+// appendRun adds one observation of v to ascending runs.
+func appendRun(runs []run, v int) []run {
+	if k := len(runs) - 1; k >= 0 && runs[k].v == v {
+		runs[k].n++
+		return runs
+	}
+	return append(runs, run{v, 1})
+}
+
 // alphaMLE computes the continuous-approximation MLE for the exponent given
-// tail observations and xmin: alpha = 1 + n / Σ ln(x_i / (xmin - 0.5)). One
-// logarithm is taken per run of equal values and added once per element, in
-// element order, so the sum is bit-identical to the per-element formula
-// while a sorted tail (few distinct values, many repeats) costs one Log per
-// distinct value.
-func alphaMLE(tail []int, xmin int) float64 {
+// the runs of a tail of n observations and xmin: alpha = 1 + n / Σ ln(x_i /
+// (xmin - 0.5)). One logarithm is taken per run and added once per element,
+// in element order, so the sum is bit-identical to the per-element formula.
+func alphaMLE(tail []run, n, xmin int) float64 {
 	var s float64
 	d := float64(xmin) - 0.5
-	for i := 0; i < len(tail); {
-		x := tail[i]
-		l := math.Log(float64(x) / d)
-		for ; i < len(tail) && tail[i] == x; i++ {
+	for _, r := range tail {
+		l := math.Log(float64(r.v) / d)
+		for range r.n {
 			s += l
 		}
 	}
 	if s == 0 {
 		return math.Inf(1)
 	}
-	return 1 + float64(len(tail))/s
+	return 1 + float64(n)/s
 }
 
 // tailCCDF is the fitted complementary CDF P(X >= x) under the continuous
@@ -52,20 +111,22 @@ func tailCCDF(x float64, xmin int, alpha float64) float64 {
 }
 
 // ksDistance computes the KS statistic between the empirical distribution of
-// the (sorted) tail and the fitted power law.
-func ksDistance(sortedTail []int, xmin int, alpha float64) float64 {
-	n := float64(len(sortedTail))
+// the runs of a tail of n observations and the fitted power law. The
+// statistic is a max over runs, so the scan stops once it reaches bound: the
+// result is then bound or more, but no longer the exact distance.
+func ksDistance(tail []run, n, xmin int, alpha, bound float64) float64 {
+	nf := float64(n)
 	var d float64
-	for i := 0; i < len(sortedTail); {
-		j := i
-		for j < len(sortedTail) && sortedTail[j] == sortedTail[i] {
-			j++
-		}
-		empLo := float64(i) / n
-		empHi := float64(j) / n
-		model := 1 - tailCCDF(float64(sortedTail[i])-0.5, xmin, alpha)
+	below := 0
+	for _, r := range tail {
+		empLo := float64(below) / nf
+		below += r.n
+		empHi := float64(below) / nf
+		model := 1 - tailCCDF(float64(r.v)-0.5, xmin, alpha)
 		d = math.Max(d, math.Max(math.Abs(model-empLo), math.Abs(model-empHi)))
-		i = j
+		if d >= bound {
+			break
+		}
 	}
 	return d
 }
@@ -82,45 +143,55 @@ const (
 // FitPowerLaw scans candidate xmin values (the distinct data values) and
 // returns the fit minimising the KS distance.
 func FitPowerLaw(values []int) (PowerLawFit, error) {
-	sorted := append([]int(nil), values...)
-	sort.Ints(sorted)
-	return fitSorted(sorted)
-}
-
-// fitSorted is FitPowerLaw for values already in ascending order.
-func fitSorted(sorted []int) (PowerLawFit, error) {
-	if len(sorted) < minTail {
-		return PowerLawFit{}, ErrTooFewSamples
+	var t tally
+	for _, v := range values {
+		t.add(v)
 	}
-	floor := max(minTail, int(minTailFrac*float64(len(sorted))))
-	best := PowerLawFit{KS: math.Inf(1)}
-	// Candidate xmins: the distinct values, ascending, for as long as the
-	// tail from there on is large enough.
-	for lo := 0; lo < len(sorted); {
-		xmin := sorted[lo]
-		tail := sorted[lo:]
-		for lo < len(sorted) && sorted[lo] == xmin {
-			lo++
-		}
-		if xmin < 1 {
-			continue
-		}
-		if len(tail) < floor {
-			break
-		}
-		alpha := alphaMLE(tail, xmin)
-		if math.IsInf(alpha, 1) || alpha <= 1 {
-			continue
-		}
-		ks := ksDistance(tail, xmin, alpha)
-		if ks < best.KS {
-			best = PowerLawFit{Alpha: alpha, Xmin: xmin, KS: ks, NTail: len(tail)}
-		}
-	}
+	best, _ := fitRuns(t.runs(), len(values), math.Inf(1), false)
 	if math.IsInf(best.KS, 1) {
 		return PowerLawFit{}, ErrTooFewSamples
 	}
 	return best, nil
+}
+
+// fitRuns is the xmin scan over the ascending runs of a sample of n
+// observations. It returns the candidate with the least KS distance below
+// bound (KS bound and NTail 0 if there is none), or with first set the
+// first candidate below bound. valid reports whether any candidate gave a
+// fit at all, below bound or not.
+func fitRuns(runs []run, n int, bound float64, first bool) (best PowerLawFit, valid bool) {
+	best.KS = bound
+	if n < minTail {
+		return best, false
+	}
+	floor := max(minTail, int(minTailFrac*float64(n)))
+	// Candidate xmins: the distinct values, ascending, for as long as the
+	// tail from there on is large enough.
+	tailN := n
+	for k, r := range runs {
+		nk := tailN
+		tailN -= r.n
+		if r.v < 1 {
+			continue
+		}
+		if nk < floor {
+			break
+		}
+		alpha := alphaMLE(runs[k:], nk, r.v)
+		if math.IsInf(alpha, 1) || alpha <= 1 {
+			continue
+		}
+		valid = true
+		// A candidate at or above the best KS so far cannot be chosen, so
+		// its scan may stop there.
+		if ks := ksDistance(runs[k:], nk, r.v, alpha, best.KS); ks < best.KS {
+			best = PowerLawFit{Alpha: alpha, Xmin: r.v, KS: ks, NTail: nk}
+			if first {
+				break
+			}
+		}
+	}
+	return best, valid
 }
 
 // samplePowerLaw draws one value from the fitted discrete power law using
@@ -139,11 +210,12 @@ func samplePowerLaw(rng *rand.Rand, xmin int, alpha float64) int {
 // (CSN Sec. 4): synthetic datasets draw tail values from the fitted law and
 // body values from the empirical body; each synthetic set is refit and its
 // KS distance compared with the observed one. Small p (< 0.1 in the paper)
-// rejects the power-law hypothesis.
+// rejects the power-law hypothesis. iterations must be at least 1.
+//
+// A synthetic set exceeds the observed fit when its refit's KS distance is
+// at least f.KS, so its xmin scan ends at the first candidate below f.KS. A
+// set with no valid fit does not exceed.
 func (f PowerLawFit) PValue(values []int, iterations int, rng *rand.Rand) float64 {
-	if iterations <= 0 {
-		iterations = 100
-	}
 	var body []int
 	for _, v := range values {
 		if v < f.Xmin {
@@ -153,21 +225,16 @@ func (f PowerLawFit) PValue(values []int, iterations int, rng *rand.Rand) float6
 	n := len(values)
 	pTail := float64(f.NTail) / float64(n)
 	exceed := 0
-	synth := make([]int, n) // refilled and sorted in place by every iteration
+	var t tally // refilled by every iteration
 	for it := 0; it < iterations; it++ {
-		for i := range synth {
+		for range n {
 			if len(body) == 0 || rng.Float64() < pTail {
-				synth[i] = samplePowerLaw(rng, f.Xmin, f.Alpha)
+				t.add(samplePowerLaw(rng, f.Xmin, f.Alpha))
 			} else {
-				synth[i] = body[rng.Intn(len(body))]
+				t.add(body[rng.Intn(len(body))])
 			}
 		}
-		sort.Ints(synth)
-		sf, err := fitSorted(synth)
-		if err != nil {
-			continue
-		}
-		if sf.KS >= f.KS {
+		if sf, valid := fitRuns(t.runs(), n, f.KS, true); valid && sf.KS >= f.KS {
 			exceed++
 		}
 	}

@@ -80,9 +80,16 @@ func TestMultihashRoundTrip(t *testing.T) {
 	}
 }
 
+// identityHash wraps data in an identity multihash (digest == data).
+func identityHash(data []byte) Multihash {
+	d := make([]byte, len(data))
+	copy(d, data)
+	return Multihash{Code: HashIdentity, Digest: d}
+}
+
 func TestIdentityHash(t *testing.T) {
 	data := []byte("tiny")
-	mh := IdentityHash(data)
+	mh := identityHash(data)
 	if err := mh.Verify(data); err != nil {
 		t.Fatalf("identity Verify: %v", err)
 	}
@@ -153,7 +160,7 @@ func TestCIDV0RoundTrip(t *testing.T) {
 }
 
 func TestNewV0RejectsNonSha256(t *testing.T) {
-	if _, err := NewV0(IdentityHash([]byte("x"))); err == nil {
+	if _, err := NewV0(identityHash([]byte("x"))); err == nil {
 		t.Error("NewV0 accepted identity hash")
 	}
 }

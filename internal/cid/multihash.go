@@ -36,14 +36,6 @@ func SumSha256(data []byte) Multihash {
 	return Multihash{Code: HashSha2256, Digest: d[:]}
 }
 
-// IdentityHash wraps data in an identity multihash (digest == data). Used for
-// tiny inline blocks.
-func IdentityHash(data []byte) Multihash {
-	d := make([]byte, len(data))
-	copy(d, data)
-	return Multihash{Code: HashIdentity, Digest: d}
-}
-
 // Encode appends the binary multihash representation to buf.
 func (m Multihash) Encode(buf []byte) []byte {
 	buf = PutUvarint(buf, uint64(m.Code))

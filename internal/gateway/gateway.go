@@ -117,16 +117,6 @@ func (g *Gateway) Functional() bool { return g.cfg.Functional }
 // Stats returns a copy of the counters.
 func (g *Gateway) Stats() Stats { return g.stats }
 
-// CacheHitRatio returns hits/(hits+misses), the figure Cloudflare quotes as
-// 97% for its gateway.
-func (g *Gateway) CacheHitRatio() float64 {
-	total := g.stats.CacheHits + g.stats.CacheMisses
-	if total == 0 {
-		return 0
-	}
-	return float64(g.stats.CacheHits) / float64(total)
-}
-
 // Retrieve serves one HTTP-side request for c, calling done exactly once.
 //
 // Fresh cache hits answer immediately with no network traffic (invisible to

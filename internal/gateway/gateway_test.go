@@ -20,6 +20,17 @@ type world struct {
 	gw    *Gateway
 }
 
+// cacheHitRatio returns hits/(hits+misses), the figure Cloudflare quotes
+// as 97% for its gateway.
+func cacheHitRatio(g *Gateway) float64 {
+	st := g.Stats()
+	total := st.CacheHits + st.CacheMisses
+	if total == 0 {
+		return 0
+	}
+	return float64(st.CacheHits) / float64(total)
+}
+
 func build(t *testing.T, gwCfg Config) *world {
 	t.Helper()
 	net := simnet.New(t0, 1, simnet.Fixed(5*time.Millisecond))
@@ -73,7 +84,7 @@ func TestGatewayMissThenHit(t *testing.T) {
 	if r2.Status != StatusOK || !r2.CacheHit {
 		t.Fatalf("second retrieve: %+v", r2)
 	}
-	if got := w.gw.CacheHitRatio(); got != 0.5 {
+	if got := cacheHitRatio(w.gw); got != 0.5 {
 		t.Errorf("hit ratio = %v", got)
 	}
 }

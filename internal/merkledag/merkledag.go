@@ -344,15 +344,3 @@ func appendLeafData(parts [][]byte, src BlockSource, c cid.CID) ([][]byte, error
 		return nil, fmt.Errorf("merkledag: cannot assemble %s node", node.Kind)
 	}
 }
-
-// Leaves returns the CIDs of all leaf (Raw) blocks under root, in file order.
-func Leaves(src BlockSource, root cid.CID) ([]cid.CID, error) {
-	var out []cid.CID
-	err := Walk(src, root, func(c cid.CID, n *Node) error {
-		if n.Kind == KindRaw {
-			out = append(out, c)
-		}
-		return nil
-	})
-	return out, err
-}

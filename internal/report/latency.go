@@ -28,7 +28,15 @@ func newLatencyReport(o Options) (Report, error) {
 // span-driven, so Observe is a no-op and all the work happens at Finalize,
 // after the run has filled the rings. Its only state is the tracer, which
 // every instance of a pass shares, so Merge has nothing to fold.
-type latencyReport struct{ tr *otrace.Tracer }
+type latencyReport struct {
+	tr *otrace.Tracer
+	// spans and drops are the tracer's contents as freeze took them, once
+	// frozen: a closing window takes them on the writer's goroutine, and
+	// its Finalize, which runs beside the writer, reads them.
+	spans  []otrace.Span
+	drops  uint64
+	frozen bool
+}
 
 func (r *latencyReport) WantsDedup() bool          { return false }
 func (r *latencyReport) Observe(trace.Entry) error { return nil }
@@ -36,8 +44,12 @@ func (r *latencyReport) Merge(from Report) error {
 	_, err := mergeable[*latencyReport](r, from)
 	return err
 }
+func (r *latencyReport) freeze() { r.spans, r.drops, r.frozen = r.tr.Spans(), r.tr.Dropped(), true }
 func (r *latencyReport) Finalize() (Result, error) {
-	return BreakdownFromSpans(r.tr.Spans(), r.tr.Dropped()), nil
+	if !r.frozen {
+		r.freeze()
+	}
+	return BreakdownFromSpans(r.spans, r.drops), nil
 }
 
 // stageOrder fixes the render order: the request spine first, then routing,

@@ -32,7 +32,10 @@ type WindowOptions struct {
 	Dedup bool
 	// OnClose, when set, receives every finalized window in order — the
 	// durable-retention hook (e.g. append one JSON line per window, so
-	// rolled-up report state outlives raw-segment retention).
+	// rolled-up report state outlives raw-segment retention). A window's
+	// merge and Finalize run beside the writer; OnClose is called, under
+	// the driver's lock, at the first Write, Snapshot or Close after they
+	// finish, on that call's goroutine.
 	OnClose func(WindowResult) error
 }
 
@@ -124,6 +127,15 @@ type windowState struct {
 // report_window_metric{report,metric,window} gauge family, and handed to
 // OnClose for durable retention.
 //
+// A window's merge and Finalize run beside the writer: the Write that
+// passes the window's end hands its panes to a goroutine of their own and
+// goes on. The result is delivered — into the ring, the gauges and OnClose
+// — under the driver's lock and in window order, at the first Write after
+// the close has finished, or at a Snapshot or Close, which wait for it. At
+// most one close is in flight: the next close waits for it, and so does an
+// entry stamped before its end, which can land in a pane it reads. In-order
+// entries cannot: past a window's end they reach only later panes.
+//
 // Entries must arrive in nondecreasing timestamp order (a unified stream's
 // natural order); a late entry whose windows have already closed is dropped
 // and counted. Write and Snapshot are safe to call concurrently — the write
@@ -143,6 +155,9 @@ type WindowedDriver struct {
 	open      []*windowState
 	watermark int64
 	closed    []WindowResult // oldest first, bounded by opts.Keep
+	// closing is the close in flight, nil when none is: its merge and
+	// Finalize run on a goroutine of their own, and deliver retires it.
+	closing   *windowClose
 	total     uint64
 	late      uint64
 	finalized bool
@@ -195,6 +210,13 @@ func (d *WindowedDriver) Write(e trace.Entry) error {
 		return d.err
 	}
 	ts := e.Timestamp.UnixNano()
+	// The close in flight is delivered if it has finished; an entry stamped
+	// before its window's end waits for it, as its pane may be one the close
+	// is reading.
+	if err := d.deliver(d.closing != nil && ts < d.closing.end); err != nil {
+		d.err = err
+		return err
+	}
 	if ts > d.watermark || len(d.open) == 0 {
 		if err := d.advance(ts); err != nil {
 			d.err = err
@@ -284,35 +306,69 @@ func (d *WindowedDriver) openWindow(k int64) (*windowState, error) {
 	return st, nil
 }
 
-// closeFirst drops the first open window from the run and finalizes it.
-// Caller holds mu.
+// windowClose is one window's close, handed off by closeFirst: its
+// closer merges and finalizes the window's panes, then closes done, and
+// deliver reads res and err after done is closed. The closer takes no
+// lock, so waiting for it under mu cannot deadlock.
+type windowClose struct {
+	res  WindowResult // Metrics set by the closer
+	end  int64        // the window's end, ns
+	done chan struct{}
+	err  error
+}
+
+// closeFirst drops the first open window from the run and hands its close
+// off, once the close before it has been delivered. Windows close in start
+// order, so every earlier window covering the window's first pane has
+// merged it already: the window takes that pane's reports over and merges
+// into them the first panes of the still-open windows, which all start
+// inside its span and which later windows still cover. Caller holds mu.
 func (d *WindowedDriver) closeFirst(partial bool) error {
+	if err := d.deliver(true); err != nil {
+		return err
+	}
 	st := d.open[0]
 	d.open[0] = nil
 	d.open = d.open[1:]
-	return d.finalizeWindow(st, partial)
+	panes := make([]*Driver, len(d.open))
+	for i, next := range d.open {
+		panes[i] = next.pane
+	}
+	// What a Finalize reads from outside the pass, latency_breakdown's
+	// tracer, is taken now, so the window's result does not depend on when
+	// its closer runs.
+	for _, r := range st.pane.active {
+		if lr, ok := r.(*latencyReport); ok {
+			lr.freeze()
+		}
+	}
+	c := &windowClose{
+		res: WindowResult{
+			Start:   time.Unix(0, st.start).UTC(),
+			End:     time.Unix(0, st.end).UTC(),
+			Entries: st.entries,
+			Partial: partial,
+		},
+		end:  st.end,
+		done: make(chan struct{}),
+	}
+	d.closing = c
+	go func() {
+		defer close(c.done)
+		c.err = c.finalize(st.pane, panes)
+	}()
+	return nil
 }
 
-// finalizeWindow completes one window's reports, retains and publishes the
-// result, and invokes OnClose. Windows close in start order, so every
-// earlier window covering the window's first pane has merged it already:
-// the window takes that pane's reports over and merges into them the first
-// panes of the still-open windows, which all start inside its span and
-// which later windows still cover. Caller holds mu.
-func (d *WindowedDriver) finalizeWindow(st *windowState, partial bool) error {
-	res := WindowResult{
-		Start:   time.Unix(0, st.start).UTC(),
-		End:     time.Unix(0, st.end).UTC(),
-		Entries: st.entries,
-		Partial: partial,
-	}
+// finalize merges panes into drv, the window's adopted pane, finalizes it
+// and fills in the result's metrics.
+func (c *windowClose) finalize(drv *Driver, panes []*Driver) error {
 	fail := func(err error) error {
 		return fmt.Errorf("report: window [%s, %s): %w",
-			res.Start.Format(time.RFC3339), res.End.Format(time.RFC3339), err)
+			c.res.Start.Format(time.RFC3339), c.res.End.Format(time.RFC3339), err)
 	}
-	drv := st.pane
-	for _, next := range d.open {
-		if err := drv.merge(next.pane); err != nil {
+	for _, p := range panes {
+		if err := drv.merge(p); err != nil {
 			return fail(err)
 		}
 	}
@@ -320,18 +376,43 @@ func (d *WindowedDriver) finalizeWindow(st *windowState, partial bool) error {
 	if err != nil {
 		return fail(err)
 	}
-	res.Metrics = make(map[string]map[string]float64, len(results))
+	c.res.Metrics = make(map[string]map[string]float64, len(results))
 	for _, nr := range results {
-		res.Metrics[nr.Name] = nr.Result.Metrics()
+		c.res.Metrics[nr.Name] = nr.Result.Metrics()
 	}
-	d.closed = append(d.closed, res)
+	return nil
+}
+
+// deliver retires the close in flight once its closer has finished,
+// waiting for it when wait is set: it retains and publishes the window's
+// result and invokes OnClose, or returns the closer's error. Caller holds
+// mu.
+func (d *WindowedDriver) deliver(wait bool) error {
+	c := d.closing
+	if c == nil {
+		return nil
+	}
+	if wait {
+		<-c.done
+	} else {
+		select {
+		case <-c.done:
+		default:
+			return nil
+		}
+	}
+	d.closing = nil
+	if c.err != nil {
+		return c.err
+	}
+	d.closed = append(d.closed, c.res)
 	if len(d.closed) > d.opts.Keep {
 		d.closed = d.closed[len(d.closed)-d.opts.Keep:]
 	}
 	d.total++
 	d.publish()
 	if d.opts.OnClose != nil {
-		if err := d.opts.OnClose(res); err != nil {
+		if err := d.opts.OnClose(c.res); err != nil {
 			return fmt.Errorf("report: window close hook: %w", err)
 		}
 	}
@@ -360,11 +441,16 @@ func (d *WindowedDriver) publish() {
 }
 
 // Snapshot returns the retained closed windows plus live numbers for every
-// still-open window — the /reports payload. Safe to call concurrently with
-// Write.
+// still-open window — the /reports payload. It waits for the close in
+// flight and delivers it first, so a window the stream has passed is among
+// the closed ones. Safe to call concurrently with Write; an error the
+// delivery meets is returned by the next Write or Close.
 func (d *WindowedDriver) Snapshot() WindowSnapshot {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	if d.err == nil {
+		d.err = d.deliver(true)
+	}
 	snap := WindowSnapshot{
 		Width:       d.opts.Width,
 		Slide:       d.opts.Slide,
@@ -428,22 +514,20 @@ func (d *WindowedDriver) paneView(i int) (*Driver, error) {
 
 // Close finalizes every still-open window (marked Partial: each ends after
 // the watermark, so its span had not filled) and returns all retained
-// window results, oldest first. Call it once at shutdown, after the final
-// entry; the driver rejects writes afterwards.
+// window results, oldest first, once every close has been delivered. Call
+// it once at shutdown, after the final entry; the driver rejects writes
+// afterwards.
 func (d *WindowedDriver) Close() ([]WindowResult, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.err != nil {
-		return append([]WindowResult(nil), d.closed...), d.err
-	}
-	if !d.finalized {
+	if d.err == nil && !d.finalized {
 		d.finalized = true
-		for len(d.open) > 0 {
-			if err := d.closeFirst(true); err != nil {
-				d.err = err
-				return append([]WindowResult(nil), d.closed...), err
-			}
+		for d.err == nil && len(d.open) > 0 {
+			d.err = d.closeFirst(true)
 		}
 	}
-	return append([]WindowResult(nil), d.closed...), nil
+	if d.err == nil {
+		d.err = d.deliver(true)
+	}
+	return append([]WindowResult(nil), d.closed...), d.err
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"reflect"
 	"sort"
@@ -282,6 +283,12 @@ func entryReports() []string {
 	return names
 }
 
+// overlapEvery is how often matchFreshDrivers' second run checks the open
+// windows: a Snapshot waits for the close in flight, so between checks the
+// closes run beside the writes. It is prime, so it does not fall into step
+// with a fixture's windows.
+const overlapEvery = 61
+
 // matchFreshDrivers feeds entries, in the order given, through a windowed
 // driver and checks it against fresh Drivers. The oracle follows the
 // driver's contract: an entry reaches every window that contains its
@@ -290,15 +297,14 @@ func entryReports() []string {
 // as late. The windows that close must be exactly those some entry
 // reached, in start order, and each must report exactly what a fresh
 // Driver over the names reports when fed the entries that reached it alone.
-// After every write, the open windows must be those covering the watermark
-// (checkOpenRun). It returns the results and the late count.
+// The stream runs twice: once with the open windows checked after every
+// write (checkOpenRun), which delivers each close before the next write,
+// and once checked only every overlapEvery-th write and at the end, so
+// that closes run beside the writes in between. It returns the results and
+// the late count.
 func matchFreshDrivers(t *testing.T, entries []trace.Entry, wopts WindowOptions) ([]WindowResult, uint64) {
 	t.Helper()
 	wopts.Keep = 1 << 20
-	wd, err := NewWindowedDriver(wopts)
-	if err != nil {
-		t.Fatal(err)
-	}
 	width, slide := int64(wopts.Width), int64(wopts.Slide)
 	if slide == 0 {
 		slide = width
@@ -318,31 +324,14 @@ func matchFreshDrivers(t *testing.T, entries []trace.Entry, wopts WindowOptions)
 				seen[k] = append(seen[k], e)
 			}
 		}
-		if err := wd.Write(e); err != nil {
-			t.Fatal(err)
-		}
-		checkOpenRun(t, wd.Snapshot().Open, width, slide, watermark)
-	}
-	results, err := wd.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := wd.Snapshot().LateEntries; got != late {
-		t.Errorf("late entries: driver counted %d, the oracle %d", got, late)
 	}
 	var starts []int64
 	for k := range seen {
 		starts = append(starts, k)
 	}
 	sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
-	if len(results) != len(starts) {
-		t.Fatalf("%d windows closed, the oracle has %d", len(results), len(starts))
-	}
-	for i, res := range results {
-		k := starts[i]
-		if res.Start.UnixNano() != k*slide {
-			t.Fatalf("window %d starts %s, the oracle's at %s", i, res.Start, time.Unix(0, k*slide).UTC())
-		}
+	fresh := make([]Results, len(starts))
+	for i, k := range starts {
 		drv := NewDriver(wopts.Dedup)
 		if err := drv.AddByName(wopts.Reports, wopts.Opts); err != nil {
 			t.Fatal(err)
@@ -352,21 +341,76 @@ func matchFreshDrivers(t *testing.T, entries []trace.Entry, wopts WindowOptions)
 				t.Fatal(err)
 			}
 		}
-		fresh, err := drv.Finalize()
-		if err != nil {
+		var err error
+		if fresh[i], err = drv.Finalize(); err != nil {
 			t.Fatal(err)
 		}
-		if n := len(seen[k]); n != res.Entries {
-			t.Errorf("window %s: %d entries, the stream has %d there", res.Start.Format(time.TimeOnly), res.Entries, n)
+	}
+
+	var first []WindowResult
+	for _, every := range []int{1, overlapEvery} {
+		results, got := feedChecked(t, entries, wopts, every)
+		if got != late {
+			t.Errorf("checked every %d writes: late entries: driver counted %d, the oracle %d", every, got, late)
 		}
-		for _, nr := range fresh {
-			if want := nr.Result.Metrics(); !reflect.DeepEqual(res.Metrics[nr.Name], want) {
-				t.Errorf("window %s, %s:\n  window: %v\n  fresh:  %v",
-					res.Start.Format(time.TimeOnly), nr.Name, res.Metrics[nr.Name], want)
+		if len(results) != len(starts) {
+			t.Fatalf("checked every %d writes: %d windows closed, the oracle has %d", every, len(results), len(starts))
+		}
+		for i, res := range results {
+			k := starts[i]
+			if res.Start.UnixNano() != k*slide {
+				t.Fatalf("checked every %d writes: window %d starts %s, the oracle's at %s",
+					every, i, res.Start, time.Unix(0, k*slide).UTC())
+			}
+			if n := len(seen[k]); n != res.Entries {
+				t.Errorf("checked every %d writes: window %s: %d entries, the stream has %d there",
+					every, res.Start.Format(time.TimeOnly), res.Entries, n)
+			}
+			for _, nr := range fresh[i] {
+				if want := nr.Result.Metrics(); !reflect.DeepEqual(res.Metrics[nr.Name], want) {
+					t.Errorf("checked every %d writes: window %s, %s:\n  window: %v\n  fresh:  %v",
+						every, res.Start.Format(time.TimeOnly), nr.Name, res.Metrics[nr.Name], want)
+				}
 			}
 		}
+		if first == nil {
+			first = results
+		}
 	}
-	return results, late
+	return first, late
+}
+
+// feedChecked writes entries into a fresh windowed driver and closes it.
+// After every write whose count is a multiple of every, and after the
+// last, the open windows must be those covering the watermark
+// (checkOpenRun). It returns the closed windows and the late count.
+func feedChecked(t *testing.T, entries []trace.Entry, wopts WindowOptions, every int) ([]WindowResult, uint64) {
+	t.Helper()
+	wd, err := NewWindowedDriver(wopts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	width, slide := int64(wopts.Width), int64(wopts.Slide)
+	if slide == 0 {
+		slide = width
+	}
+	var watermark int64
+	for i, e := range entries {
+		if ts := e.Timestamp.UnixNano(); i == 0 || ts > watermark {
+			watermark = ts
+		}
+		if err := wd.Write(e); err != nil {
+			t.Fatal(err)
+		}
+		if (i+1)%every == 0 || i == len(entries)-1 {
+			checkOpenRun(t, wd.Snapshot().Open, width, slide, watermark)
+		}
+	}
+	results, err := wd.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return results, wd.Snapshot().LateEntries
 }
 
 // checkOpenRun fails unless the open windows are exactly the Width/Slide
@@ -393,8 +437,9 @@ func checkOpenRun(t *testing.T, open []OpenWindow, width, slide, watermark int64
 // in, and no merge may lose or double anything. The first case is the
 // daemon's shape; the others cover every entry-driven report at 1, 2, 4
 // and 12 panes per window, a gap of empty panes (which closes several
-// windows at once) and an out-of-order entry. The 2-pane case adds the
-// span-driven latency_breakdown, which windows merge like the others.
+// windows at once), an out-of-order entry, and one that lands in a pane a
+// close in flight is merging. The 2-pane case adds the span-driven
+// latency_breakdown, which windows merge like the others.
 func TestWindowedMatchesFreshDriver(t *testing.T) {
 	f := newFixture(t, 4)
 	all := f.opts()
@@ -430,6 +475,29 @@ func TestWindowedMatchesFreshDriver(t *testing.T) {
 		t.Fatal("the fixture ends before 1:47")
 		return nil
 	}
+	// lateInFlight inserts, right after the first entry at or past 2:00, a
+	// copy of an entry stamped 1:50. That first entry closes the window
+	// ending 2:00, whose close merges the pane starting 1:45; the copy is
+	// late for that window alone and lands in that pane while the close is
+	// in flight, unless a check delivered it in between.
+	lateInFlight := func(entries []trace.Entry) []trace.Entry {
+		for i, e := range entries {
+			if e.Timestamp.Before(t0.Add(2 * time.Hour)) {
+				continue
+			}
+			if !e.Timestamp.Before(t0.Add(135 * time.Minute)) {
+				t.Fatal("the fixture has no entry in [2:00, 2:15)")
+			}
+			if (i+1)%overlapEvery == 0 {
+				t.Fatal("the write closing the window ending 2:00 is a checked one")
+			}
+			late := entries[i/2]
+			late.Timestamp = t0.Add(110 * time.Minute)
+			return append(entries[:i+1], append([]trace.Entry{late}, entries[i+1:]...)...)
+		}
+		t.Fatal("the fixture ends before 2:00")
+		return nil
+	}
 	for _, tc := range []struct {
 		name       string
 		slide      time.Duration
@@ -448,6 +516,8 @@ func TestWindowedMatchesFreshDriver(t *testing.T) {
 			opts: traced, minWindows: 6},
 		{name: "4 panes, gap, late", slide: 15 * time.Minute, reports: entryReports(), opts: all,
 			edit: func(e []trace.Entry) []trace.Entry { return lateEntry(gap(e)) }, minWindows: 12, late: 3},
+		{name: "4 panes, late beside a close", slide: 15 * time.Minute, reports: entryReports(), opts: all,
+			edit: lateInFlight, minWindows: 12, late: 1},
 		{name: "12 panes, gap", slide: 5 * time.Minute, reports: entryReports(), opts: all,
 			edit: gap, minWindows: 36},
 	} {
@@ -728,5 +798,137 @@ func TestWindowedPinnedOutput(t *testing.T) {
 		if got := fmt.Sprintf("%x", sha256.Sum256(middle)); got != tc.middle {
 			t.Errorf("slide %s: mid-stream snapshot hash %s, pinned %s", tc.slide, got, tc.middle)
 		}
+	}
+}
+
+// TestWindowedLatencyBreakdownAtClose: a window's latency_breakdown is the
+// tracer as it stood at the Write that closed the window, though its
+// Finalize runs beside the writer. Spans recorded after that Write and
+// before the next are not in it; the window Close finalizes has them.
+func TestWindowedLatencyBreakdownAtClose(t *testing.T) {
+	tr := spanTracer()
+	wd, err := NewWindowedDriver(WindowOptions{
+		Width:   time.Minute,
+		Reports: []string{"traffic", "latency_breakdown"},
+		Opts:    Options{Tracer: tr},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	write := func(sec int) {
+		t.Helper()
+		e := trace.Entry{Timestamp: t0.Add(time.Duration(sec) * time.Second), Monitor: "us", Type: wire.WantHave}
+		if err := wd.Write(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write(10)
+	write(70) // closes [0:00, 0:01)
+	atClose := BreakdownFromSpans(tr.Spans(), tr.Dropped()).Metrics()
+	vt := func(ns int64) time.Time { return time.Unix(0, ns) }
+	for i := int64(0); i < 3; i++ {
+		req := tr.Root(uint64(2+i), "request", "gw", vt(2000*i))
+		tr.Start(req.Ctx(), "dht.lookup", "n2", vt(2000*i+10)).End(vt(2000*i + 900))
+		req.End(vt(2000*i + 1500))
+	}
+	write(80)
+	results, err := wd.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(results) != 2 {
+		t.Fatalf("want 2 windows, got %d", len(results))
+	}
+	if got := results[0].Metrics["latency_breakdown"]; !reflect.DeepEqual(got, atClose) {
+		t.Errorf("closed window's breakdown:\n  got:      %v\n  at close: %v", got, atClose)
+	}
+	if got, want := results[1].Metrics["latency_breakdown"], BreakdownFromSpans(tr.Spans(), tr.Dropped()).Metrics(); !reflect.DeepEqual(got, want) {
+		t.Errorf("window closed by Close:\n  got:  %v\n  want: %v", got, want)
+	}
+	if results[1].Metrics["latency_breakdown"]["spans"] == atClose["spans"] {
+		t.Error("the spans recorded after the close did not reach the tracer")
+	}
+}
+
+// TestWindowedCloseErrorsLatch: an error a close meets, from its OnClose
+// hook or from a report's Finalize, is returned by the Write or Close that
+// delivers it and by every later Write, and Close returns the windows
+// delivered before it. One entry per minute-wide window: the entry in
+// window n+1 hands window n's close off, and the entry in window n+2, or
+// Close, delivers it.
+func TestWindowedCloseErrorsLatch(t *testing.T) {
+	reports["broken"] = func(Options) (Report, error) { return failingReport{}, nil }
+	defer delete(reports, "broken")
+	errHook := errors.New("hook failed")
+	for _, tc := range []struct {
+		name    string
+		reports []string
+		hook    func(n int) error // for the n-th window delivered, from 0
+		seconds []int             // one write each
+		// failAt is the write that returns the error; len(seconds) means
+		// Close does.
+		failAt    int
+		delivered int
+		want      string
+	}{
+		{name: "hook fails on the second window", reports: []string{"traffic"},
+			hook: func(n int) error {
+				if n == 1 {
+					return errHook
+				}
+				return nil
+			},
+			// The hook runs last in a delivery, so the window whose hook
+			// fails is retained with the one before it.
+			seconds: []int{10, 70, 130, 190, 250}, failAt: 3, delivered: 2, want: "hook failed"},
+		{name: "finalize fails, a write delivers", reports: []string{"traffic", "broken"},
+			seconds: []int{10, 70, 130, 190}, failAt: 2, want: "report broken: no result"},
+		{name: "finalize fails, Close delivers", reports: []string{"traffic", "broken"},
+			seconds: []int{10, 70}, failAt: 2, want: "report broken: no result"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var hooked int
+			wopts := WindowOptions{Width: time.Minute, Reports: tc.reports}
+			if tc.hook != nil {
+				wopts.OnClose = func(WindowResult) error {
+					hooked++
+					return tc.hook(hooked - 1)
+				}
+			}
+			wd, err := NewWindowedDriver(wopts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var latched error
+			for i, sec := range tc.seconds {
+				err := wd.Write(trace.Entry{Timestamp: t0.Add(time.Duration(sec) * time.Second), Monitor: "us", Type: wire.WantHave})
+				switch {
+				case i < tc.failAt && err != nil:
+					t.Fatalf("write %d: %v, before the failing close is delivered", i, err)
+				case i == tc.failAt:
+					if err == nil || !strings.Contains(err.Error(), tc.want) {
+						t.Fatalf("write %d delivers the failing close: err = %v, want %q", i, err, tc.want)
+					}
+					latched = err
+				case i > tc.failAt && !errors.Is(err, latched):
+					t.Fatalf("write %d after the failure: err = %v, want the latched %v", i, err, latched)
+				}
+			}
+			results, err := wd.Close()
+			if tc.failAt == len(tc.seconds) {
+				if err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("Close delivers the failing close: err = %v, want %q", err, tc.want)
+				}
+				latched = err
+			} else if !errors.Is(err, latched) {
+				t.Fatalf("Close: err = %v, want the latched %v", err, latched)
+			}
+			if len(results) != tc.delivered {
+				t.Fatalf("Close returned %d windows, want the %d delivered", len(results), tc.delivered)
+			}
+			if err := wd.Write(trace.Entry{Timestamp: t0.Add(time.Hour), Monitor: "us"}); !errors.Is(err, latched) {
+				t.Fatalf("write after Close: err = %v, want the latched %v", err, latched)
+			}
+		})
 	}
 }

@@ -292,7 +292,7 @@ func reportBenchFeed(b *testing.B, n int) ([]trace.Entry, report.Options) {
 	b.Helper()
 	geo := geoip.New()
 	addrs := make([]string, 512)
-	regions := geo.Countries()
+	regions := []simnet.Region{simnet.RegionCA, simnet.RegionDE, simnet.RegionFR, simnet.RegionNL, simnet.RegionUS, simnet.RegionOther}
 	for i := range addrs {
 		addr, err := geo.Allocate(regions[i%len(regions)])
 		if err != nil {
@@ -442,6 +442,16 @@ func BenchmarkSecVIAAttacks(b *testing.B) {
 
 // --- Ablations (design-space knobs from Sec. IV-C) -------------------------
 
+// independentJoint is the estimator's idealised assumption: nodes connect
+// to each monitor independently, with probability pA and pB.
+func independentJoint(pA, pB float64) workload.JointConnectivity {
+	return workload.JointConnectivity{
+		Both:  pA * pB,
+		OnlyA: pA * (1 - pB),
+		OnlyB: (1 - pA) * pB,
+	}
+}
+
 // runAblation builds a scenario with the given joint connectivity and XOR
 // bias, returning the Eq. (1) estimation error against ground truth.
 func runAblation(b *testing.B, joint workload.JointConnectivity, xorBias float64, seed int64) (estErr float64) {
@@ -491,7 +501,7 @@ func runAblation(b *testing.B, joint workload.JointConnectivity, xorBias float64
 func BenchmarkAblationIndependentMonitors(b *testing.B) {
 	var errFrac float64
 	for i := 0; i < b.N; i++ {
-		errFrac = runAblation(b, workload.IndependentJoint(0.5, 0.5), 0, 100+int64(i))
+		errFrac = runAblation(b, independentJoint(0.5, 0.5), 0, 100+int64(i))
 	}
 	b.ReportMetric(100*errFrac, "est-error-pct")
 }
@@ -511,7 +521,7 @@ func BenchmarkAblationCorrelatedMonitors(b *testing.B) {
 func BenchmarkAblationXORBias(b *testing.B) {
 	var errFrac float64
 	for i := 0; i < b.N; i++ {
-		errFrac = runAblation(b, workload.IndependentJoint(0.6, 0.6), 2.0, 300+int64(i))
+		errFrac = runAblation(b, independentJoint(0.6, 0.6), 2.0, 300+int64(i))
 	}
 	b.ReportMetric(100*errFrac, "est-error-pct")
 }
@@ -739,8 +749,11 @@ func BenchmarkClosest(b *testing.B) {
 				return r
 			}
 			rt := dht.NewRoutingTable(tab, register(simnet.RandomNodeID(rng)), dht.DefaultK)
+			stored := 0
 			for i := 0; i < ids; i++ {
-				rt.Add(register(simnet.RandomNodeID(rng)), true)
+				if rt.Add(register(simnet.RandomNodeID(rng)), true) {
+					stored++
+				}
 			}
 			targets := make([]simnet.NodeID, 1024)
 			for i := range targets {
@@ -756,7 +769,7 @@ func BenchmarkClosest(b *testing.B) {
 			if len(got) != dht.DefaultK {
 				b.Fatalf("AppendClosest returned %d peers, want %d", len(got), dht.DefaultK)
 			}
-			b.ReportMetric(float64(rt.Size()), "table-peers")
+			b.ReportMetric(float64(stored), "table-peers")
 		})
 	}
 }
@@ -896,7 +909,7 @@ func TestShardedSpeedup(t *testing.T) {
 	if runtime.NumCPU() < 4 {
 		t.Skipf("NumCPU=%d: no parallelism to measure", runtime.NumCPU())
 	}
-	if engine.RaceEnabled {
+	if raceEnabled {
 		t.Skip("race detector serializes execution; wall-clock comparison meaningless")
 	}
 	if os.Getenv("CI") != "" {

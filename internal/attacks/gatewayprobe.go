@@ -51,7 +51,6 @@ type GatewayProber struct {
 	// monitor taps — probing works whatever sink the monitors stream to
 	// (memory, segment store, ...), since it never reads traces back.
 	pending map[string]*probeSightings
-	removes []func()
 }
 
 // probeSightings accumulates requester observations for one probe CID.
@@ -70,20 +69,9 @@ func NewGatewayProber(net engine.Engine, monitors []*monitor.Monitor, rng *rand.
 		pending:  make(map[string]*probeSightings),
 	}
 	for _, m := range monitors {
-		p.removes = append(p.removes, m.OnEntry(p.observe))
+		m.OnEntry(p.observe)
 	}
 	return p
-}
-
-// Close detaches the prober's monitor taps and drops any in-flight probe
-// state. Call it when discarding a prober whose world keeps running;
-// probes whose wait window has not elapsed yet will never report.
-func (p *GatewayProber) Close() {
-	for _, rm := range p.removes {
-		rm()
-	}
-	p.removes = nil
-	p.pending = make(map[string]*probeSightings)
 }
 
 // observe records requesters of in-flight probe CIDs.

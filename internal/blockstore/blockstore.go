@@ -1,7 +1,8 @@
 // Package blockstore provides the local block storage of an IPFS-like node:
-// a thread-safe content-addressed store with a capacity budget, pinning, and
-// LRU garbage collection (Sec. III-C of the paper: nodes store up to 10 GB of
-// blocks by default, pinned CIDs are exempt from GC).
+// a thread-safe content-addressed store with a capacity budget that evicts
+// the least recently used blocks, except pinned ones (Sec. III-C of the
+// paper: nodes store up to 10 GB of blocks by default, pinned CIDs are
+// exempt from garbage collection).
 //
 // Block bytes are immutable. A store keeps the very slice it is given, so
 // one block's bytes can be held by the publisher's store, every message that
@@ -27,10 +28,9 @@ const DefaultCapacity = 10 << 30
 var ErrBlockTooLarge = errors.New("blockstore: block exceeds capacity")
 
 type entry struct {
-	cid    cid.CID
-	data   []byte
-	pinned bool
-	elem   *list.Element // position in the LRU list; nil while pinned
+	cid  cid.CID
+	data []byte
+	elem *list.Element // position in the LRU list; nil once pinned
 }
 
 // Store is a capacity-bounded, pin-aware block store. The zero value is not
@@ -41,10 +41,6 @@ type Store struct {
 	used     uint64
 	blocks   map[cid.CID]*entry
 	lru      *list.List // front = most recently used; holds *entry
-
-	hits   uint64
-	misses uint64
-	evicts uint64
 }
 
 // New returns a Store with the given capacity in bytes. capacity <= 0 selects
@@ -103,18 +99,11 @@ func (s *Store) reserveLocked(size uint64) error {
 		if !ok {
 			return errors.New("blockstore: corrupt LRU list")
 		}
-		s.removeLocked(victim)
-		s.evicts++
+		s.lru.Remove(victim.elem)
+		delete(s.blocks, victim.cid)
+		s.used -= uint64(len(victim.data))
 	}
 	return nil
-}
-
-func (s *Store) removeLocked(e *entry) {
-	if e.elem != nil {
-		s.lru.Remove(e.elem)
-	}
-	delete(s.blocks, e.cid)
-	s.used -= uint64(len(e.data))
 }
 
 // Get returns the block stored under c, marking it recently used. The bytes
@@ -125,10 +114,8 @@ func (s *Store) Get(c cid.CID) ([]byte, bool) {
 	defer s.mu.Unlock()
 	e, ok := s.blocks[c]
 	if !ok {
-		s.misses++
 		return nil, false
 	}
-	s.hits++
 	if e.elem != nil {
 		s.lru.MoveToFront(e.elem)
 	}
@@ -139,7 +126,7 @@ func (s *Store) Get(c cid.CID) ([]byte, bool) {
 // bytes that must not be modified.
 func (s *Store) GetBlock(c cid.CID) ([]byte, bool) { return s.Get(c) }
 
-// Has reports block presence without touching recency or hit statistics.
+// Has reports block presence without touching recency.
 // This is the check a node performs when answering WANT_HAVE, and the check
 // the TPI privacy attack exploits.
 func (s *Store) Has(c cid.CID) bool {
@@ -149,8 +136,8 @@ func (s *Store) Has(c cid.CID) bool {
 	return ok
 }
 
-// Pin marks c exempt from garbage collection. Pinning an absent CID is an
-// error.
+// Pin exempts c from eviction for the store's lifetime. Pinning an absent
+// CID is an error.
 func (s *Store) Pin(c cid.CID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -158,92 +145,9 @@ func (s *Store) Pin(c cid.CID) error {
 	if !ok {
 		return fmt.Errorf("blockstore: pin %s: not stored", c)
 	}
-	if !e.pinned {
-		e.pinned = true
+	if e.elem != nil {
 		s.lru.Remove(e.elem)
 		e.elem = nil
 	}
 	return nil
-}
-
-// Unpin makes c eligible for garbage collection again.
-func (s *Store) Unpin(c cid.CID) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.blocks[c]
-	if !ok || !e.pinned {
-		return
-	}
-	e.pinned = false
-	e.elem = s.lru.PushFront(e)
-}
-
-// Delete removes c regardless of pin status (the "manual cache removal"
-// countermeasure of Sec. VI-C item 5).
-func (s *Store) Delete(c cid.CID) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if e, ok := s.blocks[c]; ok {
-		s.removeLocked(e)
-	}
-}
-
-// GC evicts unpinned blocks until used bytes are at or below target.
-func (s *Store) GC(target uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for s.used > target {
-		back := s.lru.Back()
-		if back == nil {
-			return
-		}
-		if victim, ok := back.Value.(*entry); ok {
-			s.removeLocked(victim)
-			s.evicts++
-		} else {
-			return
-		}
-	}
-}
-
-// Keys returns all stored CIDs in unspecified order.
-func (s *Store) Keys() []cid.CID {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]cid.CID, 0, len(s.blocks))
-	for c := range s.blocks {
-		out = append(out, c)
-	}
-	return out
-}
-
-// Stats is a snapshot of store counters.
-type Stats struct {
-	Blocks   int
-	Used     uint64
-	Capacity uint64
-	Hits     uint64
-	Misses   uint64
-	Evicts   uint64
-}
-
-// Stats returns a snapshot of the store's counters.
-func (s *Store) Stats() Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return Stats{
-		Blocks:   len(s.blocks),
-		Used:     s.used,
-		Capacity: s.capacity,
-		Hits:     s.hits,
-		Misses:   s.misses,
-		Evicts:   s.evicts,
-	}
-}
-
-// Len returns the number of stored blocks.
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.blocks)
 }

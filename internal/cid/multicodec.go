@@ -45,9 +45,3 @@ func (c Codec) String() string {
 	}
 	return "codec-0x" + strconv.FormatUint(uint64(c), 16)
 }
-
-// Known reports whether the codec is in this library's registry.
-func (c Codec) Known() bool {
-	_, ok := codecNames[c]
-	return ok
-}

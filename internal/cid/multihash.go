@@ -90,8 +90,3 @@ func (m Multihash) Verify(data []byte) error {
 		return ErrUnknownHash
 	}
 }
-
-// Equal reports multihash equality.
-func (m Multihash) Equal(o Multihash) bool {
-	return m.Code == o.Code && string(m.Digest) == string(o.Digest)
-}

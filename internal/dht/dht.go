@@ -123,13 +123,6 @@ func New(net engine.Engine, self PeerInfo, mode Mode) *DHT {
 // Self returns the local peer info.
 func (d *DHT) Self() PeerInfo { return d.self }
 
-// Mode returns the participation mode.
-func (d *DHT) Mode() Mode { return d.mode }
-
-// RoutingTable exposes the routing table (read-mostly; used by the crawler
-// responder and by diagnostics).
-func (d *DHT) RoutingTable() *RoutingTable { return d.rt }
-
 // Observe records a peer we learned about (e.g. via an inbound connection),
 // feeding the routing table. A peer unknown to the network is ignored.
 func (d *DHT) Observe(p PeerInfo) {

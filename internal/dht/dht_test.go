@@ -103,7 +103,7 @@ func TestRoutingTableBasics(t *testing.T) {
 	rt := newTable(simnet.DeriveNodeID([]byte("self")), 2)
 	p1 := register(rt.tab, simnet.DeriveNodeID([]byte("p1")))
 	client := register(rt.tab, simnet.DeriveNodeID([]byte("c")))
-	if rt.Contains(p1) {
+	if contains(rt, p1) {
 		t.Error("empty table contains a peer")
 	}
 	if !rt.Add(p1, true) {
@@ -118,7 +118,7 @@ func TestRoutingTableBasics(t *testing.T) {
 	if rt.Add(rt.self, true) {
 		t.Error("self entered k-bucket")
 	}
-	if !rt.Contains(p1) || rt.Contains(client) || rt.Size() != 1 {
+	if !contains(rt, p1) || contains(rt, client) || rt.size != 1 {
 		t.Error("routing table state wrong")
 	}
 }
@@ -175,7 +175,7 @@ func TestProviderStoreExpiry(t *testing.T) {
 	if got := s.Get(key, t0.Add(2*time.Hour)); len(got) != 0 {
 		t.Fatalf("Get after expiry = %d", len(got))
 	}
-	if s.Len() != 0 {
+	if len(s.records) != 0 {
 		t.Error("expired key not cleaned up")
 	}
 }
@@ -267,7 +267,7 @@ func TestClientsAbsentFromRoutingTables(t *testing.T) {
 	tn := buildNet(t, 20, 10, 5)
 	for _, srv := range tn.servers {
 		for _, cl := range tn.clients {
-			if srv.RoutingTable().Contains(cl.ref) {
+			if contains(srv.rt, cl.ref) {
 				t.Fatalf("client %s found in server %s routing table", cl.Self().ID, srv.Self().ID)
 			}
 		}

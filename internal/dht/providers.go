@@ -88,7 +88,3 @@ func (s *ProviderStore) Get(key Key, now time.Time) []PeerInfo {
 	}
 	return out
 }
-
-// Len returns the number of keys with at least one record (possibly expired;
-// expiry is lazy).
-func (s *ProviderStore) Len() int { return len(s.records) }

@@ -89,8 +89,8 @@ func TestProviderStoreMatchesModel(t *testing.T) {
 				clear(got)
 				gets++
 			}
-			if s.Len() != len(model.records) {
-				t.Fatalf("seed %d op %d: Len = %d, want %d", seed, op, s.Len(), len(model.records))
+			if len(s.records) != len(model.records) {
+				t.Fatalf("seed %d op %d: %d keys, want %d", seed, op, len(s.records), len(model.records))
 			}
 		}
 		if gets == 0 {

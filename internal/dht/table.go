@@ -45,10 +45,11 @@ type RoutingTable struct {
 	self    simnet.NodeRef
 	selfKey uint64
 	k       int
-	// buckets is indexed by the LeadingZeros of the XOR distance. It grows
-	// only as far as the highest bucket a peer was added to, so its last
-	// bucket is the highest non-empty one (peers are never removed): in a
-	// network of n peers that is about log2(n) buckets, not 257.
+	// buckets is indexed by the common prefix length with the local ID, the
+	// leading zero bits of the XOR distance. It grows only as far as the
+	// highest bucket a peer was added to, so its last bucket is the highest
+	// non-empty one (peers are never removed): in a network of n peers that
+	// is about log2(n) buckets, not 257.
 	buckets [][]simnet.NodeRef
 	size    int
 
@@ -115,14 +116,6 @@ func (rt *RoutingTable) Add(r simnet.NodeRef, server bool) bool {
 	rt.size++
 	return true
 }
-
-// Contains reports whether r is present.
-func (rt *RoutingTable) Contains(r simnet.NodeRef) bool {
-	return slices.Contains(rt.bucket(rt.refIndex(r)), r)
-}
-
-// Size returns the number of stored peers.
-func (rt *RoutingTable) Size() int { return rt.size }
 
 // AppendClosest appends to dst up to n peers closest to target in XOR
 // distance, nearest first, and returns the extended slice; a dst with room
@@ -197,17 +190,6 @@ func (rt *RoutingTable) appendClass(dst []simnet.NodeRef, end int, target simnet
 	}
 	rt.class = class[:0]
 	return dst
-}
-
-// All returns every stored peer, ordered by bucket then insertion.
-func (rt *RoutingTable) All() []simnet.NodeRef {
-	return slices.Concat(rt.buckets...)
-}
-
-// Bucket returns a copy of the bucket holding peers at common-prefix-length
-// cpl (used by the crawler to enumerate tables).
-func (rt *RoutingTable) Bucket(cpl int) []simnet.NodeRef {
-	return slices.Clone(rt.bucket(cpl))
 }
 
 // SortByDistance sorts peers in place by XOR distance to target, as a

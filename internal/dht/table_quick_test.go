@@ -9,10 +9,15 @@ import (
 	"bitswapmon/internal/simnet"
 )
 
+// contains reports whether rt stores r.
+func contains(rt *RoutingTable, r simnet.NodeRef) bool {
+	return slices.Contains(rt.bucket(rt.refIndex(r)), r)
+}
+
 // checkBuckets checks the table's layout against references: every peer
 // sits in the bucket of its full-ID common prefix length with the local ID
 // (the 8-byte keys decide it only up to bucket 63), no bucket exceeds k,
-// Size counts the stored peers and the last bucket the table has grown is
+// size counts the stored peers and the last bucket the table has grown is
 // its highest non-empty one.
 func checkBuckets(t testing.TB, rt *RoutingTable) {
 	t.Helper()
@@ -22,7 +27,7 @@ func checkBuckets(t testing.TB, rt *RoutingTable) {
 	self := rt.tab.ID(rt.self)
 	top, size := -1, 0
 	for cpl := 0; cpl <= 256; cpl++ {
-		bucket := rt.Bucket(cpl)
+		bucket := rt.bucket(cpl)
 		if len(bucket) > rt.k {
 			t.Errorf("bucket %d holds %d peers, k = %d", cpl, len(bucket), rt.k)
 		}
@@ -36,8 +41,8 @@ func checkBuckets(t testing.TB, rt *RoutingTable) {
 		}
 		size += len(bucket)
 	}
-	if len(rt.buckets)-1 != top || rt.Size() != size {
-		t.Errorf("%d buckets and size %d, want %d and %d", len(rt.buckets), rt.Size(), top+1, size)
+	if len(rt.buckets)-1 != top || rt.size != size {
+		t.Errorf("%d buckets and size %d, want %d and %d", len(rt.buckets), rt.size, top+1, size)
 	}
 }
 
@@ -60,11 +65,11 @@ func TestQuickBucketInvariant(t *testing.T) {
 			}
 		}
 		checkBuckets(t, rt)
-		if rt.Size() != len(present) {
+		if rt.size != len(present) {
 			return false
 		}
 		for _, r := range present {
-			if !rt.Contains(r) {
+			if !contains(rt, r) {
 				return false
 			}
 		}
@@ -88,12 +93,12 @@ func sortByDistance(tab *simnet.Table, refs []simnet.NodeRef, target simnet.Node
 // pinning both the result set and its order.
 func checkClosest(t testing.TB, rt *RoutingTable, target simnet.NodeID, n int) {
 	t.Helper()
-	want := rt.All()
+	want := slices.Concat(rt.buckets...)
 	sortByDistance(rt.tab, want, target)
 	want = want[:min(max(n, 0), len(want))]
 	if got := rt.AppendClosest(nil, target, n); !slices.Equal(got, want) {
 		t.Errorf("AppendClosest(%s, %d) over %d peers, cpl(self, target) = %d:\n got %v\nwant %v",
-			target, n, rt.Size(), rt.tab.ID(rt.self).CommonPrefixLen(target),
+			target, n, rt.size, rt.tab.ID(rt.self).CommonPrefixLen(target),
 			ids(rt.tab, got), ids(rt.tab, want))
 	}
 }
@@ -153,7 +158,7 @@ func TestClosestDistanceClasses(t *testing.T) {
 		t.Fatalf("table has %d full buckets of %d, want several of 256", full, len(rt.buckets))
 	}
 
-	stored := ids(rt.tab, rt.All())
+	stored := ids(rt.tab, slices.Concat(rt.buckets...))
 	// The highest bucket that random inserts reached holds fewer than k
 	// peers: a target there finds class 1 short of n.
 	sparse := 0
@@ -175,7 +180,7 @@ func TestClosestDistanceClasses(t *testing.T) {
 		"full bucket, bucket 0": flipBit(self, 0),
 	}
 	for name, target := range targets {
-		for _, n := range []int{-1, 0, 1, k, rt.Size(), rt.Size() + 5} {
+		for _, n := range []int{-1, 0, 1, k, rt.size, rt.size + 5} {
 			checkClosest(t, rt, target, n)
 		}
 		if t.Failed() {

@@ -198,18 +198,17 @@ func tableState(out *strings.Builder, eng Engine, all []simnet.NodeID, short map
 		}
 		return strings.Join(s, ",")
 	}
-	fmt.Fprintf(out, "nodes: %s\n", names(eng.Nodes()))
 	for _, n := range all {
 		addr, okA := eng.Addr(n)
-		region, okR := eng.NodeRegion(n)
+		r, okR := eng.Ref(n)
 		var conn []simnet.NodeID
 		for _, m := range all {
-			if eng.Connected(n, m) {
+			if rm, ok := eng.Ref(m); okR && ok && eng.ConnectedRef(r, rm) {
 				conn = append(conn, m)
 			}
 		}
-		fmt.Fprintf(out, "%s: addr %q %v region %q %v online %v count %d peers [%s] connected [%s]\n",
-			short[n], addr, okA, region, okR, eng.IsOnline(n), eng.PeerCount(n),
+		fmt.Fprintf(out, "%s: addr %q %v ref %d %v online %v count %d peers [%s] connected [%s]\n",
+			short[n], addr, okA, r, okR, eng.IsOnline(n), eng.PeerCount(n),
 			names(eng.Peers(n)), names(conn))
 	}
 }
@@ -377,7 +376,7 @@ func TestShardedConnectFromEventCode(t *testing.T) {
 		t.Fatalf("hub PeerCount %d, want %d", got, capacity)
 	}
 	for i, id := range ids {
-		if s.Connected(id, hubID) != won[i].Load() || s.Connected(hubID, id) != won[i].Load() {
+		if slices.Contains(s.Peers(id), hubID) != won[i].Load() || slices.Contains(s.Peers(hubID), id) != won[i].Load() {
 			t.Fatalf("dialer %d: edge not symmetric with its Connect result", i)
 		}
 	}

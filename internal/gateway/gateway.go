@@ -111,9 +111,6 @@ func New(net engine.Engine, nd *node.Node, name, operator string, cfg Config) *G
 // that node's event code.
 func (g *Gateway) nodeNow() time.Time { return g.net.EventTime(g.Node.ID) }
 
-// Functional reports the HTTP frontend state.
-func (g *Gateway) Functional() bool { return g.cfg.Functional }
-
 // Stats returns a copy of the counters.
 func (g *Gateway) Stats() Stats { return g.stats }
 
@@ -251,15 +248,6 @@ func (r *Registry) Add(g *Gateway) { r.gateways = append(r.gateways, g) }
 
 // All returns the listed gateways.
 func (r *Registry) All() []*Gateway { return r.gateways }
-
-// Names returns the listed DNS names.
-func (r *Registry) Names() []string {
-	out := make([]string, len(r.gateways))
-	for i, g := range r.gateways {
-		out[i] = g.Name
-	}
-	return out
-}
 
 // ByOperator groups listed gateways by operator.
 func (r *Registry) ByOperator() map[string][]*Gateway {

@@ -184,7 +184,7 @@ func TestRegistry(t *testing.T) {
 	gw3 := New(w.net, w.nodes[2], "mg0.megagate.net", "megagate", Config{Functional: true})
 	reg.Add(gw3)
 
-	if len(reg.All()) != 3 || len(reg.Names()) != 3 {
+	if len(reg.All()) != 3 {
 		t.Error("registry listing wrong")
 	}
 	ops := reg.ByOperator()

@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"strings"
 	"sync"
 
 	"bitswapmon/internal/simnet"
@@ -88,22 +87,4 @@ func (db *DB) Lookup(addr string) (simnet.Region, bool) {
 	}
 	region, ok := db.byByte[v4[0]]
 	return region, ok
-}
-
-// Countries returns the known country codes, stable order.
-func (db *DB) Countries() []simnet.Region {
-	out := make([]simnet.Region, 0, len(countryBlocks))
-	for r := range countryBlocks {
-		out = append(out, r)
-	}
-	sortRegions(out)
-	return out
-}
-
-func sortRegions(rs []simnet.Region) {
-	for i := 1; i < len(rs); i++ {
-		for j := i; j > 0 && strings.Compare(string(rs[j]), string(rs[j-1])) < 0; j-- {
-			rs[j], rs[j-1] = rs[j-1], rs[j]
-		}
-	}
 }

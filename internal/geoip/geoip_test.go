@@ -2,7 +2,6 @@ package geoip
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 	"testing"
 
@@ -67,23 +66,6 @@ func TestLookupBareIPAndErrors(t *testing.T) {
 	if _, ok := db.Lookup("250.0.0.1:4001"); ok {
 		t.Error("unallocated prefix resolved")
 	}
-}
-
-func TestCountriesStable(t *testing.T) {
-	db := New()
-	a := db.Countries()
-	b := db.Countries()
-	if len(a) == 0 || strings.Join(regionsToStrings(a), ",") != strings.Join(regionsToStrings(b), ",") {
-		t.Errorf("Countries not stable: %v vs %v", a, b)
-	}
-}
-
-func regionsToStrings(rs []simnet.Region) []string {
-	out := make([]string, len(rs))
-	for i, r := range rs {
-		out[i] = string(r)
-	}
-	return out
 }
 
 func TestConcurrentAllocate(t *testing.T) {

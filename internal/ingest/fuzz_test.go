@@ -198,7 +198,7 @@ func FuzzUnifyFlags(f *testing.F) {
 				t.Fatal(err)
 			}
 			same("StreamUnifier", n, e)
-			if got, most := u.stateSize(), inWindow(e.Timestamp); got > most {
+			if got, most := len(u.state.index), inWindow(e.Timestamp); got > most {
 				t.Fatalf("StreamUnifier tracks %d requests after entry %d, only %d inside the window", got, n, most)
 			}
 		}
@@ -210,7 +210,7 @@ func FuzzUnifyFlags(f *testing.F) {
 		var sink *UnifySink
 		sink = NewUnifySink(sinkFunc(func(e trace.Entry) error {
 			same("UnifySink", n, e)
-			if got, most := sink.state.size(), inWindow(e.Timestamp); got > most {
+			if got, most := len(sink.state.index), inWindow(e.Timestamp); got > most {
 				t.Fatalf("UnifySink tracks %d requests at entry %d, only %d inside the window", got, n, most)
 			}
 			n++

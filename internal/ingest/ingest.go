@@ -84,41 +84,22 @@ func (s *MemorySink) Write(e trace.Entry) error {
 	return nil
 }
 
-// Len returns the number of entries accumulated so far.
-func (s *MemorySink) Len() int { return s.n }
-
-// Snapshot returns a copy of the accumulated entries. The copy is owned by
-// the caller: mutating or appending to it cannot corrupt the sink.
-func (s *MemorySink) Snapshot() []trace.Entry { return s.Since(0) }
-
-// Since returns a copy of the entries from index n onward (a cheap way to
-// read only what arrived after a recorded Len checkpoint).
-func (s *MemorySink) Since(n int) []trace.Entry {
-	if n < 0 {
-		n = 0
-	}
-	if n >= s.n {
+// Snapshot returns a copy of the accumulated entries, nil if there are
+// none. The copy is owned by the caller: mutating or appending to it cannot
+// corrupt the sink.
+func (s *MemorySink) Snapshot() []trace.Entry {
+	if s.n == 0 {
 		return nil
 	}
-	out := make([]trace.Entry, 0, s.n-n)
+	out := make([]trace.Entry, 0, s.n)
 	for _, c := range s.chunks {
-		if n >= len(c) {
-			n -= len(c)
-			continue
-		}
-		out = append(out, c[n:]...)
-		n = 0
+		out = append(out, c...)
 	}
 	return out
 }
 
-// Reset discards the accumulated entries and returns them to the caller
-// (which takes ownership).
-func (s *MemorySink) Reset() []trace.Entry {
-	out := s.Since(0)
-	s.chunks, s.n = nil, 0
-	return out
-}
+// Reset discards the accumulated entries.
+func (s *MemorySink) Reset() { s.chunks, s.n = nil, 0 }
 
 // tee fans writes out to several sinks.
 type tee struct {

@@ -20,7 +20,13 @@ func TestOpenInputsCSV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := trace.WriteCSV(f, want); err != nil {
+	cw := trace.NewCSVWriter(f)
+	for _, e := range want {
+		if err := cw.Write(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := cw.Close(); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()

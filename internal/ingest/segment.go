@@ -613,7 +613,3 @@ func (it *QueryIter) Close() error {
 	it.closeSegment()
 	return nil
 }
-
-// TypeCount is a convenience for rendering per-type footer counts in a
-// stable order.
-func (f Footer) TypeCount(t wire.EntryType) int { return f.PerType[t.String()] }

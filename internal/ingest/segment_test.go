@@ -82,7 +82,7 @@ func TestSegmentStoreRotatesByTimeAndCount(t *testing.T) {
 		if got := seg.Footer.Last.Sub(seg.Footer.First); got >= 10*time.Minute {
 			t.Errorf("segment %d spans %v, want < rotation", seg.Seq, got)
 		}
-		if seg.Footer.TypeCount(wire.WantHave) != 10 {
+		if seg.Footer.PerType[wire.WantHave.String()] != 10 {
 			t.Errorf("segment %d per-type = %v", seg.Seq, seg.Footer.PerType)
 		}
 		if seg.Footer.PerMonitor["us"] != 10 {
@@ -281,9 +281,16 @@ func TestSegmentPayloadReadableByPlainTraceReader(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := trace.ReadAll(r)
-	if err != nil {
-		t.Fatalf("plain reader over segment: %v", err)
+	var out []trace.Entry
+	for {
+		e, err := r.Read()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatalf("plain reader over segment: %v", err)
+		}
+		out = append(out, e)
 	}
 	if len(out) != 2 {
 		t.Fatalf("plain reader got %d entries, want 2", len(out))

@@ -189,9 +189,6 @@ func (s *unifyState) flag(e *trace.Entry) {
 	r.at, r.mon = ts, int32(mon)
 }
 
-// size is the number of requests tracked.
-func (s *unifyState) size() int { return len(s.index) }
-
 // sortBatch orders one timestamp's entries by trace.Sort's tie-breaks
 // (stable, so source/arrival order breaks exact ties).
 func sortBatch(batch []trace.Entry) {
@@ -380,10 +377,6 @@ func (u *StreamUnifier) refill() error {
 	}
 	return nil
 }
-
-// stateSize reports the resident window state (distinct keys tracked), for
-// tests asserting bounded memory.
-func (u *StreamUnifier) stateSize() int { return u.state.size() }
 
 // UnifySink is the push-mode counterpart of StreamUnifier: raw monitor
 // observations are written in as they happen (in nondecreasing timestamp

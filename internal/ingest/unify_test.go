@@ -138,7 +138,7 @@ func TestStreamUnifierBoundedState(t *testing.T) {
 		if err != nil {
 			break
 		}
-		if s := u.stateSize(); s > maxState {
+		if s := len(u.state.index); s > maxState {
 			maxState = s
 		}
 	}

@@ -2,16 +2,14 @@
 // organised as a Merkle DAG (Sec. III-B of the paper).
 //
 // Files are chunked into Raw leaf blocks linked from DagProtobuf interior
-// nodes; directories are DagProtobuf nodes whose links carry entry names.
-// Nodes may have multiple parents (deduplication), and non-leaf nodes may
-// carry data, which distinguishes the structure from a Merkle tree.
+// nodes. Nodes may have multiple parents (deduplication), and non-leaf nodes
+// may carry data, which distinguishes the structure from a Merkle tree.
 package merkledag
 
 import (
 	"bytes"
 	"errors"
 	"fmt"
-	"sort"
 
 	"bitswapmon/internal/cid"
 )
@@ -22,7 +20,8 @@ const DefaultChunkSize = 256 * 1024
 
 // Link references a child node in the DAG.
 type Link struct {
-	// Name is the directory entry name; empty for file-chunk links.
+	// Name is the link's name. It is part of the encoding; the builder's
+	// file-chunk links leave it empty.
 	Name string
 	// CID addresses the child.
 	CID cid.CID
@@ -37,22 +36,7 @@ type NodeKind uint8
 const (
 	KindRaw NodeKind = iota + 1
 	KindFile
-	KindDirectory
 )
-
-// String names the node kind.
-func (k NodeKind) String() string {
-	switch k {
-	case KindRaw:
-		return "raw"
-	case KindFile:
-		return "file"
-	case KindDirectory:
-		return "directory"
-	default:
-		return fmt.Sprintf("NodeKind(%d)", uint8(k))
-	}
-}
 
 // Node is one DAG node prior to serialisation.
 type Node struct {
@@ -75,9 +59,9 @@ var ErrCorruptNode = errors.New("merkledag: corrupt node")
 // Encode serialises the node deterministically.
 //
 // Raw nodes serialise as their bare data (codec Raw): Encode returns Data
-// itself, not a copy. File and directory nodes use a compact
-// length-prefixed encoding (standing in for the DagProtobuf encoding; the
-// codec reported to CIDs is DagProtobuf).
+// itself, not a copy. File nodes use a compact length-prefixed encoding
+// (standing in for the DagProtobuf encoding; the codec reported to CIDs is
+// DagProtobuf).
 func (n *Node) Encode() []byte {
 	if n.Kind == KindRaw {
 		return n.Data
@@ -108,7 +92,7 @@ func DecodeNode(codec cid.Codec, data []byte) (*Node, error) {
 		return nil, fmt.Errorf("%w: empty", ErrCorruptNode)
 	}
 	kind := NodeKind(data[0])
-	if kind != KindFile && kind != KindDirectory {
+	if kind != KindFile {
 		return nil, fmt.Errorf("%w: kind %d", ErrCorruptNode, data[0])
 	}
 	pos := 1
@@ -173,7 +157,7 @@ type BlockSink interface {
 	PutBlock(c cid.CID, data []byte) error
 }
 
-// Builder constructs file and directory DAGs, writing blocks to a sink.
+// Builder constructs file DAGs, writing blocks to a sink.
 type Builder struct {
 	sink      BlockSink
 	chunkSize int
@@ -240,28 +224,6 @@ func (b *Builder) AddFile(content []byte) (cid.CID, uint64, error) {
 	return level[0].CID, level[0].Size, nil
 }
 
-// AddDirectory builds a directory node from name → child CID+size entries,
-// returning the directory's root CID. Entries are sorted by name so the CID
-// is deterministic.
-func (b *Builder) AddDirectory(entries map[string]Link) (cid.CID, error) {
-	names := make([]string, 0, len(entries))
-	for name := range entries {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	node := &Node{Kind: KindDirectory}
-	for _, name := range names {
-		l := entries[name]
-		l.Name = name
-		node.Links = append(node.Links, l)
-	}
-	c, err := b.put(node)
-	if err != nil {
-		return cid.CID{}, fmt.Errorf("put directory: %w", err)
-	}
-	return c, nil
-}
-
 // BlockSource resolves CIDs to block bytes.
 type BlockSource interface {
 	// GetBlock returns the block stored under c. The bytes may be shared
@@ -269,45 +231,14 @@ type BlockSource interface {
 	GetBlock(c cid.CID) ([]byte, bool)
 }
 
-// ErrMissingBlock is returned by Walk and Assemble when the source lacks a
+// ErrMissingBlock is returned by Assemble when the source lacks a
 // referenced block.
 var ErrMissingBlock = errors.New("merkledag: missing block")
 
-// Walk traverses the DAG rooted at root in depth-first order, invoking visit
-// for every node. Shared subgraphs are visited once.
-func Walk(src BlockSource, root cid.CID, visit func(c cid.CID, n *Node) error) error {
-	seen := make(map[cid.CID]bool)
-	var rec func(c cid.CID) error
-	rec = func(c cid.CID) error {
-		if seen[c] {
-			return nil
-		}
-		seen[c] = true
-		data, ok := src.GetBlock(c)
-		if !ok {
-			return fmt.Errorf("%w: %s", ErrMissingBlock, c)
-		}
-		node, err := DecodeNode(c.Codec(), data)
-		if err != nil {
-			return err
-		}
-		if err := visit(c, node); err != nil {
-			return err
-		}
-		for _, l := range node.Links {
-			if err := rec(l.CID); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return rec(root)
-}
-
 // Assemble reconstructs the file content rooted at root by concatenating its
-// leaves in order. It errors on directory roots. The leaf slices are
-// collected first and the file is allocated once, at its exact length; a
-// single-leaf file is that leaf's block itself, which must not be modified.
+// leaves in order. The leaf slices are collected first and the file is
+// allocated once, at its exact length; a single-leaf file is that leaf's
+// block itself, which must not be modified.
 func Assemble(src BlockSource, root cid.CID) ([]byte, error) {
 	parts, err := appendLeafData(nil, src, root)
 	if err != nil {
@@ -330,17 +261,13 @@ func appendLeafData(parts [][]byte, src BlockSource, c cid.CID) ([][]byte, error
 	if err != nil {
 		return nil, err
 	}
-	switch node.Kind {
-	case KindRaw:
+	if node.Kind == KindRaw {
 		return append(parts, node.Data), nil
-	case KindFile:
-		for _, l := range node.Links {
-			if parts, err = appendLeafData(parts, src, l.CID); err != nil {
-				return nil, err
-			}
-		}
-		return parts, nil
-	default:
-		return nil, fmt.Errorf("merkledag: cannot assemble %s node", node.Kind)
 	}
+	for _, l := range node.Links {
+		if parts, err = appendLeafData(parts, src, l.CID); err != nil {
+			return nil, err
+		}
+	}
+	return parts, nil
 }

@@ -2,6 +2,7 @@ package merkledag
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -11,11 +12,42 @@ import (
 
 type memSink map[cid.CID][]byte
 
+// walk traverses the DAG rooted at root in depth-first order, invoking visit
+// for every node. Shared subgraphs are visited once.
+func walk(src BlockSource, root cid.CID, visit func(c cid.CID, n *Node) error) error {
+	seen := make(map[cid.CID]bool)
+	var rec func(c cid.CID) error
+	rec = func(c cid.CID) error {
+		if seen[c] {
+			return nil
+		}
+		seen[c] = true
+		data, ok := src.GetBlock(c)
+		if !ok {
+			return fmt.Errorf("%w: %s", ErrMissingBlock, c)
+		}
+		node, err := DecodeNode(c.Codec(), data)
+		if err != nil {
+			return err
+		}
+		if err := visit(c, node); err != nil {
+			return err
+		}
+		for _, l := range node.Links {
+			if err := rec(l.CID); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	return rec(root)
+}
+
 // leafCIDs returns the CIDs of all leaf (Raw) blocks under root, in file
 // order.
 func leafCIDs(src BlockSource, root cid.CID) ([]cid.CID, error) {
 	var out []cid.CID
-	err := Walk(src, root, func(c cid.CID, n *Node) error {
+	err := walk(src, root, func(c cid.CID, n *Node) error {
 		if n.Kind == KindRaw {
 			out = append(out, c)
 		}
@@ -109,59 +141,6 @@ func TestDeduplication(t *testing.T) {
 	}
 }
 
-func TestDirectory(t *testing.T) {
-	sink := memSink{}
-	b := NewBuilder(sink, 64, 4)
-	f1, s1, err := b.AddFile([]byte("file one"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	f2, s2, err := b.AddFile(bytes.Repeat([]byte("x"), 500))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir, err := b.AddDirectory(map[string]Link{
-		"a.txt": {CID: f1, Size: s1},
-		"b.bin": {CID: f2, Size: s2},
-	})
-	if err != nil {
-		t.Fatalf("AddDirectory: %v", err)
-	}
-	data, ok := sink.GetBlock(dir)
-	if !ok {
-		t.Fatal("directory block missing")
-	}
-	node, err := DecodeNode(dir.Codec(), data)
-	if err != nil {
-		t.Fatalf("DecodeNode: %v", err)
-	}
-	if node.Kind != KindDirectory || len(node.Links) != 2 {
-		t.Fatalf("directory node: kind=%v links=%d", node.Kind, len(node.Links))
-	}
-	if node.Links[0].Name != "a.txt" || node.Links[1].Name != "b.bin" {
-		t.Error("directory entries not sorted by name")
-	}
-}
-
-func TestDirectoryDeterminism(t *testing.T) {
-	mk := func() cid.CID {
-		sink := memSink{}
-		b := NewBuilder(sink, 64, 4)
-		f, s, err := b.AddFile([]byte("content"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		dir, err := b.AddDirectory(map[string]Link{"z": {CID: f, Size: s}, "a": {CID: f, Size: s}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return dir
-	}
-	if !mk().Equal(mk()) {
-		t.Error("directory CID not deterministic")
-	}
-}
-
 func TestNodeRoundTrip(t *testing.T) {
 	n := &Node{
 		Kind: KindFile,
@@ -186,14 +165,16 @@ func TestNodeRoundTrip(t *testing.T) {
 }
 
 func TestDecodeNodeCorrupt(t *testing.T) {
-	enc := (&Node{Kind: KindDirectory, Links: []Link{{Name: "x", CID: cid.Sum(cid.Raw, []byte("y")), Size: 1}}}).Encode()
+	enc := (&Node{Kind: KindFile, Links: []Link{{Name: "x", CID: cid.Sum(cid.Raw, []byte("y")), Size: 1}}}).Encode()
 	for i := 1; i < len(enc); i++ {
 		if _, err := DecodeNode(cid.DagProtobuf, enc[:i]); err == nil {
 			t.Errorf("truncation at %d decoded successfully", i)
 		}
 	}
-	if _, err := DecodeNode(cid.DagProtobuf, []byte{77}); err == nil {
-		t.Error("bad kind accepted")
+	for _, kind := range []byte{3, 77} { // 3 was the directory kind
+		if _, err := DecodeNode(cid.DagProtobuf, []byte{kind, 0, 0}); err == nil {
+			t.Errorf("bad kind %d accepted", kind)
+		}
 	}
 }
 
@@ -203,7 +184,7 @@ func TestDecodeNodeCorrupt(t *testing.T) {
 func FuzzDecodeNode(f *testing.F) {
 	leaf := cid.Sum(cid.Raw, []byte("leaf"))
 	f.Add(false, (&Node{Kind: KindFile, Data: []byte("inline"), Links: []Link{{CID: leaf, Size: 4}}}).Encode())
-	f.Add(false, (&Node{Kind: KindDirectory, Links: []Link{{Name: "a", CID: leaf, Size: 4}, {Name: "b", CID: leaf, Size: 4}}}).Encode())
+	f.Add(false, (&Node{Kind: KindFile, Links: []Link{{Name: "a", CID: leaf, Size: 4}, {Name: "b", CID: leaf, Size: 4}}}).Encode())
 	f.Add(false, (&Node{Kind: KindFile}).Encode())
 	f.Add(false, []byte{byte(KindFile), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f})
 	f.Add(true, []byte("raw block"))
@@ -275,7 +256,7 @@ func TestWalkVisitsEveryBlockOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	visits := map[cid.CID]int{}
-	err = Walk(sink, root, func(c cid.CID, n *Node) error {
+	err = walk(sink, root, func(c cid.CID, n *Node) error {
 		visits[c]++
 		return nil
 	})

@@ -104,9 +104,6 @@ func (m *Monitor) Start(bootstrap []dht.PeerInfo) {
 // ID returns the monitor's (normally hidden) node ID.
 func (m *Monitor) ID() simnet.NodeID { return m.Node.ID }
 
-// Info returns the monitor's DHT identity.
-func (m *Monitor) Info() dht.PeerInfo { return m.Node.Info() }
-
 func (m *Monitor) tapConn(peer simnet.NodeID, connected bool) {
 	if !connected {
 		return
@@ -142,29 +139,25 @@ func (m *Monitor) tapMessage(from simnet.NodeID, msg any) {
 			m.sinkErr = err
 		}
 		for _, tap := range m.taps {
-			if tap != nil {
-				tap(e)
-			}
+			tap(e)
 		}
 	}
 }
 
 // OnEntry registers a live observer called for every entry as it is
-// recorded, independently of the configured sink. Observers must not
-// block; they run inside the simulation's delivery path. The returned
-// function unregisters the observer.
-func (m *Monitor) OnEntry(fn func(trace.Entry)) (remove func()) {
-	i := len(m.taps)
+// recorded, independently of the configured sink, for the monitor's
+// lifetime. Observers must not block; they run inside the simulation's
+// delivery path.
+func (m *Monitor) OnEntry(fn func(trace.Entry)) {
 	m.taps = append(m.taps, fn)
-	return func() { m.taps[i] = nil }
 }
 
 // SetSink redirects subsequent observations into s (e.g. an
 // ingest.SegmentStore, or an ingest.Tee) and clears any error
 // recorded for the previous sink. Call it before the scenario runs:
 // entries already held by the previous sink are not migrated. With a
-// non-memory sink, Trace and ResetTrace return nil — the trace lives
-// wherever the sink put it.
+// non-memory sink, Trace returns nil and ResetTrace does nothing — the
+// trace lives wherever the sink put it.
 func (m *Monitor) SetSink(s ingest.Sink) {
 	m.sink = s
 	m.mem, _ = s.(*ingest.MemorySink)
@@ -185,13 +178,12 @@ func (m *Monitor) Trace() []trace.Entry {
 	return m.mem.Snapshot()
 }
 
-// ResetTrace clears recorded entries (e.g. after a warm-up phase) and
-// returns the discarded entries. It only applies to the memory sink.
-func (m *Monitor) ResetTrace() []trace.Entry {
-	if m.mem == nil {
-		return nil
+// ResetTrace discards the recorded entries (e.g. after a warm-up phase).
+// It only applies to the memory sink.
+func (m *Monitor) ResetTrace() {
+	if m.mem != nil {
+		m.mem.Reset()
 	}
-	return m.mem.Reset()
 }
 
 // PeersSeen returns every peer that connected at least once while

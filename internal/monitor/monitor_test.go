@@ -159,10 +159,10 @@ func TestResetTrace(t *testing.T) {
 	w := build(t, 3, 6)
 	w.nodes[1].Request(otrace.Ctx{}, cid.Sum(cid.Raw, []byte("pre")), func([]byte, bool) {})
 	w.net.Run(2 * time.Second)
-	old := w.mon.ResetTrace()
-	if len(old) == 0 {
+	if len(w.mon.Trace()) == 0 {
 		t.Fatal("warmup trace empty")
 	}
+	w.mon.ResetTrace()
 	if len(w.mon.Trace()) != 0 {
 		t.Error("trace not cleared")
 	}
@@ -240,7 +240,7 @@ func TestMonitorSinkInjection(t *testing.T) {
 	if err := w.mon.SinkErr(); err != nil {
 		t.Fatalf("sink error: %v", err)
 	}
-	if mem.Len() == 0 {
+	if len(mem.Snapshot()) == 0 {
 		t.Fatal("injected sink received nothing")
 	}
 	// With a non-memory sink installed (Tee is opaque), the monitor holds
@@ -248,8 +248,10 @@ func TestMonitorSinkInjection(t *testing.T) {
 	if got := w.mon.Trace(); got != nil {
 		t.Errorf("Trace() = %d entries, want nil with external sink", len(got))
 	}
-	if w.mon.ResetTrace() != nil {
-		t.Error("memory-sink accessors leaked data from external sink")
+	n := len(mem.Snapshot())
+	w.mon.ResetTrace()
+	if len(mem.Snapshot()) != n {
+		t.Error("ResetTrace cleared an external sink")
 	}
 
 	// Re-installing a memory sink restores Trace().

@@ -167,27 +167,6 @@ func (n *Node) Publish(content []byte) (cid.CID, error) {
 	return root, nil
 }
 
-// PublishDirectory publishes a set of named files as one directory DAG.
-func (n *Node) PublishDirectory(files map[string][]byte) (cid.CID, error) {
-	entries := make(map[string]merkledag.Link, len(files))
-	for name, content := range files {
-		root, size, err := n.builder.AddFile(content)
-		if err != nil {
-			return cid.CID{}, fmt.Errorf("build file %q: %w", name, err)
-		}
-		entries[name] = merkledag.Link{CID: root, Size: size}
-	}
-	root, err := n.builder.AddDirectory(entries)
-	if err != nil {
-		return cid.CID{}, err
-	}
-	if err := n.Store.Pin(root); err != nil {
-		return cid.CID{}, err
-	}
-	n.DHT.Provide(dht.KeyForCID(root), nil)
-	return root, nil
-}
-
 // Fetch retrieves the whole DAG rooted at c (Fig. 1 + session-scoped
 // children) and reports completion. A sampled tc traces the retrieval; a
 // zero tc does not.
@@ -214,6 +193,3 @@ func (n *Node) Info() dht.PeerInfo { return n.DHT.Self() }
 
 // ConnectTo dials another node directly.
 func (n *Node) ConnectTo(p simnet.NodeID) error { return n.net.Connect(n.ID, p) }
-
-// Peers returns the current connection table.
-func (n *Node) Peers() []simnet.NodeID { return n.net.Peers(n.ID) }

@@ -149,19 +149,14 @@ type Server struct {
 	err  error // first background Serve error, latched
 }
 
-// Serve starts an HTTP server on addr exposing the registry at /metrics and
-// the runtime profiles under /debug/pprof/ on one mux — the operational
+// ServeWith starts an HTTP server on addr exposing the registry at /metrics
+// and the runtime profiles under /debug/pprof/ on one mux — the operational
 // surface every long-running command mounts (bssweep behind -metrics-addr,
-// the bsmon daemon on -serve-addr). Pass addr with port 0 to bind an ephemeral port;
-// Addr reports the bound address.
-func Serve(addr string, r *Registry) (*Server, error) {
-	return ServeWith(addr, r, nil)
-}
-
-// ServeWith is Serve with additional handlers mounted on the same mux — how
-// a service-mode daemon adds /reports and /healthz beside /metrics. Patterns
-// clashing with the built-in mounts panic (http.ServeMux semantics), so keep
-// extras off /metrics and /debug/pprof.
+// the bsmon daemon on -serve-addr). Pass addr with port 0 to bind an
+// ephemeral port; Addr reports the bound address. extra mounts further
+// handlers on the same mux — how a service-mode daemon adds /reports and
+// /healthz beside /metrics. Patterns clashing with the built-in mounts panic
+// (http.ServeMux semantics), so keep extras off /metrics and /debug/pprof.
 func ServeWith(addr string, r *Registry, extra map[string]http.Handler) (*Server, error) {
 	if r == nil {
 		r = Default

@@ -2,7 +2,7 @@
 // counters, gauges and fixed-bucket histograms, optionally grouped into
 // labeled families, registered in a Registry that exposes everything in
 // Prometheus text format (WriteTo for snapshot dumps, Handler for a live
-// /metrics endpoint, Serve for a metrics+pprof mux).
+// /metrics endpoint, ServeWith for a metrics+pprof mux).
 //
 // The design constraint is that instrumentation must be free to carry and
 // nearly free to skip: every constructor and every metric method is nil-safe,

@@ -328,7 +328,7 @@ func TestSnapshot(t *testing.T) {
 func TestServe(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("serve_total", "").Add(5)
-	srv, err := Serve("127.0.0.1:0", r)
+	srv, err := ServeWith("127.0.0.1:0", r, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,7 +397,7 @@ func TestQuantileOverflowClamp(t *testing.T) {
 // and checks the failure is latched: Err turns non-nil and Close returns it
 // rather than dropping it.
 func TestServeErrLatch(t *testing.T) {
-	srv, err := Serve("127.0.0.1:0", NewRegistry())
+	srv, err := ServeWith("127.0.0.1:0", NewRegistry(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,7 +417,7 @@ func TestServeErrLatch(t *testing.T) {
 // TestServeCleanClose pins the orderly path: a server closed before any
 // failure reports no error from either Err or Close.
 func TestServeCleanClose(t *testing.T) {
-	srv, err := Serve("127.0.0.1:0", NewRegistry())
+	srv, err := ServeWith("127.0.0.1:0", NewRegistry(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

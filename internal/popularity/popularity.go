@@ -138,9 +138,6 @@ func (c *Counter) grow(id uint32) {
 	}
 }
 
-// CIDs returns the number of distinct CIDs scored so far.
-func (c *Counter) CIDs() int { return c.cids }
-
 // SortedValues returns the RRP and the URP score of every CID scored so
 // far, each in ascending order — what the ECDFs and the power-law fit read —
 // straight from the id-indexed slices, without going through CID keys.

@@ -130,14 +130,6 @@ func Fit(src ingest.EntrySource) (*Model, error) {
 	return m, nil
 }
 
-// TopCIDs returns the n most-requested CIDs.
-func (m *Model) TopCIDs(n int) []popularity.CIDCount {
-	if n > len(m.Popularity) {
-		n = len(m.Popularity)
-	}
-	return m.Popularity[:n]
-}
-
 // FittedOptions tunes workload generation from a fitted model.
 type FittedOptions struct {
 	// Amplify multiplies both the requester population and the request
@@ -238,9 +230,6 @@ func NewFittedSource(m *Model, opts FittedOptions) (*FittedSource, error) {
 	}
 	return s, nil
 }
-
-// Requesters returns the synthetic requester population size.
-func (s *FittedSource) Requesters() int { return len(s.requesters) }
 
 // Next returns the next generated event, or io.EOF once the model duration
 // is exhausted. Arrival times use thinning: candidate gaps are drawn at the

@@ -108,8 +108,8 @@ func TestFittedSourceShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if src.Requesters() != 3*m.Requesters {
-		t.Errorf("fitted requesters %d, want %d", src.Requesters(), 3*m.Requesters)
+	if len(src.requesters) != 3*m.Requesters {
+		t.Errorf("fitted requesters %d, want %d", len(src.requesters), 3*m.Requesters)
 	}
 	events := 0
 	var lastOff time.Duration
@@ -140,8 +140,8 @@ func TestFittedSourceShape(t *testing.T) {
 	if diff := math.Abs(float64(events) - want); diff > 5*math.Sqrt(want) {
 		t.Errorf("generated %d events, want ≈ %.0f", events, want)
 	}
-	if len(seenReq) < src.Requesters()/2 {
-		t.Errorf("only %d of %d requesters active", len(seenReq), src.Requesters())
+	if len(seenReq) < len(src.requesters)/2 {
+		t.Errorf("only %d of %d requesters active", len(seenReq), len(src.requesters))
 	}
 }
 

@@ -134,9 +134,6 @@ func Build(cfg Spec) (*World, error) {
 	return w, nil
 }
 
-// MonitorByName finds a monitor.
-func (w *World) MonitorByName(name string) *monitor.Monitor { return w.byName[name] }
-
 // PoolSize returns the replay node pool size.
 func (w *World) PoolSize() int { return len(w.nodes) }
 

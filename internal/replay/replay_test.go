@@ -206,7 +206,7 @@ func TestDirectReplayTimeWarp(t *testing.T) {
 	if stats.VirtualDuration > 2*time.Minute+graceFor {
 		t.Errorf("warped replay took %v of virtual time", stats.VirtualDuration)
 	}
-	got := aggregate(sess.World.MonitorByName("de").Trace())
+	got := aggregate(sess.World.byName["de"].Trace())
 	want := aggregate(traces["de"])
 	if got.entries != want.entries {
 		t.Errorf("warped replay recorded %d entries, want %d", got.entries, want.entries)
@@ -360,7 +360,7 @@ func TestPoolSmallerThanRequesters(t *testing.T) {
 	if stats.Events != total {
 		t.Errorf("replayed %d events, want %d", stats.Events, total)
 	}
-	got := aggregate(sess.World.MonitorByName("de").Trace())
+	got := aggregate(sess.World.byName["de"].Trace())
 	if got.entries != len(traces["de"]) {
 		t.Errorf("monitor de recorded %d entries, want %d", got.entries, len(traces["de"]))
 	}

@@ -54,7 +54,7 @@ func newFixture(t *testing.T, seed int64) *fixture {
 	const nodes = 40
 	ids := make([]simnet.NodeID, nodes)
 	addrs := make([]string, nodes)
-	regions := f.geo.Countries()
+	regions := []simnet.Region{simnet.RegionCA, simnet.RegionDE, simnet.RegionFR, simnet.RegionNL, simnet.RegionUS, simnet.RegionOther}
 	for i := range ids {
 		ids[i][0], ids[i][1] = byte(i), 0xfe
 		if i%7 == 0 {
@@ -147,6 +147,15 @@ func (f *fixture) opts() Options {
 // (analysis.ComputeTable1/2, ComputeFig4/5/6), kept verbatim as test-only
 // references: each golden test proves the one-pass report is byte-identical
 // to them before trusting the streaming path.
+
+// summarize runs entries through a stand-alone Summarizer.
+func summarize(entries []trace.Entry) trace.Summary {
+	z := trace.NewSummarizerWith(trace.NewSymbols())
+	for _, e := range entries {
+		z.Write(e)
+	}
+	return z.Summary()
+}
 
 func legacyTable1(entries []trace.Entry) *Table1 {
 	counts := make(map[cid.Codec]int)
@@ -663,9 +672,10 @@ func TestResultsSurface(t *testing.T) {
 			t.Errorf("%s: no metrics", nr.Name)
 		}
 	}
-	// The summary over the raw stream must agree with batch Summarize.
+	// The summary over the raw stream must agree with a Summarizer over
+	// the whole batch.
 	sum := results.Get("summary").(*SummaryResult).Summary
-	want := trace.Summarize(f.unified)
+	want := summarize(f.unified)
 	if sum.Entries != want.Entries || sum.Rebroadcasts != want.Rebroadcasts ||
 		sum.UniquePeers != want.UniquePeers || sum.UniqueCIDs != want.UniqueCIDs {
 		t.Errorf("summary diverges from batch: %+v vs %+v", sum, want)
@@ -997,7 +1007,7 @@ func TestOnlineDistinctEqualsSummary(t *testing.T) {
 					t.Fatalf("%s flags no duplicates: the dedup and raw views are one", name)
 				}
 			}
-			want := trace.Summarize(view)
+			want := summarize(view)
 			if online.Entries != want.Entries || online.Requests != want.Requests ||
 				!reflect.DeepEqual(online.PerType, want.PerType) ||
 				!online.First.Equal(want.First) || !online.Last.Equal(want.Last) {

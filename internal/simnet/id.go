@@ -46,17 +46,6 @@ func (n NodeID) XOR(o NodeID) NodeID {
 	return d
 }
 
-// LeadingZeros counts leading zero bits, i.e. 255 - floor(log2(distance)).
-// A result of 256 means the IDs are equal.
-func (n NodeID) LeadingZeros() int {
-	for i, b := range n {
-		if b != 0 {
-			return i*8 + bits.LeadingZeros8(b)
-		}
-	}
-	return 256
-}
-
 // Less orders IDs as big-endian 256-bit integers, the ordering used to rank
 // candidates by XOR distance to a target.
 func (n NodeID) Less(o NodeID) bool {
@@ -102,9 +91,9 @@ func DistanceCompare(target, a, b NodeID) int {
 	return 0
 }
 
-// CommonPrefixLen counts the leading bits shared by n and o — equal to
-// n.XOR(o).LeadingZeros() without materializing the distance. 256 means the
-// IDs are equal.
+// CommonPrefixLen counts the leading bits shared by n and o: the leading
+// zero bits of their XOR distance, 255 - floor(log2(distance)). 256 means
+// the IDs are equal.
 func (n NodeID) CommonPrefixLen(o NodeID) int {
 	for i := range n {
 		if x := n[i] ^ o[i]; x != 0 {

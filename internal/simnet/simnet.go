@@ -210,9 +210,6 @@ func NewSharded(start time.Time, seed int64, cfg ShardedConfig) *Network {
 	return n
 }
 
-// Shards returns the shard count.
-func (n *Network) Shards() int { return len(n.shards) }
-
 // Lookahead returns the conservative synchronization window.
 func (n *Network) Lookahead() time.Duration { return time.Duration(n.qNs) }
 

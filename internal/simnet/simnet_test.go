@@ -3,6 +3,7 @@ package simnet
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 )
@@ -43,7 +44,7 @@ func TestConnectAndSend(t *testing.T) {
 	if err := n.Connect(a, b); err != nil {
 		t.Fatalf("Connect: %v", err)
 	}
-	if !n.Connected(a, b) || !n.Connected(b, a) {
+	if !slices.Contains(n.Peers(a), b) || !slices.Contains(n.Peers(b), a) {
 		t.Error("connection not bidirectional")
 	}
 	if err := n.Send(a, b, "hello"); err != nil {
@@ -122,7 +123,7 @@ func TestChurnTearsDownConnections(t *testing.T) {
 	if err := n.SetOnline(b, false); err != nil {
 		t.Fatal(err)
 	}
-	if n.Connected(a, b) {
+	if slices.Contains(n.Peers(a), b) {
 		t.Error("connection survived churn")
 	}
 	if len(ra.disconn) != 1 || len(rb.disconn) != 1 {
@@ -216,13 +217,13 @@ func TestNodeIDXOR(t *testing.T) {
 	if a.XOR(b) != b.XOR(a) {
 		t.Error("XOR not symmetric")
 	}
-	if (NodeID{}).LeadingZeros() != 256 {
-		t.Error("zero ID leading zeros != 256")
+	if (NodeID{}).CommonPrefixLen(NodeID{}) != 256 {
+		t.Error("common prefix of equal IDs != 256")
 	}
 	var one NodeID
 	one[31] = 1
-	if one.LeadingZeros() != 255 {
-		t.Errorf("leading zeros of 1 = %d", one.LeadingZeros())
+	if got := one.CommonPrefixLen(NodeID{}); got != 255 {
+		t.Errorf("common prefix of 1 and 0 = %d", got)
 	}
 	if !(NodeID{}).Less(one) || one.Less(NodeID{}) {
 		t.Error("Less ordering broken")
@@ -271,9 +272,9 @@ func TestAddrAndRegion(t *testing.T) {
 	if !ok || addr != "10.0.0.1:4001" {
 		t.Errorf("Addr = %q, %v", addr, ok)
 	}
-	reg, ok := n.NodeRegion(a)
-	if !ok || reg != RegionUS {
-		t.Errorf("Region = %q, %v", reg, ok)
+	r, _ := n.Ref(a)
+	if reg := n.regions[n.region[r]]; reg != RegionUS {
+		t.Errorf("Region = %q", reg)
 	}
 	if _, ok := n.Addr(DeriveNodeID([]byte("ghost"))); ok {
 		t.Error("Addr of unknown node succeeded")

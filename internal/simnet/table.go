@@ -55,8 +55,7 @@ type Table struct {
 	regionIdx map[Region]int32
 	base      [][]time.Duration
 
-	sorted atomic.Pointer[[]NodeID] // Nodes cache; nil after AddNode
-	mu     sync.Mutex               // serialises connection-table writers
+	mu sync.Mutex // serialises connection-table writers
 }
 
 // cell is one node's connection state.
@@ -111,7 +110,6 @@ func (t *Table) AddNode(id NodeID, addr string, region Region, maxConns int, h H
 	c := &t.cells[len(t.cells)-1]
 	c.set.Store(emptySet)
 	c.online.Store(true)
-	t.sorted.Store(nil)
 	return nil
 }
 
@@ -159,32 +157,10 @@ func (t *Table) Addr(id NodeID) (string, bool) {
 	return t.addrs[r], true
 }
 
-// NodeRegion returns a node's region.
-func (t *Table) NodeRegion(id NodeID) (Region, bool) {
-	r, ok := t.idx[id]
-	if !ok {
-		return "", false
-	}
-	return t.regions[t.region[r]], true
-}
-
 // IsOnline reports a node's availability.
 func (t *Table) IsOnline(id NodeID) bool {
 	r, ok := t.idx[id]
 	return ok && t.cells[r].online.Load()
-}
-
-// Nodes returns the IDs of all registered nodes, sorted by ID. The sort is
-// cached until the population changes; callers get a fresh copy.
-func (t *Table) Nodes() []NodeID {
-	sorted := t.sorted.Load()
-	if sorted == nil {
-		ids := slices.Clone(t.ids)
-		slices.SortFunc(ids, NodeID.Compare)
-		sorted = &ids
-		t.sorted.Store(sorted)
-	}
-	return slices.Clone(*sorted)
 }
 
 // Compare orders two refs by their nodes' IDs: by key, and by the full ID
@@ -338,14 +314,7 @@ func (t *Table) SetOnline(id NodeID, online bool) error {
 	return nil
 }
 
-// Connected reports whether a and b share a connection.
-func (t *Table) Connected(a, b NodeID) bool {
-	ia, oka := t.idx[a]
-	ib, okb := t.idx[b]
-	return oka && okb && t.ConnectedRef(ia, ib)
-}
-
-// ConnectedRef is Connected with pre-resolved endpoints.
+// ConnectedRef reports whether a and b share a connection.
 func (t *Table) ConnectedRef(a, b NodeRef) bool { return t.has(t.cells[a].set.Load(), b) }
 
 // Peers returns a snapshot of a node's connected peers, sorted by ID. The

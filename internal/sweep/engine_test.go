@@ -100,7 +100,13 @@ func TestStreamingUnifyEqualsReference(t *testing.T) {
 func traceHash(t *testing.T, entries []trace.Entry) [32]byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := trace.WriteCSV(&buf, entries); err != nil {
+	cw := trace.NewCSVWriter(&buf)
+	for _, e := range entries {
+		if err := cw.Write(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := cw.Close(); err != nil {
 		t.Fatal(err)
 	}
 	return sha256.Sum256(buf.Bytes())

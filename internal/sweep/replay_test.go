@@ -317,7 +317,7 @@ func TestReplayFittedAmplified(t *testing.T) {
 	// through 10×.
 	top := make(map[cid.CID]bool)
 	modelTop := 0
-	for _, cc := range m.TopCIDs(10) {
+	for _, cc := range m.Popularity[:min(10, len(m.Popularity))] {
 		top[cc.CID] = true
 		modelTop += cc.Count
 	}

@@ -17,7 +17,6 @@
 package sweep
 
 import (
-	"encoding/json"
 	"fmt"
 	"slices"
 	"strings"
@@ -422,13 +421,4 @@ func (s ScenarioSpec) WorkloadConfig(seed int64) (workload.Config, error) {
 	cfg.NewEngine = s.newEngine()
 	cfg.Tracer = s.NewTracer(seed)
 	return cfg, nil
-}
-
-// Marshal renders the spec as indented, human-editable JSON.
-func (s ScenarioSpec) Marshal() ([]byte, error) {
-	out, err := json.MarshalIndent(s, "", "  ")
-	if err != nil {
-		return nil, fmt.Errorf("sweep: marshal spec: %w", err)
-	}
-	return append(out, '\n'), nil
 }

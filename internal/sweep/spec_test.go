@@ -3,6 +3,7 @@ package sweep
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -74,6 +75,16 @@ func parseSpec(blob []byte) (ScenarioSpec, error) {
 		return ScenarioSpec{}, err
 	}
 	return sw.Base, sw.Base.Validate()
+}
+
+// Marshal renders the spec as indented JSON, the way SweepSpec.Marshal
+// renders a whole sweep.
+func (s ScenarioSpec) Marshal() ([]byte, error) {
+	out, err := json.MarshalIndent(s, "", "  ")
+	if err != nil {
+		return nil, fmt.Errorf("sweep: marshal spec: %w", err)
+	}
+	return append(out, '\n'), nil
 }
 
 func TestSpecRoundTrip(t *testing.T) {

@@ -122,7 +122,6 @@ type Writer struct {
 	done       chan error // the in-flight chunk's result
 	err        error      // first compress error, returned until Reset
 	last       int64      // previous timestamp (unix nanos) for delta encoding
-	n          int
 
 	mons  dict[string]
 	peers dict[peer]
@@ -155,7 +154,7 @@ func (w *Writer) Reset(dst io.Writer) {
 	w.err = nil
 	w.gz.Reset(dst)
 	w.buf = append(w.buf[:0], fileMagic...)
-	w.last, w.n = 0, 0
+	w.last = 0
 	clear(w.mons)
 	clear(w.peers)
 	clear(w.cids)
@@ -190,7 +189,6 @@ func (w *Writer) Write(e Entry) error {
 		b = appendString(append(b, 0), e.CID.Key())
 	}
 	w.buf = b
-	w.n++
 	if len(b) >= chunk {
 		return w.handOff()
 	}
@@ -223,9 +221,6 @@ func (w *Writer) wait() error {
 	}
 	return w.err
 }
-
-// Count returns the number of records written.
-func (w *Writer) Count() int { return w.n }
 
 // Close waits for the chunk in flight, deflates the rest and finalises the
 // gzip stream (the underlying writer is not closed). It returns the first
@@ -578,21 +573,6 @@ func (d *decoder) decode(e *Entry) error {
 	return nil
 }
 
-// ReadAll drains a reader into memory.
-func ReadAll(r *Reader) ([]Entry, error) {
-	var out []Entry
-	for {
-		e, err := r.Read()
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return out, err
-		}
-		out = append(out, e)
-	}
-}
-
 // CSVWriter streams entries as CSV rows, the exchange format for external
 // analysis tooling. The header row is written on the first entry (or on
 // Close for an empty trace), so a CSVWriter can sit at the end of a
@@ -639,17 +619,6 @@ func (w *CSVWriter) Close() error {
 	}
 	w.cw.Flush()
 	return w.cw.Error()
-}
-
-// WriteCSV renders entries as CSV with a header row.
-func WriteCSV(w io.Writer, entries []Entry) error {
-	cw := NewCSVWriter(w)
-	for _, e := range entries {
-		if err := cw.Write(e); err != nil {
-			return err
-		}
-	}
-	return cw.Close()
 }
 
 // CSVReader streams entries back out of the CSV exchange format written by

@@ -16,12 +16,11 @@ import (
 // hit the last-resolved memo and pay a comparison.
 //
 // A Symbols keeps every distinct peer and CID it has resolved, so it must
-// not outlive the pass it numbers: a Driver owns one for its run, each pane
-// of a WindowedDriver owns one that dies with the window that adopts it,
-// and a stand-alone Summarizer or popularity.Counter owns a private one.
-// Ids are only meaningful to the Symbols that issued them; Translate maps
-// another Symbols' ids onto these, for merging state kept by ids. Not safe
-// for concurrent use.
+// not outlive the pass it numbers: a Driver owns one for its run, and each
+// pane of a WindowedDriver owns one that dies with the window that adopts
+// it. Ids are only meaningful to the Symbols that issued them; Translate
+// maps another Symbols' ids onto these, for merging state kept by ids. Not
+// safe for concurrent use.
 type Symbols struct {
 	peers map[simnet.NodeID]uint32
 	cids  map[cid.CID]uint32

@@ -128,7 +128,7 @@ func TestSymbolsZeroValues(t *testing.T) {
 // TestSummarizerUndefinedAndZero: the summary counts the zero NodeID and
 // the undefined CID as one peer and one CID, as the map-keyed sets did.
 func TestSummarizerUndefinedAndZero(t *testing.T) {
-	z := NewSummarizer()
+	z := NewSummarizerWith(NewSymbols())
 	for _, e := range []Entry{{}, {}, entry("us", 1, "a", 1, t0), {}} {
 		if err := z.Write(e); err != nil {
 			t.Fatal(err)

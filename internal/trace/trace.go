@@ -195,10 +195,6 @@ type monitorCount struct {
 	n    int
 }
 
-// NewSummarizer returns an empty Summarizer numbering peers and CIDs with a
-// private Symbols.
-func NewSummarizer() *Summarizer { return NewSummarizerWith(NewSymbols()) }
-
 // NewSummarizerWith returns an empty Summarizer that resolves peers and CIDs
 // through syms, shared with the other consumers of the same pass.
 func NewSummarizerWith(syms *Symbols) *Summarizer {
@@ -292,13 +288,4 @@ func (z *Summarizer) countMonitor(mon string, n int) {
 		}
 	}
 	z.perMon = append(z.perMon, monitorCount{mon, n})
-}
-
-// Summarize computes a Summary.
-func Summarize(entries []Entry) Summary {
-	z := NewSummarizer()
-	for _, e := range entries {
-		z.Write(e)
-	}
-	return z.Summary()
 }

@@ -108,7 +108,7 @@ func TestQuickIORoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := ReadAll(r)
+		got, err := readAll(r)
 		if err != nil || len(got) != len(in) {
 			return false
 		}

@@ -79,17 +79,6 @@ func DefaultJoint() JointConnectivity {
 	return JointConnectivity{Both: 0.36, OnlyA: 0.18, OnlyB: 0.13}
 }
 
-// IndependentJoint returns the estimator's idealised assumption: nodes
-// connect to each monitor independently with probability p. Used by the
-// estimator-bias ablation.
-func IndependentJoint(pA, pB float64) JointConnectivity {
-	return JointConnectivity{
-		Both:  pA * pB,
-		OnlyA: pA * (1 - pB),
-		OnlyB: (1 - pA) * pB,
-	}
-}
-
 // OperatorSpec describes one gateway operator.
 type OperatorSpec struct {
 	Name string `json:"name"`
@@ -942,16 +931,6 @@ func (w *World) MegagateIDs() map[simnet.NodeID]bool {
 		}
 	}
 	return out
-}
-
-// MonitorByName finds a monitor.
-func (w *World) MonitorByName(name string) *monitor.Monitor {
-	for _, m := range w.Monitors {
-		if m.Name == name {
-			return m
-		}
-	}
-	return nil
 }
 
 // Run advances the world by d of virtual time.

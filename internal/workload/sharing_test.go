@@ -8,6 +8,7 @@ import (
 	"bitswapmon/internal/blockstore"
 	"bitswapmon/internal/cid"
 	"bitswapmon/internal/engine"
+	"bitswapmon/internal/merkledag"
 )
 
 // TestWorldSharesBlockBytes runs a small world, then reads every block in
@@ -41,11 +42,51 @@ func TestWorldSharesBlockBytes(t *testing.T) {
 				stores = append(stores, m.Node.Store)
 			}
 
+			// The blocks a store can hold: the DAGs of the catalog's items
+			// and of whatever the monitors saw requested (web items are
+			// published during the run, outside the catalog).
+			var blocks []cid.CID
+			listed := make(map[cid.CID]bool)
+			var list func(c cid.CID)
+			list = func(c cid.CID) {
+				if listed[c] {
+					return
+				}
+				listed[c] = true
+				blocks = append(blocks, c)
+				if c.Codec() != cid.DagProtobuf {
+					return
+				}
+				for _, s := range stores {
+					if data, ok := s.Get(c); ok {
+						node, err := merkledag.DecodeNode(c.Codec(), data)
+						if err != nil {
+							t.Fatal(err)
+						}
+						for _, l := range node.Links {
+							list(l.CID)
+						}
+						return
+					}
+				}
+			}
+			for _, it := range w.Catalog.Items {
+				list(it.Root)
+			}
+			for _, m := range w.Monitors {
+				for _, e := range m.Trace() {
+					list(e.CID)
+				}
+			}
+
 			first := make(map[cid.CID][]byte)
 			shared, apart := 0, 0
 			for _, s := range stores {
-				for _, c := range s.Keys() {
-					data, _ := s.Get(c)
+				for _, c := range blocks {
+					data, ok := s.Get(c)
+					if !ok {
+						continue
+					}
 					if mh, err := c.Hash(); err != nil || mh.Verify(data) != nil {
 						t.Fatalf("block %s no longer hashes to its CID", c)
 					}

@@ -62,8 +62,15 @@ func TestWorldProducesObservableTraffic(t *testing.T) {
 	}
 	w.Run(4 * time.Hour)
 
-	us := w.MonitorByName("us")
-	de := w.MonitorByName("de")
+	var us, de *monitor.Monitor
+	for _, m := range w.Monitors {
+		switch m.Name {
+		case "us":
+			us = m
+		case "de":
+			de = m
+		}
+	}
 	if us == nil || de == nil {
 		t.Fatal("monitors missing")
 	}
@@ -72,7 +79,11 @@ func TestWorldProducesObservableTraffic(t *testing.T) {
 	}
 
 	unified := trace.Unify(us.Trace(), de.Trace())
-	sum := trace.Summarize(unified)
+	z := trace.NewSummarizerWith(trace.NewSymbols())
+	for _, e := range unified {
+		z.Write(e)
+	}
+	sum := z.Summary()
 	if sum.UniquePeers < 20 {
 		t.Errorf("unique peers in trace = %d, want dozens", sum.UniquePeers)
 	}

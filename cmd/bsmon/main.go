@@ -1,7 +1,7 @@
 // Command bsmon is the continuous-monitoring daemon: the paper's monitors
 // ran for months (Sec. IV-A), and bsmon keeps simulated monitors running the
 // same way. It starts one scenario spec exactly as a sweep run does
-// (sweep.Start: build, warm up, drop the warm-up), then advances it step by
+// (sweep.Start: build, warm up unrecorded), then advances it step by
 // step, streaming each monitor's trace into a segment store, so resident
 // memory is bounded by the segment rotation window, not the uptime. Registry
 // reports are evaluated over rolling windows of the live unified stream, the

@@ -38,7 +38,7 @@
 //
 // Capture also scales past a bounded run: bsmon is the
 // continuous-monitoring daemon. It starts a one-run sweep spec (-spec,
-// default the small preset) with sweep.Start, the build and discarded
+// default the small preset) with sweep.Start, the build and unrecorded
 // warm-up every sweep run goes through, then advances it step by step, so a
 // bounded daemon records the same entries as a sweep run of the same spec,
 // into the same DIR/mon-M.segments layout. The reports are evaluated over

@@ -37,6 +37,11 @@ func run() error {
 	if err != nil {
 		return err
 	}
+	mems := make([]*ingest.MemorySink, len(w.Monitors))
+	for i, m := range w.Monitors {
+		mems[i] = ingest.NewMemorySink()
+		m.SetSink(mems[i])
+	}
 	fmt.Printf("public gateway list has %d entries across %d operators\n",
 		len(w.Registry.All()), len(w.Registry.ByOperator()))
 
@@ -68,7 +73,7 @@ func run() error {
 	}
 	fmt.Printf("\nTNW attack on discovered gateway node %s:\n", target)
 	raw, err := ingest.Drain(ingest.NewStreamUnifier(
-		ingest.SliceSource(w.Monitors[0].Trace()), ingest.SliceSource(w.Monitors[1].Trace())))
+		ingest.SliceSource(mems[0].Snapshot()), ingest.SliceSource(mems[1].Snapshot())))
 	if err != nil {
 		return err
 	}

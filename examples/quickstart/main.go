@@ -39,11 +39,14 @@ func run() error {
 		nodes = append(nodes, nd)
 	}
 
-	// One passive monitor with unlimited connection capacity.
+	// One passive monitor with unlimited connection capacity, writing what
+	// it sees into memory.
 	mon, err := monitor.New(net, "demo", "78.0.0.1:4001", simnet.RegionDE)
 	if err != nil {
 		return err
 	}
+	mem := ingest.NewMemorySink()
+	mon.SetSink(mem)
 
 	// Bootstrap everyone against node 0 and connect the overlay densely;
 	// every node also ends up connected to the monitor (as in the paper,
@@ -74,8 +77,9 @@ func run() error {
 	net.Run(30 * time.Second)
 
 	// The monitor saw the request — without participating in it.
-	fmt.Printf("\nmonitor %q observed %d want entries:\n", mon.Name, len(mon.Trace()))
-	for _, e := range mon.Trace() {
+	entries := mem.Snapshot()
+	fmt.Printf("\nmonitor %q observed %d want entries:\n", mon.Name, len(entries))
+	for _, e := range entries {
 		fmt.Printf("  %s  node=%s  addr=%s  %s  cid=%s\n",
 			e.Timestamp.Format("15:04:05.000"), e.NodeID, e.Addr, e.Type, e.CID)
 	}
@@ -88,7 +92,7 @@ func run() error {
 	if err := drv.AddByName([]string{"summary", "table1"}, report.Options{}); err != nil {
 		return err
 	}
-	if err := drv.Run(ingest.SliceSource(mon.Trace())); err != nil {
+	if err := drv.Run(ingest.SliceSource(entries)); err != nil {
 		return err
 	}
 	results, err := drv.Finalize()

@@ -6,6 +6,7 @@ import (
 
 	"bitswapmon/internal/cid"
 	"bitswapmon/internal/gateway"
+	"bitswapmon/internal/ingest"
 	"bitswapmon/internal/monitor"
 	"bitswapmon/internal/otrace"
 	"bitswapmon/internal/simnet"
@@ -13,7 +14,14 @@ import (
 	"bitswapmon/internal/workload"
 )
 
-func buildWorld(t *testing.T, seed int64) *workload.World {
+// testWorld is a built world whose two monitors each write into a memory
+// sink.
+type testWorld struct {
+	*workload.World
+	mems [2]*ingest.MemorySink
+}
+
+func buildWorld(t *testing.T, seed int64) *testWorld {
 	t.Helper()
 	w, err := workload.Build(workload.Config{
 		Seed:         seed,
@@ -33,11 +41,16 @@ func buildWorld(t *testing.T, seed int64) *workload.World {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return w
+	tw := &testWorld{World: w}
+	for i, m := range w.Monitors {
+		tw.mems[i] = ingest.NewMemorySink()
+		m.SetSink(tw.mems[i])
+	}
+	return tw
 }
 
-func unifiedTrace(w *workload.World) []trace.Entry {
-	return trace.Unify(w.Monitors[0].Trace(), w.Monitors[1].Trace())
+func unifiedTrace(w *testWorld) []trace.Entry {
+	return trace.Unify(w.mems[0].Snapshot(), w.mems[1].Snapshot())
 }
 
 func TestIDWIdentifiesWanters(t *testing.T) {

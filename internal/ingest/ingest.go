@@ -4,7 +4,7 @@
 // package decouples capture from analysis with three pieces:
 //
 //   - Sink: the write side. Monitors push entries into a Sink as they are
-//     observed; a MemorySink preserves the old accumulate-in-RAM behaviour,
+//     observed; a MemorySink holds them in RAM for short scenarios,
 //     a SegmentStore streams entries to time-partitioned compressed segment
 //     files, and Tee fans one stream out to several sinks (e.g. disk plus
 //     online statistics).
@@ -45,9 +45,9 @@ type EntrySource interface {
 	Read() (trace.Entry, error)
 }
 
-// MemorySink accumulates entries in memory, preserving the seed behaviour
-// where a monitor holds its whole trace in RAM. Use it for short scenarios
-// and tests; use a SegmentStore when trace volume matters.
+// MemorySink accumulates entries in memory, for short scenarios, examples
+// and tests that read a monitor's whole trace back; use a SegmentStore when
+// trace volume matters.
 //
 // Storage is chunked: a flat slice regrows geometrically, and past the
 // runtime's large-size threshold each growth step reallocates, zeroes and

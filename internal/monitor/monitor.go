@@ -38,13 +38,9 @@ type Monitor struct {
 
 	net engine.Engine
 
-	// sink receives every observed entry; by default an in-memory sink
-	// that keeps Trace()/ResetTrace() working. Production-scale scenarios
-	// inject an ingest.SegmentStore (or a Tee) via SetSink so the trace
-	// streams to disk instead of accumulating in RAM.
-	sink ingest.Sink
-	// mem is sink when it is the default memory sink, nil otherwise.
-	mem     *ingest.MemorySink
+	// sink receives every observed entry; nil until SetSink, and a monitor
+	// without a sink records nothing.
+	sink    ingest.Sink
 	sinkErr error
 	// taps are live observers (see OnEntry) fed independently of the
 	// sink, so e.g. gateway probing works whatever the sink type.
@@ -73,13 +69,10 @@ func New(net engine.Engine, name, addr string, region simnet.Region) (*Monitor, 
 	// by their own message handler and read by control-affine orchestration
 	// (samplers, probers), which must not race.
 	net.Pin(id)
-	mem := ingest.NewMemorySink()
 	m := &Monitor{
 		Name:      name,
 		Node:      nd,
 		net:       net,
-		sink:      mem,
-		mem:       mem,
 		peersSeen: make(map[simnet.NodeID]time.Time),
 		active:    make(map[simnet.NodeID]bool),
 	}
@@ -135,8 +128,10 @@ func (m *Monitor) tapMessage(from simnet.NodeID, msg any) {
 			Type:      entry.Type,
 			CID:       entry.CID,
 		}
-		if err := m.sink.Write(e); err != nil && m.sinkErr == nil {
-			m.sinkErr = err
+		if m.sink != nil {
+			if err := m.sink.Write(e); err != nil && m.sinkErr == nil {
+				m.sinkErr = err
+			}
 		}
 		for _, tap := range m.taps {
 			tap(e)
@@ -152,15 +147,13 @@ func (m *Monitor) OnEntry(fn func(trace.Entry)) {
 	m.taps = append(m.taps, fn)
 }
 
-// SetSink redirects subsequent observations into s (e.g. an
-// ingest.SegmentStore, or an ingest.Tee) and clears any error
-// recorded for the previous sink. Call it before the scenario runs:
-// entries already held by the previous sink are not migrated. With a
-// non-memory sink, Trace returns nil and ResetTrace does nothing — the
-// trace lives wherever the sink put it.
+// SetSink points subsequent observations at s (an ingest.SegmentStore,
+// an ingest.MemorySink, an ingest.Tee, ...) and clears any error recorded
+// for the previous sink; entries already held by the previous sink stay
+// there. A nil s stops recording: the monitor keeps its peer sets and feeds
+// its OnEntry observers, but writes no entry anywhere.
 func (m *Monitor) SetSink(s ingest.Sink) {
 	m.sink = s
-	m.mem, _ = s.(*ingest.MemorySink)
 	m.sinkErr = nil
 }
 
@@ -168,21 +161,11 @@ func (m *Monitor) SetSink(s ingest.Sink) {
 // observed after a sink error are still offered to the sink.
 func (m *Monitor) SinkErr() error { return m.sinkErr }
 
-// Trace returns a snapshot of the recorded entries when the monitor writes
-// to a memory sink (the default), nil otherwise. The snapshot is owned by
-// the caller; mutating it cannot corrupt the monitor.
-func (m *Monitor) Trace() []trace.Entry {
-	if m.mem == nil {
-		return nil
-	}
-	return m.mem.Snapshot()
-}
-
-// ResetTrace discards the recorded entries (e.g. after a warm-up phase).
-// It only applies to the memory sink.
+// ResetTrace empties the monitor's sink when it is an ingest.MemorySink and
+// does nothing otherwise.
 func (m *Monitor) ResetTrace() {
-	if m.mem != nil {
-		m.mem.Reset()
+	if mem, ok := m.sink.(*ingest.MemorySink); ok {
+		mem.Reset()
 	}
 }
 

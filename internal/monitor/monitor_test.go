@@ -13,6 +13,7 @@ import (
 	"bitswapmon/internal/node"
 	"bitswapmon/internal/otrace"
 	"bitswapmon/internal/simnet"
+	"bitswapmon/internal/trace"
 	"bitswapmon/internal/wire"
 )
 
@@ -22,6 +23,7 @@ type world struct {
 	net   *simnet.Network
 	nodes []*node.Node
 	mon   *Monitor
+	mem   *ingest.MemorySink // mon's sink
 }
 
 func build(t *testing.T, n int, seed int64) *world {
@@ -41,7 +43,8 @@ func build(t *testing.T, n int, seed int64) *world {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.mon = mon
+	w.mon, w.mem = mon, ingest.NewMemorySink()
+	mon.SetSink(w.mem)
 	boot := []dht.PeerInfo{w.nodes[0].Info()}
 	mon.Start(boot)
 	for _, nd := range w.nodes {
@@ -63,7 +66,7 @@ func TestMonitorRecordsBroadcasts(t *testing.T) {
 	w.nodes[1].Request(otrace.Ctx{}, ghost, func([]byte, bool) {})
 	w.net.Run(5 * time.Second)
 
-	entries := w.mon.Trace()
+	entries := w.mem.Snapshot()
 	if len(entries) == 0 {
 		t.Fatal("monitor recorded nothing")
 	}
@@ -93,7 +96,7 @@ func TestMonitorRecordsCancels(t *testing.T) {
 	w.net.Run(2 * time.Second)
 
 	sawCancel := false
-	for _, e := range w.mon.Trace() {
+	for _, e := range w.mem.Snapshot() {
 		if e.CID.Equal(ghost) && e.Type == wire.Cancel {
 			sawCancel = true
 		}
@@ -159,11 +162,11 @@ func TestResetTrace(t *testing.T) {
 	w := build(t, 3, 6)
 	w.nodes[1].Request(otrace.Ctx{}, cid.Sum(cid.Raw, []byte("pre")), func([]byte, bool) {})
 	w.net.Run(2 * time.Second)
-	if len(w.mon.Trace()) == 0 {
+	if len(w.mem.Snapshot()) == 0 {
 		t.Fatal("warmup trace empty")
 	}
 	w.mon.ResetTrace()
-	if len(w.mon.Trace()) != 0 {
+	if len(w.mem.Snapshot()) != 0 {
 		t.Error("trace not cleared")
 	}
 }
@@ -240,40 +243,36 @@ func TestMonitorSinkInjection(t *testing.T) {
 	if err := w.mon.SinkErr(); err != nil {
 		t.Fatalf("sink error: %v", err)
 	}
-	if len(mem.Snapshot()) == 0 {
+	n := len(mem.Snapshot())
+	if n == 0 {
 		t.Fatal("injected sink received nothing")
 	}
-	// With a non-memory sink installed (Tee is opaque), the monitor holds
-	// no trace of its own.
-	if got := w.mon.Trace(); got != nil {
-		t.Errorf("Trace() = %d entries, want nil with external sink", len(got))
+	if len(w.mem.Snapshot()) != 0 {
+		t.Error("the replaced sink still received entries")
 	}
-	n := len(mem.Snapshot())
+	// ResetTrace empties a memory sink only; a Tee is opaque.
 	w.mon.ResetTrace()
 	if len(mem.Snapshot()) != n {
 		t.Error("ResetTrace cleared an external sink")
 	}
 
-	// Re-installing a memory sink restores Trace().
-	w.mon.SetSink(ingest.NewMemorySink())
-	w.nodes[2].Request(otrace.Ctx{}, cid.Sum(cid.Raw, []byte("back to memory")), func([]byte, bool) {})
+	// A monitor with no sink records nothing: the request below reaches
+	// no sink, yet the monitor still marks its sender active and feeds its
+	// live observers.
+	w.mon.SetSink(nil)
+	w.mon.ResetTrace()
+	var tapped int
+	w.mon.OnEntry(func(trace.Entry) { tapped++ })
+	w.nodes[2].Request(otrace.Ctx{}, cid.Sum(cid.Raw, []byte("unrecorded")), func([]byte, bool) {})
 	w.net.Run(3 * time.Second)
-	if len(w.mon.Trace()) == 0 {
-		t.Error("memory sink not restored")
+	if len(mem.Snapshot()) != n || len(w.mem.Snapshot()) != 0 {
+		t.Errorf("a monitor without a sink wrote entries: %d, %d", len(mem.Snapshot())-n, len(w.mem.Snapshot()))
 	}
-}
-
-func TestTraceSnapshotIsStable(t *testing.T) {
-	w := build(t, 3, 11)
-	w.nodes[1].Request(otrace.Ctx{}, cid.Sum(cid.Raw, []byte("snap")), func([]byte, bool) {})
-	w.net.Run(3 * time.Second)
-	snap := w.mon.Trace()
-	if len(snap) == 0 {
-		t.Fatal("no entries")
+	if err := w.mon.SinkErr(); err != nil {
+		t.Errorf("sink error without a sink: %v", err)
 	}
-	snap[0].Monitor = "corrupted"
-	if got := w.mon.Trace()[0].Monitor; got != "us" {
-		t.Errorf("monitor state corrupted through Trace(): %q", got)
+	if tapped == 0 || !w.mon.BitswapActivePeers()[w.nodes[2].ID] {
+		t.Errorf("without a sink: %d entries tapped, sender active %v", tapped, w.mon.BitswapActivePeers()[w.nodes[2].ID])
 	}
 }
 
@@ -308,7 +307,7 @@ func TestBroadcastMessageSharedReadOnly(t *testing.T) {
 	if _, ok := peer.Bitswap.WantlistOf(requester.ID)[ghost]; !ok || peer.Bitswap.Stats().DontHavesServed == 0 {
 		t.Fatal("the Bitswap peer did not handle the broadcast")
 	}
-	if len(w.mon.Trace()) == 0 {
+	if len(w.mem.Snapshot()) == 0 {
 		t.Fatal("the monitor did not log the broadcast")
 	}
 	want := []wire.Entry{{Type: wire.WantHave, CID: ghost, SendDontHave: true}}
@@ -338,6 +337,8 @@ func TestShardedMonitorStampsExactEventTime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	mem := ingest.NewMemorySink()
+	mon.SetSink(mem)
 	sender := simnet.DeriveNodeID([]byte("sender"))
 	if err := net.AddNode(sender, "10.9.0.1:4001", simnet.RegionUS, 0, quietNode{}); err != nil {
 		t.Fatal(err)
@@ -354,7 +355,7 @@ func TestShardedMonitorStampsExactEventTime(t *testing.T) {
 	}
 	net.Run(time.Second)
 
-	entries := mon.Trace()
+	entries := mem.Snapshot()
 	if len(entries) != len(offsets) {
 		t.Fatalf("recorded %d entries, want %d", len(entries), len(offsets))
 	}

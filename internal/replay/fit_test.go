@@ -169,6 +169,7 @@ func TestFittedAmplifyPreservesAlpha(t *testing.T) {
 	if sess.World.PoolSize() != 10*sess.Model.Requesters {
 		t.Errorf("pool %d, want %d", sess.World.PoolSize(), 10*sess.Model.Requesters)
 	}
+	mems := record(sess)
 	stats, err := sess.Drive()
 	if err != nil {
 		t.Fatal(err)
@@ -177,7 +178,7 @@ func TestFittedAmplifyPreservesAlpha(t *testing.T) {
 		t.Fatalf("amplified replay generated only %d events (model %d)", stats.Events, sess.Model.Requests)
 	}
 	counter := popularity.NewCounterWith(trace.NewSymbols())
-	for _, e := range sess.World.Monitors[0].Trace() {
+	for _, e := range mems[sess.World.Monitors[0].Name].Snapshot() {
 		counter.Write(e)
 	}
 	rrp, _ := counter.SortedValues()

@@ -111,6 +111,17 @@ func aggregate(entries []trace.Entry) aggregates {
 	return a
 }
 
+// record points every monitor of sess at a memory sink of its own, by
+// monitor name.
+func record(sess *Session) map[string]*ingest.MemorySink {
+	mems := make(map[string]*ingest.MemorySink, len(sess.World.Monitors))
+	for _, m := range sess.World.Monitors {
+		mems[m.Name] = ingest.NewMemorySink()
+		m.SetSink(mems[m.Name])
+	}
+	return mems
+}
+
 func topK(perCID map[cid.CID]int, k int) map[cid.CID]bool {
 	type cc struct {
 		c cid.CID
@@ -149,6 +160,7 @@ func TestDirectReplayRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sess.Close()
+	mems := record(sess)
 	stats, err := sess.Drive()
 	if err != nil {
 		t.Fatal(err)
@@ -165,7 +177,7 @@ func TestDirectReplayRoundTrip(t *testing.T) {
 	}
 	for _, m := range sess.World.Monitors {
 		want := aggregate(traces[m.Name])
-		got := aggregate(m.Trace())
+		got := aggregate(mems[m.Name].Snapshot())
 		if got.entries != want.entries || got.requests != want.requests {
 			t.Errorf("monitor %s: %d entries / %d requests, want %d / %d",
 				m.Name, got.entries, got.requests, want.entries, want.requests)
@@ -198,6 +210,7 @@ func TestDirectReplayTimeWarp(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sess.Close()
+	mems := record(sess)
 	stats, err := sess.Drive()
 	if err != nil {
 		t.Fatal(err)
@@ -206,7 +219,7 @@ func TestDirectReplayTimeWarp(t *testing.T) {
 	if stats.VirtualDuration > 2*time.Minute+graceFor {
 		t.Errorf("warped replay took %v of virtual time", stats.VirtualDuration)
 	}
-	got := aggregate(sess.World.byName["de"].Trace())
+	got := aggregate(mems["de"].Snapshot())
 	want := aggregate(traces["de"])
 	if got.entries != want.entries {
 		t.Errorf("warped replay recorded %d entries, want %d", got.entries, want.entries)
@@ -223,12 +236,13 @@ func unifiedCSV(t *testing.T, paths []string, seed int64) []byte {
 		t.Fatal(err)
 	}
 	defer sess.Close()
+	mems := record(sess)
 	if _, err := sess.Drive(); err != nil {
 		t.Fatal(err)
 	}
 	var sources []ingest.EntrySource
 	for _, m := range sess.World.Monitors {
-		sources = append(sources, ingest.SliceSource(m.Trace()))
+		sources = append(sources, ingest.SliceSource(mems[m.Name].Snapshot()))
 	}
 	u := ingest.NewStreamUnifier(sources...)
 	var buf bytes.Buffer
@@ -277,13 +291,14 @@ func TestTracingLeavesReplayUnchanged(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer sess.Close()
+			mems := record(sess)
 			stats, err := sess.Drive()
 			if err != nil {
 				t.Fatal(err)
 			}
 			var entries [][]trace.Entry
 			for _, m := range sess.World.Monitors {
-				entries = append(entries, m.Trace())
+				entries = append(entries, mems[m.Name].Snapshot())
 			}
 			return stats, entries
 		}
@@ -346,6 +361,7 @@ func TestPoolSmallerThanRequesters(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sess.Close()
+	mems := record(sess)
 	stats, err := sess.Drive()
 	if err != nil {
 		t.Fatal(err)
@@ -360,7 +376,7 @@ func TestPoolSmallerThanRequesters(t *testing.T) {
 	if stats.Events != total {
 		t.Errorf("replayed %d events, want %d", stats.Events, total)
 	}
-	got := aggregate(sess.World.byName["de"].Trace())
+	got := aggregate(mems["de"].Snapshot())
 	if got.entries != len(traces["de"]) {
 		t.Errorf("monitor de recorded %d entries, want %d", got.entries, len(traces["de"]))
 	}

@@ -51,10 +51,11 @@ func Measure(spec ScenarioSpec, seed int64, attach func(*workload.World) error) 
 	return m, nil
 }
 
-// Start builds the world the spec describes, warms it up, discards the
-// warm-up trace and arms the peer sampler and the online-population tracker
-// on one tick. Sinks attached to the returned world see no warm-up, and a
-// daemon advancing it step by step records what a bounded run records.
+// Start builds the world the spec describes, warms it up (its monitors have
+// no sink yet, so they record nothing of it) and arms the peer sampler and
+// the online-population tracker on one tick. Sinks attached to the returned
+// world see no warm-up, and a daemon advancing it step by step records what
+// a bounded run records.
 func Start(spec ScenarioSpec, seed int64) (*Measurement, error) {
 	cfg, err := spec.WorkloadConfig(seed)
 	if err != nil {
@@ -66,9 +67,6 @@ func Start(spec ScenarioSpec, seed int64) (*Measurement, error) {
 	}
 
 	w.Run(spec.Warmup.Std())
-	for _, m := range w.Monitors {
-		m.ResetTrace()
-	}
 
 	tick := spec.SampleEvery.Std()
 	if tick <= 0 {

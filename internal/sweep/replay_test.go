@@ -158,11 +158,16 @@ func recordRun(t *testing.T, dir string, seed int64, hours int) ([]string, map[s
 	if err != nil {
 		t.Fatal(err)
 	}
+	mems := make([]*ingest.MemorySink, len(w.Monitors))
+	for i, m := range w.Monitors {
+		mems[i] = ingest.NewMemorySink()
+		m.SetSink(mems[i])
+	}
 	w.Run(time.Duration(hours) * time.Hour)
 	var paths []string
 	traces := make(map[string][]trace.Entry)
-	for _, m := range w.Monitors {
-		entries := m.Trace()
+	for i, m := range w.Monitors {
+		entries := mems[i].Snapshot()
 		if len(entries) == 0 {
 			t.Fatalf("monitor %s recorded nothing", m.Name)
 		}
@@ -242,13 +247,20 @@ func TestReplayRoundTripFromSimulation(t *testing.T) {
 			TimeWarp: 8, // warp only compresses time; counts must be invariant
 		},
 	}
-	meas, err := MeasureReplay(spec, 5, func(*replay.World) error { return nil })
+	mems := make(map[string]*ingest.MemorySink)
+	meas, err := MeasureReplay(spec, 5, func(w *replay.World) error {
+		for _, m := range w.Monitors {
+			mems[m.Name] = ingest.NewMemorySink()
+			m.SetSink(mems[m.Name])
+		}
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, m := range meas.World.Monitors {
 		wantReqs, wantPerCID := requestAggregates(traces[m.Name])
-		gotReqs, gotPerCID := requestAggregates(m.Trace())
+		gotReqs, gotPerCID := requestAggregates(mems[m.Name].Snapshot())
 		if gotReqs != wantReqs {
 			t.Errorf("monitor %s: %d replayed requests, want %d", m.Name, gotReqs, wantReqs)
 		}

@@ -29,6 +29,7 @@ func TestWorldSharesBlockBytes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			mems := record(w)
 			w.Run(2 * time.Hour)
 
 			var stores []*blockstore.Store
@@ -73,8 +74,8 @@ func TestWorldSharesBlockBytes(t *testing.T) {
 			for _, it := range w.Catalog.Items {
 				list(it.Root)
 			}
-			for _, m := range w.Monitors {
-				for _, e := range m.Trace() {
+			for _, mem := range mems {
+				for _, e := range mem.Snapshot() {
 					list(e.CID)
 				}
 			}

@@ -7,10 +7,22 @@ import (
 	"time"
 
 	"bitswapmon/internal/cid"
+	"bitswapmon/internal/ingest"
 	"bitswapmon/internal/monitor"
 	"bitswapmon/internal/simnet"
 	"bitswapmon/internal/trace"
 )
+
+// record points every monitor of w at a memory sink of its own, in
+// w.Monitors order.
+func record(w *World) []*ingest.MemorySink {
+	mems := make([]*ingest.MemorySink, len(w.Monitors))
+	for i, m := range w.Monitors {
+		mems[i] = ingest.NewMemorySink()
+		m.SetSink(mems[i])
+	}
+	return mems
+}
 
 func smallConfig(seed int64) Config {
 	return Config{
@@ -60,25 +72,23 @@ func TestWorldProducesObservableTraffic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	mems := record(w)
 	w.Run(4 * time.Hour)
 
-	var us, de *monitor.Monitor
-	for _, m := range w.Monitors {
+	var us, de []trace.Entry
+	for i, m := range w.Monitors {
 		switch m.Name {
 		case "us":
-			us = m
+			us = mems[i].Snapshot()
 		case "de":
-			de = m
+			de = mems[i].Snapshot()
 		}
 	}
-	if us == nil || de == nil {
-		t.Fatal("monitors missing")
-	}
-	if len(us.Trace()) == 0 || len(de.Trace()) == 0 {
-		t.Fatalf("monitors recorded nothing: us=%d de=%d", len(us.Trace()), len(de.Trace()))
+	if len(us) == 0 || len(de) == 0 {
+		t.Fatalf("monitors recorded nothing: us=%d de=%d", len(us), len(de))
 	}
 
-	unified := trace.Unify(us.Trace(), de.Trace())
+	unified := trace.Unify(us, de)
 	z := trace.NewSummarizerWith(trace.NewSymbols())
 	for _, e := range unified {
 		z.Write(e)
@@ -300,8 +310,9 @@ func TestDeterministicBuild(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		mems := record(w)
 		w.Run(time.Hour)
-		return len(w.Monitors[0].Trace())
+		return len(mems[0].Snapshot())
 	}
 	a, b := run(), run()
 	if a != b {

@@ -113,9 +113,9 @@ func ExecuteRun(dir string, run Run) (*RunSummary, error) {
 
 	// opts carries the context extra reports may need.
 	var opts report.Options
-	// panels are the report.txt sections that come from the world rather
-	// than from the trace: the Sec. V-C panel, Fig. 3 and the probes.
-	var panels []section
+	// panels are the results that come from the world rather than from the
+	// trace: the Sec. V-C panel, Fig. 3 and the probe line.
+	var panels report.Results
 	if spec.ReplayMode() {
 		meas, err := MeasureReplay(spec, run.Seed, func(w *replay.World) error {
 			// Replay runs have no GeoIP ground truth or gateway fleets; an
@@ -153,25 +153,20 @@ func ExecuteRun(dir string, run Run) (*RunSummary, error) {
 				return nil, err
 			}
 		}
-		var probes []section
+		var probes report.Results
 		if spec.Probes && len(w.Monitors) > 0 && len(w.Registry.All()) > 0 {
 			probed := ProbeGateways(w)
-			identified, found, correct := attacks.CrossReference(probed, w.Registry.NodeIDs())
-			sum.GatewaysProbed = len(probed)
-			sum.GatewaysIdentified = identified
-			probes = []section{{"probes", fmt.Sprintf("Sec. VI-B: probed %d gateways, identified %d; discovered %d node IDs (%d correct)\n",
-				len(probed), identified, found, correct)}}
+			line := probeLine{probed: len(probed)}
+			line.identified, line.found, line.correct = attacks.CrossReference(probed, w.Registry.NodeIDs())
+			sum.GatewaysProbed = line.probed
+			sum.GatewaysIdentified = line.identified
+			probes = report.Results{{Name: "probes", Result: line}}
 		}
 		if spec.Crawl {
-			sec := ComputeSecVC(w.Monitors, meas.Samples, crawl, meas.OnlineAvg, w.TotalPopulation())
-			fig3 := ComputeFig3(w.Monitors[0], 50)
-			for k, v := range sec.Metrics() {
-				m["secvc:"+k] = v
+			panels = report.Results{
+				{Name: "secvc", Result: ComputeSecVC(w.Monitors, meas.Samples, crawl, meas.OnlineAvg, w.TotalPopulation())},
+				{Name: "fig3", Result: ComputeFig3(w.Monitors[0], 50)},
 			}
-			for k, v := range fig3.Metrics() {
-				m["fig3:"+k] = v
-			}
-			panels = []section{{"secvc", sec.Render()}, {"fig3", fig3.Render()}}
 		}
 		panels = append(panels, probes...)
 		var hits, misses uint64
@@ -191,15 +186,17 @@ func ExecuteRun(dir string, run Run) (*RunSummary, error) {
 	if err := SealMonitorStores(monitors, stores); err != nil {
 		return nil, err
 	}
-	results, err := summarizeStores(sum, stores, spec.Reports, opts)
+	results, err := summarizeStores(stores, spec.Reports, opts)
 	if err != nil {
 		return nil, err
 	}
+	results = append(results, panels...)
+	fillMetrics(sum, results)
 	fillMonitorCoverage(sum, monitors, int(m["population"]))
 	if err := writeRunTrace(dir, opts.Tracer); err != nil {
 		return nil, err
 	}
-	if err := writeReport(dir, results, panels); err != nil {
+	if err := writeReport(dir, results); err != nil {
 		return nil, err
 	}
 	sum.ElapsedMS = time.Since(start).Milliseconds()
@@ -210,19 +207,23 @@ func ExecuteRun(dir string, run Run) (*RunSummary, error) {
 	return sum, nil
 }
 
-// section is one "==== <name> ====" block of report.txt.
-type section struct{ name, text string }
+// probeLine is the Sec. VI-B line of a run that probed the gateways. Its
+// counts are the summary's gateway probe fields, so it has no metrics.
+type probeLine struct{ probed, identified, found, correct int }
 
-// writeReport writes report.txt: the rendered result of every report of the
-// summary pass, in order, then the panels, each under a "==== <name> ===="
-// header — bsanalyze's multi-report layout.
-func writeReport(dir string, results report.Results, panels []section) error {
+func (p probeLine) Render() string {
+	return fmt.Sprintf("Sec. VI-B: probed %d gateways, identified %d; discovered %d node IDs (%d correct)\n",
+		p.probed, p.identified, p.found, p.correct)
+}
+
+func (probeLine) Metrics() map[string]float64 { return nil }
+
+// writeReport writes report.txt: every result of the run in order, each
+// under a "==== <name> ====" header — bsanalyze's multi-report layout.
+func writeReport(dir string, results report.Results) error {
 	var sb strings.Builder
 	for _, nr := range results {
 		fmt.Fprintf(&sb, "==== %s ====\n%s\n", nr.Name, nr.Result.Render())
-	}
-	for _, p := range panels {
-		fmt.Fprintf(&sb, "==== %s ====\n%s\n", p.name, p.text)
 	}
 	if err := os.WriteFile(filepath.Join(dir, reportFile), []byte(sb.String()), 0o644); err != nil {
 		return fmt.Errorf("sweep: write report: %w", err)
@@ -312,16 +313,16 @@ func SealMonitorStores(monitors []*monitor.Monitor, stores []*ingest.SegmentStor
 	return nil
 }
 
-// summarizeStores computes the unified-trace metrics with one streaming
-// pass over a run's freshly written stores: a report.Driver tees the
-// StreamUnifier's output through the summary and traffic reports (bounded
-// memory: the unifier's window plus each report's own state), plus any
-// extra reports the spec requests. Every result is read through its
-// Metrics() map: the summary and traffic reports fill the canonical names
-// they produce, and each extra report's metrics land as
-// "<report>:<metric>". opts carries the context extra reports may need
-// (gateway IDs, GeoIP, bootstrap budget, tracer).
-func summarizeStores(sum *RunSummary, stores []*ingest.SegmentStore, extraReports []string, opts report.Options) (report.Results, error) {
+// builtinReports run in every summary pass, ahead of the spec's reports.
+var builtinReports = []string{"summary", "traffic"}
+
+// summarizeStores runs one streaming pass over a run's freshly written
+// stores: a report.Driver tees the StreamUnifier's output through the
+// built-in reports and the extra reports the spec requests (bounded memory:
+// the unifier's window plus each report's own state). opts carries the
+// context extra reports may need (gateway IDs, GeoIP, bootstrap budget,
+// tracer).
+func summarizeStores(stores []*ingest.SegmentStore, extraReports []string, opts report.Options) (report.Results, error) {
 	sources := make([]ingest.EntrySource, len(stores))
 	for i, store := range stores {
 		it, err := store.Query(time.Time{}, time.Time{}, nil)
@@ -331,9 +332,8 @@ func summarizeStores(sum *RunSummary, stores []*ingest.SegmentStore, extraReport
 		defer it.Close()
 		sources[i] = it
 	}
-	builtin := []string{"summary", "traffic"}
 	drv := report.NewDriver(true)
-	if err := drv.AddByName(append(builtin, extraReports...), opts); err != nil {
+	if err := drv.AddByName(append(builtinReports, extraReports...), opts); err != nil {
 		return nil, fmt.Errorf("sweep: summary reports: %w", err)
 	}
 	if err := drv.Run(ingest.NewStreamUnifier(sources...)); err != nil {
@@ -343,11 +343,18 @@ func summarizeStores(sum *RunSummary, stores []*ingest.SegmentStore, extraReport
 	if err != nil {
 		return nil, fmt.Errorf("sweep: summarize run: %w", err)
 	}
+	return results, nil
+}
 
+// fillMetrics reads every result of a run through its Metrics() map: the
+// built-in reports, which lead the results, fill the canonical names they
+// produce, and every other result's metrics land as "<name>:<metric>".
+// The summary report's per-type counts fill PerType.
+func fillMetrics(sum *RunSummary, results report.Results) {
 	for i, nr := range results {
 		for k, v := range nr.Result.Metrics() {
 			switch {
-			case i >= len(builtin):
+			case i >= len(builtinReports):
 				sum.Metrics[nr.Name+":"+k] = v
 			case slices.Contains(canonicalMetrics, k):
 				sum.Metrics[k] = v
@@ -359,7 +366,6 @@ func summarizeStores(sum *RunSummary, stores []*ingest.SegmentStore, extraReport
 	for t, n := range s.PerType {
 		sum.PerType[t.String()] = n
 	}
-	return results, nil
 }
 
 // fillMonitorCoverage derives coverage and overlap from the monitors'

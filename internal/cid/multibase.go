@@ -9,9 +9,8 @@ import (
 
 // Multibase prefixes self-describe the base encoding of a string.
 const (
-	multibaseBase32   = 'b' // RFC4648 lowercase, no padding (CIDv1 default)
-	multibaseBase58   = 'z' // base58btc (CIDv0 convention, without prefix)
-	multibaseIdentity = 0x00
+	multibaseBase32 = 'b' // RFC4648 lowercase, no padding (CIDv1 default)
+	multibaseBase58 = 'z' // base58btc (CIDv0 convention, without prefix)
 )
 
 const (

@@ -95,16 +95,19 @@ func collectWeek() (*weekRun, error) {
 	if err != nil {
 		return nil, err
 	}
+	// As in a sweep run, the trace is the window's: the monitors record
+	// nothing of the crawl and the probes.
+	for _, m := range meas.World.Monitors {
+		if err := m.SinkErr(); err != nil {
+			return nil, fmt.Errorf("monitor %s sink: %w", m.Name, err)
+		}
+		m.SetSink(nil)
+	}
 	run := &weekRun{Measurement: meas}
 	if run.crawl, err = sweep.Crawl(meas.World); err != nil {
 		return nil, err
 	}
 	run.probes = sweep.ProbeGateways(meas.World)
-	for _, m := range meas.World.Monitors {
-		if err := m.SinkErr(); err != nil {
-			return nil, fmt.Errorf("monitor %s sink: %w", m.Name, err)
-		}
-	}
 	if err := uni.Flush(); err != nil {
 		return nil, err
 	}
@@ -140,7 +143,7 @@ func BenchmarkSecVCNetworkSize(b *testing.B) {
 	var sec sweep.SecVC
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sec = sweep.ComputeSecVC(d.World.Monitors, d.Samples, d.crawl, d.OnlineAvg, d.World.TotalPopulation())
+		sec = sweep.ComputeSecVC(d.Peers, d.Samples, d.crawl, d.OnlineAvg, d.World.TotalPopulation())
 	}
 	b.ReportMetric(sec.Eq1Mean, "eq1-estimate")
 	b.ReportMetric(sec.Eq3Mean, "eq3-estimate")

@@ -76,7 +76,6 @@ func TestBsmonMatchesSweepRun(t *testing.T) {
 	}
 	specFile := writeSpec(t, func(sw *sweep.SweepSpec) {
 		sw.Base.Window = sweep.D(2 * time.Hour)
-		sw.Base.Crawl, sw.Base.Probes = false, false
 	})
 	sw, err := sweep.LoadSweep(specFile)
 	if err != nil {

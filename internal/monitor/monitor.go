@@ -11,6 +11,7 @@ package monitor
 
 import (
 	"fmt"
+	"maps"
 	"time"
 
 	"bitswapmon/internal/dht"
@@ -169,23 +170,21 @@ func (m *Monitor) ResetTrace() {
 	}
 }
 
-// PeersSeen returns every peer that connected at least once while
-// monitoring.
-func (m *Monitor) PeersSeen() map[simnet.NodeID]time.Time {
-	out := make(map[simnet.NodeID]time.Time, len(m.peersSeen))
-	for k, v := range m.peersSeen {
-		out[k] = v
-	}
-	return out
+// PeerSets is a snapshot of one monitor's peer sets, the per-monitor sets
+// of Sec. V-C.
+type PeerSets struct {
+	// Monitor names the monitor.
+	Monitor string
+	// Seen holds every peer that connected at least once while monitoring,
+	// with the time it was first seen.
+	Seen map[simnet.NodeID]time.Time
+	// Active holds the peers that sent at least one want entry.
+	Active map[simnet.NodeID]bool
 }
 
-// BitswapActivePeers returns the peers that sent at least one want entry.
-func (m *Monitor) BitswapActivePeers() map[simnet.NodeID]bool {
-	out := make(map[simnet.NodeID]bool, len(m.active))
-	for k := range m.active {
-		out[k] = true
-	}
-	return out
+// Peers snapshots the monitor's peer sets; the maps are the caller's.
+func (m *Monitor) Peers() PeerSets {
+	return PeerSets{Monitor: m.Name, Seen: maps.Clone(m.peersSeen), Active: maps.Clone(m.active)}
 }
 
 // CurrentPeers returns the instantaneous connection table.

@@ -142,14 +142,14 @@ func TestMonitorAnswersLikeEmptyNode(t *testing.T) {
 
 func TestPeersSeenAndActive(t *testing.T) {
 	w := build(t, 5, 5)
-	seen := w.mon.PeersSeen()
+	seen := w.mon.Peers().Seen
 	if len(seen) < 5 {
 		t.Errorf("peers seen = %d, want >= 5", len(seen))
 	}
 	// Only node 1 becomes Bitswap-active.
 	w.nodes[1].Request(otrace.Ctx{}, cid.Sum(cid.Raw, []byte("activity")), func([]byte, bool) {})
 	w.net.Run(3 * time.Second)
-	active := w.mon.BitswapActivePeers()
+	active := w.mon.Peers().Active
 	if !active[w.nodes[1].ID] {
 		t.Error("active node not marked")
 	}
@@ -271,8 +271,8 @@ func TestMonitorSinkInjection(t *testing.T) {
 	if err := w.mon.SinkErr(); err != nil {
 		t.Errorf("sink error without a sink: %v", err)
 	}
-	if tapped == 0 || !w.mon.BitswapActivePeers()[w.nodes[2].ID] {
-		t.Errorf("without a sink: %d entries tapped, sender active %v", tapped, w.mon.BitswapActivePeers()[w.nodes[2].ID])
+	if active := w.mon.Peers().Active[w.nodes[2].ID]; tapped == 0 || !active {
+		t.Errorf("without a sink: %d entries tapped, sender active %v", tapped, active)
 	}
 }
 

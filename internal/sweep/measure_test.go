@@ -4,6 +4,8 @@ import (
 	"testing"
 	"time"
 
+	"bitswapmon/internal/ingest"
+	"bitswapmon/internal/simnet"
 	"bitswapmon/internal/workload"
 )
 
@@ -24,5 +26,36 @@ func TestMeasureDefaultsSampleEvery(t *testing.T) {
 	}
 	if meas.OnlineAvg <= 0 {
 		t.Errorf("OnlineAvg = %v, want positive (tracker should have ticked)", meas.OnlineAvg)
+	}
+}
+
+// TestRunStoresHoldOnlyTheWindow: a run that crawls and probes after its
+// window seals its stores at the window's end, so no entry of the crawl or
+// the probes (the probes' own requests included) reaches them.
+func TestRunStoresHoldOnlyTheWindow(t *testing.T) {
+	run := pinnedRun()
+	run.Spec.Crawl = true
+	dir := t.TempDir()
+	sum, err := ExecuteRun(dir, run)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.GatewaysProbed == 0 || sum.Metrics["secvc:crawl_seen"] == 0 {
+		t.Fatalf("run probed %d gateways and crawled %v peers, want both", sum.GatewaysProbed, sum.Metrics["secvc:crawl_seen"])
+	}
+	end := simnet.Epoch.Add(run.Spec.Warmup.Std() + run.Spec.Window.Std())
+	for _, mon := range run.Spec.Monitors {
+		store, err := ingest.OpenSegmentStore(monitorStoreDir(dir, mon.Name), ingest.SegmentOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tot := store.Totals()
+		if err := store.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if tot.Entries == 0 || tot.Last.After(end) {
+			t.Errorf("monitor %s: %d entries, last at %v, want some and none after the window's end at %v",
+				mon.Name, tot.Entries, tot.Last.Sub(simnet.Epoch), end.Sub(simnet.Epoch))
+		}
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"bitswapmon/internal/attacks"
-	"bitswapmon/internal/dht"
 	"bitswapmon/internal/ingest"
 	"bitswapmon/internal/monitor"
 	"bitswapmon/internal/otrace"
@@ -71,10 +70,11 @@ type RunSummary struct {
 // the spec describes — with every monitor streaming into a per-monitor
 // segment store under dir, and writes the run's summary.json and
 // report.txt, the same layout for both kinds so campaigns can mix and
-// aggregate them. A synthetic run crawls the DHT after the window (spec
-// Crawl), then probes the gateways (spec Probes); the monitors keep
-// streaming into their stores through both. The returned summary is what
-// the orchestrator aggregates later.
+// aggregate them. The stores are sealed, and the monitors detached from
+// them, when the window ends; a synthetic run then crawls the DHT (spec
+// Crawl) and probes the gateways (spec Probes), so the stores hold the
+// window and nothing after it. The returned summary is what the
+// orchestrator aggregates later.
 //
 // Layout of dir after a completed run:
 //
@@ -111,13 +111,16 @@ func ExecuteRun(dir string, run Run) (*RunSummary, error) {
 		return err
 	}
 
-	// opts carries the context extra reports may need.
-	var opts report.Options
-	// panels are the results that come from the world rather than from the
-	// trace: the Sec. V-C panel, Fig. 3 and the probe line.
-	var panels report.Results
+	var (
+		// opts carries the context extra reports may need.
+		opts report.Options
+		// peers are the monitors' peer sets at the window's end.
+		peers []monitor.PeerSets
+		// meas is a synthetic run's measurement, nil for a replay.
+		meas *Measurement
+	)
 	if spec.ReplayMode() {
-		meas, err := MeasureReplay(spec, run.Seed, func(w *replay.World) error {
+		rm, err := MeasureReplay(spec, run.Seed, func(w *replay.World) error {
 			// Replay runs have no GeoIP ground truth or gateway fleets; an
 			// extra report that needs them (table2, fig6) must fail here,
 			// before the drive burns its compute, not at summary time.
@@ -133,42 +136,21 @@ func ExecuteRun(dir string, run Run) (*RunSummary, error) {
 		if err != nil {
 			return nil, err
 		}
-		m["population"] = float64(meas.World.PoolSize())
-		m["replay_events"] = float64(meas.Drive.Events)
-		m["replay_requesters"] = float64(meas.Drive.Requesters)
-		if meas.Model != nil && meas.Model.PowerLaw != nil {
-			m["fitted_alpha"] = meas.Model.PowerLaw.Alpha
+		m["population"] = float64(rm.World.PoolSize())
+		m["replay_events"] = float64(rm.Drive.Events)
+		m["replay_requesters"] = float64(rm.Drive.Requesters)
+		if rm.Model != nil && rm.Model.PowerLaw != nil {
+			m["fitted_alpha"] = rm.Model.PowerLaw.Alpha
 		}
+		peers = rm.Peers
 	} else {
-		meas, err := Measure(spec, run.Seed, func(w *workload.World) error { return open(w.Monitors) })
-		if err != nil {
+		var err error
+		if meas, err = Measure(spec, run.Seed, func(w *workload.World) error { return open(w.Monitors) }); err != nil {
 			return nil, err
 		}
 		w := meas.World
 		m["population"] = float64(w.TotalPopulation())
 		m["online_avg"] = meas.OnlineAvg
-		var crawl dht.CrawlResult
-		if spec.Crawl {
-			if crawl, err = Crawl(w); err != nil {
-				return nil, err
-			}
-		}
-		var probes report.Results
-		if spec.Probes && len(w.Monitors) > 0 && len(w.Registry.All()) > 0 {
-			probed := ProbeGateways(w)
-			line := probeLine{probed: len(probed)}
-			line.identified, line.found, line.correct = attacks.CrossReference(probed, w.Registry.NodeIDs())
-			sum.GatewaysProbed = line.probed
-			sum.GatewaysIdentified = line.identified
-			probes = report.Results{{Name: "probes", Result: line}}
-		}
-		if spec.Crawl {
-			panels = report.Results{
-				{Name: "secvc", Result: ComputeSecVC(w.Monitors, meas.Samples, crawl, meas.OnlineAvg, w.TotalPopulation())},
-				{Name: "fig3", Result: ComputeFig3(w.Monitors[0], 50)},
-			}
-		}
-		panels = append(panels, probes...)
 		var hits, misses uint64
 		for _, g := range w.Gateways {
 			st := g.Stats()
@@ -178,13 +160,23 @@ func ExecuteRun(dir string, run Run) (*RunSummary, error) {
 		if hits+misses > 0 {
 			m["gateway_hit_rate"] = float64(hits) / float64(hits+misses)
 		}
+		peers = meas.Peers
 		opts = spec.ReportOptions(w)
 	}
 
-	// Seal the stores before summarising; a run whose trace could not be
-	// persisted is a failed run, not a silently partial one.
+	// The window ends here. Seal the stores before the crawl and the probes
+	// run more simulated time; a run whose trace could not be persisted is
+	// a failed run, not a silently partial one.
 	if err := SealMonitorStores(monitors, stores); err != nil {
 		return nil, err
+	}
+	fillMonitorCoverage(sum, peers, int(m["population"]))
+	var panels report.Results
+	if meas != nil {
+		var err error
+		if panels, err = afterWindow(sum, spec, meas); err != nil {
+			return nil, err
+		}
 	}
 	results, err := summarizeStores(stores, spec.Reports, opts)
 	if err != nil {
@@ -192,7 +184,6 @@ func ExecuteRun(dir string, run Run) (*RunSummary, error) {
 	}
 	results = append(results, panels...)
 	fillMetrics(sum, results)
-	fillMonitorCoverage(sum, monitors, int(m["population"]))
 	if err := writeRunTrace(dir, opts.Tracer); err != nil {
 		return nil, err
 	}
@@ -205,6 +196,35 @@ func ExecuteRun(dir string, run Run) (*RunSummary, error) {
 		return nil, err
 	}
 	return sum, nil
+}
+
+// afterWindow runs a synthetic run's phases after its window and returns
+// their panels in report.txt order: Fig. 3, a snapshot of the first
+// monitor's peers taken at the window's end, and the Sec. V-C panel against
+// one DHT crawl (spec Crawl), then the gateway probes (spec Probes). The
+// monitors record none of it: their sinks were detached with the stores.
+func afterWindow(sum *RunSummary, spec ScenarioSpec, meas *Measurement) (report.Results, error) {
+	w := meas.World
+	var panels report.Results
+	if spec.Crawl {
+		fig3 := ComputeFig3(w.Monitors[0], 50)
+		crawl, err := Crawl(w)
+		if err != nil {
+			return nil, err
+		}
+		panels = report.Results{
+			{Name: "secvc", Result: ComputeSecVC(meas.Peers, meas.Samples, crawl, meas.OnlineAvg, w.TotalPopulation())},
+			{Name: "fig3", Result: fig3},
+		}
+	}
+	if spec.Probes && len(w.Monitors) > 0 && len(w.Registry.All()) > 0 {
+		probed := ProbeGateways(w)
+		line := probeLine{probed: len(probed)}
+		line.identified, line.found, line.correct = attacks.CrossReference(probed, w.Registry.NodeIDs())
+		sum.GatewaysProbed, sum.GatewaysIdentified = line.probed, line.identified
+		panels = append(panels, report.NamedResult{Name: "probes", Result: line})
+	}
+	return panels, nil
 }
 
 // probeLine is the Sec. VI-B line of a run that probed the gateways. Its
@@ -299,15 +319,18 @@ func closeStores(stores []*ingest.SegmentStore) {
 	}
 }
 
-// SealMonitorStores closes every store and surfaces any sink error a
-// monitor recorded during the run.
+// SealMonitorStores detaches every monitor from its store, so it records
+// nothing more, closes the store and surfaces any sink error the monitor
+// recorded during the run.
 func SealMonitorStores(monitors []*monitor.Monitor, stores []*ingest.SegmentStore) error {
 	for i, m := range monitors {
+		sinkErr := m.SinkErr()
+		m.SetSink(nil)
 		if err := stores[i].Close(); err != nil {
 			return fmt.Errorf("sweep: seal store for monitor %s: %w", m.Name, err)
 		}
-		if err := m.SinkErr(); err != nil {
-			return fmt.Errorf("sweep: monitor %s sink: %w", m.Name, err)
+		if sinkErr != nil {
+			return fmt.Errorf("sweep: monitor %s sink: %w", m.Name, sinkErr)
 		}
 	}
 	return nil
@@ -370,22 +393,21 @@ func fillMetrics(sum *RunSummary, results report.Results) {
 
 // fillMonitorCoverage derives coverage and overlap from the monitors'
 // Bitswap-active peer sets against the given population size.
-func fillMonitorCoverage(sum *RunSummary, monitors []*monitor.Monitor, population int) {
-	sum.MonitorCoverage = make(map[string]float64, len(monitors))
+func fillMonitorCoverage(sum *RunSummary, peers []monitor.PeerSets, population int) {
+	sum.MonitorCoverage = make(map[string]float64, len(peers))
 	union := make(map[simnet.NodeID]int)
-	for _, m := range monitors {
-		active := m.BitswapActivePeers()
+	for _, p := range peers {
 		if population > 0 {
-			sum.MonitorCoverage[m.Name] = float64(len(active)) / float64(population)
+			sum.MonitorCoverage[p.Monitor] = float64(len(p.Active)) / float64(population)
 		}
-		for id := range active {
+		for id := range p.Active {
 			union[id]++
 		}
 	}
-	if len(union) > 0 && len(monitors) > 1 {
+	if len(union) > 0 && len(peers) > 1 {
 		inAll := 0
 		for _, n := range union {
-			if n == len(monitors) {
+			if n == len(peers) {
 				inAll++
 			}
 		}

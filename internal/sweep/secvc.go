@@ -14,8 +14,9 @@ import (
 // The two panels of a crawled run that are not counts over the trace
 // stream: Fig. 3 (peer-ID uniformity, a snapshot of one monitor's peers)
 // and the Sec. V-C coverage and network-size panel (sampler snapshots
-// against a DHT crawl and the simulation's ground truth). ExecuteRun
-// computes both after the crawl and the probes.
+// against a DHT crawl and the simulation's ground truth). Both describe the
+// window: ExecuteRun takes the Fig. 3 snapshot and the monitors' peer sets
+// at the window's end, and only the crawl runs after it.
 
 // SecVC aggregates the Sec. V-C measurements: monitoring coverage and
 // network-size estimates from monitor peer sets, compared against a DHT
@@ -53,15 +54,16 @@ type SecVC struct {
 	CoverageUnion      float64
 }
 
-// ComputeSecVC assembles the Sec. V-C panel. samples come from a
-// monitor.Sampler run over the window; crawl from dht.Crawl; trueOnlineAvg
-// and truePopulation from the workload's ground truth.
-func ComputeSecVC(monitors []*monitor.Monitor, samples []monitor.Sample,
+// ComputeSecVC assembles the Sec. V-C panel. peers are the monitors' peer
+// sets and samples come from a monitor.Sampler, both over the window; crawl
+// from dht.Crawl; trueOnlineAvg and truePopulation from the workload's
+// ground truth.
+func ComputeSecVC(peers []monitor.PeerSets, samples []monitor.Sample,
 	crawl dht.CrawlResult, trueOnlineAvg float64, truePopulation int) SecVC {
 
 	out := SecVC{
-		UniquePeers:    make(map[string]int, len(monitors)),
-		ActivePeers:    make(map[string]int, len(monitors)),
+		UniquePeers:    make(map[string]int, len(peers)),
+		ActivePeers:    make(map[string]int, len(peers)),
 		TrueOnlineAvg:  trueOnlineAvg,
 		TruePopulation: truePopulation,
 	}
@@ -69,16 +71,14 @@ func ComputeSecVC(monitors []*monitor.Monitor, samples []monitor.Sample,
 	// Window totals.
 	unionPeers := make(map[simnet.NodeID]bool)
 	unionActive := make(map[simnet.NodeID]bool)
-	for _, m := range monitors {
-		out.Monitors = append(out.Monitors, m.Name)
-		seen := m.PeersSeen()
-		out.UniquePeers[m.Name] = len(seen)
-		for id := range seen {
+	for _, p := range peers {
+		out.Monitors = append(out.Monitors, p.Monitor)
+		out.UniquePeers[p.Monitor] = len(p.Seen)
+		for id := range p.Seen {
 			unionPeers[id] = true
 		}
-		act := m.BitswapActivePeers()
-		out.ActivePeers[m.Name] = len(act)
-		for id := range act {
+		out.ActivePeers[p.Monitor] = len(p.Active)
+		for id := range p.Active {
 			unionActive[id] = true
 		}
 	}
@@ -87,7 +87,7 @@ func ComputeSecVC(monitors []*monitor.Monitor, samples []monitor.Sample,
 
 	// Sampler averages and per-sample estimates.
 	var eq1s, eq3s []float64
-	out.AvgConns = make([]float64, len(monitors))
+	out.AvgConns = make([]float64, len(peers))
 	for _, s := range samples {
 		for i, c := range s.PerMonitor {
 			out.AvgConns[i] += float64(c)
@@ -130,7 +130,7 @@ func ComputeSecVC(monitors []*monitor.Monitor, samples []monitor.Sample,
 	// crawl-based estimate to avoid overstating coverage).
 	ref := float64(out.CrawlSeen)
 	if ref > 0 {
-		for i := range monitors {
+		for i := range peers {
 			out.CoveragePerMonitor = append(out.CoveragePerMonitor, out.AvgConns[i]/ref)
 		}
 		out.CoverageUnion = out.AvgUnion / ref

@@ -1,7 +1,6 @@
 package sweep
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -29,15 +28,7 @@ func TestSecVCRenderAndEmpty(t *testing.T) {
 // estimate is the committee occupancy of its union over r draws of the mean
 // connection count, and Eq. 1, which is pairwise, stays unset.
 func TestSecVCEq3ForThreeMonitors(t *testing.T) {
-	net := simnet.New(t0, 1, simnet.Fixed(time.Millisecond))
-	var monitors []*monitor.Monitor
-	for i, name := range []string{"a", "b", "c"} {
-		m, err := monitor.New(net, name, fmt.Sprintf("3.0.0.%d:4001", 50+i), simnet.RegionUS)
-		if err != nil {
-			t.Fatal(err)
-		}
-		monitors = append(monitors, m)
-	}
+	peers := []monitor.PeerSets{{Monitor: "a"}, {Monitor: "b"}, {Monitor: "c"}}
 	samples := []monitor.Sample{
 		{PerMonitor: []int{40, 50, 60}, Union: 100},
 		{PerMonitor: []int{30, 30, 45}, Union: 80},
@@ -53,7 +44,7 @@ func TestSecVCEq3ForThreeMonitors(t *testing.T) {
 		want = append(want, e)
 	}
 	mean, std := estimate.MeanStd(want)
-	sec := ComputeSecVC(monitors, samples, dht.CrawlResult{}, 0, 0)
+	sec := ComputeSecVC(peers, samples, dht.CrawlResult{}, 0, 0)
 	if sec.Eq3Mean != mean || sec.Eq3Std != std || mean <= 0 {
 		t.Errorf("Eq. 3 = %v (std %v), want %v (std %v)", sec.Eq3Mean, sec.Eq3Std, mean, std)
 	}

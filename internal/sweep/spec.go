@@ -64,10 +64,12 @@ type ScenarioSpec struct {
 	//
 	// Crawl runs one DHT crawl after the measurement window, before the
 	// probes, and adds the Sec. V-C panel and Fig. 3 to the run's summary
-	// ("secvc:<metric>", "fig3:<metric>") and report.txt.
+	// ("secvc:<metric>", "fig3:<metric>") and report.txt. The run's stores
+	// are sealed at the window's end, so they hold none of its traffic.
 	Crawl bool `json:"crawl,omitempty"`
 	// Probes runs the Sec. VI-B gateway identification probe after the
-	// measurement window.
+	// measurement window and the crawl; the stores hold none of its
+	// traffic either.
 	Probes bool `json:"probes,omitempty"`
 
 	// WorkloadSource selects where the run's request workload comes from:

@@ -48,6 +48,7 @@ import (
 // the UnifySink's unified and deduplicated views of them.
 type weekRun struct {
 	*sweep.Measurement
+	peers      []monitor.PeerSets // at the window's end
 	crawl      dht.CrawlResult
 	probes     []attacks.ProbeResult
 	perMonitor [2][]trace.Entry
@@ -95,15 +96,16 @@ func collectWeek() (*weekRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	// As in a sweep run, the trace is the window's: the monitors record
-	// nothing of the crawl and the probes.
+	// As in a sweep run, the trace and the peer sets are the window's: the
+	// monitors record nothing of the crawl and the probes.
+	run := &weekRun{Measurement: meas}
 	for _, m := range meas.World.Monitors {
 		if err := m.SinkErr(); err != nil {
 			return nil, fmt.Errorf("monitor %s sink: %w", m.Name, err)
 		}
 		m.SetSink(nil)
+		run.peers = append(run.peers, m.Peers())
 	}
-	run := &weekRun{Measurement: meas}
 	if run.crawl, err = sweep.Crawl(meas.World); err != nil {
 		return nil, err
 	}
@@ -143,7 +145,7 @@ func BenchmarkSecVCNetworkSize(b *testing.B) {
 	var sec sweep.SecVC
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sec = sweep.ComputeSecVC(d.Peers, d.Samples, d.crawl, d.OnlineAvg, d.World.TotalPopulation())
+		sec = sweep.ComputeSecVC(d.peers, d.Samples, d.crawl, d.OnlineAvg, d.World.TotalPopulation())
 	}
 	b.ReportMetric(sec.Eq1Mean, "eq1-estimate")
 	b.ReportMetric(sec.Eq3Mean, "eq3-estimate")

@@ -37,11 +37,9 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	mems := make([]*ingest.MemorySink, len(w.Monitors))
-	for i, m := range w.Monitors {
-		mems[i] = ingest.NewMemorySink()
-		m.SetSink(mems[i])
-	}
+	us, de := ingest.NewMemorySink(), ingest.NewMemorySink()
+	w.Monitors[0].SetSink(us)
+	w.Monitors[1].SetSink(de)
 	fmt.Printf("public gateway list has %d entries across %d operators\n",
 		len(w.Registry.All()), len(w.Registry.ByOperator()))
 
@@ -73,7 +71,7 @@ func run() error {
 	}
 	fmt.Printf("\nTNW attack on discovered gateway node %s:\n", target)
 	raw, err := ingest.Drain(ingest.NewStreamUnifier(
-		ingest.SliceSource(mems[0].Snapshot()), ingest.SliceSource(mems[1].Snapshot())))
+		ingest.SliceSource(us.Snapshot()), ingest.SliceSource(de.Snapshot())))
 	if err != nil {
 		return err
 	}

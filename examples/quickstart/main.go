@@ -39,8 +39,7 @@ func run() error {
 		nodes = append(nodes, nd)
 	}
 
-	// One passive monitor with unlimited connection capacity, writing what
-	// it sees into memory.
+	// One passive monitor with unlimited connection capacity, recording to memory.
 	mon, err := monitor.New(net, "demo", "78.0.0.1:4001", simnet.RegionDE)
 	if err != nil {
 		return err

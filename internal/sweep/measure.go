@@ -27,9 +27,6 @@ type Measurement struct {
 	Samples []monitor.Sample
 	// OnlineAvg is the mean ground-truth online population over those ticks.
 	OnlineAvg float64
-	// Peers are the monitors' peer sets at the window's end, in
-	// World.Monitors order.
-	Peers []monitor.PeerSets
 
 	sampler *monitor.Sampler
 	online  float64 // running sum of the online population, one per tick
@@ -90,24 +87,13 @@ func Start(spec ScenarioSpec, seed int64) (*Measurement, error) {
 // Advance runs the world for d of virtual time.
 func (m *Measurement) Advance(d time.Duration) { m.World.Run(d) }
 
-// Stop ends the window: it halts the sampler and fills Samples, OnlineAvg
-// and Peers.
+// Stop halts the sampler and fills Samples and OnlineAvg.
 func (m *Measurement) Stop() {
 	m.sampler.Stop()
 	m.Samples = m.sampler.Samples()
 	if m.ticks > 0 {
 		m.OnlineAvg = m.online / float64(m.ticks)
 	}
-	m.Peers = peerSets(m.World.Monitors)
-}
-
-// peerSets snapshots every monitor's peer sets, in order.
-func peerSets(monitors []*monitor.Monitor) []monitor.PeerSets {
-	out := make([]monitor.PeerSets, len(monitors))
-	for i, mon := range monitors {
-		out[i] = mon.Peers()
-	}
-	return out
 }
 
 // ReplayMeasurement is what one replayed trace leaves behind beside the
@@ -120,9 +106,6 @@ type ReplayMeasurement struct {
 	Model *replay.Model
 	// Drive counts what was replayed.
 	Drive *replay.DriveStats
-	// Peers are the monitors' peer sets at the end of the drive, in
-	// World.Monitors order.
-	Peers []monitor.PeerSets
 }
 
 // MeasureReplay is Measure for a workload_source spec: open the recorded
@@ -147,7 +130,7 @@ func MeasureReplay(spec ScenarioSpec, seed int64, attach func(*replay.World) err
 	if err != nil {
 		return nil, fmt.Errorf("sweep: drive replay: %w", err)
 	}
-	return &ReplayMeasurement{World: sess.World, Model: sess.Model, Drive: drive, Peers: peerSets(sess.World.Monitors)}, nil
+	return &ReplayMeasurement{World: sess.World, Model: sess.Model, Drive: drive}, nil
 }
 
 // Crawl runs one DHT crawl of the world from a dedicated client node and

@@ -111,14 +111,10 @@ func ExecuteRun(dir string, run Run) (*RunSummary, error) {
 		return err
 	}
 
-	var (
-		// opts carries the context extra reports may need.
-		opts report.Options
-		// peers are the monitors' peer sets at the window's end.
-		peers []monitor.PeerSets
-		// meas is a synthetic run's measurement, nil for a replay.
-		meas *Measurement
-	)
+	// opts carries the context extra reports may need.
+	var opts report.Options
+	// meas is a synthetic run's measurement, nil for a replay.
+	var meas *Measurement
 	if spec.ReplayMode() {
 		rm, err := MeasureReplay(spec, run.Seed, func(w *replay.World) error {
 			// Replay runs have no GeoIP ground truth or gateway fleets; an
@@ -142,7 +138,6 @@ func ExecuteRun(dir string, run Run) (*RunSummary, error) {
 		if rm.Model != nil && rm.Model.PowerLaw != nil {
 			m["fitted_alpha"] = rm.Model.PowerLaw.Alpha
 		}
-		peers = rm.Peers
 	} else {
 		var err error
 		if meas, err = Measure(spec, run.Seed, func(w *workload.World) error { return open(w.Monitors) }); err != nil {
@@ -160,30 +155,50 @@ func ExecuteRun(dir string, run Run) (*RunSummary, error) {
 		if hits+misses > 0 {
 			m["gateway_hit_rate"] = float64(hits) / float64(hits+misses)
 		}
-		peers = meas.Peers
 		opts = spec.ReportOptions(w)
 	}
 
-	// The window ends here. Seal the stores before the crawl and the probes
-	// run more simulated time; a run whose trace could not be persisted is
-	// a failed run, not a silently partial one.
+	// The window ends here. Seal the stores, detaching the monitors from
+	// them, and read the monitors' peer sets before the crawl and the
+	// probes run more simulated time. A run whose trace could not be
+	// persisted is a failed run, not a silently partial one.
 	if err := SealMonitorStores(monitors, stores); err != nil {
 		return nil, err
 	}
+	peers := make([]monitor.PeerSets, len(monitors))
+	for i, mon := range monitors {
+		peers[i] = mon.Peers()
+	}
 	fillMonitorCoverage(sum, peers, int(m["population"]))
+	// panels are the results that come from the world rather than from the
+	// trace: the Sec. V-C panel and Fig. 3 (spec Crawl; the Fig. 3 snapshot
+	// is taken before the crawl) and the probe line (spec Probes).
 	var panels report.Results
 	if meas != nil {
-		var err error
-		if panels, err = afterWindow(sum, spec, meas); err != nil {
-			return nil, err
+		w := meas.World
+		if spec.Crawl {
+			fig3 := ComputeFig3(w.Monitors[0], 50)
+			crawl, err := Crawl(w)
+			if err != nil {
+				return nil, err
+			}
+			panels = report.Results{
+				{Name: "secvc", Result: ComputeSecVC(peers, meas.Samples, crawl, meas.OnlineAvg, w.TotalPopulation())},
+				{Name: "fig3", Result: fig3},
+			}
+		}
+		if spec.Probes && len(w.Monitors) > 0 && len(w.Registry.All()) > 0 {
+			probed := ProbeGateways(w)
+			identified, found, correct := attacks.CrossReference(probed, w.Registry.NodeIDs())
+			sum.GatewaysProbed, sum.GatewaysIdentified = len(probed), identified
+			panels = append(panels, report.NamedResult{Name: "probes", Result: probeLine(fmt.Sprintf(
+				"Sec. VI-B: probed %d gateways, identified %d; discovered %d node IDs (%d correct)\n", len(probed), identified, found, correct))})
 		}
 	}
-	results, err := summarizeStores(stores, spec.Reports, opts)
+	results, err := summarizeStores(sum, stores, spec.Reports, opts, panels)
 	if err != nil {
 		return nil, err
 	}
-	results = append(results, panels...)
-	fillMetrics(sum, results)
 	if err := writeRunTrace(dir, opts.Tracer); err != nil {
 		return nil, err
 	}
@@ -198,44 +213,11 @@ func ExecuteRun(dir string, run Run) (*RunSummary, error) {
 	return sum, nil
 }
 
-// afterWindow runs a synthetic run's phases after its window and returns
-// their panels in report.txt order: Fig. 3, a snapshot of the first
-// monitor's peers taken at the window's end, and the Sec. V-C panel against
-// one DHT crawl (spec Crawl), then the gateway probes (spec Probes). The
-// monitors record none of it: their sinks were detached with the stores.
-func afterWindow(sum *RunSummary, spec ScenarioSpec, meas *Measurement) (report.Results, error) {
-	w := meas.World
-	var panels report.Results
-	if spec.Crawl {
-		fig3 := ComputeFig3(w.Monitors[0], 50)
-		crawl, err := Crawl(w)
-		if err != nil {
-			return nil, err
-		}
-		panels = report.Results{
-			{Name: "secvc", Result: ComputeSecVC(meas.Peers, meas.Samples, crawl, meas.OnlineAvg, w.TotalPopulation())},
-			{Name: "fig3", Result: fig3},
-		}
-	}
-	if spec.Probes && len(w.Monitors) > 0 && len(w.Registry.All()) > 0 {
-		probed := ProbeGateways(w)
-		line := probeLine{probed: len(probed)}
-		line.identified, line.found, line.correct = attacks.CrossReference(probed, w.Registry.NodeIDs())
-		sum.GatewaysProbed, sum.GatewaysIdentified = line.probed, line.identified
-		panels = append(panels, report.NamedResult{Name: "probes", Result: line})
-	}
-	return panels, nil
-}
-
 // probeLine is the Sec. VI-B line of a run that probed the gateways. Its
 // counts are the summary's gateway probe fields, so it has no metrics.
-type probeLine struct{ probed, identified, found, correct int }
+type probeLine string
 
-func (p probeLine) Render() string {
-	return fmt.Sprintf("Sec. VI-B: probed %d gateways, identified %d; discovered %d node IDs (%d correct)\n",
-		p.probed, p.identified, p.found, p.correct)
-}
-
+func (p probeLine) Render() string            { return string(p) }
 func (probeLine) Metrics() map[string]float64 { return nil }
 
 // writeReport writes report.txt: every result of the run in order, each
@@ -336,16 +318,16 @@ func SealMonitorStores(monitors []*monitor.Monitor, stores []*ingest.SegmentStor
 	return nil
 }
 
-// builtinReports run in every summary pass, ahead of the spec's reports.
-var builtinReports = []string{"summary", "traffic"}
-
-// summarizeStores runs one streaming pass over a run's freshly written
-// stores: a report.Driver tees the StreamUnifier's output through the
-// built-in reports and the extra reports the spec requests (bounded memory:
-// the unifier's window plus each report's own state). opts carries the
-// context extra reports may need (gateway IDs, GeoIP, bootstrap budget,
-// tracer).
-func summarizeStores(stores []*ingest.SegmentStore, extraReports []string, opts report.Options) (report.Results, error) {
+// summarizeStores computes the unified-trace metrics with one streaming
+// pass over a run's freshly written stores: a report.Driver tees the
+// StreamUnifier's output through the summary and traffic reports (bounded
+// memory: the unifier's window plus each report's own state), plus any
+// extra reports the spec requests. It returns the pass's results followed
+// by panels, and reads every one through its Metrics() map: the summary and
+// traffic reports fill the canonical names they produce, and every other
+// result's metrics land as "<name>:<metric>". opts carries the context
+// extra reports may need (gateway IDs, GeoIP, bootstrap budget, tracer).
+func summarizeStores(sum *RunSummary, stores []*ingest.SegmentStore, extraReports []string, opts report.Options, panels report.Results) (report.Results, error) {
 	sources := make([]ingest.EntrySource, len(stores))
 	for i, store := range stores {
 		it, err := store.Query(time.Time{}, time.Time{}, nil)
@@ -355,8 +337,9 @@ func summarizeStores(stores []*ingest.SegmentStore, extraReports []string, opts 
 		defer it.Close()
 		sources[i] = it
 	}
+	builtin := []string{"summary", "traffic"}
 	drv := report.NewDriver(true)
-	if err := drv.AddByName(append(builtinReports, extraReports...), opts); err != nil {
+	if err := drv.AddByName(append(builtin, extraReports...), opts); err != nil {
 		return nil, fmt.Errorf("sweep: summary reports: %w", err)
 	}
 	if err := drv.Run(ingest.NewStreamUnifier(sources...)); err != nil {
@@ -366,18 +349,12 @@ func summarizeStores(stores []*ingest.SegmentStore, extraReports []string, opts 
 	if err != nil {
 		return nil, fmt.Errorf("sweep: summarize run: %w", err)
 	}
-	return results, nil
-}
 
-// fillMetrics reads every result of a run through its Metrics() map: the
-// built-in reports, which lead the results, fill the canonical names they
-// produce, and every other result's metrics land as "<name>:<metric>".
-// The summary report's per-type counts fill PerType.
-func fillMetrics(sum *RunSummary, results report.Results) {
+	results = append(results, panels...)
 	for i, nr := range results {
 		for k, v := range nr.Result.Metrics() {
 			switch {
-			case i >= len(builtinReports):
+			case i >= len(builtin):
 				sum.Metrics[nr.Name+":"+k] = v
 			case slices.Contains(canonicalMetrics, k):
 				sum.Metrics[k] = v
@@ -389,6 +366,7 @@ func fillMetrics(sum *RunSummary, results report.Results) {
 	for t, n := range s.PerType {
 		sum.PerType[t.String()] = n
 	}
+	return results, nil
 }
 
 // fillMonitorCoverage derives coverage and overlap from the monitors'

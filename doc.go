@@ -6,8 +6,9 @@
 // network.
 //
 // Capture scales past RAM through the internal/ingest streaming pipeline:
-// monitors write observations into sinks (segment stores, live report
-// drivers) instead of accumulating them, and analyses read the trace back
+// monitors write observations into the sink they are given (segment
+// stores, live report drivers; a monitor without one records nothing)
+// instead of accumulating them, and analyses read the trace back
 // one segment at a time. There is one way from a scenario spec to its
 // reports: every bounded run — the paper's week and Fig. 4 upgrade
 // scenarios are presets (bssweep preset), a replayed trace is a
@@ -15,10 +16,12 @@
 // sweep.ExecuteRun. A spec's world keys are those of workload.Config, which
 // it embeds, and its workload_source keys those of replay.Spec, so each
 // parameter is declared once. It measures the world with sweep.Measure (or
-// sweep.MeasureReplay), crawls the DHT and probes the gateways if the spec
-// asks, unifies the monitors' segment stores with one ingest.StreamUnifier
-// pass through every report, and leaves summary.json and report.txt in the
-// run directory; trace.Unify remains as the reference the streaming
+// sweep.MeasureReplay), seals the monitors' segment stores as the window
+// ends, then crawls the DHT and probes the gateways if the spec asks, so a
+// run's stores hold its window and nothing after it. It unifies the stores
+// with one ingest.StreamUnifier pass through every report, appends the
+// world-side panels (Sec. V-C, Fig. 3, the probe line) to that pass's
+// results, and leaves summary.json and report.txt in the run directory; trace.Unify remains as the reference the streaming
 // unifier is tested against. Entries are stamped with the engine's exact per-event clock
 // (Engine.EventTime). A segment is a BSTRACE2 stream
 // (internal/trace):

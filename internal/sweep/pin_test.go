@@ -7,11 +7,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"bitswapmon/internal/ingest"
+	"bitswapmon/internal/otrace"
 	"bitswapmon/internal/report"
 	"bitswapmon/internal/trace"
 )
@@ -297,4 +299,115 @@ func summaryWithout(t *testing.T, dir string, dropped ...string) string {
 		t.Fatal(err)
 	}
 	return string(got)
+}
+
+// The span pin: ExecuteRun(tinySpec, seed 42) traced at a 0.25 sample rate
+// with latency_breakdown listed. pinnedSpans is the sha256 of the run's
+// trace.json.jsonl with every span's wall-clock field zeroed, and
+// pinnedLatency the summary's latency_breakdown metrics. They were taken
+// while the workload config, the replay spec and both worlds still each
+// held a handle on the span recorder, and must not move while the recorder
+// stays attached at world build.
+const (
+	pinnedSpans   = "7278397b8da4082a13b83edb5525f337c2dddbdf6a6896ad699a5c8b370d1e98"
+	pinnedLatency = `{
+  "latency_breakdown:count:bitswap.get": 541,
+  "latency_breakdown:count:bitswap.local_hit": 178,
+  "latency_breakdown:count:dht.lookup": 74,
+  "latency_breakdown:count:dht.req": 1945,
+  "latency_breakdown:count:dht.resp": 1944,
+  "latency_breakdown:count:dht.rpc": 1944,
+  "latency_breakdown:count:gateway.cache_hit": 1965,
+  "latency_breakdown:count:gateway.cache_miss": 141,
+  "latency_breakdown:count:gateway.fetch": 325,
+  "latency_breakdown:count:gateway.request": 2106,
+  "latency_breakdown:count:request": 29,
+  "latency_breakdown:count:send.block": 886,
+  "latency_breakdown:count:send.cancel": 16157,
+  "latency_breakdown:count:send.resp": 1038,
+  "latency_breakdown:count:send.want_block": 886,
+  "latency_breakdown:count:send.want_have": 21215,
+  "latency_breakdown:drops:bitswap.get": 7,
+  "latency_breakdown:drops:gateway.request": 49,
+  "latency_breakdown:drops:request": 7,
+  "latency_breakdown:p50_ms:bitswap.get": 58.547693,
+  "latency_breakdown:p50_ms:bitswap.local_hit": 0,
+  "latency_breakdown:p50_ms:dht.lookup": 1008.800742,
+  "latency_breakdown:p50_ms:dht.req": 56.665968,
+  "latency_breakdown:p50_ms:dht.resp": 56.436311,
+  "latency_breakdown:p50_ms:dht.rpc": 117.289993,
+  "latency_breakdown:p50_ms:gateway.cache_hit": 0,
+  "latency_breakdown:p50_ms:gateway.cache_miss": 0,
+  "latency_breakdown:p50_ms:gateway.fetch": 0,
+  "latency_breakdown:p50_ms:gateway.request": 0,
+  "latency_breakdown:p50_ms:request": 85.792584,
+  "latency_breakdown:p50_ms:send.block": 28.864375,
+  "latency_breakdown:p50_ms:send.cancel": 61.644255,
+  "latency_breakdown:p50_ms:send.resp": 60.742233,
+  "latency_breakdown:p50_ms:send.want_block": 28.841669,
+  "latency_breakdown:p50_ms:send.want_have": 60.365307,
+  "latency_breakdown:p99_ms:bitswap.get": 429.68087,
+  "latency_breakdown:p99_ms:bitswap.local_hit": 0,
+  "latency_breakdown:p99_ms:dht.lookup": 1117.262991,
+  "latency_breakdown:p99_ms:dht.req": 114.896482,
+  "latency_breakdown:p99_ms:dht.resp": 114.539047,
+  "latency_breakdown:p99_ms:dht.rpc": 222.566615,
+  "latency_breakdown:p99_ms:gateway.cache_hit": 0,
+  "latency_breakdown:p99_ms:gateway.cache_miss": 0,
+  "latency_breakdown:p99_ms:gateway.fetch": 609.619617,
+  "latency_breakdown:p99_ms:gateway.request": 422.456456,
+  "latency_breakdown:p99_ms:request": 383.282011,
+  "latency_breakdown:p99_ms:send.block": 116.343583,
+  "latency_breakdown:p99_ms:send.cancel": 138.499375,
+  "latency_breakdown:p99_ms:send.resp": 134.35121,
+  "latency_breakdown:p99_ms:send.want_block": 116.619697,
+  "latency_breakdown:p99_ms:send.want_have": 133.807007,
+  "latency_breakdown:ring_drops": 1797,
+  "latency_breakdown:spans": 51437,
+  "latency_breakdown:traces": 2192
+}`
+)
+
+func TestTracedRunPinnedSpans(t *testing.T) {
+	spec := tinySpec()
+	spec.Trace, spec.TraceSample = true, 0.25
+	spec.Reports = append(slices.Clone(spec.Reports), "latency_breakdown")
+	dir := t.TempDir()
+	sum, err := ExecuteRun(dir, Run{ID: "traced", Seed: 42, Spec: spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := os.ReadFile(filepath.Join(dir, "trace.json.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	enc := json.NewEncoder(h)
+	lines := strings.Split(strings.TrimSuffix(string(blob), "\n"), "\n")
+	for _, line := range lines {
+		var s otrace.Span
+		if err := json.Unmarshal([]byte(line), &s); err != nil {
+			t.Fatal(err)
+		}
+		s.WallNs = 0
+		if err := enc.Encode(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != pinnedSpans {
+		t.Errorf("%d spans: sha256 without wall time = %s, want %s", len(lines), got, pinnedSpans)
+	}
+	latency := make(map[string]float64)
+	for k, v := range sum.Metrics {
+		if strings.HasPrefix(k, "latency_breakdown:") {
+			latency[k] = v
+		}
+	}
+	got, err := json.MarshalIndent(latency, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != pinnedLatency {
+		t.Errorf("latency_breakdown metrics moved:\n%s\nwant:\n%s", got, pinnedLatency)
+	}
 }

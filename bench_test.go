@@ -687,11 +687,11 @@ func BenchmarkReplayDrive(b *testing.B) {
 			Inputs:   []string{dir},
 			TimeWarp: 60,
 			Seed:     int64(i),
-			Tracer:   tracer,
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
+		sess.World.Net.SetTracer(tracer)
 		stats, err := sess.Drive()
 		if err != nil {
 			b.Fatal(err)

@@ -98,11 +98,9 @@ func WriteJSONL(w io.Writer, spans []Span) error {
 	return bw.Flush()
 }
 
-// WriteFiles exports the tracer's spans to path (Chrome trace-event /
-// Perfetto JSON) and path+".jsonl" (one span per line). Nil-safe: a nil
-// tracer writes empty documents.
-func (t *Tracer) WriteFiles(path string) error {
-	spans := t.Spans()
+// WriteFiles exports spans to path (Chrome trace-event / Perfetto JSON) and
+// path+".jsonl" (one span per line). No spans write empty documents.
+func WriteFiles(path string, spans []Span) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err

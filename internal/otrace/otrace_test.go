@@ -243,7 +243,7 @@ func TestWriteFiles(t *testing.T) {
 	h := tr.Root(5, "request", "gw", vt(10))
 	h.End(vt(20))
 	path := filepath.Join(t.TempDir(), "trace.json")
-	if err := tr.WriteFiles(path); err != nil {
+	if err := WriteFiles(path, tr.Spans()); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(path)
@@ -266,10 +266,10 @@ func TestWriteFiles(t *testing.T) {
 	if err := json.Unmarshal([]byte(lines[0]), &s); err != nil || s.Name != "request" {
 		t.Fatalf("JSONL line unparsable or wrong: %v %+v", err, s)
 	}
-	// Nil tracer still writes loadable (empty) documents.
+	// A nil tracer's spans still write loadable (empty) documents.
 	var nilTr *Tracer
 	p2 := filepath.Join(t.TempDir(), "empty.json")
-	if err := nilTr.WriteFiles(p2); err != nil {
+	if err := WriteFiles(p2, nilTr.Spans()); err != nil {
 		t.Fatal(err)
 	}
 	if raw, err := os.ReadFile(p2); err != nil || !json.Valid(raw) {

@@ -82,7 +82,6 @@ func Build(cfg Spec) (*World, error) {
 		byName: make(map[string]*monitor.Monitor, len(cfg.Monitors)),
 		assign: make(map[simnet.NodeID]int),
 	}
-	net.SetTracer(cfg.Tracer)
 	geo := geoip.New()
 	rng := net.NewRand("replay")
 	for _, spec := range cfg.Monitors {
@@ -136,9 +135,6 @@ func Build(cfg Spec) (*World, error) {
 
 // PoolSize returns the replay node pool size.
 func (w *World) PoolSize() int { return len(w.nodes) }
-
-// Tracer returns the replay's span recorder, nil when tracing is off.
-func (w *World) Tracer() *otrace.Tracer { return w.cfg.Tracer }
 
 // nodeFor maps an observed requester onto a pool node, first-seen
 // round-robin: deterministic for a given event stream, and injective while
@@ -274,19 +270,22 @@ func (w *World) Drive(src EventSource) (*DriveStats, error) {
 	return stats, nil
 }
 
-// mintRoot advances the deterministic event sequence and, for sampled
-// events, records a zero-duration request root span at now, returning its
-// context (zero when untraced or unsampled).
+// mintRoot advances the deterministic event sequence and, when the network
+// has a span recorder that samples the event's trace ID (from the seed, the
+// observed requester and the sequence), records a zero-duration request root
+// span at now, returning its context (zero when untraced or unsampled). Each
+// monitor send of the event then becomes a hop span under it.
 func (w *World) mintRoot(requester, node simnet.NodeID, now time.Time) otrace.Ctx {
 	w.seq++
-	if w.cfg.Tracer == nil {
+	tr := w.Net.Tracer()
+	if tr == nil {
 		return otrace.Ctx{}
 	}
 	trace := otrace.TraceID(w.cfg.Seed, requester[:], w.seq)
-	if !w.cfg.Tracer.ShouldSample(trace) {
+	if !tr.ShouldSample(trace) {
 		return otrace.Ctx{}
 	}
-	root := w.cfg.Tracer.Root(trace, "request", node.String(), now)
+	root := tr.Root(trace, "request", node.String(), now)
 	tc := root.Ctx()
 	root.End(now)
 	return tc

@@ -286,11 +286,12 @@ func TestTracingLeavesReplayUnchanged(t *testing.T) {
 	for _, mode := range []Mode{ModeDirect, ModeFitted} {
 		drive := func(tr *otrace.Tracer) (*DriveStats, [][]trace.Entry) {
 			t.Helper()
-			sess, err := Prepare(Spec{Mode: mode, Inputs: paths, TimeWarp: 4, Seed: 3, Tracer: tr})
+			sess, err := Prepare(Spec{Mode: mode, Inputs: paths, TimeWarp: 4, Seed: 3})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer sess.Close()
+			sess.World.Net.SetTracer(tr)
 			mems := record(sess)
 			stats, err := sess.Drive()
 			if err != nil {

@@ -7,7 +7,6 @@ import (
 
 	"bitswapmon/internal/ingest"
 	"bitswapmon/internal/monitor"
-	"bitswapmon/internal/otrace"
 	"bitswapmon/internal/simnet"
 )
 
@@ -24,7 +23,7 @@ const (
 
 // Spec is the one declaration of a replay: inputs, mode and scale. Its JSON
 // keys are the workload_source keys of a scenario spec; the sweep runner
-// fills the runtime fields (Monitors, Seed, Start, Tracer) in
+// fills the runtime fields (Monitors, Seed, Start) in
 // ScenarioSpec.ReplaySpec. Zero fields take the defaults noted on each.
 type Spec struct {
 	// Mode is ModeDirect (also the empty mode) or ModeFitted. A scenario
@@ -63,11 +62,6 @@ type Spec struct {
 	// Start is the replay world's virtual start time (default
 	// simnet.Epoch).
 	Start time.Time `json:"-"`
-	// Tracer, when set, records sampled request traces: each replayed event
-	// mints a deterministic trace ID (from Seed, the observed requester and
-	// the event sequence) and, when sampled, becomes a zero-duration request
-	// root span with one hop span per monitor send.
-	Tracer *otrace.Tracer `json:"-"`
 }
 
 func (s Spec) withDefaults() Spec {

@@ -343,6 +343,7 @@ func TestExampleSpecs(t *testing.T) {
 		"sizeestimation.json": 1,
 		"streaming.json":      1,
 		"sweep.json":          12,
+		"tracing.json":        1,
 	}
 	paths, err := filepath.Glob("../../examples/*.json")
 	if err != nil {

@@ -51,9 +51,10 @@ func Measure(spec ScenarioSpec, seed int64, attach func(*workload.World) error) 
 	return m, nil
 }
 
-// Start builds the world the spec describes, warms it up (its monitors have
-// no sink yet, so they record nothing of it) and arms the peer sampler and
-// the online-population tracker on one tick. Sinks attached to the returned
+// Start builds the world the spec describes, attaches the spec's span
+// recorder to its network, warms it up (its monitors have no sink yet, so
+// they record nothing of it) and arms the peer sampler and the
+// online-population tracker on one tick. Sinks attached to the returned
 // world see no warm-up, and a daemon advancing it step by step records what
 // a bounded run records.
 func Start(spec ScenarioSpec, seed int64) (*Measurement, error) {
@@ -65,6 +66,7 @@ func Start(spec ScenarioSpec, seed int64) (*Measurement, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sweep: build world: %w", err)
 	}
+	w.Net.SetTracer(spec.newTracer(seed))
 
 	w.Run(spec.Warmup.Std())
 
@@ -110,7 +112,8 @@ type ReplayMeasurement struct {
 
 // MeasureReplay is Measure for a workload_source spec: open the recorded
 // inputs and build the replay world they describe (fitting the model first
-// in fitted mode), let attach point each monitor at its sink, then drive
+// in fitted mode), attach the spec's span recorder to its network, let
+// attach point each monitor at its sink, then drive
 // the recorded or generated events through the world to exhaustion. A sink
 // error a monitor recorded during the drive fails the measurement.
 func MeasureReplay(spec ScenarioSpec, seed int64, attach func(*replay.World) error) (*ReplayMeasurement, error) {
@@ -123,6 +126,7 @@ func MeasureReplay(spec ScenarioSpec, seed int64, attach func(*replay.World) err
 		return nil, fmt.Errorf("sweep: prepare replay: %w", err)
 	}
 	defer sess.Close()
+	sess.World.Net.SetTracer(spec.newTracer(seed))
 	if err := attach(sess.World); err != nil {
 		return nil, err
 	}

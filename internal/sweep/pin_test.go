@@ -411,3 +411,31 @@ func TestTracedRunPinnedSpans(t *testing.T) {
 		t.Errorf("latency_breakdown metrics moved:\n%s\nwant:\n%s", got, pinnedLatency)
 	}
 }
+
+// TestRunTraceChecksNesting: a traced run exports its spans only when every
+// synchronous span lies within its parent's time bounds; a child that
+// outlives its parent fails the run and leaves no trace.json behind.
+func TestRunTraceChecksNesting(t *testing.T) {
+	at := func(sec int64) time.Time { return time.Unix(sec, 0) }
+	forest := func(childEnd int64) *otrace.Tracer {
+		tr := otrace.New(otrace.Config{Sample: 1, Seed: 1})
+		root := tr.Root(7, "request", "n1", at(0))
+		tr.Start(root.Ctx(), "bitswap.get", "n1", at(1)).End(at(childEnd))
+		root.End(at(3))
+		return tr
+	}
+	dir := t.TempDir()
+	err := writeRunTrace(dir, forest(5))
+	if err == nil || !strings.Contains(err.Error(), "outside parent") {
+		t.Fatalf("child ending after its parent: err = %v, want a nesting violation", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "trace.json")); !os.IsNotExist(err) {
+		t.Errorf("trace.json written for a span forest that does not nest (stat err %v)", err)
+	}
+	if err := writeRunTrace(dir, forest(2)); err != nil {
+		t.Fatalf("nested forest: %v", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "trace.json.jsonl")); err != nil {
+		t.Errorf("nested forest was not exported: %v", err)
+	}
+}

@@ -122,7 +122,7 @@ func ExecuteRun(dir string, run Run) (*RunSummary, error) {
 			// before the drive burns its compute, not at summary time.
 			opts = report.Options{
 				BootstrapIters: spec.BootstrapIters,
-				Tracer:         w.Tracer(),
+				Tracer:         w.Net.Tracer(),
 			}
 			if err := report.NewDriver(true).AddByName(spec.Reports, opts); err != nil {
 				return fmt.Errorf("sweep: summary reports for replay run %s: %w", run.ID, err)
@@ -241,7 +241,7 @@ func (s ScenarioSpec) ReportOptions(w *workload.World) report.Options {
 		GatewayIDs:     w.GatewayNodeIDs(),
 		MegagateIDs:    w.MegagateIDs(),
 		BootstrapIters: s.BootstrapIters,
-		Tracer:         w.Tracer(),
+		Tracer:         w.Net.Tracer(),
 	}
 }
 
@@ -250,13 +250,20 @@ func monitorStoreDir(runDir, monName string) string {
 }
 
 // writeRunTrace exports the run's sampled spans (Chrome trace-event JSON for
-// Perfetto plus a JSONL sidecar) into the run directory. A nil tracer —
-// tracing disabled — is a no-op.
+// Perfetto plus a JSONL sidecar) into the run directory. A span forest in
+// which a synchronous span leaves its parent's time bounds fails the run
+// instead. A nil tracer — tracing disabled — is a no-op.
 func writeRunTrace(dir string, tr *otrace.Tracer) error {
 	if tr == nil {
 		return nil
 	}
-	if err := tr.WriteFiles(filepath.Join(dir, "trace.json")); err != nil {
+	spans := tr.Spans()
+	for _, tree := range otrace.BuildTrees(spans) {
+		if err := tree.CheckNesting(); err != nil {
+			return fmt.Errorf("sweep: span forest: %w", err)
+		}
+	}
+	if err := otrace.WriteFiles(filepath.Join(dir, "trace.json"), spans); err != nil {
 		return fmt.Errorf("sweep: write trace: %w", err)
 	}
 	return nil

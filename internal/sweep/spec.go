@@ -375,7 +375,6 @@ func (s ScenarioSpec) ReplaySpec(seed int64) (replay.Spec, error) {
 	rs.Monitors = s.Monitors
 	rs.Seed = seed
 	rs.Start = s.start()
-	rs.Tracer = s.NewTracer(seed)
 	return rs, nil
 }
 
@@ -385,11 +384,11 @@ func (s ScenarioSpec) start() time.Time {
 	return t
 }
 
-// NewTracer constructs the run's span recorder when the spec enables
+// newTracer constructs the run's span recorder when the spec enables
 // tracing, nil otherwise. Seeding the sampler from the run seed keeps the
 // sampled request set identical across engines and across retries of the
 // same run.
-func (s ScenarioSpec) NewTracer(seed int64) *otrace.Tracer {
+func (s ScenarioSpec) newTracer(seed int64) *otrace.Tracer {
 	if !s.Trace {
 		return nil
 	}
@@ -421,6 +420,5 @@ func (s ScenarioSpec) WorkloadConfig(seed int64) (workload.Config, error) {
 	cfg.Seed = seed
 	cfg.Start = s.start()
 	cfg.NewEngine = s.newEngine()
-	cfg.Tracer = s.NewTracer(seed)
 	return cfg, nil
 }

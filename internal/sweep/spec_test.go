@@ -241,7 +241,7 @@ func TestWorkloadConfigMapping(t *testing.T) {
 	if !cfg.Start.Equal(simnet.Epoch) {
 		t.Errorf("Start = %v, want %v", cfg.Start, simnet.Epoch)
 	}
-	if cfg.NewEngine != nil || cfg.Tracer != nil {
+	if cfg.NewEngine != nil || s.newTracer(99) != nil {
 		t.Errorf("serial untraced spec produced an engine factory or a tracer")
 	}
 	// Every world field is the spec's own.
@@ -267,7 +267,7 @@ func TestWorkloadConfigMapping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.NewEngine == nil || cfg.Tracer == nil {
+	if cfg.NewEngine == nil || sh.newTracer(1) == nil {
 		t.Error("sharded traced spec produced no engine factory or no tracer")
 	}
 }

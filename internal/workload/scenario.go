@@ -124,7 +124,7 @@ func DefaultOperators() []OperatorSpec {
 // Config is the one declaration of a synthetic world. Its JSON keys are the
 // world keys of a scenario spec (sweep.ScenarioSpec embeds it), declared in
 // the spec's key order; zero fields take the defaults noted on each. Seed,
-// Start, NewEngine and Tracer are runtime fields the runner fills in.
+// Start and NewEngine are runtime fields the runner fills in.
 type Config struct {
 	Seed int64 `json:"-"`
 	// Start is the virtual start time (default simnet.Epoch).
@@ -203,11 +203,6 @@ type Config struct {
 	// selects the single-threaded deterministic simnet reference. Parallel
 	// runs pass e.g. engine.ShardedFactory(4).
 	NewEngine func(start time.Time, seed int64) engine.Engine `json:"-"`
-	// Tracer, when set, records sampled request traces: every workload and
-	// gateway request mints a deterministic trace ID (from Seed, requester
-	// and request sequence — identical across engines) and, when sampled,
-	// becomes a span tree across gateway, DHT, Bitswap and delivery hops.
-	Tracer *otrace.Tracer `json:"-"`
 }
 
 func (c Config) withDefaults() Config {
@@ -330,7 +325,6 @@ func Build(cfg Config) (*World, error) {
 		cfg:      cfg,
 		rng:      net.NewRand("workload"),
 	}
-	net.SetTracer(cfg.Tracer)
 
 	if err := w.buildMonitors(); err != nil {
 		return nil, err
@@ -725,12 +719,14 @@ func (w *World) issueRequest(sn *ScenarioNode) {
 	}
 	// Root span: this callback runs as the node's own event code, so the
 	// exact event time and the resolve callback's clock are both this node's.
+	// The trace ID comes from the seed, the requester and its request
+	// sequence, so every engine samples the same requests.
 	var span *otrace.SpanHandle
 	var tc otrace.Ctx
-	if w.cfg.Tracer != nil {
+	if tr := w.Net.Tracer(); tr != nil {
 		trace := otrace.TraceID(w.cfg.Seed, sn.N.ID[:], sn.reqSeq)
-		if w.cfg.Tracer.ShouldSample(trace) {
-			span = w.cfg.Tracer.Root(trace, "request", sn.N.ID.String(), w.Net.EventTime(sn.N.ID))
+		if tr.ShouldSample(trace) {
+			span = tr.Root(trace, "request", sn.N.ID.String(), w.Net.EventTime(sn.N.ID))
 			tc = span.Ctx()
 		}
 	}
@@ -812,8 +808,8 @@ func (w *World) armGatewayTraffic() {
 			if root.Defined() {
 				reqSeq++
 				var trace uint64
-				if w.cfg.Tracer != nil {
-					if t := otrace.TraceID(w.cfg.Seed, []byte(opSpec.Name), reqSeq); w.cfg.Tracer.ShouldSample(t) {
+				if tr := w.Net.Tracer(); tr != nil {
+					if t := otrace.TraceID(w.cfg.Seed, []byte(opSpec.Name), reqSeq); tr.ShouldSample(t) {
 						trace = t
 					}
 				}
@@ -908,9 +904,6 @@ func (w *World) OnlineCount() int {
 
 // TotalPopulation returns the total number of population nodes.
 func (w *World) TotalPopulation() int { return len(w.Nodes) }
-
-// Tracer returns the world's span recorder, nil when tracing is off.
-func (w *World) Tracer() *otrace.Tracer { return w.cfg.Tracer }
 
 // GatewayNodeIDs returns the ground-truth gateway node IDs.
 func (w *World) GatewayNodeIDs() map[simnet.NodeID]bool {

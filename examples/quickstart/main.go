@@ -10,6 +10,7 @@ import (
 
 	"bitswapmon/internal/dht"
 	"bitswapmon/internal/ingest"
+	"bitswapmon/internal/merkledag"
 	"bitswapmon/internal/monitor"
 	"bitswapmon/internal/node"
 	"bitswapmon/internal/otrace"
@@ -70,8 +71,9 @@ func run() error {
 	}
 	net.Run(5 * time.Second)
 
-	nodes[5].FetchFile(otrace.Ctx{}, root, func(data []byte, ok bool) {
-		fmt.Printf("node %s fetched %q (ok=%v)\n", nodes[5].ID, data, ok)
+	nodes[5].Fetch(otrace.Ctx{}, root, func(ok bool) {
+		data, err := merkledag.Assemble(nodes[5].Store, root)
+		fmt.Printf("node %s fetched %q (ok=%v)\n", nodes[5].ID, data, ok && err == nil)
 	})
 	net.Run(30 * time.Second)
 

@@ -72,21 +72,3 @@ func (e *Engine) fetchChildren(tc otrace.Ctx, sess *Session, node *merkledag.Nod
 		})
 	}
 }
-
-// Assemble fetches the DAG rooted at root and reconstructs the file bytes.
-// done receives the assembled content, or ok=false when any block could not
-// be retrieved or the root is not a file. tc is traced as in FetchDAG.
-func (e *Engine) Assemble(tc otrace.Ctx, root cid.CID, store merkledag.BlockSource, done func(data []byte, ok bool)) {
-	e.FetchDAG(tc, root, func(ok bool) {
-		if !ok {
-			done(nil, false)
-			return
-		}
-		data, err := merkledag.Assemble(store, root)
-		if err != nil {
-			done(nil, false)
-			return
-		}
-		done(data, true)
-	})
-}

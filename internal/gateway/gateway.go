@@ -48,10 +48,10 @@ const (
 	StatusGatewayTimeout = 504
 )
 
-// Result is the outcome of one gateway retrieval.
+// Result is the outcome of one gateway retrieval. The simulated HTTP
+// client reads no body, so a result carries none.
 type Result struct {
 	Status   int
-	Body     []byte
 	CacheHit bool
 }
 
@@ -64,9 +64,10 @@ type Stats struct {
 	Failures      uint64
 }
 
+// cacheEntry records that c was fetched and when; the DAG's blocks stay in
+// the gateway node's store.
 type cacheEntry struct {
 	c         cid.CID
-	data      []byte
 	fetchedAt time.Time
 	elem      *list.Element
 }
@@ -155,7 +156,7 @@ func (g *Gateway) Retrieve(trace uint64, c cid.CID, done func(Result)) {
 			g.fetch(tc, true, now, c, func(Result) {}) // async revalidation
 		}
 		root.End(now)
-		done(Result{Status: StatusOK, Body: e.data, CacheHit: true})
+		done(Result{Status: StatusOK, CacheHit: true})
 		return
 	}
 	g.stats.CacheMisses++
@@ -169,7 +170,8 @@ func (g *Gateway) Retrieve(trace uint64, c cid.CID, done func(Result)) {
 	})
 }
 
-// fetch retrieves c via the IPFS node with a timeout, caching successes.
+// fetch retrieves the DAG rooted at c via the IPFS node with a timeout,
+// caching successes.
 // async marks fetches whose completion nobody awaits (revalidations, broken
 // frontends), which may outlive the request span.
 func (g *Gateway) fetch(tc otrace.Ctx, async bool, now time.Time, c cid.CID, done func(Result)) {
@@ -200,7 +202,7 @@ func (g *Gateway) fetch(tc otrace.Ctx, async bool, now time.Time, c cid.CID, don
 			finish(Result{Status: StatusGatewayTimeout})
 		}
 	})
-	g.Node.FetchFile(span.Ctx(), c, func(data []byte, ok bool) {
+	g.Node.Fetch(span.Ctx(), c, func(ok bool) {
 		if finished {
 			return
 		}
@@ -209,14 +211,13 @@ func (g *Gateway) fetch(tc otrace.Ctx, async bool, now time.Time, c cid.CID, don
 			finish(Result{Status: StatusNotFound})
 			return
 		}
-		g.cachePut(c, data)
-		finish(Result{Status: StatusOK, Body: data})
+		g.cachePut(c)
+		finish(Result{Status: StatusOK})
 	})
 }
 
-func (g *Gateway) cachePut(c cid.CID, data []byte) {
+func (g *Gateway) cachePut(c cid.CID) {
 	if e, ok := g.cache[c]; ok {
-		e.data = data
 		e.fetchedAt = g.net.Now()
 		g.lru.MoveToFront(e.elem)
 		return
@@ -231,7 +232,7 @@ func (g *Gateway) cachePut(c cid.CID, data []byte) {
 			delete(g.cache, victim.c)
 		}
 	}
-	e := &cacheEntry{c: c, data: data, fetchedAt: g.net.Now()}
+	e := &cacheEntry{c: c, fetchedAt: g.net.Now()}
 	e.elem = g.lru.PushFront(e)
 	g.cache[c] = e
 }

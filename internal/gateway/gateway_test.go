@@ -8,6 +8,7 @@ import (
 
 	"bitswapmon/internal/cid"
 	"bitswapmon/internal/dht"
+	"bitswapmon/internal/merkledag"
 	"bitswapmon/internal/node"
 	"bitswapmon/internal/simnet"
 )
@@ -74,7 +75,7 @@ func TestGatewayMissThenHit(t *testing.T) {
 	if r1.Status != StatusOK || r1.CacheHit {
 		t.Fatalf("first retrieve: %+v", r1)
 	}
-	if !bytes.Equal(r1.Body, content) {
+	if got, _ := merkledag.Assemble(w.gw.Node.Store, root); !bytes.Equal(got, content) {
 		t.Error("body mismatch")
 	}
 

@@ -113,7 +113,7 @@ func TestMonitorIsPassive(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.net.Run(2 * time.Second)
-	w.nodes[2].FetchFile(otrace.Ctx{}, root, func([]byte, bool) {})
+	w.nodes[2].Fetch(otrace.Ctx{}, root, func(bool) {})
 	w.net.Run(10 * time.Second)
 
 	// The monitor must never have issued a want of its own: check every

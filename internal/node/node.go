@@ -174,13 +174,8 @@ func (n *Node) Fetch(tc otrace.Ctx, c cid.CID, done func(ok bool)) {
 	n.Bitswap.FetchDAG(tc, c, done)
 }
 
-// FetchFile retrieves and reassembles the file rooted at c, traced as Fetch.
-func (n *Node) FetchFile(tc otrace.Ctx, c cid.CID, done func(data []byte, ok bool)) {
-	n.Bitswap.Assemble(tc, c, n.Store, done)
-}
-
-// Request issues a bare root-block want (no DAG walk), traced as Fetch.
-// Gateways and probing tools use this directly.
+// Request issues a bare root-block want (no DAG walk), traced as Fetch. The
+// workload requests its single-block items this way.
 func (n *Node) Request(tc otrace.Ctx, c cid.CID, done func(data []byte, ok bool)) {
 	n.Bitswap.Get(tc, c, done)
 }

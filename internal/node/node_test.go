@@ -10,6 +10,7 @@ import (
 	"bitswapmon/internal/bitswap"
 	"bitswapmon/internal/cid"
 	"bitswapmon/internal/dht"
+	"bitswapmon/internal/merkledag"
 	"bitswapmon/internal/otrace"
 	"bitswapmon/internal/simnet"
 	"bitswapmon/internal/wire"
@@ -64,16 +65,13 @@ func TestFetchSingleBlockViaBroadcast(t *testing.T) {
 	}
 	c.net.Run(5 * time.Second) // let Provide finish
 
-	var got []byte
 	okCh := false
-	c.nodes[3].FetchFile(otrace.Ctx{}, root, func(data []byte, ok bool) {
-		got, okCh = data, ok
-	})
+	c.nodes[3].Fetch(otrace.Ctx{}, root, func(ok bool) { okCh = ok })
 	c.net.Run(30 * time.Second)
 	if !okCh {
 		t.Fatal("fetch did not complete")
 	}
-	if !bytes.Equal(got, content) {
+	if got, _ := merkledag.Assemble(c.nodes[3].Store, root); !bytes.Equal(got, content) {
 		t.Errorf("fetched %q want %q", got, content)
 	}
 	if !c.nodes[3].Store.Has(root) {
@@ -91,14 +89,13 @@ func TestFetchMultiBlockDAG(t *testing.T) {
 	}
 	c.net.Run(5 * time.Second)
 
-	var got []byte
 	done := false
-	c.nodes[4].FetchFile(otrace.Ctx{}, root, func(data []byte, ok bool) { got, done = data, ok })
+	c.nodes[4].Fetch(otrace.Ctx{}, root, func(ok bool) { done = ok })
 	c.net.Run(time.Minute)
 	if !done {
 		t.Fatal("DAG fetch did not complete")
 	}
-	if !bytes.Equal(got, content) {
+	if got, _ := merkledag.Assemble(c.nodes[4].Store, root); !bytes.Equal(got, content) {
 		t.Errorf("content mismatch: %d vs %d bytes", len(got), len(content))
 	}
 }
@@ -137,11 +134,10 @@ func TestFetchViaDHTWhenNotDirectlyConnected(t *testing.T) {
 		net.Disconnect(publisher.ID, fetcher.ID)
 	}
 
-	var got []byte
 	done := false
-	fetcher.FetchFile(otrace.Ctx{}, root, func(data []byte, ok bool) { got, done = data, ok })
+	fetcher.Fetch(otrace.Ctx{}, root, func(ok bool) { done = ok })
 	net.Run(time.Minute)
-	if !done || !bytes.Equal(got, content) {
+	if got, _ := merkledag.Assemble(fetcher.Store, root); !done || !bytes.Equal(got, content) {
 		t.Fatalf("DHT-mediated fetch failed: done=%v", done)
 	}
 	if fetcher.Bitswap.Stats().DHTSearches == 0 {
@@ -164,7 +160,7 @@ func TestCachingSuppressesSecondBroadcast(t *testing.T) {
 
 	fetcher := c.nodes[2]
 	done1 := false
-	fetcher.FetchFile(otrace.Ctx{}, root, func(_ []byte, ok bool) { done1 = ok })
+	fetcher.Fetch(otrace.Ctx{}, root, func(ok bool) { done1 = ok })
 	c.net.Run(30 * time.Second)
 	if !done1 {
 		t.Fatal("first fetch failed")
@@ -172,7 +168,7 @@ func TestCachingSuppressesSecondBroadcast(t *testing.T) {
 	broadcastsAfterFirst := fetcher.Bitswap.Stats().BroadcastsSent
 
 	done2 := false
-	fetcher.FetchFile(otrace.Ctx{}, root, func(_ []byte, ok bool) { done2 = ok })
+	fetcher.Fetch(otrace.Ctx{}, root, func(ok bool) { done2 = ok })
 	c.net.Run(30 * time.Second)
 	if !done2 {
 		t.Fatal("second fetch failed")
@@ -193,7 +189,7 @@ func TestFetcherBecomesProvider(t *testing.T) {
 
 	first := c.nodes[1]
 	ok1 := false
-	first.FetchFile(otrace.Ctx{}, root, func(_ []byte, ok bool) { ok1 = ok })
+	first.Fetch(otrace.Ctx{}, root, func(ok bool) { ok1 = ok })
 	c.net.Run(30 * time.Second)
 	if !ok1 {
 		t.Fatal("first fetch failed")
@@ -205,7 +201,7 @@ func TestFetcherBecomesProvider(t *testing.T) {
 
 	second := c.nodes[5]
 	ok2 := false
-	second.FetchFile(otrace.Ctx{}, root, func(_ []byte, ok bool) { ok2 = ok })
+	second.Fetch(otrace.Ctx{}, root, func(ok bool) { ok2 = ok })
 	c.net.Run(time.Minute)
 	if !ok2 {
 		t.Fatal("fetch from cached copy failed: fetcher did not become a provider")
@@ -291,7 +287,7 @@ func TestChurnOfflineNodeUnreachable(t *testing.T) {
 	c.net.Run(time.Second)
 
 	done, ok := false, false
-	c.nodes[2].FetchFile(otrace.Ctx{}, root, func(_ []byte, o bool) { done, ok = true, o })
+	c.nodes[2].Fetch(otrace.Ctx{}, root, func(o bool) { done, ok = true, o })
 	c.net.Run(time.Minute)
 	if !done {
 		t.Fatal("fetch never finished")
@@ -307,7 +303,7 @@ func TestChurnOfflineNodeUnreachable(t *testing.T) {
 	}
 	c.net.Run(2 * time.Second)
 	done2, ok2 := false, false
-	c.nodes[3].FetchFile(otrace.Ctx{}, root, func(_ []byte, o bool) { done2, ok2 = true, o })
+	c.nodes[3].Fetch(otrace.Ctx{}, root, func(o bool) { done2, ok2 = true, o })
 	c.net.Run(time.Minute)
 	if !done2 || !ok2 {
 		t.Error("fetch after rejoin failed")

@@ -74,10 +74,14 @@
 // Per-request causal visibility comes from internal/otrace: a virtual-time
 // span recorder whose contexts propagate workload → gateway → DHT → Bitswap
 // → engine delivery, with deterministic seeded head-sampling (serial and
-// sharded engines trace the same requests). Traces export as
-// Perfetto-loadable Chrome trace-event JSON plus JSONL (a sweep spec with
-// "trace": true), and feed the latency_breakdown streaming report — per-stage
-// virtual-time latency distributions for every sampled request.
+// sharded engines trace the same requests). The runner attaches the one
+// recorder of a traced run (a sweep spec with "trace": true) to the world's
+// network as it builds the world, and every layer reaches it there. At the
+// run's end the spans must nest, each synchronous span within its parent's
+// time bounds, or the run fails; they export as Perfetto-loadable Chrome
+// trace-event JSON plus JSONL, and feed the latency_breakdown streaming
+// report — per-stage virtual-time latency distributions for every sampled
+// request (examples/tracing.json walks through one traced run).
 //
 // See README.md for the layout, commands and package map. The root package
 // only hosts the benchmark harness (bench_test.go), which regenerates every

@@ -76,7 +76,7 @@ func TestGatewayMissThenHit(t *testing.T) {
 		t.Fatalf("first retrieve: %+v", r1)
 	}
 	if got, _ := merkledag.Assemble(w.gw.Node.Store, root); !bytes.Equal(got, content) {
-		t.Error("body mismatch")
+		t.Error("the gateway node's store does not hold the fetched file")
 	}
 
 	var r2 Result

@@ -10,7 +10,6 @@ import (
 
 	"bitswapmon/internal/dht"
 	"bitswapmon/internal/ingest"
-	"bitswapmon/internal/merkledag"
 	"bitswapmon/internal/monitor"
 	"bitswapmon/internal/node"
 	"bitswapmon/internal/otrace"
@@ -29,11 +28,12 @@ func run() error {
 	net := simnet.New(start, 1, nil)
 	rng := net.NewRand("quickstart")
 
-	// A handful of regular nodes.
+	// A handful of regular nodes. A 16-byte chunk size makes even a short
+	// file a DAG of several blocks.
 	var nodes []*node.Node
 	for i := 0; i < 8; i++ {
 		id := simnet.RandomNodeID(rng)
-		nd, err := node.New(net, id, fmt.Sprintf("10.0.0.%d:4001", i+1), simnet.RegionDE, node.Config{})
+		nd, err := node.New(net, id, fmt.Sprintf("10.0.0.%d:4001", i+1), simnet.RegionDE, node.Config{ChunkSize: 16})
 		if err != nil {
 			return err
 		}
@@ -64,16 +64,14 @@ func run() error {
 	}
 	net.Run(2 * time.Second)
 
-	// Node 0 publishes a file; node 5 fetches it.
-	root, err := nodes[0].Publish([]byte("hello from the interplanetary filesystem"))
-	if err != nil {
-		return err
-	}
+	// Node 0 publishes a file; node 5 fetches its whole DAG. Only the root
+	// is broadcast, so the monitor sees that request and none for the
+	// leaves, which go to the root's session peers.
+	root := nodes[0].Publish([]byte("hello from the interplanetary filesystem"))
 	net.Run(5 * time.Second)
 
 	nodes[5].Fetch(otrace.Ctx{}, root, func(ok bool) {
-		data, err := merkledag.Assemble(nodes[5].Store, root)
-		fmt.Printf("node %s fetched %q (ok=%v)\n", nodes[5].ID, data, ok && err == nil)
+		fmt.Printf("node %s fetched DAG %s (ok=%v): its store holds %d blocks\n", nodes[5].ID, root, ok, nodes[5].Store.Len())
 	})
 	net.Run(30 * time.Second)
 

@@ -243,8 +243,8 @@ func TestGatewayProbeDiscoversNodeIDs(t *testing.T) {
 func TestProbeUniqueCIDs(t *testing.T) {
 	w := buildWorld(t, 6)
 	prober := NewGatewayProber(w.Net, w.Monitors, w.Net.NewRand("gwprobe2"))
-	c1, _ := prober.randomBlock()
-	c2, _ := prober.randomBlock()
+	c1 := prober.randomBlock()
+	c2 := prober.randomBlock()
 	if c1.Equal(c2) {
 		t.Error("probe CIDs collide")
 	}

@@ -86,28 +86,26 @@ func (p *GatewayProber) observe(e trace.Entry) {
 	}
 }
 
-// randomBlock generates a unique probe block; CID collisions are ruled out
-// by the hash construction (paper footnote 15).
-func (p *GatewayProber) randomBlock() (cid.CID, []byte) {
+// randomBlock generates a unique Raw probe block and returns its CID, which
+// is all a store keeps of it; CID collisions are ruled out by the hash
+// construction (paper footnote 15).
+func (p *GatewayProber) randomBlock() cid.CID {
 	data := make([]byte, 64)
 	binary.LittleEndian.PutUint64(data, p.rng.Uint64())
 	binary.LittleEndian.PutUint64(data[8:], p.rng.Uint64())
 	p.rng.Read(data[16:])
-	return cid.Sum(cid.Raw, data), data
+	return cid.Sum(cid.Raw, data)
 }
 
 // Probe runs the pipeline against one gateway and reports through done.
 func (p *GatewayProber) Probe(gw *gateway.Gateway, done func(ProbeResult)) {
-	probeCID, data := p.randomBlock()
+	probeCID := p.randomBlock()
 
 	// Step 1: make the monitors providers for the probe CID. They store
 	// the block (so the HTTP request can actually succeed) and announce
 	// provider records in the DHT.
 	for _, m := range p.monitors {
-		if err := m.Node.Store.Put(probeCID, data); err != nil {
-			continue
-		}
-		_ = m.Node.Store.Pin(probeCID)
+		m.Node.Store.Put(probeCID, nil)
 		m.Node.DHT.Provide(dht.KeyForCID(probeCID), nil)
 	}
 

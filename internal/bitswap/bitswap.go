@@ -27,6 +27,7 @@ import (
 	"slices"
 	"time"
 
+	"bitswapmon/internal/blockstore"
 	"bitswapmon/internal/cid"
 	"bitswapmon/internal/dht"
 	"bitswapmon/internal/engine"
@@ -34,13 +35,6 @@ import (
 	"bitswapmon/internal/simnet"
 	"bitswapmon/internal/wire"
 )
-
-// BlockStore is the storage the engine reads and writes.
-type BlockStore interface {
-	Has(c cid.CID) bool
-	Get(c cid.CID) ([]byte, bool)
-	Put(c cid.CID, data []byte) error
-}
 
 // ProviderRouter is the DHT surface the engine uses for step 3 of Fig. 1 and
 // for reproviding fetched content. *dht.DHT satisfies it. FindProviders gets
@@ -150,7 +144,7 @@ type Engine struct {
 	net    engine.Engine
 	self   simnet.NodeID
 	ref    simnet.NodeRef // self's node-table ref
-	store  BlockStore
+	store  *blockstore.Store
 	router ProviderRouter
 	cfg    Config
 
@@ -171,7 +165,7 @@ type ledgerKey struct {
 
 // New creates an engine for node self, which must already be registered
 // with net.
-func New(net engine.Engine, self simnet.NodeID, store BlockStore, router ProviderRouter, cfg Config) *Engine {
+func New(net engine.Engine, self simnet.NodeID, store *blockstore.Store, router ProviderRouter, cfg Config) *Engine {
 	ref, ok := net.Ref(self)
 	if !ok {
 		panic("bitswap: node " + self.String() + " is not registered with the network")
@@ -613,17 +607,20 @@ func (e *Engine) receiveBlock(from simnet.NodeID, b wire.Block) {
 		e.stats.DuplicateBlocks++
 		return
 	}
-	// Verify content addressing: tampered blocks are dropped.
-	mh, err := b.CID.Hash()
-	if err != nil || mh.Verify(b.Data) != nil {
-		return
+	// Verify content addressing on the bytes the block carries, and on
+	// those a kept block must carry: tampered blocks are dropped. A block
+	// without bytes is the CID it answers, which keys the want.
+	if b.Data != nil || blockstore.KeepsBytes(b.CID) {
+		mh, err := b.CID.Hash()
+		if err != nil || mh.Verify(b.Data) != nil {
+			return
+		}
 	}
 	e.stats.BlocksReceived++
-	if err := e.store.Put(b.CID, b.Data); err == nil {
-		// By caching the block the node becomes a provider for it.
-		if e.cfg.Reprovide && w.broadcast && e.router != nil {
-			e.router.Provide(dht.KeyForCID(b.CID), nil)
-		}
+	e.store.Put(b.CID, b.Data)
+	// By caching the block the node becomes a provider for it.
+	if e.cfg.Reprovide && w.broadcast && e.router != nil {
+		e.router.Provide(dht.KeyForCID(b.CID), nil)
 	}
 	w.session.peers[from] = true
 	e.sendCancels(w)

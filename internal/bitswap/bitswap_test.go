@@ -48,7 +48,7 @@ func (n *bsNode) PeerDisconnected(p simnet.NodeID)          { n.engine.PeerDisco
 func newBSNode(t *testing.T, net *simnet.Network, name string, router ProviderRouter, cfg Config) *bsNode {
 	t.Helper()
 	id := simnet.DeriveNodeID([]byte(name))
-	st := blockstore.New(1 << 20)
+	st := blockstore.New()
 	n := &bsNode{store: st}
 	if err := net.AddNode(id, name+":4001", simnet.RegionUS, 0, n); err != nil {
 		t.Fatal(err)
@@ -67,11 +67,10 @@ func TestGetFromConnectedPeer(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// A DagProtobuf block, whose bytes stores keep and Get returns.
 	data := []byte("the block")
-	c := cid.Sum(cid.Raw, data)
-	if err := b.store.Put(c, data); err != nil {
-		t.Fatal(err)
-	}
+	c := cid.Sum(cid.DagProtobuf, data)
+	b.store.Put(c, data)
 
 	var got []byte
 	a.engine.Get(otrace.Ctx{}, c, func(d []byte, ok bool) {
@@ -105,9 +104,7 @@ func TestGetCoalescesCallbacks(t *testing.T) {
 	}
 	data := []byte("shared want")
 	c := cid.Sum(cid.Raw, data)
-	if err := b.store.Put(c, data); err != nil {
-		t.Fatal(err)
-	}
+	b.store.Put(c, data)
 
 	calls := 0
 	a.engine.Get(otrace.Ctx{}, c, func(_ []byte, ok bool) { calls++ })
@@ -127,9 +124,7 @@ func TestDHTFallbackAfterBroadcastFails(t *testing.T) {
 	c := cid.Sum(cid.Raw, data)
 
 	provider := newBSNode(t, net, "provider", &fakeRouter{}, Config{SendDontHave: true, Reprovide: true})
-	if err := provider.store.Put(c, data); err != nil {
-		t.Fatal(err)
-	}
+	provider.store.Put(c, data)
 	router := &fakeRouter{providers: map[dht.Key][]dht.PeerInfo{
 		dht.KeyForCID(c): {{ID: provider.id()}},
 	}}
@@ -160,9 +155,7 @@ func TestNoDHTSearchWhenSessionFormsQuickly(t *testing.T) {
 	}
 	data := []byte("nearby")
 	c := cid.Sum(cid.Raw, data)
-	if err := b.store.Put(c, data); err != nil {
-		t.Fatal(err)
-	}
+	b.store.Put(c, data)
 	a.engine.Get(otrace.Ctx{}, c, func([]byte, bool) {})
 	net.Run(10 * time.Second)
 	if router.searches != 0 {
@@ -181,9 +174,7 @@ func TestReprovideAnnouncesFetchedRoot(t *testing.T) {
 	}
 	data := []byte("reprovide me")
 	c := cid.Sum(cid.Raw, data)
-	if err := b.store.Put(c, data); err != nil {
-		t.Fatal(err)
-	}
+	b.store.Put(c, data)
 	a.engine.Get(otrace.Ctx{}, c, func([]byte, bool) {})
 	net.Run(time.Second)
 	if len(router.provides) != 1 || router.provides[0] != dht.KeyForCID(c) {
@@ -205,36 +196,52 @@ func TestReprovideAnnouncesFetchedRoot(t *testing.T) {
 	}
 }
 
+// TestTamperedBlockRejected: a block whose bytes do not hash to its CID is
+// dropped, and so is a DagProtobuf block that carries no bytes, since a
+// store keeps a DagProtobuf node's bytes for the DAG walk.
 func TestTamperedBlockRejected(t *testing.T) {
-	net := simnet.New(t0, 6, simnet.Fixed(time.Millisecond))
-	a := newBSNode(t, net, "a", &fakeRouter{}, Config{SendDontHave: true, Reprovide: true})
-	evil := simnet.DeriveNodeID([]byte("evil"))
-	// Register a raw handler that answers WANT_HAVE with HAVE and
-	// WANT_BLOCK with corrupted data.
-	h := &tamperNode{net: net, id: evil}
-	if err := net.AddNode(evil, "evil:4001", simnet.RegionOther, 0, h); err != nil {
-		t.Fatal(err)
-	}
-	if err := net.Connect(a.id(), evil); err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range []struct {
+		name  string
+		codec cid.Codec
+		data  []byte
+	}{
+		{"raw", cid.Raw, []byte("FORGED")},
+		{"dag-pb", cid.DagProtobuf, []byte("FORGED")},
+		{"dag-pb without bytes", cid.DagProtobuf, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			net := simnet.New(t0, 6, simnet.Fixed(time.Millisecond))
+			a := newBSNode(t, net, "a", &fakeRouter{}, Config{SendDontHave: true, Reprovide: true})
+			evil := simnet.DeriveNodeID([]byte("evil"))
+			// Register a raw handler that answers WANT_HAVE with HAVE and
+			// WANT_BLOCK with forged data.
+			h := &tamperNode{net: net, id: evil, data: tc.data}
+			if err := net.AddNode(evil, "evil:4001", simnet.RegionOther, 0, h); err != nil {
+				t.Fatal(err)
+			}
+			if err := net.Connect(a.id(), evil); err != nil {
+				t.Fatal(err)
+			}
 
-	c := cid.Sum(cid.Raw, []byte("true data"))
-	resolved := false
-	a.engine.Get(otrace.Ctx{}, c, func(_ []byte, ok bool) { resolved = ok })
-	net.Run(5 * time.Second)
-	if resolved {
-		t.Fatal("tampered block accepted")
-	}
-	if a.store.Has(c) {
-		t.Error("tampered block stored")
+			c := cid.Sum(tc.codec, []byte("true data"))
+			resolved := false
+			a.engine.Get(otrace.Ctx{}, c, func(_ []byte, ok bool) { resolved = ok })
+			net.Run(5 * time.Second)
+			if resolved {
+				t.Fatal("tampered block accepted")
+			}
+			if a.store.Has(c) {
+				t.Error("tampered block stored")
+			}
+		})
 	}
 }
 
-// tamperNode serves corrupted blocks.
+// tamperNode serves every wanted block with the same forged data.
 type tamperNode struct {
-	net *simnet.Network
-	id  simnet.NodeID
+	net  *simnet.Network
+	id   simnet.NodeID
+	data []byte
 }
 
 func (n *tamperNode) HandleMessage(from simnet.NodeID, msg any) {
@@ -248,7 +255,7 @@ func (n *tamperNode) HandleMessage(from simnet.NodeID, msg any) {
 		case wire.WantHave:
 			reply.Presences = append(reply.Presences, wire.Presence{Type: wire.Have, CID: e.CID})
 		case wire.WantBlock:
-			reply.Blocks = append(reply.Blocks, wire.Block{CID: e.CID, Data: []byte("FORGED")})
+			reply.Blocks = append(reply.Blocks, wire.Block{CID: e.CID, Data: n.data})
 		}
 	}
 	if len(reply.Presences)+len(reply.Blocks) > 0 {
@@ -269,9 +276,7 @@ func TestLegacyWantBlockBroadcast(t *testing.T) {
 	}
 	data := []byte("legacy fetch")
 	c := cid.Sum(cid.Raw, data)
-	if err := b.store.Put(c, data); err != nil {
-		t.Fatal(err)
-	}
+	b.store.Put(c, data)
 	var ok bool
 	a.engine.Get(otrace.Ctx{}, c, func(_ []byte, o bool) { ok = o })
 	net.Run(time.Second)
@@ -288,9 +293,7 @@ func TestLegacyWantBlockBroadcast(t *testing.T) {
 	a.engine.SetLegacyWantBlock(false)
 	data2 := []byte("post upgrade")
 	c2 := cid.Sum(cid.Raw, data2)
-	if err := b.store.Put(c2, data2); err != nil {
-		t.Fatal(err)
-	}
+	b.store.Put(c2, data2)
 	a.engine.Get(otrace.Ctx{}, c2, func([]byte, bool) {})
 	net.Run(time.Second)
 	if a.engine.Stats().WantHavesSent == 0 {
@@ -314,12 +317,8 @@ func TestSessionScopedFetchInvisibleToNonMembers(t *testing.T) {
 	rootCID := cid.Sum(cid.Raw, rootData)
 	childData := []byte("child block")
 	childCID := cid.Sum(cid.Raw, childData)
-	if err := b.store.Put(rootCID, rootData); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.store.Put(childCID, childData); err != nil {
-		t.Fatal(err)
-	}
+	b.store.Put(rootCID, rootData)
+	b.store.Put(childCID, childData)
 
 	// Fetch the root via broadcast: the monitor sees it.
 	sess := a.engine.Get(otrace.Ctx{}, rootCID, func([]byte, bool) {})

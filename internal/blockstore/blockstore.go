@@ -1,134 +1,69 @@
 // Package blockstore provides the local block storage of an IPFS-like node:
-// a thread-safe content-addressed store with a capacity budget that evicts
-// the least recently used blocks, except pinned ones (Sec. III-C of the
-// paper: nodes store up to 10 GB of blocks by default, pinned CIDs are
-// exempt from garbage collection).
+// a thread-safe set of the blocks a node holds (Sec. III-C of the paper).
 //
-// Block bytes are immutable. A store keeps the very slice it is given, so
-// one block's bytes can be held by the publisher's store, every message that
-// carries the block and every store that receives it. Capacity counts the
-// logical bytes of each store's blocks, whether or not another store shares
-// them.
+// The monitors see want-list CIDs only (Sec. IV-A), so no measured quantity
+// depends on what a block contains. A store therefore keeps bytes only where
+// a DAG walk reads them: a DagProtobuf node keeps its encoding, and every
+// other block is its CID alone (KeepsBytes). The simulated stores never come
+// near a real node's 10 GB budget, so a store neither evicts nor pins.
+//
+// Kept bytes are immutable. A store keeps the very slice it is given, so one
+// node's bytes can be held by the publisher's store, every message that
+// carries the block and every store that receives it.
 package blockstore
 
 import (
-	"container/list"
-	"errors"
-	"fmt"
 	"sync"
 
 	"bitswapmon/internal/cid"
 )
 
-// DefaultCapacity is the default storage budget in bytes. The real default is
-// 10 GB; simulations typically configure far less.
-const DefaultCapacity = 10 << 30
+// KeepsBytes reports whether a holder of block c keeps its bytes. Only a
+// DagProtobuf node's are kept, because a DAG walk decodes its links; Raw
+// leaves and single-block Raw, DagCBOR, GitRaw, EthereumTx and DagJSON items
+// are their CIDs alone. Every path that stores a block decides by this.
+func KeepsBytes(c cid.CID) bool { return c.Codec() == cid.DagProtobuf }
 
-// ErrBlockTooLarge is returned when a single block exceeds the capacity.
-var ErrBlockTooLarge = errors.New("blockstore: block exceeds capacity")
-
-type entry struct {
-	cid  cid.CID
-	data []byte
-	elem *list.Element // position in the LRU list; nil once pinned
-}
-
-// Store is a capacity-bounded, pin-aware block store. The zero value is not
-// usable; construct with New.
+// Store is the set of blocks a node holds, with the bytes of those that
+// KeepsBytes keeps. The zero value is not usable; construct with New.
 type Store struct {
-	mu       sync.Mutex
-	capacity uint64
-	used     uint64
-	blocks   map[cid.CID]*entry
-	lru      *list.List // front = most recently used; holds *entry
+	mu     sync.Mutex
+	blocks map[cid.CID][]byte
 }
 
-// New returns a Store with the given capacity in bytes. capacity <= 0 selects
-// DefaultCapacity.
-func New(capacity int64) *Store {
-	if capacity <= 0 {
-		capacity = DefaultCapacity
-	}
-	return &Store{
-		capacity: uint64(capacity),
-		blocks:   make(map[cid.CID]*entry),
-		lru:      list.New(),
-	}
+// New returns an empty Store.
+func New() *Store {
+	return &Store{blocks: make(map[cid.CID][]byte)}
 }
 
-// Put stores data under c, evicting least-recently-used unpinned blocks if
-// needed. Storing an already-present block refreshes its recency.
+// Put stores block c, with data if KeepsBytes(c) and without bytes
+// otherwise. Storing an already-present block changes nothing.
 //
 // The store keeps data itself, not a copy: neither the caller nor anyone
 // else may modify data after Put.
-func (s *Store) Put(c cid.CID, data []byte) error {
+func (s *Store) Put(c cid.CID, data []byte) {
+	if !KeepsBytes(c) {
+		data = nil
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-
-	if uint64(len(data)) > s.capacity {
-		return fmt.Errorf("%w: %d > %d", ErrBlockTooLarge, len(data), s.capacity)
+	if _, ok := s.blocks[c]; !ok {
+		s.blocks[c] = data
 	}
-	if e, ok := s.blocks[c]; ok {
-		if e.elem != nil {
-			s.lru.MoveToFront(e.elem)
-		}
-		return nil
-	}
-	if err := s.reserveLocked(uint64(len(data))); err != nil {
-		return err
-	}
-	e := &entry{cid: c, data: data}
-	e.elem = s.lru.PushFront(e)
-	s.blocks[c] = e
-	s.used += uint64(len(data))
-	return nil
 }
 
-// PutBlock implements merkledag.BlockSink. Like Put, it keeps data, which
-// must not be modified afterwards.
-func (s *Store) PutBlock(c cid.CID, data []byte) error { return s.Put(c, data) }
-
-// reserveLocked evicts unpinned LRU blocks until size bytes fit.
-func (s *Store) reserveLocked(size uint64) error {
-	for s.used+size > s.capacity {
-		back := s.lru.Back()
-		if back == nil {
-			return fmt.Errorf("%w: pinned data fills store", ErrBlockTooLarge)
-		}
-		victim, ok := back.Value.(*entry)
-		if !ok {
-			return errors.New("blockstore: corrupt LRU list")
-		}
-		s.lru.Remove(victim.elem)
-		delete(s.blocks, victim.cid)
-		s.used -= uint64(len(victim.data))
-	}
-	return nil
-}
-
-// Get returns the block stored under c, marking it recently used. The bytes
-// are the stored block itself, shared with every other holder: read them,
-// never write them.
+// Get returns the block stored under c: its kept bytes, or nil for a block
+// that is its CID alone. The bytes are shared with every other holder: read
+// them, never write them.
 func (s *Store) Get(c cid.CID) ([]byte, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e, ok := s.blocks[c]
-	if !ok {
-		return nil, false
-	}
-	if e.elem != nil {
-		s.lru.MoveToFront(e.elem)
-	}
-	return e.data, true
+	data, ok := s.blocks[c]
+	return data, ok
 }
 
-// GetBlock implements merkledag.BlockSource. Like Get, it returns shared
-// bytes that must not be modified.
-func (s *Store) GetBlock(c cid.CID) ([]byte, bool) { return s.Get(c) }
-
-// Has reports block presence without touching recency.
-// This is the check a node performs when answering WANT_HAVE, and the check
-// the TPI privacy attack exploits.
+// Has reports block presence. This is the check a node performs when
+// answering WANT_HAVE, and the check the TPI privacy attack exploits.
 func (s *Store) Has(c cid.CID) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -136,18 +71,9 @@ func (s *Store) Has(c cid.CID) bool {
 	return ok
 }
 
-// Pin exempts c from eviction for the store's lifetime. Pinning an absent
-// CID is an error.
-func (s *Store) Pin(c cid.CID) error {
+// Len returns the number of blocks stored.
+func (s *Store) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e, ok := s.blocks[c]
-	if !ok {
-		return fmt.Errorf("blockstore: pin %s: not stored", c)
-	}
-	if e.elem != nil {
-		s.lru.Remove(e.elem)
-		e.elem = nil
-	}
-	return nil
+	return len(s.blocks)
 }

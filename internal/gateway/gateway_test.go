@@ -1,11 +1,12 @@
 package gateway
 
 import (
-	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
+	"bitswapmon/internal/blockstore"
 	"bitswapmon/internal/cid"
 	"bitswapmon/internal/dht"
 	"bitswapmon/internal/merkledag"
@@ -60,13 +61,37 @@ func build(t *testing.T, gwCfg Config) *world {
 	return w
 }
 
+// holdsDAG fails the test unless the fetcher's store holds every block of
+// the DAG rooted at root that the publisher's store holds.
+func holdsDAG(t *testing.T, publisher, fetcher *blockstore.Store, root cid.CID) {
+	t.Helper()
+	var walk func(c cid.CID)
+	walk = func(c cid.CID) {
+		data, ok := publisher.Get(c)
+		if !ok {
+			t.Fatalf("the publisher lacks block %s", c)
+		}
+		if !fetcher.Has(c) {
+			t.Errorf("the gateway node's store lacks block %s", c)
+		}
+		if c.Codec() != cid.DagProtobuf {
+			return
+		}
+		node, err := merkledag.DecodeNode(c.Codec(), data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, l := range node.Links {
+			walk(l.CID)
+		}
+	}
+	walk(root)
+}
+
 func TestGatewayMissThenHit(t *testing.T) {
 	w := build(t, Config{Functional: true, CacheTTL: time.Hour})
-	content := []byte("gateway content")
-	root, err := w.nodes[0].Publish(content)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// 3,000 bytes at the 1,024-byte chunk size: three leaves under a root.
+	root := w.nodes[0].Publish([]byte(strings.Repeat("gateway content", 200)))
 	w.net.Run(5 * time.Second)
 
 	var r1 Result
@@ -75,9 +100,7 @@ func TestGatewayMissThenHit(t *testing.T) {
 	if r1.Status != StatusOK || r1.CacheHit {
 		t.Fatalf("first retrieve: %+v", r1)
 	}
-	if got, _ := merkledag.Assemble(w.gw.Node.Store, root); !bytes.Equal(got, content) {
-		t.Error("the gateway node's store does not hold the fetched file")
-	}
+	holdsDAG(t, w.nodes[0].Store, w.gw.Node.Store, root)
 
 	var r2 Result
 	w.gw.Retrieve(0, root, func(r Result) { r2 = r })
@@ -92,10 +115,7 @@ func TestGatewayMissThenHit(t *testing.T) {
 
 func TestGatewayRevalidatesAfterTTL(t *testing.T) {
 	w := build(t, Config{Functional: true, CacheTTL: time.Minute})
-	root, err := w.nodes[0].Publish([]byte("short ttl"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	root := w.nodes[0].Publish([]byte("short ttl"))
 	w.net.Run(5 * time.Second)
 
 	w.gw.Retrieve(0, root, func(Result) {})
@@ -156,10 +176,7 @@ func TestCacheEviction(t *testing.T) {
 	w.gw.cacheCap = 2
 	var roots []cid.CID
 	for i := 0; i < 3; i++ {
-		root, err := w.nodes[i].Publish([]byte(fmt.Sprintf("content %d", i)))
-		if err != nil {
-			t.Fatal(err)
-		}
+		root := w.nodes[i].Publish([]byte(fmt.Sprintf("content %d", i)))
 		roots = append(roots, root)
 	}
 	w.net.Run(5 * time.Second)

@@ -7,7 +7,6 @@
 package merkledag
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 
@@ -150,11 +149,12 @@ func DecodeNode(codec cid.Codec, data []byte) (*Node, error) {
 	return node, nil
 }
 
-// BlockSink receives the blocks produced by the builder.
+// BlockSink receives the blocks produced by the builder. *blockstore.Store
+// is one.
 type BlockSink interface {
-	// PutBlock stores a block under its CID. The sink may keep data
-	// itself; nobody modifies it afterwards.
-	PutBlock(c cid.CID, data []byte) error
+	// Put stores a block under its CID. The sink may keep data itself;
+	// nobody modifies it afterwards.
+	Put(c cid.CID, data []byte)
 }
 
 // Builder constructs file DAGs, writing blocks to a sink.
@@ -177,42 +177,34 @@ func NewBuilder(sink BlockSink, chunkSize, fanout int) *Builder {
 }
 
 // put encodes node once and stores the encoding under its CID.
-func (b *Builder) put(node *Node) (cid.CID, error) {
+func (b *Builder) put(node *Node) cid.CID {
 	enc := node.Encode()
 	c := cid.Sum(node.Codec(), enc)
-	return c, b.sink.PutBlock(c, enc)
+	b.sink.Put(c, enc)
+	return c
 }
 
 // AddFile chunks content into Raw leaves and builds a balanced DagProtobuf
 // tree above them, returning the root CID and total DAG size in bytes. The
-// leaf blocks are slices of content itself, so content must not be modified
-// afterwards.
-func (b *Builder) AddFile(content []byte) (cid.CID, uint64, error) {
+// sink is handed each leaf as a slice of content itself: a sink that keeps
+// leaf bytes needs content unmodified afterwards, and one that keeps only
+// the leaves' CIDs lets the caller reuse content.
+func (b *Builder) AddFile(content []byte) (cid.CID, uint64) {
 	if len(content) <= b.chunkSize {
 		// Single-chunk files are a single Raw block.
-		c, err := b.put(&Node{Kind: KindRaw, Data: content[:len(content):len(content)]})
-		if err != nil {
-			return cid.CID{}, 0, fmt.Errorf("put leaf: %w", err)
-		}
-		return c, uint64(len(content)), nil
+		return b.put(&Node{Kind: KindRaw, Data: content[:len(content):len(content)]}), uint64(len(content))
 	}
 	var level []Link
 	for off := 0; off < len(content); off += b.chunkSize {
 		end := min(off+b.chunkSize, len(content))
-		c, err := b.put(&Node{Kind: KindRaw, Data: content[off:end:end]})
-		if err != nil {
-			return cid.CID{}, 0, fmt.Errorf("put leaf: %w", err)
-		}
+		c := b.put(&Node{Kind: KindRaw, Data: content[off:end:end]})
 		level = append(level, Link{CID: c, Size: uint64(end - off)})
 	}
 	for len(level) > 1 {
 		var next []Link
 		for i := 0; i < len(level); i += b.fanout {
 			end := min(i+b.fanout, len(level))
-			c, err := b.put(&Node{Kind: KindFile, Links: level[i:end]})
-			if err != nil {
-				return cid.CID{}, 0, fmt.Errorf("put interior: %w", err)
-			}
+			c := b.put(&Node{Kind: KindFile, Links: level[i:end]})
 			var sz uint64
 			for _, l := range level[i:end] {
 				sz += l.Size
@@ -221,53 +213,5 @@ func (b *Builder) AddFile(content []byte) (cid.CID, uint64, error) {
 		}
 		level = next
 	}
-	return level[0].CID, level[0].Size, nil
-}
-
-// BlockSource resolves CIDs to block bytes.
-type BlockSource interface {
-	// GetBlock returns the block stored under c. The bytes may be shared
-	// with other holders of the block and must not be modified.
-	GetBlock(c cid.CID) ([]byte, bool)
-}
-
-// ErrMissingBlock is returned by Assemble when the source lacks a
-// referenced block.
-var ErrMissingBlock = errors.New("merkledag: missing block")
-
-// Assemble reconstructs the file content rooted at root by concatenating its
-// leaves in order. The leaf slices are collected first and the file is
-// allocated once, at its exact length; a single-leaf file is that leaf's
-// block itself, which must not be modified.
-func Assemble(src BlockSource, root cid.CID) ([]byte, error) {
-	parts, err := appendLeafData(nil, src, root)
-	if err != nil {
-		return nil, err
-	}
-	if len(parts) == 1 {
-		return parts[0], nil
-	}
-	return bytes.Join(parts, nil), nil
-}
-
-// appendLeafData appends to parts the data of every leaf under c, in file
-// order.
-func appendLeafData(parts [][]byte, src BlockSource, c cid.CID) ([][]byte, error) {
-	data, ok := src.GetBlock(c)
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrMissingBlock, c)
-	}
-	node, err := DecodeNode(c.Codec(), data)
-	if err != nil {
-		return nil, err
-	}
-	if node.Kind == KindRaw {
-		return append(parts, node.Data), nil
-	}
-	for _, l := range node.Links {
-		if parts, err = appendLeafData(parts, src, l.CID); err != nil {
-			return nil, err
-		}
-	}
-	return parts, nil
+	return level[0].CID, level[0].Size
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"bitswapmon/internal/cid"
 )
@@ -14,7 +13,7 @@ type memSink map[cid.CID][]byte
 
 // walk traverses the DAG rooted at root in depth-first order, invoking visit
 // for every node. Shared subgraphs are visited once.
-func walk(src BlockSource, root cid.CID, visit func(c cid.CID, n *Node) error) error {
+func walk(src memSink, root cid.CID, visit func(c cid.CID, n *Node) error) error {
 	seen := make(map[cid.CID]bool)
 	var rec func(c cid.CID) error
 	rec = func(c cid.CID) error {
@@ -22,9 +21,9 @@ func walk(src BlockSource, root cid.CID, visit func(c cid.CID, n *Node) error) e
 			return nil
 		}
 		seen[c] = true
-		data, ok := src.GetBlock(c)
+		data, ok := src[c]
 		if !ok {
-			return fmt.Errorf("%w: %s", ErrMissingBlock, c)
+			return fmt.Errorf("missing block %s", c)
 		}
 		node, err := DecodeNode(c.Codec(), data)
 		if err != nil {
@@ -45,7 +44,7 @@ func walk(src BlockSource, root cid.CID, visit func(c cid.CID, n *Node) error) e
 
 // leafCIDs returns the CIDs of all leaf (Raw) blocks under root, in file
 // order.
-func leafCIDs(src BlockSource, root cid.CID) ([]cid.CID, error) {
+func leafCIDs(src memSink, root cid.CID) ([]cid.CID, error) {
 	var out []cid.CID
 	err := walk(src, root, func(c cid.CID, n *Node) error {
 		if n.Kind == KindRaw {
@@ -56,36 +55,23 @@ func leafCIDs(src BlockSource, root cid.CID) ([]cid.CID, error) {
 	return out, err
 }
 
-func (m memSink) PutBlock(c cid.CID, data []byte) error {
+func (m memSink) Put(c cid.CID, data []byte) {
 	m[c] = append([]byte(nil), data...)
-	return nil
-}
-
-func (m memSink) GetBlock(c cid.CID) ([]byte, bool) {
-	d, ok := m[c]
-	return d, ok
 }
 
 func TestSingleChunkFile(t *testing.T) {
 	sink := memSink{}
 	b := NewBuilder(sink, 1024, 4)
 	content := []byte("small file")
-	root, size, err := b.AddFile(content)
-	if err != nil {
-		t.Fatalf("AddFile: %v", err)
-	}
+	root, size := b.AddFile(content)
 	if size != uint64(len(content)) {
 		t.Errorf("size = %d, want %d", size, len(content))
 	}
 	if root.Codec() != cid.Raw {
 		t.Errorf("single-chunk root codec = %v, want Raw", root.Codec())
 	}
-	got, err := Assemble(sink, root)
-	if err != nil {
-		t.Fatalf("Assemble: %v", err)
-	}
-	if !bytes.Equal(got, content) {
-		t.Error("assembled content mismatch")
+	if len(sink) != 1 || !bytes.Equal(sink[root], content) {
+		t.Error("the single block is not the content")
 	}
 }
 
@@ -94,29 +80,24 @@ func TestMultiChunkFile(t *testing.T) {
 	b := NewBuilder(sink, 16, 3)
 	content := make([]byte, 1000)
 	rand.New(rand.NewSource(7)).Read(content)
-	root, size, err := b.AddFile(content)
-	if err != nil {
-		t.Fatalf("AddFile: %v", err)
-	}
+	root, size := b.AddFile(content)
 	if size != 1000 {
 		t.Errorf("size = %d", size)
 	}
 	if root.Codec() != cid.DagProtobuf {
 		t.Errorf("multi-chunk root codec = %v, want DagProtobuf", root.Codec())
 	}
-	got, err := Assemble(sink, root)
-	if err != nil {
-		t.Fatalf("Assemble: %v", err)
-	}
-	if !bytes.Equal(got, content) {
-		t.Error("assembled content mismatch")
-	}
 	leaves, err := leafCIDs(sink, root)
 	if err != nil {
 		t.Fatalf("leafCIDs: %v", err)
 	}
 	if want := (1000 + 15) / 16; len(leaves) != want {
-		t.Errorf("leaves = %d, want %d", len(leaves), want)
+		t.Fatalf("leaves = %d, want %d", len(leaves), want)
+	}
+	for i, c := range leaves {
+		if chunk := content[i*16 : min(i*16+16, len(content))]; !bytes.Equal(sink[c], chunk) {
+			t.Errorf("leaf %d is not chunk %d of the content", i, i)
+		}
 	}
 }
 
@@ -126,9 +107,7 @@ func TestDeduplication(t *testing.T) {
 	// Two files sharing the same repeated chunk content dedup on leaves.
 	chunk := bytes.Repeat([]byte{0xAA}, 16)
 	content := bytes.Repeat(chunk, 20)
-	if _, _, err := b.AddFile(content); err != nil {
-		t.Fatal(err)
-	}
+	b.AddFile(content)
 	// 1 unique leaf + interior nodes; without dedup there would be 20 leaves.
 	leafCount := 0
 	for c := range sink {
@@ -216,33 +195,14 @@ func TestWalkMissingBlock(t *testing.T) {
 	sink := memSink{}
 	b := NewBuilder(sink, 16, 4)
 	content := make([]byte, 200)
-	root, _, err := b.AddFile(content)
-	if err != nil {
-		t.Fatal(err)
-	}
+	root, _ := b.AddFile(content)
 	leaves, err := leafCIDs(sink, root)
 	if err != nil {
 		t.Fatal(err)
 	}
 	delete(sink, leaves[0])
-	if _, err := Assemble(sink, root); err == nil {
-		t.Error("expected ErrMissingBlock")
-	}
-}
-
-func TestAssembleQuick(t *testing.T) {
-	f := func(content []byte) bool {
-		sink := memSink{}
-		b := NewBuilder(sink, 32, 3)
-		root, _, err := b.AddFile(content)
-		if err != nil {
-			return false
-		}
-		got, err := Assemble(sink, root)
-		return err == nil && bytes.Equal(got, content)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
+	if _, err := leafCIDs(sink, root); err == nil {
+		t.Error("walk over a missing block succeeded")
 	}
 }
 
@@ -251,12 +211,9 @@ func TestWalkVisitsEveryBlockOnce(t *testing.T) {
 	b := NewBuilder(sink, 8, 2)
 	content := make([]byte, 300)
 	rand.New(rand.NewSource(3)).Read(content)
-	root, _, err := b.AddFile(content)
-	if err != nil {
-		t.Fatal(err)
-	}
+	root, _ := b.AddFile(content)
 	visits := map[cid.CID]int{}
-	err = walk(sink, root, func(c cid.CID, n *Node) error {
+	err := walk(sink, root, func(c cid.CID, n *Node) error {
 		visits[c]++
 		return nil
 	})

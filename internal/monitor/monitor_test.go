@@ -108,10 +108,7 @@ func TestMonitorRecordsCancels(t *testing.T) {
 
 func TestMonitorIsPassive(t *testing.T) {
 	w := build(t, 4, 3)
-	root, err := w.nodes[0].Publish([]byte("content"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	root := w.nodes[0].Publish([]byte("content"))
 	w.net.Run(2 * time.Second)
 	w.nodes[2].Fetch(otrace.Ctx{}, root, func(bool) {})
 	w.net.Run(10 * time.Second)

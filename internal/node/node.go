@@ -70,7 +70,7 @@ func New(net engine.Engine, id simnet.NodeID, addr string, region simnet.Region,
 		Addr:   addr,
 		Region: region,
 		net:    net,
-		Store:  blockstore.New(blockstore.DefaultCapacity),
+		Store:  blockstore.New(),
 		cfg:    cfg,
 		rng:    net.NewRand("node-" + id.HexFull()),
 	}
@@ -152,19 +152,14 @@ func (n *Node) scheduleRefresh() {
 	})
 }
 
-// Publish chunks content into the local store, announces the root to the
-// DHT, and pins it locally. It returns the root CID. The store keeps slices
-// of content as its leaf blocks, so content must not be modified afterwards.
-func (n *Node) Publish(content []byte) (cid.CID, error) {
-	root, _, err := n.builder.AddFile(content)
-	if err != nil {
-		return cid.CID{}, fmt.Errorf("build dag: %w", err)
-	}
-	if err := n.Store.Pin(root); err != nil {
-		return cid.CID{}, err
-	}
+// Publish chunks content into the local store and announces the root to
+// the DHT. It returns the root CID. The store keeps the DAG's interior nodes
+// and only the CIDs of its Raw leaves (blockstore.KeepsBytes), so nothing
+// holds content afterwards.
+func (n *Node) Publish(content []byte) cid.CID {
+	root, _ := n.builder.AddFile(content)
 	n.DHT.Provide(dht.KeyForCID(root), nil)
-	return root, nil
+	return root
 }
 
 // Fetch retrieves the whole DAG rooted at c (Fig. 1 + session-scoped

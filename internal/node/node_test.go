@@ -55,14 +55,45 @@ func newCluster(t *testing.T, n int, seed int64, cfg Config) *cluster {
 	return c
 }
 
+// holdsDAG fails the test unless fetcher's store holds every block of the
+// DAG rooted at root that publisher published, and returns the number of
+// distinct blocks in that DAG.
+func holdsDAG(t *testing.T, publisher, fetcher *Node, root cid.CID) int {
+	t.Helper()
+	seen := make(map[cid.CID]bool)
+	var walk func(c cid.CID)
+	walk = func(c cid.CID) {
+		if seen[c] {
+			return
+		}
+		seen[c] = true
+		data, ok := publisher.Store.Get(c)
+		if !ok {
+			t.Fatalf("the publisher lacks block %s", c)
+		}
+		if !fetcher.Store.Has(c) {
+			t.Errorf("the fetcher lacks block %s", c)
+		}
+		if c.Codec() != cid.DagProtobuf {
+			return
+		}
+		node, err := merkledag.DecodeNode(c.Codec(), data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, l := range node.Links {
+			walk(l.CID)
+		}
+	}
+	walk(root)
+	return len(seen)
+}
+
 func TestFetchSingleBlockViaBroadcast(t *testing.T) {
 	cfg := Config{ChunkSize: 1024}
 	c := newCluster(t, 5, 1, cfg)
 	content := []byte("hello bitswap")
-	root, err := c.nodes[0].Publish(content)
-	if err != nil {
-		t.Fatalf("Publish: %v", err)
-	}
+	root := c.nodes[0].Publish(content)
 	c.net.Run(5 * time.Second) // let Provide finish
 
 	okCh := false
@@ -71,11 +102,8 @@ func TestFetchSingleBlockViaBroadcast(t *testing.T) {
 	if !okCh {
 		t.Fatal("fetch did not complete")
 	}
-	if got, _ := merkledag.Assemble(c.nodes[3].Store, root); !bytes.Equal(got, content) {
-		t.Errorf("fetched %q want %q", got, content)
-	}
-	if !c.nodes[3].Store.Has(root) {
-		t.Error("fetched block not cached")
+	if n := holdsDAG(t, c.nodes[0], c.nodes[3], root); n != 1 {
+		t.Errorf("the DAG has %d blocks, want 1", n)
 	}
 }
 
@@ -83,10 +111,7 @@ func TestFetchMultiBlockDAG(t *testing.T) {
 	cfg := Config{ChunkSize: 64}
 	c := newCluster(t, 5, 2, cfg)
 	content := bytes.Repeat([]byte("0123456789abcdef"), 40) // 640 bytes, 10 chunks
-	root, err := c.nodes[0].Publish(content)
-	if err != nil {
-		t.Fatal(err)
-	}
+	root := c.nodes[0].Publish(content)
 	c.net.Run(5 * time.Second)
 
 	done := false
@@ -95,8 +120,9 @@ func TestFetchMultiBlockDAG(t *testing.T) {
 	if !done {
 		t.Fatal("DAG fetch did not complete")
 	}
-	if got, _ := merkledag.Assemble(c.nodes[4].Store, root); !bytes.Equal(got, content) {
-		t.Errorf("content mismatch: %d vs %d bytes", len(got), len(content))
+	// The ten chunks repeat one content, so they are one leaf under a root.
+	if n := holdsDAG(t, c.nodes[0], c.nodes[4], root); n != 2 {
+		t.Errorf("the DAG has %d distinct blocks, want 2", n)
 	}
 }
 
@@ -125,10 +151,7 @@ func TestFetchViaDHTWhenNotDirectlyConnected(t *testing.T) {
 	net.Disconnect(publisher.ID, fetcher.ID)
 
 	content := []byte("data findable only through the DHT")
-	root, err := publisher.Publish(content)
-	if err != nil {
-		t.Fatal(err)
-	}
+	root := publisher.Publish(content)
 	net.Run(10 * time.Second)
 	if slices.Contains(net.Peers(publisher.ID), fetcher.ID) {
 		net.Disconnect(publisher.ID, fetcher.ID)
@@ -137,9 +160,10 @@ func TestFetchViaDHTWhenNotDirectlyConnected(t *testing.T) {
 	done := false
 	fetcher.Fetch(otrace.Ctx{}, root, func(ok bool) { done = ok })
 	net.Run(time.Minute)
-	if got, _ := merkledag.Assemble(fetcher.Store, root); !done || !bytes.Equal(got, content) {
-		t.Fatalf("DHT-mediated fetch failed: done=%v", done)
+	if !done {
+		t.Fatal("DHT-mediated fetch failed")
 	}
+	holdsDAG(t, publisher, fetcher, root)
 	if fetcher.Bitswap.Stats().DHTSearches == 0 {
 		t.Error("fetch succeeded without a DHT search; test premise broken")
 	}
@@ -152,10 +176,7 @@ func TestFetchViaDHTWhenNotDirectlyConnected(t *testing.T) {
 func TestCachingSuppressesSecondBroadcast(t *testing.T) {
 	cfg := Config{ChunkSize: 1024}
 	c := newCluster(t, 4, 4, cfg)
-	root, err := c.nodes[0].Publish([]byte("cache me"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	root := c.nodes[0].Publish([]byte("cache me"))
 	c.net.Run(5 * time.Second)
 
 	fetcher := c.nodes[2]
@@ -181,10 +202,7 @@ func TestCachingSuppressesSecondBroadcast(t *testing.T) {
 func TestFetcherBecomesProvider(t *testing.T) {
 	cfg := Config{ChunkSize: 1024}
 	c := newCluster(t, 6, 5, cfg)
-	root, err := c.nodes[0].Publish([]byte("re-served content"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	root := c.nodes[0].Publish([]byte("re-served content"))
 	c.net.Run(5 * time.Second)
 
 	first := c.nodes[1]
@@ -278,10 +296,7 @@ func DefaultGiveUp(d time.Duration) bitswap.Config {
 func TestChurnOfflineNodeUnreachable(t *testing.T) {
 	cfg := Config{ChunkSize: 1024, Bitswap: DefaultGiveUp(15 * time.Second)}
 	c := newCluster(t, 4, 10, cfg)
-	root, err := c.nodes[0].Publish([]byte("gone soon"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	root := c.nodes[0].Publish([]byte("gone soon"))
 	c.net.Run(2 * time.Second)
 	c.nodes[0].GoOffline()
 	c.net.Run(time.Second)

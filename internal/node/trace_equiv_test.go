@@ -55,10 +55,7 @@ func tracedFetchSpans(t *testing.T, mk func(start time.Time, seed int64, lm *sim
 	net.Run(2 * time.Second)
 
 	content := bytes.Repeat([]byte("0123456789abcdef"), 40) // 10 chunks
-	root, err := nodes[0].Publish(content)
-	if err != nil {
-		t.Fatal(err)
-	}
+	root := nodes[0].Publish(content)
 	net.Run(5 * time.Second)
 
 	// Staggered traced fetches from every non-publisher node, issued as the

@@ -11,10 +11,14 @@ package workload
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
+	"bitswapmon/internal/blockstore"
 	"bitswapmon/internal/cid"
+	"bitswapmon/internal/merkledag"
 	"bitswapmon/internal/simnet"
+	"bitswapmon/internal/wire"
 )
 
 // The content catalog's shape.
@@ -65,11 +69,23 @@ type Item struct {
 	Hot bool
 	// Weight is the request-sampling weight.
 	Weight float64
-	// Content is the referenced bytes (nil for unresolvable items and for
-	// chunked DagProtobuf items, whose bytes live in publisher stores).
-	Content []byte
+	// Blocks are what a publisher stores for a resolvable item: its DAG's
+	// blocks, or its single block, each with the bytes blockstore.KeepsBytes
+	// keeps. Unresolvable items have none.
+	Blocks []wire.Block
 	// MultiBlock reports whether the item is a chunked DAG.
 	MultiBlock bool
+}
+
+// blockList is a merkledag.BlockSink that lists the blocks a builder emits,
+// keeping bytes only where blockstore.KeepsBytes does.
+type blockList []wire.Block
+
+func (l *blockList) Put(c cid.CID, data []byte) {
+	if !blockstore.KeepsBytes(c) {
+		data = nil
+	}
+	*l = append(*l, wire.Block{CID: c, Data: data})
 }
 
 // Catalog is the sampled content population.
@@ -79,8 +95,10 @@ type Catalog struct {
 	cum []float64
 }
 
-// BuildCatalog draws a catalog of items entries (zero selects 2000). Content
-// bytes are generated; publishing to nodes happens in Scenario construction.
+// BuildCatalog draws a catalog of items entries (zero selects 2000). Each
+// item's content bytes are drawn into one reused buffer and addressed on the
+// spot; the item keeps its CIDs, never the bytes. Publishing to nodes
+// happens in Scenario construction.
 func BuildCatalog(items int, rng *rand.Rand) *Catalog {
 	if items <= 0 {
 		items = defaultCatalogItems
@@ -98,6 +116,7 @@ func BuildCatalog(items int, rng *rand.Rand) *Catalog {
 	}
 
 	cat := &Catalog{Items: make([]Item, 0, items)}
+	var buf []byte
 	for i := 0; i < items; i++ {
 		item := Item{
 			Codec:      pickCodec(),
@@ -114,20 +133,22 @@ func BuildCatalog(items int, rng *rand.Rand) *Catalog {
 			item.Codec = cid.DagProtobuf
 		}
 		size := 1 + rng.Intn(2*meanFileSize)
-		content := make([]byte, size)
-		rng.Read(content)
+		buf = slices.Grow(buf[:0], size)[:size]
+		rng.Read(buf)
 		// Unresolvable items get a CID derived from content that no node
 		// will ever store.
 		switch {
 		case item.Codec == cid.DagProtobuf && item.Resolvable:
-			// Built via the merkledag builder at publish time; the root
-			// CID is computed there. Carry the content forward.
-			item.Content = content
+			var blocks blockList
+			item.Root, _ = merkledag.NewBuilder(&blocks, chunkSize, 0).AddFile(buf)
+			item.Blocks = blocks
 			item.MultiBlock = true
 		default:
-			item.Root = cid.Sum(item.Codec, content)
+			item.Root = cid.Sum(item.Codec, buf)
 			if item.Resolvable {
-				item.Content = content
+				var blocks blockList
+				blocks.Put(item.Root, buf)
+				item.Blocks = blocks
 			}
 		}
 		cat.Items = append(cat.Items, item)

@@ -18,7 +18,6 @@ import (
 	"bitswapmon/internal/node"
 	"bitswapmon/internal/otrace"
 	"bitswapmon/internal/simnet"
-	"bitswapmon/internal/wire"
 )
 
 // chunkSize is the DAG chunk size of published content.
@@ -511,15 +510,6 @@ func (w *World) drawMonitorMask(id simnet.NodeID, nMonitors int) uint64 {
 	return mask
 }
 
-// dagBlocks is a merkledag.BlockSink that records the blocks a builder
-// emits, in emission order.
-type dagBlocks []wire.Block
-
-func (d *dagBlocks) PutBlock(c cid.CID, data []byte) error {
-	*d = append(*d, wire.Block{CID: c, Data: data})
-	return nil
-}
-
 // publishCatalog stores resolvable items at stable publishers and finalises
 // sampling weights.
 func (w *World) publishCatalog() error {
@@ -538,31 +528,15 @@ func (w *World) publishCatalog() error {
 		if !item.Resolvable {
 			continue
 		}
-		// The item is encoded once, and every replica stores those very
-		// block bytes, in the order a publisher's builder would put them.
-		var blocks dagBlocks
-		if item.MultiBlock {
-			root, _, err := merkledag.NewBuilder(&blocks, chunkSize, 0).AddFile(item.Content)
-			if err != nil {
-				return fmt.Errorf("build item %d: %w", i, err)
-			}
-			item.Root = root
-		} else {
-			blocks = dagBlocks{{CID: item.Root, Data: item.Content}}
-		}
 		replicas := 1 + w.rng.Intn(3)
 		if item.Hot {
 			replicas = 3 + w.rng.Intn(3)
 		}
 		for rIdx := 0; rIdx < replicas; rIdx++ {
 			pub := publishers[w.rng.Intn(len(publishers))]
-			for _, b := range blocks {
-				if err := pub.N.Store.Put(b.CID, b.Data); err != nil {
-					return fmt.Errorf("store item %d: %w", i, err)
-				}
-			}
-			if err := pub.N.Store.Pin(item.Root); err != nil {
-				return err
+			// Every replica stores the very block bytes the item keeps.
+			for _, b := range item.Blocks {
+				pub.N.Store.Put(b.CID, b.Data)
 			}
 			pub.N.DHT.Provide(dht.KeyForCID(item.Root), nil)
 		}
@@ -859,15 +833,12 @@ func (w *World) newWebItem() (cid.CID, error) {
 		if !sn.Stable || !w.Net.IsOnline(sn.N.ID) {
 			continue
 		}
-		// The blockstore is internally locked, so the write (and its error,
-		// which drives the caller's fallback) stays synchronous even when
-		// the publisher lives on another shard. Only the DHT announcement
-		// touches shard-owned routing state and is marshalled there;
-		// retrieval simply races the (sub-window) announce delay, as a real
-		// gateway fetch races propagation.
-		if err := sn.N.Store.Put(root, enc); err != nil {
-			return cid.CID{}, err
-		}
+		// The blockstore is internally locked, so the write stays
+		// synchronous even when the publisher lives on another shard. Only
+		// the DHT announcement touches shard-owned routing state and is
+		// marshalled there; retrieval simply races the (sub-window) announce
+		// delay, as a real gateway fetch races propagation.
+		sn.N.Store.Put(root, enc)
 		nd := sn.N
 		w.Net.Post(nd.ID, func() { nd.DHT.Provide(dht.KeyForCID(root), nil) })
 		return root, nil

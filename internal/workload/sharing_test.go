@@ -12,12 +12,14 @@ import (
 )
 
 // TestWorldSharesBlockBytes runs a small world, then reads every block in
-// every node's, gateway's and monitor's store. Each block must still hash to
-// its CID: a holder that wrote into bytes it shares would break another's
-// copy. And every CID held by two or more stores must be backed by one
-// array: the world holds each block's bytes once, from the publisher's store
-// through the messages that carry it to every store that received it. The
-// two-shard run reads shared bytes from several goroutines at once.
+// every node's, gateway's and monitor's store. Only DagProtobuf blocks may
+// carry bytes; every other block is its CID alone. Each DagProtobuf block
+// must still hash to its CID: a holder that wrote into bytes it shares would
+// break another's copy. And every DagProtobuf CID held by two or more stores
+// must be backed by one array: the world holds each node's bytes once, from
+// the publisher's store through the messages that carry it to every store
+// that received it. The two-shard run reads shared bytes from several
+// goroutines at once.
 func TestWorldSharesBlockBytes(t *testing.T) {
 	for _, shards := range []int{1, 2} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -81,11 +83,18 @@ func TestWorldSharesBlockBytes(t *testing.T) {
 			}
 
 			first := make(map[cid.CID][]byte)
-			shared, apart := 0, 0
+			shared, apart, other := 0, 0, 0
 			for _, s := range stores {
 				for _, c := range blocks {
 					data, ok := s.Get(c)
 					if !ok {
+						continue
+					}
+					if c.Codec() != cid.DagProtobuf {
+						if data != nil {
+							t.Fatalf("a store holds %d bytes of %v block %s", len(data), c.Codec(), c)
+						}
+						other++
 						continue
 					}
 					if mh, err := c.Hash(); err != nil || mh.Verify(data) != nil {
@@ -105,8 +114,8 @@ func TestWorldSharesBlockBytes(t *testing.T) {
 					}
 				}
 			}
-			if shared == 0 {
-				t.Fatal("no block is held by two stores")
+			if shared == 0 || other == 0 {
+				t.Fatalf("%d second-or-later holdings of a DagProtobuf block, %d holdings of other blocks; want some of each", shared, other)
 			}
 			if apart > 0 {
 				t.Errorf("%d of %d second-or-later holdings of a block have their own copy of its bytes", apart, shared)

@@ -95,6 +95,31 @@ func TestGetFromConnectedPeer(t *testing.T) {
 	}
 }
 
+// TestFetchDAGOfSingleBlocks: a DAG walk treats a block of every codec but
+// DagProtobuf as a leaf, so fetching a resolvable single-block item of any
+// codec succeeds, and the walk stops there.
+func TestFetchDAGOfSingleBlocks(t *testing.T) {
+	for _, codec := range []cid.Codec{cid.Raw, cid.DagCBOR, cid.GitRaw, cid.EthereumTx, cid.DagJSON} {
+		t.Run(codec.String(), func(t *testing.T) {
+			net := simnet.New(t0, 1, simnet.Fixed(time.Millisecond))
+			a := newBSNode(t, net, "a", &fakeRouter{}, Config{SendDontHave: true})
+			b := newBSNode(t, net, "b", &fakeRouter{}, Config{SendDontHave: true})
+			if err := net.Connect(a.id(), b.id()); err != nil {
+				t.Fatal(err)
+			}
+			c := cid.Sum(codec, []byte("a single block"))
+			b.store.Put(c, []byte("a single block"))
+
+			done, ok := false, false
+			a.engine.FetchDAG(otrace.Ctx{}, c, func(o bool) { done, ok = true, o })
+			net.Run(time.Second)
+			if !done || !ok || !a.store.Has(c) {
+				t.Errorf("fetch of a %v block: done=%v ok=%v stored=%v", codec, done, ok, a.store.Has(c))
+			}
+		})
+	}
+}
+
 func TestGetCoalescesCallbacks(t *testing.T) {
 	net := simnet.New(t0, 2, simnet.Fixed(time.Millisecond))
 	a := newBSNode(t, net, "a", &fakeRouter{}, Config{SendDontHave: true, Reprovide: true})

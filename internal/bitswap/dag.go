@@ -24,8 +24,8 @@ func (e *Engine) FetchDAG(tc otrace.Ctx, root cid.CID, done func(ok bool)) {
 			done(false)
 			return
 		}
-		node, err := merkledag.DecodeNode(root.Codec(), data)
-		if err != nil {
+		children, ok := linksOf(root, data)
+		if !ok {
 			done(false)
 			return
 		}
@@ -35,17 +35,32 @@ func (e *Engine) FetchDAG(tc otrace.Ctx, root cid.CID, done func(ok bool)) {
 			// children are expected there too.
 			s = e.newSession(root)
 		}
-		e.fetchChildren(tc, s, node, done)
+		e.fetchChildren(tc, s, children, done)
 	})
 }
 
-// fetchChildren walks a decoded node's links, fetching each via the session.
-func (e *Engine) fetchChildren(tc otrace.Ctx, sess *Session, node *merkledag.Node, done func(ok bool)) {
-	if len(node.Links) == 0 {
+// linksOf returns the links of block c: a DagProtobuf node's, decoded from
+// data. A block of any other codec is a leaf. It reports false when a
+// DagProtobuf block does not decode.
+func linksOf(c cid.CID, data []byte) ([]merkledag.Link, bool) {
+	if c.Codec() != cid.DagProtobuf {
+		return nil, true
+	}
+	node, err := merkledag.DecodeNode(c.Codec(), data)
+	if err != nil {
+		return nil, false
+	}
+	return node.Links, true
+}
+
+// fetchChildren fetches each of a node's links via the session, walking on
+// into each child.
+func (e *Engine) fetchChildren(tc otrace.Ctx, sess *Session, links []merkledag.Link, done func(ok bool)) {
+	if len(links) == 0 {
 		done(true)
 		return
 	}
-	remaining := len(node.Links)
+	remaining := len(links)
 	failed := false
 	complete := func(ok bool) {
 		if !ok {
@@ -56,19 +71,19 @@ func (e *Engine) fetchChildren(tc otrace.Ctx, sess *Session, node *merkledag.Nod
 			done(!failed)
 		}
 	}
-	for _, l := range node.Links {
+	for _, l := range links {
 		link := l
 		e.GetFromSession(tc, sess, link.CID, func(data []byte, ok bool) {
 			if !ok {
 				complete(false)
 				return
 			}
-			child, err := merkledag.DecodeNode(link.CID.Codec(), data)
-			if err != nil {
+			childLinks, ok := linksOf(link.CID, data)
+			if !ok {
 				complete(false)
 				return
 			}
-			e.fetchChildren(tc, sess, child, complete)
+			e.fetchChildren(tc, sess, childLinks, complete)
 		})
 	}
 }

@@ -1,7 +1,6 @@
 package node
 
 import (
-	"bytes"
 	"fmt"
 	"slices"
 	"testing"
@@ -110,7 +109,11 @@ func TestFetchSingleBlockViaBroadcast(t *testing.T) {
 func TestFetchMultiBlockDAG(t *testing.T) {
 	cfg := Config{ChunkSize: 64}
 	c := newCluster(t, 5, 2, cfg)
-	content := bytes.Repeat([]byte("0123456789abcdef"), 40) // 640 bytes, 10 chunks
+	// 640 bytes, 10 chunks, no two of them alike.
+	content := make([]byte, 640)
+	for i := range content {
+		content[i] = byte(i / 7)
+	}
 	root := c.nodes[0].Publish(content)
 	c.net.Run(5 * time.Second)
 
@@ -120,9 +123,8 @@ func TestFetchMultiBlockDAG(t *testing.T) {
 	if !done {
 		t.Fatal("DAG fetch did not complete")
 	}
-	// The ten chunks repeat one content, so they are one leaf under a root.
-	if n := holdsDAG(t, c.nodes[0], c.nodes[4], root); n != 2 {
-		t.Errorf("the DAG has %d distinct blocks, want 2", n)
+	if n := holdsDAG(t, c.nodes[0], c.nodes[4], root); n != 11 {
+		t.Errorf("the DAG has %d distinct blocks, want 10 leaves and a root", n)
 	}
 }
 

@@ -89,9 +89,10 @@ type Presence struct {
 	CID  cid.CID
 }
 
-// Block is a data block together with its CID. In a simulated send, Data is
-// the sender's stored block itself: it is shared, and nobody modifies it
-// after it is stored or sent.
+// Block is a data block together with its CID. Data is what the sender's
+// store keeps of the block (blockstore.KeepsBytes): a DagProtobuf node's
+// encoding, shared and never modified after it is stored or sent, and nil
+// for a block of any other codec, which is its CID alone.
 type Block struct {
 	CID  cid.CID
 	Data []byte
@@ -100,9 +101,9 @@ type Block struct {
 // Message is one Bitswap protocol message. A message and the block bytes it
 // carries are shared and read-only once sent: a sender may hand the same
 // *Message to many peers (one broadcast sends one message to every connected
-// peer), and a receiving store keeps the very Data slice of each block it
-// accepts. Neither sender nor receiver may modify the message or anything it
-// points to afterwards.
+// peer), and a receiving store keeps the very Data slice of each DagProtobuf
+// block it accepts. Neither sender nor receiver may modify the message or
+// anything it points to afterwards.
 type Message struct {
 	Wantlist  []Entry
 	Presences []Presence

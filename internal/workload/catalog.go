@@ -137,20 +137,18 @@ func BuildCatalog(items int, rng *rand.Rand) *Catalog {
 		rng.Read(buf)
 		// Unresolvable items get a CID derived from content that no node
 		// will ever store.
+		var blocks blockList
 		switch {
 		case item.Codec == cid.DagProtobuf && item.Resolvable:
-			var blocks blockList
 			item.Root, _ = merkledag.NewBuilder(&blocks, chunkSize, 0).AddFile(buf)
-			item.Blocks = blocks
 			item.MultiBlock = true
 		default:
 			item.Root = cid.Sum(item.Codec, buf)
 			if item.Resolvable {
-				var blocks blockList
 				blocks.Put(item.Root, buf)
-				item.Blocks = blocks
 			}
 		}
+		item.Blocks = blocks
 		cat.Items = append(cat.Items, item)
 	}
 	return cat

@@ -40,7 +40,9 @@ type Sink interface {
 
 // EntrySource yields trace entries in nondecreasing timestamp order and
 // returns io.EOF after the last entry. *trace.Reader satisfies EntrySource,
-// as do SegmentStore.Query iterators and StreamUnifier itself.
+// as do SegmentStore.Query iterators and StreamUnifier itself. A source is
+// read by one goroutine at a time, which may not be the caller's: Copy
+// reads its source on a trace.ReadAhead's goroutine.
 type EntrySource interface {
 	Read() (trace.Entry, error)
 }
@@ -142,12 +144,22 @@ func (s *sliceSource) Read() (trace.Entry, error) {
 }
 
 // Copy streams src into dst until io.EOF, returning the number of entries
-// copied. It is the plumbing for disk-to-disk exports (e.g. segment store to
-// flat trace file) that never materialise the trace in memory.
+// copied. It is the one pass of an analysis (a report driver over a
+// StreamUnifier) and the plumbing for exports that never materialise the
+// trace in memory.
+//
+// src is read through a trace.ReadAhead, so producing entries overlaps
+// writing them: dst takes one batch while src fills the next, on a
+// goroutine of its own. That goroutine has exited when Copy returns. A
+// source error arrives after exactly the entries before it; after a failed
+// Copy, src may have been read up to 1,536 entries past the last one
+// written.
 func Copy(dst Sink, src EntrySource) (int, error) {
+	ra := trace.NewReadAhead(src)
+	defer ra.Close()
 	n := 0
 	for {
-		e, err := src.Read()
+		e, err := ra.Read()
 		if err == io.EOF {
 			return n, nil
 		}

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -439,6 +440,46 @@ func TestDriveUnknownMonitor(t *testing.T) {
 	defer sess.Close()
 	if _, err := sess.Drive(); err == nil {
 		t.Fatal("expected unknown-monitor error")
+	}
+}
+
+// TestSessionCloseStopsReadAhead: direct replay merges its inputs a batch
+// ahead of the drive, on a goroutine of its own. Close stops that goroutine
+// and then closes the stores' readers, whether or not the session was
+// driven, and leaves no goroutine behind. Under -race, a Close that closed
+// the readers first would also race with the goroutine's last reads.
+func TestSessionCloseStopsReadAhead(t *testing.T) {
+	// More entries than the read-ahead holds, so that an undriven session
+	// is closed with the goroutine waiting mid-stream.
+	traces := syntheticTrace(9, 3000, 10*time.Minute)
+	paths := writeStores(t, t.TempDir(), traces)
+	for _, drive := range []bool{false, true} {
+		base := runtime.NumGoroutine()
+		sess, err := Prepare(Spec{Mode: ModeDirect, Inputs: paths, Nodes: 16, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if drive {
+			record(sess)
+			stats, err := sess.Drive()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := len(traces["de"]) + len(traces["us"]); stats.Events != want {
+				t.Fatalf("replayed %d events, recorded %d", stats.Events, want)
+			}
+		}
+		if err := sess.Close(); err != nil {
+			t.Fatal(err)
+		}
+		// A goroutine that has signalled its exit may take a moment to
+		// leave the count; yield to it rather than read the host clock.
+		for i := 0; runtime.NumGoroutine() > base; i++ {
+			if i == 100000 {
+				t.Fatalf("driven=%v: %d goroutines after Close, %d before Prepare", drive, runtime.NumGoroutine(), base)
+			}
+			runtime.Gosched()
+		}
 	}
 }
 

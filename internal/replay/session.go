@@ -8,6 +8,7 @@ import (
 	"bitswapmon/internal/ingest"
 	"bitswapmon/internal/monitor"
 	"bitswapmon/internal/simnet"
+	"bitswapmon/internal/trace"
 )
 
 // Mode selects how a recorded trace becomes a workload.
@@ -81,7 +82,8 @@ func (s Spec) withDefaults() Spec {
 }
 
 // Session is a prepared replay: a built world plus the event source that
-// will drive it. Close releases input files held open by direct replay.
+// will drive it. Close stops direct replay's read-ahead and then releases
+// the input files it read.
 type Session struct {
 	World *World
 	// Model is the fitted model (nil in direct mode).
@@ -112,19 +114,21 @@ func Prepare(spec Spec) (*Session, error) {
 		if err != nil {
 			return nil, err
 		}
-		w, err := Build(spec)
-		if err != nil {
-			cleanup()
-			return nil, err
-		}
 		// Direct replay re-issues every entry regardless of flags, so the
 		// unifier runs in merge-only mode: same order, no sliding-window
-		// classification state.
-		return &Session{
-			World:   w,
-			src:     NewDirectSource(ingest.NewStreamUnifier(sources...).MergeOnly()),
-			cleanup: cleanup,
-		}, nil
+		// classification state. It merges a batch ahead of the drive, and
+		// the read-ahead is closed before the inputs it reads.
+		ahead := trace.NewReadAhead(ingest.NewStreamUnifier(sources...).MergeOnly())
+		closeAll := func() {
+			ahead.Close()
+			cleanup()
+		}
+		w, err := Build(spec)
+		if err != nil {
+			closeAll()
+			return nil, err
+		}
+		return &Session{World: w, src: NewDirectSource(ahead), cleanup: closeAll}, nil
 	case ModeFitted:
 		sources, cleanup, err := ingest.OpenInputs(spec.Inputs)
 		if err != nil {
@@ -173,7 +177,8 @@ func (s *Session) Drive() (*DriveStats, error) {
 	return stats, nil
 }
 
-// Close releases input files held by the session.
+// Close stops direct replay's read-ahead, then closes its inputs. Call it
+// whether or not the session was driven.
 func (s *Session) Close() error {
 	if s.cleanup != nil {
 		s.cleanup()

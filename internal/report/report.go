@@ -236,7 +236,10 @@ func (d *Driver) merge(from *Driver) error {
 }
 
 // Run streams src to completion through the attached reports: the single
-// pass shared by every report in the set.
+// pass shared by every report in the set. It is ingest.Copy, so src is read
+// a batch ahead on a goroutine of its own while the reports observe on the
+// caller's; after a failed Run, src may have been read up to 1,536 entries
+// past the last one observed.
 func (d *Driver) Run(src ingest.EntrySource) error {
 	_, err := ingest.Copy(d, src)
 	return err

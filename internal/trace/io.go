@@ -52,12 +52,6 @@ const (
 	// to the compressor, and how many decoded bytes a Reader asks the
 	// decompressor for at a time.
 	chunk = 16 << 10
-	// batchSize is how many decoded entries a Reader's goroutine hands over
-	// at a time.
-	batchSize = 512
-	// batches is how many batches a Reader cycles through: the one the
-	// caller reads from and two the goroutine fills ahead of it.
-	batches = 3
 )
 
 // peer is what the peer dictionary codes as one value: a connected peer
@@ -243,45 +237,24 @@ func appendString(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
-// batch is a run of decoded entries; err is what ended the stream after
-// them (io.EOF or a decode error), nil when more follow.
-type batch struct {
-	entries [batchSize]Entry
-	n       int
-	err     error
-}
-
 // Reader reads a binary trace file. The header is checked on the caller's
-// goroutine; after it, one goroutine inflates and decodes records into
-// batches ahead of the caller, and Read hands out their entries in order.
+// goroutine; after it, a ReadAhead's goroutine inflates and decodes
+// records into batches ahead of the caller, and Read hands out their
+// entries in order.
 //
 // That goroutine reads the source: close the Reader, or Reset it onto
 // another source, before closing its source.
 type Reader struct {
 	d decoder
-
-	// cur is the batch Read is taking entries from, i the next one.
-	cur  *batch
-	i    int
-	pool [batches]batch
-	// full carries decoded batches to the caller and free returns read ones,
-	// each buffered for the whole pool so that no send waits on the other
-	// side; closing stop makes the goroutine exit, which it signals by
-	// closing done. stop is nil while no goroutine runs.
-	full, free chan *batch
-	stop, done chan struct{}
+	a ReadAhead
 }
 
 // ErrBadTrace is returned for malformed trace files.
 var ErrBadTrace = errors.New("trace: malformed trace file")
 
-// errClosed is what Read returns after Close.
-var errClosed = errors.New("trace: read from a closed Reader")
-
 // NewReader wraps r and validates the header.
 func NewReader(r io.Reader) (*Reader, error) {
 	tr := &Reader{d: decoder{src: bufio.NewReader(r), buf: make([]byte, chunk)}}
-	tr.cur = &tr.pool[0]
 	gz, err := gzip.NewReader(tr.d.src)
 	if err != nil {
 		return nil, fmt.Errorf("open gzip: %w", err)
@@ -298,69 +271,41 @@ func NewReader(r io.Reader) (*Reader, error) {
 // buffers and the dictionaries' storage. After an error, and after Close,
 // the Reader is still fit for another Reset.
 func (r *Reader) Reset(src io.Reader) error {
-	r.halt(errClosed)
+	r.a.halt(errClosed)
 	r.d.src.Reset(src)
 	if err := r.d.gz.Reset(r.d.src); err != nil {
-		r.cur.err = fmt.Errorf("open gzip: %w", err)
-		return r.cur.err
+		err = fmt.Errorf("open gzip: %w", err)
+		r.a.halt(err)
+		return err
 	}
 	return r.start()
 }
 
 // start checks the header of the stream gz was just pointed at and starts
 // the goroutine that decodes the records after it. It expects no goroutine
-// to run and r.cur to be the empty first batch of the pool.
+// to run.
 func (r *Reader) start() error {
 	if err := r.d.start(); err != nil {
-		r.cur.err = err
+		r.a.halt(err)
 		return err
 	}
-	r.cur.err = nil
-	r.full, r.free = make(chan *batch, batches), make(chan *batch, batches)
-	r.stop, r.done = make(chan struct{}), make(chan struct{})
-	for i := 1; i < batches; i++ {
-		r.free <- &r.pool[i]
-	}
-	go r.d.run(r.full, r.free, r.stop, r.done)
+	r.a.start(r.d.decode)
 	return nil
-}
-
-// halt stops the decoding goroutine, if one runs, and waits for it to exit.
-// Read then returns err.
-func (r *Reader) halt(err error) {
-	if r.stop != nil {
-		close(r.stop)
-		<-r.done
-		r.stop = nil
-	}
-	r.cur, r.i = &r.pool[0], 0
-	r.cur.n, r.cur.err = 0, err
 }
 
 // Read returns the next entry, or io.EOF at end of stream. Once it has
 // returned an error it returns the same error until Reset.
-func (r *Reader) Read() (Entry, error) {
-	for r.i == r.cur.n {
-		if r.cur.err != nil {
-			return Entry{}, r.cur.err
-		}
-		r.free <- r.cur
-		r.cur, r.i = <-r.full, 0
-	}
-	e := r.cur.entries[r.i]
-	r.i++
-	return e, nil
-}
+func (r *Reader) Read() (Entry, error) { return r.a.Read() }
 
 // Close stops the decoding goroutine, waits for it to exit and closes the
 // gzip reader. The source is not closed; Close the Reader before it.
 func (r *Reader) Close() error {
-	r.halt(errClosed)
+	r.a.Close()
 	return r.d.gz.Close()
 }
 
 // decoder inflates and decodes one stream's records. While a Reader's
-// goroutine runs, the decoder is that goroutine's alone.
+// read-ahead goroutine runs, the decoder is that goroutine's alone.
 type decoder struct {
 	src *bufio.Reader // compressed input; gz reads it as an io.ByteReader
 	gz  *gzip.Reader
@@ -374,35 +319,6 @@ type decoder struct {
 	mons  table[string]
 	peers table[peer]
 	cids  table[cid.CID]
-}
-
-// run fills free batches with decoded entries and passes them on through
-// full, until the stream ends or stop is closed, then closes done.
-func (d *decoder) run(full chan<- *batch, free <-chan *batch, stop, done chan struct{}) {
-	defer close(done)
-	for {
-		var b *batch
-		select {
-		case b = <-free:
-		case <-stop:
-			return
-		}
-		b.n, b.err = 0, nil
-		for b.n < batchSize {
-			if b.err = d.decode(&b.entries[b.n]); b.err != nil {
-				break
-			}
-			b.n++
-		}
-		select {
-		case full <- b:
-		case <-stop:
-			return
-		}
-		if b.err != nil {
-			return
-		}
-	}
 }
 
 // start puts the decoder at the first record of the stream gz was just

@@ -7,6 +7,8 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"net/netip"
+	"strings"
 	"sync"
 
 	"bitswapmon/internal/simnet"
@@ -26,20 +28,18 @@ var countryBlocks = map[simnet.Region][]byte{
 // DB allocates synthetic addresses and resolves them back to countries.
 // Safe for concurrent use.
 type DB struct {
-	mu     sync.Mutex
-	next   map[simnet.Region]uint32 // allocation counter per region
-	byByte map[byte]simnet.Region
+	mu   sync.Mutex
+	next map[simnet.Region]uint32 // allocation counter per region
+	// byOctet is the region of each /8 block, "" where none is allocated.
+	byOctet [256]simnet.Region
 }
 
 // New returns a database with the default allocation plan.
 func New() *DB {
-	db := &DB{
-		next:   make(map[simnet.Region]uint32),
-		byByte: make(map[byte]simnet.Region),
-	}
+	db := &DB{next: make(map[simnet.Region]uint32)}
 	for region, blocks := range countryBlocks {
 		for _, b := range blocks {
-			db.byByte[b] = region
+			db.byOctet[b] = region
 		}
 	}
 	return db
@@ -71,20 +71,34 @@ func (db *DB) Allocate(region simnet.Region) (string, error) {
 }
 
 // Lookup resolves an "ip:port" or bare IP string to its country. It returns
-// false for unparseable or unallocated prefixes.
+// false for unparseable or unallocated prefixes. It accepts what
+// net.SplitHostPort and net.ParseIP accept: an IPv4 address, also mapped
+// into IPv6, and no zone.
 func (db *DB) Lookup(addr string) (simnet.Region, bool) {
-	host := addr
+	ip, err := netip.ParseAddr(host(addr))
+	if err != nil || ip.Zone() != "" {
+		return "", false
+	}
+	if ip = ip.Unmap(); !ip.Is4() {
+		return "", false
+	}
+	region := db.byOctet[ip.As4()[0]]
+	return region, region != ""
+}
+
+// host returns addr's host as net.SplitHostPort splits it, or addr itself
+// where SplitHostPort fails. Without brackets SplitHostPort succeeds only
+// on exactly one colon, so the usual "ip:port" form is split here without
+// calling it.
+func host(addr string) string {
+	if strings.IndexByte(addr, '[') < 0 && strings.IndexByte(addr, ']') < 0 {
+		if i := strings.IndexByte(addr, ':'); i >= 0 && strings.IndexByte(addr[i+1:], ':') < 0 {
+			return addr[:i]
+		}
+		return addr
+	}
 	if h, _, err := net.SplitHostPort(addr); err == nil {
-		host = h
+		return h
 	}
-	ip := net.ParseIP(host)
-	if ip == nil {
-		return "", false
-	}
-	v4 := ip.To4()
-	if v4 == nil {
-		return "", false
-	}
-	region, ok := db.byByte[v4[0]]
-	return region, ok
+	return addr
 }

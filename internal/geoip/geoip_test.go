@@ -2,6 +2,7 @@ package geoip
 
 import (
 	"fmt"
+	"net"
 	"sync"
 	"testing"
 
@@ -114,4 +115,54 @@ func TestAllocationSpansBlocks(t *testing.T) {
 	if a != 3 || port != 4001 {
 		t.Errorf("first US address = %s", addr)
 	}
+}
+
+// lookupNet is Lookup as it was written over package net, with the first
+// octet probed in a map: the oracle Lookup is fuzzed against.
+func lookupNet(addr string) (simnet.Region, bool) {
+	host := addr
+	if h, _, err := net.SplitHostPort(addr); err == nil {
+		host = h
+	}
+	ip := net.ParseIP(host)
+	if ip == nil {
+		return "", false
+	}
+	v4 := ip.To4()
+	if v4 == nil {
+		return "", false
+	}
+	for region, blocks := range countryBlocks {
+		for _, b := range blocks {
+			if b == v4[0] {
+				return region, true
+			}
+		}
+	}
+	return "", false
+}
+
+// FuzzLookupMatchesNet checks that Lookup resolves every string as the
+// net-based oracle does: v4, v6 and v4-mapped addresses, bracketed hosts,
+// zones, leading zeros and addresses without a port.
+func FuzzLookupMatchesNet(f *testing.F) {
+	for _, s := range []string{
+		"3.1.2.3:4001", "78.1.2.3", "250.0.0.1:4001", "256.1.2.3:4001",
+		"::1", "2001:db8::1", "[2001:db8::1]:4001",
+		"::ffff:77.1.2.3", "[::ffff:99.0.0.1]:4001", "0:0:0:0:0:ffff:4d01:0203",
+		"[78.1.2.3]:4001", "[fe80::1%eth0]:4001", "fe80::1%eth0", "::ffff:78.1.2.3%eth0",
+		"078.1.2.3:4001", "78.01.2.3", "::ffff:078.1.2.3",
+		"78.1.2.3:", "78.1.2.3:8]0", "78.1.2.3]:80", "[78.1.2.3:80", "78.1.2.3:80:90",
+		"", ":", "[]:80", "not-an-ip",
+	} {
+		f.Add(s)
+	}
+	db := New()
+	f.Fuzz(func(t *testing.T, addr string) {
+		region, ok := db.Lookup(addr)
+		wantRegion, wantOK := lookupNet(addr)
+		if region != wantRegion || ok != wantOK {
+			t.Fatalf("Lookup(%q) = %q, %v; net says %q, %v", addr, region, ok, wantRegion, wantOK)
+		}
+	})
 }

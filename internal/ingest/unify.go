@@ -61,9 +61,10 @@ type expiry struct {
 // list) when the popped observation is still its newest and has fallen more
 // than RebroadcastWindow behind the watermark. State is therefore bounded
 // by the distinct requests inside one rebroadcast window: the slab keeps its
-// peak capacity, but no key or CID string outlives the window, which is why
-// the unifier numbers nothing through a trace.Symbols — that table only
-// grows.
+// peak capacity, but no key or CID string outlives the window. The unifier
+// keys its records by value, not by trace.Symbols ids: a Symbols retires ids
+// by the epochs its owner sets (a WindowedDriver's panes), while a record
+// here expires on its own, 31 s after its newest observation.
 type unifyState struct {
 	index    map[dupKey]int32
 	recs     []unifyRec

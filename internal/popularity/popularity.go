@@ -99,34 +99,36 @@ func (c *Counter) Write(e trace.Entry) error {
 }
 
 // Merge folds from's scores into c, so that c scores both streams as one
-// Counter that had been written every entry of each would: RRPs add, the
-// (CID, peer) pair sets are united, and a CID's URP counts its pairs new to
-// c. from's ids are translated through c's trace.Symbols; from is left
+// Counter that had been written every entry of each would: RRPs add by CID
+// id, the (CID, peer) pair sets are united, and a CID's URP counts its pairs
+// new to c. Both must number through the same trace.Symbols, or Merge
+// returns trace.ErrOtherNumbering and merges nothing. from is left
 // unchanged.
-func (c *Counter) Merge(from *Counter) {
-	if from.cids == 0 {
-		return
+func (c *Counter) Merge(from *Counter) error {
+	if c.syms != from.syms {
+		return trace.ErrOtherNumbering
 	}
-	t := c.syms.Translate(from.syms)
+	if from.cids == 0 {
+		return nil
+	}
+	c.grow(uint32(len(from.rrp) - 1))
 	for id, n := range from.rrp {
 		if n == 0 {
 			continue
 		}
-		to := t.CIDs[id]
-		c.grow(to)
-		if c.rrp[to] == 0 {
+		if c.rrp[id] == 0 {
 			c.cids++
 		}
-		c.rrp[to] += n
+		c.rrp[id] += n
 	}
 	for k := range from.pairs {
-		to := t.CIDs[k>>32]
 		n := len(c.pairs)
-		c.pairs[uint64(to)<<32|uint64(t.Peers[uint32(k)])] = struct{}{}
+		c.pairs[k] = struct{}{}
 		if len(c.pairs) != n {
-			c.urp[to]++
+			c.urp[k>>32]++
 		}
 	}
+	return nil
 }
 
 // grow extends the score slices to hold CID id.
@@ -164,12 +166,12 @@ type CIDCount struct {
 
 // Rank returns the k CIDs with the most requests, count descending and
 // ties by CID key, the order in which Compute's RRP ranks them. counts
-// holds each CID's request count by the id syms numbers it with; a CID
-// counted 0 (a shared Symbols also numbers CIDs the caller never counted)
-// is not ranked. A k of at least len(counts) ranks every CID by one sort; a
-// smaller k keeps only the best k in one walk of syms, so a top 10 of a
-// long tail sorts ten.
-func Rank(syms *trace.Symbols, counts []int, k int) []CIDCount {
+// holds each CID's request count by id, and cids names the CID of each id
+// (a trace.Symbols' CIDs); a CID counted 0 (a shared Symbols also numbers
+// CIDs the caller never counted) is not ranked. A k of at least
+// len(counts) ranks every CID by one sort; a smaller k keeps only the best
+// k in one walk of counts, so a top 10 of a long tail sorts ten.
+func Rank(cids []cid.CID, counts []int, k int) []CIDCount {
 	if k <= 0 {
 		return nil
 	}
@@ -186,11 +188,11 @@ func Rank(syms *trace.Symbols, counts []int, k int) []CIDCount {
 			}
 		}
 	}
-	syms.EachCID(func(id uint32, c cid.CID) {
-		if int(id) < len(counts) && counts[id] > 0 {
-			keep(CIDCount{CID: c, Count: counts[id]})
+	for id, n := range counts {
+		if n > 0 {
+			keep(CIDCount{CID: cids[id], Count: n})
 		}
-	})
+	}
 	slices.SortFunc(out, compareRank)
 	return out
 }

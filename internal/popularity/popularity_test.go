@@ -97,10 +97,10 @@ func sortedValues(scores map[cid.CID]int) []int {
 // does and its SortedValues are want's RRP and URP values.
 func checkCounter(t *testing.T, what string, c *Counter, want Scores) {
 	t.Helper()
-	if got, want := Rank(c.syms, c.rrp, c.cids), ranked(want.RRP); !reflect.DeepEqual(got, want) {
+	if got, want := Rank(c.syms.CIDs(), c.rrp, c.cids), ranked(want.RRP); !reflect.DeepEqual(got, want) {
 		t.Errorf("%s: RRP ranking differs from Compute's (%d/%d CIDs)", what, len(got), len(want))
 	}
-	if got, want := Rank(c.syms, c.urp, c.cids), ranked(want.URP); !reflect.DeepEqual(got, want) {
+	if got, want := Rank(c.syms.CIDs(), c.urp, c.cids), ranked(want.URP); !reflect.DeepEqual(got, want) {
 		t.Errorf("%s: URP ranking differs from Compute's (%d/%d CIDs)", what, len(got), len(want))
 	}
 	rrp, urp := c.SortedValues()
@@ -291,13 +291,13 @@ func TestRank(t *testing.T) {
 	}
 	all := ranked(want)
 	for _, k := range []int{0, 1, 5, 100, len(all) - 1, len(all), len(all) + 1, len(counts)} {
-		got := Rank(syms, counts, k)
+		got := Rank(syms.CIDs(), counts, k)
 		wantK := all[:min(k, len(all))]
 		if len(got) != len(wantK) || len(got) > 0 && !reflect.DeepEqual(got, wantK) {
 			t.Errorf("k=%d: ranking differs from the reference (%d vs %d CIDs)", k, len(got), len(wantK))
 		}
 	}
-	if got := Rank(trace.NewSymbols(), nil, 10); len(got) != 0 {
+	if got := Rank(nil, nil, 10); len(got) != 0 {
 		t.Errorf("empty ranking = %v", got)
 	}
 }

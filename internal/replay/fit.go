@@ -119,7 +119,7 @@ func Fit(src ingest.EntrySource) (*Model, error) {
 	}
 	sort.Sort(sort.Reverse(sort.IntSlice(m.Activity)))
 
-	m.Popularity = popularity.Rank(syms, rrp, len(rrp))
+	m.Popularity = popularity.Rank(syms.CIDs(), rrp, len(rrp))
 	values := make([]int, len(m.Popularity))
 	for i, cc := range m.Popularity {
 		values[i] = cc.Count

@@ -1,6 +1,7 @@
 package report
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
@@ -22,10 +23,14 @@ func sameResult(t *testing.T, what string, got, want Result) {
 	}
 }
 
-// runDriver feeds entries through a fresh Driver over names.
-func runDriver(t *testing.T, names []string, opts Options, entries ...[]trace.Entry) *Driver {
+// runDriver feeds entries through a fresh Driver over names, numbering
+// through syms, or through a Symbols of its own when syms is nil.
+func runDriver(t *testing.T, syms *trace.Symbols, names []string, opts Options, entries ...[]trace.Entry) *Driver {
 	t.Helper()
 	drv := NewDriver(true)
+	if syms != nil {
+		drv.pass = newPassState(syms)
+	}
 	if err := drv.AddByName(names, opts); err != nil {
 		t.Fatal(err)
 	}
@@ -40,11 +45,10 @@ func runDriver(t *testing.T, names []string, opts Options, entries ...[]trace.En
 // TestMergeLaw: for every report, A observes s1 and B observes s2; after
 // A.Merge(B), A finalizes to exactly what one instance over s1‖s2 does, in
 // Render and in Metrics, and B still finalizes to its own stream's result.
-// It runs each report alone (a private numbering and counter) and all of
-// them as one pass, where fig5 and popularity share one popularity counter
-// that only its feeder merges. The two halves of the fixture number the
-// same peers and CIDs differently, so every id-keyed merge has to
-// translate.
+// It runs each report alone (a private counter) and all of them as one
+// pass, where fig5 and popularity share one popularity counter that only
+// its feeder merges. A and B number through one Symbols, as the panes of a
+// WindowedDriver do, so every id-keyed merge works by index.
 func TestMergeLaw(t *testing.T) {
 	f := newFixture(t, 7)
 	opts := f.opts()
@@ -66,10 +70,8 @@ func TestMergeLaw(t *testing.T) {
 	for _, cut := range []int{0, n / 3, n / 2, n} {
 		s1, s2 := f.unified[:cut], f.unified[cut:]
 		t.Run(fmt.Sprintf("%d+%d/pass", len(s1), len(s2)), func(t *testing.T) {
-			a, b := runDriver(t, names, opts, s1), runDriver(t, names, opts, s2)
-			if 0 < cut && cut < n {
-				assertRenumbered(t, a.pass.syms, b.pass.syms)
-			}
+			syms := trace.NewSymbols()
+			a, b := runDriver(t, syms, names, opts, s1), runDriver(t, syms, names, opts, s2)
 			if err := a.merge(b); err != nil {
 				t.Fatal(err)
 			}
@@ -77,7 +79,7 @@ func TestMergeLaw(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			whole, err := runDriver(t, names, opts, s1, s2).Finalize()
+			whole, err := runDriver(t, nil, names, opts, s1, s2).Finalize()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -85,7 +87,7 @@ func TestMergeLaw(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			only, err := runDriver(t, names, opts, s2).Finalize()
+			only, err := runDriver(t, nil, names, opts, s2).Finalize()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -96,8 +98,12 @@ func TestMergeLaw(t *testing.T) {
 		})
 		for _, name := range names {
 			t.Run(fmt.Sprintf("%d+%d/%s", len(s1), len(s2), name), func(t *testing.T) {
-				observe := func(entries ...[]trace.Entry) Report {
-					r, err := New(name, opts)
+				// observe feeds a fresh instance, alone in a pass numbered by
+				// syms.
+				observe := func(syms *trace.Symbols, entries ...[]trace.Entry) Report {
+					o := opts
+					o.pass = newPassState(syms)
+					r, err := New(name, o)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -113,15 +119,16 @@ func TestMergeLaw(t *testing.T) {
 					}
 					return r
 				}
-				a := observe(s1)
-				if err := a.Merge(observe(s2)); err != nil {
+				syms := trace.NewSymbols()
+				a := observe(syms, s1)
+				if err := a.Merge(observe(syms, s2)); err != nil {
 					t.Fatal(err)
 				}
 				merged, err := a.Finalize()
 				if err != nil {
 					t.Fatal(err)
 				}
-				whole, err := observe(s1, s2).Finalize()
+				whole, err := observe(trace.NewSymbols(), s1, s2).Finalize()
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -140,29 +147,6 @@ func spanTracer() *otrace.Tracer {
 	tr.Start(req.Ctx(), "bitswap.get", "n1", vt(100)).End(vt(300))
 	req.End(vt(1000))
 	return tr
-}
-
-// assertRenumbered fails unless some peer and some CID that both
-// numberings know carry different ids in them.
-func assertRenumbered(t *testing.T, a, b *trace.Symbols) {
-	t.Helper()
-	x := trace.NewSymbols()
-	ta, tb := x.Translate(a), x.Translate(b)
-	differ := func(ta, tb []uint32) bool {
-		inv := make(map[uint32]int, len(ta)) // x id → a id
-		for id, to := range ta {
-			inv[to] = id
-		}
-		for id, to := range tb {
-			if ida, ok := inv[to]; ok && ida != id {
-				return true
-			}
-		}
-		return false
-	}
-	if !differ(ta.Peers, tb.Peers) || !differ(ta.CIDs, tb.CIDs) {
-		t.Fatal("the halves number their common peers and CIDs alike")
-	}
 }
 
 // TestMergeRejectsOtherReport: a report merges only an instance of itself.
@@ -185,5 +169,60 @@ func TestMergeRejectsOtherReport(t *testing.T) {
 		if err := r.Merge(traffic); err == nil {
 			t.Errorf("%s merged a traffic report", name)
 		}
+	}
+}
+
+// TestMergeRejectsOtherNumbering: ids mean nothing outside the Symbols that
+// issued them, so a report keeping state by ids (summary, online, fig5,
+// popularity) refuses to merge an instance numbered by another Symbols, and
+// is left as it was. The reports that keep nothing by id merge it.
+func TestMergeRejectsOtherNumbering(t *testing.T) {
+	f := newFixture(t, 3)
+	opts := f.opts()
+	opts.BootstrapIters = 3
+	s1, s2 := f.unified[:len(f.unified)/2], f.unified[len(f.unified)/2:]
+	byID := map[string]bool{"summary": true, "online": true, "fig5": true, "popularity": true}
+	refused := 0
+	for _, name := range entryReports() {
+		observe := func(entries []trace.Entry) Report {
+			r, err := New(name, opts) // a pass, and a numbering, of its own
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range entries {
+				if r.WantsDedup() && e.IsDuplicate() {
+					continue
+				}
+				if err := r.Observe(e); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return r
+		}
+		a := observe(s1)
+		err := a.Merge(observe(s2))
+		if !byID[name] {
+			if err != nil {
+				t.Errorf("%s: merging across numberings: %v", name, err)
+			}
+			continue
+		}
+		if !errors.Is(err, trace.ErrOtherNumbering) {
+			t.Errorf("%s: merging across numberings returned %v, want %v", name, err, trace.ErrOtherNumbering)
+			continue
+		}
+		refused++
+		got, err := a.Finalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := observe(s1).Finalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResult(t, name+" after a refused merge", got, want)
+	}
+	if refused != len(byID) {
+		t.Errorf("%d of the %d reports keeping state by id refused the merge", refused, len(byID))
 	}
 }

@@ -954,8 +954,7 @@ func TestOnlineTopKExact(t *testing.T) {
 		if !reflect.DeepEqual(got, want[:min(k, n)]) {
 			t.Errorf("k=%d: top K differs from Compute's ranking (%d vs %d CIDs)", k, len(got), min(k, n))
 		}
-		numbered := 0
-		syms.EachCID(func(uint32, cid.CID) { numbered++ })
+		numbered := len(syms.CIDs())
 		if numbered <= n {
 			t.Fatalf("the pass numbers %d CIDs, no more than the %d online counts", numbered, n)
 		}

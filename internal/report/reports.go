@@ -46,9 +46,11 @@ type Options struct {
 	pass *passState
 }
 
-// passState is what the reports of one pass over a stream share: one
+// passState is what the reports of one pass over a stream share: the
 // numbering of its peers and CIDs, one popularity accumulator over its
-// deduplicated requests, and the Sec. V-E result scored from it.
+// deduplicated requests, and the Sec. V-E result scored from it. The panes
+// of a WindowedDriver are passes that share one numbering, so their state
+// merges by id.
 type passState struct {
 	syms    *trace.Symbols
 	counter *popularity.Counter
@@ -56,7 +58,7 @@ type passState struct {
 	pop     *popScores // nil until the first Finalize that reads it
 }
 
-func newPassState() *passState { return &passState{syms: trace.NewSymbols()} }
+func newPassState(syms *trace.Symbols) *passState { return &passState{syms: syms} }
 
 // popScores is a pass's Sec. V-E result: its RRP and URP values in
 // ascending order, what fig5 and popularity both show of them, and the CSN
@@ -177,10 +179,10 @@ func (r *summaryReport) Finalize() (Result, error) {
 
 func (r *summaryReport) Merge(from Report) error {
 	f, err := mergeable[*summaryReport](r, from)
-	if err == nil {
-		r.z.Merge(f.z)
+	if err != nil {
+		return err
 	}
-	return err
+	return r.z.Merge(f.z)
 }
 
 // mergeable returns from as the concrete type of the report merging it.
@@ -282,6 +284,11 @@ type onlineReport struct {
 	syms   *trace.Symbols
 	counts []int // requests by CID id; 0 for CIDs this report saw no request of
 	topK   int
+	// cids is the numbering's id → CID table as freeze took it, once
+	// frozen: a closing window takes it on the writer's goroutine, and its
+	// Finalize, which runs beside the writer, ranks the top K by it.
+	cids   []cid.CID
+	frozen bool
 }
 
 func (r *onlineReport) WantsDedup() bool { return true }
@@ -308,17 +315,24 @@ func (r *onlineReport) Merge(from Report) error {
 	if err != nil {
 		return err
 	}
-	r.z.Merge(f.z)
-	t := r.syms.Translate(f.syms)
+	if err := r.z.Merge(f.z); err != nil {
+		return err
+	}
+	if n := len(f.counts); n > len(r.counts) {
+		r.counts = append(r.counts, make([]int, n-len(r.counts))...)
+	}
 	for id, n := range f.counts {
-		if n > 0 {
-			r.count(t.CIDs[id], n)
-		}
+		r.counts[id] += n
 	}
 	return r.fig4.Merge(f.fig4)
 }
 
+func (r *onlineReport) freeze() { r.cids, r.frozen = r.syms.CIDs(), true }
+
 func (r *onlineReport) Finalize() (Result, error) {
+	if !r.frozen {
+		r.freeze()
+	}
 	s := r.z.Summary()
 	fig := r.fig4.series()
 	return &Online{
@@ -332,7 +346,7 @@ func (r *onlineReport) Finalize() (Result, error) {
 		BucketSize:    fig.BucketSize,
 		Buckets:       fig.Buckets,
 		TopK:          r.topK,
-		TopCIDs:       popularity.Rank(r.syms, r.counts, r.topK),
+		TopCIDs:       popularity.Rank(r.cids, r.counts, r.topK),
 	}, nil
 }
 
@@ -529,10 +543,11 @@ func (p popFeed) Observe(e trace.Entry) error {
 }
 
 // merge folds from's counter into p's when p is the report that feeds it.
-func (p popFeed) merge(from popFeed) {
-	if p.feed {
-		p.pass.counter.Merge(from.pass.counter)
+func (p popFeed) merge(from popFeed) error {
+	if !p.feed {
+		return nil
 	}
+	return p.pass.counter.Merge(from.pass.counter)
 }
 
 // testPowerLaw runs the CSN test on values. A sample too small to fit (a
@@ -550,10 +565,10 @@ type fig5Report struct{ popFeed }
 
 func (r *fig5Report) Merge(from Report) error {
 	f, err := mergeable(r, from)
-	if err == nil {
-		r.merge(f.popFeed)
+	if err != nil {
+		return err
 	}
-	return err
+	return r.merge(f.popFeed)
 }
 
 func (r *fig5Report) Finalize() (Result, error) {
@@ -638,10 +653,10 @@ type popularityReport struct{ popFeed }
 
 func (r *popularityReport) Merge(from Report) error {
 	f, err := mergeable(r, from)
-	if err == nil {
-		r.merge(f.popFeed)
+	if err != nil {
+		return err
 	}
-	return err
+	return r.merge(f.popFeed)
 }
 
 func (r *popularityReport) Finalize() (Result, error) {

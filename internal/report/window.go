@@ -112,9 +112,13 @@ type windowState struct {
 //
 // The stream is cut into panes, Slide wide, and each pane is a Driver of
 // its own over fresh instances of the reports, so each entry is observed
-// once however many windows overlap it. The open windows are one
-// start-ordered run: after every write they are exactly the Width/Slide
-// windows that cover the watermark, each holding its first pane. When the
+// once however many windows overlap it. Every pane numbers its peers and
+// CIDs through the driver's one trace.Symbols, so panes merge by id, and
+// the ids no open window holds are retired as windows close, so a daemon's
+// numbering stays bounded by what its open windows hold. The open windows
+// are one start-ordered run: after every write they are exactly the
+// Width/Slide windows that cover the watermark, each holding its first
+// pane. When the
 // watermark passes the first window's end, that window adopts its first
 // pane's report instances, which no later window covers, and merges the
 // first panes of the windows after it into them; a tumbling window has one
@@ -147,6 +151,10 @@ type WindowedDriver struct {
 	// live indexes the reports that are LiveReporters.
 	live []int
 
+	// syms numbers the peers and CIDs of every pane, so a closing window
+	// merges its panes by id. deliver retires the ids no open window holds.
+	syms *trace.Symbols
+
 	mu sync.Mutex
 	// open holds the open windows in start order: consecutive starts, the
 	// last at floor(watermark/Slide)·Slide, so every window after the first
@@ -174,19 +182,20 @@ func NewWindowedDriver(opts WindowOptions) (*WindowedDriver, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Probe-build the report set once on a throwaway Driver: a name that
-	// cannot build now (unknown, listed twice, or missing context like a geo
-	// DB) would otherwise surface mid-stream at the first window boundary.
-	probe := NewDriver(opts.Dedup)
-	if err := probe.AddByName(opts.Reports, opts.Opts); err != nil {
-		return nil, err
-	}
 	d := &WindowedDriver{
 		opts:     opts,
 		width:    int64(opts.Width),
 		slide:    int64(opts.Slide),
 		panesPer: int64(opts.Width / opts.Slide),
+		syms:     trace.NewSymbols(),
 		m:        repMetrics.Load(),
+	}
+	// Probe-build the report set once on a throwaway Driver: a name that
+	// cannot build now (unknown, listed twice, or missing context like a geo
+	// DB) would otherwise surface mid-stream at the first window boundary.
+	probe := &Driver{dedup: opts.Dedup, pass: newPassState(d.syms)}
+	if err := probe.AddByName(opts.Reports, opts.Opts); err != nil {
+		return nil, err
 	}
 	for i, r := range probe.active {
 		if _, ok := r.(LiveReporter); ok {
@@ -287,19 +296,20 @@ func (d *WindowedDriver) advance(ts int64) error {
 	return nil
 }
 
-// openWindow builds window k with its first pane. No entry can have
-// reached pane k before: window k opens when the watermark first reaches
-// its start, before the entry that moved it is written.
+// openWindow builds window k with its first pane, and moves the numbering
+// to epoch k, so the ids pane k resolves are stamped k or later. No entry
+// can have reached pane k before: window k opens when the watermark first
+// reaches its start, before the entry that moved it is written.
 func (d *WindowedDriver) openWindow(k int64) (*windowState, error) {
 	st := &windowState{k: k, start: k * d.slide, end: k*d.slide + d.width}
-	// A pane's Driver is its pass: its reports share a numbering, a
-	// popularity counter and power-law tests of their own, reachable only
-	// through them, so all are garbage with the window that adopts the pane
-	// and the daemon's memory stays bounded by the window width. Its entry
-	// counts are held until that window closes, which counts them once for
-	// every window the pane was merged into; every pane shares the driver's
-	// telemetry handle, so their counts line up.
-	st.pane = &Driver{dedup: d.opts.Dedup, m: d.m, hold: true}
+	d.syms.SetEpoch(k)
+	// A pane's Driver is its pass: its reports share a popularity counter
+	// and power-law tests of their own, reachable only through them, so all
+	// are garbage with the window that adopts the pane. Its numbering is the
+	// driver's. Its entry counts are held until that window closes, which
+	// counts them once for every window the pane was merged into; every
+	// pane shares the driver's telemetry handle, so their counts line up.
+	st.pane = &Driver{dedup: d.opts.Dedup, m: d.m, hold: true, pass: newPassState(d.syms)}
 	if err := st.pane.AddByName(d.opts.Reports, d.opts.Opts); err != nil {
 		return nil, err
 	}
@@ -334,12 +344,13 @@ func (d *WindowedDriver) closeFirst(partial bool) error {
 	for i, next := range d.open {
 		panes[i] = next.pane
 	}
-	// What a Finalize reads from outside the pass, latency_breakdown's
-	// tracer, is taken now, so the window's result does not depend on when
-	// its closer runs.
+	// What a Finalize reads from outside the window's panes,
+	// latency_breakdown's tracer and online's id → CID table, is taken now,
+	// on the writer's goroutine, so the window's result does not depend on
+	// when its closer runs.
 	for _, r := range st.pane.active {
-		if lr, ok := r.(*latencyReport); ok {
-			lr.freeze()
+		if f, ok := r.(freezer); ok {
+			f.freeze()
 		}
 	}
 	c := &windowClose{
@@ -359,6 +370,10 @@ func (d *WindowedDriver) closeFirst(partial bool) error {
 	}()
 	return nil
 }
+
+// freezer is a report whose Finalize reads state the writer goes on
+// changing: freeze takes what Finalize will read.
+type freezer interface{ freeze() }
 
 // finalize merges panes into drv, the window's adopted pane, finalizes it
 // and fills in the result's metrics.
@@ -385,8 +400,10 @@ func (c *windowClose) finalize(drv *Driver, panes []*Driver) error {
 
 // deliver retires the close in flight once its closer has finished,
 // waiting for it when wait is set: it retains and publishes the window's
-// result and invokes OnClose, or returns the closer's error. Caller holds
-// mu.
+// result and invokes OnClose, or returns the closer's error. Between that
+// close and the next, it retires the ids stamped before the first open
+// window's first pane: every id a pane resolved is stamped with that pane's
+// epoch or a later one, so no open pane holds them. Caller holds mu.
 func (d *WindowedDriver) deliver(wait bool) error {
 	c := d.closing
 	if c == nil {
@@ -404,6 +421,9 @@ func (d *WindowedDriver) deliver(wait bool) error {
 	d.closing = nil
 	if c.err != nil {
 		return c.err
+	}
+	if len(d.open) > 0 {
+		d.syms.Retire(d.open[0].k)
 	}
 	d.closed = append(d.closed, c.res)
 	if len(d.closed) > d.opts.Keep {
@@ -498,7 +518,7 @@ func (d *WindowedDriver) paneView(i int) (*Driver, error) {
 	if d.panesPer == 1 {
 		return d.open[i].pane, nil
 	}
-	view := &Driver{dedup: d.opts.Dedup} // no telemetry: a view, not a pass
+	view := &Driver{dedup: d.opts.Dedup, pass: newPassState(d.syms)} // no telemetry: a view, not a pass
 	if err := view.AddByName(d.opts.Reports, d.opts.Opts); err != nil {
 		return nil, err
 	}

@@ -15,6 +15,7 @@ import (
 
 	"bitswapmon/internal/cid"
 	"bitswapmon/internal/obs"
+	"bitswapmon/internal/simnet"
 	"bitswapmon/internal/trace"
 	"bitswapmon/internal/wire"
 )
@@ -546,13 +547,134 @@ func TestWindowedMatchesFreshDriver(t *testing.T) {
 	}
 }
 
+// TestWindowedNumberingBounded: a daemon never ends, so the numbering its
+// panes share must hold what the open windows hold, not what the stream
+// has carried. Over 48 h, 1 h windows sliding by 15 m get, every pane, ten
+// CIDs and five peers never seen before, plus three CIDs and two peers
+// first seen eight panes back, whose ids have been retired since. After
+// every close, the CIDs numbered must be at most the distinct CIDs of the
+// open windows' panes plus one pane's, and the id → CID table, whose free
+// slots are reused, no longer than the CIDs of one window and a pane: the
+// ids of the pane a close drops are retired only at the next close. Every
+// window must still report what a fresh Driver over its entries does.
+func TestWindowedNumberingBounded(t *testing.T) {
+	const (
+		slide      = 15 * time.Minute
+		panes      = 48 * 4
+		perPane    = 24
+		freshCIDs  = 10
+		freshPeers = 5
+		back       = 8 // panes between a key's first sight and its repeat
+	)
+	pcid := func(pane, i int) cid.CID { return cid.Sum(cid.Raw, []byte{byte(pane), byte(pane >> 8), byte(i)}) }
+	peer := func(pane, i int) (p simnet.NodeID) {
+		p[0], p[1], p[2] = byte(pane), byte(pane>>8), byte(i)
+		return p
+	}
+	var entries []trace.Entry
+	paneCIDs := make([]map[cid.CID]bool, panes)
+	for p := range paneCIDs {
+		cids := []cid.CID{}
+		for i := 0; i < freshCIDs; i++ {
+			cids = append(cids, pcid(p, i))
+		}
+		peers := []simnet.NodeID{}
+		for i := 0; i < freshPeers; i++ {
+			peers = append(peers, peer(p, i))
+		}
+		if p >= back {
+			cids = append(cids, pcid(p-back, 0), pcid(p-back, 1), pcid(p-back, 2))
+			peers = append(peers, peer(p-back, 0), peer(p-back, 1))
+		}
+		paneCIDs[p] = make(map[cid.CID]bool)
+		for i := 0; i < perPane; i++ {
+			e := trace.Entry{
+				Timestamp: t0.Add(time.Duration(p)*slide + time.Duration(i)*slide/perPane),
+				Monitor:   []string{"us", "de"}[i%2],
+				NodeID:    peers[i%len(peers)],
+				Type:      []wire.EntryType{wire.WantHave, wire.WantBlock, wire.WantHave, wire.WantBlock, wire.Cancel}[i%5],
+				CID:       cids[i%len(cids)],
+			}
+			if i%6 == 5 {
+				e.Flags = trace.FlagRebroadcast
+			}
+			entries = append(entries, e)
+			paneCIDs[p][e.CID] = true
+		}
+	}
+	wopts := WindowOptions{
+		Width:   time.Hour,
+		Slide:   slide,
+		Reports: []string{"summary", "traffic", "online", "fig5", "popularity"},
+		Opts:    Options{BootstrapIters: 2},
+		Dedup:   true,
+	}
+
+	bounded := wopts
+	var wd *WindowedDriver
+	closes := 0
+	bounded.OnClose = func(WindowResult) error {
+		closes++
+		if len(wd.open) == 0 {
+			return nil
+		}
+		open := make(map[cid.CID]bool)
+		first := floorDiv(t0.UnixNano(), int64(slide))
+		for k := wd.open[0].k; k <= wd.open[len(wd.open)-1].k; k++ {
+			if p := k - first; 0 <= p && p < panes {
+				for c := range paneCIDs[p] {
+					open[c] = true
+				}
+			}
+		}
+		// A retired id's slot holds the undefined CID, which the feed never
+		// requests, so the other slots are the live CIDs.
+		live := 0
+		for _, c := range wd.syms.CIDs() {
+			if c != (cid.CID{}) {
+				live++
+			}
+		}
+		onePane := freshCIDs + 3
+		if live > len(open)+onePane {
+			t.Errorf("after close %d: %d CIDs numbered; the open windows hold %d, a pane %d",
+				closes, live, len(open), onePane)
+		}
+		if n, most := len(wd.syms.CIDs()), int(wd.panesPer+1)*onePane; n > most {
+			t.Errorf("after close %d: the id → CID table is %d long, more than the %d CIDs of %d panes",
+				closes, n, most, wd.panesPer+1)
+		}
+		return nil
+	}
+	var err error
+	if wd, err = NewWindowedDriver(bounded); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if err := wd.Write(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := wd.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if closes < panes {
+		t.Fatalf("%d windows closed over %d panes", closes, panes)
+	}
+
+	matchFreshDrivers(t, entries, wopts)
+}
+
 // FuzzWindowedMatchesFreshDriver is TestWindowedMatchesFreshDriver over
 // drawn streams: a seeded fixture, a Width/Slide ratio, a gap of empty
 // panes, an entry delivered late and a subset of the entry-driven reports.
+// The last seed spans 19 h, a 16 h gap included, so the ids retired before
+// the gap are reused after it.
 func FuzzWindowedMatchesFreshDriver(f *testing.F) {
 	f.Add(int64(1), uint8(3), uint16(900), uint8(5), uint16(400), uint16(50), uint16(0xffff))
 	f.Add(int64(2), uint8(5), uint16(0), uint8(0), uint16(1200), uint16(170), uint16(0x0101))
 	f.Add(int64(3), uint8(0), uint16(1700), uint8(30), uint16(5), uint16(0), uint16(0x00f0))
+	f.Add(int64(4), uint8(3), uint16(600), uint8(63), uint16(700), uint16(90), uint16(0x01ff))
 	f.Fuzz(func(t *testing.T, seed int64, ratio uint8, gapAt uint16, gapPanes uint8, lateAt, lateBack, mask uint16) {
 		fx := newFixture(t, seed%16)
 		slide := time.Hour / time.Duration([]int{1, 2, 3, 4, 6, 12}[ratio%6])

@@ -1,116 +1,129 @@
 package trace
 
 import (
+	"errors"
+	"math"
 	"math/bits"
 
 	"bitswapmon/internal/cid"
 	"bitswapmon/internal/simnet"
 )
 
-// Symbols numbers the peers and CIDs of one analysis pass densely, in
-// first-seen order from 0, so that the pass's consumers can keep their
-// state in slices and integer-keyed sets instead of maps keyed by the
-// 32-byte NodeID or the CID string. Consumers fed the same entry one after
-// another (the reports behind one report.Driver) share one Symbols: the
-// first resolves the entry's peer and CID with a map probe each, the rest
-// hit the last-resolved memo and pay a comparison.
+// Symbols numbers the peers and CIDs of an analysis pass densely from 0, so
+// that the pass's consumers can keep their state in slices and
+// integer-keyed sets instead of maps keyed by the 32-byte NodeID or the CID
+// string. Consumers fed the same entry one after another (the reports
+// behind one report.Driver) share one Symbols: the first resolves the
+// entry's peer and CID with a map probe each, the rest hit the
+// last-resolved memo and pay a comparison.
 //
-// A Symbols keeps every distinct peer and CID it has resolved, so it must
-// not outlive the pass it numbers: a Driver owns one for its run, and each
-// pane of a WindowedDriver owns one that dies with the window that adopts
-// it. Ids are only meaningful to the Symbols that issued them; Translate
-// maps another Symbols' ids onto these, for merging state kept by ids. Not
-// safe for concurrent use.
+// Ids are only meaningful to the Symbols that issued them, so state kept by
+// ids merges only with state numbered by the same Symbols (ErrOtherNumbering
+// otherwise). A Driver owns one for its single pass, which never retires an
+// id: its ids count up from 0 in first-seen order. A WindowedDriver shares
+// one among all its panes, so its windows merge pane state by index. It
+// never ends, so it retires ids: it sets the epoch to k as it opens pane k,
+// every resolve stamps its id with the current epoch, and once no open
+// window holds a pane before k, Retire(k) deletes the ids stamped before k
+// and reuses them for the next values first seen. The numbering then holds
+// what the open windows hold, not everything the stream has carried. Not
+// safe for concurrent use; see CIDs for the one read allowed beside a
+// writer.
 type Symbols struct {
-	peers map[simnet.NodeID]uint32
-	cids  map[cid.CID]uint32
-
-	// The value resolved last and its id; valid once the matching map is
-	// non-empty.
-	lastPeer   simnet.NodeID
-	lastPeerID uint32
-	lastCID    cid.CID
-	lastCIDID  uint32
-
-	// The last translation built, and the sizes of its source when it was
-	// built: ids are never withdrawn, so it still holds while the source
-	// has numbered nothing new.
-	tr                      *Translation
-	trFrom                  *Symbols
-	trFromPeers, trFromCIDs int
+	peers numbering[simnet.NodeID]
+	cids  numbering[cid.CID]
+	epoch int64
 }
 
-// NewSymbols returns an empty numbering.
+// ErrOtherNumbering is returned by a merge of state kept by ids when the two
+// sides were numbered by different Symbols.
+var ErrOtherNumbering = errors.New("trace: merging state numbered by another Symbols")
+
+// NewSymbols returns an empty numbering at epoch 0.
 func NewSymbols() *Symbols {
 	return &Symbols{
-		peers: make(map[simnet.NodeID]uint32),
-		cids:  make(map[cid.CID]uint32),
+		peers: numbering[simnet.NodeID]{ids: make(map[simnet.NodeID]uint32)},
+		cids:  numbering[cid.CID]{ids: make(map[cid.CID]uint32)},
 	}
 }
 
-// Peer returns the id of a peer, assigning the next one on first sight.
-func (s *Symbols) Peer(id simnet.NodeID) uint32 {
-	if len(s.peers) != 0 && id == s.lastPeer {
-		return s.lastPeerID
+// Peer returns the id of a peer, assigning one on first sight.
+func (s *Symbols) Peer(id simnet.NodeID) uint32 { return s.peers.resolve(id, s.epoch) }
+
+// CID returns the id of a CID, assigning one on first sight. The undefined
+// CID is a value like any other.
+func (s *Symbols) CID(c cid.CID) uint32 { return s.cids.resolve(c, s.epoch) }
+
+// CIDs returns the CID each id names, indexed by id; a retired id's slot
+// holds the undefined CID until the id is reused. It is how a consumer
+// turns its ids back into CIDs. The slice is shared, not copied: a window
+// closing beside the writer takes it on the writer's goroutine and reads
+// the slots of the ids its panes hold, which the writer neither retires nor
+// reuses until that close is delivered, while new ids are written to other
+// slots or past the slice's length.
+func (s *Symbols) CIDs() []cid.CID { return s.cids.keys }
+
+// SetEpoch sets the epoch that resolves stamp their ids with from now on.
+// Epochs never go back.
+func (s *Symbols) SetEpoch(epoch int64) { s.epoch = epoch }
+
+// Retire deletes every peer and CID whose id was last resolved before epoch
+// before, keeping the ids for reuse. The caller must hold no state by those
+// ids.
+func (s *Symbols) Retire(before int64) {
+	s.peers.retire(before)
+	s.cids.retire(before)
+}
+
+// numbering is one id space of a Symbols.
+type numbering[K comparable] struct {
+	ids    map[K]uint32
+	keys   []K     // by id; the zero K for a retired id
+	stamps []int64 // by id: the epoch it was last resolved in, or freeStamp
+	free   []uint32
+	// The key resolved last and its id, valid while memo is set.
+	last   K
+	lastID uint32
+	memo   bool
+}
+
+// freeStamp stamps a retired id: it is never before any epoch.
+const freeStamp = math.MaxInt64
+
+func (n *numbering[K]) resolve(k K, epoch int64) uint32 {
+	if n.memo && k == n.last {
+		n.stamps[n.lastID] = epoch
+		return n.lastID
 	}
-	n, ok := s.peers[id]
+	id, ok := n.ids[k]
 	if !ok {
-		n = uint32(len(s.peers))
-		s.peers[id] = n
+		if f := len(n.free); f > 0 {
+			id = n.free[f-1]
+			n.free = n.free[:f-1]
+			n.keys[id] = k
+		} else {
+			id = uint32(len(n.keys))
+			n.keys = append(n.keys, k)
+			n.stamps = append(n.stamps, 0)
+		}
+		n.ids[k] = id
 	}
-	s.lastPeer, s.lastPeerID = id, n
-	return n
+	n.stamps[id] = epoch
+	n.last, n.lastID, n.memo = k, id, true
+	return id
 }
 
-// CID returns the id of a CID, assigning the next one on first sight. The
-// undefined CID is a value like any other.
-func (s *Symbols) CID(c cid.CID) uint32 {
-	if len(s.cids) != 0 && c == s.lastCID {
-		return s.lastCIDID
+func (n *numbering[K]) retire(before int64) {
+	var zero K
+	for id, at := range n.stamps {
+		if at < before {
+			delete(n.ids, n.keys[id])
+			n.keys[id] = zero
+			n.stamps[id] = freeStamp
+			n.free = append(n.free, uint32(id))
+		}
 	}
-	n, ok := s.cids[c]
-	if !ok {
-		n = uint32(len(s.cids))
-		s.cids[c] = n
-	}
-	s.lastCID, s.lastCIDID = c, n
-	return n
-}
-
-// EachCID calls f for every CID numbered so far, in no particular order. It
-// is how a consumer turns its ids back into CIDs once the pass is over;
-// Symbols keeps no id → CID table for it, only the map it already needs.
-func (s *Symbols) EachCID(f func(id uint32, c cid.CID)) {
-	for c, id := range s.cids {
-		f(id, c)
-	}
-}
-
-// Translation maps the ids one Symbols issued to the ids another issues
-// for the same peers and CIDs, both indexed by the source id.
-type Translation struct {
-	Peers []uint32
-	CIDs  []uint32
-}
-
-// Translate numbers every peer and CID from has numbered, assigning new
-// ids here on first sight, and returns the map from from's ids to these.
-// The reports of one pass share a Symbols, so when they merge another
-// pass's state one after another, the first builds the translation and the
-// rest get it back for a comparison of two sizes.
-func (s *Symbols) Translate(from *Symbols) *Translation {
-	if s.trFrom == from && s.trFromPeers == len(from.peers) && s.trFromCIDs == len(from.cids) {
-		return s.tr
-	}
-	t := &Translation{Peers: make([]uint32, len(from.peers)), CIDs: make([]uint32, len(from.cids))}
-	for p, id := range from.peers {
-		t.Peers[id] = s.Peer(p)
-	}
-	for c, id := range from.cids {
-		t.CIDs[id] = s.CID(c)
-	}
-	s.tr, s.trFrom, s.trFromPeers, s.trFromCIDs = t, from, len(from.peers), len(from.cids)
-	return t
+	n.memo = false
 }
 
 // idSet is a set of Symbols ids: a bitmap that grows to the largest id
@@ -134,13 +147,14 @@ func (s *idSet) Add(id uint32) {
 	}
 }
 
-// AddMapped adds every id of from, translated through to: a Translation's
-// Peers or CIDs when from holds another Symbols' ids.
-func (s *idSet) AddMapped(from *idSet, to []uint32) {
+// Or adds every id of from, a set of ids from the same Symbols.
+func (s *idSet) Or(from *idSet) {
+	if len(from.bits) > len(s.bits) {
+		s.bits = append(s.bits, make([]uint64, len(from.bits)-len(s.bits))...)
+	}
 	for w, word := range from.bits {
-		for ; word != 0; word &= word - 1 {
-			s.Add(to[w<<6|bits.TrailingZeros64(word)])
-		}
+		s.n += bits.OnesCount64(word &^ s.bits[w])
+		s.bits[w] |= word
 	}
 }
 

@@ -47,19 +47,13 @@ func TestSymbolsDenseFirstSeen(t *testing.T) {
 			}
 		}
 	}
-	back := make(map[uint32]cid.CID)
-	s.EachCID(func(id uint32, c cid.CID) {
-		if prev, dup := back[id]; dup {
-			t.Errorf("EachCID yields id %d twice (%v, %v)", id, prev, c)
-		}
-		back[id] = c
-	})
+	back := s.CIDs()
 	if len(back) != len(cidID) {
-		t.Fatalf("EachCID yields %d CIDs, %d were numbered", len(back), len(cidID))
+		t.Fatalf("CIDs holds %d CIDs, %d were numbered", len(back), len(cidID))
 	}
 	for c, id := range cidID {
 		if back[id] != c {
-			t.Errorf("EachCID: id %d is %v, was issued for %v", id, back[id], c)
+			t.Errorf("CIDs: id %d is %v, was issued for %v", id, back[id], c)
 		}
 	}
 }
@@ -139,51 +133,84 @@ func TestSummarizerUndefinedAndZero(t *testing.T) {
 	}
 }
 
-// TestSymbolsTranslate: a translation maps every id of the source to the id
-// the target gives the same value, numbering values new to the target, and
-// it is rebuilt once the source has numbered more.
-func TestSymbolsTranslate(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	peers := make([]simnet.NodeID, 40)
-	for i := range peers {
-		peers[i] = simnet.RandomNodeID(rng)
+// TestSymbolsRetire: Retire(k) deletes exactly the peers and CIDs last
+// resolved before epoch k, however many times they were resolved before,
+// and their ids go to the next new values, so the tables stay as long as
+// the most values live at once. A retired value is new when it comes back,
+// the memo included. Ids still live keep their values.
+func TestSymbolsRetire(t *testing.T) {
+	peer := func(i int) simnet.NodeID {
+		var p simnet.NodeID
+		p[0], p[1] = byte(i), byte(i>>8)
+		return p
 	}
-	cids := make([]cid.CID, 40)
-	for i := range cids {
-		cids[i] = cid.Sum(cid.Raw, []byte{byte(i), 0xa5})
-	}
-	from, to := NewSymbols(), NewSymbols()
-	for i := 0; i < 30; i++ {
-		from.Peer(peers[i])
-		from.CID(cids[i])
-		to.Peer(peers[len(peers)-1-i]) // the same values in another order
-		to.CID(cids[len(cids)-1-i])
-	}
-	numbered := make([]int, 30)
-	for i := range numbered {
-		numbered[i] = i
-	}
-	check := func() {
-		t.Helper()
-		tr := to.Translate(from)
-		if n := len(numbered); len(tr.Peers) != n || len(tr.CIDs) != n {
-			t.Fatalf("translation covers %d peers and %d CIDs, the source numbers %d", len(tr.Peers), len(tr.CIDs), n)
+	key := func(i int) cid.CID { return cid.Sum(cid.Raw, []byte{byte(i), byte(i >> 8)}) }
+	s := NewSymbols()
+	peerIDs := make(map[int]uint32) // live values by index
+	cidIDs := make(map[int]uint32)
+	last := make(map[int]int64) // epoch each live value was last resolved in
+	resolve := func(i int, epoch int64) {
+		p, c := s.Peer(peer(i)), s.CID(key(i))
+		if id, ok := peerIDs[i]; ok && id != p {
+			t.Fatalf("epoch %d: live peer %d moved from id %d to %d", epoch, i, id, p)
 		}
-		for _, i := range numbered {
-			if got, want := tr.Peers[from.Peer(peers[i])], to.Peer(peers[i]); got != want {
-				t.Fatalf("peer %d: translated to %d, the target's id is %d", i, got, want)
-			}
-			if got, want := tr.CIDs[from.CID(cids[i])], to.CID(cids[i]); got != want {
-				t.Fatalf("CID %d: translated to %d, the target's id is %d", i, got, want)
+		if id, ok := cidIDs[i]; ok && id != c {
+			t.Fatalf("epoch %d: live CID %d moved from id %d to %d", epoch, i, id, c)
+		}
+		peerIDs[i], cidIDs[i], last[i] = p, c, epoch
+	}
+	rng := rand.New(rand.NewSource(3))
+	maxLive := 0
+	for epoch := int64(0); epoch < 40; epoch++ {
+		s.SetEpoch(epoch)
+		// Ten new values an epoch, and some of the last four epochs'
+		// values again, twice in a row to go through the memo.
+		for i := 0; i < 10; i++ {
+			resolve(int(epoch)*10+i, epoch)
+			if epoch > 0 {
+				j := int(epoch-1-rng.Int63n(min(epoch, 4)))*10 + rng.Intn(10)
+				if _, live := last[j]; live {
+					resolve(j, epoch)
+					resolve(j, epoch)
+				}
 			}
 		}
+		maxLive = max(maxLive, len(last))
+		before := epoch - 2
+		s.Retire(before)
+		for i, at := range last {
+			if at < before {
+				delete(peerIDs, i)
+				delete(cidIDs, i)
+				delete(last, i)
+			}
+		}
+		if len(s.peers.ids) != len(last) || len(s.cids.ids) != len(last) {
+			t.Fatalf("epoch %d: %d peers and %d CIDs numbered, %d live", epoch, len(s.peers.ids), len(s.cids.ids), len(last))
+		}
+		for i, id := range cidIDs {
+			if got := s.CIDs()[id]; got != key(i) {
+				t.Fatalf("epoch %d: CIDs()[%d] = %v, want %v", epoch, id, got, key(i))
+			}
+		}
+		if n := len(s.CIDs()); n > maxLive {
+			t.Fatalf("epoch %d: the CID table is %d long, at most %d values were live at once", epoch, n, maxLive)
+		}
 	}
-	check()
-	if to.Translate(from) != to.Translate(from) {
-		t.Fatal("a repeated translation is built again")
+	// A value retired while it was the last resolved is new again.
+	s.CID(key(399))
+	s.SetEpoch(100)
+	s.Retire(100)
+	if n := len(s.peers.ids) + len(s.cids.ids); n != 0 {
+		t.Fatalf("%d values outlive a retirement of every epoch", n)
 	}
-	from.Peer(peers[35])
-	from.CID(cids[35])
-	numbered = append(numbered, 35)
-	check()
+	for id, c := range s.CIDs() {
+		if c != (cid.CID{}) {
+			t.Fatalf("retired id %d still names %v", id, c)
+		}
+	}
+	before := len(s.CIDs())
+	if id := s.CID(key(399)); int(id) >= before || s.CIDs()[id] != key(399) || len(s.cids.ids) != 1 {
+		t.Fatalf("the last CID resolved, retired and seen again got id %d (table %d long)", id, before)
+	}
 }

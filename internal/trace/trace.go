@@ -231,12 +231,16 @@ func (z *Summarizer) Write(e Entry) error {
 // Merge folds from's summary into z, so that z summarizes both streams as
 // one Summarizer that had been written every entry of each would: counts,
 // per-monitor and per-type counts included, add, First is the earlier and Last
-// the later of the two, and the distinct peer and CID sets are unions,
-// from's ids translated through z's Symbols. from is left unchanged.
-func (z *Summarizer) Merge(from *Summarizer) {
+// the later of the two, and the distinct peer and CID sets are unions, one
+// bitmap OR each. Both must number through the same Symbols, or Merge
+// returns ErrOtherNumbering and merges nothing. from is left unchanged.
+func (z *Summarizer) Merge(from *Summarizer) error {
+	if z.syms != from.syms {
+		return ErrOtherNumbering
+	}
 	s, f := &z.s, &from.s
 	if f.Entries == 0 {
-		return
+		return nil
 	}
 	s.Entries += f.Entries
 	s.Requests += f.Requests
@@ -254,9 +258,9 @@ func (z *Summarizer) Merge(from *Summarizer) {
 	if f.Last.After(s.Last) {
 		s.Last = f.Last
 	}
-	t := z.syms.Translate(from.syms)
-	z.peers.AddMapped(&from.peers, t.Peers)
-	z.cids.AddMapped(&from.cids, t.CIDs)
+	z.peers.Or(&from.peers)
+	z.cids.Or(&from.cids)
+	return nil
 }
 
 // Summary returns the summary so far. The result is a snapshot: further

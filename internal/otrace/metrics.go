@@ -7,9 +7,9 @@ import (
 )
 
 // otraceMetrics bridges the flight recorder's health into the obs registry:
-// span volume and ring-overflow loss are visible on a live /metrics scrape
+// span volume and overflow loss are visible on a live /metrics scrape
 // instead of only in export sidecars — an operator watching a monitor
-// daemon can see trace loss the moment sampling outruns the rings.
+// daemon can see trace loss the moment sampling outruns the span buffer.
 type otraceMetrics struct {
 	spans *obs.Counter // otrace_spans_total
 	drops *obs.Counter // otrace_drops_total

@@ -20,9 +20,8 @@
 //
 // # Storage
 //
-// Finished spans land in a small set of mutex-guarded ring buffers selected
-// by trace ID — lock-light under sharded execution, bounded memory, with a
-// drop counter on overflow. The disabled path is nil-safe in the PR 6 style:
+// Finished spans land in one mutex-guarded buffer of 65,536 spans —
+// bounded memory, with a drop counter on overflow. The disabled path is nil-safe in the PR 6 style:
 // every method works on a nil *Tracer (and a nil *SpanHandle), so
 // uninstrumented runs pay one nil check per call site.
 package otrace
@@ -96,55 +95,43 @@ type Config struct {
 	Seed int64
 }
 
-// A Tracer keeps finished spans in Rings ring buffers of RingSize spans
-// each; spans beyond a full ring are counted as dropped.
-const (
-	Rings    = 8
-	RingSize = 8192
-)
+// spanCapacity is how many finished spans a Tracer keeps; spans beyond it
+// are counted as dropped.
+const spanCapacity = 65536
 
 // Tracer collects finished spans. All methods are nil-safe; a nil *Tracer is
 // the disabled recorder.
 type Tracer struct {
 	seed      uint64
 	threshold uint64 // sample iff mix(trace^seed) < threshold
-	rings     []ring
 
-	dropMu sync.Mutex
-	drops  uint64
+	mu    sync.Mutex
+	spans []Span
+	cap   int
+	drops uint64
 
 	// m is the obs-bridge handle resolved at New; nil (metrics never
 	// enabled) keeps Record at a single branch.
 	m *otraceMetrics
 }
 
-type ring struct {
-	mu    sync.Mutex
-	spans []Span
-	cap   int
-	drops uint64
-}
-
 // New creates a tracer.
-func New(cfg Config) *Tracer { return newTracer(cfg, Rings, RingSize) }
+func New(cfg Config) *Tracer { return newTracer(cfg, spanCapacity) }
 
-// newTracer is New with explicit ring dimensions; tests shrink them.
-func newTracer(cfg Config, rings, ringSize int) *Tracer {
+// newTracer is New with an explicit capacity; tests shrink it.
+func newTracer(cfg Config, capacity int) *Tracer {
 	if cfg.Sample <= 0 || cfg.Sample > 1 {
 		cfg.Sample = 1
 	}
 	t := &Tracer{
-		seed:  mix64(uint64(cfg.Seed)),
-		rings: make([]ring, rings),
-		m:     otMetrics.Load(),
+		seed: mix64(uint64(cfg.Seed)),
+		cap:  capacity,
+		m:    otMetrics.Load(),
 	}
 	if cfg.Sample >= 1 {
 		t.threshold = ^uint64(0)
 	} else {
 		t.threshold = uint64(cfg.Sample * float64(1<<63) * 2)
-	}
-	for i := range t.rings {
-		t.rings[i].cap = ringSize
 	}
 	return t
 }
@@ -316,22 +303,20 @@ func (h *SpanHandle) EndDropped(end time.Time) {
 	h.End(end)
 }
 
-// Record stores one finished span, ring-selected by trace ID so spans of one
-// trace contend on one lock and distinct traces spread out. Over capacity the
-// newest span is dropped and counted. Nil-safe.
+// Record stores one finished span. Over capacity the newest span is dropped
+// and counted. Nil-safe.
 func (t *Tracer) Record(s Span) {
 	if t == nil {
 		return
 	}
-	r := &t.rings[mix64(s.Trace)%uint64(len(t.rings))]
-	r.mu.Lock()
-	recorded := len(r.spans) < r.cap
+	t.mu.Lock()
+	recorded := len(t.spans) < t.cap
 	if recorded {
-		r.spans = append(r.spans, s)
+		t.spans = append(t.spans, s)
 	} else {
-		r.drops++
+		t.drops++
 	}
-	r.mu.Unlock()
+	t.mu.Unlock()
 	if t.m != nil {
 		if recorded {
 			t.m.spans.Inc()
@@ -365,19 +350,15 @@ func (t *Tracer) RecordHop(ref *HopRef, node string, endNs int64, dropped bool) 
 }
 
 // Spans returns a snapshot of every recorded span, sorted by
-// (trace, start, id) — a deterministic order independent of ring layout and
-// recording interleaving.
+// (trace, start, id) — a deterministic order independent of recording
+// interleaving.
 func (t *Tracer) Spans() []Span {
 	if t == nil {
 		return nil
 	}
-	var out []Span
-	for i := range t.rings {
-		r := &t.rings[i]
-		r.mu.Lock()
-		out = append(out, r.spans...)
-		r.mu.Unlock()
-	}
+	t.mu.Lock()
+	out := append([]Span(nil), t.spans...)
+	t.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool {
 		a, b := &out[i], &out[j]
 		if a.Trace != b.Trace {
@@ -391,31 +372,23 @@ func (t *Tracer) Spans() []Span {
 	return out
 }
 
-// Dropped reports how many spans were discarded because their ring was full.
+// Dropped reports how many spans were discarded because the buffer was
+// full.
 func (t *Tracer) Dropped() uint64 {
 	if t == nil {
 		return 0
 	}
-	var n uint64
-	for i := range t.rings {
-		r := &t.rings[i]
-		r.mu.Lock()
-		n += r.drops
-		r.mu.Unlock()
-	}
-	return n
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.drops
 }
 
-// Reset discards all recorded spans and drop counts.
+// Reset discards all recorded spans and the drop count.
 func (t *Tracer) Reset() {
 	if t == nil {
 		return
 	}
-	for i := range t.rings {
-		r := &t.rings[i]
-		r.mu.Lock()
-		r.spans = r.spans[:0]
-		r.drops = 0
-		r.mu.Unlock()
-	}
+	t.mu.Lock()
+	t.spans, t.drops = t.spans[:0], 0
+	t.mu.Unlock()
 }

@@ -83,12 +83,12 @@ func TestSpanIDKeyDisambiguatesSiblings(t *testing.T) {
 }
 
 func TestRingOverflowCountsDrops(t *testing.T) {
-	tr := newTracer(Config{Sample: 1, Seed: 1}, 1, 4)
+	tr := newTracer(Config{Sample: 1, Seed: 1}, 4)
 	for i := 0; i < 10; i++ {
 		tr.Record(Span{Trace: 1, ID: uint64(i + 1), Name: "x", StartNs: int64(i)})
 	}
 	if got := len(tr.Spans()); got != 4 {
-		t.Fatalf("ring kept %d spans, want cap 4", got)
+		t.Fatalf("buffer kept %d spans, want cap 4", got)
 	}
 	if got := tr.Dropped(); got != 6 {
 		t.Fatalf("Dropped() = %d, want 6", got)

@@ -26,8 +26,8 @@ func newLatencyReport(o Options) (Report, error) {
 // latencyReport derives per-stage latency distributions from the flight
 // recorder's spans. It ignores the entry stream entirely: the breakdown is
 // span-driven, so Observe is a no-op and all the work happens at Finalize,
-// after the run has filled the rings. Its only state is the tracer, which
-// every instance of a pass shares, so Merge has nothing to fold.
+// after the run has filled the span buffer. Its only state is the tracer,
+// which every instance of a pass shares, so Merge has nothing to fold.
 type latencyReport struct {
 	tr *otrace.Tracer
 	// spans and drops are the tracer's contents as freeze took them, once

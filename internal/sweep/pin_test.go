@@ -307,64 +307,67 @@ func summaryWithout(t *testing.T, dir string, dropped ...string) string {
 // pinnedLatency the summary's latency_breakdown metrics. They were taken
 // while the workload config, the replay spec and both worlds still each
 // held a handle on the span recorder, and must not move while the recorder
-// stays attached at world build.
+// stays attached at world build. They were re-taken when the recorder's 8
+// rings of 8,192 spans, picked by trace ID, became one buffer of 65,536:
+// no span is dropped while the buffer has room, so ring_drops went 1797 → 0
+// and spans 51437 → 53234.
 const (
-	pinnedSpans   = "7278397b8da4082a13b83edb5525f337c2dddbdf6a6896ad699a5c8b370d1e98"
+	pinnedSpans   = "06a1f576d264bc959b1bd522f698515fd7534b429eab7fffc300d3c7d1eb13c2"
 	pinnedLatency = `{
-  "latency_breakdown:count:bitswap.get": 541,
-  "latency_breakdown:count:bitswap.local_hit": 178,
-  "latency_breakdown:count:dht.lookup": 74,
-  "latency_breakdown:count:dht.req": 1945,
-  "latency_breakdown:count:dht.resp": 1944,
-  "latency_breakdown:count:dht.rpc": 1944,
-  "latency_breakdown:count:gateway.cache_hit": 1965,
-  "latency_breakdown:count:gateway.cache_miss": 141,
-  "latency_breakdown:count:gateway.fetch": 325,
-  "latency_breakdown:count:gateway.request": 2106,
+  "latency_breakdown:count:bitswap.get": 545,
+  "latency_breakdown:count:bitswap.local_hit": 182,
+  "latency_breakdown:count:dht.lookup": 80,
+  "latency_breakdown:count:dht.req": 2047,
+  "latency_breakdown:count:dht.resp": 2047,
+  "latency_breakdown:count:dht.rpc": 2047,
+  "latency_breakdown:count:gateway.cache_hit": 2007,
+  "latency_breakdown:count:gateway.cache_miss": 145,
+  "latency_breakdown:count:gateway.fetch": 333,
+  "latency_breakdown:count:gateway.request": 2152,
   "latency_breakdown:count:request": 29,
-  "latency_breakdown:count:send.block": 886,
-  "latency_breakdown:count:send.cancel": 16157,
-  "latency_breakdown:count:send.resp": 1038,
-  "latency_breakdown:count:send.want_block": 886,
-  "latency_breakdown:count:send.want_have": 21215,
-  "latency_breakdown:drops:bitswap.get": 7,
-  "latency_breakdown:drops:gateway.request": 49,
-  "latency_breakdown:drops:request": 7,
-  "latency_breakdown:p50_ms:bitswap.get": 58.547693,
+  "latency_breakdown:count:send.block": 890,
+  "latency_breakdown:count:send.cancel": 16661,
+  "latency_breakdown:count:send.resp": 1042,
+  "latency_breakdown:count:send.want_block": 890,
+  "latency_breakdown:count:send.want_have": 22071,
+  "latency_breakdown:drops:bitswap.get": 8,
+  "latency_breakdown:drops:gateway.request": 50,
+  "latency_breakdown:drops:request": 8,
+  "latency_breakdown:p50_ms:bitswap.get": 58.630853,
   "latency_breakdown:p50_ms:bitswap.local_hit": 0,
-  "latency_breakdown:p50_ms:dht.lookup": 1008.800742,
-  "latency_breakdown:p50_ms:dht.req": 56.665968,
-  "latency_breakdown:p50_ms:dht.resp": 56.436311,
-  "latency_breakdown:p50_ms:dht.rpc": 117.289993,
+  "latency_breakdown:p50_ms:dht.lookup": 1004.915909,
+  "latency_breakdown:p50_ms:dht.req": 56.426635,
+  "latency_breakdown:p50_ms:dht.resp": 56.235631,
+  "latency_breakdown:p50_ms:dht.rpc": 116.974587,
   "latency_breakdown:p50_ms:gateway.cache_hit": 0,
   "latency_breakdown:p50_ms:gateway.cache_miss": 0,
   "latency_breakdown:p50_ms:gateway.fetch": 0,
   "latency_breakdown:p50_ms:gateway.request": 0,
   "latency_breakdown:p50_ms:request": 85.792584,
   "latency_breakdown:p50_ms:send.block": 28.864375,
-  "latency_breakdown:p50_ms:send.cancel": 61.644255,
+  "latency_breakdown:p50_ms:send.cancel": 61.817911,
   "latency_breakdown:p50_ms:send.resp": 60.742233,
   "latency_breakdown:p50_ms:send.want_block": 28.841669,
-  "latency_breakdown:p50_ms:send.want_have": 60.365307,
-  "latency_breakdown:p99_ms:bitswap.get": 429.68087,
+  "latency_breakdown:p50_ms:send.want_have": 60.37293,
+  "latency_breakdown:p99_ms:bitswap.get": 432.611232,
   "latency_breakdown:p99_ms:bitswap.local_hit": 0,
   "latency_breakdown:p99_ms:dht.lookup": 1117.262991,
-  "latency_breakdown:p99_ms:dht.req": 114.896482,
-  "latency_breakdown:p99_ms:dht.resp": 114.539047,
-  "latency_breakdown:p99_ms:dht.rpc": 222.566615,
+  "latency_breakdown:p99_ms:dht.req": 114.793794,
+  "latency_breakdown:p99_ms:dht.resp": 114.485597,
+  "latency_breakdown:p99_ms:dht.rpc": 222.285838,
   "latency_breakdown:p99_ms:gateway.cache_hit": 0,
   "latency_breakdown:p99_ms:gateway.cache_miss": 0,
   "latency_breakdown:p99_ms:gateway.fetch": 609.619617,
-  "latency_breakdown:p99_ms:gateway.request": 422.456456,
+  "latency_breakdown:p99_ms:gateway.request": 424.264418,
   "latency_breakdown:p99_ms:request": 383.282011,
   "latency_breakdown:p99_ms:send.block": 116.343583,
-  "latency_breakdown:p99_ms:send.cancel": 138.499375,
+  "latency_breakdown:p99_ms:send.cancel": 139.699271,
   "latency_breakdown:p99_ms:send.resp": 134.35121,
   "latency_breakdown:p99_ms:send.want_block": 116.619697,
-  "latency_breakdown:p99_ms:send.want_have": 133.807007,
-  "latency_breakdown:ring_drops": 1797,
-  "latency_breakdown:spans": 51437,
-  "latency_breakdown:traces": 2192
+  "latency_breakdown:p99_ms:send.want_have": 134.158917,
+  "latency_breakdown:ring_drops": 0,
+  "latency_breakdown:spans": 53234,
+  "latency_breakdown:traces": 2239
 }`
 )
 

@@ -21,8 +21,8 @@
 // # Storage
 //
 // Finished spans land in one mutex-guarded buffer of 65,536 spans —
-// bounded memory, with a drop counter on overflow. The disabled path is nil-safe in the PR 6 style:
-// every method works on a nil *Tracer (and a nil *SpanHandle), so
+// bounded memory, with a drop counter on overflow. The disabled path is
+// nil-safe: every method works on a nil *Tracer (and a nil *SpanHandle), so
 // uninstrumented runs pay one nil check per call site.
 package otrace
 

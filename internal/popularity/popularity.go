@@ -101,21 +101,17 @@ func (c *Counter) Write(e trace.Entry) error {
 // Merge folds from's scores into c, so that c scores both streams as one
 // Counter that had been written every entry of each would: RRPs add by CID
 // id, the (CID, peer) pair sets are united, and a CID's URP counts its pairs
-// new to c. Both must number through the same trace.Symbols, or Merge
-// returns trace.ErrOtherNumbering and merges nothing. from is left
-// unchanged.
+// new to c. Both must number through the same trace.Symbols (else
+// trace.ErrOtherNumbering); from is left unchanged.
 func (c *Counter) Merge(from *Counter) error {
 	if c.syms != from.syms {
 		return trace.ErrOtherNumbering
 	}
-	if from.cids == 0 {
-		return nil
-	}
-	c.grow(uint32(len(from.rrp) - 1))
 	for id, n := range from.rrp {
 		if n == 0 {
 			continue
 		}
+		c.grow(uint32(id))
 		if c.rrp[id] == 0 {
 			c.cids++
 		}

@@ -29,7 +29,7 @@ func runDriver(t *testing.T, syms *trace.Symbols, names []string, opts Options, 
 	t.Helper()
 	drv := NewDriver(true)
 	if syms != nil {
-		drv.pass = newPassState(syms)
+		drv.pass = &passState{syms: syms}
 	}
 	if err := drv.AddByName(names, opts); err != nil {
 		t.Fatal(err)
@@ -102,7 +102,7 @@ func TestMergeLaw(t *testing.T) {
 				// syms.
 				observe := func(syms *trace.Symbols, entries ...[]trace.Entry) Report {
 					o := opts
-					o.pass = newPassState(syms)
+					o.pass = &passState{syms: syms}
 					r, err := New(name, o)
 					if err != nil {
 						t.Fatal(err)

@@ -47,15 +47,13 @@ type Report interface {
 	// merged into other instances too. latency_breakdown merges trivially,
 	// its only state being the tracer every instance reads at Finalize.
 	//
-	// A report keeping state by trace.Symbols ids (summary, online, and
-	// whichever of fig5 and popularity feeds the pass's counter) merges by
-	// index, so from must have been numbered by the same Symbols, as every
-	// pane of a WindowedDriver is; otherwise Merge returns
-	// trace.ErrOtherNumbering and merges nothing. Reports of one
-	// pass share their popularity counter, so merging one of them stands
-	// for the whole pass only when every report of the pass merges with
-	// its counterpart: the report that feeds the shared counter merges it,
-	// the others merge nothing of it.
+	// State kept by trace.Symbols ids (summary, online, the popularity
+	// counter) merges by index, so from must be numbered by the same
+	// Symbols, as every pane of a WindowedDriver is, or Merge returns
+	// trace.ErrOtherNumbering. Reports of one pass share their popularity
+	// counter, so merging one of them stands for the whole pass only when
+	// every report of the pass merges with its counterpart: the report that
+	// feeds the shared counter merges it, the others merge nothing of it.
 	Merge(from Report) error
 	// Finalize completes the analysis. A report is single-use: Observe
 	// must not be called after Finalize.
@@ -84,7 +82,7 @@ func New(name string, opts Options) (Report, error) {
 		return nil, fmt.Errorf("%w %q (available: %s)", ErrUnknownReport, name, strings.Join(Names(), ", "))
 	}
 	if opts.pass == nil {
-		opts.pass = newPassState(trace.NewSymbols())
+		opts.pass = &passState{syms: trace.NewSymbols()}
 	}
 	return ctor(opts)
 }
@@ -130,8 +128,7 @@ type Driver struct {
 	active  []Report
 	// pass is what the reports AddByName constructs share (peer/CID
 	// numbering, popularity counter, power-law tests); it lives as long as
-	// the driver's one pass. A WindowedDriver's panes are built with a pass
-	// over the windowed driver's numbering.
+	// the driver's one pass, or, for a WindowedDriver's pane, the pane's.
 	pass *passState
 
 	// m is the telemetry handle resolved at NewDriver; nil when metrics
@@ -176,7 +173,7 @@ func (d *Driver) add(name string, r Report) {
 // identical result).
 func (d *Driver) AddByName(names []string, opts Options) error {
 	if d.pass == nil {
-		d.pass = newPassState(trace.NewSymbols())
+		d.pass = &passState{syms: trace.NewSymbols()}
 	}
 	opts.pass = d.pass
 	for _, name := range names {

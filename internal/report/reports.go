@@ -49,16 +49,13 @@ type Options struct {
 // passState is what the reports of one pass over a stream share: the
 // numbering of its peers and CIDs, one popularity accumulator over its
 // deduplicated requests, and the Sec. V-E result scored from it. The panes
-// of a WindowedDriver are passes that share one numbering, so their state
-// merges by id.
+// of a WindowedDriver are passes that share one numbering.
 type passState struct {
 	syms    *trace.Symbols
 	counter *popularity.Counter
 	iters   int        // bootstrap budget of the power-law tests
 	pop     *popScores // nil until the first Finalize that reads it
 }
-
-func newPassState(syms *trace.Symbols) *passState { return &passState{syms: syms} }
 
 // popScores is a pass's Sec. V-E result: its RRP and URP values in
 // ascending order, what fig5 and popularity both show of them, and the CSN
@@ -284,10 +281,7 @@ type onlineReport struct {
 	syms   *trace.Symbols
 	counts []int // requests by CID id; 0 for CIDs this report saw no request of
 	topK   int
-	// cids is the numbering's id → CID table as freeze took it, once
-	// frozen: a closing window takes it on the writer's goroutine, and its
-	// Finalize, which runs beside the writer, ranks the top K by it.
-	cids   []cid.CID
+	cids   []cid.CID // the id → CID table as freeze took it, to rank by
 	frozen bool
 }
 
@@ -318,11 +312,10 @@ func (r *onlineReport) Merge(from Report) error {
 	if err := r.z.Merge(f.z); err != nil {
 		return err
 	}
-	if n := len(f.counts); n > len(r.counts) {
-		r.counts = append(r.counts, make([]int, n-len(r.counts))...)
-	}
 	for id, n := range f.counts {
-		r.counts[id] += n
+		if n > 0 {
+			r.count(uint32(id), n)
+		}
 	}
 	return r.fig4.Merge(f.fig4)
 }

@@ -112,13 +112,10 @@ type windowState struct {
 //
 // The stream is cut into panes, Slide wide, and each pane is a Driver of
 // its own over fresh instances of the reports, so each entry is observed
-// once however many windows overlap it. Every pane numbers its peers and
-// CIDs through the driver's one trace.Symbols, so panes merge by id, and
-// the ids no open window holds are retired as windows close, so a daemon's
-// numbering stays bounded by what its open windows hold. The open windows
-// are one start-ordered run: after every write they are exactly the
-// Width/Slide windows that cover the watermark, each holding its first
-// pane. When the
+// once however many windows overlap it. The panes share the driver's one
+// trace.Symbols, so they merge by id. The open windows are one
+// start-ordered run: after every write they are exactly the Width/Slide
+// windows that cover the watermark, each holding its first pane. When the
 // watermark passes the first window's end, that window adopts its first
 // pane's report instances, which no later window covers, and merges the
 // first panes of the windows after it into them; a tumbling window has one
@@ -151,9 +148,7 @@ type WindowedDriver struct {
 	// live indexes the reports that are LiveReporters.
 	live []int
 
-	// syms numbers the peers and CIDs of every pane, so a closing window
-	// merges its panes by id. deliver retires the ids no open window holds.
-	syms *trace.Symbols
+	syms *trace.Symbols // every pane's numbering; deliver retires its ids
 
 	mu sync.Mutex
 	// open holds the open windows in start order: consecutive starts, the
@@ -193,7 +188,7 @@ func NewWindowedDriver(opts WindowOptions) (*WindowedDriver, error) {
 	// Probe-build the report set once on a throwaway Driver: a name that
 	// cannot build now (unknown, listed twice, or missing context like a geo
 	// DB) would otherwise surface mid-stream at the first window boundary.
-	probe := &Driver{dedup: opts.Dedup, pass: newPassState(d.syms)}
+	probe := &Driver{dedup: opts.Dedup, pass: &passState{syms: d.syms}}
 	if err := probe.AddByName(opts.Reports, opts.Opts); err != nil {
 		return nil, err
 	}
@@ -296,20 +291,18 @@ func (d *WindowedDriver) advance(ts int64) error {
 	return nil
 }
 
-// openWindow builds window k with its first pane, and moves the numbering
-// to epoch k, so the ids pane k resolves are stamped k or later. No entry
-// can have reached pane k before: window k opens when the watermark first
-// reaches its start, before the entry that moved it is written.
+// openWindow builds window k with its first pane, at numbering epoch k. No
+// entry can have reached pane k before: window k opens when the watermark
+// first reaches its start, before the entry that moved it is written.
 func (d *WindowedDriver) openWindow(k int64) (*windowState, error) {
 	st := &windowState{k: k, start: k * d.slide, end: k*d.slide + d.width}
 	d.syms.SetEpoch(k)
 	// A pane's Driver is its pass: its reports share a popularity counter
-	// and power-law tests of their own, reachable only through them, so all
-	// are garbage with the window that adopts the pane. Its numbering is the
-	// driver's. Its entry counts are held until that window closes, which
+	// and power-law tests of their own, garbage with the window that adopts
+	// the pane. Its entry counts are held until that window closes, which
 	// counts them once for every window the pane was merged into; every
 	// pane shares the driver's telemetry handle, so their counts line up.
-	st.pane = &Driver{dedup: d.opts.Dedup, m: d.m, hold: true, pass: newPassState(d.syms)}
+	st.pane = &Driver{dedup: d.opts.Dedup, m: d.m, hold: true, pass: &passState{syms: d.syms}}
 	if err := st.pane.AddByName(d.opts.Reports, d.opts.Opts); err != nil {
 		return nil, err
 	}
@@ -344,10 +337,8 @@ func (d *WindowedDriver) closeFirst(partial bool) error {
 	for i, next := range d.open {
 		panes[i] = next.pane
 	}
-	// What a Finalize reads from outside the window's panes,
-	// latency_breakdown's tracer and online's id → CID table, is taken now,
-	// on the writer's goroutine, so the window's result does not depend on
-	// when its closer runs.
+	// What a Finalize reads that the writer goes on changing is taken now,
+	// so the result does not depend on when the closer runs.
 	for _, r := range st.pane.active {
 		if f, ok := r.(freezer); ok {
 			f.freeze()
@@ -371,8 +362,7 @@ func (d *WindowedDriver) closeFirst(partial bool) error {
 	return nil
 }
 
-// freezer is a report whose Finalize reads state the writer goes on
-// changing: freeze takes what Finalize will read.
+// freezer is a report whose Finalize reads state the writer changes.
 type freezer interface{ freeze() }
 
 // finalize merges panes into drv, the window's adopted pane, finalizes it
@@ -400,10 +390,9 @@ func (c *windowClose) finalize(drv *Driver, panes []*Driver) error {
 
 // deliver retires the close in flight once its closer has finished,
 // waiting for it when wait is set: it retains and publishes the window's
-// result and invokes OnClose, or returns the closer's error. Between that
-// close and the next, it retires the ids stamped before the first open
-// window's first pane: every id a pane resolved is stamped with that pane's
-// epoch or a later one, so no open pane holds them. Caller holds mu.
+// result and invokes OnClose, or returns the closer's error. Before the
+// next close starts, it retires the ids stamped before the first open
+// window's first pane, which no open pane holds. Caller holds mu.
 func (d *WindowedDriver) deliver(wait bool) error {
 	c := d.closing
 	if c == nil {
@@ -518,7 +507,7 @@ func (d *WindowedDriver) paneView(i int) (*Driver, error) {
 	if d.panesPer == 1 {
 		return d.open[i].pane, nil
 	}
-	view := &Driver{dedup: d.opts.Dedup, pass: newPassState(d.syms)} // no telemetry: a view, not a pass
+	view := &Driver{dedup: d.opts.Dedup, pass: &passState{syms: d.syms}} // no telemetry: a view, not a pass
 	if err := view.AddByName(d.opts.Reports, d.opts.Opts); err != nil {
 		return nil, err
 	}

@@ -18,25 +18,20 @@ import (
 // last-resolved memo and pay a comparison.
 //
 // Ids are only meaningful to the Symbols that issued them, so state kept by
-// ids merges only with state numbered by the same Symbols (ErrOtherNumbering
-// otherwise). A Driver owns one for its single pass, which never retires an
-// id: its ids count up from 0 in first-seen order. A WindowedDriver shares
-// one among all its panes, so its windows merge pane state by index. It
-// never ends, so it retires ids: it sets the epoch to k as it opens pane k,
+// ids merges only with state numbered by the same Symbols. A Driver's pass
+// never retires an id. A WindowedDriver shares one among its panes and,
+// as it never ends, retires ids: it sets the epoch to k as it opens pane k,
 // every resolve stamps its id with the current epoch, and once no open
-// window holds a pane before k, Retire(k) deletes the ids stamped before k
-// and reuses them for the next values first seen. The numbering then holds
-// what the open windows hold, not everything the stream has carried. Not
-// safe for concurrent use; see CIDs for the one read allowed beside a
-// writer.
+// window holds a pane before k, Retire(k) frees the ids stamped before k
+// for the next values first seen. Not safe for concurrent use; see CIDs
+// for the one read allowed beside a writer.
 type Symbols struct {
 	peers numbering[simnet.NodeID]
 	cids  numbering[cid.CID]
 	epoch int64
 }
 
-// ErrOtherNumbering is returned by a merge of state kept by ids when the two
-// sides were numbered by different Symbols.
+// ErrOtherNumbering refuses a merge of state numbered by two Symbols.
 var ErrOtherNumbering = errors.New("trace: merging state numbered by another Symbols")
 
 // NewSymbols returns an empty numbering at epoch 0.
@@ -54,22 +49,18 @@ func (s *Symbols) Peer(id simnet.NodeID) uint32 { return s.peers.resolve(id, s.e
 // CID is a value like any other.
 func (s *Symbols) CID(c cid.CID) uint32 { return s.cids.resolve(c, s.epoch) }
 
-// CIDs returns the CID each id names, indexed by id; a retired id's slot
-// holds the undefined CID until the id is reused. It is how a consumer
-// turns its ids back into CIDs. The slice is shared, not copied: a window
-// closing beside the writer takes it on the writer's goroutine and reads
-// the slots of the ids its panes hold, which the writer neither retires nor
-// reuses until that close is delivered, while new ids are written to other
-// slots or past the slice's length.
+// CIDs returns the CID each id names, indexed by id (the undefined CID for
+// a retired id). The slice is shared: a window closing beside the writer
+// reads the slots of its panes' ids, which are not retired before that
+// close is delivered, while the writer fills other slots or appends.
 func (s *Symbols) CIDs() []cid.CID { return s.cids.keys }
 
-// SetEpoch sets the epoch that resolves stamp their ids with from now on.
-// Epochs never go back.
+// SetEpoch sets the epoch later resolves stamp their ids with; it never
+// goes back.
 func (s *Symbols) SetEpoch(epoch int64) { s.epoch = epoch }
 
-// Retire deletes every peer and CID whose id was last resolved before epoch
-// before, keeping the ids for reuse. The caller must hold no state by those
-// ids.
+// Retire frees the id of every peer and CID last resolved before epoch
+// before, for reuse. The caller must hold no state by those ids.
 func (s *Symbols) Retire(before int64) {
 	s.peers.retire(before)
 	s.cids.retire(before)
@@ -81,14 +72,12 @@ type numbering[K comparable] struct {
 	keys   []K     // by id; the zero K for a retired id
 	stamps []int64 // by id: the epoch it was last resolved in, or freeStamp
 	free   []uint32
-	// The key resolved last and its id, valid while memo is set.
-	last   K
+	last   K // the key resolved last and its id, valid while memo is set
 	lastID uint32
 	memo   bool
 }
 
-// freeStamp stamps a retired id: it is never before any epoch.
-const freeStamp = math.MaxInt64
+const freeStamp = math.MaxInt64 // a retired id's: never before an epoch
 
 func (n *numbering[K]) resolve(k K, epoch int64) uint32 {
 	if n.memo && k == n.last {

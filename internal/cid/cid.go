@@ -9,6 +9,7 @@
 package cid
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 )
@@ -38,9 +39,9 @@ type CID struct {
 
 // New builds a CIDv1 from a codec and multihash.
 func New(codec Codec, mh Multihash) CID {
-	buf := make([]byte, 0, 2+UvarintLen(uint64(codec))+mh.EncodedLen())
-	buf = PutUvarint(buf, uint64(V1))
-	buf = PutUvarint(buf, uint64(codec))
+	var a [64]byte // fits a sha2-256 CID; a longer digest grows onto the heap
+	buf := binary.AppendUvarint(a[:0], uint64(V1))
+	buf = binary.AppendUvarint(buf, uint64(codec))
 	buf = mh.Encode(buf)
 	return CID{key: string(buf)}
 }
@@ -124,7 +125,8 @@ func (c CID) String() string {
 	if c.Version() == V0 {
 		return encodeBase58([]byte(c.key))
 	}
-	return string(multibaseBase32) + encodeBase32([]byte(c.key))
+	var a [64]byte // fits a sha2-256 CID's text form
+	return string(base32Lower.AppendEncode(append(a[:0], multibaseBase32), []byte(c.key)))
 }
 
 // Decode parses a binary CID.

@@ -3,6 +3,7 @@ package cid
 import (
 	"bytes"
 	"encoding/base32"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -11,10 +12,7 @@ import (
 func TestUvarintRoundTrip(t *testing.T) {
 	cases := []uint64{0, 1, 127, 128, 255, 300, 16384, 1 << 32, 1<<63 + 5}
 	for _, v := range cases {
-		buf := PutUvarint(nil, v)
-		if len(buf) != UvarintLen(v) {
-			t.Errorf("UvarintLen(%d) = %d, encoded %d bytes", v, UvarintLen(v), len(buf))
-		}
+		buf := binary.AppendUvarint(nil, v)
 		got, n, err := Uvarint(buf)
 		if err != nil {
 			t.Fatalf("Uvarint(%d): %v", v, err)
@@ -50,8 +48,9 @@ func TestUvarintOverflow(t *testing.T) {
 
 func TestUvarintQuick(t *testing.T) {
 	f := func(v uint64) bool {
-		got, n, err := Uvarint(PutUvarint(nil, v))
-		return err == nil && got == v && n == UvarintLen(v)
+		buf := binary.AppendUvarint(nil, v)
+		got, n, err := Uvarint(buf)
+		return err == nil && got == v && n == len(buf)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -68,9 +67,6 @@ func TestMultihashRoundTrip(t *testing.T) {
 		t.Error("Verify accepted tampered data")
 	}
 	enc := mh.Encode(nil)
-	if len(enc) != mh.EncodedLen() {
-		t.Errorf("EncodedLen = %d, got %d bytes", mh.EncodedLen(), len(enc))
-	}
 	dec, n, err := DecodeMultihash(enc)
 	if err != nil {
 		t.Fatalf("DecodeMultihash: %v", err)
@@ -100,8 +96,8 @@ func TestIdentityHash(t *testing.T) {
 }
 
 func TestDecodeMultihashRejectsHugeLength(t *testing.T) {
-	buf := PutUvarint(nil, uint64(HashSha2256))
-	buf = PutUvarint(buf, 1<<20)
+	buf := binary.AppendUvarint(nil, uint64(HashSha2256))
+	buf = binary.AppendUvarint(buf, 1<<20)
 	if _, _, err := DecodeMultihash(buf); err == nil {
 		t.Error("expected error for huge digest length")
 	}
@@ -178,7 +174,13 @@ func TestCIDHashMatchesData(t *testing.T) {
 }
 
 func TestParseErrors(t *testing.T) {
-	cases := []string{"", "x123", "b!!!!", "QmInvalidBase58DataThatIsWrongLength0000000000"}
+	cases := []string{"", "x123", "b!!!!", "QmInvalidBase58DataThatIsWrongLength0000000000",
+		// Sum(Raw, []byte("x")) is bafkreibnoelefnzgwbcacyt4vh52ymxvzbjq7mmqhtcnwarfq4lzegsiqe;
+		// each of these spells it some other way.
+		"bafkreibnoelefnzgwbcacyt4vh52ymxvzbjq7mmqhtcnwarfq4lzegsiqea",  // one character too many
+		"bafkreibnoelefnzgwbcacyt4vh52ymxvzbjq7mmqhtcnwarfq4lzegsiqb",   // non-zero trailing bits
+		"bafkreibnoelefnzgwbc\nacyt4vh52ymxvzbjq7mmqhtcnwarfq4lzegsiqe", // a line break
+	}
 	for _, s := range cases {
 		if _, err := Parse(s); err == nil {
 			t.Errorf("Parse(%q) succeeded, want error", s)
@@ -205,8 +207,8 @@ func TestBase32MatchesStdlib(t *testing.T) {
 				want[j] += 'a' - 'A'
 			}
 		}
-		if got := encodeBase32(data); got != string(want) {
-			t.Fatalf("encodeBase32 mismatch: got %q want %q", got, want)
+		if got := base32Lower.EncodeToString(data); got != string(want) {
+			t.Fatalf("base32Lower mismatch: got %q want %q", got, want)
 		}
 		back, err := decodeBase32(string(want))
 		if err != nil {

@@ -1,6 +1,7 @@
 package cid
 
 import (
+	"encoding/base32"
 	"errors"
 	"fmt"
 	"math/big"
@@ -13,74 +14,37 @@ const (
 	multibaseBase58 = 'z' // base58btc (CIDv0 convention, without prefix)
 )
 
-const (
-	base32Alphabet = "abcdefghijklmnopqrstuvwxyz234567"
-	base58Alphabet = "123456789ABCDEFGHJKLMNPQRSTUVWXYZabcdefghijkmnopqrstuvwxyz"
-)
+// base32Lower is RFC4648 base32 with the lowercase alphabet and no padding,
+// the CIDv1 default multibase.
+var base32Lower = base32.NewEncoding("abcdefghijklmnopqrstuvwxyz234567").WithPadding(base32.NoPadding)
 
-var (
-	base32Rev [256]int8
-	base58Rev [256]int8
-)
+const base58Alphabet = "123456789ABCDEFGHJKLMNPQRSTUVWXYZabcdefghijkmnopqrstuvwxyz"
+
+var base58Rev [256]int8
 
 func init() {
-	for i := range base32Rev {
-		base32Rev[i] = -1
+	for i := range base58Rev {
 		base58Rev[i] = -1
-	}
-	for i := 0; i < len(base32Alphabet); i++ {
-		base32Rev[base32Alphabet[i]] = int8(i)
 	}
 	for i := 0; i < len(base58Alphabet); i++ {
 		base58Rev[base58Alphabet[i]] = int8(i)
 	}
 }
 
-// encodeBase32 encodes data as unpadded lowercase RFC4648 base32.
-func encodeBase32(data []byte) string {
-	var sb strings.Builder
-	sb.Grow((len(data)*8 + 4) / 5)
-	var (
-		acc  uint
-		bits uint
-	)
-	for _, b := range data {
-		acc = acc<<8 | uint(b)
-		bits += 8
-		for bits >= 5 {
-			bits -= 5
-			sb.WriteByte(base32Alphabet[(acc>>bits)&0x1f])
-		}
-	}
-	if bits > 0 {
-		sb.WriteByte(base32Alphabet[(acc<<(5-bits))&0x1f])
-	}
-	return sb.String()
-}
-
-// decodeBase32 decodes unpadded lowercase RFC4648 base32.
+// decodeBase32 decodes the canonical base32Lower form. encoding/base32 also
+// accepts strings it would never write (non-zero trailing bits, a dangling
+// character, line breaks), so a string is accepted only if it re-encodes to
+// itself: every CID then has exactly one text form.
 func decodeBase32(s string) ([]byte, error) {
-	out := make([]byte, 0, len(s)*5/8)
-	var (
-		acc  uint
-		bits uint
-	)
-	for i := 0; i < len(s); i++ {
-		v := base32Rev[s[i]]
-		if v < 0 {
-			return nil, fmt.Errorf("cid: invalid base32 character %q", s[i])
-		}
-		acc = acc<<5 | uint(v)
-		bits += 5
-		if bits >= 8 {
-			bits -= 8
-			out = append(out, byte(acc>>bits))
-		}
+	raw, err := base32Lower.DecodeString(s)
+	if err != nil {
+		return nil, fmt.Errorf("cid: base32: %v", err)
 	}
-	if acc&((1<<bits)-1) != 0 {
-		return nil, errors.New("cid: non-zero base32 padding bits")
+	var a [64]byte
+	if string(base32Lower.AppendEncode(a[:0], raw)) != s {
+		return nil, errors.New("cid: non-canonical base32")
 	}
-	return out, nil
+	return raw, nil
 }
 
 // encodeBase58 encodes data as base58btc.

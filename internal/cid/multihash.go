@@ -2,6 +2,7 @@ package cid
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
 )
@@ -38,14 +39,9 @@ func SumSha256(data []byte) Multihash {
 
 // Encode appends the binary multihash representation to buf.
 func (m Multihash) Encode(buf []byte) []byte {
-	buf = PutUvarint(buf, uint64(m.Code))
-	buf = PutUvarint(buf, uint64(len(m.Digest)))
+	buf = binary.AppendUvarint(buf, uint64(m.Code))
+	buf = binary.AppendUvarint(buf, uint64(len(m.Digest)))
 	return append(buf, m.Digest...)
-}
-
-// EncodedLen reports the byte length of the binary representation.
-func (m Multihash) EncodedLen() int {
-	return UvarintLen(uint64(m.Code)) + UvarintLen(uint64(len(m.Digest))) + len(m.Digest)
 }
 
 // DecodeMultihash parses a binary multihash from the start of buf, returning

@@ -1,9 +1,13 @@
 package cid
 
-import "errors"
+import (
+	"encoding/binary"
+	"errors"
+)
 
 // Varint handling for the multiformats family. These are unsigned LEB128
-// varints as used by multihash, multicodec and CID binary encodings.
+// varints as used by multihash, multicodec and CID binary encodings;
+// binary.AppendUvarint writes them.
 
 var (
 	// ErrVarintOverflow is returned when a varint does not fit in a uint64.
@@ -14,46 +18,18 @@ var (
 	ErrVarintNotMinimal = errors.New("cid: varint not minimally encoded")
 )
 
-// PutUvarint appends v to buf as an unsigned LEB128 varint and returns the
-// extended buffer.
-func PutUvarint(buf []byte, v uint64) []byte {
-	for v >= 0x80 {
-		buf = append(buf, byte(v)|0x80)
-		v >>= 7
-	}
-	return append(buf, byte(v))
-}
-
 // Uvarint decodes an unsigned LEB128 varint from the start of buf. It returns
 // the value and the number of bytes consumed. Unlike encoding/binary, it
 // rejects non-minimal encodings, which are invalid in the multiformats spec.
 func Uvarint(buf []byte) (uint64, int, error) {
-	var (
-		x     uint64
-		shift uint
-	)
-	for i, b := range buf {
-		if i >= 10 || (i == 9 && b > 1) {
-			return 0, 0, ErrVarintOverflow
-		}
-		if b < 0x80 {
-			if b == 0 && i > 0 {
-				return 0, 0, ErrVarintNotMinimal
-			}
-			return x | uint64(b)<<shift, i + 1, nil
-		}
-		x |= uint64(b&0x7f) << shift
-		shift += 7
+	x, n := binary.Uvarint(buf)
+	switch {
+	case n == 0:
+		return 0, 0, ErrVarintTruncated
+	case n < 0:
+		return 0, 0, ErrVarintOverflow
+	case n > 1 && buf[n-1] == 0:
+		return 0, 0, ErrVarintNotMinimal
 	}
-	return 0, 0, ErrVarintTruncated
-}
-
-// UvarintLen reports the number of bytes PutUvarint would use for v.
-func UvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
+	return x, n, nil
 }

@@ -26,6 +26,7 @@ package ingest
 import (
 	"errors"
 	"io"
+	"slices"
 
 	"bitswapmon/internal/trace"
 )
@@ -50,39 +51,16 @@ type EntrySource interface {
 // MemorySink accumulates entries in memory, for short scenarios, examples
 // and tests that read a monitor's whole trace back; use a SegmentStore when
 // trace volume matters.
-//
-// Storage is chunked: a flat slice regrows geometrically, and past the
-// runtime's large-size threshold each growth step reallocates, zeroes and
-// copies the entire accumulated trace — for a multi-megabyte trace that
-// regrowth dominated the event loop's allocation profile. Fixed-size chunks
-// bound every append to one small block allocation.
 type MemorySink struct {
-	chunks [][]trace.Entry
-	n      int
+	entries []trace.Entry
 }
-
-// memChunk is the full chunk capacity. Early chunks double up from a small
-// start so tiny test sinks stay cheap.
-const memChunk = 4096
 
 // NewMemorySink returns an empty in-memory sink.
 func NewMemorySink() *MemorySink { return &MemorySink{} }
 
 // Write appends the entry.
 func (s *MemorySink) Write(e trace.Entry) error {
-	k := len(s.chunks) - 1
-	if k < 0 || len(s.chunks[k]) == cap(s.chunks[k]) {
-		c := 64
-		if k >= 0 {
-			if c = cap(s.chunks[k]) * 2; c > memChunk {
-				c = memChunk
-			}
-		}
-		s.chunks = append(s.chunks, make([]trace.Entry, 0, c))
-		k++
-	}
-	s.chunks[k] = append(s.chunks[k], e)
-	s.n++
+	s.entries = append(s.entries, e)
 	return nil
 }
 
@@ -90,18 +68,11 @@ func (s *MemorySink) Write(e trace.Entry) error {
 // none. The copy is owned by the caller: mutating or appending to it cannot
 // corrupt the sink.
 func (s *MemorySink) Snapshot() []trace.Entry {
-	if s.n == 0 {
-		return nil
-	}
-	out := make([]trace.Entry, 0, s.n)
-	for _, c := range s.chunks {
-		out = append(out, c...)
-	}
-	return out
+	return slices.Clone(s.entries)
 }
 
 // Reset discards the accumulated entries.
-func (s *MemorySink) Reset() { s.chunks, s.n = nil, 0 }
+func (s *MemorySink) Reset() { s.entries = nil }
 
 // tee fans writes out to several sinks.
 type tee struct {

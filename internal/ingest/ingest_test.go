@@ -56,8 +56,8 @@ func TestMemorySinkSnapshotIsStable(t *testing.T) {
 		}
 	}
 	snap := s.Snapshot()
-	if len(snap) != 4 || s.n != 4 {
-		t.Fatalf("len = %d/%d, want 4", len(snap), s.n)
+	if len(snap) != 4 || len(s.entries) != 4 {
+		t.Fatalf("len = %d/%d, want 4", len(snap), len(s.entries))
 	}
 	// Corrupting the snapshot must not corrupt the sink.
 	snap[0].Monitor = "evil"
@@ -65,13 +65,13 @@ func TestMemorySinkSnapshotIsStable(t *testing.T) {
 	if got := s.Snapshot()[0].Monitor; got != "us" {
 		t.Errorf("sink corrupted through snapshot: monitor = %q", got)
 	}
-	if s.n != 4 {
-		t.Errorf("sink length changed: %d", s.n)
+	if len(s.entries) != 4 {
+		t.Errorf("sink length changed: %d", len(s.entries))
 	}
 
 	s.Reset()
-	if got := s.Snapshot(); got != nil || s.n != 0 {
-		t.Errorf("reset: snapshot=%v len=%d", got, s.n)
+	if got := s.Snapshot(); got != nil || len(s.entries) != 0 {
+		t.Errorf("reset: snapshot=%v len=%d", got, len(s.entries))
 	}
 }
 
@@ -87,8 +87,8 @@ func TestTeeWritesAllAndJoinsErrors(t *testing.T) {
 	if !errors.Is(err, boom) {
 		t.Errorf("tee error = %v, want boom", err)
 	}
-	if a.n != 1 || b.n != 1 {
-		t.Errorf("tee skipped sinks after error: a=%d b=%d", a.n, b.n)
+	if len(a.entries) != 1 || len(b.entries) != 1 {
+		t.Errorf("tee skipped sinks after error: a=%d b=%d", len(a.entries), len(b.entries))
 	}
 }
 

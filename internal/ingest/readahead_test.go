@@ -45,7 +45,7 @@ type failingSink struct {
 }
 
 func (s *failingSink) Write(e trace.Entry) error {
-	if s.n >= s.limit {
+	if len(s.entries) >= s.limit {
 		return s.err
 	}
 	return s.MemorySink.Write(e)
@@ -98,8 +98,8 @@ func TestCopySourceError(t *testing.T) {
 		if n != k || !errors.Is(err, boom) {
 			t.Fatalf("error after %d entries: Copy = %d, %v", k, n, err)
 		}
-		if dst.n != k {
-			t.Fatalf("error after %d entries: sink holds %d", k, dst.n)
+		if len(dst.entries) != k {
+			t.Fatalf("error after %d entries: sink holds %d", k, len(dst.entries))
 		}
 
 		ra := trace.NewReadAhead(&countingSource{entries: in, err: boom})

@@ -104,8 +104,8 @@ func TestOnlineStatsAsSinkInTee(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if int(stats.Entries()) != len(in) || mem.n != len(in) {
-		t.Errorf("tee fan-out lost entries: stats=%d mem=%d want=%d", stats.Entries(), mem.n, len(in))
+	if int(stats.Entries()) != len(in) || len(mem.entries) != len(in) {
+		t.Errorf("tee fan-out lost entries: stats=%d mem=%d want=%d", stats.Entries(), len(mem.entries), len(in))
 	}
 	requests := 0
 	for _, e := range mem.Snapshot() {

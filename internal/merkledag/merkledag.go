@@ -7,6 +7,7 @@
 package merkledag
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -66,16 +67,16 @@ func (n *Node) Encode() []byte {
 		return n.Data
 	}
 	buf := []byte{byte(n.Kind)}
-	buf = cid.PutUvarint(buf, uint64(len(n.Data)))
+	buf = binary.AppendUvarint(buf, uint64(len(n.Data)))
 	buf = append(buf, n.Data...)
-	buf = cid.PutUvarint(buf, uint64(len(n.Links)))
+	buf = binary.AppendUvarint(buf, uint64(len(n.Links)))
 	for _, l := range n.Links {
-		buf = cid.PutUvarint(buf, uint64(len(l.Name)))
+		buf = binary.AppendUvarint(buf, uint64(len(l.Name)))
 		buf = append(buf, l.Name...)
 		raw := l.CID.Key()
-		buf = cid.PutUvarint(buf, uint64(len(raw)))
+		buf = binary.AppendUvarint(buf, uint64(len(raw)))
 		buf = append(buf, raw...)
-		buf = cid.PutUvarint(buf, l.Size)
+		buf = binary.AppendUvarint(buf, l.Size)
 	}
 	return buf
 }

@@ -26,8 +26,8 @@ func EnableMetrics(r *obs.Registry) {
 	}
 	otMetrics.Store(&otraceMetrics{
 		spans: r.Counter("otrace_spans_total",
-			"Spans recorded into the flight recorder's ring buffers."),
+			"Spans recorded into the flight recorder's span buffer."),
 		drops: r.Counter("otrace_drops_total",
-			"Spans discarded because their ring buffer was full."),
+			"Spans discarded because the span buffer was full."),
 	})
 }

@@ -95,7 +95,7 @@ type LatencyStage struct {
 type LatencyBreakdown struct {
 	Spans     int
 	Traces    int
-	RingDrops uint64 // spans lost to ring overflow
+	RingDrops uint64 // spans lost to a full span buffer
 	Stages    []LatencyStage
 }
 
@@ -178,7 +178,7 @@ func (b *LatencyBreakdown) Render() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "latency breakdown — %d spans across %d traces", b.Spans, b.Traces)
 	if b.RingDrops > 0 {
-		fmt.Fprintf(&sb, " (%d spans lost to ring overflow — distributions are truncated)", b.RingDrops)
+		fmt.Fprintf(&sb, " (%d spans lost to a full span buffer — distributions are truncated)", b.RingDrops)
 	}
 	sb.WriteByte('\n')
 	fmt.Fprintf(&sb, "%-20s %8s %7s %10s %10s %10s %10s %10s\n",

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"encoding/csv"
 	"fmt"
 	"sort"
 	"strconv"
@@ -171,25 +172,19 @@ func (t Table) Render() string {
 // CSV renders the table as CSV (header row of column values, one line per
 // row value). Output is deterministic: same summaries, same bytes.
 func (t Table) CSV() string {
-	var sb strings.Builder
-	sb.WriteString(csvEscape(t.RowParam + "\\" + t.ColParam))
-	for _, c := range t.ColVals {
-		sb.WriteString(",")
-		sb.WriteString(csvEscape(c))
-	}
-	sb.WriteString("\n")
+	rows := [][]string{append([]string{t.RowParam + "\\" + t.ColParam}, t.ColVals...)}
 	for i, r := range t.RowVals {
-		sb.WriteString(csvEscape(r))
+		row := []string{r}
 		for j := range t.ColVals {
-			sb.WriteString(",")
-			cell := t.Cells[i][j]
-			if cell.Runs > 0 {
-				sb.WriteString(strconv.FormatFloat(cell.Mean, 'g', -1, 64))
+			cell := ""
+			if c := t.Cells[i][j]; c.Runs > 0 {
+				cell = strconv.FormatFloat(c.Mean, 'g', -1, 64)
 			}
+			row = append(row, cell)
 		}
-		sb.WriteString("\n")
+		rows = append(rows, row)
 	}
-	return sb.String()
+	return writeCSV(rows)
 }
 
 // CSV renders the long-form join of every run summary: one line per
@@ -234,50 +229,50 @@ func CSV(recs []*RunSummary) string {
 	}
 	sort.Strings(metrics)
 
-	var sb strings.Builder
-	sb.WriteString("run_id,seed")
+	header := []string{"run_id", "seed"}
 	for _, p := range params {
-		sb.WriteString(",param:" + csvEscape(p))
+		header = append(header, "param:"+p)
 	}
-	for _, m := range metrics {
-		sb.WriteString("," + csvEscape(m))
-	}
+	header = append(header, metrics...)
 	for _, m := range mons {
-		sb.WriteString(",coverage:" + csvEscape(m))
+		header = append(header, "coverage:"+m)
 	}
-	sb.WriteString("\n")
+	rows := [][]string{header}
 	for _, r := range sorted {
-		sb.WriteString(csvEscape(r.RunID))
-		sb.WriteString("," + strconv.FormatInt(r.Seed, 10))
+		row := []string{r.RunID, strconv.FormatInt(r.Seed, 10)}
 		for _, p := range params {
-			sb.WriteString(",")
+			cell := ""
 			for _, rp := range r.Params {
 				if rp.Key == p {
-					sb.WriteString(csvEscape(FormatValue(rp.Value)))
+					cell = FormatValue(rp.Value)
 					break
 				}
 			}
+			row = append(row, cell)
 		}
 		for _, m := range metrics {
-			sb.WriteString(",")
+			cell := ""
 			if v, err := r.Metric(m); err == nil {
-				sb.WriteString(strconv.FormatFloat(v, 'g', -1, 64))
+				cell = strconv.FormatFloat(v, 'g', -1, 64)
 			}
+			row = append(row, cell)
 		}
 		for _, m := range mons {
-			sb.WriteString(",")
+			cell := ""
 			if v, ok := r.MonitorCoverage[m]; ok {
-				sb.WriteString(strconv.FormatFloat(v, 'g', -1, 64))
+				cell = strconv.FormatFloat(v, 'g', -1, 64)
 			}
+			row = append(row, cell)
 		}
-		sb.WriteString("\n")
+		rows = append(rows, row)
 	}
-	return sb.String()
+	return writeCSV(rows)
 }
 
-func csvEscape(s string) string {
-	if !strings.ContainsAny(s, ",\"\n") {
-		return s
-	}
-	return "\"" + strings.ReplaceAll(s, "\"", "\"\"") + "\""
+// writeCSV renders rows with encoding/csv, which quotes a cell only when it
+// must. Writes to a strings.Builder cannot fail.
+func writeCSV(rows [][]string) string {
+	var sb strings.Builder
+	csv.NewWriter(&sb).WriteAll(rows)
+	return sb.String()
 }

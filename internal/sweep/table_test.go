@@ -1,6 +1,8 @@
 package sweep
 
 import (
+	"encoding/csv"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -141,5 +143,29 @@ func TestSweepTableCSVDeterministic(t *testing.T) {
 	// Quoted run IDs (they contain commas) survive as single fields.
 	if !strings.Contains(lines[1], "\"nodes=100,mean_session=2h-s1\"") {
 		t.Errorf("run ID not quoted: %s", lines[1])
+	}
+
+	// A string parameter value that needs quoting reads back whole, from
+	// the long form and as a table row value.
+	const label = `east, "fast"`
+	recs[0].Params = append(recs[0].Params, Param{Key: "label", Value: label})
+	rows, err := csv.NewReader(strings.NewReader(CSV(recs))).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := slices.Index(rows[0], "param:label")
+	if col < 0 || rows[1][col] != label {
+		t.Errorf("long CSV label column %d of %q, want %q", col, rows, label)
+	}
+	tbl3, err := ComputeTable(recs, "label", "", "entries")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err = csv.NewReader(strings.NewReader(tbl3.CSV())).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.ContainsFunc(rows[1:], func(row []string) bool { return row[0] == label }) {
+		t.Errorf("table CSV rows %q lack %q", rows, label)
 	}
 }
